@@ -4,12 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math"
 	"path/filepath"
 	"sync"
 	"time"
 
 	"repro/internal/container"
-	"repro/internal/index"
 	"repro/internal/wal"
 )
 
@@ -109,33 +109,24 @@ const (
 	opDelete = 3 // operand: i
 )
 
-func encodeOpAppend(ch uint32) []byte {
-	var e container.Encoder
-	e.U(opAppend)
-	e.U(uint64(ch))
-	return e.Bytes()
-}
-
-func encodeOpChange(i int64, ch uint32) []byte {
-	var e container.Encoder
-	e.U(opChange)
-	e.U(uint64(i))
-	e.U(uint64(ch))
-	return e.Bytes()
-}
-
-func encodeOpDelete(i int64) []byte {
-	var e container.Encoder
-	e.U(opDelete)
-	e.U(uint64(i))
-	return e.Bytes()
-}
-
-// walOp is one decoded log record.
+// walOp is one update: what Append/Change/Delete hand to the write
+// pipeline, and one decoded log record.
 type walOp struct {
 	op uint64
 	i  int64
 	ch uint32
+}
+
+func (o walOp) encode() []byte {
+	var e container.Encoder
+	e.U(o.op)
+	if o.op != opAppend {
+		e.U(uint64(o.i))
+	}
+	if o.op != opDelete {
+		e.U(uint64(o.ch))
+	}
+	return e.Bytes()
 }
 
 func decodeOp(payload []byte) (walOp, error) {
@@ -221,25 +212,9 @@ func (du *durable) log(payload []byte) error {
 	return nil
 }
 
-// sync is an explicit durability barrier over the log.
-func (du *durable) sync() error {
-	du.mu.Lock()
-	defer du.mu.Unlock()
-	return du.syncLocked()
-}
-
-func (du *durable) syncLocked() error {
-	if du.err != nil {
-		return du.err
-	}
-	if du.closed {
-		return ErrClosed
-	}
-	if err := du.w.Sync(); err != nil {
-		return du.fail(err)
-	}
-	return nil
-}
+// sync is an explicit durability barrier over the whole log: a wait for a
+// watermark no record can reach.
+func (du *durable) sync() error { return du.waitDurable(math.MaxUint64) }
 
 // waitDurable blocks until the durable watermark covers seq — the group
 // commit stage. The first writer to take mu syncs the log once, covering
@@ -382,6 +357,10 @@ func (du *durable) close() error {
 func (du *durable) lastSeq() uint64 {
 	du.mu.Lock()
 	defer du.mu.Unlock()
+	return du.lastSeqLocked()
+}
+
+func (du *durable) lastSeqLocked() uint64 {
 	if du.w == nil {
 		return du.ckptSeq
 	}
@@ -405,72 +384,14 @@ func (du *durable) durableSeqLocked() uint64 {
 	return du.ckptSeq
 }
 
-// durableApply runs one update under the log-before-apply discipline:
-// pre-validate (only operations the index will accept may be logged — a
-// record whose replay fails would poison recovery), log, apply, publish the
-// new epoch (concurrent handles), then checkpoint if due. An apply failure
-// after a successful log breaks the handle: the in-memory state may be
-// part-mutated, and recovery from the (still consistent) on-disk state is
-// the only way forward.
-//
-// Concurrent writers serialize through mu up to publication; in group-commit
-// mode the durability wait happens after mu is released, so the next writer
-// appends its record while this one waits for the shared sync (one fsync per
-// convoy, not per op).
-func durableApply(du *durable, validate func() error, payload func() []byte,
-	apply func() (index.QueryStats, error), publish func(seq uint64) error) (Stats, error) {
-	du.mu.Lock()
-	if du.closed {
-		du.mu.Unlock()
-		return Stats{}, ErrClosed
-	}
-	if du.err != nil {
-		err := du.err
-		du.mu.Unlock()
-		return Stats{}, err
-	}
-	if err := validate(); err != nil {
-		du.mu.Unlock()
-		return Stats{}, err
-	}
-	if err := du.log(payload()); err != nil {
-		du.mu.Unlock()
-		return Stats{}, err
-	}
-	seq := du.w.Seq()
-	st, err := apply()
-	if err != nil {
-		du.fail(err)
-		du.mu.Unlock()
-		return fromQS(st), err
-	}
-	if publish != nil {
-		if perr := publish(seq); perr != nil {
-			du.fail(perr)
-			du.mu.Unlock()
-			return fromQS(st), perr
-		}
-	}
-	du.opsSince++
-	du.maybeCheckpoint()
-	group := du.group
-	du.mu.Unlock()
-	if group {
-		if werr := du.waitDurable(seq); werr != nil {
-			return fromQS(st), werr
-		}
-	}
-	return fromQS(st), nil
-}
-
 // openDurable recovers the durability state for a base container opened at
 // watermark appliedSeq: scan the log, replay the suffix beyond the watermark
-// through apply, and return a handle whose writer resumes at the log's valid
-// end. A torn log tail (a crash mid-append) is truncated and overwritten;
-// mid-log damage, a log/base kind mismatch, or a log that starts beyond the
-// base's watermark (acknowledged operations missing) is ErrCorrupt.
-func openDurable(wo *WALOptions, basePath string, kind uint64, appliedSeq uint64, group bool,
-	apply func(walOp) error, emit func(cw *container.Writer, seq uint64) error) (*durable, error) {
+// through ix.applyOp, and return a handle whose writer resumes at the log's
+// valid end. A torn log tail (a crash mid-append) is truncated and
+// overwritten; mid-log damage, a log/base kind mismatch, or a log that starts
+// beyond the base's watermark (acknowledged operations missing) is
+// ErrCorrupt.
+func openDurable(wo *WALOptions, basePath string, kind uint64, appliedSeq uint64, group bool, ix writable) (*durable, error) {
 	fsys := wo.fsys
 	if fsys == nil {
 		fsys = wal.OS
@@ -483,7 +404,7 @@ func openDurable(wo *WALOptions, basePath string, kind uint64, appliedSeq uint64
 		fsys: fsys, dir: filepath.Dir(walPath), basePath: basePath, walPath: walPath,
 		kind: kind, pol: wo.walPolicy(group), group: group && wo.Policy == SyncEveryOp,
 		ckptBytes: wo.CheckpointBytes, ckptOps: wo.CheckpointOps,
-		ckptSeq: appliedSeq, emit: emit,
+		ckptSeq: appliedSeq, emit: ix.emitSections,
 	}
 	if du.ckptBytes == 0 {
 		du.ckptBytes = defaultCheckpointBytes
@@ -535,7 +456,7 @@ func openDurable(wo *WALOptions, basePath string, kind uint64, appliedSeq uint64
 		if derr != nil {
 			return nil, corruptf("log %s record %d: %v", walPath, rec.Seq, derr)
 		}
-		if err := apply(op); err != nil {
+		if _, err := ix.applyOp(op); err != nil {
 			return nil, corruptf("log %s: replaying record %d: %v", walPath, rec.Seq, err)
 		}
 		du.opsSince++

@@ -5,11 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/cbitmap"
-	"repro/internal/core"
-	"repro/internal/index"
-	"repro/internal/iomodel"
 )
 
 // Epoch/snapshot semantics for the dynamic structures. In concurrent mode
@@ -25,30 +20,11 @@ import (
 // the harness can assert exactly that drain.
 
 // epoch is one published immutable view: a version (the sequence number of
-// the last operation it reflects) plus a read-only clone of exactly one
-// index kind.
+// the last operation it reflects) plus a read-only clone of the index.
 type epoch struct {
 	version uint64
-	ax      *core.AppendIndex
-	dx      *core.Dynamic
+	q       queryable
 	refs    atomic.Int64
-}
-
-func (e *epoch) queryContext(ctx context.Context, lo, hi uint32) (*Result, Stats, error) {
-	var (
-		bm  *cbitmap.Bitmap
-		st  index.QueryStats
-		err error
-	)
-	if e.ax != nil {
-		bm, st, err = e.ax.QueryContext(ctx, index.Range{Lo: lo, Hi: hi})
-	} else {
-		bm, st, err = e.dx.QueryContext(ctx, index.Range{Lo: lo, Hi: hi})
-	}
-	if err != nil {
-		return nil, fromQS(st), err
-	}
-	return &Result{bm: bm}, fromQS(st), nil
 }
 
 // epochState is the publication point: an atomically-swapped pointer to the
@@ -126,7 +102,7 @@ func (s *Snapshot) QueryContext(ctx context.Context, lo, hi uint32) (*Result, St
 	if s.released.Load() {
 		return nil, Stats{}, ErrClosed
 	}
-	return s.ep.queryContext(ctx, lo, hi)
+	return runQuery(ctx, s.ep.q, lo, hi)
 }
 
 // Release unpins the snapshot's epoch. Releasing twice is a no-op; queries
@@ -164,14 +140,4 @@ func (l *opLog) snapshot() []opRec {
 	out := make([]opRec, len(l.recs))
 	copy(out, l.recs)
 	return out
-}
-
-// freezeDevice returns an immutable view of the index device: the raw
-// disk's freeze, wrapped with the live fault schedule when one is attached,
-// so snapshot reads draw the same deterministic fates as live reads.
-func freezeDevice(d *iomodel.Disk, fd *iomodel.FaultDisk) iomodel.Device {
-	if fd != nil {
-		return fd.FreezeView()
-	}
-	return d.Freeze()
 }

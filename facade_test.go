@@ -1,0 +1,353 @@
+package secidx
+
+import (
+	"context"
+	"errors"
+	"hash/fnv"
+	"os"
+	"path/filepath"
+	"sync"
+	"testing"
+
+	"repro/internal/container"
+)
+
+// TestAllShardsFailedWrapsPublicShardError: the error of a degraded query
+// with no healthy shard left must match the public ShardError through
+// errors.As, on every entry point that can return it.
+func TestAllShardsFailedWrapsPublicShardError(t *testing.T) {
+	const sigma = 32
+	ix, err := BuildSharded(randColumn(4000, sigma, 61), sigma, ShardOptions{
+		Shards: 3,
+		Faults: &FaultConfig{Seed: 5, PermanentPer10k: 10000},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix.ArmFaults()
+	ctx := context.Background()
+	check := func(label string, err error) {
+		t.Helper()
+		var se ShardError
+		if !errors.As(err, &se) {
+			t.Fatalf("%s: error %v does not match secidx.ShardError", label, err)
+		}
+		if se.RowEnd <= se.RowStart || se.Attempts < 1 || se.Err == nil {
+			t.Errorf("%s: implausible report %+v", label, se)
+		}
+	}
+	qo := QueryOptions{AllowPartial: true}
+	_, _, _, err = ix.QueryExec(ctx, 3, 9, qo)
+	check("QueryExec", err)
+	_, _, _, err = ix.QueryBatchExec(ctx, []Range{{Lo: 0, Hi: 4}, {Lo: 2, Hi: 20}}, qo)
+	check("QueryBatchExec", err)
+	srv, err := ix.Serve(ServerConfig{AllowPartial: true, DisableBreakers: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	_, err = srv.Query(ctx, 3, 9)
+	check("Server.Query", err)
+}
+
+// TestWriteFileRacesAppends: WriteFile on a handle other goroutines are
+// appending to must write a container whose durability watermark matches
+// its contents — every logged operation is one appended row, so a copy
+// reopened writable must hold exactly initial+watermark rows. Under -race
+// this is also the data-race check on the shared handle.
+func TestWriteFileRacesAppends(t *testing.T) {
+	const sigma, n0, writers, per = 16, 500, 4, 60
+	initial := randColumn(n0, sigma, 62)
+	built, err := BuildAppend(initial, sigma, Options{BlockBits: 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []string{"durable", "built"} {
+		t.Run(mode, func(t *testing.T) {
+			var ix *AppendIndex
+			if mode == "durable" {
+				ix = writeOpen(t, built.WriteFile, OpenOptions{
+					WAL:        &WALOptions{Policy: SyncGrouped, GroupOps: 64},
+					Concurrent: true,
+				}).Append
+			} else if ix, err = BuildAppend(initial, sigma, Options{BlockBits: 2048, Concurrent: true}); err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < per; i++ {
+						if _, err := ix.Append(uint32((w + i) % sigma)); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(w)
+			}
+			dir := t.TempDir()
+			var copies []string
+			for i := 0; i < 6; i++ {
+				path := filepath.Join(dir, "copy"+string(rune('0'+i)))
+				if err := ix.WriteFile(path); err != nil {
+					t.Fatal(err)
+				}
+				copies = append(copies, path)
+			}
+			wg.Wait()
+			for _, path := range copies {
+				o, err := OpenFile(path, OpenOptions{WAL: &WALOptions{}})
+				if err != nil {
+					t.Fatalf("%s: %v", path, err)
+				}
+				rows, mark := o.Append.Len(), int64(o.LastSeq())
+				o.Close()
+				if mode == "durable" && rows != n0+mark {
+					t.Errorf("%s holds %d rows at watermark %d, want %d", path, rows, mark, n0+mark)
+				}
+				if rows < n0 || rows > n0+writers*per {
+					t.Errorf("%s holds %d rows, outside [%d,%d]", path, rows, n0, n0+writers*per)
+				}
+			}
+		})
+	}
+}
+
+// TestOpenDynamicHonoursCacheBlocks: OpenOptions.CacheBlocks must reach the
+// replayed dynamic handle's device, as it reaches every other reopened kind.
+func TestOpenDynamicHonoursCacheBlocks(t *testing.T) {
+	const sigma = 32
+	dx, err := BuildDynamic(randColumn(4000, sigma, 63), sigma, Options{BlockBits: 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, oo := range []OpenOptions{{CacheBlocks: 256}, {CacheBlocks: 256, WAL: &WALOptions{}}} {
+		o := writeOpen(t, dx.WriteFile, oo)
+		for i := 0; i < 2; i++ {
+			if _, _, err := o.Dynamic.Query(4, 19); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := o.Dynamic.disk.Stats(); st.CacheHits == 0 {
+			t.Errorf("wal=%v: repeated query on a cached dynamic reopen hit the cache 0 times (%+v)", oo.WAL != nil, st)
+		}
+	}
+}
+
+// TestFormatGoldens pins the v2 on-disk bytes: the FNV-64a of WriteFile's
+// output for one small fixed-seed index of each kind. The constants were
+// computed before the root package was restructured around shard.Index and
+// the shared handle; a change here is a format change.
+func TestFormatGoldens(t *testing.T) {
+	const sigma = 32
+	data := randColumn(3000, sigma, 64)
+	opts := Options{BlockBits: 2048, Seed: 9}
+	static, err := Build(data, sigma, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := BuildSharded(data, sigma, ShardOptions{Options: opts, Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bopts := opts
+	bopts.Buffered = true
+	app, err := BuildAppend(data, sigma, bopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dyn, err := BuildDynamic(data, sigma, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		if _, err := app.Append(uint32(i*7) % sigma); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dyn.Change(int64(i*13), uint32(i*5)%sigma); err != nil {
+			t.Fatal(err)
+		}
+		if i%4 == 0 {
+			if _, err := dyn.Delete(int64(i*11 + 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := dyn.Append(uint32(i*3) % sigma); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		kind  string
+		write func(string) error
+		want  uint64
+	}{
+		{"static", static.WriteFile, goldenStatic},
+		{"sharded", sharded.WriteFile, goldenSharded},
+		{"append", app.WriteFile, goldenAppend},
+		{"dynamic", dyn.WriteFile, goldenDynamic},
+	} {
+		path := filepath.Join(t.TempDir(), tc.kind)
+		if err := tc.write(path); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		h.Write(raw)
+		if got := h.Sum64(); got != tc.want {
+			t.Errorf("%s container: %d bytes hash to %#x, golden %#x", tc.kind, len(raw), got, tc.want)
+		}
+	}
+}
+
+const (
+	goldenStatic  = 0x9150b2c94f9f1a6f
+	goldenSharded = 0x3b95cce8b69932a3
+	goldenAppend  = 0x1ef60908cb06349d
+	goldenDynamic = 0x9527613b21cf3c92
+)
+
+// TestInvalidOpRejectedEveryMode drives invalid operations through every
+// combination of handle mode and updatable kind: each must be rejected
+// without a trace — row count, snapshot version and log sequence unchanged —
+// and leave the handle accepting the next valid operation.
+func TestInvalidOpRejectedEveryMode(t *testing.T) {
+	const sigma, n0 = 16, 400
+	initial := randColumn(n0, sigma, 65)
+	type ops struct {
+		length  func() int64
+		snap    func() (*Snapshot, error)
+		invalid map[string]func() (Stats, error)
+		valid   func() (Stats, error)
+	}
+	appendOps := func(ix *AppendIndex) ops {
+		return ops{ix.Len, ix.Snapshot, map[string]func() (Stats, error){
+			"append key = sigma": func() (Stats, error) { return ix.Append(sigma) },
+		}, func() (Stats, error) { return ix.Append(3) }}
+	}
+	dynamicOps := func(ix *DynamicIndex) ops {
+		return ops{ix.Len, ix.Snapshot, map[string]func() (Stats, error){
+			"append key = sigma": func() (Stats, error) { return ix.Append(sigma) },
+			"change key > sigma": func() (Stats, error) { return ix.Change(0, sigma+5) },
+			"change row -1":      func() (Stats, error) { return ix.Change(-1, 0) },
+			"change row = len":   func() (Stats, error) { return ix.Change(ix.Len(), 0) },
+			"delete row = len":   func() (Stats, error) { return ix.Delete(ix.Len()) },
+		}, func() (Stats, error) { return ix.Append(3) }}
+	}
+	for _, mode := range []struct {
+		name            string
+		concurrent, wal bool
+	}{{"plain", false, false}, {"concurrent", true, false}, {"wal", false, true}, {"wal+concurrent", true, true}} {
+		for _, kind := range []string{"append", "dynamic"} {
+			t.Run(mode.name+"/"+kind, func(t *testing.T) {
+				var o *Opened // non-nil on reopened (wal) handles
+				var h ops
+				bo := Options{BlockBits: 2048, Concurrent: mode.concurrent && !mode.wal}
+				oo := OpenOptions{Concurrent: mode.concurrent}
+				if mode.wal {
+					oo.WAL = &WALOptions{}
+				}
+				if kind == "append" {
+					ix, err := BuildAppend(initial, sigma, bo)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if mode.wal {
+						o = writeOpen(t, ix.WriteFile, oo)
+						ix = o.Append
+					}
+					h = appendOps(ix)
+				} else {
+					ix, err := BuildDynamic(initial, sigma, bo)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if mode.wal {
+						o = writeOpen(t, ix.WriteFile, oo)
+						ix = o.Dynamic
+					}
+					h = dynamicOps(ix)
+				}
+				// state is (rows, snapshot version, last log sequence); the
+				// last two read zero in modes that do not have them.
+				state := func() [3]uint64 {
+					st := [3]uint64{uint64(h.length())}
+					if mode.concurrent {
+						s, err := h.snap()
+						if err != nil {
+							t.Fatal(err)
+						}
+						st[1] = s.Version()
+						s.Release()
+					}
+					if o != nil {
+						st[2] = o.LastSeq()
+					}
+					return st
+				}
+				before := state()
+				for name, op := range h.invalid {
+					if _, err := op(); err == nil {
+						t.Errorf("%s: accepted", name)
+					}
+					if got := state(); got != before {
+						t.Errorf("%s: state (rows, version, seq) %v → %v", name, before, got)
+					}
+				}
+				if _, err := h.valid(); err != nil {
+					t.Fatalf("valid operation after the rejections: %v", err)
+				}
+				want := before
+				want[0]++
+				if mode.concurrent {
+					want[1]++
+				}
+				if o != nil {
+					want[2]++
+				}
+				if got := state(); got != want {
+					t.Errorf("after one valid operation: state %v, want %v", got, want)
+				}
+			})
+		}
+	}
+}
+
+// TestWritableReopenRejectsDamagedColumn: a column mirror that checksums but
+// does not decode — here cut in half before the section was written — must
+// fail the writable open, not leave the handle appending onto a partial
+// mirror.
+func TestWritableReopenRejectsDamagedColumn(t *testing.T) {
+	ix, err := BuildAppend(randColumn(300, 8, 66), 8, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "cut.secidx")
+	err = writeContainer(path, container.KindAppend, func(cw *container.Writer) error {
+		var e, m, c container.Encoder
+		encodeManifest(&e, ix.Len(), ix.ax.Sigma(), ix.opts, 1)
+		if err := cw.Add(container.TypeManifest, 0, e.Bytes(), 1); err != nil {
+			return err
+		}
+		if err := ix.ax.EncodeMeta(&m); err != nil {
+			return err
+		}
+		if err := cw.Add(container.TypeAppendMeta, 0, m.Bytes(), 1); err != nil {
+			return err
+		}
+		ix.ax.EncodeColumn(&c)
+		if err := cw.Add(container.TypeColumn, 0, c.Bytes()[:len(c.Bytes())/2], 1); err != nil {
+			return err
+		}
+		return addImage(cw, 0, ix.disk)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenFile(path, OpenOptions{WAL: &WALOptions{}}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("writable open over a damaged column section: error %v, want ErrCorrupt", err)
+	}
+}

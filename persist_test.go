@@ -394,7 +394,7 @@ func TestPersistFaultsOnReopened(t *testing.T) {
 			t.Fatalf("[%d,%d]: %v", r.Lo, r.Hi, err)
 		}
 		assertSameRows(t, "faulted reopened", got, want)
-		total.add(st)
+		total.Add(st)
 	}
 	if total.FailedReads == 0 || total.RetriedReads == 0 {
 		t.Fatalf("fault counters silent on reopened device: %+v", total)
@@ -492,6 +492,7 @@ func TestBuildRejectsHostileOptions(t *testing.T) {
 		{"negative branching", Options{Branching: -2}},
 		{"fault rate over 10k", Options{Faults: &FaultConfig{TransientPer10k: 20000}}},
 		{"negative fault count", Options{Faults: &FaultConfig{TransientCount: -1}}},
+		{"negative write-fault rate", Options{Faults: &FaultConfig{ShortWritePer10k: -1}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -506,6 +507,11 @@ func TestBuildRejectsHostileOptions(t *testing.T) {
 			}
 			if _, err := BuildSharded(data, 16, ShardOptions{Options: tc.o, Shards: 2, Faults: tc.o.Faults}); err == nil {
 				t.Error("BuildSharded accepted hostile options")
+			}
+			// A schedule set only through the embedded Options must reach the
+			// shards too: ShardOptions.Faults shadows it but does not hide it.
+			if _, err := BuildSharded(data, 16, ShardOptions{Options: tc.o, Shards: 2}); err == nil {
+				t.Error("BuildSharded accepted hostile embedded options")
 			}
 		})
 	}
@@ -603,7 +609,7 @@ func TestUnshardedFaultStats(t *testing.T) {
 			t.Fatalf("[%d,%d]: %v", r.Lo, r.Hi, err)
 		}
 		assertSameRows(t, "unsharded chaos", got, want)
-		total.add(st)
+		total.Add(st)
 	}
 	if total.FailedReads == 0 {
 		t.Fatal("unsharded chaos run reported zero failed reads: plumbing broken or faults never fired")

@@ -22,15 +22,13 @@ package secidx
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
-	"time"
 
 	"repro/internal/cbitmap"
 	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/iomodel"
+	"repro/internal/shard"
 	"repro/internal/workload"
 )
 
@@ -47,32 +45,7 @@ import (
 // transient failures that a later retry recovered — and RetriedReads counts
 // whole-shard attempts the retry layer re-issued. A fault-free run reports
 // zero for both.
-type Stats struct {
-	Reads        int
-	Writes       int
-	BitsRead     int64
-	SharedSaved  int
-	FailedReads  int
-	RetriedReads int
-}
-
-func fromQS(s index.QueryStats) Stats {
-	return Stats{
-		Reads: s.Reads, Writes: s.Writes, BitsRead: s.BitsRead, SharedSaved: s.SharedSaved,
-		FailedReads: s.FailedReads, RetriedReads: s.RetriedReads,
-	}
-}
-
-// add accumulates t into s (used by retrying executors, where every attempt's
-// cost counts).
-func (s *Stats) add(t Stats) {
-	s.Reads += t.Reads
-	s.Writes += t.Writes
-	s.BitsRead += t.BitsRead
-	s.SharedSaved += t.SharedSaved
-	s.FailedReads += t.FailedReads
-	s.RetriedReads += t.RetriedReads
-}
+type Stats = index.QueryStats
 
 // Result is a query answer: a compressed set of row ids.
 type Result struct {
@@ -156,41 +129,76 @@ type Options struct {
 	Concurrent bool
 }
 
-// disk validates the device parameters and creates the simulated disk.
-// Validation runs through iomodel.Config.Validate, so a bad BlockBits or
-// MemBits surfaces as the Build error instead of a panic.
-func (o Options) disk() (*iomodel.Disk, error) {
-	d, err := iomodel.NewDiskChecked(iomodel.Config{BlockBits: o.BlockBits, MemBits: o.MemBits})
-	if err != nil {
-		return nil, fmt.Errorf("secidx: %w", err)
-	}
-	return d, nil
+// diskImage is a serialised device image: what a writable reopen
+// materialises its in-memory disk from.
+type diskImage struct {
+	tailBits int64
+	data     []byte
+	free     []iomodel.BlockID
 }
 
-// device creates the simulated disk and, when o.Faults is set, its fault
-// wrapper. dev is what the index runs on: the fault disk when present, the
-// raw disk otherwise.
-func (o Options) device() (dev iomodel.Device, d *iomodel.Disk, fd *iomodel.FaultDisk, err error) {
-	d, err = o.disk()
-	if err != nil {
-		return nil, nil, nil, err
+// device creates the in-memory simulated disk an index runs on — fresh, or
+// materialised from img on a writable reopen — with an LRU cache of
+// cacheBlocks blocks and, when o.Faults is set, its fault wrapper. dev is
+// what the index runs on: the fault disk when present, the raw disk
+// otherwise. Validation runs through iomodel.Config.Validate, so a bad
+// BlockBits or MemBits surfaces as an error instead of a panic.
+func (o Options) device(cacheBlocks int, img *diskImage) (dev iomodel.Device, d *iomodel.Disk, fd *iomodel.FaultDisk, err error) {
+	cfg := iomodel.Config{BlockBits: o.BlockBits, MemBits: o.MemBits, CacheBlocks: cacheBlocks}
+	if img != nil {
+		d, err = iomodel.NewDiskFromImage(cfg, img.tailBits, img.data, img.free)
+	} else {
+		d, err = iomodel.NewDiskChecked(cfg)
 	}
-	if o.Faults == nil {
-		return d, d, nil, nil
-	}
-	fd, err = iomodel.NewFaultDiskOn(d, *o.Faults.toInternal())
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("secidx: %w", err)
 	}
-	return fd, d, fd, nil
+	dev, fd, err = withFaults(d, o.Faults, 0)
+	return dev, d, fd, err
+}
+
+// withFaults wraps d in fc's fault schedule (seed offset by seedOff, the
+// shard id, matching BuildSharded's convention) and returns the device the
+// index runs on; with a nil fc that is d itself. The schedule starts
+// disarmed.
+func withFaults(d *iomodel.Disk, fc *FaultConfig, seedOff int64) (iomodel.Device, *iomodel.FaultDisk, error) {
+	if fc == nil {
+		return d, nil, nil
+	}
+	c := *fc
+	c.Seed += seedOff
+	fd, err := iomodel.NewFaultDiskOn(d, c)
+	if err != nil {
+		return nil, nil, fmt.Errorf("secidx: %w", err)
+	}
+	return fd, fd, nil
+}
+
+// queryable is the one read contract every index kind offers the façade:
+// the static, sharded, append and dynamic structures, live or frozen into
+// an epoch, all answer a range with a compressed row set and its I/O cost.
+type queryable interface {
+	QueryContext(ctx context.Context, r index.Range) (*cbitmap.Bitmap, index.QueryStats, error)
+}
+
+// runQuery answers I[lo;hi] on q and wraps the answer. Stats are populated
+// even on error.
+func runQuery(ctx context.Context, q queryable, lo, hi uint32) (*Result, Stats, error) {
+	bm, st, err := q.QueryContext(ctx, Range{Lo: lo, Hi: hi})
+	if err != nil {
+		return nil, st, err
+	}
+	return &Result{bm: bm}, st, nil
 }
 
 // Index is the static secondary index of Theorems 2 and 3.
 type Index struct {
-	ax     *core.Approx
+	ax *core.Approx
+	// sx is the same structure viewed as a one-shard index: the exact-query,
+	// retry, batch and serving paths are the sharded ones.
+	sx     *shard.Index
 	disk   *iomodel.Disk
-	fd     *iomodel.FaultDisk // non-nil iff built with Options.Faults
-	column []uint32           // retained for serialisation (WriteTo)
+	column []uint32 // retained for serialisation (WriteTo)
 	opts   Options
 }
 
@@ -199,7 +207,7 @@ func Build(data []uint32, sigma int, opts Options) (*Index, error) {
 	if sigma < 1 {
 		return nil, fmt.Errorf("secidx: alphabet size %d", sigma)
 	}
-	dev, d, fd, err := opts.device()
+	dev, d, fd, err := opts.device(0, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -210,24 +218,20 @@ func Build(data []uint32, sigma int, opts Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Index{ax: ax, disk: d, fd: fd, column: data, opts: opts}, nil
+	sx, err := shard.Assemble([]shard.Part{{Ax: ax, Disk: dev, Fault: fd, End: ax.Len()}}, ax.Len(), sigma, 1)
+	if err != nil {
+		return nil, err
+	}
+	return &Index{ax: ax, sx: sx, disk: d, column: data, opts: opts}, nil
 }
 
 // ArmFaults starts fault injection on an index built with Options.Faults
 // (no-op otherwise). Faults then surface through Query errors and the
 // FailedReads/RetriedReads counters of Stats.
-func (ix *Index) ArmFaults() {
-	if ix.fd != nil {
-		ix.fd.Arm()
-	}
-}
+func (ix *Index) ArmFaults() { ix.sx.ArmFaults() }
 
 // DisarmFaults stops fault injection.
-func (ix *Index) DisarmFaults() {
-	if ix.fd != nil {
-		ix.fd.Disarm()
-	}
-}
+func (ix *Index) DisarmFaults() { ix.sx.DisarmFaults() }
 
 // Len returns the number of rows indexed.
 func (ix *Index) Len() int64 { return ix.ax.Len() }
@@ -240,18 +244,14 @@ func (ix *Index) SizeBits() int64 { return ix.ax.SizeBits() }
 
 // Query answers I[lo;hi] exactly.
 func (ix *Index) Query(lo, hi uint32) (*Result, Stats, error) {
-	return ix.QueryContext(context.Background(), lo, hi)
+	return runQuery(context.Background(), ix.sx, lo, hi)
 }
 
 // QueryContext answers I[lo;hi] exactly, honouring ctx: the query pipeline
 // checkpoints cancellation between cover members and aborts with the context
 // error. Stats are populated even on error.
 func (ix *Index) QueryContext(ctx context.Context, lo, hi uint32) (*Result, Stats, error) {
-	bm, st, err := ix.ax.QueryContext(ctx, index.Range{Lo: lo, Hi: hi})
-	if err != nil {
-		return nil, fromQS(st), err
-	}
-	return &Result{bm: bm}, fromQS(st), nil
+	return runQuery(ctx, ix.sx, lo, hi)
 }
 
 // QueryExec answers I[lo;hi] with fault-tolerant execution: transient
@@ -262,40 +262,8 @@ func (ix *Index) QueryContext(ctx context.Context, lo, hi uint32) (*Result, Stat
 // attempt: FailedReads counts the faulted device reads, RetriedReads the
 // re-issued query attempts, mirroring the sharded counters.
 func (ix *Index) QueryExec(ctx context.Context, lo, hi uint32, opts QueryOptions) (*Result, Stats, error) {
-	var stats Stats
-	max := opts.Retry.MaxAttempts
-	if max < 1 {
-		max = 1
-	}
-	for attempt := 1; ; attempt++ {
-		bm, st, err := ix.ax.QueryContext(ctx, index.Range{Lo: lo, Hi: hi})
-		stats.add(fromQS(st))
-		if err == nil {
-			return &Result{bm: bm}, stats, nil
-		}
-		if attempt >= max || !errors.Is(err, iomodel.ErrTransientRead) {
-			return nil, stats, err
-		}
-		if d := retryDelay(opts.Retry, attempt); d > 0 {
-			t := time.NewTimer(d)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return nil, stats, ctx.Err()
-			case <-t.C:
-			}
-		} else if cerr := ctx.Err(); cerr != nil {
-			return nil, stats, cerr
-		}
-		stats.RetriedReads++
-	}
-}
-
-// retryDelay returns the jittered backoff before re-issuing after `attempt`
-// failures, matching the sharded retry layer's deterministic seeded schedule
-// (an unsharded index is token 0).
-func retryDelay(p RetryPolicy, attempt int) time.Duration {
-	return p.toInternal().Delay(attempt, 0)
+	res, st, _, err := execQuery(ctx, ix.sx, lo, hi, QueryOptions{Retry: opts.Retry})
+	return res, st, err
 }
 
 // QueryBatch answers a batch of ranges through the shared-scan batch
@@ -313,19 +281,8 @@ func (ix *Index) QueryBatch(ranges []Range) ([]*Result, Stats, error) {
 // QueryBatchContext answers like QueryBatch, honouring ctx: the batch
 // planner checkpoints cancellation in its plan, scan and merge loops.
 func (ix *Index) QueryBatchContext(ctx context.Context, ranges []Range) ([]*Result, Stats, error) {
-	rs := make([]index.Range, len(ranges))
-	for i, r := range ranges {
-		rs[i] = index.Range{Lo: r.Lo, Hi: r.Hi}
-	}
-	bms, st, err := ix.ax.QueryBatchContext(ctx, rs)
-	if err != nil {
-		return nil, fromQS(st), err
-	}
-	out := make([]*Result, len(bms))
-	for i, bm := range bms {
-		out[i] = &Result{bm: bm}
-	}
-	return out, fromQS(st), nil
+	out, st, _, err := execBatch(ctx, ix.sx, ranges, QueryOptions{})
+	return out, st, err
 }
 
 // ApproxResult is the answer of an approximate query: a superset of the
@@ -376,11 +333,11 @@ func (ix *Index) ApproxQuery(lo, hi uint32, eps float64) (*ApproxResult, Stats, 
 
 // ApproxQueryContext answers like ApproxQuery, honouring ctx.
 func (ix *Index) ApproxQueryContext(ctx context.Context, lo, hi uint32, eps float64) (*ApproxResult, Stats, error) {
-	res, st, err := ix.ax.ApproxQueryContext(ctx, index.Range{Lo: lo, Hi: hi}, eps)
+	res, st, err := ix.ax.ApproxQueryContext(ctx, Range{Lo: lo, Hi: hi}, eps)
 	if err != nil {
-		return nil, fromQS(st), err
+		return nil, st, err
 	}
-	return &ApproxResult{res: res}, fromQS(st), nil
+	return &ApproxResult{res: res}, st, nil
 }
 
 // AppendIndex is the semi-dynamic index of Theorem 4 (or Theorem 5 when
@@ -396,20 +353,15 @@ func (ix *Index) ApproxQueryContext(ctx context.Context, lo, hi uint32, eps floa
 // Query/Query races are safe. ArmFaults/DisarmFaults are always safe to
 // call concurrently with everything.
 type AppendIndex struct {
-	ax   *core.AppendIndex
-	disk *iomodel.Disk
-	fd   *iomodel.FaultDisk // non-nil iff built with Options.Faults
-	dur  *durable           // non-nil iff reopened writable (OpenOptions.WAL)
-	opts Options
+	ax *core.AppendIndex
+	handle
+}
 
-	// Concurrent-mode state (nil epochs otherwise). wmu serializes writers
-	// on built (non-durable) handles; durable handles serialize through
-	// dur.mu. version is the sequence number of the last applied operation,
-	// guarded by the respective writer lock.
-	epochs  *epochState
-	wmu     sync.Mutex
-	version uint64
-	history *opLog // test hook: linearizability oracle input
+// newAppendIndex wraps a built or reopened core index in its handle.
+func newAppendIndex(ax *core.AppendIndex, d *iomodel.Disk, fd *iomodel.FaultDisk, opts Options) *AppendIndex {
+	ix := &AppendIndex{ax: ax, handle: handle{live: ax, disk: d, fd: fd, opts: opts}}
+	ix.kind = ix
+	return ix
 }
 
 // BuildAppend constructs a semi-dynamic index over an initial column.
@@ -417,7 +369,7 @@ func BuildAppend(data []uint32, sigma int, opts Options) (*AppendIndex, error) {
 	if sigma < 1 {
 		return nil, fmt.Errorf("secidx: alphabet size %d", sigma)
 	}
-	dev, d, fd, err := opts.device()
+	dev, d, fd, err := opts.device(0, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -429,50 +381,13 @@ func BuildAppend(data []uint32, sigma int, opts Options) (*AppendIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := &AppendIndex{ax: ax, disk: d, fd: fd, opts: opts}
+	ix := newAppendIndex(ax, d, fd, opts)
 	if opts.Concurrent {
-		ix.epochs = &epochState{}
-		if err := ix.publishEpoch(0); err != nil {
+		if err := ix.goConcurrent(0); err != nil {
 			return nil, err
 		}
 	}
 	return ix, nil
-}
-
-// publishEpoch freezes the device, clones the query-path metadata against
-// the frozen view and swaps the pair in as the current epoch. Called with
-// the writer lock held (or before the handle is shared).
-func (ix *AppendIndex) publishEpoch(version uint64) error {
-	cp, err := ix.ax.CloneReadOnly(freezeDevice(ix.disk, ix.fd))
-	if err != nil {
-		return err
-	}
-	ix.version = version
-	ix.epochs.publish(&epoch{version: version, ax: cp})
-	return nil
-}
-
-// Snapshot pins the current epoch: a consistent read-only view of the index
-// as of the last applied operation. Requires a concurrent handle.
-func (ix *AppendIndex) Snapshot() (*Snapshot, error) {
-	return newSnapshot(ix.epochs)
-}
-
-// ArmFaults starts fault injection on an index built with Options.Faults
-// (no-op otherwise). Arming is an atomic flag flip: it is safe against
-// in-flight queries and writers, which observe the schedule from their next
-// device read on.
-func (ix *AppendIndex) ArmFaults() {
-	if ix.fd != nil {
-		ix.fd.Arm()
-	}
-}
-
-// DisarmFaults stops fault injection.
-func (ix *AppendIndex) DisarmFaults() {
-	if ix.fd != nil {
-		ix.fd.Disarm()
-	}
 }
 
 // Append appends a row with key ch. On a handle reopened writable
@@ -482,67 +397,21 @@ func (ix *AppendIndex) DisarmFaults() {
 // the new state is published as an epoch before Append returns, so any
 // query starting after the return observes it.
 func (ix *AppendIndex) Append(ch uint32) (Stats, error) {
-	if ix.dur != nil {
-		return durableApply(ix.dur,
-			func() error { return ix.ax.ValidateAppend(ch) },
-			func() []byte { return encodeOpAppend(ch) },
-			func() (index.QueryStats, error) { return ix.ax.Append(ch) },
-			ix.durablePublish(walOp{op: opAppend, ch: ch}))
-	}
-	if ix.epochs != nil {
-		ix.wmu.Lock()
-		defer ix.wmu.Unlock()
-		st, err := ix.ax.Append(ch)
-		if err != nil {
-			return fromQS(st), err
-		}
-		if ix.history != nil {
-			ix.history.add(ix.version+1, walOp{op: opAppend, ch: ch})
-		}
-		if perr := ix.publishEpoch(ix.version + 1); perr != nil {
-			return fromQS(st), perr
-		}
-		return fromQS(st), nil
-	}
-	st, err := ix.ax.Append(ch)
-	return fromQS(st), err
+	return ix.apply(walOp{op: opAppend, ch: ch})
 }
 
-// durablePublish returns the epoch-publication callback durableApply runs
-// under the durable lock after applying op, or nil on a handle without
-// concurrent mode.
-func (ix *AppendIndex) durablePublish(op walOp) func(uint64) error {
-	if ix.epochs == nil {
-		return nil
+func (ix *AppendIndex) validateOp(op walOp) error { return ix.ax.ValidateAppend(op.ch) }
+
+func (ix *AppendIndex) applyOp(op walOp) (Stats, error) {
+	// Append only ever builds opAppend; a replayed log can hold anything.
+	if op.op != opAppend {
+		return Stats{}, fmt.Errorf("operation %d invalid for an append index", op.op)
 	}
-	return func(seq uint64) error {
-		if ix.history != nil {
-			ix.history.add(seq, op)
-		}
-		return ix.publishEpoch(seq)
-	}
+	return ix.ax.Append(op.ch)
 }
 
-// Query answers I[lo;hi].
-func (ix *AppendIndex) Query(lo, hi uint32) (*Result, Stats, error) {
-	return ix.QueryContext(context.Background(), lo, hi)
-}
-
-// QueryContext answers I[lo;hi], honouring ctx. On a concurrent handle the
-// query runs against the current epoch — a consistent snapshot pinned with
-// two atomic operations, never a lock — so it is safe against concurrent
-// writers and observes the state at exactly some applied operation.
-func (ix *AppendIndex) QueryContext(ctx context.Context, lo, hi uint32) (*Result, Stats, error) {
-	if es := ix.epochs; es != nil {
-		e := es.pin()
-		defer es.unpin(e)
-		return e.queryContext(ctx, lo, hi)
-	}
-	bm, st, err := ix.ax.QueryContext(ctx, index.Range{Lo: lo, Hi: hi})
-	if err != nil {
-		return nil, fromQS(st), err
-	}
-	return &Result{bm: bm}, fromQS(st), nil
+func (ix *AppendIndex) cloneReadOnly(dev iomodel.Device) (queryable, error) {
+	return ix.ax.CloneReadOnly(dev)
 }
 
 // Len returns the current number of rows.
@@ -561,17 +430,15 @@ func (ix *AppendIndex) SizeBits() int64 { return ix.ax.SizeBits() }
 // Position translation (RawToLive/LiveToRaw/LiveLen) is part of the write
 // path's state and is not snapshot-isolated.
 type DynamicIndex struct {
-	dx   *core.Dynamic
-	disk *iomodel.Disk
-	fd   *iomodel.FaultDisk // non-nil iff built with Options.Faults
-	dur  *durable           // non-nil iff reopened writable (OpenOptions.WAL)
-	opts Options
+	dx *core.Dynamic
+	handle
+}
 
-	// Concurrent-mode state; see AppendIndex.
-	epochs  *epochState
-	wmu     sync.Mutex
-	version uint64
-	history *opLog
+// newDynamicIndex wraps a built or reopened core index in its handle.
+func newDynamicIndex(dx *core.Dynamic, d *iomodel.Disk, fd *iomodel.FaultDisk, opts Options) *DynamicIndex {
+	ix := &DynamicIndex{dx: dx, handle: handle{live: dx, disk: d, fd: fd, opts: opts}}
+	ix.kind = ix
+	return ix
 }
 
 // BuildDynamic constructs a fully dynamic index over an initial column.
@@ -579,7 +446,7 @@ func BuildDynamic(data []uint32, sigma int, opts Options) (*DynamicIndex, error)
 	if sigma < 1 {
 		return nil, fmt.Errorf("secidx: alphabet size %d", sigma)
 	}
-	dev, d, fd, err := opts.device()
+	dev, d, fd, err := opts.device(0, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -590,153 +457,61 @@ func BuildDynamic(data []uint32, sigma int, opts Options) (*DynamicIndex, error)
 	if err != nil {
 		return nil, err
 	}
-	ix := &DynamicIndex{dx: dx, disk: d, fd: fd, opts: opts}
+	ix := newDynamicIndex(dx, d, fd, opts)
 	if opts.Concurrent {
-		ix.epochs = &epochState{}
-		if err := ix.publishEpoch(0); err != nil {
+		if err := ix.goConcurrent(0); err != nil {
 			return nil, err
 		}
 	}
 	return ix, nil
 }
 
-// publishEpoch freezes the device, clones the query-path metadata and swaps
-// the pair in as the current epoch. Called with the writer lock held (or
-// before the handle is shared).
-func (ix *DynamicIndex) publishEpoch(version uint64) error {
-	ix.version = version
-	ix.epochs.publish(&epoch{version: version, dx: ix.dx.CloneReadOnly(freezeDevice(ix.disk, ix.fd))})
-	return nil
-}
-
-// Snapshot pins the current epoch: a consistent read-only view of the index
-// as of the last applied operation. Requires a concurrent handle.
-func (ix *DynamicIndex) Snapshot() (*Snapshot, error) {
-	return newSnapshot(ix.epochs)
-}
-
-// applyConcurrent runs one update under the writer lock and publishes the
-// resulting epoch (the built-handle analogue of durableApply's locked
-// section).
-func (ix *DynamicIndex) applyConcurrent(op walOp, apply func() (index.QueryStats, error)) (Stats, error) {
-	ix.wmu.Lock()
-	defer ix.wmu.Unlock()
-	st, err := apply()
-	if err != nil {
-		return fromQS(st), err
-	}
-	if ix.history != nil {
-		ix.history.add(ix.version+1, op)
-	}
-	if perr := ix.publishEpoch(ix.version + 1); perr != nil {
-		return fromQS(st), perr
-	}
-	return fromQS(st), nil
-}
-
-// durablePublish mirrors AppendIndex.durablePublish.
-func (ix *DynamicIndex) durablePublish(op walOp) func(uint64) error {
-	if ix.epochs == nil {
-		return nil
-	}
-	return func(seq uint64) error {
-		if ix.history != nil {
-			ix.history.add(seq, op)
-		}
-		return ix.publishEpoch(seq)
-	}
-}
-
-// ArmFaults starts fault injection on an index built with Options.Faults
-// (no-op otherwise). Arming is an atomic flag flip, safe against in-flight
-// queries and writers.
-func (ix *DynamicIndex) ArmFaults() {
-	if ix.fd != nil {
-		ix.fd.Arm()
-	}
-}
-
-// DisarmFaults stops fault injection.
-func (ix *DynamicIndex) DisarmFaults() {
-	if ix.fd != nil {
-		ix.fd.Disarm()
-	}
-}
-
 // Change sets row i's key to ch. On a handle reopened writable
 // (OpenOptions.WAL) the operation is write-ahead logged before it is
 // applied; acknowledgement follows the handle's SyncPolicy.
 func (ix *DynamicIndex) Change(i int64, ch uint32) (Stats, error) {
-	if ix.dur != nil {
-		return durableApply(ix.dur,
-			func() error { return ix.dx.ValidateChange(i, ch) },
-			func() []byte { return encodeOpChange(i, ch) },
-			func() (index.QueryStats, error) { return ix.dx.Change(i, ch) },
-			ix.durablePublish(walOp{op: opChange, i: i, ch: ch}))
-	}
-	if ix.epochs != nil {
-		return ix.applyConcurrent(walOp{op: opChange, i: i, ch: ch},
-			func() (index.QueryStats, error) { return ix.dx.Change(i, ch) })
-	}
-	st, err := ix.dx.Change(i, ch)
-	return fromQS(st), err
+	return ix.apply(walOp{op: opChange, i: i, ch: ch})
 }
 
 // Delete removes row i from all future query answers (row ids of other
 // rows are unchanged, the paper's deletion semantics). Write-ahead logged
 // on a writable handle, like Change.
 func (ix *DynamicIndex) Delete(i int64) (Stats, error) {
-	if ix.dur != nil {
-		return durableApply(ix.dur,
-			func() error { return ix.dx.ValidateDelete(i) },
-			func() []byte { return encodeOpDelete(i) },
-			func() (index.QueryStats, error) { return ix.dx.Delete(i) },
-			ix.durablePublish(walOp{op: opDelete, i: i}))
-	}
-	if ix.epochs != nil {
-		return ix.applyConcurrent(walOp{op: opDelete, i: i},
-			func() (index.QueryStats, error) { return ix.dx.Delete(i) })
-	}
-	st, err := ix.dx.Delete(i)
-	return fromQS(st), err
+	return ix.apply(walOp{op: opDelete, i: i})
 }
 
 // Append appends a row with key ch. Write-ahead logged on a writable
 // handle, like Change.
 func (ix *DynamicIndex) Append(ch uint32) (Stats, error) {
-	if ix.dur != nil {
-		return durableApply(ix.dur,
-			func() error { return ix.dx.ValidateAppend(ch) },
-			func() []byte { return encodeOpAppend(ch) },
-			func() (index.QueryStats, error) { return ix.dx.Append(ch) },
-			ix.durablePublish(walOp{op: opAppend, ch: ch}))
-	}
-	if ix.epochs != nil {
-		return ix.applyConcurrent(walOp{op: opAppend, ch: ch},
-			func() (index.QueryStats, error) { return ix.dx.Append(ch) })
-	}
-	st, err := ix.dx.Append(ch)
-	return fromQS(st), err
+	return ix.apply(walOp{op: opAppend, ch: ch})
 }
 
-// Query answers I[lo;hi].
-func (ix *DynamicIndex) Query(lo, hi uint32) (*Result, Stats, error) {
-	return ix.QueryContext(context.Background(), lo, hi)
+func (ix *DynamicIndex) validateOp(op walOp) error {
+	switch op.op {
+	case opAppend:
+		return ix.dx.ValidateAppend(op.ch)
+	case opChange:
+		return ix.dx.ValidateChange(op.i, op.ch)
+	case opDelete:
+		return ix.dx.ValidateDelete(op.i)
+	}
+	return fmt.Errorf("unknown operation %d", op.op)
 }
 
-// QueryContext answers I[lo;hi], honouring ctx. On a concurrent handle the
-// query runs lock-free against the current epoch; see AppendIndex.
-func (ix *DynamicIndex) QueryContext(ctx context.Context, lo, hi uint32) (*Result, Stats, error) {
-	if es := ix.epochs; es != nil {
-		e := es.pin()
-		defer es.unpin(e)
-		return e.queryContext(ctx, lo, hi)
+func (ix *DynamicIndex) applyOp(op walOp) (Stats, error) {
+	switch op.op {
+	case opAppend:
+		return ix.dx.Append(op.ch)
+	case opChange:
+		return ix.dx.Change(op.i, op.ch)
+	case opDelete:
+		return ix.dx.Delete(op.i)
 	}
-	bm, st, err := ix.dx.QueryContext(ctx, index.Range{Lo: lo, Hi: hi})
-	if err != nil {
-		return nil, fromQS(st), err
-	}
-	return &Result{bm: bm}, fromQS(st), nil
+	return Stats{}, fmt.Errorf("unknown operation %d", op.op)
+}
+
+func (ix *DynamicIndex) cloneReadOnly(dev iomodel.Device) (queryable, error) {
+	return ix.dx.CloneReadOnly(dev), nil
 }
 
 // Len returns the current number of rows (including deleted ones, whose

@@ -29,25 +29,15 @@ import (
 // the paper's global-rebuilding primitive onto a fresh simulated device.
 
 // FileMode selects how a reopened index reads its file.
-type FileMode int
+type FileMode = iomodel.FileMode
 
 const (
 	// ModePread serves every charged block read with a real positional read.
-	ModePread FileMode = iota
+	ModePread FileMode = iomodel.ModePread
 	// ModeMmap maps the file; charged reads are counted but served from the
 	// mapping.
-	ModeMmap
+	ModeMmap FileMode = iomodel.ModeMmap
 )
-
-func (m FileMode) toInternal() (iomodel.FileMode, error) {
-	switch m {
-	case ModePread:
-		return iomodel.ModePread, nil
-	case ModeMmap:
-		return iomodel.ModeMmap, nil
-	}
-	return 0, fmt.Errorf("secidx: unknown file mode %d", m)
-}
 
 // OpenOptions configures OpenFile. The zero value opens in pread mode with
 // no cache, no fault injection and lazy image verification (sections are
@@ -279,15 +269,10 @@ func encodeManifest(e *container.Encoder, n int64, sigma int, opts Options, shar
 }
 
 func readManifest(cf *container.File) (manifest, error) {
-	s, ok := cf.Find(container.TypeManifest, 0)
-	if !ok {
-		return manifest{}, corruptf("missing manifest")
-	}
-	payload, err := cf.Payload(s, 1<<16)
+	dec, err := sectionDecoder(cf, container.TypeManifest, 0, 1<<16, "manifest")
 	if err != nil {
-		return manifest{}, wrapCorrupt(err)
+		return manifest{}, err
 	}
-	dec := container.NewDecoder(payload)
 	var m manifest
 	m.n = int64(dec.UN(container.MaxRows))
 	sigma := dec.UN(container.MaxSigma)
@@ -360,32 +345,21 @@ var errReopened = errors.New("secidx: index was reopened from a file; its image 
 // atomically (temp file and rename). The written file reopens with OpenFile
 // and serves queries directly from disk.
 func (ix *Index) WriteFile(path string) error {
-	if ix.disk.FileBacked() {
-		return errReopened
-	}
-	return writeContainer(path, container.KindStatic, func(cw *container.Writer) error {
-		var e container.Encoder
-		encodeManifest(&e, ix.Len(), ix.Sigma(), ix.opts, 1)
-		if err := cw.Add(container.TypeManifest, 0, e.Bytes(), 1); err != nil {
-			return err
-		}
-		var m container.Encoder
-		if err := ix.ax.EncodeMeta(&m); err != nil {
-			return err
-		}
-		if err := cw.Add(container.TypeStaticMeta, 0, m.Bytes(), 1); err != nil {
-			return err
-		}
-		return addImage(cw, 0, ix.disk)
-	})
+	return writeShards(path, container.KindStatic, ix.sx, ix.opts)
 }
 
 // WriteFile serialises the sharded index to path in the v2 container format:
 // one metadata and one image section per shard, each independently
 // checksummed.
 func (ix *ShardedIndex) WriteFile(path string) error {
-	parts := ix.sx.Parts()
-	n, s := ix.Len(), int64(len(parts))
+	return writeShards(path, container.KindSharded, ix.sx, ix.opts.Options)
+}
+
+// writeShards writes a static (one shard) or sharded container: the manifest,
+// then each shard's metadata and device image.
+func writeShards(path string, kind uint64, sx *shard.Index, opts Options) error {
+	parts := sx.Parts()
+	n, s := sx.Len(), int64(len(parts))
 	disks := make([]*iomodel.Disk, len(parts))
 	for i, p := range parts {
 		d, err := rawDisk(p.Disk)
@@ -402,9 +376,9 @@ func (ix *ShardedIndex) WriteFile(path string) error {
 		}
 		disks[i] = d
 	}
-	return writeContainer(path, container.KindSharded, func(cw *container.Writer) error {
+	return writeContainer(path, kind, func(cw *container.Writer) error {
 		var e container.Encoder
-		encodeManifest(&e, n, ix.Sigma(), ix.opts.Options, len(parts))
+		encodeManifest(&e, n, sx.Sigma(), opts, len(parts))
 		if err := cw.Add(container.TypeManifest, 0, e.Bytes(), 1); err != nil {
 			return err
 		}
@@ -435,15 +409,13 @@ func addDurable(cw *container.Writer, seq uint64) error {
 // readDurableSeq reads the durability watermark; containers written before
 // the watermark existed reflect sequence zero.
 func readDurableSeq(cf *container.File) (uint64, error) {
-	s, ok := cf.Find(container.TypeDurable, 0)
-	if !ok {
+	if _, ok := cf.Find(container.TypeDurable, 0); !ok {
 		return 0, nil
 	}
-	payload, err := cf.Payload(s, 64)
+	dec, err := sectionDecoder(cf, container.TypeDurable, 0, 64, "watermark")
 	if err != nil {
-		return 0, wrapCorrupt(err)
+		return 0, err
 	}
-	dec := container.NewDecoder(payload)
 	seq := dec.U()
 	if err := dec.Finish(); err != nil {
 		return 0, wrapCorrupt(err)
@@ -484,16 +456,7 @@ func (ix *AppendIndex) emitSections(cw *container.Writer, seq uint64) error {
 // may be written mid-buffer without flushing. The written file reopens
 // read-only by default, or writable with OpenOptions.WAL.
 func (ix *AppendIndex) WriteFile(path string) error {
-	if ix.disk.FileBacked() {
-		return errReopened
-	}
-	var seq uint64
-	if ix.dur != nil {
-		seq = ix.dur.lastSeq()
-	}
-	return writeContainer(path, container.KindAppend, func(cw *container.Writer) error {
-		return ix.emitSections(cw, seq)
-	})
+	return ix.writeFile(path, container.KindAppend)
 }
 
 // WriteFile serialises the dynamic index to path. The dynamic structure's
@@ -504,13 +467,7 @@ func (ix *AppendIndex) WriteFile(path string) error {
 // boundary). Rebuilding is deterministic, so the reopened index answers
 // queries bit-identically; its I/O counters start from the rebuilt state.
 func (ix *DynamicIndex) WriteFile(path string) error {
-	var seq uint64
-	if ix.dur != nil {
-		seq = ix.dur.lastSeq()
-	}
-	return writeContainer(path, container.KindDynamic, func(cw *container.Writer) error {
-		return ix.emitSections(cw, seq)
-	})
+	return ix.writeFile(path, container.KindDynamic)
 }
 
 // emitSections writes the dynamic container's sections at durability
@@ -553,8 +510,15 @@ func OpenFile(path string, oo OpenOptions) (*Opened, error) {
 }
 
 func openFile(f *os.File, oo OpenOptions) (*Opened, error) {
-	if _, err := oo.Mode.toInternal(); err != nil {
-		return nil, err
+	// The caller's own options are checked up front, so that every device
+	// error past this point is about sizes that came from the file.
+	if oo.Mode != ModePread && oo.Mode != ModeMmap {
+		return nil, fmt.Errorf("secidx: unknown file mode %d", oo.Mode)
+	}
+	if oo.Faults != nil {
+		if err := oo.Faults.Validate(); err != nil {
+			return nil, fmt.Errorf("secidx: %w", err)
+		}
 	}
 	st, err := f.Stat()
 	if err != nil {
@@ -576,17 +540,14 @@ func openFile(f *os.File, oo OpenOptions) (*Opened, error) {
 		if oo.Concurrent {
 			return nil, fmt.Errorf("secidx: OpenOptions.Concurrent applies to updatable handles (dynamic, or append with OpenOptions.WAL); this container has no writers to isolate")
 		}
-	case container.KindAppend:
-		if oo.Concurrent && oo.WAL == nil {
-			return nil, fmt.Errorf("secidx: OpenOptions.Concurrent on an append container requires OpenOptions.WAL; a read-only reopen has no writers to isolate")
+		if cf.Kind == container.KindStatic {
+			return openStatic(f, cf, man, oo)
 		}
-	}
-	switch cf.Kind {
-	case container.KindStatic:
-		return openStatic(f, cf, man, oo)
-	case container.KindSharded:
 		return openSharded(f, cf, man, oo)
 	case container.KindAppend, container.KindDynamic:
+		if cf.Kind == container.KindAppend && oo.Concurrent && oo.WAL == nil {
+			return nil, fmt.Errorf("secidx: OpenOptions.Concurrent on an append container requires OpenOptions.WAL; a read-only reopen has no writers to isolate")
+		}
 		// A writable open takes the advisory handle lock first: two live
 		// writers on one container would race the checkpoint rename and the
 		// log, so the second open fails with ErrLocked instead.
@@ -616,18 +577,27 @@ func openFile(f *os.File, oo OpenOptions) (*Opened, error) {
 	return nil, corruptf("unknown container kind %d", cf.Kind)
 }
 
+// sectionDecoder locates a metadata section and returns a decoder over its
+// checksum-verified payload of at most maxLen bytes.
+func sectionDecoder(cf *container.File, typ, shardID uint64, maxLen int64, what string) (*container.Decoder, error) {
+	s, ok := cf.Find(typ, shardID)
+	if !ok {
+		return nil, corruptf("shard %d: missing %s", shardID, what)
+	}
+	payload, err := cf.Payload(s, maxLen)
+	if err != nil {
+		return nil, wrapCorrupt(err)
+	}
+	return container.NewDecoder(payload), nil
+}
+
 // readImageInfo decodes one shard's image-info section (allocation tail and
 // free list) and locates its raw image section.
 func readImageInfo(cf *container.File, shardID uint64) (tailBits int64, free []iomodel.BlockID, img container.Section, err error) {
-	info, ok := cf.Find(container.TypeImageInfo, shardID)
-	if !ok {
-		return 0, nil, img, corruptf("shard %d: missing image info", shardID)
-	}
-	payload, err := cf.Payload(info, 1<<26)
+	dec, err := sectionDecoder(cf, container.TypeImageInfo, shardID, 1<<26, "image info")
 	if err != nil {
-		return 0, nil, img, wrapCorrupt(err)
+		return 0, nil, img, err
 	}
-	dec := container.NewDecoder(payload)
 	tailBits = int64(dec.UN(1 << 53))
 	nfree := dec.UN(1 << 40)
 	free = make([]iomodel.BlockID, 0, min(nfree, 1024))
@@ -637,7 +607,7 @@ func readImageInfo(cf *container.File, shardID uint64) (tailBits int64, free []i
 	if err := dec.Finish(); err != nil {
 		return 0, nil, img, wrapCorrupt(err)
 	}
-	img, ok = cf.Find(container.TypeImage, shardID)
+	img, ok := cf.Find(container.TypeImage, shardID)
 	if !ok {
 		return 0, nil, img, corruptf("shard %d: missing image", shardID)
 	}
@@ -648,47 +618,34 @@ func readImageInfo(cf *container.File, shardID uint64) (tailBits int64, free []i
 }
 
 // openImage reopens one shard's device image as a read-only file-backed
-// device.
-func openImage(f *os.File, cf *container.File, shardID uint64, opts Options, oo OpenOptions) (*iomodel.FileDisk, error) {
+// device, wrapped in oo.Faults' schedule when set. The returned FileDisk
+// owns the mapping and must be closed.
+func openImage(f *os.File, cf *container.File, shardID uint64, opts Options, oo OpenOptions) (iomodel.Device, *iomodel.FileDisk, *iomodel.FaultDisk, error) {
 	tailBits, free, img, err := readImageInfo(cf, shardID)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	if oo.VerifyImages {
 		if err := cf.Verify(img); err != nil {
-			return nil, wrapCorrupt(err)
+			return nil, nil, nil, wrapCorrupt(err)
 		}
 	}
-	mode, err := oo.Mode.toInternal()
-	if err != nil {
-		return nil, err
-	}
-	bk := iomodel.FileBackingConfig{Base: img.Off, TailBits: tailBits, Free: free, Mode: mode}
+	bk := iomodel.FileBackingConfig{Base: img.Off, TailBits: tailBits, Free: free, Mode: oo.Mode}
 	if oo.readerAt != nil {
 		bk.Reader = oo.readerAt(f)
 	}
 	cfg := iomodel.Config{BlockBits: opts.BlockBits, MemBits: opts.MemBits, CacheBlocks: oo.CacheBlocks}
-	fd, err := iomodel.OpenFileDisk(f, cfg, bk)
+	fdisk, err := iomodel.OpenFileDisk(f, cfg, bk)
 	if err != nil {
 		// Geometry errors here are data-driven: the sizes came from the file.
-		return nil, corruptf("shard %d: %v", shardID, err)
+		return nil, nil, nil, corruptf("shard %d: %v", shardID, err)
 	}
-	return fd, nil
-}
-
-// wrapFaults optionally wraps a reopened device in a fault injector, with
-// the shard's seed offset matching BuildSharded's convention.
-func wrapFaults(fd *iomodel.FileDisk, fc *FaultConfig, seedOff int64) (iomodel.Device, *iomodel.FaultDisk, error) {
-	if fc == nil {
-		return fd, nil, nil
-	}
-	ifc := *fc.toInternal()
-	ifc.Seed += seedOff
-	fdk, err := iomodel.NewFaultDiskOn(fd.Disk, ifc)
+	dev, fwrap, err := withFaults(fdisk.Disk, oo.Faults, int64(shardID))
 	if err != nil {
-		return nil, nil, fmt.Errorf("secidx: %w", err)
+		fdisk.Close()
+		return nil, nil, nil, err
 	}
-	return fdk, fdk, nil
+	return dev, fdisk, fwrap, nil
 }
 
 func closeDisks(disks []*iomodel.FileDisk) {
@@ -697,72 +654,40 @@ func closeDisks(disks []*iomodel.FileDisk) {
 	}
 }
 
-// openShardStatic reopens one shard's static structure over its file-backed
-// device.
-func openShardStatic(f *os.File, cf *container.File, shardID uint64, man manifest, oo OpenOptions) (*core.Approx, *iomodel.FileDisk, *iomodel.FaultDisk, iomodel.Device, error) {
-	fdisk, err := openImage(f, cf, shardID, man.opts, oo)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	dev, fwrap, err := wrapFaults(fdisk, oo.Faults, int64(shardID))
-	if err != nil {
-		fdisk.Close()
-		return nil, nil, nil, nil, err
-	}
-	s, ok := cf.Find(container.TypeStaticMeta, shardID)
-	if !ok {
-		fdisk.Close()
-		return nil, nil, nil, nil, corruptf("shard %d: missing static metadata", shardID)
-	}
-	payload, err := cf.Payload(s, maxMetaBytes)
-	if err != nil {
-		fdisk.Close()
-		return nil, nil, nil, nil, wrapCorrupt(err)
-	}
-	dec := container.NewDecoder(payload)
-	ax, err := core.OpenApprox(dev, man.sigma, core.ApproxOptions{
-		OptimalOptions: core.OptimalOptions{Branching: man.opts.Branching, Stride: man.opts.Stride},
-		Seed:           man.opts.Seed,
-	}, dec)
-	if err == nil {
-		err = dec.Finish()
-	}
-	if err != nil {
-		fdisk.Close()
-		return nil, nil, nil, nil, corruptf("shard %d: %v", shardID, err)
-	}
-	return ax, fdisk, fwrap, dev, nil
-}
-
-func openStatic(f *os.File, cf *container.File, man manifest, oo OpenOptions) (*Opened, error) {
-	if man.shards != 1 {
-		return nil, corruptf("static container declares %d shards", man.shards)
-	}
-	ax, fdisk, fwrap, _, err := openShardStatic(f, cf, 0, man, oo)
-	if err != nil {
-		return nil, err
-	}
-	if ax.Len() != man.n {
-		fdisk.Close()
-		return nil, corruptf("index holds %d rows, manifest declares %d", ax.Len(), man.n)
-	}
-	ix := &Index{ax: ax, disk: fdisk.Disk, fd: fwrap, opts: man.opts}
-	return &Opened{Static: ix, f: f, disks: []*iomodel.FileDisk{fdisk}}, nil
-}
-
-func openSharded(f *os.File, cf *container.File, man manifest, oo OpenOptions) (*Opened, error) {
+// openShards reopens the container's static shards over file-backed devices
+// and assembles them — the one open path behind the static (one shard) and
+// sharded kinds.
+func openShards(f *os.File, cf *container.File, man manifest, oo OpenOptions) (_ *shard.Index, _ []*iomodel.FileDisk, err error) {
 	if int64(man.shards) > man.n {
-		return nil, corruptf("%d shards over %d rows", man.shards, man.n)
+		return nil, nil, corruptf("%d shards over %d rows", man.shards, man.n)
 	}
 	var disks []*iomodel.FileDisk
-	parts := make([]shard.Part, man.shards)
-	for i := 0; i < man.shards; i++ {
-		ax, fdisk, fwrap, dev, err := openShardStatic(f, cf, uint64(i), man, oo)
+	defer func() {
 		if err != nil {
 			closeDisks(disks)
-			return nil, err
+		}
+	}()
+	parts := make([]shard.Part, man.shards)
+	for i := range parts {
+		dev, fdisk, fwrap, err := openImage(f, cf, uint64(i), man.opts, oo)
+		if err != nil {
+			return nil, nil, err
 		}
 		disks = append(disks, fdisk)
+		dec, err := sectionDecoder(cf, container.TypeStaticMeta, uint64(i), maxMetaBytes, "static metadata")
+		if err != nil {
+			return nil, nil, err
+		}
+		ax, err := core.OpenApprox(dev, man.sigma, core.ApproxOptions{
+			OptimalOptions: core.OptimalOptions{Branching: man.opts.Branching, Stride: man.opts.Stride},
+			Seed:           man.opts.Seed,
+		}, dec)
+		if err == nil {
+			err = dec.Finish()
+		}
+		if err != nil {
+			return nil, nil, corruptf("shard %d: %v", i, err)
+		}
 		parts[i] = shard.Part{
 			Ax:    ax,
 			Disk:  dev,
@@ -773,8 +698,27 @@ func openSharded(f *os.File, cf *container.File, man manifest, oo OpenOptions) (
 	}
 	sx, err := shard.Assemble(parts, man.n, man.sigma, oo.Workers)
 	if err != nil {
-		closeDisks(disks)
-		return nil, corruptf("assemble: %v", err)
+		return nil, nil, corruptf("assemble: %v", err)
+	}
+	return sx, disks, nil
+}
+
+func openStatic(f *os.File, cf *container.File, man manifest, oo OpenOptions) (*Opened, error) {
+	if man.shards != 1 {
+		return nil, corruptf("static container declares %d shards", man.shards)
+	}
+	sx, disks, err := openShards(f, cf, man, oo)
+	if err != nil {
+		return nil, err
+	}
+	ix := &Index{ax: sx.Parts()[0].Ax, sx: sx, disk: disks[0].Disk, opts: man.opts}
+	return &Opened{Static: ix, f: f, disks: disks}, nil
+}
+
+func openSharded(f *os.File, cf *container.File, man manifest, oo OpenOptions) (*Opened, error) {
+	sx, disks, err := openShards(f, cf, man, oo)
+	if err != nil {
+		return nil, err
 	}
 	ix := &ShardedIndex{sx: sx, opts: ShardOptions{
 		Options: man.opts, Shards: man.shards, Workers: oo.Workers,
@@ -783,92 +727,56 @@ func openSharded(f *os.File, cf *container.File, man manifest, oo OpenOptions) (
 	return &Opened{Sharded: ix, f: f, disks: disks}, nil
 }
 
-func openAppend(f *os.File, cf *container.File, man manifest, oo OpenOptions) (*Opened, error) {
-	if man.shards != 1 {
-		return nil, corruptf("append container declares %d shards", man.shards)
-	}
-	if oo.WAL != nil {
-		return openAppendDurable(f, cf, man, oo)
-	}
-	fdisk, err := openImage(f, cf, 0, man.opts, oo)
-	if err != nil {
-		return nil, err
-	}
-	dev, fwrap, err := wrapFaults(fdisk, oo.Faults, 0)
-	if err != nil {
-		fdisk.Close()
-		return nil, err
-	}
-	s, ok := cf.Find(container.TypeAppendMeta, 0)
-	if !ok {
-		fdisk.Close()
-		return nil, corruptf("missing append metadata")
-	}
-	payload, err := cf.Payload(s, maxMetaBytes)
-	if err != nil {
-		fdisk.Close()
-		return nil, wrapCorrupt(err)
-	}
-	dec := container.NewDecoder(payload)
-	ax, err := core.OpenAppendIndex(dev, man.sigma, core.AppendOptions{
-		Branching: man.opts.Branching, Stride: man.opts.Stride, Buffered: man.opts.Buffered,
-	}, dec)
-	if err == nil {
-		err = dec.Finish()
-	}
-	if err != nil {
-		fdisk.Close()
-		return nil, corruptf("open append index: %v", err)
-	}
-	if ax.Len() != man.n {
-		fdisk.Close()
-		return nil, corruptf("index holds %d rows, manifest declares %d", ax.Len(), man.n)
-	}
-	ix := &AppendIndex{ax: ax, disk: fdisk.Disk, fd: fwrap, opts: man.opts}
-	return &Opened{Append: ix, f: f, disks: []*iomodel.FileDisk{fdisk}}, nil
-}
-
 // maxDurableImageBytes bounds the image a durable open materialises into
 // memory (the directory-level bound — payload length within the file — was
 // already enforced by Parse).
 const maxDurableImageBytes = 1 << 32
 
-// openAppendDurable reopens an append container writable: the device image
-// is materialised into a writable in-memory disk, the rebuild mirror is
-// reconstituted from the column section, and the write-ahead log's suffix
+// openAppend reopens an append container. Read-only, it is served from the
+// file through a file-backed device. Writable (OpenOptions.WAL), the device
+// image is materialised into a writable in-memory disk, the rebuild mirror
+// is reconstituted from the column section, and the write-ahead log's suffix
 // beyond the container's watermark is replayed.
-func openAppendDurable(f *os.File, cf *container.File, man manifest, oo OpenOptions) (*Opened, error) {
-	tailBits, free, img, err := readImageInfo(cf, 0)
-	if err != nil {
-		return nil, err
+func openAppend(f *os.File, cf *container.File, man manifest, oo OpenOptions) (o *Opened, err error) {
+	if man.shards != 1 {
+		return nil, corruptf("append container declares %d shards", man.shards)
 	}
-	image, err := cf.Payload(img, maxDurableImageBytes) // checksum-verified full read
-	if err != nil {
-		return nil, wrapCorrupt(err)
-	}
-	cfg := iomodel.Config{BlockBits: man.opts.BlockBits, MemBits: man.opts.MemBits, CacheBlocks: oo.CacheBlocks}
-	d, err := iomodel.NewDiskFromImage(cfg, tailBits, image, free)
-	if err != nil {
-		return nil, corruptf("image: %v", err)
-	}
-	var dev iomodel.Device = d
-	var fwrap *iomodel.FaultDisk
-	if oo.Faults != nil {
-		fwrap, err = iomodel.NewFaultDiskOn(d, *oo.Faults.toInternal())
+	var (
+		dev   iomodel.Device
+		d     *iomodel.Disk
+		fwrap *iomodel.FaultDisk
+		disks []*iomodel.FileDisk
+	)
+	if oo.WAL == nil {
+		var fdisk *iomodel.FileDisk
+		if dev, fdisk, fwrap, err = openImage(f, cf, 0, man.opts, oo); err != nil {
+			return nil, err
+		}
+		d, disks = fdisk.Disk, []*iomodel.FileDisk{fdisk}
+		defer func() {
+			if err != nil {
+				fdisk.Close()
+			}
+		}()
+	} else {
+		tailBits, free, img, err := readImageInfo(cf, 0)
 		if err != nil {
 			return nil, err
 		}
-		dev = fwrap
+		data, err := cf.Payload(img, maxDurableImageBytes) // checksum-verified full read
+		if err != nil {
+			return nil, wrapCorrupt(err)
+		}
+		opts := man.opts
+		opts.Faults = oo.Faults
+		if dev, d, fwrap, err = opts.device(oo.CacheBlocks, &diskImage{tailBits, data, free}); err != nil {
+			return nil, corruptf("device: %v", err)
+		}
 	}
-	s, ok := cf.Find(container.TypeAppendMeta, 0)
-	if !ok {
-		return nil, corruptf("missing append metadata")
-	}
-	payload, err := cf.Payload(s, maxMetaBytes)
+	dec, err := sectionDecoder(cf, container.TypeAppendMeta, 0, maxMetaBytes, "append metadata")
 	if err != nil {
-		return nil, wrapCorrupt(err)
+		return nil, err
 	}
-	dec := container.NewDecoder(payload)
 	ax, err := core.OpenAppendIndex(dev, man.sigma, core.AppendOptions{
 		Branching: man.opts.Branching, Stride: man.opts.Stride, Buffered: man.opts.Buffered,
 	}, dec)
@@ -881,69 +789,66 @@ func openAppendDurable(f *os.File, cf *container.File, man manifest, oo OpenOpti
 	if ax.Len() != man.n {
 		return nil, corruptf("index holds %d rows, manifest declares %d", ax.Len(), man.n)
 	}
-	col, ok := cf.Find(container.TypeColumn, 0)
-	if !ok {
-		return nil, corruptf("container lacks the column section a writable reopen needs (written before durability support?)")
+	ix := newAppendIndex(ax, d, fwrap, man.opts)
+	if oo.WAL == nil {
+		return &Opened{Append: ix, f: f, disks: disks}, nil
 	}
-	cpayload, err := cf.Payload(col, maxMetaBytes)
+	cdec, err := sectionDecoder(cf, container.TypeColumn, 0, maxMetaBytes,
+		"column section a writable reopen needs (written before durability support?)")
 	if err != nil {
-		return nil, wrapCorrupt(err)
+		return nil, err
 	}
-	cdec := container.NewDecoder(cpayload)
-	if err := ax.DecodeMirror(cdec); err == nil {
+	if err = ax.DecodeMirror(cdec); err == nil {
 		err = cdec.Finish()
 	}
 	if err != nil {
 		return nil, corruptf("column section: %v", err)
 	}
-	appliedSeq, err := readDurableSeq(cf)
-	if err != nil {
-		return nil, err
+	return openWritable(f, cf, &ix.handle, oo, &Opened{Append: ix, f: f})
+}
+
+// openWritable finishes a writable open of h: with OpenOptions.WAL, recover
+// the watermark and replay the log suffix; with OpenOptions.Concurrent,
+// publish the first epoch, which reflects the recovered state — every
+// checkpointed and replayed operation, versioned at the log's watermark (or
+// zero without a log, counting applied operations like a built handle).
+func openWritable(f *os.File, cf *container.File, h *handle, oo OpenOptions, o *Opened) (*Opened, error) {
+	var version uint64
+	if oo.WAL != nil {
+		appliedSeq, err := readDurableSeq(cf)
+		if err != nil {
+			return nil, err
+		}
+		if h.dur, err = openDurable(oo.WAL, f.Name(), cf.Kind, appliedSeq, oo.Concurrent, h.kind); err != nil {
+			return nil, err
+		}
+		o.dur, version = h.dur, h.dur.lastSeq()
 	}
-	ix := &AppendIndex{ax: ax, disk: d, fd: fwrap, opts: man.opts}
-	du, err := openDurable(oo.WAL, f.Name(), container.KindAppend, appliedSeq, oo.Concurrent,
-		func(op walOp) error {
-			if op.op != opAppend {
-				return fmt.Errorf("operation %d invalid for an append index", op.op)
-			}
-			_, aerr := ax.Append(op.ch)
-			return aerr
-		},
-		ix.emitSections)
-	if err != nil {
-		return nil, err
-	}
-	ix.dur = du
 	if oo.Concurrent {
-		// The first epoch reflects the recovered state: every checkpointed
-		// and replayed operation, versioned at the log's watermark.
-		ix.epochs = &epochState{}
-		if err := ix.publishEpoch(du.lastSeq()); err != nil {
+		if err := h.goConcurrent(version); err != nil {
 			return nil, err
 		}
 	}
-	return &Opened{Append: ix, f: f, dur: du}, nil
+	return o, nil
 }
 
+// openDynamic reopens a dynamic container by replaying its logical snapshot
+// onto a fresh writable in-memory device — even for read-only opens, so the
+// durable path only adds the log.
 func openDynamic(f *os.File, cf *container.File, man manifest, oo OpenOptions) (*Opened, error) {
 	if man.shards != 1 {
 		return nil, corruptf("dynamic container declares %d shards", man.shards)
 	}
-	s, ok := cf.Find(container.TypeDynamicMeta, 0)
-	if !ok {
-		return nil, corruptf("missing dynamic metadata")
-	}
-	payload, err := cf.Payload(s, maxMetaBytes)
+	dec, err := sectionDecoder(cf, container.TypeDynamicMeta, 0, maxMetaBytes, "dynamic metadata")
 	if err != nil {
-		return nil, wrapCorrupt(err)
+		return nil, err
 	}
 	opts := man.opts
 	opts.Faults = oo.Faults
-	dev, d, fwrap, err := opts.device()
+	dev, d, fwrap, err := opts.device(oo.CacheBlocks, nil)
 	if err != nil {
-		return nil, corruptf("dynamic device: %v", err)
+		return nil, corruptf("device: %v", err)
 	}
-	dec := container.NewDecoder(payload)
 	dx, err := core.OpenDynamic(dev, man.sigma, core.DynamicOptions{
 		Branching: opts.Branching, Stride: opts.Stride,
 	}, dec)
@@ -956,51 +861,6 @@ func openDynamic(f *os.File, cf *container.File, man manifest, oo OpenOptions) (
 	if dx.Len() != man.n {
 		return nil, corruptf("index holds %d rows, manifest declares %d", dx.Len(), man.n)
 	}
-	ix := &DynamicIndex{dx: dx, disk: d, fd: fwrap, opts: opts}
-	if oo.WAL == nil {
-		if oo.Concurrent {
-			// The replayed index lives on a writable in-memory device, so a
-			// log-less reopen supports concurrent mode exactly like
-			// BuildDynamic: versions count applied operations from zero.
-			ix.epochs = &epochState{}
-			if err := ix.publishEpoch(0); err != nil {
-				return nil, err
-			}
-		}
-		return &Opened{Dynamic: ix, f: f}, nil
-	}
-	// The dynamic index replays onto a writable device even for read-only
-	// opens, so the durable path only adds the log: recover the watermark and
-	// replay the suffix.
-	appliedSeq, err := readDurableSeq(cf)
-	if err != nil {
-		return nil, err
-	}
-	du, err := openDurable(oo.WAL, f.Name(), container.KindDynamic, appliedSeq, oo.Concurrent,
-		func(op walOp) error {
-			var aerr error
-			switch op.op {
-			case opAppend:
-				_, aerr = dx.Append(op.ch)
-			case opChange:
-				_, aerr = dx.Change(op.i, op.ch)
-			case opDelete:
-				_, aerr = dx.Delete(op.i)
-			default:
-				aerr = fmt.Errorf("unknown operation %d", op.op)
-			}
-			return aerr
-		},
-		ix.emitSections)
-	if err != nil {
-		return nil, err
-	}
-	ix.dur = du
-	if oo.Concurrent {
-		ix.epochs = &epochState{}
-		if err := ix.publishEpoch(du.lastSeq()); err != nil {
-			return nil, err
-		}
-	}
-	return &Opened{Dynamic: ix, f: f, dur: du}, nil
+	ix := newDynamicIndex(dx, d, fwrap, opts)
+	return openWritable(f, cf, &ix.handle, oo, &Opened{Dynamic: ix, f: f})
 }

@@ -2,13 +2,9 @@ package secidx
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"time"
 
-	"repro/internal/cbitmap"
-	"repro/internal/index"
-	"repro/internal/iomodel"
 	"repro/internal/serve"
 	"repro/internal/shard"
 )
@@ -74,7 +70,7 @@ func (c ServerConfig) toInternal() serve.Config {
 		FlushSlack:   c.FlushSlack,
 		MinBudget:    c.MinBudget,
 		Workers:      c.Workers,
-		Retry:        c.Retry.toInternal(),
+		Retry:        c.Retry,
 		AllowPartial: c.AllowPartial,
 		Breaker: serve.BreakerConfig{
 			Threshold: c.BreakerThreshold,
@@ -85,58 +81,13 @@ func (c ServerConfig) toInternal() serve.Config {
 }
 
 // ServerStats is a point-in-time snapshot of a Server's metrics; all
-// counters are cumulative since the server started.
-type ServerStats struct {
-	Admitted uint64 // requests accepted into the queue
-	Shed     uint64 // requests rejected with ErrOverloaded
-	Expired  uint64 // requests rejected at admission for hopeless deadlines
-
-	Completed uint64 // requests answered (possibly degraded)
-	Degraded  uint64 // answered requests missing ≥1 shard
-	Failed    uint64 // requests that errored after admission
-
-	Batches       uint64 // micro-batches executed
-	FlushSize     uint64 // flushes on the distinct-range trigger
-	FlushOverlap  uint64 // flushes on the total-members (overlap) trigger
-	FlushWait     uint64 // flushes on the oldest-member-age trigger
-	FlushDeadline uint64 // flushes on the deadline-budget trigger
-	FlushClose    uint64 // flushes forced by Close
-
-	QueueDepth int64 // current queued requests
-	QueueMax   int64 // high-water mark of QueueDepth
-
-	Reads        int64 // batch-level charged block reads
-	SharedSaved  int64 // block reads the shared-scan planner avoided
-	FailedReads  int64 // failed device read attempts (incl. recovered)
-	RetriedReads int64 // whole-shard attempts re-issued after transients
-
-	BreakerOpen   []bool // per shard: breaker currently open or half-open
-	BreakerOpens  uint64 // closed/half-open → open transitions
-	BreakerProbes uint64 // half-open probes admitted
-	BreakerCloses uint64 // probes that healed a breaker
-
-	LatencyMean time.Duration // end-to-end latency of completed requests
-	LatencyP50  time.Duration
-	LatencyP99  time.Duration
-	LatencyP999 time.Duration
-	LatencyMax  time.Duration
-}
-
-func fromServeStats(st serve.Stats) ServerStats {
-	return ServerStats{
-		Admitted: st.Admitted, Shed: st.Shed, Expired: st.Expired,
-		Completed: st.Completed, Degraded: st.Degraded, Failed: st.Failed,
-		Batches: st.Batches, FlushSize: st.FlushSize, FlushOverlap: st.FlushOverlap,
-		FlushWait: st.FlushWait, FlushDeadline: st.FlushDeadline, FlushClose: st.FlushClose,
-		QueueDepth: st.QueueDepth, QueueMax: st.QueueMax,
-		Reads: st.Reads, SharedSaved: st.SharedSaved,
-		FailedReads: st.FailedReads, RetriedReads: st.RetriedReads,
-		BreakerOpen: st.BreakerOpen, BreakerOpens: st.BreakerOpens,
-		BreakerProbes: st.BreakerProbes, BreakerCloses: st.BreakerCloses,
-		LatencyMean: st.LatencyMean, LatencyP50: st.LatencyP50,
-		LatencyP99: st.LatencyP99, LatencyP999: st.LatencyP999, LatencyMax: st.LatencyMax,
-	}
-}
+// counters are cumulative since the server started. It reports admission
+// (Admitted, Shed, Expired), completion (Completed, Degraded, Failed),
+// batching (Batches and one Flush* count per trigger), the intake queue's
+// depth and high-water mark, batch-level backend I/O (Reads, SharedSaved,
+// FailedReads, RetriedReads), per-shard breaker state and transition counts,
+// and the end-to-end latency distribution of completed requests.
+type ServerStats = serve.Stats
 
 // ServedResult is the serving layer's answer to one query: the result plus
 // how it was served — the batch it rode in, what flushed that batch, and how
@@ -164,8 +115,8 @@ type ServedResult struct {
 
 func fromResponse(r serve.Response) *ServedResult {
 	sr := &ServedResult{
-		Stats:     fromQS(r.Stats),
-		Report:    fromShardErrors(r.Report),
+		Stats:     r.Stats,
+		Report:    r.Report,
 		BatchSize: r.BatchSize,
 		Trigger:   r.Trigger,
 		Wait:      r.Wait,
@@ -188,11 +139,7 @@ type Server struct {
 
 // Serve starts a server over the sharded index. Close releases it.
 func (ix *ShardedIndex) Serve(cfg ServerConfig) (*Server, error) {
-	s, err := serve.NewServer(serve.ShardBackend{Ix: ix.sx}, cfg.toInternal())
-	if err != nil {
-		return nil, err
-	}
-	return &Server{s: s}, nil
+	return newServer(ix.sx, cfg)
 }
 
 // Serve starts a server over the unsharded index: the same admission
@@ -200,7 +147,11 @@ func (ix *ShardedIndex) Serve(cfg ServerConfig) (*Server, error) {
 // (retries apply batch-wide; a circuit breaker can still fail fast while
 // the device is down).
 func (ix *Index) Serve(cfg ServerConfig) (*Server, error) {
-	s, err := serve.NewServer(indexBackend{ix: ix}, cfg.toInternal())
+	return newServer(ix.sx, cfg)
+}
+
+func newServer(sx *shard.Index, cfg ServerConfig) (*Server, error) {
+	s, err := serve.NewServer(serve.ShardBackend{Ix: sx}, cfg.toInternal())
 	if err != nil {
 		return nil, err
 	}
@@ -238,43 +189,9 @@ func (s *Server) QueryBatch(ctx context.Context, ranges []Range) []*ServedResult
 }
 
 // Stats snapshots the serving metrics.
-func (s *Server) Stats() ServerStats { return fromServeStats(s.s.Stats()) }
+func (s *Server) Stats() ServerStats { return s.s.Stats() }
 
 // Close stops admission, answers every already-admitted request, and waits
 // for the executors to drain. Idempotent; queries after Close return
 // ErrServerClosed.
 func (s *Server) Close() error { return s.s.Close() }
-
-// indexBackend adapts an unsharded Index to the serving backend contract as
-// a single shard, including batch-wide transient retries under the server's
-// retry policy.
-type indexBackend struct{ ix *Index }
-
-func (b indexBackend) Shards() int { return 1 }
-
-func (b indexBackend) QueryBatch(ctx context.Context, rs []index.Range, eo shard.ExecOptions) ([]*cbitmap.Bitmap, index.QueryStats, []shard.ShardError, error) {
-	max := eo.Retry.MaxAttempts
-	if max < 1 {
-		max = 1
-	}
-	var total index.QueryStats
-	for attempt := 1; ; attempt++ {
-		bms, st, err := b.ix.ax.QueryBatchContext(ctx, rs)
-		total.Add(st)
-		if err == nil || attempt >= max || !errors.Is(err, iomodel.ErrTransientRead) {
-			return bms, total, nil, err
-		}
-		if d := eo.Retry.Delay(attempt, 0); d > 0 {
-			t := time.NewTimer(d)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return nil, total, nil, ctx.Err()
-			case <-t.C:
-			}
-		} else if cerr := ctx.Err(); cerr != nil {
-			return nil, total, nil, cerr
-		}
-		total.RetriedReads++
-	}
-}

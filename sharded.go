@@ -2,7 +2,6 @@ package secidx
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/index"
 	"repro/internal/iomodel"
@@ -11,9 +10,7 @@ import (
 
 // Range is an alphabet range query [Lo,Hi] (inclusive), the batch-query
 // request unit.
-type Range struct {
-	Lo, Hi uint32
-}
+type Range = index.Range
 
 // FaultConfig describes a deterministic, seeded device fault schedule for
 // chaos testing a sharded index. Each per-10k rate draws a sticky per-block
@@ -34,72 +31,19 @@ type Range struct {
 // exactly as a crashed device write would; the block then heals so a retry
 // succeeds. Shard i draws from Seed+i, so shards fail independently like
 // independent physical devices.
-type FaultConfig struct {
-	Seed int64
-	// TransientPer10k, PermanentPer10k and CorruptPer10k are per-10000 block
-	// probabilities of each fault class.
-	TransientPer10k int
-	// TransientCount is how many times a transient block fails before it
-	// heals (default 1).
-	TransientCount  int
-	PermanentPer10k int
-	CorruptPer10k   int
-	// ReadLatency is injected before every charged read while armed.
-	ReadLatency time.Duration
-	// FailedWritePer10k and ShortWritePer10k are per-10000 block
-	// probabilities of the write-side fates: a failed write tears before the
-	// faulty block's bits are applied, a short write after. Each fires once
-	// per block, then the block heals. Enabling them leaves the read-fault
-	// schedule of a given Seed bit-identical.
-	FailedWritePer10k int
-	ShortWritePer10k  int
-}
-
-func (fc *FaultConfig) toInternal() *iomodel.FaultConfig {
-	if fc == nil {
-		return nil
-	}
-	return &iomodel.FaultConfig{
-		Seed:              fc.Seed,
-		TransientPer10k:   fc.TransientPer10k,
-		TransientCount:    fc.TransientCount,
-		PermanentPer10k:   fc.PermanentPer10k,
-		CorruptPer10k:     fc.CorruptPer10k,
-		ReadLatency:       fc.ReadLatency,
-		FailedWritePer10k: fc.FailedWritePer10k,
-		ShortWritePer10k:  fc.ShortWritePer10k,
-	}
-}
+type FaultConfig = iomodel.FaultConfig
 
 // RetryPolicy bounds per-shard retries of transiently failing reads. Only
 // transient device faults are retried; permanent faults, corruption and
 // cancellation fail (or degrade) immediately. The zero value retries
-// nothing.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of attempts per shard operation,
-	// including the first (values < 1 mean 1).
-	MaxAttempts int
-	// Backoff is the base sleep before the first retry, doubling per attempt
-	// and capped at MaxBackoff when MaxBackoff > 0, then jittered to a
-	// deterministic point in [base/2, base) drawn from (JitterSeed, shard,
-	// attempt) — concurrent per-shard retries decorrelate instead of
-	// convoying, and a fixed seed reproduces the exact schedule. Waits honour
-	// context cancellation.
-	Backoff    time.Duration
-	MaxBackoff time.Duration
-	// JitterSeed seeds the deterministic backoff jitter (zero is a valid
-	// seed).
-	JitterSeed int64
-}
-
-func (p RetryPolicy) toInternal() shard.RetryPolicy {
-	return shard.RetryPolicy{
-		MaxAttempts: p.MaxAttempts,
-		Backoff:     p.Backoff,
-		MaxBackoff:  p.MaxBackoff,
-		JitterSeed:  p.JitterSeed,
-	}
-}
+// nothing: MaxAttempts is the total number of attempts per shard operation,
+// including the first (values < 1 mean 1). Backoff is the base sleep before
+// the first retry, doubling per attempt and capped at MaxBackoff when
+// MaxBackoff > 0, then jittered to a deterministic point in [base/2, base)
+// drawn from (JitterSeed, shard, attempt) — concurrent per-shard retries
+// decorrelate instead of convoying, and a fixed seed (zero is valid)
+// reproduces the exact schedule. Waits honour context cancellation.
+type RetryPolicy = shard.RetryPolicy
 
 // QueryOptions configures one fault-tolerant query execution.
 type QueryOptions struct {
@@ -112,41 +56,15 @@ type QueryOptions struct {
 	AllowPartial bool
 }
 
-func (qo QueryOptions) toInternal() shard.ExecOptions {
-	return shard.ExecOptions{
-		Retry:        qo.Retry.toInternal(),
-		AllowPartial: qo.AllowPartial,
-	}
+func (qo QueryOptions) exec() shard.ExecOptions {
+	return shard.ExecOptions{Retry: qo.Retry, AllowPartial: qo.AllowPartial}
 }
 
 // ShardError reports one shard's failure inside a degraded (AllowPartial)
-// answer: the global row range whose answer bits are missing, how many
-// attempts were made, and the last error.
-type ShardError struct {
-	Shard            int
-	RowStart, RowEnd int64 // global rows [RowStart, RowEnd) not answered
-	Attempts         int
-	Err              error
-}
-
-func (e ShardError) Error() string { return e.toShard().Error() }
-
-func (e ShardError) Unwrap() error { return e.Err }
-
-func (e ShardError) toShard() shard.ShardError {
-	return shard.ShardError{Shard: e.Shard, RowStart: e.RowStart, RowEnd: e.RowEnd, Attempts: e.Attempts, Err: e.Err}
-}
-
-func fromShardErrors(es []shard.ShardError) []ShardError {
-	if es == nil {
-		return nil
-	}
-	out := make([]ShardError, len(es))
-	for i, e := range es {
-		out[i] = ShardError{Shard: e.Shard, RowStart: e.RowStart, RowEnd: e.RowEnd, Attempts: e.Attempts, Err: e.Err}
-	}
-	return out
-}
+// answer: the global row range [RowStart, RowEnd) whose answer bits are
+// missing, how many attempts were made, and the last error. An error from a
+// query whose every shard failed wraps one; detect it with errors.As.
+type ShardError = shard.ShardError
 
 // ShardOptions configures BuildSharded.
 type ShardOptions struct {
@@ -183,6 +101,11 @@ type ShardedIndex struct {
 // BuildSharded constructs a sharded index over data (values in [0,sigma)).
 // Shards build in parallel, bounded by opts.Workers.
 func BuildSharded(data []uint32, sigma int, opts ShardOptions) (*ShardedIndex, error) {
+	if opts.Faults == nil {
+		// The embedded Options.Faults is shadowed by the field above; honour
+		// a schedule set through either.
+		opts.Faults = opts.Options.Faults
+	}
 	sx, err := shard.Build(data, sigma, shard.Options{
 		Shards:      opts.Shards,
 		Workers:     opts.Workers,
@@ -192,7 +115,7 @@ func BuildSharded(data []uint32, sigma int, opts ShardOptions) (*ShardedIndex, e
 		Branching:   opts.Branching,
 		Stride:      opts.Stride,
 		Seed:        opts.Seed,
-		Faults:      opts.Faults.toInternal(),
+		Faults:      opts.Faults,
 	})
 	if err != nil {
 		return nil, err
@@ -216,17 +139,13 @@ func (ix *ShardedIndex) SizeBits() int64 { return ix.sx.SizeBits() }
 // per-shard I/O; on independent devices the critical path is the largest
 // per-shard share.
 func (ix *ShardedIndex) Query(lo, hi uint32) (*Result, Stats, error) {
-	return ix.QueryContext(context.Background(), lo, hi)
+	return runQuery(context.Background(), ix.sx, lo, hi)
 }
 
 // QueryContext answers like Query, honouring ctx: cancellation stops
 // scheduling shard tasks and checkpoints inside each shard's pipeline.
 func (ix *ShardedIndex) QueryContext(ctx context.Context, lo, hi uint32) (*Result, Stats, error) {
-	bm, st, err := ix.sx.QueryContext(ctx, index.Range{Lo: lo, Hi: hi})
-	if err != nil {
-		return nil, fromQS(st), err
-	}
-	return &Result{bm: bm}, fromQS(st), nil
+	return runQuery(ctx, ix.sx, lo, hi)
 }
 
 // QueryExec is the fault-tolerant query entry point: per-shard bounded
@@ -235,11 +154,17 @@ func (ix *ShardedIndex) QueryContext(ctx context.Context, lo, hi uint32) (*Resul
 // slice is non-nil exactly when the answer is partial; its entries name the
 // global row ranges whose bits are missing.
 func (ix *ShardedIndex) QueryExec(ctx context.Context, lo, hi uint32, opts QueryOptions) (*Result, Stats, []ShardError, error) {
-	bm, st, report, err := ix.sx.QueryExec(ctx, index.Range{Lo: lo, Hi: hi}, opts.toInternal())
+	return execQuery(ctx, ix.sx, lo, hi, opts)
+}
+
+// execQuery runs one fault-tolerant query on sx — the path behind QueryExec
+// on both the sharded and the unsharded (one-shard) index.
+func execQuery(ctx context.Context, sx *shard.Index, lo, hi uint32, opts QueryOptions) (*Result, Stats, []ShardError, error) {
+	bm, st, report, err := sx.QueryExec(ctx, Range{Lo: lo, Hi: hi}, opts.exec())
 	if err != nil {
-		return nil, fromQS(st), nil, err
+		return nil, st, nil, err
 	}
-	return &Result{bm: bm}, fromQS(st), fromShardErrors(report), nil
+	return &Result{bm: bm}, st, report, nil
 }
 
 // QueryBatch answers a batch of ranges through the shared-scan batch
@@ -256,7 +181,7 @@ func (ix *ShardedIndex) QueryBatch(ranges []Range) ([]*Result, Stats, error) {
 
 // QueryBatchContext answers like QueryBatch, honouring ctx.
 func (ix *ShardedIndex) QueryBatchContext(ctx context.Context, ranges []Range) ([]*Result, Stats, error) {
-	out, st, _, err := ix.QueryBatchExec(ctx, ranges, QueryOptions{})
+	out, st, _, err := execBatch(ctx, ix.sx, ranges, QueryOptions{})
 	return out, st, err
 }
 
@@ -264,19 +189,20 @@ func (ix *ShardedIndex) QueryBatchContext(ctx context.Context, ranges []Range) (
 // analogue of QueryExec. With a non-nil ShardError slice, every returned
 // result is missing the reported shards' rows.
 func (ix *ShardedIndex) QueryBatchExec(ctx context.Context, ranges []Range, opts QueryOptions) ([]*Result, Stats, []ShardError, error) {
-	rs := make([]index.Range, len(ranges))
-	for i, r := range ranges {
-		rs[i] = index.Range{Lo: r.Lo, Hi: r.Hi}
-	}
-	bms, st, report, err := ix.sx.QueryBatchExec(ctx, rs, opts.toInternal())
+	return execBatch(ctx, ix.sx, ranges, opts)
+}
+
+// execBatch is the batch analogue of execQuery.
+func execBatch(ctx context.Context, sx *shard.Index, ranges []Range, opts QueryOptions) ([]*Result, Stats, []ShardError, error) {
+	bms, st, report, err := sx.QueryBatchExec(ctx, ranges, opts.exec())
 	if err != nil {
-		return nil, fromQS(st), nil, err
+		return nil, st, nil, err
 	}
 	out := make([]*Result, len(bms))
 	for i, bm := range bms {
 		out[i] = &Result{bm: bm}
 	}
-	return out, fromQS(st), fromShardErrors(report), nil
+	return out, st, report, nil
 }
 
 // ArmFaults starts the fault schedule of ShardOptions.Faults firing on
@@ -288,33 +214,16 @@ func (ix *ShardedIndex) DisarmFaults() { ix.sx.DisarmFaults() }
 
 // DeviceStats reports the cumulative block-device counters summed over all
 // shard disks, including block-cache hits and misses when CacheBlocks > 0.
-type DeviceStats struct {
-	BlockReads  int64
-	BlockWrites int64
-	CacheHits   int64
-	CacheMisses int64
-	// SharedSaved counts block reads avoided by shared-scan batch sessions:
-	// blocks several queries of one batch needed but the batch read once.
-	// Unlike CacheHits (residency across operations) it measures sharing
-	// within single batches.
-	SharedSaved int64
-	// FailedReads counts device read attempts that failed under an armed
-	// fault schedule, including transient failures later recovered by retry.
-	FailedReads int64
-}
+// SharedSaved counts block reads avoided by shared-scan batch sessions:
+// blocks several queries of one batch needed but the batch read once —
+// unlike CacheHits (residency across operations) it measures sharing within
+// single batches. FailedReads counts device read attempts that failed under
+// an armed fault schedule, including transient failures later recovered by
+// retry.
+type DeviceStats = iomodel.StatsSnapshot
 
 // DeviceStats returns the summed per-shard device counters.
-func (ix *ShardedIndex) DeviceStats() DeviceStats {
-	st := ix.sx.DeviceStats()
-	return DeviceStats{
-		BlockReads:  st.BlockReads,
-		BlockWrites: st.BlockWrites,
-		CacheHits:   st.CacheHits,
-		CacheMisses: st.CacheMisses,
-		SharedSaved: st.SharedSaved,
-		FailedReads: st.FailedReads,
-	}
-}
+func (ix *ShardedIndex) DeviceStats() DeviceStats { return ix.sx.DeviceStats() }
 
 // ResetDeviceStats zeroes the per-shard device counters (used by the scaling
 // experiment to isolate query-phase I/O).

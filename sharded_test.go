@@ -126,7 +126,7 @@ func TestShardedQueryBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranges := []Range{{0, 7}, {100, 120}, {0, 7}, {64, 64}, {0, 127}, {100, 120}}
+	ranges := []Range{{Lo: 0, Hi: 7}, {Lo: 100, Hi: 120}, {Lo: 0, Hi: 7}, {Lo: 64, Hi: 64}, {Lo: 0, Hi: 127}, {Lo: 100, Hi: 120}}
 	results, _, err := ix.QueryBatch(ranges)
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +213,7 @@ func TestShardedQueryBatchStress(t *testing.T) {
 // block reads on a repeated workload.
 func TestShardedCacheCorrectness(t *testing.T) {
 	x := randColumn(15000, 128, 37)
-	batch := []Range{{0, 15}, {32, 47}, {0, 15}, {90, 127}, {32, 47}, {5, 5}}
+	batch := []Range{{Lo: 0, Hi: 15}, {Lo: 32, Hi: 47}, {Lo: 0, Hi: 15}, {Lo: 90, Hi: 127}, {Lo: 32, Hi: 47}, {Lo: 5, Hi: 5}}
 	cold, err := BuildSharded(x, 128, ShardOptions{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -284,7 +284,7 @@ func TestShardedEdgeCases(t *testing.T) {
 	if _, _, err := ix.Query(5, 99); err == nil {
 		t.Fatal("out-of-alphabet range accepted")
 	}
-	if _, _, err := ix.QueryBatch([]Range{{2, 1}}); err == nil {
+	if _, _, err := ix.QueryBatch([]Range{{Lo: 2, Hi: 1}}); err == nil {
 		t.Fatal("inverted range accepted")
 	}
 }
