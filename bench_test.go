@@ -511,6 +511,63 @@ func BenchmarkBitmapUnion(b *testing.B) {
 	}
 }
 
+// BenchmarkMergeStreams times the fused decode-merge through its public
+// dispatch over k disk-backed streams that together hold one position per D
+// of a 2^20 universe: D < 256 takes the window kernel; D = 256 sits on the
+// crossover (deduplication leaves it just under) and, like the sparser points,
+// takes the per-row loop. ns/row is per input position.
+func BenchmarkMergeStreams(b *testing.B) {
+	const n = 1 << 20
+	run := func(b *testing.B, complement bool, d, k int) {
+		merge := cbitmap.MergeStreams
+		if complement {
+			merge = cbitmap.MergeStreamsComplement
+		}
+		ms := benchBitmaps(k, n/d/k, n, 17)
+		w := bitio.NewWriter(0)
+		starts := make([]int, k)
+		rows := 0
+		for i, m := range ms {
+			starts[i] = w.Len()
+			m.EncodeTo(w)
+			rows += int(m.Card())
+		}
+		rd := bitio.NewReader(w.Bytes(), w.Len())
+		streams := make([]*cbitmap.Stream, k)
+		for i := range streams {
+			streams[i] = new(cbitmap.Stream)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j, m := range ms {
+				if err := streams[j].InitDecode(rd, starts[j], m.SizeBits(), m.Card(), n, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if _, err := merge(n, streams...); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
+	}
+	for _, op := range []string{"union", "complement"} {
+		b.Run(op, func(b *testing.B) {
+			// Nested levels: a single "density=1/4" name would confuse -bench,
+			// which splits its pattern at slashes.
+			b.Run("density=1", func(b *testing.B) {
+				for _, d := range []int{4, 16, 64, 256, 1024, 4096} {
+					b.Run(strconv.Itoa(d), func(b *testing.B) {
+						for _, k := range []int{4, 16, 64} {
+							b.Run("k="+strconv.Itoa(k), func(b *testing.B) { run(b, op == "complement", d, k) })
+						}
+					})
+				}
+			})
+		})
+	}
+}
+
 func BenchmarkBitmapIntersect(b *testing.B) {
 	ms := benchBitmaps(2, 1<<15, 1<<20, 14)
 	b.ResetTimer()

@@ -117,30 +117,31 @@ func (e *StreamEncoder) drainList(rest []int64) {
 	}
 }
 
+// siftDownSliceHeads is siftDownHeads for sorted-slice merge heads.
+func siftDownSliceHeads(heads []sliceMergeHead, i int) {
+	for {
+		l, r := 2*i+1, 2*i+2
+		m := i
+		if l < len(heads) && heads[l].cur < heads[m].cur {
+			m = l
+		}
+		if r < len(heads) && heads[r].cur < heads[m].cur {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		heads[i], heads[m] = heads[m], heads[i]
+		i = m
+	}
+}
+
 // mergeSliceHeads runs the k-way minimum merge over ≥2 primed heads.
 func (e *StreamEncoder) mergeSliceHeads(lists [][]int64, heads []sliceMergeHead) {
 	useHeap := len(heads) > 8
-	var siftDown func(int)
 	if useHeap {
-		siftDown = func(i int) {
-			for {
-				l, r := 2*i+1, 2*i+2
-				m := i
-				if l < len(heads) && heads[l].cur < heads[m].cur {
-					m = l
-				}
-				if r < len(heads) && heads[r].cur < heads[m].cur {
-					m = r
-				}
-				if m == i {
-					return
-				}
-				heads[i], heads[m] = heads[m], heads[i]
-				i = m
-			}
-		}
 		for i := len(heads)/2 - 1; i >= 0; i-- {
-			siftDown(i)
+			siftDownSliceHeads(heads, i)
 		}
 	}
 	for len(heads) > 1 {
@@ -162,7 +163,7 @@ func (e *StreamEncoder) mergeSliceHeads(lists [][]int64, heads []sliceMergeHead)
 			heads = heads[:len(heads)-1]
 		}
 		if useHeap {
-			siftDown(mi)
+			siftDownSliceHeads(heads, mi)
 		}
 	}
 	e.bd.Add(heads[0].cur)

@@ -9,8 +9,18 @@
 // come from sync.Pools, so a steady-state merge allocates only the bitmap it
 // returns.
 //
-// The encoding stays canonical: MergeStreams produces byte-identical streams
-// to decode-then-Union, which the differential and fuzz tests pin.
+// The merge has two paths behind one dispatch (runMerge), chosen from what
+// the primed inputs show and never by the caller. Sparse inputs — point
+// queries, small covers, and every StreamEncoder merge, which has no universe
+// — take the per-row loop in this file (mergeSparse): pick the minimum head,
+// encode it, advance its stream, at a cost per row that does not depend on n.
+// Inputs holding at least one position per denseCrossover universe positions
+// take the window kernel in dense.go (mergeDense): a fixed 8 KiB uncompressed
+// bit window slides over [0,n), so union and dedupe are an OR per position
+// and the complement a NOT per word, and the k-way head search disappears.
+//
+// The encoding stays canonical: both paths produce byte-identical streams to
+// decode-then-Union, which the differential and fuzz tests pin.
 package cbitmap
 
 import (
@@ -311,6 +321,25 @@ func mergeStreams(n int64, complement bool, streams []*Stream) (*Bitmap, error) 
 	return out, err
 }
 
+// siftDownHeads restores the min-heap order of heads below index i.
+func siftDownHeads(heads []mergeHead, i int) {
+	for {
+		l, r := 2*i+1, 2*i+2
+		m := i
+		if l < len(heads) && heads[l].cur < heads[m].cur {
+			m = l
+		}
+		if r < len(heads) && heads[r].cur < heads[m].cur {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		heads[i], heads[m] = heads[m], heads[i]
+		i = m
+	}
+}
+
 // runMerge executes the merge loop over the primed heads, writing into bd —
 // which may be a pooled query builder (mergeStreams) or a StreamEncoder's
 // builder aimed at a construction writer, the fusion that lets merges feed
@@ -337,31 +366,23 @@ func runMerge(bd *Builder, n int64, complement bool, heads []mergeHead) error {
 			return nil
 		}
 	}
+	if denseEnough(n, complement, heads) {
+		return mergeDense(bd, n, complement, heads)
+	}
+	return mergeSparse(bd, n, complement, heads)
+}
+
+// mergeSparse is runMerge's per-row path: pick the minimum head, encode it,
+// advance its stream. Its cost is per answer row and independent of n, which
+// is what sparse merges — point queries, small covers — need.
+func mergeSparse(bd *Builder, n int64, complement bool, heads []mergeHead) error {
 	next := int64(0) // complement: first position not yet ruled out
 	// Large fan-in: binary min-heap on the head positions. Small fan-in (the
 	// common case: O(1) bitmaps per tree level): linear minimum scan.
 	useHeap := len(heads) > 8
-	var siftDown func(int)
 	if useHeap {
-		siftDown = func(i int) {
-			for {
-				l, r := 2*i+1, 2*i+2
-				m := i
-				if l < len(heads) && heads[l].cur < heads[m].cur {
-					m = l
-				}
-				if r < len(heads) && heads[r].cur < heads[m].cur {
-					m = r
-				}
-				if m == i {
-					return
-				}
-				heads[i], heads[m] = heads[m], heads[i]
-				i = m
-			}
-		}
 		for i := len(heads)/2 - 1; i >= 0; i-- {
-			siftDown(i)
+			siftDownHeads(heads, i)
 		}
 	}
 	// The union drains the final stream verbatim; the complement must decode
@@ -405,7 +426,7 @@ func runMerge(bd *Builder, n int64, complement bool, heads []mergeHead) error {
 			heads = heads[:len(heads)-1]
 		}
 		if useHeap {
-			siftDown(mi)
+			siftDownHeads(heads, mi)
 		}
 	}
 	if !complement && len(heads) == 1 {

@@ -30,6 +30,13 @@ func streamTestSets(t testing.TB, k, m int, n int64, seed int64) []*Bitmap {
 // shape of a materialised cover chunk on disk — returning the buffer reader
 // and each member's (start, bits).
 func encodeConcat(ms []*Bitmap) (*bitio.Reader, []int, []int) {
+	w, starts, lens := encodeConcatWriter(ms)
+	return bitio.NewReader(w.Bytes(), w.Len()), starts, lens
+}
+
+// encodeConcatWriter is encodeConcat handing out the buffer itself, for tests
+// that damage it before reading.
+func encodeConcatWriter(ms []*Bitmap) (*bitio.Writer, []int, []int) {
 	w := bitio.NewWriter(0)
 	starts := make([]int, len(ms))
 	lens := make([]int, len(ms))
@@ -38,7 +45,7 @@ func encodeConcat(ms []*Bitmap) (*bitio.Reader, []int, []int) {
 		m.EncodeTo(w)
 		lens[i] = w.Len() - starts[i]
 	}
-	return bitio.NewReader(w.Bytes(), w.Len()), starts, lens
+	return w, starts, lens
 }
 
 // TestStreamDecodeMatchesIter: a disk-backed stream produces exactly the

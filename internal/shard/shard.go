@@ -667,7 +667,8 @@ func (sx *Index) QueryBatchExec(ctx context.Context, rs []index.Range, eo ExecOp
 // work would be wasted I/O and the error should surface promptly. Degraded
 // (AllowPartial) fan-outs disable the short-circuit: every shard must get
 // its chance to answer. A done ctx always stops scheduling; unstarted tasks
-// record the ctx error.
+// record the ctx error. A pool of one runs on the caller's goroutine: there
+// is no parallelism to buy, and a one-part index pays this on every batch.
 func (sx *Index) runTasks(ctx context.Context, n int, shortCircuit bool, run func(int) error, errs []error) {
 	workers := sx.workers
 	if workers > n {
@@ -675,28 +676,35 @@ func (sx *Index) runTasks(ctx context.Context, n int, shortCircuit bool, run fun
 	}
 	var failed atomic.Bool
 	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if err := ctx.Err(); err != nil {
+				errs[i] = err
+				continue
+			}
+			if shortCircuit && failed.Load() {
+				continue // short-circuit: a sibling task already failed
+			}
+			if err := run(i); err != nil {
+				errs[i] = err
+				failed.Store(true)
+			}
+		}
+	}
+	if workers <= 1 {
+		work()
+		return
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					continue
-				}
-				if shortCircuit && failed.Load() {
-					continue // short-circuit: a sibling task already failed
-				}
-				if err := run(i); err != nil {
-					errs[i] = err
-					failed.Store(true)
-				}
-			}
+			work()
 		}()
 	}
 	wg.Wait()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -78,5 +79,50 @@ func TestQueryBatchPartialFailure(t *testing.T) {
 	}
 	if out[0] == nil {
 		t.Fatal("batch after recovery returned no answer")
+	}
+}
+
+// TestOneTaskBatchRunsInline: a fan-out of one task — every batch on a
+// one-part index — runs on the caller's goroutine, with the pool's ctx
+// semantics intact.
+func TestOneTaskBatchRunsInline(t *testing.T) {
+	x := testColumn(4000, 64, 53)
+	sx, err := Build(x, 64, Options{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := []index.Range{{Lo: 0, Hi: 7}, {Lo: 3, Hi: 12}}
+	orig := shardBatchQuery
+	defer func() { shardBatchQuery = orig }()
+	inTask := 0
+	shardBatchQuery = func(ctx context.Context, sh *shard, rs []index.Range) ([]*cbitmap.Bitmap, index.QueryStats, error) {
+		inTask = runtime.NumGoroutine()
+		return orig(ctx, sh, rs)
+	}
+	before := runtime.NumGoroutine()
+	if _, _, err := sx.QueryBatch(rs); err != nil {
+		t.Fatal(err)
+	}
+	if inTask > before { // fewer: an earlier test's goroutine finished exiting
+		t.Fatalf("%d goroutines while the shard task ran, %d before the batch: the task did not run inline", inTask, before)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	inTask = 0
+	if _, _, err := sx.QueryBatchContext(ctx, rs); !errors.Is(err, context.Canceled) || inTask != 0 {
+		t.Fatalf("cancelled batch: err = %v, task ran = %v; want context.Canceled and no task", err, inTask != 0)
+	}
+	if raceEnabled {
+		return
+	}
+	shardBatchQuery = orig
+	const parentAllocs = 38 // with the goroutine and WaitGroup this batch used to start
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, _, err := sx.QueryBatch(rs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > parentAllocs {
+		t.Fatalf("one-shard batch allocated %.1f times, want <= %d", allocs, parentAllocs)
 	}
 }

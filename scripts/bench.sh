@@ -8,14 +8,16 @@
 # on a >20% regression in any benchmark present in both files.
 #
 # Usage: scripts/bench.sh [tag] [count]
-#   tag    suffix for the output file (default: 6, matching this PR's number)
+#   tag    suffix for the output file (default: one past the highest
+#          committed BENCH_<n>.json)
 #   count  benchmark repetitions (default: 3)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-TAG="${1:-6}"
+LAST="$(ls BENCH_*.json 2>/dev/null | sed -n 's/^BENCH_\([0-9][0-9]*\)\.json$/\1/p' | sort -n | tail -1 || true)"
+TAG="${1:-$((${LAST:-0} + 1))}"
 COUNT="${2:-3}"
-PATTERN='BenchmarkGammaDecode|BenchmarkBitioReadUnary|BenchmarkBitmapUnion|BenchmarkBitmapIntersect|BenchmarkContains|BenchmarkBitmapDecode|BenchmarkShardedQuery|BenchmarkShardedQueryBatch|BenchmarkIndexQuery|BenchmarkAppendDirect|BenchmarkAppendBuffered|BenchmarkRebuild|BenchmarkBuildOptimal|BenchmarkDynamicChange|BenchmarkServeSim'
+PATTERN='BenchmarkGammaDecode|BenchmarkBitioReadUnary|BenchmarkBitmapUnion|BenchmarkBitmapIntersect|BenchmarkMergeStreams|BenchmarkContains|BenchmarkBitmapDecode|BenchmarkShardedQuery|BenchmarkShardedQueryBatch|BenchmarkIndexQuery|BenchmarkAppendDirect|BenchmarkAppendBuffered|BenchmarkRebuild|BenchmarkBuildOptimal|BenchmarkDynamicChange|BenchmarkServeSim'
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
