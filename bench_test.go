@@ -78,6 +78,46 @@ func BenchmarkBuildOptimal(b *testing.B) {
 	}
 }
 
+// BenchmarkBuild times the whole construction the public API runs — the
+// Theorem 2 structure plus the Theorem 3 hashed levels — at the internal
+// entry point, through Build, and through a 4-shard BuildSharded, on a
+// σ = 1024 zipf column. ns/row is the figure to compare across n.
+func BenchmarkBuild(b *testing.B) {
+	const sigma = 1024
+	builds := []struct {
+		name string
+		run  func(col workload.Column) error
+	}{
+		{"approx", func(col workload.Column) error {
+			_, err := core.BuildApprox(iomodel.NewDisk(iomodel.Config{BlockBits: 8192}), col, core.ApproxOptions{Seed: 42})
+			return err
+		}},
+		{"public", func(col workload.Column) error {
+			_, err := Build(col.X, sigma, Options{Seed: 42})
+			return err
+		}},
+		{"sharded=4", func(col workload.Column) error {
+			_, err := BuildSharded(col.X, sigma, ShardOptions{Options: Options{Seed: 42}, Shards: 4})
+			return err
+		}},
+	}
+	for _, bl := range builds {
+		for _, n := range []int{1 << 16, 1 << 19} {
+			b.Run(bl.name+"/n="+strconv.Itoa(n), func(b *testing.B) {
+				col := workload.Zipf(n, sigma, 1.1, 42)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := bl.run(col); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/row")
+			})
+		}
+	}
+}
+
 func BenchmarkQueryOptimal(b *testing.B) {
 	for _, ell := range []int{1, 16, 128} {
 		b.Run("ell="+strconv.Itoa(ell), func(b *testing.B) {

@@ -5,15 +5,12 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 
-	"repro/internal/bitio"
 	"repro/internal/cbitmap"
 	"repro/internal/hashutil"
 	"repro/internal/index"
 	"repro/internal/iomodel"
-	"repro/internal/workload"
 )
 
 // ApproxOptions configures the Theorem 3 structure.
@@ -48,75 +45,6 @@ type hashLevel struct {
 type hashArray struct {
 	exts  []iomodel.Extent
 	cards []int64
-}
-
-// BuildApprox constructs the Theorem 3 index for col on disk d.
-func BuildApprox(d iomodel.Device, col workload.Column, opts ApproxOptions) (*Approx, error) {
-	ox, err := BuildOptimal(d, col, opts.OptimalOptions)
-	if err != nil {
-		return nil, err
-	}
-	ax := &Approx{Optimal: ox, seed: opts.Seed}
-	n := ox.tree.n
-	ax.k = maxJ(n)
-	rng := rand.New(rand.NewSource(opts.Seed))
-	for j := 1; j <= ax.k; j++ {
-		ax.hs = append(ax.hs, hashutil.NewSplitXOR(rng, 1<<uint(j)))
-	}
-	// For each materialised member, store h_j(S) for every j, grouped by j
-	// ("we group the sets according to what hash function was used") so a
-	// cover chunk at one j is contiguous.
-	for _, lv := range ox.levels {
-		hl := hashLevel{perJ: make([]hashArray, ax.k)}
-		for j := 1; j <= ax.k; j++ {
-			univ := int64(1) << uint(1<<uint(j))
-			arr := &hl.perJ[j-1]
-			for _, m := range lv.members {
-				pos := ox.tree.Positions(m.start, m.end)
-				hashed := make([]int64, 0, len(pos))
-				for _, p := range pos {
-					hashed = append(hashed, int64(ax.hs[j-1].Hash(uint64(p))))
-				}
-				hbm, err := cbitmap.FromUnsorted(univ, hashed)
-				if err != nil {
-					return nil, err
-				}
-				w := bitio.NewWriter(hbm.SizeBits())
-				hbm.EncodeTo(w)
-				arr.exts = append(arr.exts, d.AllocStream(w))
-				arr.cards = append(arr.cards, hbm.Card())
-			}
-		}
-		ax.hmaps = append(ax.hmaps, hl)
-	}
-	d.ResetStats()
-	return ax, nil
-}
-
-// maxJ returns k ≈ lg lg n, the deepest hashed level, chosen as the least k
-// with 2^(2^k) >= n so the coarsest hashed universe reaches the position
-// universe (beyond that a hashed set cannot beat the exact one; the paper's
-// ⌊lg lg n⌋ is the same value up to rounding, and the space analysis is
-// unchanged since level sizes decay geometrically upward).
-func maxJ(n int64) int {
-	lgn := mathbitsLen(n - 1)
-	k := 1
-	for 1<<uint(k) < lgn && 1<<uint(k+1) <= 56 {
-		k++
-	}
-	return k
-}
-
-// mathbitsLen is bits.Len64 for int64 inputs clamped at >= 1.
-func mathbitsLen(v int64) int {
-	if v < 1 {
-		return 1
-	}
-	l := 0
-	for x := uint64(v); x > 0; x >>= 1 {
-		l++
-	}
-	return l
 }
 
 // Name implements index.Index.

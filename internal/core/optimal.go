@@ -483,17 +483,28 @@ func BuildOptimalDefault(d iomodel.Device, col workload.Column) (*Optimal, error
 
 // PayloadUnderCodes recomputes the total member-bitmap payload under gamma
 // and delta coding of the gap streams (the A5 ablation: the paper permits
-// "any method that compresses to within a constant factor").
+// "any method that compresses to within a constant factor"). Each member's
+// gamma stream is re-encoded from the occurrence lists and its gaps read back
+// to price them under delta.
 func (ox *Optimal) PayloadUnderCodes() (gammaBits, deltaBits int64) {
+	w := getChainWriter()
+	defer putChainWriter(w)
+	var enc cbitmap.StreamEncoder
+	var posLists [][]int64
 	for _, lv := range ox.levels {
 		for _, m := range lv.members {
-			pos := ox.tree.Positions(m.start, m.end)
-			prev := int64(-1)
-			for _, p := range pos {
-				gap := uint64(p - prev)
-				gammaBits += int64(gamma.Len(gap))
+			w.Reset()
+			enc.Init(w)
+			posLists = ox.tree.PositionSlices(posLists[:0], m.start, m.end)
+			enc.MergeSortedSlices(posLists...)
+			gammaBits += int64(w.Len())
+			r := bitio.NewReader(w.Bytes(), w.Len())
+			for i := int64(0); i < enc.Card(); i++ {
+				gap, err := gamma.Read(r)
+				if err != nil {
+					panic(err) // reading back what enc just wrote
+				}
 				deltaBits += int64(gamma.DeltaLen(gap))
-				prev = p
 			}
 		}
 	}

@@ -8,7 +8,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"repro/internal/workload"
@@ -191,32 +190,11 @@ func (t *Tree) Count(al, ar uint32) int64 {
 	return t.prefix[ar+1] - t.prefix[al]
 }
 
-// Positions returns, in increasing position order, the positions of the
-// records in [start,end). Within one character the byChar lists are already
-// sorted, so this is a k-way concatenation followed by a merge across the
-// character boundaries.
-func (t *Tree) Positions(start, end int64) []int64 {
-	out := make([]int64, 0, end-start)
-	for a := int(t.charOf(start)); int64(a) < int64(t.sigma) && t.prefix[a] < end; a++ {
-		lo := t.prefix[a]
-		if lo < start {
-			lo = start
-		}
-		hi := t.prefix[a+1]
-		if hi > end {
-			hi = end
-		}
-		out = append(out, t.byChar[a][lo-t.prefix[a]:hi-t.prefix[a]]...)
-	}
-	slices.Sort(out)
-	return out
-}
-
 // PositionSlices appends to dst the sorted per-character position slices
 // covering records [start,end), without copying or sorting: each slice is a
 // sub-range of one character's byChar list, the slices are pairwise disjoint,
-// and merging them (StreamEncoder.MergeSortedSlices) reproduces
-// Positions(start, end) exactly. This is what lets the streaming build emit
+// and merging them (StreamEncoder.MergeSortedSlices) yields the positions of
+// the records in increasing order. This is what lets the streaming build emit
 // a member's gap stream without materialising its position slice.
 func (t *Tree) PositionSlices(dst [][]int64, start, end int64) [][]int64 {
 	for a := int(t.charOf(start)); int64(a) < int64(t.sigma) && t.prefix[a] < end; a++ {

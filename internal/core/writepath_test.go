@@ -166,7 +166,7 @@ func TestStreamingBuildBitIdentical(t *testing.T) {
 				if err := got.CopyBits(rd, int(m.ext.Bits)); err != nil {
 					t.Fatal(err)
 				}
-				want, err := cbitmap.FromPositions(ix.tree.n, ix.tree.Positions(m.start, m.end))
+				want, err := cbitmap.FromPositions(ix.tree.n, ix.tree.positionsRef(m.start, m.end))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -51,6 +51,8 @@ func Build(d *iomodel.Disk, col workload.Column, w int) (*Index, error) {
 		}
 		byChar[c] = append(byChar[c], int64(i))
 	}
+	wr := bitio.NewWriter(0)
+	var enc cbitmap.StreamEncoder
 	for width := int64(1); width < int64(col.Sigma) || width == 1; width *= int64(w) {
 		nbins := (int64(col.Sigma) + width - 1) / width
 		lv := level{width: width}
@@ -61,18 +63,11 @@ func Build(d *iomodel.Disk, col workload.Column, w int) (*Index, error) {
 				hi = int64(col.Sigma)
 			}
 			// Merge the sorted per-character lists of the bin.
-			var pos []int64
-			for a := lo; a < hi; a++ {
-				pos = append(pos, byChar[a]...)
-			}
-			bm, err := cbitmap.FromUnsorted(n, pos)
-			if err != nil {
-				return nil, err
-			}
-			wr := bitio.NewWriter(bm.SizeBits())
-			bm.EncodeTo(wr)
+			wr.Reset()
+			enc.Init(wr)
+			enc.MergeSortedSlices(byChar[lo:hi]...)
 			lv.exts = append(lv.exts, d.AllocStream(wr))
-			lv.cards = append(lv.cards, bm.Card())
+			lv.cards = append(lv.cards, enc.Card())
 		}
 		ix.levels = append(ix.levels, lv)
 		if width >= int64(col.Sigma) {

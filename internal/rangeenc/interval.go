@@ -48,19 +48,16 @@ func BuildInterval(d *iomodel.Disk, col workload.Column) (*IntervalIndex, error)
 	nWindows := col.Sigma - ix.w + 1
 	ix.exts = make([]iomodel.Extent, nWindows)
 	ix.cards = make([]int64, nWindows)
+	// A window's position set is the union of its characters' occurrence
+	// lists, each already sorted: merge them straight into the encoder.
+	wtr := bitio.NewWriter(0)
+	var enc cbitmap.StreamEncoder
 	for m := 0; m < nWindows; m++ {
-		var pos []int64
-		for a := m; a < m+ix.w; a++ {
-			pos = append(pos, byChar[a]...)
-		}
-		bm, err := cbitmap.FromUnsorted(n, pos)
-		if err != nil {
-			return nil, err
-		}
-		wtr := bitio.NewWriter(bm.SizeBits())
-		bm.EncodeTo(wtr)
+		wtr.Reset()
+		enc.Init(wtr)
+		enc.MergeSortedSlices(byChar[m : m+ix.w]...)
 		ix.exts[m] = d.AllocStream(wtr)
-		ix.cards[m] = bm.Card()
+		ix.cards[m] = enc.Card()
 	}
 	// The classic scheme uses the per-character equality bitmaps for the
 	// residual refinement; share one equality index.
