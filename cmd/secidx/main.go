@@ -11,6 +11,16 @@
 // Indexes: optimal (Theorem 2), warmup (Theorem 1), approx (Theorem 3, with
 // -eps), bitmap, bitmap-plain, range, wah, mrbi (with -binwidth), btree,
 // dynamic (Theorem 7).
+//
+// Files:
+//
+//	secidx -n 500000 -sigma 1024 -dist zipf -write col.secidx   (add -shards 4 for a sharded one)
+//	secidx -inspect col.secidx
+//
+// -write builds the static index of the public API over the column and
+// writes its container; -inspect prints a container's sections and each
+// shard's space ledger — where the bits go, level by level, beside H0 — and
+// exits 1 if the ledger does not account for every bit of the image.
 package main
 
 import (
@@ -45,6 +55,8 @@ func main() {
 		rangeLen = flag.Int("range", 16, "query range length ℓ")
 		block    = flag.Int("block", 8192, "block size B in bits")
 		eps      = flag.Float64("eps", 0.0625, "false-positive rate for -index approx")
+		write    = flag.String("write", "", "build the public static index over the column (sharded with an explicit -shards > 1), write its container to this path and exit")
+		inspectF = flag.String("inspect", "", "print the sections and per-shard space ledger of this container and exit")
 
 		loadgen  = flag.Bool("loadgen", false, "run the serving-layer load generator instead of the query benchmark")
 		shards   = flag.Int("shards", 4, "loadgen: shard count")
@@ -60,7 +72,27 @@ func main() {
 	)
 	flag.Parse()
 
+	if *inspectF != "" {
+		if err := inspect(*inspectF); err != nil {
+			fmt.Fprintln(os.Stderr, "inspect:", err)
+			os.Exit(1)
+		}
+		return
+	}
 	col := makeColumn(*dist, *n, *sigma, *theta, *param, *seed)
+	if *write != "" {
+		nshards := 1 // -shards defaults to the load generator's 4
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "shards" {
+				nshards = *shards
+			}
+		})
+		if err := writeContainer(*write, col.X, col.Sigma, *block, nshards); err != nil {
+			fmt.Fprintln(os.Stderr, "write:", err)
+			os.Exit(1)
+		}
+		return
+	}
 	if *loadgen {
 		runLoadgen(col, *rangeLen, *seed, loadgenFlags{
 			shards: *shards, requests: *requests, rate: *rate, arrivals: *arrivals,

@@ -203,9 +203,16 @@ func TestFormatGoldens(t *testing.T) {
 	}
 }
 
+// goldenStatic and goldenSharded were re-pinned once, by PR 16: containers no
+// longer store the hashed level whose universe is >= n (here n = 3000 and
+// 1000 per shard: level 4, universe 2^16), so the static file went from
+// 34 491 to 24 965 bytes (0x9150b2c94f9f1a6f before) and the sharded one from
+// 53 934 to 42 382 (0x3b95cce8b69932a3 before). Files with the old bytes
+// still open: TestReadCompatPR15. The append and dynamic kinds carry no
+// hashed levels and did not move.
 const (
-	goldenStatic  = 0x9150b2c94f9f1a6f
-	goldenSharded = 0x3b95cce8b69932a3
+	goldenStatic  = 0x0ea22dedcd46be97
+	goldenSharded = 0x4b9bc5bd173cda06
 	goldenAppend  = 0x1ef60908cb06349d
 	goldenDynamic = 0x9527613b21cf3c92
 )

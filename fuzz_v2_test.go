@@ -73,6 +73,13 @@ func FuzzLoadV2(f *testing.F) {
 		flipped[len(flipped)/3] ^= 0x10
 		f.Add(flipped)
 	}
+	// A file from before PR 16: it stores one hashed level more than the
+	// loader's recomputed k (mutations reach the stored-count checks).
+	old, err := os.ReadFile("testdata/pr15_static.secidx")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(old)
 	// A well-formed header whose first section declares a giant payload.
 	hostile := make([]byte, 0, 64)
 	hostile = append(hostile, []byte("secidx02")...)

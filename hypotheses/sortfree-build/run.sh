@@ -2,7 +2,9 @@
 # Hypothesis sortfree-build: the member-at-a-time build of the Theorem 3
 # hashed levels comparison-sorts every row 2·k times per level, so its cost
 # per row grows with lg n; the level pass + bitset/radix build does no
-# comparison sort above two tiny-member cutovers, so its cost per row is flat.
+# comparison sort above a tiny-member cutover, so its cost per row is flat.
+# (Since PR 16 no build stores the 2^32 universe: the radix path and its
+# cutover, which this script also swept, are gone — FINDINGS.md, Addendum.)
 #
 # Sweep 1 varies one dimension — the column length n, 2^14 … 2^21, σ = 1024
 # zipf(1.1) — and builds each column through both constructions in the same
@@ -12,8 +14,8 @@
 #
 # Sweep 2 varies one dimension — the member size, 2 … 1024 rows — and forces
 # each hashedSet path on the same members (BenchmarkHashedSetPaths): bitset
-# against small-sort at j = 4, radix against small-sort at j = 5. The sizes
-# where the effect vanishes are the two cutover constants in approx_build.go.
+# against small-sort at j = 4. The size where the effect vanishes is the
+# cutover constant in approx_build.go.
 #
 # Usage: hypotheses/sortfree-build/run.sh [outdir]   (default: a fresh temp dir)
 #   COUNT=3 BENCHTIME=0.2s BUILDTIME=1s SEEDS="42 123 456" override the defaults.
@@ -32,9 +34,8 @@ mkdir -p "$OUT"
 #    cardinalities, and every hashedSet path emits the oracle's bytes.
 go test -count=1 -short -run 'TestBuildApproxDifferential|TestBuildApproxHeavyColumnShape|FuzzHashedSetEncode' ./internal/core >/dev/null
 # 2. The constants under test are the ones the tables are read against.
-BITSET_MIN="$(sed -n 's/^[[:space:]]*bitsetMinRows = \([0-9]*\)$/\1/p' internal/core/approx_build.go)"
-RADIX_MIN="$(sed -n 's/^[[:space:]]*radixMinRows = \([0-9]*\)$/\1/p' internal/core/approx_build.go)"
-[ -n "$BITSET_MIN" ] && [ -n "$RADIX_MIN" ] || { echo "precondition: cutover constants not found in internal/core/approx_build.go" >&2; exit 1; }
+BITSET_MIN="$(sed -n 's/^const bitsetMinRows = \([0-9]*\)$/\1/p' internal/core/approx_build.go)"
+[ -n "$BITSET_MIN" ] || { echo "precondition: cutover constant not found in internal/core/approx_build.go" >&2; exit 1; }
 # 3. One binary serves every seed and every arm.
 go test -c -o "$OUT/core.test" ./internal/core
 # 4. The n sweep really varies n: the 2^21 build handles 128× the rows of 2^14.
@@ -49,10 +50,10 @@ for seed in $SEEDS; do
         -test.benchtime "$BENCHTIME" -test.count "$COUNT" -test.timeout 2h -hashed.seed "$seed" >"$OUT/paths-$seed.txt"
 done
 
-python3 - "$BITSET_MIN" "$RADIX_MIN" "$OUT" $SEEDS <<'PY'
+python3 - "$BITSET_MIN" "$OUT" $SEEDS <<'PY'
 import collections, re, statistics, sys
 
-bitset_min, radix_min, out, seeds = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3], sys.argv[4:]
+bitset_min, out, seeds = int(sys.argv[1]), sys.argv[2], sys.argv[3:]
 
 def medians(prefix, pattern):
     row, med = re.compile(pattern), {}
@@ -81,8 +82,8 @@ for s in seeds:
         print(f'  seed {s} {arm:9}: 2^{hi} costs {build[s, str(hi), arm] / build[s, str(lo), arm]:.2f}× the ns/row of 2^{lo}')
 
 paths = medians('paths', r'BenchmarkHashedSetPaths/j=(\d)/rows=(\d+)/(\w+)-\d+\s+\d+\s+[\d.]+ ns/op\s+([\d.]+) ns/row')
-cut = {'4': bitset_min, '5': radix_min}
-for j, fast in (('4', 'bitset'), ('5', 'radix')):
+cut = {'4': bitset_min}
+for j, fast in (('4', 'bitset'),):
     print(f'\nSweep 2, j = {j} — ns per row, {fast} against small-sort; ratio = {fast}/small (< 1: {fast} wins); '
           f'the dispatcher switches to {fast} at {cut[j]} rows')
     print('  rows    ' + '   '.join(f'seed {s}:  small {fast:>6} ratio' for s in seeds))

@@ -119,7 +119,10 @@ func (w *Writer) WriteBits(v uint64, n int) {
 	// Destination is now byte-aligned: append whole bytes, then the
 	// zero-padded final partial byte.
 	w.nbit += n
-	if n == 64 {
+	if n > 56 {
+		// Eight bytes exactly: a whole word, or the 57..63 bits an unaligned
+		// 64-bit write has left (hv's low bits are zero, so the last byte is
+		// already padded).
 		w.buf = binary.BigEndian.AppendUint64(w.buf, hv)
 		return
 	}

@@ -114,10 +114,35 @@ func TestCopyBits(t *testing.T) {
 	}
 }
 
+// TestWriteBitsUnalignedWord pins the eight-byte append behind a word written
+// at an odd bit offset — CopyBits on an unaligned destination, the dense
+// emitter's spill — and behind the 57..63-bit writes that share it: every
+// destination alignment, then a second word to prove the writer's state.
+func TestWriteBitsUnalignedWord(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for prefix := 0; prefix < 8; prefix++ {
+		for n := 57; n <= 64; n++ {
+			v1, v2 := rng.Uint64(), rng.Uint64()
+			fast, slow := NewWriter(0), NewWriter(0)
+			fast.WriteBits(0x55, prefix)
+			slow.writeBitsSlow(0x55, prefix)
+			for _, v := range []uint64{v1, ^uint64(0), v2} {
+				fast.WriteBits(v, n)
+				slow.writeBitsSlow(v, n)
+			}
+			if fast.Len() != slow.Len() || !bytes.Equal(fast.Bytes(), slow.Bytes()) {
+				t.Fatalf("prefix %d width %d: fast %x (%d bits) != slow %x (%d bits)",
+					prefix, n, fast.Bytes(), fast.Len(), slow.Bytes(), slow.Len())
+			}
+		}
+	}
+}
+
 // FuzzWriteBitsFast: the word-at-a-time WriteBits must produce streams
 // byte-identical to the retained bit-by-bit slow path.
 func FuzzWriteBitsFast(f *testing.F) {
 	f.Add(uint64(0xdeadbeef), uint8(13), uint64(1), uint8(64), uint64(0), uint8(0))
+	f.Add(uint64(5), uint8(3), ^uint64(0), uint8(64), uint64(0x8000000000000001), uint8(64))
 	f.Add(^uint64(0), uint8(64), ^uint64(0), uint8(7), uint64(5), uint8(3))
 	f.Fuzz(func(t *testing.T, v1 uint64, n1 uint8, v2 uint64, n2 uint8, v3 uint64, n3 uint8) {
 		vals := [...]uint64{v1, v2, v3}

@@ -25,13 +25,13 @@ type ApproxOptions struct {
 
 // Approx is the paper's Theorem 3 structure: the Theorem 2 index extended,
 // at every materialised member, with the hashed sets h_j(S) for
-// j = 1 … k = ⌊lg lg n⌋, where h_j maps [n] to [2^(2^j)] via the split-XOR
-// universal family. An approximate query reads O(z lg(1/ε)/B) bits instead
-// of O(z lg(n/z)/B).
+// j = 1 … k = ⌊lg lg n⌋ (maxJ), where h_j maps [n] to [2^(2^j)] via the
+// split-XOR universal family. An approximate query reads O(z lg(1/ε)/B) bits
+// instead of O(z lg(n/z)/B).
 type Approx struct {
 	*Optimal
 	seed  int64
-	k     int
+	k     int                 // hashed levels a query may select: every universe is below n
 	hs    []hashutil.SplitXOR // hs[j-1] has output width 2^j bits
 	hmaps []hashLevel         // parallel to Optimal.levels
 }
@@ -39,7 +39,7 @@ type Approx struct {
 // hashLevel holds, for one materialised level, the per-j concatenated
 // hashed-set extents, parallel to the level's member slice.
 type hashLevel struct {
-	perJ []hashArray // index j-1
+	perJ []hashArray // index j-1; k entries, or the stored count of an older file
 }
 
 type hashArray struct {
@@ -50,7 +50,7 @@ type hashArray struct {
 // Name implements index.Index.
 func (ax *Approx) Name() string { return "pr-approx" }
 
-// K returns the number of hashed levels stored.
+// K returns the number of hashed levels queries select among.
 func (ax *Approx) K() int { return ax.k }
 
 // Seed returns the hash seed (indexes must share it to intersect results).
@@ -218,17 +218,16 @@ func Intersect(rs ...*Result) (*Result, error) {
 	return &Result{N: n, Exact: bm}, nil
 }
 
+// coverChunk locates one cover subtree's frontier: members [lo,hi) of
+// materialised level li, for the exact sets and every hashed level alike.
+type coverChunk struct{ li, lo, hi int }
+
 // readHashStreams reads, in one contiguous scan, the j-th hashed frontier of
-// cover subtree v and appends one decode stream per member to sc — the
+// cover chunk c and appends one decode stream per member to sc — the
 // hashed-set analogue of Optimal.readCoverStreams.
-func (ax *Approx) readHashStreams(tc *iomodel.Touch, v *Node, j int, sc *queryScratch, stats *index.QueryStats) error {
-	li := ax.levelFor(v.Depth)
-	lv := &ax.levels[li]
-	i, jj, err := lv.chunk(v.Start, v.End)
-	if err != nil {
-		return err
-	}
-	arr := &ax.hmaps[li].perJ[j-1]
+func (ax *Approx) readHashStreams(tc *iomodel.Touch, c coverChunk, j int, sc *queryScratch, stats *index.QueryStats) error {
+	i, jj := c.lo, c.hi
+	arr := &ax.hmaps[c.li].perJ[j-1]
 	span := iomodel.Extent{
 		Off:  arr.exts[i].Off,
 		Bits: arr.exts[jj-1].End() - arr.exts[i].Off,
@@ -286,22 +285,48 @@ func (ax *Approx) ApproxQueryContext(ctx context.Context, r index.Range, eps flo
 	qlo, qhi := int64(aLo), int64(aHi)
 	z := qhi - qlo
 
-	// Choose the smallest j with 2^(2^j) > z/ε.
+	// Choose the smallest j with 2^(2^j) > z/ε among the k levels whose
+	// universe is below n (an empty range has nothing to approximate).
 	j := 0
-	for jj := 1; jj <= ax.k; jj++ {
+	for jj := 1; jj <= ax.k && z > 0; jj++ {
 		if math.Exp2(float64(int64(1)<<uint(jj))) > float64(z)/eps {
 			j = jj
 			break
 		}
 	}
-	if j == 0 {
-		// "If j > k we cannot save anything": answer exactly. The exact path
-		// opens its own session; this one's stats stay plan-phase only.
-		exact, st, err := ax.QueryContext(ctx, r)
-		if err != nil {
-			return nil, st, err
+	var cover []*Node
+	var chunkBuf [16]coverChunk // a cover is O(lg n) nodes: rarely more
+	chunks := chunkBuf[:0]      // parallel to cover
+	if j > 0 {
+		var chargeErr error
+		cover = ax.tree.Cover(qlo, qhi, func(v *Node) {
+			if cerr := ax.layout.charge(tc, v); cerr != nil && chargeErr == nil {
+				chargeErr = cerr
+			}
+		})
+		if chargeErr != nil {
+			return nil, stats, chargeErr
 		}
-		return &Result{N: ax.tree.n, Exact: exact}, st, nil
+		// The directory prices both frontiers before either is read. A hashed
+		// frontier that is not the smaller one saves nothing: it happens when
+		// the universe is within a small factor of n and the members'
+		// positions cluster (hypotheses/useless-hashed-level).
+		var exactBits, hashedBits int64
+		if chunks, exactBits, hashedBits, err = ax.frontierBits(chunks, cover, j); err != nil {
+			return nil, stats, err
+		}
+		if hashedBits >= exactBits {
+			j = 0
+		}
+	}
+	if j == 0 {
+		// "If j > k we cannot save anything": answer exactly, in this session
+		// (structure blocks the cover walk charged are not charged again).
+		exact, err := ax.answerRecords(ctx, tc, qlo, qhi, &stats)
+		if err != nil {
+			return nil, stats, err
+		}
+		return &Result{N: ax.tree.n, Exact: exact}, stats, nil
 	}
 
 	// Fused streaming pipeline over the hashed frontier: the cover members'
@@ -309,23 +334,14 @@ func (ax *Approx) ApproxQueryContext(ctx context.Context, r index.Range, eps flo
 	// exactly once (cf. Optimal.Query).
 	sc := getScratch()
 	defer sc.release()
-	var chargeErr error
-	cover := ax.tree.Cover(qlo, qhi, func(v *Node) {
-		if cerr := ax.layout.charge(tc, v); cerr != nil && chargeErr == nil {
-			chargeErr = cerr
-		}
-	})
-	if chargeErr != nil {
-		return nil, stats, chargeErr
-	}
-	for _, v := range cover {
+	for i, v := range cover {
 		if err := ctx.Err(); err != nil {
 			return nil, stats, err
 		}
 		if err := ax.layout.charge(tc, v); err != nil {
 			return nil, stats, err
 		}
-		if err := ax.readHashStreams(tc, v, j, sc, &stats); err != nil {
+		if err := ax.readHashStreams(tc, chunks[i], j, sc, &stats); err != nil {
 			return nil, stats, err
 		}
 	}
@@ -335,6 +351,25 @@ func (ax *Approx) ApproxQueryContext(ctx context.Context, r index.Range, eps flo
 		return nil, stats, err
 	}
 	return &Result{N: ax.tree.n, J: j, H: ax.hs[j-1], Set: set}, stats, nil
+}
+
+// frontierBits locates cover's frontier, appending to chunks, and prices it
+// from the in-memory directory: the bits of the exact members and of their
+// j-th hashed sets, as the spans a query would read.
+func (ax *Approx) frontierBits(chunks []coverChunk, cover []*Node, j int) (_ []coverChunk, exact, hashed int64, err error) {
+	for _, v := range cover {
+		li := ax.levelFor(v.Depth)
+		lv := &ax.levels[li]
+		lo, hi, err := lv.chunk(v.Start, v.End)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		chunks = append(chunks, coverChunk{li, lo, hi})
+		arr := &ax.hmaps[li].perJ[j-1]
+		exact += lv.members[hi-1].ext.End() - lv.members[lo].ext.Off
+		hashed += arr.exts[hi-1].End() - arr.exts[lo].Off
+	}
+	return chunks, exact, hashed, nil
 }
 
 var _ index.Index = (*Approx)(nil)

@@ -29,14 +29,13 @@ var ErrBuildInvariant = errors.New("core: build invariant violated")
 //     slab (hashedBuild.scatter), so each member's positions arrive in
 //     increasing order and are computed once, not once per j.
 //  2. For each (j, member) the slice is hashed and emitted sorted and
-//     de-duplicated (hashedSet.encode): through a bitset for the universes
-//     up to 2^16, through a byte-radix sort for the 2^32 one.
+//     de-duplicated (hashedSet.encode): through a bitset over the universe,
+//     or an insertion sort for a small member of the 2^16 one.
 //  3. Every set is gap-encoded by one StreamEncoder into one pooled writer
 //     that a single AllocStream places; extents are derived from offsets, as
 //     in BuildOptimal.
 //
-// Memory: the slab is 8n bytes, allocated once and live for the whole build;
-// the sort buffers grow to 8 bytes × the largest member (the first level's).
+// Memory: the slab is 8n bytes, allocated once and live for the whole build.
 //
 // The bytes on d cannot differ from a member-at-a-time build: a set has
 // exactly one gap encoding (package cbitmap), adjacent AllocStream calls
@@ -88,16 +87,23 @@ func BuildApprox(d iomodel.Device, col workload.Column, opts ApproxOptions) (*Ap
 	return ax, nil
 }
 
-// maxJ returns k ≈ lg lg n, the deepest hashed level, chosen as the least k
-// with 2^(2^k) >= n so the coarsest hashed universe reaches the position
-// universe (beyond that a hashed set cannot beat the exact one; the paper's
-// ⌊lg lg n⌋ is the same value up to rounding, and the space analysis is
-// unchanged since level sizes decay geometrically upward). The cap keeps
-// k <= 5: no hashed universe exceeds 2^32, which hashedSet relies on.
+// maxHashedJ caps k: no hashed universe exceeds 2^16, which hashedSet's
+// bitset relies on. Level 5 (universe 2^32) would be useful only for
+// n > 2^32, a 32 GiB slab no build here makes; the radix-sort encoder that
+// served it went with it (hypotheses/useless-hashed-level).
+const maxHashedJ = 4
+
+// maxJ returns k = ⌊lg lg n⌋ as the paper has it: the deepest hashed level
+// whose universe 2^(2^k) is smaller than the position universe [n]. A level
+// at or above n stores a second copy of every exact set (the hash is then a
+// permutation of [n]) and a query that selected it would read at least the
+// exact answer's bits to return a superset; "if j > k we cannot save
+// anything", so those queries take the exact path. For n <= 4 no universe
+// qualifies: k = 0, the index is exact-only and every ApproxQuery answers
+// exactly.
 func maxJ(n int64) int {
-	lgn := max(bits.Len64(uint64(n-1)), 1)
-	k := 1
-	for 1<<uint(k) < lgn && 1<<uint(k+1) <= 56 {
+	k := 0
+	for k < maxHashedJ && int64(1)<<(1<<uint(k+1)) < n {
 		k++
 	}
 	return k
@@ -171,37 +177,29 @@ func (hb *hashedBuild) scatter(members []member) error {
 	return nil
 }
 
-// Cutovers of hashedSet.encode: the smallest member sizes from which the
-// sort-free path beat the insertion sort on every seed of the member-size
-// sweep in hypotheses/sortfree-build (FINDINGS.md has the tables; the paths
-// tie around 64 rows for the bitset and 64–96 for the radix sort).
-const (
-	// bitsetMinRows applies to the 2^16 universe only: its bitset is 1024
-	// words, and the walk loads every one whether or not a bit is set. The
-	// smaller universes are at most 4 words and always take the bitset.
-	bitsetMinRows = 80
-	// radixMinRows: below it the radix sort's four 256-bucket histograms and
-	// prefix sums cost more than insertion-sorting the member.
-	radixMinRows = 128
-)
+// bitsetMinRows is the cutover of hashedSet.encode for the 2^16 universe: the
+// smallest member size from which the bitset beat the insertion sort on every
+// seed of the member-size sweep in hypotheses/sortfree-build (the paths tie
+// around 64 rows). Its bitset is 1024 words, and the walk loads every one
+// whether or not a bit is set; the smaller universes are at most 4 words and
+// always take the bitset.
+const bitsetMinRows = 80
 
 // hashedSet turns one member's positions into the gap stream of its hashed
 // set h(S): sorted, duplicates (collisions) removed.
 type hashedSet struct {
-	words     []uint64 // bitset over a universe of up to 2^16, all zero between calls
-	keys, tmp []uint32 // sort buffers for the 2^32 universe and for tiny members
+	words []uint64 // bitset over a universe of up to 2^16, all zero between calls
+	keys  []uint32 // insertion-sort buffer for small members of the 2^16 universe
 }
 
 // encode appends h(pos) to enc, choosing the path from the universe and the
 // member size. Every path emits the same canonical stream.
 func (hs *hashedSet) encode(enc *cbitmap.StreamEncoder, h hashutil.SplitXOR, pos []int64) error {
 	switch {
-	case h.LowBits > 32:
-		return fmt.Errorf("%w: hashed universe 2^%d above 2^32", ErrBuildInvariant, h.LowBits)
-	case h.LowBits < 16, h.LowBits == 16 && len(pos) >= bitsetMinRows:
+	case h.LowBits > 16:
+		return fmt.Errorf("%w: hashed universe 2^%d above 2^16", ErrBuildInvariant, h.LowBits)
+	case h.LowBits < 16, len(pos) >= bitsetMinRows:
 		return hs.encodeBitset(enc, h, pos)
-	case h.LowBits > 16 && len(pos) >= radixMinRows:
-		return hs.encodeRadix(enc, h, pos)
 	default:
 		return hs.encodeSmall(enc, h, pos)
 	}
@@ -233,63 +231,9 @@ func (hs *hashedSet) encodeBitset(enc *cbitmap.StreamEncoder, h hashutil.SplitXO
 	return nil
 }
 
-// encodeSmall insertion-sorts a tiny member's hashed values.
+// encodeSmall hashes a tiny member into the keys buffer, insertion-sorts it
+// and gap-encodes the result, dropping repeats.
 func (hs *hashedSet) encodeSmall(enc *cbitmap.StreamEncoder, h hashutil.SplitXOR, pos []int64) error {
-	keys, err := hs.hashInto(h, pos)
-	if err != nil {
-		return err
-	}
-	for i := 1; i < len(keys); i++ {
-		k, j := keys[i], i
-		for ; j > 0 && keys[j-1] > k; j-- {
-			keys[j] = keys[j-1]
-		}
-		keys[j] = k
-	}
-	return encodeSorted(enc, keys)
-}
-
-// encodeRadix sorts the hashed values of the 2^32 universe with an LSD radix
-// sort on bytes. A digit on which every key agrees is skipped: for n <= 2^32
-// the split-XOR hash at this width is position XOR a constant, so the bytes
-// above lg n are constant in every member.
-func (hs *hashedSet) encodeRadix(enc *cbitmap.StreamEncoder, h hashutil.SplitXOR, pos []int64) error {
-	keys, err := hs.hashInto(h, pos)
-	if err != nil || len(keys) == 0 {
-		return err
-	}
-	if cap(hs.tmp) < len(keys) {
-		hs.tmp = make([]uint32, len(keys))
-	}
-	tmp := hs.tmp[:len(keys)]
-	var count [4][256]int
-	for _, k := range keys {
-		count[0][k&0xff]++
-		count[1][k>>8&0xff]++
-		count[2][k>>16&0xff]++
-		count[3][k>>24]++
-	}
-	for d := range count {
-		c, shift := &count[d], uint(8*d)
-		if c[keys[0]>>shift&0xff] == len(keys) {
-			continue
-		}
-		sum := 0
-		for b, cnt := range c {
-			c[b], sum = sum, sum+cnt
-		}
-		for _, k := range keys {
-			b := k >> shift & 0xff
-			tmp[c[b]] = k
-			c[b]++
-		}
-		keys, tmp = tmp, keys
-	}
-	return encodeSorted(enc, keys)
-}
-
-// hashInto hashes pos into the keys buffer, checking the universe.
-func (hs *hashedSet) hashInto(h hashutil.SplitXOR, pos []int64) ([]uint32, error) {
 	if cap(hs.keys) < len(pos) {
 		hs.keys = make([]uint32, len(pos))
 	}
@@ -298,15 +242,14 @@ func (hs *hashedSet) hashInto(h hashutil.SplitXOR, pos []int64) ([]uint32, error
 	for i, p := range pos {
 		v := h.Hash(uint64(p))
 		if v >= univ {
-			return nil, outsideUniverse(v, h)
+			return outsideUniverse(v, h)
 		}
-		keys[i] = uint32(v)
+		k, j := uint32(v), i
+		for ; j > 0 && keys[j-1] > k; j-- {
+			keys[j] = keys[j-1]
+		}
+		keys[j] = k
 	}
-	return keys, nil
-}
-
-// encodeSorted gap-encodes sorted keys, dropping repeats.
-func encodeSorted(enc *cbitmap.StreamEncoder, keys []uint32) error {
 	prev := int64(-1)
 	for _, k := range keys {
 		v := int64(k)

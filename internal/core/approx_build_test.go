@@ -5,6 +5,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -33,12 +34,31 @@ func (t *Tree) positionsRef(start, end int64) []int64 {
 // sort and compact again, encode through a Bitmap and place each set with its
 // own AllocStream. Kept as the differential oracle for the device image.
 func buildApproxReference(d iomodel.Device, col workload.Column, opts ApproxOptions) (*Approx, error) {
+	return buildApproxReferenceK(d, col, opts, maxJ)
+}
+
+// legacyMaxJ is maxJ as it was before it followed the paper: the least k >= 1
+// with 2^(2^k) >= n, capped at 5 — for n <= 2^32 always one level more than
+// maxJ. The oracle for what older files store.
+func legacyMaxJ(n int64) int {
+	lgn := max(bits.Len64(uint64(n-1)), 1)
+	k := 1
+	for 1<<uint(k) < lgn && k < 5 {
+		k++
+	}
+	return k
+}
+
+// buildApproxReferenceK is buildApproxReference with the level count chosen
+// by kOf(n): with legacyMaxJ it lays down what a build before the cap did,
+// surplus level included, selectable by queries.
+func buildApproxReferenceK(d iomodel.Device, col workload.Column, opts ApproxOptions, kOf func(n int64) int) (*Approx, error) {
 	ox, err := BuildOptimal(d, col, opts.OptimalOptions)
 	if err != nil {
 		return nil, err
 	}
 	ax := &Approx{Optimal: ox, seed: opts.Seed}
-	ax.k = maxJ(ox.tree.n)
+	ax.k = kOf(ox.tree.n)
 	rng := rand.New(rand.NewSource(opts.Seed))
 	for j := 1; j <= ax.k; j++ {
 		ax.hs = append(ax.hs, hashutil.NewSplitXOR(rng, 1<<uint(j)))
@@ -134,8 +154,8 @@ func TestBuildApproxDifferential(t *testing.T) {
 			add("sorted", workload.Sorted(n, sigma))
 		}
 	}
-	// 65 537 is the first n with the 2^32 hashed universe (k = 5); 300 000
-	// adds members of 2^16+ rows to the radix path.
+	// 65 537 is the first n with the 2^16 hashed universe (k = 4); 300 000
+	// adds members of 2^16+ rows, where every value of that universe is hit.
 	const mid = 65537
 	add("single", workload.Uniform(mid, 1, 3))
 	add("uniform", workload.Uniform(mid, 2, 4))
@@ -214,13 +234,13 @@ func TestScatterRejectsBadMembers(t *testing.T) {
 	}
 }
 
-// TestHashedSetRejectsWideUniverse: a hash wider than 32 bits cannot be
-// sorted through the uint32 buffers and must be refused, not truncated.
+// TestHashedSetRejectsWideUniverse: a hash wider than 16 bits does not fit
+// the bitset and must be refused, not truncated.
 func TestHashedSetRejectsWideUniverse(t *testing.T) {
 	var hs hashedSet
 	var enc cbitmap.StreamEncoder
 	enc.Init(bitio.NewWriter(0))
-	h := hashutil.NewSplitXOR(rand.New(rand.NewSource(1)), 40)
+	h := hashutil.NewSplitXOR(rand.New(rand.NewSource(1)), 32)
 	if err := hs.encode(&enc, h, []int64{1, 2, 3}); !errors.Is(err, ErrBuildInvariant) {
 		t.Fatalf("err = %v, want ErrBuildInvariant", err)
 	}
@@ -242,16 +262,16 @@ func hashedSetOracle(t testing.TB, h hashutil.SplitXOR, pos []int64) ([]byte, in
 	return w.Bytes(), w.Len(), bm.Card()
 }
 
-// FuzzHashedSetEncode drives every path of hashedSet — bitset, radix,
-// small-sort and the dispatcher — on arbitrary position multisets and
-// requires the oracle's bytes and cardinality from each.
+// FuzzHashedSetEncode drives every path of hashedSet — bitset, small-sort and
+// the dispatcher — on arbitrary position multisets and requires the oracle's
+// bytes and cardinality from each.
 func FuzzHashedSetEncode(f *testing.F) {
 	f.Add(int64(1), []byte{0, 0, 0, 1, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff}, uint16(1))
 	f.Add(int64(42), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint16(300))
 	f.Add(int64(7), []byte{}, uint16(0))
 	f.Fuzz(func(t *testing.T, seed int64, raw []byte, repeat uint16) {
 		// Positions: 4-byte words of raw (duplicates welcome), then `repeat`
-		// pseudo-random ones so the fuzzer reaches sizes above both cutovers
+		// pseudo-random ones so the fuzzer reaches sizes above the cutover
 		// without a corpus entry of that many bytes.
 		var pos []int64
 		for ; len(raw) >= 4; raw = raw[4:] {
@@ -262,16 +282,13 @@ func FuzzHashedSetEncode(f *testing.F) {
 			pos = append(pos, rng.Int63n(1<<22))
 		}
 		var hs hashedSet
-		for j := 1; j <= 5; j++ {
+		for j := 1; j <= maxHashedJ; j++ {
 			h := hashutil.NewSplitXOR(rng, 1<<uint(j))
 			wantBytes, wantBits, wantCard := hashedSetOracle(t, h, pos)
 			paths := map[string]func(*cbitmap.StreamEncoder, hashutil.SplitXOR, []int64) error{
 				"dispatch": hs.encode,
 				"small":    hs.encodeSmall,
-				"radix":    hs.encodeRadix,
-			}
-			if j <= 4 {
-				paths["bitset"] = hs.encodeBitset
+				"bitset":   hs.encodeBitset,
 			}
 			for name, encode := range paths {
 				w := bitio.NewWriter(0)
@@ -314,51 +331,45 @@ func TestBuildApproxAllocs(t *testing.T) {
 var hashedSeed = flag.Int64("hashed.seed", 42, "seed of the hypotheses/sortfree-build sweeps' columns and members")
 
 // BenchmarkHashedSetPaths forces each hashedSet path on members of a fixed
-// size drawn from a 2^19-row universe — the sweep behind bitsetWordsPerRow
-// (j = 4: bitset against small-sort) and radixMinRows (j = 5: radix against
-// small-sort); see hypotheses/sortfree-build.
+// size drawn from a 2^19-row universe — the sweep behind bitsetMinRows
+// (j = 4: bitset against small-sort); see hypotheses/sortfree-build.
 func BenchmarkHashedSetPaths(b *testing.B) {
-	const n, perIter = 1 << 19, 1 << 14
+	const n, perIter, j = 1 << 19, 1 << 14, maxHashedJ
 	rng := rand.New(rand.NewSource(*hashedSeed))
 	var hs hashedSet
-	for _, j := range []int{4, 5} {
-		h := hashutil.NewSplitXOR(rng, 1<<uint(j))
-		paths := []struct {
-			name   string
-			encode func(*cbitmap.StreamEncoder, hashutil.SplitXOR, []int64) error
-		}{{"small", hs.encodeSmall}, {"bitset", hs.encodeBitset}}
-		if j == 5 {
-			paths[1].name, paths[1].encode = "radix", hs.encodeRadix
-		}
-		for _, rows := range []int{2, 4, 8, 16, 24, 32, 48, 64, 80, 96, 128, 160, 192, 256, 512, 1024} {
-			members := make([][]int64, perIter/rows)
-			for i := range members {
-				set := map[int64]struct{}{}
-				for len(set) < rows {
-					set[rng.Int63n(n)] = struct{}{}
-				}
-				for p := range set {
-					members[i] = append(members[i], p)
-				}
-				slices.Sort(members[i])
+	h := hashutil.NewSplitXOR(rng, 1<<uint(j))
+	paths := []struct {
+		name   string
+		encode func(*cbitmap.StreamEncoder, hashutil.SplitXOR, []int64) error
+	}{{"small", hs.encodeSmall}, {"bitset", hs.encodeBitset}}
+	for _, rows := range []int{2, 4, 8, 16, 24, 32, 48, 64, 80, 96, 128, 160, 192, 256, 512, 1024} {
+		members := make([][]int64, perIter/rows)
+		for i := range members {
+			set := map[int64]struct{}{}
+			for len(set) < rows {
+				set[rng.Int63n(n)] = struct{}{}
 			}
-			for _, p := range paths {
-				b.Run(fmt.Sprintf("j=%d/rows=%d/%s", j, rows, p.name), func(b *testing.B) {
-					w := bitio.NewWriter(1 << 20)
-					var enc cbitmap.StreamEncoder
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						w.Reset()
-						for _, m := range members {
-							enc.Init(w)
-							if err := p.encode(&enc, h, m); err != nil {
-								b.Fatal(err)
-							}
+			for p := range set {
+				members[i] = append(members[i], p)
+			}
+			slices.Sort(members[i])
+		}
+		for _, p := range paths {
+			b.Run(fmt.Sprintf("j=%d/rows=%d/%s", j, rows, p.name), func(b *testing.B) {
+				w := bitio.NewWriter(1 << 20)
+				var enc cbitmap.StreamEncoder
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					w.Reset()
+					for _, m := range members {
+						enc.Init(w)
+						if err := p.encode(&enc, h, m); err != nil {
+							b.Fatal(err)
 						}
 					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(members)*rows), "ns/row")
-				})
-			}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(members)*rows), "ns/row")
+			})
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"flag"
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/index"
@@ -29,7 +32,10 @@ func TestApproxNoFalseNegatives(t *testing.T) {
 }
 
 func TestApproxFalsePositiveRate(t *testing.T) {
-	col := workload.Uniform(1<<14, 256, 3)
+	// z ≈ 128 and ε = 1/128 need the 2^16 universe, which an index keeps
+	// only above 2^16 rows (maxJ).
+	const sigma = 2048
+	col := workload.Uniform(1<<17, sigma, 3)
 	d := iomodel.NewDisk(iomodel.Config{BlockBits: 2048})
 	ax, err := BuildApprox(d, col, ApproxOptions{Seed: 7})
 	if err != nil {
@@ -37,7 +43,7 @@ func TestApproxFalsePositiveRate(t *testing.T) {
 	}
 	eps := 1.0 / 128
 	var fp, nonMembers int64
-	for _, q := range workload.RandomRanges(5, 256, 2, 4) {
+	for _, q := range workload.RandomRanges(5, sigma, 2, 4) {
 		res, _, err := ax.ApproxQuery(index.Range{Lo: q.Lo, Hi: q.Hi}, eps)
 		if err != nil {
 			t.Fatal(err)
@@ -61,7 +67,7 @@ func TestApproxFalsePositiveRate(t *testing.T) {
 		}
 	}
 	if nonMembers == 0 {
-		t.Skip("all queries fell back to exact")
+		t.Fatal("all queries fell back to exact")
 	}
 	rate := float64(fp) / float64(nonMembers)
 	// Multiply-shift is 2-approximately universal; allow 4x + noise.
@@ -209,9 +215,10 @@ func TestIntersectSameJ(t *testing.T) {
 }
 
 func TestIntersectMixedExactAndApprox(t *testing.T) {
-	n := 1 << 12
-	colA := workload.Uniform(n, 32, 30)
-	colB := workload.Uniform(n, 32, 31)
+	// z ≈ 8192 at ε = 1/4 fits the 2^16 universe, kept only above 2^16 rows.
+	n := 1 << 17
+	colA := workload.Uniform(n, 256, 30)
+	colB := workload.Uniform(n, 256, 31)
 	dA := iomodel.NewDisk(iomodel.Config{BlockBits: 1024})
 	dB := iomodel.NewDisk(iomodel.Config{BlockBits: 1024})
 	axA, err := BuildApprox(dA, colA, ApproxOptions{Seed: 5})
@@ -231,7 +238,7 @@ func TestIntersectMixedExactAndApprox(t *testing.T) {
 		t.Fatal(err)
 	}
 	if exactRes.IsExact() == hashRes.IsExact() {
-		t.Skip("expected one exact and one hashed result")
+		t.Fatal("expected one exact and one hashed result")
 	}
 	both, err := Intersect(exactRes, hashRes)
 	if err != nil {
@@ -273,16 +280,189 @@ func TestApproxInvalidEps(t *testing.T) {
 	}
 }
 
+// TestMaxJ pins k = ⌊lg lg n⌋: the greatest j <= 4 with 2^(2^j) < n. Rewritten
+// for ISSUE 16 (before it, maxJ was the least k with 2^(2^k) >= n: 2^20 -> 5,
+// 2^15 -> 4).
 func TestMaxJ(t *testing.T) {
-	// Least k with 2^(2^k) >= n: n=2^20 -> lg n = 20 -> 2^k >= 20 -> k=5.
-	if k := maxJ(1 << 20); k != 5 {
-		t.Fatalf("maxJ(2^20) = %d, want 5", k)
+	for _, tc := range []struct {
+		n    int64
+		want int
+	}{
+		{1 << 20, 4}, // 2^16 < 2^20; the 2^32 universe exceeds [n]
+		{1 << 16, 3}, // the 2^16 universe equals [n]: nothing to save
+		{1<<16 + 1, 4},
+		{1 << 17, 4},
+		{1 << 15, 3},
+		{257, 3},
+		{256, 2},
+		{17, 2},
+		{16, 1},
+		{5, 1},
+		// n <= 4: no universe is below n, the index is exact-only.
+		{4, 0},
+		{1, 0},
+		// Capped: level 5 would need n > 2^32 and the encoder stops at 2^16.
+		{1 << 33, maxHashedJ},
+		{1 << 40, maxHashedJ},
+	} {
+		if k := maxJ(tc.n); k != tc.want {
+			t.Errorf("maxJ(%d) = %d, want %d", tc.n, k, tc.want)
+		}
+		if k := maxJ(tc.n); k > 0 && int64(1)<<(1<<uint(k)) >= tc.n {
+			t.Errorf("maxJ(%d) = %d keeps a universe >= n", tc.n, k)
+		}
 	}
-	// n=2^15 -> lg n = 15 -> k=4.
-	if k := maxJ(1 << 15); k != 4 {
-		t.Fatalf("maxJ(2^15) = %d, want 4", k)
+}
+
+// TestApproxNeverReadsUselessLevel sweeps n, z and ε: a hashed answer always
+// comes from a universe below n, and it never reads more bits than the exact
+// answer to the same range — the property the level-5 (and, below 2^16 rows,
+// level-4) sets that maxJ used to keep violated (E5 printed 1.03x).
+func TestApproxNeverReadsUselessLevel(t *testing.T) {
+	lgs := []uint{8, 10, 12, 14, 15, 16, 17, 18}
+	if !testing.Short() {
+		lgs = append(lgs, 20)
 	}
-	if k := maxJ(16); k < 1 {
-		t.Fatalf("maxJ(16) = %d", k)
+	for _, lg := range lgs {
+		n := 1 << lg
+		sigma := min(1024, n/8)
+		for ci, col := range []workload.Column{
+			workload.Uniform(n, sigma, int64(lg)),
+			workload.Zipf(n, sigma, 1.0, int64(lg)),
+		} {
+			ax, err := BuildApprox(iomodel.NewDisk(iomodel.Config{BlockBits: 8192}), col, ApproxOptions{Seed: 42})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if univ := int64(1) << (1 << uint(ax.K())); univ >= int64(n) {
+				t.Fatalf("n=2^%d: K() = %d stores universe %d >= n", lg, ax.K(), univ)
+			}
+			hashed := 0
+			for _, length := range []int{1, 2, 8, 64} {
+				for _, q := range workload.RandomRanges(6, sigma, length, int64(ci)+7) {
+					r := index.Range{Lo: q.Lo, Hi: q.Hi}
+					exact, est, err := ax.Query(r)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, eps := range []float64{0.5, 0.25, 1.0 / 16, 1.0 / 256, 1.0 / 65536, 1e-9} {
+						res, st, err := ax.ApproxQuery(r, eps)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if st.BitsRead > est.BitsRead {
+							t.Errorf("n=2^%d col %d [%d,%d] z=%d eps=%g: j=%d read %d bits, exact reads %d",
+								lg, ci, q.Lo, q.Hi, exact.Card(), eps, res.J, st.BitsRead, est.BitsRead)
+						}
+						if res.IsExact() {
+							// The fallback runs in the query's own session: it
+							// costs exactly what Query does, block reads included.
+							if st != est {
+								t.Errorf("n=2^%d [%d,%d] eps=%g: exact fallback stats %+v, Query's %+v", lg, q.Lo, q.Hi, eps, st, est)
+							}
+							continue
+						}
+						hashed++
+						if univ := res.Set.Universe(); res.J > ax.K() || univ >= int64(n) {
+							t.Errorf("n=2^%d [%d,%d] eps=%g: answered from j=%d, universe %d >= n", lg, q.Lo, q.Hi, eps, res.J, univ)
+						}
+					}
+				}
+			}
+			if hashed == 0 && ax.K() > 0 {
+				t.Errorf("n=2^%d col %d: no query took a hashed level", lg, ci)
+			}
+		}
 	}
+}
+
+var droppedSweep = flag.Bool("dropped.sweep", false, "run TestDroppedLevelSavesNothing over every n of hypotheses/useless-hashed-level")
+
+// TestDroppedLevelSavesNothing is the devil's-advocate check behind maxJ: lay
+// down the level maxJ no longer keeps (legacyMaxJ: the one whose universe is
+// >= n) and price its frontier against the exact one, from the directory, for
+// many ranges. In total it never reads fewer bits. Range by range it can when
+// the universe equals n exactly (n = 2^8, 2^16): the hash is then position XOR
+// a constant, a permutation of [n] that shortens some gap codes and lengthens
+// others; the log lines carry the counts (hypotheses/useless-hashed-level).
+func TestDroppedLevelSavesNothing(t *testing.T) {
+	lgs := []uint{8, 15, 16}
+	if *droppedSweep {
+		lgs = []uint{8, 10, 12, 14, 15, 16, 17, 18, 19}
+	}
+	for _, lg := range lgs {
+		n := 1 << lg
+		sigma := min(1024, n/8)
+		for _, c := range []struct {
+			name string
+			col  workload.Column
+		}{
+			{"uniform", workload.Uniform(n, sigma, int64(lg))},
+			{"zipf", workload.Zipf(n, sigma, 1.0, int64(lg))},
+			{"runs", workload.Runs(n, sigma, 20, int64(lg))},
+		} {
+			legacy, err := buildApproxReferenceK(iomodel.NewDisk(iomodel.Config{BlockBits: 8192}), c.col, ApproxOptions{Seed: 42}, legacyMaxJ)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *droppedSweep && c.name == "zipf" {
+				logLedgerBeforeAfter(t, lg, legacy.SpaceLedger())
+			}
+			// The level below the dropped one is the deepest maxJ keeps: its
+			// line shows how often the directory check in ApproxQueryContext
+			// turns a query away from it (universe within a factor 2 of n).
+			for _, j := range []int{legacy.k - 1, legacy.k} {
+				var queries, fewer int
+				var exact, hashed int64
+				minRatio := math.Inf(1)
+				for _, length := range []int{1, 2, 8, 64} {
+					for _, q := range workload.RandomRanges(200, sigma, length, 7) {
+						qlo, qhi := legacy.tree.RecordRange(q.Lo, q.Hi)
+						if qlo >= qhi {
+							continue
+						}
+						_, e, h, err := legacy.frontierBits(nil, legacy.tree.Cover(qlo, qhi, func(*Node) {}), j)
+						if err != nil {
+							t.Fatal(err)
+						}
+						queries++
+						exact += e
+						hashed += h
+						if h < e {
+							fewer++
+						}
+						minRatio = min(minRatio, float64(h)/float64(e))
+					}
+				}
+				what := "kept   "
+				if j == legacy.k {
+					what = "dropped"
+				}
+				t.Logf("n=2^%d %-7s %s j=%d (universe 2^%d): %d of %d ranges read fewer bits than exact (least %.3fx), all together %.4fx",
+					lg, c.name, what, j, 1<<uint(j), fewer, queries, minRatio, float64(hashed)/float64(exact))
+				if j == legacy.k && hashed < exact {
+					t.Errorf("n=2^%d %s: the dropped level reads %d bits over the sweep, exact %d", lg, c.name, hashed, exact)
+				}
+			}
+		}
+	}
+}
+
+// logLedgerBeforeAfter prints the space ledger of an index that still stores
+// the dropped level, and what is left without it, in bits per row.
+func logLedgerBeforeAfter(t *testing.T, lg uint, l SpaceLedger) {
+	perRow := func(bits int64) float64 { return float64(bits) / float64(l.Rows) }
+	var droppedBits int64
+	for _, lv := range l.Levels {
+		line := fmt.Sprintf("ledger n=2^%d depth %d (%d members): exact %.2f, hashed", lg, lv.Depth, lv.Members, perRow(lv.ExactBits))
+		for _, b := range lv.HashedBits {
+			line += fmt.Sprintf(" %.2f", perRow(b))
+		}
+		t.Log(line)
+		droppedBits += lv.HashedBits[len(lv.HashedBits)-1]
+	}
+	exact, hashed := l.PayloadBits()
+	t.Logf("ledger n=2^%d H0 %.2f: exact %.2f, hashed %.2f -> %.2f, A %.2f, padding %.2f, layout %.2f, image %.2f -> %.2f bits/row",
+		lg, l.H0, perRow(exact), perRow(hashed), perRow(hashed-droppedBits), perRow(l.PrefixBits), perRow(l.PadBits),
+		perRow(l.LayoutBits), perRow(l.ImageBits), perRow(l.ImageBits-droppedBits))
 }

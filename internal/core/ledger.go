@@ -1,0 +1,92 @@
+package core
+
+import "repro/internal/entropy"
+
+// SpaceLedger itemises where a static index's bits go. The resident parts are
+// listed in device order — the exact levels, the prefix array A, the padding
+// that block-aligns the tree structure, the structure blocks, then the hashed
+// sets level by level — and sum to ImageBits on any index this package built
+// (ResidentBits; cmd/secidx -inspect fails a file on which they do not).
+type SpaceLedger struct {
+	Rows  int64
+	Sigma int
+	H0    float64 // 0th-order entropy of the column, bits per row
+
+	Levels     []LevelSpace // materialised levels, shallow to deep
+	PrefixBits int64        // array A: σ+1 entries of 64 bits
+	PadBits    int64        // from the end of A to the first structure block
+	LayoutBits int64        // blocked tree structure, whole blocks
+	ImageBits  int64        // the device's allocated size
+
+	// DirBits is the member directory as SizeBits charges it: 128 bits per
+	// exact member, 192 per hashed set. It lives in the container's metadata
+	// section, not on the device.
+	DirBits int64
+	// UsefulK is k = ⌊lg lg n⌋. HashedBits entries beyond it belong to levels
+	// no query reads: only files written before maxJ followed the paper have
+	// them.
+	UsefulK int
+}
+
+// LevelSpace is one materialised level's share of the device.
+type LevelSpace struct {
+	Depth      int
+	Members    int
+	ExactBits  int64
+	HashedBits []int64 // index j-1: the sets h_j(S) over universe 2^(2^j)
+}
+
+// PayloadBits returns the exact and the hashed gap-stream totals.
+func (l SpaceLedger) PayloadBits() (exact, hashed int64) {
+	for _, lv := range l.Levels {
+		exact += lv.ExactBits
+		for _, b := range lv.HashedBits {
+			hashed += b
+		}
+	}
+	return exact, hashed
+}
+
+// ResidentBits sums the parts that live on the device.
+func (l SpaceLedger) ResidentBits() int64 {
+	exact, hashed := l.PayloadBits()
+	return exact + l.PrefixBits + l.PadBits + l.LayoutBits + hashed
+}
+
+// SpaceLedger decomposes the index's footprint (see the type). Summed without
+// PadBits and with DirBits it equals SizeBits.
+func (ax *Approx) SpaceLedger() SpaceLedger {
+	tr := ax.tree
+	counts := make([]int64, tr.sigma)
+	for a := range counts {
+		counts[a] = tr.prefix[a+1] - tr.prefix[a]
+	}
+	bb := int64(ax.disk.BlockBits())
+	l := SpaceLedger{
+		Rows:       tr.n,
+		Sigma:      tr.sigma,
+		H0:         entropy.H0(counts),
+		PrefixBits: ax.aExt.Bits,
+		PadBits:    (bb - ax.aExt.End()%bb) % bb,
+		LayoutBits: ax.layout.sizeBits(),
+		ImageBits:  ax.disk.AllocatedBits(),
+		DirBits:    ax.dirBits,
+		UsefulK:    ax.k,
+	}
+	for li, lv := range ax.levels {
+		ls := LevelSpace{Depth: lv.depth, Members: len(lv.members)}
+		for _, m := range lv.members {
+			ls.ExactBits += m.ext.Bits
+		}
+		for _, arr := range ax.hmaps[li].perJ {
+			var bits int64
+			for _, e := range arr.exts {
+				bits += e.Bits
+			}
+			ls.HashedBits = append(ls.HashedBits, bits)
+			l.DirBits += int64(len(arr.exts)) * 3 * 64
+		}
+		l.Levels = append(l.Levels, ls)
+	}
+	return l
+}

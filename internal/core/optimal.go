@@ -333,28 +333,34 @@ func (ox *Optimal) QueryContext(ctx context.Context, r index.Range) (out *cbitma
 	if err != nil {
 		return nil, stats, err
 	}
-	qlo, qhi := int64(aLo), int64(aHi)
-	z := qhi - qlo
-	n := ox.tree.n
+	out, err = ox.answerRecords(ctx, tc, int64(aLo), int64(aHi), &stats)
+	return out, stats, err
+}
 
+// answerRecords answers the record range [qlo,qhi) — what a query becomes
+// once A has turned its character range into records — inside the caller's
+// session: the exact query's body, and the exact fallback of an approximate
+// one.
+func (ox *Optimal) answerRecords(ctx context.Context, tc *iomodel.Touch, qlo, qhi int64, stats *index.QueryStats) (out *cbitmap.Bitmap, err error) {
+	n := ox.tree.n
 	sc := getScratch()
 	defer sc.release()
-	complement := z > n/2 && !ox.opts.NoComplement
+	complement := qhi-qlo > n/2 && !ox.opts.NoComplement
 	if complement {
 		// Answer the two complementary queries and return the complement of
 		// their union (§2.1), fused into the same merge pass.
-		err = ox.queryStreams(ctx, tc, 0, qlo, sc, &stats)
+		err = ox.queryStreams(ctx, tc, 0, qlo, sc, stats)
 		if err == nil {
-			err = ox.queryStreams(ctx, tc, qhi, n, sc, &stats)
+			err = ox.queryStreams(ctx, tc, qhi, n, sc, stats)
 		}
 	} else {
-		err = ox.queryStreams(ctx, tc, qlo, qhi, sc, &stats)
+		err = ox.queryStreams(ctx, tc, qlo, qhi, sc, stats)
 	}
 	if err == nil {
 		err = ctx.Err() // checkpoint before the merge materialises the answer
 	}
 	if err != nil {
-		return nil, stats, err
+		return nil, err
 	}
 	if complement {
 		out, err = cbitmap.MergeStreamsComplement(n, sc.streamPtrs()...)
@@ -362,9 +368,9 @@ func (ox *Optimal) QueryContext(ctx context.Context, r index.Range) (out *cbitma
 		out, err = cbitmap.MergeStreams(n, sc.streamPtrs()...)
 	}
 	if err != nil {
-		return nil, stats, err
+		return nil, err
 	}
-	return out, stats, nil
+	return out, nil
 }
 
 // readCoverChunk reads, in one contiguous scan, the frontier bitmaps of the

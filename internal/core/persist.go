@@ -36,6 +36,10 @@ const maxSkeletonDepth = 512
 // maxRebuildCount bounds decoded rebuild counters.
 const maxRebuildCount = 1 << 40
 
+// maxStoredJ is the most hashed levels a file may declare: containers
+// written before maxJ followed the paper stored a level 5 (OpenApprox).
+const maxStoredJ = 5
+
 // EncodeMeta appends the static (Theorem 2+3) index's metadata to e. The
 // device image is serialised separately; the metadata references it by
 // extent offsets only.
@@ -188,8 +192,13 @@ func OpenApprox(d iomodel.Device, sigma int, opts ApproxOptions, dec *container.
 
 	ax := &Approx{Optimal: ox, seed: opts.Seed}
 	ax.k = maxJ(n)
-	if got := int(dec.UN(64)); got != ax.k {
-		return nil, fmt.Errorf("core: hash level count %d, recomputed %d", got, ax.k)
+	// Files written while maxJ rounded up store one level more than is
+	// useful. Its directory is decoded and bounds-checked like the others and
+	// stays in hmaps (SizeBits and SpaceLedger report what the file holds),
+	// but queries select among the first ax.k levels only.
+	stored := int(dec.UN(maxStoredJ))
+	if dec.Err() == nil && stored < ax.k {
+		return nil, fmt.Errorf("core: hash level count %d, below the %d useful levels", stored, ax.k)
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	for j := 1; j <= ax.k; j++ {
@@ -197,8 +206,8 @@ func OpenApprox(d iomodel.Device, sigma int, opts ApproxOptions, dec *container.
 	}
 	for li := range ox.levels {
 		nm := len(ox.levels[li].members)
-		hl := hashLevel{perJ: make([]hashArray, ax.k)}
-		for j := 0; j < ax.k; j++ {
+		hl := hashLevel{perJ: make([]hashArray, stored)}
+		for j := 0; j < stored; j++ {
 			arr := &hl.perJ[j]
 			off := int64(dec.UN(uint64(tail)))
 			for i := 0; i < nm; i++ {

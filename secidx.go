@@ -242,6 +242,14 @@ func (ix *Index) Sigma() int { return ix.ax.Sigma() }
 // SizeBits returns the index's total space usage in bits.
 func (ix *Index) SizeBits() int64 { return ix.ax.SizeBits() }
 
+// SpaceLedger itemises where a static index's (or one shard's) bits go: the
+// exact levels, the hashed levels of Theorem 3, the prefix array, the tree
+// structure, padding and the member directory, beside the column's entropy.
+type SpaceLedger = core.SpaceLedger
+
+// SpaceLedger decomposes SizeBits (cmd/secidx -inspect prints it).
+func (ix *Index) SpaceLedger() SpaceLedger { return ix.ax.SpaceLedger() }
+
 // Query answers I[lo;hi] exactly.
 func (ix *Index) Query(lo, hi uint32) (*Result, Stats, error) {
 	return runQuery(context.Background(), ix.sx, lo, hi)

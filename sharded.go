@@ -135,6 +135,16 @@ func (ix *ShardedIndex) Shards() int { return ix.sx.Shards() }
 // SizeBits returns the total space usage across all shards.
 func (ix *ShardedIndex) SizeBits() int64 { return ix.sx.SizeBits() }
 
+// SpaceLedger decomposes SizeBits shard by shard.
+func (ix *ShardedIndex) SpaceLedger() []SpaceLedger {
+	parts := ix.sx.Parts()
+	out := make([]SpaceLedger, len(parts))
+	for i, p := range parts {
+		out[i] = p.Ax.SpaceLedger()
+	}
+	return out
+}
+
 // Query answers I[lo;hi] exactly, fanning out across shards. Stats sum the
 // per-shard I/O; on independent devices the critical path is the largest
 // per-shard share.
