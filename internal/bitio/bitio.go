@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // ErrOutOfBits is returned when a read runs past the end of the stream.
@@ -198,43 +199,31 @@ func (w *Writer) Align(n int) {
 
 // AppendWriter appends the full contents of other to w.
 func (w *Writer) AppendWriter(other *Writer) {
-	if w.nbit&7 == 0 {
-		// Byte-aligned destination: other's buffer is already the exact bit
-		// stream (final byte zero-padded), so a byte copy preserves the
-		// invariant.
-		w.buf = append(w.buf, other.buf...)
-		w.nbit += other.nbit
-		return
-	}
-	r := NewReader(other.Bytes(), other.Len())
-	w.CopyBits(r, other.Len())
+	w.CopyBits(NewReader(other.buf, other.nbit), other.nbit)
 }
 
-// CopyBits moves n bits from r (consuming them) to the end of w. When both
-// sides are byte-aligned this is a straight byte copy; otherwise it proceeds
-// in 64-bit words.
+// CopyBits moves n bits from r (consuming them) to the end of w: one short
+// write byte-aligns the destination, whole bytes then move a word per shift
+// of the source (Reader.ReadBytes), and one more short write takes the tail.
 func (w *Writer) CopyBits(r *Reader, n int) error {
 	if n < 0 || n > r.Remaining() {
 		return ErrOutOfBits
 	}
-	if r.pos&7 == 0 && w.nbit&7 == 0 {
-		nbytes := n >> 3
-		start := r.pos >> 3
-		w.buf = append(w.buf, r.buf[start:start+nbytes]...)
+	if head := -w.nbit & 7; head != 0 {
+		head = min(head, n)
+		v, _ := r.ReadBits(head)
+		w.WriteBits(v, head)
+		n -= head
+	}
+	if nbytes := n >> 3; nbytes > 0 {
+		old := len(w.buf)
+		w.buf = slices.Grow(w.buf, nbytes)[:old+nbytes]
+		r.ReadBytes(w.buf[old:])
 		w.nbit += nbytes << 3
-		r.pos += nbytes << 3
 		n &= 7
 	}
-	for n >= 64 {
-		v, _ := r.ReadBits(64)
-		w.WriteBits(v, 64)
-		n -= 64
-	}
 	if n > 0 {
-		v, err := r.ReadBits(n)
-		if err != nil {
-			return err
-		}
+		v, _ := r.ReadBits(n)
 		w.WriteBits(v, n)
 	}
 	return nil
@@ -394,6 +383,31 @@ func (r *Reader) ReadBits(n int) (uint64, error) {
 		w >>= uint(64 - n)
 	}
 	return w, nil
+}
+
+// ReadBytes reads 8·len(dst) bits into dst: a byte copy from a byte-aligned
+// position, otherwise eight bytes per shift of a source word and the high
+// bits of the byte after it.
+func (r *Reader) ReadBytes(dst []byte) error {
+	if 8*len(dst) > r.Remaining() {
+		return ErrOutOfBits
+	}
+	src := r.buf[r.pos>>3:]
+	sh := uint(r.pos & 7)
+	r.pos += 8 * len(dst)
+	if sh == 0 {
+		copy(dst, src)
+		return nil
+	}
+	// The last bit read lies in src[len(dst)], so src[i+1] and src[i+8] exist.
+	i := 0
+	for ; i+8 <= len(dst); i += 8 {
+		binary.BigEndian.PutUint64(dst[i:], binary.BigEndian.Uint64(src[i:])<<sh|uint64(src[i+8])>>(8-sh))
+	}
+	for ; i < len(dst); i++ {
+		dst[i] = src[i]<<sh | src[i+1]>>(8-sh)
+	}
+	return nil
 }
 
 // readBitsSlow is the original byte-by-byte ReadBits, retained as the

@@ -229,3 +229,61 @@ func FuzzAppendWriter(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCopyBits pins the word-shifted CopyBits to a bit-at-a-time oracle for
+// every source offset, destination alignment and length, on a destination
+// whose spare capacity holds stale ones. The seeds cross both alignments with
+// the lengths around the 64-bit word boundaries and with copies ending in the
+// source's last eight bytes, where ReadBytes leaves its word loop.
+func FuzzCopyBits(f *testing.F) {
+	body := make([]byte, 40)
+	for i := range body {
+		body[i] = byte(i*37 + 11)
+	}
+	for srcOff := 0; srcOff < 8; srcOff++ {
+		for dstOff := 0; dstOff < 8; dstOff++ {
+			for _, n := range []int{0, 1, 7, 8, 62, 63, 64, 65, 126, 127, 128, 129} {
+				f.Add(body, uint16(srcOff), uint8(dstOff), uint16(n))
+			}
+			for tail := 0; tail <= 64; tail += 9 {
+				f.Add(body, uint16(srcOff), uint8(dstOff), uint16(8*len(body)-srcOff-tail))
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, src []byte, srcOff uint16, dstOff uint8, n uint16) {
+		total := 8 * len(src)
+		skip := min(int(srcOff), total)
+		count := min(int(n), total-skip)
+		prefix := int(dstOff % 8)
+
+		fast := NewWriter(0)
+		for i := 0; i < len(src)/8+2; i++ {
+			fast.WriteBits(^uint64(0), 64)
+		}
+		fast.Reset()
+		fast.WriteBits(0x55, prefix)
+		r := NewReader(src, total)
+		r.Seek(skip)
+		if err := fast.CopyBits(r, count); err != nil {
+			t.Fatal(err)
+		}
+		if r.Pos() != skip+count {
+			t.Fatalf("CopyBits consumed %d bits, want %d", r.Pos()-skip, count)
+		}
+		if err := fast.CopyBits(r, r.Remaining()+1); err != ErrOutOfBits {
+			t.Fatalf("CopyBits past the end: err = %v, want ErrOutOfBits", err)
+		}
+
+		slow := NewWriter(0)
+		slow.writeBitsSlow(0x55, prefix)
+		r2 := NewReader(src, total)
+		r2.Seek(skip)
+		for i := 0; i < count; i++ {
+			b, _ := r2.ReadBit()
+			slow.WriteBit(b)
+		}
+		if fast.Len() != slow.Len() || !bytes.Equal(fast.Bytes(), slow.Bytes()) {
+			t.Fatalf("CopyBits diverged (src offset %d, dst offset %d, n %d): %x vs %x", skip, prefix, count, fast.Bytes(), slow.Bytes())
+		}
+	})
+}

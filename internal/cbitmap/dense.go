@@ -131,9 +131,9 @@ func (s *Stream) failRegress(p, floor int64) bool {
 	return false
 }
 
-// denseEmitter re-encodes window bits into a Builder's stream. Codes collect
-// in a 64-bit accumulator that reaches the writer one whole word at a time,
-// so a byte-aligned writer takes each flush as a single 8-byte append.
+// denseEmitter is the package's bulk encoder: window bits (emit) or sorted
+// positions (emitSorted) into a Builder's stream. Codes collect in a 64-bit
+// accumulator that reaches the writer one whole word at a time.
 type denseEmitter struct {
 	bd   *Builder
 	acc  uint64 // pending output bits, right-aligned
@@ -212,6 +212,32 @@ func (e *denseEmitter) word(x uint64, wb int64) {
 		prev = p + int64(r)
 	}
 	e.acc, e.nacc, e.prev, e.card = acc, nacc, prev, card
+}
+
+// emitSorted encodes the strictly increasing positions pos, each above the last
+// one encoded: Builder.Add in bulk. It records no skip samples, so only a
+// StreamEncoder, which never samples, may call it.
+func emitSorted[P uint32 | int64](e *denseEmitter, pos []P) {
+	acc, nacc, prev := e.acc, e.nacc, e.prev
+	for _, q := range pos {
+		p := int64(q)
+		if p <= prev {
+			panic(fmt.Sprintf("cbitmap: AddSorted position %d not above %d", p, prev))
+		}
+		g := uint64(p - prev)
+		prev = p
+		if glen := 2*bits.Len64(g) - 1; glen < 64-nacc {
+			acc, nacc = acc<<(uint(glen)&63)|g, nacc+glen
+		} else if glen <= 64 {
+			acc, nacc = e.spill(acc, nacc, g, glen)
+		} else {
+			e.bd.w.WriteBits(acc, nacc)
+			gamma.Write(e.bd.w, g)
+			acc, nacc = 0, 0
+		}
+	}
+	e.acc, e.nacc, e.prev = acc, nacc, prev
+	e.card += int64(len(pos))
 }
 
 // flush hands the pending bits and the bookkeeping back to the Builder.

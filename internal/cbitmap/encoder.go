@@ -40,6 +40,23 @@ func (e *StreamEncoder) InitAt(w *bitio.Writer, prev int64) {
 // (including the InitAt continuation point).
 func (e *StreamEncoder) Add(p int64) { e.bd.Add(p) }
 
+// AddSorted appends the strictly increasing positions pos, each above every
+// position encoded so far: Add in bulk, through the dense merge's
+// word-at-a-time accumulator (dense.go) instead of a writer call per row.
+func AddSorted[P uint32 | int64](e *StreamEncoder, pos []P) {
+	em := denseEmitter{bd: &e.bd, prev: e.bd.prev, card: e.bd.card}
+	emitSorted(&em, pos)
+	em.flush()
+}
+
+// AddBitset appends the set bits of words — bit i of words[k] is position
+// 64k+i — through the same accumulator, and zeroes them.
+func (e *StreamEncoder) AddBitset(words []uint64) {
+	em := denseEmitter{bd: &e.bd, prev: e.bd.prev, card: e.bd.card}
+	em.emit(words, 0)
+	em.flush()
+}
+
 // AddRun appends count consecutive positions start, start+1, …, written as
 // whole words of single-bit gap-1 codes after the first element.
 func (e *StreamEncoder) AddRun(start, count int64) { e.bd.AddRun(start, count) }
@@ -99,22 +116,10 @@ func (e *StreamEncoder) MergeSortedSlices(lists ...[]int64) {
 		}
 	}
 	sc.heads = heads
-	switch len(heads) {
-	case 0:
-	case 1:
-		e.bd.Add(heads[0].cur)
-		e.drainList(lists[heads[0].li][1:])
-	default:
+	if len(heads) > 0 {
 		e.mergeSliceHeads(lists, heads)
 	}
 	sliceMergePool.Put(sc)
-}
-
-// drainList encodes the remaining positions of the last surviving list.
-func (e *StreamEncoder) drainList(rest []int64) {
-	for _, p := range rest {
-		e.bd.Add(p)
-	}
 }
 
 // siftDownSliceHeads is siftDownHeads for sorted-slice merge heads.
@@ -136,7 +141,7 @@ func siftDownSliceHeads(heads []sliceMergeHead, i int) {
 	}
 }
 
-// mergeSliceHeads runs the k-way minimum merge over ≥2 primed heads.
+// mergeSliceHeads runs the k-way minimum merge over ≥1 primed heads.
 func (e *StreamEncoder) mergeSliceHeads(lists [][]int64, heads []sliceMergeHead) {
 	useHeap := len(heads) > 8
 	if useHeap {
@@ -166,6 +171,5 @@ func (e *StreamEncoder) mergeSliceHeads(lists [][]int64, heads []sliceMergeHead)
 			siftDownSliceHeads(heads, mi)
 		}
 	}
-	e.bd.Add(heads[0].cur)
-	e.drainList(lists[heads[0].li][heads[0].idx:])
+	AddSorted(e, lists[heads[0].li][heads[0].idx-1:])
 }

@@ -2,7 +2,9 @@ package cbitmap
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"repro/internal/bitio"
@@ -199,4 +201,78 @@ func TestInitBitmapBoundedValidates(t *testing.T) {
 	if !Equal(got, want) {
 		t.Fatal("bounded bitmap stream changed the merged set")
 	}
+}
+
+// TestAddSortedMatchesAdd pins the bulk accumulator path to per-row Add:
+// same bytes, Card and Last and (a StreamEncoder collects none) no skip
+// samples — across dense runs, gaps whose codes straddle the accumulator's
+// word, gaps of 2^32 and more (codes above 64 bits), both entry widths, and
+// the InitAt continuation.
+func TestAddSortedMatchesAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	sets := map[string][]int64{
+		"empty":     {},
+		"single":    {0},
+		"first gap": {1<<32 - 1}, // gap 2^32 from the head position -1
+		"wide":      {5, 1 << 31, 1<<31 + 1, 1 << 33, 1<<33 + 1<<32, 1 << 40, 1<<40 + 3, 1 << 62},
+	}
+	for _, maxGap := range []int64{1, 2, 300, 1 << 20, 1 << 31} {
+		var set []int64
+		p := int64(-1)
+		for i := 0; i < 3000; i++ {
+			p += 1 + rng.Int63n(maxGap)
+			set = append(set, p)
+		}
+		sets["gaps up to "+strconv.FormatInt(maxGap, 10)] = set
+	}
+	for name, set := range sets {
+		for _, cut := range []int{0, len(set) / 3, len(set)} {
+			ww, gw := bitio.NewWriter(0), bitio.NewWriter(0)
+			ww.WriteBits(5, 3) // an unaligned start, as inside a level's writer
+			gw.WriteBits(5, 3)
+			var want, got StreamEncoder
+			want.Init(ww)
+			for _, p := range set[:cut] {
+				want.Add(p)
+			}
+			want.InitAt(ww, want.Last())
+			for _, p := range set[cut:] {
+				want.Add(p)
+			}
+			got.Init(gw)
+			AddSorted(&got, set[:cut])
+			got.InitAt(gw, got.Last())
+			AddSorted(&got, set[cut:])
+			if gw.Len() != ww.Len() || !bytes.Equal(gw.Bytes(), ww.Bytes()) {
+				t.Fatalf("%s cut %d: AddSorted wrote %d bits, Add %d (or bytes differ)", name, cut, gw.Len(), ww.Len())
+			}
+			if got.Card() != want.Card() || got.Last() != want.Last() || len(got.bd.samplePos) != 0 || len(want.bd.samplePos) != 0 {
+				t.Fatalf("%s cut %d: card %d/%d, last %d/%d, samples %d/%d", name, cut,
+					got.Card(), want.Card(), got.Last(), want.Last(), len(got.bd.samplePos), len(want.bd.samplePos))
+			}
+			if len(set) > 0 && set[len(set)-1] <= math.MaxUint32 {
+				narrow := make([]uint32, len(set))
+				for i, p := range set {
+					narrow[i] = uint32(p)
+				}
+				nw := bitio.NewWriter(0)
+				nw.WriteBits(5, 3)
+				got.Init(nw)
+				AddSorted(&got, narrow[:cut])
+				got.InitAt(nw, got.Last())
+				AddSorted(&got, narrow[cut:])
+				if nw.Len() != ww.Len() || !bytes.Equal(nw.Bytes(), ww.Bytes()) {
+					t.Fatalf("%s cut %d: 32-bit AddSorted differs from Add", name, cut)
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AddSorted accepted a position not above the last")
+		}
+	}()
+	var e StreamEncoder
+	e.Init(bitio.NewWriter(0))
+	AddSorted(&e, []int64{4, 4})
 }

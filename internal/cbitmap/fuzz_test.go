@@ -337,5 +337,34 @@ func FuzzStreamEncoder(f *testing.F) {
 		if !bytes.Equal(w3.Bytes(), wantW.Bytes()) || w3.Len() != want.SizeBits() {
 			t.Fatal("continued encoder differs from Builder path")
 		}
+
+		// Feed 4: the same split in bulk — AddSorted on both sides of the
+		// continuation, in both entry widths, and the set's bits through
+		// AddBitset.
+		narrow := make([]uint32, len(all))
+		words := make([]uint64, n/64)
+		for i, p := range all {
+			narrow[i] = uint32(p)
+			words[p>>6] |= 1 << (p & 63)
+		}
+		w5, w6, w7 := bitio.NewWriter(0), bitio.NewWriter(0), bitio.NewWriter(0)
+		var e5, e6, e7 StreamEncoder
+		e5.Init(w5)
+		AddSorted(&e5, all[:cut])
+		e5.InitAt(w5, e5.Last())
+		AddSorted(&e5, all[cut:])
+		e6.Init(w6)
+		AddSorted(&e6, narrow[:cut])
+		AddSorted(&e6, narrow[cut:])
+		e7.Init(w7)
+		e7.AddBitset(words)
+		for name, w := range map[string]*bitio.Writer{"AddSorted int64": w5, "AddSorted uint32": w6, "AddBitset": w7} {
+			if !bytes.Equal(w.Bytes(), wantW.Bytes()) || w.Len() != want.SizeBits() {
+				t.Fatalf("%s differs from Builder path", name)
+			}
+		}
+		if e6.Card() != want.Card() || e7.Card() != want.Card() || e5.Card() != int64(len(all)-cut) {
+			t.Fatalf("bulk cardinalities %d, %d, %d, want %d, %d, %d", e5.Card(), e6.Card(), e7.Card(), len(all)-cut, want.Card(), want.Card())
+		}
 	})
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"math/rand"
 
 	"repro/internal/cbitmap"
@@ -19,75 +18,53 @@ var ErrBuildInvariant = errors.New("core: build invariant violated")
 
 // BuildApprox constructs the Theorem 3 index for col on disk d: the
 // Theorem 2 structure, then for each materialised member S the hashed sets
-// h_j(S), j = 1 … k, grouped by j ("we group the sets according to what hash
-// function was used") so a cover chunk at one j is contiguous.
-//
-// The hashed levels are built without a comparison sort, in three steps per
-// materialised level:
-//
-//  1. One pass over the column drops every row into its member's slice of a
-//     slab (hashedBuild.scatter), so each member's positions arrive in
-//     increasing order and are computed once, not once per j.
-//  2. For each (j, member) the slice is hashed and emitted sorted and
-//     de-duplicated (hashedSet.encode): through a bitset over the universe,
-//     or an insertion sort for a small member of the 2^16 one.
-//  3. Every set is gap-encoded by one StreamEncoder into one pooled writer
-//     that a single AllocStream places; extents are derived from offsets, as
-//     in BuildOptimal.
-//
-// Memory: the slab is 8n bytes, allocated once and live for the whole build.
-//
-// The bytes on d cannot differ from a member-at-a-time build: a set has
-// exactly one gap encoding (package cbitmap), adjacent AllocStream calls
-// share blocks with no padding, and the sets are laid down in the same
-// (level, j, member) order — so only how each sorted set is reached changed
-// (pinned by TestBuildApproxDifferential and TestFormatGoldens).
+// h_j(S), j = 1 … k, with a worker budget of GOMAXPROCS.
 func BuildApprox(d iomodel.Device, col workload.Column, opts ApproxOptions) (*Approx, error) {
-	ox, err := BuildOptimal(d, col, opts.OptimalOptions)
-	if err != nil {
-		return nil, err
-	}
-	ax := &Approx{Optimal: ox, seed: opts.Seed}
-	ax.k = maxJ(ox.tree.n)
+	return BuildApproxOn(NewWorkers(0), d, col, opts)
+}
+
+// BuildApproxOn is BuildApprox drawing its encoders from ws, which other
+// builds may share.
+//
+// A level is the unit of construction (build.go): one pass over the column
+// drops every row into its member's slice of a slab, so each member's
+// positions arrive in increasing order with no comparison sort; that slab
+// feeds the member's exact gap stream and, hashed and emitted sorted and
+// de-duplicated (hashSet.encode), its k hashed ones. Levels encode side by
+// side into private writers. The bytes on d do not depend on how many ran at
+// once: a set has exactly one gap encoding (package cbitmap), and one
+// goroutine places the writers in the canonical order — exact levels, A, tree
+// layout, then the hashed sets by (level, j, member) — with no padding
+// (pinned by TestBuildApproxDifferential and TestBuildParallelDeterministic).
+func BuildApproxOn(ws Workers, d iomodel.Device, col workload.Column, opts ApproxOptions) (*Approx, error) {
+	ax := &Approx{seed: opts.Seed, k: maxJ(int64(col.Len()))}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	for j := 1; j <= ax.k; j++ {
 		ax.hs = append(ax.hs, hashutil.NewSplitXOR(rng, 1<<uint(j)))
 	}
-	hb := newHashedBuild(ox.tree, col.X)
-	lw := getChainWriter()
-	defer putChainWriter(lw)
-	var enc cbitmap.StreamEncoder
-	for li := range ox.levels {
-		lv := &ox.levels[li]
-		if err := hb.scatter(lv.members); err != nil {
-			return nil, fmt.Errorf("core: depth %d: %w", lv.depth, err)
-		}
-		hl := hashLevel{perJ: make([]hashArray, ax.k)}
-		lw.Reset()
-		levelOff := d.AllocatedBits() // = the extent AllocStream returns below
-		for j := 1; j <= ax.k; j++ {
-			arr := &hl.perJ[j-1]
-			arr.exts = make([]iomodel.Extent, len(lv.members))
-			arr.cards = make([]int64, len(lv.members))
-			for mi, m := range lv.members {
-				startBit := lw.Len()
-				enc.Init(lw)
-				if err := hb.set.encode(&enc, ax.hs[j-1], hb.slab[m.start:m.end]); err != nil {
-					return nil, fmt.Errorf("core: depth %d hashed level j=%d member [%d,%d): %w",
-						lv.depth, j, m.start, m.end, err)
+	ox, tasks, err := buildLevels(ws, d, col, opts.OptimalOptions, ax.hs)
+	if err != nil {
+		return nil, err
+	}
+	ax.Optimal = ox
+	for i := range tasks {
+		t := &tasks[i]
+		if t.hashed != nil {
+			off := d.AllocStream(t.hashed).Off
+			putChainWriter(t.hashed)
+			for _, arr := range t.perJ {
+				for mi := range arr.exts {
+					arr.exts[mi].Off += off
 				}
-				arr.exts[mi] = iomodel.Extent{Off: levelOff + int64(startBit), Bits: int64(lw.Len() - startBit)}
-				arr.cards[mi] = enc.Card()
 			}
 		}
-		d.AllocStream(lw)
-		ax.hmaps = append(ax.hmaps, hl)
+		ax.hmaps = append(ax.hmaps, hashLevel{perJ: t.perJ})
 	}
 	d.ResetStats()
 	return ax, nil
 }
 
-// maxHashedJ caps k: no hashed universe exceeds 2^16, which hashedSet's
+// maxHashedJ caps k: no hashed universe exceeds 2^16, which hashSet's
 // bitset relies on. Level 5 (universe 2^32) would be useful only for
 // n > 2^32, a 32 GiB slab no build here makes; the radix-sort encoder that
 // served it went with it (hypotheses/useless-hashed-level).
@@ -109,74 +86,6 @@ func maxJ(n int64) int {
 	return k
 }
 
-// hashedBuild is the per-build scratch of the hashed-level construction.
-type hashedBuild struct {
-	x      []uint32
-	prefix []int64
-	// slab holds one level at a time: member m owns slab[m.start:m.end], its
-	// positions in increasing order. Members of a level are disjoint record
-	// ranges, so the record range doubles as the slab range.
-	slab []int64
-	next []int64 // per character: the record its next occurrence becomes
-	cur  []int32 // per character: first member not wholly below next
-	fill []int64 // per member: the slab slot its next row drops into
-	set  hashedSet
-}
-
-func newHashedBuild(t *Tree, x []uint32) *hashedBuild {
-	return &hashedBuild{
-		x:      x,
-		prefix: t.prefix,
-		slab:   make([]int64, t.n),
-		next:   make([]int64, t.sigma),
-		cur:    make([]int32, t.sigma),
-	}
-}
-
-// scatter fills the slab for one level in a single pass over the column:
-// row i of character a is sorted-record next[a] (records are ordered by
-// character, then position), and cur[a] walks the level's members — sorted,
-// disjoint record ranges — forward to the one holding that record. A
-// character's records may straddle several members, and records under a leaf
-// materialised at a shallower level belong to no member here; both cases are
-// the cursor advancing or the row being skipped. Rows arrive in increasing i,
-// so each member's slice ends up sorted.
-func (hb *hashedBuild) scatter(members []member) error {
-	copy(hb.next, hb.prefix)
-	mi := 0
-	for a := range hb.cur {
-		for mi < len(members) && members[mi].end <= hb.prefix[a] {
-			mi++
-		}
-		hb.cur[a] = int32(mi)
-	}
-	hb.fill = make([]int64, len(members))
-	for c, m := range members {
-		hb.fill[c] = m.start
-	}
-	for i, a := range hb.x {
-		r := hb.next[a]
-		hb.next[a] = r + 1
-		c := int(hb.cur[a])
-		for c < len(members) && members[c].end <= r {
-			c++
-		}
-		hb.cur[a] = int32(c)
-		if c == len(members) || members[c].start > r {
-			continue
-		}
-		hb.slab[hb.fill[c]] = int64(i)
-		hb.fill[c]++
-	}
-	for c, m := range members {
-		if hb.fill[c] != m.end {
-			return fmt.Errorf("%w: member [%d,%d) received %d of %d records",
-				ErrBuildInvariant, m.start, m.end, hb.fill[c]-m.start, m.end-m.start)
-		}
-	}
-	return nil
-}
-
 // bitsetMinRows is the cutover of hashedSet.encode for the 2^16 universe: the
 // smallest member size from which the bitset beat the insertion sort on every
 // seed of the member-size sweep in hypotheses/sortfree-build (the paths tie
@@ -185,16 +94,16 @@ func (hb *hashedBuild) scatter(members []member) error {
 // always take the bitset.
 const bitsetMinRows = 80
 
-// hashedSet turns one member's positions into the gap stream of its hashed
+// hashSet turns one member's positions into the gap stream of its hashed
 // set h(S): sorted, duplicates (collisions) removed.
-type hashedSet struct {
+type hashSet[P rowID] struct {
 	words []uint64 // bitset over a universe of up to 2^16, all zero between calls
 	keys  []uint32 // insertion-sort buffer for small members of the 2^16 universe
 }
 
 // encode appends h(pos) to enc, choosing the path from the universe and the
 // member size. Every path emits the same canonical stream.
-func (hs *hashedSet) encode(enc *cbitmap.StreamEncoder, h hashutil.SplitXOR, pos []int64) error {
+func (hs *hashSet[P]) encode(enc *cbitmap.StreamEncoder, h hashutil.SplitXOR, pos []P) error {
 	switch {
 	case h.LowBits > 16:
 		return fmt.Errorf("%w: hashed universe 2^%d above 2^16", ErrBuildInvariant, h.LowBits)
@@ -205,9 +114,9 @@ func (hs *hashedSet) encode(enc *cbitmap.StreamEncoder, h hashutil.SplitXOR, pos
 	}
 }
 
-// encodeBitset marks every hashed value in a bitset and walks the set bits,
-// which come out sorted and distinct. Universes of at most 2^16.
-func (hs *hashedSet) encodeBitset(enc *cbitmap.StreamEncoder, h hashutil.SplitXOR, pos []int64) error {
+// encodeBitset marks every hashed value in a bitset, whose set bits AddBitset
+// walks sorted and distinct and leaves zeroed. Universes of at most 2^16.
+func (hs *hashSet[P]) encodeBitset(enc *cbitmap.StreamEncoder, h hashutil.SplitXOR, pos []P) error {
 	univ := uint64(1) << uint(h.LowBits)
 	nw := int(univ+63) / 64
 	if len(hs.words) < nw {
@@ -222,18 +131,13 @@ func (hs *hashedSet) encodeBitset(enc *cbitmap.StreamEncoder, h hashutil.SplitXO
 		}
 		words[v>>6] |= 1 << (v & 63)
 	}
-	for wi, w := range words {
-		words[wi] = 0
-		for ; w != 0; w &= w - 1 {
-			enc.Add(int64(wi<<6 | bits.TrailingZeros64(w)))
-		}
-	}
+	enc.AddBitset(words)
 	return nil
 }
 
 // encodeSmall hashes a tiny member into the keys buffer, insertion-sorts it
 // and gap-encodes the result, dropping repeats.
-func (hs *hashedSet) encodeSmall(enc *cbitmap.StreamEncoder, h hashutil.SplitXOR, pos []int64) error {
+func (hs *hashSet[P]) encodeSmall(enc *cbitmap.StreamEncoder, h hashutil.SplitXOR, pos []P) error {
 	if cap(hs.keys) < len(pos) {
 		hs.keys = make([]uint32, len(pos))
 	}
@@ -250,18 +154,18 @@ func (hs *hashedSet) encodeSmall(enc *cbitmap.StreamEncoder, h hashutil.SplitXOR
 		}
 		keys[j] = k
 	}
-	prev := int64(-1)
+	m := 0
 	for _, k := range keys {
-		v := int64(k)
-		if v == prev {
+		if m > 0 && k == keys[m-1] {
 			continue
 		}
-		if v < prev {
-			return fmt.Errorf("%w: hashed value %d sorted after %d", ErrBuildInvariant, v, prev)
+		if m > 0 && k < keys[m-1] {
+			return fmt.Errorf("%w: hashed value %d sorted after %d", ErrBuildInvariant, k, keys[m-1])
 		}
-		enc.Add(v)
-		prev = v
+		keys[m] = k
+		m++
 	}
+	cbitmap.AddSorted(enc, keys[:m])
 	return nil
 }
 

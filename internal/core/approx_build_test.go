@@ -17,17 +17,28 @@ import (
 	"repro/internal/workload"
 )
 
-// positionsRef returns the positions of records [start,end) in increasing
-// order by concatenating the per-character lists and sorting — the oracle the
-// streaming build and the level pass are checked against.
-func (t *Tree) positionsRef(start, end int64) []int64 {
-	out := make([]int64, 0, end-start)
-	for _, l := range t.PositionSlices(nil, start, end) {
-		out = append(out, l...)
+// positionsRef returns the oracle the level pass is checked against: a
+// function giving the positions of records [start,end) of column x in
+// increasing order, by slicing the record order (row i of character a is
+// record prefix[a] + the occurrences of a before i) and sorting.
+func (t *Tree) positionsRef(x []uint32) func(start, end int64) []int64 {
+	rec := make([]int64, len(x))
+	next := slices.Clone(t.prefix)
+	for i, a := range x {
+		rec[next[a]] = int64(i)
+		next[a]++
 	}
-	slices.Sort(out)
-	return out
+	return func(start, end int64) []int64 {
+		out := slices.Clone(rec[start:end])
+		slices.Sort(out)
+		return out
+	}
 }
+
+// hashedSet is the 64-bit instantiation of hashSet, the one a column of more
+// than 2^32 rows builds with; the unit tests and the fuzz target drive it,
+// the build differentials the 32-bit one.
+type hashedSet = hashSet[int64]
 
 // buildApproxReference is the member-at-a-time construction BuildApprox used
 // before the level pass: per (level, j, member) sort the positions, hash,
@@ -63,13 +74,14 @@ func buildApproxReferenceK(d iomodel.Device, col workload.Column, opts ApproxOpt
 	for j := 1; j <= ax.k; j++ {
 		ax.hs = append(ax.hs, hashutil.NewSplitXOR(rng, 1<<uint(j)))
 	}
+	positions := ox.tree.positionsRef(col.X)
 	for _, lv := range ox.levels {
 		hl := hashLevel{perJ: make([]hashArray, ax.k)}
 		for j := 1; j <= ax.k; j++ {
 			univ := int64(1) << uint(1<<uint(j))
 			arr := &hl.perJ[j-1]
 			for _, m := range lv.members {
-				pos := ox.tree.positionsRef(m.start, m.end)
+				pos := positions(m.start, m.end)
 				hashed := make([]int64, 0, len(pos))
 				for _, p := range pos {
 					hashed = append(hashed, int64(ax.hs[j-1].Hash(uint64(p))))
@@ -220,7 +232,7 @@ func TestScatterRejectsBadMembers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hb := newHashedBuild(tr, col.X)
+	hb := newLevelScratch[int64](tr, col.X)
 	if err := hb.scatter([]member{{start: 0, end: 100}, {start: 50, end: 200}}); !errors.Is(err, ErrBuildInvariant) {
 		t.Fatalf("overlapping members: err = %v, want ErrBuildInvariant", err)
 	}
@@ -228,7 +240,7 @@ func TestScatterRejectsBadMembers(t *testing.T) {
 		t.Fatalf("tiling members: %v", err)
 	}
 	for _, m := range []member{{start: 0, end: 100}, {start: 100, end: 500}} {
-		if !slices.Equal(hb.slab[m.start:m.end], tr.positionsRef(m.start, m.end)) {
+		if !slices.Equal(hb.slab[m.start:m.end], tr.positionsRef(col.X)(m.start, m.end)) {
 			t.Fatalf("member [%d,%d): slab differs from sorted positions", m.start, m.end)
 		}
 	}

@@ -1,0 +1,287 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"math/bits"
+	"runtime"
+	"sort"
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/bitio"
+	"repro/internal/cbitmap"
+	"repro/internal/hashutil"
+	"repro/internal/iomodel"
+	"repro/internal/workload"
+)
+
+// Workers is the encoder budget builds draw on: a counting semaphore with one
+// slot per level task that may scatter and encode at once. A build holds one
+// slot throughout and takes more, while any are free, for its other levels, so
+// builds sharing one (shard.Build's shards) run no more encoders than slots.
+type Workers chan struct{}
+
+// NewWorkers returns a budget of n slots; n < 1 selects GOMAXPROCS.
+func NewWorkers(n int) Workers {
+	if n < 1 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	return make(Workers, n)
+}
+
+// levelTask is one materialised level under construction. A level depends on
+// no other, so tasks run concurrently, each into private writers; extents
+// are relative to their writer until it is placed.
+type levelTask struct {
+	depth   int
+	members []member
+	exact   *bitio.Writer // the members' gap streams, concatenated
+	hashed  *bitio.Writer // the (j, member) hashed streams; nil without hash functions
+	perJ    []hashArray
+	err     error
+}
+
+// newLevelTasks assigns each node to a level: internal nodes at materialised
+// depths, leaves to the first materialised depth at or below them.
+func newLevelTasks(tr *Tree, stride int) []levelTask {
+	depths := materialDepths(tr.Height, stride)
+	tasks := make([]levelTask, len(depths))
+	for li, depth := range depths {
+		tasks[li].depth = depth
+	}
+	for _, v := range tr.Nodes { // preorder = record order for non-nested members
+		li := sort.SearchInts(depths, v.Depth)
+		if v.IsLeaf() || depths[li] == v.Depth {
+			tasks[li].members = append(tasks[li].members, member{start: v.Start, end: v.End})
+		}
+	}
+	return tasks
+}
+
+// buildLevels is BuildOptimal with the hashed sets under hs (none for an
+// exact-only index) encoded alongside: the tree, one task per materialised
+// level on the caller's slot of ws and every other slot free, then the exact
+// levels, A and the tree layout placed on an image reserved once from the
+// stream lengths. The tasks return with their hashed writers still to place.
+func buildLevels(ws Workers, d iomodel.Device, col workload.Column, opts OptimalOptions, hs []hashutil.SplitXOR) (*Optimal, []levelTask, error) {
+	ws <- struct{}{}
+	defer func() { <-ws }()
+	opts.fill()
+	tr, err := BuildTree(col, opts.Branching)
+	if err != nil {
+		return nil, nil, err
+	}
+	ox := &Optimal{disk: d, tree: tr, opts: opts}
+	tasks := newLevelTasks(tr, opts.Stride)
+	if tr.n <= math.MaxUint32 {
+		runLevels[uint32](ws, tasks, tr, col.X, hs)
+	} else {
+		runLevels[int64](ws, tasks, tr, col.X, hs)
+	}
+	total := int64(tr.sigma+1)*64 + layoutBits(d, tr)
+	for i := range tasks {
+		t := &tasks[i]
+		if t.err != nil {
+			return nil, nil, t.err
+		}
+		total += int64(t.exact.Len())
+		if t.hashed != nil {
+			total += int64(t.hashed.Len())
+		}
+	}
+	d.Reserve(total)
+	// Adjacent AllocStream calls share blocks with no padding, so placing
+	// whole levels in order leaves the bytes and extents of member-at-a-time
+	// allocation (pinned by the build differential test).
+	for i := range tasks {
+		t := &tasks[i]
+		off := d.AllocStream(t.exact).Off
+		putChainWriter(t.exact)
+		for mi := range t.members {
+			t.members[mi].ext.Off += off
+		}
+		ox.levels = append(ox.levels, matLevel{depth: t.depth, members: t.members})
+		// Directory entry per member: offset, length, cardinality — O(lg n)
+		// bits each, 128 bits nominal.
+		ox.dirBits += int64(len(t.members)) * 128
+	}
+
+	// Prefix array A on disk: queries read two entries to compute z.
+	aw := bitio.NewWriter((tr.sigma + 1) * 64)
+	for _, p := range tr.prefix {
+		aw.WriteBits(uint64(p), 64)
+	}
+	ox.aExt = d.AllocStream(aw)
+
+	ox.layout = newTreeLayout(d, tr)
+	d.ResetStats()
+	return ox, tasks, nil
+}
+
+// runLevels runs every task, on the caller's goroutine and on one helper per
+// slot of ws free at the start, and returns once all have finished; a worker
+// allocates its scratch (the slab) when it gets its first task.
+func runLevels[P rowID](ws Workers, tasks []levelTask, tr *Tree, x []uint32, hs []hashutil.SplitXOR) {
+	var next atomic.Int32
+	work := func() {
+		var sc *levelScratch[P]
+		for i := int(next.Add(1)) - 1; i < len(tasks); i = int(next.Add(1)) - 1 {
+			if sc == nil {
+				sc = newLevelScratch[P](tr, x)
+			}
+			tasks[i].err = runLevel(&tasks[i], sc, hs)
+		}
+	}
+	free := func() bool {
+		select {
+		case ws <- struct{}{}:
+			return true
+		default:
+			return false
+		}
+	}
+	var wg sync.WaitGroup
+	for i := 1; i < len(tasks) && free(); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { <-ws }()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+}
+
+// runLevel scatters the column into t's members and encodes, from that one
+// slab, each member's exact stream and then its hashed set under every
+// function of hs, grouped by j ("we group the sets according to what hash
+// function was used") so a cover chunk at one j is contiguous.
+func runLevel[P rowID](t *levelTask, sc *levelScratch[P], hs []hashutil.SplitXOR) error {
+	if err := sc.scatter(t.members); err != nil {
+		return fmt.Errorf("core: depth %d: %w", t.depth, err)
+	}
+	var enc cbitmap.StreamEncoder
+	t.exact = getChainWriter()
+	need, hneed := 0, 0
+	for _, m := range t.members {
+		need += gapBits(m.end-m.start, int64(len(sc.x)))
+		for _, h := range hs {
+			hneed += gapBits(min(m.end-m.start, h.Range()), h.Range())
+		}
+	}
+	t.exact.Grow(need)
+	for mi := range t.members {
+		m := &t.members[mi]
+		startBit := t.exact.Len()
+		enc.Init(t.exact)
+		cbitmap.AddSorted(&enc, sc.slab[m.start:m.end])
+		if enc.Card() != m.end-m.start {
+			return fmt.Errorf("core: depth %d member [%d,%d): encoded %d of %d records",
+				t.depth, m.start, m.end, enc.Card(), m.end-m.start)
+		}
+		m.ext = iomodel.Extent{Off: int64(startBit), Bits: int64(t.exact.Len() - startBit)}
+		m.card = enc.Card()
+	}
+	t.perJ = make([]hashArray, len(hs))
+	if len(hs) == 0 {
+		return nil
+	}
+	t.hashed = getChainWriter()
+	t.hashed.Grow(hneed)
+	for j, h := range hs {
+		arr := &t.perJ[j]
+		arr.exts = make([]iomodel.Extent, len(t.members))
+		arr.cards = make([]int64, len(t.members))
+		for mi, m := range t.members {
+			startBit := t.hashed.Len()
+			enc.Init(t.hashed)
+			if err := sc.set.encode(&enc, h, sc.slab[m.start:m.end]); err != nil {
+				return fmt.Errorf("core: depth %d hashed level j=%d member [%d,%d): %w",
+					t.depth, j+1, m.start, m.end, err)
+			}
+			arr.exts[mi] = iomodel.Extent{Off: int64(startBit), Bits: int64(t.hashed.Len() - startBit)}
+			arr.cards[mi] = enc.Card()
+		}
+	}
+	return nil
+}
+
+// gapBits bounds, as a writer's size hint, the gap stream of card positions
+// below univ: gamma lengths are concave, so card gaps of univ/card cost most.
+func gapBits(card, univ int64) int {
+	return int(card) * (2*bits.Len64(uint64(univ/card)) + 1)
+}
+
+// rowID is a slab entry, a row position: 32 bits wide whenever the column
+// has at most 2^32 rows.
+type rowID interface{ uint32 | int64 }
+
+// levelScratch is what one worker needs to run level tasks, one at a time.
+type levelScratch[P rowID] struct {
+	x      []uint32
+	prefix []int64
+	// slab holds one level: member m owns slab[m.start:m.end], its positions
+	// in increasing order. Members of a level are disjoint record ranges, so
+	// the record range doubles as the slab range.
+	slab []P
+	next []int64 // per character: the record its next occurrence becomes
+	cur  []int32 // per character: first member not wholly below next
+	fill []int64 // per member: the slab slot its next row drops into
+	set  hashSet[P]
+}
+
+func newLevelScratch[P rowID](t *Tree, x []uint32) *levelScratch[P] {
+	return &levelScratch[P]{
+		x:      x,
+		prefix: t.prefix,
+		slab:   make([]P, t.n),
+		next:   make([]int64, t.sigma),
+		cur:    make([]int32, t.sigma),
+	}
+}
+
+// scatter fills the slab for one level in a single pass over the column:
+// row i of character a is sorted-record next[a] (records are ordered by
+// character, then position), and cur[a] walks the level's members — sorted,
+// disjoint record ranges — forward to the one holding that record. A
+// character's records may straddle several members, and records under a leaf
+// materialised at a shallower level belong to no member here; both cases are
+// the cursor advancing or the row being skipped. Rows arrive in increasing i,
+// so each member's slice ends up sorted.
+func (sc *levelScratch[P]) scatter(members []member) error {
+	copy(sc.next, sc.prefix)
+	mi := 0
+	for a := range sc.cur {
+		for mi < len(members) && members[mi].end <= sc.prefix[a] {
+			mi++
+		}
+		sc.cur[a] = int32(mi)
+	}
+	sc.fill = sc.fill[:0]
+	for _, m := range members {
+		sc.fill = append(sc.fill, m.start)
+	}
+	for i, a := range sc.x {
+		r := sc.next[a]
+		sc.next[a] = r + 1
+		c := int(sc.cur[a])
+		for c < len(members) && members[c].end <= r {
+			c++
+		}
+		sc.cur[a] = int32(c)
+		if c == len(members) || members[c].start > r {
+			continue
+		}
+		sc.slab[sc.fill[c]] = P(i)
+		sc.fill[c]++
+	}
+	for c, m := range members {
+		if sc.fill[c] != m.end {
+			return fmt.Errorf("%w: member [%d,%d) received %d of %d records",
+				ErrBuildInvariant, m.start, m.end, sc.fill[c]-m.start, m.end-m.start)
+		}
+	}
+	return nil
+}

@@ -28,10 +28,7 @@ type treeLayout struct {
 // newTreeLayout writes the structure of t to d and returns the layout.
 func newTreeLayout(d iomodel.Device, t *Tree) *treeLayout {
 	l := &treeLayout{disk: d, blockOf: make([]iomodel.BlockID, len(t.Nodes))}
-	cap := d.BlockBits() / nodeRecordBits
-	if cap < 1 {
-		cap = 1
-	}
+	cap := max(d.BlockBits()/nodeRecordBits, 1) // layoutBits assumes the same
 	// pending holds subtree roots awaiting placement. Each block is filled
 	// by BFS over one subtree; overflow subtrees are deferred, and a block
 	// with leftover room pulls further pending subtrees ("we merge the
@@ -64,6 +61,13 @@ func newTreeLayout(d iomodel.Device, t *Tree) *treeLayout {
 		_ = tc.WriteStream(iomodel.Extent{Off: d.BlockOff(blk), Bits: int64(w.Len())}, w)
 	}
 	return l
+}
+
+// layoutBits bounds the bits newTreeLayout adds to the image: it fills every
+// block but the last, after padding the tail to a block boundary.
+func layoutBits(d iomodel.Device, t *Tree) int64 {
+	perBlock := max(d.BlockBits()/nodeRecordBits, 1)
+	return int64(len(t.Nodes)/perBlock+2) * int64(d.BlockBits())
 }
 
 // sizeBits returns the space occupied by the structure blocks.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/bitio"
 	"repro/internal/cbitmap"
 	"repro/internal/gamma"
 	"repro/internal/index"
@@ -89,83 +88,11 @@ type Optimal struct {
 	dirBits int64
 }
 
-// BuildOptimal constructs the Theorem 2 index for col on disk d.
+// BuildOptimal constructs the Theorem 2 index for col on disk d, its levels
+// side by side on up to GOMAXPROCS workers (build.go).
 func BuildOptimal(d iomodel.Device, col workload.Column, opts OptimalOptions) (*Optimal, error) {
-	opts.fill()
-	tr, err := BuildTree(col, opts.Branching)
-	if err != nil {
-		return nil, err
-	}
-	ox := &Optimal{disk: d, tree: tr, opts: opts}
-
-	depths := materialDepths(tr.Height, opts.Stride)
-	// Assign each node to a level: internal nodes at materialised depths,
-	// leaves to the first materialised depth at or below them.
-	levelOf := func(v *Node) int {
-		i := sort.SearchInts(depths, v.Depth)
-		if v.IsLeaf() {
-			return i // smallest materialised depth >= v.Depth
-		}
-		if i < len(depths) && depths[i] == v.Depth {
-			return i
-		}
-		return -1
-	}
-	byLevel := make([][]*Node, len(depths))
-	for _, v := range tr.Nodes { // preorder = record order for non-nested members
-		if li := levelOf(v); li >= 0 {
-			byLevel[li] = append(byLevel[li], v)
-		}
-	}
-	// Emit each level's members in one sequential streaming pass: the sorted
-	// per-character occurrence lists merge straight into a level-wide pooled
-	// writer through a StreamEncoder — no intermediate Bitmap, no sorted
-	// position slice per member — and the whole level is placed with a single
-	// AllocStream. Adjacent AllocStream calls share blocks with no padding,
-	// so the on-disk bytes and member extents are bit-identical to the former
-	// member-at-a-time allocation (pinned by the build differential test).
-	// Sharded builds run this pass once per shard under the shard worker
-	// pool, which is where per-subtree encoding runs in parallel.
-	lw := getChainWriter()
-	defer putChainWriter(lw)
-	var posLists [][]int64
-	for li, depth := range depths {
-		lv := matLevel{depth: depth}
-		lw.Reset()
-		levelOff := d.AllocatedBits() // = the extent AllocStream returns below
-		var enc cbitmap.StreamEncoder
-		for _, v := range byLevel[li] {
-			startBit := lw.Len()
-			enc.Init(lw)
-			posLists = tr.PositionSlices(posLists[:0], v.Start, v.End)
-			enc.MergeSortedSlices(posLists...)
-			if enc.Card() != v.End-v.Start {
-				return nil, fmt.Errorf("core: depth %d member [%d,%d): encoded %d of %d records",
-					depth, v.Start, v.End, enc.Card(), v.End-v.Start)
-			}
-			lv.members = append(lv.members, member{
-				start: v.Start, end: v.End,
-				ext:  iomodel.Extent{Off: levelOff + int64(startBit), Bits: int64(lw.Len() - startBit)},
-				card: enc.Card(),
-			})
-		}
-		d.AllocStream(lw)
-		ox.levels = append(ox.levels, lv)
-		// Directory entry per member: offset, length, cardinality — O(lg n)
-		// bits each, 128 bits nominal.
-		ox.dirBits += int64(len(lv.members)) * 128
-	}
-
-	// Prefix array A on disk: queries read two entries to compute z.
-	aw := bitio.NewWriter((tr.sigma + 1) * 64)
-	for _, p := range tr.prefix {
-		aw.WriteBits(uint64(p), 64)
-	}
-	ox.aExt = d.AllocStream(aw)
-
-	ox.layout = newTreeLayout(d, tr)
-	d.ResetStats()
-	return ox, nil
+	ox, _, err := buildLevels(NewWorkers(0), d, col, opts, nil)
+	return ox, err
 }
 
 // materialDepths returns the sorted materialised depths: 1, s, s², … (or
@@ -487,32 +414,28 @@ func BuildOptimalDefault(d iomodel.Device, col workload.Column) (*Optimal, error
 	return BuildOptimal(d, col, OptimalOptions{})
 }
 
-// PayloadUnderCodes recomputes the total member-bitmap payload under gamma
-// and delta coding of the gap streams (the A5 ablation: the paper permits
-// "any method that compresses to within a constant factor"). Each member's
-// gamma stream is re-encoded from the occurrence lists and its gaps read back
-// to price them under delta.
-func (ox *Optimal) PayloadUnderCodes() (gammaBits, deltaBits int64) {
-	w := getChainWriter()
-	defer putChainWriter(w)
-	var enc cbitmap.StreamEncoder
-	var posLists [][]int64
+// PayloadUnderCodes prices the total member-bitmap payload under gamma and
+// delta coding of the gap streams (the A5 ablation: the paper permits "any
+// method that compresses to within a constant factor"): every member's gamma
+// stream is read back from the device and its gaps priced under delta.
+func (ox *Optimal) PayloadUnderCodes() (gammaBits, deltaBits int64, err error) {
+	tc := ox.disk.NewTouch()
+	defer tc.Close()
 	for _, lv := range ox.levels {
 		for _, m := range lv.members {
-			w.Reset()
-			enc.Init(w)
-			posLists = ox.tree.PositionSlices(posLists[:0], m.start, m.end)
-			enc.MergeSortedSlices(posLists...)
-			gammaBits += int64(w.Len())
-			r := bitio.NewReader(w.Bytes(), w.Len())
-			for i := int64(0); i < enc.Card(); i++ {
+			r, err := tc.Reader(m.ext)
+			if err != nil {
+				return 0, 0, err
+			}
+			gammaBits += m.ext.Bits
+			for i := int64(0); i < m.card; i++ {
 				gap, err := gamma.Read(r)
 				if err != nil {
-					panic(err) // reading back what enc just wrote
+					return 0, 0, fmt.Errorf("core: depth %d member [%d,%d): %w", lv.depth, m.start, m.end, err)
 				}
 				deltaBits += int64(gamma.DeltaLen(gap))
 			}
 		}
 	}
-	return gammaBits, deltaBits
+	return gammaBits, deltaBits, nil
 }

@@ -50,8 +50,6 @@ type Tree struct {
 
 	n     int64
 	sigma int
-	// byChar[a] lists, in increasing order, the positions of character a.
-	byChar [][]int64
 	// prefix[a] = number of records with character < a (the paper's array A
 	// shifted by one: prefix has sigma+1 entries, prefix[sigma] = n).
 	prefix []int64
@@ -68,27 +66,15 @@ func BuildTree(col workload.Column, c int) (*Tree, error) {
 		return nil, fmt.Errorf("core: empty column")
 	}
 	t := &Tree{C: c, n: n, sigma: col.Sigma}
-	t.byChar = make([][]int64, col.Sigma)
-	// Count first so each character's position list is allocated exactly
-	// once; append-growth over σ lists otherwise dominates build allocations.
-	counts := make([]int64, col.Sigma)
+	t.prefix = make([]int64, col.Sigma+1)
 	for _, ch := range col.X {
 		if int(ch) >= col.Sigma {
 			return nil, fmt.Errorf("core: character %d outside alphabet [0,%d)", ch, col.Sigma)
 		}
-		counts[ch]++
+		t.prefix[ch+1]++
 	}
-	for a, cnt := range counts {
-		if cnt > 0 {
-			t.byChar[a] = make([]int64, 0, cnt)
-		}
-	}
-	for i, ch := range col.X {
-		t.byChar[ch] = append(t.byChar[ch], int64(i))
-	}
-	t.prefix = make([]int64, col.Sigma+1)
 	for a := 0; a < col.Sigma; a++ {
-		t.prefix[a+1] = t.prefix[a] + int64(len(t.byChar[a]))
+		t.prefix[a+1] += t.prefix[a]
 	}
 	if err := t.finish(); err != nil {
 		return nil, err
@@ -129,10 +115,9 @@ func (t *Tree) finish() error {
 // treeFromCounts rebuilds the pruned weight-balanced tree from per-character
 // occurrence counts alone — the reopen path for serialised static indexes.
 // The returned tree is topologically identical to BuildTree's over any
-// column with these counts, but carries no position lists (byChar is empty):
-// the reopened query path reads positions from the on-device bitmaps, and
-// everything else it touches — prefix, node ranges, charOf — depends only on
-// counts.
+// column with these counts: the tree holds no positions (queries read them
+// from the on-device bitmaps), and everything it does hold — prefix, node
+// ranges, charOf — depends only on counts.
 func treeFromCounts(counts []int64, c int) (*Tree, error) {
 	if c <= 4 {
 		return nil, fmt.Errorf("core: branching parameter %d must exceed 4", c)
@@ -155,7 +140,6 @@ func treeFromCounts(counts []int64, c int) (*Tree, error) {
 		return nil, fmt.Errorf("core: empty column")
 	}
 	t := &Tree{C: c, n: n, sigma: sigma}
-	t.byChar = make([][]int64, sigma)
 	t.prefix = make([]int64, sigma+1)
 	for a, cnt := range counts {
 		t.prefix[a+1] = t.prefix[a] + cnt
@@ -173,12 +157,6 @@ func (t *Tree) charOf(r int64) uint32 {
 	return uint32(a)
 }
 
-// posOf returns the string position of record r.
-func (t *Tree) posOf(r int64) int64 {
-	a := t.charOf(r)
-	return t.byChar[a][r-t.prefix[a]]
-}
-
 // RecordRange returns the record interval [lo,hi) holding all occurrences
 // of characters in [al,ar].
 func (t *Tree) RecordRange(al, ar uint32) (int64, int64) {
@@ -188,29 +166,6 @@ func (t *Tree) RecordRange(al, ar uint32) (int64, int64) {
 // Count returns z = |I[al;ar]| using the prefix array (the paper's A).
 func (t *Tree) Count(al, ar uint32) int64 {
 	return t.prefix[ar+1] - t.prefix[al]
-}
-
-// PositionSlices appends to dst the sorted per-character position slices
-// covering records [start,end), without copying or sorting: each slice is a
-// sub-range of one character's byChar list, the slices are pairwise disjoint,
-// and merging them (StreamEncoder.MergeSortedSlices) yields the positions of
-// the records in increasing order. This is what lets the streaming build emit
-// a member's gap stream without materialising its position slice.
-func (t *Tree) PositionSlices(dst [][]int64, start, end int64) [][]int64 {
-	for a := int(t.charOf(start)); int64(a) < int64(t.sigma) && t.prefix[a] < end; a++ {
-		lo := t.prefix[a]
-		if lo < start {
-			lo = start
-		}
-		hi := t.prefix[a+1]
-		if hi > end {
-			hi = end
-		}
-		if lo < hi {
-			dst = append(dst, t.byChar[a][lo-t.prefix[a]:hi-t.prefix[a]])
-		}
-	}
-	return dst
 }
 
 // build constructs the subtree covering records [start,end) at the given

@@ -79,6 +79,8 @@ func TestRecordRangeAndCount(t *testing.T) {
 	}
 }
 
+// TestPositionsSortedAndComplete: the level pass hands a member every one of
+// its records' positions, in increasing order, wherever the member lies.
 func TestPositionsSortedAndComplete(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	col := workload.Uniform(2000, 16, 8)
@@ -86,23 +88,32 @@ func TestPositionsSortedAndComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sc := newLevelScratch[uint32](tr, col.X)
+	positions := tr.positionsRef(col.X)
 	for trial := 0; trial < 30; trial++ {
 		lo := rng.Int63n(2000)
 		hi := lo + rng.Int63n(2000-lo) + 1
-		ps := tr.positionsRef(lo, hi)
-		if int64(len(ps)) != hi-lo {
-			t.Fatalf("[%d,%d): %d positions", lo, hi, len(ps))
+		if err := sc.scatter([]member{{start: lo, end: hi}}); err != nil {
+			t.Fatalf("[%d,%d): %v", lo, hi, err)
 		}
+		ps := sc.slab[lo:hi]
 		for i := 1; i < len(ps); i++ {
 			if ps[i] <= ps[i-1] {
 				t.Fatalf("positions not sorted at %d", i)
 			}
 		}
+		for i, p := range positions(lo, hi) {
+			if int64(ps[i]) != p {
+				t.Fatalf("[%d,%d): position %d = %d, want %d", lo, hi, i, ps[i], p)
+			}
+		}
 	}
 	// Full range = all positions 0..n-1.
-	all := tr.positionsRef(0, 2000)
-	for i, p := range all {
-		if p != int64(i) {
+	if err := sc.scatter([]member{{start: 0, end: 2000}}); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range sc.slab {
+		if p != uint32(i) {
 			t.Fatalf("full range: position %d = %d", i, p)
 		}
 	}
@@ -182,15 +193,20 @@ func TestCharOfPosOf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// records: (0,pos1) (1,pos0) (1,pos2) (3,pos3)
+	// records: (0,pos1) (1,pos0) (1,pos2) (3,pos3); the level pass over
+	// one-record members leaves record r's position in slab[r].
 	wantChars := []uint32{0, 1, 1, 3}
-	wantPos := []int64{1, 0, 2, 3}
+	wantPos := []uint32{1, 0, 2, 3}
+	sc := newLevelScratch[uint32](tr, col.X)
+	if err := sc.scatter([]member{{start: 0, end: 1}, {start: 1, end: 2}, {start: 2, end: 3}, {start: 3, end: 4}}); err != nil {
+		t.Fatal(err)
+	}
 	for r := int64(0); r < 4; r++ {
 		if c := tr.charOf(r); c != wantChars[r] {
 			t.Fatalf("charOf(%d) = %d, want %d", r, c, wantChars[r])
 		}
-		if p := tr.posOf(r); p != wantPos[r] {
-			t.Fatalf("posOf(%d) = %d, want %d", r, p, wantPos[r])
+		if p := sc.slab[r]; p != wantPos[r] {
+			t.Fatalf("position of record %d = %d, want %d", r, p, wantPos[r])
 		}
 	}
 }

@@ -156,6 +156,7 @@ func TestStreamingBuildBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		tc := d.NewTouch()
+		positions := ix.tree.positionsRef(col.X)
 		for li, lv := range ix.levels {
 			for k, m := range lv.members {
 				rd, err := tc.Reader(m.ext)
@@ -166,7 +167,7 @@ func TestStreamingBuildBitIdentical(t *testing.T) {
 				if err := got.CopyBits(rd, int(m.ext.Bits)); err != nil {
 					t.Fatal(err)
 				}
-				want, err := cbitmap.FromPositions(ix.tree.n, ix.tree.positionsRef(m.start, m.end))
+				want, err := cbitmap.FromPositions(ix.tree.n, positions(m.start, m.end))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -879,7 +879,10 @@ func A5CodeChoice(s Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		gammaBits, deltaBits := ix.PayloadUnderCodes()
+		gammaBits, deltaBits, err := ix.PayloadUnderCodes()
+		if err != nil {
+			return nil, err
+		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.1f", theta),
 			fmt.Sprintf("%.3f", h0),

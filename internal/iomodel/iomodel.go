@@ -22,6 +22,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -399,27 +400,33 @@ func (d *Disk) AllocStream(w *bitio.Writer) Extent {
 	d.prepWrite()
 	ext := Extent{Off: d.tailBits, Bits: int64(w.Len())}
 	d.ensure(d.tailBits + ext.Bits)
-	if d.tailBits&7 == 0 {
-		// Byte-aligned tail: the stream's zero-padded bytes land verbatim on
-		// the freshly zeroed storage.
-		copy(d.buf[d.tailBits>>3:], w.Bytes())
-		d.tailBits += ext.Bits
-		return ext
-	}
-	r := bitio.NewReader(w.Bytes(), w.Len())
-	pos := d.tailBits
-	for r.Remaining() >= 64 {
-		v, _ := r.ReadBits(64)
-		d.putBits(pos, v, 64)
-		pos += 64
-	}
-	if rem := r.Remaining(); rem > 0 {
-		v, _ := r.ReadBits(rem)
-		d.putBits(pos, v, rem)
-		pos += int64(rem)
-	}
-	d.tailBits = pos
+	d.putStream(ext.Off, bitio.NewReader(w.Bytes(), w.Len()))
+	d.tailBits += ext.Bits
 	return ext
+}
+
+// putStream overwrites the bits at pos with everything left in r: a short
+// write up to the next byte boundary, whole bytes a word at a time
+// (bitio.Reader.ReadBytes), then the tail. Storage must cover the range.
+func (d *Disk) putStream(pos int64, r *bitio.Reader) {
+	if head := int(-pos & 7); head != 0 {
+		head = min(head, r.Remaining())
+		v, _ := r.ReadBits(head)
+		d.putBits(pos, v, head)
+		pos += int64(head)
+	}
+	nbytes := int64(r.Remaining() >> 3)
+	r.ReadBytes(d.buf[pos>>3 : pos>>3+nbytes])
+	pos += nbytes << 3
+	rem := r.Remaining()
+	v, _ := r.ReadBits(rem)
+	d.putBits(pos, v, rem)
+}
+
+// Reserve makes room for bits further bits past the allocation tail, so a
+// build that knows its streams' lengths grows the image once.
+func (d *Disk) Reserve(bits int64) {
+	d.buf = slices.Grow(d.buf, max(int((d.tailBits+bits+7)/8)-len(d.buf), 0))
 }
 
 // AlignToBlock pads the allocation tail to a block boundary. Panics with
@@ -490,6 +497,7 @@ type Device interface {
 	MemBits() int
 	// Allocation and addressing.
 	AllocStream(w *bitio.Writer) Extent
+	Reserve(bits int64)
 	AlignToBlock()
 	AllocBlock() BlockID
 	FreeBlock(id BlockID)
@@ -801,17 +809,7 @@ func (t *Touch) WriteStream(ext Extent, w *bitio.Writer) error {
 	if keep > 0 {
 		t.d.prepWrite()
 		t.markWrite(from, t.d.blockOf(ext.Off+keep-1))
-		r := bitio.NewReader(w.Bytes(), int(keep))
-		pos := ext.Off
-		for r.Remaining() >= 64 {
-			v, _ := r.ReadBits(64)
-			t.d.putBits(pos, v, 64)
-			pos += 64
-		}
-		if rem := r.Remaining(); rem > 0 {
-			v, _ := r.ReadBits(rem)
-			t.d.putBits(pos, v, rem)
-		}
+		t.d.putStream(ext.Off, bitio.NewReader(w.Bytes(), int(keep)))
 	}
 	return ferr
 }

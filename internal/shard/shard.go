@@ -244,7 +244,7 @@ func Build(data []uint32, sigma int, opts Options) (*Index, error) {
 		workers: workers,
 	}
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
+	ws := core.NewWorkers(workers) // one encoder budget for all the shards
 	errs := make([]error, s)
 	for i := 0; i < s; i++ {
 		// Balanced contiguous partition: shard i covers [i·n/s, (i+1)·n/s).
@@ -253,8 +253,6 @@ func Build(data []uint32, sigma int, opts Options) (*Index, error) {
 		wg.Add(1)
 		go func(i int, start, end int64) {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
 			var d iomodel.Device
 			var fd *iomodel.FaultDisk
 			if opts.Faults != nil {
@@ -275,7 +273,7 @@ func Build(data []uint32, sigma int, opts Options) (*Index, error) {
 				}
 				d = dd
 			}
-			ax, err := core.BuildApprox(d, workload.Column{X: data[start:end], Sigma: sigma}, core.ApproxOptions{
+			ax, err := core.BuildApproxOn(ws, d, workload.Column{X: data[start:end], Sigma: sigma}, core.ApproxOptions{
 				OptimalOptions: core.OptimalOptions{Branching: opts.Branching, Stride: opts.Stride},
 				Seed:           opts.Seed,
 			})

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/cbitmap"
 	"repro/internal/index"
+	"repro/internal/iomodel"
 )
 
 func testColumn(n, sigma int, seed int64) []uint32 {
@@ -124,5 +126,35 @@ func TestOneTaskBatchRunsInline(t *testing.T) {
 	})
 	if allocs > parentAllocs {
 		t.Fatalf("one-shard batch allocated %.1f times, want <= %d", allocs, parentAllocs)
+	}
+}
+
+// TestBuildSharedWorkers: the shards of one Build draw their encoders from
+// one budget. A budget of one slot must still finish (every build waits for
+// its own slot and never for a helper's), a budget wider than the shard count
+// lets each shard encode its levels side by side, and every budget leaves the
+// same device image on every shard.
+func TestBuildSharedWorkers(t *testing.T) {
+	x := testColumn(280000, 512, 18) // 70 000 rows a shard: four hashed levels
+	var want [][]byte
+	for _, workers := range []int{1, 2, 8} {
+		sx, err := Build(x, 512, Options{Shards: 4, Workers: workers, BlockBits: 2048, Seed: 18})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		var got [][]byte
+		for _, sh := range sx.shards {
+			_, data := sh.disk.(*iomodel.Disk).Image()
+			got = append(got, data)
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		for i := range got {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Errorf("workers=%d: shard %d's image differs from the one-worker build's", workers, i)
+			}
+		}
 	}
 }

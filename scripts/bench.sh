@@ -5,7 +5,8 @@
 # After writing the new file, the script compares allocs/op and blockIO/op
 # (including blockIO/batch) against the most recent committed BENCH_<n>.json
 # — both are deterministic across machines, unlike ns/op — and fails loudly
-# on a >20% regression in any benchmark present in both files.
+# on a >20% regression in any benchmark present in both files, or when
+# BenchmarkBuild/public/n=524288 allocates more than 1.25 x BENCH_16's B/op.
 #
 # Usage: scripts/bench.sh [tag] [count]
 #   tag    suffix for the output file (default: one past the highest
@@ -52,6 +53,14 @@ with open(out, 'w') as f:
     json.dump(result, f, indent=2, sort_keys=True)
     f.write('\n')
 print(f'wrote {out} ({len(result)} benchmarks)')
+
+# --- Memory gate: the level-parallel build may not buy its speed with bytes. ---
+# 1.25 x the 38 484 941 B/op of the one-level-at-a-time build (BENCH_16.json).
+BUILD = 'BenchmarkBuild/public/n=524288'
+BUILD_BYTES_LIMIT = 1.25 * 38484941
+if BUILD in result and result[BUILD].get('B_per_op', 0) > BUILD_BYTES_LIMIT:
+    print(f"BENCHMARK REGRESSION: {BUILD} allocates {result[BUILD]['B_per_op']:.0f} B/op, limit {BUILD_BYTES_LIMIT:.0f}")
+    sys.exit(1)
 
 # --- Allocation regression gate vs the previous committed BENCH file. ---
 def tag_of(path):
