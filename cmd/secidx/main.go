@@ -27,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"time"
 
 	"repro/internal/bitmapidx"
@@ -65,7 +66,7 @@ func main() {
 		arrivals = flag.String("arrivals", "poisson", "loadgen: arrival process: poisson|mmpp")
 		burst    = flag.Float64("burst", 8, "loadgen: mmpp high-phase rate multiplier")
 		faults   = flag.Int("faults", 0, "loadgen: transient faults per 10k blocks (armed mid-run)")
-		workers  = flag.Int("workers", 2, "loadgen: concurrent batch executors")
+		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "loadgen: concurrent batch executors")
 		maxQueue = flag.Int("maxqueue", 256, "loadgen: admission queue bound")
 		maxBatch = flag.Int("maxbatch", 32, "loadgen: micro-batch distinct-range bound")
 		budget   = flag.Duration("budget", 0, "loadgen: per-request deadline budget (0 = none)")

@@ -94,8 +94,9 @@ type Stats struct {
 	Completed uint64 // requests answered (possibly degraded)
 	Degraded  uint64 // answered requests missing ≥1 shard (breaker or fault)
 	Failed    uint64 // requests that returned an error after admission
-	// Batching.
+	// Batching. Batches is the sum of the six Flush* counts.
 	Batches       uint64 // batches executed
+	FlushIdle     uint64 // flushes taken by a free executor with intake empty
 	FlushSize     uint64 // flushes triggered by distinct-range count
 	FlushOverlap  uint64 // flushes triggered by total members (overlap-heavy)
 	FlushWait     uint64 // flushes triggered by the oldest member's age
@@ -166,6 +167,7 @@ func (m *metrics) snapshot(br *breakers) Stats {
 		LatencyP999:  m.lat.quantile(0.999),
 		LatencyMax:   time.Duration(m.lat.max.Load()),
 	}
+	st.FlushIdle = m.flush[flushIdle].Load()
 	st.FlushSize = m.flush[flushSize].Load()
 	st.FlushOverlap = m.flush[flushOverlap].Load()
 	st.FlushWait = m.flush[flushWait].Load()

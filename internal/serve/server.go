@@ -1,11 +1,12 @@
 // Package serve is the overload-safe serving layer in front of the query
 // engine: it accepts concurrent open-loop query arrivals, admission-controls
 // them through a bounded queue (shedding with ErrOverloaded instead of ever
-// blocking the caller or growing without bound), forms adaptive micro-batches
-// that flush into the shared-scan batch planner on size, overlap, age and
-// deadline-budget triggers, and layers per-shard circuit breakers over the
-// shard layer's retry/degrade machinery so a persistently failing shard stops
-// costing every request its retry budget.
+// blocking the caller or growing without bound), forms work-conserving
+// micro-batches for the shared-scan batch planner — a free executor takes the
+// forming batch at once, busy ones let it grow until a size, overlap, age or
+// deadline-budget trigger seals it — and layers per-shard circuit breakers
+// over the shard layer's retry/degrade machinery so a persistently failing
+// shard stops costing every request its retry budget.
 //
 // The policy core (admission bound, flush triggers, breaker state machine) is
 // clock-parameterised and shared between two drivers: Server runs it for real
@@ -20,8 +21,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cbitmap"
@@ -70,21 +71,24 @@ type Config struct {
 	// intake queue plus the forming batch). Admission beyond it sheds with
 	// ErrOverloaded (default 256).
 	MaxQueue int
-	// MaxBatch is the size flush trigger: a batch flushes when it holds this
-	// many distinct ranges (default 32, the shared-scan planner's sweet
-	// spot).
+	// MaxBatch is the size flush trigger: a batch is sealed when it holds
+	// this many distinct ranges (default 32, the shared-scan planner's sweet
+	// spot). A sealed batch takes no more members; it runs on the next free
+	// executor, and arrivals wait in the intake queue until it does.
 	MaxBatch int
 	// MaxTotal is the overlap flush trigger: duplicate and overlapping
 	// arrivals do not add distinct planner work, so they ride along past
 	// MaxBatch — up to this many total members, at which point the batch has
 	// banked enough sharing and executes (default 4×MaxBatch).
 	MaxTotal int
-	// MaxWait is the age flush trigger: a batch never holds its oldest
-	// member longer than this (default 500µs).
+	// MaxWait is the age flush trigger. It only matters while every executor
+	// is busy (a free one takes the forming batch at once, trigger "idle"):
+	// a batch the executors have refused for this long is sealed, which
+	// bounds how much one batch grows behind a slow one (default 500µs).
 	MaxWait time.Duration
-	// FlushSlack is the deadline-budget flush trigger: the batch flushes as
+	// FlushSlack is the deadline-budget flush trigger: the batch is sealed as
 	// soon as any member's remaining deadline budget drops to FlushSlack, so
-	// a tight-deadline request is never waited out in the queue (default
+	// a tight-deadline request never waits for the batch to grow (default
 	// 2×MaxWait).
 	FlushSlack time.Duration
 	// MinBudget is the admission deadline floor: a request arriving with a
@@ -92,9 +96,11 @@ type Config struct {
 	// would expire in the queue or the batch) rather than admitted to fail
 	// (default FlushSlack/2).
 	MinBudget time.Duration
-	// Workers bounds concurrently executing batches (default 2). When every
-	// worker is busy, flushed batches apply backpressure to the dispatcher,
-	// the intake queue fills, and admission sheds — bounded end to end.
+	// Workers bounds concurrently executing batches (default
+	// runtime.GOMAXPROCS(0): a batch is CPU-bound in decode-merge). When
+	// every worker is busy the forming batch grows, a sealed one holds the
+	// dispatcher, the intake queue fills, and admission sheds — bounded end
+	// to end.
 	Workers int
 	// Retry is the per-shard transient-fault retry policy passed through to
 	// the shard executor.
@@ -128,7 +134,7 @@ func (c Config) withDefaults() Config {
 		c.MinBudget = c.FlushSlack / 2
 	}
 	if c.Workers <= 0 {
-		c.Workers = 2
+		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if !c.AllowPartial {
 		c.Breaker.Disabled = true
@@ -137,40 +143,42 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Flush triggers, in the order due() checks them.
+// Flush triggers. flushIdle is the zero value: an open batch is released by
+// whichever executor frees first. The next four seal a batch, and seal checks
+// them in this order.
 type flushTrigger int
 
 const (
-	flushSize flushTrigger = iota
+	flushIdle flushTrigger = iota
+	flushSize
 	flushOverlap
-	flushWait
 	flushDeadline
+	flushWait
 	flushClose
 	flushTriggers // count
 )
 
 func (ft flushTrigger) String() string {
-	switch ft {
-	case flushSize:
-		return "size"
-	case flushOverlap:
-		return "overlap"
-	case flushWait:
-		return "wait"
-	case flushDeadline:
-		return "deadline"
-	case flushClose:
-		return "close"
-	}
-	return "?"
+	return [...]string{"idle", "size", "overlap", "deadline", "wait", "close"}[ft]
 }
 
-// forming is the batch being formed, generic over the member handle (the
-// real server queues *request, the simulator queues arrival indices) so the
-// flush policy is one piece of code under both clocks.
+// batch is a set of members on its way to an executor, generic over the
+// member handle (the real server queues *request, the simulator queues
+// arrival indices) so the flush policy is one piece of code under both
+// clocks. ranges[i] is reqs[i]'s range.
+type batch[T any] struct {
+	reqs    []T
+	ranges  []index.Range
+	trigger flushTrigger
+}
+
+// forming is the batch being formed. The policy is work-conserving: while
+// it is open, a driver hands it to an executor the moment one is free and
+// no admitted arrival is waiting to join (trigger idle), and otherwise lets
+// it absorb arrivals; once seal closes it, arrivals wait in the intake queue
+// until an executor has taken it.
 type forming[T any] struct {
-	reqs     []T
-	ranges   []index.Range
+	batch[T]
 	distinct map[index.Range]struct{}
 	oldest   int64 // clock nanos of the first member's admission
 	deadline int64 // earliest member deadline (clock nanos), 0 = none
@@ -192,42 +200,39 @@ func (f *forming[T]) add(r T, rng index.Range, deadline, now int64) {
 	}
 }
 
-// take empties the batch, returning its members and ranges.
-func (f *forming[T]) take() ([]T, []index.Range) {
-	reqs, ranges := f.reqs, f.ranges
-	f.reqs, f.ranges = nil, nil
-	for k := range f.distinct {
-		delete(f.distinct, k)
-	}
-	return reqs, ranges
+// take empties and reopens the forming batch, returning what it held.
+func (f *forming[T]) take() batch[T] {
+	b := f.batch
+	f.batch = batch[T]{}
+	clear(f.distinct)
+	return b
 }
 
-// due reports whether the batch must flush at clock time now, and on which
-// trigger. Size-class triggers are checked before time-class ones so the
-// accounting is deterministic when several fire at once.
-func (f *forming[T]) due(cfg *Config, now int64) (flushTrigger, bool) {
-	if len(f.reqs) == 0 {
-		return 0, false
+// sealed reports whether a trigger has closed the batch to further members.
+func (f *forming[T]) sealed() bool { return f.trigger != flushIdle }
+
+// seal closes the batch if a size- or time-class trigger has fired by clock
+// time now, recording which. Size-class triggers are checked before
+// time-class ones so the accounting is deterministic when several fire at
+// once.
+func (f *forming[T]) seal(cfg *Config, now int64) {
+	switch {
+	case f.sealed() || len(f.reqs) == 0:
+	case len(f.distinct) >= cfg.MaxBatch:
+		f.trigger = flushSize
+	case len(f.reqs) >= cfg.MaxTotal:
+		f.trigger = flushOverlap
+	case f.deadline > 0 && f.deadline-now <= int64(cfg.FlushSlack):
+		f.trigger = flushDeadline
+	case now-f.oldest >= int64(cfg.MaxWait):
+		f.trigger = flushWait
 	}
-	if len(f.distinct) >= cfg.MaxBatch {
-		return flushSize, true
-	}
-	if len(f.reqs) >= cfg.MaxTotal {
-		return flushOverlap, true
-	}
-	if f.deadline > 0 && f.deadline-now <= int64(cfg.FlushSlack) {
-		return flushDeadline, true
-	}
-	if now-f.oldest >= int64(cfg.MaxWait) {
-		return flushWait, true
-	}
-	return 0, false
 }
 
-// timerAt returns the next clock time a time-class trigger fires (the
-// age and deadline-budget triggers), assuming no further arrivals.
+// timerAt returns the next clock time a time-class trigger seals the batch
+// (the age and deadline-budget triggers), assuming no further arrivals.
 func (f *forming[T]) timerAt(cfg *Config) int64 {
-	if len(f.reqs) == 0 {
+	if f.sealed() || len(f.reqs) == 0 {
 		return math.MaxInt64
 	}
 	at := f.oldest + int64(cfg.MaxWait)
@@ -241,6 +246,7 @@ func (f *forming[T]) timerAt(cfg *Config) int64 {
 
 // request is one admitted query waiting to be batched.
 type request struct {
+	ctx      context.Context
 	rng      index.Range
 	deadline int64 // wall nanos, 0 = none
 	enq      time.Time
@@ -259,7 +265,8 @@ type Response struct {
 	Report []shard.ShardError
 	// BatchSize is the member count of the serving batch.
 	BatchSize int
-	// Trigger names the flush trigger that released the serving batch.
+	// Trigger names the flush trigger that released the serving batch: idle,
+	// size, overlap, deadline, wait or close.
 	Trigger string
 	// Wait is the time spent queued before the batch started executing;
 	// Service the batch's execution time.
@@ -281,18 +288,9 @@ type Server struct {
 	closed bool
 
 	intake chan *request
-	execCh chan *execBatch
+	execCh chan batch[*request] // unbuffered: a receiver is an idle executor
 	quit   chan struct{}
 	wg     sync.WaitGroup
-
-	// closing is observed by the dispatcher to label final flushes.
-	closing atomic.Bool
-}
-
-type execBatch struct {
-	reqs    []*request
-	ranges  []index.Range
-	trigger flushTrigger
 }
 
 // NewServer starts a server over the backend. Close releases it; every
@@ -307,7 +305,7 @@ func NewServer(be Backend, cfg Config) (*Server, error) {
 		be:     be,
 		brk:    newBreakers(be.Shards(), c.Breaker),
 		intake: make(chan *request, c.MaxQueue),
-		execCh: make(chan *execBatch),
+		execCh: make(chan batch[*request]),
 		quit:   make(chan struct{}),
 	}
 	s.wg.Add(1 + c.Workers)
@@ -322,8 +320,8 @@ func NewServer(be Backend, cfg Config) (*Server, error) {
 // queue returns ErrOverloaded immediately, and a request whose ctx deadline
 // leaves less than Config.MinBudget of budget is rejected with
 // context.DeadlineExceeded rather than admitted to die in the queue. An
-// admitted request blocks until its batch completes (or ctx is done, in
-// which case the answer is discarded when it arrives).
+// admitted request blocks until its batch completes or ctx is done; a request
+// whose ctx is done before its batch starts is dropped from the batch.
 func (s *Server) Submit(ctx context.Context, lo, hi uint32) Response {
 	rng := index.Range{Lo: lo, Hi: hi}
 	var deadline int64
@@ -334,7 +332,7 @@ func (s *Server) Submit(ctx context.Context, lo, hi uint32) Response {
 		}
 		deadline = d.UnixNano()
 	}
-	req := &request{rng: rng, deadline: deadline, enq: time.Now(), done: make(chan Response, 1)}
+	req := &request{ctx: ctx, rng: rng, deadline: deadline, enq: time.Now(), done: make(chan Response, 1)}
 
 	s.mu.RLock()
 	if s.closed {
@@ -355,9 +353,9 @@ func (s *Server) Submit(ctx context.Context, lo, hi uint32) Response {
 			break
 		}
 	}
-	s.met.admitted.Add(1)
 	s.met.bumpDepthMax()
 	s.intake <- req
+	s.met.admitted.Add(1) // after the send: Admitted = k means k requests are in or past the intake queue
 	s.mu.RUnlock()
 
 	select {
@@ -383,78 +381,69 @@ func (s *Server) Close() error {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	s.closing.Store(true)
 	close(s.quit)
 	s.wg.Wait()
 	return nil
 }
 
 // dispatch is the single batch-forming goroutine: it owns the forming batch
-// and the flush timer, so every flush decision is made at one point.
+// and the seal timer, so every flush decision is made at one point. It
+// offers the forming batch on execCh in the same select that reads intake: an
+// executor ready to receive is an idle one, so the batch leaves at once when
+// one is free and grows while all are busy. An open batch is only offered
+// once the intake queue is empty; a sealed one is offered alone, with intake
+// left to fill — the backpressure that makes admission shed under sustained
+// overload.
 func (s *Server) dispatch() {
 	defer s.wg.Done()
 	var f forming[*request]
+	add := func(req *request) {
+		now := time.Now().UnixNano()
+		f.add(req, req.rng, req.deadline, now)
+		f.seal(&s.cfg, now)
+	}
 	timer := time.NewTimer(time.Hour)
-	timer.Stop()
 	defer timer.Stop()
 	for {
+		intake, offer := s.intake, s.execCh
+		if f.sealed() {
+			intake = nil
+		} else if len(f.reqs) == 0 || len(s.intake) > 0 {
+			offer = nil
+		}
 		var timerC <-chan time.Time
-		if len(f.reqs) > 0 {
-			at := f.timerAt(&s.cfg)
-			d := time.Until(time.Unix(0, at))
-			if d < 0 {
-				d = 0
-			}
-			timer.Reset(d)
+		if at := f.timerAt(&s.cfg); at != math.MaxInt64 {
+			timer.Reset(time.Until(time.Unix(0, at)))
 			timerC = timer.C
 		}
 		select {
-		case req := <-s.intake:
-			now := time.Now().UnixNano()
-			f.add(req, req.rng, req.deadline, now)
-			if trig, due := f.due(&s.cfg, now); due {
-				s.flush(&f, trig)
-			}
+		case req := <-intake:
+			add(req)
+		case offer <- f.batch:
+			f.take()
 		case <-timerC:
-			now := time.Now().UnixNano()
-			if trig, due := f.due(&s.cfg, now); due {
-				s.flush(&f, trig)
-			}
+			f.seal(&s.cfg, time.Now().UnixNano())
 		case <-s.quit:
 			// Admission is closed: drain the intake queue into final
 			// batches and hand everything to the executors.
 			for {
+				if f.sealed() {
+					s.execCh <- f.take()
+				}
 				select {
 				case req := <-s.intake:
-					f.add(req, req.rng, req.deadline, time.Now().UnixNano())
-					if trig, due := f.due(&s.cfg, time.Now().UnixNano()); due {
-						s.flush(&f, trig)
-					}
+					add(req)
 				default:
 					if len(f.reqs) > 0 {
-						s.flush(&f, flushClose)
+						f.trigger = flushClose
+						s.execCh <- f.take()
 					}
 					close(s.execCh)
 					return
 				}
 			}
 		}
-		if len(f.reqs) == 0 && timerC != nil && !timer.Stop() {
-			select { // drain a timer that fired during the flush
-			case <-timer.C:
-			default:
-			}
-		}
 	}
-}
-
-// flush hands the forming batch to the executors. The handoff blocks when
-// every worker is busy — that backpressure is what fills the intake queue
-// and makes admission shed under sustained overload.
-func (s *Server) flush(f *forming[*request], trig flushTrigger) {
-	reqs, ranges := f.take()
-	s.met.flush[trig].Add(1)
-	s.execCh <- &execBatch{reqs: reqs, ranges: ranges, trigger: trig}
 }
 
 func (s *Server) executor() {
@@ -466,19 +455,34 @@ func (s *Server) executor() {
 
 // execBatch runs one batch against the backend with the breaker gate's skip
 // set, the members' tightest deadline as the batch deadline, and feeds the
-// outcome back to the breakers and every member.
-func (s *Server) execBatch(b *execBatch) {
+// outcome back to the breakers and every member. Members whose caller has
+// already gone (ctx done) are answered with its error first and cost the
+// backend nothing.
+func (s *Server) execBatch(b batch[*request]) {
 	start := time.Now()
 	s.met.depth.Add(-int64(len(b.reqs))) // members leave the queue
 	s.met.batches.Add(1)
+	s.met.flush[b.trigger].Add(1)
 
-	ctx := context.Background()
+	live := 0
 	var minDeadline int64
-	for _, r := range b.reqs {
+	for i, r := range b.reqs {
+		if err := r.ctx.Err(); err != nil {
+			s.met.failed.Add(1)
+			r.done <- Response{Err: err}
+			continue
+		}
+		b.reqs[live], b.ranges[live] = r, b.ranges[i]
+		live++
 		if r.deadline > 0 && (minDeadline == 0 || r.deadline < minDeadline) {
 			minDeadline = r.deadline
 		}
 	}
+	b.reqs, b.ranges = b.reqs[:live], b.ranges[:live]
+	if live == 0 {
+		return
+	}
+	ctx := context.Background()
 	if minDeadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithDeadline(ctx, time.Unix(0, minDeadline))
@@ -523,7 +527,7 @@ func batchFailures(shards int, skip []bool, report []shard.ShardError, err error
 }
 
 // deliver completes every member of the batch and records the metrics.
-func (s *Server) deliver(b *execBatch, start, end time.Time, bms []*cbitmap.Bitmap, st index.QueryStats, report []shard.ShardError, err error) {
+func (s *Server) deliver(b batch[*request], start, end time.Time, bms []*cbitmap.Bitmap, st index.QueryStats, report []shard.ShardError, err error) {
 	service := end.Sub(start)
 	if err == nil {
 		s.met.reads.Add(int64(st.Reads))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -17,11 +18,12 @@ import (
 // executors), fail chosen shards, and records the skip set of every call.
 type stubBackend struct {
 	shards int
-	block  chan struct{} // when non-nil, QueryBatch waits for it to close
+	block  chan struct{} // when non-nil, QueryBatch waits for a token or for it to close
 
 	mu    sync.Mutex
 	calls int
 	sizes []int
+	seen  [][]index.Range // the ranges of every call, in call order
 	skips [][]bool
 	fail  map[int]error // shard → failure to report
 }
@@ -45,6 +47,7 @@ func (s *stubBackend) QueryBatch(ctx context.Context, rs []index.Range, eo shard
 	s.mu.Lock()
 	s.calls++
 	s.sizes = append(s.sizes, len(rs))
+	s.seen = append(s.seen, slices.Clone(rs))
 	skip := append([]bool(nil), eo.SkipShards...)
 	s.skips = append(s.skips, skip)
 	var report []shard.ShardError
@@ -82,9 +85,11 @@ func (s *stubBackend) stats() (calls int, sizes []int, skips [][]bool) {
 }
 
 // TestServerBatchesConcurrentArrivals: concurrent submits complete, and the
-// dispatcher coalesces them into fewer batches than requests.
+// dispatcher coalesces those that arrive behind a busy executor into fewer
+// batches than requests (the backend is held until all are admitted; a free
+// executor would rightly take each alone).
 func TestServerBatchesConcurrentArrivals(t *testing.T) {
-	be := &stubBackend{shards: 2}
+	be := &stubBackend{shards: 2, block: make(chan struct{})}
 	s, err := NewServer(be, Config{MaxBatch: 8, MaxWait: 2 * time.Millisecond, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -101,6 +106,8 @@ func TestServerBatchesConcurrentArrivals(t *testing.T) {
 			}
 		}(i)
 	}
+	waitFor(t, "every submit admitted", func() bool { return s.Stats().Admitted == n })
+	close(be.block)
 	wg.Wait()
 	st := s.Stats()
 	if st.Admitted != n || st.Completed != n || st.Shed != 0 {
@@ -109,7 +116,7 @@ func TestServerBatchesConcurrentArrivals(t *testing.T) {
 	if st.Batches >= n {
 		t.Fatalf("%d batches for %d concurrent requests: no batching happened", st.Batches, n)
 	}
-	if got := st.FlushSize + st.FlushOverlap + st.FlushWait + st.FlushDeadline + st.FlushClose; got != st.Batches {
+	if got := flushSum(st); got != st.Batches {
 		t.Fatalf("flush trigger counts sum to %d, want %d batches", got, st.Batches)
 	}
 	if st.Reads <= 0 || st.QueueMax <= 0 {
@@ -395,6 +402,16 @@ func TestServerCloseDrainsAdmitted(t *testing.T) {
 	})
 }
 
+// waitFor polls cond until it holds, failing the test after 5 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
 // assertNoLeaks fails the test if the goroutine count has not returned to
 // its starting level shortly after a server shutdown.
 func assertNoLeaks(t *testing.T, before int) {
@@ -410,4 +427,10 @@ func assertNoLeaks(t *testing.T, before int) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// flushSum adds the per-trigger flush counts; it equals Stats.Batches (the
+// executor counts both when a batch starts).
+func flushSum(st Stats) uint64 {
+	return st.FlushIdle + st.FlushSize + st.FlushOverlap + st.FlushWait + st.FlushDeadline + st.FlushClose
 }

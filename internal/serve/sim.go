@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/cbitmap"
@@ -12,12 +13,14 @@ import (
 )
 
 // ServiceModel maps a batch's measured I/O cost to virtual service time:
-// a fixed per-batch overhead plus a per-charged-block-read cost. The real
-// backend is executed for real inside the simulation (so answers and read
-// counts are exact); only *time* is modelled.
+// a fixed per-batch overhead plus a per-charged-block-read cost plus a cost
+// per 1024 bits read, the decode-merge work that dominates once reads come
+// from a cache. The real backend is executed for real inside the simulation
+// (so answers and read counts are exact); only *time* is modelled.
 type ServiceModel struct {
 	BatchOverhead time.Duration // default 50µs
 	PerRead       time.Duration // default 20µs per charged block read
+	PerKBit       time.Duration // default 0
 }
 
 func (m ServiceModel) withDefaults() ServiceModel {
@@ -31,9 +34,9 @@ func (m ServiceModel) withDefaults() ServiceModel {
 }
 
 // Time is the virtual service time of a batch whose execution charged
-// st.Reads block reads.
+// st.Reads block reads and read st.BitsRead bits.
 func (m ServiceModel) Time(st index.QueryStats) time.Duration {
-	return m.BatchOverhead + time.Duration(st.Reads)*m.PerRead
+	return m.BatchOverhead + time.Duration(st.Reads)*m.PerRead + time.Duration(st.BitsRead)*m.PerKBit/1024
 }
 
 // Armable lets the simulator toggle deterministic fault injection on the
@@ -83,20 +86,12 @@ type SimResult struct {
 	Makespan time.Duration
 }
 
-// simBatch is a flushed batch waiting for (or occupying) a virtual worker.
-type simBatch struct {
-	members []int // arrival indices
-	ranges  []index.Range
-	trigger flushTrigger
-}
-
 // simWorker holds one in-flight batch and its pre-computed outcome, to be
 // delivered when the virtual clock reaches busyUntil.
 type simWorker struct {
 	busy      bool
 	busyUntil int64
-	batch     *simBatch
-	startedAt int64
+	batch     batch[int] // reqs are arrival indices
 	skip      []bool
 	probe     []bool
 	bms       []*cbitmap.Bitmap
@@ -122,7 +117,7 @@ func Simulate(be Backend, arm Armable, arrivals []workload.Arrival, sc SimConfig
 
 	out := make([]SimOutcome, len(arrivals))
 	var f forming[int]
-	var ready []*simBatch
+	var intake []int // admitted arrivals waiting behind a sealed batch, as in Server.intake
 	workers := make([]simWorker, cfg.Workers)
 
 	armAt, disarmAt := simNever, simNever
@@ -144,9 +139,9 @@ func Simulate(be Backend, arm Armable, arrivals []workload.Arrival, sc SimConfig
 			met.failedReads.Add(int64(w.st.FailedReads))
 			met.retriedReads.Add(int64(w.st.RetriedReads))
 		}
-		for j, idx := range b.members {
+		for j, idx := range b.reqs {
 			o := &out[idx]
-			o.Batch = len(b.members)
+			o.Batch = len(b.reqs)
 			o.Err = w.err
 			if w.err == nil {
 				o.Bm = w.bms[j]
@@ -162,7 +157,6 @@ func Simulate(be Backend, arm Armable, arrivals []workload.Arrival, sc SimConfig
 			}
 		}
 		w.busy = false
-		w.batch = nil
 	}
 
 	// start runs a batch on a free worker at virtual time now: the breaker
@@ -171,12 +165,13 @@ func Simulate(be Backend, arm Armable, arrivals []workload.Arrival, sc SimConfig
 	// truncated to the batch's tightest member deadline, in which case the
 	// batch counts as cancelled exactly like the real server's context
 	// deadline would make it.
-	start := func(w *simWorker, b *simBatch, now int64) {
-		met.depth.Add(-int64(len(b.members)))
+	start := func(w *simWorker, b batch[int], now int64) {
+		met.depth.Add(-int64(len(b.reqs)))
 		met.batches.Add(1)
+		met.flush[b.trigger].Add(1)
 		var minDeadline int64
 		if sc.Budget > 0 {
-			for _, idx := range b.members {
+			for _, idx := range b.reqs {
 				d := int64(arrivals[idx].At) + int64(sc.Budget)
 				if minDeadline == 0 || d < minDeadline {
 					minDeadline = d
@@ -186,7 +181,6 @@ func Simulate(be Backend, arm Armable, arrivals []workload.Arrival, sc SimConfig
 		skip, probe, allSkipped := brk.gate(now)
 		w.busy = true
 		w.batch = b
-		w.startedAt = now
 		w.skip, w.probe = skip, probe
 		if allSkipped {
 			w.bms, w.st, w.report, w.err = nil, index.QueryStats{}, nil, ErrNoShards
@@ -203,45 +197,35 @@ func Simulate(be Backend, arm Armable, arrivals []workload.Arrival, sc SimConfig
 		w.busyUntil = tc
 	}
 
+	next := 0 // next arrival index
+
+	// dispatch is Server.dispatch on the virtual clock: queued arrivals join
+	// the forming batch until it seals, and the batch starts on a free
+	// worker once it is sealed or no arrival due by now is still to join.
 	dispatch := func(now int64) {
-		for len(ready) > 0 {
-			free := -1
-			for i := range workers {
-				if !workers[i].busy {
-					free = i
-					break
+		for {
+			for ; !f.sealed() && len(intake) > 0; intake = intake[1:] {
+				ar := arrivals[intake[0]]
+				var deadline int64
+				if sc.Budget > 0 {
+					deadline = int64(ar.At + sc.Budget)
 				}
+				f.add(intake[0], index.Range{Lo: ar.Lo, Hi: ar.Hi}, deadline, now)
+				f.seal(&cfg, now)
 			}
-			if free < 0 {
+			free := slices.IndexFunc(workers, func(w simWorker) bool { return !w.busy })
+			if len(f.reqs) == 0 || free < 0 || !f.sealed() && next < len(arrivals) && int64(arrivals[next].At) <= now {
 				return
 			}
-			b := ready[0]
-			ready = ready[1:]
-			start(&workers[free], b, now)
+			start(&workers[free], f.take(), now)
 			// A fail-fast batch (all breakers open) completes at once and
-			// frees the worker for the next ready batch.
+			// frees the worker for the next batch.
 			if workers[free].busyUntil <= now {
 				deliver(&workers[free], now)
 			}
 		}
 	}
 
-	flush := func(trig flushTrigger, now int64) {
-		members, ranges := f.take()
-		met.flush[trig].Add(1)
-		ready = append(ready, &simBatch{members: members, ranges: ranges, trigger: trig})
-		dispatch(now)
-	}
-
-	queued := func() int64 {
-		n := int64(len(f.reqs))
-		for _, b := range ready {
-			n += int64(len(b.members))
-		}
-		return n
-	}
-
-	next := 0 // next arrival index
 	for {
 		// Candidate event times; tie-break order is fixed (completion,
 		// fault toggle, flush timer, arrival) so the run is deterministic.
@@ -277,7 +261,6 @@ func Simulate(be Backend, arm Armable, arrivals []workload.Arrival, sc SimConfig
 		switch {
 		case tComp == now:
 			deliver(&workers[compW], now)
-			dispatch(now)
 		case tFault == now:
 			if armAt == now {
 				arm.ArmFaults()
@@ -287,11 +270,8 @@ func Simulate(be Backend, arm Armable, arrivals []workload.Arrival, sc SimConfig
 				disarmAt = simNever
 			}
 		case tTimer == now:
-			if trig, due := f.due(&cfg, now); due {
-				flush(trig, now)
-			}
+			f.seal(&cfg, now)
 		default: // arrival
-			ar := arrivals[next]
 			idx := next
 			next++
 			if sc.Budget > 0 && sc.Budget <= cfg.MinBudget {
@@ -300,7 +280,7 @@ func Simulate(be Backend, arm Armable, arrivals []workload.Arrival, sc SimConfig
 				met.expired.Add(1)
 				break
 			}
-			if queued() >= int64(cfg.MaxQueue) {
+			if met.depth.Load() >= int64(cfg.MaxQueue) {
 				out[idx].Shed = true
 				out[idx].Err = ErrOverloaded
 				met.shed.Add(1)
@@ -309,15 +289,9 @@ func Simulate(be Backend, arm Armable, arrivals []workload.Arrival, sc SimConfig
 			met.admitted.Add(1)
 			met.depth.Add(1)
 			met.bumpDepthMax()
-			var deadline int64
-			if sc.Budget > 0 {
-				deadline = now + int64(sc.Budget)
-			}
-			f.add(idx, index.Range{Lo: ar.Lo, Hi: ar.Hi}, deadline, now)
-			if trig, due := f.due(&cfg, now); due {
-				flush(trig, now)
-			}
+			intake = append(intake, idx)
 		}
+		dispatch(now)
 	}
 
 	return SimResult{Outcomes: out, Stats: met.snapshot(brk), Makespan: time.Duration(makespan)}

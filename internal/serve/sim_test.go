@@ -223,17 +223,20 @@ func TestSimulateBreakerStorm(t *testing.T) {
 	}
 }
 
-// TestSimulateDeadlineBudget: a viable-but-tight budget forces immediate
-// deadline flushes (requests are never waited out), and a hopeless budget is
-// rejected at admission as expired.
+// TestSimulateDeadlineBudget: behind a busy executor a viable-but-tight
+// budget seals the batch on the deadline trigger long before MaxWait would
+// (requests are never waited out), and a hopeless budget is rejected at
+// admission as expired. One worker and a service time above Budget −
+// FlushSlack: a free executor would take every batch on the idle trigger
+// before the budget had run down.
 func TestSimulateDeadlineBudget(t *testing.T) {
 	_, chaos := simPair(t, 2000, 64, 2, iomodel.FaultConfig{})
 	cfg := Config{MaxQueue: 64, MaxBatch: 16, MaxWait: 2 * time.Millisecond,
-		FlushSlack: 500 * time.Microsecond, MinBudget: 100 * time.Microsecond, Workers: 2}
+		FlushSlack: 500 * time.Microsecond, MinBudget: 100 * time.Microsecond, Workers: 1}
 	spec := workload.ArrivalSpec{Sigma: 64, RangeLen: 4}
 	arrivals := workload.PoissonArrivals(500, 2000, spec, 17)
 
-	tight := SimConfig{Config: cfg, Service: ServiceModel{BatchOverhead: 10 * time.Microsecond, PerRead: time.Microsecond},
+	tight := SimConfig{Config: cfg, Service: ServiceModel{BatchOverhead: 210 * time.Microsecond, PerRead: time.Microsecond},
 		Budget: 700 * time.Microsecond}
 	res := Simulate(ShardBackend{Ix: chaos}, nil, arrivals, tight)
 	if res.Stats.FlushDeadline == 0 {

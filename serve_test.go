@@ -10,6 +10,10 @@ import (
 	"time"
 )
 
+// slowReads makes every charged read take long enough that concurrent
+// submits pile up behind the batch in service.
+var slowReads = &FaultConfig{ReadLatency: 200 * time.Microsecond}
+
 // servePair builds a fault-free oracle and a fault-injected twin over the
 // same column.
 func servePair(t *testing.T, n, sigma, shards int, fc FaultConfig) (ref, chaos *ShardedIndex) {
@@ -121,15 +125,17 @@ func TestServeChaos(t *testing.T) {
 
 // TestServeUnshardedIndex: the single-device adapter serves through the
 // same layer — batching happens, answers match direct queries, and the
-// server shuts down clean.
+// server shuts down clean. The device is slow (slowReads) behind one executor:
+// a free executor takes each arrival alone, so only a busy one shows batching.
 func TestServeUnshardedIndex(t *testing.T) {
 	before := runtime.NumGoroutine()
 	data := randColumn(4000, 32, 3)
-	ix, err := Build(data, 32, Options{})
+	ix, err := Build(data, 32, Options{Faults: slowReads})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := ix.Serve(ServerConfig{MaxBatch: 8, MaxWait: time.Millisecond})
+	ix.ArmFaults()
+	srv, err := ix.Serve(ServerConfig{MaxBatch: 8, MaxWait: time.Millisecond, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,11 +260,12 @@ func TestQueryExecCancelDuringBackoff(t *testing.T) {
 // members in shared batches, so SharedSaved shows up in the server stats.
 func TestServeQueryBatchSharesScan(t *testing.T) {
 	data := randColumn(6000, 64, 11)
-	ix, err := BuildSharded(data, 64, ShardOptions{Shards: 2})
+	ix, err := BuildSharded(data, 64, ShardOptions{Shards: 2, Faults: slowReads})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := ix.Serve(ServerConfig{MaxBatch: 16, MaxWait: time.Millisecond})
+	ix.ArmFaults()
+	srv, err := ix.Serve(ServerConfig{MaxBatch: 16, MaxWait: time.Millisecond, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,23 +29,28 @@ type ServerConfig struct {
 	// MaxQueue bounds admitted-but-not-executing requests; beyond it the
 	// server sheds with ErrOverloaded (default 256).
 	MaxQueue int
-	// MaxBatch flushes the forming micro-batch at this many distinct ranges
-	// (default 32).
+	// MaxBatch seals the forming micro-batch at this many distinct ranges
+	// (default 32). Batch forming is work-conserving: a free executor takes
+	// the forming batch the moment the intake queue is empty (trigger
+	// "idle"), so a batch only grows — and the triggers below only fire —
+	// while every executor is busy.
 	MaxBatch int
-	// MaxTotal flushes at this many total members — duplicates and overlaps
+	// MaxTotal seals at this many total members — duplicates and overlaps
 	// included — letting overlap-heavy traffic bank extra sharing past
 	// MaxBatch (default 4×MaxBatch).
 	MaxTotal int
-	// MaxWait bounds how long the oldest member waits before the batch
-	// flushes regardless of size (default 500µs).
+	// MaxWait seals a batch the busy executors have not taken for this long,
+	// bounding how far it grows behind a slow batch (default 500µs).
 	MaxWait time.Duration
-	// FlushSlack flushes the batch as soon as a member's remaining deadline
+	// FlushSlack seals the batch as soon as a member's remaining deadline
 	// budget drops this low (default 2×MaxWait).
 	FlushSlack time.Duration
 	// MinBudget rejects requests at admission when their remaining deadline
 	// budget is at or below it (default FlushSlack/2).
 	MinBudget time.Duration
-	// Workers bounds concurrently executing batches (default 2).
+	// Workers bounds concurrently executing batches (default
+	// runtime.GOMAXPROCS(0); it was the constant 2, the same number on the
+	// 2-core machines every committed figure comes from).
 	Workers int
 	// Retry is the per-shard transient-fault retry policy.
 	Retry RetryPolicy
@@ -83,7 +88,8 @@ func (c ServerConfig) toInternal() serve.Config {
 // ServerStats is a point-in-time snapshot of a Server's metrics; all
 // counters are cumulative since the server started. It reports admission
 // (Admitted, Shed, Expired), completion (Completed, Degraded, Failed),
-// batching (Batches and one Flush* count per trigger), the intake queue's
+// batching (Batches and one Flush* count per trigger, FlushIdle included;
+// they sum to Batches), the intake queue's
 // depth and high-water mark, batch-level backend I/O (Reads, SharedSaved,
 // FailedReads, RetriedReads), per-shard breaker state and transition counts,
 // and the end-to-end latency distribution of completed requests.
@@ -102,7 +108,8 @@ type ServedResult struct {
 	// and circuit-broken ones.
 	Report []ShardError
 	// BatchSize is the serving batch's member count; Trigger names the
-	// flush trigger that released it (size, overlap, wait, deadline, close).
+	// flush trigger that released it (idle, size, overlap, deadline, wait,
+	// close).
 	BatchSize int
 	Trigger   string
 	// Wait is time spent queued; Service the batch's execution time.
@@ -159,7 +166,8 @@ func newServer(sx *shard.Index, cfg ServerConfig) (*Server, error) {
 }
 
 // Query submits one range query and blocks until it is answered, shed, or
-// ctx is done. Admission never blocks: an overloaded server fails fast with
+// ctx is done (a query cancelled before its batch starts is dropped from the
+// batch and costs no reads). Admission never blocks: an overloaded server fails fast with
 // ErrOverloaded, and a request whose deadline budget is already hopeless is
 // rejected with context.DeadlineExceeded without queuing.
 func (s *Server) Query(ctx context.Context, lo, hi uint32) (*ServedResult, error) {
