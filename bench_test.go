@@ -10,6 +10,7 @@
 package secidx
 
 import (
+	"context"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -270,11 +271,8 @@ func BenchmarkShardedQueryBatch(b *testing.B) {
 }
 
 // BenchmarkIndexQuery measures the end-to-end fused streaming query
-// pipeline through the public API — exact, approximate, and sharded — with
-// the pre-streaming decode-then-union shape as the baseline. Run with
-// -benchmem: the allocs/op delta between exact and exact-unfused is the
-// headline number for the fused pipeline; blockIO/op pins the I/O model cost
-// unchanged.
+// pipeline through the public API — exact, approximate, and sharded. Run
+// with -benchmem: allocs/op and blockIO/op are what scripts/bench.sh gates.
 func BenchmarkIndexQuery(b *testing.B) {
 	n := 1 << 16
 	rng := rand.New(rand.NewSource(23))
@@ -297,24 +295,6 @@ func BenchmarkIndexQuery(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			lo := queries[i%len(queries)]
 			_, st, err := ix.Query(lo, lo+8)
-			if err != nil {
-				b.Fatal(err)
-			}
-			reads += int64(st.Reads)
-		}
-		b.ReportMetric(float64(reads)/float64(b.N), "blockIO/op")
-	})
-
-	b.Run("exact-unfused", func(b *testing.B) {
-		ix, err := Build(col, 512, Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var reads int64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			lo := queries[i%len(queries)]
-			_, st, err := ix.ax.QueryUnfused(index.Range{Lo: lo, Hi: lo + 8})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -695,5 +675,32 @@ func BenchmarkServeSim(b *testing.B) {
 			}
 			b.ReportMetric(float64(st.LatencyP99.Microseconds()), "p99-us")
 		})
+	}
+}
+
+// BenchmarkServerHit measures a request the answer cache answers: Submit's
+// closed and ctx checks, one LRU lookup, and the one allocation that holds
+// the ServedResult and its Result.
+func BenchmarkServerHit(b *testing.B) {
+	col := workload.Zipf(1<<16, 256, 1.0, 7)
+	ix, err := BuildSharded(col.X, 256, ShardOptions{Shards: 4, CacheBlocks: 64})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := ix.Serve(ServerConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	ctx := context.Background()
+	if _, err := srv.Query(ctx, 16, 31); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res, err := srv.Query(ctx, 16, 31); err != nil || res.Trigger != "cache" {
+			b.Fatalf("err=%v res=%+v", err, res)
+		}
 	}
 }

@@ -26,6 +26,7 @@ type loadgenFlags struct {
 	maxQueue int
 	maxBatch int
 	budget   time.Duration
+	ansCache int64 // bytes; every load level starts with an empty cache
 }
 
 // runLoadgen drives the serving simulator over a sweep of offered loads and
@@ -42,7 +43,7 @@ func runLoadgen(col workload.Column, rangeLen int, seed int64, lf loadgenFlags) 
 		os.Exit(1)
 	}
 	cfg := serve.Config{
-		MaxQueue: lf.maxQueue, MaxBatch: lf.maxBatch, Workers: lf.workers,
+		MaxQueue: lf.maxQueue, MaxBatch: lf.maxBatch, Workers: lf.workers, AnswerCacheBytes: lf.ansCache,
 		AllowPartial: true,
 		Retry:        shard.RetryPolicy{MaxAttempts: 4, Backoff: 10 * time.Microsecond, JitterSeed: seed},
 		Breaker:      serve.BreakerConfig{Threshold: 5, Cooldown: 2 * time.Millisecond},
@@ -51,8 +52,8 @@ func runLoadgen(col workload.Column, rangeLen int, seed int64, lf loadgenFlags) 
 
 	fmt.Printf("loadgen: %s arrivals, %d requests/level, %d shards, %d workers, faults=%d/10k\n",
 		lf.arrivals, lf.requests, lf.shards, lf.workers, lf.faults)
-	fmt.Printf("%-10s %9s %7s %7s %7s %8s %9s %9s %9s %9s %8s %8s  %s\n",
-		"offered/s", "served/s", "shed%", "degr%", "batch", "shared%", "p50", "p99", "p999", "max", "brkOpen", "reads", "idle/size/overlap/deadline/wait %")
+	fmt.Printf("%-10s %9s %7s %7s %7s %7s %8s %9s %9s %9s %9s %8s %8s  %s\n",
+		"offered/s", "served/s", "shed%", "hit%", "degr%", "batch", "shared%", "p50", "p99", "p999", "max", "brkOpen", "reads", "idle/size/overlap/deadline/wait %")
 	for _, mult := range []float64{0.5, 1, 2, 4} {
 		rate := lf.rate * mult
 		var arrivals []workload.Arrival
@@ -82,9 +83,10 @@ func runLoadgen(col workload.Column, rangeLen int, seed int64, lf loadgenFlags) 
 			sharedPct = 100 * float64(st.SharedSaved) / float64(st.Reads+st.SharedSaved)
 		}
 		pct := func(flushes uint64) float64 { return 100 * float64(flushes) / max(1, float64(st.Batches)) }
-		fmt.Printf("%-10.0f %9.0f %6.1f%% %6.1f%% %7.1f %7.1f%% %9s %9s %9s %9s %8d %8d  %.0f/%.0f/%.0f/%.0f/%.0f\n",
+		fmt.Printf("%-10.0f %9.0f %6.1f%% %6.1f%% %6.1f%% %7.1f %7.1f%% %9s %9s %9s %9s %8d %8d  %.0f/%.0f/%.0f/%.0f/%.0f\n",
 			rate, served,
 			100*float64(st.Shed)/float64(len(arrivals)),
+			100*float64(st.CacheHits)/float64(len(arrivals)),
 			100*float64(st.Degraded)/max(1, float64(st.Completed)),
 			batch, sharedPct,
 			fmtLat(st.LatencyP50), fmtLat(st.LatencyP99), fmtLat(st.LatencyP999), fmtLat(st.LatencyMax),

@@ -70,6 +70,7 @@ func main() {
 		maxQueue = flag.Int("maxqueue", 256, "loadgen: admission queue bound")
 		maxBatch = flag.Int("maxbatch", 32, "loadgen: micro-batch distinct-range bound")
 		budget   = flag.Duration("budget", 0, "loadgen: per-request deadline budget (0 = none)")
+		ansCache = flag.Int64("answercache", 0, "loadgen: answer-cache budget in bytes (0 = none)")
 	)
 	flag.Parse()
 
@@ -98,7 +99,7 @@ func main() {
 		runLoadgen(col, *rangeLen, *seed, loadgenFlags{
 			shards: *shards, requests: *requests, rate: *rate, arrivals: *arrivals,
 			burst: *burst, faults: *faults, workers: *workers,
-			maxQueue: *maxQueue, maxBatch: *maxBatch, budget: *budget,
+			maxQueue: *maxQueue, maxBatch: *maxBatch, budget: *budget, ansCache: *ansCache,
 		})
 		return
 	}

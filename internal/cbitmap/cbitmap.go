@@ -273,6 +273,13 @@ func (b *Bitmap) SizeBits() int { return b.bits }
 // do not count towards SizeBits (the paper's space accounting).
 func (b *Bitmap) SampleBits() int { return len(b.samplePos) * sampleBitsEach }
 
+// FootprintBytes bounds the heap the bitmap retains: its whole stream buffer
+// (Builder.Bitmap keeps up to a quarter of slack rather than copy) and the
+// skip samples at their cap of 1/maxSampleDiv of the stream, built yet or not.
+func (b *Bitmap) FootprintBytes() int64 {
+	return int64(cap(b.buf)) + int64(b.bits/8/maxSampleDiv)
+}
+
 // EncodeTo appends the raw encoded stream (gaps only; the caller must record
 // cardinality and universe out of band, as the paper's layouts do via node
 // weights).

@@ -406,35 +406,6 @@ func (dx *Dynamic) queryCharStreams(lo, hi uint32, sc *queryScratch, stats *inde
 	return nil
 }
 
-// queryChars unions the point queries of the cover of [lo,hi]. It is the
-// pre-streaming materialising path, retained as QueryUnfused's decode stage.
-func (dx *Dynamic) queryChars(lo, hi uint32, ms []*cbitmap.Bitmap, stats *index.QueryStats) ([]*cbitmap.Bitmap, error) {
-	if lo > hi {
-		return ms, nil
-	}
-	for _, u := range dx.coverChars(lo, hi) {
-		li := dx.levelForDepth(u.depth)
-		i, j, err := dx.binsWithin(li, u.lo, u.hi)
-		if err != nil {
-			return ms, err
-		}
-		for k := i; k < j; k++ {
-			bm, st, err := dx.points[li].PointQuery(uint32(k))
-			stats.Add(st) // even on error: failed attempts stay accounted
-			if err != nil {
-				return ms, err
-			}
-			// Re-base onto the current universe.
-			reb, err := cbitmap.FromPositions(dx.n, bm.Positions())
-			if err != nil {
-				return ms, err
-			}
-			ms = append(ms, reb)
-		}
-	}
-	return ms, nil
-}
-
 // Query implements index.Index. Dense answers use the complement trick; the
 // complement side includes the ∞ bin so deleted positions never surface.
 // The point-query results stream into a single fused merge (complemented in
@@ -484,44 +455,6 @@ func (dx *Dynamic) QueryContext(ctx context.Context, r index.Range) (out *cbitma
 	}
 	if err != nil {
 		return nil, stats, err
-	}
-	return out, stats, nil
-}
-
-// QueryUnfused answers exactly like Query but through the pre-streaming
-// materialise-rebase-union shape, retained as the differential oracle and
-// allocation baseline; answers and stats are bit-identical to Query's.
-func (dx *Dynamic) QueryUnfused(r index.Range) (*cbitmap.Bitmap, index.QueryStats, error) {
-	var stats index.QueryStats
-	if err := r.Valid(dx.sigma); err != nil {
-		return nil, stats, err
-	}
-	var z int64
-	for a := r.Lo; a <= r.Hi; a++ {
-		z += dx.counts[a]
-	}
-	var ms []*cbitmap.Bitmap
-	var err error
-	complement := z > dx.n/2
-	if complement {
-		if r.Lo > 0 {
-			ms, err = dx.queryChars(0, r.Lo-1, ms, &stats)
-		}
-		if err == nil {
-			ms, err = dx.queryChars(r.Hi+1, uint32(dx.sigmaEff-1), ms, &stats)
-		}
-	} else {
-		ms, err = dx.queryChars(r.Lo, r.Hi, ms, &stats)
-	}
-	if err != nil {
-		return nil, stats, err
-	}
-	out, err := cbitmap.UnionOver(dx.n, ms...)
-	if err != nil {
-		return nil, stats, err
-	}
-	if complement {
-		out = out.Complement()
 	}
 	return out, stats, nil
 }

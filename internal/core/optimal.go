@@ -300,113 +300,6 @@ func (ox *Optimal) answerRecords(ctx context.Context, tc *iomodel.Touch, qlo, qh
 	return out, nil
 }
 
-// readCoverChunk reads, in one contiguous scan, the frontier bitmaps of the
-// cover subtree v and appends them to ms. It is the pre-streaming
-// materialising path, retained for QueryUnfused.
-func (ox *Optimal) readCoverChunk(tc *iomodel.Touch, v *Node, ms []*cbitmap.Bitmap, stats *index.QueryStats) ([]*cbitmap.Bitmap, error) {
-	lv := &ox.levels[ox.levelFor(v.Depth)]
-	i, j, err := lv.chunk(v.Start, v.End)
-	if err != nil {
-		return ms, err
-	}
-	span := iomodel.Extent{
-		Off:  lv.members[i].ext.Off,
-		Bits: lv.members[j-1].ext.End() - lv.members[i].ext.Off,
-	}
-	rd, err := tc.Reader(span)
-	if err != nil {
-		return ms, err
-	}
-	stats.BitsRead += span.Bits
-	for k := i; k < j; k++ {
-		bm, err := cbitmap.Decode(rd, lv.members[k].card, ox.tree.n)
-		if err != nil {
-			return ms, fmt.Errorf("core: depth %d member %d: %w", lv.depth, k, err)
-		}
-		ms = append(ms, bm)
-	}
-	return ms, nil
-}
-
-// queryRecords answers a record-range query by materialising the cover
-// frontier bitmaps (QueryUnfused's decode stage).
-func (ox *Optimal) queryRecords(tc *iomodel.Touch, qlo, qhi int64, ms []*cbitmap.Bitmap, stats *index.QueryStats) ([]*cbitmap.Bitmap, error) {
-	if qlo >= qhi {
-		return ms, nil
-	}
-	var chargeErr error
-	cover := ox.tree.Cover(qlo, qhi, func(v *Node) {
-		if err := ox.layout.charge(tc, v); err != nil && chargeErr == nil {
-			chargeErr = err
-		}
-	})
-	if chargeErr != nil {
-		return ms, chargeErr
-	}
-	for _, v := range cover {
-		if err := ox.layout.charge(tc, v); err != nil {
-			return ms, err
-		}
-		var err error
-		ms, err = ox.readCoverChunk(tc, v, ms, stats)
-		if err != nil {
-			return ms, err
-		}
-	}
-	return ms, nil
-}
-
-// QueryUnfused answers exactly like Query but through the pre-streaming
-// decode-then-merge shape: every cover member is materialised as its own
-// bitmap with cbitmap.Decode and the bitmaps are then unioned in a second
-// pass. It is retained as the differential-testing oracle and the allocation
-// baseline the fused pipeline is measured against; answers are bit-identical
-// to Query's.
-func (ox *Optimal) QueryUnfused(r index.Range) (out *cbitmap.Bitmap, stats index.QueryStats, err error) {
-	if err = r.Valid(ox.tree.sigma); err != nil {
-		return nil, stats, err
-	}
-	tc := ox.disk.NewTouch()
-	defer tc.Close()
-	defer func() {
-		stats.Reads, stats.Writes = tc.Reads(), tc.Writes()
-		stats.FailedReads = tc.FailedReads()
-	}()
-	aLo, err := tc.ReadBits(ox.aExt.Off+int64(r.Lo)*64, 64)
-	if err != nil {
-		return nil, stats, err
-	}
-	aHi, err := tc.ReadBits(ox.aExt.Off+int64(r.Hi+1)*64, 64)
-	if err != nil {
-		return nil, stats, err
-	}
-	qlo, qhi := int64(aLo), int64(aHi)
-	z := qhi - qlo
-	n := ox.tree.n
-
-	var ms []*cbitmap.Bitmap
-	complement := z > n/2 && !ox.opts.NoComplement
-	if complement {
-		ms, err = ox.queryRecords(tc, 0, qlo, ms, &stats)
-		if err == nil {
-			ms, err = ox.queryRecords(tc, qhi, n, ms, &stats)
-		}
-	} else {
-		ms, err = ox.queryRecords(tc, qlo, qhi, ms, &stats)
-	}
-	if err != nil {
-		return nil, stats, err
-	}
-	out, err = cbitmap.UnionOver(n, ms...)
-	if err != nil {
-		return nil, stats, err
-	}
-	if complement {
-		out = out.Complement()
-	}
-	return out, stats, nil
-}
-
 var _ index.Index = (*Optimal)(nil)
 
 // BuildOptimalDefault is a convenience wrapper with default options.

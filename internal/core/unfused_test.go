@@ -1,0 +1,257 @@
+package core
+
+import (
+	"fmt"
+
+	"repro/internal/cbitmap"
+	"repro/internal/index"
+	"repro/internal/iomodel"
+)
+
+// The pre-streaming decode-then-merge queries of the static, warm-up and
+// dynamic indexes, kept out of the production build as the differential
+// oracles of fused_test.go and writepath_test.go: answers and charged reads
+// must equal Query's.
+
+// readCoverChunk reads, in one contiguous scan, the frontier bitmaps of the
+// cover subtree v and appends them to ms. It is the pre-streaming
+// materialising path, retained for QueryUnfused.
+func (ox *Optimal) readCoverChunk(tc *iomodel.Touch, v *Node, ms []*cbitmap.Bitmap, stats *index.QueryStats) ([]*cbitmap.Bitmap, error) {
+	lv := &ox.levels[ox.levelFor(v.Depth)]
+	i, j, err := lv.chunk(v.Start, v.End)
+	if err != nil {
+		return ms, err
+	}
+	span := iomodel.Extent{
+		Off:  lv.members[i].ext.Off,
+		Bits: lv.members[j-1].ext.End() - lv.members[i].ext.Off,
+	}
+	rd, err := tc.Reader(span)
+	if err != nil {
+		return ms, err
+	}
+	stats.BitsRead += span.Bits
+	for k := i; k < j; k++ {
+		bm, err := cbitmap.Decode(rd, lv.members[k].card, ox.tree.n)
+		if err != nil {
+			return ms, fmt.Errorf("core: depth %d member %d: %w", lv.depth, k, err)
+		}
+		ms = append(ms, bm)
+	}
+	return ms, nil
+}
+
+// queryRecords answers a record-range query by materialising the cover
+// frontier bitmaps (QueryUnfused's decode stage).
+func (ox *Optimal) queryRecords(tc *iomodel.Touch, qlo, qhi int64, ms []*cbitmap.Bitmap, stats *index.QueryStats) ([]*cbitmap.Bitmap, error) {
+	if qlo >= qhi {
+		return ms, nil
+	}
+	var chargeErr error
+	cover := ox.tree.Cover(qlo, qhi, func(v *Node) {
+		if err := ox.layout.charge(tc, v); err != nil && chargeErr == nil {
+			chargeErr = err
+		}
+	})
+	if chargeErr != nil {
+		return ms, chargeErr
+	}
+	for _, v := range cover {
+		if err := ox.layout.charge(tc, v); err != nil {
+			return ms, err
+		}
+		var err error
+		ms, err = ox.readCoverChunk(tc, v, ms, stats)
+		if err != nil {
+			return ms, err
+		}
+	}
+	return ms, nil
+}
+
+// QueryUnfused answers exactly like Query but through the pre-streaming
+// decode-then-merge shape: every cover member is materialised as its own
+// bitmap with cbitmap.Decode and the bitmaps are then unioned in a second
+// pass. It is retained as the differential-testing oracle and the allocation
+// baseline the fused pipeline is measured against; answers are bit-identical
+// to Query's.
+func (ox *Optimal) QueryUnfused(r index.Range) (out *cbitmap.Bitmap, stats index.QueryStats, err error) {
+	if err = r.Valid(ox.tree.sigma); err != nil {
+		return nil, stats, err
+	}
+	tc := ox.disk.NewTouch()
+	defer tc.Close()
+	defer func() {
+		stats.Reads, stats.Writes = tc.Reads(), tc.Writes()
+		stats.FailedReads = tc.FailedReads()
+	}()
+	aLo, err := tc.ReadBits(ox.aExt.Off+int64(r.Lo)*64, 64)
+	if err != nil {
+		return nil, stats, err
+	}
+	aHi, err := tc.ReadBits(ox.aExt.Off+int64(r.Hi+1)*64, 64)
+	if err != nil {
+		return nil, stats, err
+	}
+	qlo, qhi := int64(aLo), int64(aHi)
+	z := qhi - qlo
+	n := ox.tree.n
+
+	var ms []*cbitmap.Bitmap
+	complement := z > n/2 && !ox.opts.NoComplement
+	if complement {
+		ms, err = ox.queryRecords(tc, 0, qlo, ms, &stats)
+		if err == nil {
+			ms, err = ox.queryRecords(tc, qhi, n, ms, &stats)
+		}
+	} else {
+		ms, err = ox.queryRecords(tc, qlo, qhi, ms, &stats)
+	}
+	if err != nil {
+		return nil, stats, err
+	}
+	out, err = cbitmap.UnionOver(n, ms...)
+	if err != nil {
+		return nil, stats, err
+	}
+	if complement {
+		out = out.Complement()
+	}
+	return out, stats, nil
+}
+
+// queryChars unions the cover of character range [lo,hi] (inclusive,
+// already validated and non-empty). It is the pre-streaming materialising
+// path, retained as QueryUnfused's decode stage.
+func (wx *Warmup) queryChars(tc *iomodel.Touch, lo, hi int64, ms []*cbitmap.Bitmap, stats *index.QueryStats) ([]*cbitmap.Bitmap, error) {
+	for _, cn := range wx.cover(lo, hi) {
+		lv := wx.levels[cn.level]
+		ext := lv.exts[cn.node]
+		rd, err := tc.Reader(ext)
+		if err != nil {
+			return ms, err
+		}
+		stats.BitsRead += ext.Bits
+		bm, err := cbitmap.Decode(rd, lv.cards[cn.node], wx.n)
+		if err != nil {
+			return ms, fmt.Errorf("core: warmup level %d node %d: %w", cn.level, cn.node, err)
+		}
+		ms = append(ms, bm)
+	}
+	return ms, nil
+}
+
+// QueryUnfused answers exactly like Query but through the pre-streaming
+// decode-then-union shape, retained as the differential oracle and
+// allocation baseline; answers and I/O stats are bit-identical to Query's.
+func (wx *Warmup) QueryUnfused(r index.Range) (out *cbitmap.Bitmap, stats index.QueryStats, err error) {
+	if err = r.Valid(wx.sigma); err != nil {
+		return nil, stats, err
+	}
+	tc := wx.disk.NewTouch()
+	defer tc.Close()
+	defer func() {
+		stats.Reads, stats.Writes = tc.Reads(), tc.Writes()
+		stats.FailedReads = tc.FailedReads()
+	}()
+	aLo, err := tc.ReadBits(wx.aExt.Off+int64(r.Lo)*64, 64)
+	if err != nil {
+		return nil, stats, err
+	}
+	aHi, err := tc.ReadBits(wx.aExt.Off+int64(r.Hi+1)*64, 64)
+	if err != nil {
+		return nil, stats, err
+	}
+	z := int64(aHi) - int64(aLo)
+
+	var ms []*cbitmap.Bitmap
+	complement := z > wx.n/2 && !wx.opts.NoComplement
+	if complement {
+		if r.Lo > 0 {
+			ms, err = wx.queryChars(tc, 0, int64(r.Lo)-1, ms, &stats)
+		}
+		if err == nil && int(r.Hi) < wx.sigma-1 {
+			ms, err = wx.queryChars(tc, int64(r.Hi)+1, int64(wx.padded)-1, ms, &stats)
+		}
+	} else {
+		ms, err = wx.queryChars(tc, int64(r.Lo), int64(r.Hi), ms, &stats)
+	}
+	if err != nil {
+		return nil, stats, err
+	}
+	out, err = cbitmap.UnionOver(wx.n, ms...)
+	if err != nil {
+		return nil, stats, err
+	}
+	if complement {
+		out = out.Complement()
+	}
+	return out, stats, nil
+}
+
+// queryChars unions the point queries of the cover of [lo,hi]. It is the
+// pre-streaming materialising path, retained as QueryUnfused's decode stage.
+func (dx *Dynamic) queryChars(lo, hi uint32, ms []*cbitmap.Bitmap, stats *index.QueryStats) ([]*cbitmap.Bitmap, error) {
+	if lo > hi {
+		return ms, nil
+	}
+	for _, u := range dx.coverChars(lo, hi) {
+		li := dx.levelForDepth(u.depth)
+		i, j, err := dx.binsWithin(li, u.lo, u.hi)
+		if err != nil {
+			return ms, err
+		}
+		for k := i; k < j; k++ {
+			bm, st, err := dx.points[li].PointQuery(uint32(k))
+			stats.Add(st) // even on error: failed attempts stay accounted
+			if err != nil {
+				return ms, err
+			}
+			// Re-base onto the current universe.
+			reb, err := cbitmap.FromPositions(dx.n, bm.Positions())
+			if err != nil {
+				return ms, err
+			}
+			ms = append(ms, reb)
+		}
+	}
+	return ms, nil
+}
+
+// QueryUnfused answers exactly like Query but through the pre-streaming
+// materialise-rebase-union shape, retained as the differential oracle and
+// allocation baseline; answers and stats are bit-identical to Query's.
+func (dx *Dynamic) QueryUnfused(r index.Range) (*cbitmap.Bitmap, index.QueryStats, error) {
+	var stats index.QueryStats
+	if err := r.Valid(dx.sigma); err != nil {
+		return nil, stats, err
+	}
+	var z int64
+	for a := r.Lo; a <= r.Hi; a++ {
+		z += dx.counts[a]
+	}
+	var ms []*cbitmap.Bitmap
+	var err error
+	complement := z > dx.n/2
+	if complement {
+		if r.Lo > 0 {
+			ms, err = dx.queryChars(0, r.Lo-1, ms, &stats)
+		}
+		if err == nil {
+			ms, err = dx.queryChars(r.Hi+1, uint32(dx.sigmaEff-1), ms, &stats)
+		}
+	} else {
+		ms, err = dx.queryChars(r.Lo, r.Hi, ms, &stats)
+	}
+	if err != nil {
+		return nil, stats, err
+	}
+	out, err := cbitmap.UnionOver(dx.n, ms...)
+	if err != nil {
+		return nil, stats, err
+	}
+	if complement {
+		out = out.Complement()
+	}
+	return out, stats, nil
+}

@@ -194,27 +194,6 @@ func (wx *Warmup) queryCharStreams(tc *iomodel.Touch, lo, hi int64, sc *queryScr
 	return nil
 }
 
-// queryChars unions the cover of character range [lo,hi] (inclusive,
-// already validated and non-empty). It is the pre-streaming materialising
-// path, retained as QueryUnfused's decode stage.
-func (wx *Warmup) queryChars(tc *iomodel.Touch, lo, hi int64, ms []*cbitmap.Bitmap, stats *index.QueryStats) ([]*cbitmap.Bitmap, error) {
-	for _, cn := range wx.cover(lo, hi) {
-		lv := wx.levels[cn.level]
-		ext := lv.exts[cn.node]
-		rd, err := tc.Reader(ext)
-		if err != nil {
-			return ms, err
-		}
-		stats.BitsRead += ext.Bits
-		bm, err := cbitmap.Decode(rd, lv.cards[cn.node], wx.n)
-		if err != nil {
-			return ms, fmt.Errorf("core: warmup level %d node %d: %w", cn.level, cn.node, err)
-		}
-		ms = append(ms, bm)
-	}
-	return ms, nil
-}
-
 // Query implements index.Index. The cover's gap streams feed a single fused
 // decode-merge pass (complemented in the same pass on the dense path), the
 // same shape as Optimal.Query.
@@ -261,54 +240,6 @@ func (wx *Warmup) Query(r index.Range) (out *cbitmap.Bitmap, stats index.QuerySt
 	}
 	if err != nil {
 		return nil, stats, err
-	}
-	return out, stats, nil
-}
-
-// QueryUnfused answers exactly like Query but through the pre-streaming
-// decode-then-union shape, retained as the differential oracle and
-// allocation baseline; answers and I/O stats are bit-identical to Query's.
-func (wx *Warmup) QueryUnfused(r index.Range) (out *cbitmap.Bitmap, stats index.QueryStats, err error) {
-	if err = r.Valid(wx.sigma); err != nil {
-		return nil, stats, err
-	}
-	tc := wx.disk.NewTouch()
-	defer tc.Close()
-	defer func() {
-		stats.Reads, stats.Writes = tc.Reads(), tc.Writes()
-		stats.FailedReads = tc.FailedReads()
-	}()
-	aLo, err := tc.ReadBits(wx.aExt.Off+int64(r.Lo)*64, 64)
-	if err != nil {
-		return nil, stats, err
-	}
-	aHi, err := tc.ReadBits(wx.aExt.Off+int64(r.Hi+1)*64, 64)
-	if err != nil {
-		return nil, stats, err
-	}
-	z := int64(aHi) - int64(aLo)
-
-	var ms []*cbitmap.Bitmap
-	complement := z > wx.n/2 && !wx.opts.NoComplement
-	if complement {
-		if r.Lo > 0 {
-			ms, err = wx.queryChars(tc, 0, int64(r.Lo)-1, ms, &stats)
-		}
-		if err == nil && int(r.Hi) < wx.sigma-1 {
-			ms, err = wx.queryChars(tc, int64(r.Hi)+1, int64(wx.padded)-1, ms, &stats)
-		}
-	} else {
-		ms, err = wx.queryChars(tc, int64(r.Lo), int64(r.Hi), ms, &stats)
-	}
-	if err != nil {
-		return nil, stats, err
-	}
-	out, err = cbitmap.UnionOver(wx.n, ms...)
-	if err != nil {
-		return nil, stats, err
-	}
-	if complement {
-		out = out.Complement()
 	}
 	return out, stats, nil
 }

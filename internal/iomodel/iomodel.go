@@ -264,6 +264,10 @@ func (d *Disk) CachedBlocks() int {
 	return d.cache.Len()
 }
 
+// CacheBytes returns the capacity of the block cache in bytes (0 when caching
+// is disabled).
+func (d *Disk) CacheBytes() int64 { return int64(d.cfg.CacheBlocks) * int64(d.cfg.BlockBits/8) }
+
 // AllocatedBits returns the total bits ever placed on the device, including
 // blocks currently on the free list.
 func (d *Disk) AllocatedBits() int64 { return d.tailBits }
@@ -510,6 +514,7 @@ type Device interface {
 	Stats() StatsSnapshot
 	ResetStats()
 	CachedBlocks() int
+	CacheBytes() int64
 	AllocatedBits() int64
 	UsedBits() int64
 }

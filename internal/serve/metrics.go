@@ -90,7 +90,7 @@ type Stats struct {
 	Admitted uint64 // requests accepted into the queue
 	Shed     uint64 // requests rejected with ErrOverloaded (queue full)
 	Expired  uint64 // requests rejected at admission for hopeless deadlines
-	// Completion.
+	// Completion. Completed = answered by the backend + CacheHits.
 	Completed uint64 // requests answered (possibly degraded)
 	Degraded  uint64 // answered requests missing ≥1 shard (breaker or fault)
 	Failed    uint64 // requests that returned an error after admission
@@ -102,6 +102,11 @@ type Stats struct {
 	FlushWait     uint64 // flushes triggered by the oldest member's age
 	FlushDeadline uint64 // flushes triggered by a member's deadline budget
 	FlushClose    uint64 // flushes triggered by server shutdown
+	// Answer cache (all zero without Config.AnswerCacheBytes).
+	CacheHits      uint64 // requests answered from the cache, never admitted
+	CacheEvictions uint64 // entries dropped to keep CacheBytes within budget
+	CacheEntries   int    // answers held now
+	CacheBytes     int64  // their charged cost
 	// Queue.
 	QueueDepth int64 // current requests waiting to enter a batch
 	QueueMax   int64 // high-water mark of QueueDepth

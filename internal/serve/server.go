@@ -6,7 +6,9 @@
 // forming batch at once, busy ones let it grow until a size, overlap, age or
 // deadline-budget trigger seals it — and layers per-shard circuit breakers
 // over the shard layer's retry/degrade machinery so a persistently failing
-// shard stops costing every request its retry budget.
+// shard stops costing every request its retry budget. In front of admission,
+// and outside that policy, an optional byte-budgeted LRU answers the ranges
+// already answered fault-free (answers.go): the backend is immutable.
 //
 // The policy core (admission bound, flush triggers, breaker state machine) is
 // clock-parameterised and shared between two drivers: Server runs it for real
@@ -112,6 +114,12 @@ type Config struct {
 	// Breaker configures the per-shard circuit breakers. Forced Disabled
 	// when AllowPartial is false.
 	Breaker BreakerConfig
+	// AnswerCacheBytes is the byte budget of the LRU of complete answers in
+	// front of admission (0 or less: none). A hit is answered at once with
+	// Trigger "cache" and is never queued, batched or shed; only fault-free,
+	// non-degraded answers of live requests are retained. The backend must be
+	// immutable for as long as the server fronts it.
+	AnswerCacheBytes int64
 }
 
 func (c Config) withDefaults() Config {
@@ -283,6 +291,7 @@ type Server struct {
 	be  Backend
 	brk *breakers
 	met metrics
+	ans *answerCache // nil when Config.AnswerCacheBytes <= 0
 
 	mu     sync.RWMutex // guards closed against racing Submits
 	closed bool
@@ -304,6 +313,7 @@ func NewServer(be Backend, cfg Config) (*Server, error) {
 		cfg:    c,
 		be:     be,
 		brk:    newBreakers(be.Shards(), c.Breaker),
+		ans:    newAnswerCache(c.AnswerCacheBytes),
 		intake: make(chan *request, c.MaxQueue),
 		execCh: make(chan batch[*request]),
 		quit:   make(chan struct{}),
@@ -321,7 +331,10 @@ func NewServer(be Backend, cfg Config) (*Server, error) {
 // leaves less than Config.MinBudget of budget is rejected with
 // context.DeadlineExceeded rather than admitted to die in the queue. An
 // admitted request blocks until its batch completes or ctx is done; a request
-// whose ctx is done before its batch starts is dropped from the batch.
+// whose ctx is done before its batch starts is dropped from the batch. With an
+// answer cache, a range it holds is answered before admission (on an open
+// server, for a live ctx): the hit counts in Stats.Completed and the latency
+// histogram, not in Admitted.
 func (s *Server) Submit(ctx context.Context, lo, hi uint32) Response {
 	rng := index.Range{Lo: lo, Hi: hi}
 	var deadline int64
@@ -332,13 +345,22 @@ func (s *Server) Submit(ctx context.Context, lo, hi uint32) Response {
 		}
 		deadline = d.UnixNano()
 	}
-	req := &request{ctx: ctx, rng: rng, deadline: deadline, enq: time.Now(), done: make(chan Response, 1)}
+	enq := time.Now()
 
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
 		return Response{Err: ErrClosed}
 	}
+	if ctx.Err() == nil {
+		if bm, ok := s.ans.get(rng); ok {
+			s.mu.RUnlock()
+			s.met.completed.Add(1)
+			s.met.lat.observe(time.Since(enq))
+			return Response{Bm: bm, Trigger: "cache"}
+		}
+	}
+	req := &request{ctx: ctx, rng: rng, deadline: deadline, enq: enq, done: make(chan Response, 1)}
 	// Admission: reserve a queue slot or shed. The depth counter is the
 	// bound; the intake channel has exactly MaxQueue capacity and every
 	// send holds a reserved slot, so the send below can never block.
@@ -367,7 +389,11 @@ func (s *Server) Submit(ctx context.Context, lo, hi uint32) Response {
 }
 
 // Stats snapshots the serving metrics.
-func (s *Server) Stats() Stats { return s.met.snapshot(s.brk) }
+func (s *Server) Stats() Stats {
+	st := s.met.snapshot(s.brk)
+	s.ans.fill(&st)
+	return st
+}
 
 // Close stops admission (further Submits return ErrClosed), flushes and
 // executes every already-admitted request, waits for the executors to
@@ -550,6 +576,8 @@ func (s *Server) deliver(b batch[*request], start, end time.Time, bms []*cbitmap
 			s.met.completed.Add(1)
 			if len(report) > 0 {
 				s.met.degraded.Add(1)
+			} else if r.ctx.Err() == nil {
+				s.ans.put(b.ranges[i], bms[i])
 			}
 			s.met.lat.observe(end.Sub(r.enq))
 		} else {

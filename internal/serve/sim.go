@@ -71,8 +71,11 @@ type SimOutcome struct {
 	Degraded bool
 	// Latency is arrival→completion on the virtual clock (served requests).
 	Latency time.Duration
-	// Batch is the serving batch's member count (0 if never executed).
-	Batch int
+	// Batch is the serving batch's member count (0 if never executed) and
+	// Trigger what released it, named as in Response.Trigger: "cache" for an
+	// answer-cache hit, which rode in no batch.
+	Batch   int
+	Trigger string
 }
 
 // SimResult is one simulation run's full outcome.
@@ -108,11 +111,14 @@ const simNever = int64(math.MaxInt64)
 // stream. The backend executes for real — answers and charged reads are
 // exact — while time is virtual, so for a fixed arrival stream and
 // configuration every shed decision, breaker transition and latency
-// quantile is bit-deterministic and can be asserted against.
+// quantile is bit-deterministic and can be asserted against. The answer
+// cache, when Config.AnswerCacheBytes asks for one, fronts admission as in
+// Server.Submit; without it the run models the miss path alone.
 func Simulate(be Backend, arm Armable, arrivals []workload.Arrival, sc SimConfig) SimResult {
 	cfg := sc.Config.withDefaults()
 	svc := sc.Service.withDefaults()
 	brk := newBreakers(be.Shards(), cfg.Breaker)
+	ans := newAnswerCache(cfg.AnswerCacheBytes)
 	var met metrics
 
 	out := make([]SimOutcome, len(arrivals))
@@ -141,7 +147,7 @@ func Simulate(be Backend, arm Armable, arrivals []workload.Arrival, sc SimConfig
 		}
 		for j, idx := range b.reqs {
 			o := &out[idx]
-			o.Batch = len(b.reqs)
+			o.Batch, o.Trigger = len(b.reqs), b.trigger.String()
 			o.Err = w.err
 			if w.err == nil {
 				o.Bm = w.bms[j]
@@ -150,6 +156,8 @@ func Simulate(be Backend, arm Armable, arrivals []workload.Arrival, sc SimConfig
 				met.completed.Add(1)
 				if o.Degraded {
 					met.degraded.Add(1)
+				} else {
+					ans.put(b.ranges[j], o.Bm)
 				}
 				met.lat.observe(o.Latency)
 			} else {
@@ -280,6 +288,12 @@ func Simulate(be Backend, arm Armable, arrivals []workload.Arrival, sc SimConfig
 				met.expired.Add(1)
 				break
 			}
+			if bm, ok := ans.get(index.Range{Lo: arrivals[idx].Lo, Hi: arrivals[idx].Hi}); ok {
+				out[idx].Bm, out[idx].Trigger = bm, "cache" // a hit completes at its arrival instant
+				met.completed.Add(1)
+				met.lat.observe(0)
+				break
+			}
 			if met.depth.Load() >= int64(cfg.MaxQueue) {
 				out[idx].Shed = true
 				out[idx].Err = ErrOverloaded
@@ -294,5 +308,7 @@ func Simulate(be Backend, arm Armable, arrivals []workload.Arrival, sc SimConfig
 		dispatch(now)
 	}
 
-	return SimResult{Outcomes: out, Stats: met.snapshot(brk), Makespan: time.Duration(makespan)}
+	st := met.snapshot(brk)
+	ans.fill(&st)
+	return SimResult{Outcomes: out, Stats: st, Makespan: time.Duration(makespan)}
 }

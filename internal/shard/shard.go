@@ -330,6 +330,14 @@ func (sx *Index) DisarmFaults() {
 	}
 }
 
+// CacheBytes sums the block-cache capacity of every shard's disk.
+func (sx *Index) CacheBytes() (n int64) {
+	for _, sh := range sx.shards {
+		n += sh.disk.CacheBytes()
+	}
+	return n
+}
+
 // DeviceStats sums the cumulative device counters of every shard's disk.
 func (sx *Index) DeviceStats() iomodel.StatsSnapshot {
 	var out iomodel.StatsSnapshot

@@ -90,7 +90,7 @@ func TestServeSimFit(t *testing.T) {
 	requests := sweepInts("SWEEP_REQUESTS", "4000")[0]
 	for _, seed := range sweepInts("SWEEP_SEEDS", "42 123 456") {
 		o := sweepIndex(t, int64(seed), 128)
-		srv, err := o.Sharded.Serve(ServerConfig{})
+		srv, err := serveMissPath(o.Sharded, ServerConfig{}) // the model fitted is of the miss path
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/serve"
 	"repro/internal/workload"
 )
 
@@ -60,6 +61,18 @@ func sweepIndex(t *testing.T, seed int64, cacheBlocks int) *Opened {
 	}
 	t.Cleanup(func() { o.Close() })
 	return o
+}
+
+// serveMissPath starts a Server over ix with no answer cache, so a policy
+// comparison measures the policy. It goes through internal/serve, where no
+// budget means no cache, and compiles in the older trees run.sh copies this
+// file into.
+func serveMissPath(ix *ShardedIndex, cfg ServerConfig) (*Server, error) {
+	s, err := serve.NewServer(serve.ShardBackend{Ix: ix.sx}, cfg.toInternal())
+	if err != nil {
+		return nil, err
+	}
+	return &Server{s: s}, nil
 }
 
 func sweepRanges(n int, seed int64) []workload.Arrival {
@@ -160,7 +173,7 @@ func TestServeSweep(t *testing.T) {
 					name string
 					cfg  ServerConfig
 				}{{"batch", ServerConfig{}}, {"nobatch", ServerConfig{MaxBatch: 1}}} {
-					srv, err := o.Sharded.Serve(arm.cfg)
+					srv, err := serveMissPath(o.Sharded, arm.cfg)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -89,7 +89,9 @@ func (c ServerConfig) toInternal() serve.Config {
 // counters are cumulative since the server started. It reports admission
 // (Admitted, Shed, Expired), completion (Completed, Degraded, Failed),
 // batching (Batches and one Flush* count per trigger, FlushIdle included;
-// they sum to Batches), the intake queue's
+// they sum to Batches), the answer cache (CacheHits — completions that were
+// never admitted, so Completed = backend-answered + CacheHits —
+// CacheEvictions, CacheEntries, CacheBytes), the intake queue's
 // depth and high-water mark, batch-level backend I/O (Reads, SharedSaved,
 // FailedReads, RetriedReads), per-shard breaker state and transition counts,
 // and the end-to-end latency distribution of completed requests.
@@ -109,7 +111,8 @@ type ServedResult struct {
 	Report []ShardError
 	// BatchSize is the serving batch's member count; Trigger names the
 	// flush trigger that released it (idle, size, overlap, deadline, wait,
-	// close).
+	// close). An answer from the answer cache rode in no batch: Trigger is
+	// "cache" and BatchSize, Stats, Wait and Service are zero.
 	BatchSize int
 	Trigger   string
 	// Wait is time spent queued; Service the batch's execution time.
@@ -121,7 +124,11 @@ type ServedResult struct {
 }
 
 func fromResponse(r serve.Response) *ServedResult {
-	sr := &ServedResult{
+	// One allocation holds the pair: it is all a cache hit costs.
+	a := &struct {
+		sr  ServedResult
+		res Result
+	}{sr: ServedResult{
 		Stats:     r.Stats,
 		Report:    r.Report,
 		BatchSize: r.BatchSize,
@@ -129,17 +136,27 @@ func fromResponse(r serve.Response) *ServedResult {
 		Wait:      r.Wait,
 		Service:   r.Service,
 		Err:       r.Err,
-	}
+	}}
 	if r.Err == nil {
-		sr.Result = &Result{bm: r.Bm}
+		a.res.bm = r.Bm
+		a.sr.Result = &a.res
 	}
-	return sr
+	return &a.sr
 }
 
 // Server fronts an index with the overload-safe serving layer: bounded
 // admission (shed, never block), adaptive micro-batching into the
 // shared-scan planner, per-shard circuit breakers, and serving metrics. See
 // ShardedIndex.Serve and Index.Serve.
+//
+// In front of admission it keeps an LRU of complete answers (the handle is
+// immutable, so one never goes stale; degraded, failed and cancelled answers
+// are never kept). Its byte budget is what the handle's block cache holds —
+// CacheBlocks × block bytes × shards — so a server over a cached handle
+// retains up to twice the memory CacheBlocks asked for, and one over a handle
+// without a block cache has no answer cache either. On traffic that never
+// repeats a range the cache cannot hit and costs a few per cent of throughput
+// (hypotheses/answer-cache/FINDINGS.md).
 type Server struct {
 	s *serve.Server
 }
@@ -158,7 +175,9 @@ func (ix *Index) Serve(cfg ServerConfig) (*Server, error) {
 }
 
 func newServer(sx *shard.Index, cfg ServerConfig) (*Server, error) {
-	s, err := serve.NewServer(serve.ShardBackend{Ix: sx}, cfg.toInternal())
+	c := cfg.toInternal()
+	c.AnswerCacheBytes = sx.CacheBytes()
+	s, err := serve.NewServer(serve.ShardBackend{Ix: sx}, c)
 	if err != nil {
 		return nil, err
 	}

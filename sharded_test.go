@@ -5,7 +5,8 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/index"
+	"repro/internal/cbitmap"
+	"repro/internal/workload"
 )
 
 // TestShardedDifferential is the differential property test: on random
@@ -80,8 +81,8 @@ func assertSameResult(t *testing.T, got, want *Result, x []uint32, lo, hi uint32
 
 // TestShardedFusedVsUnfusedOracle pins the whole fused pipeline end to end:
 // the sharded answer (per-shard fused streaming queries, merged with row-id
-// offsetting) must be bit-identical to the pre-streaming decode-then-union
-// oracle on an unsharded index, including ranges dense enough to take the
+// offsetting) must be bit-identical to the canonical encoding of a column
+// scan (workload.BruteForce), including ranges dense enough to take the
 // complement path.
 func TestShardedFusedVsUnfusedOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
@@ -89,10 +90,7 @@ func TestShardedFusedVsUnfusedOracle(t *testing.T) {
 		n := 1500 + rng.Intn(4000)
 		sigma := []int{8, 128, 700}[trial]
 		x := randColumn(n, sigma, int64(200+trial))
-		ref, err := Build(x, sigma, Options{Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
+		col := workload.Column{X: x, Sigma: sigma}
 		for _, shards := range []int{1, 3, 5} {
 			ix, err := BuildSharded(x, sigma, ShardOptions{Options: Options{Seed: 5}, Shards: shards})
 			if err != nil {
@@ -104,10 +102,7 @@ func TestShardedFusedVsUnfusedOracle(t *testing.T) {
 				if q == 0 {
 					lo, hi = 0, uint32(sigma-1) // densest possible: complement path
 				}
-				want, _, err := ref.ax.QueryUnfused(index.Range{Lo: lo, Hi: hi})
-				if err != nil {
-					t.Fatal(err)
-				}
+				want := cbitmap.MustFromPositions(int64(n), workload.BruteForce(col, workload.RangeQuery{Lo: lo, Hi: hi}))
 				got, _, err := ix.Query(lo, hi)
 				if err != nil {
 					t.Fatalf("shards=%d [%d,%d]: %v", shards, lo, hi, err)
