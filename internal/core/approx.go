@@ -218,36 +218,8 @@ func Intersect(rs ...*Result) (*Result, error) {
 	return &Result{N: n, Exact: bm}, nil
 }
 
-// coverChunk locates one cover subtree's frontier: members [lo,hi) of
-// materialised level li, for the exact sets and every hashed level alike.
-type coverChunk struct{ li, lo, hi int }
-
-// readHashStreams reads, in one contiguous scan, the j-th hashed frontier of
-// cover chunk c and appends one decode stream per member to sc — the
-// hashed-set analogue of Optimal.readCoverStreams.
-func (ax *Approx) readHashStreams(tc *iomodel.Touch, c coverChunk, j int, sc *queryScratch, stats *index.QueryStats) error {
-	i, jj := c.lo, c.hi
-	arr := &ax.hmaps[c.li].perJ[j-1]
-	span := iomodel.Extent{
-		Off:  arr.exts[i].Off,
-		Bits: arr.exts[jj-1].End() - arr.exts[i].Off,
-	}
-	cb := sc.nextBuf()
-	if err := tc.ReaderInto(span, cb.w); err != nil {
-		return err
-	}
-	cb.r.Init(cb.w.Bytes(), cb.w.Len())
-	stats.BitsRead += span.Bits
-	univ := int64(1) << uint(1<<uint(j))
-	for k := i; k < jj; k++ {
-		var s cbitmap.Stream
-		if err := s.InitDecode(&cb.r, int(arr.exts[k].Off-span.Off), int(arr.exts[k].Bits), arr.cards[k], univ, 0); err != nil {
-			return fmt.Errorf("core: hashed level j=%d member %d: %w", j, k, err)
-		}
-		sc.streams = append(sc.streams, s)
-	}
-	return nil
-}
+// entry implements memberDir over one hashed array.
+func (arr *hashArray) entry(k int) (iomodel.Extent, int64) { return arr.exts[k], arr.cards[k] }
 
 // ApproxQuery answers I[lo;hi] with false-positive probability at most eps
 // per non-member ("The parameter ε is supplied as an argument to the query
@@ -258,7 +230,7 @@ func (ax *Approx) ApproxQuery(r index.Range, eps float64) (*Result, index.QueryS
 }
 
 // ApproxQueryContext answers like ApproxQuery, checking ctx for cancellation
-// between cover members and populating stats even on an error return
+// between cover chunks and populating stats even on an error return
 // (including the session's failed read attempts), so retry layers can
 // account every attempt.
 func (ax *Approx) ApproxQueryContext(ctx context.Context, r index.Range, eps float64) (res *Result, stats index.QueryStats, err error) {
@@ -274,15 +246,12 @@ func (ax *Approx) ApproxQueryContext(ctx context.Context, r index.Range, eps flo
 		stats.Reads, stats.Writes = tc.Reads(), tc.Writes()
 		stats.FailedReads = tc.FailedReads()
 	}()
-	aLo, err := tc.ReadBits(ax.aExt.Off+int64(r.Lo)*64, 64)
+	sc := getScratch()
+	defer sc.release()
+	qlo, qhi, err := ax.recordRange(tc, r)
 	if err != nil {
 		return nil, stats, err
 	}
-	aHi, err := tc.ReadBits(ax.aExt.Off+int64(r.Hi+1)*64, 64)
-	if err != nil {
-		return nil, stats, err
-	}
-	qlo, qhi := int64(aLo), int64(aHi)
 	z := qhi - qlo
 
 	// Choose the smallest j with 2^(2^j) > z/ε among the k levels whose
@@ -294,82 +263,64 @@ func (ax *Approx) ApproxQueryContext(ctx context.Context, r index.Range, eps flo
 			break
 		}
 	}
-	var cover []*Node
-	var chunkBuf [16]coverChunk // a cover is O(lg n) nodes: rarely more
-	chunks := chunkBuf[:0]      // parallel to cover
-	if j > 0 {
-		var chargeErr error
-		cover = ax.tree.Cover(qlo, qhi, func(v *Node) {
-			if cerr := ax.layout.charge(tc, v); cerr != nil && chargeErr == nil {
-				chargeErr = cerr
-			}
-		})
-		if chargeErr != nil {
-			return nil, stats, chargeErr
-		}
-		// The directory prices both frontiers before either is read. A hashed
-		// frontier that is not the smaller one saves nothing: it happens when
-		// the universe is within a small factor of n and the members'
-		// positions cluster (hypotheses/useless-hashed-level).
-		var exactBits, hashedBits int64
-		if chunks, exactBits, hashedBits, err = ax.frontierBits(chunks, cover, j); err != nil {
+	plan := &sc.plan
+	planned := j > 0
+	if planned {
+		// The hashed sets tile each level in the exact sets' member order, so
+		// one cover plan locates both frontiers and the directory prices them
+		// before either is read. A hashed frontier that is not the smaller one
+		// saves nothing: it happens when the universe is within a small factor
+		// of n and the members' positions cluster
+		// (hypotheses/useless-hashed-level).
+		if err = ax.coverChunks(tc, qlo, qhi, plan); err != nil {
 			return nil, stats, err
 		}
-		if hashedBits >= exactBits {
+		if exactBits, hashedBits := ax.frontierBits(plan.Chunks, j); hashedBits >= exactBits {
 			j = 0
 		}
 	}
 	if j == 0 {
 		// "If j > k we cannot save anything": answer exactly, in this session
-		// (structure blocks the cover walk charged are not charged again).
-		exact, err := ax.answerRecords(ctx, tc, qlo, qhi, &stats)
+		// (structure blocks the cover walk charged are not charged again). The
+		// chunks priced above are the exact plan unless the answer is dense
+		// enough for the complement trick, which reads the two ranges beside
+		// this one.
+		if !planned || (z > ax.tree.n/2 && !ax.opts.NoComplement) {
+			plan.reset()
+			if err = ax.planRecords(tc, qlo, qhi, plan); err != nil {
+				return nil, stats, err
+			}
+		}
+		exact, err := ax.execute(ctx, tc, sc, &stats)
 		if err != nil {
 			return nil, stats, err
 		}
 		return &Result{N: ax.tree.n, Exact: exact}, stats, nil
 	}
 
-	// Fused streaming pipeline over the hashed frontier: the cover members'
-	// gap streams merge directly into the answer set, decoding each bit read
-	// exactly once (cf. Optimal.Query).
-	sc := getScratch()
-	defer sc.release()
-	for i, v := range cover {
-		if err := ctx.Err(); err != nil {
-			return nil, stats, err
-		}
-		if err := ax.layout.charge(tc, v); err != nil {
-			return nil, stats, err
-		}
-		if err := ax.readHashStreams(tc, chunks[i], j, sc, &stats); err != nil {
-			return nil, stats, err
-		}
-	}
+	// The same plan executed against the j-th hashed sets: the members' gap
+	// streams merge directly into the answer set (cf. Optimal.Query).
 	univ := int64(1) << uint(1<<uint(j))
-	set, err := cbitmap.MergeStreams(univ, sc.streamPtrs()...)
+	hashedDir := func(level int) memberDir { return &ax.hmaps[level].perJ[j-1] }
+	if err = sc.readFrontier(ctx, tc, plan.Chunks, hashedDir, univ, &stats); err != nil {
+		return nil, stats, err
+	}
+	set, err := sc.merge(univ, false)
 	if err != nil {
 		return nil, stats, err
 	}
 	return &Result{N: ax.tree.n, J: j, H: ax.hs[j-1], Set: set}, stats, nil
 }
 
-// frontierBits locates cover's frontier, appending to chunks, and prices it
-// from the in-memory directory: the bits of the exact members and of their
-// j-th hashed sets, as the spans a query would read.
-func (ax *Approx) frontierBits(chunks []coverChunk, cover []*Node, j int) (_ []coverChunk, exact, hashed int64, err error) {
-	for _, v := range cover {
-		li := ax.levelFor(v.Depth)
-		lv := &ax.levels[li]
-		lo, hi, err := lv.chunk(v.Start, v.End)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		chunks = append(chunks, coverChunk{li, lo, hi})
-		arr := &ax.hmaps[li].perJ[j-1]
-		exact += lv.members[hi-1].ext.End() - lv.members[lo].ext.Off
-		hashed += arr.exts[hi-1].End() - arr.exts[lo].Off
+// frontierBits prices a cover plan's frontier from the in-memory directory:
+// the bits of the exact members and of their j-th hashed sets, as the spans
+// a query would read.
+func (ax *Approx) frontierBits(chunks []PlanChunk, j int) (exact, hashed int64) {
+	for _, c := range chunks {
+		exact += spanOf(&ax.levels[c.Level], c.I, c.J).Bits
+		hashed += spanOf(&ax.hmaps[c.Level].perJ[j-1], c.I, c.J).Bits
 	}
-	return chunks, exact, hashed, nil
+	return exact, hashed
 }
 
 var _ index.Index = (*Approx)(nil)

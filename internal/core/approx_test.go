@@ -421,7 +421,7 @@ func TestDroppedLevelSavesNothing(t *testing.T) {
 						if qlo >= qhi {
 							continue
 						}
-						_, e, h, err := legacy.frontierBits(nil, legacy.tree.Cover(qlo, qhi, func(*Node) {}), j)
+						e, h, err := legacy.frontierBitsOf(qlo, qhi, j)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -446,6 +446,19 @@ func TestDroppedLevelSavesNothing(t *testing.T) {
 			}
 		}
 	}
+}
+
+// frontierBitsOf prices the frontiers of the record range [qlo,qhi) the way
+// ApproxQueryContext does: plan its cover, then read the directory.
+func (ax *Approx) frontierBitsOf(qlo, qhi int64, j int) (exact, hashed int64, err error) {
+	tc := ax.disk.NewTouch()
+	defer tc.Close()
+	var plan QueryPlan
+	if err := ax.coverChunks(tc, qlo, qhi, &plan); err != nil {
+		return 0, 0, err
+	}
+	exact, hashed = ax.frontierBits(plan.Chunks, j)
+	return exact, hashed, nil
 }
 
 // logLedgerBeforeAfter prints the space ledger of an index that still stores

@@ -7,10 +7,7 @@ import (
 	"slices"
 	"sort"
 
-	"repro/internal/bitio"
 	"repro/internal/cbitmap"
-	"repro/internal/gamma"
-	"repro/internal/index"
 	"repro/internal/iomodel"
 	"repro/internal/workload"
 )
@@ -110,11 +107,6 @@ type AppendIndex struct {
 	RebuildCount int
 	// GlobalRebuildCount counts full rebuilds.
 	GlobalRebuildCount int
-
-	// unfusedRebuild routes member re-encoding through the pre-streaming
-	// oracle (writeMemberChainUnfused); set by differential tests that grow
-	// twin indexes through both write paths.
-	unfusedRebuild bool
 
 	// readonly marks an index reopened from a serialised file image: queries
 	// run from the device, but Append is rejected — the rebuild machinery
@@ -319,10 +311,6 @@ func (ax *AppendIndex) memberLevelOf(v *dynNode) int {
 // (pinned by the rebuild differential test); the head gap is p+1, exactly
 // the package's canonical head encoding relative to position -1.
 func (ax *AppendIndex) writeMemberChain(tc *iomodel.Touch, m *dynMember) {
-	if ax.unfusedRebuild {
-		ax.writeMemberChainUnfused(tc, m)
-		return
-	}
 	w := getChainWriter()
 	defer putChainWriter(w)
 	var enc cbitmap.StreamEncoder
@@ -333,39 +321,6 @@ func (ax *AppendIndex) writeMemberChain(tc *iomodel.Touch, m *dynMember) {
 	if err := m.chain.Replace(tc, w); err != nil {
 		panic(fmt.Sprintf("core: chain replace: %v", err))
 	}
-}
-
-// writeMemberChainUnfused is the pre-streaming encode path — materialise the
-// sorted position slice, then gamma-encode gap by gap — retained as the
-// differential oracle the fused writeMemberChain is pinned against.
-func (ax *AppendIndex) writeMemberChainUnfused(tc *iomodel.Touch, m *dynMember) {
-	pos := ax.positions(m.node.lo, m.node.hi)
-	w := bitio.NewWriter(len(pos) * 8)
-	for i, p := range pos {
-		if i == 0 {
-			gamma.Write(w, uint64(p+1))
-		} else {
-			gamma.Write(w, uint64(p-pos[i-1]))
-		}
-	}
-	m.card = int64(len(pos))
-	m.lastPos = -1
-	if len(pos) > 0 {
-		m.lastPos = pos[len(pos)-1]
-	}
-	if err := m.chain.Replace(tc, w); err != nil {
-		panic(fmt.Sprintf("core: chain replace: %v", err))
-	}
-}
-
-// positions returns the sorted positions of chars [lo,hi].
-func (ax *AppendIndex) positions(lo, hi uint32) []int64 {
-	var out []int64
-	for a := lo; a <= hi; a++ {
-		out = append(out, ax.byChar[a]...)
-	}
-	slices.Sort(out)
-	return out
 }
 
 // packLayout assigns skeleton nodes to structure blocks, top Θ(lg b) levels
@@ -466,30 +421,6 @@ func (ax *AppendIndex) SizeBits() int64 {
 	bits += int64(ax.nBlocks) * int64(ax.disk.BlockBits()) // layout
 	bits += int64(ax.sigma) * 64                           // counts array
 	return bits
-}
-
-// readMemberSet decodes a member's chain into a bitmap over [0,n).
-func (ax *AppendIndex) readMemberSet(tc *iomodel.Touch, m *dynMember, stats *index.QueryStats) (*cbitmap.Bitmap, error) {
-	rd, err := m.chain.ReadAll(tc)
-	if err != nil {
-		return nil, err
-	}
-	stats.BitsRead += m.chain.Bits()
-	pos := make([]int64, 0, m.card)
-	var prev int64 = -1
-	for i := int64(0); i < m.card; i++ {
-		g, err := gamma.Read(rd)
-		if err != nil {
-			return nil, fmt.Errorf("core: corrupt member chain: %w", err)
-		}
-		if i == 0 {
-			prev = int64(g) - 1
-		} else {
-			prev += int64(g)
-		}
-		pos = append(pos, prev)
-	}
-	return cbitmap.FromPositions(ax.n, pos)
 }
 
 // appendToChain appends position pos to member m's chain (tail block only).

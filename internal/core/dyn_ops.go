@@ -17,16 +17,10 @@ import (
 // O(lg n / b) I/Os.
 func (ax *AppendIndex) Append(ch uint32) (index.QueryStats, error) {
 	var stats index.QueryStats
-	if ax.readonly {
-		return stats, fmt.Errorf("core: append index reopened from a file is read-only")
-	}
-	if int(ch) >= ax.sigma {
-		return stats, fmt.Errorf("core: character %d outside alphabet [0,%d)", ch, ax.sigma)
+	if err := ax.ValidateAppend(ch); err != nil {
+		return stats, err
 	}
 	pos := ax.n
-	if pos >= 1<<47 {
-		return stats, fmt.Errorf("core: position %d outside encodable range", pos)
-	}
 	tc := ax.disk.NewTouch()
 	defer tc.Close()
 	if ax.opts.Buffered {
@@ -460,69 +454,6 @@ func (ax *AppendIndex) queryCharStreams(tc *iomodel.Touch, lo, hi uint32, sc *qu
 	return nil
 }
 
-// queryChars unions the cover of [lo,hi] into ms. It is the pre-streaming
-// materialising path, retained as QueryUnfused's decode stage.
-func (ax *AppendIndex) queryChars(tc *iomodel.Touch, lo, hi uint32, ms []*cbitmap.Bitmap, stats *index.QueryStats) ([]*cbitmap.Bitmap, error) {
-	if lo > hi {
-		return ms, nil
-	}
-	for _, u := range ax.coverChars(tc, lo, hi) {
-		ax.chargeNode(tc, u)
-		li := ax.levelForDepth(u.depth)
-		i, j, err := ax.membersWithin(li, u.lo, u.hi)
-		if err != nil {
-			return ms, err
-		}
-		var pend []int64
-		for k := i; k < j; k++ {
-			m := ax.levels[li][k]
-			bm, err := ax.readMemberSet(tc, m, stats)
-			if err != nil {
-				return ms, err
-			}
-			ms = append(ms, bm)
-			if ax.opts.Buffered && !ax.isTerminal(m) {
-				// Pending appends in the frontier member's own buffer.
-				es, err := ax.readMemberBuf(tc, m)
-				if err != nil {
-					return ms, err
-				}
-				for _, e := range es {
-					if e.pos > m.lastPos {
-						pend = append(pend, e.pos)
-					}
-				}
-			}
-		}
-		if ax.opts.Buffered {
-			// Pending appends in the buffers of u's materialised ancestors.
-			for la := 0; la < li; la++ {
-				m := ax.memberFor(la, u.lo)
-				if m == nil || ax.isTerminal(m) {
-					continue
-				}
-				es, err := ax.readMemberBuf(tc, m)
-				if err != nil {
-					return ms, err
-				}
-				for _, e := range es {
-					if e.ch >= u.lo && e.ch <= u.hi {
-						pend = append(pend, e.pos)
-					}
-				}
-			}
-		}
-		if len(pend) > 0 {
-			bm, err := cbitmap.FromUnsorted(ax.n, pend)
-			if err != nil {
-				return ms, err
-			}
-			ms = append(ms, bm)
-		}
-	}
-	return ms, nil
-}
-
 // rootBufPending collects the positions of in-memory root-buffer appends
 // whose character falls on the queried (or, for dense answers, complement)
 // side, as one bitmap over [0,n); nil when there are none.
@@ -598,67 +529,8 @@ func (ax *AppendIndex) QueryContext(ctx context.Context, r index.Range) (out *cb
 	if err = ctx.Err(); err != nil {
 		return nil, stats, err
 	}
-	if complement {
-		out, err = cbitmap.MergeStreamsComplement(ax.n, sc.streamPtrs()...)
-	} else {
-		out, err = cbitmap.MergeStreams(ax.n, sc.streamPtrs()...)
-	}
-	if err != nil {
-		return nil, stats, err
-	}
-	return out, stats, nil
-}
-
-// QueryUnfused answers exactly like Query but through the pre-streaming
-// decode-then-merge shape: every cover member chain is materialised as its
-// own bitmap and the bitmaps are then unioned (and, on the dense path,
-// complemented) in separate passes. It is retained as the differential
-// oracle and allocation baseline the fused pipeline is pinned against;
-// answers and I/O stats are bit-identical to Query's.
-func (ax *AppendIndex) QueryUnfused(r index.Range) (out *cbitmap.Bitmap, stats index.QueryStats, err error) {
-	if err = r.Valid(ax.sigma); err != nil {
-		return nil, stats, err
-	}
-	tc := ax.disk.NewTouch()
-	defer tc.Close()
-	defer func() {
-		stats.Reads, stats.Writes = tc.Reads(), tc.Writes()
-		stats.FailedReads = tc.FailedReads()
-	}()
-	z := ax.Count(r.Lo, r.Hi)
-	complement := z > ax.n/2
-	var ms []*cbitmap.Bitmap
-	if complement {
-		if r.Lo > 0 {
-			ms, err = ax.queryChars(tc, 0, r.Lo-1, ms, &stats)
-		}
-		if err == nil && int(r.Hi) < ax.sigma-1 {
-			ms, err = ax.queryChars(tc, r.Hi+1, uint32(ax.sigma-1), ms, &stats)
-		}
-	} else {
-		ms, err = ax.queryChars(tc, r.Lo, r.Hi, ms, &stats)
-	}
-	if err != nil {
-		return nil, stats, err
-	}
-	// Root-buffer (in-memory) pending appends.
-	if ax.opts.Buffered {
-		bm, err := ax.rootBufPending(r.Lo, r.Hi, complement)
-		if err != nil {
-			return nil, stats, err
-		}
-		if bm != nil {
-			ms = append(ms, bm)
-		}
-	}
-	out, err = cbitmap.UnionOver(ax.n, ms...)
-	if err != nil {
-		return nil, stats, err
-	}
-	if complement {
-		out = out.Complement()
-	}
-	return out, stats, nil
+	out, err = sc.merge(ax.n, complement)
+	return out, stats, err
 }
 
 var _ index.Appender = (*AppendIndex)(nil)

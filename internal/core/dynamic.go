@@ -225,16 +225,8 @@ func (dx *Dynamic) SizeBits() int64 {
 // index, amortised O(lg n lg lg n / b) I/Os.
 func (dx *Dynamic) Change(i int64, ch uint32) (index.QueryStats, error) {
 	var stats index.QueryStats
-	if i < 0 || i >= dx.n {
-		return stats, fmt.Errorf("core: position %d outside [0,%d)", i, dx.n)
-	}
-	if int(ch) >= dx.sigma {
-		return stats, fmt.Errorf("core: character %d outside alphabet [0,%d)", ch, dx.sigma)
-	}
-	if dx.x[i] == uint32(dx.sigmaEff-1) {
-		// Deleted rows stay deleted: resurrecting one would silently break
-		// the live-position numbering of the translator.
-		return stats, fmt.Errorf("core: position %d is deleted", i)
+	if err := dx.ValidateChange(i, ch); err != nil {
+		return stats, err
 	}
 	return dx.change(i, ch)
 }
@@ -244,8 +236,8 @@ func (dx *Dynamic) Change(i int64, ch uint32) (index.QueryStats, error) {
 // unchanged, exactly the paper's deletion semantics.
 func (dx *Dynamic) Delete(i int64) (index.QueryStats, error) {
 	var stats index.QueryStats
-	if i < 0 || i >= dx.n {
-		return stats, fmt.Errorf("core: position %d outside [0,%d)", i, dx.n)
+	if err := dx.ValidateDelete(i); err != nil {
+		return stats, err
 	}
 	if _, err := dx.trans.Delete(i); err != nil {
 		return stats, err
@@ -305,8 +297,8 @@ func (dx *Dynamic) change(i int64, ch uint32) (index.QueryStats, error) {
 // Append appends character ch at the end of the string.
 func (dx *Dynamic) Append(ch uint32) (index.QueryStats, error) {
 	var stats index.QueryStats
-	if int(ch) >= dx.sigma {
-		return stats, fmt.Errorf("core: character %d outside alphabet [0,%d)", ch, dx.sigma)
+	if err := dx.ValidateAppend(ch); err != nil {
+		return stats, err
 	}
 	pos := dx.n
 	for li := range dx.members {
@@ -448,15 +440,8 @@ func (dx *Dynamic) QueryContext(ctx context.Context, r index.Range) (out *cbitma
 	if err = ctx.Err(); err != nil {
 		return nil, stats, err
 	}
-	if complement {
-		out, err = cbitmap.MergeStreamsComplement(dx.n, sc.streamPtrs()...)
-	} else {
-		out, err = cbitmap.MergeStreams(dx.n, sc.streamPtrs()...)
-	}
-	if err != nil {
-		return nil, stats, err
-	}
-	return out, stats, nil
+	out, err = sc.merge(dx.n, complement)
+	return out, stats, err
 }
 
 var _ index.Changer = (*Dynamic)(nil)

@@ -192,4 +192,34 @@ func TestFusedQueryAllocs(t *testing.T) {
 	if fused > unfused*0.6 {
 		t.Fatalf("fused pipeline allocates %.1f/op, want <= 60%% of the unfused %.1f/op", fused, unfused)
 	}
+
+	// An approximate query that prices a hashed level and turns it down (here
+	// h_4's universe 2^16 is within a factor 1.07 of n) executes the plan it
+	// priced: the exact fallback costs Query's allocations plus the Result.
+	ax, err := BuildApprox(iomodel.NewDisk(iomodel.Config{BlockBits: 8192}), workload.Uniform(70000, 512, 7), ApproxOptions{Seed: 99})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, eps := index.Range{Lo: 0, Hi: 1}, 1.0/16
+	res, _, err := ax.ApproxQuery(r, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if z := ax.tree.Count(r.Lo, r.Hi); !res.IsExact() || float64(z)/eps >= float64(int64(1)<<(1<<uint(ax.k))) {
+		t.Fatalf("z=%d eps=%g k=%d exact=%v: not a priced-then-declined hashed level; test lost its teeth", z, eps, ax.k, res.IsExact())
+	}
+	exact := testing.AllocsPerRun(50, func() {
+		if _, _, err := ax.Query(r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	fallback := testing.AllocsPerRun(50, func() {
+		if _, _, err := ax.ApproxQuery(r, eps); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocs/op: exact %.1f, approximate exact-fallback %.1f", exact, fallback)
+	if !raceEnabled && fallback > exact+1 { // the race detector makes sync.Pool drop entries at random
+		t.Fatalf("exact fallback allocates %.1f/op, want <= Query's %.1f + 1", fallback, exact)
+	}
 }

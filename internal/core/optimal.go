@@ -166,79 +166,20 @@ func (ox *Optimal) levelFor(d int) int {
 	return i
 }
 
-// readCoverStreams reads, in one contiguous scan, the frontier of cover
-// subtree v and appends one decode stream per member to sc: no member bitmap
-// is materialised, and the downstream merge decodes each gap exactly once.
-func (ox *Optimal) readCoverStreams(tc *iomodel.Touch, v *Node, sc *queryScratch, stats *index.QueryStats) error {
-	lv := &ox.levels[ox.levelFor(v.Depth)]
-	i, j, err := lv.chunk(v.Start, v.End)
-	if err != nil {
-		return err
-	}
-	span := iomodel.Extent{
-		Off:  lv.members[i].ext.Off,
-		Bits: lv.members[j-1].ext.End() - lv.members[i].ext.Off,
-	}
-	cb := sc.nextBuf()
-	if err := tc.ReaderInto(span, cb.w); err != nil {
-		return err
-	}
-	cb.r.Init(cb.w.Bytes(), cb.w.Len())
-	stats.BitsRead += span.Bits
-	for k := i; k < j; k++ {
-		m := &lv.members[k]
-		var s cbitmap.Stream
-		if err := s.InitDecode(&cb.r, int(m.ext.Off-span.Off), int(m.ext.Bits), m.card, ox.tree.n, 0); err != nil {
-			return fmt.Errorf("core: depth %d member %d: %w", lv.depth, k, err)
-		}
-		sc.streams = append(sc.streams, s)
-	}
-	return nil
-}
-
-// queryStreams collects the streams answering a record-range query: one per
-// member of the range's canonical cover frontier. ctx is checked between
-// cover members, the cancellation granularity of a single query.
-func (ox *Optimal) queryStreams(ctx context.Context, tc *iomodel.Touch, qlo, qhi int64, sc *queryScratch, stats *index.QueryStats) error {
-	if qlo >= qhi {
-		return nil
-	}
-	var chargeErr error
-	cover := ox.tree.Cover(qlo, qhi, func(v *Node) {
-		if err := ox.layout.charge(tc, v); err != nil && chargeErr == nil {
-			chargeErr = err
-		}
-	})
-	if chargeErr != nil {
-		return chargeErr
-	}
-	for _, v := range cover {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := ox.layout.charge(tc, v); err != nil {
-			return err
-		}
-		if err := ox.readCoverStreams(tc, v, sc, stats); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Query implements index.Index. It computes z from the on-disk prefix array,
-// applies the complement trick for dense answers, decomposes the record
-// range into its canonical cover and fuses decode and merge into a single
-// streaming pass: the cover members' gap streams feed cbitmap.MergeStreams
-// (or, on the dense path, MergeStreamsComplement) directly, so no
-// intermediate per-chunk bitmap is ever materialised and every bit read is
-// decoded exactly once.
+// Query implements index.Index. A query is its plan, executed: planInto reads
+// A[lo] and A[hi+1] for z, applies the complement trick to dense answers and
+// decomposes the record range into its canonical cover (planner.go); execute
+// then reads one contiguous span per cover chunk and fuses decode and merge
+// into a single streaming pass — the members' gap streams feed
+// cbitmap.MergeStreams (or, on the dense path, MergeStreamsComplement)
+// directly, so no intermediate per-chunk bitmap is ever materialised and
+// every bit read is decoded exactly once.
 func (ox *Optimal) Query(r index.Range) (*cbitmap.Bitmap, index.QueryStats, error) {
 	return ox.QueryContext(context.Background(), r)
 }
 
 // QueryContext answers like Query, checking ctx for cancellation between
-// cover members and before the final merge. The stats are populated even on
+// cover chunks and before the final merge. The stats are populated even on
 // an error return (including the session's failed read attempts), so retry
 // layers can account every attempt they make.
 func (ox *Optimal) QueryContext(ctx context.Context, r index.Range) (out *cbitmap.Bitmap, stats index.QueryStats, err error) {
@@ -251,53 +192,34 @@ func (ox *Optimal) QueryContext(ctx context.Context, r index.Range) (out *cbitma
 		stats.Reads, stats.Writes = tc.Reads(), tc.Writes()
 		stats.FailedReads = tc.FailedReads()
 	}()
-	// Read A[lo] and A[hi+1] to compute z (O(1) I/Os).
-	aLo, err := tc.ReadBits(ox.aExt.Off+int64(r.Lo)*64, 64)
-	if err != nil {
+	sc := getScratch()
+	defer sc.release()
+	if err = ox.planInto(tc, r, &sc.plan); err != nil {
 		return nil, stats, err
 	}
-	aHi, err := tc.ReadBits(ox.aExt.Off+int64(r.Hi+1)*64, 64)
-	if err != nil {
-		return nil, stats, err
-	}
-	out, err = ox.answerRecords(ctx, tc, int64(aLo), int64(aHi), &stats)
+	out, err = ox.execute(ctx, tc, sc, &stats)
 	return out, stats, err
 }
 
-// answerRecords answers the record range [qlo,qhi) — what a query becomes
-// once A has turned its character range into records — inside the caller's
-// session: the exact query's body, and the exact fallback of an approximate
-// one.
-func (ox *Optimal) answerRecords(ctx context.Context, tc *iomodel.Touch, qlo, qhi int64, stats *index.QueryStats) (out *cbitmap.Bitmap, err error) {
-	n := ox.tree.n
-	sc := getScratch()
-	defer sc.release()
-	complement := qhi-qlo > n/2 && !ox.opts.NoComplement
-	if complement {
-		// Answer the two complementary queries and return the complement of
-		// their union (§2.1), fused into the same merge pass.
-		err = ox.queryStreams(ctx, tc, 0, qlo, sc, stats)
-		if err == nil {
-			err = ox.queryStreams(ctx, tc, qhi, n, sc, stats)
-		}
-	} else {
-		err = ox.queryStreams(ctx, tc, qlo, qhi, sc, stats)
-	}
+// entry implements memberDir over the level's exact sets.
+func (lv *matLevel) entry(k int) (iomodel.Extent, int64) {
+	return lv.members[k].ext, lv.members[k].card
+}
+
+// exactDir names the exact sets as the frontier a plan is executed against.
+func (ox *Optimal) exactDir(level int) memberDir { return &ox.levels[level] }
+
+// execute answers sc's exact plan inside the caller's session: the body of a
+// query, and of an approximate one's exact fallback.
+func (ox *Optimal) execute(ctx context.Context, tc *iomodel.Touch, sc *queryScratch, stats *index.QueryStats) (*cbitmap.Bitmap, error) {
+	err := sc.readFrontier(ctx, tc, sc.plan.Chunks, ox.exactDir, ox.tree.n, stats)
 	if err == nil {
 		err = ctx.Err() // checkpoint before the merge materialises the answer
 	}
 	if err != nil {
 		return nil, err
 	}
-	if complement {
-		out, err = cbitmap.MergeStreamsComplement(n, sc.streamPtrs()...)
-	} else {
-		out, err = cbitmap.MergeStreams(n, sc.streamPtrs()...)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return sc.merge(ox.tree.n, sc.plan.Complement)
 }
 
 var _ index.Index = (*Optimal)(nil)

@@ -578,6 +578,8 @@ func (dx *Dynamic) ValidateChange(i int64, ch uint32) error {
 		return fmt.Errorf("core: character %d outside alphabet [0,%d)", ch, dx.sigma)
 	}
 	if dx.x[i] == uint32(dx.sigmaEff-1) {
+		// Deleted rows stay deleted: resurrecting one would silently break
+		// the live-position numbering of the translator.
 		return fmt.Errorf("core: position %d is deleted", i)
 	}
 	return nil

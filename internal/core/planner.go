@@ -23,7 +23,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/bitio"
 	"repro/internal/cbitmap"
 	"repro/internal/index"
 	"repro/internal/iomodel"
@@ -68,19 +67,39 @@ func (ox *Optimal) PlanQuery(r index.Range) (plan QueryPlan, stats index.QuerySt
 	return plan, stats, nil
 }
 
+// reset empties the plan, keeping its chunk storage.
+func (p *QueryPlan) reset() {
+	p.Complement = false
+	p.Chunks = p.Chunks[:0]
+}
+
+// recordRange turns the character range r into the record range [qlo,qhi)
+// it occupies in the sorted order — z = qhi-qlo — by reading A[lo] and
+// A[hi+1] (O(1) I/Os), charged to ses.
+func (ox *Optimal) recordRange(ses ioSession, r index.Range) (qlo, qhi int64, err error) {
+	aLo, err := ses.ReadBits(ox.aExt.Off+int64(r.Lo)*64, 64)
+	if err != nil {
+		return 0, 0, err
+	}
+	aHi, err := ses.ReadBits(ox.aExt.Off+int64(r.Hi+1)*64, 64)
+	return int64(aLo), int64(aHi), err
+}
+
 // planInto computes r's plan, charging the prefix-array reads and tree
 // descent to ses (a per-query Touch, or a BatchTouch attributing them to the
 // current consumer).
 func (ox *Optimal) planInto(ses ioSession, r index.Range, plan *QueryPlan) error {
-	aLo, err := ses.ReadBits(ox.aExt.Off+int64(r.Lo)*64, 64)
+	qlo, qhi, err := ox.recordRange(ses, r)
 	if err != nil {
 		return err
 	}
-	aHi, err := ses.ReadBits(ox.aExt.Off+int64(r.Hi+1)*64, 64)
-	if err != nil {
-		return err
-	}
-	qlo, qhi := int64(aLo), int64(aHi)
+	return ox.planRecords(ses, qlo, qhi, plan)
+}
+
+// planRecords plans the record range [qlo,qhi): its cover, or for a dense
+// answer the covers of the two complementary ranges, whose union the merge
+// inverts in the same pass (§2.1).
+func (ox *Optimal) planRecords(ses ioSession, qlo, qhi int64, plan *QueryPlan) error {
 	n := ox.tree.n
 	plan.Complement = qhi-qlo > n/2 && !ox.opts.NoComplement
 	if plan.Complement {
@@ -153,15 +172,13 @@ type planRun struct {
 }
 
 // batchScratch pools the per-batch planner state: plans, per-level interval
-// and run tables, shared extent buffers, and the per-query stream slices.
+// and run tables, and — the part it shares with a single query — the extent
+// buffers and the stream slice each query's merge is fed from.
 type batchScratch struct {
+	queryScratch
 	plans   []QueryPlan
 	byLevel [][]memberRun
 	runs    [][]planRun
-	bufs    []*chunkBuf
-	used    int
-	streams []cbitmap.Stream
-	ptrs    []*cbitmap.Stream
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
@@ -176,13 +193,9 @@ func getBatchScratch() *batchScratch { return batchScratchPool.Get().(*batchScra
 const batchBufMaxBytes = 1 << 20
 
 func (bs *batchScratch) release() {
-	// Clear stream views and run tables before pooling: they reference the
-	// chunk buffers, and an idle entry should retain only the buffers it
-	// owns, not stale views of them.
-	clear(bs.streams)
-	clear(bs.ptrs)
-	bs.streams = bs.streams[:0]
-	bs.ptrs = bs.ptrs[:0]
+	// The run tables reference the chunk buffers like the stream views do: an
+	// idle entry should retain only the buffers it owns.
+	bs.reset()
 	for i := range bs.runs {
 		clear(bs.runs[i])
 		bs.runs[i] = bs.runs[i][:0]
@@ -195,7 +208,6 @@ func (bs *batchScratch) release() {
 	}
 	clear(bs.bufs[len(kept):])
 	bs.bufs = kept
-	bs.used = 0
 	batchScratchPool.Put(bs)
 }
 
@@ -206,8 +218,7 @@ func (bs *batchScratch) growPlans(k int) []QueryPlan {
 	}
 	plans := bs.plans[:k]
 	for i := range plans {
-		plans[i].Complement = false
-		plans[i].Chunks = plans[i].Chunks[:0]
+		plans[i].reset()
 	}
 	return plans
 }
@@ -228,26 +239,6 @@ func (bs *batchScratch) growLevels(k int) ([][]memberRun, [][]planRun) {
 		runs[i] = runs[i][:0]
 	}
 	return byLevel, runs
-}
-
-// nextBuf hands out a reset shared extent buffer (cf. queryScratch.nextBuf).
-func (bs *batchScratch) nextBuf() *chunkBuf {
-	if bs.used == len(bs.bufs) {
-		bs.bufs = append(bs.bufs, &chunkBuf{w: bitio.NewWriter(0)})
-	}
-	cb := bs.bufs[bs.used]
-	bs.used++
-	return cb
-}
-
-// streamPtrs returns one pointer per accumulated stream (taken only after
-// all appends, since appends may move the backing array).
-func (bs *batchScratch) streamPtrs() []*cbitmap.Stream {
-	bs.ptrs = bs.ptrs[:0]
-	for i := range bs.streams {
-		bs.ptrs = append(bs.ptrs, &bs.streams[i])
-	}
-	return bs.ptrs
 }
 
 // QueryBatch answers a batch of range queries through the shared-scan
@@ -282,17 +273,22 @@ func (ox *Optimal) QueryBatchContext(ctx context.Context, rs []index.Range) (out
 	if len(rs) == 0 {
 		return out, stats, nil
 	}
-	uniq := make(map[index.Range]int, len(rs))
-	var order []index.Range
-	for _, r := range rs {
-		if _, ok := uniq[r]; !ok {
-			uniq[r] = len(order)
-			order = append(order, r)
+	order := rs // one range — a fan-out's batch of one — is distinct as it stands
+	var uniq map[index.Range]int
+	if len(rs) > 1 {
+		uniq = make(map[index.Range]int, len(rs))
+		order = nil
+		for _, r := range rs {
+			if _, ok := uniq[r]; !ok {
+				uniq[r] = len(order)
+				order = append(order, r)
+			}
 		}
 	}
 	if len(order) == 1 {
-		// A batch with one distinct range has nothing to share; the
-		// single-query fused pipeline answers it without planner bookkeeping.
+		// A batch with one distinct range has nothing to share, and a Touch
+		// is cheaper than a BatchTouch: the single-query pipeline answers it
+		// without planner bookkeeping.
 		bm, st, err := ox.QueryContext(ctx, order[0])
 		if err != nil {
 			return nil, st, err
@@ -380,17 +376,9 @@ func (ox *Optimal) QueryBatchContext(ctx context.Context, rs []index.Range) (out
 				return nil, stats, err
 			}
 			run := &runs[li][ri]
-			run.span = iomodel.Extent{
-				Off:  lv.members[run.i].ext.Off,
-				Bits: lv.members[run.j-1].ext.End() - lv.members[run.i].ext.Off,
-			}
-			cb := bs.nextBuf()
-			if err := bt.ReadExtent(run.span, cb.w); err != nil {
+			if run.cb, run.span, err = bs.readSpan(bt.ReadExtent, lv, run.i, run.j, &stats); err != nil {
 				return nil, stats, err
 			}
-			cb.r.Init(cb.w.Bytes(), cb.w.Len())
-			run.cb = cb
-			stats.BitsRead += run.span.Bits
 			shared := false
 			acc := int32(0)
 			for k := run.i; k < run.j; k++ {
@@ -411,12 +399,12 @@ func (ox *Optimal) QueryBatchContext(ctx context.Context, rs []index.Range) (out
 					continue
 				}
 				m := &lv.members[k]
-				if err := probe.InitDecode(&cb.r, int(m.ext.Off-run.span.Off), int(m.ext.Bits), m.card, n, 0); err != nil {
-					return nil, stats, fmt.Errorf("core: depth %d member %d: %w", lv.depth, k, err)
+				if err := probe.InitDecode(&run.cb.r, int(m.ext.Off-run.span.Off), int(m.ext.Bits), m.card, n, 0); err != nil {
+					return nil, stats, fmt.Errorf("core: level %d member %d (universe %d): %w", li, k, n, err)
 				}
 				last, err := probe.Drain()
 				if err != nil {
-					return nil, stats, fmt.Errorf("core: depth %d member %d: %w", lv.depth, k, err)
+					return nil, stats, fmt.Errorf("core: level %d member %d (universe %d): %w", li, k, n, err)
 				}
 				run.lasts[k-run.i] = last
 			}
@@ -437,33 +425,16 @@ func (ox *Optimal) QueryBatchContext(ctx context.Context, rs []index.Range) (out
 			lv := &ox.levels[c.Level]
 			lruns := runs[c.Level]
 			run := &lruns[sort.Search(len(lruns), func(x int) bool { return lruns[x].i > c.I })-1]
-			bt.NoteExtent(iomodel.Extent{
-				Off:  lv.members[c.I].ext.Off,
-				Bits: lv.members[c.J-1].ext.End() - lv.members[c.I].ext.Off,
-			})
-			for k := c.I; k < c.J; k++ {
-				m := &lv.members[k]
-				off := int(m.ext.Off - run.span.Off)
-				var s cbitmap.Stream
-				var err error
-				if run.lasts != nil && run.lasts[k-run.i] != lastUnknown {
-					err = s.InitDecodeValidated(&run.cb.r, off, int(m.ext.Bits), m.card, run.lasts[k-run.i], 0)
-				} else {
-					err = s.InitDecode(&run.cb.r, off, int(m.ext.Bits), m.card, n, 0)
-				}
-				if err != nil {
-					return nil, stats, fmt.Errorf("core: depth %d member %d: %w", lv.depth, k, err)
-				}
-				bs.streams = append(bs.streams, s)
+			bt.NoteExtent(spanOf(lv, c.I, c.J))
+			lasts := run.lasts
+			if lasts != nil {
+				lasts = lasts[c.I-run.i:]
+			}
+			if err := bs.appendStreams(run.cb, run.span.Off, lv, c, n, lasts); err != nil {
+				return nil, stats, err
 			}
 		}
-		var bm *cbitmap.Bitmap
-		var err error
-		if plans[qi].Complement {
-			bm, err = cbitmap.MergeStreamsComplement(n, bs.streamPtrs()...)
-		} else {
-			bm, err = cbitmap.MergeStreams(n, bs.streamPtrs()...)
-		}
+		bm, err := bs.merge(n, plans[qi].Complement)
 		if err != nil {
 			return nil, stats, err
 		}

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"sync"
 
 	"repro/internal/bitio"
 	"repro/internal/cbitmap"
+	"repro/internal/index"
+	"repro/internal/iomodel"
 )
 
 // Pooled scratch for the fused streaming pipelines. The read path (queries)
@@ -21,11 +25,12 @@ type chunkBuf struct {
 }
 
 // queryScratch is the pooled per-query state of the fused streaming
-// pipeline: one decode stream per cover member, plus the extent buffers the
-// streams read from. A query borrows a scratch, accumulates streams while
-// walking the cover, merges, and releases — so the steady-state query path
-// allocates little beyond the answer it returns.
+// pipeline: the query's plan, one decode stream per cover member, and the
+// extent buffers the streams read from. A query borrows a scratch, plans
+// into it, reads its spans, merges, and releases — so the steady-state query
+// path allocates little beyond the answer it returns.
 type queryScratch struct {
+	plan    QueryPlan
 	streams []cbitmap.Stream
 	ptrs    []*cbitmap.Stream
 	bufs    []*chunkBuf
@@ -37,15 +42,21 @@ var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
 func getScratch() *queryScratch { return scratchPool.Get().(*queryScratch) }
 
 func (sc *queryScratch) release() {
-	// Clear the stream structs before truncating: they reference the chunk
-	// buffers, and an idle pool entry should retain only the buffers it owns
-	// (sc.bufs), not stale views of them.
+	sc.reset()
+	scratchPool.Put(sc)
+}
+
+// reset empties the scratch for its pool. The stream structs are cleared
+// before truncating: they reference the chunk buffers, and an idle pool
+// entry should retain only the buffers it owns (sc.bufs), not stale views of
+// them.
+func (sc *queryScratch) reset() {
 	clear(sc.streams)
 	clear(sc.ptrs)
 	sc.streams = sc.streams[:0]
 	sc.ptrs = sc.ptrs[:0]
 	sc.used = 0
-	scratchPool.Put(sc)
+	sc.plan.reset()
 }
 
 // nextBuf hands out a reset chunk buffer, growing the pool of buffers the
@@ -57,6 +68,82 @@ func (sc *queryScratch) nextBuf() *chunkBuf {
 	cb := sc.bufs[sc.used]
 	sc.used++
 	return cb
+}
+
+// memberDir is one level's member directory as the extent reader sees it:
+// the exact sets of a materialised level or one of its hashed arrays, which
+// tile the device in the same member order.
+type memberDir interface {
+	// entry returns member k's extent and cardinality.
+	entry(k int) (iomodel.Extent, int64)
+}
+
+// spanOf returns the one extent holding members [i,j) of dir, which are
+// contiguous on the device: first member's offset to last member's end.
+func spanOf(dir memberDir, i, j int) iomodel.Extent {
+	first, _ := dir.entry(i)
+	last, _ := dir.entry(j - 1)
+	return iomodel.Extent{Off: first.Off, Bits: last.End() - first.Off}
+}
+
+// readSpan is the extent reader under every static query: it reads the span
+// of members [i,j) of dir — through read, a Touch's ReaderInto or a batch
+// session's ReadExtent — into a pooled buffer, which it returns with the
+// span it holds.
+func (sc *queryScratch) readSpan(read func(iomodel.Extent, *bitio.Writer) error, dir memberDir, i, j int, stats *index.QueryStats) (*chunkBuf, iomodel.Extent, error) {
+	span := spanOf(dir, i, j)
+	cb := sc.nextBuf()
+	if err := read(span, cb.w); err != nil {
+		return nil, span, err
+	}
+	cb.r.Init(cb.w.Bytes(), cb.w.Len())
+	stats.BitsRead += span.Bits
+	return cb, span, nil
+}
+
+// appendStreams appends one decode stream per member of chunk c in dir, each
+// a view of its own bit range of cb, which holds the device's bits from
+// offset base on: no member bitmap is materialised, and the downstream merge
+// decodes each gap exactly once. A stream validates its positions against
+// [0,univ) while it is merged, unless a shared scan already did and recorded
+// the member's largest position in lasts (indexed from c.I; nil: none did).
+func (sc *queryScratch) appendStreams(cb *chunkBuf, base int64, dir memberDir, c PlanChunk, univ int64, lasts []int64) error {
+	for k := c.I; k < c.J; k++ {
+		ext, card := dir.entry(k)
+		var s cbitmap.Stream
+		var err error
+		if lasts != nil && lasts[k-c.I] != lastUnknown {
+			err = s.InitDecodeValidated(&cb.r, int(ext.Off-base), int(ext.Bits), card, lasts[k-c.I], 0)
+		} else {
+			err = s.InitDecode(&cb.r, int(ext.Off-base), int(ext.Bits), card, univ, 0)
+		}
+		if err != nil {
+			return fmt.Errorf("core: level %d member %d (universe %d): %w", c.Level, k, univ, err)
+		}
+		sc.streams = append(sc.streams, s)
+	}
+	return nil
+}
+
+// readFrontier executes the read half of a plan against one copy of the
+// members — dirOf(level) names the exact sets or the j-th hashed ones: one
+// span read per chunk, one stream per member. ctx is checked between chunks,
+// the cancellation granularity of a single query.
+func (sc *queryScratch) readFrontier(ctx context.Context, tc *iomodel.Touch, chunks []PlanChunk, dirOf func(level int) memberDir, univ int64, stats *index.QueryStats) error {
+	for _, c := range chunks {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		dir := dirOf(c.Level)
+		cb, span, err := sc.readSpan(tc.ReaderInto, dir, c.I, c.J, stats)
+		if err != nil {
+			return err
+		}
+		if err := sc.appendStreams(cb, span.Off, dir, c, univ, nil); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // addBitmapStream appends a stream over an in-memory bitmap (pending-append
@@ -78,13 +165,23 @@ func (sc *queryScratch) addBitmapStream(bm *cbitmap.Bitmap, n int64) {
 }
 
 // streamPtrs returns one pointer per accumulated stream; it is taken only
-// after the cover walk finishes, since appends may move the backing array.
+// after every stream is appended, since appends may move the backing array.
 func (sc *queryScratch) streamPtrs() []*cbitmap.Stream {
 	sc.ptrs = sc.ptrs[:0]
 	for i := range sc.streams {
 		sc.ptrs = append(sc.ptrs, &sc.streams[i])
 	}
 	return sc.ptrs
+}
+
+// merge runs the fused decode-merge pass over the accumulated streams; with
+// complement they cover the rows outside the answer and the same pass
+// inverts their union (§2.1).
+func (sc *queryScratch) merge(n int64, complement bool) (*cbitmap.Bitmap, error) {
+	if complement {
+		return cbitmap.MergeStreamsComplement(n, sc.streamPtrs()...)
+	}
+	return cbitmap.MergeStreams(n, sc.streamPtrs()...)
 }
 
 // chainWriterPool recycles the bitio.Writers the dynamic write path encodes

@@ -202,18 +202,12 @@ func (t *Tree) build(parent *Node, depth int, start, end int64, h int) *Node {
 	return v
 }
 
-// Cover computes the canonical cover of the record range [qlo,qhi): the
-// O(lg n) maximal subtrees whose record ranges lie inside it (at most a
-// constant number per level for constant c). visited receives every node
-// inspected on the way down, so the caller can charge the I/Os of the tree
-// traversal (§2.2's O(lg_b n) search term).
-func (t *Tree) Cover(qlo, qhi int64, visited func(*Node)) []*Node {
-	return t.CoverAppend(nil, qlo, qhi, visited)
-}
-
-// CoverAppend is Cover appending to dst, so callers that compute many covers
-// (the batch planner plans every query of a batch) can reuse one buffer
-// instead of growing a fresh slice per cover.
+// CoverAppend appends to dst the canonical cover of the record range
+// [qlo,qhi): the O(lg n) maximal subtrees whose record ranges lie inside it
+// (at most a constant number per level for constant c). visited receives
+// every node inspected on the way down, so the caller can charge the I/Os of
+// the tree traversal (§2.2's O(lg_b n) search term). Appending lets the
+// planner reuse one pooled buffer for every cover it computes.
 func (t *Tree) CoverAppend(dst []*Node, qlo, qhi int64, visited func(*Node)) []*Node {
 	var rec func(v *Node)
 	rec = func(v *Node) {

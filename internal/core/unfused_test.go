@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/cbitmap"
+	"repro/internal/gamma"
 	"repro/internal/index"
 	"repro/internal/iomodel"
 )
@@ -12,6 +13,12 @@ import (
 // dynamic indexes, kept out of the production build as the differential
 // oracles of fused_test.go and writepath_test.go: answers and charged reads
 // must equal Query's.
+
+// Cover is CoverAppend into a fresh slice, as the oracles and the tree tests
+// take it.
+func (t *Tree) Cover(qlo, qhi int64, visited func(*Node)) []*Node {
+	return t.CoverAppend(nil, qlo, qhi, visited)
+}
 
 // readCoverChunk reads, in one contiguous scan, the frontier bitmaps of the
 // cover subtree v and appends them to ms. It is the pre-streaming
@@ -247,6 +254,145 @@ func (dx *Dynamic) QueryUnfused(r index.Range) (*cbitmap.Bitmap, index.QueryStat
 		return nil, stats, err
 	}
 	out, err := cbitmap.UnionOver(dx.n, ms...)
+	if err != nil {
+		return nil, stats, err
+	}
+	if complement {
+		out = out.Complement()
+	}
+	return out, stats, nil
+}
+
+// readMemberSet decodes a member's chain into a bitmap over [0,n).
+func (ax *AppendIndex) readMemberSet(tc *iomodel.Touch, m *dynMember, stats *index.QueryStats) (*cbitmap.Bitmap, error) {
+	rd, err := m.chain.ReadAll(tc)
+	if err != nil {
+		return nil, err
+	}
+	stats.BitsRead += m.chain.Bits()
+	pos := make([]int64, 0, m.card)
+	var prev int64 = -1
+	for i := int64(0); i < m.card; i++ {
+		g, err := gamma.Read(rd)
+		if err != nil {
+			return nil, fmt.Errorf("core: corrupt member chain: %w", err)
+		}
+		if i == 0 {
+			prev = int64(g) - 1
+		} else {
+			prev += int64(g)
+		}
+		pos = append(pos, prev)
+	}
+	return cbitmap.FromPositions(ax.n, pos)
+}
+
+// queryChars unions the cover of [lo,hi] into ms. It is the pre-streaming
+// materialising path, retained as QueryUnfused's decode stage.
+func (ax *AppendIndex) queryChars(tc *iomodel.Touch, lo, hi uint32, ms []*cbitmap.Bitmap, stats *index.QueryStats) ([]*cbitmap.Bitmap, error) {
+	if lo > hi {
+		return ms, nil
+	}
+	for _, u := range ax.coverChars(tc, lo, hi) {
+		ax.chargeNode(tc, u)
+		li := ax.levelForDepth(u.depth)
+		i, j, err := ax.membersWithin(li, u.lo, u.hi)
+		if err != nil {
+			return ms, err
+		}
+		var pend []int64
+		for k := i; k < j; k++ {
+			m := ax.levels[li][k]
+			bm, err := ax.readMemberSet(tc, m, stats)
+			if err != nil {
+				return ms, err
+			}
+			ms = append(ms, bm)
+			if ax.opts.Buffered && !ax.isTerminal(m) {
+				// Pending appends in the frontier member's own buffer.
+				es, err := ax.readMemberBuf(tc, m)
+				if err != nil {
+					return ms, err
+				}
+				for _, e := range es {
+					if e.pos > m.lastPos {
+						pend = append(pend, e.pos)
+					}
+				}
+			}
+		}
+		if ax.opts.Buffered {
+			// Pending appends in the buffers of u's materialised ancestors.
+			for la := 0; la < li; la++ {
+				m := ax.memberFor(la, u.lo)
+				if m == nil || ax.isTerminal(m) {
+					continue
+				}
+				es, err := ax.readMemberBuf(tc, m)
+				if err != nil {
+					return ms, err
+				}
+				for _, e := range es {
+					if e.ch >= u.lo && e.ch <= u.hi {
+						pend = append(pend, e.pos)
+					}
+				}
+			}
+		}
+		if len(pend) > 0 {
+			bm, err := cbitmap.FromUnsorted(ax.n, pend)
+			if err != nil {
+				return ms, err
+			}
+			ms = append(ms, bm)
+		}
+	}
+	return ms, nil
+}
+
+// QueryUnfused answers exactly like Query but through the pre-streaming
+// decode-then-merge shape: every cover member chain is materialised as its
+// own bitmap and the bitmaps are then unioned (and, on the dense path,
+// complemented) in separate passes. It is retained as the differential
+// oracle and allocation baseline the fused pipeline is pinned against;
+// answers and I/O stats are bit-identical to Query's.
+func (ax *AppendIndex) QueryUnfused(r index.Range) (out *cbitmap.Bitmap, stats index.QueryStats, err error) {
+	if err = r.Valid(ax.sigma); err != nil {
+		return nil, stats, err
+	}
+	tc := ax.disk.NewTouch()
+	defer tc.Close()
+	defer func() {
+		stats.Reads, stats.Writes = tc.Reads(), tc.Writes()
+		stats.FailedReads = tc.FailedReads()
+	}()
+	z := ax.Count(r.Lo, r.Hi)
+	complement := z > ax.n/2
+	var ms []*cbitmap.Bitmap
+	if complement {
+		if r.Lo > 0 {
+			ms, err = ax.queryChars(tc, 0, r.Lo-1, ms, &stats)
+		}
+		if err == nil && int(r.Hi) < ax.sigma-1 {
+			ms, err = ax.queryChars(tc, r.Hi+1, uint32(ax.sigma-1), ms, &stats)
+		}
+	} else {
+		ms, err = ax.queryChars(tc, r.Lo, r.Hi, ms, &stats)
+	}
+	if err != nil {
+		return nil, stats, err
+	}
+	// Root-buffer (in-memory) pending appends.
+	if ax.opts.Buffered {
+		bm, err := ax.rootBufPending(r.Lo, r.Hi, complement)
+		if err != nil {
+			return nil, stats, err
+		}
+		if bm != nil {
+			ms = append(ms, bm)
+		}
+	}
+	out, err = cbitmap.UnionOver(ax.n, ms...)
 	if err != nil {
 		return nil, stats, err
 	}

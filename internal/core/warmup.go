@@ -233,15 +233,8 @@ func (wx *Warmup) Query(r index.Range) (out *cbitmap.Bitmap, stats index.QuerySt
 	if err != nil {
 		return nil, stats, err
 	}
-	if complement {
-		out, err = cbitmap.MergeStreamsComplement(wx.n, sc.streamPtrs()...)
-	} else {
-		out, err = cbitmap.MergeStreams(wx.n, sc.streamPtrs()...)
-	}
-	if err != nil {
-		return nil, stats, err
-	}
-	return out, stats, nil
+	out, err = sc.merge(wx.n, complement)
+	return out, stats, err
 }
 
 var _ index.Index = (*Warmup)(nil)

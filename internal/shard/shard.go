@@ -405,26 +405,36 @@ func retryTransient(ctx context.Context, pol RetryPolicy, token uint64, stats *i
 	}
 }
 
+// shardOutcome is what one shard contributes to a fan-out: its local answers
+// (one per distinct range; nil when the shard failed, was skipped or never
+// ran), the stats of every attempt, the attempt count and the final error.
+type shardOutcome struct {
+	answers  []*cbitmap.Bitmap
+	stats    index.QueryStats
+	attempts int
+	err      error
+}
+
 // collectReport folds the per-shard outcomes of a fan-out into either a
 // degraded-mode report or a fatal error. All-healthy returns (nil, nil).
 // Without AllowPartial the first error in shard order is fatal. With it,
 // device failures become ShardError entries — but cancellation stays fatal,
 // and so does every shard failing (there is no answer left to degrade to).
-func (sx *Index) collectReport(errs []error, attempts []int, eo ExecOptions) ([]ShardError, error) {
+func (sx *Index) collectReport(outs []shardOutcome, eo ExecOptions) ([]ShardError, error) {
 	var report []ShardError
-	for i, err := range errs {
-		if err == nil {
+	for i, o := range outs {
+		if o.err == nil {
 			continue
 		}
-		if !eo.AllowPartial || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, err
+		if !eo.AllowPartial || errors.Is(o.err, context.Canceled) || errors.Is(o.err, context.DeadlineExceeded) {
+			return nil, o.err
 		}
 		report = append(report, ShardError{
 			Shard:    i,
 			RowStart: sx.shards[i].start,
 			RowEnd:   sx.shards[i].end,
-			Attempts: attempts[i],
-			Err:      err,
+			Attempts: o.attempts,
+			Err:      o.err,
 		})
 	}
 	if len(report) == len(sx.shards) && len(report) > 0 {
@@ -436,9 +446,7 @@ func (sx *Index) collectReport(errs []error, attempts []int, eo ExecOptions) ([]
 // Query answers I[lo;hi] by fanning the range out to every shard and merging
 // the compressed per-shard answers, rebased by each shard's row offset. The
 // returned stats sum the per-shard I/O costs (total block transfers; on S
-// independent devices the critical path is roughly 1/S of it). A single
-// range has nothing to share, so it runs the per-shard fused pipeline
-// directly rather than the batch planner.
+// independent devices the critical path is roughly 1/S of it).
 func (sx *Index) Query(r index.Range) (*cbitmap.Bitmap, index.QueryStats, error) {
 	return sx.QueryContext(context.Background(), r)
 }
@@ -450,89 +458,31 @@ func (sx *Index) QueryContext(ctx context.Context, r index.Range) (*cbitmap.Bitm
 	return bm, stats, err
 }
 
-// QueryExec is the fault-tolerant query entry point: per-shard bounded
-// retries for transient device faults per eo.Retry, and (with
-// eo.AllowPartial) a degraded answer merging only the healthy shards. The
-// report is non-nil exactly when the answer is partial; its entries name the
-// global row ranges whose bits are missing from the answer.
+// QueryExec is the fault-tolerant query entry point — a batch of one through
+// the same fan-out as QueryBatchExec: per-shard bounded retries for transient
+// device faults per eo.Retry, and (with eo.AllowPartial) a degraded answer
+// merging only the healthy shards. The report is non-nil exactly when the
+// answer is partial; its entries name the global row ranges whose bits are
+// missing from the answer.
 func (sx *Index) QueryExec(ctx context.Context, r index.Range, eo ExecOptions) (*cbitmap.Bitmap, index.QueryStats, []ShardError, error) {
-	var stats index.QueryStats
 	if err := r.Valid(sx.sigma); err != nil {
-		return nil, stats, nil, err
+		return nil, index.QueryStats{}, nil, err
 	}
 	if err := eo.validateSkips(len(sx.shards)); err != nil {
-		return nil, stats, nil, err
+		return nil, index.QueryStats{}, nil, err
 	}
-	if len(sx.shards) == 1 {
-		// Single shard: the worker fan-out and per-shard bookkeeping buy no
-		// parallelism, so run the retry loop inline on the caller's
-		// goroutine. validateSkips already rejected skipping the only shard,
-		// and the shard's local answer is the global one (row offset 0).
-		if err := ctx.Err(); err != nil {
-			return nil, stats, nil, err
-		}
-		var bm *cbitmap.Bitmap
-		attempts, err := retryTransient(ctx, eo.Retry, 0, &stats, func() (index.QueryStats, error) {
-			b, st, qerr := sx.shards[0].ax.QueryContext(ctx, r)
-			if qerr == nil {
-				bm = b
-			}
-			return st, qerr
-		})
-		if err != nil {
-			if !eo.AllowPartial || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return nil, stats, nil, err
-			}
-			return nil, stats, nil, fmt.Errorf("shard: every shard failed: %w", ShardError{
-				Shard: 0, RowStart: sx.shards[0].start, RowEnd: sx.shards[0].end,
-				Attempts: attempts, Err: err,
-			})
-		}
-		return bm, stats, nil, nil
-	}
-	parts := make([]cbitmap.Shifted, len(sx.shards))
-	sts := make([]index.QueryStats, len(sx.shards))
-	attempts := make([]int, len(sx.shards))
-	errs := make([]error, len(sx.shards))
-	sx.runTasks(ctx, len(sx.shards), !eo.AllowPartial, func(i int) error {
-		if eo.skip(i) {
-			return ErrShardSkipped
-		}
-		a, err := retryTransient(ctx, eo.Retry, uint64(i), &sts[i], func() (index.QueryStats, error) {
-			bm, st, err := sx.shards[i].ax.QueryContext(ctx, r)
-			if err != nil {
-				return st, err
-			}
-			parts[i] = cbitmap.Shifted{Bm: bm, Off: sx.shards[i].start}
-			return st, nil
-		})
-		attempts[i] = a
-		return err
-	}, errs)
-	for _, st := range sts {
-		stats.Add(st)
-	}
-	report, err := sx.collectReport(errs, attempts, eo)
+	out, stats, report, err := sx.fanOut(ctx, []index.Range{r}, eo)
 	if err != nil {
 		return nil, stats, nil, err
 	}
-	healthy := parts[:0:0]
-	for _, p := range parts {
-		if p.Bm != nil {
-			healthy = append(healthy, p)
-		}
-	}
-	out, err := cbitmap.UnionAll(sx.n, healthy...)
-	if err != nil {
-		return nil, stats, nil, err
-	}
-	return out, stats, report, nil
+	return out[0], stats, report, nil
 }
 
-// shardBatchQuery is the per-shard batch entry point: the shard runs the
-// whole deduplicated batch through core's shared-scan planner, so ranges
-// that overlap coalesce their cover-chunk reads inside every shard. It is a
-// variable so tests can inject failing shards.
+// shardBatchQuery is the per-shard entry point of every fan-out: the shard
+// runs the distinct ranges through core's batch entry, which answers one
+// range with the single-query pipeline and several through the shared-scan
+// planner, so ranges that overlap coalesce their cover-chunk reads inside
+// every shard. It is a variable so tests can inject failing shards.
 var shardBatchQuery = func(ctx context.Context, sh *shard, rs []index.Range) ([]*cbitmap.Bitmap, index.QueryStats, error) {
 	return sh.ax.QueryBatchContext(ctx, rs)
 }
@@ -547,8 +497,8 @@ var shardBatchQuery = func(ctx context.Context, sh *shard, rs []index.Range) ([]
 // charged once, with the reads avoided by sharing in Stats.SharedSaved).
 //
 // A failing shard short-circuits the batch: tasks not yet started are
-// drained without running once any task records an error, and the first
-// error in shard order is returned.
+// not run once any task records an error, and the first error in shard order
+// is returned.
 func (sx *Index) QueryBatch(rs []index.Range) ([]*cbitmap.Bitmap, index.QueryStats, error) {
 	return sx.QueryBatchContext(context.Background(), rs)
 }
@@ -561,21 +511,19 @@ func (sx *Index) QueryBatchContext(ctx context.Context, rs []index.Range) ([]*cb
 	return out, stats, err
 }
 
-// QueryBatchExec is the fault-tolerant batch entry point, the batch analogue
-// of QueryExec: per-shard bounded retries for transient faults, and (with
-// eo.AllowPartial) degraded answers merging only the healthy shards. With a
-// non-nil report, every returned bitmap is missing the reported shards'
-// rows.
+// QueryBatchExec is the fault-tolerant batch entry point: what it adds to
+// QueryExec's fan-out is deduplication before it and the scatter of the
+// distinct answers back onto rs after it. With a non-nil report, every
+// returned bitmap is missing the reported shards' rows.
 func (sx *Index) QueryBatchExec(ctx context.Context, rs []index.Range, eo ExecOptions) ([]*cbitmap.Bitmap, index.QueryStats, []ShardError, error) {
-	var stats index.QueryStats
 	if err := eo.validateSkips(len(sx.shards)); err != nil {
-		return nil, stats, nil, err
+		return nil, index.QueryStats{}, nil, err
 	}
 	uniq := make(map[index.Range]int, len(rs))
 	var order []index.Range
 	for _, r := range rs {
 		if err := r.Valid(sx.sigma); err != nil {
-			return nil, stats, nil, err
+			return nil, index.QueryStats{}, nil, err
 		}
 		if _, ok := uniq[r]; !ok {
 			uniq[r] = len(order)
@@ -584,81 +532,11 @@ func (sx *Index) QueryBatchExec(ctx context.Context, rs []index.Range, eo ExecOp
 	}
 	out := make([]*cbitmap.Bitmap, len(rs))
 	if len(order) == 0 {
-		return out, stats, nil, nil
+		return out, index.QueryStats{}, nil, nil
 	}
-	if len(order) == 1 {
-		// One distinct range: the direct single-query fan-out, no planner.
-		bm, st, report, err := sx.QueryExec(ctx, order[0], eo)
-		if err != nil {
-			return nil, st, nil, err
-		}
-		for i := range out {
-			out[i] = bm
-		}
-		return out, st, report, nil
-	}
-
-	// Phase 1 — per-shard shared scans, one task per shard through the pool,
-	// each wrapped in the retry policy.
-	perShard := make([][]*cbitmap.Bitmap, len(sx.shards))
-	shardStats := make([]index.QueryStats, len(sx.shards))
-	attempts := make([]int, len(sx.shards))
-	errs := make([]error, len(sx.shards))
-	sx.runTasks(ctx, len(sx.shards), !eo.AllowPartial, func(i int) error {
-		if eo.skip(i) {
-			return ErrShardSkipped
-		}
-		a, err := retryTransient(ctx, eo.Retry, uint64(i), &shardStats[i], func() (index.QueryStats, error) {
-			bms, st, err := shardBatchQuery(ctx, sx.shards[i], order)
-			if err != nil {
-				return st, err
-			}
-			perShard[i] = bms
-			return st, nil
-		})
-		attempts[i] = a
-		return err
-	}, errs)
-	for _, st := range shardStats {
-		stats.Add(st)
-	}
-	report, err := sx.collectReport(errs, attempts, eo)
+	merged, stats, report, err := sx.fanOut(ctx, order, eo)
 	if err != nil {
 		return nil, stats, nil, err
-	}
-
-	// Phase 2 — per-range cross-shard merges through the same pool. UnionAll
-	// feeds the shard answers through the streaming k-way merge with head-gap
-	// offsetting; shard answers are disjoint and ordered, so the merge
-	// degenerates to verbatim concatenation. Failed shards (degraded mode)
-	// simply contribute no parts.
-	merged := make([]*cbitmap.Bitmap, len(order))
-	if len(sx.shards) == 1 && report == nil {
-		// One shard covers every row: its local answers are already global
-		// (row offset 0), so the merge pass would only re-copy them.
-		copy(merged, perShard[0])
-		for i, r := range rs {
-			out[i] = merged[uniq[r]]
-		}
-		return out, stats, nil, nil
-	}
-	mergeErrs := make([]error, len(order))
-	sx.runTasks(ctx, len(order), true, func(qi int) error {
-		parts := make([]cbitmap.Shifted, 0, len(sx.shards))
-		for hi, sh := range sx.shards {
-			if perShard[hi] == nil {
-				continue // failed shard in degraded mode
-			}
-			parts = append(parts, cbitmap.Shifted{Bm: perShard[hi][qi], Off: sh.start})
-		}
-		var err error
-		merged[qi], err = cbitmap.UnionAll(sx.n, parts...)
-		return err
-	}, mergeErrs)
-	for _, err := range mergeErrs {
-		if err != nil {
-			return nil, stats, nil, err
-		}
 	}
 	for i, r := range rs {
 		out[i] = merged[uniq[r]]
@@ -666,51 +544,105 @@ func (sx *Index) QueryBatchExec(ctx context.Context, rs []index.Range, eo ExecOp
 	return out, stats, report, nil
 }
 
+// fanOut answers the distinct, validated ranges of order: one task per shard
+// through the pool, each running the whole list on its shard under the retry
+// policy, then one cross-shard merge per range. The i-th answer corresponds
+// to order[i]; the stats sum every shard's every attempt.
+func (sx *Index) fanOut(ctx context.Context, order []index.Range, eo ExecOptions) ([]*cbitmap.Bitmap, index.QueryStats, []ShardError, error) {
+	var stats index.QueryStats
+	outs := make([]shardOutcome, len(sx.shards))
+	sx.runTasks(len(outs), !eo.AllowPartial, func(i int) error {
+		o := &outs[i]
+		if o.err = ctx.Err(); o.err != nil {
+			return o.err
+		}
+		if eo.skip(i) {
+			o.err = ErrShardSkipped
+			return o.err
+		}
+		o.attempts, o.err = retryTransient(ctx, eo.Retry, uint64(i), &o.stats, func() (index.QueryStats, error) {
+			bms, st, err := shardBatchQuery(ctx, sx.shards[i], order)
+			if err == nil {
+				o.answers = bms
+			}
+			return st, err
+		})
+		return o.err
+	})
+	for i := range outs {
+		stats.Add(outs[i].stats)
+	}
+	report, err := sx.collectReport(outs, eo)
+	if err != nil {
+		return nil, stats, nil, err
+	}
+	if len(sx.shards) == 1 {
+		// One shard covers every row from offset 0 and, having passed
+		// collectReport, answered: its local answers are the global ones.
+		return outs[0].answers, stats, nil, nil
+	}
+	// UnionAll feeds the shard answers through the streaming k-way merge with
+	// head-gap offsetting; shard answers are disjoint and ordered, so the
+	// merge degenerates to verbatim concatenation. Failed shards (degraded
+	// mode) simply contribute no parts.
+	merged := make([]*cbitmap.Bitmap, len(order))
+	mergeErrs := make([]error, len(order))
+	sx.runTasks(len(order), true, func(qi int) error {
+		if mergeErrs[qi] = ctx.Err(); mergeErrs[qi] != nil {
+			return mergeErrs[qi]
+		}
+		parts := make([]cbitmap.Shifted, 0, len(sx.shards))
+		for si, sh := range sx.shards {
+			if outs[si].answers != nil {
+				parts = append(parts, cbitmap.Shifted{Bm: outs[si].answers[qi], Off: sh.start})
+			}
+		}
+		merged[qi], mergeErrs[qi] = cbitmap.UnionAll(sx.n, parts...)
+		return mergeErrs[qi]
+	})
+	for _, err := range mergeErrs {
+		if err != nil {
+			return nil, stats, nil, err
+		}
+	}
+	return merged, stats, report, nil
+}
+
 // runTasks executes run(0..n-1) through min(workers, n) pool goroutines
-// pulling task indices from a shared counter, recording per-task errors in
-// errs. With shortCircuit, tasks that have not started by the time any task
-// fails are drained without running — the batch is doomed, so the remaining
-// work would be wasted I/O and the error should surface promptly. Degraded
-// (AllowPartial) fan-outs disable the short-circuit: every shard must get
-// its chance to answer. A done ctx always stops scheduling; unstarted tasks
-// record the ctx error. A pool of one runs on the caller's goroutine: there
-// is no parallelism to buy, and a one-part index pays this on every batch.
-func (sx *Index) runTasks(ctx context.Context, n int, shortCircuit bool, run func(int) error, errs []error) {
-	workers := sx.workers
-	if workers > n {
-		workers = n
+// pulling task indices from a shared counter. A task reports its failure by
+// returning it (and records it wherever its caller will look). With
+// shortCircuit, tasks that have not started by the time any task fails are
+// not run — the batch is doomed, so the remaining work would be wasted I/O
+// and the error should surface promptly. Degraded (AllowPartial) fan-outs
+// disable the short-circuit: every shard must get its chance to answer. A
+// pool of one is a plain loop on the caller's goroutine: there is no
+// parallelism to buy, and a one-part index pays this on every query.
+func (sx *Index) runTasks(n int, shortCircuit bool, run func(int) error) {
+	workers := min(sx.workers, n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			if run(i) != nil && shortCircuit {
+				return
+			}
+		}
+		return
 	}
 	var failed atomic.Bool
 	var next atomic.Int64
-	work := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				continue
-			}
-			if shortCircuit && failed.Load() {
-				continue // short-circuit: a sibling task already failed
-			}
-			if err := run(i); err != nil {
-				errs[i] = err
-				failed.Store(true)
-			}
-		}
-	}
-	if workers <= 1 {
-		work()
-		return
-	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			work()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n || (shortCircuit && failed.Load()) {
+					return
+				}
+				if run(i) != nil {
+					failed.Store(true)
+				}
+			}
 		}()
 	}
 	wg.Wait()

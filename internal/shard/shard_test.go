@@ -114,6 +114,19 @@ func TestOneTaskBatchRunsInline(t *testing.T) {
 	if _, _, err := sx.QueryBatchContext(ctx, rs); !errors.Is(err, context.Canceled) || inTask != 0 {
 		t.Fatalf("cancelled batch: err = %v, task ran = %v; want context.Canceled and no task", err, inTask != 0)
 	}
+	// One range is a batch of one through the same fan-out: Query reaches
+	// the per-shard hook on the caller's goroutine too.
+	before = runtime.NumGoroutine()
+	if _, _, err := sx.Query(rs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if inTask == 0 || inTask > before {
+		t.Fatalf("%d goroutines while Query's shard task ran (0: the hook was bypassed), %d before: the task did not run inline", inTask, before)
+	}
+	inTask = 0
+	if _, _, err := sx.QueryContext(ctx, rs[0]); !errors.Is(err, context.Canceled) || inTask != 0 {
+		t.Fatalf("cancelled query: err = %v, task ran = %v; want context.Canceled and no task", err, inTask != 0)
+	}
 	if raceEnabled {
 		return
 	}
@@ -126,6 +139,62 @@ func TestOneTaskBatchRunsInline(t *testing.T) {
 	})
 	if allocs > parentAllocs {
 		t.Fatalf("one-shard batch allocated %.1f times, want <= %d", allocs, parentAllocs)
+	}
+	const inlinedAllocs = 10 // what QueryExec's own one-shard branch cost before it went
+	allocs = testing.AllocsPerRun(50, func() {
+		if _, _, err := sx.Query(rs[0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > inlinedAllocs {
+		t.Fatalf("one-shard query allocated %.1f times, want <= %d", allocs, inlinedAllocs)
+	}
+}
+
+// TestQueryExecIsBatchOfOne: a query and a batch holding only that range run
+// the same fan-out, so answer, stats, report and error agree — fault-free,
+// degraded around a permanently faulted shard (sticky: both calls meet the
+// same device), and degraded around a skipped one; on one shard the last two
+// have nothing to degrade to and must fail alike.
+func TestQueryExecIsBatchOfOne(t *testing.T) {
+	r := index.Range{Lo: 3, Hi: 40}
+	for _, shards := range []int{1, 4} {
+		dead := shards / 2
+		skips := make([]bool, shards)
+		skips[dead] = true
+		for _, tc := range []struct {
+			name  string
+			fault bool
+			eo    ExecOptions
+		}{
+			{"strict", false, ExecOptions{}},
+			{"partial-permanent", true, ExecOptions{Retry: RetryPolicy{MaxAttempts: 3}, AllowPartial: true}},
+			{"partial-skip", false, ExecOptions{AllowPartial: true, SkipShards: skips}},
+		} {
+			t.Run(fmt.Sprintf("shards=%d/%s", shards, tc.name), func(t *testing.T) {
+				_, sx, _ := buildPair(t, 8000, shards, iomodel.FaultConfig{PermanentPer10k: 10000})
+				if tc.fault {
+					sx.shards[dead].fd.Arm()
+				}
+				bm, st, rep, err := sx.QueryExec(context.Background(), r, tc.eo)
+				bms, bst, brep, berr := sx.QueryBatchExec(context.Background(), []index.Range{r, r}, tc.eo)
+				if fmt.Sprint(err) != fmt.Sprint(berr) || fmt.Sprint(rep) != fmt.Sprint(brep) || st != bst {
+					t.Fatalf("query: stats %+v report %v err %v\nbatch: stats %+v report %v err %v", st, rep, err, bst, brep, berr)
+				}
+				if wantErr := shards == 1 && tc.name != "strict"; (err != nil) != wantErr {
+					t.Fatalf("err = %v, want an error: %v", err, wantErr)
+				}
+				if wantRep := shards > 1 && tc.name != "strict"; (len(rep) == 1) != wantRep {
+					t.Fatalf("report %v, want one entry: %v", rep, wantRep)
+				}
+				if err != nil {
+					return
+				}
+				if bms[0] != bms[1] || !cbitmap.Equal(bm, bms[0]) {
+					t.Fatal("the batch's answers differ from the query's")
+				}
+			})
+		}
 	}
 }
 

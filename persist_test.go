@@ -1,7 +1,6 @@
 package secidx
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -403,7 +402,7 @@ func TestPersistFaultsOnReopened(t *testing.T) {
 
 // TestWriteFileReopenedRejected: a reopened index holds only the blocks its
 // queries touched, so re-serialising it must fail rather than write a
-// partial image. Its v1 WriteTo must fail too (no retained column).
+// partial image.
 func TestWriteFileReopenedRejected(t *testing.T) {
 	const sigma = 32
 	data := randColumn(3000, sigma, 49)
@@ -415,10 +414,6 @@ func TestWriteFileReopenedRejected(t *testing.T) {
 	other := filepath.Join(t.TempDir(), "copy.secidx")
 	if err := op.Static.WriteFile(other); err == nil {
 		t.Fatal("WriteFile on a reopened index succeeded")
-	}
-	var buf bytes.Buffer
-	if n, err := op.Static.WriteTo(&buf); err == nil || n != 0 {
-		t.Fatalf("WriteTo on a reopened index: n=%d err=%v", n, err)
 	}
 }
 
@@ -520,59 +515,6 @@ func TestBuildRejectsHostileOptions(t *testing.T) {
 	}
 	if _, err := BuildSharded(data, 16, ShardOptions{Shards: -3}); err != nil {
 		t.Errorf("BuildSharded must clamp a negative shard count, got %v", err)
-	}
-}
-
-// limitWriter accepts up to limit bytes, then fails; partial writes report
-// the bytes actually accepted, as a real short-writing device does.
-type limitWriter struct {
-	limit int
-	n     int
-}
-
-var errWriterFull = errors.New("writer full")
-
-func (lw *limitWriter) Write(p []byte) (int, error) {
-	if lw.n >= lw.limit {
-		return 0, errWriterFull
-	}
-	k := len(p)
-	if lw.n+k > lw.limit {
-		k = lw.limit - lw.n
-	}
-	lw.n += k
-	if k < len(p) {
-		return k, errWriterFull
-	}
-	return k, nil
-}
-
-// TestWriteToShortWrite pins the io.WriterTo contract: on a failing or
-// short-writing destination, the returned count is exactly the number of
-// bytes the destination accepted — not the bytes buffered or hashed.
-func TestWriteToShortWrite(t *testing.T) {
-	data := randColumn(20000, 300, 52)
-	ix, err := Build(data, 300, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var full bytes.Buffer
-	want, err := ix.WriteTo(&full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want != int64(full.Len()) {
-		t.Fatalf("full write reported %d bytes, wrote %d", want, full.Len())
-	}
-	for _, limit := range []int{0, 1, 7, 100, 4096, 5000, int(want) - 1} {
-		lw := &limitWriter{limit: limit}
-		n, err := ix.WriteTo(lw)
-		if err == nil {
-			t.Fatalf("limit %d: WriteTo succeeded on a failing writer", limit)
-		}
-		if n != int64(lw.n) {
-			t.Fatalf("limit %d: WriteTo reported %d bytes, destination accepted %d", limit, n, lw.n)
-		}
 	}
 }
 

@@ -196,10 +196,9 @@ type Index struct {
 	ax *core.Approx
 	// sx is the same structure viewed as a one-shard index: the exact-query,
 	// retry, batch and serving paths are the sharded ones.
-	sx     *shard.Index
-	disk   *iomodel.Disk
-	column []uint32 // retained for serialisation (WriteTo)
-	opts   Options
+	sx   *shard.Index
+	disk *iomodel.Disk
+	opts Options
 }
 
 // Build constructs a static index over data (values in [0,sigma)).
@@ -222,7 +221,7 @@ func Build(data []uint32, sigma int, opts Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Index{ax: ax, sx: sx, disk: d, column: data, opts: opts}, nil
+	return &Index{ax: ax, sx: sx, disk: d, opts: opts}, nil
 }
 
 // ArmFaults starts fault injection on an index built with Options.Faults

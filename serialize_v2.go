@@ -182,8 +182,19 @@ func (o *Opened) DurableSeq() uint64 {
 // factor of the structure it describes, far below the image it accompanies.
 const maxMetaBytes = 1 << 30
 
+// ErrCorrupt is wrapped by every OpenFile error caused by the file's bytes —
+// truncation, bad magic, implausible header fields, out-of-range values or a
+// checksum mismatch — as opposed to I/O errors from the file system itself.
+// Detect it with errors.Is.
+var ErrCorrupt = errors.New("secidx: corrupt index data")
+
+// corruptf reports malformed input, wrapping ErrCorrupt.
+func corruptf(format string, args ...any) error {
+	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
+}
+
 // wrapCorrupt rebrands container-level corruption as the package's
-// ErrCorrupt so callers detect both formats with one errors.Is.
+// ErrCorrupt so callers detect it with one errors.Is.
 func wrapCorrupt(err error) error {
 	if errors.Is(err, container.ErrCorrupt) {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
