@@ -303,6 +303,26 @@ func BenchmarkIndexQuery(b *testing.B) {
 		b.ReportMetric(float64(reads)/float64(b.N), "blockIO/op")
 	})
 
+	// point is Query(c, c) over a zipf column: every plan is ordered, so every
+	// merge is a concatenation.
+	b.Run("point", func(b *testing.B) {
+		ix, err := Build(workload.Zipf(n, 512, 1.0, 23).X, 512, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var reads int64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c := queries[i%len(queries)]
+			_, st, err := ix.Query(c, c)
+			if err != nil {
+				b.Fatal(err)
+			}
+			reads += int64(st.Reads)
+		}
+		b.ReportMetric(float64(reads)/float64(b.N), "blockIO/op")
+	})
+
 	b.Run("approx", func(b *testing.B) {
 		ix, err := Build(col, 512, Options{})
 		if err != nil {
@@ -535,17 +555,14 @@ func BenchmarkBitmapUnion(b *testing.B) {
 // dispatch over k disk-backed streams that together hold one position per D
 // of a 2^20 universe: D < 256 takes the window kernel; D = 256 sits on the
 // crossover (deduplication leaves it just under) and, like the sparser points,
-// takes the per-row loop. ns/row is per input position.
+// takes the per-row loop. ordered is the point-query shape: one set of 4096
+// positions cut into k consecutive members, concatenated by
+// MergeStreamsOrdered. ns/row is per input position.
 func BenchmarkMergeStreams(b *testing.B) {
 	const n = 1 << 20
-	run := func(b *testing.B, complement bool, d, k int) {
-		merge := cbitmap.MergeStreams
-		if complement {
-			merge = cbitmap.MergeStreamsComplement
-		}
-		ms := benchBitmaps(k, n/d/k, n, 17)
+	run := func(b *testing.B, merge func(int64, ...*cbitmap.Stream) (*cbitmap.Bitmap, error), ms []*cbitmap.Bitmap) {
 		w := bitio.NewWriter(0)
-		starts := make([]int, k)
+		starts := make([]int, len(ms))
 		rows := 0
 		for i, m := range ms {
 			starts[i] = w.Len()
@@ -553,7 +570,7 @@ func BenchmarkMergeStreams(b *testing.B) {
 			rows += int(m.Card())
 		}
 		rd := bitio.NewReader(w.Bytes(), w.Len())
-		streams := make([]*cbitmap.Stream, k)
+		streams := make([]*cbitmap.Stream, len(ms))
 		for i := range streams {
 			streams[i] = new(cbitmap.Stream)
 		}
@@ -572,6 +589,10 @@ func BenchmarkMergeStreams(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
 	}
 	for _, op := range []string{"union", "complement"} {
+		merge := cbitmap.MergeStreams
+		if op == "complement" {
+			merge = cbitmap.MergeStreamsComplement
+		}
 		b.Run(op, func(b *testing.B) {
 			// Nested levels: a single "density=1/4" name would confuse -bench,
 			// which splits its pattern at slashes.
@@ -579,13 +600,25 @@ func BenchmarkMergeStreams(b *testing.B) {
 				for _, d := range []int{4, 16, 64, 256, 1024, 4096} {
 					b.Run(strconv.Itoa(d), func(b *testing.B) {
 						for _, k := range []int{4, 16, 64} {
-							b.Run("k="+strconv.Itoa(k), func(b *testing.B) { run(b, op == "complement", d, k) })
+							b.Run("k="+strconv.Itoa(k), func(b *testing.B) { run(b, merge, benchBitmaps(k, n/d/k, n, 17)) })
 						}
 					})
 				}
 			})
 		})
 	}
+	b.Run("ordered", func(b *testing.B) {
+		pos := benchBitmaps(1, 4096, n, 17)[0].Positions()
+		for _, k := range []int{4, 16, 64} {
+			b.Run("k="+strconv.Itoa(k), func(b *testing.B) {
+				ms := make([]*cbitmap.Bitmap, k)
+				for i := range ms {
+					ms[i] = cbitmap.MustFromPositions(n, pos[i*len(pos)/k:(i+1)*len(pos)/k])
+				}
+				run(b, cbitmap.MergeStreamsOrdered, ms)
+			})
+		}
+	})
 }
 
 func BenchmarkBitmapIntersect(b *testing.B) {

@@ -76,7 +76,7 @@ func (e *StreamEncoder) MergeStreams(streams ...*Stream) error {
 	ms := mergeScratchPool.Get().(*mergeScratch)
 	heads, _, err := primeHeads(ms, streams)
 	if err == nil {
-		err = runMerge(&e.bd, 0, false, heads)
+		err = runMerge(&e.bd, 0, false, false, heads)
 	}
 	clear(ms.heads)
 	mergeScratchPool.Put(ms)

@@ -9,18 +9,27 @@
 // come from sync.Pools, so a steady-state merge allocates only the bitmap it
 // returns.
 //
-// The merge has two paths behind one dispatch (runMerge), chosen from what
-// the primed inputs show and never by the caller. Sparse inputs — point
-// queries, small covers, and every StreamEncoder merge, which has no universe
-// — take the per-row loop in this file (mergeSparse): pick the minimum head,
-// encode it, advance its stream, at a cost per row that does not depend on n.
-// Inputs holding at least one position per denseCrossover universe positions
-// take the window kernel in dense.go (mergeDense): a fixed 8 KiB uncompressed
-// bit window slides over [0,n), so union and dedupe are an OR per position
-// and the complement a NOT per word, and the k-way head search disappears.
+// The merge has three paths behind one dispatch (runMerge). Concatenation
+// drains the streams one after another (drainInto: head gap re-encoded, tail
+// validated by one bulk scan and copied verbatim) and is the one path a caller
+// can ask for: MergeStreamsOrdered promises disjoint streams in increasing
+// position order — core's planner does, for a record range inside one
+// character — and every stream boundary checks the promise, a violation
+// failing typed ErrCorrupt. Unpromised streams concatenate only when each
+// one's largest position is known up front and precedes the next head
+// (bitmap-backed streams and pre-validated views, e.g. the shards of a sharded
+// answer; never a disk-backed member). The other two paths are chosen from
+// what the primed inputs show, never by the caller. Sparse inputs — small
+// covers, and every StreamEncoder merge, which has no universe — take the
+// per-row loop in this file (mergeSparse): pick the minimum head, encode it,
+// advance its stream, at a cost per row that does not depend on n. Inputs
+// holding at least one position per denseCrossover universe positions take
+// the window kernel in dense.go (mergeDense): a fixed 8 KiB uncompressed bit
+// window slides over [0,n), so union and dedupe are an OR per position and
+// the complement a NOT per word, and the k-way head search disappears.
 //
-// The encoding stays canonical: both paths produce byte-identical streams to
-// decode-then-Union, which the differential and fuzz tests pin.
+// The encoding stays canonical: all three paths produce byte-identical streams
+// to decode-then-Union, which the differential and fuzz tests pin.
 package cbitmap
 
 import (
@@ -92,10 +101,8 @@ func (s *Stream) InitDecodeValidated(r *bitio.Reader, start, bits int, card, las
 // out InitDecodeValidated replay views: a decode or validation error in the
 // member's bits surfaces here, once, instead of in every consumer's merge.
 func (s *Stream) Drain() (last int64, err error) {
-	for s.left > 0 {
-		if _, ok := s.Next(); !ok {
-			return 0, s.err
-		}
+	if !s.scan() {
+		return 0, s.err
 	}
 	return s.prev, nil
 }
@@ -184,6 +191,52 @@ func (s *Stream) failPosition(p int64) bool {
 	return false
 }
 
+// scan consumes every remaining position, leaving prev at the largest, and
+// reports whether the stream survived (see Err). It is Next in bulk, shaped
+// like fillWindow's inner loop: every code that fits the peeked word is
+// decoded before peeking again, each position gets the checks Next gives it,
+// and a code longer than the window, or a truncated stream, goes through
+// nextSlow — so it fails at the position, and with the error, Next would.
+func (s *Stream) scan() bool {
+	p, left, vmax := s.prev, s.left, s.vmax
+	var w uint64 // undecoded rest of the peeked word, left-aligned
+	avail, used := 0, 0
+	for left > 0 {
+		total := 2*bits.LeadingZeros64(w) + 1
+		if total > avail {
+			// The peeked word is used up (or was never loaded): peek again.
+			s.r.SkipBits(used)
+			w, avail = s.r.Peek64()
+			used = 0
+			if total = 2*bits.LeadingZeros64(w) + 1; total > avail {
+				s.prev, s.left = p, left
+				np, ok := s.nextSlow()
+				if !ok {
+					return false
+				}
+				p, left = np, s.left
+				w, avail = 0, 0
+				continue
+			}
+		}
+		// total <= 63: the "& 63" only spare the >= 64 guard Go shifts carry.
+		np := p + int64(w>>(uint(64-total)&63))
+		if vmax > 0 && (np <= p || np >= vmax) {
+			s.r.SkipBits(used + total)
+			s.prev = p
+			return s.failPosition(np)
+		}
+		p = np
+		w <<= uint(total) & 63
+		avail -= total
+		used += total
+		left--
+	}
+	s.r.SkipBits(used)
+	s.prev, s.left = p, left
+	return true
+}
+
 // drainInto appends the stream's pending head position cur (already produced
 // by the caller) and every remaining position to bd. When the stream's
 // largest position is known (bitmap-backed streams) the tail is copied
@@ -205,10 +258,8 @@ func (s *Stream) drainInto(bd *Builder, cur int64) error {
 	nbits := s.r.Remaining()
 	if s.last < 0 {
 		start := s.r
-		for s.left > 0 {
-			if _, ok := s.Next(); !ok {
-				return s.err
-			}
+		if !s.scan() {
+			return s.err
 		}
 		s.last = s.prev
 		nbits = s.r.Pos() - start.Pos() // copy exactly the scanned bits
@@ -266,20 +317,33 @@ func (bd *Builder) reset(sizeHint int) {
 
 // MergeStreams unions the streams' position sets into a bitmap over [0,n),
 // deduplicating equal positions, in a single decode pass — the fused
-// decode-merge at the heart of the query pipeline. Streams whose position
-// ranges are pairwise disjoint and arrive in increasing order degenerate to
-// concatenation with verbatim tail copies; large fan-ins merge through a
-// binary min-heap on the head positions, small ones through a linear minimum
-// scan. The universe is explicit, so an empty union still carries it.
+// decode-merge at the heart of the query pipeline. runMerge picks the path:
+// streams whose largest positions are all known up front (bitmap-backed or
+// pre-validated views, never a disk-backed member) and pairwise precede the
+// next stream's head are concatenated with verbatim tail copies; dense inputs
+// go through the window kernel; the rest merge per row, large fan-ins through
+// a binary min-heap on the head positions, small ones through a linear
+// minimum scan. The universe is explicit, so an empty union still carries it.
 func MergeStreams(n int64, streams ...*Stream) (*Bitmap, error) {
-	return mergeStreams(n, false, streams)
+	return mergeStreams(n, false, false, streams)
+}
+
+// MergeStreamsOrdered merges like MergeStreams for a caller that knows the
+// streams are pairwise disjoint and arrive in increasing position order — a
+// point query's cover — and so asks for concatenation outright, whatever the
+// streams are backed by. The promise is verified, not trusted: a stream
+// whose head is not above its predecessor's largest position fails typed
+// ErrCorrupt, where the general merge would have returned a well-formed
+// answer to a different question. The bytes are MergeStreams'.
+func MergeStreamsOrdered(n int64, streams ...*Stream) (*Bitmap, error) {
+	return mergeStreams(n, false, true, streams)
 }
 
 // MergeStreamsComplement merges like MergeStreams but writes the complement
 // [0,n) \ ∪streams — the paper's dense-answer trick fused into the same
 // single pass, so the union itself is never materialised.
 func MergeStreamsComplement(n int64, streams ...*Stream) (*Bitmap, error) {
-	return mergeStreams(n, true, streams)
+	return mergeStreams(n, true, false, streams)
 }
 
 // primeHeads pulls the first position of every stream into ms.heads and
@@ -318,7 +382,7 @@ func unionBits(n int64, heads []mergeHead) int {
 	return int(r*(2*int64(j)+1) + 2*((n-r<<j)>>j+1))
 }
 
-func mergeStreams(n int64, complement bool, streams []*Stream) (*Bitmap, error) {
+func mergeStreams(n int64, complement, ordered bool, streams []*Stream) (*Bitmap, error) {
 	ms := mergeScratchPool.Get().(*mergeScratch)
 	heads, sizeHint, err := primeHeads(ms, streams)
 	var out *Bitmap
@@ -328,7 +392,7 @@ func mergeStreams(n int64, complement bool, streams []*Stream) (*Bitmap, error) 
 		}
 		bd := builderPool.Get().(*Builder)
 		bd.reset(sizeHint)
-		if err = runMerge(bd, n, complement, heads); err == nil {
+		if err = runMerge(bd, n, complement, ordered, heads); err == nil {
 			out = bd.Bitmap(n)
 		}
 		builderPool.Put(bd)
@@ -359,31 +423,38 @@ func siftDownHeads(heads []mergeHead, i int) {
 	}
 }
 
-// runMerge executes the merge loop over the primed heads, writing into bd —
-// which may be a pooled query builder (mergeStreams) or a StreamEncoder's
-// builder aimed at a construction writer, the fusion that lets merges feed
-// the write path as well as queries.
-func runMerge(bd *Builder, n int64, complement bool, heads []mergeHead) error {
-	if !complement {
-		// Concatenation fast path: every stream's largest position is known
-		// and strictly precedes the next stream's head — the sharded-query
-		// case, where shard i's rows all precede shard i+1's. Only head gaps
-		// are re-encoded; tails are copied verbatim, whole words at a time.
-		concat := len(heads) > 0
+// knownDisjoint reports whether every head's stream knows its largest
+// position up front and ends strictly before the next head begins — the
+// sharded-query case, where shard i's rows all precede shard i+1's.
+func knownDisjoint(heads []mergeHead) bool {
+	for i := range heads {
+		if heads[i].s.last < 0 || (i > 0 && heads[i-1].s.last >= heads[i].cur) {
+			return false
+		}
+	}
+	return len(heads) > 0
+}
+
+// runMerge executes the merge over the primed heads, writing into bd — which
+// may be a pooled query builder (mergeStreams) or a StreamEncoder's builder
+// aimed at a construction writer, the fusion that lets merges feed the write
+// path as well as queries. ordered is the caller's promise that the heads are
+// disjoint and increasing as they stand (never with complement).
+func runMerge(bd *Builder, n int64, complement, ordered bool, heads []mergeHead) error {
+	if !complement && (ordered || knownDisjoint(heads)) {
+		// Concatenation, promised or seen in the heads: only head gaps are
+		// re-encoded; tails are copied verbatim, whole words at a time. A
+		// promise is checked at each boundary, where bd.prev is the previous
+		// stream's largest position.
 		for i := range heads {
-			if heads[i].s.last < 0 || (i > 0 && heads[i-1].s.last >= heads[i].cur) {
-				concat = false
-				break
+			if cur := heads[i].cur; i > 0 && cur <= bd.prev {
+				return fmt.Errorf("%w: ordered stream %d starts at position %d, not above %d", ErrCorrupt, i, cur, bd.prev)
+			}
+			if err := heads[i].s.drainInto(bd, heads[i].cur); err != nil {
+				return err
 			}
 		}
-		if concat {
-			for i := range heads {
-				if err := heads[i].s.drainInto(bd, heads[i].cur); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
+		return nil
 	}
 	if denseEnough(n, complement, heads) {
 		return mergeDense(bd, n, complement, heads)

@@ -272,7 +272,7 @@ func (ax *Approx) ApproxQueryContext(ctx context.Context, r index.Range, eps flo
 		// saves nothing: it happens when the universe is within a small factor
 		// of n and the members' positions cluster
 		// (hypotheses/useless-hashed-level).
-		if err = ax.coverChunks(tc, qlo, qhi, plan); err != nil {
+		if err = ax.planCover(tc, qlo, qhi, plan); err != nil {
 			return nil, stats, err
 		}
 		if exactBits, hashedBits := ax.frontierBits(plan.Chunks, j); hashedBits >= exactBits {
@@ -305,7 +305,7 @@ func (ax *Approx) ApproxQueryContext(ctx context.Context, r index.Range, eps flo
 	if err = sc.readFrontier(ctx, tc, plan.Chunks, hashedDir, univ, &stats); err != nil {
 		return nil, stats, err
 	}
-	set, err := sc.merge(univ, false)
+	set, err := sc.merge(univ, false, false) // hashed positions are in no order
 	if err != nil {
 		return nil, stats, err
 	}

@@ -529,7 +529,7 @@ func (ax *AppendIndex) QueryContext(ctx context.Context, r index.Range) (out *cb
 	if err = ctx.Err(); err != nil {
 		return nil, stats, err
 	}
-	out, err = sc.merge(ax.n, complement)
+	out, err = sc.merge(ax.n, complement, false)
 	return out, stats, err
 }
 

@@ -440,7 +440,7 @@ func (dx *Dynamic) QueryContext(ctx context.Context, r index.Range) (out *cbitma
 	if err = ctx.Err(); err != nil {
 		return nil, stats, err
 	}
-	out, err = sc.merge(dx.n, complement)
+	out, err = sc.merge(dx.n, complement, false)
 	return out, stats, err
 }
 

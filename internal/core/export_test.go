@@ -1,0 +1,39 @@
+package core
+
+import (
+	"context"
+
+	"repro/internal/cbitmap"
+	"repro/internal/index"
+	"repro/internal/iomodel"
+)
+
+// Hooks for the tests in package core_test, which sit outside the package so
+// that they can drive internal/shard (an importer of this package) as well.
+
+// QueryGeneralMerge answers r as QueryContext does, except that the plan's
+// Ordered flag is cleared before the plan is executed: the same reads and the
+// same streams, through the general merge.
+func (ox *Optimal) QueryGeneralMerge(r index.Range) (out *cbitmap.Bitmap, stats index.QueryStats, err error) {
+	tc := ox.disk.NewTouch()
+	defer tc.Close()
+	sc := getScratch()
+	defer sc.release()
+	if err = ox.planInto(tc, r, &sc.plan); err == nil {
+		sc.plan.Ordered = false
+		out, err = ox.execute(context.Background(), tc, sc, &stats)
+	}
+	stats.Reads, stats.Writes, stats.FailedReads = tc.Reads(), tc.Writes(), tc.FailedReads()
+	return out, stats, err
+}
+
+// ExactMembers returns the device extents of the exact members plan reads, in
+// the order their streams reach the merge.
+func (ox *Optimal) ExactMembers(plan QueryPlan) (exts []iomodel.Extent) {
+	for _, c := range plan.Chunks {
+		for k := c.I; k < c.J; k++ {
+			exts = append(exts, ox.levels[c.Level].members[k].ext)
+		}
+	}
+	return exts
+}

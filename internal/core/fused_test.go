@@ -193,6 +193,23 @@ func TestFusedQueryAllocs(t *testing.T) {
 		t.Fatalf("fused pipeline allocates %.1f/op, want <= 60%% of the unfused %.1f/op", fused, unfused)
 	}
 
+	// A point query's plan is ordered, so its members are concatenated: that
+	// path may allocate no more than the k-way merge it replaces did — the
+	// answer and its buffer, 2/op at the commit before the concatenation.
+	pr := index.Range{Lo: 100, Hi: 100}
+	if plan, _, err := ix.PlanQuery(pr); err != nil || !plan.Ordered || len(plan.Chunks) < 2 {
+		t.Fatalf("point plan %+v, err %v: not an ordered multi-member cover; test lost its teeth", plan, err)
+	}
+	point := testing.AllocsPerRun(50, func() {
+		if _, _, err := ix.Query(pr); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocs/op: point query %.1f", point)
+	if !raceEnabled && point > 2 {
+		t.Fatalf("point query allocates %.1f/op, want <= 2", point)
+	}
+
 	// An approximate query that prices a hashed level and turns it down (here
 	// h_4's universe 2^16 is within a factor 1.07 of n) executes the plan it
 	// priced: the exact fallback costs Query's allocations plus the Result.

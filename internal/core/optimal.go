@@ -219,7 +219,7 @@ func (ox *Optimal) execute(ctx context.Context, tc *iomodel.Touch, sc *queryScra
 	if err != nil {
 		return nil, err
 	}
-	return sc.merge(ox.tree.n, sc.plan.Complement)
+	return sc.merge(ox.tree.n, sc.plan.Complement, sc.plan.Ordered)
 }
 
 var _ index.Index = (*Optimal)(nil)

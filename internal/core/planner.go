@@ -39,9 +39,14 @@ type PlanChunk struct {
 // QueryPlan is the cover plan of one range query: the per-level member runs
 // whose extents the query reads, plus whether the dense-answer complement
 // trick applies (in which case the chunks cover the two complementary record
-// ranges and the merge inverts the union in the same pass).
+// ranges and the merge inverts the union in the same pass) and, when it does
+// not, whether the record range lies inside one character — records are
+// ordered by character, then position (§2.2), so the exact members of such a
+// plan hold disjoint position ranges that increase in chunk order, and the
+// merge concatenates them (cbitmap.MergeStreamsOrdered, which verifies it).
 type QueryPlan struct {
 	Complement bool
+	Ordered    bool
 	Chunks     []PlanChunk
 }
 
@@ -69,7 +74,7 @@ func (ox *Optimal) PlanQuery(r index.Range) (plan QueryPlan, stats index.QuerySt
 
 // reset empties the plan, keeping its chunk storage.
 func (p *QueryPlan) reset() {
-	p.Complement = false
+	p.Complement, p.Ordered = false, false
 	p.Chunks = p.Chunks[:0]
 }
 
@@ -108,6 +113,13 @@ func (ox *Optimal) planRecords(ses ioSession, qlo, qhi int64, plan *QueryPlan) e
 		}
 		return ox.coverChunks(ses, qhi, n, plan)
 	}
+	return ox.planCover(ses, qlo, qhi, plan)
+}
+
+// planCover plans the record range [qlo,qhi) as its own cover, and notes
+// whether one character holds all of it.
+func (ox *Optimal) planCover(ses ioSession, qlo, qhi int64, plan *QueryPlan) error {
+	plan.Ordered = qlo < qhi && qhi <= ox.tree.prefix[ox.tree.charOf(qlo)+1]
 	return ox.coverChunks(ses, qlo, qhi, plan)
 }
 
@@ -434,7 +446,7 @@ func (ox *Optimal) QueryBatchContext(ctx context.Context, rs []index.Range) (out
 				return nil, stats, err
 			}
 		}
-		bm, err := bs.merge(n, plans[qi].Complement)
+		bm, err := bs.merge(n, plans[qi].Complement, plans[qi].Ordered)
 		if err != nil {
 			return nil, stats, err
 		}

@@ -176,10 +176,14 @@ func (sc *queryScratch) streamPtrs() []*cbitmap.Stream {
 
 // merge runs the fused decode-merge pass over the accumulated streams; with
 // complement they cover the rows outside the answer and the same pass
-// inverts their union (§2.1).
-func (sc *queryScratch) merge(n int64, complement bool) (*cbitmap.Bitmap, error) {
-	if complement {
+// inverts their union (§2.1); with ordered they are the exact frontier of a
+// QueryPlan.Ordered plan, disjoint and increasing as accumulated.
+func (sc *queryScratch) merge(n int64, complement, ordered bool) (*cbitmap.Bitmap, error) {
+	switch {
+	case complement:
 		return cbitmap.MergeStreamsComplement(n, sc.streamPtrs()...)
+	case ordered:
+		return cbitmap.MergeStreamsOrdered(n, sc.streamPtrs()...)
 	}
 	return cbitmap.MergeStreams(n, sc.streamPtrs()...)
 }

@@ -233,7 +233,7 @@ func (wx *Warmup) Query(r index.Range) (out *cbitmap.Bitmap, stats index.QuerySt
 	if err != nil {
 		return nil, stats, err
 	}
-	out, err = sc.merge(wx.n, complement)
+	out, err = sc.merge(wx.n, complement, false)
 	return out, stats, err
 }
 
