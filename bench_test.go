@@ -285,22 +285,27 @@ func BenchmarkIndexQuery(b *testing.B) {
 		queries[i] = uint32(rng.Intn(500))
 	}
 
-	b.Run("exact", func(b *testing.B) {
-		ix, err := Build(col, 512, Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
+	// ranges times 9-key range queries and reports their block reads.
+	ranges := func(b *testing.B, query func(lo, hi uint32) (*Result, Stats, error)) {
 		var reads int64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			lo := queries[i%len(queries)]
-			_, st, err := ix.Query(lo, lo+8)
+			_, st, err := query(lo, lo+8)
 			if err != nil {
 				b.Fatal(err)
 			}
 			reads += int64(st.Reads)
 		}
 		b.ReportMetric(float64(reads)/float64(b.N), "blockIO/op")
+	}
+
+	b.Run("exact", func(b *testing.B) {
+		ix, err := Build(col, 512, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ranges(b, ix.Query)
 	})
 
 	// point is Query(c, c) over a zipf column: every plan is ordered, so every
@@ -354,6 +359,48 @@ func BenchmarkIndexQuery(b *testing.B) {
 			b.ReportMetric(float64(ix.DeviceStats().BlockReads)/float64(b.N), "blockIO/op")
 		})
 	}
+
+	// The updatable kinds' read path: the same 9-key ranges over a quarter of
+	// the column after 4096 skewed updates, so the queries run over rebuilt
+	// subtrees and pending buffers, not over a fresh build.
+	small := col[:n/4]
+	for _, kind := range []struct {
+		name     string
+		buffered bool
+	}{{"append", false}, {"append-buffered", true}} {
+		b.Run(kind.name, func(b *testing.B) {
+			ix, err := BuildAppend(small, 512, Options{Buffered: kind.buffered})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < 4096; i++ {
+				if _, err := ix.Append(queries[i%7]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			ranges(b, ix.Query)
+		})
+	}
+	b.Run("dynamic", func(b *testing.B) {
+		ix, err := BuildDynamic(small, 512, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < 4096; i++ {
+			switch i % 3 { // row i is changed or deleted once, never both
+			case 0:
+				_, err = ix.Append(queries[i%7])
+			case 1:
+				_, err = ix.Change(int64(i), queries[i%7])
+			case 2:
+				_, err = ix.Delete(int64(i))
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		ranges(b, ix.Query)
+	})
 }
 
 func BenchmarkAppendDirect(b *testing.B)   { benchAppend(b, false) }

@@ -248,7 +248,7 @@ func (ax *Approx) ApproxQueryContext(ctx context.Context, r index.Range, eps flo
 	}()
 	sc := getScratch()
 	defer sc.release()
-	qlo, qhi, err := ax.recordRange(tc, r)
+	qlo, qhi, err := recordRange(tc, ax.aExt, r)
 	if err != nil {
 		return nil, stats, err
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/cbitmap"
 	"repro/internal/iomodel"
@@ -93,9 +92,7 @@ type AppendIndex struct {
 	counts []int64
 	byChar [][]int64 // in-memory mirror used for rebuilds
 
-	root    *dynNode
-	height  int
-	depths  []int
+	charSkeleton
 	levels  [][]*dynMember // per materialised level, sorted by node.lo
 	nodeBlk map[*dynNode]iomodel.BlockID
 	nBlocks int
@@ -237,27 +234,11 @@ func (ax *AppendIndex) rebuildAll(tc *iomodel.Touch) {
 			m.chain.Truncate()
 		}
 	}
-	total := ax.n + int64(ax.sigma)
-	h := int(math.Ceil(math.Log(float64(total)) / math.Log(float64(ax.opts.Branching))))
-	if h < 1 {
-		h = 1
-	}
-	ax.root = ax.buildSkeleton(nil, 0, 0, uint32(ax.sigma-1), h)
-	ax.height = 0
-	var scan func(v *dynNode)
-	var all []*dynNode
-	scan = func(v *dynNode) {
-		all = append(all, v)
-		if v.depth > ax.height {
-			ax.height = v.depth
-		}
-		for _, c := range v.children {
-			scan(c)
-		}
-	}
-	scan(ax.root)
-	ax.depths = materialDepths(ax.height, ax.opts.Stride)
+	h := heightFor(ax.n+int64(ax.sigma), ax.opts.Branching)
+	all := ax.reset(ax.buildSkeleton(nil, 0, 0, uint32(ax.sigma-1), h), ax.opts.Stride)
 	ax.levels = make([][]*dynMember, len(ax.depths))
+	// Members are created in preorder and sorted afterwards: AllocBlock hands
+	// out buffer blocks in creation order, and the device image depends on it.
 	for _, v := range all {
 		li := ax.memberLevelOf(v)
 		if li < 0 {
@@ -280,27 +261,6 @@ func (ax *AppendIndex) rebuildAll(tc *iomodel.Touch) {
 	ax.buildN = ax.n
 	ax.GlobalRebuildCount++
 	ax.rootBuf = ax.rootBuf[:0]
-}
-
-// memberLevelOf returns the materialised level index for node v, or -1.
-// Leaves go to the first materialised level at or below their depth
-// (clamped to the last level); internal nodes are members only at
-// materialised depths strictly above the last level — the last level is
-// leaves-only ("store all the leaves explicitly"), which keeps frontier
-// tiling valid even when later subtree rebuilds create leaves deeper than
-// the original height.
-func (ax *AppendIndex) memberLevelOf(v *dynNode) int {
-	i := sort.SearchInts(ax.depths, v.depth)
-	if v.isLeaf() {
-		if i >= len(ax.depths) {
-			i = len(ax.depths) - 1
-		}
-		return i
-	}
-	if i < len(ax.depths)-1 && ax.depths[i] == v.depth {
-		return i
-	}
-	return -1
 }
 
 // writeMemberChain encodes the node's current position set into its chain.
@@ -364,27 +324,10 @@ func (ax *AppendIndex) chargeNode(tc *iomodel.Touch, v *dynNode) {
 
 // memberFor returns the member at level li whose range contains ch, or nil.
 func (ax *AppendIndex) memberFor(li int, ch uint32) *dynMember {
-	lvl := ax.levels[li]
-	i := sort.Search(len(lvl), func(j int) bool { return lvl[j].node.lo > ch }) - 1
-	if i < 0 || lvl[i].node.hi < ch {
-		return nil
+	if i := tileFor(ax.levels[li], ch); i >= 0 {
+		return ax.levels[li][i]
 	}
-	return lvl[i]
-}
-
-// membersWithin returns the member index range [i,j) at level li tiling the
-// char range [lo,hi] of a cover node at that level's frontier.
-func (ax *AppendIndex) membersWithin(li int, lo, hi uint32) (int, int, error) {
-	lvl := ax.levels[li]
-	i := sort.Search(len(lvl), func(j int) bool { return lvl[j].node.lo >= lo })
-	j := i
-	for j < len(lvl) && lvl[j].node.hi <= hi {
-		j++
-	}
-	if i == j || lvl[i].node.lo != lo || lvl[j-1].node.hi != hi {
-		return 0, 0, fmt.Errorf("core: members do not tile chars [%d,%d] at level %d", lo, hi, li)
-	}
-	return i, j, nil
+	return nil
 }
 
 // MaterialisedLevels returns the number of materialised levels (O(lg lg n)).

@@ -117,20 +117,8 @@ func (ax *AppendIndex) rebuildSubtree(tc *iomodel.Touch, u *dynNode) error {
 		}
 	}
 	// Create members for the new subtree.
-	var all []*dynNode
-	var scan func(v *dynNode)
-	scan = func(v *dynNode) {
-		all = append(all, v)
-		if v.depth > ax.height {
-			ax.height = v.depth
-		}
-		for _, c := range v.children {
-			scan(c)
-		}
-	}
-	scan(fresh)
 	blk, hadBlk := ax.nodeBlk[u]
-	for _, v := range all {
+	for _, v := range ax.scan(nil, fresh) {
 		// Layout: new nodes inherit the rebuilt root's structure block (an
 		// under-approximation of the repacked layout; global rebuilds repack
 		// exactly).
@@ -248,17 +236,17 @@ func (ax *AppendIndex) applyEntries(tc *iomodel.Touch, m *dynMember, es []dynEnt
 	return nil
 }
 
-// flushRoot moves the dominant destination's entries from the in-memory
-// root buffer into the member tree.
-func (ax *AppendIndex) flushRoot(tc *iomodel.Touch) error {
+// splitDominant partitions es between the member of level li that receives
+// the most entries — returned with its convoy, moved — and the rest. Ties
+// resolve to the member with the smallest character range start, so the flush
+// order — and the rebuild layout it induces — is identical run to run (map
+// iteration order must not leak into the structure). best is nil when no
+// entry has a member at that level.
+func (ax *AppendIndex) splitDominant(li int, es []dynEntry) (best *dynMember, moved, rest []dynEntry) {
 	counts := make(map[*dynMember]int)
-	for _, e := range ax.rootBuf {
-		counts[ax.memberFor(0, e.ch)]++
+	for _, e := range es {
+		counts[ax.memberFor(li, e.ch)]++
 	}
-	// Ties resolve to the member with the smallest character range start, so
-	// the flush order — and the rebuild layout it induces — is identical run
-	// to run (map iteration order must not leak into the structure).
-	var best *dynMember
 	bestN := -1
 	for m, n := range counts {
 		if m != nil && (n > bestN || (n == bestN && m.node.lo < best.node.lo)) {
@@ -266,15 +254,24 @@ func (ax *AppendIndex) flushRoot(tc *iomodel.Touch) error {
 		}
 	}
 	if best == nil {
-		return fmt.Errorf("core: no destination member for buffered appends")
+		return nil, nil, es
 	}
-	var moved, rest []dynEntry
-	for _, e := range ax.rootBuf {
-		if ax.memberFor(0, e.ch) == best {
+	for _, e := range es {
+		if ax.memberFor(li, e.ch) == best {
 			moved = append(moved, e)
 		} else {
 			rest = append(rest, e)
 		}
+	}
+	return best, moved, rest
+}
+
+// flushRoot moves the dominant destination's entries from the in-memory
+// root buffer into the member tree.
+func (ax *AppendIndex) flushRoot(tc *iomodel.Touch) error {
+	best, moved, rest := ax.splitDominant(0, ax.rootBuf)
+	if best == nil {
+		return fmt.Errorf("core: no destination member for buffered appends")
 	}
 	ax.rootBuf = rest
 	return ax.deliverDyn(tc, best, moved)
@@ -302,28 +299,9 @@ func (ax *AppendIndex) deliverDyn(tc *iomodel.Touch, m *dynMember, batch []dynEn
 		if err := ax.applyEntries(tc, m, es); err != nil {
 			return err
 		}
-		counts := make(map[*dynMember]int)
-		for _, e := range es {
-			counts[ax.memberFor(m.level+1, e.ch)]++
-		}
-		// Deterministic tie-break, as in flushRoot.
-		var best *dynMember
-		bestN := -1
-		for dm, n := range counts {
-			if dm != nil && (n > bestN || (n == bestN && dm.node.lo < best.node.lo)) {
-				best, bestN = dm, n
-			}
-		}
+		best, moved, rest := ax.splitDominant(m.level+1, es)
 		if best == nil {
 			return fmt.Errorf("core: no next-level member under member at depth %d", m.node.depth)
-		}
-		var moved, rest []dynEntry
-		for _, e := range es {
-			if ax.memberFor(m.level+1, e.ch) == best {
-				moved = append(moved, e)
-			} else {
-				rest = append(rest, e)
-			}
 		}
 		overflow = append(overflow, moved)
 		dests = append(dests, best)
@@ -338,36 +316,6 @@ func (ax *AppendIndex) deliverDyn(tc *iomodel.Touch, m *dynMember, batch []dynEn
 		}
 	}
 	return nil
-}
-
-// coverChars decomposes the character range [lo,hi] into maximal subtrees.
-func (ax *AppendIndex) coverChars(tc *iomodel.Touch, lo, hi uint32) []*dynNode {
-	var out []*dynNode
-	var rec func(v *dynNode)
-	rec = func(v *dynNode) {
-		if v.hi < lo || v.lo > hi {
-			return
-		}
-		if lo <= v.lo && v.hi <= hi {
-			out = append(out, v)
-			return
-		}
-		ax.chargeNode(tc, v)
-		for _, c := range v.children {
-			rec(c)
-		}
-	}
-	rec(ax.root)
-	return out
-}
-
-// levelForDepth maps a cover node depth to its materialised level index.
-func (ax *AppendIndex) levelForDepth(d int) int {
-	i := sort.Search(len(ax.depths), func(k int) bool { return ax.depths[k] >= d })
-	if i >= len(ax.depths) {
-		i = len(ax.depths) - 1
-	}
-	return i
 }
 
 // Count returns z = |I[al;ar]| from the in-memory counts (the paper's A
@@ -388,13 +336,10 @@ func (ax *AppendIndex) Count(lo, hi uint32) int64 {
 // oracle (queryChars): the same chains, buffers and structure blocks are
 // touched.
 func (ax *AppendIndex) queryCharStreams(tc *iomodel.Touch, lo, hi uint32, sc *queryScratch, stats *index.QueryStats) error {
-	if lo > hi {
-		return nil
-	}
-	for _, u := range ax.coverChars(tc, lo, hi) {
+	for _, u := range ax.cover(lo, hi, func(v *dynNode) { ax.chargeNode(tc, v) }) {
 		ax.chargeNode(tc, u)
 		li := ax.levelForDepth(u.depth)
-		i, j, err := ax.membersWithin(li, u.lo, u.hi)
+		i, j, err := tilesWithin(ax.levels[li], li, u.lo, u.hi)
 		if err != nil {
 			return err
 		}
@@ -504,16 +449,9 @@ func (ax *AppendIndex) QueryContext(ctx context.Context, r index.Range) (out *cb
 	if err = ctx.Err(); err != nil {
 		return nil, stats, err
 	}
-	if complement {
-		if r.Lo > 0 {
-			err = ax.queryCharStreams(tc, 0, r.Lo-1, sc, &stats)
-		}
-		if err == nil && int(r.Hi) < ax.sigma-1 {
-			err = ax.queryCharStreams(tc, r.Hi+1, uint32(ax.sigma-1), sc, &stats)
-		}
-	} else {
-		err = ax.queryCharStreams(tc, r.Lo, r.Hi, sc, &stats)
-	}
+	err = collectSides(r, complement, uint32(ax.sigma-1), func(lo, hi uint32) error {
+		return ax.queryCharStreams(tc, lo, hi, sc, &stats)
+	})
 	if err != nil {
 		return nil, stats, err
 	}

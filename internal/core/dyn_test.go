@@ -106,6 +106,30 @@ func TestAppendTriggersRebuilds(t *testing.T) {
 	checkAppendIndex(t, ax, col, workload.RangeQuery{Lo: 8, Hi: 15})
 }
 
+// TestRebuildAllHeightAtPowerOfBranching: the global rebuild's target height
+// is ⌈log_c(n+σ)⌉ by integer powers, as the subtree rebuild's and Theorem 7's.
+// A float logarithm reads one too tall exactly at n+σ = c^k, and a skeleton
+// built for the taller target splits its root in two instead of c.
+func TestRebuildAllHeightAtPowerOfBranching(t *testing.T) {
+	const c = 5
+	for _, tc := range []struct{ n, sigma, height int }{{100, 25, 3}, {15000, 625, 6}} {
+		if got := heightFor(int64(tc.n+tc.sigma), c); got != tc.height {
+			t.Fatalf("heightFor(%d, %d) = %d, want %d", tc.n+tc.sigma, c, got, tc.height)
+		}
+		d := iomodel.NewDisk(iomodel.Config{BlockBits: 4096})
+		ax, err := BuildAppendIndex(d, workload.Uniform(tc.n, tc.sigma, 1), AppendOptions{Branching: c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(ax.root.children); got != c {
+			t.Errorf("n+σ = %d = %d^%d: root has %d children, want %d", tc.n+tc.sigma, c, tc.height, got, c)
+		}
+		if ax.height > tc.height {
+			t.Errorf("n+σ = %d = %d^%d: skeleton height %d exceeds ⌈log_c(n+σ)⌉", tc.n+tc.sigma, c, tc.height, ax.height)
+		}
+	}
+}
+
 func TestSemiDynAppendCost(t *testing.T) {
 	// Theorem 4: amortised O(lg lg n) I/Os per append. With lg lg n ~ 4-5,
 	// the average should be a small constant.

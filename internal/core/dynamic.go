@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/cbitmap"
 	"repro/internal/index"
@@ -37,9 +36,7 @@ type Dynamic struct {
 	x        []uint32 // current string (∞ = sigmaEff-1 for deleted)
 	counts   []int64
 
-	root   *dynNode
-	height int
-	depths []int
+	charSkeleton
 	// members[li] lists, sorted by lo, the char ranges of level li's bins.
 	members [][]dynBin
 	// points[li] is the buffered bitmap index of level li.
@@ -122,23 +119,8 @@ func BuildDynamic(d iomodel.Device, col workload.Column, opts DynamicOptions) (*
 // current string (initial build, and global rebuilds once the update count
 // since the last build exceeds the string length).
 func (dx *Dynamic) rebuild() error {
-	total := dx.n + int64(dx.sigmaEff)
-	h := heightFor(total, dx.opts.Branching)
-	dx.root = buildCharSkeleton(dx.counts, dx.opts.Branching, nil, 0, 0, uint32(dx.sigmaEff-1), h)
-	dx.height = 0
-	var all []*dynNode
-	var scan func(v *dynNode)
-	scan = func(v *dynNode) {
-		all = append(all, v)
-		if v.depth > dx.height {
-			dx.height = v.depth
-		}
-		for _, c := range v.children {
-			scan(c)
-		}
-	}
-	scan(dx.root)
-	dx.depths = materialDepths(dx.height, dx.opts.Stride)
+	h := heightFor(dx.n+int64(dx.sigmaEff), dx.opts.Branching)
+	all := dx.reset(buildCharSkeleton(dx.counts, dx.opts.Branching, nil, 0, 0, uint32(dx.sigmaEff-1), h), dx.opts.Stride)
 	dx.members = make([][]dynBin, len(dx.depths))
 	for _, v := range all {
 		li := dx.memberLevelOf(v)
@@ -174,29 +156,10 @@ func (dx *Dynamic) rebuild() error {
 	return nil
 }
 
-// memberLevelOf mirrors AppendIndex.memberLevelOf on dx's depth table.
-func (dx *Dynamic) memberLevelOf(v *dynNode) int {
-	i := sort.SearchInts(dx.depths, v.depth)
-	if v.isLeaf() {
-		if i >= len(dx.depths) {
-			i = len(dx.depths) - 1
-		}
-		return i
-	}
-	if i < len(dx.depths)-1 && dx.depths[i] == v.depth {
-		return i
-	}
-	return -1
-}
-
 // binFor returns the bin index of character ch at level li.
 func (dx *Dynamic) binFor(li int, ch uint32) (int, bool) {
-	ms := dx.members[li]
-	i := sort.Search(len(ms), func(j int) bool { return ms[j].lo > ch }) - 1
-	if i < 0 || ms[i].hi < ch {
-		return 0, false
-	}
-	return i, true
+	i := tileFor(dx.members[li], ch)
+	return i, i >= 0
 }
 
 // Name implements index.Index.
@@ -327,62 +290,15 @@ func (dx *Dynamic) Append(ch uint32) (index.QueryStats, error) {
 	return stats, nil
 }
 
-// coverChars decomposes [lo,hi] into maximal subtrees of the skeleton.
-func (dx *Dynamic) coverChars(lo, hi uint32) []*dynNode {
-	var out []*dynNode
-	var rec func(v *dynNode)
-	rec = func(v *dynNode) {
-		if v.hi < lo || v.lo > hi {
-			return
-		}
-		if lo <= v.lo && v.hi <= hi {
-			out = append(out, v)
-			return
-		}
-		for _, c := range v.children {
-			rec(c)
-		}
-	}
-	rec(dx.root)
-	return out
-}
-
-// levelForDepth maps a cover node depth to its materialised level.
-func (dx *Dynamic) levelForDepth(d int) int {
-	i := sort.Search(len(dx.depths), func(k int) bool { return dx.depths[k] >= d })
-	if i >= len(dx.depths) {
-		i = len(dx.depths) - 1
-	}
-	return i
-}
-
-// binsWithin returns the bin index range [i,j) at level li tiling the char
-// range [lo,hi] of a cover node at that level's frontier.
-func (dx *Dynamic) binsWithin(li int, lo, hi uint32) (int, int, error) {
-	bins := dx.members[li]
-	i := sort.Search(len(bins), func(j int) bool { return bins[j].lo >= lo })
-	j := i
-	for j < len(bins) && bins[j].hi <= hi {
-		j++
-	}
-	if i == j || bins[i].lo != lo || bins[j-1].hi != hi {
-		return 0, 0, fmt.Errorf("core: bins do not tile chars [%d,%d] at level %d", lo, hi, li)
-	}
-	return i, j, nil
-}
-
 // queryCharStreams collects, into sc, one stream per point query of the
 // cover of [lo,hi]. The point index answers over its own fixed position
 // universe, but the positions are global row ids below n, so each result
 // feeds the merge over [0,n) directly — the decode → Positions → re-encode
 // rebase of the materialising path is gone.
 func (dx *Dynamic) queryCharStreams(lo, hi uint32, sc *queryScratch, stats *index.QueryStats) error {
-	if lo > hi {
-		return nil
-	}
-	for _, u := range dx.coverChars(lo, hi) {
+	for _, u := range dx.cover(lo, hi, nil) {
 		li := dx.levelForDepth(u.depth)
-		i, j, err := dx.binsWithin(li, u.lo, u.hi)
+		i, j, err := tilesWithin(dx.members[li], li, u.lo, u.hi)
 		if err != nil {
 			return err
 		}
@@ -423,17 +339,10 @@ func (dx *Dynamic) QueryContext(ctx context.Context, r index.Range) (out *cbitma
 		return nil, stats, err
 	}
 	complement := z > dx.n/2
-	if complement {
-		if r.Lo > 0 {
-			err = dx.queryCharStreams(0, r.Lo-1, sc, &stats)
-		}
-		if err == nil {
-			// Include the ∞ bin (char sigmaEff-1) on the complement side.
-			err = dx.queryCharStreams(r.Hi+1, uint32(dx.sigmaEff-1), sc, &stats)
-		}
-	} else {
-		err = dx.queryCharStreams(r.Lo, r.Hi, sc, &stats)
-	}
+	// The complement's right side always runs to the ∞ bin (char sigmaEff-1).
+	err = collectSides(r, complement, uint32(dx.sigmaEff-1), func(lo, hi uint32) error {
+		return dx.queryCharStreams(lo, hi, sc, &stats)
+	})
 	if err != nil {
 		return nil, stats, err
 	}

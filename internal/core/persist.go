@@ -340,7 +340,7 @@ func OpenAppendIndex(d iomodel.Device, sigma int, opts AppendOptions, dec *conta
 	}
 	ax.RebuildCount = int(dec.UN(maxRebuildCount))
 	ax.GlobalRebuildCount = int(dec.UN(maxRebuildCount))
-	ax.height = int(dec.UN(maxSkeletonDepth))
+	declaredHeight := int(dec.UN(maxSkeletonDepth))
 	nd := int(dec.UN(maxSkeletonDepth))
 	if dec.Err() == nil && nd < 1 {
 		return nil, fmt.Errorf("core: no materialised depths")
@@ -363,7 +363,6 @@ func OpenAppendIndex(d iomodel.Device, sigma int, opts AppendOptions, dec *conta
 	for a, c := range ax.counts {
 		cpre[a+1] = cpre[a] + c
 	}
-	var all []*dynNode
 	var decNode func(parent *dynNode, depth int, lo uint32) (*dynNode, error)
 	decNode = func(parent *dynNode, depth int, lo uint32) (*dynNode, error) {
 		if depth > maxSkeletonDepth {
@@ -384,7 +383,6 @@ func OpenAppendIndex(d iomodel.Device, sigma int, opts AppendOptions, dec *conta
 		if nc > int(span)+1 {
 			return nil, fmt.Errorf("core: %d children over %d characters", nc, span+1)
 		}
-		all = append(all, v)
 		clo := lo
 		for i := 0; i < nc; i++ {
 			if clo > hi {
@@ -409,11 +407,10 @@ func OpenAppendIndex(d iomodel.Device, sigma int, opts AppendOptions, dec *conta
 	if root.hi != uint32(sigma-1) {
 		return nil, fmt.Errorf("core: skeleton covers [0,%d], alphabet is [0,%d)", root.hi, sigma)
 	}
-	ax.root = root
-	for _, v := range all {
-		if v.depth > ax.height {
-			return nil, fmt.Errorf("core: node at depth %d exceeds declared height %d", v.depth, ax.height)
-		}
+	ax.root, ax.height = root, declaredHeight
+	all := ax.scan(nil, root)
+	if ax.height > declaredHeight {
+		return nil, fmt.Errorf("core: node at depth %d exceeds declared height %d", ax.height, declaredHeight)
 	}
 
 	// Members: recompute the per-level node sets from the skeleton exactly as

@@ -80,13 +80,13 @@ func (p *QueryPlan) reset() {
 
 // recordRange turns the character range r into the record range [qlo,qhi)
 // it occupies in the sorted order — z = qhi-qlo — by reading A[lo] and
-// A[hi+1] (O(1) I/Os), charged to ses.
-func (ox *Optimal) recordRange(ses ioSession, r index.Range) (qlo, qhi int64, err error) {
-	aLo, err := ses.ReadBits(ox.aExt.Off+int64(r.Lo)*64, 64)
+// A[hi+1] of the prefix array at aExt (O(1) I/Os), charged to ses.
+func recordRange(ses ioSession, aExt iomodel.Extent, r index.Range) (qlo, qhi int64, err error) {
+	aLo, err := ses.ReadBits(aExt.Off+int64(r.Lo)*64, 64)
 	if err != nil {
 		return 0, 0, err
 	}
-	aHi, err := ses.ReadBits(ox.aExt.Off+int64(r.Hi+1)*64, 64)
+	aHi, err := ses.ReadBits(aExt.Off+int64(r.Hi+1)*64, 64)
 	return int64(aLo), int64(aHi), err
 }
 
@@ -94,7 +94,7 @@ func (ox *Optimal) recordRange(ses ioSession, r index.Range) (qlo, qhi int64, er
 // descent to ses (a per-query Touch, or a BatchTouch attributing them to the
 // current consumer).
 func (ox *Optimal) planInto(ses ioSession, r index.Range, plan *QueryPlan) error {
-	qlo, qhi, err := ox.recordRange(ses, r)
+	qlo, qhi, err := recordRange(ses, ox.aExt, r)
 	if err != nil {
 		return err
 	}

@@ -650,112 +650,6 @@ func (px *PointIndex) PointQuery(ch uint32) (bm *cbitmap.Bitmap, stats index.Que
 	return bm, stats, nil
 }
 
-// Flush pushes every buffered update down to the leaves (used before
-// space-accounting snapshots and by tests).
-func (px *PointIndex) Flush() error {
-	tc := px.disk.NewTouch()
-	for len(px.rootBuf) > 0 {
-		moved, rest := px.pickDominantChild(px.root, px.rootBuf)
-		px.rootBuf = rest
-		if err := px.deliverAll(tc, px.root, moved); err != nil {
-			return err
-		}
-	}
-	return px.flushAll(tc, px.root, nil)
-}
-
-// deliverAll routes one batch to the child it belongs to, recursing without
-// buffering (used by Flush).
-func (px *PointIndex) deliverAll(tc *iomodel.Touch, nd *pnode, batch []pentry) error {
-	if len(batch) == 0 {
-		return nil
-	}
-	ci := childFor(nd, pkey{batch[0].ch, batch[0].pos})
-	child := nd.kids[ci]
-	if child.leaf {
-		if err := px.applyLeafBatch(tc, nd, ci, batch); err != nil {
-			return err
-		}
-		return px.maybeSplit(nd)
-	}
-	if err := px.flushInto(tc, child, batch); err != nil {
-		return err
-	}
-	return px.maybeSplit(nd)
-}
-
-func (px *PointIndex) flushAll(tc *iomodel.Touch, nd *pnode, batch []pentry) error {
-	if nd.leaf {
-		if len(batch) == 0 {
-			return nil
-		}
-		return fmt.Errorf("core: flushAll reached a leaf with a batch")
-	}
-	es, err := px.readBuffer(tc, nd)
-	if err != nil {
-		return err
-	}
-	es = append(es, batch...)
-	// Partition all entries by child and deliver each group.
-	groups := make(map[int][]pentry)
-	for _, e := range es {
-		groups[childFor(nd, pkey{e.ch, e.pos})] = append(groups[childFor(nd, pkey{e.ch, e.pos})], e)
-	}
-	if err := px.writeBuffer(tc, nd, nil); err != nil {
-		return err
-	}
-	// Deliver to stable snapshot of kids (applyLeafBatch mutates nd.kids);
-	// use child pointers rather than indices.
-	type job struct {
-		child *pnode
-		es    []pentry
-	}
-	var jobs []job
-	for ci, g := range groups {
-		jobs = append(jobs, job{nd.kids[ci], g})
-	}
-	slices.SortFunc(jobs, func(a, b job) int {
-		if a.child.min.less(b.child.min) {
-			return -1
-		}
-		if b.child.min.less(a.child.min) {
-			return 1
-		}
-		return 0
-	})
-	for _, j := range jobs {
-		if j.child.leaf {
-			// Find the child's current index.
-			ci := -1
-			for i, k := range nd.kids {
-				if k == j.child {
-					ci = i
-					break
-				}
-			}
-			if ci < 0 {
-				return fmt.Errorf("core: flushAll lost a leaf")
-			}
-			if err := px.applyLeafBatch(tc, nd, ci, j.es); err != nil {
-				return err
-			}
-		} else {
-			if err := px.flushAll(tc, j.child, j.es); err != nil {
-				return err
-			}
-		}
-	}
-	for _, k := range nd.kids {
-		if !k.leaf {
-			if err := px.flushAll(tc, k, nil); err != nil {
-				return err
-			}
-		}
-	}
-	_ = px.maybeSplit(nd)
-	return nil
-}
-
 // SizeBits returns the structure's space: leaf blocks, buffer blocks and
 // directory entries.
 func (px *PointIndex) SizeBits() int64 {

@@ -147,31 +147,6 @@ func TestPointIndexInsertDeleteSamePosition(t *testing.T) {
 	}
 }
 
-func TestPointIndexFlush(t *testing.T) {
-	d := iomodel.NewDisk(iomodel.Config{BlockBits: 512})
-	px, err := NewPointIndex(d, 8, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := newPointOracle()
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 3000; i++ {
-		ch := uint32(rng.Intn(8))
-		pos := rng.Int63n(1 << 16)
-		px.Insert(ch, pos)
-		o.insert(ch, pos)
-	}
-	if err := px.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if len(px.rootBuf) != 0 {
-		t.Fatalf("root buffer not drained: %d", len(px.rootBuf))
-	}
-	for ch := uint32(0); ch < 8; ch++ {
-		checkPointIndex(t, px, o, ch)
-	}
-}
-
 func TestPointIndexUpdateCostAmortised(t *testing.T) {
 	// Theorem 6: amortised O(lg n / b) I/Os per update. Measure total
 	// writes over many updates; per-update cost must be well below 1.

@@ -14,25 +14,6 @@ import (
 // mutating. Clones are strictly read-only: the write paths are either absent
 // (byChar, x, trans are not copied) or rejected (readonly, frozen device).
 
-// cloneDynNodes deep-copies the skeleton rooted at v, recording the
-// old-to-new mapping in m (members and the layout table reference nodes by
-// pointer, so they need remapping).
-func cloneDynNodes(v *dynNode, parent *dynNode, m map[*dynNode]*dynNode) *dynNode {
-	cp := &dynNode{
-		depth:       v.depth,
-		lo:          v.lo,
-		hi:          v.hi,
-		weight:      v.weight,
-		buildWeight: v.buildWeight,
-		parent:      parent,
-	}
-	m[v] = cp
-	for _, c := range v.children {
-		cp.children = append(cp.children, cloneDynNodes(c, cp, m))
-	}
-	return cp
-}
-
 // CloneReadOnly returns a read-only deep copy of the index's query-path
 // state bound to dev, which must serve the same bits as the index's device
 // at the time of the call (in practice: a Freeze view of it). The clone
@@ -42,6 +23,7 @@ func cloneDynNodes(v *dynNode, parent *dynNode, m map[*dynNode]*dynNode) *dynNod
 // original. The clone rejects Append (readonly); byChar stays behind, as the
 // query path never reads it.
 func (ax *AppendIndex) CloneReadOnly(dev iomodel.Device) (*AppendIndex, error) {
+	nodes := make(map[*dynNode]*dynNode)
 	cp := &AppendIndex{
 		disk:               dev,
 		opts:               ax.opts,
@@ -49,8 +31,7 @@ func (ax *AppendIndex) CloneReadOnly(dev iomodel.Device) (*AppendIndex, error) {
 		n:                  ax.n,
 		buildN:             ax.buildN,
 		counts:             slices.Clone(ax.counts),
-		height:             ax.height,
-		depths:             slices.Clone(ax.depths),
+		charSkeleton:       ax.clone(nodes),
 		nBlocks:            ax.nBlocks,
 		rootBuf:            slices.Clone(ax.rootBuf),
 		bufCap:             ax.bufCap,
@@ -58,8 +39,6 @@ func (ax *AppendIndex) CloneReadOnly(dev iomodel.Device) (*AppendIndex, error) {
 		GlobalRebuildCount: ax.GlobalRebuildCount,
 		readonly:           true,
 	}
-	nodes := make(map[*dynNode]*dynNode)
-	cp.root = cloneDynNodes(ax.root, nil, nodes)
 	cp.nodeBlk = make(map[*dynNode]iomodel.BlockID, len(ax.nodeBlk))
 	for v, blk := range ax.nodeBlk {
 		// Stale entries for nodes replaced by subtree rebuilds have no
@@ -147,12 +126,10 @@ func (dx *Dynamic) CloneReadOnly(dev iomodel.Device) *Dynamic {
 		n:                  dx.n,
 		deleted:            dx.deleted,
 		counts:             slices.Clone(dx.counts),
-		height:             dx.height,
-		depths:             slices.Clone(dx.depths),
+		charSkeleton:       dx.clone(nil),
 		updatesSinceBuild:  dx.updatesSinceBuild,
 		GlobalRebuildCount: dx.GlobalRebuildCount,
 	}
-	cp.root = cloneDynNodes(dx.root, nil, make(map[*dynNode]*dynNode))
 	cp.members = make([][]dynBin, len(dx.members))
 	for li := range dx.members {
 		cp.members[li] = slices.Clone(dx.members[li])

@@ -131,17 +131,19 @@ func (ox *Optimal) QueryUnfused(r index.Range) (out *cbitmap.Bitmap, stats index
 // already validated and non-empty). It is the pre-streaming materialising
 // path, retained as QueryUnfused's decode stage.
 func (wx *Warmup) queryChars(tc *iomodel.Touch, lo, hi int64, ms []*cbitmap.Bitmap, stats *index.QueryStats) ([]*cbitmap.Bitmap, error) {
-	for _, cn := range wx.cover(lo, hi) {
-		lv := wx.levels[cn.level]
-		ext := lv.exts[cn.node]
+	var plan QueryPlan
+	wx.cover(&plan, lo, hi)
+	for _, cn := range plan.Chunks {
+		lv := wx.levels[cn.Level]
+		ext := lv.exts[cn.I]
 		rd, err := tc.Reader(ext)
 		if err != nil {
 			return ms, err
 		}
 		stats.BitsRead += ext.Bits
-		bm, err := cbitmap.Decode(rd, lv.cards[cn.node], wx.n)
+		bm, err := cbitmap.Decode(rd, lv.cards[cn.I], wx.n)
 		if err != nil {
-			return ms, fmt.Errorf("core: warmup level %d node %d: %w", cn.level, cn.node, err)
+			return ms, fmt.Errorf("core: warmup level %d node %d: %w", cn.Level, cn.I, err)
 		}
 		ms = append(ms, bm)
 	}
@@ -202,9 +204,9 @@ func (dx *Dynamic) queryChars(lo, hi uint32, ms []*cbitmap.Bitmap, stats *index.
 	if lo > hi {
 		return ms, nil
 	}
-	for _, u := range dx.coverChars(lo, hi) {
+	for _, u := range dx.cover(lo, hi, nil) {
 		li := dx.levelForDepth(u.depth)
-		i, j, err := dx.binsWithin(li, u.lo, u.hi)
+		i, j, err := tilesWithin(dx.members[li], li, u.lo, u.hi)
 		if err != nil {
 			return ms, err
 		}
@@ -293,10 +295,10 @@ func (ax *AppendIndex) queryChars(tc *iomodel.Touch, lo, hi uint32, ms []*cbitma
 	if lo > hi {
 		return ms, nil
 	}
-	for _, u := range ax.coverChars(tc, lo, hi) {
+	for _, u := range ax.cover(lo, hi, func(v *dynNode) { ax.chargeNode(tc, v) }) {
 		ax.chargeNode(tc, u)
 		li := ax.levelForDepth(u.depth)
-		i, j, err := ax.membersWithin(li, u.lo, u.hi)
+		i, j, err := tilesWithin(ax.levels[li], li, u.lo, u.hi)
 		if err != nil {
 			return ms, err
 		}

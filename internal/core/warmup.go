@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/bits"
 
@@ -143,60 +144,36 @@ func (wx *Warmup) SizeBits() int64 {
 	return bitsTotal + wx.aExt.Bits
 }
 
-// coverNode is one subtree of the canonical binary cover.
-type coverNode struct {
-	level int
-	node  int64
-}
+// entry implements memberDir: a level's nodes are its members.
+func (lv *warmLevel) entry(k int) (iomodel.Extent, int64) { return lv.exts[k], lv.cards[k] }
 
-// cover decomposes the character range [lo,hi] into the maximal subtrees of
-// the complete binary tree whose leaves lie within it — at most two per
-// level (§2.1).
-func (wx *Warmup) cover(lo, hi int64) []coverNode {
-	var out []coverNode
+// cover appends to plan, one single-node chunk each, the maximal subtrees of
+// the complete binary tree whose leaves lie within the character range
+// [lo,hi] — at most two per level (§2.1).
+func (wx *Warmup) cover(plan *QueryPlan, lo, hi int64) {
 	width := int64(1)
 	level := len(wx.levels) - 1 // leaf level
+	take := func(node int64) {
+		plan.Chunks = append(plan.Chunks, PlanChunk{Level: level, I: int(node), J: int(node) + 1})
+	}
 	for lo <= hi {
 		if lo%(2*width) != 0 { // lo's node is a right child: take it alone
-			out = append(out, coverNode{level: level, node: lo / width})
+			take(lo / width)
 			lo += width
 		}
 		if (hi+1)%(2*width) != 0 && lo <= hi { // hi's node is a left child
-			out = append(out, coverNode{level: level, node: hi / width})
+			take(hi / width)
 			hi -= width
 		}
 		width *= 2
 		level--
 	}
-	return out
 }
 
-// queryCharStreams collects, into sc, one decode stream per node of the
-// canonical cover of [lo,hi]: each node's extent is read once into a pooled
-// chunk buffer and decoded lazily by the downstream merge, so no node bitmap
-// is ever materialised.
-func (wx *Warmup) queryCharStreams(tc *iomodel.Touch, lo, hi int64, sc *queryScratch, stats *index.QueryStats) error {
-	for _, cn := range wx.cover(lo, hi) {
-		lv := wx.levels[cn.level]
-		ext := lv.exts[cn.node]
-		cb := sc.nextBuf()
-		if err := tc.ReaderInto(ext, cb.w); err != nil {
-			return err
-		}
-		stats.BitsRead += ext.Bits
-		cb.r.Init(cb.w.Bytes(), cb.w.Len())
-		var s cbitmap.Stream
-		if err := s.InitDecode(&cb.r, 0, cb.w.Len(), lv.cards[cn.node], wx.n, 0); err != nil {
-			return fmt.Errorf("core: warmup level %d node %d: %w", cn.level, cn.node, err)
-		}
-		sc.streams = append(sc.streams, s)
-	}
-	return nil
-}
-
-// Query implements index.Index. The cover's gap streams feed a single fused
-// decode-merge pass (complemented in the same pass on the dense path), the
-// same shape as Optimal.Query.
+// Query implements index.Index on the static executor: the two prefix reads
+// give z, the cover is planned into the pooled QueryPlan, and readFrontier
+// and merge run it exactly as they run an Optimal plan — one fused
+// decode-merge pass, complemented in the same pass on the dense path.
 func (wx *Warmup) Query(r index.Range) (out *cbitmap.Bitmap, stats index.QueryStats, err error) {
 	if err = r.Valid(wx.sigma); err != nil {
 		return nil, stats, err
@@ -207,33 +184,30 @@ func (wx *Warmup) Query(r index.Range) (out *cbitmap.Bitmap, stats index.QuerySt
 		stats.Reads, stats.Writes = tc.Reads(), tc.Writes()
 		stats.FailedReads = tc.FailedReads()
 	}()
-	aLo, err := tc.ReadBits(wx.aExt.Off+int64(r.Lo)*64, 64)
+	qlo, qhi, err := recordRange(tc, wx.aExt, r)
 	if err != nil {
 		return nil, stats, err
 	}
-	aHi, err := tc.ReadBits(wx.aExt.Off+int64(r.Hi+1)*64, 64)
-	if err != nil {
-		return nil, stats, err
-	}
-	z := int64(aHi) - int64(aLo)
-
 	sc := getScratch()
 	defer sc.release()
-	complement := z > wx.n/2 && !wx.opts.NoComplement
-	if complement {
-		if r.Lo > 0 {
-			err = wx.queryCharStreams(tc, 0, int64(r.Lo)-1, sc, &stats)
+	plan := &sc.plan
+	plan.Complement = qhi-qlo > wx.n/2 && !wx.opts.NoComplement
+	last := uint32(wx.sigma - 1)
+	// Planning reads nothing, so it cannot fail.
+	_ = collectSides(r, plan.Complement, last, func(lo, hi uint32) error {
+		if plan.Complement && hi == last {
+			// The right side runs on through the padding, whose characters
+			// never occur: fewer, larger nodes.
+			hi = uint32(wx.padded - 1)
 		}
-		if err == nil && int(r.Hi) < wx.sigma-1 {
-			err = wx.queryCharStreams(tc, int64(r.Hi)+1, int64(wx.padded)-1, sc, &stats)
-		}
-	} else {
-		err = wx.queryCharStreams(tc, int64(r.Lo), int64(r.Hi), sc, &stats)
-	}
-	if err != nil {
+		wx.cover(plan, int64(lo), int64(hi))
+		return nil
+	})
+	dirOf := func(level int) memberDir { return &wx.levels[level] }
+	if err = sc.readFrontier(context.Background(), tc, plan.Chunks, dirOf, wx.n, &stats); err != nil {
 		return nil, stats, err
 	}
-	out, err = sc.merge(wx.n, complement, false)
+	out, err = sc.merge(wx.n, plan.Complement, false)
 	return out, stats, err
 }
 

@@ -46,17 +46,18 @@ func TestWarmupCoverShape(t *testing.T) {
 	}
 	for lo := int64(0); lo < 64; lo += 5 {
 		for hi := lo; hi < 64; hi += 7 {
-			cover := ix.cover(lo, hi)
+			var plan QueryPlan
+			ix.cover(&plan, lo, hi)
 			// At most 2 nodes per level.
 			perLevel := map[int]int{}
 			covered := map[int64]int{}
-			for _, cn := range cover {
-				perLevel[cn.level]++
-				if perLevel[cn.level] > 2 {
-					t.Fatalf("[%d,%d]: %d nodes at level %d", lo, hi, perLevel[cn.level], cn.level)
+			for _, cn := range plan.Chunks {
+				perLevel[cn.Level]++
+				if perLevel[cn.Level] > 2 {
+					t.Fatalf("[%d,%d]: %d nodes at level %d", lo, hi, perLevel[cn.Level], cn.Level)
 				}
-				width := ix.levels[cn.level].width
-				for c := cn.node * width; c < (cn.node+1)*width; c++ {
+				width := ix.levels[cn.Level].width
+				for c := int64(cn.I) * width; c < int64(cn.J)*width; c++ {
 					covered[c]++
 				}
 			}
