@@ -197,7 +197,7 @@ func TestFusedQueryAllocs(t *testing.T) {
 	// path may allocate no more than the k-way merge it replaces did — the
 	// answer and its buffer, 2/op at the commit before the concatenation.
 	pr := index.Range{Lo: 100, Hi: 100}
-	if plan, _, err := ix.PlanQuery(pr); err != nil || !plan.Ordered || len(plan.Chunks) < 2 {
+	if plan, _, err := ix.PlanQuery(pr); err != nil || !plan.Ordered || planMembers(plan) < 2 {
 		t.Fatalf("point plan %+v, err %v: not an ordered multi-member cover; test lost its teeth", plan, err)
 	}
 	point := testing.AllocsPerRun(50, func() {

@@ -56,17 +56,24 @@ type matLevel struct {
 // chunk returns the index range [i,j) of members tiling records [lo,hi).
 func (lv *matLevel) chunk(lo, hi int64) (int, int, error) {
 	i := sort.Search(len(lv.members), func(k int) bool { return lv.members[k].start >= lo })
+	j, err := lv.tileFrom(i, lo, hi)
+	return i, j, err
+}
+
+// tileFrom returns the end j of the member run [i,j) tiling records [lo,hi),
+// where member i is the first to start at or after lo.
+func (lv *matLevel) tileFrom(i int, lo, hi int64) (int, error) {
 	j := i
 	for j < len(lv.members) && lv.members[j].end <= hi {
 		j++
 	}
 	if i == j {
-		return 0, 0, fmt.Errorf("core: no members tile records [%d,%d) at depth %d", lo, hi, lv.depth)
+		return 0, fmt.Errorf("core: no members tile records [%d,%d) at depth %d", lo, hi, lv.depth)
 	}
 	if lv.members[i].start != lo || lv.members[j-1].end != hi {
-		return 0, 0, fmt.Errorf("core: members do not tile records [%d,%d) at depth %d", lo, hi, lv.depth)
+		return 0, fmt.Errorf("core: members do not tile records [%d,%d) at depth %d", lo, hi, lv.depth)
 	}
-	return i, j, nil
+	return j, nil
 }
 
 // Optimal is the paper's Theorem 2 structure: the pruned weight-balanced

@@ -1,7 +1,8 @@
 // Shared-scan batch query planner.
 //
 // The paper's Theorem 2 query bound is per-query: a range reads its cover
-// chunks, one contiguous extent per materialised level. A batch of
+// chunks, a few contiguous member runs per materialised level (coverChunks
+// makes each run maximal). A batch of
 // overlapping ranges shares most of its cover frontier, so the planner plans
 // the whole batch at cover-chunk granularity first and executes it in one
 // shared pass: every query's plan is computed without executing it
@@ -28,16 +29,19 @@ import (
 	"repro/internal/iomodel"
 )
 
-// PlanChunk identifies one run of cover-frontier members a query reads:
-// members [I,J) of materialised level Level, whose concatenated extent is a
-// single contiguous read (matLevel members tile the level in record order).
+// PlanChunk identifies one maximal run of cover-frontier members a query
+// reads: members [I,J) of materialised level Level, whose concatenated extent
+// is a single contiguous read (matLevel members tile the level in record
+// order). A run holds the frontiers of every consecutive cover node at one
+// level, so the next chunk of a plan is at another level or starts past J.
 type PlanChunk struct {
 	Level int
 	I, J  int
 }
 
-// QueryPlan is the cover plan of one range query: the per-level member runs
-// whose extents the query reads, plus whether the dense-answer complement
+// QueryPlan is the cover plan of one range query: the maximal member runs
+// whose extents the query reads, in record order — a point query's is
+// usually one run — plus whether the dense-answer complement
 // trick applies (in which case the chunks cover the two complementary record
 // ranges and the merge inverts the union in the same pass) and, when it does
 // not, whether the record range lies inside one character — records are
@@ -108,10 +112,10 @@ func (ox *Optimal) planRecords(ses ioSession, qlo, qhi int64, plan *QueryPlan) e
 	n := ox.tree.n
 	plan.Complement = qhi-qlo > n/2 && !ox.opts.NoComplement
 	if plan.Complement {
-		if err := ox.coverChunks(ses, 0, qlo, plan); err != nil {
+		if err := coverPlanner(ox, ses, 0, qlo, plan); err != nil {
 			return err
 		}
-		return ox.coverChunks(ses, qhi, n, plan)
+		return coverPlanner(ox, ses, qhi, n, plan)
 	}
 	return ox.planCover(ses, qlo, qhi, plan)
 }
@@ -120,23 +124,43 @@ func (ox *Optimal) planRecords(ses ioSession, qlo, qhi int64, plan *QueryPlan) e
 // whether one character holds all of it.
 func (ox *Optimal) planCover(ses ioSession, qlo, qhi int64, plan *QueryPlan) error {
 	plan.Ordered = qlo < qhi && qhi <= ox.tree.prefix[ox.tree.charOf(qlo)+1]
-	return ox.coverChunks(ses, qlo, qhi, plan)
+	return coverPlanner(ox, ses, qlo, qhi, plan)
 }
+
+// coverPlanner is the cover planner every plan goes through; the tests swap
+// in the one-chunk-per-cover-node oracle to pin that runs change nothing
+// downstream.
+var coverPlanner = (*Optimal).coverChunks
 
 // coverScratch pools the cover buffer planning reuses across the queries of
 // a batch (and across batches).
 var coverScratchPool = sync.Pool{New: func() any { return new([]*Node) }}
 
-// coverChunks appends the cover chunks of the record range [qlo,qhi) to the
-// plan, charging the tree descent to ses exactly as Query does.
+// coverChunks appends the cover of the record range [qlo,qhi) to the plan as
+// maximal member runs, charging the tree descent to ses exactly as Query
+// does. The cover arrives in record order and a level's members lie in
+// record order, so a cover node that starts where the last run at its level
+// ends extends that run: only a run's first node searches the directory, and
+// the level is looked up only when the cover depth changes. A node whose
+// structure block was just charged is not touched again: the session holds
+// the block, so the touch would change no count.
 func (ox *Optimal) coverChunks(ses ioSession, qlo, qhi int64, plan *QueryPlan) error {
 	if qlo >= qhi {
 		return nil
 	}
+	last := iomodel.BlockID(-1) // the block charged just before: ses holds it
+	charge := func(v *Node) (err error) {
+		if blk := ox.layout.blockOf[v.ID]; blk != last {
+			if err = ox.layout.charge(ses, v); err == nil {
+				last = blk
+			}
+		}
+		return err
+	}
 	cp := coverScratchPool.Get().(*[]*Node)
 	var chargeErr error
 	cover := ox.tree.CoverAppend((*cp)[:0], qlo, qhi, func(v *Node) {
-		if err := ox.layout.charge(ses, v); err != nil && chargeErr == nil {
+		if err := charge(v); err != nil && chargeErr == nil {
 			chargeErr = err
 		}
 	})
@@ -148,12 +172,26 @@ func (ox *Optimal) coverChunks(ses ioSession, qlo, qhi int64, plan *QueryPlan) e
 	if chargeErr != nil {
 		return chargeErr
 	}
+	depth, li := -1, 0
 	for _, v := range cover {
-		if err := ox.layout.charge(ses, v); err != nil {
+		if err := charge(v); err != nil {
 			return err
 		}
-		li := ox.levelFor(v.Depth)
-		i, j, err := ox.levels[li].chunk(v.Start, v.End)
+		if v.Depth != depth {
+			depth, li = v.Depth, ox.levelFor(v.Depth)
+		}
+		lv := &ox.levels[li]
+		if k := len(plan.Chunks) - 1; k >= 0 {
+			if c := &plan.Chunks[k]; c.Level == li && c.J < len(lv.members) && lv.members[c.J].start == v.Start {
+				j, err := lv.tileFrom(c.J, v.Start, v.End)
+				if err != nil {
+					return err
+				}
+				c.J = j
+				continue
+			}
+		}
+		i, j, err := lv.chunk(v.Start, v.End)
 		if err != nil {
 			return err
 		}
