@@ -759,7 +759,7 @@ func BenchmarkServeSim(b *testing.B) {
 }
 
 // BenchmarkServerHit measures a request the answer cache answers: Submit's
-// closed and ctx checks, one LRU lookup, and the one allocation that holds
+// closed and ctx checks, one cache lookup, and the one allocation that holds
 // the ServedResult and its Result.
 func BenchmarkServerHit(b *testing.B) {
 	col := workload.Zipf(1<<16, 256, 1.0, 7)

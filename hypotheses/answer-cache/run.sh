@@ -16,6 +16,11 @@
 # request list with no range twice must hit nothing and cost nothing.
 # Devil's-advocate arm: the replay of "admit on the second sighting only".
 #
+# The cache has since become frequency-gated (hypotheses/answer-admission):
+# on this tree the LRU replay prints as lru_hit, the shipped cache's replay
+# as gated_hit, and the second-sighting arm is gone. FINDINGS.md's tables
+# come from the tree before that change (git log names it).
+#
 # Usage: hypotheses/answer-cache/run.sh [outdir]   (default: a fresh temp dir)
 #   SEEDS="42 123 456" CLIENTS="1 2 8 32" REQUESTS=4000 THETAS="distinct 0 0.8 1.1"
 #   BUDGETS_KIB="0 512 1024 2048 4096 8192" override the defaults (~15 min);
@@ -31,7 +36,7 @@ PAIRS="${PAIRS:-0}"
 mkdir -p "$OUT"
 
 # --- Preconditions (ED-3): checked here, not assumed. ---
-# 1. The cache under test is the one in the source: a budgeted LRU that never
+# 1. The cache under test is the one in the source: a budgeted cache that never
 #    holds a degraded, failed or cancelled answer, in front of admission.
 go test -count=1 -run 'FuzzAnswerCache|TestServerCache' ./internal/serve >/dev/null
 go test -count=1 -run 'TestServeAnswerCacheBudget|TestServeCacheHitWithEveryBreakerOpen' . >/dev/null
@@ -48,8 +53,8 @@ cells = {}
 for line in open(f'{out}/cachesweep.txt'):
     kv = dict(f.split('=', 1) for f in line.split()[1:])
     cells.setdefault((kv['theta'], int(kv['clients']), int(kv['budget_kib'])), []).append(kv)
-cols = ('qps', 'p50_us', 'p99_us', 'cpu_s_per_kop', 'hit', 'pred_hit', 'byte_hit', 'pred_byte_hit',
-        'second_hit', 'second_byte_hit', 'blocks_per_req', 'miss_wait_p50_us', 'entries')
+cols = ('qps', 'p50_us', 'p99_us', 'cpu_s_per_kop', 'hit', 'lru_hit', 'byte_hit', 'lru_byte_hit',
+        'gated_hit', 'gated_byte_hit', 'blocks_per_req', 'miss_wait_p50_us', 'entries')
 thetas = sorted({k[0] for k in cells}, key=lambda t: (t != 'distinct', t))
 for theta in thetas:
     some = next(v for k, v in cells.items() if k[0] == theta)

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -43,16 +44,98 @@ func sameAnswer(t *testing.T, r Response, lo, hi uint32) {
 	}
 }
 
+// cacheModel is FuzzAnswerCache's model of the admission policy: held ranges
+// with their cost and count in recency order, the sightings of ranges not
+// held, and the sum of all counts that drives aging.
+type cacheModel struct {
+	budget                    int64
+	order                     []index.Range // most recent first
+	cost, count, seen         map[index.Range]int64
+	counted                   int64
+	bytes                     int64
+	hits, evictions, declined uint64
+}
+
+func (m *cacheModel) touch(r index.Range) {
+	m.order = slices.Insert(slices.DeleteFunc(m.order, func(o index.Range) bool { return o == r }), 0, r)
+}
+
+func (m *cacheModel) get(r index.Range) bool {
+	if m.counted >= max(minWindow, windowPerEntry*int64(len(m.order))) {
+		m.counted = 0
+		for k, n := range m.seen {
+			m.seen[k] = n / 2
+			if n/2 == 0 {
+				delete(m.seen, k)
+			}
+			m.counted += n / 2
+		}
+		for k, n := range m.count {
+			m.count[k] = (n + 1) / 2
+			m.counted += (n + 1) / 2
+		}
+	}
+	m.counted++
+	if _, ok := m.count[r]; !ok {
+		m.seen[r]++
+		return false
+	}
+	m.count[r]++
+	m.hits++
+	m.touch(r)
+	return true
+}
+
+func (m *cacheModel) put(r index.Range, cost int64) {
+	if _, held := m.count[r]; held {
+		m.touch(r)
+		return
+	}
+	if cost > m.budget {
+		return
+	}
+	n := len(m.order) // the entries from n on are evicted
+	for free := m.budget - m.bytes; free < cost; {
+		n--
+		if m.count[m.order[n]] >= m.seen[r] {
+			m.declined++
+			return
+		}
+		free += m.cost[m.order[n]]
+	}
+	for _, old := range m.order[n:] {
+		m.bytes -= m.cost[old]
+		m.counted -= m.count[old]
+		delete(m.cost, old)
+		delete(m.count, old)
+		m.evictions++
+	}
+	m.order = m.order[:n]
+	m.cost[r], m.count[r] = cost, m.seen[r]
+	delete(m.seen, r)
+	m.bytes += cost
+	m.touch(r)
+}
+
 // FuzzAnswerCache drives the cache with a byte-coded script of gets and puts
-// and checks it against a model that is a plain map, a recency-ordered key
-// slice and the sum of the entries' costs: every get hits or misses as the
-// model says and returns the bitmap that was put, the budget is never
-// exceeded, an answer larger than the budget is never admitted, and a get
-// after an eviction misses.
+// and checks it against cacheModel: every get hits or misses as the model
+// says and returns the bitmap that was put, every count, sighting and
+// counter agrees, the budget is never exceeded, an admission evicts only
+// entries with a strictly lower count than the candidate's sightings, and the
+// sighting table never holds more ranges than the aging window.
 func FuzzAnswerCache(f *testing.F) {
 	f.Add(uint16(900), []byte{0x80, 0x81, 0x00, 0x82, 0x83, 0x01, 0x84, 0x80, 0x05})
 	f.Add(uint16(250), []byte{0x87, 0x07, 0x80, 0x00})
 	f.Add(uint16(0), []byte{0x80, 0x00})
+	// Fill, then a range sighted twice displaces one sighted once, and a
+	// range sighted once is declined.
+	f.Add(uint16(700), []byte{0x00, 0x80, 0x01, 0x81, 0x02, 0x82, 0x09, 0x09, 0x89, 0x01, 0x0c, 0x8c})
+	// Bursts past the aging window, then a one-off against the aged entries.
+	burst := []byte{0x00, 0x80, 0x01, 0x81}
+	for i := 0; i < 40; i++ {
+		burst = append(burst, 0x40|byte(i%3))
+	}
+	f.Add(uint16(500), append(burst, 0x0a, 0x8a, 0x0b, 0x0b, 0x8b))
 	// Eight answers of 2 … 1024 positions: costs from about 200 to about 2000.
 	bms := make([]*cbitmap.Bitmap, 8)
 	for i := range bms {
@@ -64,61 +147,134 @@ func FuzzAnswerCache(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, budget uint16, script []byte) {
 		c := newAnswerCache(int64(budget))
-		if budget == 0 && c != nil {
-			t.Fatal("a zero budget built a cache")
+		if budget == 0 {
+			if c != nil {
+				t.Fatal("a zero budget built a cache")
+			}
+			for _, op := range script {
+				r := index.Range{Lo: uint32(op & 0x3f), Hi: uint32(op&0x3f) + 16}
+				c.put(r, bms[op&7])
+				if _, ok := c.get(r); ok {
+					t.Fatal("the disabled cache hit")
+				}
+			}
+			return
 		}
-		var order []index.Range // model: most recent first
-		model := map[index.Range]int64{}
-		var sum int64
-		var hits, evictions uint64
-		touch := func(r index.Range) {
-			order = slices.Insert(slices.DeleteFunc(order, func(o index.Range) bool { return o == r }), 0, r)
-		}
+		m := &cacheModel{budget: int64(budget), cost: map[index.Range]int64{}, count: map[index.Range]int64{}, seen: map[index.Range]int64{}}
 		for _, op := range script {
-			// Low bits: the key, which also picks the answer; top bit: put.
+			// Low six bits: the key, which also picks the answer; top bit: put;
+			// bit 6 of a get: 64 of them, to reach the aging window.
 			r := index.Range{Lo: uint32(op & 0x3f), Hi: uint32(op&0x3f) + 16}
 			bm := bms[op&7]
 			if op&0x80 == 0 {
-				got, ok := c.get(r)
-				if _, want := model[r]; ok != want {
-					t.Fatalf("get %v: hit=%v, model says %v", r, ok, want)
-				}
-				if ok {
-					if got != bm {
+				for i := 0; i < 1+63*int(op>>6); i++ {
+					got, ok := c.get(r)
+					if want := m.get(r); ok != want {
+						t.Fatalf("get %v: hit=%v, model says %v", r, ok, want)
+					}
+					if ok && got != bm {
 						t.Fatalf("get %v returned another range's answer", r)
 					}
-					hits++
-					touch(r)
+					if len(c.seen) > c.window() {
+						t.Fatalf("%d ranges sighted against a window of %d", len(c.seen), c.window())
+					}
 				}
-				continue
-			}
-			c.put(r, bm)
-			cost := answerCost(bm)
-			if _, held := model[r]; held {
-				touch(r)
-			} else if cost <= int64(budget) {
-				for sum+cost > int64(budget) {
-					old := order[len(order)-1]
-					order = order[:len(order)-1]
-					sum -= model[old]
-					delete(model, old)
-					evictions++
+			} else {
+				before := map[index.Range]int{}
+				for k, e := range c.entries {
+					before[k] = e.Value.(*answer).count
 				}
-				model[r] = cost
-				sum += cost
-				touch(r)
+				sighted := c.seen[r]
+				c.put(r, bm)
+				m.put(r, answerCost(bm))
+				for k, n := range before {
+					if _, ok := c.entries[k]; !ok && n >= sighted {
+						t.Fatalf("admitting %v (%d sightings) evicted %v with count %d", r, sighted, k, n)
+					}
+				}
 			}
 			var st Stats
 			c.fill(&st)
 			if st.CacheBytes > int64(budget) {
 				t.Fatalf("%d bytes held against a budget of %d", st.CacheBytes, budget)
 			}
-			if st.CacheBytes != sum || st.CacheEntries != len(model) || st.CacheHits != hits || st.CacheEvictions != evictions {
-				t.Fatalf("cache %d bytes / %d entries / %d hits / %d evictions, model %d / %d / %d / %d",
-					st.CacheBytes, st.CacheEntries, st.CacheHits, st.CacheEvictions, sum, len(model), hits, evictions)
+			if st.CacheBytes != m.bytes || st.CacheEntries != len(m.order) || st.CacheHits != m.hits || st.CacheEvictions != m.evictions || st.CacheDeclined != m.declined {
+				t.Fatalf("cache %d bytes / %d entries / %d hits / %d evictions / %d declined, model %d / %d / %d / %d / %d",
+					st.CacheBytes, st.CacheEntries, st.CacheHits, st.CacheEvictions, st.CacheDeclined, m.bytes, len(m.order), m.hits, m.evictions, m.declined)
+			}
+			for k, n := range m.count {
+				if e, ok := c.entries[k]; !ok || int64(e.Value.(*answer).count) != n {
+					t.Fatalf("entry %v: held=%v, model count %d", k, ok, n)
+				}
+			}
+			if len(c.seen) != len(m.seen) || int64(c.counted) != m.counted {
+				t.Fatalf("%d ranges sighted, counted %d; model %d, %d", len(c.seen), c.counted, len(m.seen), m.counted)
+			}
+			for k, n := range m.seen {
+				if int64(c.seen[k]) != n {
+					t.Fatalf("%v sighted %d times, model %d", k, c.seen[k], n)
+				}
 			}
 		}
 	})
+}
+
+// TestAnswerCacheStopsChurning: on a list with no range twice, once the cache
+// is full every further answer is declined — nothing is evicted and the held
+// set stays the same — through several aging windows.
+func TestAnswerCacheStopsChurning(t *testing.T) {
+	c := newAnswerCache(64 << 10)
+	var full []index.Range
+	for i := uint32(0); i < 3*minWindow; i++ {
+		r := index.Range{Lo: i, Hi: i + 16}
+		if _, ok := c.get(r); ok {
+			t.Fatalf("%v hit on its first sighting", r)
+		}
+		c.put(r, answerOf(r))
+		if full == nil && c.declined > 0 {
+			for k := range c.entries {
+				full = append(full, k)
+			}
+		}
+	}
+	var st Stats
+	c.fill(&st)
+	if full == nil || st.CacheEvictions != 0 || st.CacheEntries != len(full) || st.CacheDeclined != uint64(3*minWindow-len(full)) {
+		t.Fatalf("%d evictions, %d entries, %d declined; %d held when full", st.CacheEvictions, st.CacheEntries, st.CacheDeclined, len(full))
+	}
+	for _, k := range full {
+		if _, ok := c.entries[k]; !ok {
+			t.Fatalf("%v was held when the cache filled and is not now", k)
+		}
+	}
+}
+
+// TestAnswerCacheAdmitsShiftedHotSet: a zipf-skewed hot set of 64 ranges, 32
+// of which fit, moves to 64 other ranges after a long first phase. Aging must
+// let the new set in within two aging windows of the move: the requests of
+// the third window hit within 0.04 of the first phase's steady rate.
+func TestAnswerCacheAdmitsShiftedHotSet(t *testing.T) {
+	c := newAnswerCache(32 * answerCost(answerOf(index.Range{Hi: 16})))
+	zipf := rand.NewZipf(rand.New(rand.NewSource(7)), 1.1, 1, 63)
+	// hitRate runs n requests on the hot set at base and returns the hit
+	// rate of the last m.
+	hitRate := func(base uint32, n, m int) float64 {
+		hits := 0
+		for i := 0; i < n; i++ {
+			lo := base + uint32(zipf.Uint64())
+			r := index.Range{Lo: lo, Hi: lo + 16}
+			if _, ok := c.get(r); !ok {
+				c.put(r, answerOf(r))
+			} else if i >= n-m {
+				hits++
+			}
+		}
+		return float64(hits) / float64(m)
+	}
+	steady := hitRate(0, 40000, 5000)
+	if after := hitRate(1000, 3*minWindow, minWindow); after < steady-0.04 {
+		t.Fatalf("steady hit rate %.3f; two aging windows after the move %.3f", steady, after)
+	}
 }
 
 // TestServerCacheNeverHoldsDegraded: an answer missing a shard, a failed

@@ -105,6 +105,7 @@ type Stats struct {
 	// Answer cache (all zero without Config.AnswerCacheBytes).
 	CacheHits      uint64 // requests answered from the cache, never admitted
 	CacheEvictions uint64 // entries dropped to keep CacheBytes within budget
+	CacheDeclined  uint64 // answers not admitted: each entry they would evict was asked for at least as often
 	CacheEntries   int    // answers held now
 	CacheBytes     int64  // their charged cost
 	// Queue.

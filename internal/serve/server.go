@@ -7,8 +7,9 @@
 // deadline-budget trigger seals it — and layers per-shard circuit breakers
 // over the shard layer's retry/degrade machinery so a persistently failing
 // shard stops costing every request its retry budget. In front of admission,
-// and outside that policy, an optional byte-budgeted LRU answers the ranges
-// already answered fault-free (answers.go): the backend is immutable.
+// and outside that policy, an optional byte-budgeted answer cache answers the
+// ranges already answered fault-free (answers.go): the backend is immutable,
+// and an answer is admitted only over entries asked for less often.
 //
 // The policy core (admission bound, flush triggers, breaker state machine) is
 // clock-parameterised and shared between two drivers: Server runs it for real
@@ -114,11 +115,13 @@ type Config struct {
 	// Breaker configures the per-shard circuit breakers. Forced Disabled
 	// when AllowPartial is false.
 	Breaker BreakerConfig
-	// AnswerCacheBytes is the byte budget of the LRU of complete answers in
+	// AnswerCacheBytes is the byte budget of the cache of complete answers in
 	// front of admission (0 or less: none). A hit is answered at once with
 	// Trigger "cache" and is never queued, batched or shed; only fault-free,
-	// non-degraded answers of live requests are retained. The backend must be
-	// immutable for as long as the server fronts it.
+	// non-degraded answers of live requests are offered to it, and one that
+	// would evict is admitted only if its range was asked for more often
+	// than each entry it evicts. The backend must be immutable for as long
+	// as the server fronts it.
 	AnswerCacheBytes int64
 }
 

@@ -91,7 +91,7 @@ func (c ServerConfig) toInternal() serve.Config {
 // batching (Batches and one Flush* count per trigger, FlushIdle included;
 // they sum to Batches), the answer cache (CacheHits — completions that were
 // never admitted, so Completed = backend-answered + CacheHits —
-// CacheEvictions, CacheEntries, CacheBytes), the intake queue's
+// CacheEvictions, CacheDeclined, CacheEntries, CacheBytes), the intake queue's
 // depth and high-water mark, batch-level backend I/O (Reads, SharedSaved,
 // FailedReads, RetriedReads), per-shard breaker state and transition counts,
 // and the end-to-end latency distribution of completed requests.
@@ -149,14 +149,17 @@ func fromResponse(r serve.Response) *ServedResult {
 // shared-scan planner, per-shard circuit breakers, and serving metrics. See
 // ShardedIndex.Serve and Index.Serve.
 //
-// In front of admission it keeps an LRU of complete answers (the handle is
+// In front of admission it keeps a cache of complete answers (the handle is
 // immutable, so one never goes stale; degraded, failed and cancelled answers
-// are never kept). Its byte budget is what the handle's block cache holds —
-// CacheBlocks × block bytes × shards — so a server over a cached handle
-// retains up to twice the memory CacheBlocks asked for, and one over a handle
-// without a block cache has no answer cache either. On traffic that never
-// repeats a range the cache cannot hit and costs a few per cent of throughput
-// (hypotheses/answer-cache/FINDINGS.md).
+// are never kept). When the cache is full, an answer is admitted only if its
+// range was asked for more often than each least recently used entry it
+// would evict; otherwise it is declined (ServerStats.CacheDeclined), so
+// ranges asked once do not push out hot ones. Its byte budget is what the
+// handle's block cache holds — CacheBlocks × block bytes × shards — so a
+// server over a cached handle retains up to twice the memory CacheBlocks
+// asked for, and one over a handle without a block cache has no answer cache
+// either. On traffic that never repeats a range the cache cannot hit; once
+// full it stops admitting (hypotheses/answer-admission/FINDINGS.md).
 type Server struct {
 	s *serve.Server
 }
