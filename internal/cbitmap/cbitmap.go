@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -79,10 +78,10 @@ type Builder struct {
 	card      int64
 	samplePos []int64
 	sampleOff []int32
-	// noSamples is set once a bulk append skips over elements without
-	// visiting them: the uniform element-index spacing that iterFrom/Rank
-	// rely on can then no longer be maintained, so sampling stops (samples
-	// already collected cover the prefix and stay valid).
+	// noSamples is set once a drain (Stream.drainInto) copies elements
+	// without visiting them: the uniform element-index spacing that
+	// iterFrom/Rank rely on can then no longer be maintained, so sampling
+	// stops (samples already collected cover the prefix and stay valid).
 	noSamples bool
 	// samplesAliased records that the last Bitmap call handed the sample
 	// slices themselves to the bitmap, so a pooled reuse must not truncate
@@ -132,42 +131,6 @@ func (bd *Builder) AddRun(start, count int64) {
 		bd.card += chunk
 		bd.maybeSample()
 		count -= chunk
-	}
-}
-
-// AppendBitmap appends every position of other, whose minimum must exceed
-// every position added so far. The first gap is re-encoded (it is relative to
-// the builder's last position); the rest of other's stream is gap-relative
-// within other and is copied verbatim, whole words at a time.
-func (bd *Builder) AppendBitmap(other *Bitmap) {
-	it := other.Iter()
-	if p0, ok := it.Next(); ok {
-		bd.drainIter(p0, &it, other)
-	}
-}
-
-// drainIter appends a pending head position and the untouched remainder of
-// its iterator's stream verbatim (see AppendBitmap); src is the bitmap the
-// iterator reads from. Equal head positions are deduplicated.
-func (bd *Builder) drainIter(cur int64, it *Iter, src *Bitmap) {
-	bd.drainIterShifted(cur, it, src, 0)
-}
-
-// drainIterShifted is drainIter with every remaining position shifted by
-// off: gaps are relative, so a constant shift changes only the head position
-// and the stream tail still copies verbatim, whole words at a time. cur must
-// already include the shift.
-func (bd *Builder) drainIterShifted(cur int64, it *Iter, src *Bitmap, off int64) {
-	if cur != bd.prev {
-		bd.Add(cur)
-	}
-	bd.w.CopyBits(&it.r, it.r.Remaining())
-	bd.card += it.left
-	if src.last+off > bd.prev {
-		bd.prev = src.last + off
-	}
-	if it.left > 0 {
-		bd.noSamples = true
 	}
 }
 
@@ -327,17 +290,10 @@ func Decode(r *bitio.Reader, card, n int64) (*Bitmap, error) {
 		return nil, err
 	}
 	ds := decodeScratchPool.Get().(*decodeScratch)
-	samplePos, sampleOff := ds.pos[:0], ds.off[:0]
-	for i := int64(0); i < card; i++ {
-		p, ok := s.Next()
-		if !ok {
-			ds.release(samplePos, sampleOff)
-			return nil, fmt.Errorf("cbitmap: decode gap %d/%d: %w", i, card, s.err)
-		}
-		if (i+1)%sampleEvery == 0 && s.r.Pos()-start <= math.MaxInt32 {
-			samplePos = append(samplePos, p)
-			sampleOff = append(sampleOff, int32(s.r.Pos()-start))
-		}
+	samplePos, sampleOff, ok := s.sampleScan(start, ds.pos[:0], ds.off[:0])
+	if !ok {
+		ds.release(samplePos, sampleOff)
+		return nil, fmt.Errorf("cbitmap: decode of %d gaps: %w", card, s.err)
 	}
 	bits := s.r.Pos() - start
 	bd := builderPool.Get().(*Builder)
@@ -358,21 +314,13 @@ func Decode(r *bitio.Reader, card, n int64) (*Bitmap, error) {
 	return b, nil
 }
 
-// Iter iterates positions in increasing order. It is a value type holding
-// its reader inline, so obtaining and running an iterator allocates nothing.
-type Iter struct {
-	r    bitio.Reader
-	left int64
-	prev int64
-}
-
-// Iter returns an iterator over the set.
-func (b *Bitmap) Iter() Iter {
-	var it Iter
-	it.r.Init(b.buf, b.bits)
-	it.left = b.card
-	it.prev = -1
-	return it
+// Iter returns a stream over the set's positions in increasing order. A
+// Stream is a value holding its reader inline, so obtaining and running one
+// allocates nothing.
+func (b *Bitmap) Iter() Stream {
+	var s Stream
+	s.InitBitmap(b, 0)
+	return s
 }
 
 // ensureSamples lazily rebuilds skip samples by one decode pass over the
@@ -388,71 +336,26 @@ func (b *Bitmap) ensureSamples() {
 		if b.samplePos != nil {
 			return // sampled at construction
 		}
-		var pos []int64
-		var off []int32
-		it := b.Iter()
-		for i := int64(1); ; i++ {
-			p, ok := it.Next()
-			if !ok {
-				break
-			}
-			if i%sampleEvery == 0 && it.r.Pos() <= math.MaxInt32 {
-				pos = append(pos, p)
-				off = append(off, int32(it.r.Pos()))
-			}
-		}
+		s := b.Iter()
+		pos, off, _ := s.sampleScan(0, nil, nil) // b's own bits: cannot fail
 		b.attachSamples(pos, off)
 	})
 }
 
-// iterFrom returns an iterator positioned at the latest skip sample strictly
+// iterFrom returns a stream positioned at the latest skip sample strictly
 // before pos (or at the start when there is none), so a forward scan reaches
 // pos after at most sampleK decodes.
-func (b *Bitmap) iterFrom(pos int64) Iter {
+func (b *Bitmap) iterFrom(pos int64) Stream {
 	b.ensureSamples()
-	it := b.Iter()
-	if len(b.samplePos) == 0 || pos <= b.samplePos[0] {
-		return it
-	}
+	s := b.Iter()
 	j := sort.Search(len(b.samplePos), func(i int) bool { return b.samplePos[i] >= pos })
 	if j == 0 {
-		return it
+		return s
 	}
-	s := j - 1
-	it.prev = b.samplePos[s]
-	it.left = b.card - int64(s+1)*b.sampleK
-	it.r.Seek(int(b.sampleOff[s]))
-	return it
-}
-
-// Next returns the next position, or ok=false when exhausted.
-func (it *Iter) Next() (pos int64, ok bool) {
-	if it.left == 0 {
-		return 0, false
-	}
-	// Gamma fast path open-coded from gamma.Read: one peeked window decodes
-	// the whole gap code in the common case. gamma.Read is too large for the
-	// compiler to inline, and this copy is worth ~8% on BenchmarkBitmapUnion;
-	// the differential fuzz targets in gamma and this package pin both copies
-	// to the same bit-exact behaviour.
-	if w, avail := it.r.Peek64(); w != 0 {
-		z := bits.LeadingZeros64(w)
-		if total := 2*z + 1; total <= avail {
-			it.r.SkipBits(total)
-			it.left--
-			it.prev += int64(w >> uint(64-total))
-			return it.prev, true
-		}
-	}
-	g, err := gamma.Read(&it.r)
-	if err != nil {
-		// Corrupt stream: surface as exhaustion; builders validate on entry.
-		it.left = 0
-		return 0, false
-	}
-	it.left--
-	it.prev += int64(g)
-	return it.prev, true
+	s.prev = b.samplePos[j-1]
+	s.left = b.card - int64(j)*b.sampleK
+	s.r.Seek(int(b.sampleOff[j-1]))
+	return s
 }
 
 // Positions materialises the set as a sorted slice.

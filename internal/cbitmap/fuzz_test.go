@@ -2,6 +2,8 @@ package cbitmap
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -150,39 +152,159 @@ func TestSkipSamplesLargeBitmap(t *testing.T) {
 	}
 }
 
-// TestBuilderAppendBitmapSamples: sampling stops after a bulk append skips
-// elements, so later Adds cannot record misaligned samples that would
-// corrupt Rank (regression: Rank once returned 128 where 768 was correct).
-func TestBuilderAppendBitmapSamples(t *testing.T) {
+// TestDrainStopsSampling: sampling stops once drainInto copies elements
+// without visiting them, so a head added after a drain cannot record a
+// misaligned sample that would corrupt Rank (regression: Rank once returned
+// 128 where 768 was correct). The ordered merge adds each stream's head and
+// drains its tail; with 64 / 639 / 164 positions the third head is element
+// 704, a multiple of sampleEvery.
+func TestDrainStopsSampling(t *testing.T) {
 	n := int64(1 << 22)
-	bd := NewBuilder(0)
-	p := int64(0)
-	for i := 0; i < 64; i++ {
-		bd.Add(p)
-		p += 3
-	}
-	mid := make([]int64, 640)
-	for i := range mid {
-		mid[i] = p + int64(i)*5
-	}
-	bd.AppendBitmap(MustFromPositions(n, mid))
-	p = mid[len(mid)-1]
-	for i := 0; i < 164; i++ {
-		p += 7
-		bd.Add(p)
-	}
-	bm := bd.Bitmap(n)
-	pos := bm.Positions()
-	for i, q := range pos {
-		if got := bm.Rank(q); got != int64(i) {
-			t.Fatalf("Rank(%d) = %d, want %d", q, got, i)
+	for _, sizes := range [][3]int{{64, 640, 164}, {64, 639, 164}} {
+		var streams []*Stream
+		p := int64(0)
+		for k, size := range sizes {
+			pos := make([]int64, size)
+			for i := range pos {
+				p += int64(3 + 2*k)
+				pos[i] = p
+			}
+			var s Stream
+			s.InitBitmap(MustFromPositions(n, pos), 0)
+			streams = append(streams, &s)
 		}
-		if !bm.Contains(q) {
-			t.Fatalf("Contains(%d) = false", q)
+		bm, err := MergeStreamsOrdered(n, streams...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range bm.Positions() {
+			if got := bm.Rank(q); got != int64(i) {
+				t.Fatalf("sizes %v: Rank(%d) = %d, want %d", sizes, q, got, i)
+			}
+			if !bm.Contains(q) {
+				t.Fatalf("sizes %v: Contains(%d) = false", sizes, q)
+			}
+		}
+		if got := bm.Rank(n); got != bm.Card() {
+			t.Fatalf("sizes %v: Rank(n) = %d, want %d", sizes, got, bm.Card())
 		}
 	}
-	if got := bm.Rank(n); got != bm.Card() {
-		t.Fatalf("Rank(n) = %d, want %d", got, bm.Card())
+}
+
+// sampledPositions returns card strictly increasing positions, each call's
+// result a prefix of the next larger one. The first 512 gaps take 41-bit
+// codes, enough to keep every sample; the later ones 15 or 17, which alone
+// would keep every other, so thinning changes step at a card near 900.
+func sampledPositions(card int) []int64 {
+	pos := make([]int64, card)
+	p := int64(-1)
+	for i := range pos {
+		g := 200 + int64(i*7919%200)
+		if i < 512 {
+			g += 1 << 20
+		}
+		p += g
+		pos[i] = p
+	}
+	return pos
+}
+
+// requireSamplesOf fails unless got carries want's bytes and skip samples.
+func requireSamplesOf(t *testing.T, what string, got, want *Bitmap) {
+	t.Helper()
+	if !Equal(got, want) || got.last != want.last {
+		t.Fatalf("%s: stream differs from FromPositions", what)
+	}
+	if got.sampleK != want.sampleK || !slices.Equal(got.samplePos, want.samplePos) || !slices.Equal(got.sampleOff, want.sampleOff) {
+		t.Fatalf("%s: samples k=%d %v %v, want k=%d %v %v", what,
+			got.sampleK, got.samplePos, got.sampleOff, want.sampleK, want.samplePos, want.sampleOff)
+	}
+}
+
+// TestDecodeSamplesMatchBuilder pins sampleScan, the one sampler under Decode
+// and the lazy rebuild: both must record the samples Builder.Add records —
+// after every sampleEvery-th element, none for a short tail — and thin them
+// alike, so Contains and Rank hold at every element.
+func TestDecodeSamplesMatchBuilder(t *testing.T) {
+	cards := []int{0, 1, 63, 64, 65, 255, 256, 257, 4096, 70000}
+	halved := 0 // the least card whose thinning keeps every other sample
+	for c := minSampleCard; c < 1<<14 && halved == 0; c++ {
+		if MustFromPositions(1<<40, sampledPositions(c)).sampleK == 2*sampleEvery {
+			halved = c
+		}
+	}
+	if halved == 0 {
+		t.Fatal("no card thins to every other sample")
+	}
+	t.Logf("thinning first keeps every other sample at card %d", halved)
+	for _, card := range append(cards, halved) {
+		pos := sampledPositions(card)
+		n := int64(1)
+		if card > 0 {
+			n = pos[card-1] + 2
+		}
+		want := MustFromPositions(n, pos)
+		w := bitio.NewWriter(0)
+		want.EncodeTo(w)
+		dec, err := Decode(bitio.NewReader(w.Bytes(), w.Len()), int64(card), n)
+		if err != nil {
+			t.Fatalf("card %d: %v", card, err)
+		}
+		requireSamplesOf(t, fmt.Sprintf("card %d: Decode", card), dec, want)
+
+		var s Stream
+		s.InitBitmap(want, 0)
+		drained, err := MergeStreams(n, &s) // head Add + verbatim drain: no samples
+		if err != nil {
+			t.Fatal(err)
+		}
+		if drained.samplePos != nil {
+			t.Fatalf("card %d: drained copy carries construction samples", card)
+		}
+		drained.ensureSamples()
+		requireSamplesOf(t, fmt.Sprintf("card %d: ensureSamples", card), drained, want)
+
+		for _, bm := range []*Bitmap{dec, drained} {
+			for i, p := range pos {
+				if !bm.Contains(p) || bm.Contains(p+1) || bm.Rank(p) != int64(i) || bm.Rank(p+1) != int64(i+1) {
+					t.Fatalf("card %d: Contains/Rank wrong at element %d (position %d)", card, i, p)
+				}
+			}
+		}
+
+		// Truncation always fails (codes are prefix-free, so the cut leaves
+		// the last one incomplete); a flipped bit fails typed or decodes to a
+		// well-formed bitmap.
+		for _, cut := range []int{1, 7, w.Len() / 2, w.Len()} {
+			if card == 0 || cut > w.Len() {
+				continue
+			}
+			if _, err := Decode(bitio.NewReader(w.Bytes(), w.Len()-cut), int64(card), n); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("card %d: stream cut by %d bits: err %v, want ErrCorrupt", card, cut, err)
+			}
+		}
+		for bit := 0; bit < w.Len(); bit += 1 + w.Len()/97 {
+			buf := slices.Clone(w.Bytes())
+			buf[bit/8] ^= 0x80 >> uint(bit%8)
+			bm, err := Decode(bitio.NewReader(buf, w.Len()), int64(card), n)
+			if err != nil {
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("card %d: bit %d flipped: untyped error %v", card, bit, err)
+				}
+				continue
+			}
+			got := bm.Positions()
+			for i, p := range got {
+				if p >= n || (i > 0 && p <= got[i-1]) {
+					t.Fatalf("card %d: bit %d flipped: accepted malformed element %d at %d", card, bit, i, p)
+				}
+			}
+			for i := 0; i < len(got); i += 1 + len(got)/31 {
+				if bm.Rank(got[i]) != int64(i) || !bm.Contains(got[i]) {
+					t.Fatalf("card %d: bit %d flipped: Contains/Rank wrong at element %d", card, bit, i)
+				}
+			}
+		}
 	}
 }
 

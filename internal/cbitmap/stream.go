@@ -3,11 +3,15 @@
 // A Stream decodes a gap-encoded position set lazily, straight from a
 // bitio.Reader — either a Bitmap's own buffer or a sub-range of bits freshly
 // read from disk — so a query can merge the bitmaps of a cover without ever
-// materialising them. MergeStreams is the k-way merge that writes the union
-// (or, fused, its complement) directly into a Builder: each gap in the input
-// is decoded exactly once, and the Builder, merge heads and output writer all
-// come from sync.Pools, so a steady-state merge allocates only the bitmap it
-// returns.
+// materialising them. It is the package's one decoder: Bitmap.Iter,
+// Contains, Rank, Decode and the lazy skip samples all run on Next or its
+// bulk form scan. Only the dense kernel's fillWindow (dense.go) repeats
+// scan's skeleton, because it sets a window bit per position: folding that
+// branch into scan would put it in both hot loops. MergeStreams is the k-way
+// merge that writes the union (or, fused, its complement) directly into a
+// Builder: each gap in the input is decoded exactly once, and the Builder,
+// merge heads and output writer all come from sync.Pools, so a steady-state
+// merge allocates only the bitmap it returns.
 //
 // The merge has three paths behind one dispatch (runMerge). Concatenation
 // drains the streams one after another (drainInto: head gap re-encoded, tail
@@ -34,6 +38,7 @@ package cbitmap
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 
@@ -141,8 +146,9 @@ func (s *Stream) Left() int64 { return s.left }
 func (s *Stream) Err() error { return s.err }
 
 // Next returns the next position, or ok=false when the stream is exhausted
-// or has failed (see Err). The gamma fast path is open-coded as in Iter.Next:
-// one peeked window decodes the whole gap code in the common case.
+// or has failed (see Err). The gamma fast path is open-coded from gamma.Read,
+// which is too large to inline: one peeked window decodes the whole gap code
+// in the common case.
 func (s *Stream) Next() (pos int64, ok bool) {
 	if s.left == 0 {
 		return 0, false
@@ -235,6 +241,27 @@ func (s *Stream) scan() bool {
 	s.r.SkipBits(used)
 	s.prev, s.left = p, left
 	return true
+}
+
+// sampleScan is scan recording skip samples where Builder.Add would: after
+// every sampleEvery-th element, its position and the bit offset from start
+// just past its code. It runs scan one interval at a time, with the rest of
+// left hidden from it, and appends to pos and off.
+func (s *Stream) sampleScan(start int, pos []int64, off []int32) ([]int64, []int32, bool) {
+	for s.left > 0 {
+		k := min(s.left, sampleEvery)
+		rest := s.left - k
+		s.left = k
+		if !s.scan() {
+			return pos, off, false
+		}
+		s.left = rest
+		if k == sampleEvery && s.r.Pos()-start <= math.MaxInt32 {
+			pos = append(pos, s.prev)
+			off = append(off, int32(s.r.Pos()-start))
+		}
+	}
+	return pos, off, true
 }
 
 // drainInto appends the stream's pending head position cur (already produced

@@ -250,12 +250,17 @@ func (ox *Optimal) PayloadUnderCodes() (gammaBits, deltaBits int64, err error) {
 				return 0, 0, err
 			}
 			gammaBits += m.ext.Bits
-			for i := int64(0); i < m.card; i++ {
-				gap, err := gamma.Read(r)
-				if err != nil {
-					return 0, 0, fmt.Errorf("core: depth %d member [%d,%d): %w", lv.depth, m.start, m.end, err)
-				}
-				deltaBits += int64(gamma.DeltaLen(gap))
+			var s cbitmap.Stream
+			if err := s.InitDecode(r, 0, r.Len(), m.card, ox.tree.n, 0); err != nil {
+				return 0, 0, fmt.Errorf("core: depth %d member [%d,%d): %w", lv.depth, m.start, m.end, err)
+			}
+			prev := int64(-1)
+			for p, ok := s.Next(); ok; p, ok = s.Next() {
+				deltaBits += int64(gamma.DeltaLen(uint64(p - prev)))
+				prev = p
+			}
+			if err := s.Err(); err != nil {
+				return 0, 0, fmt.Errorf("core: depth %d member [%d,%d): %w", lv.depth, m.start, m.end, err)
 			}
 		}
 	}

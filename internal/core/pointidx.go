@@ -77,9 +77,14 @@ type pnode struct {
 	count int
 }
 
-// pointLeafPayloadBits caps the encoded bits in a leaf block, leaving room
-// for the count header.
-const pointLeafHeaderBits = 32
+const (
+	// pointLeafHeaderBits is the width of a leaf block's count header; the
+	// gap stream fills the rest of the block.
+	pointLeafHeaderBits = 32
+	// pointUniverse bounds every stored position: buffered updates carry
+	// 48-bit positions, and update admits only those below 2^47.
+	pointUniverse = 1 << 47
+)
 
 // NewPointIndex returns an empty index over alphabet [0,sigma) with
 // branching parameter c >= 2.
@@ -151,39 +156,28 @@ func BuildPointIndex(d iomodel.Device, col workload.Column, c int) (*PointIndex,
 	return px, nil
 }
 
-// encodeLeaves packs one character's sorted positions into block-sized
-// leaves ("the first position in each block is stored as an absolute value,
-// and all the others ... relative to the previous position").
+// encodeLeaves packs one character's sorted, non-empty positions into
+// block-sized leaves.
 func (px *PointIndex) encodeLeaves(tc *iomodel.Touch, ch uint32, pos []int64) []*pnode {
-	budget := px.disk.BlockBits() - pointLeafHeaderBits
 	var out []*pnode
-	i := 0
-	for i < len(pos) {
-		bits := gamma.Len(uint64(pos[i] + 1))
-		j := i + 1
-		for j < len(pos) && bits+gamma.Len(uint64(pos[j]-pos[j-1])) <= budget {
-			bits += gamma.Len(uint64(pos[j] - pos[j-1]))
-			j++
-		}
-		leaf := &pnode{leaf: true, ch: ch, blk: px.disk.AllocBlock(), min: pkey{ch, pos[i]}}
-		px.writeLeaf(tc, leaf, pos[i:j])
+	for _, piece := range px.splitPositions(pos) {
+		leaf := &pnode{leaf: true, ch: ch, blk: px.disk.AllocBlock(), min: pkey{ch, piece[0]}}
+		px.writeLeaf(tc, leaf, piece)
 		out = append(out, leaf)
-		i = j
 	}
 	return out
 }
 
-// writeLeaf encodes positions into the leaf's block.
+// writeLeaf encodes positions into the leaf's block: a count header, then
+// the package-wide gap stream. Its first gap, taken from -1, is the paper's
+// "first position in each block ... stored as an absolute value" (plus one,
+// to stay >= 1); "all the others ... relative to the previous position".
 func (px *PointIndex) writeLeaf(tc *iomodel.Touch, leaf *pnode, pos []int64) {
 	w := bitio.NewWriter(px.disk.BlockBits())
 	w.WriteBits(uint64(len(pos)), pointLeafHeaderBits)
-	for i, p := range pos {
-		if i == 0 {
-			gamma.Write(w, uint64(p+1)) // absolute, shifted to stay >= 1
-		} else {
-			gamma.Write(w, uint64(p-pos[i-1]))
-		}
-	}
+	var e cbitmap.StreamEncoder
+	e.Init(w)
+	cbitmap.AddSorted(&e, pos)
 	leaf.count = len(pos)
 	ext := iomodel.Extent{Off: px.disk.BlockOff(leaf.blk), Bits: int64(w.Len())}
 	if err := tc.WriteStream(ext, w); err != nil {
@@ -191,7 +185,8 @@ func (px *PointIndex) writeLeaf(tc *iomodel.Touch, leaf *pnode, pos []int64) {
 	}
 }
 
-// readLeaf decodes a leaf's positions, charging one block read.
+// readLeaf decodes a leaf's positions, charging one block read. Every
+// position is validated against [0, pointUniverse).
 func (px *PointIndex) readLeaf(tc *iomodel.Touch, leaf *pnode) ([]int64, error) {
 	rd, err := tc.Reader(iomodel.Extent{Off: px.disk.BlockOff(leaf.blk), Bits: int64(px.disk.BlockBits())})
 	if err != nil {
@@ -204,21 +199,18 @@ func (px *PointIndex) readLeaf(tc *iomodel.Touch, leaf *pnode) ([]int64, error) 
 	// Every stored position costs at least one bit, so a count beyond the
 	// block capacity can only be corruption — reject before allocating.
 	if cnt > uint64(px.disk.BlockBits()) {
-		return nil, fmt.Errorf("core: corrupt leaf block: count %d exceeds block capacity", cnt)
+		return nil, fmt.Errorf("core: corrupt leaf block: %w: count %d exceeds block capacity", cbitmap.ErrCorrupt, cnt)
+	}
+	var s cbitmap.Stream
+	if err := s.InitDecode(rd, rd.Pos(), rd.Remaining(), int64(cnt), pointUniverse, 0); err != nil {
+		return nil, fmt.Errorf("core: leaf block: %w", err)
 	}
 	pos := make([]int64, 0, cnt)
-	var prev int64 = -1
-	for i := uint64(0); i < cnt; i++ {
-		g, err := gamma.Read(rd)
-		if err != nil {
-			return nil, fmt.Errorf("core: corrupt leaf block: %w", err)
-		}
-		if i == 0 {
-			prev = int64(g) - 1
-		} else {
-			prev += int64(g)
-		}
-		pos = append(pos, prev)
+	for p, ok := s.Next(); ok; p, ok = s.Next() {
+		pos = append(pos, p)
+	}
+	if err := s.Err(); err != nil {
+		return nil, fmt.Errorf("core: corrupt leaf block: %w", err)
 	}
 	return pos, nil
 }
@@ -282,7 +274,7 @@ func (px *PointIndex) update(e pentry) (index.QueryStats, error) {
 	if int(e.ch) >= px.sigma {
 		return stats, fmt.Errorf("core: character %d outside alphabet [0,%d)", e.ch, px.sigma)
 	}
-	if e.pos < 0 || e.pos >= 1<<47 {
+	if e.pos < 0 || e.pos >= pointUniverse {
 		return stats, fmt.Errorf("core: position %d outside encodable range", e.pos)
 	}
 	e.seq = px.updSeq
@@ -397,30 +389,15 @@ func (px *PointIndex) applyLeafBatch(tc *iomodel.Touch, parent *pnode, ci int, b
 	// The batch may contain characters not equal to the leaf's (new
 	// characters routed here because this leaf had the greatest min <=
 	// key). Split by character.
-	set := make(map[int64]struct{}, len(pos))
-	for _, p := range pos {
-		set[p] = struct{}{}
-	}
-	others := make(map[uint32][]pentry)
-	// Entries must be applied in arrival order (seq): a delete after an
-	// insert of the same position must win.
-	slices.SortStableFunc(batch, func(a, b pentry) int { return cmp.Compare(a.seq, b.seq) })
+	own, others := batch[:0], []pentry(nil)
 	for _, e := range batch {
-		if e.ch != leaf.ch {
-			others[e.ch] = append(others[e.ch], e)
-			continue
-		}
-		if e.del {
-			delete(set, e.pos)
+		if e.ch == leaf.ch {
+			own = append(own, e)
 		} else {
-			set[e.pos] = struct{}{}
+			others = append(others, e)
 		}
 	}
-	merged := make([]int64, 0, len(set))
-	for p := range set {
-		merged = append(merged, p)
-	}
-	slices.Sort(merged)
+	merged := replay(pos, own)
 
 	var repl []*pnode
 	if len(merged) > 0 || len(others) == 0 {
@@ -450,35 +427,20 @@ func (px *PointIndex) applyLeafBatch(tc *iomodel.Touch, parent *pnode, ci int, b
 		px.nLeaves--
 		px.nNodes--
 	}
-	// New characters become fresh leaves.
-	newChars := make([]uint32, 0, len(others))
-	for ch := range others {
-		newChars = append(newChars, ch)
-	}
-	slices.Sort(newChars)
-	for _, ch := range newChars {
-		set := make(map[int64]struct{})
-		es := others[ch]
-		slices.SortStableFunc(es, func(a, b pentry) int { return cmp.Compare(a.seq, b.seq) })
-		for _, e := range es {
-			if e.del {
-				delete(set, e.pos)
-			} else {
-				set[e.pos] = struct{}{}
-			}
+	// New characters become fresh leaves, in character order.
+	slices.SortStableFunc(others, func(a, b pentry) int { return cmp.Compare(a.ch, b.ch) })
+	for len(others) > 0 {
+		k := 1
+		for k < len(others) && others[k].ch == others[0].ch {
+			k++
 		}
-		if len(set) == 0 {
-			continue
+		if ps := replay(nil, others[:k]); len(ps) > 0 {
+			ls := px.encodeLeaves(tc, others[0].ch, ps)
+			px.nLeaves += len(ls)
+			px.nNodes += len(ls)
+			repl = append(repl, ls...)
 		}
-		ps := make([]int64, 0, len(set))
-		for p := range set {
-			ps = append(ps, p)
-		}
-		slices.Sort(ps)
-		ls := px.encodeLeaves(tc, ch, ps)
-		px.nLeaves += len(ls)
-		px.nNodes += len(ls)
-		repl = append(repl, ls...)
+		others = others[k:]
 	}
 	if len(repl) == 0 {
 		// Leaf vanished entirely; keep an empty placeholder to anchor
@@ -505,6 +467,35 @@ func (px *PointIndex) applyLeafBatch(tc *iomodel.Touch, parent *pnode, ci int, b
 	parent.kids = kids
 	parent.min = parent.kids[0].min
 	return nil
+}
+
+// replay applies one character's buffered updates es to its sorted,
+// duplicate-free positions pos and returns the result, sorted and
+// duplicate-free. It sorts es in place by (position, arrival): the last
+// update of a position decides whether it is present, so a delete after an
+// insert wins and an insert after a delete stands.
+func replay(pos []int64, es []pentry) []int64 {
+	slices.SortStableFunc(es, func(a, b pentry) int {
+		return cmp.Or(cmp.Compare(a.pos, b.pos), cmp.Compare(a.seq, b.seq))
+	})
+	out := make([]int64, 0, len(pos)+len(es))
+	i := 0
+	for j := 0; j < len(es); j++ {
+		p := es[j].pos
+		if j+1 < len(es) && es[j+1].pos == p {
+			continue // a later update of p decides
+		}
+		for ; i < len(pos) && pos[i] < p; i++ {
+			out = append(out, pos[i])
+		}
+		if i < len(pos) && pos[i] == p {
+			i++
+		}
+		if !es[j].del {
+			out = append(out, p)
+		}
+	}
+	return append(out, pos[i:]...)
 }
 
 // splitPositions cuts a sorted position list into block-sized pieces.
@@ -582,9 +573,8 @@ func (px *PointIndex) PointQuery(ch uint32) (bm *cbitmap.Bitmap, stats index.Que
 		stats.Reads, stats.Writes = tc.Reads(), tc.Writes()
 		stats.FailedReads = tc.FailedReads()
 	}()
-	set := make(map[int64]struct{})
-	// Collect updates ordered by seq across all buffers on the paths, and
-	// the leaf contents.
+	// Collect the leaf contents and the updates in every buffer on the paths.
+	var leafPos []int64
 	var pending []pentry
 	var walk func(nd *pnode) error
 	walk = func(nd *pnode) error {
@@ -597,9 +587,7 @@ func (px *PointIndex) PointQuery(ch uint32) (bm *cbitmap.Bitmap, stats index.Que
 				return err
 			}
 			stats.BitsRead += int64(len(pos)) * 2 // informational
-			for _, p := range pos {
-				set[p] = struct{}{}
-			}
+			leafPos = append(leafPos, pos...)
 			return nil
 		}
 		es, err := px.readBuffer(tc, nd)
@@ -612,7 +600,7 @@ func (px *PointIndex) PointQuery(ch uint32) (bm *cbitmap.Bitmap, stats index.Que
 			}
 		}
 		lo := childFor(nd, pkey{ch, 0})
-		hi := childFor(nd, pkey{ch, 1<<47 - 1})
+		hi := childFor(nd, pkey{ch, pointUniverse - 1})
 		for i := lo; i <= hi; i++ {
 			if err := walk(nd.kids[i]); err != nil {
 				return err
@@ -628,21 +616,8 @@ func (px *PointIndex) PointQuery(ch uint32) (bm *cbitmap.Bitmap, stats index.Que
 			pending = append(pending, e)
 		}
 	}
-	slices.SortStableFunc(pending, func(a, b pentry) int { return cmp.Compare(a.seq, b.seq) })
-	for _, e := range pending {
-		if e.del {
-			delete(set, e.pos)
-		} else {
-			set[e.pos] = struct{}{}
-		}
-	}
-	pos := make([]int64, 0, len(set))
-	for p := range set {
-		pos = append(pos, p)
-	}
-	slices.Sort(pos)
-	var maxPos int64 = 1 << 47
-	bm, err = cbitmap.FromPositions(maxPos, pos)
+	slices.Sort(leafPos)
+	bm, err = cbitmap.FromPositions(pointUniverse, replay(slices.Compact(leafPos), pending))
 	if err != nil {
 		return nil, stats, err
 	}

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/cbitmap"
+	"repro/internal/index"
 	"repro/internal/iomodel"
 	"repro/internal/workload"
 )
@@ -230,5 +234,191 @@ func TestPointIndexManyCharsSparse(t *testing.T) {
 	}
 	for _, ch := range []uint32{0, 1, 511, 512, 1023} {
 		checkPointIndex(t, px, o, ch)
+	}
+}
+
+// TestReplay pins the one place buffered updates are applied: the last
+// update of a position, by arrival, decides whether it is present.
+func TestReplay(t *testing.T) {
+	ins := func(pos int64, seq uint64) pentry { return pentry{pos: pos, seq: seq} }
+	del := func(pos int64, seq uint64) pentry { return pentry{del: true, pos: pos, seq: seq} }
+	for _, tc := range []struct {
+		name string
+		base []int64
+		es   []pentry
+		want []int64
+	}{
+		{"insert then delete", []int64{1, 9}, []pentry{ins(5, 0), del(5, 1)}, []int64{1, 9}},
+		{"delete then insert", []int64{5}, []pentry{del(5, 0), ins(5, 1)}, []int64{5}},
+		{"arrival, not input, order", []int64{2, 4}, []pentry{del(4, 3), ins(4, 1), ins(3, 2), del(3, 0)}, []int64{2, 3}},
+		{"delete of an absent position", []int64{1, 3}, []pentry{del(2, 0), del(7, 1), del(0, 2)}, []int64{1, 3}},
+		{"insert of a present position", []int64{1, 3}, []pentry{ins(3, 0), ins(1, 1)}, []int64{1, 3}},
+		{"empty base", nil, []pentry{ins(9, 1), ins(2, 0), ins(9, 2), del(4, 3)}, []int64{2, 9}},
+		{"no updates", []int64{0, 8}, nil, []int64{0, 8}},
+		{"everything deleted", []int64{0, 8}, []pentry{del(8, 0), del(0, 1)}, []int64{}},
+	} {
+		if got := replay(tc.base, tc.es); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: replay = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// FuzzPointIndexOps: after any insert/delete script, every PointQuery equals
+// the oracle. Few characters and a few hundred distinct positions make
+// updates collide in buffers and leaves; the stride spreads the positions so
+// leaves split. Blocks run 512…1024 bits (smaller ones hold fewer than four
+// buffered updates and are rejected, see TestPointIndexErrors), branching
+// 2…8.
+func FuzzPointIndexOps(f *testing.F) {
+	f.Add([]byte{1, 5, 0x81, 5, 2, 5, 0x82, 5}, uint16(0))
+	f.Add([]byte{0x80, 1, 0, 1, 3, 200, 0x83, 200}, uint16(0x0f3a))
+	rng := rand.New(rand.NewSource(29))
+	long := make([]byte, 600)
+	rng.Read(long)
+	f.Add(long, uint16(0x0a11))
+	f.Fuzz(func(t *testing.T, script []byte, cfg uint16) {
+		sigma := 1 + int(cfg%5)
+		blockBits := 512 + 64*int(cfg/5%9)
+		c := 2 + int(cfg/45%7)
+		stride := int64(1) << (cfg / 315 % 17)
+		d := iomodel.NewDisk(iomodel.Config{BlockBits: blockBits})
+		px, err := NewPointIndex(d, sigma, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := newPointOracle()
+		for i := 0; i+1 < len(script); i += 2 {
+			ch, pos := uint32(script[i]&0x7f)%uint32(sigma), int64(script[i+1])*stride
+			if script[i]&0x80 != 0 {
+				_, err = px.Delete(ch, pos)
+				o.delete(ch, pos)
+			} else {
+				_, err = px.Insert(ch, pos)
+				o.insert(ch, pos)
+			}
+			if err != nil {
+				t.Fatalf("op %d: %v", i/2, err)
+			}
+		}
+		for ch := uint32(0); ch < uint32(sigma); ch++ {
+			checkPointIndex(t, px, o, ch)
+		}
+	})
+}
+
+// populatedLeaf returns the first leaf under nd holding a position.
+func populatedLeaf(nd *pnode) *pnode {
+	if nd.leaf {
+		if nd.count > 0 {
+			return nd
+		}
+		return nil
+	}
+	for _, k := range nd.kids {
+		if l := populatedLeaf(k); l != nil {
+			return l
+		}
+	}
+	return nil
+}
+
+// flipBit inverts the device bit at pos.
+func flipBit(t *testing.T, d *iomodel.Disk, pos int64) {
+	t.Helper()
+	tc := d.NewTouch()
+	v, err := tc.ReadBits(pos, 1)
+	if err == nil {
+		err = tc.WriteBits(pos, v^1, 1)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPointIndexCorruptLeafTyped: a leaf block is decoded by cbitmap.Stream,
+// so a flipped bit fails PointQuery and Dynamic.Query with an error wrapping
+// cbitmap.ErrCorrupt — never a panic, an untyped error or a position at or
+// above 2^47 — or decodes to another well-formed leaf.
+func TestPointIndexCorruptLeafTyped(t *testing.T) {
+	d := iomodel.NewDisk(iomodel.Config{BlockBits: 512})
+	px, err := BuildPointIndex(d, workload.Uniform(1000, 8, 2), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf := populatedLeaf(px.root)
+	if leaf == nil {
+		t.Fatal("no populated leaf")
+	}
+	off := d.BlockOff(leaf.blk)
+	failed := 0
+	// Bit 0 is the top bit of the count header; the rest flip the gap stream
+	// and the padding behind it.
+	for bit := int64(0); bit < int64(d.BlockBits()); bit++ {
+		if bit > 0 && bit < pointLeafHeaderBits {
+			continue
+		}
+		flipBit(t, d, off+bit)
+		bm, _, err := px.PointQuery(leaf.ch)
+		flipBit(t, d, off+bit)
+		switch {
+		case err != nil && !errors.Is(err, cbitmap.ErrCorrupt):
+			t.Fatalf("bit %d flipped: untyped error %v", bit, err)
+		case err != nil:
+			failed++
+		case bm.Card() > 0 && bm.Positions()[bm.Card()-1] >= pointUniverse:
+			t.Fatalf("bit %d flipped: position beyond 2^47", bit)
+		case bit == 0:
+			t.Fatal("count header beyond the block accepted")
+		}
+	}
+	if failed < 2 {
+		t.Fatalf("only %d flipped bits failed the query", failed)
+	}
+	// No single flip reaches the universe bound: a leaf of one code worth
+	// 2^47+1 (47 zeros, then 48 value bits) decodes to position 2^47.
+	tc := d.NewTouch()
+	if err := tc.WriteBits(off, 1, pointLeafHeaderBits); err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.WriteBits(off+pointLeafHeaderBits, 0, 47); err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.WriteBits(off+pointLeafHeaderBits+47, pointUniverse+1, 48); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := px.PointQuery(leaf.ch); !errors.Is(err, cbitmap.ErrCorrupt) {
+		t.Fatalf("position 2^47 in a leaf: err %v, want ErrCorrupt", err)
+	}
+
+	dd := iomodel.NewDisk(iomodel.Config{BlockBits: 512})
+	dx, err := BuildDynamic(dd, workload.Uniform(1500, 8, 3), DynamicOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for li, px := range dx.points {
+		leaf := populatedLeaf(px.root)
+		if leaf == nil {
+			continue
+		}
+		off := dd.BlockOff(leaf.blk)
+		for _, bit := range []int64{0, pointLeafHeaderBits, pointLeafHeaderBits + 1, pointLeafHeaderBits + 5} {
+			flipBit(t, dd, off+bit)
+			failed := 0
+			for lo := uint32(0); lo < 8; lo++ {
+				for hi := lo; hi < 8; hi++ {
+					_, _, err := dx.Query(index.Range{Lo: lo, Hi: hi})
+					if err != nil && !errors.Is(err, cbitmap.ErrCorrupt) {
+						t.Fatalf("level %d, bit %d flipped: Query(%d,%d): untyped error %v", li, bit, lo, hi, err)
+					}
+					if err != nil {
+						failed++
+					}
+				}
+			}
+			flipBit(t, dd, off+bit)
+			if bit == 0 && failed == 0 {
+				t.Fatalf("level %d: count header beyond the block accepted by every query", li)
+			}
+		}
 	}
 }
