@@ -15,14 +15,19 @@
 //
 // The merge has three paths behind one dispatch (runMerge). Concatenation
 // drains the streams one after another (drainInto: head gap re-encoded, tail
-// validated by one bulk scan and copied verbatim) and is the one path a caller
-// can ask for: MergeStreamsOrdered promises disjoint streams in increasing
-// position order — core's planner does, for a record range inside one
-// character — and every stream boundary checks the promise, a violation
-// failing typed ErrCorrupt. Unpromised streams concatenate only when each
-// one's largest position is known up front and precedes the next head
-// (bitmap-backed streams and pre-validated views, e.g. the shards of a sharded
-// answer; never a disk-backed member). The other two paths are chosen from
+// copied verbatim) and is the one path a caller can ask for:
+// MergeStreamsOrdered promises disjoint streams in increasing position order
+// — core's planner does, for a record range inside one character — and every
+// stream boundary checks the promise, a violation failing typed ErrCorrupt.
+// drainInto scans a tail only when the stream's largest position is unknown,
+// i.e. when the stream validates: a disk-backed member no earlier pass over
+// the same bits has proved. A bitmap-backed stream, and a replay view over
+// bits an earlier pass validated (a batch's shared Drain, or an earlier
+// query's merge whose ValidatedLast core keeps per member of a read-only
+// device), is copied with no scan. Unpromised
+// streams concatenate only when each one's largest position is known up front
+// and precedes the next head (bitmap-backed streams and replay views, e.g. the
+// shards of a sharded answer). The other two paths are chosen from
 // what the primed inputs show, never by the caller. Sparse inputs — small
 // covers, and every StreamEncoder merge, which has no universe — take the
 // per-row loop in this file (mergeSparse): pick the minimum head, encode it,
@@ -81,13 +86,13 @@ func (s *Stream) InitDecode(r *bitio.Reader, start, bits int, card, n, off int64
 }
 
 // InitDecodeValidated initialises s as a replay view over a bit range whose
-// positions an earlier scan already validated (a Drain over the same bits) —
-// the shared-scan batch planner's tee: the member's extent is read and
-// validated once, and every subscribed query then decodes its own
-// cardinality-bounded view of the shared buffer. Validation is skipped and
-// the largest position (last, pre-shift; ignored when card is 0) is known up
-// front, so a merge can drain the view by verbatim tail copy exactly as it
-// drains a bitmap-backed stream.
+// positions an earlier pass already validated: a Drain over the same bits
+// (the shared-scan batch planner's tee, where every subscribed query decodes
+// its own cardinality-bounded view of one shared buffer), or an earlier
+// query's merge over the same stable device bits, whose ValidatedLast core
+// remembers per member. Validation is skipped and the largest position (last,
+// pre-shift; ignored when card is 0) is known up front, so a merge can drain
+// the view by verbatim tail copy exactly as it drains a bitmap-backed stream.
 func (s *Stream) InitDecodeValidated(r *bitio.Reader, start, bits int, card, last, off int64) error {
 	sub, err := r.Sub(start, bits)
 	if err != nil {
@@ -110,6 +115,21 @@ func (s *Stream) Drain() (last int64, err error) {
 		return 0, s.err
 	}
 	return s.prev, nil
+}
+
+// ValidatedLast reports the largest position (shift applied) of a validating
+// stream — one opened by InitDecode or InitBitmapBounded — that was consumed
+// to its end without error, every position and every bit of its range: what
+// a replay view over the same bits may take on faith (InitDecodeValidated).
+// Every merge path leaves its streams in that state when it succeeds. ok is
+// false for a replay or bitmap-backed stream, a failed one, one with
+// positions pending, and one whose range holds bits past its last code, which
+// a verbatim drain would copy into the answer.
+func (s *Stream) ValidatedLast() (last int64, ok bool) {
+	if s.vmax <= 0 || s.left != 0 || s.err != nil || s.r.Remaining() != 0 {
+		return 0, false
+	}
+	return s.prev, true
 }
 
 // InitBitmap initialises s to produce b's positions shifted by off. The
@@ -266,9 +286,9 @@ func (s *Stream) sampleScan(start int, pos []int64, off []int32) ([]int64, []int
 
 // drainInto appends the stream's pending head position cur (already produced
 // by the caller) and every remaining position to bd. When the stream's
-// largest position is known (bitmap-backed streams) the tail is copied
-// verbatim, whole words at a time; otherwise (disk-backed streams) the tail
-// is scanned once for validation and the scanned bits are then copied
+// largest position is known (bitmap-backed streams, replay views) the tail is
+// copied verbatim, whole words at a time; otherwise (validating streams) the
+// tail is scanned once for validation and the scanned bits are then copied
 // verbatim — either way only the head gap is re-encoded, since gaps are
 // relative and a constant shift leaves every later gap unchanged.
 func (s *Stream) drainInto(bd *Builder, cur int64) error {
@@ -346,7 +366,7 @@ func (bd *Builder) reset(sizeHint int) {
 // deduplicating equal positions, in a single decode pass — the fused
 // decode-merge at the heart of the query pipeline. runMerge picks the path:
 // streams whose largest positions are all known up front (bitmap-backed or
-// pre-validated views, never a disk-backed member) and pairwise precede the
+// replay views, never a validating stream) and pairwise precede the
 // next stream's head are concatenated with verbatim tail copies; dense inputs
 // go through the window kernel; the rest merge per row, large fan-ins through
 // a binary min-heap on the head positions, small ones through a linear

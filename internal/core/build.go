@@ -101,7 +101,7 @@ func buildLevels(ws Workers, d iomodel.Device, col workload.Column, opts Optimal
 		for mi := range t.members {
 			t.members[mi].ext.Off += off
 		}
-		ox.levels = append(ox.levels, matLevel{depth: t.depth, members: t.members})
+		ox.levels = append(ox.levels, newMatLevel(t.depth, t.members))
 		// Directory entry per member: offset, length, cardinality — O(lg n)
 		// bits each, 128 bits nominal.
 		ox.dirBits += int64(len(t.members)) * 128

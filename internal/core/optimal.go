@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/cbitmap"
 	"repro/internal/gamma"
@@ -48,9 +49,50 @@ type member struct {
 // level's depth plus the pruned leaves strictly between the previous
 // materialised depth and this one, concatenated in left-to-right (record)
 // order so that a cover subtree's frontier is one contiguous chunk.
+//
+// memo, parallel to members, remembers what validating a member proved: its
+// largest position + 1 once a stable session (iomodel.Touch.Stable) has read
+// and validated its bits, 0 while unknown. It is read and written only by
+// stable sessions, so every answer is built from validated bits — validated
+// by this read, or by an earlier read of the same unchanging bits of this
+// read-only handle.
 type matLevel struct {
 	depth   int
 	members []member
+	memo    []atomic.Int64
+}
+
+// newMatLevel returns a level over members with an empty validation memo.
+func newMatLevel(depth int, members []member) matLevel {
+	return matLevel{depth: depth, members: members, memo: make([]atomic.Int64, len(members))}
+}
+
+// knownLasts appends the remembered largest position of members [i,j), or
+// lastUnknown for a member no stable session has validated yet.
+func (lv *matLevel) knownLasts(dst []int64, i, j int) []int64 {
+	for k := i; k < j; k++ {
+		last := int64(lastUnknown)
+		if v := lv.memo[k].Load(); v > 0 {
+			last = v - 1
+		}
+		dst = append(dst, last)
+	}
+	return dst
+}
+
+// remember records, for the members of chunks in order, the largest position
+// each stream of streams (one per member, in the same order) proved by
+// validating its bits to the end; replay views prove nothing new.
+func (ox *Optimal) remember(chunks []PlanChunk, streams []cbitmap.Stream) {
+	s := 0
+	for _, c := range chunks {
+		lv := &ox.levels[c.Level]
+		for k := c.I; k < c.J; k, s = k+1, s+1 {
+			if last, ok := streams[s].ValidatedLast(); ok {
+				lv.memo[k].Store(last + 1)
+			}
+		}
+	}
 }
 
 // chunk returns the index range [i,j) of members tiling records [lo,hi).
@@ -217,7 +259,9 @@ func (lv *matLevel) entry(k int) (iomodel.Extent, int64) {
 func (ox *Optimal) exactDir(level int) memberDir { return &ox.levels[level] }
 
 // execute answers sc's exact plan inside the caller's session: the body of a
-// query, and of an approximate one's exact fallback.
+// query, and of an approximate one's exact fallback. In a stable session the
+// members an earlier query validated are replayed (readFrontier), and the
+// ones this merge validated are remembered for the next.
 func (ox *Optimal) execute(ctx context.Context, tc *iomodel.Touch, sc *queryScratch, stats *index.QueryStats) (*cbitmap.Bitmap, error) {
 	err := sc.readFrontier(ctx, tc, sc.plan.Chunks, ox.exactDir, ox.tree.n, stats)
 	if err == nil {
@@ -226,7 +270,11 @@ func (ox *Optimal) execute(ctx context.Context, tc *iomodel.Touch, sc *queryScra
 	if err != nil {
 		return nil, err
 	}
-	return sc.merge(ox.tree.n, sc.plan.Complement, sc.plan.Ordered)
+	out, err := sc.merge(ox.tree.n, sc.plan.Complement, sc.plan.Ordered)
+	if err == nil && tc.Stable() {
+		ox.remember(sc.plan.Chunks, sc.streams)
+	}
+	return out, err
 }
 
 var _ index.Index = (*Optimal)(nil)

@@ -160,22 +160,22 @@ func OpenApprox(d iomodel.Device, sigma int, opts ApproxOptions, dec *container.
 		if got := int(dec.UN(uint64(len(byLevel[li])))); got != len(byLevel[li]) {
 			return nil, fmt.Errorf("core: level %d member count %d, recomputed %d", li, got, len(byLevel[li]))
 		}
-		lv := matLevel{depth: depth}
+		var members []member
 		off := int64(dec.UN(uint64(tail)))
 		for _, v := range byLevel[li] {
 			bits := int64(dec.UN(uint64(tail)))
 			if off > tail-bits {
 				return nil, fmt.Errorf("core: level %d member extent [%d,+%d) exceeds image of %d bits", li, off, bits, tail)
 			}
-			lv.members = append(lv.members, member{
+			members = append(members, member{
 				start: v.Start, end: v.End,
 				ext:  iomodel.Extent{Off: off, Bits: bits},
 				card: v.End - v.Start,
 			})
 			off += bits
 		}
-		ox.levels = append(ox.levels, lv)
-		ox.dirBits += int64(len(lv.members)) * 128
+		ox.levels = append(ox.levels, newMatLevel(depth, members))
+		ox.dirBits += int64(len(members)) * 128
 	}
 	ox.aExt = iomodel.Extent{Off: int64(dec.UN(uint64(tail))), Bits: int64(sigma+1) * 64}
 	if ox.aExt.End() > tail {

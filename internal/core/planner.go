@@ -211,8 +211,9 @@ type memberRun struct {
 }
 
 // planRun is one coalesced run of members [i,j) at a level: its extent is
-// read once into cb, and members subscribed by more than one query carry
-// their pre-scanned largest position in lasts (indexed k-i).
+// read once into cb, and members subscribed by more than one query, or
+// validated by an earlier stable session, carry their largest position in
+// lasts (indexed k-i; a slice of the scratch's lasts).
 type planRun struct {
 	i, j  int
 	span  iomodel.Extent
@@ -377,7 +378,8 @@ func (ox *Optimal) QueryBatchContext(ctx context.Context, rs []index.Range) (out
 	// the blocks of the union of the planned extents), each coalesced extent
 	// is read once, and members with more than one subscriber are validated
 	// by a single Drain scan whose recorded largest position every consumer
-	// then reuses.
+	// then reuses — unless a stable session validated them before, when the
+	// level's memo already holds it.
 	byLevel, runs := bs.growLevels(len(ox.levels))
 	for qi := range plans {
 		for _, c := range plans[qi].Chunks {
@@ -438,14 +440,22 @@ func (ox *Optimal) QueryBatchContext(ctx context.Context, rs []index.Range) (out
 					shared = true
 				}
 			}
-			if !shared {
+			stable := bt.Stable()
+			if !shared && !stable {
 				continue
 			}
-			run.lasts = make([]int64, run.j-run.i)
+			from := len(bs.lasts)
+			if stable {
+				bs.lasts = lv.knownLasts(bs.lasts, run.i, run.j)
+			} else {
+				for range run.j - run.i {
+					bs.lasts = append(bs.lasts, lastUnknown)
+				}
+			}
+			run.lasts = bs.lasts[from:]
 			var probe cbitmap.Stream
 			for k := run.i; k < run.j; k++ {
-				run.lasts[k-run.i] = lastUnknown
-				if run.subs[k-run.i] < 2 {
+				if run.subs[k-run.i] < 2 || run.lasts[k-run.i] != lastUnknown {
 					continue
 				}
 				m := &lv.members[k]
@@ -457,6 +467,9 @@ func (ox *Optimal) QueryBatchContext(ctx context.Context, rs []index.Range) (out
 					return nil, stats, fmt.Errorf("core: level %d member %d (universe %d): %w", li, k, n, err)
 				}
 				run.lasts[k-run.i] = last
+				if vl, ok := probe.ValidatedLast(); ok && stable {
+					lv.memo[k].Store(vl + 1)
+				}
 			}
 		}
 	}
@@ -487,6 +500,9 @@ func (ox *Optimal) QueryBatchContext(ctx context.Context, rs []index.Range) (out
 		bm, err := bs.merge(n, plans[qi].Complement, plans[qi].Ordered)
 		if err != nil {
 			return nil, stats, err
+		}
+		if bt.Stable() {
+			ox.remember(plans[qi].Chunks, bs.streams)
 		}
 		answers[qi] = bm
 	}

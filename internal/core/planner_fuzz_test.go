@@ -72,5 +72,38 @@ func FuzzQueryBatchPlanner(f *testing.F) {
 		if len(seen) > 1 && stats.Reads+stats.SharedSaved != sum {
 			t.Fatalf("Reads %d + SharedSaved %d != per-query cost %d", stats.Reads, stats.SharedSaved, sum)
 		}
+
+		// The same index over a Freeze view, whose sessions are stable: the
+		// validation memo fills on the first round and is replayed on the
+		// second, and neither may change an answer or a count.
+		ro := *ox
+		ro.disk = d.Freeze()
+		ro.levels = nil
+		for _, lv := range ox.levels {
+			ro.levels = append(ro.levels, newMatLevel(lv.depth, lv.members))
+		}
+		for round := range 2 {
+			rgot, rstats, err := ro.QueryBatch(rs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rstats != stats {
+				t.Fatalf("round %d: read-only batch stats %+v, writable %+v", round, rstats, stats)
+			}
+			for i, r := range rs {
+				one, _, err := ro.Query(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !cbitmap.Equal(rgot[i], got[i]) || !cbitmap.Equal(one, got[i]) {
+					t.Fatalf("round %d, range %v: read-only answer differs", round, r)
+				}
+				// Equal compares bytes; a wrong remembered last shows in the
+				// answer's own last position, which Contains bounds by.
+				if p := got[i].Positions(); len(p) > 0 && (!rgot[i].Contains(p[len(p)-1]) || !one.Contains(p[len(p)-1])) {
+					t.Fatalf("round %d, range %v: read-only answer misplaces its last row", round, r)
+				}
+			}
+		}
 	})
 }

@@ -33,6 +33,7 @@ type queryScratch struct {
 	plan    QueryPlan
 	streams []cbitmap.Stream
 	ptrs    []*cbitmap.Stream
+	lasts   []int64 // member lasts: one chunk's (readFrontier), a batch's runs' (QueryBatch)
 	bufs    []*chunkBuf
 	used    int // bufs handed out this query
 }
@@ -55,6 +56,7 @@ func (sc *queryScratch) reset() {
 	clear(sc.ptrs)
 	sc.streams = sc.streams[:0]
 	sc.ptrs = sc.ptrs[:0]
+	sc.lasts = sc.lasts[:0]
 	sc.used = 0
 	sc.plan.reset()
 }
@@ -127,8 +129,10 @@ func (sc *queryScratch) appendStreams(cb *chunkBuf, base int64, dir memberDir, c
 
 // readFrontier executes the read half of a plan against one copy of the
 // members — dirOf(level) names the exact sets or the j-th hashed ones: one
-// span read per chunk, one stream per member. ctx is checked between chunks,
-// the cancellation granularity of a single query.
+// span read per chunk, one stream per member. An exact member whose bits a
+// stable session validated before is opened as a replay view, provided the
+// session is still stable after reading this chunk's bits. ctx is checked
+// between chunks, the cancellation granularity of a single query.
 func (sc *queryScratch) readFrontier(ctx context.Context, tc *iomodel.Touch, chunks []PlanChunk, dirOf func(level int) memberDir, univ int64, stats *index.QueryStats) error {
 	for _, c := range chunks {
 		if err := ctx.Err(); err != nil {
@@ -139,7 +143,12 @@ func (sc *queryScratch) readFrontier(ctx context.Context, tc *iomodel.Touch, chu
 		if err != nil {
 			return err
 		}
-		if err := sc.appendStreams(cb, span.Off, dir, c, univ, nil); err != nil {
+		var lasts []int64
+		if lv, ok := dir.(*matLevel); ok && tc.Stable() {
+			sc.lasts = lv.knownLasts(sc.lasts[:0], c.I, c.J)
+			lasts = sc.lasts
+		}
+		if err := sc.appendStreams(cb, span.Off, dir, c, univ, lasts); err != nil {
 			return err
 		}
 	}

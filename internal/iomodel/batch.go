@@ -114,6 +114,9 @@ func (bt *BatchTouch) Reads() int { return bt.t.Reads() }
 // Writes returns the distinct blocks written in the session.
 func (bt *BatchTouch) Writes() int { return bt.t.Writes() }
 
+// Stable reports Touch.Stable of the batch's session.
+func (bt *BatchTouch) Stable() bool { return bt.t.Stable() }
+
 // SharedSaved returns the block reads avoided by sharing: the sum over
 // consumers of their distinct blocks minus the distinct blocks overall.
 func (bt *BatchTouch) SharedSaved() int {

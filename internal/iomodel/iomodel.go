@@ -536,11 +536,13 @@ type Touch struct {
 	// faults is the owning FaultDisk's schedule, nil for sessions opened on a
 	// plain Disk. failed counts this session's failed read attempts, failedW
 	// its failed write attempts; corrupt is per-call scratch listing blocks
-	// whose data must be silently flipped.
+	// whose data must be silently flipped, and flipped records that some
+	// call of the session served such data.
 	faults  *faultSched
 	failed  int
 	failedW int
 	corrupt []BlockID
+	flipped bool
 }
 
 // NewTouch opens an accounting session, reusing a Closed one when available.
@@ -573,6 +575,7 @@ func (t *Touch) Close() {
 	t.failed = 0
 	t.failedW = 0
 	t.corrupt = t.corrupt[:0]
+	t.flipped = false
 	t.d.touches.Put(t)
 }
 
@@ -593,6 +596,14 @@ func (t *Touch) FailedReads() int { return t.failed }
 // FailedWrites returns the number of write attempts that failed during this
 // session (always 0 on a plain Disk).
 func (t *Touch) FailedWrites() int { return t.failedW }
+
+// Stable reports whether every bit this session has served is the device's
+// stable bit: the device cannot be written (a file image, whose served bits
+// never change, or a Freeze view) and no read of the session has had a bit
+// flipped by the fault schedule. Bits validated in a stable session may be
+// taken on faith by a later session that is stable too; a writable Disk is
+// never stable, since a write may change bits already validated.
+func (t *Touch) Stable() bool { return (t.d.file != nil || t.d.frozen) && !t.flipped }
 
 // markRead charges the device reads for blocks [from,to]. With a fault
 // schedule attached and faulty set, each charged read consults the schedule
@@ -704,6 +715,7 @@ func (t *Touch) ReadBits(pos int64, n int) (uint64, error) {
 		return 0, err
 	}
 	v := t.d.getBits(pos, n)
+	t.flipped = t.flipped || len(corrupt) > 0
 	for _, b := range corrupt {
 		p := t.d.BlockOff(b) + t.faults.corruptBit(b, int64(t.d.cfg.BlockBits))
 		if p >= pos && p < pos+int64(n) {
@@ -781,6 +793,7 @@ func (t *Touch) ReaderInto(ext Extent, w *bitio.Writer) error {
 	if err := w.CopyBits(&src, int(ext.Bits)); err != nil {
 		return err
 	}
+	t.flipped = t.flipped || len(corrupt) > 0
 	for _, b := range corrupt {
 		p := t.d.BlockOff(b) + t.faults.corruptBit(b, int64(t.d.cfg.BlockBits))
 		if p >= ext.Off && p < ext.End() {

@@ -18,7 +18,7 @@ cd "$(dirname "$0")/.."
 LAST="$(ls BENCH_*.json 2>/dev/null | sed -n 's/^BENCH_\([0-9][0-9]*\)\.json$/\1/p' | sort -n | tail -1 || true)"
 TAG="${1:-$((${LAST:-0} + 1))}"
 COUNT="${2:-3}"
-PATTERN='BenchmarkGammaDecode|BenchmarkBitioReadUnary|BenchmarkBitmapUnion|BenchmarkBitmapIntersect|BenchmarkMergeStreams|BenchmarkContains|BenchmarkBitmapDecode|BenchmarkShardedQuery|BenchmarkShardedQueryBatch|BenchmarkIndexQuery|BenchmarkAppendDirect|BenchmarkAppendBuffered|BenchmarkRebuild|BenchmarkBuildOptimal|BenchmarkBuild$|BenchmarkApproxQuery|BenchmarkServeSim|BenchmarkServerHit'
+PATTERN='BenchmarkGammaDecode|BenchmarkBitioReadUnary|BenchmarkBitmapUnion|BenchmarkBitmapIntersect|BenchmarkMergeStreams|BenchmarkContains|BenchmarkBitmapDecode|BenchmarkShardedQuery|BenchmarkShardedQueryBatch|BenchmarkIndexQuery|BenchmarkAppendDirect|BenchmarkAppendBuffered|BenchmarkRebuild|BenchmarkBuildOptimal|BenchmarkBuild$|BenchmarkApproxQuery|BenchmarkServeSim|BenchmarkServerHit|BenchmarkFileDiskQuery'
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
