@@ -180,29 +180,6 @@ func TestMergeSortedSlicesSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestInitBitmapBoundedValidates: a bitmap built over a larger universe than
-// the merge target must surface out-of-range positions as merge errors (the
-// fused dynamic query's replacement for the materialising rebase's
-// validation), while in-range bitmaps pass through byte-identically.
-func TestInitBitmapBoundedValidates(t *testing.T) {
-	big := MustFromPositions(1<<47, []int64{3, 70, 120})
-	var s Stream
-	s.InitBitmapBounded(big, 0, 100) // 120 is outside [0,100)
-	if _, err := MergeStreams(100, &s); err == nil {
-		t.Fatal("merge accepted position 120 over universe [0,100)")
-	}
-	ok := MustFromPositions(1<<47, []int64{3, 70, 99})
-	s.InitBitmapBounded(ok, 0, 100)
-	got, err := MergeStreams(100, &s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := MustFromPositions(100, []int64{3, 70, 99})
-	if !Equal(got, want) {
-		t.Fatal("bounded bitmap stream changed the merged set")
-	}
-}
-
 // TestAddSortedMatchesAdd pins the bulk accumulator path to per-row Add:
 // same bytes, Card and Last and (a StreamEncoder collects none) no skip
 // samples — across dense runs, gaps whose codes straddle the accumulator's

@@ -115,8 +115,10 @@ func BenchmarkFloor(b *testing.B) {
 		sub("fillWindow", func(b *testing.B) {
 			win := new(denseWindow)
 			for i := 0; i < b.N; i++ {
-				var s Stream
-				s.InitBitmapBounded(bm, 0, n) // validating, as a stream read from disk is
+				var s Stream // validating, as a stream read from disk is
+				if err := s.InitDecode(bitio.NewReader(bm.buf, bm.bits), 0, bm.bits, bm.card, n, 0); err != nil {
+					b.Fatal(err)
+				}
 				cur, ok := s.Next()
 				for base := int64(0); ok; base += denseWindowBits {
 					cur, ok = s.fillWindow(win[:], base, base+denseWindowBits, cur)

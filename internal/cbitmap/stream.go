@@ -118,9 +118,9 @@ func (s *Stream) Drain() (last int64, err error) {
 }
 
 // ValidatedLast reports the largest position (shift applied) of a validating
-// stream — one opened by InitDecode or InitBitmapBounded — that was consumed
-// to its end without error, every position and every bit of its range: what
-// a replay view over the same bits may take on faith (InitDecodeValidated).
+// stream — one opened by InitDecode — that was consumed to its end without
+// error, every position and every bit of its range: what a replay view over
+// the same bits may take on faith (InitDecodeValidated).
 // Every merge path leaves its streams in that state when it succeeds. ok is
 // false for a replay or bitmap-backed stream, a failed one, one with
 // positions pending, and one whose range holds bits past its last code, which
@@ -142,19 +142,6 @@ func (s *Stream) InitBitmap(b *Bitmap, off int64) {
 	if b.card > 0 {
 		s.last = b.last + off
 	}
-}
-
-// InitBitmapBounded initialises s like InitBitmap but re-validates every
-// position against the universe [0,n). It is for bitmaps built over a larger
-// universe than the merge target (e.g. point-index answers over the fixed
-// position space feeding a merge over the current column length): a position
-// at or above n surfaces as a decode error from the merge instead of
-// silently landing in the output. The largest position is deliberately not
-// taken on faith, so the verbatim drain fast path gives way to a validating
-// scan.
-func (s *Stream) InitBitmapBounded(b *Bitmap, off, n int64) {
-	*s = Stream{left: b.card, prev: off - 1, off: off, vmax: off + n, last: -1}
-	s.r.Init(b.buf, b.bits)
 }
 
 // Left returns the number of positions not yet produced.

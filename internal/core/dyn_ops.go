@@ -331,41 +331,48 @@ func (ax *AppendIndex) Count(lo, hi uint32) int64 {
 // queryCharStreams collects, into sc, one decode stream per member of the
 // cover of [lo,hi] — each member's chain is read once into a pooled chunk
 // buffer and decoded lazily by the downstream merge, so no member bitmap is
-// ever materialised. Pending buffered appends overlay as one small bitmap
-// stream per cover node. I/O charging is identical to the materialising
-// oracle (queryChars): the same chains, buffers and structure blocks are
-// touched.
-func (ax *AppendIndex) queryCharStreams(tc *iomodel.Touch, lo, hi uint32, sc *queryScratch, stats *index.QueryStats) error {
+// ever materialised — and adds the appends still pending in buffers for those
+// characters to sc.overlay: the in-memory root buffer's, each frontier
+// member's own, and its materialised ancestors'. I/O charging is identical to
+// the materialising oracle (queryChars): the same chains, buffers and
+// structure blocks are touched.
+func (ax *AppendIndex) queryCharStreams(tc *iomodel.Touch, lo, hi uint32, sc *queryScratch) (bits int64, err error) {
+	if ax.opts.Buffered {
+		for _, e := range ax.rootBuf {
+			if e.ch >= lo && e.ch <= hi {
+				sc.overlay = append(sc.overlay, e.pos)
+			}
+		}
+	}
 	for _, u := range ax.cover(lo, hi, func(v *dynNode) { ax.chargeNode(tc, v) }) {
 		ax.chargeNode(tc, u)
 		li := ax.levelForDepth(u.depth)
 		i, j, err := tilesWithin(ax.levels[li], li, u.lo, u.hi)
 		if err != nil {
-			return err
+			return bits, err
 		}
-		var pend []int64
 		for k := i; k < j; k++ {
 			m := ax.levels[li][k]
 			cb := sc.nextBuf()
 			if err := m.chain.ReadAllInto(tc, cb.w); err != nil {
-				return err
+				return bits, err
 			}
-			stats.BitsRead += m.chain.Bits()
+			bits += m.chain.Bits()
 			cb.r.Init(cb.w.Bytes(), cb.w.Len())
 			var s cbitmap.Stream
 			if err := s.InitDecode(&cb.r, 0, cb.w.Len(), m.card, ax.n, 0); err != nil {
-				return fmt.Errorf("core: member chain at level %d: %w", li, err)
+				return bits, fmt.Errorf("core: member chain at level %d: %w", li, err)
 			}
 			sc.streams = append(sc.streams, s)
 			if ax.opts.Buffered && !ax.isTerminal(m) {
 				// Pending appends in the frontier member's own buffer.
 				es, err := ax.readMemberBuf(tc, m)
 				if err != nil {
-					return err
+					return bits, err
 				}
 				for _, e := range es {
 					if e.pos > m.lastPos {
-						pend = append(pend, e.pos)
+						sc.overlay = append(sc.overlay, e.pos)
 					}
 				}
 			}
@@ -379,44 +386,17 @@ func (ax *AppendIndex) queryCharStreams(tc *iomodel.Touch, lo, hi uint32, sc *qu
 				}
 				es, err := ax.readMemberBuf(tc, m)
 				if err != nil {
-					return err
+					return bits, err
 				}
 				for _, e := range es {
 					if e.ch >= u.lo && e.ch <= u.hi {
-						pend = append(pend, e.pos)
+						sc.overlay = append(sc.overlay, e.pos)
 					}
 				}
 			}
 		}
-		if len(pend) > 0 {
-			bm, err := cbitmap.FromUnsorted(ax.n, pend)
-			if err != nil {
-				return err
-			}
-			sc.addBitmapStream(bm, ax.n)
-		}
 	}
-	return nil
-}
-
-// rootBufPending collects the positions of in-memory root-buffer appends
-// whose character falls on the queried (or, for dense answers, complement)
-// side, as one bitmap over [0,n); nil when there are none.
-func (ax *AppendIndex) rootBufPending(lo, hi uint32, complement bool) (*cbitmap.Bitmap, error) {
-	var pend []int64
-	for _, e := range ax.rootBuf {
-		in := e.ch >= lo && e.ch <= hi
-		if complement {
-			in = !in
-		}
-		if in {
-			pend = append(pend, e.pos)
-		}
-	}
-	if len(pend) == 0 {
-		return nil, nil
-	}
-	return cbitmap.FromUnsorted(ax.n, pend)
+	return bits, nil
 }
 
 // Query implements index.Index. It decomposes the character range into its
@@ -429,46 +409,13 @@ func (ax *AppendIndex) Query(r index.Range) (*cbitmap.Bitmap, index.QueryStats, 
 	return ax.QueryContext(context.Background(), r)
 }
 
-// QueryContext answers like Query, checking ctx between the cover phases and
-// populating stats (including failed device read attempts) even when it
-// returns an error, so retry layers can account every attempt.
-func (ax *AppendIndex) QueryContext(ctx context.Context, r index.Range) (out *cbitmap.Bitmap, stats index.QueryStats, err error) {
-	if err = r.Valid(ax.sigma); err != nil {
-		return nil, stats, err
+// QueryContext answers like Query through queryUpdatable, checking ctx
+// between the cover phases.
+func (ax *AppendIndex) QueryContext(ctx context.Context, r index.Range) (*cbitmap.Bitmap, index.QueryStats, error) {
+	if err := r.Valid(ax.sigma); err != nil {
+		return nil, index.QueryStats{}, err
 	}
-	tc := ax.disk.NewTouch()
-	defer tc.Close()
-	defer func() {
-		stats.Reads, stats.Writes = tc.Reads(), tc.Writes()
-		stats.FailedReads = tc.FailedReads()
-	}()
-	z := ax.Count(r.Lo, r.Hi)
-	complement := z > ax.n/2
-	sc := getScratch()
-	defer sc.release()
-	if err = ctx.Err(); err != nil {
-		return nil, stats, err
-	}
-	err = collectSides(r, complement, uint32(ax.sigma-1), func(lo, hi uint32) error {
-		return ax.queryCharStreams(tc, lo, hi, sc, &stats)
-	})
-	if err != nil {
-		return nil, stats, err
-	}
-	if ax.opts.Buffered {
-		bm, err := ax.rootBufPending(r.Lo, r.Hi, complement)
-		if err != nil {
-			return nil, stats, err
-		}
-		if bm != nil {
-			sc.addBitmapStream(bm, ax.n)
-		}
-	}
-	if err = ctx.Err(); err != nil {
-		return nil, stats, err
-	}
-	out, err = sc.merge(ax.n, complement, false)
-	return out, stats, err
+	return queryUpdatable(ctx, ax, ax.disk, r, ax.n, ax.Count(r.Lo, r.Hi), uint32(ax.sigma-1))
 }
 
 var _ index.Appender = (*AppendIndex)(nil)

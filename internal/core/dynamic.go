@@ -32,7 +32,6 @@ type Dynamic struct {
 	sigma    int // user-visible alphabet
 	sigmaEff int // sigma + 1 (∞ deletion marker)
 	n        int64
-	deleted  int64
 	x        []uint32 // current string (∞ = sigmaEff-1 for deleted)
 	counts   []int64
 
@@ -235,14 +234,6 @@ func (dx *Dynamic) change(i int64, ch uint32) (index.QueryStats, error) {
 			stats.Add(st)
 		}
 	}
-	wasDeleted := old == uint32(dx.sigmaEff-1)
-	isDeleted := ch == uint32(dx.sigmaEff-1)
-	if wasDeleted && !isDeleted {
-		dx.deleted--
-	}
-	if !wasDeleted && isDeleted {
-		dx.deleted++
-	}
 	dx.counts[old]--
 	dx.counts[ch]++
 	dx.x[i] = ch
@@ -290,67 +281,61 @@ func (dx *Dynamic) Append(ch uint32) (index.QueryStats, error) {
 	return stats, nil
 }
 
-// queryCharStreams collects, into sc, one stream per point query of the
-// cover of [lo,hi]. The point index answers over its own fixed position
-// universe, but the positions are global row ids below n, so each result
-// feeds the merge over [0,n) directly — the decode → Positions → re-encode
-// rebase of the materialising path is gone.
-func (dx *Dynamic) queryCharStreams(lo, hi uint32, sc *queryScratch, stats *index.QueryStats) error {
+// queryCharStreams collects into sc, in the query's session, the position
+// sets of the bins tiling the cover of [lo,hi]: one point-index descent
+// (collect) per run of bins of one level, so the buffers on the paths a run
+// shares are read once, not once per bin. Consecutive cover nodes abut, so
+// the bins of one on the same level as the last continue its run. The
+// positions are global row ids below n, so the leaves feed the merge over
+// [0,n) directly.
+func (dx *Dynamic) queryCharStreams(tc *iomodel.Touch, lo, hi uint32, sc *queryScratch) (bits int64, err error) {
+	li, i, j := -1, 0, 0
 	for _, u := range dx.cover(lo, hi, nil) {
-		li := dx.levelForDepth(u.depth)
-		i, j, err := tilesWithin(dx.members[li], li, u.lo, u.hi)
+		ul := dx.levelForDepth(u.depth)
+		ui, uj, err := tilesWithin(dx.members[ul], ul, u.lo, u.hi)
 		if err != nil {
-			return err
+			return bits, err
 		}
-		for k := i; k < j; k++ {
-			bm, st, err := dx.points[li].PointQuery(uint32(k))
-			stats.Add(st) // even on error: failed attempts stay accounted
-			if err != nil {
-				return err
+		if ul == li {
+			j = uj
+			continue
+		}
+		if li >= 0 {
+			b, err := dx.points[li].collect(tc, uint32(i), uint32(j), sc, dx.n)
+			if bits += b; err != nil {
+				return bits, err
 			}
-			sc.addBitmapStream(bm, dx.n)
 		}
+		li, i, j = ul, ui, uj
 	}
-	return nil
+	if li >= 0 {
+		b, err := dx.points[li].collect(tc, uint32(i), uint32(j), sc, dx.n)
+		return bits + b, err
+	}
+	return bits, nil
 }
 
 // Query implements index.Index. Dense answers use the complement trick; the
 // complement side includes the ∞ bin so deleted positions never surface.
-// The point-query results stream into a single fused merge (complemented in
-// the same pass on the dense path), mirroring the static pipeline.
+// The bins' leaves and the one update overlay stream into a single fused
+// merge (complemented in the same pass on the dense path), mirroring the
+// static pipeline.
 func (dx *Dynamic) Query(r index.Range) (*cbitmap.Bitmap, index.QueryStats, error) {
 	return dx.QueryContext(context.Background(), r)
 }
 
-// QueryContext answers like Query, checking ctx between the cover phases.
-// Stats accumulate across every point query attempted, including ones that
-// failed on a faulty device, so retry layers can account every attempt.
-func (dx *Dynamic) QueryContext(ctx context.Context, r index.Range) (out *cbitmap.Bitmap, stats index.QueryStats, err error) {
-	if err = r.Valid(dx.sigma); err != nil {
-		return nil, stats, err
+// QueryContext answers like Query through queryUpdatable, checking ctx
+// between the cover phases. The complement's right side always runs to the
+// ∞ bin (char sigmaEff-1).
+func (dx *Dynamic) QueryContext(ctx context.Context, r index.Range) (*cbitmap.Bitmap, index.QueryStats, error) {
+	if err := r.Valid(dx.sigma); err != nil {
+		return nil, index.QueryStats{}, err
 	}
 	var z int64
 	for a := r.Lo; a <= r.Hi; a++ {
 		z += dx.counts[a]
 	}
-	sc := getScratch()
-	defer sc.release()
-	if err = ctx.Err(); err != nil {
-		return nil, stats, err
-	}
-	complement := z > dx.n/2
-	// The complement's right side always runs to the ∞ bin (char sigmaEff-1).
-	err = collectSides(r, complement, uint32(dx.sigmaEff-1), func(lo, hi uint32) error {
-		return dx.queryCharStreams(lo, hi, sc, &stats)
-	})
-	if err != nil {
-		return nil, stats, err
-	}
-	if err = ctx.Err(); err != nil {
-		return nil, stats, err
-	}
-	out, err = sc.merge(dx.n, complement, false)
-	return out, stats, err
+	return queryUpdatable(ctx, dx, dx.disk, r, dx.n, z, uint32(dx.sigmaEff-1))
 }
 
 var _ index.Changer = (*Dynamic)(nil)

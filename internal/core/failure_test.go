@@ -94,7 +94,7 @@ func TestPointIndexCorruptLeafDetected(t *testing.T) {
 			return
 		}
 		if nd.leaf {
-			if nd.count > 0 {
+			if nd.bits > pointLeafHeaderBits {
 				leaf = nd
 			}
 			return

@@ -633,9 +633,6 @@ func OpenDynamic(d iomodel.Device, sigma int, opts DynamicOptions, dec *containe
 		ch := uint32(dec.UN(uint64(sigma))) // sigma itself is the ∞ marker
 		dx.x = append(dx.x, ch)
 		dx.counts[ch]++
-		if ch == uint32(sigma) {
-			dx.deleted++
-		}
 	}
 	grc := int(dec.UN(maxRebuildCount))
 	if err := dec.Err(); err != nil {

@@ -22,11 +22,10 @@ import (
 // updates. The root buffer is "always kept in the internal memory". Point
 // queries run in O(T/B + lg n) I/Os; updates cost amortised O(lg n / b).
 type PointIndex struct {
-	disk   iomodel.Device
-	sigma  int
-	c      int
-	root   *pnode
-	height int
+	disk  iomodel.Device
+	sigma int
+	c     int
+	root  *pnode
 
 	rootBuf []pentry // the root's buffer lives in internal memory
 	bufCap  int      // entries per B-bit buffer
@@ -56,6 +55,8 @@ type pkey struct {
 	pos int64
 }
 
+func (e pentry) key() pkey { return pkey{e.ch, e.pos} }
+
 func (k pkey) less(o pkey) bool {
 	return k.ch < o.ch || (k.ch == o.ch && k.pos < o.pos)
 }
@@ -71,10 +72,10 @@ type pnode struct {
 	bufN int
 
 	// Leaf state.
-	leaf  bool
-	ch    uint32
-	blk   iomodel.BlockID
-	count int
+	leaf bool
+	ch   uint32
+	blk  iomodel.BlockID
+	bits int // header and gap stream, as written
 }
 
 const (
@@ -104,7 +105,6 @@ func NewPointIndex(d iomodel.Device, sigma, c int) (*PointIndex, error) {
 	leaf := &pnode{leaf: true, ch: 0, blk: d.AllocBlock(), min: pkey{0, 0}}
 	px.writeLeaf(d.NewTouch(), leaf, nil)
 	px.root = &pnode{min: leaf.min, kids: []*pnode{leaf}, buf: d.AllocBlock()}
-	px.height = 2
 	px.nLeaves, px.nNodes = 1, 2
 	return px, nil
 }
@@ -136,8 +136,7 @@ func BuildPointIndex(d iomodel.Device, col workload.Column, c int) (*PointIndex,
 	px.nLeaves = len(leaves)
 	px.nNodes = len(leaves)
 	level := leaves
-	px.height = 1
-	for len(level) > 1 || px.height < 2 {
+	for { // at least once: the root is internal
 		var up []*pnode
 		for i := 0; i < len(level); i += px.c {
 			hi := i + px.c
@@ -148,8 +147,9 @@ func BuildPointIndex(d iomodel.Device, col workload.Column, c int) (*PointIndex,
 			up = append(up, nd)
 			px.nNodes++
 		}
-		level = up
-		px.height++
+		if level = up; len(level) == 1 {
+			break
+		}
 	}
 	px.root = level[0]
 	d.ResetStats()
@@ -178,41 +178,62 @@ func (px *PointIndex) writeLeaf(tc *iomodel.Touch, leaf *pnode, pos []int64) {
 	var e cbitmap.StreamEncoder
 	e.Init(w)
 	cbitmap.AddSorted(&e, pos)
-	leaf.count = len(pos)
+	leaf.bits = w.Len()
 	ext := iomodel.Extent{Off: px.disk.BlockOff(leaf.blk), Bits: int64(w.Len())}
 	if err := tc.WriteStream(ext, w); err != nil {
 		panic(fmt.Sprintf("core: leaf write within a fresh block cannot fail: %v", err))
 	}
 }
 
+// openLeaf reads leaf's header and gap stream into cb, charging one block
+// read, and opens s over the stream, validating every position against
+// [0,univ).
+func (px *PointIndex) openLeaf(tc *iomodel.Touch, leaf *pnode, cb *chunkBuf, univ int64, s *cbitmap.Stream) error {
+	if err := tc.ReaderInto(iomodel.Extent{Off: px.disk.BlockOff(leaf.blk), Bits: int64(leaf.bits)}, cb.w); err != nil {
+		return err
+	}
+	cb.r.Init(cb.w.Bytes(), cb.w.Len())
+	cnt, err := cb.r.ReadBits(pointLeafHeaderBits)
+	if err != nil {
+		return err
+	}
+	// Every stored position costs at least one bit, so a count beyond the
+	// block capacity can only be corruption — reject before decoding.
+	if cnt > uint64(px.disk.BlockBits()) {
+		return fmt.Errorf("core: corrupt leaf block: %w: count %d exceeds block capacity", cbitmap.ErrCorrupt, cnt)
+	}
+	if err := s.InitDecode(&cb.r, cb.r.Pos(), cb.r.Remaining(), int64(cnt), univ, 0); err != nil {
+		return fmt.Errorf("core: leaf block: %w", err)
+	}
+	return nil
+}
+
+// drainLeaf appends the positions of the leaf stream s to out, leaving out
+// those of drop (sorted by position).
+func drainLeaf(s *cbitmap.Stream, out []int64, drop []pentry) ([]int64, error) {
+	for p, ok := s.Next(); ok; p, ok = s.Next() {
+		for len(drop) > 0 && drop[0].pos < p {
+			drop = drop[1:]
+		}
+		if len(drop) > 0 && drop[0].pos == p {
+			continue
+		}
+		out = append(out, p)
+	}
+	if err := s.Err(); err != nil {
+		return out, fmt.Errorf("core: corrupt leaf block: %w", err)
+	}
+	return out, nil
+}
+
 // readLeaf decodes a leaf's positions, charging one block read. Every
 // position is validated against [0, pointUniverse).
 func (px *PointIndex) readLeaf(tc *iomodel.Touch, leaf *pnode) ([]int64, error) {
-	rd, err := tc.Reader(iomodel.Extent{Off: px.disk.BlockOff(leaf.blk), Bits: int64(px.disk.BlockBits())})
-	if err != nil {
-		return nil, err
-	}
-	cnt, err := rd.ReadBits(pointLeafHeaderBits)
-	if err != nil {
-		return nil, err
-	}
-	// Every stored position costs at least one bit, so a count beyond the
-	// block capacity can only be corruption — reject before allocating.
-	if cnt > uint64(px.disk.BlockBits()) {
-		return nil, fmt.Errorf("core: corrupt leaf block: %w: count %d exceeds block capacity", cbitmap.ErrCorrupt, cnt)
-	}
 	var s cbitmap.Stream
-	if err := s.InitDecode(rd, rd.Pos(), rd.Remaining(), int64(cnt), pointUniverse, 0); err != nil {
-		return nil, fmt.Errorf("core: leaf block: %w", err)
+	if err := px.openLeaf(tc, leaf, newChunkBuf(), pointUniverse, &s); err != nil {
+		return nil, err
 	}
-	pos := make([]int64, 0, cnt)
-	for p, ok := s.Next(); ok; p, ok = s.Next() {
-		pos = append(pos, p)
-	}
-	if err := s.Err(); err != nil {
-		return nil, fmt.Errorf("core: corrupt leaf block: %w", err)
-	}
-	return pos, nil
+	return drainLeaf(&s, make([]int64, 0, s.Left()), nil)
 }
 
 // writeBuffer stores a node's buffered updates in its buffer block.
@@ -236,23 +257,25 @@ func (px *PointIndex) writeBuffer(tc *iomodel.Touch, nd *pnode, es []pentry) err
 	return tc.WriteStream(ext, w)
 }
 
-// readBuffer loads a node's buffered updates, charging one block read.
-func (px *PointIndex) readBuffer(tc *iomodel.Touch, nd *pnode) ([]pentry, error) {
+// readBuffer appends a node's buffered updates to es, charging one block
+// read; the bits pass through cb.
+func (px *PointIndex) readBuffer(tc *iomodel.Touch, nd *pnode, cb *chunkBuf, es []pentry) ([]pentry, error) {
 	if nd.bufN == 0 {
-		return nil, nil
+		return es, nil
 	}
-	rd, err := tc.Reader(iomodel.Extent{Off: px.disk.BlockOff(nd.buf), Bits: int64(nd.bufN) * pentryBits})
-	if err != nil {
-		return nil, err
+	if err := tc.ReaderInto(iomodel.Extent{Off: px.disk.BlockOff(nd.buf), Bits: int64(nd.bufN) * pentryBits}, cb.w); err != nil {
+		return es, err
 	}
-	es := make([]pentry, 0, nd.bufN)
+	rd := &cb.r
+	rd.Init(cb.w.Bytes(), cb.w.Len())
+	es = slices.Grow(es, nd.bufN)
 	for i := 0; i < nd.bufN; i++ {
 		d, _ := rd.ReadBits(1)
 		ch, _ := rd.ReadBits(32)
 		pos, _ := rd.ReadBits(48)
 		seq, err := rd.ReadBits(32)
 		if err != nil {
-			return nil, fmt.Errorf("core: corrupt buffer block: %w", err)
+			return es, fmt.Errorf("core: corrupt buffer block: %w", err)
 		}
 		es = append(es, pentry{del: d == 1, ch: uint32(ch), pos: int64(pos), seq: seq})
 	}
@@ -301,7 +324,7 @@ func (px *PointIndex) deliver(tc *iomodel.Touch, nd *pnode, batch []pentry) erro
 	if len(batch) == 0 {
 		return nil
 	}
-	ci := childFor(nd, pkey{batch[0].ch, batch[0].pos})
+	ci := childFor(nd, batch[0].key())
 	child := nd.kids[ci]
 	if child.leaf {
 		if err := px.applyLeafBatch(tc, nd, ci, batch); err != nil {
@@ -332,7 +355,7 @@ func childFor(nd *pnode, k pkey) int {
 func (px *PointIndex) pickDominantChild(nd *pnode, es []pentry) (moved, rest []pentry) {
 	counts := make([]int, len(nd.kids))
 	for _, e := range es {
-		counts[childFor(nd, pkey{e.ch, e.pos})]++
+		counts[childFor(nd, e.key())]++
 	}
 	best, bestN := 0, -1
 	for i, n := range counts {
@@ -341,7 +364,7 @@ func (px *PointIndex) pickDominantChild(nd *pnode, es []pentry) (moved, rest []p
 		}
 	}
 	for _, e := range es {
-		if childFor(nd, pkey{e.ch, e.pos}) == best {
+		if childFor(nd, e.key()) == best {
 			moved = append(moved, e)
 		} else {
 			rest = append(rest, e)
@@ -356,7 +379,7 @@ func (px *PointIndex) flushInto(tc *iomodel.Touch, nd *pnode, batch []pentry) er
 	if nd.leaf {
 		return fmt.Errorf("core: internal error: flushInto reached leaf for character %d", nd.ch)
 	}
-	es, err := px.readBuffer(tc, nd)
+	es, err := px.readBuffer(tc, nd, newChunkBuf(), nil)
 	if err != nil {
 		return err
 	}
@@ -530,7 +553,7 @@ func (px *PointIndex) maybeSplit(nd *pnode) error {
 	// restructuring: nd becomes an internal node over two halves.
 	mid := len(nd.kids) / 2
 	tc := px.disk.NewTouch()
-	es, err := px.readBuffer(tc, nd)
+	es, err := px.readBuffer(tc, nd, newChunkBuf(), nil)
 	if err != nil {
 		return err
 	}
@@ -539,7 +562,7 @@ func (px *PointIndex) maybeSplit(nd *pnode) error {
 	px.nNodes += 2
 	var lefts, rights []pentry
 	for _, e := range es {
-		if (pkey{e.ch, e.pos}).less(right.min) {
+		if e.key().less(right.min) {
 			lefts = append(lefts, e)
 		} else {
 			rights = append(rights, e)
@@ -556,13 +579,13 @@ func (px *PointIndex) maybeSplit(nd *pnode) error {
 	if err := px.writeBuffer(tc, nd, nil); err != nil {
 		return err
 	}
-	px.height++ // local height growth; queries track actual depth
 	return nil
 }
 
-// PointQuery returns the (compressed) position set of character ch,
-// reflecting all buffered updates. Cost is O(T/B + lg n) I/Os: the buffers
-// on the root-to-leaf paths for ch plus the leaf blocks of ch.
+// PointQuery returns the (compressed) position set of character ch over the
+// position universe [0, 2^47), reflecting all buffered updates: collect over
+// the one bin, then the merge. Cost is O(T/B + lg n) I/Os: the buffers on the
+// root-to-leaf paths for ch plus the leaf blocks of ch.
 func (px *PointIndex) PointQuery(ch uint32) (bm *cbitmap.Bitmap, stats index.QueryStats, err error) {
 	if int(ch) >= px.sigma {
 		return nil, stats, fmt.Errorf("core: character %d outside alphabet [0,%d)", ch, px.sigma)
@@ -573,56 +596,114 @@ func (px *PointIndex) PointQuery(ch uint32) (bm *cbitmap.Bitmap, stats index.Que
 		stats.Reads, stats.Writes = tc.Reads(), tc.Writes()
 		stats.FailedReads = tc.FailedReads()
 	}()
-	// Collect the leaf contents and the updates in every buffer on the paths.
-	var leafPos []int64
-	var pending []pentry
-	var walk func(nd *pnode) error
-	walk = func(nd *pnode) error {
-		if nd.leaf {
-			if nd.ch != ch {
-				return nil
-			}
-			pos, err := px.readLeaf(tc, nd)
-			if err != nil {
-				return err
-			}
-			stats.BitsRead += int64(len(pos)) * 2 // informational
-			leafPos = append(leafPos, pos...)
-			return nil
+	sc := getScratch()
+	defer sc.release()
+	if stats.BitsRead, err = px.collect(tc, ch, ch+1, sc, pointUniverse); err != nil {
+		return nil, stats, err
+	}
+	if err = sc.addOverlay(pointUniverse); err != nil {
+		return nil, stats, err
+	}
+	bm, err = sc.merge(pointUniverse, false, false)
+	return bm, stats, err
+}
+
+// collect reads into sc, in the caller's session, the position sets of bins
+// [lo,hi) as of every buffered update, for a merge over [0,univ). One descent
+// over the bins' key range reads each buffer on its paths once, so a run of
+// bins costs at most what PointQuery costs for each of them alone. Every leaf
+// joins the merge as a validating stream over its device bits, whose count
+// collect returns as the bits read (as the append index counts chain bits,
+// not buffer bits). The updates are decided per key by their last arrival, as in
+// replay: a final insert adds its position to sc.overlay; a final delete can
+// lie only in the leaf whose key range holds it, which is then decoded
+// instead, its surviving positions joining sc.overlay.
+func (px *PointIndex) collect(tc *iomodel.Touch, lo, hi uint32, sc *queryScratch, univ int64) (bits int64, err error) {
+	sc.leaves, sc.pending = sc.leaves[:0], sc.pending[:0]
+	if err := px.descend(tc, px.root, lo, hi, sc); err != nil {
+		return 0, err
+	}
+	for _, e := range px.rootBuf {
+		if e.ch >= lo && e.ch < hi {
+			sc.pending = append(sc.pending, e)
 		}
-		es, err := px.readBuffer(tc, nd)
-		if err != nil {
-			return err
+	}
+	var dels []pentry
+	dels, sc.overlay = decide(sc.pending, sc.overlay)
+	for k, leaf := range sc.leaves {
+		for len(dels) > 0 && dels[0].key().less(leaf.min) {
+			dels = dels[1:] // below this leaf, past the earlier ones: in no leaf
 		}
-		for _, e := range es {
-			if e.ch == ch {
-				pending = append(pending, e)
-			}
+		j := 0
+		for j < len(dels) && dels[j].ch == leaf.ch && (k+1 == len(sc.leaves) || dels[j].key().less(sc.leaves[k+1].min)) {
+			j++
 		}
-		lo := childFor(nd, pkey{ch, 0})
-		hi := childFor(nd, pkey{ch, pointUniverse - 1})
-		for i := lo; i <= hi; i++ {
-			if err := walk(nd.kids[i]); err != nil {
-				return err
-			}
+		var s cbitmap.Stream
+		if err := px.openLeaf(tc, leaf, sc.nextBuf(), univ, &s); err != nil {
+			return bits, err
+		}
+		bits += int64(leaf.bits)
+		if j == 0 {
+			sc.streams = append(sc.streams, s)
+			continue
+		}
+		if sc.overlay, err = drainLeaf(&s, sc.overlay, dels[:j]); err != nil {
+			return bits, err
+		}
+		dels = dels[j:]
+	}
+	return bits, nil
+}
+
+// descend appends to sc the leaves of bins [lo,hi) under nd, in key order,
+// and the updates for those bins buffered on the way.
+func (px *PointIndex) descend(tc *iomodel.Touch, nd *pnode, lo, hi uint32, sc *queryScratch) error {
+	if nd.leaf {
+		if nd.ch >= lo && nd.ch < hi {
+			sc.leaves = append(sc.leaves, nd)
 		}
 		return nil
 	}
-	if err := walk(px.root); err != nil {
-		return nil, stats, err
-	}
-	for _, e := range px.rootBuf {
-		if e.ch == ch {
-			pending = append(pending, e)
+	if nd.bufN > 0 {
+		from := len(sc.pending)
+		es, err := px.readBuffer(tc, nd, sc.nextBuf(), sc.pending)
+		if err != nil {
+			return err
+		}
+		sc.pending = es[:from]
+		for _, e := range es[from:] {
+			if e.ch >= lo && e.ch < hi {
+				sc.pending = append(sc.pending, e)
+			}
 		}
 	}
-	slices.Sort(leafPos)
-	bm, err = cbitmap.FromPositions(pointUniverse, replay(slices.Compact(leafPos), pending))
-	if err != nil {
-		return nil, stats, err
+	for i := childFor(nd, pkey{lo, 0}); i <= childFor(nd, pkey{hi - 1, pointUniverse - 1}); i++ {
+		if err := px.descend(tc, nd.kids[i], lo, hi, sc); err != nil {
+			return err
+		}
 	}
-	stats.BitsRead = int64(bm.SizeBits())
-	return bm, stats, nil
+	return nil
+}
+
+// decide sorts updates by key and arrival and keeps each key's last one:
+// final inserts append their positions to overlay, and the final deletes are
+// returned, sorted by key, in es's storage.
+func decide(es []pentry, overlay []int64) ([]pentry, []int64) {
+	slices.SortFunc(es, func(a, b pentry) int {
+		return cmp.Or(cmp.Compare(a.ch, b.ch), cmp.Compare(a.pos, b.pos), cmp.Compare(a.seq, b.seq))
+	})
+	dels := es[:0]
+	for j, e := range es {
+		if j+1 < len(es) && es[j+1].key() == e.key() {
+			continue // a later update of the key decides
+		}
+		if e.del {
+			dels = append(dels, e)
+		} else {
+			overlay = append(overlay, e.pos)
+		}
+	}
+	return dels, overlay
 }
 
 // SizeBits returns the structure's space: leaf blocks, buffer blocks and

@@ -28,7 +28,7 @@ func fullScan(t *testing.T, px *PointIndex, c uint32) int {
 			}
 			return
 		}
-		es, err := px.readBuffer(tc, nd)
+		es, err := px.readBuffer(tc, nd, newChunkBuf(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

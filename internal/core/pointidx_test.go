@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -32,12 +33,79 @@ func (o *pointOracle) delete(ch uint32, pos int64) {
 	delete(o.sets[ch], pos)
 }
 
+// pointQueryRef is the per-bin point query the one-descent collect replaced,
+// kept as its oracle: it walks the root-to-leaf paths of ch in the session
+// tc, decodes every leaf and buffer on them into a slice, replays the
+// pending updates and builds a bitmap over [0, 2^47). Block reads add to tc;
+// stats gains the bits of the answer.
+func (px *PointIndex) pointQueryRef(tc *iomodel.Touch, ch uint32, stats *index.QueryStats) (*cbitmap.Bitmap, error) {
+	var leafPos []int64
+	var pending []pentry
+	var walk func(nd *pnode) error
+	walk = func(nd *pnode) error {
+		if nd.leaf {
+			if nd.ch != ch {
+				return nil
+			}
+			pos, err := px.readLeaf(tc, nd)
+			if err != nil {
+				return err
+			}
+			leafPos = append(leafPos, pos...)
+			return nil
+		}
+		es, err := px.readBuffer(tc, nd, newChunkBuf(), nil)
+		if err != nil {
+			return err
+		}
+		for _, e := range es {
+			if e.ch == ch {
+				pending = append(pending, e)
+			}
+		}
+		lo := childFor(nd, pkey{ch, 0})
+		hi := childFor(nd, pkey{ch, pointUniverse - 1})
+		for i := lo; i <= hi; i++ {
+			if err := walk(nd.kids[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := walk(px.root); err != nil {
+		return nil, err
+	}
+	for _, e := range px.rootBuf {
+		if e.ch == ch {
+			pending = append(pending, e)
+		}
+	}
+	slices.Sort(leafPos)
+	bm, err := cbitmap.FromPositions(pointUniverse, replay(slices.Compact(leafPos), pending))
+	if err != nil {
+		return nil, err
+	}
+	stats.BitsRead += int64(bm.SizeBits())
+	return bm, nil
+}
+
+// checkPointIndex holds PointQuery(ch) to the set oracle o, and its answer
+// and charged reads to pointQueryRef's.
 func checkPointIndex(t *testing.T, px *PointIndex, o *pointOracle, ch uint32) {
 	t.Helper()
-	got, _, err := px.PointQuery(ch)
+	got, st, err := px.PointQuery(ch)
 	if err != nil {
 		t.Fatalf("PointQuery(%d): %v", ch, err)
 	}
+	tc := px.disk.NewTouch()
+	ref, err := px.pointQueryRef(tc, ch, new(index.QueryStats))
+	if err != nil {
+		t.Fatalf("pointQueryRef(%d): %v", ch, err)
+	}
+	if !cbitmap.Equal(got, ref) || st.Reads != tc.Reads() {
+		t.Fatalf("PointQuery(%d): %d positions in %d reads, reference %d in %d", ch, got.Card(), st.Reads, ref.Card(), tc.Reads())
+	}
+	tc.Close()
 	want := o.sets[ch]
 	if int(got.Card()) != len(want) {
 		t.Fatalf("PointQuery(%d): %d positions, want %d", ch, got.Card(), len(want))
@@ -303,13 +371,96 @@ func FuzzPointIndexOps(f *testing.F) {
 		for ch := uint32(0); ch < uint32(sigma); ch++ {
 			checkPointIndex(t, px, o, ch)
 		}
+		checkCollectRuns(t, px, o)
 	})
+}
+
+// checkCollectRuns holds collect over every run of bins [lo,hi) to the union
+// of the oracle's sets, its charged reads to those of the reference point
+// queries of the run's bins sharing one session, and its bits read to the
+// bits of the run's leaves.
+func checkCollectRuns(t *testing.T, px *PointIndex, o *pointOracle) {
+	t.Helper()
+	for lo := 0; lo < px.sigma; lo++ {
+		for hi := lo + 1; hi <= px.sigma; hi++ {
+			var want []int64
+			var wantBits int64
+			ref := px.disk.NewTouch()
+			for ch := lo; ch < hi; ch++ {
+				for p := range o.sets[uint32(ch)] {
+					want = append(want, p)
+				}
+				_, _, b := px.pathAndLeaves(uint32(ch))
+				wantBits += b
+				if _, err := px.pointQueryRef(ref, uint32(ch), new(index.QueryStats)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tc := px.disk.NewTouch()
+			sc := getScratch()
+			bits, err := px.collect(tc, uint32(lo), uint32(hi), sc, pointUniverse)
+			if err == nil {
+				err = sc.addOverlay(pointUniverse)
+			}
+			var got *cbitmap.Bitmap
+			if err == nil {
+				got, err = sc.merge(pointUniverse, false, false)
+			}
+			sc.release()
+			if err != nil {
+				t.Fatalf("collect [%d,%d): %v", lo, hi, err)
+			}
+			if !slices.Equal(got.Positions(), sortedUnique(want)) || tc.Reads() != ref.Reads() || bits != wantBits {
+				t.Fatalf("collect [%d,%d): %d positions in %d reads and %d bits, want %d in %d and %d",
+					lo, hi, got.Card(), tc.Reads(), bits, len(want), ref.Reads(), wantBits)
+			}
+			tc.Close()
+			ref.Close()
+		}
+	}
+}
+
+func sortedUnique(pos []int64) []int64 {
+	slices.Sort(pos)
+	return slices.Compact(pos)
+}
+
+// TestAddOverlayValidates: the overlay is validated against the merge's
+// universe like a member read from the device, so a buffered position at or
+// above n fails the merge with ErrCorrupt, while in-range positions merge as
+// given, duplicates and arrival order aside.
+func TestAddOverlayValidates(t *testing.T) {
+	for _, tc := range []struct {
+		pos  []int64
+		want []int64
+	}{
+		{[]int64{120, 3, 70}, nil},
+		{[]int64{99, 3, 70, 3}, []int64{3, 70, 99}},
+		{nil, []int64{}},
+	} {
+		sc := getScratch()
+		sc.overlay = append(sc.overlay, tc.pos...)
+		err := sc.addOverlay(100)
+		var got *cbitmap.Bitmap
+		if err == nil {
+			got, err = sc.merge(100, false, false)
+		}
+		sc.release()
+		switch {
+		case tc.want == nil && !errors.Is(err, cbitmap.ErrCorrupt):
+			t.Fatalf("overlay %v over [0,100): err %v, want ErrCorrupt", tc.pos, err)
+		case tc.want != nil && err != nil:
+			t.Fatalf("overlay %v: %v", tc.pos, err)
+		case tc.want != nil && !slices.Equal(got.Positions(), tc.want):
+			t.Fatalf("overlay %v merged to %v, want %v", tc.pos, got.Positions(), tc.want)
+		}
+	}
 }
 
 // populatedLeaf returns the first leaf under nd holding a position.
 func populatedLeaf(nd *pnode) *pnode {
 	if nd.leaf {
-		if nd.count > 0 {
+		if nd.bits > pointLeafHeaderBits {
 			return nd
 		}
 		return nil
@@ -420,5 +571,38 @@ func TestPointIndexCorruptLeafTyped(t *testing.T) {
 				t.Fatalf("level %d: count header beyond the block accepted by every query", li)
 			}
 		}
+	}
+	// A leaf position below 2^47 but at or above n is outside the merge's
+	// universe [0,n): the leaf's stream validates against n, not 2^47. The
+	// alphabet is wide, so the queries reading the leaf merge sparsely.
+	dd = iomodel.NewDisk(iomodel.Config{BlockBits: 512})
+	if dx, err = BuildDynamic(dd, workload.Uniform(1500, 64, 3), DynamicOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	leaf = populatedLeaf(dx.points[len(dx.points)-1].root)
+	tc = dd.NewTouch()
+	if err := tc.WriteBits(dd.BlockOff(leaf.blk), 1, pointLeafHeaderBits); err != nil {
+		t.Fatal(err)
+	}
+	// The head code gamma(n+1): as many zeros as value bits, less one.
+	if err := tc.WriteBits(dd.BlockOff(leaf.blk)+pointLeafHeaderBits, uint64(dx.n+1), 2*bits.Len64(uint64(dx.n+1))-1); err != nil {
+		t.Fatal(err)
+	}
+	failed = 0
+	for lo := uint32(0); lo < 64; lo++ {
+		for hi := lo; hi < min(lo+4, 64); hi++ {
+			bm, _, err := dx.Query(index.Range{Lo: lo, Hi: hi})
+			switch {
+			case err != nil && !errors.Is(err, cbitmap.ErrCorrupt):
+				t.Fatalf("leaf position n: Query(%d,%d): untyped error %v", lo, hi, err)
+			case err != nil:
+				failed++
+			case bm.Card() > 0 && bm.Positions()[bm.Card()-1] >= dx.n:
+				t.Fatalf("leaf position n: Query(%d,%d) answered position %d", lo, hi, bm.Positions()[bm.Card()-1])
+			}
+		}
+	}
+	if failed == 0 {
+		t.Fatal("leaf position n accepted by every query")
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/bitio"
@@ -24,11 +25,14 @@ type chunkBuf struct {
 	r bitio.Reader
 }
 
+func newChunkBuf() *chunkBuf { return &chunkBuf{w: bitio.NewWriter(0)} }
+
 // queryScratch is the pooled per-query state of the fused streaming
 // pipeline: the query's plan, one decode stream per cover member, and the
 // extent buffers the streams read from. A query borrows a scratch, plans
 // into it, reads its spans, merges, and releases — so the steady-state query
-// path allocates little beyond the answer it returns.
+// path allocates little beyond the answer it returns. The updatable kinds
+// also gather the positions their update buffers hold into one overlay.
 type queryScratch struct {
 	plan    QueryPlan
 	streams []cbitmap.Stream
@@ -36,6 +40,10 @@ type queryScratch struct {
 	lasts   []int64 // member lasts: one chunk's (readFrontier), a batch's runs' (QueryBatch)
 	bufs    []*chunkBuf
 	used    int // bufs handed out this query
+
+	overlay []int64  // positions merged as one in-memory stream (addOverlay)
+	leaves  []*pnode // one point-index descent's leaves, in key order (collect)
+	pending []pentry // the updates that descent found buffered for its bins
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
@@ -54,9 +62,13 @@ func (sc *queryScratch) release() {
 func (sc *queryScratch) reset() {
 	clear(sc.streams)
 	clear(sc.ptrs)
+	clear(sc.leaves)
 	sc.streams = sc.streams[:0]
 	sc.ptrs = sc.ptrs[:0]
 	sc.lasts = sc.lasts[:0]
+	sc.overlay = sc.overlay[:0]
+	sc.leaves = sc.leaves[:0]
+	sc.pending = sc.pending[:0]
 	sc.used = 0
 	sc.plan.reset()
 }
@@ -65,7 +77,7 @@ func (sc *queryScratch) reset() {
 // first time a query needs more chunks than any before it.
 func (sc *queryScratch) nextBuf() *chunkBuf {
 	if sc.used == len(sc.bufs) {
-		sc.bufs = append(sc.bufs, &chunkBuf{w: bitio.NewWriter(0)})
+		sc.bufs = append(sc.bufs, newChunkBuf())
 	}
 	cb := sc.bufs[sc.used]
 	sc.used++
@@ -155,22 +167,28 @@ func (sc *queryScratch) readFrontier(ctx context.Context, tc *iomodel.Touch, chu
 	return nil
 }
 
-// addBitmapStream appends a stream over an in-memory bitmap (pending-append
-// overlays, point-query results) to the merge inputs for a merge over the
-// universe [0,n). A bitmap built over a different universe (point-index
-// answers live in the fixed 2⁴⁷ position space) gets a validating stream, so
-// an out-of-universe position surfaces as a decode error from the merge —
-// as the materialising oracle's re-base did — instead of corrupting the
-// output. The bitmap must stay reachable until the merge runs, which it
-// does: streams are merged before the scratch is released.
-func (sc *queryScratch) addBitmapStream(bm *cbitmap.Bitmap, n int64) {
+// addOverlay appends the overlay to the merge inputs as one stream over
+// [0,n): the positions are sorted, deduplicated and gap-encoded into a pooled
+// chunk buffer, and the merge validates them against [0,n) as it validates a
+// member read from the device.
+func (sc *queryScratch) addOverlay(n int64) error {
+	if len(sc.overlay) == 0 {
+		return nil
+	}
+	slices.Sort(sc.overlay)
+	pos := slices.Compact(sc.overlay)
+	cb := sc.nextBuf()
+	cb.w.Reset()
+	var e cbitmap.StreamEncoder
+	e.Init(cb.w)
+	cbitmap.AddSorted(&e, pos)
+	cb.r.Init(cb.w.Bytes(), cb.w.Len())
 	var s cbitmap.Stream
-	if bm.Universe() == n {
-		s.InitBitmap(bm, 0)
-	} else {
-		s.InitBitmapBounded(bm, 0, n)
+	if err := s.InitDecode(&cb.r, 0, cb.w.Len(), int64(len(pos)), n, 0); err != nil {
+		return fmt.Errorf("core: update overlay: %w", err)
 	}
 	sc.streams = append(sc.streams, s)
+	return nil
 }
 
 // streamPtrs returns one pointer per accumulated stream; it is taken only

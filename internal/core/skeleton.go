@@ -1,11 +1,14 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sort"
 
+	"repro/internal/cbitmap"
 	"repro/internal/index"
+	"repro/internal/iomodel"
 )
 
 // charSkeleton is the character-granularity weight-balanced tree of
@@ -159,4 +162,49 @@ func collectSides(r index.Range, complement bool, last uint32, collect func(lo, 
 		return collect(r.Hi+1, last)
 	}
 	return nil
+}
+
+// charReader is an updatable kind as queryUpdatable reads it:
+// queryCharStreams adds to sc, in the session tc, the streams of the cover of
+// the characters [lo,hi] and every update of theirs still pending in a buffer,
+// and returns the bits of the streams it read.
+type charReader interface {
+	queryCharStreams(tc *iomodel.Touch, lo, hi uint32, sc *queryScratch) (bits int64, err error)
+}
+
+// queryUpdatable is the one query of the updatable kinds over z of their n
+// rows. In one session, kind reads into the scratch the cover of r — or, for
+// a dense answer, of r's sides up to last — with its pending updates as the
+// overlay; then the streams and the overlay merge over [0,n), complemented
+// for a dense answer. Stats stand even when the query fails, so retry layers
+// can account every attempt.
+func queryUpdatable(ctx context.Context, kind charReader, d iomodel.Device, r index.Range, n, z int64, last uint32) (out *cbitmap.Bitmap, stats index.QueryStats, err error) {
+	tc := d.NewTouch()
+	defer tc.Close()
+	defer func() {
+		stats.Reads, stats.Writes = tc.Reads(), tc.Writes()
+		stats.FailedReads = tc.FailedReads()
+	}()
+	sc := getScratch()
+	defer sc.release()
+	if err = ctx.Err(); err != nil {
+		return nil, stats, err
+	}
+	complement := z > n/2
+	err = collectSides(r, complement, last, func(lo, hi uint32) error {
+		bits, err := kind.queryCharStreams(tc, lo, hi, sc)
+		stats.BitsRead += bits
+		return err
+	})
+	if err == nil {
+		err = ctx.Err()
+	}
+	if err == nil {
+		err = sc.addOverlay(n)
+	}
+	if err != nil {
+		return nil, stats, err
+	}
+	out, err = sc.merge(n, complement, false)
+	return out, stats, err
 }

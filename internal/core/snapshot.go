@@ -78,7 +78,6 @@ func (px *PointIndex) cloneReadOnly(dev iomodel.Device) *PointIndex {
 		disk:    dev,
 		sigma:   px.sigma,
 		c:       px.c,
-		height:  px.height,
 		rootBuf: slices.Clone(px.rootBuf),
 		bufCap:  px.bufCap,
 		nLeaves: px.nLeaves,
@@ -94,13 +93,13 @@ func clonePnodes(nd *pnode) *pnode {
 		return nil
 	}
 	cp := &pnode{
-		min:   nd.min,
-		buf:   nd.buf,
-		bufN:  nd.bufN,
-		leaf:  nd.leaf,
-		ch:    nd.ch,
-		blk:   nd.blk,
-		count: nd.count,
+		min:  nd.min,
+		buf:  nd.buf,
+		bufN: nd.bufN,
+		leaf: nd.leaf,
+		ch:   nd.ch,
+		blk:  nd.blk,
+		bits: nd.bits,
 	}
 	if len(nd.kids) > 0 {
 		cp.kids = make([]*pnode, 0, len(nd.kids))
@@ -124,7 +123,6 @@ func (dx *Dynamic) CloneReadOnly(dev iomodel.Device) *Dynamic {
 		sigma:              dx.sigma,
 		sigmaEff:           dx.sigmaEff,
 		n:                  dx.n,
-		deleted:            dx.deleted,
 		counts:             slices.Clone(dx.counts),
 		charSkeleton:       dx.clone(nil),
 		updatesSinceBuild:  dx.updatesSinceBuild,

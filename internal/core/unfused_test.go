@@ -198,9 +198,10 @@ func (wx *Warmup) QueryUnfused(r index.Range) (out *cbitmap.Bitmap, stats index.
 	return out, stats, nil
 }
 
-// queryChars unions the point queries of the cover of [lo,hi]. It is the
-// pre-streaming materialising path, retained as QueryUnfused's decode stage.
-func (dx *Dynamic) queryChars(lo, hi uint32, ms []*cbitmap.Bitmap, stats *index.QueryStats) ([]*cbitmap.Bitmap, error) {
+// queryChars unions the reference point queries (pointQueryRef) of every bin
+// of the cover of [lo,hi], all in the session tc. It is the pre-streaming
+// materialising path, retained as QueryUnfused's decode stage.
+func (dx *Dynamic) queryChars(tc *iomodel.Touch, lo, hi uint32, ms []*cbitmap.Bitmap, stats *index.QueryStats) ([]*cbitmap.Bitmap, error) {
 	if lo > hi {
 		return ms, nil
 	}
@@ -211,8 +212,7 @@ func (dx *Dynamic) queryChars(lo, hi uint32, ms []*cbitmap.Bitmap, stats *index.
 			return ms, err
 		}
 		for k := i; k < j; k++ {
-			bm, st, err := dx.points[li].PointQuery(uint32(k))
-			stats.Add(st) // even on error: failed attempts stay accounted
+			bm, err := dx.points[li].pointQueryRef(tc, uint32(k), stats)
 			if err != nil {
 				return ms, err
 			}
@@ -228,13 +228,21 @@ func (dx *Dynamic) queryChars(lo, hi uint32, ms []*cbitmap.Bitmap, stats *index.
 }
 
 // QueryUnfused answers exactly like Query but through the pre-streaming
-// materialise-rebase-union shape, retained as the differential oracle and
-// allocation baseline; answers and stats are bit-identical to Query's.
-func (dx *Dynamic) QueryUnfused(r index.Range) (*cbitmap.Bitmap, index.QueryStats, error) {
-	var stats index.QueryStats
+// materialise-rebase-union shape: one reference point query per bin, each
+// re-based and the bitmaps unioned. It is retained as the differential oracle
+// and allocation baseline. Answers and charged reads equal Query's: its bins
+// share one session, so a buffer on the paths of several bins is charged
+// once, as Query's one descent per run of bins reads it once.
+func (dx *Dynamic) QueryUnfused(r index.Range) (_ *cbitmap.Bitmap, stats index.QueryStats, _ error) {
 	if err := r.Valid(dx.sigma); err != nil {
 		return nil, stats, err
 	}
+	tc := dx.disk.NewTouch()
+	defer tc.Close()
+	defer func() {
+		stats.Reads, stats.Writes = tc.Reads(), tc.Writes()
+		stats.FailedReads = tc.FailedReads()
+	}()
 	var z int64
 	for a := r.Lo; a <= r.Hi; a++ {
 		z += dx.counts[a]
@@ -244,13 +252,13 @@ func (dx *Dynamic) QueryUnfused(r index.Range) (*cbitmap.Bitmap, index.QueryStat
 	complement := z > dx.n/2
 	if complement {
 		if r.Lo > 0 {
-			ms, err = dx.queryChars(0, r.Lo-1, ms, &stats)
+			ms, err = dx.queryChars(tc, 0, r.Lo-1, ms, &stats)
 		}
 		if err == nil {
-			ms, err = dx.queryChars(r.Hi+1, uint32(dx.sigmaEff-1), ms, &stats)
+			ms, err = dx.queryChars(tc, r.Hi+1, uint32(dx.sigmaEff-1), ms, &stats)
 		}
 	} else {
-		ms, err = dx.queryChars(r.Lo, r.Hi, ms, &stats)
+		ms, err = dx.queryChars(tc, r.Lo, r.Hi, ms, &stats)
 	}
 	if err != nil {
 		return nil, stats, err
@@ -350,6 +358,26 @@ func (ax *AppendIndex) queryChars(tc *iomodel.Touch, lo, hi uint32, ms []*cbitma
 		}
 	}
 	return ms, nil
+}
+
+// rootBufPending collects the positions of in-memory root-buffer appends
+// whose character falls on the queried (or, for dense answers, complement)
+// side, as one bitmap over [0,n); nil when there are none.
+func (ax *AppendIndex) rootBufPending(lo, hi uint32, complement bool) (*cbitmap.Bitmap, error) {
+	var pend []int64
+	for _, e := range ax.rootBuf {
+		in := e.ch >= lo && e.ch <= hi
+		if complement {
+			in = !in
+		}
+		if in {
+			pend = append(pend, e.pos)
+		}
+	}
+	if len(pend) == 0 {
+		return nil, nil
+	}
+	return cbitmap.FromUnsorted(ax.n, pend)
 }
 
 // QueryUnfused answers exactly like Query but through the pre-streaming

@@ -264,7 +264,8 @@ func TestDynQueryStreamDifferential(t *testing.T) {
 
 // TestDynamicQueryStreamDifferential mirrors the E8 workload: the fully
 // dynamic index under appends, changes and deletes, with the fused streaming
-// Query checked against the materialise-rebase-union oracle.
+// Query checked against the materialise-rebase-union oracle, answers and
+// charged reads.
 func TestDynamicQueryStreamDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	sigma := 24
@@ -309,6 +310,9 @@ func TestDynamicQueryStreamDifferential(t *testing.T) {
 		if !cbitmap.Equal(fused, oracle) {
 			t.Fatalf("round %d [%d,%d]: fused answer differs from oracle", round, lo, hi)
 		}
+		// BitsRead is not compared: Query counts the leaf bits it reads, the
+		// oracle the bits of its per-bin answers.
+		fstats.BitsRead = ostats.BitsRead
 		if fstats != ostats {
 			t.Fatalf("round %d [%d,%d]: stats diverge: %+v vs %+v", round, lo, hi, fstats, ostats)
 		}
@@ -398,9 +402,10 @@ func TestDynQueryAllocs(t *testing.T) {
 	}
 }
 
-// TestDynamicQueryAllocs: the Theorem 7 fused query must allocate strictly
-// less than the rebase-then-union oracle (the point queries themselves
-// dominate, so the bound is relative, not absolute).
+// TestDynamicQueryAllocs: the Theorem 7 fused query reads every bin of a
+// cover run in one descent, streams the leaves and merges one overlay, so it
+// allocates a small constant per query (9 here), where the rebase-then-union
+// oracle's per-bin point queries take hundreds.
 func TestDynamicQueryAllocs(t *testing.T) {
 	skipUnderRaceCore(t)
 	col := workload.Uniform(1<<12, 64, 9)
@@ -426,8 +431,8 @@ func TestDynamicQueryAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("allocs/op: fused %.1f, rebase-then-union %.1f", fused, unfused)
-	if fused >= unfused {
-		t.Fatalf("fused dynamic query allocates %.1f/op, want < unfused %.1f/op", fused, unfused)
+	if fused > 12 || fused >= unfused {
+		t.Fatalf("fused dynamic query allocates %.1f/op, want <= 12 and < unfused %.1f/op", fused, unfused)
 	}
 }
 
