@@ -12,18 +12,22 @@ import (
 
 var dynSessionCensus = flag.Bool("core.dynsession", false, "print the dynamic-query block census behind hypotheses/dynamic-one-session")
 
-// TestDynamicSessionCensus runs the queries of the root package's
+// TestDynamicSessionCensus prints, for the queries of the root package's
 // BenchmarkIndexQuery/dynamic (9-key ranges over 2^14 rows after 4 096
-// appends, changes and deletes) and counts, per query, the blocks charged by
-// one session per bin (the per-bin point queries Dynamic.Query ran before it
-// read in one session), by the reference point queries sharing one session
-// (the prediction: the session dedup alone), and by Query itself, beside the
+// appends, changes and deletes), the blocks charged per query by one session
+// per bin (the per-bin point queries Dynamic.Query ran before it read in one
+// session), by the reference point queries sharing one session (the
+// prediction: the session dedup alone), and by Query itself, beside the
 // structure's stated cost summed over the query's runs of bins: for each run,
-// the buffers on one root-to-leaf path, plus the run's leaf blocks. Query must
-// charge what the prediction says. Single-key ranges are the vanishing point:
-// one bin per run, nothing shared. With -core.dynsession it prints the means
-// over the benchmark's 2 000 iterations; without, it checks the first 64.
+// the buffers on one root-to-leaf path, plus the run's leaf blocks. The means
+// are over the benchmark's 2 000 iterations. Single-key ranges are the
+// vanishing point: one bin per run, nothing shared. That Query charges the
+// prediction is TestDynamicQueryStreamDifferential's check; the census fails
+// on a query that does not.
 func TestDynamicSessionCensus(t *testing.T) {
+	if !*dynSessionCensus {
+		t.Skip("needs -core.dynsession; see hypotheses/dynamic-one-session/run.sh")
+	}
 	n := 1 << 16
 	rng := rand.New(rand.NewSource(23))
 	col := make([]uint32, n)
@@ -52,10 +56,7 @@ func TestDynamicSessionCensus(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	iters := 64
-	if *dynSessionCensus {
-		iters = 2000
-	}
+	const iters = 2000
 	for _, width := range []uint32{8, 0} { // the benchmark's ranges, then single keys
 		var perBin, predicted, observed, bound, runs, bins, leafBlocks int
 		for i := 0; i < iters; i++ {
@@ -86,21 +87,16 @@ func TestDynamicSessionCensus(t *testing.T) {
 					}
 					perBin += tc.Reads()
 					tc.Close()
-					p, l, _ := px.pathAndLeaves(uint32(k))
+					p, l := px.pathAndLeaves(uint32(k))
 					path, leaves = max(path, p), leaves+l
 				}
 				bound += path + leaves
 				leafBlocks += leaves
 			}
 		}
-		if observed > perBin {
-			t.Fatalf("width %d: one session charged %d blocks, one session per bin %d", width+1, observed, perBin)
-		}
-		if *dynSessionCensus {
-			f := func(v int) float64 { return float64(v) / float64(iters) }
-			t.Logf("dynsession keys %d iters %d runs/query %.2f bins/query %.2f leaves/query %.2f blocks/query per-bin-sessions %.2f predicted %.2f observed %.2f bound %.2f",
-				width+1, iters, f(runs), f(bins), f(leafBlocks), f(perBin), f(predicted), f(observed), f(bound))
-		}
+		f := func(v int) float64 { return float64(v) / iters }
+		t.Logf("dynsession keys %d iters %d runs/query %.2f bins/query %.2f leaves/query %.2f blocks/query per-bin-sessions %.2f predicted %.2f observed %.2f bound %.2f",
+			width+1, iters, f(runs), f(bins), f(leafBlocks), f(perBin), f(predicted), f(observed), f(bound))
 	}
 }
 
@@ -136,14 +132,13 @@ func (dx *Dynamic) censusRuns(r index.Range) []censusRun {
 }
 
 // pathAndLeaves returns the buffers on the deepest root-to-leaf path the
-// point query of ch walks, and the blocks and bits of ch's leaves.
-func (px *PointIndex) pathAndLeaves(ch uint32) (path, leaves int, bits int64) {
+// point query of ch walks, and the blocks of ch's leaves.
+func (px *PointIndex) pathAndLeaves(ch uint32) (path, leaves int) {
 	var walk func(nd *pnode, depth int)
 	walk = func(nd *pnode, depth int) {
 		if nd.leaf {
 			if nd.ch == ch {
 				leaves++
-				bits += int64(nd.bits)
 				path = max(path, depth)
 			}
 			return
@@ -153,5 +148,5 @@ func (px *PointIndex) pathAndLeaves(ch uint32) (path, leaves int, bits int64) {
 		}
 	}
 	walk(px.root, 0)
-	return path, leaves, bits
+	return path, leaves
 }

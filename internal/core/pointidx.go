@@ -492,30 +492,40 @@ func (px *PointIndex) applyLeafBatch(tc *iomodel.Touch, parent *pnode, ci int, b
 	return nil
 }
 
-// replay applies one character's buffered updates es to its sorted,
-// duplicate-free positions pos and returns the result, sorted and
-// duplicate-free. It sorts es in place by (position, arrival): the last
-// update of a position decides whether it is present, so a delete after an
-// insert wins and an insert after a delete stands.
-func replay(pos []int64, es []pentry) []int64 {
-	slices.SortStableFunc(es, func(a, b pentry) int {
-		return cmp.Or(cmp.Compare(a.pos, b.pos), cmp.Compare(a.seq, b.seq))
+// lastUpdates sorts buffered updates in place by key and arrival and returns,
+// in es's storage, each key's last update: the one that decides whether the
+// position is present, so a delete after an insert wins and an insert after
+// a delete stands. replay and collect apply updates through it alone.
+func lastUpdates(es []pentry) []pentry {
+	slices.SortFunc(es, func(a, b pentry) int {
+		return cmp.Or(cmp.Compare(a.ch, b.ch), cmp.Compare(a.pos, b.pos), cmp.Compare(a.seq, b.seq))
 	})
+	out := es[:0]
+	for j, e := range es {
+		if j+1 < len(es) && es[j+1].key() == e.key() {
+			continue // a later update of the key decides
+		}
+		out = append(out, e)
+	}
+	return out
+}
+
+// replay applies one character's buffered updates es (reordered in place) to
+// its sorted, duplicate-free positions pos and returns the result, sorted and
+// duplicate-free.
+func replay(pos []int64, es []pentry) []int64 {
+	es = lastUpdates(es)
 	out := make([]int64, 0, len(pos)+len(es))
 	i := 0
-	for j := 0; j < len(es); j++ {
-		p := es[j].pos
-		if j+1 < len(es) && es[j+1].pos == p {
-			continue // a later update of p decides
-		}
-		for ; i < len(pos) && pos[i] < p; i++ {
+	for _, e := range es {
+		for ; i < len(pos) && pos[i] < e.pos; i++ {
 			out = append(out, pos[i])
 		}
-		if i < len(pos) && pos[i] == p {
+		if i < len(pos) && pos[i] == e.pos {
 			i++
 		}
-		if !es[j].del {
-			out = append(out, p)
+		if !e.del {
+			out = append(out, e.pos)
 		}
 	}
 	return append(out, pos[i:]...)
@@ -614,8 +624,8 @@ func (px *PointIndex) PointQuery(ch uint32) (bm *cbitmap.Bitmap, stats index.Que
 // bins costs at most what PointQuery costs for each of them alone. Every leaf
 // joins the merge as a validating stream over its device bits, whose count
 // collect returns as the bits read (as the append index counts chain bits,
-// not buffer bits). The updates are decided per key by their last arrival, as in
-// replay: a final insert adds its position to sc.overlay; a final delete can
+// not buffer bits). Each key's last update decides it (lastUpdates, as in
+// replay): a final insert adds its position to sc.overlay; a final delete can
 // lie only in the leaf whose key range holds it, which is then decoded
 // instead, its surviving positions joining sc.overlay.
 func (px *PointIndex) collect(tc *iomodel.Touch, lo, hi uint32, sc *queryScratch, univ int64) (bits int64, err error) {
@@ -628,8 +638,15 @@ func (px *PointIndex) collect(tc *iomodel.Touch, lo, hi uint32, sc *queryScratch
 			sc.pending = append(sc.pending, e)
 		}
 	}
-	var dels []pentry
-	dels, sc.overlay = decide(sc.pending, sc.overlay)
+	last := lastUpdates(sc.pending)
+	dels := last[:0] // the final deletes, in key order
+	for _, e := range last {
+		if e.del {
+			dels = append(dels, e)
+		} else {
+			sc.overlay = append(sc.overlay, e.pos)
+		}
+	}
 	for k, leaf := range sc.leaves {
 		for len(dels) > 0 && dels[0].key().less(leaf.min) {
 			dels = dels[1:] // below this leaf, past the earlier ones: in no leaf
@@ -683,27 +700,6 @@ func (px *PointIndex) descend(tc *iomodel.Touch, nd *pnode, lo, hi uint32, sc *q
 		}
 	}
 	return nil
-}
-
-// decide sorts updates by key and arrival and keeps each key's last one:
-// final inserts append their positions to overlay, and the final deletes are
-// returned, sorted by key, in es's storage.
-func decide(es []pentry, overlay []int64) ([]pentry, []int64) {
-	slices.SortFunc(es, func(a, b pentry) int {
-		return cmp.Or(cmp.Compare(a.ch, b.ch), cmp.Compare(a.pos, b.pos), cmp.Compare(a.seq, b.seq))
-	})
-	dels := es[:0]
-	for j, e := range es {
-		if j+1 < len(es) && es[j+1].key() == e.key() {
-			continue // a later update of the key decides
-		}
-		if e.del {
-			dels = append(dels, e)
-		} else {
-			overlay = append(overlay, e.pos)
-		}
-	}
-	return dels, overlay
 }
 
 // SizeBits returns the structure's space: leaf blocks, buffer blocks and

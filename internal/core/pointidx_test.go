@@ -37,7 +37,7 @@ func (o *pointOracle) delete(ch uint32, pos int64) {
 // kept as its oracle: it walks the root-to-leaf paths of ch in the session
 // tc, decodes every leaf and buffer on them into a slice, replays the
 // pending updates and builds a bitmap over [0, 2^47). Block reads add to tc;
-// stats gains the bits of the answer.
+// stats gains the bits of the leaves read, as collect counts them.
 func (px *PointIndex) pointQueryRef(tc *iomodel.Touch, ch uint32, stats *index.QueryStats) (*cbitmap.Bitmap, error) {
 	var leafPos []int64
 	var pending []pentry
@@ -51,6 +51,7 @@ func (px *PointIndex) pointQueryRef(tc *iomodel.Touch, ch uint32, stats *index.Q
 			if err != nil {
 				return err
 			}
+			stats.BitsRead += int64(nd.bits)
 			leafPos = append(leafPos, pos...)
 			return nil
 		}
@@ -81,12 +82,7 @@ func (px *PointIndex) pointQueryRef(tc *iomodel.Touch, ch uint32, stats *index.Q
 		}
 	}
 	slices.Sort(leafPos)
-	bm, err := cbitmap.FromPositions(pointUniverse, replay(slices.Compact(leafPos), pending))
-	if err != nil {
-		return nil, err
-	}
-	stats.BitsRead += int64(bm.SizeBits())
-	return bm, nil
+	return cbitmap.FromPositions(pointUniverse, replay(slices.Compact(leafPos), pending))
 }
 
 // checkPointIndex holds PointQuery(ch) to the set oracle o, and its answer
@@ -376,23 +372,20 @@ func FuzzPointIndexOps(f *testing.F) {
 }
 
 // checkCollectRuns holds collect over every run of bins [lo,hi) to the union
-// of the oracle's sets, its charged reads to those of the reference point
-// queries of the run's bins sharing one session, and its bits read to the
-// bits of the run's leaves.
+// of the oracle's sets, and its charged reads and bits read to those of the
+// reference point queries of the run's bins sharing one session.
 func checkCollectRuns(t *testing.T, px *PointIndex, o *pointOracle) {
 	t.Helper()
 	for lo := 0; lo < px.sigma; lo++ {
 		for hi := lo + 1; hi <= px.sigma; hi++ {
 			var want []int64
-			var wantBits int64
+			var refStats index.QueryStats
 			ref := px.disk.NewTouch()
 			for ch := lo; ch < hi; ch++ {
 				for p := range o.sets[uint32(ch)] {
 					want = append(want, p)
 				}
-				_, _, b := px.pathAndLeaves(uint32(ch))
-				wantBits += b
-				if _, err := px.pointQueryRef(ref, uint32(ch), new(index.QueryStats)); err != nil {
+				if _, err := px.pointQueryRef(ref, uint32(ch), &refStats); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -410,9 +403,9 @@ func checkCollectRuns(t *testing.T, px *PointIndex, o *pointOracle) {
 			if err != nil {
 				t.Fatalf("collect [%d,%d): %v", lo, hi, err)
 			}
-			if !slices.Equal(got.Positions(), sortedUnique(want)) || tc.Reads() != ref.Reads() || bits != wantBits {
+			if !slices.Equal(got.Positions(), sortedUnique(want)) || tc.Reads() != ref.Reads() || bits != refStats.BitsRead {
 				t.Fatalf("collect [%d,%d): %d positions in %d reads and %d bits, want %d in %d and %d",
-					lo, hi, got.Card(), tc.Reads(), bits, len(want), ref.Reads(), wantBits)
+					lo, hi, got.Card(), tc.Reads(), bits, len(want), ref.Reads(), refStats.BitsRead)
 			}
 			tc.Close()
 			ref.Close()

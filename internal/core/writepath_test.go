@@ -310,9 +310,6 @@ func TestDynamicQueryStreamDifferential(t *testing.T) {
 		if !cbitmap.Equal(fused, oracle) {
 			t.Fatalf("round %d [%d,%d]: fused answer differs from oracle", round, lo, hi)
 		}
-		// BitsRead is not compared: Query counts the leaf bits it reads, the
-		// oracle the bits of its per-bin answers.
-		fstats.BitsRead = ostats.BitsRead
 		if fstats != ostats {
 			t.Fatalf("round %d [%d,%d]: stats diverge: %+v vs %+v", round, lo, hi, fstats, ostats)
 		}
