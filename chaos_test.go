@@ -102,8 +102,8 @@ func TestChaosDifferentialSharded(t *testing.T) {
 	// The per-shard devices hold only a handful of blocks, so the per-block
 	// fault probability is high to make some blocks of every shard faulty.
 	chaos, err := BuildSharded(data, sigma, ShardOptions{
-		Shards: 4,
-		Faults: &FaultConfig{Seed: 99, TransientPer10k: 4000, TransientCount: 2},
+		Shards:  4,
+		Options: Options{Faults: &FaultConfig{Seed: 99, TransientPer10k: 4000, TransientCount: 2}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -133,8 +133,8 @@ func TestChaosDifferentialUnsharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	chaos, err := BuildSharded(data, sigma, ShardOptions{
-		Shards: 1,
-		Faults: &FaultConfig{Seed: 17, TransientPer10k: 4000},
+		Shards:  1,
+		Options: Options{Faults: &FaultConfig{Seed: 17, TransientPer10k: 4000}},
 	})
 	if err != nil {
 		t.Fatal(err)

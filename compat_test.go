@@ -1,11 +1,15 @@
 package secidx
 
 import (
+	"bytes"
 	"math/bits"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 
+	"repro/internal/container"
 	"repro/internal/core"
 )
 
@@ -195,4 +199,101 @@ func TestReadCompatPR15(t *testing.T) {
 			requireSameApprox(t, "shard", sigma, oldParts[i].Ax, freshParts[i].Ax)
 		}
 	})
+}
+
+// writeStaticReserved writes ix as a static container by hand, field by field,
+// with reserved in the manifest slot after BlockBits (once the advisory memory
+// size, which every build writes as 0).
+func writeStaticReserved(path string, ix *Index, reserved uint64) error {
+	part := ix.sx.Parts()[0]
+	d, err := rawDisk(part.Disk)
+	if err != nil {
+		return err
+	}
+	return writeContainer(path, container.KindStatic, func(cw *container.Writer) error {
+		var e container.Encoder
+		e.U(uint64(ix.Len()))
+		e.U(uint64(ix.Sigma()))
+		e.U(uint64(ix.opts.BlockBits))
+		e.U(reserved)
+		e.U(uint64(ix.opts.Branching))
+		e.U(uint64(ix.opts.Stride))
+		e.I(ix.opts.Seed)
+		e.U(0) // Buffered
+		e.U(1) // shards
+		if err := cw.Add(container.TypeManifest, 0, e.Bytes(), 1); err != nil {
+			return err
+		}
+		var m container.Encoder
+		if err := part.Ax.EncodeMeta(&m); err != nil {
+			return err
+		}
+		if err := cw.Add(container.TypeStaticMeta, 0, m.Bytes(), 1); err != nil {
+			return err
+		}
+		return addImage(cw, 0, d)
+	})
+}
+
+// TestManifestReservedSlotIgnored opens a container whose reserved manifest
+// slot holds a nonzero value: it must report the same Len and Sigma and
+// answer every range exactly as the same index written with 0. Written with
+// 0, the hand-made container must equal WriteFile's byte for byte, so the
+// slot sits where the encoder puts it.
+func TestManifestReservedSlotIgnored(t *testing.T) {
+	const sigma = 24
+	data := randColumn(6000, sigma, 32)
+	ix, err := Build(data, sigma, Options{BlockBits: 2048, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	written, byHand, reserved := filepath.Join(dir, "w.secidx"), filepath.Join(dir, "h.secidx"), filepath.Join(dir, "r.secidx")
+	if err := ix.WriteFile(written); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeStaticReserved(byHand, ix, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeStaticReserved(reserved, ix, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	wb, err := os.ReadFile(written)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hb, err := os.ReadFile(byHand)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(wb, hb) {
+		t.Fatal("hand-written container with slot 0 differs from WriteFile's")
+	}
+	open := func(path string) *Index {
+		op, err := OpenFile(path, OpenOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { op.Close() })
+		return op.Static
+	}
+	want, got := open(written), open(reserved)
+	if got.Len() != want.Len() || got.Sigma() != want.Sigma() {
+		t.Fatalf("reserved slot: Len/Sigma %d/%d, want %d/%d", got.Len(), got.Sigma(), want.Len(), want.Sigma())
+	}
+	for lo := uint32(0); lo < sigma; lo++ {
+		for hi := lo; hi < sigma; hi++ {
+			wr, wst, err := want.Query(lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gr, gst, err := got.Query(lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(gr.Rows(), wr.Rows()) || gst != wst {
+				t.Fatalf("[%d,%d]: reserved slot answers %d rows (%+v), want %d (%+v)", lo, hi, gr.Card(), gst, wr.Card(), wst)
+			}
+		}
+	}
 }

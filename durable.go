@@ -7,7 +7,6 @@ import (
 	"math"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"repro/internal/container"
 	"repro/internal/wal"
@@ -38,12 +37,9 @@ const (
 	// operation is durable. The safest and slowest policy.
 	SyncEveryOp SyncPolicy = iota
 	// SyncGrouped group-commits: the log is synced when the unsynced window
-	// reaches GroupBytes bytes or GroupOps operations, whichever first. An
-	// acknowledged operation may be lost to a crash until the next barrier.
+	// reaches GroupOps operations. An acknowledged operation may be lost to
+	// a crash until the next barrier.
 	SyncGrouped
-	// SyncInterval syncs when Interval has elapsed since the last sync,
-	// checked at each operation.
-	SyncInterval
 )
 
 // WALOptions configures the durability layer of OpenFile. The zero value of
@@ -53,12 +49,8 @@ type WALOptions struct {
 	Path string
 	// Policy selects the sync policy (default SyncEveryOp).
 	Policy SyncPolicy
-	// GroupBytes and GroupOps bound the unsynced window under SyncGrouped
-	// (both zero: GroupOps defaults to 16).
-	GroupBytes int
-	GroupOps   int
-	// Interval is the SyncInterval period (default 100ms).
-	Interval time.Duration
+	// GroupOps bounds the unsynced window under SyncGrouped (default 16).
+	GroupOps int
 	// CheckpointBytes rewrites the base container once the log exceeds this
 	// many bytes (0: 4 MiB default; negative: no byte trigger — the base is
 	// rewritten only on Close or an op-count trigger).
@@ -84,17 +76,11 @@ const defaultCheckpointBytes = 4 << 20
 func (wo *WALOptions) walPolicy(group bool) wal.Policy {
 	switch wo.Policy {
 	case SyncGrouped:
-		gb, gops := wo.GroupBytes, wo.GroupOps
-		if gb == 0 && gops == 0 {
+		gops := wo.GroupOps
+		if gops == 0 {
 			gops = 16
 		}
-		return wal.Policy{Mode: wal.SyncWindow, WindowBytes: gb, WindowOps: gops}
-	case SyncInterval:
-		iv := wo.Interval
-		if iv == 0 {
-			iv = 100 * time.Millisecond
-		}
-		return wal.Policy{Mode: wal.SyncTimed, Interval: iv}
+		return wal.Policy{Mode: wal.SyncWindow, WindowOps: gops}
 	}
 	if group {
 		return wal.Policy{Mode: wal.SyncManual}

@@ -18,8 +18,8 @@ import (
 func TestAllShardsFailedWrapsPublicShardError(t *testing.T) {
 	const sigma = 32
 	ix, err := BuildSharded(randColumn(4000, sigma, 61), sigma, ShardOptions{
-		Shards: 3,
-		Faults: &FaultConfig{Seed: 5, PermanentPer10k: 10000},
+		Shards:  3,
+		Options: Options{Faults: &FaultConfig{Seed: 5, PermanentPer10k: 10000}},
 	})
 	if err != nil {
 		t.Fatal(err)

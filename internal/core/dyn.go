@@ -151,7 +151,9 @@ func BuildAppendIndex(d iomodel.Device, col workload.Column, opts AppendOptions)
 		ax.byChar[ch] = append(ax.byChar[ch], int64(i))
 		ax.n++
 	}
-	ax.rebuildAll(d.NewTouch())
+	tc := d.NewTouch()
+	ax.rebuildAll(tc)
+	tc.Close()
 	d.ResetStats()
 	return ax, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cbitmap"
@@ -157,21 +158,23 @@ func heightFor(w int64, c int) int {
 	return h
 }
 
-// readMemberBuf decodes a member's buffered appends, charging one read.
-func (ax *AppendIndex) readMemberBuf(tc *iomodel.Touch, m *dynMember) ([]dynEntry, error) {
+// readMemberBuf appends a member's buffered appends to es, charging one
+// read; the bits pass through cb.
+func (ax *AppendIndex) readMemberBuf(tc *iomodel.Touch, m *dynMember, cb *chunkBuf, es []dynEntry) ([]dynEntry, error) {
 	if m.bufN == 0 {
-		return nil, nil
+		return es, nil
 	}
-	rd, err := tc.Reader(iomodel.Extent{Off: ax.disk.BlockOff(m.buf), Bits: int64(m.bufN) * dynEntryBits})
-	if err != nil {
-		return nil, err
+	if err := tc.ReaderInto(iomodel.Extent{Off: ax.disk.BlockOff(m.buf), Bits: int64(m.bufN) * dynEntryBits}, cb.w); err != nil {
+		return es, err
 	}
-	es := make([]dynEntry, 0, m.bufN)
+	rd := &cb.r
+	rd.Init(cb.w.Bytes(), cb.w.Len())
+	es = slices.Grow(es, m.bufN)
 	for i := 0; i < m.bufN; i++ {
 		ch, _ := rd.ReadBits(32)
 		pos, err := rd.ReadBits(48)
 		if err != nil {
-			return nil, fmt.Errorf("core: corrupt append buffer: %w", err)
+			return es, fmt.Errorf("core: corrupt append buffer: %w", err)
 		}
 		es = append(es, dynEntry{ch: uint32(ch), pos: int64(pos)})
 	}
@@ -286,7 +289,7 @@ func (ax *AppendIndex) deliverDyn(tc *iomodel.Touch, m *dynMember, batch []dynEn
 	if ax.isTerminal(m) {
 		return ax.applyEntries(tc, m, batch)
 	}
-	es, err := ax.readMemberBuf(tc, m)
+	es, err := ax.readMemberBuf(tc, m, newChunkBuf(), nil)
 	if err != nil {
 		return err
 	}
@@ -366,11 +369,11 @@ func (ax *AppendIndex) queryCharStreams(tc *iomodel.Touch, lo, hi uint32, sc *qu
 			sc.streams = append(sc.streams, s)
 			if ax.opts.Buffered && !ax.isTerminal(m) {
 				// Pending appends in the frontier member's own buffer.
-				es, err := ax.readMemberBuf(tc, m)
+				sc.appends, err = ax.readMemberBuf(tc, m, sc.nextBuf(), sc.appends[:0])
 				if err != nil {
 					return bits, err
 				}
-				for _, e := range es {
+				for _, e := range sc.appends {
 					if e.pos > m.lastPos {
 						sc.overlay = append(sc.overlay, e.pos)
 					}
@@ -384,11 +387,11 @@ func (ax *AppendIndex) queryCharStreams(tc *iomodel.Touch, lo, hi uint32, sc *qu
 				if m == nil || ax.isTerminal(m) {
 					continue
 				}
-				es, err := ax.readMemberBuf(tc, m)
+				sc.appends, err = ax.readMemberBuf(tc, m, sc.nextBuf(), sc.appends[:0])
 				if err != nil {
 					return bits, err
 				}
-				for _, e := range es {
+				for _, e := range sc.appends {
 					if e.ch >= u.lo && e.ch <= u.hi {
 						sc.overlay = append(sc.overlay, e.pos)
 					}

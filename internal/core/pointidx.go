@@ -103,7 +103,9 @@ func NewPointIndex(d iomodel.Device, sigma, c int) (*PointIndex, error) {
 	}
 	// One empty leaf for character 0 anchors routing; the root is internal.
 	leaf := &pnode{leaf: true, ch: 0, blk: d.AllocBlock(), min: pkey{0, 0}}
-	px.writeLeaf(d.NewTouch(), leaf, nil)
+	tc := d.NewTouch()
+	px.writeLeaf(tc, leaf, nil)
+	tc.Close()
 	px.root = &pnode{min: leaf.min, kids: []*pnode{leaf}, buf: d.AllocBlock()}
 	px.nLeaves, px.nNodes = 1, 2
 	return px, nil
@@ -123,6 +125,7 @@ func BuildPointIndex(d iomodel.Device, col workload.Column, c int) (*PointIndex,
 		byChar[ch] = append(byChar[ch], int64(i))
 	}
 	tc := d.NewTouch()
+	defer tc.Close()
 	var leaves []*pnode
 	for a := 0; a < col.Sigma; a++ {
 		if len(byChar[a]) == 0 {
@@ -304,6 +307,7 @@ func (px *PointIndex) update(e pentry) (index.QueryStats, error) {
 	px.updSeq++
 	px.rootBuf = append(px.rootBuf, e)
 	tc := px.disk.NewTouch()
+	defer tc.Close()
 	if len(px.rootBuf) >= px.bufCap {
 		// "An update is simply stored in the buffer corresponding to the
 		// root ... Whenever a buffer becomes full, a constant fraction of
@@ -563,6 +567,7 @@ func (px *PointIndex) maybeSplit(nd *pnode) error {
 	// restructuring: nd becomes an internal node over two halves.
 	mid := len(nd.kids) / 2
 	tc := px.disk.NewTouch()
+	defer tc.Close()
 	es, err := px.readBuffer(tc, nd, newChunkBuf(), nil)
 	if err != nil {
 		return err

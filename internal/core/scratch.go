@@ -41,9 +41,10 @@ type queryScratch struct {
 	bufs    []*chunkBuf
 	used    int // bufs handed out this query
 
-	overlay []int64  // positions merged as one in-memory stream (addOverlay)
-	leaves  []*pnode // one point-index descent's leaves, in key order (collect)
-	pending []pentry // the updates that descent found buffered for its bins
+	overlay []int64    // positions merged as one in-memory stream (addOverlay)
+	leaves  []*pnode   // one point-index descent's leaves, in key order (collect)
+	pending []pentry   // the updates that descent found buffered for its bins
+	appends []dynEntry // one append-member buffer's entries (queryCharStreams)
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
@@ -69,6 +70,7 @@ func (sc *queryScratch) reset() {
 	sc.overlay = sc.overlay[:0]
 	sc.leaves = sc.leaves[:0]
 	sc.pending = sc.pending[:0]
+	sc.appends = sc.appends[:0]
 	sc.used = 0
 	sc.plan.reset()
 }

@@ -320,7 +320,7 @@ func (ax *AppendIndex) queryChars(tc *iomodel.Touch, lo, hi uint32, ms []*cbitma
 			ms = append(ms, bm)
 			if ax.opts.Buffered && !ax.isTerminal(m) {
 				// Pending appends in the frontier member's own buffer.
-				es, err := ax.readMemberBuf(tc, m)
+				es, err := ax.readMemberBuf(tc, m, newChunkBuf(), nil)
 				if err != nil {
 					return ms, err
 				}
@@ -338,7 +338,7 @@ func (ax *AppendIndex) queryChars(tc *iomodel.Touch, lo, hi uint32, ms []*cbitma
 				if m == nil || ax.isTerminal(m) {
 					continue
 				}
-				es, err := ax.readMemberBuf(tc, m)
+				es, err := ax.readMemberBuf(tc, m, newChunkBuf(), nil)
 				if err != nil {
 					return ms, err
 				}

@@ -262,24 +262,11 @@ type FaultDisk struct {
 	sched *faultSched
 }
 
-// NewFaultDiskChecked returns a FaultDisk over a fresh Disk with the given
-// configurations, or an error if either is invalid. The schedule starts
-// disarmed.
-func NewFaultDiskChecked(cfg Config, fc FaultConfig) (*FaultDisk, error) {
-	d, err := NewDiskChecked(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := fc.Validate(); err != nil {
-		return nil, err
-	}
-	return &FaultDisk{Disk: d, sched: newFaultSched(fc)}, nil
-}
-
-// NewFaultDisk is NewFaultDiskChecked for known-good configurations (tests,
-// benchmarks); it panics on an invalid one.
+// NewFaultDisk is NewFaultDiskOn over a fresh Disk, for known-good
+// configurations (tests, benchmarks); it panics on an invalid one. The
+// schedule starts disarmed.
 func NewFaultDisk(cfg Config, fc FaultConfig) *FaultDisk {
-	fd, err := NewFaultDiskChecked(cfg, fc)
+	fd, err := NewFaultDiskOn(NewDisk(cfg), fc)
 	if err != nil {
 		panic(err)
 	}
@@ -310,9 +297,6 @@ func (fd *FaultDisk) Arm() { fd.sched.armed.Store(true) }
 // Disarm disables the fault schedule; in-flight reads finish with whatever
 // verdict they already drew.
 func (fd *FaultDisk) Disarm() { fd.sched.armed.Store(false) }
-
-// Armed reports whether the fault schedule is active.
-func (fd *FaultDisk) Armed() bool { return fd.sched.armed.Load() }
 
 // NewTouch opens an accounting session whose reads consult the fault
 // schedule.

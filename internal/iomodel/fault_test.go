@@ -177,7 +177,6 @@ func TestNewDiskCheckedRejectsBadConfig(t *testing.T) {
 		{BlockBits: -8},
 		{BlockBits: 13},
 		{BlockBits: maxBlockBits + 8},
-		{MemBits: -1},
 		{CacheBlocks: -1},
 	} {
 		if _, err := NewDiskChecked(cfg); err == nil {

@@ -36,10 +36,6 @@ const DefaultBlockBits = 32768
 type Config struct {
 	// BlockBits is the block size B in bits. The paper assumes B >= lg n.
 	BlockBits int
-	// MemBits is the internal memory size M in bits. It is advisory: the
-	// harness reports whether the paper's assumption M = B(σ lg n)^Ω(1)
-	// holds for a given experiment; merges themselves run in host memory.
-	MemBits int
 	// CacheBlocks enables an LRU buffer pool of that many blocks in front of
 	// the device: reading a resident block costs no I/O, and Stats reports
 	// hits and misses. Zero disables caching, the paper's bare cost model,
@@ -132,23 +128,20 @@ var ErrInvalidRange = errors.New("iomodel: access outside allocated storage")
 // mirror from the file.
 var ErrReadOnly = errors.New("iomodel: file-backed device is read-only")
 
-// maxBlockBits bounds BlockBits so derived quantities (block offsets, the
-// default MemBits of 1024 blocks) cannot overflow int64 arithmetic even on
-// hostile configurations decoded from untrusted serialized headers.
+// maxBlockBits bounds BlockBits so derived quantities (block offsets) cannot
+// overflow int64 arithmetic even on hostile configurations decoded from
+// untrusted serialized headers.
 const maxBlockBits = 1 << 31
 
 // Validate reports whether the configuration is acceptable to
-// NewDiskChecked. A zero BlockBits or MemBits is valid (a default is
-// substituted); anything else must be in range.
+// NewDiskChecked. A zero BlockBits is valid (the default is substituted);
+// anything else must be in range.
 func (cfg Config) Validate() error {
 	if cfg.BlockBits != 0 && (cfg.BlockBits < 0 || cfg.BlockBits%8 != 0) {
 		return fmt.Errorf("iomodel: BlockBits %d must be a positive multiple of 8", cfg.BlockBits)
 	}
 	if cfg.BlockBits > maxBlockBits {
 		return fmt.Errorf("iomodel: BlockBits %d exceeds maximum %d", cfg.BlockBits, maxBlockBits)
-	}
-	if cfg.MemBits < 0 {
-		return fmt.Errorf("iomodel: MemBits %d must not be negative", cfg.MemBits)
 	}
 	if cfg.CacheBlocks < 0 {
 		return fmt.Errorf("iomodel: CacheBlocks %d must not be negative", cfg.CacheBlocks)
@@ -159,16 +152,12 @@ func (cfg Config) Validate() error {
 // NewDiskChecked returns a Disk with the given configuration, or an error if
 // the configuration is invalid. A zero BlockBits selects DefaultBlockBits;
 // BlockBits must be a positive multiple of 8 so blocks are byte-addressable.
-// A zero MemBits selects 1024 blocks.
 func NewDiskChecked(cfg Config) (*Disk, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.BlockBits == 0 {
 		cfg.BlockBits = DefaultBlockBits
-	}
-	if cfg.MemBits == 0 {
-		cfg.MemBits = 1024 * cfg.BlockBits
 	}
 	d := &Disk{cfg: cfg}
 	if cfg.CacheBlocks > 0 {
@@ -225,9 +214,6 @@ func NewDiskFromImage(cfg Config, tailBits int64, data []byte, free []BlockID) (
 
 // BlockBits returns the block size B in bits.
 func (d *Disk) BlockBits() int { return d.cfg.BlockBits }
-
-// MemBits returns the advisory internal memory size M in bits.
-func (d *Disk) MemBits() int { return d.cfg.MemBits }
 
 // Stats returns a copy of the cumulative device counters.
 func (d *Disk) Stats() StatsSnapshot {
@@ -498,7 +484,6 @@ func (d *Disk) blockOf(pos int64) BlockID { return BlockID(pos / int64(d.cfg.Blo
 type Device interface {
 	// Geometry.
 	BlockBits() int
-	MemBits() int
 	// Allocation and addressing.
 	AllocStream(w *bitio.Writer) Extent
 	Reserve(bits int64)
@@ -585,9 +570,6 @@ func (t *Touch) Reads() int { return t.charged }
 
 // Writes returns the number of distinct blocks written in this session.
 func (t *Touch) Writes() int { return len(t.writes) }
-
-// IOs returns total blocks I/Os paid for (reads + writes).
-func (t *Touch) IOs() int { return t.charged + len(t.writes) }
 
 // FailedReads returns the number of device read attempts that failed during
 // this session (always 0 on a plain Disk).

@@ -21,6 +21,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -41,10 +43,9 @@ type Options struct {
 	// Workers bounds concurrent shard builds and queries (default
 	// runtime.GOMAXPROCS(0)).
 	Workers int
-	// BlockBits, MemBits and CacheBlocks configure each shard's Disk;
-	// CacheBlocks > 0 enables the per-shard LRU block cache.
+	// BlockBits and CacheBlocks configure each shard's Disk; CacheBlocks > 0
+	// enables the per-shard LRU block cache.
 	BlockBits   int
-	MemBits     int
 	CacheBlocks int
 	// Branching, Stride and Seed configure each shard's index as in
 	// core.ApproxOptions. All shards share the Seed.
@@ -87,22 +88,28 @@ type RetryPolicy struct {
 // fan-out layers; 0 for an unsharded device). The schedule is a pure
 // function of (policy, token, attempt) — see RetryPolicy.Backoff.
 func (p RetryPolicy) Delay(attempt int, token uint64) time.Duration {
-	d := p.Backoff
-	for i := 1; i < attempt && d < p.MaxBackoff; i++ {
-		d *= 2
+	limit := p.MaxBackoff
+	if limit <= 0 {
+		limit = math.MaxInt64 // uncapped: double until the Duration saturates
 	}
-	if p.MaxBackoff > 0 && d > p.MaxBackoff {
-		d = p.MaxBackoff
+	d := min(p.Backoff, limit)
+	for i := 1; i < attempt && d > 0 && d < limit; i++ {
+		if d > limit/2 {
+			d = limit
+		} else {
+			d *= 2
+		}
 	}
 	if d <= 0 {
 		return 0
 	}
 	// Jitter into [d/2, d): keep half the exponential spacing as a floor so
 	// attempts still back off, and spread the rest uniformly by the seeded
-	// draw. 1<<16 buckets keep the draw exact for any Duration magnitude.
+	// draw. 1<<16 buckets, scaled through a 128-bit product, keep the draw
+	// exact for any Duration magnitude.
 	h := mix64(uint64(p.JitterSeed) ^ mix64(token^saltJitter) ^ mix64(uint64(attempt)))
-	frac := h % (1 << 16)
-	return d/2 + time.Duration(uint64(d/2)*frac>>16)
+	hi, lo := bits.Mul64(uint64(d/2), h%(1<<16))
+	return d/2 + time.Duration(hi<<48|lo>>16)
 }
 
 // saltJitter decorrelates the jitter draw from every other seeded draw in
@@ -207,11 +214,7 @@ func Build(data []uint32, sigma int, opts Options) (*Index, error) {
 	if sigma < 1 {
 		return nil, fmt.Errorf("shard: alphabet size %d", sigma)
 	}
-	diskCfg := iomodel.Config{
-		BlockBits:   opts.BlockBits,
-		MemBits:     opts.MemBits,
-		CacheBlocks: opts.CacheBlocks,
-	}
+	diskCfg := iomodel.Config{BlockBits: opts.BlockBits, CacheBlocks: opts.CacheBlocks}
 	// Validate the device configuration once up front: the disks are created
 	// inside build worker goroutines, where an error must surface as Build's
 	// error rather than a panic killing the process.
@@ -253,25 +256,21 @@ func Build(data []uint32, sigma int, opts Options) (*Index, error) {
 		wg.Add(1)
 		go func(i int, start, end int64) {
 			defer wg.Done()
-			var d iomodel.Device
+			dd, err := iomodel.NewDiskChecked(diskCfg)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			var d iomodel.Device = dd
 			var fd *iomodel.FaultDisk
 			if opts.Faults != nil {
 				fc := *opts.Faults
 				fc.Seed += int64(i) // independent per-shard fault patterns
-				var err error
-				fd, err = iomodel.NewFaultDiskChecked(diskCfg, fc)
-				if err != nil {
+				if fd, err = iomodel.NewFaultDiskOn(dd, fc); err != nil {
 					errs[i] = err
 					return
 				}
 				d = fd
-			} else {
-				dd, err := iomodel.NewDiskChecked(diskCfg)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				d = dd
 			}
 			ax, err := core.BuildApproxOn(ws, d, workload.Column{X: data[start:end], Sigma: sigma}, core.ApproxOptions{
 				OptimalOptions: core.OptimalOptions{Branching: opts.Branching, Stride: opts.Stride},

@@ -9,6 +9,7 @@ package shard
 import (
 	"context"
 	"errors"
+	"math"
 	"slices"
 	"testing"
 	"time"
@@ -81,6 +82,27 @@ func TestRetryDelayJitterProperties(t *testing.T) {
 	}
 	if d := (RetryPolicy{MaxAttempts: 3, JitterSeed: 9}).Delay(1, 0); d != 0 {
 		t.Fatalf("zero Backoff jittered to %v, want 0", d)
+	}
+}
+
+// TestRetryDelayUncappedDoubles checks that with no MaxBackoff the base still
+// doubles per attempt, Backoff·2^(k-1), and saturates instead of overflowing
+// at attempt counts far past the Duration range.
+func TestRetryDelayUncappedDoubles(t *testing.T) {
+	p := RetryPolicy{MaxAttempts: 4, Backoff: 10 * time.Microsecond, JitterSeed: 3}
+	for token := uint64(0); token < 8; token++ {
+		for attempt := 1; attempt <= 3; attempt++ {
+			b := p.Backoff << (attempt - 1)
+			if d := p.Delay(attempt, token); d < b/2 || d >= b {
+				t.Fatalf("Delay(%d, %d) = %v outside [%v, %v)", attempt, token, d, b/2, b)
+			}
+		}
+		for _, attempt := range []int{64, 100, 1 << 20} {
+			const b = time.Duration(math.MaxInt64)
+			if d := p.Delay(attempt, token); d < b/2 || d >= b {
+				t.Fatalf("Delay(%d, %d) = %v outside [%v, %v)", attempt, token, d, b/2, b)
+			}
+		}
 	}
 }
 

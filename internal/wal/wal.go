@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"time"
 )
 
 // Magic identifies a WAL file; the trailing digit is the format version.
@@ -55,11 +54,8 @@ const (
 	// durable.
 	SyncEveryRecord SyncMode = iota
 	// SyncWindow group-commits: the writer syncs when the unsynced window
-	// reaches WindowBytes bytes or WindowOps records, whichever first.
+	// reaches WindowOps records.
 	SyncWindow
-	// SyncTimed syncs when Interval has elapsed since the last sync, checked
-	// at each append.
-	SyncTimed
 	// SyncManual never syncs from Append: durability is whatever explicit
 	// Sync calls the owner issues. This is the group-commit mode — a commit
 	// coordinator batches appends from many writers and issues one Sync for
@@ -70,14 +66,9 @@ const (
 // Policy is a complete sync policy.
 type Policy struct {
 	Mode SyncMode
-	// WindowBytes caps the unsynced byte window under SyncWindow (0 = no
-	// byte trigger).
-	WindowBytes int
 	// WindowOps caps the unsynced record count under SyncWindow (0 = no
-	// count trigger).
+	// trigger: only explicit Syncs).
 	WindowOps int
-	// Interval is the SyncTimed period.
-	Interval time.Duration
 }
 
 func fnv64a(p []byte) uint64 {
@@ -105,7 +96,6 @@ type Writer struct {
 	durable int64  // bytes covered by a successful sync
 	pending int    // records appended since the last sync
 	syncs   int64  // device syncs actually issued for records (group-commit accounting)
-	last    time.Time
 	scratch []byte
 	err     error
 }
@@ -114,7 +104,7 @@ type Writer struct {
 // sequence numbers starting after startSeq, syncs it, and returns a writer
 // positioned after the header.
 func Create(f File, kind, startSeq uint64, pol Policy) (*Writer, error) {
-	w := &Writer{f: f, kind: kind, pol: pol, seq: startSeq, synced: startSeq, last: time.Now()}
+	w := &Writer{f: f, kind: kind, pol: pol, seq: startSeq, synced: startSeq}
 	var hdr [headerBytes]byte
 	copy(hdr[:8], Magic)
 	binary.LittleEndian.PutUint64(hdr[8:16], kind)
@@ -140,7 +130,7 @@ func Create(f File, kind, startSeq uint64, pol Policy) (*Writer, error) {
 func Resume(f File, kind, lastSeq uint64, size int64, pol Policy) (*Writer, error) {
 	w := &Writer{
 		f: f, kind: kind, pol: pol, seq: lastSeq, synced: lastSeq,
-		written: size, durable: size, last: time.Now(),
+		written: size, durable: size,
 	}
 	if err := f.Sync(); err != nil {
 		w.err = err
@@ -191,10 +181,7 @@ func (w *Writer) shouldSync() bool {
 	case SyncEveryRecord:
 		return true
 	case SyncWindow:
-		return (w.pol.WindowBytes > 0 && w.written-w.durable >= int64(w.pol.WindowBytes)) ||
-			(w.pol.WindowOps > 0 && w.pending >= w.pol.WindowOps)
-	case SyncTimed:
-		return time.Since(w.last) >= w.pol.Interval
+		return w.pol.WindowOps > 0 && w.pending >= w.pol.WindowOps
 	case SyncManual:
 		return false
 	}
@@ -220,7 +207,6 @@ func (w *Writer) Sync() error {
 	w.durable = w.written
 	w.synced = w.seq
 	w.pending = 0
-	w.last = time.Now()
 	return nil
 }
 

@@ -216,23 +216,6 @@ func TestWALSyncPolicies(t *testing.T) {
 			t.Fatalf("SyncedSeq after barrier = %d, want 7", w.SyncedSeq())
 		}
 	})
-	t.Run("window-bytes", func(t *testing.T) {
-		f := &memFile{}
-		w, err := Create(f, 1, 0, Policy{Mode: SyncWindow, WindowBytes: 100})
-		if err != nil {
-			t.Fatal(err)
-		}
-		base := f.syncs
-		// Each record is 24+40 = 64 bytes: sync on every second append.
-		for i := 0; i < 4; i++ {
-			if _, err := w.Append(make([]byte, 40)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if got := f.syncs - base; got != 2 {
-			t.Fatalf("4×64-byte appends under WindowBytes=100 synced %d times, want 2", got)
-		}
-	})
 	t.Run("every-record", func(t *testing.T) {
 		f := &memFile{}
 		w, _ := Create(f, 1, 0, Policy{Mode: SyncEveryRecord})

@@ -40,7 +40,7 @@ import (
 // (Reads + SharedSaved is the looped-query cost of the same batch on a
 // cache-less device).
 //
-// On a fault-injecting device (ShardOptions.Faults) two more counters are
+// On a fault-injecting device (Options.Faults) two more counters are
 // live: FailedReads counts device read attempts that failed — including
 // transient failures that a later retry recovered — and RetriedReads counts
 // whole-shard attempts the retry layer re-issued. A fault-free run reports
@@ -100,8 +100,6 @@ type Options struct {
 	// BlockBits is the simulated device's block size B in bits
 	// (default 32768 = 4 KiB).
 	BlockBits int
-	// MemBits is the simulated internal memory size M in bits (advisory).
-	MemBits int
 	// Branching is the weight-balanced tree's branching parameter c > 4
 	// (default 8).
 	Branching int
@@ -142,9 +140,9 @@ type diskImage struct {
 // cacheBlocks blocks and, when o.Faults is set, its fault wrapper. dev is
 // what the index runs on: the fault disk when present, the raw disk
 // otherwise. Validation runs through iomodel.Config.Validate, so a bad
-// BlockBits or MemBits surfaces as an error instead of a panic.
+// BlockBits surfaces as an error instead of a panic.
 func (o Options) device(cacheBlocks int, img *diskImage) (dev iomodel.Device, d *iomodel.Disk, fd *iomodel.FaultDisk, err error) {
-	cfg := iomodel.Config{BlockBits: o.BlockBits, MemBits: o.MemBits, CacheBlocks: cacheBlocks}
+	cfg := iomodel.Config{BlockBits: o.BlockBits, CacheBlocks: cacheBlocks}
 	if img != nil {
 		d, err = iomodel.NewDiskFromImage(cfg, img.tailBits, img.data, img.free)
 	} else {
@@ -197,31 +195,17 @@ type Index struct {
 	// sx is the same structure viewed as a one-shard index: the exact-query,
 	// retry, batch and serving paths are the sharded ones.
 	sx   *shard.Index
-	disk *iomodel.Disk
 	opts Options
 }
 
-// Build constructs a static index over data (values in [0,sigma)).
+// Build constructs a static index over data (values in [0,sigma)): the
+// one-shard BuildSharded.
 func Build(data []uint32, sigma int, opts Options) (*Index, error) {
-	if sigma < 1 {
-		return nil, fmt.Errorf("secidx: alphabet size %d", sigma)
-	}
-	dev, d, fd, err := opts.device(0, nil)
+	sh, err := BuildSharded(data, sigma, ShardOptions{Options: opts, Shards: 1})
 	if err != nil {
 		return nil, err
 	}
-	ax, err := core.BuildApprox(dev, workload.Column{X: data, Sigma: sigma}, core.ApproxOptions{
-		OptimalOptions: core.OptimalOptions{Branching: opts.Branching, Stride: opts.Stride},
-		Seed:           opts.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	sx, err := shard.Assemble([]shard.Part{{Ax: ax, Disk: dev, Fault: fd, End: ax.Len()}}, ax.Len(), sigma, 1)
-	if err != nil {
-		return nil, err
-	}
-	return &Index{ax: ax, sx: sx, disk: d, opts: opts}, nil
+	return &Index{ax: sh.sx.Parts()[0].Ax, sx: sh.sx, opts: opts}, nil
 }
 
 // ArmFaults starts fault injection on an index built with Options.Faults

@@ -267,7 +267,7 @@ func encodeManifest(e *container.Encoder, n int64, sigma int, opts Options, shar
 	e.U(uint64(n))
 	e.U(uint64(sigma))
 	e.U(uint64(opts.BlockBits))
-	e.U(uint64(opts.MemBits))
+	e.U(0) // reserved slot, formerly MemBits (the advisory memory size M)
 	e.U(uint64(opts.Branching))
 	e.U(uint64(opts.Stride))
 	e.I(opts.Seed)
@@ -288,7 +288,7 @@ func readManifest(cf *container.File) (manifest, error) {
 	m.n = int64(dec.UN(container.MaxRows))
 	sigma := dec.UN(container.MaxSigma)
 	m.opts.BlockBits = int(dec.UN(container.MaxParam))
-	m.opts.MemBits = int(dec.UN(container.MaxParam))
+	dec.UN(container.MaxParam) // reserved slot, ignored
 	m.opts.Branching = int(dec.UN(container.MaxParam))
 	m.opts.Stride = int(dec.UN(container.MaxParam))
 	m.opts.Seed = dec.I()
@@ -363,7 +363,7 @@ func (ix *Index) WriteFile(path string) error {
 // one metadata and one image section per shard, each independently
 // checksummed.
 func (ix *ShardedIndex) WriteFile(path string) error {
-	return writeShards(path, container.KindSharded, ix.sx, ix.opts.Options)
+	return writeShards(path, container.KindSharded, ix.sx, ix.opts)
 }
 
 // writeShards writes a static (one shard) or sharded container: the manifest,
@@ -645,7 +645,7 @@ func openImage(f *os.File, cf *container.File, shardID uint64, opts Options, oo 
 	if oo.readerAt != nil {
 		bk.Reader = oo.readerAt(f)
 	}
-	cfg := iomodel.Config{BlockBits: opts.BlockBits, MemBits: opts.MemBits, CacheBlocks: oo.CacheBlocks}
+	cfg := iomodel.Config{BlockBits: opts.BlockBits, CacheBlocks: oo.CacheBlocks}
 	fdisk, err := iomodel.OpenFileDisk(f, cfg, bk)
 	if err != nil {
 		// Geometry errors here are data-driven: the sizes came from the file.
@@ -722,7 +722,7 @@ func openStatic(f *os.File, cf *container.File, man manifest, oo OpenOptions) (*
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index{ax: sx.Parts()[0].Ax, sx: sx, disk: disks[0].Disk, opts: man.opts}
+	ix := &Index{ax: sx.Parts()[0].Ax, sx: sx, opts: man.opts}
 	return &Opened{Static: ix, f: f, disks: disks}, nil
 }
 
@@ -731,10 +731,7 @@ func openSharded(f *os.File, cf *container.File, man manifest, oo OpenOptions) (
 	if err != nil {
 		return nil, err
 	}
-	ix := &ShardedIndex{sx: sx, opts: ShardOptions{
-		Options: man.opts, Shards: man.shards, Workers: oo.Workers,
-		CacheBlocks: oo.CacheBlocks, Faults: oo.Faults,
-	}}
+	ix := &ShardedIndex{sx: sx, opts: man.opts}
 	return &Opened{Sharded: ix, f: f, disks: disks}, nil
 }
 

@@ -23,7 +23,7 @@ func servePair(t *testing.T, n, sigma, shards int, fc FaultConfig) (ref, chaos *
 	if err != nil {
 		t.Fatal(err)
 	}
-	chaos, err = BuildSharded(data, sigma, ShardOptions{Shards: shards, Faults: &fc})
+	chaos, err = BuildSharded(data, sigma, ShardOptions{Shards: shards, Options: Options{Faults: &fc}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestQueryExecCancelDuringBackoff(t *testing.T) {
 	// Every block transiently fails far more times than the retry budget,
 	// so each attempt fails and the executor spends its time in backoff.
 	data := randColumn(4000, 32, 9)
-	chaos, err := BuildSharded(data, 32, ShardOptions{Shards: 2, Faults: &FaultConfig{Seed: 1, TransientPer10k: 10000, TransientCount: 1 << 20}})
+	chaos, err := BuildSharded(data, 32, ShardOptions{Shards: 2, Options: Options{Faults: &FaultConfig{Seed: 1, TransientPer10k: 10000, TransientCount: 1 << 20}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestQueryExecCancelDuringBackoff(t *testing.T) {
 // members in shared batches, so SharedSaved shows up in the server stats.
 func TestServeQueryBatchSharesScan(t *testing.T) {
 	data := randColumn(6000, 64, 11)
-	ix, err := BuildSharded(data, 64, ShardOptions{Shards: 2, Faults: slowReads})
+	ix, err := BuildSharded(data, 64, ShardOptions{Shards: 2, Options: Options{Faults: slowReads}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,8 +68,10 @@ type ShardError = shard.ShardError
 
 // ShardOptions configures BuildSharded.
 type ShardOptions struct {
-	// Options carries the per-shard index parameters (BlockBits, MemBits,
-	// Branching, Stride, Seed); Buffered is ignored, shards are static.
+	// Options carries the per-shard index parameters (BlockBits, Branching,
+	// Stride, Seed) and the fault schedule: with Faults set, shard i runs on a
+	// fault-injecting device drawing from Faults.Seed+i. Buffered and
+	// Concurrent are ignored, shards are static.
 	Options
 	// Shards is the number of contiguous row-range shards (default 1).
 	Shards int
@@ -79,10 +81,6 @@ type ShardOptions struct {
 	// shard's device: repeated queries stop re-reading hot superblocks, and
 	// DeviceStats reports the hit/miss counters. Zero disables caching.
 	CacheBlocks int
-	// Faults, when non-nil, backs every shard with a fault-injecting device
-	// running this schedule. Builds are never faulted; call ArmFaults to
-	// start the schedule firing on query reads.
-	Faults *FaultConfig
 }
 
 // ShardedIndex partitions the column into contiguous row-range shards, each
@@ -95,22 +93,16 @@ type ShardOptions struct {
 // unsharded Index over the same column.
 type ShardedIndex struct {
 	sx   *shard.Index
-	opts ShardOptions // retained for serialisation (WriteFile)
+	opts Options // retained for serialisation (WriteFile)
 }
 
 // BuildSharded constructs a sharded index over data (values in [0,sigma)).
 // Shards build in parallel, bounded by opts.Workers.
 func BuildSharded(data []uint32, sigma int, opts ShardOptions) (*ShardedIndex, error) {
-	if opts.Faults == nil {
-		// The embedded Options.Faults is shadowed by the field above; honour
-		// a schedule set through either.
-		opts.Faults = opts.Options.Faults
-	}
 	sx, err := shard.Build(data, sigma, shard.Options{
 		Shards:      opts.Shards,
 		Workers:     opts.Workers,
 		BlockBits:   opts.BlockBits,
-		MemBits:     opts.MemBits,
 		CacheBlocks: opts.CacheBlocks,
 		Branching:   opts.Branching,
 		Stride:      opts.Stride,
@@ -120,7 +112,7 @@ func BuildSharded(data []uint32, sigma int, opts ShardOptions) (*ShardedIndex, e
 	if err != nil {
 		return nil, err
 	}
-	return &ShardedIndex{sx: sx, opts: opts}, nil
+	return &ShardedIndex{sx: sx, opts: opts.Options}, nil
 }
 
 // Len returns the number of rows indexed.
@@ -215,7 +207,7 @@ func execBatch(ctx context.Context, sx *shard.Index, ranges []Range, opts QueryO
 	return out, st, report, nil
 }
 
-// ArmFaults starts the fault schedule of ShardOptions.Faults firing on
+// ArmFaults starts the fault schedule of Options.Faults firing on
 // query reads; it is a no-op without one. Builds always run disarmed.
 func (ix *ShardedIndex) ArmFaults() { ix.sx.ArmFaults() }
 
