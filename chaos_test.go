@@ -165,12 +165,12 @@ func TestChaosDifferentialApprox(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fd := iomodel.NewFaultDisk(iomodel.Config{}, iomodel.FaultConfig{Seed: 3, TransientPer10k: 3000})
+	fd := iomodel.NewDisk(iomodel.Config{Faults: &iomodel.FaultConfig{Seed: 3, TransientPer10k: 3000}})
 	chaos, err := core.BuildApprox(fd, col, axOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fd.Arm()
+	fd.ArmFaults()
 	ctx := context.Background()
 	var failed, retried int
 	retry := func(op func() (index.QueryStats, error)) {

@@ -206,10 +206,6 @@ func TestReadCompatPR15(t *testing.T) {
 // size, which every build writes as 0).
 func writeStaticReserved(path string, ix *Index, reserved uint64) error {
 	part := ix.sx.Parts()[0]
-	d, err := rawDisk(part.Disk)
-	if err != nil {
-		return err
-	}
 	return writeContainer(path, container.KindStatic, func(cw *container.Writer) error {
 		var e container.Encoder
 		e.U(uint64(ix.Len()))
@@ -231,7 +227,7 @@ func writeStaticReserved(path string, ix *Index, reserved uint64) error {
 		if err := cw.Add(container.TypeStaticMeta, 0, m.Bytes(), 1); err != nil {
 			return err
 		}
-		return addImage(cw, 0, d)
+		return addImage(cw, 0, part.Disk)
 	})
 }
 

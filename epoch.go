@@ -11,20 +11,19 @@ import (
 // (Options.Concurrent / OpenOptions.Concurrent) the writer publishes, after
 // every applied operation, an immutable *epoch*: a deep copy of the index's
 // query-path metadata bound to a copy-on-write freeze of the device
-// (iomodel.Disk.Freeze). Readers pin the current epoch with two atomic
-// increments, query the frozen pair with the unmodified query pipeline, and
-// unpin — no reader ever takes a lock a writer can hold, so reads never
-// block on writes, and a read's answer is bit-identical to the sequential
-// index at the epoch's version. Retired epochs are garbage-collected once
-// their pin count drains and no pointer remains; the pin counters exist so
-// the harness can assert exactly that drain.
+// (iomodel.Disk.Freeze). Readers pin the current epoch with one atomic
+// increment and one atomic load, query the frozen pair with the unmodified
+// query pipeline, and unpin — no reader ever takes a lock a writer can hold,
+// so reads never block on writes, and a read's answer is bit-identical to
+// the sequential index at the epoch's version. Retired epochs are
+// garbage-collected once no reader holds a pointer to them; the live-pin
+// counter exists so the harness can assert that every pin is released.
 
 // epoch is one published immutable view: a version (the sequence number of
 // the last operation it reflects) plus a read-only clone of the index.
 type epoch struct {
 	version uint64
 	q       queryable
-	refs    atomic.Int64
 }
 
 // epochState is the publication point: an atomically-swapped pointer to the
@@ -36,34 +35,20 @@ type epochState struct {
 
 // publish swaps in a new current epoch. Old epochs stay valid for readers
 // that already pinned them and are reclaimed by the garbage collector once
-// their refs drain.
+// those readers are done.
 func (es *epochState) publish(e *epoch) {
 	es.cur.Store(e)
 }
 
-// pin acquires the current epoch for reading. The increment-then-recheck
-// loop keeps the per-epoch refcount exact against a concurrent publish:
-// if the current pointer moved while we incremented, the count we took was
-// on a retired epoch that the writer may already consider drained, so back
-// off and retry on the new current. The loop is lock-free and runs entirely
-// on atomics — a reader never waits for the writer.
+// pin acquires the current epoch for reading. It runs entirely on atomics —
+// a reader never waits for the writer.
 func (es *epochState) pin() *epoch {
-	for {
-		e := es.cur.Load()
-		e.refs.Add(1)
-		if es.cur.Load() == e {
-			es.pins.Add(1)
-			return e
-		}
-		e.refs.Add(-1)
-	}
+	es.pins.Add(1)
+	return es.cur.Load()
 }
 
 // unpin releases a pinned epoch.
-func (es *epochState) unpin(e *epoch) {
-	e.refs.Add(-1)
-	es.pins.Add(-1)
-}
+func (es *epochState) unpin() { es.pins.Add(-1) }
 
 // livePins returns the number of currently pinned epoch references across
 // all readers (0 when every read and snapshot has finished).
@@ -109,7 +94,7 @@ func (s *Snapshot) QueryContext(ctx context.Context, lo, hi uint32) (*Result, St
 // after Release return ErrClosed.
 func (s *Snapshot) Release() {
 	if s.released.CompareAndSwap(false, true) {
-		s.es.unpin(s.ep)
+		s.es.unpin()
 	}
 }
 

@@ -19,22 +19,20 @@ type writable interface {
 	// applyOp applies op. Live updates and write-ahead-log replay both run
 	// through it.
 	applyOp(op walOp) (Stats, error)
-	cloneReadOnly(dev iomodel.Device) (queryable, error)
+	cloneReadOnly(dev *iomodel.Disk) (queryable, error)
 	// emitSections writes the container's sections at durability watermark
 	// seq.
 	emitSections(cw *container.Writer, seq uint64) error
 }
 
 // handle is the lifecycle and write pipeline AppendIndex and DynamicIndex
-// share: the device and its fault wrapper, the durability layer of a
-// writable reopen, and the epochs of concurrent mode. Every update reaches
-// the index through apply.
+// share: the device, the durability layer of a writable reopen, and the
+// epochs of concurrent mode. Every update reaches the index through apply.
 type handle struct {
 	kind writable  // the embedding index
 	live queryable // the mutable structure; what non-concurrent reads query
 	disk *iomodel.Disk
-	fd   *iomodel.FaultDisk // non-nil iff built or opened with Faults
-	dur  *durable           // non-nil iff reopened writable (OpenOptions.WAL)
+	dur  *durable // non-nil iff reopened writable (OpenOptions.WAL)
 	opts Options
 
 	// epochs is non-nil in concurrent mode. wmu serializes writers on
@@ -127,18 +125,12 @@ func (ix *handle) goConcurrent(version uint64) error {
 }
 
 // publishEpoch freezes the device, clones the query-path metadata against
-// the frozen view and swaps the pair in as the current epoch. Called with
-// the writer lock held (or before the handle is shared).
+// the frozen view and swaps the pair in as the current epoch. The view
+// shares the live fault schedule, so snapshot reads draw the same
+// deterministic fates as live reads. Called with the writer lock held (or
+// before the handle is shared).
 func (ix *handle) publishEpoch(version uint64) error {
-	var dev iomodel.Device
-	if ix.fd != nil {
-		// Wrapped with the live fault schedule, so snapshot reads draw the
-		// same deterministic fates as live reads.
-		dev = ix.fd.FreezeView()
-	} else {
-		dev = ix.disk.Freeze()
-	}
-	q, err := ix.kind.cloneReadOnly(dev)
+	q, err := ix.kind.cloneReadOnly(ix.disk.Freeze())
 	if err != nil {
 		return err
 	}
@@ -175,18 +167,10 @@ func (ix *handle) Snapshot() (*Snapshot, error) {
 // (no-op otherwise). Arming is an atomic flag flip: it is safe against
 // in-flight queries and writers, which observe the schedule from their next
 // device read on.
-func (ix *handle) ArmFaults() {
-	if ix.fd != nil {
-		ix.fd.Arm()
-	}
-}
+func (ix *handle) ArmFaults() { ix.disk.ArmFaults() }
 
 // DisarmFaults stops fault injection.
-func (ix *handle) DisarmFaults() {
-	if ix.fd != nil {
-		ix.fd.Disarm()
-	}
-}
+func (ix *handle) DisarmFaults() { ix.disk.DisarmFaults() }
 
 // Query answers I[lo;hi].
 func (ix *handle) Query(lo, hi uint32) (*Result, Stats, error) {
@@ -200,7 +184,7 @@ func (ix *handle) Query(lo, hi uint32) (*Result, Stats, error) {
 func (ix *handle) QueryContext(ctx context.Context, lo, hi uint32) (*Result, Stats, error) {
 	if es := ix.epochs; es != nil {
 		e := es.pin()
-		defer es.unpin(e)
+		defer es.unpin()
 		return runQuery(ctx, e.q, lo, hi)
 	}
 	return runQuery(ctx, ix.live, lo, hi)

@@ -19,7 +19,7 @@ var ErrBuildInvariant = errors.New("core: build invariant violated")
 // BuildApprox constructs the Theorem 3 index for col on disk d: the
 // Theorem 2 structure, then for each materialised member S the hashed sets
 // h_j(S), j = 1 … k, with a worker budget of GOMAXPROCS.
-func BuildApprox(d iomodel.Device, col workload.Column, opts ApproxOptions) (*Approx, error) {
+func BuildApprox(d *iomodel.Disk, col workload.Column, opts ApproxOptions) (*Approx, error) {
 	return BuildApproxOn(NewWorkers(0), d, col, opts)
 }
 
@@ -36,7 +36,7 @@ func BuildApprox(d iomodel.Device, col workload.Column, opts ApproxOptions) (*Ap
 // goroutine places the writers in the canonical order — exact levels, A, tree
 // layout, then the hashed sets by (level, j, member) — with no padding
 // (pinned by TestBuildApproxDifferential and TestBuildParallelDeterministic).
-func BuildApproxOn(ws Workers, d iomodel.Device, col workload.Column, opts ApproxOptions) (*Approx, error) {
+func BuildApproxOn(ws Workers, d *iomodel.Disk, col workload.Column, opts ApproxOptions) (*Approx, error) {
 	ax := &Approx{seed: opts.Seed, k: maxJ(int64(col.Len()))}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	for j := 1; j <= ax.k; j++ {

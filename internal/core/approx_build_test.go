@@ -44,7 +44,7 @@ type hashedSet = hashSet[int64]
 // before the level pass: per (level, j, member) sort the positions, hash,
 // sort and compact again, encode through a Bitmap and place each set with its
 // own AllocStream. Kept as the differential oracle for the device image.
-func buildApproxReference(d iomodel.Device, col workload.Column, opts ApproxOptions) (*Approx, error) {
+func buildApproxReference(d *iomodel.Disk, col workload.Column, opts ApproxOptions) (*Approx, error) {
 	return buildApproxReferenceK(d, col, opts, maxJ)
 }
 
@@ -63,7 +63,7 @@ func legacyMaxJ(n int64) int {
 // buildApproxReferenceK is buildApproxReference with the level count chosen
 // by kOf(n): with legacyMaxJ it lays down what a build before the cap did,
 // surplus level included, selectable by queries.
-func buildApproxReferenceK(d iomodel.Device, col workload.Column, opts ApproxOptions, kOf func(n int64) int) (*Approx, error) {
+func buildApproxReferenceK(d *iomodel.Disk, col workload.Column, opts ApproxOptions, kOf func(n int64) int) (*Approx, error) {
 	ox, err := BuildOptimal(d, col, opts.OptimalOptions)
 	if err != nil {
 		return nil, err
@@ -326,7 +326,7 @@ func TestBuildApproxAllocs(t *testing.T) {
 	}
 	col := workload.Zipf(1<<16, 1024, 1.1, 42)
 	opts := ApproxOptions{Seed: 42}
-	build := func(fn func(iomodel.Device, workload.Column, ApproxOptions) (*Approx, error)) float64 {
+	build := func(fn func(*iomodel.Disk, workload.Column, ApproxOptions) (*Approx, error)) float64 {
 		return testing.AllocsPerRun(1, func() {
 			if _, err := fn(iomodel.NewDisk(iomodel.Config{BlockBits: 2048}), col, opts); err != nil {
 				t.Fatal(err)
@@ -392,7 +392,7 @@ func BenchmarkHashedSetPaths(b *testing.B) {
 func BenchmarkBuildApproxPaths(b *testing.B) {
 	builds := []struct {
 		name string
-		fn   func(iomodel.Device, workload.Column, ApproxOptions) (*Approx, error)
+		fn   func(*iomodel.Disk, workload.Column, ApproxOptions) (*Approx, error)
 	}{{"reference", buildApproxReference}, {"sortfree", BuildApprox}}
 	for lg := 14; lg <= 21; lg++ {
 		n := 1 << uint(lg)

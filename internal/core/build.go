@@ -64,7 +64,7 @@ func newLevelTasks(tr *Tree, stride int) []levelTask {
 // level on the caller's slot of ws and every other slot free, then the exact
 // levels, A and the tree layout placed on an image reserved once from the
 // stream lengths. The tasks return with their hashed writers still to place.
-func buildLevels(ws Workers, d iomodel.Device, col workload.Column, opts OptimalOptions, hs []hashutil.SplitXOR) (*Optimal, []levelTask, error) {
+func buildLevels(ws Workers, d *iomodel.Disk, col workload.Column, opts OptimalOptions, hs []hashutil.SplitXOR) (*Optimal, []levelTask, error) {
 	ws <- struct{}{}
 	defer func() { <-ws }()
 	opts.fill()

@@ -83,7 +83,7 @@ func (o *AppendOptions) fill() {
 // appends, amortised O(lg lg n) I/Os) or Theorem 5 (buffered appends,
 // amortised O(lg n / b) I/Os), selected by AppendOptions.Buffered.
 type AppendIndex struct {
-	disk iomodel.Device
+	disk *iomodel.Disk
 	opts AppendOptions
 
 	sigma  int
@@ -114,7 +114,7 @@ type AppendIndex struct {
 
 // BuildAppendIndex constructs the structure over an initial column (which
 // may be empty apart from its alphabet).
-func BuildAppendIndex(d iomodel.Device, col workload.Column, opts AppendOptions) (*AppendIndex, error) {
+func BuildAppendIndex(d *iomodel.Disk, col workload.Column, opts AppendOptions) (*AppendIndex, error) {
 	opts.fill()
 	if opts.Branching <= 4 {
 		return nil, fmt.Errorf("core: branching parameter %d must exceed 4", opts.Branching)

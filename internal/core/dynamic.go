@@ -26,7 +26,7 @@ import (
 // queries per materialised level. Deletions use the paper's ∞-character
 // trick: the alphabet is extended by one never-queried character.
 type Dynamic struct {
-	disk iomodel.Device
+	disk *iomodel.Disk
 	opts DynamicOptions
 
 	sigma    int // user-visible alphabet
@@ -78,7 +78,7 @@ type dynBin struct {
 }
 
 // BuildDynamic constructs the Theorem 7 index over col.
-func BuildDynamic(d iomodel.Device, col workload.Column, opts DynamicOptions) (*Dynamic, error) {
+func BuildDynamic(d *iomodel.Disk, col workload.Column, opts DynamicOptions) (*Dynamic, error) {
 	opts.fill()
 	if opts.Branching <= 4 {
 		return nil, fmt.Errorf("core: branching parameter %d must exceed 4", opts.Branching)

@@ -20,13 +20,13 @@ const nodeRecordBits = 128
 // the block holding its record; query traversals charge a read of each
 // distinct structure block they visit.
 type treeLayout struct {
-	disk    iomodel.Device
+	disk    *iomodel.Disk
 	blockOf []iomodel.BlockID
 	nblocks int
 }
 
 // newTreeLayout writes the structure of t to d and returns the layout.
-func newTreeLayout(d iomodel.Device, t *Tree) *treeLayout {
+func newTreeLayout(d *iomodel.Disk, t *Tree) *treeLayout {
 	l := &treeLayout{disk: d, blockOf: make([]iomodel.BlockID, len(t.Nodes))}
 	cap := max(d.BlockBits()/nodeRecordBits, 1) // layoutBits assumes the same
 	// pending holds subtree roots awaiting placement. Each block is filled
@@ -65,7 +65,7 @@ func newTreeLayout(d iomodel.Device, t *Tree) *treeLayout {
 
 // layoutBits bounds the bits newTreeLayout adds to the image: it fills every
 // block but the last, after padding the tail to a block boundary.
-func layoutBits(d iomodel.Device, t *Tree) int64 {
+func layoutBits(d *iomodel.Disk, t *Tree) int64 {
 	perBlock := max(d.BlockBits()/nodeRecordBits, 1)
 	return int64(len(t.Nodes)/perBlock+2) * int64(d.BlockBits())
 }
@@ -75,9 +75,9 @@ func (l *treeLayout) sizeBits() int64 {
 	return int64(l.nblocks) * int64(l.disk.BlockBits())
 }
 
-// ioSession is the read surface tree traversals charge through: a per-query
-// iomodel.Touch, or a batch session that additionally attributes the read to
-// the current query of a shared-scan batch.
+// ioSession is the read surface tree traversals charge through: an
+// iomodel.Touch (a query's session, or a shared-scan batch's, which also
+// attributes the read to the batch's current query).
 type ioSession interface {
 	ReadBits(pos int64, n int) (uint64, error)
 }

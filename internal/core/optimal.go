@@ -124,7 +124,7 @@ func (lv *matLevel) tileFrom(i int, lo, hi int64) (int, error) {
 // O(nH₀ + n + σ lg²n) bits; a query reads O(z lg(n/z)/B + lg_b n + lg lg n)
 // blocks.
 type Optimal struct {
-	disk   iomodel.Device
+	disk   *iomodel.Disk
 	tree   *Tree
 	layout *treeLayout
 	opts   OptimalOptions
@@ -139,7 +139,7 @@ type Optimal struct {
 
 // BuildOptimal constructs the Theorem 2 index for col on disk d, its levels
 // side by side on up to GOMAXPROCS workers (build.go).
-func BuildOptimal(d iomodel.Device, col workload.Column, opts OptimalOptions) (*Optimal, error) {
+func BuildOptimal(d *iomodel.Disk, col workload.Column, opts OptimalOptions) (*Optimal, error) {
 	ox, _, err := buildLevels(NewWorkers(0), d, col, opts, nil)
 	return ox, err
 }
@@ -280,7 +280,7 @@ func (ox *Optimal) execute(ctx context.Context, tc *iomodel.Touch, sc *queryScra
 var _ index.Index = (*Optimal)(nil)
 
 // BuildOptimalDefault is a convenience wrapper with default options.
-func BuildOptimalDefault(d iomodel.Device, col workload.Column) (*Optimal, error) {
+func BuildOptimalDefault(d *iomodel.Disk, col workload.Column) (*Optimal, error) {
 	return BuildOptimal(d, col, OptimalOptions{})
 }
 

@@ -104,7 +104,7 @@ func (ax *Approx) EncodeMeta(e *container.Encoder) error {
 // from d (typically a FileDisk over the image section). The tree, prefix
 // array, materialised-level assignment, member ranges and hash functions are
 // all recomputed; only placement and cardinalities come from the payload.
-func OpenApprox(d iomodel.Device, sigma int, opts ApproxOptions, dec *container.Decoder) (*Approx, error) {
+func OpenApprox(d *iomodel.Disk, sigma int, opts ApproxOptions, dec *container.Decoder) (*Approx, error) {
 	opts.OptimalOptions.fill()
 	if sigma < 1 || sigma > container.MaxSigma {
 		return nil, fmt.Errorf("core: alphabet size %d out of range", sigma)
@@ -302,7 +302,7 @@ func (ax *AppendIndex) EncodeMeta(e *container.Encoder) error {
 // buffers and the pending root buffer), but Append returns an error — the
 // rebuild machinery needs the in-memory position mirror that only the
 // building process has.
-func OpenAppendIndex(d iomodel.Device, sigma int, opts AppendOptions, dec *container.Decoder) (*AppendIndex, error) {
+func OpenAppendIndex(d *iomodel.Disk, sigma int, opts AppendOptions, dec *container.Decoder) (*AppendIndex, error) {
 	opts.fill()
 	if opts.Branching <= 4 {
 		return nil, fmt.Errorf("core: branching parameter %d must exceed 4", opts.Branching)
@@ -613,7 +613,7 @@ func (dx *Dynamic) EncodeMeta(e *container.Encoder) error {
 // deleted positions in a fresh position translator. Answers are identical to
 // the serialised index's; the rebuild clock restarts (updatesSinceBuild is
 // zero after a global rebuild, by definition).
-func OpenDynamic(d iomodel.Device, sigma int, opts DynamicOptions, dec *container.Decoder) (*Dynamic, error) {
+func OpenDynamic(d *iomodel.Disk, sigma int, opts DynamicOptions, dec *container.Decoder) (*Dynamic, error) {
 	opts.fill()
 	if opts.Branching <= 4 {
 		return nil, fmt.Errorf("core: branching parameter %d must exceed 4", opts.Branching)

@@ -12,7 +12,7 @@ import (
 
 // reopen round-trips ax's metadata through EncodeMeta and OpenApprox over the
 // device it was built on.
-func reopen(t *testing.T, d iomodel.Device, ax *Approx, opts ApproxOptions) (*Approx, error) {
+func reopen(t *testing.T, d *iomodel.Disk, ax *Approx, opts ApproxOptions) (*Approx, error) {
 	t.Helper()
 	var e container.Encoder
 	if err := ax.EncodeMeta(&e); err != nil {

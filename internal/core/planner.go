@@ -7,9 +7,9 @@
 // the whole batch at cover-chunk granularity first and executes it in one
 // shared pass: every query's plan is computed without executing it
 // (PlanQuery), the requested member runs are coalesced per level, each
-// coalesced extent is read exactly once through a BatchTouch session, shared
-// members are validated by a single Drain scan, and every subscribed query
-// then merges cardinality-bounded Stream views over the shared extent
+// coalesced extent is read exactly once in the batch's one Touch session,
+// shared members are validated by a single Drain scan, and every subscribed
+// query then merges cardinality-bounded Stream views over the shared extent
 // buffers. In the Aggarwal–Vitter I/O model the batch therefore reads the
 // blocks of the *union* of its cover extents, not the sum — the saved reads
 // are reported in QueryStats.SharedSaved. Answers are bit-identical to
@@ -95,8 +95,8 @@ func recordRange(ses ioSession, aExt iomodel.Extent, r index.Range) (qlo, qhi in
 }
 
 // planInto computes r's plan, charging the prefix-array reads and tree
-// descent to ses (a per-query Touch, or a BatchTouch attributing them to the
-// current consumer).
+// descent to ses (a Touch, which attributes them to its current consumer in
+// a batch).
 func (ox *Optimal) planInto(ses ioSession, r index.Range, plan *QueryPlan) error {
 	qlo, qhi, err := recordRange(ses, ox.aExt, r)
 	if err != nil {
@@ -337,9 +337,8 @@ func (ox *Optimal) QueryBatchContext(ctx context.Context, rs []index.Range) (out
 		}
 	}
 	if len(order) == 1 {
-		// A batch with one distinct range has nothing to share, and a Touch
-		// is cheaper than a BatchTouch: the single-query pipeline answers it
-		// without planner bookkeeping.
+		// A batch with one distinct range has nothing to share: the
+		// single-query pipeline answers it without planner bookkeeping.
 		bm, st, err := ox.QueryContext(ctx, order[0])
 		if err != nil {
 			return nil, st, err
@@ -350,12 +349,12 @@ func (ox *Optimal) QueryBatchContext(ctx context.Context, rs []index.Range) (out
 		return out, st, nil
 	}
 	n := ox.tree.n
-	bt := ox.disk.NewBatchTouch()
-	defer bt.Close()
+	tc := ox.disk.NewTouch()
+	defer tc.Close()
 	defer func() {
-		stats.Reads, stats.Writes = bt.Reads(), bt.Writes()
-		stats.SharedSaved = bt.SharedSaved()
-		stats.FailedReads = bt.FailedReads()
+		stats.Reads, stats.Writes = tc.Reads(), tc.Writes()
+		stats.SharedSaved = tc.SharedSaved()
+		stats.FailedReads = tc.FailedReads()
 	}()
 	bs := getBatchScratch()
 	defer bs.release()
@@ -367,8 +366,8 @@ func (ox *Optimal) QueryBatchContext(ctx context.Context, rs []index.Range) (out
 		if err := ctx.Err(); err != nil {
 			return nil, stats, err
 		}
-		bt.StartConsumer(qi)
-		if err := ox.planInto(bt, r, &plans[qi]); err != nil {
+		tc.StartConsumer(qi)
+		if err := ox.planInto(tc, r, &plans[qi]); err != nil {
 			return nil, stats, err
 		}
 	}
@@ -428,7 +427,7 @@ func (ox *Optimal) QueryBatchContext(ctx context.Context, rs []index.Range) (out
 				return nil, stats, err
 			}
 			run := &runs[li][ri]
-			if run.cb, run.span, err = bs.readSpan(bt.ReadExtent, lv, run.i, run.j, &stats); err != nil {
+			if run.cb, run.span, err = bs.readSpan(tc, lv, run.i, run.j, &stats); err != nil {
 				return nil, stats, err
 			}
 			shared := false
@@ -440,7 +439,7 @@ func (ox *Optimal) QueryBatchContext(ctx context.Context, rs []index.Range) (out
 					shared = true
 				}
 			}
-			stable := bt.Stable()
+			stable := tc.Stable()
 			if !shared && !stable {
 				continue
 			}
@@ -482,13 +481,13 @@ func (ox *Optimal) QueryBatchContext(ctx context.Context, rs []index.Range) (out
 		if err := ctx.Err(); err != nil {
 			return nil, stats, err
 		}
-		bt.StartConsumer(qi)
+		tc.StartConsumer(qi)
 		bs.streams = bs.streams[:0]
 		for _, c := range plans[qi].Chunks {
 			lv := &ox.levels[c.Level]
 			lruns := runs[c.Level]
 			run := &lruns[sort.Search(len(lruns), func(x int) bool { return lruns[x].i > c.I })-1]
-			bt.NoteExtent(spanOf(lv, c.I, c.J))
+			tc.NoteExtent(spanOf(lv, c.I, c.J))
 			lasts := run.lasts
 			if lasts != nil {
 				lasts = lasts[c.I-run.i:]
@@ -501,7 +500,7 @@ func (ox *Optimal) QueryBatchContext(ctx context.Context, rs []index.Range) (out
 		if err != nil {
 			return nil, stats, err
 		}
-		if bt.Stable() {
+		if tc.Stable() {
 			ox.remember(plans[qi].Chunks, bs.streams)
 		}
 		answers[qi] = bm

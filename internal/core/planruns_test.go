@@ -166,7 +166,7 @@ func FuzzPlanRuns(f *testing.F) {
 		if !ok {
 			return
 		}
-		build := func(d iomodel.Device) *Approx {
+		build := func(d *iomodel.Disk) *Approx {
 			ax, err := BuildApprox(d, c.col, c.opts)
 			if err != nil {
 				t.Fatal(err)
@@ -174,8 +174,8 @@ func FuzzPlanRuns(f *testing.F) {
 			return ax
 		}
 		faults := iomodel.FaultConfig{Seed: c.seed, TransientPer10k: 1500, TransientCount: 1, PermanentPer10k: 150}
-		runsDisk := iomodel.NewFaultDisk(iomodel.Config{BlockBits: c.bb}, faults)
-		nodeDisk := iomodel.NewFaultDisk(iomodel.Config{BlockBits: c.bb}, faults)
+		runsDisk := iomodel.NewDisk(iomodel.Config{BlockBits: c.bb, Faults: &faults})
+		nodeDisk := iomodel.NewDisk(iomodel.Config{BlockBits: c.bb, Faults: &faults})
 		ax, oracle := build(runsDisk), build(nodeDisk)
 
 		for _, r := range c.ranges {
@@ -207,8 +207,8 @@ func FuzzPlanRuns(f *testing.F) {
 		// chunk granularity, so the counts compared are the reads.
 		for _, armed := range []bool{false, true} {
 			if armed {
-				runsDisk.Arm()
-				nodeDisk.Arm()
+				runsDisk.ArmFaults()
+				nodeDisk.ArmFaults()
 			}
 			same := func(what string, r index.Range, got, want index.QueryStats, gerr, werr error) bool {
 				t.Helper()

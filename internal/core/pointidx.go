@@ -22,7 +22,7 @@ import (
 // updates. The root buffer is "always kept in the internal memory". Point
 // queries run in O(T/B + lg n) I/Os; updates cost amortised O(lg n / b).
 type PointIndex struct {
-	disk  iomodel.Device
+	disk  *iomodel.Disk
 	sigma int
 	c     int
 	root  *pnode
@@ -89,7 +89,7 @@ const (
 
 // NewPointIndex returns an empty index over alphabet [0,sigma) with
 // branching parameter c >= 2.
-func NewPointIndex(d iomodel.Device, sigma, c int) (*PointIndex, error) {
+func NewPointIndex(d *iomodel.Disk, sigma, c int) (*PointIndex, error) {
 	if c < 2 {
 		return nil, fmt.Errorf("core: point index branching %d must be >= 2", c)
 	}
@@ -112,7 +112,7 @@ func NewPointIndex(d iomodel.Device, sigma, c int) (*PointIndex, error) {
 }
 
 // BuildPointIndex bulk-loads the index from a column.
-func BuildPointIndex(d iomodel.Device, col workload.Column, c int) (*PointIndex, error) {
+func BuildPointIndex(d *iomodel.Disk, col workload.Column, c int) (*PointIndex, error) {
 	px, err := NewPointIndex(d, col.Sigma, c)
 	if err != nil {
 		return nil, err

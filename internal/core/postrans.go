@@ -23,7 +23,7 @@ import (
 // child, the child's maximum raw position and its count of deleted
 // positions.
 type PositionTranslator struct {
-	disk iomodel.Device
+	disk *iomodel.Disk
 	n    int64 // raw universe size
 
 	root    *ptNode
@@ -51,7 +51,7 @@ type ptNode struct {
 }
 
 // NewPositionTranslator returns a translator for raw positions [0,n).
-func NewPositionTranslator(d iomodel.Device, n int64) (*PositionTranslator, error) {
+func NewPositionTranslator(d *iomodel.Disk, n int64) (*PositionTranslator, error) {
 	pt := &PositionTranslator{disk: d, n: n}
 	// Leaf capacity: worst-case gamma code is 2 lg n + 1 bits.
 	worst := 2*bitsLen(n) + 1

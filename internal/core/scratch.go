@@ -103,13 +103,13 @@ func spanOf(dir memberDir, i, j int) iomodel.Extent {
 }
 
 // readSpan is the extent reader under every static query: it reads the span
-// of members [i,j) of dir — through read, a Touch's ReaderInto or a batch
-// session's ReadExtent — into a pooled buffer, which it returns with the
-// span it holds.
-func (sc *queryScratch) readSpan(read func(iomodel.Extent, *bitio.Writer) error, dir memberDir, i, j int, stats *index.QueryStats) (*chunkBuf, iomodel.Extent, error) {
+// of members [i,j) of dir through tc — a query's session or a batch's, which
+// attributes nothing to its consumers here — into a pooled buffer, which it
+// returns with the span it holds.
+func (sc *queryScratch) readSpan(tc *iomodel.Touch, dir memberDir, i, j int, stats *index.QueryStats) (*chunkBuf, iomodel.Extent, error) {
 	span := spanOf(dir, i, j)
 	cb := sc.nextBuf()
-	if err := read(span, cb.w); err != nil {
+	if err := tc.ReaderInto(span, cb.w); err != nil {
 		return nil, span, err
 	}
 	cb.r.Init(cb.w.Bytes(), cb.w.Len())
@@ -153,7 +153,7 @@ func (sc *queryScratch) readFrontier(ctx context.Context, tc *iomodel.Touch, chu
 			return err
 		}
 		dir := dirOf(c.Level)
-		cb, span, err := sc.readSpan(tc.ReaderInto, dir, c.I, c.J, stats)
+		cb, span, err := sc.readSpan(tc, dir, c.I, c.J, stats)
 		if err != nil {
 			return err
 		}

@@ -178,7 +178,7 @@ type charReader interface {
 // overlay; then the streams and the overlay merge over [0,n), complemented
 // for a dense answer. Stats stand even when the query fails, so retry layers
 // can account every attempt.
-func queryUpdatable(ctx context.Context, kind charReader, d iomodel.Device, r index.Range, n, z int64, last uint32) (out *cbitmap.Bitmap, stats index.QueryStats, err error) {
+func queryUpdatable(ctx context.Context, kind charReader, d *iomodel.Disk, r index.Range, n, z int64, last uint32) (out *cbitmap.Bitmap, stats index.QueryStats, err error) {
 	tc := d.NewTouch()
 	defer tc.Close()
 	defer func() {

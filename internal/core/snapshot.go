@@ -22,7 +22,7 @@ import (
 // so queries against it are unaffected by later appends and rebuilds on the
 // original. The clone rejects Append (readonly); byChar stays behind, as the
 // query path never reads it.
-func (ax *AppendIndex) CloneReadOnly(dev iomodel.Device) (*AppendIndex, error) {
+func (ax *AppendIndex) CloneReadOnly(dev *iomodel.Disk) (*AppendIndex, error) {
 	nodes := make(map[*dynNode]*dynNode)
 	cp := &AppendIndex{
 		disk:               dev,
@@ -73,7 +73,7 @@ func (ax *AppendIndex) CloneReadOnly(dev iomodel.Device) (*AppendIndex, error) {
 // cloneReadOnly returns a deep copy of the point index bound to dev (a
 // Freeze view of its device). Tree nodes are copied recursively; block ids
 // are plain values valid against the view.
-func (px *PointIndex) cloneReadOnly(dev iomodel.Device) *PointIndex {
+func (px *PointIndex) cloneReadOnly(dev *iomodel.Disk) *PointIndex {
 	cp := &PointIndex{
 		disk:    dev,
 		sigma:   px.sigma,
@@ -116,7 +116,7 @@ func clonePnodes(nd *pnode) *pnode {
 // string x, the deletion translator and the update machinery stay behind —
 // QueryContext never reads them — so the clone answers queries but accepts
 // no updates.
-func (dx *Dynamic) CloneReadOnly(dev iomodel.Device) *Dynamic {
+func (dx *Dynamic) CloneReadOnly(dev *iomodel.Disk) *Dynamic {
 	cp := &Dynamic{
 		disk:               dev,
 		opts:               dx.opts,

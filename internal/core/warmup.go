@@ -19,7 +19,7 @@ import (
 // a range query merges the O(lg σ) canonical subtrees in
 // O(T/B + lg σ) I/Os.
 type Warmup struct {
-	disk   iomodel.Device
+	disk   *iomodel.Disk
 	n      int64
 	sigma  int
 	padded int // σ rounded up to a power of two
@@ -43,7 +43,7 @@ type WarmupOptions struct {
 }
 
 // BuildWarmup constructs the Theorem 1 index for col on disk d.
-func BuildWarmup(d iomodel.Device, col workload.Column, opts WarmupOptions) (*Warmup, error) {
+func BuildWarmup(d *iomodel.Disk, col workload.Column, opts WarmupOptions) (*Warmup, error) {
 	n := int64(col.Len())
 	if n == 0 {
 		return nil, fmt.Errorf("core: empty column")

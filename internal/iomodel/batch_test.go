@@ -1,6 +1,10 @@
 package iomodel
 
 import (
+	"bytes"
+	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bitio"
@@ -19,17 +23,17 @@ func batchTestDisk(t *testing.T, blockBits, blocks int) *Disk {
 	return d
 }
 
-// TestBatchTouchAccounting drives a BatchTouch by hand: two consumers whose
-// extents overlap on one block must charge the union once and report exactly
-// the overlap as saved, with per-consumer attribution independent of the
-// order reads and notes arrive in.
+// TestBatchTouchAccounting drives a batch session's attribution by hand: two
+// consumers whose extents overlap on one block must charge the union once
+// and report exactly the overlap as saved, with per-consumer attribution
+// independent of the order reads and notes arrive in.
 func TestBatchTouchAccounting(t *testing.T) {
 	d := batchTestDisk(t, 256, 8)
-	bt := d.NewBatchTouch()
+	bt := d.NewTouch()
 	w := bitio.NewWriter(0)
 
 	// Shared scan: blocks 0..3 in one read, unattributed.
-	if err := bt.ReadExtent(Extent{Off: 0, Bits: 4 * 256}, w); err != nil {
+	if err := bt.ReaderInto(Extent{Off: 0, Bits: 4 * 256}, w); err != nil {
 		t.Fatal(err)
 	}
 	if bt.Reads() != 4 {
@@ -73,10 +77,10 @@ func TestBatchTouchAccounting(t *testing.T) {
 // its own blocks.
 func TestBatchTouchZeroExtent(t *testing.T) {
 	d := batchTestDisk(t, 256, 2)
-	bt := d.NewBatchTouch()
+	bt := d.NewTouch()
 	defer bt.Close()
 	w := bitio.NewWriter(0)
-	if err := bt.ReadExtent(Extent{Off: 64, Bits: 0}, w); err != nil {
+	if err := bt.ReaderInto(Extent{Off: 64, Bits: 0}, w); err != nil {
 		t.Fatal(err)
 	}
 	bt.StartConsumer(0)
@@ -110,9 +114,9 @@ func TestBatchTouchCacheIndependence(t *testing.T) {
 			t.Fatal(err)
 		}
 		tc.Close()
-		bt := d.NewBatchTouch()
+		bt := d.NewTouch()
 		defer bt.Close()
-		if err := bt.ReadExtent(Extent{Off: 0, Bits: 4 * 256}, buf); err != nil {
+		if err := bt.ReaderInto(Extent{Off: 0, Bits: 4 * 256}, buf); err != nil {
 			t.Fatal(err)
 		}
 		bt.StartConsumer(0)
@@ -128,5 +132,109 @@ func TestBatchTouchCacheIndependence(t *testing.T) {
 	}
 	if coldSaved != 2 || warmSaved != 2 {
 		t.Fatalf("saved cold=%d warm=%d, want 2 and 2", coldSaved, warmSaved)
+	}
+}
+
+// TestTouchPoolArmedConcurrently runs single-query sessions and batch
+// sessions on one disk and its Freeze view from several goroutines, drawing
+// from one session pool, while another goroutine arms and disarms the shared
+// fault schedule. Every read either returns the stored bits or fails with
+// the injected transient error, and the device counters stay exact: each
+// batch that read its extent saved 2 blocks, and the failed reads the
+// sessions saw are the failed reads the disk counted. Run under -race in CI.
+func TestTouchPoolArmedConcurrently(t *testing.T) {
+	const bb, blocks = 256, 8
+	d := faultyDisk(Config{BlockBits: bb}, FaultConfig{Seed: 5, TransientPer10k: 5000, TransientCount: 1 << 30})
+	ext := fillBlocks(t, d, blocks)
+	view := d.Freeze()
+	want := bitio.NewWriter(0)
+	tc := d.NewTouch()
+	if err := tc.ReaderInto(ext, want); err != nil {
+		t.Fatal(err)
+	}
+	tc.Close()
+	d.ResetStats()
+
+	var batches, failed atomic.Int64
+	read := func(dev *Disk, i int) error {
+		tc := dev.NewTouch()
+		defer tc.Close()
+		w := bitio.NewWriter(0)
+		span := Extent{Off: int64(i%(blocks-3)) * bb, Bits: 4 * bb}
+		err := tc.ReaderInto(span, w)
+		if dev == d {
+			failed.Add(int64(tc.FailedReads()))
+		}
+		if err != nil {
+			if !errors.Is(err, ErrTransientRead) {
+				return err
+			}
+			return nil
+		}
+		if !bytes.Equal(w.Bytes(), want.Bytes()[span.Off/8:span.End()/8]) {
+			return errors.New("read returned bits that differ from the stored ones")
+		}
+		if i%2 == 1 && dev == d { // a batch of two consumers sharing 2 blocks
+			tc.StartConsumer(0)
+			tc.NoteExtent(Extent{Off: span.Off, Bits: 3 * bb})
+			tc.StartConsumer(1)
+			tc.NoteExtent(Extent{Off: span.Off + bb, Bits: 3 * bb})
+			if tc.SharedSaved() != 2 {
+				return errors.New("batch saved the wrong number of blocks")
+			}
+			batches.Add(1)
+		}
+		return nil
+	}
+
+	stop := make(chan struct{})
+	toggled := make(chan struct{})
+	go func() {
+		defer close(toggled)
+		for {
+			select {
+			case <-stop:
+				d.DisarmFaults()
+				return
+			default:
+				d.ArmFaults()
+				d.DisarmFaults()
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			dev := d
+			if g == 3 {
+				dev = view
+			}
+			for i := 0; i < 300; i++ {
+				if err := read(dev, g+i); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	<-toggled
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got := d.Stats(); got.SharedSaved != 2*batches.Load() || got.FailedReads != failed.Load() {
+		t.Fatalf("device counted SharedSaved %d and FailedReads %d, sessions saw %d and %d",
+			got.SharedSaved, got.FailedReads, 2*batches.Load(), failed.Load())
+	}
+	t.Logf("%d batches, %d failed reads", batches.Load(), failed.Load())
+	tc = d.NewTouch() // disarmed: every block reads
+	defer tc.Close()
+	if err := tc.ReaderInto(ext, want); err != nil {
+		t.Fatalf("disarmed read: %v", err)
 	}
 }

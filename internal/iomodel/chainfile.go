@@ -11,20 +11,20 @@ import (
 // append touches only the tail block, while a full scan costs one I/O per
 // chained block — the access pattern the paper's amortised analyses assume.
 type ChainFile struct {
-	d      Device
+	d      *Disk
 	blocks []BlockID
 	bits   int64 // logical length in bits
 }
 
 // NewChainFile returns an empty chained file on d.
-func NewChainFile(d Device) *ChainFile {
+func NewChainFile(d *Disk) *ChainFile {
 	return &ChainFile{d: d}
 }
 
 // OpenChainFile reconstitutes a chained file from its serialised state: the
 // ordered block list and the logical bit length. The bits must fit the
 // blocks (bits in ((len(blocks)-1)·B, len(blocks)·B], or 0 with no blocks).
-func OpenChainFile(d Device, blocks []BlockID, bits int64) (*ChainFile, error) {
+func OpenChainFile(d *Disk, blocks []BlockID, bits int64) (*ChainFile, error) {
 	bb := int64(d.BlockBits())
 	if bits < 0 || bits > int64(len(blocks))*bb {
 		return nil, fmt.Errorf("iomodel: chain of %d bits does not fit %d blocks", bits, len(blocks))

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// Fault-injecting device. A FaultDisk wraps a Disk and makes its I/O paths
+// Fault injection. A Disk built with Config.Faults makes its I/O paths
 // fallible according to a deterministic, seeded schedule. On the read path:
 // transient read errors that heal after a bounded number of attempts,
 // permanent per-block failures, silent single-bit corruption of the data
@@ -17,7 +17,11 @@ import (
 // applied, but the call still errors) — both torn, in that blocks earlier in
 // the write's span stay applied and are not rolled back, which is exactly
 // the partial state a crashed device write leaves and what the durability
-// layer's write-ahead logging must absorb. Allocation is never faulted.
+// layer's write-ahead logging must absorb. Allocation is never faulted, and
+// the schedule fires only while armed (Disk.ArmFaults), so the usual pattern
+// is to build on a disarmed disk and arm it before querying. A Freeze view
+// shares its disk's schedule, armed state included; a file-backed disk
+// consults it before the real read, so an injected failure transfers nothing.
 //
 // Every fault decision is a pure function of (Seed, BlockID) plus a per-block
 // read counter, so a fault schedule is reproducible across runs and — because
@@ -122,9 +126,9 @@ type blockFault struct {
 	wshortLeft int32
 }
 
-// faultSched executes a FaultConfig. It is shared by every session the
-// owning FaultDisk hands out; the per-block state is mutex-protected so
-// concurrent queries draw a consistent schedule.
+// faultSched executes a FaultConfig. It is shared by every session of the
+// owning Disk and of its Freeze views; the per-block state is mutex-protected
+// so concurrent queries draw a consistent schedule.
 type faultSched struct {
 	cfg    FaultConfig
 	armed  atomic.Bool
@@ -253,65 +257,19 @@ func (f *faultSched) corruptBit(b BlockID, width int64) int64 {
 	return int64(f.draw(b, saltBit) % uint64(width))
 }
 
-// FaultDisk is a Disk whose read sessions fault according to a seeded
-// schedule. It implements Device; builds and writes pass through unfaulted,
-// and the schedule only fires while armed, so the usual pattern is to build
-// on a disarmed FaultDisk and Arm it before querying.
-type FaultDisk struct {
-	*Disk
-	sched *faultSched
-}
-
-// NewFaultDisk is NewFaultDiskOn over a fresh Disk, for known-good
-// configurations (tests, benchmarks); it panics on an invalid one. The
-// schedule starts disarmed.
-func NewFaultDisk(cfg Config, fc FaultConfig) *FaultDisk {
-	fd, err := NewFaultDiskOn(NewDisk(cfg), fc)
-	if err != nil {
-		panic(err)
+// ArmFaults starts the device's fault schedule firing for subsequent reads
+// and writes — of this disk and of every Freeze view sharing its schedule.
+// It does nothing on a disk built without Config.Faults.
+func (d *Disk) ArmFaults() {
+	if d.faults != nil {
+		d.faults.armed.Store(true)
 	}
-	return fd
 }
 
-// NewFaultDiskOn wraps an existing Disk with a fault schedule, leaving the
-// disk's storage and counters untouched. This is how a file-backed device
-// gains fault injection: the schedule's verdict is consulted before the real
-// read, so an injected failure transfers nothing from the file.
-func NewFaultDiskOn(d *Disk, fc FaultConfig) (*FaultDisk, error) {
-	if err := fc.Validate(); err != nil {
-		return nil, err
+// DisarmFaults stops the fault schedule; in-flight reads finish with whatever
+// verdict they already drew. It does nothing on a disk without a schedule.
+func (d *Disk) DisarmFaults() {
+	if d.faults != nil {
+		d.faults.armed.Store(false)
 	}
-	return &FaultDisk{Disk: d, sched: newFaultSched(fc)}, nil
 }
-
-// FreezeView returns a read-only FaultDisk over a Freeze view of the wrapped
-// disk, sharing the same fault schedule (and its armed state), so snapshot
-// readers draw the same deterministic per-block fates as live readers.
-func (fd *FaultDisk) FreezeView() *FaultDisk {
-	return &FaultDisk{Disk: fd.Disk.Freeze(), sched: fd.sched}
-}
-
-// Arm enables the fault schedule for subsequently opened sessions and reads.
-func (fd *FaultDisk) Arm() { fd.sched.armed.Store(true) }
-
-// Disarm disables the fault schedule; in-flight reads finish with whatever
-// verdict they already drew.
-func (fd *FaultDisk) Disarm() { fd.sched.armed.Store(false) }
-
-// NewTouch opens an accounting session whose reads consult the fault
-// schedule.
-func (fd *FaultDisk) NewTouch() *Touch {
-	t := fd.Disk.NewTouch()
-	t.faults = fd.sched
-	return t
-}
-
-// NewBatchTouch opens a shared-scan batch session whose reads consult the
-// fault schedule.
-func (fd *FaultDisk) NewBatchTouch() *BatchTouch {
-	bt := fd.Disk.NewBatchTouch()
-	bt.t.faults = fd.sched
-	return bt
-}
-
-var _ Device = (*FaultDisk)(nil)

@@ -7,8 +7,14 @@ import (
 	"repro/internal/bitio"
 )
 
-// fill writes nblocks blocks of pseudo-random bits and returns the extent.
-func fillFaultDisk(t *testing.T, fd *FaultDisk, nblocks int) Extent {
+// faultyDisk is NewDisk with fc as the disk's fault schedule.
+func faultyDisk(cfg Config, fc FaultConfig) *Disk {
+	cfg.Faults = &fc
+	return NewDisk(cfg)
+}
+
+// fillBlocks writes nblocks blocks of pseudo-random bits and returns the extent.
+func fillBlocks(t *testing.T, fd *Disk, nblocks int) Extent {
 	t.Helper()
 	w := bitio.NewWriter(nblocks * fd.BlockBits())
 	x := uint64(0x9e3779b97f4a7c15)
@@ -20,8 +26,8 @@ func fillFaultDisk(t *testing.T, fd *FaultDisk, nblocks int) Extent {
 }
 
 func TestFaultDiskDisarmedIsTransparent(t *testing.T) {
-	fd := NewFaultDisk(Config{BlockBits: 512}, FaultConfig{Seed: 1, TransientPer10k: 10000})
-	ext := fillFaultDisk(t, fd, 8)
+	fd := faultyDisk(Config{BlockBits: 512}, FaultConfig{Seed: 1, TransientPer10k: 10000})
+	ext := fillBlocks(t, fd, 8)
 	tc := fd.NewTouch()
 	defer tc.Close()
 	w := bitio.NewWriter(int(ext.Bits))
@@ -34,9 +40,9 @@ func TestFaultDiskDisarmedIsTransparent(t *testing.T) {
 }
 
 func TestFaultDiskTransientHealsAndConverges(t *testing.T) {
-	fd := NewFaultDisk(Config{BlockBits: 512}, FaultConfig{Seed: 42, TransientPer10k: 5000, TransientCount: 2})
+	fd := faultyDisk(Config{BlockBits: 512}, FaultConfig{Seed: 42, TransientPer10k: 5000, TransientCount: 2})
 	const nblocks = 16
-	ext := fillFaultDisk(t, fd, nblocks)
+	ext := fillBlocks(t, fd, nblocks)
 
 	// Fault-free reference.
 	ref := bitio.NewWriter(int(ext.Bits))
@@ -46,7 +52,7 @@ func TestFaultDiskTransientHealsAndConverges(t *testing.T) {
 	}
 	tc.Close()
 
-	fd.Arm()
+	fd.ArmFaults()
 	got := bitio.NewWriter(int(ext.Bits))
 	attempts := 0
 	for {
@@ -76,9 +82,9 @@ func TestFaultDiskTransientHealsAndConverges(t *testing.T) {
 }
 
 func TestFaultDiskPermanentNeverHeals(t *testing.T) {
-	fd := NewFaultDisk(Config{BlockBits: 512}, FaultConfig{Seed: 7, PermanentPer10k: 10000})
-	ext := fillFaultDisk(t, fd, 4)
-	fd.Arm()
+	fd := faultyDisk(Config{BlockBits: 512}, FaultConfig{Seed: 7, PermanentPer10k: 10000})
+	ext := fillBlocks(t, fd, 4)
+	fd.ArmFaults()
 	for i := 0; i < 5; i++ {
 		tc := fd.NewTouch()
 		w := bitio.NewWriter(int(ext.Bits))
@@ -91,8 +97,8 @@ func TestFaultDiskPermanentNeverHeals(t *testing.T) {
 }
 
 func TestFaultDiskCorruptionFlipsOneDeterministicBit(t *testing.T) {
-	fd := NewFaultDisk(Config{BlockBits: 512}, FaultConfig{Seed: 3, CorruptPer10k: 10000})
-	ext := fillFaultDisk(t, fd, 1)
+	fd := faultyDisk(Config{BlockBits: 512}, FaultConfig{Seed: 3, CorruptPer10k: 10000})
+	ext := fillBlocks(t, fd, 1)
 
 	ref := bitio.NewWriter(int(ext.Bits))
 	tc := fd.NewTouch()
@@ -101,7 +107,7 @@ func TestFaultDiskCorruptionFlipsOneDeterministicBit(t *testing.T) {
 	}
 	tc.Close()
 
-	fd.Arm()
+	fd.ArmFaults()
 	flipped := -1
 	for trial := 0; trial < 2; trial++ {
 		got := bitio.NewWriter(int(ext.Bits))
@@ -134,8 +140,8 @@ func TestFaultDiskCorruptionFlipsOneDeterministicBit(t *testing.T) {
 }
 
 func TestFaultDiskWritePathNeverFaults(t *testing.T) {
-	fd := NewFaultDisk(Config{BlockBits: 512}, FaultConfig{Seed: 9, TransientPer10k: 10000, PermanentPer10k: 0})
-	fd.Arm()
+	fd := faultyDisk(Config{BlockBits: 512}, FaultConfig{Seed: 9, TransientPer10k: 10000, PermanentPer10k: 0})
+	fd.ArmFaults()
 	id := fd.AllocBlock()
 	tc := fd.NewTouch()
 	defer tc.Close()
@@ -147,10 +153,10 @@ func TestFaultDiskWritePathNeverFaults(t *testing.T) {
 func TestFaultDiskCacheResidencyAfterFailure(t *testing.T) {
 	// A failing read must not insert the block into the cache: the retry has
 	// to reach the device again (and heal the transient budget).
-	fd := NewFaultDisk(Config{BlockBits: 512, CacheBlocks: 8},
+	fd := faultyDisk(Config{BlockBits: 512, CacheBlocks: 8},
 		FaultConfig{Seed: 11, TransientPer10k: 10000, TransientCount: 1})
-	ext := fillFaultDisk(t, fd, 1)
-	fd.Arm()
+	ext := fillBlocks(t, fd, 1)
+	fd.ArmFaults()
 
 	tc := fd.NewTouch()
 	w := bitio.NewWriter(int(ext.Bits))

@@ -18,8 +18,8 @@ func rdBits(t *testing.T, tc *Touch, pos int64, n int) uint64 {
 }
 
 func TestFaultDiskFailedWriteHealsOnRetry(t *testing.T) {
-	fd := NewFaultDisk(Config{BlockBits: 512}, FaultConfig{Seed: 3, FailedWritePer10k: 10000})
-	fd.Arm()
+	fd := faultyDisk(Config{BlockBits: 512}, FaultConfig{Seed: 3, FailedWritePer10k: 10000})
+	fd.ArmFaults()
 	id := fd.AllocBlock()
 	off := fd.BlockOff(id)
 	tc := fd.NewTouch()
@@ -33,11 +33,11 @@ func TestFaultDiskFailedWriteHealsOnRetry(t *testing.T) {
 	if tc.FailedWrites() != 1 {
 		t.Fatalf("FailedWrites = %d, want 1", tc.FailedWrites())
 	}
-	fd.Disarm()
+	fd.DisarmFaults()
 	if got := rdBits(t, tc, off, 16); got != 0 {
 		t.Fatalf("failed write persisted bits: %#x", got)
 	}
-	fd.Arm()
+	fd.ArmFaults()
 
 	// The fate is consumed: the retry goes through and sticks.
 	if err := tc.WriteBits(off, 0xbeef, 16); err != nil {
@@ -56,7 +56,7 @@ func TestFaultDiskFailedWriteHealsOnRetry(t *testing.T) {
 // never rolled back, never reordered.
 func TestFaultDiskShortWriteTornPrefix(t *testing.T) {
 	const bb = 512
-	fd := NewFaultDisk(Config{BlockBits: bb}, FaultConfig{Seed: 5, ShortWritePer10k: 10000})
+	fd := faultyDisk(Config{BlockBits: bb}, FaultConfig{Seed: 5, ShortWritePer10k: 10000})
 	const nblocks = 4
 	var ids [nblocks]BlockID
 	for i := range ids {
@@ -74,7 +74,7 @@ func TestFaultDiskShortWriteTornPrefix(t *testing.T) {
 		return w
 	}
 
-	fd.Arm()
+	fd.ArmFaults()
 	tc := fd.NewTouch()
 	if err := tc.WriteStream(Extent{Off: pos, Bits: nblocks * bb}, pattern()); !errors.Is(err, ErrFailedWrite) {
 		t.Fatalf("spanning write: %v, want ErrFailedWrite", err)
@@ -83,7 +83,7 @@ func TestFaultDiskShortWriteTornPrefix(t *testing.T) {
 
 	// Block 0 drew the short fate: its bits persisted, everything after is
 	// untouched.
-	fd.Disarm()
+	fd.DisarmFaults()
 	tc = fd.NewTouch()
 	ref := pattern()
 	refBytes := ref.Bytes()
@@ -102,7 +102,7 @@ func TestFaultDiskShortWriteTornPrefix(t *testing.T) {
 	tc.Close()
 
 	// Every block's fate is one-shot, so repeated retries converge.
-	fd.Arm()
+	fd.ArmFaults()
 	attempts := 0
 	for {
 		attempts++
@@ -119,7 +119,7 @@ func TestFaultDiskShortWriteTornPrefix(t *testing.T) {
 			t.Fatalf("attempt %d: %v", attempts, err)
 		}
 	}
-	fd.Disarm()
+	fd.DisarmFaults()
 	tc = fd.NewTouch()
 	defer tc.Close()
 	r = bitio.NewReader(refBytes, nblocks*bb)
@@ -134,9 +134,9 @@ func TestFaultDiskShortWriteTornPrefix(t *testing.T) {
 // TestFaultDiskWriteFateOrder: a block scheduled for both fates fails
 // first, then shorts, then heals.
 func TestFaultDiskWriteFateOrder(t *testing.T) {
-	fd := NewFaultDisk(Config{BlockBits: 512},
+	fd := faultyDisk(Config{BlockBits: 512},
 		FaultConfig{Seed: 8, FailedWritePer10k: 10000, ShortWritePer10k: 10000})
-	fd.Arm()
+	fd.ArmFaults()
 	id := fd.AllocBlock()
 	off := fd.BlockOff(id)
 	tc := fd.NewTouch()
@@ -145,22 +145,22 @@ func TestFaultDiskWriteFateOrder(t *testing.T) {
 	if err := tc.WriteBits(off, 1, 8); !errors.Is(err, ErrFailedWrite) {
 		t.Fatalf("1st write: %v", err)
 	}
-	fd.Disarm()
+	fd.DisarmFaults()
 	if got := rdBits(t, tc, off, 8); got != 0 {
 		t.Fatalf("failed-fate write persisted: %#x", got)
 	}
-	fd.Arm()
+	fd.ArmFaults()
 	// Second attempt draws the short fate: within a single block the tear
 	// lands at the block's end, so the bits DO persist — but the caller
 	// still sees the error and must not trust the write.
 	if err := tc.WriteBits(off, 2, 8); !errors.Is(err, ErrFailedWrite) {
 		t.Fatalf("2nd write: %v", err)
 	}
-	fd.Disarm()
+	fd.DisarmFaults()
 	if got := rdBits(t, tc, off, 8); got != 2 {
 		t.Fatalf("short-fate write within one block lost its bits: %#x", got)
 	}
-	fd.Arm()
+	fd.ArmFaults()
 	if err := tc.WriteBits(off, 3, 8); err != nil {
 		t.Fatalf("3rd write should heal: %v", err)
 	}
@@ -174,9 +174,9 @@ func TestFaultDiskWriteFateOrder(t *testing.T) {
 // guarantee for existing deterministic schedules.
 func TestWriteFaultsPreserveReadSchedule(t *testing.T) {
 	readErrs := func(fc FaultConfig) []bool {
-		fd := NewFaultDisk(Config{BlockBits: 512}, fc)
-		ext := fillFaultDisk(t, fd, 16)
-		fd.Arm()
+		fd := faultyDisk(Config{BlockBits: 512}, fc)
+		ext := fillBlocks(t, fd, 16)
+		fd.ArmFaults()
 		var out []bool
 		for attempt := 0; attempt < 8; attempt++ {
 			tc := fd.NewTouch()

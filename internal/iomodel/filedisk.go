@@ -45,14 +45,14 @@ type FileBackingConfig struct {
 	Reader io.ReaderAt
 }
 
-// FileDisk is a read-only Disk whose storage is a region of a real file. It
-// implements Device, so the same query code that runs against the simulated
-// device runs against it; every charged read in the Aggarwal–Vitter
-// accounting corresponds to a real positional read of that block (pread
-// mode) or a mapped access (mmap mode). It composes exactly like a plain
-// Disk: wrap it with NewFaultDiskOn for fault injection (injected failures
-// fire before the real read, transferring nothing), and configure
-// Config.CacheBlocks for the striped LRU cache (cache-resident reads are
+// FileDisk is a read-only Disk whose storage is a region of a real file. The
+// embedded Disk is what index code runs on, so the same query code that runs
+// against the simulated device runs against it; every charged read in the
+// Aggarwal–Vitter accounting corresponds to a real positional read of that
+// block (pread mode) or a mapped access (mmap mode). It is configured
+// exactly like a plain Disk: Config.Faults gives it a fault schedule
+// (injected failures fire before the real read, transferring nothing), and
+// Config.CacheBlocks the striped LRU cache (cache-resident reads are
 // charge-free and therefore pread-free).
 //
 // The device is read-only: Touch.WriteBits and Touch.WriteStream return
@@ -156,8 +156,9 @@ func OpenFileDisk(f *os.File, cfg Config, bk FileBackingConfig) (*FileDisk, erro
 }
 
 // DeviceReads returns the number of successful real block reads the device
-// has issued: preads in pread mode, charged mapped accesses in mmap mode.
-// Under the accounting invariant this equals Stats().BlockReads.
+// has issued since it was opened or last had its stats reset: preads in
+// pread mode, charged mapped accesses in mmap mode. Under the accounting
+// invariant this equals Stats().BlockReads.
 func (fd *FileDisk) DeviceReads() int64 { return fd.Disk.file.reads.Load() }
 
 // Close releases the mmap mapping, if any. The caller's file handle is not

@@ -112,6 +112,32 @@ func TestFileDiskRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFileDiskResetStatsKeepsDeviceReads: ResetStats zeroes the real-read
+// count with the charged one, so DeviceReads equals Stats().BlockReads after
+// a reset too.
+func TestFileDiskResetStatsKeepsDeviceReads(t *testing.T) {
+	cfg := Config{BlockBits: 512}
+	d, poss, _ := buildImageDisk(t, cfg, 2)
+	path, tail := dumpImage(t, d, 0)
+	fd, f := openBacked(t, path, cfg, FileBackingConfig{TailBits: tail})
+	defer f.Close()
+	defer fd.Close()
+
+	read := func(pos int64) {
+		tch := fd.NewTouch()
+		defer tch.Close()
+		if _, err := tch.ReadBits(pos, 64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read(poss[0]) // block 0
+	fd.ResetStats()
+	read(poss[3]) // block 1
+	if dev, charged := fd.DeviceReads(), fd.Stats().BlockReads; dev != 1 || charged != 1 {
+		t.Fatalf("after reset: DeviceReads %d, BlockReads %d, want 1 and 1", dev, charged)
+	}
+}
+
 func TestFileDiskReadOnly(t *testing.T) {
 	d, _, _ := buildImageDisk(t, Config{BlockBits: 512}, 2)
 	path, tail := dumpImage(t, d, 0)
@@ -172,17 +198,14 @@ func TestFileDiskFaultCompose(t *testing.T) {
 	cfg := Config{BlockBits: 512}
 	d, poss, _ := buildImageDisk(t, cfg, 4)
 	path, tail := dumpImage(t, d, 0)
+	cfg.Faults = &FaultConfig{Seed: 3, TransientPer10k: 10000, TransientCount: 1}
 	fd, f := openBacked(t, path, cfg, FileBackingConfig{TailBits: tail})
 	defer f.Close()
 	defer fd.Close()
 
-	fdk, err := NewFaultDiskOn(fd.Disk, FaultConfig{Seed: 3, TransientPer10k: 10000, TransientCount: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fdk.Arm()
-	tch := fdk.NewTouch()
-	_, err = tch.ReadBits(poss[0], 64)
+	fd.ArmFaults()
+	tch := fd.NewTouch()
+	_, err := tch.ReadBits(poss[0], 64)
 	tch.Close()
 	if !errors.Is(err, ErrTransientRead) {
 		t.Fatalf("armed read: %v, want ErrTransientRead", err)
@@ -191,7 +214,7 @@ func TestFileDiskFaultCompose(t *testing.T) {
 		t.Fatalf("faulted access issued %d real reads, want 0", got)
 	}
 	// The retry (transient count exhausted) succeeds and now preads.
-	t2 := fdk.NewTouch()
+	t2 := fd.NewTouch()
 	if _, err := t2.ReadBits(poss[0], 64); err != nil {
 		t.Fatalf("retry after transient: %v", err)
 	}

@@ -180,27 +180,27 @@ func TestFreezeConcurrentReaders(t *testing.T) {
 	}
 }
 
-// FaultDisk.FreezeView shares the live schedule: arming faults affects
+// A Freeze view shares the live schedule: arming faults affects
 // reads through the view, so snapshot reads draw the same deterministic
 // fates as live ones.
 func TestFaultDiskFreezeView(t *testing.T) {
-	fd := NewFaultDisk(Config{BlockBits: 256}, FaultConfig{Seed: 42, TransientPer10k: 10000, TransientCount: 1 << 30})
+	fd := faultyDisk(Config{BlockBits: 256}, FaultConfig{Seed: 42, TransientPer10k: 10000, TransientCount: 1 << 30})
 	w := bitio.NewWriter(0)
 	w.WriteBits(0xFEED, 64)
 	ext := fd.AllocStream(w)
 
-	view := fd.FreezeView()
+	view := fd.Freeze()
 	tc := view.NewTouch()
 	if _, err := tc.ReadBits(ext.Off, 64); err != nil {
 		t.Fatalf("disarmed view read: %v", err)
 	}
 	tc.Close()
 
-	fd.Arm()
+	fd.ArmFaults()
 	tc = view.NewTouch()
 	if _, err := tc.ReadBits(ext.Off, 64); !errors.Is(err, ErrTransientRead) {
 		t.Fatalf("armed view read: %v, want ErrTransientRead", err)
 	}
 	tc.Close()
-	fd.Disarm()
+	fd.DisarmFaults()
 }

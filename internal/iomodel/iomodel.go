@@ -41,6 +41,9 @@ type Config struct {
 	// hits and misses. Zero disables caching, the paper's bare cost model,
 	// where every distinct block an operation touches is one I/O.
 	CacheBlocks int
+	// Faults, when non-nil, gives the device a seeded fault schedule (see
+	// FaultConfig). It starts disarmed: nothing faults until ArmFaults.
+	Faults *FaultConfig
 }
 
 // Stats accumulates global device counters. Counter updates are atomic so
@@ -53,12 +56,13 @@ type Stats struct {
 	CacheHits   atomic.Int64 // reads served by the block cache (no I/O)
 	CacheMisses atomic.Int64 // cache-enabled reads that went to the device
 	// SharedSaved counts block reads avoided by shared-scan batch sessions:
-	// blocks that several queries of one BatchTouch needed but that the batch
-	// read (and charged) only once. Unlike CacheHits it measures sharing
-	// within one batch, not residency across operations.
+	// blocks that several consumers of one Touch needed but that the session
+	// read (and charged) only once (see Touch.StartConsumer). Unlike
+	// CacheHits it measures sharing within one batch, not residency across
+	// operations.
 	SharedSaved atomic.Int64
-	// FailedReads counts device read attempts that failed (only a fault-
-	// injecting device fails reads; a plain Disk never increments this).
+	// FailedReads counts device read attempts that failed (an injected fault
+	// or a file-backed device's real read error; a plain Disk never fails).
 	// Failed attempts are not counted in BlockReads.
 	FailedReads atomic.Int64
 	// FailedWrites counts write calls aborted by an injected write fault.
@@ -112,12 +116,13 @@ type Disk struct {
 	// first clone buf (copy-on-write) so outstanding frozen views keep the
 	// bytes they captured. Only the writer mutates, so no lock is needed.
 	cowPending bool
+	// faults is the seeded fault schedule from Config.Faults, nil without
+	// one. Freeze views share it, armed state included.
+	faults *faultSched
 	// touches recycles Touch sessions: the per-session block sets are maps,
 	// and clearing them on Close is far cheaper than reallocating them for
-	// every query in the steady-state pooled pipeline. batches does the same
-	// for shared-scan BatchTouch sessions.
+	// every query in the steady-state pooled pipeline.
 	touches sync.Pool
-	batches sync.Pool
 }
 
 // ErrInvalidRange reports an out-of-bounds disk access.
@@ -146,6 +151,9 @@ func (cfg Config) Validate() error {
 	if cfg.CacheBlocks < 0 {
 		return fmt.Errorf("iomodel: CacheBlocks %d must not be negative", cfg.CacheBlocks)
 	}
+	if cfg.Faults != nil {
+		return cfg.Faults.Validate()
+	}
 	return nil
 }
 
@@ -162,6 +170,9 @@ func NewDiskChecked(cfg Config) (*Disk, error) {
 	d := &Disk{cfg: cfg}
 	if cfg.CacheBlocks > 0 {
 		d.cache = newBlockCache(cfg.CacheBlocks)
+	}
+	if cfg.Faults != nil {
+		d.faults = newFaultSched(*cfg.Faults)
 	}
 	return d, nil
 }
@@ -229,8 +240,12 @@ func (d *Disk) Stats() StatsSnapshot {
 	}
 }
 
-// ResetStats zeroes the cumulative counters (allocation state is kept).
+// ResetStats zeroes the cumulative counters (allocation state is kept),
+// including a file-backed device's real-read count (FileDisk.DeviceReads).
 func (d *Disk) ResetStats() {
+	if d.file != nil {
+		d.file.reads.Store(0)
+	}
 	d.stats.BlockReads.Store(0)
 	d.stats.BlockWrites.Store(0)
 	d.stats.Sessions.Store(0)
@@ -284,13 +299,15 @@ func (d *Disk) Frozen() bool { return d.frozen }
 
 // Freeze returns an immutable point-in-time view of the device: a read-only
 // Disk sharing the current backing bytes. The view keeps exactly the bits
-// allocated at the call; it has its own Stats and session pools, so reads
-// against it never perturb the live device's counters. The live device stays
-// writable — its first mutation after a Freeze clones the backing array
-// (copy-on-write), so views are stable no matter what the writer does next,
-// including freeing and reusing blocks. Freeze is a writer-side operation:
-// like allocation, it must not race with writes. Panics with ErrReadOnly on
-// a file-backed device (freeze the in-memory mirror's owner instead).
+// allocated at the call; it has its own Stats and session pool, so reads
+// against it never perturb the live device's counters, and it shares the
+// live device's fault schedule, so its reads draw the same per-block fates.
+// The live device stays writable — its first mutation after a Freeze clones
+// the backing array (copy-on-write), so views are stable no matter what the
+// writer does next, including freeing and reusing blocks. Freeze is a
+// writer-side operation: like allocation, it must not race with writes.
+// Panics with ErrReadOnly on a file-backed device (freeze the in-memory
+// mirror's owner instead).
 func (d *Disk) Freeze() *Disk {
 	if d.file != nil {
 		panic(ErrReadOnly)
@@ -302,6 +319,7 @@ func (d *Disk) Freeze() *Disk {
 		buf:      d.buf[:n:n],
 		tailBits: d.tailBits,
 		frozen:   true,
+		faults:   d.faults,
 	}
 	d.cowPending = true
 	return v
@@ -476,41 +494,16 @@ func (d *Disk) BlockOff(id BlockID) int64 { return int64(id) * int64(d.cfg.Block
 // blockOf returns the block containing bit position pos.
 func (d *Disk) blockOf(pos int64) BlockID { return BlockID(pos / int64(d.cfg.BlockBits)) }
 
-// Device is the block-device abstraction the index layers build on: the
-// allocation, addressing, session and accounting surface of a Disk. A plain
-// Disk is the infallible Aggarwal–Vitter device; FaultDisk wraps one with a
-// seeded fault schedule. Index structures hold a Device so the same build
-// and query code runs against either.
-type Device interface {
-	// Geometry.
-	BlockBits() int
-	// Allocation and addressing.
-	AllocStream(w *bitio.Writer) Extent
-	Reserve(bits int64)
-	AlignToBlock()
-	AllocBlock() BlockID
-	FreeBlock(id BlockID)
-	BlockOff(id BlockID) int64
-	// Sessions. Reads made through a session may fail (ErrInvalidRange on a
-	// bad range always; injected faults on a fault-injecting device).
-	NewTouch() *Touch
-	NewBatchTouch() *BatchTouch
-	// Accounting.
-	Stats() StatsSnapshot
-	ResetStats()
-	CachedBlocks() int
-	CacheBytes() int64
-	AllocatedBits() int64
-	UsedBits() int64
-}
-
-var _ Device = (*Disk)(nil)
-
 // Touch is an I/O accounting session for one logical operation. Distinct
 // blocks read (written) during the session cost one read (write) I/O each,
 // no matter how many times they are accessed: the paper's model holds the
 // blocks an operation works on in internal memory for the operation's
 // duration.
+//
+// A shared-scan batch is one session too, charging each distinct block once
+// for the whole batch, that also attributes blocks to per-query consumers
+// (StartConsumer) so the sharing win is measurable (SharedSaved). A session
+// is used by one goroutine; only the device counters it feeds are shared.
 type Touch struct {
 	d      *Disk
 	reads  map[BlockID]struct{}
@@ -518,16 +511,24 @@ type Touch struct {
 	// charged counts the reads that actually hit the device: with a block
 	// cache, reads of resident blocks are free, so charged <= len(reads).
 	charged int
-	// faults is the owning FaultDisk's schedule, nil for sessions opened on a
-	// plain Disk. failed counts this session's failed read attempts, failedW
-	// its failed write attempts; corrupt is per-call scratch listing blocks
-	// whose data must be silently flipped, and flipped records that some
-	// call of the session served such data.
-	faults  *faultSched
+	// failed counts this session's failed read attempts, failedW its failed
+	// write attempts; corrupt is per-call scratch listing blocks whose data
+	// the device's fault schedule silently flips, and flipped records that
+	// some call of the session served such data.
 	failed  int
 	failedW int
 	corrupt []BlockID
 	flipped bool
+	// consumers[q] holds the distinct blocks attributed to consumer q —
+	// exactly the blocks query q's own session would have read; ncons are
+	// in use, and cur (-1: none) receives attribution. noted is their union,
+	// perConsumer the sum of their sizes. The sets keep their buckets across
+	// pooled sessions, so a steady-state batch reuses its bookkeeping.
+	consumers   []map[BlockID]struct{}
+	ncons       int
+	cur         int
+	noted       map[BlockID]struct{}
+	perConsumer int
 }
 
 // NewTouch opens an accounting session, reusing a Closed one when available.
@@ -536,33 +537,102 @@ func (d *Disk) NewTouch() *Touch {
 	if t, ok := d.touches.Get().(*Touch); ok {
 		return t
 	}
-	return &Touch{d: d, reads: make(map[BlockID]struct{}), writes: make(map[BlockID]struct{})}
+	return &Touch{d: d, reads: make(map[BlockID]struct{}), writes: make(map[BlockID]struct{}), cur: -1}
 }
 
-// touchPoolMaxBlocks bounds the size of sessions returned to the pool: a
-// rebuild that touched thousands of blocks leaves maps whose bucket arrays
-// never shrink, and clearing those buckets would then dominate every later
-// one-block session that drew the pooled Touch. Oversized sessions are
-// dropped for the garbage collector instead.
-const touchPoolMaxBlocks = 256
+// The pool bounds: a rebuild that touched thousands of blocks, or a huge
+// batch, leaves maps whose bucket arrays never shrink, and clearing them
+// would then dominate every later session that drew the pooled Touch, so
+// Close replaces oversized block sets and attribution instead. Every
+// consumer set is a subset of noted, so bounding noted bounds them all.
+const (
+	touchPoolMaxBlocks = 256
+	batchPoolMaxBlocks = 512
+)
 
-// Close returns the session to the disk for reuse by a later NewTouch. The
+// Close publishes the session's shared-scan savings to the device's Stats
+// and returns the session to the disk for reuse by a later NewTouch. The
 // Touch must not be used afterwards; sessions that skip Close are simply
-// garbage collected. Read the session's counters before closing.
+// garbage collected (and publish nothing). Read the session's counters
+// before closing.
 func (t *Touch) Close() {
-	if len(t.reads)+len(t.writes) > touchPoolMaxBlocks {
-		return
+	if saved := t.SharedSaved(); saved != 0 {
+		t.d.stats.SharedSaved.Add(int64(saved))
 	}
-	clear(t.reads)
-	clear(t.writes)
-	t.charged = 0
-	t.faults = nil
-	t.failed = 0
-	t.failedW = 0
+	if len(t.reads)+len(t.writes) > touchPoolMaxBlocks {
+		t.reads, t.writes = make(map[BlockID]struct{}), make(map[BlockID]struct{})
+	} else {
+		clear(t.reads)
+		clear(t.writes)
+	}
+	if len(t.noted) > batchPoolMaxBlocks || len(t.consumers) > batchPoolMaxBlocks {
+		t.consumers, t.noted = nil, nil
+	} else {
+		clear(t.noted)
+		for _, set := range t.consumers[:t.ncons] {
+			clear(set)
+		}
+	}
+	t.charged, t.failed, t.failedW, t.flipped = 0, 0, 0, false
 	t.corrupt = t.corrupt[:0]
-	t.flipped = false
+	t.ncons, t.cur, t.perConsumer = 0, -1, 0
 	t.d.touches.Put(t)
 }
+
+// StartConsumer directs subsequent attribution at consumer q (0-based): from
+// now on ReadBits and NoteExtent credit the blocks they span to q, and
+// SharedSaved counts the blocks several consumers share. Consumers may be
+// revisited: a planner typically attributes each query's plan-phase
+// reads first and its scan extents later, and both must land in the same
+// per-query block set for the saved count to be exact.
+func (t *Touch) StartConsumer(q int) {
+	for len(t.consumers) <= q {
+		t.consumers = append(t.consumers, nil)
+	}
+	if t.consumers[q] == nil {
+		t.consumers[q] = make(map[BlockID]struct{})
+	}
+	if t.noted == nil {
+		t.noted = make(map[BlockID]struct{})
+	}
+	t.ncons = max(t.ncons, q+1)
+	t.cur = q
+}
+
+// note attributes the blocks [from,to] to the current consumer, if any.
+func (t *Touch) note(from, to BlockID) {
+	if t.cur < 0 {
+		return
+	}
+	set := t.consumers[t.cur]
+	for b := from; b <= to; b++ {
+		if _, ok := set[b]; ok {
+			continue
+		}
+		set[b] = struct{}{}
+		t.perConsumer++
+		t.noted[b] = struct{}{}
+	}
+}
+
+// NoteExtent attributes ext's blocks to the current consumer without reading
+// anything: the bits were already materialised by a ReaderInto covering ext.
+// ReaderInto itself attributes nothing, since a coalesced extent serves
+// several consumers, each of which claims its own sub-extent here.
+func (t *Touch) NoteExtent(ext Extent) {
+	if ext.Bits == 0 {
+		return
+	}
+	t.note(t.d.blockOf(ext.Off), t.d.blockOf(ext.End()-1))
+}
+
+// SharedSaved returns the block reads the session avoided versus running
+// every consumer in its own session: the sum over consumers of their
+// distinct blocks minus the distinct blocks overall (0 without consumers).
+// It is independent of the block cache: a cache hit is a block resident
+// from an earlier operation, a shared read one session reading a block once
+// for several of its own consumers, and Stats reports the two separately.
+func (t *Touch) SharedSaved() int { return t.perConsumer - len(t.noted) }
 
 // Reads returns the number of block reads this session paid for: distinct
 // blocks read, minus reads served by the block cache when one is configured.
@@ -596,7 +666,7 @@ func (t *Touch) Stable() bool { return (t.d.file != nil || t.d.frozen) && !t.fli
 // caller to flip bits in the data it hands back. Write-path charges pass
 // faulty=false: the fault model only fails reads.
 func (t *Touch) markRead(from, to BlockID, faulty bool) ([]BlockID, error) {
-	fs := t.faults
+	fs := t.d.faults
 	t.corrupt = t.corrupt[:0]
 	for b := from; b <= to; b++ {
 		if _, ok := t.reads[b]; ok {
@@ -649,11 +719,12 @@ func (t *Touch) markRead(from, to BlockID, faulty bool) ([]BlockID, error) {
 // to the first faulty one: a writeFail fate tears the write at that block's
 // start, writeShort at its end.
 func (t *Touch) faultWrite(from, to BlockID, pos, end int64) (int64, error) {
-	if t.faults == nil || !t.faults.armed.Load() {
+	fs := t.d.faults
+	if fs == nil || !fs.armed.Load() {
 		return end - pos, nil
 	}
 	for b := from; b <= to; b++ {
-		fate := t.faults.onWrite(b)
+		fate := fs.onWrite(b)
 		if fate == writeOK {
 			continue
 		}
@@ -681,7 +752,8 @@ func (t *Touch) markWrite(from, to BlockID) {
 	}
 }
 
-// ReadBits reads n bits (n <= 64) at bit position pos, charging I/Os.
+// ReadBits reads n bits (n <= 64) at bit position pos, charging I/Os and
+// attributing the spanned blocks to the current consumer, if any.
 func (t *Touch) ReadBits(pos int64, n int) (uint64, error) {
 	if n < 0 || n > 64 {
 		return 0, fmt.Errorf("iomodel: ReadBits width %d out of range", n)
@@ -692,14 +764,16 @@ func (t *Touch) ReadBits(pos int64, n int) (uint64, error) {
 	if n == 0 {
 		return 0, nil
 	}
-	corrupt, err := t.markRead(t.d.blockOf(pos), t.d.blockOf(pos+int64(n)-1), true)
+	from, to := t.d.blockOf(pos), t.d.blockOf(pos+int64(n)-1)
+	corrupt, err := t.markRead(from, to, true)
 	if err != nil {
 		return 0, err
 	}
+	t.note(from, to)
 	v := t.d.getBits(pos, n)
 	t.flipped = t.flipped || len(corrupt) > 0
 	for _, b := range corrupt {
-		p := t.d.BlockOff(b) + t.faults.corruptBit(b, int64(t.d.cfg.BlockBits))
+		p := t.d.BlockOff(b) + t.d.faults.corruptBit(b, int64(t.d.cfg.BlockBits))
 		if p >= pos && p < pos+int64(n) {
 			// The read's first bit lands in the high position of v.
 			v ^= 1 << uint(int64(n)-1-(p-pos))
@@ -777,7 +851,7 @@ func (t *Touch) ReaderInto(ext Extent, w *bitio.Writer) error {
 	}
 	t.flipped = t.flipped || len(corrupt) > 0
 	for _, b := range corrupt {
-		p := t.d.BlockOff(b) + t.faults.corruptBit(b, int64(t.d.cfg.BlockBits))
+		p := t.d.BlockOff(b) + t.d.faults.corruptBit(b, int64(t.d.cfg.BlockBits))
 		if p >= ext.Off && p < ext.End() {
 			// Flip the bad bit in the materialised copy (MSB-first packing);
 			// the device's stored bits stay intact, as with a real transfer.

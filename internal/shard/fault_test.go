@@ -36,7 +36,7 @@ func TestAllowPartialPermanentFault(t *testing.T) {
 	const dead = 2
 	ref, chaos, _ := buildPair(t, 8000, 4, iomodel.FaultConfig{PermanentPer10k: 10000})
 	// Arm only the victim: every charged read on shard 2 fails permanently.
-	chaos.shards[dead].fd.Arm()
+	chaos.shards[dead].disk.ArmFaults()
 
 	r := index.Range{Lo: 3, Hi: 40}
 	want, _, err := ref.Query(r)

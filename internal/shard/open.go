@@ -9,22 +9,20 @@ import (
 )
 
 // Part is one shard viewed from outside the package: its index, device,
-// optional fault wrapper, and the global row range it covers. Parts carries
-// a built index out for serialisation; Assemble carries reopened shards back
-// in.
+// and the global row range it covers. Parts carries a built index out for
+// serialisation; Assemble carries reopened shards back in.
 type Part struct {
 	Ax    *core.Approx
-	Disk  iomodel.Device
-	Fault *iomodel.FaultDisk // non-nil iff the shard has a fault schedule
-	Start int64              // global row id of the shard's local row 0
-	End   int64              // one past the shard's last global row
+	Disk  *iomodel.Disk
+	Start int64 // global row id of the shard's local row 0
+	End   int64 // one past the shard's last global row
 }
 
 // Parts returns the index's shards in shard order, for serialisation.
 func (x *Index) Parts() []Part {
 	out := make([]Part, len(x.shards))
 	for i, sh := range x.shards {
-		out[i] = Part{Ax: sh.ax, Disk: sh.disk, Fault: sh.fd, Start: sh.start, End: sh.end}
+		out[i] = Part{Ax: sh.ax, Disk: sh.disk, Start: sh.start, End: sh.end}
 	}
 	return out
 }
@@ -58,7 +56,7 @@ func Assemble(parts []Part, n int64, sigma, workers int) (*Index, error) {
 		if got := p.Ax.Sigma(); got != sigma {
 			return nil, fmt.Errorf("shard: part %d alphabet %d, want %d", i, got, sigma)
 		}
-		x.shards = append(x.shards, &shard{ax: p.Ax, disk: p.Disk, fd: p.Fault, start: p.Start, end: p.End})
+		x.shards = append(x.shards, &shard{ax: p.Ax, disk: p.Disk, start: p.Start, end: p.End})
 		expect = p.End
 	}
 	if expect != n {

@@ -52,12 +52,24 @@ type Options struct {
 	Branching int
 	Stride    int
 	Seed      int64
-	// Faults, when non-nil, puts every shard on a fault-injecting device with
-	// this schedule. Shard i draws its faults from Faults.Seed+i, so the
-	// shards fail independently, the way independent physical devices do.
-	// Shards build disarmed (builds are never faulted); ArmFaults starts the
-	// schedule firing on query reads.
+	// Faults, when non-nil, gives every shard's disk a fault schedule:
+	// shard i's is FaultsFor(Faults, i). Shards build disarmed (builds are
+	// never faulted); ArmFaults starts the schedule firing on query reads.
 	Faults *iomodel.FaultConfig
+}
+
+// FaultsFor returns the fault schedule shard i's disk draws from: fc with
+// its seed offset by i, so the shards fail independently, the way
+// independent physical devices do. nil without fc. A build and a reopen of
+// the same container both derive their shards' schedules here, so they
+// fault the same blocks.
+func FaultsFor(fc *iomodel.FaultConfig, i int) *iomodel.FaultConfig {
+	if fc == nil {
+		return nil
+	}
+	c := *fc
+	c.Seed += int64(i)
+	return &c
 }
 
 // RetryPolicy bounds per-shard retries of transiently failing operations.
@@ -194,10 +206,9 @@ func (e ShardError) Unwrap() error { return e.Err }
 // shard is one contiguous row range [start, start+ax.Len()) of the column.
 type shard struct {
 	ax    *core.Approx
-	disk  iomodel.Device
-	fd    *iomodel.FaultDisk // non-nil iff Options.Faults was set
-	start int64              // global row id of the shard's local row 0
-	end   int64              // global row id one past the shard's last row
+	disk  *iomodel.Disk
+	start int64 // global row id of the shard's local row 0
+	end   int64 // global row id one past the shard's last row
 }
 
 // Index is a sharded static secondary index over a column of n rows.
@@ -214,17 +225,12 @@ func Build(data []uint32, sigma int, opts Options) (*Index, error) {
 	if sigma < 1 {
 		return nil, fmt.Errorf("shard: alphabet size %d", sigma)
 	}
-	diskCfg := iomodel.Config{BlockBits: opts.BlockBits, CacheBlocks: opts.CacheBlocks}
+	diskCfg := iomodel.Config{BlockBits: opts.BlockBits, CacheBlocks: opts.CacheBlocks, Faults: opts.Faults}
 	// Validate the device configuration once up front: the disks are created
 	// inside build worker goroutines, where an error must surface as Build's
 	// error rather than a panic killing the process.
 	if err := diskCfg.Validate(); err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
-	}
-	if opts.Faults != nil {
-		if err := opts.Faults.Validate(); err != nil {
-			return nil, fmt.Errorf("shard: %w", err)
-		}
 	}
 	s := opts.Shards
 	if s < 1 {
@@ -256,21 +262,12 @@ func Build(data []uint32, sigma int, opts Options) (*Index, error) {
 		wg.Add(1)
 		go func(i int, start, end int64) {
 			defer wg.Done()
-			dd, err := iomodel.NewDiskChecked(diskCfg)
+			cfg := diskCfg
+			cfg.Faults = FaultsFor(opts.Faults, i)
+			d, err := iomodel.NewDiskChecked(cfg)
 			if err != nil {
 				errs[i] = err
 				return
-			}
-			var d iomodel.Device = dd
-			var fd *iomodel.FaultDisk
-			if opts.Faults != nil {
-				fc := *opts.Faults
-				fc.Seed += int64(i) // independent per-shard fault patterns
-				if fd, err = iomodel.NewFaultDiskOn(dd, fc); err != nil {
-					errs[i] = err
-					return
-				}
-				d = fd
 			}
 			ax, err := core.BuildApproxOn(ws, d, workload.Column{X: data[start:end], Sigma: sigma}, core.ApproxOptions{
 				OptimalOptions: core.OptimalOptions{Branching: opts.Branching, Stride: opts.Stride},
@@ -280,7 +277,7 @@ func Build(data []uint32, sigma int, opts Options) (*Index, error) {
 				errs[i] = err
 				return
 			}
-			sx.shards[i] = &shard{ax: ax, disk: d, fd: fd, start: start, end: end}
+			sx.shards[i] = &shard{ax: ax, disk: d, start: start, end: end}
 		}(i, start, end)
 	}
 	wg.Wait()
@@ -310,22 +307,18 @@ func (sx *Index) SizeBits() int64 {
 	return bits
 }
 
-// ArmFaults starts the fault schedule firing on every shard built with
-// Options.Faults; shards without a fault device are unaffected.
+// ArmFaults starts the fault schedule firing on every shard's disk; a disk
+// without a schedule is unaffected.
 func (sx *Index) ArmFaults() {
 	for _, sh := range sx.shards {
-		if sh.fd != nil {
-			sh.fd.Arm()
-		}
+		sh.disk.ArmFaults()
 	}
 }
 
 // DisarmFaults stops fault injection on every shard.
 func (sx *Index) DisarmFaults() {
 	for _, sh := range sx.shards {
-		if sh.fd != nil {
-			sh.fd.Disarm()
-		}
+		sh.disk.DisarmFaults()
 	}
 }
 

@@ -174,7 +174,7 @@ func TestQueryExecIsBatchOfOne(t *testing.T) {
 			t.Run(fmt.Sprintf("shards=%d/%s", shards, tc.name), func(t *testing.T) {
 				_, sx, _ := buildPair(t, 8000, shards, iomodel.FaultConfig{PermanentPer10k: 10000})
 				if tc.fault {
-					sx.shards[dead].fd.Arm()
+					sx.shards[dead].disk.ArmFaults()
 				}
 				bm, st, rep, err := sx.QueryExec(context.Background(), r, tc.eo)
 				bms, bst, brep, berr := sx.QueryBatchExec(context.Background(), []index.Range{r, r}, tc.eo)
@@ -213,7 +213,7 @@ func TestBuildSharedWorkers(t *testing.T) {
 		}
 		var got [][]byte
 		for _, sh := range sx.shards {
-			_, data := sh.disk.(*iomodel.Disk).Image()
+			_, data := sh.disk.Image()
 			got = append(got, data)
 		}
 		if want == nil {

@@ -10,7 +10,7 @@ import (
 // CrashFS is the crash-injection shim behind the recovery harness: an
 // in-memory FS that journals every mutation at byte granularity, so a test
 // can replay the journal up to ANY clock tick and materialise exactly the
-// state a crash at that instant could leave. It extends the FaultDisk idiom
+// state a crash at that instant could leave. It extends iomodel's fault idiom
 // (deterministic seeded fates) to the write path: an optional schedule makes
 // writes land short and syncs fail, both drawn purely from (Seed, operation
 // ordinal) so a failing run replays bit-identically.
@@ -144,7 +144,7 @@ func (c *CrashFS) appendLocked(ev Event) {
 	c.events = append(c.events, ev)
 }
 
-// smix is the splitmix64 finalizer (the FaultDisk draw function).
+// smix is the splitmix64 finalizer (the iomodel fault schedule's draw function).
 func smix(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

@@ -400,6 +400,51 @@ func TestPersistFaultsOnReopened(t *testing.T) {
 	}
 }
 
+// TestPersistShardedFaultsMatchBuild: a 3-shard container reopened with
+// OpenOptions.Faults gives every shard the schedule BuildSharded gave it
+// (shard i draws from Seed+i), so the same armed transient schedule fails
+// the same reads on both: over one list of ranges the failed reads, summed
+// and per shard, are equal.
+func TestPersistShardedFaultsMatchBuild(t *testing.T) {
+	const sigma = 64
+	data := randColumn(24000, sigma, 54)
+	fc := &FaultConfig{Seed: 31, TransientPer10k: 3000, TransientCount: 1}
+	built, err := BuildSharded(data, sigma, ShardOptions{Shards: 3, Options: Options{BlockBits: 2048, Faults: fc}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reopened := writeOpen(t, built.WriteFile, OpenOptions{Faults: fc}).Sharded
+	built.ArmFaults()
+	reopened.ArmFaults()
+	ctx := context.Background()
+	qo := QueryOptions{Retry: RetryPolicy{MaxAttempts: 64}}
+	var want, got Stats
+	for _, r := range chaosRanges(80, sigma, 18) {
+		wres, wst, _, err := built.QueryExec(ctx, r.Lo, r.Hi, qo)
+		if err != nil {
+			t.Fatalf("built [%d,%d]: %v", r.Lo, r.Hi, err)
+		}
+		gres, gst, _, err := reopened.QueryExec(ctx, r.Lo, r.Hi, qo)
+		if err != nil {
+			t.Fatalf("reopened [%d,%d]: %v", r.Lo, r.Hi, err)
+		}
+		assertSameRows(t, "faulted reopened shards", gres, wres)
+		want.Add(wst)
+		got.Add(gst)
+	}
+	if want.FailedReads == 0 {
+		t.Fatal("built index reported zero failed reads: faults never fired")
+	}
+	if got.FailedReads != want.FailedReads {
+		t.Fatalf("reopened index failed %d reads, built %d", got.FailedReads, want.FailedReads)
+	}
+	for i, w := range built.sx.PerShardStats() {
+		if g := reopened.sx.PerShardStats()[i]; g.FailedReads != w.FailedReads {
+			t.Fatalf("shard %d: reopened failed %d reads, built %d", i, g.FailedReads, w.FailedReads)
+		}
+	}
+}
+
 // TestWriteFileReopenedRejected: a reopened index holds only the blocks its
 // queries touched, so re-serialising it must fail rather than write a
 // partial image.

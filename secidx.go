@@ -112,8 +112,8 @@ type Options struct {
 	Seed int64
 	// Buffered selects Theorem 5 (buffered appends) for AppendIndex.
 	Buffered bool
-	// Faults, when non-nil, wraps the device in a deterministic fault
-	// injector. The schedule is built disarmed: construction never faults;
+	// Faults, when non-nil, gives the device a deterministic fault
+	// schedule. The schedule is built disarmed: construction never faults;
 	// call ArmFaults on the built index to start injecting.
 	Faults *FaultConfig
 	// Concurrent enables snapshot-isolated concurrent reads on AppendIndex
@@ -137,39 +137,20 @@ type diskImage struct {
 
 // device creates the in-memory simulated disk an index runs on — fresh, or
 // materialised from img on a writable reopen — with an LRU cache of
-// cacheBlocks blocks and, when o.Faults is set, its fault wrapper. dev is
-// what the index runs on: the fault disk when present, the raw disk
-// otherwise. Validation runs through iomodel.Config.Validate, so a bad
+// cacheBlocks blocks and, when o.Faults is set, its (disarmed) fault
+// schedule. Validation runs through iomodel.Config.Validate, so a bad
 // BlockBits surfaces as an error instead of a panic.
-func (o Options) device(cacheBlocks int, img *diskImage) (dev iomodel.Device, d *iomodel.Disk, fd *iomodel.FaultDisk, err error) {
-	cfg := iomodel.Config{BlockBits: o.BlockBits, CacheBlocks: cacheBlocks}
+func (o Options) device(cacheBlocks int, img *diskImage) (d *iomodel.Disk, err error) {
+	cfg := iomodel.Config{BlockBits: o.BlockBits, CacheBlocks: cacheBlocks, Faults: o.Faults}
 	if img != nil {
 		d, err = iomodel.NewDiskFromImage(cfg, img.tailBits, img.data, img.free)
 	} else {
 		d, err = iomodel.NewDiskChecked(cfg)
 	}
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("secidx: %w", err)
+		return nil, fmt.Errorf("secidx: %w", err)
 	}
-	dev, fd, err = withFaults(d, o.Faults, 0)
-	return dev, d, fd, err
-}
-
-// withFaults wraps d in fc's fault schedule (seed offset by seedOff, the
-// shard id, matching BuildSharded's convention) and returns the device the
-// index runs on; with a nil fc that is d itself. The schedule starts
-// disarmed.
-func withFaults(d *iomodel.Disk, fc *FaultConfig, seedOff int64) (iomodel.Device, *iomodel.FaultDisk, error) {
-	if fc == nil {
-		return d, nil, nil
-	}
-	c := *fc
-	c.Seed += seedOff
-	fd, err := iomodel.NewFaultDiskOn(d, c)
-	if err != nil {
-		return nil, nil, fmt.Errorf("secidx: %w", err)
-	}
-	return fd, fd, nil
+	return d, nil
 }
 
 // queryable is the one read contract every index kind offers the façade:
@@ -349,8 +330,8 @@ type AppendIndex struct {
 }
 
 // newAppendIndex wraps a built or reopened core index in its handle.
-func newAppendIndex(ax *core.AppendIndex, d *iomodel.Disk, fd *iomodel.FaultDisk, opts Options) *AppendIndex {
-	ix := &AppendIndex{ax: ax, handle: handle{live: ax, disk: d, fd: fd, opts: opts}}
+func newAppendIndex(ax *core.AppendIndex, d *iomodel.Disk, opts Options) *AppendIndex {
+	ix := &AppendIndex{ax: ax, handle: handle{live: ax, disk: d, opts: opts}}
 	ix.kind = ix
 	return ix
 }
@@ -360,11 +341,11 @@ func BuildAppend(data []uint32, sigma int, opts Options) (*AppendIndex, error) {
 	if sigma < 1 {
 		return nil, fmt.Errorf("secidx: alphabet size %d", sigma)
 	}
-	dev, d, fd, err := opts.device(0, nil)
+	d, err := opts.device(0, nil)
 	if err != nil {
 		return nil, err
 	}
-	ax, err := core.BuildAppendIndex(dev, workload.Column{X: data, Sigma: sigma}, core.AppendOptions{
+	ax, err := core.BuildAppendIndex(d, workload.Column{X: data, Sigma: sigma}, core.AppendOptions{
 		Branching: opts.Branching,
 		Stride:    opts.Stride,
 		Buffered:  opts.Buffered,
@@ -372,7 +353,7 @@ func BuildAppend(data []uint32, sigma int, opts Options) (*AppendIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := newAppendIndex(ax, d, fd, opts)
+	ix := newAppendIndex(ax, d, opts)
 	if opts.Concurrent {
 		if err := ix.goConcurrent(0); err != nil {
 			return nil, err
@@ -401,7 +382,7 @@ func (ix *AppendIndex) applyOp(op walOp) (Stats, error) {
 	return ix.ax.Append(op.ch)
 }
 
-func (ix *AppendIndex) cloneReadOnly(dev iomodel.Device) (queryable, error) {
+func (ix *AppendIndex) cloneReadOnly(dev *iomodel.Disk) (queryable, error) {
 	return ix.ax.CloneReadOnly(dev)
 }
 
@@ -426,8 +407,8 @@ type DynamicIndex struct {
 }
 
 // newDynamicIndex wraps a built or reopened core index in its handle.
-func newDynamicIndex(dx *core.Dynamic, d *iomodel.Disk, fd *iomodel.FaultDisk, opts Options) *DynamicIndex {
-	ix := &DynamicIndex{dx: dx, handle: handle{live: dx, disk: d, fd: fd, opts: opts}}
+func newDynamicIndex(dx *core.Dynamic, d *iomodel.Disk, opts Options) *DynamicIndex {
+	ix := &DynamicIndex{dx: dx, handle: handle{live: dx, disk: d, opts: opts}}
 	ix.kind = ix
 	return ix
 }
@@ -437,18 +418,18 @@ func BuildDynamic(data []uint32, sigma int, opts Options) (*DynamicIndex, error)
 	if sigma < 1 {
 		return nil, fmt.Errorf("secidx: alphabet size %d", sigma)
 	}
-	dev, d, fd, err := opts.device(0, nil)
+	d, err := opts.device(0, nil)
 	if err != nil {
 		return nil, err
 	}
-	dx, err := core.BuildDynamic(dev, workload.Column{X: data, Sigma: sigma}, core.DynamicOptions{
+	dx, err := core.BuildDynamic(d, workload.Column{X: data, Sigma: sigma}, core.DynamicOptions{
 		Branching: opts.Branching,
 		Stride:    opts.Stride,
 	})
 	if err != nil {
 		return nil, err
 	}
-	ix := newDynamicIndex(dx, d, fd, opts)
+	ix := newDynamicIndex(dx, d, opts)
 	if opts.Concurrent {
 		if err := ix.goConcurrent(0); err != nil {
 			return nil, err
@@ -501,7 +482,7 @@ func (ix *DynamicIndex) applyOp(op walOp) (Stats, error) {
 	return Stats{}, fmt.Errorf("unknown operation %d", op.op)
 }
 
-func (ix *DynamicIndex) cloneReadOnly(dev iomodel.Device) (queryable, error) {
+func (ix *DynamicIndex) cloneReadOnly(dev *iomodel.Disk) (queryable, error) {
 	return ix.dx.CloneReadOnly(dev), nil
 }
 

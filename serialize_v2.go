@@ -52,7 +52,7 @@ type OpenOptions struct {
 	CacheBlocks int
 	// VerifyImages checksums the raw image sections up front.
 	VerifyImages bool
-	// Faults, when non-nil, wraps every reopened device in a fault injector
+	// Faults, when non-nil, gives every reopened device a fault schedule
 	// (per-shard seeds offset by the shard id, matching BuildSharded). The
 	// schedule starts disarmed.
 	Faults *FaultConfig
@@ -325,19 +325,6 @@ func addImage(cw *container.Writer, shardID uint64, d *iomodel.Disk) error {
 	return cw.Add(container.TypeImage, shardID, data, d.BlockBits()/8)
 }
 
-// rawDisk unwraps a device to the simulated disk that owns its image.
-func rawDisk(dev iomodel.Device) (*iomodel.Disk, error) {
-	switch v := dev.(type) {
-	case *iomodel.Disk:
-		return v, nil
-	case *iomodel.FaultDisk:
-		return v.Disk, nil
-	case *iomodel.FileDisk:
-		return v.Disk, nil
-	}
-	return nil, fmt.Errorf("secidx: cannot serialise device of type %T", dev)
-}
-
 // lockSuffix names the advisory lock companion of a writable container:
 // <path>.lock next to <path> and <path>.wal.
 const lockSuffix = ".lock"
@@ -371,13 +358,8 @@ func (ix *ShardedIndex) WriteFile(path string) error {
 func writeShards(path string, kind uint64, sx *shard.Index, opts Options) error {
 	parts := sx.Parts()
 	n, s := sx.Len(), int64(len(parts))
-	disks := make([]*iomodel.Disk, len(parts))
 	for i, p := range parts {
-		d, err := rawDisk(p.Disk)
-		if err != nil {
-			return err
-		}
-		if d.FileBacked() {
+		if p.Disk.FileBacked() {
 			return errReopened
 		}
 		// OpenFile recomputes the partition instead of persisting it; assert
@@ -385,7 +367,6 @@ func writeShards(path string, kind uint64, sx *shard.Index, opts Options) error 
 		if p.Start != int64(i)*n/s || p.End != int64(i+1)*n/s {
 			return fmt.Errorf("secidx: shard %d covers [%d,%d), not the canonical partition", i, p.Start, p.End)
 		}
-		disks[i] = d
 	}
 	return writeContainer(path, kind, func(cw *container.Writer) error {
 		var e container.Encoder
@@ -401,7 +382,7 @@ func writeShards(path string, kind uint64, sx *shard.Index, opts Options) error 
 			if err := cw.Add(container.TypeStaticMeta, uint64(i), m.Bytes(), 1); err != nil {
 				return err
 			}
-			if err := addImage(cw, uint64(i), disks[i]); err != nil {
+			if err := addImage(cw, uint64(i), p.Disk); err != nil {
 				return err
 			}
 		}
@@ -629,34 +610,31 @@ func readImageInfo(cf *container.File, shardID uint64) (tailBits int64, free []i
 }
 
 // openImage reopens one shard's device image as a read-only file-backed
-// device, wrapped in oo.Faults' schedule when set. The returned FileDisk
-// owns the mapping and must be closed.
-func openImage(f *os.File, cf *container.File, shardID uint64, opts Options, oo OpenOptions) (iomodel.Device, *iomodel.FileDisk, *iomodel.FaultDisk, error) {
+// device with the shard's share of oo.Faults' schedule, when set
+// (shard.FaultsFor, as at build). The FileDisk owns the mapping and must be
+// closed.
+func openImage(f *os.File, cf *container.File, shardID uint64, opts Options, oo OpenOptions) (*iomodel.FileDisk, error) {
 	tailBits, free, img, err := readImageInfo(cf, shardID)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	if oo.VerifyImages {
 		if err := cf.Verify(img); err != nil {
-			return nil, nil, nil, wrapCorrupt(err)
+			return nil, wrapCorrupt(err)
 		}
 	}
 	bk := iomodel.FileBackingConfig{Base: img.Off, TailBits: tailBits, Free: free, Mode: oo.Mode}
 	if oo.readerAt != nil {
 		bk.Reader = oo.readerAt(f)
 	}
-	cfg := iomodel.Config{BlockBits: opts.BlockBits, CacheBlocks: oo.CacheBlocks}
+	cfg := iomodel.Config{BlockBits: opts.BlockBits, CacheBlocks: oo.CacheBlocks, Faults: shard.FaultsFor(oo.Faults, int(shardID))}
 	fdisk, err := iomodel.OpenFileDisk(f, cfg, bk)
 	if err != nil {
-		// Geometry errors here are data-driven: the sizes came from the file.
-		return nil, nil, nil, corruptf("shard %d: %v", shardID, err)
+		// Geometry errors here are data-driven: the sizes came from the file
+		// (openFile validated oo.Faults up front).
+		return nil, corruptf("shard %d: %v", shardID, err)
 	}
-	dev, fwrap, err := withFaults(fdisk.Disk, oo.Faults, int64(shardID))
-	if err != nil {
-		fdisk.Close()
-		return nil, nil, nil, err
-	}
-	return dev, fdisk, fwrap, nil
+	return fdisk, nil
 }
 
 func closeDisks(disks []*iomodel.FileDisk) {
@@ -680,7 +658,7 @@ func openShards(f *os.File, cf *container.File, man manifest, oo OpenOptions) (_
 	}()
 	parts := make([]shard.Part, man.shards)
 	for i := range parts {
-		dev, fdisk, fwrap, err := openImage(f, cf, uint64(i), man.opts, oo)
+		fdisk, err := openImage(f, cf, uint64(i), man.opts, oo)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -689,7 +667,7 @@ func openShards(f *os.File, cf *container.File, man manifest, oo OpenOptions) (_
 		if err != nil {
 			return nil, nil, err
 		}
-		ax, err := core.OpenApprox(dev, man.sigma, core.ApproxOptions{
+		ax, err := core.OpenApprox(fdisk.Disk, man.sigma, core.ApproxOptions{
 			OptimalOptions: core.OptimalOptions{Branching: man.opts.Branching, Stride: man.opts.Stride},
 			Seed:           man.opts.Seed,
 		}, dec)
@@ -701,8 +679,7 @@ func openShards(f *os.File, cf *container.File, man manifest, oo OpenOptions) (_
 		}
 		parts[i] = shard.Part{
 			Ax:    ax,
-			Disk:  dev,
-			Fault: fwrap,
+			Disk:  fdisk.Disk,
 			Start: int64(i) * man.n / int64(man.shards),
 			End:   int64(i+1) * man.n / int64(man.shards),
 		}
@@ -750,14 +727,12 @@ func openAppend(f *os.File, cf *container.File, man manifest, oo OpenOptions) (o
 		return nil, corruptf("append container declares %d shards", man.shards)
 	}
 	var (
-		dev   iomodel.Device
 		d     *iomodel.Disk
-		fwrap *iomodel.FaultDisk
 		disks []*iomodel.FileDisk
 	)
 	if oo.WAL == nil {
 		var fdisk *iomodel.FileDisk
-		if dev, fdisk, fwrap, err = openImage(f, cf, 0, man.opts, oo); err != nil {
+		if fdisk, err = openImage(f, cf, 0, man.opts, oo); err != nil {
 			return nil, err
 		}
 		d, disks = fdisk.Disk, []*iomodel.FileDisk{fdisk}
@@ -777,7 +752,7 @@ func openAppend(f *os.File, cf *container.File, man manifest, oo OpenOptions) (o
 		}
 		opts := man.opts
 		opts.Faults = oo.Faults
-		if dev, d, fwrap, err = opts.device(oo.CacheBlocks, &diskImage{tailBits, data, free}); err != nil {
+		if d, err = opts.device(oo.CacheBlocks, &diskImage{tailBits, data, free}); err != nil {
 			return nil, corruptf("device: %v", err)
 		}
 	}
@@ -785,7 +760,7 @@ func openAppend(f *os.File, cf *container.File, man manifest, oo OpenOptions) (o
 	if err != nil {
 		return nil, err
 	}
-	ax, err := core.OpenAppendIndex(dev, man.sigma, core.AppendOptions{
+	ax, err := core.OpenAppendIndex(d, man.sigma, core.AppendOptions{
 		Branching: man.opts.Branching, Stride: man.opts.Stride, Buffered: man.opts.Buffered,
 	}, dec)
 	if err == nil {
@@ -797,7 +772,7 @@ func openAppend(f *os.File, cf *container.File, man manifest, oo OpenOptions) (o
 	if ax.Len() != man.n {
 		return nil, corruptf("index holds %d rows, manifest declares %d", ax.Len(), man.n)
 	}
-	ix := newAppendIndex(ax, d, fwrap, man.opts)
+	ix := newAppendIndex(ax, d, man.opts)
 	if oo.WAL == nil {
 		return &Opened{Append: ix, f: f, disks: disks}, nil
 	}
@@ -853,11 +828,11 @@ func openDynamic(f *os.File, cf *container.File, man manifest, oo OpenOptions) (
 	}
 	opts := man.opts
 	opts.Faults = oo.Faults
-	dev, d, fwrap, err := opts.device(oo.CacheBlocks, nil)
+	d, err := opts.device(oo.CacheBlocks, nil)
 	if err != nil {
 		return nil, corruptf("device: %v", err)
 	}
-	dx, err := core.OpenDynamic(dev, man.sigma, core.DynamicOptions{
+	dx, err := core.OpenDynamic(d, man.sigma, core.DynamicOptions{
 		Branching: opts.Branching, Stride: opts.Stride,
 	}, dec)
 	if err == nil {
@@ -869,6 +844,6 @@ func openDynamic(f *os.File, cf *container.File, man manifest, oo OpenOptions) (
 	if dx.Len() != man.n {
 		return nil, corruptf("index holds %d rows, manifest declares %d", dx.Len(), man.n)
 	}
-	ix := newDynamicIndex(dx, d, fwrap, opts)
+	ix := newDynamicIndex(dx, d, opts)
 	return openWritable(f, cf, &ix.handle, oo, &Opened{Dynamic: ix, f: f})
 }
