@@ -230,14 +230,14 @@ func (ax *Approx) ApproxQuery(r index.Range, eps float64) (*Result, index.QueryS
 }
 
 // ApproxQueryContext answers like ApproxQuery, checking ctx for cancellation
-// between cover chunks and populating stats even on an error return
+// between member runs and populating stats even on an error return
 // (including the session's failed read attempts), so retry layers can
 // account every attempt.
 func (ax *Approx) ApproxQueryContext(ctx context.Context, r index.Range, eps float64) (res *Result, stats index.QueryStats, err error) {
 	if err = r.Valid(ax.tree.sigma); err != nil {
 		return nil, stats, err
 	}
-	if eps <= 0 || eps >= 1 {
+	if !(eps > 0 && eps < 1) { // a NaN eps fails both comparisons
 		return nil, stats, fmt.Errorf("core: eps %v outside (0,1)", eps)
 	}
 	tc := ax.disk.NewTouch()
@@ -263,7 +263,8 @@ func (ax *Approx) ApproxQueryContext(ctx context.Context, r index.Range, eps flo
 			break
 		}
 	}
-	plan := &sc.plan
+	plans := sc.growPlans(1)
+	plan := &plans[0]
 	planned := j > 0
 	if planned {
 		// The hashed sets tile each level in the exact sets' member order, so
@@ -291,25 +292,23 @@ func (ax *Approx) ApproxQueryContext(ctx context.Context, r index.Range, eps flo
 				return nil, stats, err
 			}
 		}
-		exact, err := ax.execute(ctx, tc, sc, &stats)
+		exact, err := sc.execute(ctx, tc, plans, ax.exactDir, len(ax.levels), ax.tree.n, &stats)
 		if err != nil {
 			return nil, stats, err
 		}
-		return &Result{N: ax.tree.n, Exact: exact}, stats, nil
+		return &Result{N: ax.tree.n, Exact: exact[0]}, stats, nil
 	}
 
 	// The same plan executed against the j-th hashed sets: the members' gap
 	// streams merge directly into the answer set (cf. Optimal.Query).
 	univ := int64(1) << uint(1<<uint(j))
 	hashedDir := func(level int) memberDir { return &ax.hmaps[level].perJ[j-1] }
-	if err = sc.readFrontier(ctx, tc, plan.Chunks, hashedDir, univ, &stats); err != nil {
-		return nil, stats, err
-	}
-	set, err := sc.merge(univ, false, false) // hashed positions are in no order
+	plan.Ordered = false // hashed positions are in no order
+	set, err := sc.execute(ctx, tc, plans, hashedDir, len(ax.levels), univ, &stats)
 	if err != nil {
 		return nil, stats, err
 	}
-	return &Result{N: ax.tree.n, J: j, H: ax.hs[j-1], Set: set}, stats, nil
+	return &Result{N: ax.tree.n, J: j, H: ax.hs[j-1], Set: set[0]}, stats, nil
 }
 
 // frontierBits prices a cover plan's frontier from the in-memory directory:

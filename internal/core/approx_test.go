@@ -273,7 +273,7 @@ func TestApproxInvalidEps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, eps := range []float64{0, 1, -0.5, 2} {
+	for _, eps := range []float64{0, 1, -0.5, 2, math.NaN()} {
 		if _, _, err := ax.ApproxQuery(index.Range{Lo: 0, Hi: 3}, eps); err == nil {
 			t.Fatalf("eps=%v accepted", eps)
 		}

@@ -19,9 +19,13 @@ func (ox *Optimal) QueryGeneralMerge(r index.Range) (out *cbitmap.Bitmap, stats 
 	defer tc.Close()
 	sc := getScratch()
 	defer sc.release()
-	if err = ox.planInto(tc, r, &sc.plan); err == nil {
-		sc.plan.Ordered = false
-		out, err = ox.execute(context.Background(), tc, sc, &stats)
+	plans := sc.growPlans(1)
+	if err = ox.planInto(tc, r, &plans[0]); err == nil {
+		plans[0].Ordered = false
+		var answers []*cbitmap.Bitmap
+		if answers, err = sc.execute(context.Background(), tc, plans, ox.exactDir, len(ox.levels), ox.tree.n, &stats); err == nil {
+			out = answers[0]
+		}
 	}
 	stats.Reads, stats.Writes, stats.FailedReads = tc.Reads(), tc.Writes(), tc.FailedReads()
 	return out, stats, err

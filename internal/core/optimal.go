@@ -80,13 +80,18 @@ func (lv *matLevel) knownLasts(dst []int64, i, j int) []int64 {
 	return dst
 }
 
-// remember records, for the members of chunks in order, the largest position
-// each stream of streams (one per member, in the same order) proved by
-// validating its bits to the end; replay views prove nothing new.
-func (ox *Optimal) remember(chunks []PlanChunk, streams []cbitmap.Stream) {
+// remember records, for the exact members of chunks in order, the largest
+// position each stream of streams (one per member, in the same order) proved
+// by validating its bits to the end; replay views prove nothing new, and no
+// other directory dirOf names keeps a memo.
+func remember(dirOf func(level int) memberDir, chunks []PlanChunk, streams []cbitmap.Stream) {
 	s := 0
 	for _, c := range chunks {
-		lv := &ox.levels[c.Level]
+		lv, ok := dirOf(c.Level).(*matLevel)
+		if !ok {
+			s += c.J - c.I
+			continue
+		}
 		for k := c.I; k < c.J; k, s = k+1, s+1 {
 			if last, ok := streams[s].ValidatedLast(); ok {
 				lv.memo[k].Store(last + 1)
@@ -215,39 +220,26 @@ func (ox *Optimal) levelFor(d int) int {
 	return i
 }
 
-// Query implements index.Index. A query is its plan, executed: planInto reads
-// A[lo] and A[hi+1] for z, applies the complement trick to dense answers and
-// decomposes the record range into its canonical cover (planner.go); execute
-// then reads one contiguous span per cover chunk and fuses decode and merge
-// into a single streaming pass — the members' gap streams feed
-// cbitmap.MergeStreams (or, on the dense path, MergeStreamsComplement)
-// directly, so no intermediate per-chunk bitmap is ever materialised and
-// every bit read is decoded exactly once.
+// Query implements index.Index. A query is its plan, executed as a batch of
+// one: planInto reads A[lo] and A[hi+1] for z, applies the complement trick
+// to dense answers and decomposes the record range into its canonical cover
+// (planner.go); execute then reads one contiguous span per member run and
+// fuses decode and merge into a single streaming pass — the members' gap
+// streams feed cbitmap.MergeStreams (or, on the dense path,
+// MergeStreamsComplement) directly, so no intermediate per-chunk bitmap is
+// ever materialised and every bit read is decoded exactly once.
 func (ox *Optimal) Query(r index.Range) (*cbitmap.Bitmap, index.QueryStats, error) {
 	return ox.QueryContext(context.Background(), r)
 }
 
 // QueryContext answers like Query, checking ctx for cancellation between
-// cover chunks and before the final merge. The stats are populated even on
-// an error return (including the session's failed read attempts), so retry
-// layers can account every attempt they make.
-func (ox *Optimal) QueryContext(ctx context.Context, r index.Range) (out *cbitmap.Bitmap, stats index.QueryStats, err error) {
-	if err = r.Valid(ox.tree.sigma); err != nil {
-		return nil, stats, err
-	}
-	tc := ox.disk.NewTouch()
-	defer tc.Close()
-	defer func() {
-		stats.Reads, stats.Writes = tc.Reads(), tc.Writes()
-		stats.FailedReads = tc.FailedReads()
-	}()
-	sc := getScratch()
-	defer sc.release()
-	if err = ox.planInto(tc, r, &sc.plan); err != nil {
-		return nil, stats, err
-	}
-	out, err = ox.execute(ctx, tc, sc, &stats)
-	return out, stats, err
+// member runs and before the merge. The stats are populated even on an error
+// return (including the session's failed read attempts), so retry layers can
+// account every attempt they make.
+func (ox *Optimal) QueryContext(ctx context.Context, r index.Range) (*cbitmap.Bitmap, index.QueryStats, error) {
+	var out [1]*cbitmap.Bitmap
+	stats, err := ox.answer(ctx, []index.Range{r}, out[:])
+	return out[0], stats, err
 }
 
 // entry implements memberDir over the level's exact sets.
@@ -257,25 +249,6 @@ func (lv *matLevel) entry(k int) (iomodel.Extent, int64) {
 
 // exactDir names the exact sets as the frontier a plan is executed against.
 func (ox *Optimal) exactDir(level int) memberDir { return &ox.levels[level] }
-
-// execute answers sc's exact plan inside the caller's session: the body of a
-// query, and of an approximate one's exact fallback. In a stable session the
-// members an earlier query validated are replayed (readFrontier), and the
-// ones this merge validated are remembered for the next.
-func (ox *Optimal) execute(ctx context.Context, tc *iomodel.Touch, sc *queryScratch, stats *index.QueryStats) (*cbitmap.Bitmap, error) {
-	err := sc.readFrontier(ctx, tc, sc.plan.Chunks, ox.exactDir, ox.tree.n, stats)
-	if err == nil {
-		err = ctx.Err() // checkpoint before the merge materialises the answer
-	}
-	if err != nil {
-		return nil, err
-	}
-	out, err := sc.merge(ox.tree.n, sc.plan.Complement, sc.plan.Ordered)
-	if err == nil && tc.Stable() {
-		ox.remember(sc.plan.Chunks, sc.streams)
-	}
-	return out, err
-}
 
 var _ index.Index = (*Optimal)(nil)
 

@@ -1,26 +1,28 @@
-// Shared-scan batch query planner.
+// Shared-scan query executor.
 //
 // The paper's Theorem 2 query bound is per-query: a range reads its cover
 // chunks, a few contiguous member runs per materialised level (coverChunks
-// makes each run maximal). A batch of
-// overlapping ranges shares most of its cover frontier, so the planner plans
-// the whole batch at cover-chunk granularity first and executes it in one
-// shared pass: every query's plan is computed without executing it
-// (PlanQuery), the requested member runs are coalesced per level, each
-// coalesced extent is read exactly once in the batch's one Touch session,
-// shared members are validated by a single Drain scan, and every subscribed
-// query then merges cardinality-bounded Stream views over the shared extent
-// buffers. In the Aggarwal–Vitter I/O model the batch therefore reads the
-// blocks of the *union* of its cover extents, not the sum — the saved reads
-// are reported in QueryStats.SharedSaved. Answers are bit-identical to
-// looped single-range Query calls (pinned by differential and fuzz oracles).
+// makes each run maximal). A batch of overlapping ranges shares most of its
+// cover frontier, so the batch is planned at cover-chunk granularity first
+// and executed in one shared pass: every query's plan is computed without
+// executing it (PlanQuery), the requested member runs are coalesced per
+// level, each coalesced extent is read exactly once in the batch's one Touch
+// session, shared members are validated by a single Drain scan, and every
+// subscribed query then merges cardinality-bounded Stream views over the
+// shared extent buffers. In the Aggarwal–Vitter I/O model the batch
+// therefore reads the blocks of the *union* of its cover extents, not the
+// sum — the saved reads are reported in QueryStats.SharedSaved. A single
+// query is the batch of one plan, whose sharing is zero: every static query
+// — exact, approximate or Warmup — runs the one executor.
 
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -200,9 +202,10 @@ func (ox *Optimal) coverChunks(ses ioSession, qlo, qhi int64, plan *QueryPlan) e
 	return nil
 }
 
-// lastUnknown marks a run member whose largest position has not been found
-// by a shared validation scan (single-subscriber members are never scanned
-// up front; their consumer validates while merging, exactly as Query does).
+// lastUnknown marks a run member whose largest position neither a shared
+// validation scan nor an earlier stable session has found (single-subscriber
+// members are never scanned up front; their consumer validates while
+// merging).
 const lastUnknown = math.MinInt64
 
 // memberRun is one requested member index range [i,j) at a level.
@@ -211,85 +214,16 @@ type memberRun struct {
 }
 
 // planRun is one coalesced run of members [i,j) at a level: its extent is
-// read once into cb, and members subscribed by more than one query, or
-// validated by an earlier stable session, carry their largest position in
-// lasts (indexed k-i; a slice of the scratch's lasts).
+// read once into cb, subs counts each member's subscribers when several
+// plans share the run's level (countSubscribers), and members subscribed by
+// more than one query, or validated by an earlier stable session, carry their
+// largest position in lasts (indexed k-i; a slice of the scratch's lasts).
 type planRun struct {
 	i, j  int
 	span  iomodel.Extent
 	cb    *chunkBuf
 	subs  []int32
 	lasts []int64
-}
-
-// batchScratch pools the per-batch planner state: plans, per-level interval
-// and run tables, and — the part it shares with a single query — the extent
-// buffers and the stream slice each query's merge is fed from.
-type batchScratch struct {
-	queryScratch
-	plans   []QueryPlan
-	byLevel [][]memberRun
-	runs    [][]planRun
-}
-
-var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
-
-func getBatchScratch() *batchScratch { return batchScratchPool.Get().(*batchScratch) }
-
-// batchBufMaxBytes bounds the coalesced-extent buffers kept by a pooled
-// scratch: a wide batch can coalesce near-whole-level extents, and pooling
-// those would pin megabytes behind every later small batch (the same
-// oversized-pooled-object hazard the Touch, chain-writer and decode-scratch
-// pools guard against). Oversized buffers are dropped for the collector.
-const batchBufMaxBytes = 1 << 20
-
-func (bs *batchScratch) release() {
-	// The run tables reference the chunk buffers like the stream views do: an
-	// idle entry should retain only the buffers it owns.
-	bs.reset()
-	for i := range bs.runs {
-		clear(bs.runs[i])
-		bs.runs[i] = bs.runs[i][:0]
-	}
-	kept := bs.bufs[:0]
-	for _, cb := range bs.bufs {
-		if cap(cb.w.Bytes()) <= batchBufMaxBytes {
-			kept = append(kept, cb)
-		}
-	}
-	clear(bs.bufs[len(kept):])
-	bs.bufs = kept
-	batchScratchPool.Put(bs)
-}
-
-// growPlans returns k reset plans, reusing each plan's chunk storage.
-func (bs *batchScratch) growPlans(k int) []QueryPlan {
-	for len(bs.plans) < k {
-		bs.plans = append(bs.plans, QueryPlan{})
-	}
-	plans := bs.plans[:k]
-	for i := range plans {
-		plans[i].reset()
-	}
-	return plans
-}
-
-// growLevels returns the per-level interval and run tables sized to k levels.
-func (bs *batchScratch) growLevels(k int) ([][]memberRun, [][]planRun) {
-	for len(bs.byLevel) < k {
-		bs.byLevel = append(bs.byLevel, nil)
-	}
-	for len(bs.runs) < k {
-		bs.runs = append(bs.runs, nil)
-	}
-	byLevel, runs := bs.byLevel[:k], bs.runs[:k]
-	for i := range byLevel {
-		byLevel[i] = byLevel[i][:0]
-	}
-	for i := range runs {
-		runs[i] = runs[i][:0]
-	}
-	return byLevel, runs
 }
 
 // QueryBatch answers a batch of range queries through the shared-scan
@@ -314,17 +248,30 @@ func (ox *Optimal) QueryBatch(rs []index.Range) ([]*cbitmap.Bitmap, index.QueryS
 // per-query merges — the three loops a wide batch spends its time in. The
 // stats are populated even on an error return (including the batch session's
 // failed read attempts), so retry layers can account every attempt.
-func (ox *Optimal) QueryBatchContext(ctx context.Context, rs []index.Range) (out []*cbitmap.Bitmap, stats index.QueryStats, err error) {
+func (ox *Optimal) QueryBatchContext(ctx context.Context, rs []index.Range) ([]*cbitmap.Bitmap, index.QueryStats, error) {
+	out := make([]*cbitmap.Bitmap, len(rs))
+	if len(rs) == 0 {
+		return out, index.QueryStats{}, nil
+	}
+	stats, err := ox.answer(ctx, rs, out)
+	if err != nil {
+		return nil, stats, err
+	}
+	return out, stats, nil
+}
+
+// answer sets out[i] to the answer of rs[i] in one session: duplicate ranges
+// share one answer, and every distinct range is planned — prefix-array reads
+// plus tree descent, attributed to its query when there are several, so the
+// sharing accounting is exact — and then executed with the others as one
+// batch. A single query is the batch of one range.
+func (ox *Optimal) answer(ctx context.Context, rs []index.Range, out []*cbitmap.Bitmap) (stats index.QueryStats, err error) {
 	for _, r := range rs {
 		if err := r.Valid(ox.tree.sigma); err != nil {
-			return nil, stats, err
+			return stats, err
 		}
 	}
-	out = make([]*cbitmap.Bitmap, len(rs))
-	if len(rs) == 0 {
-		return out, stats, nil
-	}
-	order := rs // one range — a fan-out's batch of one — is distinct as it stands
+	order := rs // one range is distinct as it stands
 	var uniq map[index.Range]int
 	if len(rs) > 1 {
 		uniq = make(map[index.Range]int, len(rs))
@@ -336,19 +283,6 @@ func (ox *Optimal) QueryBatchContext(ctx context.Context, rs []index.Range) (out
 			}
 		}
 	}
-	if len(order) == 1 {
-		// A batch with one distinct range has nothing to share: the
-		// single-query pipeline answers it without planner bookkeeping.
-		bm, st, err := ox.QueryContext(ctx, order[0])
-		if err != nil {
-			return nil, st, err
-		}
-		for i := range out {
-			out[i] = bm
-		}
-		return out, st, nil
-	}
-	n := ox.tree.n
 	tc := ox.disk.NewTouch()
 	defer tc.Close()
 	defer func() {
@@ -356,114 +290,121 @@ func (ox *Optimal) QueryBatchContext(ctx context.Context, rs []index.Range) (out
 		stats.SharedSaved = tc.SharedSaved()
 		stats.FailedReads = tc.FailedReads()
 	}()
-	bs := getBatchScratch()
-	defer bs.release()
-
-	// Phase 1 — plan every distinct query: prefix-array reads plus tree
-	// descent, attributed to the query so the sharing accounting is exact.
-	plans := bs.growPlans(len(order))
+	sc := getScratch()
+	defer sc.release()
+	plans := sc.growPlans(len(order))
 	for qi, r := range order {
 		if err := ctx.Err(); err != nil {
-			return nil, stats, err
+			return stats, err
 		}
-		tc.StartConsumer(qi)
+		if len(order) > 1 {
+			tc.StartConsumer(qi)
+		}
 		if err := ox.planInto(tc, r, &plans[qi]); err != nil {
-			return nil, stats, err
+			return stats, err
 		}
 	}
+	answers, err := sc.execute(ctx, tc, plans, ox.exactDir, len(ox.levels), ox.tree.n, &stats)
+	if err != nil {
+		return stats, err
+	}
+	for i, r := range rs {
+		out[i] = answers[uniq[r]]
+	}
+	return stats, nil
+}
 
-	// Phase 2 — coalesce per level and scan: overlapping or adjacent member
-	// runs merge into one (never across a gap, so the blocks read are exactly
-	// the blocks of the union of the planned extents), each coalesced extent
-	// is read once, and members with more than one subscriber are validated
-	// by a single Drain scan whose recorded largest position every consumer
-	// then reuses — unless a stable session validated them before, when the
-	// level's memo already holds it.
-	byLevel, runs := bs.growLevels(len(ox.levels))
+// execute answers plans in the caller's session, each over [0,univ), against
+// the member directories dirOf names for levels [0,levels): the exact sets,
+// the j-th hashed ones or a Warmup's nodes. The requested member runs are
+// coalesced per level — overlapping or adjacent runs merge into one, never
+// across a gap, so the blocks read are exactly the blocks of the union of
+// the planned extents — and each coalesced extent is read once. Members with
+// more than one subscriber are validated by a single Drain scan whose
+// recorded largest position every consumer then reuses, unless a stable
+// session validated them before, when the level's memo already holds it
+// (exact levels only: no other directory keeps one). Every plan then gets one
+// Stream view per member, positioned at the member's bit offset in the shared
+// extent buffer, and merges them. Only several plans share anything, so only
+// then are the extents attributed to their consumers. ctx is checked between
+// extent scans and between merges; the answers, one per plan, are the
+// scratch's until it is released.
+func (sc *queryScratch) execute(ctx context.Context, tc *iomodel.Touch, plans []QueryPlan, dirOf func(level int) memberDir, levels int, univ int64, stats *index.QueryStats) ([]*cbitmap.Bitmap, error) {
+	shares := len(plans) > 1
+	byLevel, runs := sc.growLevels(levels)
 	for qi := range plans {
 		for _, c := range plans[qi].Chunks {
 			byLevel[c.Level] = append(byLevel[c.Level], memberRun{c.I, c.J})
 		}
 	}
-	for li := range byLevel {
-		reqs := byLevel[li]
+	for li, reqs := range byLevel {
 		if len(reqs) == 0 {
 			continue
 		}
-		sort.Slice(reqs, func(a, b int) bool {
-			if reqs[a].i != reqs[b].i {
-				return reqs[a].i < reqs[b].i
-			}
-			return reqs[a].j < reqs[b].j
+		slices.SortFunc(reqs, func(a, b memberRun) int {
+			return cmp.Or(cmp.Compare(a.i, b.i), cmp.Compare(a.j, b.j))
 		})
 		cur := reqs[0]
 		for _, rq := range reqs[1:] {
 			if rq.i <= cur.j {
-				if rq.j > cur.j {
-					cur.j = rq.j
-				}
+				cur.j = max(cur.j, rq.j)
 				continue
 			}
 			runs[li] = append(runs[li], planRun{i: cur.i, j: cur.j})
 			cur = rq
 		}
 		runs[li] = append(runs[li], planRun{i: cur.i, j: cur.j})
-
-		lv := &ox.levels[li]
-		ri := 0
-		for _, rq := range reqs { // subscriber counts, interval difference form
-			for rq.i >= runs[li][ri].j {
-				ri++
-			}
-			run := &runs[li][ri]
-			if run.subs == nil {
-				run.subs = make([]int32, run.j-run.i+1)
-			}
-			run.subs[rq.i-run.i]++
-			run.subs[rq.j-run.i]--
+		if shares {
+			sc.countSubscribers(reqs, runs[li])
 		}
+		dir := dirOf(li)
+		lv, exact := dir.(*matLevel)
 		for ri := range runs[li] {
 			if err := ctx.Err(); err != nil {
-				return nil, stats, err
+				return nil, err
 			}
 			run := &runs[li][ri]
-			if run.cb, run.span, err = bs.readSpan(tc, lv, run.i, run.j, &stats); err != nil {
-				return nil, stats, err
+			var err error
+			if run.cb, run.span, err = sc.readSpan(tc, dir, run.i, run.j, stats); err != nil {
+				return nil, err
 			}
 			shared := false
-			acc := int32(0)
-			for k := run.i; k < run.j; k++ {
-				acc += run.subs[k-run.i]
-				run.subs[k-run.i] = acc
-				if acc > 1 {
-					shared = true
+			if run.subs != nil {
+				acc := int32(0)
+				for k := range run.j - run.i {
+					acc += run.subs[k]
+					run.subs[k] = acc
+					shared = shared || acc > 1
 				}
 			}
-			stable := tc.Stable()
+			stable := exact && tc.Stable()
 			if !shared && !stable {
 				continue
 			}
-			from := len(bs.lasts)
+			from := len(sc.lasts)
 			if stable {
-				bs.lasts = lv.knownLasts(bs.lasts, run.i, run.j)
+				sc.lasts = lv.knownLasts(sc.lasts, run.i, run.j)
 			} else {
 				for range run.j - run.i {
-					bs.lasts = append(bs.lasts, lastUnknown)
+					sc.lasts = append(sc.lasts, lastUnknown)
 				}
 			}
-			run.lasts = bs.lasts[from:]
+			run.lasts = sc.lasts[from:]
+			if !shared {
+				continue
+			}
 			var probe cbitmap.Stream
 			for k := run.i; k < run.j; k++ {
 				if run.subs[k-run.i] < 2 || run.lasts[k-run.i] != lastUnknown {
 					continue
 				}
-				m := &lv.members[k]
-				if err := probe.InitDecode(&run.cb.r, int(m.ext.Off-run.span.Off), int(m.ext.Bits), m.card, n, 0); err != nil {
-					return nil, stats, fmt.Errorf("core: level %d member %d (universe %d): %w", li, k, n, err)
+				ext, card := dir.entry(k)
+				if err := probe.InitDecode(&run.cb.r, int(ext.Off-run.span.Off), int(ext.Bits), card, univ, 0); err != nil {
+					return nil, fmt.Errorf("core: level %d member %d (universe %d): %w", li, k, univ, err)
 				}
 				last, err := probe.Drain()
 				if err != nil {
-					return nil, stats, fmt.Errorf("core: level %d member %d (universe %d): %w", li, k, n, err)
+					return nil, fmt.Errorf("core: level %d member %d (universe %d): %w", li, k, univ, err)
 				}
 				run.lasts[k-run.i] = last
 				if vl, ok := probe.ValidatedLast(); ok && stable {
@@ -473,40 +414,65 @@ func (ox *Optimal) QueryBatchContext(ctx context.Context, rs []index.Range) (out
 		}
 	}
 
-	// Phase 3 — scatter and merge: every query gets one Stream view per
-	// member of its plan, positioned at the member's recorded bit offset in
-	// the shared extent buffer, and merges them exactly as Query would.
-	answers := make([]*cbitmap.Bitmap, len(order))
-	for qi := range order {
+	sc.answers = sc.answers[:0]
+	for qi := range plans {
 		if err := ctx.Err(); err != nil {
-			return nil, stats, err
+			return nil, err
 		}
-		tc.StartConsumer(qi)
-		bs.streams = bs.streams[:0]
+		if shares {
+			tc.StartConsumer(qi)
+		}
+		sc.streams = sc.streams[:0]
 		for _, c := range plans[qi].Chunks {
-			lv := &ox.levels[c.Level]
+			dir := dirOf(c.Level)
 			lruns := runs[c.Level]
 			run := &lruns[sort.Search(len(lruns), func(x int) bool { return lruns[x].i > c.I })-1]
-			tc.NoteExtent(spanOf(lv, c.I, c.J))
+			if shares {
+				tc.NoteExtent(spanOf(dir, c.I, c.J))
+			}
 			lasts := run.lasts
 			if lasts != nil {
 				lasts = lasts[c.I-run.i:]
 			}
-			if err := bs.appendStreams(run.cb, run.span.Off, lv, c, n, lasts); err != nil {
-				return nil, stats, err
+			if err := sc.appendStreams(run.cb, run.span.Off, dir, c, univ, lasts); err != nil {
+				return nil, err
 			}
 		}
-		bm, err := bs.merge(n, plans[qi].Complement, plans[qi].Ordered)
+		bm, err := sc.merge(univ, plans[qi].Complement, plans[qi].Ordered)
 		if err != nil {
-			return nil, stats, err
+			return nil, err
 		}
 		if tc.Stable() {
-			ox.remember(plans[qi].Chunks, bs.streams)
+			remember(dirOf, plans[qi].Chunks, sc.streams)
 		}
-		answers[qi] = bm
+		sc.answers = append(sc.answers, bm)
 	}
-	for i, r := range rs {
-		out[i] = answers[uniq[r]]
+	return sc.answers, nil
+}
+
+// countSubscribers gives each of a level's coalesced runs, from the scratch's
+// slab, the number of requests reqs (sorted, as the runs were coalesced from)
+// that subscribe to each of its members, in interval difference form: one
+// slot per member plus one past the run's end, summed by the scan.
+func (sc *queryScratch) countSubscribers(reqs []memberRun, runs []planRun) {
+	need := 0
+	for _, run := range runs {
+		need += run.j - run.i + 1
 	}
-	return out, stats, nil
+	sc.subs = slices.Grow(sc.subs[:0], need)[:need]
+	clear(sc.subs)
+	for ri, off := 0, 0; ri < len(runs); ri++ {
+		w := runs[ri].j - runs[ri].i + 1
+		runs[ri].subs = sc.subs[off : off+w : off+w]
+		off += w
+	}
+	ri := 0
+	for _, rq := range reqs {
+		for rq.i >= runs[ri].j {
+			ri++
+		}
+		run := &runs[ri]
+		run.subs[rq.i-run.i]++
+		run.subs[rq.j-run.i]--
+	}
 }

@@ -57,6 +57,13 @@ func FuzzQueryBatchPlanner(f *testing.F) {
 			if !cbitmap.Equal(got[i], want) {
 				t.Fatalf("range %v: batch answer differs from single query", r)
 			}
+			ref, _, err := ox.QueryUnfused(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !cbitmap.Equal(got[i], ref) || !cbitmap.Equal(want, ref) {
+				t.Fatalf("range %v: answer differs from the decode-then-union oracle", r)
+			}
 			if j, ok := seen[r]; ok {
 				if got[i] != got[j] {
 					t.Fatalf("duplicate range %v did not share its answer", r)

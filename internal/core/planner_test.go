@@ -76,6 +76,15 @@ func runBatchOracle(t *testing.T, ox *Optimal, rs []index.Range) index.QueryStat
 		if !cbitmap.Equal(got[i], want) {
 			t.Fatalf("range %d %v: batch answer differs from single query", i, r)
 		}
+		// Query runs the batch executor too: the decode-then-union oracle is
+		// the independent reference both answers are held to.
+		ref, _, err := ox.QueryUnfused(r)
+		if err != nil {
+			t.Fatalf("QueryUnfused %v: %v", r, err)
+		}
+		if !cbitmap.Equal(got[i], ref) || !cbitmap.Equal(want, ref) {
+			t.Fatalf("range %d %v: answer differs from the decode-then-union oracle", i, r)
+		}
 		if j, ok := seen[r]; ok {
 			if got[i] != got[j] {
 				t.Fatalf("duplicate range %v did not share its answer", r)

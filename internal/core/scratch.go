@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"slices"
 	"sync"
@@ -27,19 +26,25 @@ type chunkBuf struct {
 
 func newChunkBuf() *chunkBuf { return &chunkBuf{w: bitio.NewWriter(0)} }
 
-// queryScratch is the pooled per-query state of the fused streaming
-// pipeline: the query's plan, one decode stream per cover member, and the
-// extent buffers the streams read from. A query borrows a scratch, plans
-// into it, reads its spans, merges, and releases — so the steady-state query
-// path allocates little beyond the answer it returns. The updatable kinds
-// also gather the positions their update buffers hold into one overlay.
+// queryScratch is the pooled per-operation state of the fused streaming
+// pipeline: the plans execute answers, the per-level request and run tables
+// it coalesces them into, one decode stream per member of the plan being
+// merged, and the extent buffers the streams read from. A query — a batch of
+// one plan — or a batch borrows a scratch, plans into it, executes and
+// releases, so the steady-state query path allocates little beyond the
+// answers it returns. The updatable kinds also gather the positions their
+// update buffers hold into one overlay.
 type queryScratch struct {
-	plan    QueryPlan
+	plans   []QueryPlan
+	byLevel [][]memberRun     // each level's requested runs (execute)
+	runs    [][]planRun       // each level's coalesced runs (execute)
+	subs    []int32           // one level's subscriber counts, carved into its runs
+	lasts   []int64           // the runs' member lasts, carved into them
+	answers []*cbitmap.Bitmap // one per plan, in plan order
 	streams []cbitmap.Stream
 	ptrs    []*cbitmap.Stream
-	lasts   []int64 // member lasts: one chunk's (readFrontier), a batch's runs' (QueryBatch)
 	bufs    []*chunkBuf
-	used    int // bufs handed out this query
+	used    int // bufs handed out this operation
 
 	overlay []int64    // positions merged as one in-memory stream (addOverlay)
 	leaves  []*pnode   // one point-index descent's leaves, in key order (collect)
@@ -51,28 +56,67 @@ var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
 
 func getScratch() *queryScratch { return scratchPool.Get().(*queryScratch) }
 
-func (sc *queryScratch) release() {
-	sc.reset()
-	scratchPool.Put(sc)
-}
+// scratchBufMaxBytes bounds the extent buffers a pooled scratch keeps: a wide
+// query or batch can read near-whole-level extents, and pooling those would
+// pin megabytes behind every later small query (the same oversized-pooled-
+// object hazard the Touch, chain-writer and decode-scratch pools guard
+// against). Oversized buffers are dropped for the collector.
+const scratchBufMaxBytes = 1 << 20
 
-// reset empties the scratch for its pool. The stream structs are cleared
-// before truncating: they reference the chunk buffers, and an idle pool
+// release empties the scratch and returns it to its pool. The stream
+// structs, run tables and answers are cleared before truncating: they
+// reference the chunk buffers and the answers handed out, and an idle pool
 // entry should retain only the buffers it owns (sc.bufs), not stale views of
 // them.
-func (sc *queryScratch) reset() {
+func (sc *queryScratch) release() {
 	clear(sc.streams)
 	clear(sc.ptrs)
 	clear(sc.leaves)
+	clear(sc.answers)
+	for i := range sc.runs {
+		clear(sc.runs[i])
+		sc.runs[i] = sc.runs[i][:0]
+	}
 	sc.streams = sc.streams[:0]
 	sc.ptrs = sc.ptrs[:0]
 	sc.lasts = sc.lasts[:0]
+	sc.answers = sc.answers[:0]
 	sc.overlay = sc.overlay[:0]
 	sc.leaves = sc.leaves[:0]
 	sc.pending = sc.pending[:0]
 	sc.appends = sc.appends[:0]
 	sc.used = 0
-	sc.plan.reset()
+	kept := sc.bufs[:0]
+	for _, cb := range sc.bufs {
+		if cap(cb.w.Bytes()) <= scratchBufMaxBytes {
+			kept = append(kept, cb)
+		}
+	}
+	clear(sc.bufs[len(kept):])
+	sc.bufs = kept
+	scratchPool.Put(sc)
+}
+
+// growPlans returns k reset plans, reusing each plan's chunk storage.
+func (sc *queryScratch) growPlans(k int) []QueryPlan {
+	for len(sc.plans) < k {
+		sc.plans = append(sc.plans, QueryPlan{})
+	}
+	for i := range k {
+		sc.plans[i].reset()
+	}
+	return sc.plans[:k]
+}
+
+// growLevels returns the per-level request and run tables sized to k levels.
+func (sc *queryScratch) growLevels(k int) ([][]memberRun, [][]planRun) {
+	for len(sc.runs) < k {
+		sc.byLevel, sc.runs = append(sc.byLevel, nil), append(sc.runs, nil)
+	}
+	for i := range k {
+		sc.byLevel[i], sc.runs[i] = sc.byLevel[i][:0], sc.runs[i][:0]
+	}
+	return sc.byLevel[:k], sc.runs[:k]
 }
 
 // nextBuf hands out a reset chunk buffer, growing the pool of buffers the
@@ -103,9 +147,9 @@ func spanOf(dir memberDir, i, j int) iomodel.Extent {
 }
 
 // readSpan is the extent reader under every static query: it reads the span
-// of members [i,j) of dir through tc — a query's session or a batch's, which
-// attributes nothing to its consumers here — into a pooled buffer, which it
-// returns with the span it holds.
+// of members [i,j) of dir through tc, which attributes nothing to a batch's
+// consumers here, into a pooled buffer, which it returns with the span it
+// holds.
 func (sc *queryScratch) readSpan(tc *iomodel.Touch, dir memberDir, i, j int, stats *index.QueryStats) (*chunkBuf, iomodel.Extent, error) {
 	span := spanOf(dir, i, j)
 	cb := sc.nextBuf()
@@ -121,8 +165,9 @@ func (sc *queryScratch) readSpan(tc *iomodel.Touch, dir memberDir, i, j int, sta
 // a view of its own bit range of cb, which holds the device's bits from
 // offset base on: no member bitmap is materialised, and the downstream merge
 // decodes each gap exactly once. A stream validates its positions against
-// [0,univ) while it is merged, unless a shared scan already did and recorded
-// the member's largest position in lasts (indexed from c.I; nil: none did).
+// [0,univ) while it is merged, unless a shared scan or an earlier stable
+// session already did and lasts holds the member's largest position (indexed
+// from c.I; nil: none did).
 func (sc *queryScratch) appendStreams(cb *chunkBuf, base int64, dir memberDir, c PlanChunk, univ int64, lasts []int64) error {
 	for k := c.I; k < c.J; k++ {
 		ext, card := dir.entry(k)
@@ -137,34 +182,6 @@ func (sc *queryScratch) appendStreams(cb *chunkBuf, base int64, dir memberDir, c
 			return fmt.Errorf("core: level %d member %d (universe %d): %w", c.Level, k, univ, err)
 		}
 		sc.streams = append(sc.streams, s)
-	}
-	return nil
-}
-
-// readFrontier executes the read half of a plan against one copy of the
-// members — dirOf(level) names the exact sets or the j-th hashed ones: one
-// span read per chunk, one stream per member. An exact member whose bits a
-// stable session validated before is opened as a replay view, provided the
-// session is still stable after reading this chunk's bits. ctx is checked
-// between chunks, the cancellation granularity of a single query.
-func (sc *queryScratch) readFrontier(ctx context.Context, tc *iomodel.Touch, chunks []PlanChunk, dirOf func(level int) memberDir, univ int64, stats *index.QueryStats) error {
-	for _, c := range chunks {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		dir := dirOf(c.Level)
-		cb, span, err := sc.readSpan(tc, dir, c.I, c.J, stats)
-		if err != nil {
-			return err
-		}
-		var lasts []int64
-		if lv, ok := dir.(*matLevel); ok && tc.Stable() {
-			sc.lasts = lv.knownLasts(sc.lasts[:0], c.I, c.J)
-			lasts = sc.lasts
-		}
-		if err := sc.appendStreams(cb, span.Off, dir, c, univ, lasts); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -171,9 +171,9 @@ func (wx *Warmup) cover(plan *QueryPlan, lo, hi int64) {
 }
 
 // Query implements index.Index on the static executor: the two prefix reads
-// give z, the cover is planned into the pooled QueryPlan, and readFrontier
-// and merge run it exactly as they run an Optimal plan — one fused
-// decode-merge pass, complemented in the same pass on the dense path.
+// give z, the cover is planned into a pooled QueryPlan, and execute runs it
+// exactly as it runs an Optimal plan — one fused decode-merge pass,
+// complemented in the same pass on the dense path.
 func (wx *Warmup) Query(r index.Range) (out *cbitmap.Bitmap, stats index.QueryStats, err error) {
 	if err = r.Valid(wx.sigma); err != nil {
 		return nil, stats, err
@@ -190,7 +190,8 @@ func (wx *Warmup) Query(r index.Range) (out *cbitmap.Bitmap, stats index.QuerySt
 	}
 	sc := getScratch()
 	defer sc.release()
-	plan := &sc.plan
+	plans := sc.growPlans(1)
+	plan := &plans[0]
 	plan.Complement = qhi-qlo > wx.n/2 && !wx.opts.NoComplement
 	last := uint32(wx.sigma - 1)
 	// Planning reads nothing, so it cannot fail.
@@ -204,11 +205,11 @@ func (wx *Warmup) Query(r index.Range) (out *cbitmap.Bitmap, stats index.QuerySt
 		return nil
 	})
 	dirOf := func(level int) memberDir { return &wx.levels[level] }
-	if err = sc.readFrontier(context.Background(), tc, plan.Chunks, dirOf, wx.n, &stats); err != nil {
+	answers, err := sc.execute(context.Background(), tc, plans, dirOf, len(wx.levels), wx.n, &stats)
+	if err != nil {
 		return nil, stats, err
 	}
-	out, err = sc.merge(wx.n, plan.Complement, false)
-	return out, stats, err
+	return answers[0], stats, nil
 }
 
 var _ index.Index = (*Warmup)(nil)

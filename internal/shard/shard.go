@@ -471,10 +471,10 @@ func (sx *Index) QueryExec(ctx context.Context, r index.Range, eo ExecOptions) (
 }
 
 // shardBatchQuery is the per-shard entry point of every fan-out: the shard
-// runs the distinct ranges through core's batch entry, which answers one
-// range with the single-query pipeline and several through the shared-scan
-// planner, so ranges that overlap coalesce their cover-chunk reads inside
-// every shard. It is a variable so tests can inject failing shards.
+// runs the distinct ranges through core's batch entry, whose one executor
+// answers a single range as a batch of one plan and several in one shared
+// scan, so ranges that overlap coalesce their cover-chunk reads inside every
+// shard. It is a variable so tests can inject failing shards.
 var shardBatchQuery = func(ctx context.Context, sh *shard, rs []index.Range) ([]*cbitmap.Bitmap, index.QueryStats, error) {
 	return sh.ax.QueryBatchContext(ctx, rs)
 }

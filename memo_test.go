@@ -201,6 +201,17 @@ func raceQueries(data []uint32, ix *Index, sx *ShardedIndex, ranges []Range, w i
 		if err := check("sharded Query", r, res, err); err != nil {
 			return err
 		}
+		// eps 0.9 sends the narrowest ranges down the hashed branch and the
+		// rest down the exact fallback; either answer is a superset.
+		ares, _, err := ix.ApproxQuery(r.Lo, r.Hi, 0.9)
+		if err != nil {
+			return fmt.Errorf("ApproxQuery [%d,%d]: %v", r.Lo, r.Hi, err)
+		}
+		for _, row := range bruteRange(data, r.Lo, r.Hi) {
+			if !ares.Contains(row) {
+				return fmt.Errorf("ApproxQuery [%d,%d]: row %d missing", r.Lo, r.Hi, row)
+			}
+		}
 		if i%8 == 7 {
 			batch := ranges[i-7 : i+1]
 			out, _, err := ix.QueryBatch(batch)
