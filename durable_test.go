@@ -572,3 +572,35 @@ func TestValidationPrecedesLogging(t *testing.T) {
 		t.Fatalf("LastSeq = %d, want 1", o.LastSeq())
 	}
 }
+
+// TestOpenRejectsNegativeGroupOps: GroupOps bounds the unsynced window, and
+// the log writer only syncs a window that is positive, so a negative value
+// would acknowledge operations that never become durable. The open must fail
+// instead, and leave no lock behind.
+func TestOpenRejectsNegativeGroupOps(t *testing.T) {
+	ix, err := BuildAppend([]uint32{0, 1, 2, 1}, 3, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "app.secidx")
+	if err := ix.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if o, err := OpenFile(path, OpenOptions{WAL: &WALOptions{Policy: SyncGrouped, GroupOps: -1}}); err == nil {
+		o.Close()
+		t.Fatal("GroupOps -1 accepted")
+	}
+	o, err := OpenFile(path, OpenOptions{WAL: &WALOptions{Policy: SyncGrouped, GroupOps: 2}})
+	if err != nil {
+		t.Fatalf("valid open after the rejected one: %v", err)
+	}
+	defer o.Close()
+	for i := 0; i < 4; i++ {
+		if _, err := o.Append.Append(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if o.DurableSeq() == 0 {
+		t.Fatal("four grouped appends with GroupOps 2 left nothing durable")
+	}
+}

@@ -6,6 +6,8 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -356,5 +358,62 @@ func TestWritableReopenRejectsDamagedColumn(t *testing.T) {
 	}
 	if _, err := OpenFile(path, OpenOptions{WAL: &WALOptions{}}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("writable open over a damaged column section: error %v, want ErrCorrupt", err)
+	}
+}
+
+// TestStaticMethodSets pins the exported method sets of Index and
+// ShardedIndex. Both embed one shared type, and Go promotes every exported
+// method of an embedded field to both handles, so a method exported on the
+// shared type by mistake (QueryBatchExec, say) would silently widen Index.
+func TestStaticMethodSets(t *testing.T) {
+	want := map[reflect.Type][]string{
+		reflect.TypeOf((*Index)(nil)): {
+			"ApproxQuery(uint32, uint32, float64) (*secidx.ApproxResult, index.QueryStats, error)",
+			"ApproxQueryContext(context.Context, uint32, uint32, float64) (*secidx.ApproxResult, index.QueryStats, error)",
+			"ArmFaults()",
+			"DisarmFaults()",
+			"Len() int64",
+			"Query(uint32, uint32) (*secidx.Result, index.QueryStats, error)",
+			"QueryBatch([]index.Range) ([]*secidx.Result, index.QueryStats, error)",
+			"QueryBatchContext(context.Context, []index.Range) ([]*secidx.Result, index.QueryStats, error)",
+			"QueryContext(context.Context, uint32, uint32) (*secidx.Result, index.QueryStats, error)",
+			"QueryExec(context.Context, uint32, uint32, secidx.QueryOptions) (*secidx.Result, index.QueryStats, error)",
+			"Serve(secidx.ServerConfig) (*secidx.Server, error)",
+			"Sigma() int",
+			"SizeBits() int64",
+			"SpaceLedger() core.SpaceLedger",
+			"WriteFile(string) error",
+		},
+		reflect.TypeOf((*ShardedIndex)(nil)): {
+			"ArmFaults()",
+			"DeviceStats() iomodel.StatsSnapshot",
+			"DisarmFaults()",
+			"Len() int64",
+			"Query(uint32, uint32) (*secidx.Result, index.QueryStats, error)",
+			"QueryBatch([]index.Range) ([]*secidx.Result, index.QueryStats, error)",
+			"QueryBatchContext(context.Context, []index.Range) ([]*secidx.Result, index.QueryStats, error)",
+			"QueryBatchExec(context.Context, []index.Range, secidx.QueryOptions) ([]*secidx.Result, index.QueryStats, []shard.ShardError, error)",
+			"QueryContext(context.Context, uint32, uint32) (*secidx.Result, index.QueryStats, error)",
+			"QueryExec(context.Context, uint32, uint32, secidx.QueryOptions) (*secidx.Result, index.QueryStats, []shard.ShardError, error)",
+			"ResetDeviceStats()",
+			"Serve(secidx.ServerConfig) (*secidx.Server, error)",
+			"Shards() int",
+			"Sigma() int",
+			"SizeBits() int64",
+			"SpaceLedger() []core.SpaceLedger",
+			"WriteFile(string) error",
+		},
+	}
+	for typ, methods := range want {
+		var got []string
+		for i := 0; i < typ.NumMethod(); i++ {
+			m := typ.Method(i)
+			// Drop the receiver, the method type's first parameter.
+			sig := strings.TrimPrefix(m.Type.String(), "func("+typ.String())
+			got = append(got, m.Name+"("+strings.TrimPrefix(sig, ", "))
+		}
+		if !reflect.DeepEqual(got, methods) {
+			t.Errorf("%s methods:\n got %q\nwant %q", typ, got, methods)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/bitio"
+	"repro/internal/gamma"
 	"repro/internal/index"
 	"repro/internal/iomodel"
 )
@@ -89,13 +90,15 @@ func (pt *PositionTranslator) SizeBits() int64 {
 	return int64(pt.nBlocks) * int64(pt.disk.BlockBits())
 }
 
-// writeLeaf encodes a leaf's positions into its block, charging I/Os.
+// writeLeaf encodes a leaf's positions into its block — a 32-bit count,
+// then the gamma-coded gaps — charging I/Os. A leaf that would not fit its
+// block fails instead of spilling into the next one.
 func (pt *PositionTranslator) writeLeaf(tc *iomodel.Touch, nd *ptNode) error {
 	w := bitio.NewWriter(pt.disk.BlockBits())
 	w.WriteBits(uint64(len(nd.pos)), 32)
 	prev := int64(-1)
 	for _, p := range nd.pos {
-		writeGammaGap(w, p, prev)
+		gamma.Write(w, uint64(p-prev))
 		prev = p
 	}
 	nd.maxP = -1
@@ -103,15 +106,36 @@ func (pt *PositionTranslator) writeLeaf(tc *iomodel.Touch, nd *ptNode) error {
 		nd.maxP = nd.pos[len(nd.pos)-1]
 	}
 	nd.cnt = int64(len(nd.pos))
-	return tc.WriteStream(iomodel.Extent{Off: pt.disk.BlockOff(nd.blk), Bits: int64(w.Len())}, w)
+	return tc.WriteStream(iomodel.Extent{Off: pt.disk.BlockOff(nd.blk), Bits: int64(pt.disk.BlockBits())}, w)
 }
 
-func writeGammaGap(w *bitio.Writer, p, prev int64) {
-	// gamma of (p - prev), always >= 1.
-	v := uint64(p - prev)
-	n := bitsLen(int64(v))
-	w.WriteUnary(n - 1)
-	w.WriteBits(v, n-1)
+// split returns the index at which a leaf holding pos splits, or 0 when it
+// is kept: within leafCap positions and within its block. leafCap bounds the
+// gaps of the universe the translator was created over; positions appended
+// since (Extend) code longer gaps, and a leaf too big for its block splits
+// where its encoded bits balance, since halving the count need not halve
+// the bits.
+func (pt *PositionTranslator) split(pos []int64) int {
+	bits, prev := 32, int64(-1)
+	for _, p := range pos {
+		bits += gamma.Len(uint64(p - prev))
+		prev = p
+	}
+	if bits <= pt.disk.BlockBits() {
+		if len(pos) <= pt.leafCap {
+			return 0
+		}
+		return len(pos) / 2
+	}
+	acc := 32
+	prev = -1
+	for i, p := range pos {
+		if acc += gamma.Len(uint64(p - prev)); acc > bits/2 {
+			return min(max(i, 1), len(pos)-1)
+		}
+		prev = p
+	}
+	return len(pos) - 1
 }
 
 // chargeRead marks a node's block read.
@@ -181,11 +205,10 @@ func (pt *PositionTranslator) insert(tc *iomodel.Touch, nd *ptNode, p int64) (bo
 		nd.pos = append(nd.pos, 0)
 		copy(nd.pos[lo+1:], nd.pos[lo:])
 		nd.pos[lo] = p
-		if len(nd.pos) <= pt.leafCap {
+		mid := pt.split(nd.pos)
+		if mid == 0 {
 			return true, nil, pt.writeLeaf(tc, nd)
 		}
-		// Split.
-		mid := len(nd.pos) / 2
 		right := &ptNode{leaf: true, blk: pt.disk.AllocBlock(), pos: append([]int64(nil), nd.pos[mid:]...)}
 		pt.nBlocks++
 		nd.pos = nd.pos[:mid:mid]

@@ -231,3 +231,49 @@ func TestPositionTranslatorBoundsAndRebuildSignal(t *testing.T) {
 		t.Fatal("tiny blocks accepted")
 	}
 }
+
+// TestPositionTranslatorLeafFitsAfterExtend: leafCap is sized from the
+// universe at creation, and Extend keeps it, so once positions outgrow that
+// universe a leaf of leafCap gaps no longer fits its block. Deletes must
+// split such a leaf instead of writing into the next block on the device.
+func TestPositionTranslatorLeafFitsAfterExtend(t *testing.T) {
+	d := iomodel.NewDisk(iomodel.Config{BlockBits: 1024})
+	pt, err := NewPositionTranslator(d, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pt.leafCap != 90 {
+		t.Fatalf("leafCap = %d, want 90", pt.leafCap)
+	}
+	// The next block belongs to someone else: fill it with a pattern.
+	next := d.AllocBlock()
+	const pattern = 0xa5a5a5a5a5a5a5a5
+	tc := d.NewTouch()
+	for off := int64(0); off < 1024; off += 64 {
+		if err := tc.WriteBits(d.BlockOff(next)+off, pattern, 64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tc.Close()
+	if err := pt.Extend(100000); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 90; i++ {
+		if _, err := pt.Delete(i * 1000); err != nil {
+			t.Fatalf("Delete(%d): %v", i*1000, err)
+		}
+	}
+	tc = d.NewTouch()
+	defer tc.Close()
+	for off := int64(0); off < 1024; off += 64 {
+		if v, err := tc.ReadBits(d.BlockOff(next)+off, 64); err != nil || v != pattern {
+			t.Fatalf("block after the leaf, bit %d: %#x, %v (want %#x)", off, v, err, uint64(pattern))
+		}
+	}
+	for i := int64(0); i < 90; i++ {
+		p := i*1000 + 500
+		if live, ok, _, err := pt.RawToLive(p); err != nil || !ok || live != p-i-1 {
+			t.Fatalf("RawToLive(%d) = %d, %v, %v; want %d", p, live, ok, err, p-i-1)
+		}
+	}
+}

@@ -14,12 +14,21 @@
 # The base tree is a `git archive` of base-ref in a temporary directory
 # outside the checkout, removed on exit; each side builds benchmark/ from its
 # own source (benchmark/bench.sh). For every end-to-end metric the script
-# prints both sides' medians and q1-q3 and the number of pairs the change won
-# (by the metric's "better" direction in BENCHMARK.json), then every pair's
-# query_per_s and query_p50_us. It exits 1 when a counted metric
-# (blocks_per_query, read_amp, bits_per_row) differs between the two runs of
-# any pair, when the change fails more operations than the base or when a run
-# answers wrongly, and 2 on a usage error.
+# prints both sides' medians and q1-q3, the number of pairs the change won
+# (by the metric's "better" direction in BENCHMARK.json) and a verdict, then
+# every pair's query_per_s and query_p50_us. The verdict, with the metric's
+# BENCHMARK.json bound taken relative to the base's median:
+#   regression     the change's median is worse than the base's by more than
+#                  the bound;
+#   gain           the change won at least 9/10 of the pairs and its median is
+#                  better by more than the base's q1-q3 spread;
+#   unresolved     the base's q1-q3 spread is wider than the bound and not
+#                  every change run beats every base run;
+#   no regression  otherwise.
+# It exits 1 on a regression, when a counted metric (blocks_per_query,
+# read_amp, bits_per_row) differs between the two runs of any pair, when the
+# change fails more operations than the base or when a run answers wrongly,
+# and 2 on a usage error.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -61,7 +70,9 @@ for wl in $WORKLOADS; do
 import json, statistics, sys
 
 wl, path = sys.argv[1], sys.argv[2]
-better = {m['name']: m['better'] for m in json.load(open('BENCHMARK.json'))['end_to_end']}
+e2e = json.load(open('BENCHMARK.json'))['end_to_end']
+better = {m['name']: m['better'] for m in e2e}
+bound = {m['name']: m['bound'] for m in e2e}
 counted = ('blocks_per_query', 'read_amp', 'bits_per_row')
 runs = {'base': {}, 'change': {}}
 for line in open(path):
@@ -87,12 +98,23 @@ for metric, way in better.items():
     ok = [s for s in seeds if val('base', s, metric) is not None and val('change', s, metric) is not None]
     if not ok:
         continue
-    b = quart([val('base', s, metric) for s in ok])
-    c = quart([val('change', s, metric) for s in ok])
-    won = sum((val('change', s, metric) < val('base', s, metric)) if way == 'lower'
-              else (val('change', s, metric) > val('base', s, metric)) for s in ok)
+    bv, cv = [val('base', s, metric) for s in ok], [val('change', s, metric) for s in ok]
+    b, c = quart(bv), quart(cv)
+    sign = 1 if way == 'lower' else -1  # sign * (x - y) > 0: x is worse than y
+    won = sum(sign * (val('base', s, metric) - val('change', s, metric)) > 0 for s in ok)
+    # The simplicity-review verdict, bounds relative to the base's median.
+    if sign * (c[0] - b[0]) > bound[metric] * abs(b[0]):
+        verdict = 'regression'
+        bad.append(f'{metric} regressed by more than its bound {bound[metric]}')
+    elif won >= 0.9 * len(ok) and sign * (b[0] - c[0]) > b[2] - b[1]:
+        verdict = 'gain'
+    elif b[2] - b[1] > bound[metric] * abs(b[0]) and not (
+            max(cv) < min(bv) if way == 'lower' else min(cv) > max(bv)):
+        verdict = 'unresolved'
+    else:
+        verdict = 'no regression'
     print(f'  {metric:17s} base {b[0]:.6g} (q1-q3 {b[1]:.6g}-{b[2]:.6g})  '
-          f'change {c[0]:.6g} (q1-q3 {c[1]:.6g}-{c[2]:.6g})  change won {won}/{len(ok)}')
+          f'change {c[0]:.6g} (q1-q3 {c[1]:.6g}-{c[2]:.6g})  change won {won}/{len(ok)}  {verdict}')
     if metric in counted:
         bad += [f'{metric} differs on seed {s}' for s in ok if val('base', s, metric) != val('change', s, metric)]
 for s in seeds:

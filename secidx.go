@@ -25,10 +25,10 @@ import (
 	"fmt"
 
 	"repro/internal/cbitmap"
+	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/iomodel"
-	"repro/internal/shard"
 	"repro/internal/workload"
 )
 
@@ -170,13 +170,11 @@ func runQuery(ctx context.Context, q queryable, lo, hi uint32) (*Result, Stats, 
 	return &Result{bm: bm}, st, nil
 }
 
-// Index is the static secondary index of Theorems 2 and 3.
+// Index is the static secondary index of Theorems 2 and 3: a ShardedIndex
+// with one shard, plus the approximate queries that read its hashed levels.
 type Index struct {
+	static
 	ax *core.Approx
-	// sx is the same structure viewed as a one-shard index: the exact-query,
-	// retry, batch and serving paths are the sharded ones.
-	sx   *shard.Index
-	opts Options
 }
 
 // Build constructs a static index over data (values in [0,sigma)): the
@@ -186,25 +184,9 @@ func Build(data []uint32, sigma int, opts Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Index{ax: sh.sx.Parts()[0].Ax, sx: sh.sx, opts: opts}, nil
+	sh.kind = container.KindStatic
+	return &Index{static: sh.static, ax: sh.sx.Parts()[0].Ax}, nil
 }
-
-// ArmFaults starts fault injection on an index built with Options.Faults
-// (no-op otherwise). Faults then surface through Query errors and the
-// FailedReads/RetriedReads counters of Stats.
-func (ix *Index) ArmFaults() { ix.sx.ArmFaults() }
-
-// DisarmFaults stops fault injection.
-func (ix *Index) DisarmFaults() { ix.sx.DisarmFaults() }
-
-// Len returns the number of rows indexed.
-func (ix *Index) Len() int64 { return ix.ax.Len() }
-
-// Sigma returns the alphabet size.
-func (ix *Index) Sigma() int { return ix.ax.Sigma() }
-
-// SizeBits returns the index's total space usage in bits.
-func (ix *Index) SizeBits() int64 { return ix.ax.SizeBits() }
 
 // SpaceLedger itemises where a static index's (or one shard's) bits go: the
 // exact levels, the hashed levels of Theorem 3, the prefix array, the tree
@@ -214,18 +196,6 @@ type SpaceLedger = core.SpaceLedger
 // SpaceLedger decomposes SizeBits (cmd/secidx -inspect prints it).
 func (ix *Index) SpaceLedger() SpaceLedger { return ix.ax.SpaceLedger() }
 
-// Query answers I[lo;hi] exactly.
-func (ix *Index) Query(lo, hi uint32) (*Result, Stats, error) {
-	return runQuery(context.Background(), ix.sx, lo, hi)
-}
-
-// QueryContext answers I[lo;hi] exactly, honouring ctx: the query pipeline
-// checkpoints cancellation between cover members and aborts with the context
-// error. Stats are populated even on error.
-func (ix *Index) QueryContext(ctx context.Context, lo, hi uint32) (*Result, Stats, error) {
-	return runQuery(ctx, ix.sx, lo, hi)
-}
-
 // QueryExec answers I[lo;hi] with fault-tolerant execution: transient
 // device-read failures are retried under opts.Retry with exponential
 // backoff, honouring ctx during waits. Permanent and corruption faults are
@@ -234,27 +204,8 @@ func (ix *Index) QueryContext(ctx context.Context, lo, hi uint32) (*Result, Stat
 // attempt: FailedReads counts the faulted device reads, RetriedReads the
 // re-issued query attempts, mirroring the sharded counters.
 func (ix *Index) QueryExec(ctx context.Context, lo, hi uint32, opts QueryOptions) (*Result, Stats, error) {
-	res, st, _, err := execQuery(ctx, ix.sx, lo, hi, QueryOptions{Retry: opts.Retry})
+	res, st, _, err := ix.execQuery(ctx, lo, hi, QueryOptions{Retry: opts.Retry})
 	return res, st, err
-}
-
-// QueryBatch answers a batch of ranges through the shared-scan batch
-// planner: the whole batch is planned at cover-chunk granularity, duplicate
-// ranges are deduplicated (they share one answer), overlapping ranges
-// coalesce their cover reads, and every coalesced extent is read — and its
-// shared members validated — once for the batch; each subscribing query then
-// merges its own stream views over the shared buffers. Answers are
-// bit-identical to looped Query calls; the i-th result corresponds to
-// ranges[i]. Stats are batch-level (see Stats).
-func (ix *Index) QueryBatch(ranges []Range) ([]*Result, Stats, error) {
-	return ix.QueryBatchContext(context.Background(), ranges)
-}
-
-// QueryBatchContext answers like QueryBatch, honouring ctx: the batch
-// planner checkpoints cancellation in its plan, scan and merge loops.
-func (ix *Index) QueryBatchContext(ctx context.Context, ranges []Range) ([]*Result, Stats, error) {
-	out, st, _, err := execBatch(ctx, ix.sx, ranges, QueryOptions{})
-	return out, st, err
 }
 
 // ApproxResult is the answer of an approximate query: a superset of the

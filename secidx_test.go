@@ -262,3 +262,40 @@ func TestDynamicLivePositions(t *testing.T) {
 		t.Fatal("change of deleted row accepted")
 	}
 }
+
+// TestDynamicDeleteAfterManyAppends grows a dynamic index far past the rows
+// it was built over and then deletes across the grown range: the position
+// translator's leaves, sized for the initial rows, must still fit their
+// blocks.
+func TestDynamicDeleteAfterManyAppends(t *testing.T) {
+	x := randColumn(16, 4, 35)
+	ix, err := BuildDynamic(x, 4, Options{BlockBits: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100000; i++ {
+		ch := uint32(i % 4)
+		if _, err := ix.Append(ch); err != nil {
+			t.Fatal(err)
+		}
+		x = append(x, ch)
+	}
+	var deleted int64
+	for p := int64(0); p < ix.Len(); p += 331 {
+		if _, err := ix.Delete(p); err != nil {
+			t.Fatalf("Delete(%d): %v", p, err)
+		}
+		x[p] = 4
+		deleted++
+	}
+	if got, want := ix.LiveLen(), ix.Len()-deleted; got != want {
+		t.Fatalf("LiveLen = %d, want %d", got, want)
+	}
+	res, _, err := ix.Query(1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(len(bruteRange(x, 1, 2))); res.Card() != want {
+		t.Fatalf("card %d, want %d", res.Card(), want)
+	}
+}

@@ -340,24 +340,13 @@ var ErrLocked = errors.New("secidx: container is locked by another writable hand
 var errReopened = errors.New("secidx: index was reopened from a file; its image lives in that file already")
 
 // WriteFile serialises the index to path in the v2 container format,
-// atomically (temp file and rename). The written file reopens with OpenFile
-// and serves queries directly from disk.
-func (ix *Index) WriteFile(path string) error {
-	return writeShards(path, container.KindStatic, ix.sx, ix.opts)
-}
-
-// WriteFile serialises the sharded index to path in the v2 container format:
-// one metadata and one image section per shard, each independently
-// checksummed.
-func (ix *ShardedIndex) WriteFile(path string) error {
-	return writeShards(path, container.KindSharded, ix.sx, ix.opts)
-}
-
-// writeShards writes a static (one shard) or sharded container: the manifest,
-// then each shard's metadata and device image.
-func writeShards(path string, kind uint64, sx *shard.Index, opts Options) error {
-	parts := sx.Parts()
-	n, s := sx.Len(), int64(len(parts))
+// atomically (temp file and rename): the manifest, then one metadata and one
+// image section per shard (one for an Index), each independently
+// checksummed. The written file reopens with OpenFile and serves queries
+// directly from disk.
+func (ix *static) WriteFile(path string) error {
+	parts := ix.sx.Parts()
+	n, s := ix.sx.Len(), int64(len(parts))
 	for i, p := range parts {
 		if p.Disk.FileBacked() {
 			return errReopened
@@ -368,9 +357,9 @@ func writeShards(path string, kind uint64, sx *shard.Index, opts Options) error 
 			return fmt.Errorf("secidx: shard %d covers [%d,%d), not the canonical partition", i, p.Start, p.End)
 		}
 	}
-	return writeContainer(path, kind, func(cw *container.Writer) error {
+	return writeContainer(path, ix.kind, func(cw *container.Writer) error {
 		var e container.Encoder
-		encodeManifest(&e, n, sx.Sigma(), opts, len(parts))
+		encodeManifest(&e, n, ix.sx.Sigma(), ix.opts, len(parts))
 		if err := cw.Add(container.TypeManifest, 0, e.Bytes(), 1); err != nil {
 			return err
 		}
@@ -512,6 +501,9 @@ func openFile(f *os.File, oo OpenOptions) (*Opened, error) {
 			return nil, fmt.Errorf("secidx: %w", err)
 		}
 	}
+	if oo.WAL != nil && oo.WAL.GroupOps < 0 {
+		return nil, fmt.Errorf("secidx: WALOptions.GroupOps %d is negative", oo.WAL.GroupOps)
+	}
 	st, err := f.Stat()
 	if err != nil {
 		return nil, err
@@ -532,10 +524,7 @@ func openFile(f *os.File, oo OpenOptions) (*Opened, error) {
 		if oo.Concurrent {
 			return nil, fmt.Errorf("secidx: OpenOptions.Concurrent applies to updatable handles (dynamic, or append with OpenOptions.WAL); this container has no writers to isolate")
 		}
-		if cf.Kind == container.KindStatic {
-			return openStatic(f, cf, man, oo)
-		}
-		return openSharded(f, cf, man, oo)
+		return openStatic(f, cf, man, oo)
 	case container.KindAppend, container.KindDynamic:
 		if cf.Kind == container.KindAppend && oo.Concurrent && oo.WAL == nil {
 			return nil, fmt.Errorf("secidx: OpenOptions.Concurrent on an append container requires OpenOptions.WAL; a read-only reopen has no writers to isolate")
@@ -643,12 +632,14 @@ func closeDisks(disks []*iomodel.FileDisk) {
 	}
 }
 
-// openShards reopens the container's static shards over file-backed devices
-// and assembles them — the one open path behind the static (one shard) and
-// sharded kinds.
-func openShards(f *os.File, cf *container.File, man manifest, oo OpenOptions) (_ *shard.Index, _ []*iomodel.FileDisk, err error) {
+// openStatic reopens a static (one shard) or sharded container: its shards
+// over file-backed devices, assembled into the handle its kind names.
+func openStatic(f *os.File, cf *container.File, man manifest, oo OpenOptions) (_ *Opened, err error) {
+	if cf.Kind == container.KindStatic && man.shards != 1 {
+		return nil, corruptf("static container declares %d shards", man.shards)
+	}
 	if int64(man.shards) > man.n {
-		return nil, nil, corruptf("%d shards over %d rows", man.shards, man.n)
+		return nil, corruptf("%d shards over %d rows", man.shards, man.n)
 	}
 	var disks []*iomodel.FileDisk
 	defer func() {
@@ -660,12 +651,12 @@ func openShards(f *os.File, cf *container.File, man manifest, oo OpenOptions) (_
 	for i := range parts {
 		fdisk, err := openImage(f, cf, uint64(i), man.opts, oo)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		disks = append(disks, fdisk)
 		dec, err := sectionDecoder(cf, container.TypeStaticMeta, uint64(i), maxMetaBytes, "static metadata")
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		ax, err := core.OpenApprox(fdisk.Disk, man.sigma, core.ApproxOptions{
 			OptimalOptions: core.OptimalOptions{Branching: man.opts.Branching, Stride: man.opts.Stride},
@@ -675,7 +666,7 @@ func openShards(f *os.File, cf *container.File, man manifest, oo OpenOptions) (_
 			err = dec.Finish()
 		}
 		if err != nil {
-			return nil, nil, corruptf("shard %d: %v", i, err)
+			return nil, corruptf("shard %d: %v", i, err)
 		}
 		parts[i] = shard.Part{
 			Ax:    ax,
@@ -686,30 +677,16 @@ func openShards(f *os.File, cf *container.File, man manifest, oo OpenOptions) (_
 	}
 	sx, err := shard.Assemble(parts, man.n, man.sigma, oo.Workers)
 	if err != nil {
-		return nil, nil, corruptf("assemble: %v", err)
+		return nil, corruptf("assemble: %v", err)
 	}
-	return sx, disks, nil
-}
-
-func openStatic(f *os.File, cf *container.File, man manifest, oo OpenOptions) (*Opened, error) {
-	if man.shards != 1 {
-		return nil, corruptf("static container declares %d shards", man.shards)
+	o := &Opened{f: f, disks: disks}
+	st := static{sx: sx, opts: man.opts, kind: cf.Kind}
+	if cf.Kind == container.KindStatic {
+		o.Static = &Index{static: st, ax: parts[0].Ax}
+	} else {
+		o.Sharded = &ShardedIndex{st}
 	}
-	sx, disks, err := openShards(f, cf, man, oo)
-	if err != nil {
-		return nil, err
-	}
-	ix := &Index{ax: sx.Parts()[0].Ax, sx: sx, opts: man.opts}
-	return &Opened{Static: ix, f: f, disks: disks}, nil
-}
-
-func openSharded(f *os.File, cf *container.File, man manifest, oo OpenOptions) (*Opened, error) {
-	sx, disks, err := openShards(f, cf, man, oo)
-	if err != nil {
-		return nil, err
-	}
-	ix := &ShardedIndex{sx: sx, opts: man.opts}
-	return &Opened{Sharded: ix, f: f, disks: disks}, nil
+	return o, nil
 }
 
 // maxDurableImageBytes bounds the image a durable open materialises into

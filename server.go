@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/serve"
-	"repro/internal/shard"
 )
 
 // Errors the serving layer returns. They are comparable with errors.Is.
@@ -164,23 +163,14 @@ type Server struct {
 	s *serve.Server
 }
 
-// Serve starts a server over the sharded index. Close releases it.
-func (ix *ShardedIndex) Serve(cfg ServerConfig) (*Server, error) {
-	return newServer(ix.sx, cfg)
-}
-
-// Serve starts a server over the unsharded index: the same admission
-// control and micro-batching, with the index treated as a single shard
-// (retries apply batch-wide; a circuit breaker can still fail fast while
-// the device is down).
-func (ix *Index) Serve(cfg ServerConfig) (*Server, error) {
-	return newServer(ix.sx, cfg)
-}
-
-func newServer(sx *shard.Index, cfg ServerConfig) (*Server, error) {
+// Serve starts a server over the index. Close releases it. An unsharded
+// Index is served as a single shard: the same admission control and
+// micro-batching, with retries applying batch-wide and a circuit breaker
+// that can still fail fast while the device is down.
+func (ix *static) Serve(cfg ServerConfig) (*Server, error) {
 	c := cfg.toInternal()
-	c.AnswerCacheBytes = sx.CacheBytes()
-	s, err := serve.NewServer(serve.ShardBackend{Ix: sx}, c)
+	c.AnswerCacheBytes = ix.sx.CacheBytes()
+	s, err := serve.NewServer(serve.ShardBackend{Ix: ix.sx}, c)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package secidx
 import (
 	"context"
 
+	"repro/internal/container"
 	"repro/internal/index"
 	"repro/internal/iomodel"
 	"repro/internal/shard"
@@ -83,6 +84,17 @@ type ShardOptions struct {
 	CacheBlocks int
 }
 
+// static is the one implementation under Index and ShardedIndex: a static
+// index is a shard.Index, and an unsharded Index is its one-shard case. The
+// methods both handles share are declared here once; Go promotes them to
+// both. Only unexported methods may take a shape that one handle alone
+// exports (execQuery, execBatch): an exported one would be promoted to both.
+type static struct {
+	sx   *shard.Index
+	opts Options // retained for serialisation (WriteFile)
+	kind uint64  // the container kind WriteFile writes: KindStatic or KindSharded
+}
+
 // ShardedIndex partitions the column into contiguous row-range shards, each
 // a static Index (Theorem 2) on its own simulated disk — the I/O model's
 // view of parallel storage as independent block devices. Queries fan out
@@ -92,8 +104,7 @@ type ShardOptions struct {
 // row-id offsetting. Results are identical, bit for bit, to a single
 // unsharded Index over the same column.
 type ShardedIndex struct {
-	sx   *shard.Index
-	opts Options // retained for serialisation (WriteFile)
+	static
 }
 
 // BuildSharded constructs a sharded index over data (values in [0,sigma)).
@@ -112,20 +123,21 @@ func BuildSharded(data []uint32, sigma int, opts ShardOptions) (*ShardedIndex, e
 	if err != nil {
 		return nil, err
 	}
-	return &ShardedIndex{sx: sx, opts: opts.Options}, nil
+	return &ShardedIndex{static{sx: sx, opts: opts.Options, kind: container.KindSharded}}, nil
 }
 
 // Len returns the number of rows indexed.
-func (ix *ShardedIndex) Len() int64 { return ix.sx.Len() }
+func (ix *static) Len() int64 { return ix.sx.Len() }
 
 // Sigma returns the alphabet size.
-func (ix *ShardedIndex) Sigma() int { return ix.sx.Sigma() }
+func (ix *static) Sigma() int { return ix.sx.Sigma() }
+
+// SizeBits returns the index's total space usage in bits, summed across all
+// shards.
+func (ix *static) SizeBits() int64 { return ix.sx.SizeBits() }
 
 // Shards returns the number of shards.
 func (ix *ShardedIndex) Shards() int { return ix.sx.Shards() }
-
-// SizeBits returns the total space usage across all shards.
-func (ix *ShardedIndex) SizeBits() int64 { return ix.sx.SizeBits() }
 
 // SpaceLedger decomposes SizeBits shard by shard.
 func (ix *ShardedIndex) SpaceLedger() []SpaceLedger {
@@ -140,13 +152,15 @@ func (ix *ShardedIndex) SpaceLedger() []SpaceLedger {
 // Query answers I[lo;hi] exactly, fanning out across shards. Stats sum the
 // per-shard I/O; on independent devices the critical path is the largest
 // per-shard share.
-func (ix *ShardedIndex) Query(lo, hi uint32) (*Result, Stats, error) {
+func (ix *static) Query(lo, hi uint32) (*Result, Stats, error) {
 	return runQuery(context.Background(), ix.sx, lo, hi)
 }
 
 // QueryContext answers like Query, honouring ctx: cancellation stops
-// scheduling shard tasks and checkpoints inside each shard's pipeline.
-func (ix *ShardedIndex) QueryContext(ctx context.Context, lo, hi uint32) (*Result, Stats, error) {
+// scheduling shard tasks, and each shard's query pipeline checkpoints it
+// between cover members and aborts with the context error. Stats are
+// populated even on error.
+func (ix *static) QueryContext(ctx context.Context, lo, hi uint32) (*Result, Stats, error) {
 	return runQuery(ctx, ix.sx, lo, hi)
 }
 
@@ -156,13 +170,13 @@ func (ix *ShardedIndex) QueryContext(ctx context.Context, lo, hi uint32) (*Resul
 // slice is non-nil exactly when the answer is partial; its entries name the
 // global row ranges whose bits are missing.
 func (ix *ShardedIndex) QueryExec(ctx context.Context, lo, hi uint32, opts QueryOptions) (*Result, Stats, []ShardError, error) {
-	return execQuery(ctx, ix.sx, lo, hi, opts)
+	return ix.execQuery(ctx, lo, hi, opts)
 }
 
-// execQuery runs one fault-tolerant query on sx — the path behind QueryExec
-// on both the sharded and the unsharded (one-shard) index.
-func execQuery(ctx context.Context, sx *shard.Index, lo, hi uint32, opts QueryOptions) (*Result, Stats, []ShardError, error) {
-	bm, st, report, err := sx.QueryExec(ctx, Range{Lo: lo, Hi: hi}, opts.exec())
+// execQuery runs one fault-tolerant query — the path behind QueryExec on
+// both handles.
+func (ix *static) execQuery(ctx context.Context, lo, hi uint32, opts QueryOptions) (*Result, Stats, []ShardError, error) {
+	bm, st, report, err := ix.sx.QueryExec(ctx, Range{Lo: lo, Hi: hi}, opts.exec())
 	if err != nil {
 		return nil, st, nil, err
 	}
@@ -171,19 +185,22 @@ func execQuery(ctx context.Context, sx *shard.Index, lo, hi uint32, opts QueryOp
 
 // QueryBatch answers a batch of ranges through the shared-scan batch
 // planner: duplicate ranges are deduplicated (answered once, shared), each
-// shard plans and executes the whole batch in one pass — overlapping ranges
-// read every coalesced cover-chunk extent once per shard — and the per-range
-// cross-shard merges run through one bounded worker pool. A failing shard
-// short-circuits the rest of the batch. The i-th result answers ranges[i];
-// stats are batch-level, with the block reads avoided by sharing reported in
-// Stats.SharedSaved and DeviceStats.SharedSaved.
-func (ix *ShardedIndex) QueryBatch(ranges []Range) ([]*Result, Stats, error) {
+// shard plans the whole batch at cover-chunk granularity and executes it in
+// one pass — overlapping ranges coalesce their cover reads, and every
+// coalesced extent is read, and its shared members validated, once per
+// shard — and the per-range cross-shard merges run through one bounded
+// worker pool. A failing shard short-circuits the rest of the batch.
+// Answers are bit-identical to looped Query calls; the i-th result answers
+// ranges[i]. Stats are batch-level (see Stats), with the block reads avoided
+// by sharing reported in Stats.SharedSaved (and DeviceStats.SharedSaved).
+func (ix *static) QueryBatch(ranges []Range) ([]*Result, Stats, error) {
 	return ix.QueryBatchContext(context.Background(), ranges)
 }
 
-// QueryBatchContext answers like QueryBatch, honouring ctx.
-func (ix *ShardedIndex) QueryBatchContext(ctx context.Context, ranges []Range) ([]*Result, Stats, error) {
-	out, st, _, err := execBatch(ctx, ix.sx, ranges, QueryOptions{})
+// QueryBatchContext answers like QueryBatch, honouring ctx: the batch
+// planner checkpoints cancellation in its plan, scan and merge loops.
+func (ix *static) QueryBatchContext(ctx context.Context, ranges []Range) ([]*Result, Stats, error) {
+	out, st, _, err := ix.execBatch(ctx, ranges, QueryOptions{})
 	return out, st, err
 }
 
@@ -191,12 +208,12 @@ func (ix *ShardedIndex) QueryBatchContext(ctx context.Context, ranges []Range) (
 // analogue of QueryExec. With a non-nil ShardError slice, every returned
 // result is missing the reported shards' rows.
 func (ix *ShardedIndex) QueryBatchExec(ctx context.Context, ranges []Range, opts QueryOptions) ([]*Result, Stats, []ShardError, error) {
-	return execBatch(ctx, ix.sx, ranges, opts)
+	return ix.execBatch(ctx, ranges, opts)
 }
 
 // execBatch is the batch analogue of execQuery.
-func execBatch(ctx context.Context, sx *shard.Index, ranges []Range, opts QueryOptions) ([]*Result, Stats, []ShardError, error) {
-	bms, st, report, err := sx.QueryBatchExec(ctx, ranges, opts.exec())
+func (ix *static) execBatch(ctx context.Context, ranges []Range, opts QueryOptions) ([]*Result, Stats, []ShardError, error) {
+	bms, st, report, err := ix.sx.QueryBatchExec(ctx, ranges, opts.exec())
 	if err != nil {
 		return nil, st, nil, err
 	}
@@ -207,12 +224,14 @@ func execBatch(ctx context.Context, sx *shard.Index, ranges []Range, opts QueryO
 	return out, st, report, nil
 }
 
-// ArmFaults starts the fault schedule of Options.Faults firing on
-// query reads; it is a no-op without one. Builds always run disarmed.
-func (ix *ShardedIndex) ArmFaults() { ix.sx.ArmFaults() }
+// ArmFaults starts the fault schedule of Options.Faults firing on every
+// shard's query reads; it is a no-op without one. Builds always run
+// disarmed. Faults then surface through Query errors and the
+// FailedReads/RetriedReads counters of Stats.
+func (ix *static) ArmFaults() { ix.sx.ArmFaults() }
 
 // DisarmFaults stops fault injection on every shard.
-func (ix *ShardedIndex) DisarmFaults() { ix.sx.DisarmFaults() }
+func (ix *static) DisarmFaults() { ix.sx.DisarmFaults() }
 
 // DeviceStats reports the cumulative block-device counters summed over all
 // shard disks, including block-cache hits and misses when CacheBlocks > 0.
