@@ -2,6 +2,7 @@ package secidx
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,7 +13,8 @@ import (
 // TestBuildParallelDeterministic: the container Build and BuildSharded write
 // does not depend on how many level tasks encoded at once. GOMAXPROCS 1 is
 // the sequential build, 2 the benchmark's machine, 8 more workers than a
-// build has levels; SizeBits and the space ledger must agree as well.
+// build has levels; SizeBits and the space ledger must agree as well, and no
+// shard stores a hashed level.
 func TestBuildParallelDeterministic(t *testing.T) {
 	const sigma = 512
 	col := compatColumn(140000, sigma, 18)
@@ -35,6 +37,10 @@ func TestBuildParallelDeterministic(t *testing.T) {
 			sx, err := BuildSharded(col, sigma, ShardOptions{Options: opts, Shards: 4})
 			if err != nil {
 				t.Fatal(err)
+			}
+			// Shards are exact-only: no hashed level may creep back in.
+			for i, l := range sx.SpaceLedger() {
+				requireStoredLevels(t, fmt.Sprintf("stride %d shard %d", stride, i), l, 0, 0)
 			}
 			got := map[string]built{
 				"Build":        {size: ix.SizeBits(), ledger: []SpaceLedger{ix.SpaceLedger()}},

@@ -2,6 +2,8 @@ package secidx
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"os"
@@ -11,9 +13,11 @@ import (
 
 	"repro/internal/container"
 	"repro/internal/core"
+	"repro/internal/iomodel"
+	"repro/internal/workload"
 )
 
-// The containers under testdata/ were written at commit 49b23fb (PR 15), the
+// The pr15_* containers under testdata/ were written at commit 49b23fb, the
 // last one whose builds stored a hashed level with a universe >= n: both
 // declare k = 5 where k = 4 is useful. They cannot be regenerated from this
 // tree — Build no longer writes that level — so they are checked in; each is
@@ -172,49 +176,70 @@ func TestReadCompatPR15(t *testing.T) {
 		}
 	})
 	t.Run("sharded", func(t *testing.T) {
-		o, err := OpenFile("testdata/pr15_sharded.secidx", OpenOptions{VerifyImages: true})
+		fresh, err := BuildSharded(compatColumn(132000, sigma, 162), sigma, ShardOptions{Options: compatOpts, Shards: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer o.Close()
-		col := compatColumn(132000, sigma, 162)
-		fresh, err := BuildSharded(col, sigma, ShardOptions{Options: compatOpts, Shards: 2})
-		if err != nil {
-			t.Fatal(err)
+		for _, l := range fresh.SpaceLedger() {
+			requireStoredLevels(t, "fresh shard", l, 0, 0)
 		}
-		for _, r := range compatRanges(sigma) {
-			lo, hi := r.Lo, r.Hi
-			got, _, err := o.Sharded.Query(lo, hi)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(got.Rows(), bruteRange(col, lo, hi)) {
-				t.Fatalf("Query [%d,%d]: old file differs from the column", lo, hi)
-			}
-		}
-		oldParts, freshParts := o.Sharded.sx.Parts(), fresh.sx.Parts()
-		for i, l := range o.Sharded.SpaceLedger() {
-			requireStoredLevels(t, "old shard", l, 4, 5)
-			requireStoredLevels(t, "fresh shard", freshParts[i].Ax.SpaceLedger(), 4, 4)
-			requireSameApprox(t, "shard", sigma, oldParts[i].Ax, freshParts[i].Ax)
-		}
+		requireShardedFixture(t, "testdata/pr15_sharded.secidx", sigma, 5)
+	})
+	// pr35_sharded.secidx was written at commit e6961fb, the last whose shards
+	// built hashed levels (the four useful ones): BuildSharded over the column
+	// of pr15_sharded.secidx, then WriteFile.
+	t.Run("sharded-k4", func(t *testing.T) {
+		requireShardedFixture(t, "testdata/pr35_sharded.secidx", sigma, 4)
 	})
 }
 
-// writeStaticReserved writes ix as a static container by hand, field by field,
-// with reserved in the manifest slot after BlockBits (once the advisory memory
-// size, which every build writes as 0).
-func writeStaticReserved(path string, ix *Index, reserved uint64) error {
-	part := ix.sx.Parts()[0]
-	return writeContainer(path, container.KindStatic, func(cw *container.Writer) error {
+// requireShardedFixture opens a two-shard container over compatColumn(132000,
+// sigma, 162) whose shards store hashed levels: every exact answer must be the
+// column's, and every shard must hold stored levels, four of them useful,
+// answering approximate queries like BuildApprox over the shard's rows.
+func requireShardedFixture(t *testing.T, path string, sigma uint32, stored int) {
+	t.Helper()
+	o, err := OpenFile(path, OpenOptions{VerifyImages: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	col := compatColumn(132000, int(sigma), 162)
+	for _, r := range compatRanges(sigma) {
+		lo, hi := r.Lo, r.Hi
+		got, _, err := o.Sharded.Query(lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Rows(), bruteRange(col, lo, hi)) {
+			t.Fatalf("Query [%d,%d]: old file differs from the column", lo, hi)
+		}
+	}
+	for i, p := range o.Sharded.sx.Parts() {
+		requireStoredLevels(t, "old shard", p.Ax.SpaceLedger(), 4, stored)
+		ref, err := core.BuildApprox(iomodel.NewDisk(iomodel.Config{BlockBits: compatOpts.BlockBits}),
+			workload.Column{X: col[p.Start:p.End], Sigma: int(sigma)}, compatOpts.approx())
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameApprox(t, fmt.Sprintf("shard %d", i), sigma, p.Ax, ref)
+	}
+}
+
+// writeOneShard writes st's one shard as a container of the given kind by
+// hand, field by field, with reserved in the manifest slot after BlockBits
+// (once the advisory memory size, which every build writes as 0).
+func writeOneShard(path string, kind uint64, st *static, reserved uint64) error {
+	part := st.sx.Parts()[0]
+	return writeContainer(path, kind, func(cw *container.Writer) error {
 		var e container.Encoder
-		e.U(uint64(ix.Len()))
-		e.U(uint64(ix.Sigma()))
-		e.U(uint64(ix.opts.BlockBits))
+		e.U(uint64(st.Len()))
+		e.U(uint64(st.Sigma()))
+		e.U(uint64(st.opts.BlockBits))
 		e.U(reserved)
-		e.U(uint64(ix.opts.Branching))
-		e.U(uint64(ix.opts.Stride))
-		e.I(ix.opts.Seed)
+		e.U(uint64(st.opts.Branching))
+		e.U(uint64(st.opts.Stride))
+		e.I(st.opts.Seed)
 		e.U(0) // Buffered
 		e.U(1) // shards
 		if err := cw.Add(container.TypeManifest, 0, e.Bytes(), 1); err != nil {
@@ -248,10 +273,10 @@ func TestManifestReservedSlotIgnored(t *testing.T) {
 	if err := ix.WriteFile(written); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeStaticReserved(byHand, ix, 0); err != nil {
+	if err := writeOneShard(byHand, container.KindStatic, &ix.static, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeStaticReserved(reserved, ix, 1<<20); err != nil {
+	if err := writeOneShard(reserved, container.KindStatic, &ix.static, 1<<20); err != nil {
 		t.Fatal(err)
 	}
 	wb, err := os.ReadFile(written)
@@ -289,6 +314,67 @@ func TestManifestReservedSlotIgnored(t *testing.T) {
 			}
 			if !slices.Equal(gr.Rows(), wr.Rows()) || gst != wst {
 				t.Fatalf("[%d,%d]: reserved slot answers %d rows (%+v), want %d (%+v)", lo, hi, gr.Card(), gst, wr.Card(), wst)
+			}
+		}
+	}
+}
+
+// TestOpenExactOnlyShard: a shard may store no hashed levels, a static index
+// over more than 4 rows may not. A one-shard BuildSharded's metadata, written
+// by hand as a sharded container, opens and answers like the built index; the
+// same sections under the static kind fail with ErrCorrupt.
+func TestOpenExactOnlyShard(t *testing.T) {
+	const sigma = 24
+	data := randColumn(6000, sigma, 33)
+	sx, err := BuildSharded(data, sigma, ShardOptions{Options: Options{BlockBits: 2048, Seed: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	written, sharded, static := filepath.Join(dir, "w.secidx"), filepath.Join(dir, "h.secidx"), filepath.Join(dir, "s.secidx")
+	if err := sx.WriteFile(written); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeOneShard(sharded, container.KindSharded, &sx.static, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeOneShard(static, container.KindStatic, &sx.static, 0); err != nil {
+		t.Fatal(err)
+	}
+	wb, err := os.ReadFile(written)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hb, err := os.ReadFile(sharded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(wb, hb) {
+		t.Fatal("hand-written sharded container differs from WriteFile's")
+	}
+	if op, err := OpenFile(static, OpenOptions{}); !errors.Is(err, ErrCorrupt) {
+		if err == nil {
+			op.Close()
+		}
+		t.Fatalf("static container with no hashed levels over %d rows: error %v, want ErrCorrupt", len(data), err)
+	}
+	op, err := OpenFile(sharded, OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer op.Close()
+	for lo := uint32(0); lo < sigma; lo++ {
+		for hi := lo; hi < sigma; hi++ {
+			wr, wst, err := sx.Query(lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gr, gst, err := op.Sharded.Query(lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(gr.Rows(), wr.Rows()) || gst != wst {
+				t.Fatalf("[%d,%d]: reopened shard answers %d rows (%+v), built %d (%+v)", lo, hi, gr.Card(), gst, wr.Card(), wst)
 			}
 		}
 	}

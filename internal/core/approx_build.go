@@ -37,7 +37,20 @@ func BuildApprox(d *iomodel.Disk, col workload.Column, opts ApproxOptions) (*App
 // layout, then the hashed sets by (level, j, member) — with no padding
 // (pinned by TestBuildApproxDifferential and TestBuildParallelDeterministic).
 func BuildApproxOn(ws Workers, d *iomodel.Disk, col workload.Column, opts ApproxOptions) (*Approx, error) {
-	ax := &Approx{seed: opts.Seed, k: maxJ(int64(col.Len()))}
+	return buildApprox(ws, d, col, opts, maxJ(int64(col.Len())))
+}
+
+// BuildExactOn is BuildApproxOn with no hashed levels: the Theorem 2
+// structure alone, as an Approx with k = 0 (the state BuildApprox leaves for
+// n <= 4), whose approximate queries all answer exactly. The shards of a
+// sharded index build it: nothing queries their hashed levels.
+func BuildExactOn(ws Workers, d *iomodel.Disk, col workload.Column, opts OptimalOptions) (*Approx, error) {
+	return buildApprox(ws, d, col, ApproxOptions{OptimalOptions: opts}, 0)
+}
+
+// buildApprox builds the index with k hashed levels.
+func buildApprox(ws Workers, d *iomodel.Disk, col workload.Column, opts ApproxOptions, k int) (*Approx, error) {
+	ax := &Approx{seed: opts.Seed, k: k}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	for j := 1; j <= ax.k; j++ {
 		ax.hs = append(ax.hs, hashutil.NewSplitXOR(rng, 1<<uint(j)))

@@ -95,7 +95,7 @@ func TestPointQueryConcatDifferential(t *testing.T) {
 					{"pread", fileBacked(t, d, mem, opts, iomodel.ModePread)},
 					{"mmap", fileBacked(t, d, mem, opts, iomodel.ModeMmap)},
 				}
-				sharded, err := shard.Build(col.X, sigma, shard.Options{Shards: 4, BlockBits: cfg.BlockBits, Seed: opts.Seed})
+				sharded, err := shard.Build(col.X, sigma, shard.Options{Shards: 4, BlockBits: cfg.BlockBits})
 				if err != nil {
 					t.Fatal(err)
 				}

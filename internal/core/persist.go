@@ -190,16 +190,17 @@ func OpenApprox(d *iomodel.Disk, sigma int, opts ApproxOptions, dec *container.D
 	}
 	ox.layout = &treeLayout{disk: d, blockOf: blockOf, nblocks: int(dec.UN(uint64(totalBlocks)))}
 
-	ax := &Approx{Optimal: ox, seed: opts.Seed}
-	ax.k = maxJ(n)
+	ax := &Approx{Optimal: ox, seed: opts.Seed, k: maxJ(n)}
 	// Files written while maxJ rounded up store one level more than is
 	// useful. Its directory is decoded and bounds-checked like the others and
 	// stays in hmaps (SizeBits and SpaceLedger report what the file holds),
-	// but queries select among the first ax.k levels only.
+	// but queries select among the first ax.k levels only. An exact-only
+	// index (BuildExactOn) stores none: k = 0.
 	stored := int(dec.UN(maxStoredJ))
-	if dec.Err() == nil && stored < ax.k {
+	if dec.Err() == nil && stored > 0 && stored < ax.k {
 		return nil, fmt.Errorf("core: hash level count %d, below the %d useful levels", stored, ax.k)
 	}
+	ax.k = min(ax.k, stored)
 	rng := rand.New(rand.NewSource(opts.Seed))
 	for j := 1; j <= ax.k; j++ {
 		ax.hs = append(ax.hs, hashutil.NewSplitXOR(rng, 1<<uint(j)))

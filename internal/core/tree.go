@@ -65,6 +65,9 @@ func BuildTree(col workload.Column, c int) (*Tree, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("core: empty column")
 	}
+	if col.Sigma < 1 {
+		return nil, fmt.Errorf("core: alphabet size %d", col.Sigma)
+	}
 	t := &Tree{C: c, n: n, sigma: col.Sigma}
 	t.prefix = make([]int64, col.Sigma+1)
 	for _, ch := range col.X {

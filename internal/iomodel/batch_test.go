@@ -23,11 +23,11 @@ func batchTestDisk(t *testing.T, blockBits, blocks int) *Disk {
 	return d
 }
 
-// TestBatchTouchAccounting drives a batch session's attribution by hand: two
+// TestTouchConsumerAccounting drives a batch session's attribution by hand: two
 // consumers whose extents overlap on one block must charge the union once
 // and report exactly the overlap as saved, with per-consumer attribution
 // independent of the order reads and notes arrive in.
-func TestBatchTouchAccounting(t *testing.T) {
+func TestTouchConsumerAccounting(t *testing.T) {
 	d := batchTestDisk(t, 256, 8)
 	bt := d.NewTouch()
 	w := bitio.NewWriter(0)
@@ -72,10 +72,10 @@ func TestBatchTouchAccounting(t *testing.T) {
 	}
 }
 
-// TestBatchTouchZeroExtent: zero-bit extents read and note nothing, and a
+// TestTouchConsumerZeroExtent: zero-bit extents read and note nothing, and a
 // batch with a single consumer saves nothing no matter how often it re-notes
 // its own blocks.
-func TestBatchTouchZeroExtent(t *testing.T) {
+func TestTouchConsumerZeroExtent(t *testing.T) {
 	d := batchTestDisk(t, 256, 2)
 	bt := d.NewTouch()
 	defer bt.Close()
@@ -96,10 +96,10 @@ func TestBatchTouchZeroExtent(t *testing.T) {
 	}
 }
 
-// TestBatchTouchCacheIndependence: with a block cache, cache hits reduce the
+// TestTouchConsumerCacheIndependence: with a block cache, cache hits reduce the
 // charged reads but must not change the shared-saved accounting — the two
 // mechanisms are reported separately.
-func TestBatchTouchCacheIndependence(t *testing.T) {
+func TestTouchConsumerCacheIndependence(t *testing.T) {
 	run := func(cache int) (reads, saved int) {
 		d := NewDisk(Config{BlockBits: 256, CacheBlocks: cache})
 		w := bitio.NewWriter(4 * 256)

@@ -34,9 +34,10 @@ func readWords(t *testing.T, d *Disk, ext Extent, base uint64, label string) {
 	}
 }
 
-// A frozen view keeps the bits at the moment of the Freeze while the live
-// device mutates in place, appends, frees and reuses blocks.
-func TestFreezeViewStable(t *testing.T) {
+// TestDiskFreezeKeepsBits: a frozen view keeps the bits at the moment of the
+// Freeze while the live device mutates in place, appends, frees and reuses
+// blocks.
+func TestDiskFreezeKeepsBits(t *testing.T) {
 	d := NewDisk(Config{BlockBits: 256})
 	w := bitio.NewWriter(0)
 	for i := 0; i < 16; i++ {

@@ -1,5 +1,5 @@
 // Package shard partitions a column into contiguous row-range shards, each
-// backed by its own static Theorem 2/3 index on its own simulated disk, and
+// backed by its own static Theorem 2 index on its own simulated disk, and
 // serves range queries by fanning out across the shards and merging the
 // compressed per-shard answers with row-id offsetting.
 //
@@ -47,11 +47,11 @@ type Options struct {
 	// enables the per-shard LRU block cache.
 	BlockBits   int
 	CacheBlocks int
-	// Branching, Stride and Seed configure each shard's index as in
-	// core.ApproxOptions. All shards share the Seed.
+	// Branching and Stride configure each shard's index as in
+	// core.OptimalOptions. Shards are exact-only: nothing queries a shard's
+	// hashed levels, so none are built.
 	Branching int
 	Stride    int
-	Seed      int64
 	// Faults, when non-nil, gives every shard's disk a fault schedule:
 	// shard i's is FaultsFor(Faults, i). Shards build disarmed (builds are
 	// never faulted); ArmFaults starts the schedule firing on query reads.
@@ -222,9 +222,6 @@ type Index struct {
 // Build constructs a sharded index over data (values in [0,sigma)),
 // building the shards in parallel through a pool of opts.Workers workers.
 func Build(data []uint32, sigma int, opts Options) (*Index, error) {
-	if sigma < 1 {
-		return nil, fmt.Errorf("shard: alphabet size %d", sigma)
-	}
 	diskCfg := iomodel.Config{BlockBits: opts.BlockBits, CacheBlocks: opts.CacheBlocks, Faults: opts.Faults}
 	// Validate the device configuration once up front: the disks are created
 	// inside build worker goroutines, where an error must surface as Build's
@@ -269,10 +266,8 @@ func Build(data []uint32, sigma int, opts Options) (*Index, error) {
 				errs[i] = err
 				return
 			}
-			ax, err := core.BuildApproxOn(ws, d, workload.Column{X: data[start:end], Sigma: sigma}, core.ApproxOptions{
-				OptimalOptions: core.OptimalOptions{Branching: opts.Branching, Stride: opts.Stride},
-				Seed:           opts.Seed,
-			})
+			ax, err := core.BuildExactOn(ws, d, workload.Column{X: data[start:end], Sigma: sigma},
+				core.OptimalOptions{Branching: opts.Branching, Stride: opts.Stride})
 			if err != nil {
 				errs[i] = err
 				return

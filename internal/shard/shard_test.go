@@ -204,10 +204,10 @@ func TestQueryExecIsBatchOfOne(t *testing.T) {
 // lets each shard encode its levels side by side, and every budget leaves the
 // same device image on every shard.
 func TestBuildSharedWorkers(t *testing.T) {
-	x := testColumn(280000, 512, 18) // 70 000 rows a shard: four hashed levels
+	x := testColumn(280000, 512, 18) // 70 000 rows a shard, four materialised levels
 	var want [][]byte
 	for _, workers := range []int{1, 2, 8} {
-		sx, err := Build(x, 512, Options{Shards: 4, Workers: workers, BlockBits: 2048, Seed: 18})
+		sx, err := Build(x, 512, Options{Shards: 4, Workers: workers, BlockBits: 2048})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -29,6 +29,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/iomodel"
+	"repro/internal/shard"
 	"repro/internal/workload"
 )
 
@@ -127,6 +128,11 @@ type Options struct {
 	Concurrent bool
 }
 
+// approx is the core configuration of a static index built or reopened under o.
+func (o Options) approx() core.ApproxOptions {
+	return core.ApproxOptions{OptimalOptions: core.OptimalOptions{Branching: o.Branching, Stride: o.Stride}, Seed: o.Seed}
+}
+
 // diskImage is a serialised device image: what a writable reopen
 // materialises its in-memory disk from.
 type diskImage struct {
@@ -171,21 +177,29 @@ func runQuery(ctx context.Context, q queryable, lo, hi uint32) (*Result, Stats, 
 }
 
 // Index is the static secondary index of Theorems 2 and 3: a ShardedIndex
-// with one shard, plus the approximate queries that read its hashed levels.
+// with one shard, plus the hashed levels that only its approximate queries
+// read (the shards of BuildSharded are exact-only).
 type Index struct {
 	static
 	ax *core.Approx
 }
 
-// Build constructs a static index over data (values in [0,sigma)): the
-// one-shard BuildSharded.
+// Build constructs a static index over data (values in [0,sigma)) on one
+// device, assembled as a one-shard index the way OpenFile reopens it.
 func Build(data []uint32, sigma int, opts Options) (*Index, error) {
-	sh, err := BuildSharded(data, sigma, ShardOptions{Options: opts, Shards: 1})
+	d, err := opts.device(0, nil)
 	if err != nil {
 		return nil, err
 	}
-	sh.kind = container.KindStatic
-	return &Index{static: sh.static, ax: sh.sx.Parts()[0].Ax}, nil
+	ax, err := core.BuildApprox(d, workload.Column{X: data, Sigma: sigma}, opts.approx())
+	if err != nil {
+		return nil, err
+	}
+	sx, err := shard.Assemble([]shard.Part{{Ax: ax, Disk: d, End: ax.Len()}}, ax.Len(), sigma, 0)
+	if err != nil {
+		return nil, err
+	}
+	return &Index{static: static{sx: sx, opts: opts, kind: container.KindStatic}, ax: ax}, nil
 }
 
 // SpaceLedger itemises where a static index's (or one shard's) bits go: the
@@ -289,9 +303,6 @@ func newAppendIndex(ax *core.AppendIndex, d *iomodel.Disk, opts Options) *Append
 
 // BuildAppend constructs a semi-dynamic index over an initial column.
 func BuildAppend(data []uint32, sigma int, opts Options) (*AppendIndex, error) {
-	if sigma < 1 {
-		return nil, fmt.Errorf("secidx: alphabet size %d", sigma)
-	}
 	d, err := opts.device(0, nil)
 	if err != nil {
 		return nil, err
@@ -366,9 +377,6 @@ func newDynamicIndex(dx *core.Dynamic, d *iomodel.Disk, opts Options) *DynamicIn
 
 // BuildDynamic constructs a fully dynamic index over an initial column.
 func BuildDynamic(data []uint32, sigma int, opts Options) (*DynamicIndex, error) {
-	if sigma < 1 {
-		return nil, fmt.Errorf("secidx: alphabet size %d", sigma)
-	}
 	d, err := opts.device(0, nil)
 	if err != nil {
 		return nil, err

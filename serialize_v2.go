@@ -658,12 +658,12 @@ func openStatic(f *os.File, cf *container.File, man manifest, oo OpenOptions) (_
 		if err != nil {
 			return nil, err
 		}
-		ax, err := core.OpenApprox(fdisk.Disk, man.sigma, core.ApproxOptions{
-			OptimalOptions: core.OptimalOptions{Branching: man.opts.Branching, Stride: man.opts.Stride},
-			Seed:           man.opts.Seed,
-		}, dec)
+		ax, err := core.OpenApprox(fdisk.Disk, man.sigma, man.opts.approx(), dec)
 		if err == nil {
 			err = dec.Finish()
+		}
+		if err == nil && cf.Kind == container.KindStatic && ax.K() == 0 && ax.Len() > 4 {
+			err = fmt.Errorf("no hashed levels over %d rows", ax.Len()) // only shards may store none
 		}
 		if err != nil {
 			return nil, corruptf("shard %d: %v", i, err)

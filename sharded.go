@@ -70,8 +70,9 @@ type ShardError = shard.ShardError
 // ShardOptions configures BuildSharded.
 type ShardOptions struct {
 	// Options carries the per-shard index parameters (BlockBits, Branching,
-	// Stride, Seed) and the fault schedule: with Faults set, shard i runs on a
-	// fault-injecting device drawing from Faults.Seed+i. Buffered and
+	// Stride) and the fault schedule: with Faults set, shard i runs on a
+	// fault-injecting device drawing from Faults.Seed+i. Seed applies to Index
+	// only: shards are exact-only, with no hashed levels to seed. Buffered and
 	// Concurrent are ignored, shards are static.
 	Options
 	// Shards is the number of contiguous row-range shards (default 1).
@@ -96,9 +97,9 @@ type static struct {
 }
 
 // ShardedIndex partitions the column into contiguous row-range shards, each
-// a static Index (Theorem 2) on its own simulated disk — the I/O model's
-// view of parallel storage as independent block devices. Queries fan out
-// across shards through a bounded worker pool; each shard runs the fused
+// an exact-only static index (Theorem 2) on its own simulated disk — the I/O
+// model's view of parallel storage as independent block devices. Queries fan
+// out across shards through a bounded worker pool; each shard runs the fused
 // streaming pipeline (decode and merge in one pass over the bits it reads)
 // and the compressed per-shard answers feed the same streaming merge with
 // row-id offsetting. Results are identical, bit for bit, to a single
@@ -117,7 +118,6 @@ func BuildSharded(data []uint32, sigma int, opts ShardOptions) (*ShardedIndex, e
 		CacheBlocks: opts.CacheBlocks,
 		Branching:   opts.Branching,
 		Stride:      opts.Stride,
-		Seed:        opts.Seed,
 		Faults:      opts.Faults,
 	})
 	if err != nil {
