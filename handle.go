@@ -34,6 +34,10 @@ type handle struct {
 	disk *iomodel.Disk
 	dur  *durable // non-nil iff reopened writable (OpenOptions.WAL)
 	opts Options
+	// broken (guarded by the writer lock) is the error an update failed to
+	// apply with: later updates, WriteFile and non-concurrent queries fail
+	// with it, while a concurrent handle answers from its last epoch.
+	broken error
 
 	// epochs is non-nil in concurrent mode. wmu serializes writers on
 	// non-durable handles; durable handles serialize through dur.mu. version
@@ -56,10 +60,10 @@ func (ix *handle) writerLock() *sync.Mutex {
 
 // apply runs one update through the write pipeline: lock, refuse a closed
 // or broken handle, validate, log (durable handles), apply, publish the new
-// epoch (concurrent handles), checkpoint if due, unlock. A failure after a
-// successful log breaks a durable handle for good: the in-memory state may
-// be part-mutated, and recovery from the still consistent on-disk state is
-// the only way forward.
+// epoch (concurrent handles), checkpoint if due, unlock. A failed apply
+// breaks the handle for good, and so does any failure after a successful log
+// on a durable handle: the in-memory state may be part-mutated, and recovery
+// from the still consistent on-disk state is the only way forward.
 //
 // Under group commit the durability wait happens after the lock is
 // released, so the next writer appends its record while this one waits for
@@ -85,6 +89,9 @@ func (ix *handle) applyLocked(op walOp) (st Stats, seq uint64, err error) {
 			return st, 0, du.err
 		}
 	}
+	if ix.broken != nil {
+		return st, 0, ix.broken
+	}
 	if err := ix.kind.validateOp(op); err != nil {
 		return st, 0, err
 	}
@@ -96,7 +103,9 @@ func (ix *handle) applyLocked(op walOp) (st Stats, seq uint64, err error) {
 		seq = du.w.Seq()
 	}
 	st, err = ix.kind.applyOp(op)
-	if err == nil && ix.epochs != nil {
+	if err != nil {
+		ix.broken = err
+	} else if ix.epochs != nil {
 		if ix.history != nil {
 			ix.history.add(seq, op)
 		}
@@ -148,6 +157,9 @@ func (ix *handle) writeFile(path string, kind uint64) error {
 	mu := ix.writerLock()
 	mu.Lock()
 	defer mu.Unlock()
+	if ix.broken != nil {
+		return ix.broken
+	}
 	var seq uint64
 	if ix.dur != nil {
 		seq = ix.dur.lastSeqLocked()
@@ -186,6 +198,9 @@ func (ix *handle) QueryContext(ctx context.Context, lo, hi uint32) (*Result, Sta
 		e := es.pin()
 		defer es.unpin()
 		return runQuery(ctx, e.q, lo, hi)
+	}
+	if ix.broken != nil {
+		return nil, Stats{}, ix.broken
 	}
 	return runQuery(ctx, ix.live, lo, hi)
 }

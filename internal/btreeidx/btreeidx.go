@@ -115,7 +115,7 @@ func Build(d *iomodel.Disk, col workload.Column) (*Index, error) {
 			w.WriteBits(uint64(ch.pos[j]), ix.posBits)
 		}
 		t := d.NewTouch()
-		if err := t.WriteStream(iomodel.Extent{Off: d.BlockOff(blks[i]), Bits: int64(w.Len())}, w); err != nil {
+		if err := t.WriteStream(d.BlockExtent(blks[i]), w); err != nil {
 			return nil, err
 		}
 		leaves = append(leaves, nodeRef{blk: blks[i], maxKey: ch.keys[len(ch.keys)-1]})
@@ -140,7 +140,7 @@ func Build(d *iomodel.Disk, col workload.Column) (*Index, error) {
 				w.WriteBits(uint64(ch.blk), childBits)
 			}
 			t := d.NewTouch()
-			if err := t.WriteStream(iomodel.Extent{Off: d.BlockOff(blk), Bits: int64(w.Len())}, w); err != nil {
+			if err := t.WriteStream(d.BlockExtent(blk), w); err != nil {
 				return nil, err
 			}
 			up = append(up, nodeRef{blk: blk, maxKey: level[hi-1].maxKey})

@@ -55,9 +55,9 @@ type dynEntry struct {
 	pos int64
 }
 
-// dynEntryBits is the on-disk width of a buffered append (32-bit character,
-// 48-bit position).
-const dynEntryBits = 32 + 48
+// dynEntryLayout is the on-disk layout of a buffered append: 32-bit
+// character, 48-bit position.
+var dynEntryLayout = []int{32, 48}
 
 // AppendOptions configures the Theorem 4/5 structures.
 type AppendOptions struct {
@@ -130,7 +130,7 @@ func BuildAppendIndex(d *iomodel.Disk, col workload.Column, opts AppendOptions) 
 		byChar:  make([][]int64, col.Sigma),
 		nodeBlk: make(map[*dynNode]iomodel.BlockID),
 	}
-	ax.bufCap = d.BlockBits() / dynEntryBits
+	ax.bufCap = d.BlockBits() / recordBits(dynEntryLayout)
 	if opts.Buffered && ax.bufCap < 4 {
 		return nil, fmt.Errorf("core: block size %d bits holds fewer than 4 buffered appends", d.BlockBits())
 	}
@@ -152,8 +152,10 @@ func BuildAppendIndex(d *iomodel.Disk, col workload.Column, opts AppendOptions) 
 		ax.n++
 	}
 	tc := d.NewTouch()
-	ax.rebuildAll(tc)
-	tc.Close()
+	defer tc.Close()
+	if err := ax.rebuildAll(tc); err != nil {
+		return nil, err
+	}
 	d.ResetStats()
 	return ax, nil
 }
@@ -229,7 +231,7 @@ func buildCharSkeleton(counts []int64, c int, parent *dynNode, depth int, lo, hi
 
 // rebuildAll reconstructs the whole structure from byChar (initial build and
 // global rebuilds when n doubles). All I/O is charged to tc.
-func (ax *AppendIndex) rebuildAll(tc *iomodel.Touch) {
+func (ax *AppendIndex) rebuildAll(tc *iomodel.Touch) error {
 	// Free all existing chains.
 	for _, lvl := range ax.levels {
 		for _, m := range lvl {
@@ -255,7 +257,9 @@ func (ax *AppendIndex) rebuildAll(tc *iomodel.Touch) {
 	for li := range ax.levels {
 		slices.SortFunc(ax.levels[li], func(a, b *dynMember) int { return cmp.Compare(a.node.lo, b.node.lo) })
 		for _, m := range ax.levels[li] {
-			ax.writeMemberChain(tc, m)
+			if err := ax.writeMemberChain(tc, m); err != nil {
+				return err
+			}
 		}
 	}
 	// Pack the skeleton into structure blocks (paper's blocked layout).
@@ -263,6 +267,7 @@ func (ax *AppendIndex) rebuildAll(tc *iomodel.Touch) {
 	ax.buildN = ax.n
 	ax.GlobalRebuildCount++
 	ax.rootBuf = ax.rootBuf[:0]
+	return nil
 }
 
 // writeMemberChain encodes the node's current position set into its chain.
@@ -272,7 +277,7 @@ func (ax *AppendIndex) rebuildAll(tc *iomodel.Touch) {
 // encoded stream is byte-identical to the former sort-then-encode path
 // (pinned by the rebuild differential test); the head gap is p+1, exactly
 // the package's canonical head encoding relative to position -1.
-func (ax *AppendIndex) writeMemberChain(tc *iomodel.Touch, m *dynMember) {
+func (ax *AppendIndex) writeMemberChain(tc *iomodel.Touch, m *dynMember) error {
 	w := getChainWriter()
 	defer putChainWriter(w)
 	var enc cbitmap.StreamEncoder
@@ -280,9 +285,7 @@ func (ax *AppendIndex) writeMemberChain(tc *iomodel.Touch, m *dynMember) {
 	enc.MergeSortedSlices(ax.byChar[m.node.lo : m.node.hi+1]...)
 	m.card = enc.Card()
 	m.lastPos = enc.Last()
-	if err := m.chain.Replace(tc, w); err != nil {
-		panic(fmt.Sprintf("core: chain replace: %v", err))
-	}
+	return m.chain.Replace(tc, w)
 }
 
 // packLayout assigns skeleton nodes to structure blocks, top Θ(lg b) levels

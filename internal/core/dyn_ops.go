@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 
 	"repro/internal/cbitmap"
@@ -62,8 +61,9 @@ func (ax *AppendIndex) Append(ch uint32) (index.QueryStats, error) {
 		ci := sort.Search(len(v.children), func(i int) bool { return v.children[i].hi >= ch })
 		v = v.children[ci]
 	}
+	var err error
 	if ax.n >= 2*ax.buildN+16 {
-		ax.rebuildAll(tc)
+		err = ax.rebuildAll(tc)
 	} else if violated != nil {
 		// "We re-build the subtree rooted at u", the parent of the highest
 		// node violating the weight-balancing condition.
@@ -72,10 +72,13 @@ func (ax *AppendIndex) Append(ch uint32) (index.QueryStats, error) {
 			target = target.parent
 		}
 		if target.parent == nil {
-			ax.rebuildAll(tc)
-		} else if err := ax.rebuildSubtree(tc, target); err != nil {
-			return stats, err
+			err = ax.rebuildAll(tc)
+		} else {
+			err = ax.rebuildSubtree(tc, target)
 		}
+	}
+	if err != nil {
+		return stats, err
 	}
 	stats.Reads, stats.Writes = tc.Reads(), tc.Writes()
 	return stats, nil
@@ -134,7 +137,9 @@ func (ax *AppendIndex) rebuildSubtree(tc *iomodel.Touch, u *dynNode) error {
 		if ax.opts.Buffered {
 			m.buf = ax.disk.AllocBlock()
 		}
-		ax.writeMemberChain(tc, m)
+		if err := ax.writeMemberChain(tc, m); err != nil {
+			return err
+		}
 		lvl := ax.levels[li]
 		at := sort.Search(len(lvl), func(j int) bool { return lvl[j].node.lo > v.lo })
 		lvl = append(lvl, nil)
@@ -161,42 +166,17 @@ func heightFor(w int64, c int) int {
 // readMemberBuf appends a member's buffered appends to es, charging one
 // read; the bits pass through cb.
 func (ax *AppendIndex) readMemberBuf(tc *iomodel.Touch, m *dynMember, cb *chunkBuf, es []dynEntry) ([]dynEntry, error) {
-	if m.bufN == 0 {
-		return es, nil
-	}
-	if err := tc.ReaderInto(iomodel.Extent{Off: ax.disk.BlockOff(m.buf), Bits: int64(m.bufN) * dynEntryBits}, cb.w); err != nil {
-		return es, err
-	}
-	rd := &cb.r
-	rd.Init(cb.w.Bytes(), cb.w.Len())
-	es = slices.Grow(es, m.bufN)
-	for i := 0; i < m.bufN; i++ {
-		ch, _ := rd.ReadBits(32)
-		pos, err := rd.ReadBits(48)
-		if err != nil {
-			return es, fmt.Errorf("core: corrupt append buffer: %w", err)
-		}
-		es = append(es, dynEntry{ch: uint32(ch), pos: int64(pos)})
-	}
-	return es, nil
+	return readRecords(tc, ax.disk, m.buf, m.bufN, dynEntryLayout, cb, es, func(f [4]uint64) dynEntry {
+		return dynEntry{ch: uint32(f[0]), pos: int64(f[1])}
+	})
 }
 
-// writeMemberBuf stores a member's buffered appends, charging one write. The
-// entries are staged through a pooled writer, so steady-state buffer churn
-// does not allocate.
+// writeMemberBuf stores a member's buffered appends, charging one write.
 func (ax *AppendIndex) writeMemberBuf(tc *iomodel.Touch, m *dynMember, es []dynEntry) error {
-	if len(es) > ax.bufCap {
-		return fmt.Errorf("core: append buffer overflow (%d > %d)", len(es), ax.bufCap)
-	}
-	w := getChainWriter()
-	defer putChainWriter(w)
-	w.Grow(len(es) * dynEntryBits)
-	for _, e := range es {
-		w.WriteBits(uint64(e.ch), 32)
-		w.WriteBits(uint64(e.pos), 48)
-	}
 	m.bufN = len(es)
-	return tc.WriteStream(iomodel.Extent{Off: ax.disk.BlockOff(m.buf), Bits: int64(w.Len())}, w)
+	return writeRecords(tc, ax.disk, m.buf, es, dynEntryLayout, func(e dynEntry) [4]uint64 {
+		return [4]uint64{uint64(e.ch), uint64(e.pos)}
+	})
 }
 
 // isTerminal reports whether member m has no member children at the next
@@ -240,33 +220,17 @@ func (ax *AppendIndex) applyEntries(tc *iomodel.Touch, m *dynMember, es []dynEnt
 }
 
 // splitDominant partitions es between the member of level li that receives
-// the most entries — returned with its convoy, moved — and the rest. Ties
-// resolve to the member with the smallest character range start, so the flush
-// order — and the rebuild layout it induces — is identical run to run (map
-// iteration order must not leak into the structure). best is nil when no
-// entry has a member at that level.
+// the most entries — returned with its convoy, moved — and the rest. A level's
+// members are sorted by character, so ties resolve to the member with the
+// smallest character range start. best is nil when no entry has a member at
+// that level.
 func (ax *AppendIndex) splitDominant(li int, es []dynEntry) (best *dynMember, moved, rest []dynEntry) {
-	counts := make(map[*dynMember]int)
-	for _, e := range es {
-		counts[ax.memberFor(li, e.ch)]++
-	}
-	bestN := -1
-	for m, n := range counts {
-		if m != nil && (n > bestN || (n == bestN && m.node.lo < best.node.lo)) {
-			best, bestN = m, n
-		}
-	}
-	if best == nil {
+	lvl := ax.levels[li]
+	i, moved, rest := dominant(es, len(lvl), func(e dynEntry) int { return tileFor(lvl, e.ch) })
+	if i < 0 {
 		return nil, nil, es
 	}
-	for _, e := range es {
-		if ax.memberFor(li, e.ch) == best {
-			moved = append(moved, e)
-		} else {
-			rest = append(rest, e)
-		}
-	}
-	return best, moved, rest
+	return lvl[i], moved, rest
 }
 
 // flushRoot moves the dominant destination's entries from the in-memory

@@ -34,6 +34,9 @@ func newTreeLayout(d *iomodel.Disk, t *Tree) *treeLayout {
 	// with leftover room pulls further pending subtrees ("we merge the
 	// blocks so that no block is more than half empty").
 	pending := []*Node{t.Root}
+	// Structure blocks are written once at build time, in one session.
+	tc := d.NewTouch()
+	defer tc.Close()
 	for len(pending) > 0 {
 		blk := d.AllocBlock()
 		l.nblocks++
@@ -56,9 +59,7 @@ func newTreeLayout(d *iomodel.Disk, t *Tree) *treeLayout {
 				queue = append(queue, v.Children...)
 			}
 		}
-		tc := d.NewTouch()
-		// Structure blocks are written once at build time.
-		_ = tc.WriteStream(iomodel.Extent{Off: d.BlockOff(blk), Bits: int64(w.Len())}, w)
+		_ = tc.WriteStream(d.BlockExtent(blk), w)
 	}
 	return l
 }

@@ -324,7 +324,7 @@ func OpenAppendIndex(d *iomodel.Disk, sigma int, opts AppendOptions, dec *contai
 		byChar:   make([][]int64, sigma),
 		readonly: true,
 	}
-	ax.bufCap = d.BlockBits() / dynEntryBits
+	ax.bufCap = d.BlockBits() / recordBits(dynEntryLayout)
 	if opts.Buffered && ax.bufCap < 4 {
 		return nil, fmt.Errorf("core: block size %d bits holds fewer than 4 buffered appends", d.BlockBits())
 	}

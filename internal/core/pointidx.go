@@ -45,9 +45,9 @@ type pentry struct {
 	seq uint64
 }
 
-// pentryBits is the on-disk width of a buffered update: op bit, 32-bit
+// pentryLayout is the on-disk layout of a buffered update: op bit, 32-bit
 // character, 48-bit position and a 32-bit sequence number.
-const pentryBits = 1 + 32 + 48 + 32
+var pentryLayout = []int{1, 32, 48, 32}
 
 // pkey orders updates and leaves by (character, position).
 type pkey struct {
@@ -97,15 +97,18 @@ func NewPointIndex(d *iomodel.Disk, sigma, c int) (*PointIndex, error) {
 		return nil, fmt.Errorf("core: alphabet size %d", sigma)
 	}
 	px := &PointIndex{disk: d, sigma: sigma, c: c}
-	px.bufCap = d.BlockBits() / pentryBits
+	px.bufCap = d.BlockBits() / recordBits(pentryLayout)
 	if px.bufCap < 4 {
 		return nil, fmt.Errorf("core: block size %d bits holds fewer than 4 buffer entries", d.BlockBits())
 	}
 	// One empty leaf for character 0 anchors routing; the root is internal.
 	leaf := &pnode{leaf: true, ch: 0, blk: d.AllocBlock(), min: pkey{0, 0}}
 	tc := d.NewTouch()
-	px.writeLeaf(tc, leaf, nil)
-	tc.Close()
+	defer tc.Close()
+	var err error
+	if leaf.bits, err = writeLeafBlock(tc, d, leaf.blk, nil); err != nil {
+		return nil, err
+	}
 	px.root = &pnode{min: leaf.min, kids: []*pnode{leaf}, buf: d.AllocBlock()}
 	px.nLeaves, px.nNodes = 1, 2
 	return px, nil
@@ -131,7 +134,11 @@ func BuildPointIndex(d *iomodel.Disk, col workload.Column, c int) (*PointIndex, 
 		if len(byChar[a]) == 0 {
 			continue
 		}
-		leaves = append(leaves, px.encodeLeaves(tc, uint32(a), byChar[a])...)
+		ls, err := px.encodeLeaves(tc, uint32(a), byChar[a])
+		if err != nil {
+			return nil, err
+		}
+		leaves = append(leaves, ls...)
 	}
 	if len(leaves) == 0 {
 		return px, nil
@@ -161,38 +168,41 @@ func BuildPointIndex(d *iomodel.Disk, col workload.Column, c int) (*PointIndex, 
 
 // encodeLeaves packs one character's sorted, non-empty positions into
 // block-sized leaves.
-func (px *PointIndex) encodeLeaves(tc *iomodel.Touch, ch uint32, pos []int64) []*pnode {
-	var out []*pnode
+func (px *PointIndex) encodeLeaves(tc *iomodel.Touch, ch uint32, pos []int64) (out []*pnode, err error) {
 	for _, piece := range px.splitPositions(pos) {
 		leaf := &pnode{leaf: true, ch: ch, blk: px.disk.AllocBlock(), min: pkey{ch, piece[0]}}
-		px.writeLeaf(tc, leaf, piece)
+		if leaf.bits, err = writeLeafBlock(tc, px.disk, leaf.blk, piece); err != nil {
+			return nil, err
+		}
 		out = append(out, leaf)
 	}
-	return out
+	return out, nil
 }
 
-// writeLeaf encodes positions into the leaf's block: a count header, then
-// the package-wide gap stream. Its first gap, taken from -1, is the paper's
-// "first position in each block ... stored as an absolute value" (plus one,
-// to stay >= 1); "all the others ... relative to the previous position".
-func (px *PointIndex) writeLeaf(tc *iomodel.Touch, leaf *pnode, pos []int64) {
-	w := bitio.NewWriter(px.disk.BlockBits())
+// The updatable kinds' two block formats are written and read here alone: a
+// leaf block of sorted positions (this index's and the position translator's
+// leaves) and a buffer block of fixed-width update records (this index's and
+// the buffered append index's). A single-block write fills at most its block.
+
+// writeLeafBlock writes the sorted, duplicate-free positions pos into block
+// blk — a count header, then the package-wide gap stream — and returns the
+// bits written. The first gap, taken from -1, is the paper's "first position
+// in each block ... stored as an absolute value" (plus one, to stay >= 1);
+// "all the others ... relative to the previous position".
+func writeLeafBlock(tc *iomodel.Touch, d *iomodel.Disk, blk iomodel.BlockID, pos []int64) (bits int, err error) {
+	w := bitio.NewWriter(d.BlockBits())
 	w.WriteBits(uint64(len(pos)), pointLeafHeaderBits)
 	var e cbitmap.StreamEncoder
 	e.Init(w)
 	cbitmap.AddSorted(&e, pos)
-	leaf.bits = w.Len()
-	ext := iomodel.Extent{Off: px.disk.BlockOff(leaf.blk), Bits: int64(w.Len())}
-	if err := tc.WriteStream(ext, w); err != nil {
-		panic(fmt.Sprintf("core: leaf write within a fresh block cannot fail: %v", err))
-	}
+	return w.Len(), tc.WriteStream(d.BlockExtent(blk), w)
 }
 
-// openLeaf reads leaf's header and gap stream into cb, charging one block
-// read, and opens s over the stream, validating every position against
-// [0,univ).
-func (px *PointIndex) openLeaf(tc *iomodel.Touch, leaf *pnode, cb *chunkBuf, univ int64, s *cbitmap.Stream) error {
-	if err := tc.ReaderInto(iomodel.Extent{Off: px.disk.BlockOff(leaf.blk), Bits: int64(leaf.bits)}, cb.w); err != nil {
+// openLeaf reads the first bits bits of leaf block blk — header and gap
+// stream — into cb, charging one block read, and opens s over the stream,
+// validating every position against [0,univ).
+func openLeaf(tc *iomodel.Touch, d *iomodel.Disk, blk iomodel.BlockID, bits int, cb *chunkBuf, univ int64, s *cbitmap.Stream) error {
+	if err := tc.ReaderInto(iomodel.Extent{Off: d.BlockOff(blk), Bits: int64(bits)}, cb.w); err != nil {
 		return err
 	}
 	cb.r.Init(cb.w.Bytes(), cb.w.Len())
@@ -202,7 +212,7 @@ func (px *PointIndex) openLeaf(tc *iomodel.Touch, leaf *pnode, cb *chunkBuf, uni
 	}
 	// Every stored position costs at least one bit, so a count beyond the
 	// block capacity can only be corruption — reject before decoding.
-	if cnt > uint64(px.disk.BlockBits()) {
+	if cnt > uint64(d.BlockBits()) {
 		return fmt.Errorf("core: corrupt leaf block: %w: count %d exceeds block capacity", cbitmap.ErrCorrupt, cnt)
 	}
 	if err := s.InitDecode(&cb.r, cb.r.Pos(), cb.r.Remaining(), int64(cnt), univ, 0); err != nil {
@@ -233,56 +243,80 @@ func drainLeaf(s *cbitmap.Stream, out []int64, drop []pentry) ([]int64, error) {
 // position is validated against [0, pointUniverse).
 func (px *PointIndex) readLeaf(tc *iomodel.Touch, leaf *pnode) ([]int64, error) {
 	var s cbitmap.Stream
-	if err := px.openLeaf(tc, leaf, newChunkBuf(), pointUniverse, &s); err != nil {
+	if err := openLeaf(tc, px.disk, leaf.blk, leaf.bits, newChunkBuf(), pointUniverse, &s); err != nil {
 		return nil, err
 	}
 	return drainLeaf(&s, make([]int64, 0, s.Left()), nil)
 }
 
+// A buffer record is up to four unsigned fields, stored in order at the bit
+// widths of its layout; recordBits is the record's width.
+func recordBits(layout []int) (bits int) {
+	for _, b := range layout {
+		bits += b
+	}
+	return bits
+}
+
+// writeRecords stores es at the head of block blk, each as the fields pack
+// returns for it, charging one write. The records are staged through a
+// pooled writer, so steady-state buffer churn does not allocate.
+func writeRecords[E any](tc *iomodel.Touch, d *iomodel.Disk, blk iomodel.BlockID, es []E, layout []int, pack func(E) [4]uint64) error {
+	w := getChainWriter()
+	defer putChainWriter(w)
+	for _, e := range es {
+		f := pack(e)
+		for k, bits := range layout {
+			w.WriteBits(f[k], bits)
+		}
+	}
+	return tc.WriteStream(d.BlockExtent(blk), w)
+}
+
+// readRecords appends to es the n records at the head of block blk, each
+// made by unpack from its fields, charging one read; the bits pass through
+// cb. The fields pass by value, so neither cb nor its reader escapes.
+func readRecords[E any](tc *iomodel.Touch, d *iomodel.Disk, blk iomodel.BlockID, n int, layout []int, cb *chunkBuf, es []E, unpack func([4]uint64) E) ([]E, error) {
+	if n == 0 {
+		return es, nil
+	}
+	if err := tc.ReaderInto(iomodel.Extent{Off: d.BlockOff(blk), Bits: int64(n * recordBits(layout))}, cb.w); err != nil {
+		return es, err
+	}
+	cb.r.Init(cb.w.Bytes(), cb.w.Len())
+	es = slices.Grow(es, n)
+	for range n {
+		var f [4]uint64
+		for k, bits := range layout {
+			v, err := cb.r.ReadBits(bits)
+			if err != nil {
+				return es, fmt.Errorf("core: corrupt buffer block: %w", err)
+			}
+			f[k] = v
+		}
+		es = append(es, unpack(f))
+	}
+	return es, nil
+}
+
 // writeBuffer stores a node's buffered updates in its buffer block.
 func (px *PointIndex) writeBuffer(tc *iomodel.Touch, nd *pnode, es []pentry) error {
-	if len(es) > px.bufCap {
-		return fmt.Errorf("core: buffer overflow: %d entries, capacity %d", len(es), px.bufCap)
-	}
-	w := bitio.NewWriter(px.disk.BlockBits())
-	for _, e := range es {
+	nd.bufN = len(es)
+	return writeRecords(tc, px.disk, nd.buf, es, pentryLayout, func(e pentry) [4]uint64 {
 		var d uint64
 		if e.del {
 			d = 1
 		}
-		w.WriteBits(d, 1)
-		w.WriteBits(uint64(e.ch), 32)
-		w.WriteBits(uint64(e.pos), 48)
-		w.WriteBits(e.seq, 32)
-	}
-	nd.bufN = len(es)
-	ext := iomodel.Extent{Off: px.disk.BlockOff(nd.buf), Bits: int64(w.Len())}
-	return tc.WriteStream(ext, w)
+		return [4]uint64{d, uint64(e.ch), uint64(e.pos), e.seq}
+	})
 }
 
 // readBuffer appends a node's buffered updates to es, charging one block
 // read; the bits pass through cb.
 func (px *PointIndex) readBuffer(tc *iomodel.Touch, nd *pnode, cb *chunkBuf, es []pentry) ([]pentry, error) {
-	if nd.bufN == 0 {
-		return es, nil
-	}
-	if err := tc.ReaderInto(iomodel.Extent{Off: px.disk.BlockOff(nd.buf), Bits: int64(nd.bufN) * pentryBits}, cb.w); err != nil {
-		return es, err
-	}
-	rd := &cb.r
-	rd.Init(cb.w.Bytes(), cb.w.Len())
-	es = slices.Grow(es, nd.bufN)
-	for i := 0; i < nd.bufN; i++ {
-		d, _ := rd.ReadBits(1)
-		ch, _ := rd.ReadBits(32)
-		pos, _ := rd.ReadBits(48)
-		seq, err := rd.ReadBits(32)
-		if err != nil {
-			return es, fmt.Errorf("core: corrupt buffer block: %w", err)
-		}
-		es = append(es, pentry{del: d == 1, ch: uint32(ch), pos: int64(pos), seq: seq})
-	}
-	return es, nil
+	return readRecords(tc, px.disk, nd.buf, nd.bufN, pentryLayout, cb, es, func(f [4]uint64) pentry {
+		return pentry{del: f[0] == 1, ch: uint32(f[1]), pos: int64(f[2]), seq: f[3]}
+	})
 }
 
 // Insert adds position pos to character ch's set.
@@ -312,7 +346,7 @@ func (px *PointIndex) update(e pentry) (index.QueryStats, error) {
 		// "An update is simply stored in the buffer corresponding to the
 		// root ... Whenever a buffer becomes full, a constant fraction of
 		// the updates in that buffer are moved to one of its children."
-		moved, rest := px.pickDominantChild(px.root, px.rootBuf)
+		_, moved, rest := dominant(px.rootBuf, len(px.root.kids), px.root.route)
 		px.rootBuf = rest
 		if err := px.deliver(tc, px.root, moved); err != nil {
 			return stats, err
@@ -351,30 +385,38 @@ func childFor(nd *pnode, k pkey) int {
 	return i
 }
 
-// pickDominantChild partitions entries between the child of nd receiving
-// the most updates (returned first) and the remainder. Counting runs over
-// the child index slice, not a map, so ties always resolve to the lowest
-// child index: the choice — and hence the rebuild layout downstream of it —
-// is identical run to run.
-func (px *PointIndex) pickDominantChild(nd *pnode, es []pentry) (moved, rest []pentry) {
-	counts := make([]int, len(nd.kids))
+// route returns the index of the child of nd that update e routes to.
+func (nd *pnode) route(e pentry) int { return childFor(nd, e.key()) }
+
+// dominant is a full buffer's flush choice ("a constant fraction of the
+// updates in that buffer are moved to one of its children"): the destination
+// in [0,n) that dest routes most of es to (dest -1: none), the lowest on a tie
+// so the layout is identical run to run, and es split in order between the
+// updates routed there and the rest. best is -1 if dest routes none.
+func dominant[E any](es []E, n int, dest func(E) int) (best int, moved, rest []E) {
+	counts := make([]int, n)
 	for _, e := range es {
-		counts[childFor(nd, e.key())]++
-	}
-	best, bestN := 0, -1
-	for i, n := range counts {
-		if n > bestN {
-			best, bestN = i, n
+		if i := dest(e); i >= 0 {
+			counts[i]++
 		}
 	}
+	best, bestN := -1, 0
+	for i, c := range counts {
+		if c > bestN {
+			best, bestN = i, c
+		}
+	}
+	if best < 0 {
+		return -1, nil, es
+	}
 	for _, e := range es {
-		if childFor(nd, e.key()) == best {
+		if dest(e) == best {
 			moved = append(moved, e)
 		} else {
 			rest = append(rest, e)
 		}
 	}
-	return moved, rest
+	return best, moved, rest
 }
 
 // flushInto appends a batch of updates (all routed within nd's subtree) to
@@ -391,7 +433,7 @@ func (px *PointIndex) flushInto(tc *iomodel.Touch, nd *pnode, batch []pentry) er
 	var overflow [][]pentry
 	for len(es) >= px.bufCap {
 		var moved []pentry
-		moved, es = px.pickDominantChild(nd, es)
+		_, moved, es = dominant(es, len(nd.kids), nd.route)
 		overflow = append(overflow, moved)
 	}
 	if err := px.writeBuffer(tc, nd, es); err != nil {
@@ -446,7 +488,9 @@ func (px *PointIndex) applyLeafBatch(tc *iomodel.Touch, parent *pnode, ci int, b
 				px.nLeaves++
 				px.nNodes++
 			}
-			px.writeLeaf(tc, l, piece)
+			if l.bits, err = writeLeafBlock(tc, px.disk, l.blk, piece); err != nil {
+				return err
+			}
 			repl = append(repl, l)
 		}
 	} else {
@@ -462,7 +506,10 @@ func (px *PointIndex) applyLeafBatch(tc *iomodel.Touch, parent *pnode, ci int, b
 			k++
 		}
 		if ps := replay(nil, others[:k]); len(ps) > 0 {
-			ls := px.encodeLeaves(tc, others[0].ch, ps)
+			ls, err := px.encodeLeaves(tc, others[0].ch, ps)
+			if err != nil {
+				return err
+			}
 			px.nLeaves += len(ls)
 			px.nNodes += len(ls)
 			repl = append(repl, ls...)
@@ -473,7 +520,9 @@ func (px *PointIndex) applyLeafBatch(tc *iomodel.Touch, parent *pnode, ci int, b
 		// Leaf vanished entirely; keep an empty placeholder to anchor
 		// routing (cheap, and avoids empty internal nodes).
 		leaf.blk = px.disk.AllocBlock()
-		px.writeLeaf(tc, leaf, nil)
+		if leaf.bits, err = writeLeafBlock(tc, px.disk, leaf.blk, nil); err != nil {
+			return err
+		}
 		px.nLeaves++
 		px.nNodes++
 		repl = []*pnode{leaf}
@@ -661,7 +710,7 @@ func (px *PointIndex) collect(tc *iomodel.Touch, lo, hi uint32, sc *queryScratch
 			j++
 		}
 		var s cbitmap.Stream
-		if err := px.openLeaf(tc, leaf, sc.nextBuf(), univ, &s); err != nil {
+		if err := openLeaf(tc, px.disk, leaf.blk, leaf.bits, sc.nextBuf(), univ, &s); err != nil {
 			return bits, err
 		}
 		bits += int64(leaf.bits)

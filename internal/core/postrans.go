@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/bitio"
 	"repro/internal/gamma"
 	"repro/internal/index"
 	"repro/internal/iomodel"
@@ -56,7 +55,7 @@ func NewPositionTranslator(d *iomodel.Disk, n int64) (*PositionTranslator, error
 	pt := &PositionTranslator{disk: d, n: n}
 	// Leaf capacity: worst-case gamma code is 2 lg n + 1 bits.
 	worst := 2*bitsLen(n) + 1
-	pt.leafCap = (d.BlockBits() - 32) / worst
+	pt.leafCap = (d.BlockBits() - pointLeafHeaderBits) / worst
 	if pt.leafCap < 4 {
 		return nil, fmt.Errorf("core: block size %d bits too small for position translation leaves", d.BlockBits())
 	}
@@ -90,23 +89,17 @@ func (pt *PositionTranslator) SizeBits() int64 {
 	return int64(pt.nBlocks) * int64(pt.disk.BlockBits())
 }
 
-// writeLeaf encodes a leaf's positions into its block — a 32-bit count,
-// then the gamma-coded gaps — charging I/Os. A leaf that would not fit its
-// block fails instead of spilling into the next one.
+// writeLeaf refreshes a leaf's routing data and writes its positions in the
+// point index's leaf format — a 32-bit count, then the gamma-coded gaps —
+// charging I/Os.
 func (pt *PositionTranslator) writeLeaf(tc *iomodel.Touch, nd *ptNode) error {
-	w := bitio.NewWriter(pt.disk.BlockBits())
-	w.WriteBits(uint64(len(nd.pos)), 32)
-	prev := int64(-1)
-	for _, p := range nd.pos {
-		gamma.Write(w, uint64(p-prev))
-		prev = p
-	}
 	nd.maxP = -1
 	if len(nd.pos) > 0 {
 		nd.maxP = nd.pos[len(nd.pos)-1]
 	}
 	nd.cnt = int64(len(nd.pos))
-	return tc.WriteStream(iomodel.Extent{Off: pt.disk.BlockOff(nd.blk), Bits: int64(pt.disk.BlockBits())}, w)
+	_, err := writeLeafBlock(tc, pt.disk, nd.blk, nd.pos)
+	return err
 }
 
 // split returns the index at which a leaf holding pos splits, or 0 when it
@@ -116,7 +109,7 @@ func (pt *PositionTranslator) writeLeaf(tc *iomodel.Touch, nd *ptNode) error {
 // where its encoded bits balance, since halving the count need not halve
 // the bits.
 func (pt *PositionTranslator) split(pos []int64) int {
-	bits, prev := 32, int64(-1)
+	bits, prev := pointLeafHeaderBits, int64(-1)
 	for _, p := range pos {
 		bits += gamma.Len(uint64(p - prev))
 		prev = p
@@ -127,7 +120,7 @@ func (pt *PositionTranslator) split(pos []int64) int {
 		}
 		return len(pos) / 2
 	}
-	acc := 32
+	acc := pointLeafHeaderBits
 	prev = -1
 	for i, p := range pos {
 		if acc += gamma.Len(uint64(p - prev)); acc > bits/2 {
@@ -248,39 +241,6 @@ func (pt *PositionTranslator) insert(tc *iomodel.Touch, nd *ptNode, p int64) (bo
 	pt.refresh(nd)
 	pt.refresh(right)
 	return added, right, nil
-}
-
-// IsDeleted reports whether raw position p is deleted, in O(log_b n) I/Os.
-func (pt *PositionTranslator) IsDeleted(p int64) (bool, index.QueryStats, error) {
-	var stats index.QueryStats
-	if p < 0 || p >= pt.n {
-		return false, stats, fmt.Errorf("core: position %d outside [0,%d)", p, pt.n)
-	}
-	tc := pt.disk.NewTouch()
-	nd := pt.root
-	for !nd.leaf {
-		pt.chargeRead(tc, nd)
-		next := nd.kids[len(nd.kids)-1]
-		for _, k := range nd.kids {
-			if k.maxP >= p {
-				next = k
-				break
-			}
-		}
-		nd = next
-	}
-	pt.chargeRead(tc, nd)
-	for _, q := range nd.pos {
-		if q == p {
-			stats.Reads, stats.Writes = tc.Reads(), tc.Writes()
-			return true, stats, nil
-		}
-		if q > p {
-			break
-		}
-	}
-	stats.Reads, stats.Writes = tc.Reads(), tc.Writes()
-	return false, stats, nil
 }
 
 // RawToLive translates a raw position to its live ordinal: the number of

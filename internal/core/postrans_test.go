@@ -2,8 +2,11 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/cbitmap"
+	"repro/internal/gamma"
 	"repro/internal/iomodel"
 )
 
@@ -56,13 +59,13 @@ func TestPositionTranslatorBasics(t *testing.T) {
 	if pt.Deleted() != 3 {
 		t.Fatalf("deleted = %d", pt.Deleted())
 	}
-	isDel, _, err := pt.IsDeleted(20)
-	if err != nil || !isDel {
-		t.Fatalf("IsDeleted(20) = %v, %v", isDel, err)
+	_, live20, _, err := pt.RawToLive(20)
+	if err != nil || live20 {
+		t.Fatalf("RawToLive(20) live = %v, %v", live20, err)
 	}
-	isDel, _, err = pt.IsDeleted(21)
-	if err != nil || isDel {
-		t.Fatalf("IsDeleted(21) = %v, %v", isDel, err)
+	_, live21, _, err := pt.RawToLive(21)
+	if err != nil || !live21 {
+		t.Fatalf("RawToLive(21) live = %v, %v", live21, err)
 	}
 	// Raw 25 has 2 deletions before it: live 23.
 	live, ok, _, err := pt.RawToLive(25)
@@ -275,5 +278,75 @@ func TestPositionTranslatorLeafFitsAfterExtend(t *testing.T) {
 		if live, ok, _, err := pt.RawToLive(p); err != nil || !ok || live != p-i-1 {
 			t.Fatalf("RawToLive(%d) = %d, %v, %v; want %d", p, live, ok, err, p-i-1)
 		}
+	}
+}
+
+// TestTranslatorLeavesDecodeAsPointLeaves: the translator keeps its leaves in
+// the point index's leaf format. In the regime where leaves outgrow their
+// count-based capacity (a translator over 16 rows extended by 10^5 appends,
+// then deleted from), every leaf block read back from the device through the
+// point index's validating leaf reader yields exactly the leaf's in-memory
+// positions and ends where its gap stream does.
+func TestTranslatorLeavesDecodeAsPointLeaves(t *testing.T) {
+	d := iomodel.NewDisk(iomodel.Config{BlockBits: 1024})
+	pt, err := NewPositionTranslator(d, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pt.Extend(100000); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(35))
+	for i := int64(0); i < 90; i++ {
+		if _, err := pt.Delete(i * 1000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3000; i++ {
+		if _, err := pt.Delete(rng.Int63n(pt.N())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var leaves []*ptNode
+	var walk func(nd *ptNode)
+	walk = func(nd *ptNode) {
+		if nd.leaf {
+			leaves = append(leaves, nd)
+		}
+		for _, k := range nd.kids {
+			walk(k)
+		}
+	}
+	walk(pt.root)
+	if len(leaves) < 2 {
+		t.Fatalf("%d leaves: the regime should split", len(leaves))
+	}
+	tc := d.NewTouch()
+	defer tc.Close()
+	var total int64
+	for li, nd := range leaves {
+		bits, prev := pointLeafHeaderBits, int64(-1)
+		for _, p := range nd.pos {
+			bits += gamma.Len(uint64(p - prev))
+			prev = p
+		}
+		var s cbitmap.Stream
+		if err := openLeaf(tc, d, nd.blk, bits, newChunkBuf(), pt.N(), &s); err != nil {
+			t.Fatalf("leaf %d: %v", li, err)
+		}
+		got, err := drainLeaf(&s, nil, nil)
+		if err != nil {
+			t.Fatalf("leaf %d: %v", li, err)
+		}
+		if !slices.Equal(got, nd.pos) {
+			t.Fatalf("leaf %d decodes to %d positions, want the %d in memory", li, len(got), len(nd.pos))
+		}
+		if _, ok := s.ValidatedLast(); !ok {
+			t.Fatalf("leaf %d: the stream does not end at bit %d", li, bits)
+		}
+		total += int64(len(got))
+	}
+	if total != pt.Deleted() {
+		t.Fatalf("leaves hold %d positions, translator reports %d deleted", total, pt.Deleted())
 	}
 }

@@ -491,6 +491,12 @@ func (d *Disk) FreeBlock(id BlockID) {
 // BlockOff returns the absolute bit offset of a block.
 func (d *Disk) BlockOff(id BlockID) int64 { return int64(id) * int64(d.cfg.BlockBits) }
 
+// BlockExtent is the whole of block id: a single-block WriteStream into it
+// fails on a stream that outgrows the block instead of spilling over.
+func (d *Disk) BlockExtent(id BlockID) Extent {
+	return Extent{Off: d.BlockOff(id), Bits: int64(d.cfg.BlockBits)}
+}
+
 // blockOf returns the block containing bit position pos.
 func (d *Disk) blockOf(pos int64) BlockID { return BlockID(pos / int64(d.cfg.BlockBits)) }
 

@@ -114,6 +114,41 @@ func TestOutOfRange(t *testing.T) {
 	}
 }
 
+// TestBlockExtentBoundsWriteStream: a single-block write into BlockExtent
+// fits the whole block and no more — a stream one bit longer fails without
+// writing anything, so the next block's bits survive.
+func TestBlockExtentBoundsWriteStream(t *testing.T) {
+	d := NewDisk(Config{BlockBits: 256})
+	blk, next := d.AllocBlock(), d.AllocBlock()
+	if ext := d.BlockExtent(blk); ext.Off != d.BlockOff(blk) || ext.Bits != 256 {
+		t.Fatalf("BlockExtent(%d) = %+v", blk, ext)
+	}
+	fill := func(bits int) *bitio.Writer {
+		w := bitio.NewWriter(bits)
+		for i := 0; i < bits; i++ {
+			w.WriteBits(1, 1)
+		}
+		return w
+	}
+	tc := d.NewTouch()
+	defer tc.Close()
+	if err := tc.WriteStream(d.BlockExtent(blk), fill(257)); err == nil {
+		t.Fatal("a 257-bit stream fit a 256-bit block")
+	}
+	if tc.Writes() != 0 {
+		t.Fatalf("the rejected stream charged %d writes", tc.Writes())
+	}
+	if err := tc.WriteStream(d.BlockExtent(blk), fill(256)); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := tc.ReadBits(d.BlockOff(blk)+192, 64); v != ^uint64(0) {
+		t.Fatalf("block tail %#x, want all ones", v)
+	}
+	if v, _ := tc.ReadBits(d.BlockOff(next), 64); v != 0 {
+		t.Fatalf("next block head %#x, want zero", v)
+	}
+}
+
 func TestBlockAllocFreeReuse(t *testing.T) {
 	d := NewDisk(Config{BlockBits: 128})
 	a := d.AllocBlock()
