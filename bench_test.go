@@ -199,6 +199,40 @@ func BenchmarkShardedQuery(b *testing.B) {
 			b.ReportMetric(float64(ix.DeviceStats().BlockReads)/float64(b.N), "blockIO/op")
 		})
 	}
+	b.Run("wide", func(b *testing.B) {
+		ix, qs := wideSharded(b)
+		ix.ResetDeviceStats()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			q := qs[i%len(qs)]
+			if _, _, err := ix.Query(q.Lo, q.Hi); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(ix.DeviceStats().BlockReads)/float64(b.N), "blockIO/op")
+	})
+}
+
+// wideSharded is the scan-wide workload's shape at a quarter of its rows: 4
+// shards over 2^18 zipf-1.0 rows with sigma 1024, and 256 ranges of 64-192
+// keys, so the window kernel and the union of the shards' answers do the
+// work. BenchmarkShardedQuery/wide and TestWideShardedQueryAllocs run it.
+func wideSharded(tb testing.TB) (*ShardedIndex, []Range) {
+	const sigma = 1024
+	col := workload.Zipf(1<<18, sigma, 1.0, 31)
+	ix, err := BuildSharded(col.X, sigma, ShardOptions{Shards: 4})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(32))
+	qs := make([]Range, 256)
+	for i := range qs {
+		l := 64 + rng.Intn(129)
+		lo := rng.Intn(sigma - l + 1)
+		qs[i] = Range{Lo: uint32(lo), Hi: uint32(lo + l - 1)}
+	}
+	return ix, qs
 }
 
 // BenchmarkShardedQueryBatch runs 32-query batches through the shared-scan

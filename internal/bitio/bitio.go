@@ -67,16 +67,6 @@ func (w *Writer) Grow(nbits int) {
 	}
 }
 
-// Detach returns the written buffer (final byte zero-padded, exactly as
-// Bytes) and resets the writer to empty without retaining a reference, so the
-// caller takes sole ownership. This is the hand-off that lets pooled builders
-// recycle everything except the bits they return.
-func (w *Writer) Detach() []byte {
-	buf := w.buf
-	w.buf, w.nbit = nil, 0
-	return buf
-}
-
 // WriteBit appends a single bit (any nonzero v writes a 1).
 func (w *Writer) WriteBit(v uint) {
 	if w.nbit&7 == 0 {

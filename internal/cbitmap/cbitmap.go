@@ -63,9 +63,9 @@ type Bitmap struct {
 	samplePos []int64
 	sampleOff []int32
 	sampleK   int64
-	// sampleOnce guards the lazy sample rebuild for bitmaps assembled from
-	// verbatim tail copies (Union drains, UnionAll shard concatenation),
-	// where construction-time sampling had to stop.
+	// sampleOnce guards the lazy sample build of a bitmap that recorded
+	// none at construction: an unsampled merge's, or one assembled from
+	// verbatim tail copies (Union drains, UnionAll shard concatenation).
 	sampleOnce sync.Once
 }
 
@@ -78,15 +78,12 @@ type Builder struct {
 	card      int64
 	samplePos []int64
 	sampleOff []int32
-	// noSamples is set once a drain (Stream.drainInto) copies elements
-	// without visiting them: the uniform element-index spacing that
+	// noSamples is set for a builder that records no samples (an unsampled
+	// merge's, a StreamEncoder's), and once a drain (Stream.drainInto) copies
+	// elements without visiting them: the uniform element-index spacing that
 	// iterFrom/Rank rely on can then no longer be maintained, so sampling
 	// stops (samples already collected cover the prefix and stay valid).
 	noSamples bool
-	// samplesAliased records that the last Bitmap call handed the sample
-	// slices themselves to the bitmap, so a pooled reuse must not truncate
-	// and refill them in place.
-	samplesAliased bool
 }
 
 // NewBuilder returns a Builder with capacity for sizeHint bits of stream.
@@ -134,24 +131,26 @@ func (bd *Builder) AddRun(start, count int64) {
 	}
 }
 
-// Bitmap finalises the builder into an immutable bitmap over [0,n). The
-// output buffer is detached from the builder's writer, so the bitmap takes
-// sole ownership of its bits and the builder (possibly pooled) can be reused.
+// Bitmap finalises the builder into an immutable bitmap over [0,n) that
+// takes the builder's output buffer, right-sized first if more than a quarter
+// of it is slack; the builder must not be written again.
 func (bd *Builder) Bitmap(n int64) *Bitmap {
-	bits := bd.w.Len()
-	buf := bd.w.Detach()
+	buf := bd.w.Bytes()
 	if cap(buf)-len(buf) > len(buf)/4+64 {
-		// A heavily-deduplicating merge can leave the presized buffer mostly
-		// empty; right-size it so the answer does not retain the slack for
-		// its whole lifetime.
 		buf = append(make([]byte, 0, len(buf)), buf...)
 	}
-	b := &Bitmap{n: n, card: bd.card, buf: buf, bits: bits, last: bd.prev}
+	return bd.bitmapOf(n, buf)
+}
+
+// bitmapOf finalises the builder into a bitmap over [0,n) holding buf, its
+// output bits; sample slices the bitmap takes as they stand are surrendered.
+func (bd *Builder) bitmapOf(n int64, buf []byte) *Bitmap {
+	b := &Bitmap{n: n, card: bd.card, buf: buf, bits: bd.w.Len(), last: bd.prev}
 	if bd.card == 0 {
 		b.last = -1
 	}
 	if b.attachSamples(bd.samplePos, bd.sampleOff) {
-		bd.samplesAliased = true
+		bd.samplePos, bd.sampleOff = nil, nil
 	}
 	return b
 }
@@ -237,8 +236,9 @@ func (b *Bitmap) SizeBits() int { return b.bits }
 func (b *Bitmap) SampleBits() int { return len(b.samplePos) * sampleBitsEach }
 
 // FootprintBytes bounds the heap the bitmap retains: its whole stream buffer
-// (Builder.Bitmap keeps up to a quarter of slack rather than copy) and the
-// skip samples at their cap of 1/maxSampleDiv of the stream, built yet or not.
+// (exact-size for a merge answer up to builderMaxBytes; Builder.Bitmap keeps
+// up to a quarter of slack rather than copy) and the skip samples at their cap
+// of 1/maxSampleDiv of the stream, built yet or not.
 func (b *Bitmap) FootprintBytes() int64 {
 	return int64(cap(b.buf)) + int64(b.bits/8/maxSampleDiv)
 }
@@ -281,7 +281,7 @@ func (ds *decodeScratch) release(pos []int64, off []int32) {
 // carries no header, cardinality comes from the node weight. It is a thin
 // wrapper over the streaming core — a Stream performs the validation scan
 // (collecting skip samples along the way), and the scanned bits are then
-// copied whole words at a time into a pooled output writer. r is left
+// copied whole words at a time into an exact-size buffer. r is left
 // positioned just past the stream.
 func Decode(r *bitio.Reader, card, n int64) (*Bitmap, error) {
 	start := r.Pos()
@@ -296,16 +296,14 @@ func Decode(r *bitio.Reader, card, n int64) (*Bitmap, error) {
 		return nil, fmt.Errorf("cbitmap: decode of %d gaps: %w", card, s.err)
 	}
 	bits := s.r.Pos() - start
-	bd := builderPool.Get().(*Builder)
-	bd.reset(bits)
-	if err := bd.w.CopyBits(r, bits); err != nil {
-		builderPool.Put(bd)
+	var w bitio.Writer
+	w.Grow(bits)
+	if err := w.CopyBits(r, bits); err != nil {
 		ds.release(samplePos, sampleOff)
 		return nil, err
 	}
 	// s.prev is -1 when card is 0, matching the empty bitmap's sentinel.
-	b := &Bitmap{n: n, card: card, buf: bd.w.Detach(), bits: bits, last: s.prev}
-	builderPool.Put(bd)
+	b := &Bitmap{n: n, card: card, buf: w.Bytes(), bits: bits, last: s.prev}
 	if b.attachSamples(samplePos, sampleOff) {
 		// The bitmap took the slices themselves; surrender them to it.
 		samplePos, sampleOff = nil, nil
@@ -323,11 +321,12 @@ func (b *Bitmap) Iter() Stream {
 	return s
 }
 
-// ensureSamples lazily rebuilds skip samples by one decode pass over the
-// stream. Bitmaps assembled from verbatim tail copies skip construction-time
-// sampling (the copied stream is never element-visited), which would leave
-// point queries scanning from bit 0; the first point query pays one full
-// scan to restore them instead. Safe for concurrent readers.
+// ensureSamples lazily builds skip samples by one decode pass over the
+// stream. An unsampled merge answer records none at construction (it is meant
+// to be read once, whole), and a verbatim tail copy never visits its
+// elements, which would leave point queries scanning from bit 0; the first
+// point query pays one full scan instead, leaving the samples Builder.Add
+// would have recorded. Safe for concurrent readers.
 func (b *Bitmap) ensureSamples() {
 	if b.card < minSampleCard {
 		return

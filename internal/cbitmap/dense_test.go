@@ -26,8 +26,7 @@ func mergeVia(dense bool, n int64, complement bool, streams []*Stream) (*Bitmap,
 		return nil, err
 	}
 	bd := builderPool.Get().(*Builder)
-	defer builderPool.Put(bd)
-	bd.reset(sizeHint)
+	bd.reset(sizeHint, true)
 	if dense {
 		err = mergeDense(bd, n, complement, heads)
 	} else {
@@ -36,7 +35,7 @@ func mergeVia(dense bool, n int64, complement bool, streams []*Stream) (*Bitmap,
 	if err != nil {
 		return nil, err
 	}
-	return bd.Bitmap(n), nil
+	return bd.finish(n), nil
 }
 
 // requireSameBitmap fails unless got and want agree on everything a caller

@@ -317,8 +317,7 @@ func mergeOrderedPerRow(n int64, streams []*Stream) (*Bitmap, error) {
 		return nil, err
 	}
 	bd := builderPool.Get().(*Builder)
-	defer builderPool.Put(bd)
-	bd.reset(min(sizeHint, unionBits(n, heads)))
+	bd.reset(min(sizeHint, unionBits(n, heads)), true)
 	for i := range heads {
 		s, cur := heads[i].s, heads[i].cur
 		if i > 0 && cur <= bd.prev {
@@ -338,7 +337,7 @@ func mergeOrderedPerRow(n int64, streams []*Stream) (*Bitmap, error) {
 		bd.prev = s.prev
 		bd.noSamples = true
 	}
-	return bd.Bitmap(n), nil
+	return bd.finish(n), nil
 }
 
 // BenchmarkOrderedConcat is the kernel half of hypotheses/ordered-concat: one

@@ -326,27 +326,36 @@ type mergeScratch struct {
 
 var mergeScratchPool = sync.Pool{New: func() any { return new(mergeScratch) }}
 
-// builderPool recycles Builders between merges. Builder.Bitmap detaches the
-// output buffer (bitio.Writer.Detach), so a pooled builder hands each caller
-// sole ownership of the bits it returns while keeping its own bookkeeping
-// state — and, unless the previous output aliased them, its sample slices.
+// builderPool recycles the merges' Builders, output buffer included: each
+// answer gets an exact-size copy of the bits (finish).
 var builderPool = sync.Pool{New: func() any { return &Builder{w: bitio.NewWriter(0), prev: -1} }}
 
+// builderMaxBytes bounds the buffers pooled builders keep, as the Touch and
+// chain-writer pools do; a builder over it hands its buffer to the answer.
+const builderMaxBytes = 1 << 20
+
 // reset prepares a pooled Builder for reuse, pre-sizing the output buffer
-// for sizeHint bits.
-func (bd *Builder) reset(sizeHint int) {
+// for sizeHint bits; sampled says whether to record skip samples.
+func (bd *Builder) reset(sizeHint int, sampled bool) {
 	bd.w.Reset()
 	bd.w.Grow(sizeHint)
 	bd.prev = -1
 	bd.card = 0
-	bd.noSamples = false
-	if bd.samplesAliased {
-		bd.samplePos, bd.sampleOff = nil, nil
-		bd.samplesAliased = false
-	} else {
-		bd.samplePos = bd.samplePos[:0]
-		bd.sampleOff = bd.sampleOff[:0]
+	bd.noSamples = !sampled
+	bd.samplePos = bd.samplePos[:0]
+	bd.sampleOff = bd.sampleOff[:0]
+}
+
+// finish finalises a pooled merge builder into the answer over [0,n) and
+// returns it to the pool. The answer's exact-size copy keeps its footprint
+// independent of what the pooled buffer held before.
+func (bd *Builder) finish(n int64) *Bitmap {
+	if cap(bd.w.Bytes()) > builderMaxBytes {
+		return bd.Bitmap(n)
 	}
+	out := bd.bitmapOf(n, append(make([]byte, 0, len(bd.w.Bytes())), bd.w.Bytes()...))
+	builderPool.Put(bd)
+	return out
 }
 
 // MergeStreams unions the streams' position sets into a bitmap over [0,n),
@@ -359,7 +368,7 @@ func (bd *Builder) reset(sizeHint int) {
 // a binary min-heap on the head positions, small ones through a linear
 // minimum scan. The universe is explicit, so an empty union still carries it.
 func MergeStreams(n int64, streams ...*Stream) (*Bitmap, error) {
-	return mergeStreams(n, false, false, streams)
+	return mergeStreams(n, false, false, true, streams)
 }
 
 // MergeStreamsOrdered merges like MergeStreams for a caller that knows the
@@ -370,27 +379,35 @@ func MergeStreams(n int64, streams ...*Stream) (*Bitmap, error) {
 // ErrCorrupt, where the general merge would have returned a well-formed
 // answer to a different question. The bytes are MergeStreams'.
 func MergeStreamsOrdered(n int64, streams ...*Stream) (*Bitmap, error) {
-	return mergeStreams(n, false, true, streams)
+	return mergeStreams(n, false, true, true, streams)
 }
 
 // MergeStreamsComplement merges like MergeStreams but writes the complement
 // [0,n) \ ∪streams — the paper's dense-answer trick fused into the same
 // single pass, so the union itself is never materialised.
 func MergeStreamsComplement(n int64, streams ...*Stream) (*Bitmap, error) {
-	return mergeStreams(n, true, false, streams)
+	return mergeStreams(n, true, false, true, streams)
+}
+
+// MergeStreamsUnsampled merges like MergeStreams (MergeStreamsComplement,
+// MergeStreamsOrdered) but records no skip samples, for an answer read once
+// and whole: a shard's part of a sharded answer, which UnionAll reads.
+func MergeStreamsUnsampled(n int64, complement, ordered bool, streams ...*Stream) (*Bitmap, error) {
+	return mergeStreams(n, complement, ordered, false, streams)
 }
 
 // primeHeads pulls the first position of every stream into ms.heads and
-// returns the primed heads plus the total remaining input bits (the output
-// size hint). A stream that fails on its first decode surfaces its error.
+// returns the primed heads plus the output size hint: the input bits left
+// behind the heads and 64 per head for its re-encoded gap. A stream that
+// fails on its first decode surfaces its error.
 func primeHeads(ms *mergeScratch, streams []*Stream) ([]mergeHead, int, error) {
 	heads := ms.heads[:0]
 	sizeHint := 0
 	var err error
 	for _, s := range streams {
-		sizeHint += s.r.Remaining()
 		if p, ok := s.Next(); ok {
 			heads = append(heads, mergeHead{s: s, cur: p})
+			sizeHint += s.r.Remaining() + 64
 		} else if s.err != nil {
 			err = s.err
 			break
@@ -416,7 +433,7 @@ func unionBits(n int64, heads []mergeHead) int {
 	return int(r*(2*int64(j)+1) + 2*((n-r<<j)>>j+1))
 }
 
-func mergeStreams(n int64, complement, ordered bool, streams []*Stream) (*Bitmap, error) {
+func mergeStreams(n int64, complement, ordered, sampled bool, streams []*Stream) (*Bitmap, error) {
 	ms := mergeScratchPool.Get().(*mergeScratch)
 	heads, sizeHint, err := primeHeads(ms, streams)
 	var out *Bitmap
@@ -425,11 +442,12 @@ func mergeStreams(n int64, complement, ordered bool, streams []*Stream) (*Bitmap
 			sizeHint = min(sizeHint, unionBits(n, heads))
 		}
 		bd := builderPool.Get().(*Builder)
-		bd.reset(sizeHint)
+		bd.reset(sizeHint, sampled)
 		if err = runMerge(bd, n, complement, ordered, heads); err == nil {
-			out = bd.Bitmap(n)
+			out = bd.finish(n)
+		} else if cap(bd.w.Bytes()) <= builderMaxBytes {
+			builderPool.Put(bd)
 		}
-		builderPool.Put(bd)
 	}
 	// Drop the stream references so an idle pool entry does not keep the
 	// inputs' buffers reachable.

@@ -249,11 +249,21 @@ func (ox *Optimal) QueryBatch(rs []index.Range) ([]*cbitmap.Bitmap, index.QueryS
 // stats are populated even on an error return (including the batch session's
 // failed read attempts), so retry layers can account every attempt.
 func (ox *Optimal) QueryBatchContext(ctx context.Context, rs []index.Range) ([]*cbitmap.Bitmap, index.QueryStats, error) {
+	return ox.queryBatch(ctx, rs, true)
+}
+
+// QueryParts answers like QueryBatchContext, without skip samples, for a
+// caller that reads every answer once and whole: a sharded index's union.
+func (ox *Optimal) QueryParts(ctx context.Context, rs []index.Range) ([]*cbitmap.Bitmap, index.QueryStats, error) {
+	return ox.queryBatch(ctx, rs, false)
+}
+
+func (ox *Optimal) queryBatch(ctx context.Context, rs []index.Range, sampled bool) ([]*cbitmap.Bitmap, index.QueryStats, error) {
 	out := make([]*cbitmap.Bitmap, len(rs))
 	if len(rs) == 0 {
 		return out, index.QueryStats{}, nil
 	}
-	stats, err := ox.answer(ctx, rs, out)
+	stats, err := ox.answer(ctx, rs, out, sampled)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -265,7 +275,7 @@ func (ox *Optimal) QueryBatchContext(ctx context.Context, rs []index.Range) ([]*
 // plus tree descent, attributed to its query when there are several, so the
 // sharing accounting is exact — and then executed with the others as one
 // batch. A single query is the batch of one range.
-func (ox *Optimal) answer(ctx context.Context, rs []index.Range, out []*cbitmap.Bitmap) (stats index.QueryStats, err error) {
+func (ox *Optimal) answer(ctx context.Context, rs []index.Range, out []*cbitmap.Bitmap, sampled bool) (stats index.QueryStats, err error) {
 	for _, r := range rs {
 		if err := r.Valid(ox.tree.sigma); err != nil {
 			return stats, err
@@ -292,6 +302,7 @@ func (ox *Optimal) answer(ctx context.Context, rs []index.Range, out []*cbitmap.
 	}()
 	sc := getScratch()
 	defer sc.release()
+	sc.lazy = !sampled
 	plans := sc.growPlans(len(order))
 	for qi, r := range order {
 		if err := ctx.Err(); err != nil {

@@ -44,7 +44,8 @@ type queryScratch struct {
 	streams []cbitmap.Stream
 	ptrs    []*cbitmap.Stream
 	bufs    []*chunkBuf
-	used    int // bufs handed out this operation
+	used    int  // bufs handed out this operation
+	lazy    bool // merge without skip samples (Optimal.QueryParts)
 
 	overlay []int64    // positions merged as one in-memory stream (addOverlay)
 	leaves  []*pnode   // one point-index descent's leaves, in key order (collect)
@@ -86,6 +87,7 @@ func (sc *queryScratch) release() {
 	sc.pending = sc.pending[:0]
 	sc.appends = sc.appends[:0]
 	sc.used = 0
+	sc.lazy = false
 	kept := sc.bufs[:0]
 	for _, cb := range sc.bufs {
 		if cap(cb.w.Bytes()) <= scratchBufMaxBytes {
@@ -226,6 +228,8 @@ func (sc *queryScratch) streamPtrs() []*cbitmap.Stream {
 // QueryPlan.Ordered plan, disjoint and increasing as accumulated.
 func (sc *queryScratch) merge(n int64, complement, ordered bool) (*cbitmap.Bitmap, error) {
 	switch {
+	case sc.lazy:
+		return cbitmap.MergeStreamsUnsampled(n, complement, ordered, sc.streamPtrs()...)
 	case complement:
 		return cbitmap.MergeStreamsComplement(n, sc.streamPtrs()...)
 	case ordered:

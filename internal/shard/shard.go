@@ -469,8 +469,12 @@ func (sx *Index) QueryExec(ctx context.Context, r index.Range, eo ExecOptions) (
 // runs the distinct ranges through core's batch entry, whose one executor
 // answers a single range as a batch of one plan and several in one shared
 // scan, so ranges that overlap coalesce their cover-chunk reads inside every
-// shard. It is a variable so tests can inject failing shards.
-var shardBatchQuery = func(ctx context.Context, sh *shard, rs []index.Range) ([]*cbitmap.Bitmap, index.QueryStats, error) {
+// shard. A part of several answers without skip samples, since UnionAll
+// reads it once. It is a variable so tests can inject failing shards.
+var shardBatchQuery = func(ctx context.Context, sh *shard, rs []index.Range, part bool) ([]*cbitmap.Bitmap, index.QueryStats, error) {
+	if part {
+		return sh.ax.QueryParts(ctx, rs)
+	}
 	return sh.ax.QueryBatchContext(ctx, rs)
 }
 
@@ -548,7 +552,7 @@ func (sx *Index) fanOut(ctx context.Context, order []index.Range, eo ExecOptions
 			return o.err
 		}
 		o.attempts, o.err = retryTransient(ctx, eo.Retry, uint64(i), &o.stats, func() (index.QueryStats, error) {
-			bms, st, err := shardBatchQuery(ctx, sx.shards[i], order)
+			bms, st, err := shardBatchQuery(ctx, sx.shards[i], order, len(sx.shards) > 1)
 			if err == nil {
 				o.answers = bms
 			}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -37,7 +38,7 @@ func TestQueryBatchShortCircuit(t *testing.T) {
 	var calls atomic.Int32
 	orig := shardBatchQuery
 	defer func() { shardBatchQuery = orig }()
-	shardBatchQuery = func(ctx context.Context, sh *shard, rs []index.Range) ([]*cbitmap.Bitmap, index.QueryStats, error) {
+	shardBatchQuery = func(ctx context.Context, sh *shard, rs []index.Range, part bool) ([]*cbitmap.Bitmap, index.QueryStats, error) {
 		calls.Add(1)
 		return nil, index.QueryStats{}, injected
 	}
@@ -65,11 +66,11 @@ func TestQueryBatchPartialFailure(t *testing.T) {
 	orig := shardBatchQuery
 	defer func() { shardBatchQuery = orig }()
 	fail := true
-	shardBatchQuery = func(ctx context.Context, sh *shard, rs []index.Range) ([]*cbitmap.Bitmap, index.QueryStats, error) {
+	shardBatchQuery = func(ctx context.Context, sh *shard, rs []index.Range, part bool) ([]*cbitmap.Bitmap, index.QueryStats, error) {
 		if fail && sh.start == 0 {
 			return nil, index.QueryStats{}, fmt.Errorf("shard at row 0 is down")
 		}
-		return orig(ctx, sh, rs)
+		return orig(ctx, sh, rs, part)
 	}
 	if _, _, err := sx.QueryBatch([]index.Range{{Lo: 0, Hi: 7}, {Lo: 8, Hi: 15}}); err == nil {
 		t.Fatal("batch with a failing shard returned no error")
@@ -97,9 +98,9 @@ func TestOneTaskBatchRunsInline(t *testing.T) {
 	orig := shardBatchQuery
 	defer func() { shardBatchQuery = orig }()
 	inTask := 0
-	shardBatchQuery = func(ctx context.Context, sh *shard, rs []index.Range) ([]*cbitmap.Bitmap, index.QueryStats, error) {
+	shardBatchQuery = func(ctx context.Context, sh *shard, rs []index.Range, part bool) ([]*cbitmap.Bitmap, index.QueryStats, error) {
 		inTask = runtime.NumGoroutine()
-		return orig(ctx, sh, rs)
+		return orig(ctx, sh, rs, part)
 	}
 	before := runtime.NumGoroutine()
 	if _, _, err := sx.QueryBatch(rs); err != nil {
@@ -148,6 +149,49 @@ func TestOneTaskBatchRunsInline(t *testing.T) {
 	})
 	if allocs > inlinedAllocs {
 		t.Fatalf("one-shard query allocated %.1f times, want <= %d", allocs, inlinedAllocs)
+	}
+}
+
+// TestShardAnswerSamples: a part of several shards is merged without skip
+// samples, since UnionAll reads it once and whole; the one shard of an index
+// hands its answer to the caller as it stands, so that answer carries the
+// samples its point queries seek through from the merge on.
+func TestShardAnswerSamples(t *testing.T) {
+	x := testColumn(1<<16, 64, 54)
+	r := index.Range{Lo: 4, Hi: 27} // a dense answer: the window kernel
+	for _, shards := range []int{1, 4} {
+		sx, err := Build(x, 64, Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		orig := shardBatchQuery
+		var mu sync.Mutex // the shard tasks run concurrently
+		var parts []*cbitmap.Bitmap
+		var flags []bool
+		shardBatchQuery = func(ctx context.Context, sh *shard, rs []index.Range, part bool) ([]*cbitmap.Bitmap, index.QueryStats, error) {
+			bms, st, err := orig(ctx, sh, rs, part)
+			mu.Lock()
+			defer mu.Unlock()
+			parts = append(parts, bms...)
+			flags = append(flags, part)
+			return bms, st, err
+		}
+		got, _, err := sx.Query(r)
+		shardBatchQuery = orig
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, bm := range parts {
+			if flags[i] != (shards > 1) {
+				t.Fatalf("%d shards: shard task %d ran with part = %v", shards, i, flags[i])
+			}
+			if sampled := bm.SampleBits() > 0; sampled != (shards == 1) {
+				t.Fatalf("%d shards: shard answer %d (card %d) carries skip samples = %v", shards, i, bm.Card(), sampled)
+			}
+		}
+		if shards == 1 && got != parts[0] {
+			t.Fatal("one-shard index did not return its shard's answer as it stands")
+		}
 	}
 }
 

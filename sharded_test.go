@@ -2,6 +2,7 @@ package secidx
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -281,5 +282,44 @@ func TestShardedEdgeCases(t *testing.T) {
 	}
 	if _, _, err := ix.QueryBatch([]Range{{Lo: 2, Hi: 1}}); err == nil {
 		t.Fatal("inverted range accepted")
+	}
+}
+
+// TestWideShardedQueryAllocs pins what a wide sharded query allocates per
+// byte of the answer it returns (wideSharded's queries; bytes from
+// runtime.MemStats.TotalAlloc). Each shard's answer and their union are one
+// exact-size buffer each, and a shard's answer, which the union reads once,
+// records no skip samples, so the query allocates about two answers' worth of
+// buffers plus the per-shard plans and reads. Buffers copied again on their way out, or sample slices grown for
+// answers a union reads once, push the ratio up.
+func TestWideShardedQueryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled objects at random; the ratio only holds without it")
+	}
+	ix, qs := wideSharded(t)
+	for _, q := range qs[:32] { // warm the pools
+		if _, _, err := ix.Query(q.Lo, q.Hi); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	var answer uint64
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, q := range qs {
+		res, _, err := ix.Query(q.Lo, q.Hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		answer += uint64(res.SizeBits()+7) / 8
+	}
+	runtime.ReadMemStats(&after)
+	ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(answer)
+	t.Logf("%d queries allocated %.2f bytes per answer byte (%d answer bytes per query)", len(qs), ratio, answer/uint64(len(qs)))
+	// Measured 2.24-2.54 at GOMAXPROCS 1, 2 and 4; the margin absorbs what
+	// the pools lose to a collection mid-run.
+	const measured, margin = 2.4, 0.6
+	if ratio > measured+margin {
+		t.Fatalf("a wide query allocates %.2f bytes per answer byte, want <= %.1f + %.1f", ratio, measured, margin)
 	}
 }
