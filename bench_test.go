@@ -362,6 +362,30 @@ func BenchmarkIndexQuery(b *testing.B) {
 		b.ReportMetric(float64(reads)/float64(b.N), "blockIO/op")
 	})
 
+	// wide-contains is a caller's read of a wide static answer: Query over
+	// 128 keys (a quarter of the rows), whose one-shard merge goes through the
+	// window kernel recording skip samples, then one Contains through them.
+	b.Run("wide-contains", func(b *testing.B) {
+		ix, err := Build(col, 512, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		hits := 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			lo := queries[i%len(queries)] % 384
+			res, _, err := ix.Query(lo, lo+127)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.Contains(int64(queries[(i+1)%len(queries)]) * 127) {
+				hits++
+			}
+		}
+		b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
+	})
+
 	b.Run("approx", func(b *testing.B) {
 		ix, err := Build(col, 512, Options{})
 		if err != nil {

@@ -35,12 +35,24 @@ const (
 	// window holds so few positions that scanning its 1024 words costs more
 	// than the head scans it saves. See FINDINGS.md there for the sweep.
 	denseCrossover = 256
+
+	// flatMaxPerWord is emit's crossover in set bits per window word, the
+	// measured break-even of hypotheses/flat-emit. emitFlat extracts
+	// flatChunkWords words at a time, so its position list stays in L1.
+	flatMaxPerWord = 24
+	flatChunkWords = 64
 )
 
 // denseWindow is the pooled window. Every user returns it zeroed.
 type denseWindow [denseWindowWords]uint64
 
 var denseWindowPool = sync.Pool{New: func() any { return new(denseWindow) }}
+
+// flatPositions is emit's pooled position list: one chunk's positions plus
+// the spare entries extract writes past the last one.
+type flatPositions [flatChunkWords*64 + 4]uint32
+
+var flatPositionsPool = sync.Pool{New: func() any { return new(flatPositions) }}
 
 // denseEnough reports whether the primed heads are dense enough in [0,n) for
 // mergeDense to beat the per-row loop. It must also have a per-row loop to
@@ -162,14 +174,60 @@ func (e *denseEmitter) sample(pos int64, off int) {
 }
 
 // emit encodes the set bits of the window words, whose bit 0 is position
-// base, and zeroes them.
+// base, and zeroes them. A window of at most flatMaxPerWord set bits per word
+// goes through emitFlat; a denser one through word, whose run trick makes
+// each run of ones one code.
 func (e *denseEmitter) emit(words []uint64, base int64) {
+	pop := 0
+	for _, x := range words {
+		pop += bits.OnesCount64(x)
+	}
+	if pop <= flatMaxPerWord*len(words) {
+		e.emitFlat(words, base)
+		return
+	}
 	for i, x := range words {
 		if x != 0 {
 			words[i] = 0
 			e.word(x, base+int64(i)<<6)
 		}
 	}
+}
+
+// emitFlat is emit through a flat position list, a chunk at a time. Neither
+// loop branches per set bit or per word: extract branches only on a word of
+// more than four bits, emitSorted only where an output word fills.
+func (e *denseEmitter) emitFlat(words []uint64, base int64) {
+	pos := flatPositionsPool.Get().(*flatPositions)
+	for i := 0; i < len(words); i += flatChunkWords {
+		chunk := words[i:min(i+flatChunkWords, len(words))]
+		emitSorted(e, base+int64(i)<<6, pos[:extract(pos, chunk)])
+		clear(chunk)
+	}
+	flatPositionsPool.Put(pos)
+}
+
+// extract writes the positions of the set bits of words, bit 0 of words[0]
+// being position 0, to pos in increasing order and returns their number. It
+// writes four entries per word unconditionally, the ones past its bits
+// ignored, so only a word of more than four bits takes a branch.
+func extract(pos *flatPositions, words []uint64) int {
+	n := 0
+	for i, x := range words {
+		b := uint32(i) << 6
+		c := bits.OnesCount64(x)
+		p := pos[n : n+4 : n+4]
+		p[0], x = b+uint32(bits.TrailingZeros64(x)), x&(x-1)
+		p[1], x = b+uint32(bits.TrailingZeros64(x)), x&(x-1)
+		p[2], x = b+uint32(bits.TrailingZeros64(x)), x&(x-1)
+		p[3] = b + uint32(bits.TrailingZeros64(x))
+		for j := n + 4; j < n+c; j++ {
+			x &= x - 1
+			pos[j] = b + uint32(bits.TrailingZeros64(x))
+		}
+		n += c
+	}
+	return n
 }
 
 // word encodes the set bits of x, whose bit 0 is position wb. It works a run
@@ -214,13 +272,12 @@ func (e *denseEmitter) word(x uint64, wb int64) {
 	e.acc, e.nacc, e.prev, e.card = acc, nacc, prev, card
 }
 
-// emitSorted encodes the strictly increasing positions pos, each above the last
-// one encoded: Builder.Add in bulk. It records no skip samples, so only a
-// StreamEncoder, which never samples, may call it.
-func emitSorted[P uint32 | int64](e *denseEmitter, pos []P) {
-	acc, nacc, prev := e.acc, e.nacc, e.prev
+// emitSorted encodes the positions base+pos[i], strictly increasing and each
+// above the last one encoded: Builder.Add in bulk, skip samples included.
+func emitSorted[P uint32 | int64](e *denseEmitter, base int64, pos []P) {
+	acc, nacc, prev, card := e.acc, e.nacc, e.prev, e.card
 	for _, q := range pos {
-		p := int64(q)
+		p := base + int64(q)
 		if p <= prev {
 			panic(fmt.Sprintf("cbitmap: AddSorted position %d not above %d", p, prev))
 		}
@@ -235,9 +292,11 @@ func emitSorted[P uint32 | int64](e *denseEmitter, pos []P) {
 			gamma.Write(e.bd.w, g)
 			acc, nacc = 0, 0
 		}
+		if card++; card&(sampleEvery-1) == 0 {
+			e.sample(p, e.bd.w.Len()+nacc)
+		}
 	}
-	e.acc, e.nacc, e.prev = acc, nacc, prev
-	e.card += int64(len(pos))
+	e.acc, e.nacc, e.prev, e.card = acc, nacc, prev, card
 }
 
 // flush hands the pending bits and the bookkeeping back to the Builder.

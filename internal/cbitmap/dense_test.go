@@ -4,6 +4,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math/bits"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bitio"
@@ -16,6 +19,11 @@ var mergeBenchSeed = flag.Int64("merge.seed", 42, "seed of BenchmarkMergePaths' 
 // instead of by the density dispatch (and without the concatenation fast
 // path), so the same input can be put through both.
 func mergeVia(dense bool, n int64, complement bool, streams []*Stream) (*Bitmap, error) {
+	return mergePath(dense, true, n, complement, streams)
+}
+
+// mergePath is mergeVia for a sampled or an unsampled merge.
+func mergePath(dense, sampled bool, n int64, complement bool, streams []*Stream) (*Bitmap, error) {
 	ms := mergeScratchPool.Get().(*mergeScratch)
 	defer func() {
 		clear(ms.heads)
@@ -26,7 +34,7 @@ func mergeVia(dense bool, n int64, complement bool, streams []*Stream) (*Bitmap,
 		return nil, err
 	}
 	bd := builderPool.Get().(*Builder)
-	bd.reset(sizeHint, true)
+	bd.reset(sizeHint, sampled)
 	if dense {
 		err = mergeDense(bd, n, complement, heads)
 	} else {
@@ -225,6 +233,137 @@ func TestMergeDenseEdges(t *testing.T) {
 	}
 }
 
+// requireSameSamples fails unless got holds want's bytes and, unless got is
+// unsampled, exactly its skip samples.
+func requireSameSamples(t *testing.T, what string, got, want *Bitmap, sampled bool) {
+	t.Helper()
+	if !Equal(got, want) || got.last != want.last {
+		t.Fatalf("%s: %d bits (card %d, last %d), want %d (card %d, last %d)", what, got.bits, got.card, got.last, want.bits, want.card, want.last)
+	}
+	if !sampled {
+		if got.samplePos != nil {
+			t.Fatalf("%s: an unsampled merge recorded %d samples", what, len(got.samplePos))
+		}
+		return
+	}
+	if got.sampleK != want.sampleK || !slices.Equal(got.samplePos, want.samplePos) || !slices.Equal(got.sampleOff, want.sampleOff) {
+		t.Fatalf("%s: samples (k=%d) %v %v, want (k=%d) %v %v", what, got.sampleK, got.samplePos, got.sampleOff, want.sampleK, want.samplePos, want.sampleOff)
+	}
+}
+
+// TestEmitEncoders: emit's two encoders, forced, and the merges that choose
+// between them write FromPositions' bytes and skip samples — at positions 0,
+// 63, 64 and a window's last, on words of 0, 1, 4, 5 and 64 set bits (extract's
+// unrolled and looping cases), over a partial last word, as union and as
+// complement, sampled and not, and for windows just either side of
+// flatMaxPerWord.
+func TestEmitEncoders(t *testing.T) {
+	const w = denseWindowBits
+	rng := rand.New(rand.NewSource(39))
+	// pops puts pop[k%len(pop)] set bits, at random, in word k of [0,n).
+	pops := func(n int64, pop ...int) []int64 {
+		var out []int64
+		for base := int64(0); base < n; base += 64 {
+			word := uint64(0)
+			for _, b := range rng.Perm(64)[:pop[base/64%int64(len(pop))]] {
+				word |= 1 << uint(b)
+			}
+			for ; word != 0; word &= word - 1 {
+				if p := base + int64(bits.TrailingZeros64(word)); p < n {
+					out = append(out, p)
+				}
+			}
+		}
+		return out
+	}
+	// atRandom holds k distinct positions of [0,n).
+	atRandom := func(n int64, k int) []int64 {
+		out := make([]int64, k)
+		for i, p := range rng.Perm(int(n))[:k] {
+			out[i] = int64(p)
+		}
+		slices.Sort(out)
+		return out
+	}
+	edge := int64(flatMaxPerWord * denseWindowWords)
+	cases := []struct {
+		name string
+		n    int64
+		pos  []int64
+	}{
+		{"edges", 2*w + 37, []int64{0, 63, 64, w - 1, w, w + 63, 2*w + 36}},
+		{"pops-0-1-4-5-64", 3*w + 10, pops(3*w+10, 0, 1, 4, 5, 64)},
+		{"pops-64-5-4-1-0", 2*w + 100, pops(2*w+100, 64, 5, 4, 1, 0)},
+		{"crossover-flat", w, atRandom(w, int(edge))},
+		{"crossover-runs", w, atRandom(w, int(edge)+1)},
+		{"crossover-flat-complement", w, atRandom(w, w-int(edge))},
+		{"crossover-runs-complement", w, atRandom(w, w-int(edge)-1)},
+	}
+	for _, tc := range cases {
+		want := MustFromPositions(tc.n, tc.pos)
+		// Each encoder, forced, window by window into a sampled Builder.
+		for _, enc := range []struct {
+			name   string
+			encode func(*denseEmitter, []uint64, int64)
+		}{{"emitRuns", emitRuns}, {"emitFlat", (*denseEmitter).emitFlat}, {"emit", (*denseEmitter).emit}} {
+			bd := NewBuilder(0)
+			e := denseEmitter{bd: bd, prev: -1}
+			win := new(denseWindow)
+			for base := int64(0); base < tc.n; base += w {
+				end := min(base+w, tc.n)
+				for _, p := range tc.pos {
+					if base <= p && p < end {
+						win[(p-base)>>6] |= 1 << uint((p-base)&63)
+					}
+				}
+				enc.encode(&e, win[:(end-base+63)>>6], base)
+				if *win != (denseWindow{}) {
+					t.Fatalf("%s/%s: window words left set", tc.name, enc.name)
+				}
+			}
+			e.flush()
+			requireSameSamples(t, tc.name+"/"+enc.name, bd.Bitmap(tc.n), want, true)
+		}
+		// The window merge over two streams that split the positions.
+		var even, odd []int64
+		for i, p := range tc.pos {
+			if i%2 == 0 {
+				even = append(even, p)
+			} else {
+				odd = append(odd, p)
+			}
+		}
+		parts := []*Bitmap{MustFromPositions(tc.n, even), MustFromPositions(tc.n, odd)}
+		rest := MustFromPositions(tc.n, complementOf(tc.n, tc.pos))
+		for _, complement := range []bool{false, true} {
+			oracle := want
+			if complement {
+				oracle = rest
+			}
+			for _, sampled := range []bool{true, false} {
+				got, err := mergePath(true, sampled, tc.n, complement, bitmapStreams(parts, nil))
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameSamples(t, fmt.Sprintf("%s/merge complement=%v sampled=%v", tc.name, complement, sampled), got, oracle, sampled)
+			}
+		}
+	}
+}
+
+// complementOf returns the positions of [0,n) not in the sorted pos.
+func complementOf(n int64, pos []int64) []int64 {
+	var out []int64
+	for p := int64(0); p < n; p++ {
+		if len(pos) > 0 && pos[0] == p {
+			pos = pos[1:]
+		} else {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
 // TestMergeDenseThreshold: inputs just below the crossover take the sparse
 // path, inputs just above it the dense one, and the public entry points
 // return the oracle's bytes on both sides.
@@ -392,7 +531,8 @@ func TestMergeDenseSteadyStateAllocs(t *testing.T) {
 }
 
 // FuzzMergeDenseVsSparse: the same streams through both paths of runMerge
-// give the same bytes, cardinality, largest position and sample-backed
+// — the window path sampled or, as a shard's part is, unsampled (flags bit
+// 6) — give the same bytes, cardinality, largest position and sample-backed
 // Contains/Rank; validating streams over corrupted bits fail in both with
 // ErrCorrupt or succeed in both with the same answer; and corrupted replay
 // views (which nothing validates) never panic the dense path or make it emit
@@ -403,12 +543,15 @@ func FuzzMergeDenseVsSparse(f *testing.F) {
 	f.Add([]byte{0xff, 0xfe, 0xfd, 0, 0, 0, 9}, []byte{0, 0, 0, 0}, []byte{1, 1, 1}, uint32(70000), uint8(0x26), uint16(3))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1}, []byte{0x80, 0, 0xff}, []byte{}, uint32(140000), uint8(0x4b), uint16(17))
 	f.Add([]byte{9, 9, 9, 9}, []byte{9, 9, 9, 9}, []byte{3}, uint32(65536), uint8(0x8f), uint16(40))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1}, []byte{0x80, 0, 0xff}, []byte{}, uint32(140000), uint8(0x0b), uint16(17))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0}, []byte{0, 1, 0, 1}, []byte{5}, uint32(200000), uint8(0x54), uint16(9))
 	f.Fuzz(func(t *testing.T, araw, braw, craw []byte, n32 uint32, flags uint8, flipAt uint16) {
 		n := int64(n32%(3*denseWindowBits+100)) + 2
 		shift := uint(flags&3) * 3 // gap scale: dense runs up to window-crossing jumps
 		kind := flags >> 2 & 3     // 0 disk (validating), 1 bitmap, 2 replay view, 3 shifted bitmap
 		complement := flags&0x10 != 0
 		corrupt := flags&0x20 != 0 && (kind == 0 || kind == 2)
+		sampled := flags&0x40 == 0 // else the window merge is a shard part's, unsampled
 
 		var ms []*Bitmap
 		for _, raw := range [][]byte{araw, braw, craw} {
@@ -458,7 +601,7 @@ func FuzzMergeDenseVsSparse(f *testing.F) {
 			univ = 2 * n // room for the shifts
 		}
 		sparse, serr := mergeVia(false, univ, complement, mk())
-		dense, derr := mergeVia(true, univ, complement, mk())
+		dense, derr := mergePath(true, sampled, univ, complement, mk())
 		for _, err := range []error{serr, derr} {
 			if err != nil && (!corrupt || !errors.Is(err, ErrCorrupt)) {
 				t.Fatalf("merge failed (corrupt input: %v): %v", corrupt, err)

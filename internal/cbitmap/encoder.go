@@ -45,7 +45,7 @@ func (e *StreamEncoder) Add(p int64) { e.bd.Add(p) }
 // word-at-a-time accumulator (dense.go) instead of a writer call per row.
 func AddSorted[P uint32 | int64](e *StreamEncoder, pos []P) {
 	em := denseEmitter{bd: &e.bd, prev: e.bd.prev, card: e.bd.card}
-	emitSorted(&em, pos)
+	emitSorted(&em, 0, pos)
 	em.flush()
 }
 

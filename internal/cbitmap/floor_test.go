@@ -1,6 +1,7 @@
 package cbitmap
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/bits"
 	"math/rand"
@@ -10,34 +11,72 @@ import (
 	"repro/internal/bitio"
 )
 
-// The measuring half of hypotheses/kernel-floor: the dense merge's two
-// kernels — Stream.fillWindow (gamma stream → window bits) and
-// denseEmitter.word (window bits → gamma stream) — beside bare loops that do
-// the same arithmetic with nothing else: no validation, no skip samples, no
-// run detection, no Writer, no error paths. A kernel at its bare loop's cost
-// has nothing left that a rewrite in Go could remove.
+// The measuring half of hypotheses/kernel-floor and hypotheses/flat-emit:
+// the dense merge's kernels — Stream.fillWindow (gamma stream → window bits)
+// and emit's two encoders, denseEmitter.word (a run of ones at a time) and
+// emitFlat (extract, then emitSorted) — beside bare loops that do the same
+// arithmetic with nothing else: no validation, no skip samples, no run
+// detection, no Writer, no error paths. The bare loops keep word's
+// data-dependent branches (one per set bit, one per word), so they bound
+// loops of that shape, not every encoder.
 
 var floorSink int64
+
+// floorWords returns the words of a 2^20-position universe holding each
+// position with probability 1/d (one per d on average), and the Bitmap the
+// Builder makes of them.
+func floorWords(d float64) ([]uint64, *Bitmap, int) {
+	const n = 1 << 20
+	rng := rand.New(rand.NewSource(int64(d * 1000)))
+	words := make([]uint64, n/64)
+	bd := NewBuilder(0)
+	rows := 0
+	for p := 0; p < n; p++ {
+		if rng.Float64()*d < 1 {
+			words[p>>6] |= 1 << uint(p&63)
+			bd.Add(int64(p))
+			rows++
+		}
+	}
+	return words, bd.Bitmap(n), rows
+}
+
+// benchEncoder times one of emit's encoders over words window by window, and
+// fails unless its output is bm's bit for bit.
+func benchEncoder(b *testing.B, encode func(*denseEmitter, []uint64, int64), words []uint64, bm *Bitmap, rows int) {
+	win := new(denseWindow)
+	w := bitio.NewWriter(0)
+	w.Grow(bm.bits)
+	for i := 0; i < b.N; i++ {
+		w.Reset()
+		e := denseEmitter{bd: &Builder{w: w, prev: -1}, prev: -1}
+		for base := 0; base < len(words)*64; base += denseWindowBits {
+			copy(win[:], words[base>>6:])
+			encode(&e, win[:], int64(base))
+		}
+		e.flush()
+	}
+	if w.Len() != bm.bits || !bytes.Equal(w.Bytes(), bm.buf) {
+		b.Fatalf("emitted %d bits unlike the Builder's %d", w.Len(), bm.bits)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
+}
+
+// emitRuns is emit's loop for a window above flatMaxPerWord, forced.
+func emitRuns(e *denseEmitter, words []uint64, base int64) {
+	for i, x := range words {
+		if x != 0 {
+			words[i] = 0
+			e.word(x, base+int64(i)<<6)
+		}
+	}
+}
 
 // BenchmarkFloor reports ns/row at one position per d universe positions.
 func BenchmarkFloor(b *testing.B) {
 	const n = 1 << 20
-	for _, d := range []int{4, 16, 64} {
-		rng := rand.New(rand.NewSource(int64(d)))
-		words := make([]uint64, n/64)
-		for i := 0; i < n/d; i++ {
-			p := rng.Intn(n)
-			words[p>>6] |= 1 << uint(p&63)
-		}
-		bd := NewBuilder(0)
-		rows := 0
-		for i, x := range words {
-			for ; x != 0; x &= x - 1 {
-				bd.Add(int64(i<<6 + bits.TrailingZeros64(x)))
-				rows++
-			}
-		}
-		bm := bd.Bitmap(n)
+	for _, d := range []int{2, 4, 8, 16, 64, 128} {
+		words, bm, rows := floorWords(float64(d))
 		buf := append(append([]byte(nil), bm.buf...), make([]byte, 8)...) // slack for the 8-byte loads
 		out := make([]byte, len(bm.buf)+16)
 		perRow := func(b *testing.B) {
@@ -130,23 +169,19 @@ func BenchmarkFloor(b *testing.B) {
 			}
 			perRow(b)
 		})
-		sub("word", func(b *testing.B) {
-			win := new(denseWindow)
-			w := bitio.NewWriter(0)
-			w.Grow(bm.bits)
-			for i := 0; i < b.N; i++ {
-				w.Reset()
-				e := denseEmitter{bd: &Builder{w: w, prev: -1}, prev: -1}
-				for base := 0; base < n; base += denseWindowBits {
-					copy(win[:], words[base>>6:])
-					e.emit(win[:], int64(base))
-				}
-				e.flush()
-				if w.Len() != bm.bits {
-					b.Fatalf("emitted %d bits, want %d", w.Len(), bm.bits)
-				}
-			}
-			perRow(b)
-		})
+		sub("word", func(b *testing.B) { benchEncoder(b, emitRuns, words, bm, rows) })
+		sub("flat", func(b *testing.B) { benchEncoder(b, (*denseEmitter).emitFlat, words, bm, rows) })
+		sub("emit", func(b *testing.B) { benchEncoder(b, (*denseEmitter).emit, words, bm, rows) })
+	}
+}
+
+// BenchmarkEmitCrossover is the sweep behind flatMaxPerWord: both encoders
+// of emit, forced, from one set bit in 128 to seven in eight.
+func BenchmarkEmitCrossover(b *testing.B) {
+	for _, f := range []float64{1.0 / 1024, 1.0 / 512, 1.0 / 256, 1.0 / 128, 1.0 / 16, 1.0 / 4, 5.0 / 16, 3.0 / 8, 7.0 / 16, 1.0 / 2, 5.0 / 8, 3.0 / 4, 7.0 / 8} {
+		words, bm, rows := floorWords(1 / f)
+		set := "/set=" + strconv.FormatFloat(f, 'f', 4, 64)
+		b.Run("word"+set, func(b *testing.B) { benchEncoder(b, emitRuns, words, bm, rows) })
+		b.Run("flat"+set, func(b *testing.B) { benchEncoder(b, (*denseEmitter).emitFlat, words, bm, rows) })
 	}
 }
