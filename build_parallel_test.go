@@ -8,13 +8,18 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/iomodel"
+	"repro/internal/workload"
 )
 
-// TestBuildParallelDeterministic: the container Build and BuildSharded write
-// does not depend on how many level tasks encoded at once. GOMAXPROCS 1 is
-// the sequential build, 2 the benchmark's machine, 8 more workers than a
-// build has levels; SizeBits and the space ledger must agree as well, and no
-// shard stores a hashed level.
+// TestBuildParallelDeterministic: the container Build and BuildSharded write,
+// and the device image of the warm-up index (whose alphabet levels run as
+// level tasks too), do not depend on how many level tasks encoded at once.
+// GOMAXPROCS 1 is the sequential build, 2 the benchmark's machine, 8 more
+// workers than a build has levels; SizeBits and the space ledger must agree
+// as well, and no shard stores a hashed level.
 func TestBuildParallelDeterministic(t *testing.T) {
 	const sigma = 512
 	col := compatColumn(140000, sigma, 18)
@@ -57,6 +62,13 @@ func TestBuildParallelDeterministic(t *testing.T) {
 				}
 				got[name] = b
 			}
+			d := iomodel.NewDisk(iomodel.Config{BlockBits: opts.BlockBits})
+			wx, err := core.BuildWarmup(d, workload.Column{X: col, Sigma: sigma})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, image := d.Image()
+			got["Warmup"] = built{file: bytes.Clone(image), size: wx.SizeBits()}
 			if want == nil {
 				want = got
 				continue
@@ -64,7 +76,7 @@ func TestBuildParallelDeterministic(t *testing.T) {
 			for name, g := range got {
 				w := want[name]
 				if !bytes.Equal(g.file, w.file) {
-					t.Errorf("stride %d %s: container written under GOMAXPROCS=%d differs from GOMAXPROCS=1's (%d vs %d bytes)", stride, name, procs, len(g.file), len(w.file))
+					t.Errorf("stride %d %s: bytes written under GOMAXPROCS=%d differ from GOMAXPROCS=1's (%d vs %d bytes)", stride, name, procs, len(g.file), len(w.file))
 				}
 				if g.size != w.size || !reflect.DeepEqual(g.ledger, w.ledger) {
 					t.Errorf("stride %d %s: GOMAXPROCS=%d SizeBits %d / ledger differ from GOMAXPROCS=1's %d", stride, name, procs, g.size, w.size)

@@ -169,7 +169,7 @@ func makeIndex(kind string, d *iomodel.Disk, col workload.Column, binwidth int) 
 	case "optimal":
 		return core.BuildOptimalDefault(d, col)
 	case "warmup":
-		return core.BuildWarmup(d, col, core.WarmupOptions{})
+		return core.BuildWarmup(d, col)
 	case "approx":
 		return core.BuildApprox(d, col, core.ApproxOptions{Seed: 42})
 	case "bitmap":

@@ -127,37 +127,6 @@ func (w *Writer) WriteBits(v uint64, n int) {
 	}
 }
 
-// writeBitsSlow is the original byte-by-byte WriteBits, retained as the
-// differential-testing oracle for the word-at-a-time path above.
-func (w *Writer) writeBitsSlow(v uint64, n int) {
-	if n < 0 || n > 64 {
-		panic(fmt.Sprintf("bitio: WriteBits width %d out of range", n))
-	}
-	if n < 64 {
-		v &= (1 << uint(n)) - 1
-	}
-	need := (w.nbit + n + 7) / 8
-	for len(w.buf) < need {
-		w.buf = append(w.buf, 0)
-	}
-	pos := w.nbit
-	w.nbit += n
-	for n > 0 {
-		byteIdx := pos >> 3
-		bitIdx := pos & 7
-		room := 8 - bitIdx
-		take := n
-		if take > room {
-			take = room
-		}
-		chunk := byte(v >> uint(n-take))
-		chunk &= (1 << uint(take)) - 1
-		w.buf[byteIdx] |= chunk << uint(room-take)
-		pos += take
-		n -= take
-	}
-}
-
 // WriteUnary appends v zeros followed by a one (the unary code of v).
 func (w *Writer) WriteUnary(v int) {
 	if v < 0 {
@@ -400,35 +369,6 @@ func (r *Reader) ReadBytes(dst []byte) error {
 	return nil
 }
 
-// readBitsSlow is the original byte-by-byte ReadBits, retained as the
-// differential-testing oracle for the windowed path above.
-func (r *Reader) readBitsSlow(n int) (uint64, error) {
-	if n < 0 || n > 64 {
-		return 0, fmt.Errorf("bitio: ReadBits width %d out of range", n)
-	}
-	if r.pos+n > r.nbit {
-		return 0, ErrOutOfBits
-	}
-	var v uint64
-	pos := r.pos
-	r.pos += n
-	for n > 0 {
-		byteIdx := pos >> 3
-		bitIdx := pos & 7
-		room := 8 - bitIdx
-		take := n
-		if take > room {
-			take = room
-		}
-		chunk := r.buf[byteIdx] >> uint(room-take)
-		chunk &= (1 << uint(take)) - 1
-		v = v<<uint(take) | uint64(chunk)
-		pos += take
-		n -= take
-	}
-	return v, nil
-}
-
 // ReadUnary reads a unary code (count of zeros before the terminating one).
 // It counts leading zeros 64 bits at a time instead of looping per bit.
 func (r *Reader) ReadUnary() (int, error) {
@@ -451,24 +391,5 @@ func (r *Reader) ReadUnary() (int, error) {
 		z := bits.LeadingZeros64(w)
 		r.pos += z + 1
 		return n + z, nil
-	}
-}
-
-// readUnarySlow is the original bit-by-bit ReadUnary, retained as the
-// differential-testing oracle for the CLZ path above.
-func (r *Reader) readUnarySlow() (int, error) {
-	n := 0
-	for {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		if b == 1 {
-			return n, nil
-		}
-		n++
-		if n > r.nbit {
-			return 0, errors.New("bitio: unterminated unary code")
-		}
 	}
 }

@@ -32,12 +32,9 @@ type Index struct {
 func Build(d *iomodel.Disk, col workload.Column, compressed bool) (*Index, error) {
 	n := int64(col.Len())
 	ix := &Index{disk: d, n: n, sigma: col.Sigma, compressed: compressed}
-	byChar := make([][]int64, col.Sigma)
-	for i, c := range col.X {
-		if int(c) >= col.Sigma {
-			return nil, fmt.Errorf("bitmapidx: character %d outside alphabet [0,%d)", c, col.Sigma)
-		}
-		byChar[c] = append(byChar[c], int64(i))
+	byChar, err := col.Group()
+	if err != nil {
+		return nil, err
 	}
 	ix.exts = make([]iomodel.Extent, col.Sigma)
 	ix.cards = make([]int64, col.Sigma)
@@ -113,6 +110,7 @@ func (ix *Index) Query(r index.Range) (*cbitmap.Bitmap, index.QueryStats, error)
 		return nil, index.QueryStats{}, err
 	}
 	t := ix.disk.NewTouch()
+	defer t.Close()
 	var stats index.QueryStats
 	if ix.compressed {
 		ms := make([]*cbitmap.Bitmap, 0, r.Len())

@@ -60,14 +60,15 @@ func Build(d *iomodel.Disk, col workload.Column) (*Index, error) {
 		return nil, fmt.Errorf("btreeidx: block size %d bits too small for records of %d bits", bb, ix.recBits)
 	}
 
-	// Counting sort by key; positions ascend within a key.
-	byChar := make([][]int64, col.Sigma)
-	for i, c := range col.X {
-		if int(c) >= col.Sigma {
-			return nil, fmt.Errorf("btreeidx: character %d outside alphabet [0,%d)", c, col.Sigma)
-		}
-		byChar[c] = append(byChar[c], int64(i))
+	// Records by key; positions ascend within a key.
+	byChar, err := col.Group()
+	if err != nil {
+		return nil, err
 	}
+
+	// One session writes every node.
+	tc := d.NewTouch()
+	defer tc.Close()
 
 	// Chunk the sorted records into leaf payloads, then write leaves with
 	// forward links (block ids are allocated up front so next pointers are
@@ -114,8 +115,7 @@ func Build(d *iomodel.Disk, col workload.Column) (*Index, error) {
 			w.WriteBits(uint64(ch.keys[j]), ix.keyBits)
 			w.WriteBits(uint64(ch.pos[j]), ix.posBits)
 		}
-		t := d.NewTouch()
-		if err := t.WriteStream(d.BlockExtent(blks[i]), w); err != nil {
+		if err := tc.WriteStream(d.BlockExtent(blks[i]), w); err != nil {
 			return nil, err
 		}
 		leaves = append(leaves, nodeRef{blk: blks[i], maxKey: ch.keys[len(ch.keys)-1]})
@@ -139,8 +139,7 @@ func Build(d *iomodel.Disk, col workload.Column) (*Index, error) {
 				w.WriteBits(uint64(ch.maxKey), ix.keyBits)
 				w.WriteBits(uint64(ch.blk), childBits)
 			}
-			t := d.NewTouch()
-			if err := t.WriteStream(d.BlockExtent(blk), w); err != nil {
+			if err := tc.WriteStream(d.BlockExtent(blk), w); err != nil {
 				return nil, err
 			}
 			up = append(up, nodeRef{blk: blk, maxKey: level[hi-1].maxKey})
@@ -152,13 +151,6 @@ func Build(d *iomodel.Disk, col workload.Column) (*Index, error) {
 	// Build-time writes are not query costs.
 	d.ResetStats()
 	return ix, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Name implements index.Index.
@@ -188,6 +180,7 @@ func (ix *Index) Query(r index.Range) (*cbitmap.Bitmap, index.QueryStats, error)
 		return nil, index.QueryStats{}, err
 	}
 	t := ix.disk.NewTouch()
+	defer t.Close()
 	var stats index.QueryStats
 	blk := ix.root
 	for lvl := ix.height; lvl > 1; lvl-- {

@@ -324,6 +324,15 @@ func TestEmitEncoders(t *testing.T) {
 			e.flush()
 			requireSameSamples(t, tc.name+"/"+enc.name, bd.Bitmap(tc.n), want, true)
 		}
+		// Plain.Compress: the whole bitset through emit at once, left set.
+		pl := NewPlain(tc.n)
+		for _, p := range tc.pos {
+			pl.Set(p)
+		}
+		requireSameSamples(t, tc.name+"/Plain.Compress", pl.Compress(), want, true)
+		if pl.Card() != int64(len(tc.pos)) {
+			t.Fatalf("%s: Plain.Compress left %d of %d bits set", tc.name, pl.Card(), len(tc.pos))
+		}
 		// The window merge over two streams that split the positions.
 		var even, odd []int64
 		for i, p := range tc.pos {

@@ -1,6 +1,9 @@
 package cbitmap
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Plain is an explicit, uncompressed n-bit bitmap. For constant-size
 // alphabets the paper notes that storing a plain bitmap per character is an
@@ -55,15 +58,13 @@ func (p *Plain) OrBitmap(b *Bitmap) {
 	}
 }
 
-// Compress converts p to a compressed bitmap.
+// Compress converts p to a compressed bitmap through the window kernel's
+// bitset encoder, as StreamEncoder.AddBitset does. It encodes a copy of the
+// words, since the encoder zeroes its input and p stays usable.
 func (p *Plain) Compress() *Bitmap {
-	pos := make([]int64, 0, 64)
-	for i, w := range p.words {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			pos = append(pos, int64(i*64+b))
-			w &^= 1 << uint(b)
-		}
-	}
-	return MustFromPositions(p.n, pos)
+	bd := NewBuilder(4 * int(p.Card()))
+	em := denseEmitter{bd: bd, prev: bd.prev}
+	em.emit(slices.Clone(p.words), 0)
+	em.flush()
+	return bd.Bitmap(p.n)
 }

@@ -286,7 +286,7 @@ func (ax *Approx) ApproxQueryContext(ctx context.Context, r index.Range, eps flo
 		// chunks priced above are the exact plan unless the answer is dense
 		// enough for the complement trick, which reads the two ranges beside
 		// this one.
-		if !planned || (z > ax.tree.n/2 && !ax.opts.NoComplement) {
+		if !planned || z > ax.tree.n/2 {
 			plan.reset()
 			if err = ax.planRecords(tc, qlo, qhi, plan); err != nil {
 				return nil, stats, err

@@ -232,7 +232,7 @@ func TestScatterRejectsBadMembers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hb := newLevelScratch[int64](tr, col.X)
+	hb := newLevelScratch[int64](tr.prefix, col.X)
 	if err := hb.scatter([]member{{start: 0, end: 100}, {start: 50, end: 200}}); !errors.Is(err, ErrBuildInvariant) {
 		t.Fatalf("overlapping members: err = %v, want ErrBuildInvariant", err)
 	}

@@ -30,7 +30,8 @@ func NewWorkers(n int) Workers {
 	return make(Workers, n)
 }
 
-// levelTask is one materialised level under construction. A level depends on
+// levelTask is one level under construction: a materialised level of the
+// tree, or a level of alphabet ranges (BuildRangeLevels). A level depends on
 // no other, so tasks run concurrently, each into private writers; extents
 // are relative to their writer until it is placed.
 type levelTask struct {
@@ -74,11 +75,7 @@ func buildLevels(ws Workers, d *iomodel.Disk, col workload.Column, opts OptimalO
 	}
 	ox := &Optimal{disk: d, tree: tr, opts: opts}
 	tasks := newLevelTasks(tr, opts.Stride)
-	if tr.n <= math.MaxUint32 {
-		runLevels[uint32](ws, tasks, tr, col.X, hs)
-	} else {
-		runLevels[int64](ws, tasks, tr, col.X, hs)
-	}
+	encodeLevels(ws, tasks, tr.prefix, col.X, hs)
 	total := int64(tr.sigma+1)*64 + layoutBits(d, tr)
 	for i := range tasks {
 		t := &tasks[i]
@@ -96,11 +93,7 @@ func buildLevels(ws Workers, d *iomodel.Disk, col workload.Column, opts OptimalO
 	// allocation (pinned by the build differential test).
 	for i := range tasks {
 		t := &tasks[i]
-		off := d.AllocStream(t.exact).Off
-		putChainWriter(t.exact)
-		for mi := range t.members {
-			t.members[mi].ext.Off += off
-		}
+		t.place(d)
 		ox.levels = append(ox.levels, newMatLevel(t.depth, t.members))
 		// Directory entry per member: offset, length, cardinality — O(lg n)
 		// bits each, 128 bits nominal.
@@ -119,16 +112,89 @@ func buildLevels(ws Workers, d *iomodel.Disk, col workload.Column, opts OptimalO
 	return ox, tasks, nil
 }
 
+// RangeLevel is one level of alphabet ranges of equal width: range k covers
+// characters [k·Width, (k+1)·Width), and the gap stream of its rows is
+// Exts[k], of Cards[k] rows.
+type RangeLevel struct {
+	Width int64
+	Exts  []iomodel.Extent
+	Cards []int64
+}
+
+// entry implements memberDir: a level's ranges are its members.
+func (lv *RangeLevel) entry(k int) (iomodel.Extent, int64) { return lv.Exts[k], lv.Cards[k] }
+
+// BuildRangeLevels encodes col on d as one level of alphabet ranges per
+// width, in order: the level of width w cuts [0,span) into ⌈span/w⌉ ranges,
+// each holding the rows of its characters below σ, so a range wholly past σ
+// is an empty stream. A level is a level task with a member per range, run on
+// up to GOMAXPROCS workers and placed by one AllocStream.
+func BuildRangeLevels(d *iomodel.Disk, col workload.Column, span int64, widths []int64) ([]RangeLevel, error) {
+	prefix, err := col.Prefix()
+	if err != nil {
+		return nil, err
+	}
+	sigma := int64(col.Sigma)
+	tasks := make([]levelTask, len(widths))
+	for li, w := range widths {
+		tasks[li].depth = li
+		for lo := int64(0); lo < span; lo += w {
+			tasks[li].members = append(tasks[li].members,
+				member{start: prefix[min(lo, sigma)], end: prefix[min(lo+w, sigma)]})
+		}
+	}
+	ws := NewWorkers(0)
+	ws <- struct{}{} // the caller's slot, as encodeLevels expects
+	encodeLevels(ws, tasks, prefix, col.X, nil)
+	levels := make([]RangeLevel, len(tasks))
+	for li := range tasks {
+		t := &tasks[li]
+		if t.err != nil {
+			return nil, t.err
+		}
+	}
+	for li := range tasks {
+		t := &tasks[li]
+		t.place(d)
+		lv := RangeLevel{Width: widths[li], Exts: make([]iomodel.Extent, len(t.members)), Cards: make([]int64, len(t.members))}
+		for k, m := range t.members {
+			lv.Exts[k], lv.Cards[k] = m.ext, m.card
+		}
+		levels[li] = lv
+	}
+	return levels, nil
+}
+
+// place allocates t's exact streams on d as one stream and moves its members'
+// extents onto the device.
+func (t *levelTask) place(d *iomodel.Disk) {
+	off := d.AllocStream(t.exact).Off
+	putChainWriter(t.exact)
+	for mi := range t.members {
+		t.members[mi].ext.Off += off
+	}
+}
+
+// encodeLevels runs every task over the column x, whose records prefix counts
+// per character, with 32-bit slab entries whenever the rows fit in them.
+func encodeLevels(ws Workers, tasks []levelTask, prefix []int64, x []uint32, hs []hashutil.SplitXOR) {
+	if int64(len(x)) <= math.MaxUint32 {
+		runLevels[uint32](ws, tasks, prefix, x, hs)
+	} else {
+		runLevels[int64](ws, tasks, prefix, x, hs)
+	}
+}
+
 // runLevels runs every task, on the caller's goroutine and on one helper per
 // slot of ws free at the start, and returns once all have finished; a worker
 // allocates its scratch (the slab) when it gets its first task.
-func runLevels[P rowID](ws Workers, tasks []levelTask, tr *Tree, x []uint32, hs []hashutil.SplitXOR) {
+func runLevels[P rowID](ws Workers, tasks []levelTask, prefix []int64, x []uint32, hs []hashutil.SplitXOR) {
 	var next atomic.Int32
 	work := func() {
 		var sc *levelScratch[P]
 		for i := int(next.Add(1)) - 1; i < len(tasks); i = int(next.Add(1)) - 1 {
 			if sc == nil {
-				sc = newLevelScratch[P](tr, x)
+				sc = newLevelScratch[P](prefix, x)
 			}
 			tasks[i].err = runLevel(&tasks[i], sc, hs)
 		}
@@ -211,6 +277,9 @@ func runLevel[P rowID](t *levelTask, sc *levelScratch[P], hs []hashutil.SplitXOR
 // gapBits bounds, as a writer's size hint, the gap stream of card positions
 // below univ: gamma lengths are concave, so card gaps of univ/card cost most.
 func gapBits(card, univ int64) int {
+	if card == 0 {
+		return 0
+	}
 	return int(card) * (2*bits.Len64(uint64(univ/card)) + 1)
 }
 
@@ -232,13 +301,16 @@ type levelScratch[P rowID] struct {
 	set  hashSet[P]
 }
 
-func newLevelScratch[P rowID](t *Tree, x []uint32) *levelScratch[P] {
+// newLevelScratch returns the scratch for levels over the column x, whose
+// records prefix counts per character (prefix[a] records precede a's).
+func newLevelScratch[P rowID](prefix []int64, x []uint32) *levelScratch[P] {
+	sigma := len(prefix) - 1
 	return &levelScratch[P]{
 		x:      x,
-		prefix: t.prefix,
-		slab:   make([]P, t.n),
-		next:   make([]int64, t.sigma),
-		cur:    make([]int32, t.sigma),
+		prefix: prefix,
+		slab:   make([]P, prefix[sigma]),
+		next:   make([]int64, sigma),
+		cur:    make([]int32, sigma),
 	}
 }
 
@@ -248,8 +320,9 @@ func newLevelScratch[P rowID](t *Tree, x []uint32) *levelScratch[P] {
 // disjoint record ranges — forward to the one holding that record. A
 // character's records may straddle several members, and records under a leaf
 // materialised at a shallower level belong to no member here; both cases are
-// the cursor advancing or the row being skipped. Rows arrive in increasing i,
-// so each member's slice ends up sorted.
+// the cursor advancing or the row being skipped. An empty member (a range of
+// characters that never occur) is passed over like one wholly behind the
+// row. Rows arrive in increasing i, so each member's slice ends up sorted.
 func (sc *levelScratch[P]) scatter(members []member) error {
 	copy(sc.next, sc.prefix)
 	mi := 0

@@ -85,8 +85,8 @@ func TestBuildParallelDeterministic(t *testing.T) {
 	}
 	hs := hashesFor(tr.n, 42)
 	narrow, wide := newLevelTasks(tr, 2), newLevelTasks(tr, 2)
-	runLevels[uint32](NewWorkers(2), narrow, tr, col.X, hs)
-	runLevels[int64](NewWorkers(2), wide, tr, col.X, hs)
+	runLevels[uint32](NewWorkers(2), narrow, tr.prefix, col.X, hs)
+	runLevels[int64](NewWorkers(2), wide, tr.prefix, col.X, hs)
 	for i := range narrow {
 		a, b := &narrow[i], &wide[i]
 		if a.err != nil || b.err != nil {
@@ -127,7 +127,7 @@ func TestBuildLevelFailure(t *testing.T) {
 	tasks := newLevelTasks(tr, 1)
 	bad := len(tasks) / 2
 	tasks[bad].members[0].end++
-	runLevels[uint32](ws, tasks, tr, col.X, nil)
+	runLevels[uint32](ws, tasks, tr.prefix, col.X, nil)
 	waitGoroutines(t, before)
 	for i := range tasks {
 		switch err := tasks[i].err; {
@@ -182,7 +182,7 @@ func BenchmarkBuildPhases(b *testing.B) {
 				tasks := newLevelTasks(tr, 2)
 				tree += time.Since(t0)
 				hs := hashesFor(tr.n, 42)
-				sc := newLevelScratch[uint32](tr, col.X)
+				sc := newLevelScratch[uint32](tr.prefix, col.X)
 				perLevel = append(perLevel[:0], make([]time.Duration, len(tasks))...)
 				for ti := range tasks {
 					t0 = time.Now()

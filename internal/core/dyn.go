@@ -119,37 +119,25 @@ func BuildAppendIndex(d *iomodel.Disk, col workload.Column, opts AppendOptions) 
 	if opts.Branching <= 4 {
 		return nil, fmt.Errorf("core: branching parameter %d must exceed 4", opts.Branching)
 	}
-	if col.Sigma < 1 {
-		return nil, fmt.Errorf("core: alphabet size %d", col.Sigma)
+	byChar, err := col.Group()
+	if err != nil {
+		return nil, err
 	}
 	ax := &AppendIndex{
 		disk:    d,
 		opts:    opts,
 		sigma:   col.Sigma,
+		n:       int64(col.Len()),
 		counts:  make([]int64, col.Sigma),
-		byChar:  make([][]int64, col.Sigma),
+		byChar:  byChar,
 		nodeBlk: make(map[*dynNode]iomodel.BlockID),
+	}
+	for a, list := range byChar {
+		ax.counts[a] = int64(len(list))
 	}
 	ax.bufCap = d.BlockBits() / recordBits(dynEntryLayout)
 	if opts.Buffered && ax.bufCap < 4 {
 		return nil, fmt.Errorf("core: block size %d bits holds fewer than 4 buffered appends", d.BlockBits())
-	}
-	// Count first so each character's position list is allocated exactly
-	// once; append-growth over σ lists otherwise dominates build allocations.
-	for _, ch := range col.X {
-		if int(ch) >= col.Sigma {
-			return nil, fmt.Errorf("core: character %d outside alphabet [0,%d)", ch, col.Sigma)
-		}
-		ax.counts[ch]++
-	}
-	for ch, cnt := range ax.counts {
-		if cnt > 0 {
-			ax.byChar[ch] = make([]int64, 0, cnt)
-		}
-	}
-	for i, ch := range col.X {
-		ax.byChar[ch] = append(ax.byChar[ch], int64(i))
-		ax.n++
 	}
 	tc := d.NewTouch()
 	defer tc.Close()

@@ -385,4 +385,4 @@ func (ax *AppendIndex) QueryContext(ctx context.Context, r index.Range) (*cbitma
 	return queryUpdatable(ctx, ax, ax.disk, r, ax.n, ax.Count(r.Lo, r.Hi), uint32(ax.sigma-1))
 }
 
-var _ index.Appender = (*AppendIndex)(nil)
+var _ index.Index = (*AppendIndex)(nil)

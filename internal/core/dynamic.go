@@ -83,24 +83,21 @@ func BuildDynamic(d *iomodel.Disk, col workload.Column, opts DynamicOptions) (*D
 	if opts.Branching <= 4 {
 		return nil, fmt.Errorf("core: branching parameter %d must exceed 4", opts.Branching)
 	}
-	if col.Sigma < 1 {
-		return nil, fmt.Errorf("core: alphabet size %d", col.Sigma)
-	}
 	dx := &Dynamic{
 		disk:     d,
 		opts:     opts,
 		sigma:    col.Sigma,
 		sigmaEff: col.Sigma + 1,
 	}
-	dx.x = make([]uint32, 0, col.Len())
+	prefix, err := col.Prefix()
+	if err != nil {
+		return nil, err
+	}
+	dx.x = append(make([]uint32, 0, col.Len()), col.X...)
+	dx.n = int64(col.Len())
 	dx.counts = make([]int64, dx.sigmaEff)
-	for _, ch := range col.X {
-		if int(ch) >= col.Sigma {
-			return nil, fmt.Errorf("core: character %d outside alphabet [0,%d)", ch, col.Sigma)
-		}
-		dx.x = append(dx.x, ch)
-		dx.counts[ch]++
-		dx.n++
+	for a := range col.Sigma {
+		dx.counts[a] = prefix[a+1] - prefix[a]
 	}
 	if err := dx.rebuild(); err != nil {
 		return nil, err
@@ -338,4 +335,4 @@ func (dx *Dynamic) QueryContext(ctx context.Context, r index.Range) (*cbitmap.Bi
 	return queryUpdatable(ctx, dx, dx.disk, r, dx.n, z, uint32(dx.sigmaEff-1))
 }
 
-var _ index.Changer = (*Dynamic)(nil)
+var _ index.Index = (*Dynamic)(nil)

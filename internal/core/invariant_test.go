@@ -187,7 +187,7 @@ func TestOneCharacterOneMember(t *testing.T) {
 		census(t, func(c uint32) int { return pointMembers(t, &dx.charSkeleton, dx.members, c) })
 	})
 	t.Run("warmup", func(t *testing.T) {
-		wx, err := BuildWarmup(iomodel.NewDisk(iomodel.Config{BlockBits: 4096}), col, WarmupOptions{})
+		wx, err := BuildWarmup(iomodel.NewDisk(iomodel.Config{BlockBits: 4096}), col)
 		if err != nil {
 			t.Fatal(err)
 		}

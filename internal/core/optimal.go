@@ -24,8 +24,6 @@ type OptimalOptions struct {
 	// every level (the §2.2 "naive upper bound", O(n lg² n) bits). Larger
 	// strides are ablations. Zero selects 2.
 	Stride int
-	// NoComplement disables the z > n/2 complement trick (ablation).
-	NoComplement bool
 }
 
 func (o *OptimalOptions) fill() {

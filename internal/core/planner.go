@@ -112,7 +112,7 @@ func (ox *Optimal) planInto(ses ioSession, r index.Range, plan *QueryPlan) error
 // inverts in the same pass (§2.1).
 func (ox *Optimal) planRecords(ses ioSession, qlo, qhi int64, plan *QueryPlan) error {
 	n := ox.tree.n
-	plan.Complement = qhi-qlo > n/2 && !ox.opts.NoComplement
+	plan.Complement = qhi-qlo > n/2
 	if plan.Complement {
 		if err := coverPlanner(ox, ses, 0, qlo, plan); err != nil {
 			return err

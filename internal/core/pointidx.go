@@ -120,12 +120,9 @@ func BuildPointIndex(d *iomodel.Disk, col workload.Column, c int) (*PointIndex, 
 	if err != nil {
 		return nil, err
 	}
-	byChar := make([][]int64, col.Sigma)
-	for i, ch := range col.X {
-		if int(ch) >= col.Sigma {
-			return nil, fmt.Errorf("core: character %d outside alphabet [0,%d)", ch, col.Sigma)
-		}
-		byChar[ch] = append(byChar[ch], int64(i))
+	byChar, err := col.Group()
+	if err != nil {
+		return nil, err
 	}
 	tc := d.NewTouch()
 	defer tc.Close()

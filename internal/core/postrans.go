@@ -138,12 +138,13 @@ func (pt *PositionTranslator) chargeRead(tc *iomodel.Touch, nd *ptNode) {
 
 // Delete records raw position p as deleted. Duplicate deletions are
 // idempotent. Cost: O(log_b n) I/Os plus splits.
-func (pt *PositionTranslator) Delete(p int64) (index.QueryStats, error) {
-	var stats index.QueryStats
+func (pt *PositionTranslator) Delete(p int64) (stats index.QueryStats, err error) {
 	if p < 0 || p >= pt.n {
 		return stats, fmt.Errorf("core: position %d outside [0,%d)", p, pt.n)
 	}
 	tc := pt.disk.NewTouch()
+	defer tc.Close()
+	defer func() { stats.Reads, stats.Writes = tc.Reads(), tc.Writes() }()
 	added, split, err := pt.insert(tc, pt.root, p)
 	if err != nil {
 		return stats, err
@@ -161,7 +162,6 @@ func (pt *PositionTranslator) Delete(p int64) (index.QueryStats, error) {
 	if added {
 		pt.deleted++
 	}
-	stats.Reads, stats.Writes = tc.Reads(), tc.Writes()
 	return stats, nil
 }
 
@@ -252,6 +252,7 @@ func (pt *PositionTranslator) RawToLive(p int64) (int64, bool, index.QueryStats,
 		return 0, false, stats, fmt.Errorf("core: position %d outside [0,%d)", p, pt.n)
 	}
 	tc := pt.disk.NewTouch()
+	defer tc.Close()
 	// deletedBefore = number of deleted positions < p; isDel whether p deleted.
 	var deletedBefore int64
 	isDel := false
@@ -291,6 +292,7 @@ func (pt *PositionTranslator) LiveToRaw(live int64) (int64, index.QueryStats, er
 		return 0, stats, fmt.Errorf("core: live position %d outside [0,%d)", live, pt.Live())
 	}
 	tc := pt.disk.NewTouch()
+	defer tc.Close()
 	// Find the raw position p with (p - deleted(<p)) == live and p not
 	// deleted: descend by live counts, then finish within the leaf.
 	var deletedBefore int64

@@ -350,3 +350,49 @@ func TestTranslatorLeavesDecodeAsPointLeaves(t *testing.T) {
 		t.Fatalf("leaves hold %d positions, translator reports %d deleted", total, pt.Deleted())
 	}
 }
+
+// TestTranslatorSessionAllocs: every translator call closes its session, so
+// the disk's pooled Touch serves the next call and a lookup allocates
+// nothing; a Delete that fails on a write fault still reports its reads.
+func TestTranslatorSessionAllocs(t *testing.T) {
+	d := iomodel.NewDisk(iomodel.Config{BlockBits: 1024})
+	pt, err := NewPositionTranslator(d, 10000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := int64(0); p < 10000; p += 7 {
+		if _, err := pt.Delete(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !raceEnabled {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, _, _, err := pt.RawToLive(5000); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := pt.LiveToRaw(4000); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := pt.Delete(7); err != nil { // already deleted: reads only
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("RawToLive, LiveToRaw and a repeated Delete allocated %.1f times, want 0", allocs)
+		}
+	}
+	fc := iomodel.FaultConfig{Seed: 1, FailedWritePer10k: 10000}
+	fd := iomodel.NewDisk(iomodel.Config{BlockBits: 1024, Faults: &fc})
+	fpt, err := NewPositionTranslator(fd, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fd.ArmFaults()
+	st, err := fpt.Delete(3)
+	if err == nil {
+		t.Fatal("Delete over a failing write succeeded")
+	}
+	if st.Reads == 0 {
+		t.Fatalf("failed Delete reported no reads: %+v", st)
+	}
+}

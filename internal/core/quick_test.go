@@ -185,7 +185,7 @@ func TestQuickWarmupEqualsOptimal(t *testing.T) {
 		lo := uint32(loSeed) % 30
 		d1 := iomodel.NewDisk(iomodel.Config{BlockBits: 512})
 		d2 := iomodel.NewDisk(iomodel.Config{BlockBits: 512})
-		wx, err1 := BuildWarmup(d1, col, WarmupOptions{})
+		wx, err1 := BuildWarmup(d1, col)
 		ox, err2 := BuildOptimalDefault(d2, col)
 		if err1 != nil || err2 != nil {
 			return false

@@ -58,38 +58,27 @@ type Tree struct {
 // BuildTree constructs the pruned weight-balanced tree for col with
 // branching parameter c (> 4 per §2.2).
 func BuildTree(col workload.Column, c int) (*Tree, error) {
+	prefix, err := col.Prefix()
+	if err != nil {
+		return nil, err
+	}
+	return newTree(prefix, c)
+}
+
+// newTree builds the node structure over a column's prefix counts (σ+1
+// entries, the last n) and assigns preorder IDs. Topology is a pure function
+// of (prefix, c): the recursive build consults characters only through
+// charOf, which reads prefix — this is what makes the tree reconstructible
+// from counts alone.
+func newTree(prefix []int64, c int) (*Tree, error) {
 	if c <= 4 {
 		return nil, fmt.Errorf("core: branching parameter %d must exceed 4", c)
 	}
-	n := int64(col.Len())
-	if n == 0 {
+	sigma := len(prefix) - 1
+	if prefix[sigma] == 0 {
 		return nil, fmt.Errorf("core: empty column")
 	}
-	if col.Sigma < 1 {
-		return nil, fmt.Errorf("core: alphabet size %d", col.Sigma)
-	}
-	t := &Tree{C: c, n: n, sigma: col.Sigma}
-	t.prefix = make([]int64, col.Sigma+1)
-	for _, ch := range col.X {
-		if int(ch) >= col.Sigma {
-			return nil, fmt.Errorf("core: character %d outside alphabet [0,%d)", ch, col.Sigma)
-		}
-		t.prefix[ch+1]++
-	}
-	for a := 0; a < col.Sigma; a++ {
-		t.prefix[a+1] += t.prefix[a]
-	}
-	if err := t.finish(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// finish builds the node structure over the already-populated prefix array
-// and assigns preorder IDs. Topology is a pure function of (prefix, C): the
-// recursive build consults characters only through charOf, which reads
-// prefix — this is what makes the tree reconstructible from counts alone.
-func (t *Tree) finish() error {
+	t := &Tree{C: c, n: prefix[sigma], sigma: sigma, prefix: prefix}
 	// Height: all leaves of the unpruned tree sit at depth h with node
 	// weight Θ(n/c^d) at depth d.
 	h := int(math.Ceil(math.Log(float64(t.n)) / math.Log(float64(t.C))))
@@ -97,9 +86,6 @@ func (t *Tree) finish() error {
 		h = 1
 	}
 	t.Root = t.build(nil, 0, 0, t.n, h)
-	if t.Root == nil {
-		return fmt.Errorf("core: tree construction failed")
-	}
 	var assign func(v *Node)
 	assign = func(v *Node) {
 		v.ID = len(t.Nodes)
@@ -112,7 +98,7 @@ func (t *Tree) finish() error {
 		}
 	}
 	assign(t.Root)
-	return nil
+	return t, nil
 }
 
 // treeFromCounts rebuilds the pruned weight-balanced tree from per-character
@@ -122,35 +108,17 @@ func (t *Tree) finish() error {
 // from the on-device bitmaps), and everything it does hold — prefix, node
 // ranges, charOf — depends only on counts.
 func treeFromCounts(counts []int64, c int) (*Tree, error) {
-	if c <= 4 {
-		return nil, fmt.Errorf("core: branching parameter %d must exceed 4", c)
-	}
-	sigma := len(counts)
-	if sigma == 0 {
-		return nil, fmt.Errorf("core: empty alphabet")
-	}
-	var n int64
+	prefix := make([]int64, len(counts)+1)
 	for a, cnt := range counts {
 		if cnt < 0 {
 			return nil, fmt.Errorf("core: negative count for character %d", a)
 		}
-		if n > math.MaxInt64-cnt {
+		if prefix[a] > math.MaxInt64-cnt {
 			return nil, fmt.Errorf("core: row count overflow")
 		}
-		n += cnt
+		prefix[a+1] = prefix[a] + cnt
 	}
-	if n == 0 {
-		return nil, fmt.Errorf("core: empty column")
-	}
-	t := &Tree{C: c, n: n, sigma: sigma}
-	t.prefix = make([]int64, sigma+1)
-	for a, cnt := range counts {
-		t.prefix[a+1] = t.prefix[a] + cnt
-	}
-	if err := t.finish(); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return newTree(prefix, c)
 }
 
 // charOf returns the character of record r.

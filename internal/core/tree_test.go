@@ -88,7 +88,7 @@ func TestPositionsSortedAndComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := newLevelScratch[uint32](tr, col.X)
+	sc := newLevelScratch[uint32](tr.prefix, col.X)
 	positions := tr.positionsRef(col.X)
 	for trial := 0; trial < 30; trial++ {
 		lo := rng.Int63n(2000)
@@ -197,7 +197,7 @@ func TestCharOfPosOf(t *testing.T) {
 	// one-record members leaves record r's position in slab[r].
 	wantChars := []uint32{0, 1, 1, 3}
 	wantPos := []uint32{1, 0, 2, 3}
-	sc := newLevelScratch[uint32](tr, col.X)
+	sc := newLevelScratch[uint32](tr.prefix, col.X)
 	if err := sc.scatter([]member{{start: 0, end: 1}, {start: 1, end: 2}, {start: 2, end: 3}, {start: 3, end: 4}}); err != nil {
 		t.Fatal(err)
 	}

@@ -105,7 +105,7 @@ func (ox *Optimal) QueryUnfused(r index.Range) (out *cbitmap.Bitmap, stats index
 	n := ox.tree.n
 
 	var ms []*cbitmap.Bitmap
-	complement := z > n/2 && !ox.opts.NoComplement
+	complement := z > n/2
 	if complement {
 		ms, err = ox.queryRecords(tc, 0, qlo, ms, &stats)
 		if err == nil {
@@ -135,13 +135,13 @@ func (wx *Warmup) queryChars(tc *iomodel.Touch, lo, hi int64, ms []*cbitmap.Bitm
 	wx.cover(&plan, lo, hi)
 	for _, cn := range plan.Chunks {
 		lv := wx.levels[cn.Level]
-		ext := lv.exts[cn.I]
+		ext := lv.Exts[cn.I]
 		rd, err := tc.Reader(ext)
 		if err != nil {
 			return ms, err
 		}
 		stats.BitsRead += ext.Bits
-		bm, err := cbitmap.Decode(rd, lv.cards[cn.I], wx.n)
+		bm, err := cbitmap.Decode(rd, lv.Cards[cn.I], wx.n)
 		if err != nil {
 			return ms, fmt.Errorf("core: warmup level %d node %d: %w", cn.Level, cn.I, err)
 		}
@@ -174,7 +174,7 @@ func (wx *Warmup) QueryUnfused(r index.Range) (out *cbitmap.Bitmap, stats index.
 	z := int64(aHi) - int64(aLo)
 
 	var ms []*cbitmap.Bitmap
-	complement := z > wx.n/2 && !wx.opts.NoComplement
+	complement := z > wx.n/2
 	if complement {
 		if r.Lo > 0 {
 			ms, err = wx.queryChars(tc, 0, int64(r.Lo)-1, ms, &stats)

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/bits"
 
 	"repro/internal/bitio"
 	"repro/internal/cbitmap"
@@ -25,97 +24,37 @@ type Warmup struct {
 	padded int // σ rounded up to a power of two
 	// levels[j] holds the 2^j nodes of level j (root is level 0, following
 	// Go indexing; the paper's level 1).
-	levels []warmLevel
+	levels []RangeLevel
 	aExt   iomodel.Extent
-	opts   WarmupOptions
 }
 
-type warmLevel struct {
-	width int64 // characters per node at this level
-	exts  []iomodel.Extent
-	cards []int64
-}
-
-// WarmupOptions configures the Theorem 1 structure.
-type WarmupOptions struct {
-	// NoComplement disables the z > n/2 complement trick.
-	NoComplement bool
-}
-
-// BuildWarmup constructs the Theorem 1 index for col on disk d.
-func BuildWarmup(d *iomodel.Disk, col workload.Column, opts WarmupOptions) (*Warmup, error) {
+// BuildWarmup constructs the Theorem 1 index for col on disk d: level j cuts
+// the padded alphabet into 2^j nodes, each a member of the level's task, so
+// the nodes wholly in the padding are empty streams.
+func BuildWarmup(d *iomodel.Disk, col workload.Column) (*Warmup, error) {
 	n := int64(col.Len())
 	if n == 0 {
 		return nil, fmt.Errorf("core: empty column")
-	}
-	if col.Sigma < 1 {
-		return nil, fmt.Errorf("core: alphabet size %d", col.Sigma)
 	}
 	padded := 1
 	for padded < col.Sigma {
 		padded *= 2
 	}
-	wx := &Warmup{disk: d, n: n, sigma: col.Sigma, padded: padded, opts: opts}
-
-	byChar := make([][]int64, padded)
-	counts := make([]int64, col.Sigma)
-	for _, c := range col.X {
-		if int(c) >= col.Sigma {
-			return nil, fmt.Errorf("core: character %d outside alphabet [0,%d)", c, col.Sigma)
-		}
-		counts[c]++
+	wx := &Warmup{disk: d, n: n, sigma: col.Sigma, padded: padded}
+	var widths []int64
+	for w := int64(padded); w >= 1; w /= 2 {
+		widths = append(widths, w)
 	}
-	for a, cnt := range counts {
-		if cnt > 0 {
-			byChar[a] = make([]int64, 0, cnt)
-		}
+	var err error
+	if wx.levels, err = BuildRangeLevels(d, col, int64(padded), widths); err != nil {
+		return nil, err
 	}
-	for i, c := range col.X {
-		byChar[c] = append(byChar[c], int64(i))
-	}
-	prefix := make([]int64, col.Sigma+1)
-	for a := 0; a < col.Sigma; a++ {
-		prefix[a+1] = prefix[a] + int64(len(byChar[a]))
-	}
-
-	// Emit each level's node bitmaps in one sequential streaming pass: the
-	// sorted per-character occurrence lists merge straight into a level-wide
-	// pooled writer through a StreamEncoder (no intermediate Bitmap or sorted
-	// position slice), and the level is placed with a single AllocStream —
-	// bit-identical to the former node-at-a-time allocation, since adjacent
-	// AllocStream calls share blocks with no padding.
-	lw := getChainWriter()
-	defer putChainWriter(lw)
-	nlevels := bits.Len(uint(padded - 1)) // levels 0..nlevels, width 2^(nlevels-j)
-	for j := 0; j <= nlevels; j++ {
-		width := int64(padded >> uint(j))
-		lv := warmLevel{width: width}
-		nnodes := int64(padded) / width
-		lw.Reset()
-		levelOff := d.AllocatedBits() // = the extent AllocStream returns below
-		var enc cbitmap.StreamEncoder
-		for node := int64(0); node < nnodes; node++ {
-			lo, hi := node*width, (node+1)*width
-			if hi > int64(col.Sigma) {
-				hi = int64(col.Sigma)
-			}
-			startBit := lw.Len()
-			enc.Init(lw)
-			if lo < hi {
-				enc.MergeSortedSlices(byChar[lo:hi]...)
-			}
-			lv.exts = append(lv.exts, iomodel.Extent{
-				Off:  levelOff + int64(startBit),
-				Bits: int64(lw.Len() - startBit),
-			})
-			lv.cards = append(lv.cards, enc.Card())
-		}
-		d.AllocStream(lw)
-		wx.levels = append(wx.levels, lv)
-	}
-
+	// A, the prefix counts, from the leaf level's: one node per character.
 	aw := bitio.NewWriter((col.Sigma + 1) * 64)
-	for _, p := range prefix {
+	aw.WriteBits(0, 64)
+	var p int64
+	for _, card := range wx.levels[len(widths)-1].Cards[:col.Sigma] {
+		p += card
 		aw.WriteBits(uint64(p), 64)
 	}
 	wx.aExt = d.AllocStream(aw)
@@ -136,16 +75,13 @@ func (wx *Warmup) Sigma() int { return wx.sigma }
 func (wx *Warmup) SizeBits() int64 {
 	var bitsTotal int64
 	for _, lv := range wx.levels {
-		bitsTotal += int64(len(lv.exts)) * 3 * 64 // directory
-		for _, e := range lv.exts {
+		bitsTotal += int64(len(lv.Exts)) * 3 * 64 // directory
+		for _, e := range lv.Exts {
 			bitsTotal += e.Bits
 		}
 	}
 	return bitsTotal + wx.aExt.Bits
 }
-
-// entry implements memberDir: a level's nodes are its members.
-func (lv *warmLevel) entry(k int) (iomodel.Extent, int64) { return lv.exts[k], lv.cards[k] }
 
 // cover appends to plan, one single-node chunk each, the maximal subtrees of
 // the complete binary tree whose leaves lie within the character range
@@ -192,7 +128,7 @@ func (wx *Warmup) Query(r index.Range) (out *cbitmap.Bitmap, stats index.QuerySt
 	defer sc.release()
 	plans := sc.growPlans(1)
 	plan := &plans[0]
-	plan.Complement = qhi-qlo > wx.n/2 && !wx.opts.NoComplement
+	plan.Complement = qhi-qlo > wx.n/2
 	last := uint32(wx.sigma - 1)
 	// Planning reads nothing, so it cannot fail.
 	_ = collectSides(r, plan.Complement, last, func(lo, hi uint32) error {

@@ -152,7 +152,7 @@ func TestStreamingBuildBitIdentical(t *testing.T) {
 	}
 
 	wd := iomodel.NewDisk(iomodel.Config{BlockBits: 1024})
-	wx, err := BuildWarmup(wd, col, WarmupOptions{})
+	wx, err := BuildWarmup(wd, col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,9 +163,9 @@ func TestStreamingBuildBitIdentical(t *testing.T) {
 	tc := wd.NewTouch()
 	defer tc.Close()
 	for j, lv := range wx.levels {
-		for node := range lv.exts {
+		for node := range lv.Exts {
 			var pos []int64
-			lo, hi := int64(node)*lv.width, (int64(node)+1)*lv.width
+			lo, hi := int64(node)*lv.Width, (int64(node)+1)*lv.Width
 			for a := lo; a < hi && a < int64(col.Sigma); a++ {
 				pos = append(pos, byChar[a]...)
 			}
@@ -175,7 +175,7 @@ func TestStreamingBuildBitIdentical(t *testing.T) {
 			}
 			ww := bitio.NewWriter(want.SizeBits())
 			want.EncodeTo(ww)
-			ext := lv.exts[node]
+			ext := lv.Exts[node]
 			rd, err := tc.Reader(ext)
 			if err != nil {
 				t.Fatal(err)
@@ -184,7 +184,7 @@ func TestStreamingBuildBitIdentical(t *testing.T) {
 			if err := got.CopyBits(rd, int(ext.Bits)); err != nil {
 				t.Fatal(err)
 			}
-			if lv.cards[node] != want.Card() || int64(want.SizeBits()) != ext.Bits || !bytes.Equal(got.Bytes(), ww.Bytes()) {
+			if lv.Cards[node] != want.Card() || int64(want.SizeBits()) != ext.Bits || !bytes.Equal(got.Bytes(), ww.Bytes()) {
 				t.Fatalf("warmup level %d node %d: extent differs from oracle encoding", j, node)
 			}
 		}
@@ -326,7 +326,7 @@ func TestWarmupQueryStreamDifferential(t *testing.T) {
 	}
 	for ci, col := range cols {
 		d := iomodel.NewDisk(iomodel.Config{BlockBits: 1024})
-		wx, err := BuildWarmup(d, col, WarmupOptions{})
+		wx, err := BuildWarmup(d, col)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -438,7 +438,7 @@ func TestWarmupQueryAllocs(t *testing.T) {
 	skipUnderRaceCore(t)
 	col := workload.Uniform(1<<14, 128, 11)
 	d := iomodel.NewDisk(iomodel.Config{BlockBits: 8192})
-	wx, err := BuildWarmup(d, col, WarmupOptions{})
+	wx, err := BuildWarmup(d, col)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -173,7 +173,7 @@ func E1SpaceVsSigma(s Scale) (*Table, error) {
 		}
 		{
 			d := iomodel.NewDisk(iomodel.Config{BlockBits: blockBits})
-			ix, err := core.BuildWarmup(d, col, core.WarmupOptions{})
+			ix, err := core.BuildWarmup(d, col)
 			if err != nil {
 				return nil, err
 			}

@@ -88,17 +88,3 @@ type Index interface {
 	// Query answers I[lo;hi] as a compressed position set.
 	Query(r Range) (*cbitmap.Bitmap, QueryStats, error)
 }
-
-// Appender is implemented by the semi-dynamic structures (Theorems 4–5).
-type Appender interface {
-	Index
-	// Append appends character c at the end of the string.
-	Append(c uint32) (QueryStats, error)
-}
-
-// Changer is implemented by the fully dynamic structure (Theorem 7).
-type Changer interface {
-	Index
-	// Change sets position i to character c.
-	Change(i int64, c uint32) (QueryStats, error)
-}

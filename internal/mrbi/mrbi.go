@@ -11,8 +11,8 @@ package mrbi
 import (
 	"fmt"
 
-	"repro/internal/bitio"
 	"repro/internal/cbitmap"
+	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/iomodel"
 	"repro/internal/workload"
@@ -25,14 +25,8 @@ type Index struct {
 	sigma int
 	w     int // bin width multiplier per level
 	// levels[l] holds bins of width w^l; level 0 is per-character.
-	levels     []level
+	levels     []core.RangeLevel
 	structBits int64
-}
-
-type level struct {
-	width int64 // characters per bin at this level
-	exts  []iomodel.Extent
-	cards []int64
 }
 
 // Build constructs the index over col with bin-width multiplier w >= 2.
@@ -42,40 +36,17 @@ func Build(d *iomodel.Disk, col workload.Column, w int) (*Index, error) {
 	if w < 2 {
 		return nil, fmt.Errorf("mrbi: bin width multiplier %d must be >= 2", w)
 	}
-	n := int64(col.Len())
-	ix := &Index{disk: d, n: n, sigma: col.Sigma, w: w}
-	byChar := make([][]int64, col.Sigma)
-	for i, c := range col.X {
-		if int(c) >= col.Sigma {
-			return nil, fmt.Errorf("mrbi: character %d outside alphabet [0,%d)", c, col.Sigma)
-		}
-		byChar[c] = append(byChar[c], int64(i))
+	ix := &Index{disk: d, n: int64(col.Len()), sigma: col.Sigma, w: w}
+	widths := []int64{1}
+	for width := int64(w); width < int64(col.Sigma); width *= int64(w) {
+		widths = append(widths, width)
 	}
-	wr := bitio.NewWriter(0)
-	var enc cbitmap.StreamEncoder
-	for width := int64(1); width < int64(col.Sigma) || width == 1; width *= int64(w) {
-		nbins := (int64(col.Sigma) + width - 1) / width
-		lv := level{width: width}
-		for b := int64(0); b < nbins; b++ {
-			lo := b * width
-			hi := lo + width
-			if hi > int64(col.Sigma) {
-				hi = int64(col.Sigma)
-			}
-			// Merge the sorted per-character lists of the bin.
-			wr.Reset()
-			enc.Init(wr)
-			enc.MergeSortedSlices(byChar[lo:hi]...)
-			lv.exts = append(lv.exts, d.AllocStream(wr))
-			lv.cards = append(lv.cards, enc.Card())
-		}
-		ix.levels = append(ix.levels, lv)
-		if width >= int64(col.Sigma) {
-			break
-		}
+	var err error
+	if ix.levels, err = core.BuildRangeLevels(d, col, int64(col.Sigma), widths); err != nil {
+		return nil, err
 	}
 	for _, lv := range ix.levels {
-		ix.structBits += int64(len(lv.exts)) * 3 * 64
+		ix.structBits += int64(len(lv.Exts)) * 3 * 64
 	}
 	return ix, nil
 }
@@ -96,7 +67,7 @@ func (ix *Index) Levels() int { return len(ix.levels) }
 func (ix *Index) PayloadBits() int64 {
 	var bits int64
 	for _, lv := range ix.levels {
-		for _, e := range lv.exts {
+		for _, e := range lv.Exts {
 			bits += e.Bits
 		}
 	}
@@ -104,15 +75,7 @@ func (ix *Index) PayloadBits() int64 {
 }
 
 // SizeBits implements index.Index.
-func (ix *Index) SizeBits() int64 {
-	var bits int64
-	for _, lv := range ix.levels {
-		for _, e := range lv.exts {
-			bits += e.Bits
-		}
-	}
-	return bits + ix.structBits
-}
+func (ix *Index) SizeBits() int64 { return ix.PayloadBits() + ix.structBits }
 
 // binRef identifies one bin of the cover.
 type binRef struct {
@@ -154,21 +117,22 @@ func (ix *Index) Query(r index.Range) (*cbitmap.Bitmap, index.QueryStats, error)
 		return nil, index.QueryStats{}, err
 	}
 	t := ix.disk.NewTouch()
+	defer t.Close()
 	var stats index.QueryStats
 	refs := ix.cover(int64(r.Lo), int64(r.Hi))
 	ms := make([]*cbitmap.Bitmap, 0, len(refs))
 	for _, ref := range refs {
 		lv := ix.levels[ref.level]
-		if ref.bin >= int64(len(lv.exts)) {
+		if ref.bin >= int64(len(lv.Exts)) {
 			continue // padding beyond σ
 		}
-		ext := lv.exts[ref.bin]
+		ext := lv.Exts[ref.bin]
 		rd, err := t.Reader(ext)
 		if err != nil {
 			return nil, stats, err
 		}
 		stats.BitsRead += ext.Bits
-		bm, err := cbitmap.Decode(rd, lv.cards[ref.bin], ix.n)
+		bm, err := cbitmap.Decode(rd, lv.Cards[ref.bin], ix.n)
 		if err != nil {
 			return nil, stats, fmt.Errorf("mrbi: level %d bin %d: %w", ref.level, ref.bin, err)
 		}

@@ -1,9 +1,12 @@
 package mrbi
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
+	"repro/internal/bitio"
+	"repro/internal/cbitmap"
 	"repro/internal/index"
 	"repro/internal/iomodel"
 	"repro/internal/workload"
@@ -149,7 +152,7 @@ func TestFewerBitsReadThanFlatOnWideRanges(t *testing.T) {
 	// Full range = one coarsest bin (+ alignment), so bits read should be
 	// about n*lg(n/n)=O(n) not n*lg(sigma).
 	flatBits := int64(0)
-	for _, e := range ix.levels[0].exts {
+	for _, e := range ix.levels[0].Exts {
 		flatBits += e.Bits
 	}
 	if stats.BitsRead > flatBits/2 {
@@ -201,5 +204,56 @@ func TestRandomizedSweep(t *testing.T) {
 		for _, q := range workload.RandomRanges(10, sigma, 1+rng.Intn(sigma), int64(trial*7)) {
 			checkAgainstBrute(t, ix, col, q)
 		}
+	}
+}
+
+// TestBinsEncodeTheirRows pins the bytes: bin b of level l is the
+// FromPositions encoding of the rows whose characters it covers, placed right
+// after bin b-1 (after the previous level's last bin for b = 0), whatever the
+// alphabet leaves empty.
+func TestBinsEncodeTheirRows(t *testing.T) {
+	for _, tc := range []struct {
+		col workload.Column
+		w   int
+	}{
+		{workload.Uniform(3000, 16, 13), 2},
+		{workload.Zipf(5000, 100, 1.6, 14), 4},
+		{workload.Runs(4000, 37, 20, 15), 3},
+		{workload.Uniform(50, 1, 16), 2},
+	} {
+		d := iomodel.NewDisk(iomodel.Config{BlockBits: 512})
+		ix, err := Build(d, tc.col, tc.w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tch := d.NewTouch()
+		next := int64(0)
+		for l, lv := range ix.levels {
+			for b, ext := range lv.Exts {
+				var pos []int64
+				for i, c := range tc.col.X {
+					if int64(c)/lv.Width == int64(b) {
+						pos = append(pos, int64(i))
+					}
+				}
+				want := cbitmap.MustFromPositions(ix.n, pos)
+				ww := bitio.NewWriter(want.SizeBits())
+				want.EncodeTo(ww)
+				rd, err := tch.Reader(ext)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := bitio.NewWriter(int(ext.Bits))
+				if err := got.CopyBits(rd, int(ext.Bits)); err != nil {
+					t.Fatal(err)
+				}
+				if ext.Off != next || lv.Cards[b] != want.Card() || ext.Bits != int64(want.SizeBits()) || !bytes.Equal(got.Bytes(), ww.Bytes()) {
+					t.Fatalf("σ=%d w=%d level %d bin %d: extent %+v card %d, want offset %d, %d bits, card %d",
+						tc.col.Sigma, tc.w, l, b, ext, lv.Cards[b], next, want.SizeBits(), want.Card())
+				}
+				next = ext.End()
+			}
+		}
+		tch.Close()
 	}
 }

@@ -12,8 +12,6 @@
 package rangeenc
 
 import (
-	"fmt"
-
 	"repro/internal/bitio"
 	"repro/internal/cbitmap"
 	"repro/internal/index"
@@ -36,12 +34,9 @@ type Index struct {
 func Build(d *iomodel.Disk, col workload.Column) (*Index, error) {
 	n := int64(col.Len())
 	ix := &Index{disk: d, n: n, sigma: col.Sigma}
-	byChar := make([][]int64, col.Sigma)
-	for i, c := range col.X {
-		if int(c) >= col.Sigma {
-			return nil, fmt.Errorf("rangeenc: character %d outside alphabet [0,%d)", c, col.Sigma)
-		}
-		byChar[c] = append(byChar[c], int64(i))
+	byChar, err := col.Group()
+	if err != nil {
+		return nil, err
 	}
 	ix.exts = make([]iomodel.Extent, col.Sigma)
 	ix.cards = make([]int64, col.Sigma)
@@ -86,6 +81,7 @@ func (ix *Index) Query(r index.Range) (*cbitmap.Bitmap, index.QueryStats, error)
 		return nil, stats, err
 	}
 	t := ix.disk.NewTouch()
+	defer t.Close()
 	read := func(a uint32) (*cbitmap.Bitmap, error) {
 		ext := ix.exts[a]
 		rd, err := t.Reader(ext)

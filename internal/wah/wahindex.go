@@ -25,12 +25,9 @@ type Index struct {
 func BuildIndex(d *iomodel.Disk, col workload.Column) (*Index, error) {
 	n := int64(col.Len())
 	ix := &Index{disk: d, n: n, sigma: col.Sigma}
-	byChar := make([][]int64, col.Sigma)
-	for i, c := range col.X {
-		if int(c) >= col.Sigma {
-			return nil, fmt.Errorf("wah: character %d outside alphabet [0,%d)", c, col.Sigma)
-		}
-		byChar[c] = append(byChar[c], int64(i))
+	byChar, err := col.Group()
+	if err != nil {
+		return nil, err
 	}
 	ix.exts = make([]iomodel.Extent, col.Sigma)
 	ix.nwords = make([]int, col.Sigma)
@@ -74,6 +71,7 @@ func (ix *Index) Query(r index.Range) (*cbitmap.Bitmap, index.QueryStats, error)
 		return nil, index.QueryStats{}, err
 	}
 	t := ix.disk.NewTouch()
+	defer t.Close()
 	var stats index.QueryStats
 	acc := cbitmap.NewPlain(ix.n)
 	for a := r.Lo; a <= r.Hi; a++ {

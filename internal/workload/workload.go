@@ -21,6 +21,47 @@ type Column struct {
 // Len returns n.
 func (c Column) Len() int { return len(c.X) }
 
+// Prefix returns the column's character prefix counts: prefix[a] rows hold a
+// character below a, so prefix has σ+1 entries and prefix[σ] = n. It is the
+// one alphabet check a column gets, failing on an alphabet size below 1 or a
+// character outside [0,σ).
+func (c Column) Prefix() ([]int64, error) {
+	if c.Sigma < 1 {
+		return nil, fmt.Errorf("workload: alphabet size %d", c.Sigma)
+	}
+	prefix := make([]int64, c.Sigma+1)
+	for _, ch := range c.X {
+		if int(ch) >= c.Sigma {
+			return nil, fmt.Errorf("workload: character %d outside alphabet [0,%d)", ch, c.Sigma)
+		}
+		prefix[ch+1]++
+	}
+	for a := 0; a < c.Sigma; a++ {
+		prefix[a+1] += prefix[a]
+	}
+	return prefix, nil
+}
+
+// Group returns the rows of each character in increasing order: byChar[a]
+// lists the rows holding a. The lists are one array cut at Prefix's counts —
+// the records of x ordered by character, then position — each capped at its
+// length, so appending to one never overwrites the next.
+func (c Column) Group() ([][]int64, error) {
+	prefix, err := c.Prefix()
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]int64, len(c.X))
+	byChar := make([][]int64, c.Sigma)
+	for a := range byChar {
+		byChar[a] = rows[prefix[a]:prefix[a]:prefix[a+1]]
+	}
+	for i, ch := range c.X {
+		byChar[ch] = append(byChar[ch], int64(i))
+	}
+	return byChar, nil
+}
+
 // Uniform draws each character independently and uniformly from [0,σ).
 func Uniform(n, sigma int, seed int64) Column {
 	rng := rand.New(rand.NewSource(seed))
