@@ -683,7 +683,7 @@ func BenchmarkMergeStreams(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for j, m := range ms {
-				if err := streams[j].InitDecode(rd, starts[j], m.SizeBits(), m.Card(), n, 0); err != nil {
+				if err := streams[j].InitDecode(rd, starts[j], m.SizeBits(), m.Card(), n, 0, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -74,20 +74,29 @@ func inspect(path string) error {
 	}
 	defer o.Close()
 	var ledgers []secidx.SpaceLedger
+	var codes [][]secidx.LevelCodes
 	switch {
 	case o.Static != nil:
 		ledgers = []secidx.SpaceLedger{o.Static.SpaceLedger()}
+		var c []secidx.LevelCodes
+		c, err = o.Static.PayloadUnderCodes()
+		codes = [][]secidx.LevelCodes{c}
 	case o.Sharded != nil:
 		ledgers = o.Sharded.SpaceLedger()
+		codes, err = o.Sharded.PayloadUnderCodes()
 	default:
 		fmt.Println("no space ledger: only static and sharded containers hold Theorem 2/3 images")
 		return nil
+	}
+	if err != nil {
+		return err
 	}
 	var rows int64
 	for i, l := range ledgers {
 		img, _ := cf.Find(container.TypeImage, uint64(i))
 		meta, _ := cf.Find(container.TypeStaticMeta, uint64(i))
 		printLedger(i, l, img.Len, meta.Len)
+		printOrders(l.Rows, codes[i])
 		if l.ResidentBits() != l.ImageBits || (l.ImageBits+7)/8 != img.Len {
 			return fmt.Errorf("shard %d: ledger parts sum to %d bits, device allocated %d, image section holds %d bytes",
 				i, l.ResidentBits(), l.ImageBits, img.Len)
@@ -146,4 +155,26 @@ func printLedger(shard int, l secidx.SpaceLedger, imageBytes, metaBytes int64) {
 	fmt.Printf("  %-17s %12d bits %8s /row = %.1f x H0 (directory as SizeBits charges it: %s /row)\n",
 		"shard", total, perRow(total), float64(total)/float64(l.Rows)/max(l.H0, 1e-9), perRow(l.DirBits))
 	fmt.Println(" ", strings.Repeat("-", 60))
+}
+
+// printOrders prints each level's exp-Golomb order histogram — members stored
+// at each order k — and the bits those orders save against gamma-coding
+// every member.
+func printOrders(rows int64, levels []secidx.LevelCodes) {
+	fmt.Println("  exact sets by gap code (k:members; an old file's are all gamma, k = 0):")
+	fmt.Printf("  %5s %-44s %10s %10s %10s\n", "depth", "orders", "stored", "gamma", "saved /row")
+	var stored, gamma int64
+	for _, l := range levels {
+		var hist []string
+		for k, c := range l.Orders {
+			if c > 0 {
+				hist = append(hist, fmt.Sprintf("%d:%d", k, c))
+			}
+		}
+		t := l.Total()
+		stored += t.Stored
+		gamma += t.Gamma
+		fmt.Printf("  %5d %-44s %10d %10d %10.2f\n", l.Depth, strings.Join(hist, " "), t.Stored, t.Gamma, float64(t.Gamma-t.Stored)/float64(rows))
+	}
+	fmt.Printf("  %5s %-44s %10d %10d %10.2f\n", "all", "", stored, gamma, float64(gamma-stored)/float64(rows))
 }

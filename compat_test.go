@@ -2,8 +2,10 @@ package secidx
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/bits"
 	"math/rand"
 	"os"
@@ -46,6 +48,15 @@ func compatColumn(n, sigma int, seed int64) []uint32 {
 	return x
 }
 
+// The bits the sweeps read from the fixtures, as commit a620bd0 read them:
+// the compatColumn(70000, 32, 161) static files (pr15_static.secidx and
+// pr40_static.secidx, whose surplus hashed level no query reads), and the
+// two shards of the sharded ones.
+var (
+	staticSweepPin  = bitsPin{15198551, 0x2884b51677e0e34b}
+	shardedSweepPin = []bitsPin{{14364058, 0xa568f3fa550ab43}, {13919009, 0x86897744f0346421}}
+)
+
 var compatEps = []float64{0.5, 0.25, 1.0 / 16, 1.0 / 256, 1.0 / 65536, 1e-9}
 
 // compatRanges is the sweep's ranges: every start, every power-of-two length.
@@ -75,11 +86,26 @@ func requireStoredLevels(t *testing.T, what string, l SpaceLedger, k, stored int
 	}
 }
 
+// bitsPin folds the bits read by every query of a sweep, in sweep order:
+// their total and their FNV-1a hash.
+type bitsPin struct {
+	total int64
+	hash  uint64
+}
+
 // requireSameApprox asks old and fresh the same approximate queries over
 // compatRanges and every ε: same form, same level (never the surplus one),
-// same set, same bits read. It returns how many answers were hashed.
-func requireSameApprox(t *testing.T, what string, sigma uint32, old, fresh *core.Approx) (hashed int) {
+// same set. A fresh build's internal members are exp-Golomb-coded where the
+// old file's are gamma-coded, so it may read fewer bits than the old file,
+// never more; and where its exact frontier is no longer than the hashed one
+// the old file reads, it answers exactly instead, with a subset of the old
+// file's hashed answer. The old file reads what it read when it was current,
+// which pin holds: the sweep's bits as the old file read them before members
+// had orders. It returns how many answers both hashed.
+func requireSameApprox(t *testing.T, what string, sigma uint32, old, fresh *core.Approx, pin bitsPin) (hashed int) {
 	t.Helper()
+	h := fnv.New64a()
+	var sweep bitsPin
 	for _, r := range compatRanges(sigma) {
 		lo, hi := r.Lo, r.Hi
 		for _, eps := range compatEps {
@@ -91,21 +117,35 @@ func requireSameApprox(t *testing.T, what string, sigma uint32, old, fresh *core
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.IsExact() != want.IsExact() || got.J != want.J || got.H != want.H || got.J > fresh.K() {
+			if wst.BitsRead > gst.BitsRead {
+				t.Fatalf("%s [%d,%d] eps=%g: fresh build reads %d bits, old file %d", what, lo, hi, eps, wst.BitsRead, gst.BitsRead)
+			}
+			if !got.IsExact() && want.IsExact() {
+				for _, p := range want.Exact.Positions() {
+					if !got.Contains(p) {
+						t.Fatalf("%s [%d,%d] eps=%g: old file's hashed answer misses row %d", what, lo, hi, eps, p)
+					}
+				}
+			} else if got.IsExact() != want.IsExact() || got.J != want.J || got.H != want.H || got.J > fresh.K() {
 				t.Fatalf("%s [%d,%d] eps=%g: old file answers exact=%v at j=%d, fresh build exact=%v at j=%d of %d",
 					what, lo, hi, eps, got.IsExact(), got.J, want.IsExact(), want.J, fresh.K())
-			}
-			g, w := got.Set, want.Set
-			if got.IsExact() {
-				g, w = got.Exact, want.Exact
 			} else {
-				hashed++
+				g, w := got.Set, want.Set
+				if got.IsExact() {
+					g, w = got.Exact, want.Exact
+				} else {
+					hashed++
+				}
+				if !slices.Equal(g.Positions(), w.Positions()) {
+					t.Fatalf("%s [%d,%d] eps=%g: answers differ (%d vs %d elements)", what, lo, hi, eps, g.Card(), w.Card())
+				}
 			}
-			if !slices.Equal(g.Positions(), w.Positions()) || gst.BitsRead != wst.BitsRead {
-				t.Fatalf("%s [%d,%d] eps=%g: answers differ (%d vs %d elements, %d vs %d bits read)",
-					what, lo, hi, eps, g.Card(), w.Card(), gst.BitsRead, wst.BitsRead)
-			}
+			binary.Write(h, binary.LittleEndian, gst.BitsRead)
+			sweep.total += gst.BitsRead
 		}
+	}
+	if sweep.hash = h.Sum64(); sweep != pin {
+		t.Fatalf("%s: old file's sweep read %d bits (hash %#x), pinned %d (%#x)", what, sweep.total, sweep.hash, pin.total, pin.hash)
 	}
 	return hashed
 }
@@ -137,7 +177,7 @@ func TestReadCompatPR15(t *testing.T) {
 				t.Fatalf("Query [%d,%d]: old file differs from the column", lo, hi)
 			}
 		}
-		if hashed := requireSameApprox(t, "static", sigma, o.Static.ax, fresh.ax); hashed < 50 {
+		if hashed := requireSameApprox(t, "static", sigma, o.Static.ax, fresh.ax, staticSweepPin); hashed < 50 {
 			t.Fatalf("only %d hashed answers in the sweep", hashed)
 		}
 
@@ -183,21 +223,59 @@ func TestReadCompatPR15(t *testing.T) {
 		for _, l := range fresh.SpaceLedger() {
 			requireStoredLevels(t, "fresh shard", l, 0, 0)
 		}
-		requireShardedFixture(t, "testdata/pr15_sharded.secidx", sigma, 5)
+		requireShardedFixture(t, "testdata/pr15_sharded.secidx", sigma, 5, shardedSweepPin)
 	})
 	// pr35_sharded.secidx was written at commit e6961fb, the last whose shards
 	// built hashed levels (the four useful ones): BuildSharded over the column
 	// of pr15_sharded.secidx, then WriteFile.
 	t.Run("sharded-k4", func(t *testing.T) {
-		requireShardedFixture(t, "testdata/pr35_sharded.secidx", sigma, 4)
+		requireShardedFixture(t, "testdata/pr35_sharded.secidx", sigma, 4, shardedSweepPin)
 	})
+}
+
+// TestReadCompatGammaMembers opens testdata/pr40_static.secidx, written at
+// commit a620bd0, the last whose builds gamma-coded every member: Build over
+// the column of pr15_static.secidx with compatOpts, then WriteFile. Its
+// metadata has no member orders, so every member reads as order 0; it must
+// answer like a fresh build, which codes its internal members at their
+// exp-Golomb orders and so holds fewer bits.
+func TestReadCompatGammaMembers(t *testing.T) {
+	const sigma = 32
+	o, err := OpenFile("testdata/pr40_static.secidx", OpenOptions{VerifyImages: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	col := compatColumn(70000, sigma, 161)
+	fresh, err := Build(col, sigma, compatOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := o.Static.SpaceLedger()
+	requireStoredLevels(t, "old file", old, 4, 4)
+	oldExact, _ := old.PayloadBits()
+	freshExact, _ := fresh.SpaceLedger().PayloadBits()
+	if freshExact >= oldExact {
+		t.Fatalf("fresh build's exact sets hold %d bits, the gamma-coded file's %d", freshExact, oldExact)
+	}
+	for _, r := range compatRanges(sigma) {
+		got, _, err := o.Static.Query(r.Lo, r.Hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Rows(), bruteRange(col, r.Lo, r.Hi)) {
+			t.Fatalf("Query [%d,%d]: old file differs from the column", r.Lo, r.Hi)
+		}
+	}
+	requireSameApprox(t, "gamma-coded static", sigma, o.Static.ax, fresh.ax, staticSweepPin)
 }
 
 // requireShardedFixture opens a two-shard container over compatColumn(132000,
 // sigma, 162) whose shards store hashed levels: every exact answer must be the
 // column's, and every shard must hold stored levels, four of them useful,
-// answering approximate queries like BuildApprox over the shard's rows.
-func requireShardedFixture(t *testing.T, path string, sigma uint32, stored int) {
+// answering approximate queries like BuildApprox over the shard's rows and
+// reading what pins holds for it (requireSameApprox).
+func requireShardedFixture(t *testing.T, path string, sigma uint32, stored int, pins []bitsPin) {
 	t.Helper()
 	o, err := OpenFile(path, OpenOptions{VerifyImages: true})
 	if err != nil {
@@ -222,7 +300,7 @@ func requireShardedFixture(t *testing.T, path string, sigma uint32, stored int) 
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameApprox(t, fmt.Sprintf("shard %d", i), sigma, p.Ax, ref)
+		requireSameApprox(t, fmt.Sprintf("shard %d", i), sigma, p.Ax, ref, pins[i])
 	}
 }
 

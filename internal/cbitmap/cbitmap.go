@@ -286,7 +286,7 @@ func (ds *decodeScratch) release(pos []int64, off []int32) {
 func Decode(r *bitio.Reader, card, n int64) (*Bitmap, error) {
 	start := r.Pos()
 	var s Stream
-	if err := s.InitDecode(r, start, r.Remaining(), card, n, 0); err != nil {
+	if err := s.InitDecode(r, start, r.Remaining(), card, n, 0, 0); err != nil {
 		return nil, err
 	}
 	ds := decodeScratchPool.Get().(*decodeScratch)

@@ -86,6 +86,29 @@ func (s *Stream) fillWindow(words []uint64, base, end, cur int64) (int64, bool) 
 	if s.vmax > 0 && s.vmax < lim {
 		lim = s.vmax
 	}
+	var p int64
+	var ok bool
+	if s.k == 0 {
+		p, ok = s.fillGamma(words, base, lim, cur)
+	} else {
+		p, ok = s.fillOrder(words, base, lim, cur)
+	}
+	if !ok {
+		return 0, false
+	}
+	if s.vmax > 0 && p >= s.vmax {
+		return 0, s.failPosition(p)
+	}
+	s.prev = p
+	return p, true
+}
+
+// fillGamma is fillWindow's loop for a gamma-coded stream: it sets the bits
+// of cur and of every later position below lim and returns the first
+// position at or beyond it, leaving s.left behind that one, or ok=false once
+// the stream is exhausted or has failed. Every code that fits the peeked word
+// is decoded before peeking again.
+func (s *Stream) fillGamma(words []uint64, base, lim, cur int64) (int64, bool) {
 	p, left := cur, s.left
 	var w uint64 // undecoded rest of the peeked word, left-aligned
 	avail, used := 0, 0
@@ -104,15 +127,10 @@ func (s *Stream) fillWindow(words []uint64, base, end, cur int64) (int64, bool) 
 			used = 0
 			if total = 2*bits.LeadingZeros64(w) + 1; total > avail {
 				// A code longer than the peek window, or a truncated stream.
-				s.prev, s.left = p, left
-				np, ok := s.nextSlow()
-				if !ok {
+				var ok bool
+				if p, left, ok = s.fillSlow(p, left); !ok {
 					return 0, false
 				}
-				if np <= p {
-					return 0, s.failRegress(np, p+1)
-				}
-				p, left = np, s.left
 				w, avail = 0, 0
 				continue
 			}
@@ -127,11 +145,67 @@ func (s *Stream) fillWindow(words []uint64, base, end, cur int64) (int64, bool) 
 		left--
 	}
 	s.r.SkipBits(used)
-	if s.vmax > 0 && p >= s.vmax {
-		return 0, s.failPosition(p)
-	}
-	s.prev, s.left = p, left
+	s.left = left
 	return p, true
+}
+
+// fillOrder is fillGamma for a stream coded at an order k above 0, whose
+// codes are 2z+k+1 bits long and read as integers are the gap plus 2^k-1.
+// The two loops stay apart because the order's two extra registers cost the
+// gamma loop 5-18 % (BenchmarkFloor/fillWindow).
+func (s *Stream) fillOrder(words []uint64, base, lim, cur int64) (int64, bool) {
+	p, left := cur, s.left
+	k1, bias := 1+int(s.k), s.bias
+	var w uint64
+	avail, used := 0, 0
+	for p < lim {
+		words[(p-base)>>6] |= 1 << uint((p-base)&63)
+		if left == 0 {
+			s.r.SkipBits(used)
+			s.prev, s.left = p, 0
+			return 0, false
+		}
+		total := 2*bits.LeadingZeros64(w) + k1
+		if total > avail {
+			s.r.SkipBits(used)
+			w, avail = s.r.Peek64()
+			used = 0
+			if total = 2*bits.LeadingZeros64(w) + k1; total > avail {
+				// A code longer than the peek window, or a truncated stream.
+				var ok bool
+				if p, left, ok = s.fillSlow(p, left); !ok {
+					return 0, false
+				}
+				w, avail = 0, 0
+				continue
+			}
+		}
+		// total <= 64 and k <= gamma.MaxOrder: the gap is below 2^48.
+		p += int64(w>>(uint(64-total)&63)) - bias
+		w <<= uint(total) & 63
+		avail -= total
+		used += total
+		left--
+	}
+	s.r.SkipBits(used)
+	s.left = left
+	return p, true
+}
+
+// fillSlow decodes, for the fill loops, a code longer than the peek window or
+// one of a truncated stream, after the position p with left gaps pending. A
+// validation-skipping stream whose next position does not exceed p fails
+// typed.
+func (s *Stream) fillSlow(p, left int64) (int64, int64, bool) {
+	s.prev, s.left = p, left
+	np, ok := s.nextSlow()
+	if !ok {
+		return 0, 0, false
+	}
+	if np <= p {
+		return 0, 0, s.failRegress(np, p+1)
+	}
+	return np, s.left, true
 }
 
 // failRegress records a position below the least one the merge can still
@@ -297,6 +371,36 @@ func emitSorted[P uint32 | int64](e *denseEmitter, base int64, pos []P) {
 		}
 	}
 	e.acc, e.nacc, e.prev, e.card = acc, nacc, prev, card
+}
+
+// emitOrder is emitSorted in the exp-Golomb code of order k > 0, for the
+// build's internal members, whose StreamEncoder records no skip samples: a
+// code read as an integer is u = gap+2^k-1, in 2·Len(u)-k-1 bits. It is a
+// loop of its own because the order's arithmetic slows emitSorted, the
+// encoder of every dense answer.
+func emitOrder[P uint32 | int64](e *denseEmitter, pos []P, k uint) {
+	acc, nacc, prev := e.acc, e.nacc, e.prev
+	k1, bias := 1+int(k), uint64(1)<<k-1
+	for _, q := range pos {
+		p := int64(q)
+		if p <= prev {
+			panic(fmt.Sprintf("cbitmap: AddSortedK position %d not above %d", p, prev))
+		}
+		g := uint64(p - prev)
+		prev = p
+		u := g + bias
+		if ulen := 2*bits.Len64(u) - k1; ulen < 64-nacc {
+			acc, nacc = acc<<(uint(ulen)&63)|u, nacc+ulen
+		} else if ulen <= 64 {
+			acc, nacc = e.spill(acc, nacc, u, ulen)
+		} else {
+			e.bd.w.WriteBits(acc, nacc)
+			gamma.WriteK(e.bd.w, g, k)
+			acc, nacc = 0, 0
+		}
+	}
+	e.acc, e.nacc, e.prev = acc, nacc, prev
+	e.card += int64(len(pos))
 }
 
 // flush hands the pending bits and the bookkeeping back to the Builder.

@@ -214,7 +214,7 @@ func TestMergeDenseEdges(t *testing.T) {
 			out := make([]*Stream, len(ms))
 			for i, m := range ms {
 				out[i] = new(Stream)
-				if err := out[i].InitDecode(rd, starts[i], lens[i], m.Card(), tc.n, 0); err != nil {
+				if err := out[i].InitDecode(rd, starts[i], lens[i], m.Card(), tc.n, 0, 0); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -224,7 +224,7 @@ func TestMergeDenseEdges(t *testing.T) {
 			out := make([]*Stream, len(ms))
 			for i, m := range ms {
 				out[i] = new(Stream)
-				if err := out[i].InitDecodeValidated(rd, starts[i], lens[i], m.Card(), m.last, 0); err != nil {
+				if err := out[i].InitDecodeValidated(rd, starts[i], lens[i], m.Card(), m.last, 0, 0); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -433,7 +433,7 @@ func viewOverCodes(claimedLast int64, gaps ...uint64) *Stream {
 		gamma.Write(w, g)
 	}
 	s := new(Stream)
-	if err := s.InitDecodeValidated(bitio.NewReader(w.Bytes(), w.Len()), 0, w.Len(), int64(len(gaps)), claimedLast, 0); err != nil {
+	if err := s.InitDecodeValidated(bitio.NewReader(w.Bytes(), w.Len()), 0, w.Len(), int64(len(gaps)), claimedLast, 0, 0); err != nil {
 		panic(err)
 	}
 	return s
@@ -541,20 +541,21 @@ func TestMergeDenseSteadyStateAllocs(t *testing.T) {
 
 // FuzzMergeDenseVsSparse: the same streams through both paths of runMerge
 // — the window path sampled or, as a shard's part is, unsampled (flags bit
-// 6) — give the same bytes, cardinality, largest position and sample-backed
+// 6), and the disk-backed ones each coded at its own exp-Golomb order — give
+// the same bytes, cardinality, largest position and sample-backed
 // Contains/Rank; validating streams over corrupted bits fail in both with
 // ErrCorrupt or succeed in both with the same answer; and corrupted replay
 // views (which nothing validates) never panic the dense path or make it emit
 // a position outside the universe.
 func FuzzMergeDenseVsSparse(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 200}, []byte{2, 90}, []byte{7}, uint32(1000), uint8(0), uint16(0))
-	f.Add([]byte{}, []byte{0}, []byte{}, uint32(4), uint8(0x11), uint16(0))
-	f.Add([]byte{0xff, 0xfe, 0xfd, 0, 0, 0, 9}, []byte{0, 0, 0, 0}, []byte{1, 1, 1}, uint32(70000), uint8(0x26), uint16(3))
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1}, []byte{0x80, 0, 0xff}, []byte{}, uint32(140000), uint8(0x4b), uint16(17))
-	f.Add([]byte{9, 9, 9, 9}, []byte{9, 9, 9, 9}, []byte{3}, uint32(65536), uint8(0x8f), uint16(40))
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1}, []byte{0x80, 0, 0xff}, []byte{}, uint32(140000), uint8(0x0b), uint16(17))
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0}, []byte{0, 1, 0, 1}, []byte{5}, uint32(200000), uint8(0x54), uint16(9))
-	f.Fuzz(func(t *testing.T, araw, braw, craw []byte, n32 uint32, flags uint8, flipAt uint16) {
+	f.Add([]byte{1, 2, 3, 200}, []byte{2, 90}, []byte{7}, uint32(1000), uint8(0), uint16(0), uint32(0))
+	f.Add([]byte{}, []byte{0}, []byte{}, uint32(4), uint8(0x11), uint16(0), uint32(1<<6|2<<12))
+	f.Add([]byte{0xff, 0xfe, 0xfd, 0, 0, 0, 9}, []byte{0, 0, 0, 0}, []byte{1, 1, 1}, uint32(70000), uint8(0x26), uint16(3), uint32(5|9<<6))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1}, []byte{0x80, 0, 0xff}, []byte{}, uint32(140000), uint8(0x4b), uint16(17), uint32(32|31<<6|1<<12))
+	f.Add([]byte{9, 9, 9, 9}, []byte{9, 9, 9, 9}, []byte{3}, uint32(65536), uint8(0x8f), uint16(40), uint32(0))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1}, []byte{0x80, 0, 0xff}, []byte{}, uint32(140000), uint8(0x0b), uint16(17), uint32(17))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0}, []byte{0, 1, 0, 1}, []byte{5}, uint32(200000), uint8(0x54), uint16(9), uint32(3|3<<6|3<<12))
+	f.Fuzz(func(t *testing.T, araw, braw, craw []byte, n32 uint32, flags uint8, flipAt uint16, orders uint32) {
 		n := int64(n32%(3*denseWindowBits+100)) + 2
 		shift := uint(flags&3) * 3 // gap scale: dense runs up to window-crossing jumps
 		kind := flags >> 2 & 3     // 0 disk (validating), 1 bitmap, 2 replay view, 3 shifted bitmap
@@ -574,7 +575,8 @@ func FuzzMergeDenseVsSparse(f *testing.F) {
 			}
 			ms = append(ms, MustFromPositions(n, pos))
 		}
-		w, starts, lens := encodeConcatWriter(ms)
+		ks := fuzzOrders(orders, len(ms))
+		w, starts, lens := encodeConcatOrders(ms, ks)
 		if corrupt && w.Len() > 0 {
 			at := int(flipAt) % w.Len()
 			w.Bytes()[at>>3] ^= 0x80 >> uint(at&7)
@@ -591,11 +593,11 @@ func FuzzMergeDenseVsSparse(f *testing.F) {
 				var err error
 				switch kind {
 				case 0:
-					err = out[i].InitDecode(rd, starts[i], lens[i], m.Card(), n, 0)
+					err = out[i].InitDecode(rd, starts[i], lens[i], m.Card(), n, 0, ks[i])
 				case 1:
 					out[i].InitBitmap(m, 0)
 				case 2:
-					err = out[i].InitDecodeValidated(rd, starts[i], lens[i], m.Card(), m.last, 0)
+					err = out[i].InitDecodeValidated(rd, starts[i], lens[i], m.Card(), m.last, 0, ks[i])
 				case 3:
 					out[i].InitBitmap(m, offs[i])
 				}
@@ -662,7 +664,7 @@ func BenchmarkMergePaths(b *testing.B) {
 						b.ReportAllocs()
 						for i := 0; i < b.N; i++ {
 							for j, s := range streams {
-								if err := s.InitDecode(rd, starts[j], lens[j], ms[j].Card(), n, 0); err != nil {
+								if err := s.InitDecode(rd, starts[j], lens[j], ms[j].Card(), n, 0, 0); err != nil {
 									b.Fatal(err)
 								}
 							}

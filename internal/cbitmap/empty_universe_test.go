@@ -18,7 +18,7 @@ func TestDecodeEmptyUniverseRejected(t *testing.T) {
 	}
 	r2 := bitio.NewReader(w.Bytes(), w.Len())
 	var s Stream
-	if err := s.InitDecode(r2, 0, w.Len(), 1, 0, 0); err == nil {
+	if err := s.InitDecode(r2, 0, w.Len(), 1, 0, 0, 0); err == nil {
 		t.Fatal("InitDecode accepted card=1 in empty universe")
 	}
 }

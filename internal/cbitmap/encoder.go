@@ -14,6 +14,7 @@ import (
 	"sync"
 
 	"repro/internal/bitio"
+	"repro/internal/gamma"
 )
 
 // StreamEncoder writes a gap-encoded position stream directly into a
@@ -43,10 +44,33 @@ func (e *StreamEncoder) Add(p int64) { e.bd.Add(p) }
 // AddSorted appends the strictly increasing positions pos, each above every
 // position encoded so far: Add in bulk, through the dense merge's
 // word-at-a-time accumulator (dense.go) instead of a writer call per row.
-func AddSorted[P uint32 | int64](e *StreamEncoder, pos []P) {
+func AddSorted[P uint32 | int64](e *StreamEncoder, pos []P) { AddSortedK(e, pos, 0) }
+
+// AddSortedK is AddSorted in the exp-Golomb code of order k (gamma.WriteK),
+// for a stream a Stream then decodes at order k. Every code of such a stream
+// must share its order, so at k > 0 nothing else may write to it.
+func AddSortedK[P uint32 | int64](e *StreamEncoder, pos []P, k uint) {
 	em := denseEmitter{bd: &e.bd, prev: e.bd.prev, card: e.bd.card}
-	emitSorted(&em, 0, pos)
+	if k == 0 {
+		emitSorted(&em, 0, pos)
+	} else {
+		emitOrder(&em, pos, k)
+	}
 	em.flush()
+}
+
+// BestOrder returns the exp-Golomb order in [0, gamma.MaxOrder] that codes
+// the gap stream of the strictly increasing positions pos, its first gap
+// taken from -1, in the fewest bits: the smaller order on a tie.
+func BestOrder[P uint32 | int64](pos []P) uint {
+	var c gamma.Costs
+	prev := int64(-1)
+	for _, q := range pos {
+		c.Add(uint64(int64(q) - prev))
+		prev = int64(q)
+	}
+	k, _ := c.Best()
+	return k
 }
 
 // AddBitset appends the set bits of words — bit i of words[k] is position

@@ -155,7 +155,7 @@ func BenchmarkFloor(b *testing.B) {
 			win := new(denseWindow)
 			for i := 0; i < b.N; i++ {
 				var s Stream // validating, as a stream read from disk is
-				if err := s.InitDecode(bitio.NewReader(bm.buf, bm.bits), 0, bm.bits, bm.card, n, 0); err != nil {
+				if err := s.InitDecode(bitio.NewReader(bm.buf, bm.bits), 0, bm.bits, bm.card, n, 0, 0); err != nil {
 					b.Fatal(err)
 				}
 				cur, ok := s.Next()
@@ -168,6 +168,35 @@ func BenchmarkFloor(b *testing.B) {
 				}
 			}
 			perRow(b)
+			b.ReportMetric(float64(bm.bits)/float64(rows), "bits/row")
+		})
+		// The same positions coded at the exp-Golomb order that prices their
+		// gaps least, the code of an internal member of a static index.
+		k := BestOrder(bm.Positions())
+		kw := bitio.NewWriter(0)
+		var enc StreamEncoder
+		enc.Init(kw)
+		AddSortedK(&enc, bm.Positions(), k)
+		kbuf := append(append([]byte(nil), kw.Bytes()...), make([]byte, 8)...)
+		sub("fillWindow-bestk", func(b *testing.B) {
+			win := new(denseWindow)
+			for i := 0; i < b.N; i++ {
+				var s Stream
+				if err := s.InitDecode(bitio.NewReader(kbuf, kw.Len()), 0, kw.Len(), bm.card, n, 0, k); err != nil {
+					b.Fatal(err)
+				}
+				cur, ok := s.Next()
+				for base := int64(0); ok; base += denseWindowBits {
+					cur, ok = s.fillWindow(win[:], base, base+denseWindowBits, cur)
+					clear(win[:])
+				}
+				if s.err != nil {
+					b.Fatal(s.err)
+				}
+			}
+			perRow(b)
+			b.ReportMetric(float64(k), "k")
+			b.ReportMetric(float64(kw.Len())/float64(rows), "bits/row")
 		})
 		sub("word", func(b *testing.B) { benchEncoder(b, emitRuns, words, bm, rows) })
 		sub("flat", func(b *testing.B) { benchEncoder(b, (*denseEmitter).emitFlat, words, bm, rows) })

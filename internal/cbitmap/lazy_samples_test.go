@@ -41,7 +41,7 @@ func (c lazyCase) merge(t *testing.T, seed int64, sampled bool) (*Bitmap, []int6
 		out := make([]*Stream, len(ms))
 		for i, m := range ms {
 			out[i] = new(Stream)
-			if err := out[i].InitDecode(rd, starts[i], lens[i], m.Card(), c.n, 0); err != nil {
+			if err := out[i].InitDecode(rd, starts[i], lens[i], m.Card(), c.n, 0, 0); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -62,9 +62,9 @@ func TestMergeOrdered(t *testing.T) {
 				var err error
 				switch i % 3 {
 				case 0:
-					err = out[i].InitDecode(rd, starts[i], lens[i], m.Card(), n, 0)
+					err = out[i].InitDecode(rd, starts[i], lens[i], m.Card(), n, 0, 0)
 				case 1:
-					err = out[i].InitDecodeValidated(rd, starts[i], lens[i], m.Card(), m.last, 0)
+					err = out[i].InitDecodeValidated(rd, starts[i], lens[i], m.Card(), m.last, 0, 0)
 				case 2:
 					out[i].InitBitmap(m, 0)
 				}
@@ -133,7 +133,7 @@ func TestScanMatchesNext(t *testing.T) {
 			rd := bitio.NewReader(buf, nbits)
 			a, b = new(Stream), new(Stream)
 			for _, s := range []*Stream{a, b} {
-				if err := s.InitDecode(rd, 0, nbits, card, univ, 0); err != nil {
+				if err := s.InitDecode(rd, 0, nbits, card, univ, 0, 0); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -253,9 +253,9 @@ func FuzzMergeOrdered(f *testing.F) {
 				var err error
 				switch kinds >> uint(i) & 1 {
 				case 0:
-					err = out[i].InitDecode(rd, starts[i], lens[i], m.Card(), n, 0)
+					err = out[i].InitDecode(rd, starts[i], lens[i], m.Card(), n, 0, 0)
 				case 1:
-					err = out[i].InitDecodeValidated(rd, starts[i], lens[i], m.Card(), m.last, 0)
+					err = out[i].InitDecodeValidated(rd, starts[i], lens[i], m.Card(), m.last, 0, 0)
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -266,7 +266,7 @@ func FuzzMergeOrdered(f *testing.F) {
 		for i, m := range ms {
 			a, b := new(Stream), new(Stream)
 			for _, s := range []*Stream{a, b} {
-				if err := s.InitDecode(rd, starts[i], lens[i], m.Card(), n, 0); err != nil {
+				if err := s.InitDecode(rd, starts[i], lens[i], m.Card(), n, 0, 0); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -366,7 +366,7 @@ func BenchmarkOrderedConcat(b *testing.B) {
 			}
 			init := func() {
 				for i, m := range ms {
-					if err := streams[i].InitDecode(rd, starts[i], lens[i], m.Card(), n, 0); err != nil {
+					if err := streams[i].InitDecode(rd, starts[i], lens[i], m.Card(), n, 0, 0); err != nil {
 						b.Fatal(err)
 					}
 				}

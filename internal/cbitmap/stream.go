@@ -5,13 +5,14 @@
 // read from disk — so a query can merge the bitmaps of a cover without ever
 // materialising them. It is the package's one decoder: Bitmap.Iter,
 // Contains, Rank, Decode and the lazy skip samples all run on Next or its
-// bulk form scan. Only the dense kernel's fillWindow (dense.go) repeats
+// bulk form scan. Only the dense kernel's window fill (dense.go) repeats
 // scan's skeleton, because it sets a window bit per position: folding that
-// branch into scan would put it in both hot loops. MergeStreams is the k-way
-// merge that writes the union (or, fused, its complement) directly into a
-// Builder: each gap in the input is decoded exactly once, and the Builder,
-// merge heads and output writer all come from sync.Pools, so a steady-state
-// merge allocates only the bitmap it returns.
+// branch into scan would put it in both hot loops. It repeats it twice, once
+// for gamma and once for higher orders, so gamma streams pay nothing for the
+// order. MergeStreams is the k-way merge that writes the union (or, fused,
+// its complement) directly into a Builder: each gap in the input is decoded
+// exactly once, and the Builder, merge heads and output writer all come from
+// sync.Pools, so a steady-state merge allocates only the bitmap it returns.
 //
 // The merge has three paths behind one dispatch (runMerge). Concatenation
 // drains the streams one after another (drainInto: head gap re-encoded, tail
@@ -52,9 +53,10 @@ import (
 )
 
 // Stream is a cardinality-bounded source of strictly increasing positions
-// decoded on demand from a gamma-coded gap stream, optionally shifted by a
-// constant row-id offset (gaps are relative, so the shift is free per
-// element). The zero value is an exhausted stream.
+// decoded on demand from a gap stream in the exp-Golomb code of order k
+// (gamma.WriteK; order 0 is gamma, the code of every Bitmap), optionally
+// shifted by a constant row-id offset (gaps are relative, so the shift is free
+// per element). The zero value is an exhausted stream.
 type Stream struct {
 	r    bitio.Reader
 	left int64 // elements not yet produced
@@ -62,15 +64,18 @@ type Stream struct {
 	off  int64 // shift added to every position
 	vmax int64 // exclusive validation bound (shift applied); 0 disables
 	last int64 // largest position (shift applied) when known up front, else -1
+	k    uint  // the gaps' exp-Golomb order, at most gamma.MaxOrder
+	bias int64 // 2^k-1: a code read as an integer is its gap plus bias
 	err  error
 }
 
-// InitDecode initialises s to decode card gamma-coded gaps from the bit range
-// [start, start+bits) of r's underlying stream, validating every position
-// against the universe [0,n) and shifting it by off. The reader state is
-// captured by value: traversing the stream never moves r, and the stream can
-// never read past its own bit range into a neighbouring member's bits.
-func (s *Stream) InitDecode(r *bitio.Reader, start, bits int, card, n, off int64) error {
+// InitDecode initialises s to decode card gaps coded at order k from the bit
+// range [start, start+bits) of r's underlying stream, validating every
+// position against the universe [0,n) and shifting it by off. The reader
+// state is captured by value: traversing the stream never moves r, and the
+// stream can never read past its own bit range into a neighbouring member's
+// bits.
+func (s *Stream) InitDecode(r *bitio.Reader, start, bits int, card, n, off int64, k uint) error {
 	sub, err := r.Sub(start, bits)
 	if err != nil {
 		return err
@@ -81,7 +86,10 @@ func (s *Stream) InitDecode(r *bitio.Reader, start, bits int, card, n, off int64
 		// the cardinality outright instead.
 		return fmt.Errorf("%w: stream of %d positions in empty universe [0,%d)", ErrCorrupt, card, n)
 	}
-	*s = Stream{r: sub, left: card, prev: off - 1, off: off, vmax: off + n, last: -1}
+	if k > gamma.MaxOrder {
+		return fmt.Errorf("%w: stream coded at order %d, above %d", ErrCorrupt, k, gamma.MaxOrder)
+	}
+	*s = Stream{r: sub, left: card, prev: off - 1, off: off, vmax: off + n, last: -1, k: k, bias: 1<<k - 1}
 	return nil
 }
 
@@ -92,13 +100,17 @@ func (s *Stream) InitDecode(r *bitio.Reader, start, bits int, card, n, off int64
 // query's merge over the same stable device bits, whose ValidatedLast core
 // remembers per member. Validation is skipped and the largest position (last,
 // pre-shift; ignored when card is 0) is known up front, so a merge can drain
-// the view by verbatim tail copy exactly as it drains a bitmap-backed stream.
-func (s *Stream) InitDecodeValidated(r *bitio.Reader, start, bits int, card, last, off int64) error {
+// the view as it drains a bitmap-backed stream: by verbatim tail copy at
+// order 0.
+func (s *Stream) InitDecodeValidated(r *bitio.Reader, start, bits int, card, last, off int64, k uint) error {
 	sub, err := r.Sub(start, bits)
 	if err != nil {
 		return err
 	}
-	*s = Stream{r: sub, left: card, prev: off - 1, off: off, last: -1}
+	if k > gamma.MaxOrder {
+		return fmt.Errorf("%w: stream coded at order %d, above %d", ErrCorrupt, k, gamma.MaxOrder)
+	}
+	*s = Stream{r: sub, left: card, prev: off - 1, off: off, last: -1, k: k, bias: 1<<k - 1}
 	if card > 0 {
 		s.last = last + off
 	}
@@ -153,7 +165,7 @@ func (s *Stream) Left() int64 { return s.left }
 func (s *Stream) Err() error { return s.err }
 
 // Next returns the next position, or ok=false when the stream is exhausted
-// or has failed (see Err). The gamma fast path is open-coded from gamma.Read,
+// or has failed (see Err). The fast path is open-coded from gamma.ReadK,
 // which is too large to inline: one peeked window decodes the whole gap code
 // in the common case.
 func (s *Stream) Next() (pos int64, ok bool) {
@@ -162,9 +174,9 @@ func (s *Stream) Next() (pos int64, ok bool) {
 	}
 	if w, avail := s.r.Peek64(); w != 0 {
 		z := bits.LeadingZeros64(w)
-		if total := 2*z + 1; total <= avail {
+		if total := 2*z + 1 + int(s.k); total <= avail {
 			s.r.SkipBits(total)
-			p := s.prev + int64(w>>uint(64-total))
+			p := s.prev + (int64(w>>uint(64-total)) - s.bias)
 			if s.vmax > 0 && (p <= s.prev || p >= s.vmax) {
 				return 0, s.failPosition(p)
 			}
@@ -177,10 +189,10 @@ func (s *Stream) Next() (pos int64, ok bool) {
 }
 
 // nextSlow decodes a gap that did not fit the peek window (huge values, or a
-// window truncated by the end of the stream) through gamma.Read, which is
+// window truncated by the end of the stream) through gamma.ReadK, which is
 // also where corrupt streams surface.
 func (s *Stream) nextSlow() (int64, bool) {
-	g, err := gamma.Read(&s.r)
+	g, err := gamma.ReadK(&s.r, s.k)
 	if err != nil {
 		s.err = fmt.Errorf("%w: stream decode with %d gaps pending: %v", ErrCorrupt, s.left, err)
 		s.left = 0
@@ -212,16 +224,18 @@ func (s *Stream) failPosition(p int64) bool {
 // nextSlow — so it fails at the position, and with the error, Next would.
 func (s *Stream) scan() bool {
 	p, left, vmax := s.prev, s.left, s.vmax
+	// An order-k code with z leading zeros is 2z+k1 bits long.
+	k1, bias := 1+int(s.k), s.bias
 	var w uint64 // undecoded rest of the peeked word, left-aligned
 	avail, used := 0, 0
 	for left > 0 {
-		total := 2*bits.LeadingZeros64(w) + 1
+		total := 2*bits.LeadingZeros64(w) + k1
 		if total > avail {
 			// The peeked word is used up (or was never loaded): peek again.
 			s.r.SkipBits(used)
 			w, avail = s.r.Peek64()
 			used = 0
-			if total = 2*bits.LeadingZeros64(w) + 1; total > avail {
+			if total = 2*bits.LeadingZeros64(w) + k1; total > avail {
 				s.prev, s.left = p, left
 				np, ok := s.nextSlow()
 				if !ok {
@@ -232,8 +246,9 @@ func (s *Stream) scan() bool {
 				continue
 			}
 		}
-		// total <= 63: the "& 63" only spare the >= 64 guard Go shifts carry.
-		np := p + int64(w>>(uint(64-total)&63))
+		// total <= 64: the "& 63" spare the >= 64 guard Go shifts carry; a
+		// 64-bit code leaves w stale, but avail drops to 0 and forces a peek.
+		np := p + (int64(w>>(uint(64-total)&63)) - bias)
 		if vmax > 0 && (np <= p || np >= vmax) {
 			s.r.SkipBits(used + total)
 			s.prev = p
@@ -272,12 +287,13 @@ func (s *Stream) sampleScan(start int, pos []int64, off []int32) ([]int64, []int
 }
 
 // drainInto appends the stream's pending head position cur (already produced
-// by the caller) and every remaining position to bd. When the stream's
-// largest position is known (bitmap-backed streams, replay views) the tail is
-// copied verbatim, whole words at a time; otherwise (validating streams) the
-// tail is scanned once for validation and the scanned bits are then copied
-// verbatim — either way only the head gap is re-encoded, since gaps are
-// relative and a constant shift leaves every later gap unchanged.
+// by the caller) and every remaining position to bd. A gamma-coded (order 0)
+// tail is copied verbatim: whole words at a time when the stream's largest
+// position is known (bitmap-backed streams, replay views), and otherwise
+// (validating streams) after one scan that validates it — either way only
+// the head gap is re-encoded, since gaps are relative and a constant shift
+// leaves every later gap unchanged. A tail at a higher order is re-encoded,
+// since answers are gamma-coded.
 func (s *Stream) drainInto(bd *Builder, cur int64) error {
 	if cur != bd.prev {
 		if cur < bd.prev {
@@ -287,6 +303,9 @@ func (s *Stream) drainInto(bd *Builder, cur int64) error {
 			return fmt.Errorf("%w: drain head position %d below %d", ErrCorrupt, cur, bd.prev)
 		}
 		bd.Add(cur)
+	}
+	if s.k != 0 {
+		return s.reencodeInto(bd)
 	}
 	remaining := s.left
 	nbits := s.r.Remaining()
@@ -311,6 +330,32 @@ func (s *Stream) drainInto(bd *Builder, cur int64) error {
 	}
 	s.left = 0
 	return nil
+}
+
+// reencodeInto is drainInto for a tail coded at an order above 0: it decodes
+// the rest of the stream a chunk at a time and encodes the chunks in gamma
+// through the bulk emitter, skip samples included.
+func (s *Stream) reencodeInto(bd *Builder) error {
+	var chunk [256]int64
+	e := denseEmitter{bd: bd, prev: bd.prev, card: bd.card}
+	for s.left > 0 {
+		n := 0
+		for ; n < len(chunk); n++ {
+			p, ok := s.Next()
+			if !ok {
+				break
+			}
+			if p <= e.prev || (n > 0 && p <= chunk[n-1]) {
+				// Only a validation-skipping replay view over corrupt bits
+				// can regress (a gap wrapping int64); fail typed.
+				return fmt.Errorf("%w: drain position %d not increasing", ErrCorrupt, p)
+			}
+			chunk[n] = p
+		}
+		emitSorted(&e, 0, chunk[:n])
+	}
+	e.flush()
+	return s.err
 }
 
 // mergeHead is one input of a k-way merge: a stream plus its pending head.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bitio"
+	"repro/internal/gamma"
 )
 
 // streamTestSets builds k random position sets over [0,n).
@@ -48,6 +49,33 @@ func encodeConcatWriter(ms []*Bitmap) (*bitio.Writer, []int, []int) {
 	return w, starts, lens
 }
 
+// encodeConcatOrders is encodeConcatWriter with the gaps of ms[i] coded at
+// exp-Golomb order orders[i], one gamma.WriteK at a time.
+func encodeConcatOrders(ms []*Bitmap, orders []uint) (*bitio.Writer, []int, []int) {
+	w := bitio.NewWriter(0)
+	starts := make([]int, len(ms))
+	lens := make([]int, len(ms))
+	for i, m := range ms {
+		starts[i] = w.Len()
+		prev := int64(-1)
+		for _, p := range m.Positions() {
+			gamma.WriteK(w, uint64(p-prev), orders[i])
+			prev = p
+		}
+		lens[i] = w.Len() - starts[i]
+	}
+	return w, starts, lens
+}
+
+// fuzzOrders spreads a fuzz word over n exp-Golomb orders in [0, MaxOrder].
+func fuzzOrders(x uint32, n int) []uint {
+	orders := make([]uint, n)
+	for i := range orders {
+		orders[i] = uint(x>>(6*i)&63) % (gamma.MaxOrder + 1)
+	}
+	return orders
+}
+
 // TestStreamDecodeMatchesIter: a disk-backed stream produces exactly the
 // bitmap's positions, bounded by its own bit range even when the underlying
 // reader spans many members.
@@ -56,7 +84,7 @@ func TestStreamDecodeMatchesIter(t *testing.T) {
 	rd, starts, lens := encodeConcat(ms)
 	for i, m := range ms {
 		var s Stream
-		if err := s.InitDecode(rd, starts[i], lens[i], m.Card(), m.Universe(), 0); err != nil {
+		if err := s.InitDecode(rd, starts[i], lens[i], m.Card(), m.Universe(), 0, 0); err != nil {
 			t.Fatal(err)
 		}
 		it := m.Iter()
@@ -103,7 +131,7 @@ func TestMergeStreamsMatchesDecodeThenUnion(t *testing.T) {
 		streams := make([]*Stream, k)
 		for i := range streams {
 			streams[i] = new(Stream)
-			if err := streams[i].InitDecode(rd, starts[i], lens[i], ms[i].Card(), n, 0); err != nil {
+			if err := streams[i].InitDecode(rd, starts[i], lens[i], ms[i].Card(), n, 0, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -119,7 +147,7 @@ func TestMergeStreamsMatchesDecodeThenUnion(t *testing.T) {
 		}
 
 		for i := range streams {
-			if err := streams[i].InitDecode(rd, starts[i], lens[i], ms[i].Card(), n, 0); err != nil {
+			if err := streams[i].InitDecode(rd, starts[i], lens[i], ms[i].Card(), n, 0, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -170,14 +198,14 @@ func TestStreamValidation(t *testing.T) {
 	w.WriteBits(1, 1) // gap 1 again would be position 1 — fine; use universe 1
 	rd := bitio.NewReader(w.Bytes(), w.Len())
 	var s Stream
-	if err := s.InitDecode(rd, 0, w.Len(), 2, 1, 0); err != nil {
+	if err := s.InitDecode(rd, 0, w.Len(), 2, 1, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := MergeStreams(1, &s); err == nil {
 		t.Fatal("out-of-universe position accepted")
 	}
 	// Cardinality larger than the stream's bits.
-	if err := s.InitDecode(rd, 0, w.Len(), 50, 1<<20, 0); err != nil {
+	if err := s.InitDecode(rd, 0, w.Len(), 50, 1<<20, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := MergeStreams(1<<20, &s); err == nil {
@@ -189,7 +217,7 @@ func TestStreamValidation(t *testing.T) {
 	w2.WriteBits(1, 1)           // member: {0}
 	w2.WriteBits(^uint64(0), 64) // neighbour bits, all ones
 	rd2 := bitio.NewReader(w2.Bytes(), w2.Len())
-	if err := s.InitDecode(rd2, 0, 1, 3, 1<<20, 0); err != nil {
+	if err := s.InitDecode(rd2, 0, 1, 3, 1<<20, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := MergeStreams(1<<20, &s); err == nil {
@@ -234,14 +262,15 @@ func TestMergeStreamsShifted(t *testing.T) {
 }
 
 // FuzzMergeStreams: for arbitrary inputs and shard-style splits, the fused
-// streaming merge (disk-backed streams over one concatenated buffer) is
-// byte-identical to the decode-then-union oracle, and the fused complement
-// to union-then-complement.
+// streaming merge (disk-backed streams over one concatenated buffer, each
+// coded at its own exp-Golomb order) is byte-identical to the
+// decode-then-union oracle, and the fused complement to
+// union-then-complement: the answers stay gamma-coded.
 func FuzzMergeStreams(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 200}, []byte{2, 90}, []byte{7}, uint16(1000))
-	f.Add([]byte{}, []byte{0}, []byte{}, uint16(4))
-	f.Add([]byte{0xff, 0xfe, 0xfd}, []byte{}, []byte{1, 1, 1}, uint16(300))
-	f.Fuzz(func(t *testing.T, araw, braw, craw []byte, n16 uint16) {
+	f.Add([]byte{1, 2, 3, 200}, []byte{2, 90}, []byte{7}, uint16(1000), uint32(0))
+	f.Add([]byte{}, []byte{0}, []byte{}, uint16(4), uint32(1<<6|2<<12))
+	f.Add([]byte{0xff, 0xfe, 0xfd}, []byte{}, []byte{1, 1, 1}, uint16(300), uint32(3|32<<6|7<<12))
+	f.Fuzz(func(t *testing.T, araw, braw, craw []byte, n16 uint16, orders uint32) {
 		n := int64(n16) + 2
 		toBm := func(raw []byte) *Bitmap {
 			pos := make([]int64, 0, len(raw))
@@ -255,12 +284,14 @@ func FuzzMergeStreams(f *testing.F) {
 			return bm
 		}
 		ms := []*Bitmap{toBm(araw), toBm(braw), toBm(craw)}
-		rd, starts, lens := encodeConcat(ms)
+		ks := fuzzOrders(orders, len(ms))
+		w, starts, lens := encodeConcatOrders(ms, ks)
+		rd := bitio.NewReader(w.Bytes(), w.Len())
 		streams := make([]*Stream, len(ms))
 		init := func() {
 			for i := range streams {
 				streams[i] = new(Stream)
-				if err := streams[i].InitDecode(rd, starts[i], lens[i], ms[i].Card(), n, 0); err != nil {
+				if err := streams[i].InitDecode(rd, starts[i], lens[i], ms[i].Card(), n, 0, ks[i]); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -25,7 +25,7 @@ func TestValidatedLast(t *testing.T) {
 		streams := make([]*Stream, len(tc.ms))
 		for i, m := range tc.ms {
 			streams[i] = new(Stream)
-			if err := streams[i].InitDecode(rd, starts[i], lens[i], m.Card(), tc.n+off, off); err != nil {
+			if err := streams[i].InitDecode(rd, starts[i], lens[i], m.Card(), tc.n+off, off, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -42,7 +42,7 @@ func TestValidatedLast(t *testing.T) {
 	ms := streamTestSets(t, 2, 200, 1<<20, 11)
 	rd, starts, lens := encodeConcat(ms)
 	var s Stream
-	if err := s.InitDecodeValidated(rd, starts[0], lens[0], ms[0].Card(), ms[0].last, 0); err != nil {
+	if err := s.InitDecodeValidated(rd, starts[0], lens[0], ms[0].Card(), ms[0].last, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := MergeStreams(1<<20, &s); err != nil {
@@ -51,14 +51,14 @@ func TestValidatedLast(t *testing.T) {
 	if _, ok := s.ValidatedLast(); ok {
 		t.Fatal("a replay view reports a validated last")
 	}
-	if err := s.InitDecode(rd, starts[0], lens[0], ms[0].Card(), 1<<20, 0); err != nil {
+	if err := s.InitDecode(rd, starts[0], lens[0], ms[0].Card(), 1<<20, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	s.Next()
 	if _, ok := s.ValidatedLast(); ok {
 		t.Fatal("a stream with positions pending reports a validated last")
 	}
-	if err := s.InitDecode(rd, starts[0], lens[0], ms[0].Card(), ms[0].last, 0); err != nil {
+	if err := s.InitDecode(rd, starts[0], lens[0], ms[0].Card(), ms[0].last, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Drain(); err == nil {
@@ -67,7 +67,7 @@ func TestValidatedLast(t *testing.T) {
 	if _, ok := s.ValidatedLast(); ok {
 		t.Fatal("a failed stream reports a validated last")
 	}
-	if err := s.InitDecode(rd, starts[0], lens[0]+1, ms[0].Card(), 1<<20, 0); err != nil {
+	if err := s.InitDecode(rd, starts[0], lens[0]+1, ms[0].Card(), 1<<20, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Drain(); err != nil {

@@ -332,6 +332,10 @@ func (d *Decoder) I() int64 {
 // Err returns the sticky error, if any.
 func (d *Decoder) Err() error { return d.err }
 
+// More reports whether payload bytes remain to be read: a payload a later
+// format extended with trailing fields holds them, an older one does not.
+func (d *Decoder) More() bool { return d.err == nil && d.off < len(d.buf) }
+
 // Finish returns the sticky error, or ErrCorrupt if payload bytes remain
 // unconsumed (a well-formed payload is read exactly).
 func (d *Decoder) Finish() error {

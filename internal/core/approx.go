@@ -219,7 +219,7 @@ func Intersect(rs ...*Result) (*Result, error) {
 }
 
 // entry implements memberDir over one hashed array.
-func (arr *hashArray) entry(k int) (iomodel.Extent, int64) { return arr.exts[k], arr.cards[k] }
+func (arr *hashArray) entry(i int) (iomodel.Extent, int64, uint) { return arr.exts[i], arr.cards[i], 0 }
 
 // ApproxQuery answers I[lo;hi] with false-positive probability at most eps
 // per non-member ("The parameter ε is supplied as an argument to the query

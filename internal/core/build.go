@@ -43,18 +43,35 @@ type levelTask struct {
 	err     error
 }
 
-// newLevelTasks assigns each node to a level: internal nodes at materialised
-// depths, leaves to the first materialised depth at or below them.
+// memberLevel returns the index in depths, the sorted materialised depths, of
+// the level whose member v is — an internal node's own depth, a leaf's first
+// materialised depth at or below it — or -1 when v is no member.
+func memberLevel(depths []int, v *Node) int {
+	li := sort.SearchInts(depths, v.Depth)
+	if v.IsLeaf() || (li < len(depths) && depths[li] == v.Depth) {
+		return li
+	}
+	return -1
+}
+
+// newLevelTasks assigns each node to the level memberLevel gives it, in
+// preorder, which is record order for the members of one level.
 func newLevelTasks(tr *Tree, stride int) []levelTask {
 	depths := materialDepths(tr.Height, stride)
 	tasks := make([]levelTask, len(depths))
+	counts := make([]int, len(depths))
+	for _, v := range tr.Nodes {
+		if li := memberLevel(depths, v); li >= 0 {
+			counts[li]++
+		}
+	}
 	for li, depth := range depths {
 		tasks[li].depth = depth
+		tasks[li].members = make([]member, 0, counts[li])
 	}
-	for _, v := range tr.Nodes { // preorder = record order for non-nested members
-		li := sort.SearchInts(depths, v.Depth)
-		if v.IsLeaf() || depths[li] == v.Depth {
-			tasks[li].members = append(tasks[li].members, member{start: v.Start, end: v.End})
+	for _, v := range tr.Nodes {
+		if li := memberLevel(depths, v); li >= 0 {
+			tasks[li].members = append(tasks[li].members, member{start: v.Start, end: v.End, internal: !v.IsLeaf()})
 		}
 	}
 	return tasks
@@ -122,7 +139,7 @@ type RangeLevel struct {
 }
 
 // entry implements memberDir: a level's ranges are its members.
-func (lv *RangeLevel) entry(k int) (iomodel.Extent, int64) { return lv.Exts[k], lv.Cards[k] }
+func (lv *RangeLevel) entry(i int) (iomodel.Extent, int64, uint) { return lv.Exts[i], lv.Cards[i], 0 }
 
 // BuildRangeLevels encodes col on d as one level of alphabet ranges per
 // width, in order: the level of width w cuts [0,span) into ⌈span/w⌉ ranges,
@@ -221,9 +238,11 @@ func runLevels[P rowID](ws Workers, tasks []levelTask, prefix []int64, x []uint3
 }
 
 // runLevel scatters the column into t's members and encodes, from that one
-// slab, each member's exact stream and then its hashed set under every
-// function of hs, grouped by j ("we group the sets according to what hash
-// function was used") so a cover chunk at one j is contiguous.
+// slab, each member's exact stream — an internal member's at the exp-Golomb
+// order that codes it in the fewest bits, a leaf's in gamma — and then its
+// hashed set under every function of hs, grouped by j ("we group the sets
+// according to what hash function was used") so a cover chunk at one j is
+// contiguous.
 func runLevel[P rowID](t *levelTask, sc *levelScratch[P], hs []hashutil.SplitXOR) error {
 	if err := sc.scatter(t.members); err != nil {
 		return fmt.Errorf("core: depth %d: %w", t.depth, err)
@@ -241,8 +260,11 @@ func runLevel[P rowID](t *levelTask, sc *levelScratch[P], hs []hashutil.SplitXOR
 	for mi := range t.members {
 		m := &t.members[mi]
 		startBit := t.exact.Len()
+		if m.internal {
+			m.k = uint8(cbitmap.BestOrder(sc.slab[m.start:m.end]))
+		}
 		enc.Init(t.exact)
-		cbitmap.AddSorted(&enc, sc.slab[m.start:m.end])
+		cbitmap.AddSortedK(&enc, sc.slab[m.start:m.end], uint(m.k))
 		if enc.Card() != m.end-m.start {
 			return fmt.Errorf("core: depth %d member [%d,%d): encoded %d of %d records",
 				t.depth, m.start, m.end, enc.Card(), m.end-m.start)

@@ -327,7 +327,7 @@ func (ax *AppendIndex) queryCharStreams(tc *iomodel.Touch, lo, hi uint32, sc *qu
 			bits += m.chain.Bits()
 			cb.r.Init(cb.w.Bytes(), cb.w.Len())
 			var s cbitmap.Stream
-			if err := s.InitDecode(&cb.r, 0, cb.w.Len(), m.card, ax.n, 0); err != nil {
+			if err := s.InitDecode(&cb.r, 0, cb.w.Len(), m.card, ax.n, 0, 0); err != nil {
 				return bits, fmt.Errorf("core: member chain at level %d: %w", li, err)
 			}
 			sc.streams = append(sc.streams, s)

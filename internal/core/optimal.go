@@ -36,11 +36,16 @@ func (o *OptimalOptions) fill() {
 }
 
 // member is one bitmap of a materialised level: a tree node's position set,
-// identified by its record range, stored at the level's concatenated extent.
+// identified by its record range, stored at the level's concatenated extent
+// as a gap stream in the exp-Golomb code of order k. Only an internal node's
+// set (one of more than one character) may take an order above 0: a pruned
+// leaf stays gamma-coded, so an answer can copy it verbatim.
 type member struct {
 	start, end int64
 	ext        iomodel.Extent
 	card       int64
+	internal   bool
+	k          uint8 // at most gamma.MaxOrder; a byte keeps member at 48 bytes
 }
 
 // matLevel is one materialised level: the bitmaps of all nodes at the
@@ -241,8 +246,9 @@ func (ox *Optimal) QueryContext(ctx context.Context, r index.Range) (*cbitmap.Bi
 }
 
 // entry implements memberDir over the level's exact sets.
-func (lv *matLevel) entry(k int) (iomodel.Extent, int64) {
-	return lv.members[k].ext, lv.members[k].card
+func (lv *matLevel) entry(i int) (iomodel.Extent, int64, uint) {
+	m := &lv.members[i]
+	return m.ext, m.card, uint(m.k)
 }
 
 // exactDir names the exact sets as the frontier a plan is executed against.
@@ -255,33 +261,83 @@ func BuildOptimalDefault(d *iomodel.Disk, col workload.Column) (*Optimal, error)
 	return BuildOptimal(d, col, OptimalOptions{})
 }
 
-// PayloadUnderCodes prices the total member-bitmap payload under gamma and
-// delta coding of the gap streams (the A5 ablation: the paper permits "any
-// method that compresses to within a constant factor"): every member's gamma
-// stream is read back from the device and its gaps priced under delta.
-func (ox *Optimal) PayloadUnderCodes() (gammaBits, deltaBits int64, err error) {
+// CodeBits is a member payload priced under the gap codes A5 compares.
+type CodeBits struct {
+	Stored int64 // as the image holds it
+	Gamma  int64 // every gap gamma-coded
+	Delta  int64 // every gap Elias-delta-coded
+	BestK  int64 // each member at the exp-Golomb order that codes it in the fewest bits
+}
+
+// Add adds o's payload to c's.
+func (c *CodeBits) Add(o CodeBits) {
+	c.Stored += o.Stored
+	c.Gamma += o.Gamma
+	c.Delta += o.Delta
+	c.BestK += o.BestK
+}
+
+// LevelCodes prices one materialised level's member payload, internal members
+// (of more than one character) and pruned leaves apart, and counts its
+// members by the exp-Golomb order they are stored at: Orders[k] of them at k.
+type LevelCodes struct {
+	Depth            int
+	Orders           []int
+	Internal, Leaves CodeBits
+}
+
+// Total returns the level's payload, internal members and leaves together.
+func (l LevelCodes) Total() CodeBits {
+	t := l.Internal
+	t.Add(l.Leaves)
+	return t
+}
+
+// PayloadUnderCodes prices the member payload of every materialised level
+// under gamma, delta and per-member best-order exp-Golomb coding of the gaps
+// (the A5 ablation: the paper permits "any method that compresses to within
+// a constant factor of minimum size"): every member is read back from the
+// device and its gaps priced under each code.
+func (ox *Optimal) PayloadUnderCodes() ([]LevelCodes, error) {
 	tc := ox.disk.NewTouch()
 	defer tc.Close()
-	for _, lv := range ox.levels {
+	out := make([]LevelCodes, len(ox.levels))
+	for li, lv := range ox.levels {
+		l := &out[li]
+		l.Depth = lv.depth
 		for _, m := range lv.members {
 			r, err := tc.Reader(m.ext)
 			if err != nil {
-				return 0, 0, err
+				return nil, err
 			}
-			gammaBits += m.ext.Bits
 			var s cbitmap.Stream
-			if err := s.InitDecode(r, 0, r.Len(), m.card, ox.tree.n, 0); err != nil {
-				return 0, 0, fmt.Errorf("core: depth %d member [%d,%d): %w", lv.depth, m.start, m.end, err)
+			if err := s.InitDecode(r, 0, r.Len(), m.card, ox.tree.n, 0, uint(m.k)); err != nil {
+				return nil, fmt.Errorf("core: depth %d member [%d,%d): %w", lv.depth, m.start, m.end, err)
 			}
+			c := CodeBits{Stored: m.ext.Bits}
+			var costs gamma.Costs
 			prev := int64(-1)
 			for p, ok := s.Next(); ok; p, ok = s.Next() {
-				deltaBits += int64(gamma.DeltaLen(uint64(p - prev)))
+				g := uint64(p - prev)
+				c.Gamma += int64(gamma.Len(g))
+				c.Delta += int64(gamma.DeltaLen(g))
+				costs.Add(g)
 				prev = p
 			}
 			if err := s.Err(); err != nil {
-				return 0, 0, fmt.Errorf("core: depth %d member [%d,%d): %w", lv.depth, m.start, m.end, err)
+				return nil, fmt.Errorf("core: depth %d member [%d,%d): %w", lv.depth, m.start, m.end, err)
 			}
+			_, c.BestK = costs.Best()
+			if m.internal {
+				l.Internal.Add(c)
+			} else {
+				l.Leaves.Add(c)
+			}
+			for len(l.Orders) <= int(m.k) {
+				l.Orders = append(l.Orders, 0)
+			}
+			l.Orders[m.k]++
 		}
 	}
-	return gammaBits, deltaBits, nil
+	return out, nil
 }

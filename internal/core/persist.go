@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"repro/internal/container"
+	"repro/internal/gamma"
 	"repro/internal/hashutil"
 	"repro/internal/iomodel"
 )
@@ -42,7 +42,9 @@ const maxStoredJ = 5
 
 // EncodeMeta appends the static (Theorem 2+3) index's metadata to e. The
 // device image is serialised separately; the metadata references it by
-// extent offsets only.
+// extent offsets only. The exp-Golomb orders of the internal members trail
+// the payload, level by level: files written before members had orders end
+// without them, and their members read as gamma-coded.
 func (ax *Approx) EncodeMeta(e *container.Encoder) error {
 	tr := ax.tree
 	for a := 0; a < tr.sigma; a++ {
@@ -97,6 +99,13 @@ func (ax *Approx) EncodeMeta(e *container.Encoder) error {
 			}
 		}
 	}
+	for _, lv := range ax.levels {
+		for _, m := range lv.members {
+			if m.internal {
+				e.U(uint64(m.k))
+			}
+		}
+	}
 	return nil
 }
 
@@ -134,19 +143,9 @@ func OpenApprox(d *iomodel.Disk, sigma int, opts ApproxOptions, dec *container.D
 
 	// Recompute the level assignment exactly as BuildOptimal does.
 	depths := materialDepths(tr.Height, opts.Stride)
-	levelOf := func(v *Node) int {
-		i := sort.SearchInts(depths, v.Depth)
-		if v.IsLeaf() {
-			return i
-		}
-		if i < len(depths) && depths[i] == v.Depth {
-			return i
-		}
-		return -1
-	}
 	byLevel := make([][]*Node, len(depths))
 	for _, v := range tr.Nodes {
-		if li := levelOf(v); li >= 0 {
+		if li := memberLevel(depths, v); li >= 0 {
 			byLevel[li] = append(byLevel[li], v)
 		}
 	}
@@ -169,8 +168,9 @@ func OpenApprox(d *iomodel.Disk, sigma int, opts ApproxOptions, dec *container.D
 			}
 			members = append(members, member{
 				start: v.Start, end: v.End,
-				ext:  iomodel.Extent{Off: off, Bits: bits},
-				card: v.End - v.Start,
+				ext:      iomodel.Extent{Off: off, Bits: bits},
+				card:     v.End - v.Start,
+				internal: !v.IsLeaf(),
 			})
 			off += bits
 		}
@@ -224,6 +224,15 @@ func OpenApprox(d *iomodel.Disk, sigma int, opts ApproxOptions, dec *container.D
 			}
 		}
 		ax.hmaps = append(ax.hmaps, hl)
+	}
+	if dec.More() {
+		for li := range ox.levels {
+			for mi := range ox.levels[li].members {
+				if m := &ox.levels[li].members[mi]; m.internal {
+					m.k = uint8(dec.UN(gamma.MaxOrder))
+				}
+			}
+		}
 	}
 	if err := dec.Err(); err != nil {
 		return nil, err

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"slices"
 	"testing"
 
 	"repro/internal/container"
+	"repro/internal/gamma"
 	"repro/internal/index"
 	"repro/internal/iomodel"
 	"repro/internal/workload"
@@ -112,5 +114,72 @@ func TestOpenApproxStoredLevels(t *testing.T) {
 	}
 	if _, err := reopen(t, d, ax, opts); err == nil {
 		t.Fatalf("stored k = %d accepted", ax.k)
+	}
+}
+
+// TestOpenApproxMemberOrders: the exp-Golomb orders of the internal members
+// trail the static metadata and survive a round trip; a list cut short is
+// corrupt, and so is an order above gamma.MaxOrder.
+func TestOpenApproxMemberOrders(t *testing.T) {
+	opts := ApproxOptions{Seed: 42}
+	col := workload.Zipf(20000, 64, 1.0, 9)
+	d := iomodel.NewDisk(iomodel.Config{BlockBits: 2048})
+	ax, err := BuildApprox(d, col, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []uint8
+	for _, lv := range ax.levels {
+		for _, m := range lv.members {
+			if m.internal {
+				want = append(want, m.k)
+			}
+		}
+	}
+	if slices.Max(want) == 0 || slices.Max(want) >= 128 {
+		t.Fatalf("orders %v: want one above 0, each a one-byte varint", want)
+	}
+	got, err := reopen(t, d, ax, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for li, lv := range got.levels {
+		for mi, m := range lv.members {
+			if w := ax.levels[li].members[mi]; m.k != w.k || m.internal != w.internal {
+				t.Fatalf("level %d member %d: reopened at order %d (internal %v), built at %d (%v)", li, mi, m.k, m.internal, w.k, w.internal)
+			}
+		}
+	}
+	for _, q := range workload.RandomRanges(20, 64, 9, 3) {
+		r := index.Range{Lo: q.Lo, Hi: q.Hi}
+		a, _, err := got.Query(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(a.Positions(), workload.BruteForce(col, q)) {
+			t.Fatalf("%v: reopened index answers wrongly", q)
+		}
+	}
+
+	var e container.Encoder
+	if err := ax.EncodeMeta(&e); err != nil {
+		t.Fatal(err)
+	}
+	meta := e.Bytes()
+	open := func(payload []byte) error {
+		_, err := OpenApprox(d, ax.Sigma(), opts, container.NewDecoder(payload))
+		return err
+	}
+	if err := open(meta[:len(meta)-1]); !errors.Is(err, container.ErrCorrupt) {
+		t.Fatalf("order list cut short: error %v, want ErrCorrupt", err)
+	}
+	bad := slices.Clone(meta)
+	bad[len(bad)-1] = gamma.MaxOrder + 1
+	if err := open(bad); !errors.Is(err, container.ErrCorrupt) {
+		t.Fatalf("order %d: error %v, want ErrCorrupt", gamma.MaxOrder+1, err)
+	}
+	bad[len(bad)-1] = gamma.MaxOrder
+	if err := open(bad); err != nil {
+		t.Fatalf("order %d: %v", gamma.MaxOrder, err)
 	}
 }

@@ -409,8 +409,8 @@ func (sc *queryScratch) execute(ctx context.Context, tc *iomodel.Touch, plans []
 				if run.subs[k-run.i] < 2 || run.lasts[k-run.i] != lastUnknown {
 					continue
 				}
-				ext, card := dir.entry(k)
-				if err := probe.InitDecode(&run.cb.r, int(ext.Off-run.span.Off), int(ext.Bits), card, univ, 0); err != nil {
+				ext, card, order := dir.entry(k)
+				if err := probe.InitDecode(&run.cb.r, int(ext.Off-run.span.Off), int(ext.Bits), card, univ, 0, order); err != nil {
 					return nil, fmt.Errorf("core: level %d member %d (universe %d): %w", li, k, univ, err)
 				}
 				last, err := probe.Drain()

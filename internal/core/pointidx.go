@@ -212,7 +212,7 @@ func openLeaf(tc *iomodel.Touch, d *iomodel.Disk, blk iomodel.BlockID, bits int,
 	if cnt > uint64(d.BlockBits()) {
 		return fmt.Errorf("core: corrupt leaf block: %w: count %d exceeds block capacity", cbitmap.ErrCorrupt, cnt)
 	}
-	if err := s.InitDecode(&cb.r, cb.r.Pos(), cb.r.Remaining(), int64(cnt), univ, 0); err != nil {
+	if err := s.InitDecode(&cb.r, cb.r.Pos(), cb.r.Remaining(), int64(cnt), univ, 0, 0); err != nil {
 		return fmt.Errorf("core: leaf block: %w", err)
 	}
 	return nil

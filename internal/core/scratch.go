@@ -136,15 +136,15 @@ func (sc *queryScratch) nextBuf() *chunkBuf {
 // the exact sets of a materialised level or one of its hashed arrays, which
 // tile the device in the same member order.
 type memberDir interface {
-	// entry returns member k's extent and cardinality.
-	entry(k int) (iomodel.Extent, int64)
+	// entry returns member i's extent, cardinality and exp-Golomb order.
+	entry(i int) (iomodel.Extent, int64, uint)
 }
 
 // spanOf returns the one extent holding members [i,j) of dir, which are
 // contiguous on the device: first member's offset to last member's end.
 func spanOf(dir memberDir, i, j int) iomodel.Extent {
-	first, _ := dir.entry(i)
-	last, _ := dir.entry(j - 1)
+	first, _, _ := dir.entry(i)
+	last, _, _ := dir.entry(j - 1)
 	return iomodel.Extent{Off: first.Off, Bits: last.End() - first.Off}
 }
 
@@ -172,13 +172,13 @@ func (sc *queryScratch) readSpan(tc *iomodel.Touch, dir memberDir, i, j int, sta
 // from c.I; nil: none did).
 func (sc *queryScratch) appendStreams(cb *chunkBuf, base int64, dir memberDir, c PlanChunk, univ int64, lasts []int64) error {
 	for k := c.I; k < c.J; k++ {
-		ext, card := dir.entry(k)
+		ext, card, order := dir.entry(k)
 		var s cbitmap.Stream
 		var err error
 		if lasts != nil && lasts[k-c.I] != lastUnknown {
-			err = s.InitDecodeValidated(&cb.r, int(ext.Off-base), int(ext.Bits), card, lasts[k-c.I], 0)
+			err = s.InitDecodeValidated(&cb.r, int(ext.Off-base), int(ext.Bits), card, lasts[k-c.I], 0, order)
 		} else {
-			err = s.InitDecode(&cb.r, int(ext.Off-base), int(ext.Bits), card, univ, 0)
+			err = s.InitDecode(&cb.r, int(ext.Off-base), int(ext.Bits), card, univ, 0, order)
 		}
 		if err != nil {
 			return fmt.Errorf("core: level %d member %d (universe %d): %w", c.Level, k, univ, err)
@@ -205,7 +205,7 @@ func (sc *queryScratch) addOverlay(n int64) error {
 	cbitmap.AddSorted(&e, pos)
 	cb.r.Init(cb.w.Bytes(), cb.w.Len())
 	var s cbitmap.Stream
-	if err := s.InitDecode(&cb.r, 0, cb.w.Len(), int64(len(pos)), n, 0); err != nil {
+	if err := s.InitDecode(&cb.r, 0, cb.w.Len(), int64(len(pos)), n, 0, 0); err != nil {
 		return fmt.Errorf("core: update overlay: %w", err)
 	}
 	sc.streams = append(sc.streams, s)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/bitio"
 	"repro/internal/cbitmap"
 	"repro/internal/gamma"
 	"repro/internal/index"
@@ -39,13 +40,37 @@ func (ox *Optimal) readCoverChunk(tc *iomodel.Touch, v *Node, ms []*cbitmap.Bitm
 	}
 	stats.BitsRead += span.Bits
 	for k := i; k < j; k++ {
-		bm, err := cbitmap.Decode(rd, lv.members[k].card, ox.tree.n)
+		bm, err := decodeMember(rd, span.Off, &lv.members[k], ox.tree.n)
 		if err != nil {
 			return ms, fmt.Errorf("core: depth %d member %d: %w", lv.depth, k, err)
 		}
 		ms = append(ms, bm)
 	}
 	return ms, nil
+}
+
+// decodeMember materialises member m over [0,n) from rd, which holds the
+// device's bits from offset base on: gamma-coded members through
+// cbitmap.Decode, the others position by position, re-encoded in gamma.
+func decodeMember(rd *bitio.Reader, base int64, m *member, n int64) (*cbitmap.Bitmap, error) {
+	if m.k == 0 {
+		if err := rd.Seek(int(m.ext.Off - base)); err != nil {
+			return nil, err
+		}
+		return cbitmap.Decode(rd, m.card, n)
+	}
+	var s cbitmap.Stream
+	if err := s.InitDecode(rd, int(m.ext.Off-base), int(m.ext.Bits), m.card, n, 0, uint(m.k)); err != nil {
+		return nil, err
+	}
+	var pos []int64
+	for p, ok := s.Next(); ok; p, ok = s.Next() {
+		pos = append(pos, p)
+	}
+	if err := s.Err(); err != nil {
+		return nil, err
+	}
+	return cbitmap.FromPositions(n, pos)
 }
 
 // queryRecords answers a record-range query by materialising the cover

@@ -115,10 +115,13 @@ func TestStreamingRebuildDifferential(t *testing.T) {
 
 // TestStreamingBuildBitIdentical pins the static bulk builds: every member
 // extent the streaming level pass emits must hold exactly the bytes the
-// encode-via-Bitmap oracle produces — for Optimal across the A1 stride sweep
-// and for the Warmup tree.
+// oracle produces — for Optimal across the A1 stride sweep, where a leaf is
+// the encode-via-Bitmap gamma stream and an internal member its gaps coded
+// one gamma.WriteK at a time at the order whose summed LenK is least (the
+// smallest on a tie), and for the Warmup tree.
 func TestStreamingBuildBitIdentical(t *testing.T) {
 	col := workload.Uniform(5000, 256, 89)
+	ordered := 0 // members coded above order 0
 	for _, stride := range []int{1, 2, 4} {
 		d := iomodel.NewDisk(iomodel.Config{BlockBits: 1024})
 		ix, err := BuildOptimal(d, col, OptimalOptions{Stride: stride})
@@ -137,18 +140,42 @@ func TestStreamingBuildBitIdentical(t *testing.T) {
 				if err := got.CopyBits(rd, int(m.ext.Bits)); err != nil {
 					t.Fatal(err)
 				}
-				want, err := cbitmap.FromPositions(ix.tree.n, positions(m.start, m.end))
+				pos := positions(m.start, m.end)
+				want, err := cbitmap.FromPositions(ix.tree.n, pos)
 				if err != nil {
 					t.Fatal(err)
 				}
 				ww := bitio.NewWriter(want.SizeBits())
 				want.EncodeTo(ww)
-				if m.card != want.Card() || int64(want.SizeBits()) != m.ext.Bits || !bytes.Equal(got.Bytes(), ww.Bytes()) {
+				order := uint(0)
+				if m.internal {
+					best := int64(-1)
+					for o := uint(0); o <= gamma.MaxOrder; o++ {
+						var bits int64
+						for i, p := range pos {
+							bits += int64(gamma.LenK(uint64(p-prevPos(pos, i)), o))
+						}
+						if best < 0 || bits < best {
+							order, best = o, bits
+						}
+					}
+					ww.Reset()
+					for i, p := range pos {
+						gamma.WriteK(ww, uint64(p-prevPos(pos, i)), order)
+					}
+				}
+				if m.card != want.Card() || uint(m.k) != order || int64(ww.Len()) != m.ext.Bits || !bytes.Equal(got.Bytes(), ww.Bytes()) {
 					t.Fatalf("stride %d level %d member %d: extent differs from oracle encoding", stride, li, k)
+				}
+				if order > 0 {
+					ordered++
 				}
 			}
 		}
 		tc.Close()
+	}
+	if ordered == 0 {
+		t.Fatal("no member took an order above 0")
 	}
 
 	wd := iomodel.NewDisk(iomodel.Config{BlockBits: 1024})
@@ -493,4 +520,12 @@ func TestAppendSteadyStateAllocs(t *testing.T) {
 	if allocs > 1 {
 		t.Fatalf("steady-state direct append allocated %.2f times per op, want <= 1 (was 7 before the streaming write path)", allocs)
 	}
+}
+
+// prevPos is the position before pos[i] in a gap stream: -1 before the first.
+func prevPos(pos []int64, i int) int64 {
+	if i == 0 {
+		return -1
+	}
+	return pos[i-1]
 }

@@ -861,15 +861,19 @@ func A4LevelBuffering(s Scale) (*Table, error) {
 // notes "more generally, any method that compresses to within a constant
 // factor of minimum size" works. This compares the total member-bitmap
 // payload of the Theorem 2 structure under gamma vs delta coding of the
-// gaps, across entropy regimes, against the information bound.
+// gaps, across entropy regimes, against the information bound; then, for
+// internal members and pruned leaves apart, gamma against each member at its
+// best exp-Golomb order, and the payload as stored (internal members at their
+// best order, leaves in gamma).
 func A5CodeChoice(s Scale) (*Table, error) {
 	n := s.pick(1<<14, 1<<16)
 	sigma := 256
 	t := &Table{
-		ID:     "A5",
-		Title:  "ablation: run-length code for the gap streams (gamma vs delta)",
-		Note:   fmt.Sprintf("n = %d, σ = %d; payload of all Theorem 2 member bitmaps, bits per character", n, sigma),
-		Header: []string{"theta", "H0", "gamma bits/char", "delta bits/char", "delta/gamma"},
+		ID:    "A5",
+		Title: "ablation: run-length code for the gap streams (gamma vs delta vs exp-Golomb best k)",
+		Note:  fmt.Sprintf("n = %d, σ = %d; payload of all Theorem 2 member bitmaps, bits per character", n, sigma),
+		Header: []string{"theta", "H0", "gamma bits/char", "delta bits/char", "delta/gamma",
+			"internal gamma", "internal best-k", "leaves gamma", "leaves best-k", "stored"},
 	}
 	for _, theta := range []float64{0, 1.0, 2.0} {
 		col := workload.Zipf(n, sigma, theta, 137)
@@ -879,16 +883,26 @@ func A5CodeChoice(s Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		gammaBits, deltaBits, err := ix.PayloadUnderCodes()
+		levels, err := ix.PayloadUnderCodes()
 		if err != nil {
 			return nil, err
 		}
+		var in, leaf, all core.CodeBits
+		for _, l := range levels {
+			in.Add(l.Internal)
+			leaf.Add(l.Leaves)
+			all.Add(l.Total())
+		}
+		perChar := func(bits int64) string { return fmt.Sprintf("%.2f", float64(bits)/float64(n)) }
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.1f", theta),
 			fmt.Sprintf("%.3f", h0),
-			fmt.Sprintf("%.2f", float64(gammaBits)/float64(n)),
-			fmt.Sprintf("%.2f", float64(deltaBits)/float64(n)),
-			fmt.Sprintf("%.3f", float64(deltaBits)/float64(gammaBits)),
+			perChar(all.Gamma),
+			perChar(all.Delta),
+			fmt.Sprintf("%.3f", float64(all.Delta)/float64(all.Gamma)),
+			perChar(in.Gamma), perChar(in.BestK),
+			perChar(leaf.Gamma), perChar(leaf.BestK),
+			perChar(all.Stored),
 		})
 	}
 	return t, nil

@@ -60,7 +60,7 @@ func FuzzGammaFastVsSlow(f *testing.F) {
 				sv, serr = readDeltaSlow(slow)
 			} else {
 				fv, ferr = Read(fast)
-				sv, serr = readSlow(slow)
+				sv, serr = readKSlow(slow, 0)
 			}
 			if (ferr == nil) != (serr == nil) || fv != sv {
 				t.Fatalf("code %d: fast %d,%v slow %d,%v", i, fv, ferr, sv, serr)
@@ -115,7 +115,7 @@ func TestFastSlowAgreeOnRandomStreams(t *testing.T) {
 				sv, serr = readDeltaSlow(slow)
 			} else {
 				fv, ferr = Read(fast)
-				sv, serr = readSlow(slow)
+				sv, serr = readKSlow(slow, 0)
 			}
 			if ferr != nil || serr != nil {
 				t.Fatalf("trial %d code %d: errors fast=%v slow=%v", trial, i, ferr, serr)

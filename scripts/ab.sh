@@ -23,11 +23,14 @@
 #
 # The base tree is a `git archive` of base-ref in a temporary directory
 # outside the checkout, removed on exit; each side builds benchmark/ from its
-# own source (benchmark/bench.sh). For every end-to-end metric the script
-# prints both sides' medians and q1-q3, the number of pairs the change won
-# (by the metric's "better" direction in BENCHMARK.json) and a verdict, then
-# every pair's query_per_s and query_p50_us. The verdict, with the metric's
-# BENCHMARK.json bound taken relative to the base's median:
+# own source (benchmark/bench.sh). Per workload the script prints both sides'
+# container_bytes (the distinct values their runs reported); for every
+# end-to-end metric, both sides' medians and q1-q3, the number of pairs the
+# change won (by the metric's "better" direction in BENCHMARK.json) and a
+# verdict; then every pair's query_per_s and query_p50_us, with each side's
+# counted metrics (blocks_per_query, read_amp, bits_per_row) in brackets.
+# The verdict, with the metric's BENCHMARK.json bound taken relative to the
+# base's median:
 #   regression     the change's median is worse than the base's by more than
 #                  the bound;
 #   gain           the change won at least 9/10 of the pairs and its median is
@@ -105,9 +108,11 @@ for wl in $WORKLOADS; do
 				echo "bench pair $i/$PAIRS: $side done" >&2
 				continue
 			fi
-			line="$(bash "$dir/benchmark/bench.sh" --workload "$wl" --seed "$seed" --seconds "$SECS" --trace 0 2>/dev/null | tail -1)" || true
+			out="$(bash "$dir/benchmark/bench.sh" --workload "$wl" --seed "$seed" --seconds "$SECS" --trace 0 2>/dev/null)" || true
+			line="$(tail -1 <<<"$out")"
 			[[ "$line" == "{"* ]] || line='{}'
-			echo "$seed $side $line" >>"$TMP/runs-$wl.txt"
+			bytes="$(awk '$1 == "container_bytes" { print $2 }' <<<"$out")"
+			echo "$seed $side ${bytes:--} $line" >>"$TMP/runs-$wl.txt"
 			echo "$wl pair $i/$PAIRS seed $seed: $side done" >&2
 		done
 	done
@@ -120,10 +125,13 @@ better = {m['name']: m['better'] for m in e2e}
 bound = {m['name']: m['bound'] for m in e2e}
 counted = ('blocks_per_query', 'read_amp', 'bits_per_row')
 runs = {'base': {}, 'change': {}}
+container = {'base': set(), 'change': set()}
 pkg = {}
 for line in open(path):
     seed, side, js = line.rstrip('\n').split(' ', 2)
     if wl != 'bench':
+        size, js = js.split(' ', 1)
+        container[side].add(size)
         runs[side][seed] = json.loads(js)
         continue
     # go test -bench output: "pkg: <path>" heads each package's lines.
@@ -151,6 +159,8 @@ def val(side, seed, metric):
 fb = sum(runs['base'][s].get('failed', 0) for s in seeds)
 fc = sum(runs['change'].get(s, {}).get('failed', 0) for s in seeds)
 print(f'\n{wl}: {len(seeds)} pairs; failed operations base {fb}, change {fc}')
+if wl != 'bench':
+    print('  container_bytes   ' + '  '.join(f'{side} {" ".join(sorted(container[side]))}' for side in container))
 if fc > fb:
     bad.append(f'the change failed {fc} operations, the base {fb}')
 for metric, way in better.items():
@@ -178,7 +188,8 @@ for metric, way in better.items():
         bad += [f'{metric} differs on seed {s}' for s in ok if val('base', s, metric) != val('change', s, metric)]
 for s in seeds if wl != 'bench' else []:
     print(f'    seed {s}: ' + '   '.join(
-        f'{side} {val(side, s, "query_per_s") or 0:.0f}/s p50 {val(side, s, "query_p50_us") or 0:.2f} us'
+        f'{side} {val(side, s, "query_per_s") or 0:.0f}/s p50 {val(side, s, "query_p50_us") or 0:.2f} us '
+        + '[' + ' '.join(f'{val(side, s, m) or 0:.6g}' for m in counted) + ']'
         for side in ('base', 'change')))
 for msg in bad:
     print(f'  FAIL: {msg}')

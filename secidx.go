@@ -210,6 +210,16 @@ type SpaceLedger = core.SpaceLedger
 // SpaceLedger decomposes SizeBits (cmd/secidx -inspect prints it).
 func (ix *Index) SpaceLedger() SpaceLedger { return ix.ax.SpaceLedger() }
 
+// LevelCodes is one materialised level's member payload priced under gamma,
+// delta and per-member best-order exp-Golomb coding of the gaps, internal
+// members and pruned leaves apart, beside the exp-Golomb orders its members
+// are stored at.
+type LevelCodes = core.LevelCodes
+
+// PayloadUnderCodes reads every member back from the device and prices each
+// level's payload (cmd/secidx -inspect prints the orders and what they save).
+func (ix *Index) PayloadUnderCodes() ([]LevelCodes, error) { return ix.ax.PayloadUnderCodes() }
+
 // QueryExec answers I[lo;hi] with fault-tolerant execution: transient
 // device-read failures are retried under opts.Retry with exponential
 // backoff, honouring ctx during waits. Permanent and corruption faults are

@@ -2,6 +2,7 @@ package secidx
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/container"
 	"repro/internal/index"
@@ -147,6 +148,21 @@ func (ix *ShardedIndex) SpaceLedger() []SpaceLedger {
 		out[i] = p.Ax.SpaceLedger()
 	}
 	return out
+}
+
+// PayloadUnderCodes prices each shard's member payload level by level (see
+// Index.PayloadUnderCodes).
+func (ix *ShardedIndex) PayloadUnderCodes() ([][]LevelCodes, error) {
+	parts := ix.sx.Parts()
+	out := make([][]LevelCodes, len(parts))
+	for i, p := range parts {
+		codes, err := p.Ax.PayloadUnderCodes()
+		if err != nil {
+			return nil, fmt.Errorf("secidx: shard %d: %w", i, err)
+		}
+		out[i] = codes
+	}
+	return out, nil
 }
 
 // Query answers I[lo;hi] exactly, fanning out across shards. Stats sum the
