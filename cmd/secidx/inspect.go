@@ -152,8 +152,13 @@ func printLedger(shard int, l secidx.SpaceLedger, imageBytes, metaBytes int64) {
 		fmt.Printf("  %-17s %12d bits %8s /row\n", part.name, part.bits, perRow(part.bits))
 	}
 	total := 8 * (imageBytes + metaBytes)
-	fmt.Printf("  %-17s %12d bits %8s /row = %.1f x H0 (directory as SizeBits charges it: %s /row)\n",
+	fmt.Printf("  %-17s %12d bits %8s /row = %.1f x H0 (metadata directory as SizeBits charges it: %s /row)\n",
 		"shard", total, perRow(total), float64(total)/float64(l.Rows)/max(l.H0, 1e-9), perRow(l.DirBits))
+	legacy := ""
+	if l.RecordBits == 128 {
+		legacy = " (an older build's: they hold no directory, the metadata does)"
+	}
+	fmt.Printf("  node records: %d bits, %d per block%s\n", l.RecordBits, l.NodesPerBlock, legacy)
 	fmt.Println(" ", strings.Repeat("-", 60))
 }
 

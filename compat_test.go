@@ -457,3 +457,64 @@ func TestOpenExactOnlyShard(t *testing.T) {
 		}
 	}
 }
+
+// legacyHeightPin folds what the sweep of TestReadCompatLegacyHeight reads
+// from testdata/legacy_height_static.secidx, as commit 3392b46 (which wrote
+// it) read it: every row and every stat of every answer.
+var legacyHeightPin = bitsPin{4165209, 0x242f9fb952c5f9f4}
+
+// TestReadCompatLegacyHeight opens testdata/legacy_height_static.secidx,
+// written at commit 3392b46, the last whose static images held 128-bit node
+// records and kept the member directory in the metadata (lengths, every
+// node's block, the internal members' orders trailing): Build over
+// compatColumn(16807, 32, 175) with compatOpts and Branching 7, then
+// WriteFile. At n = 7^5 the height rule of that build read one level too
+// tall, so the file's tree — its root split in two, not seven — is one a
+// fresh build no longer makes; it must reopen with that tree and answer
+// exactly as it did, every row and every stat.
+func TestReadCompatLegacyHeight(t *testing.T) {
+	const sigma = 32
+	o, err := OpenFile("testdata/legacy_height_static.secidx", OpenOptions{VerifyImages: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	if l := o.Static.SpaceLedger(); l.RecordBits != 128 || l.ResidentBits() != l.ImageBits {
+		t.Fatalf("old file: %d-bit node records, ledger parts sum to %d of %d bits", l.RecordBits, l.ResidentBits(), l.ImageBits)
+	}
+	if root := o.Static.ax.Tree().Root; len(root.Children) != 2 {
+		t.Fatalf("old file's root has %d children, its build made 2", len(root.Children))
+	}
+	col := compatColumn(16807, sigma, 175)
+	h := fnv.New64a()
+	var sweep bitsPin
+	for _, r := range compatRanges(sigma) {
+		got, st, err := o.Static.Query(r.Lo, r.Hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := got.Rows()
+		if !slices.Equal(rows, bruteRange(col, r.Lo, r.Hi)) {
+			t.Fatalf("Query [%d,%d]: old file differs from the column", r.Lo, r.Hi)
+		}
+		binary.Write(h, binary.LittleEndian, rows)
+		fmt.Fprintf(h, "%+v", st)
+		sweep.total += st.BitsRead
+		for _, eps := range compatEps {
+			a, st, err := o.Static.ApproxQuery(r.Lo, r.Hi, eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, err := a.Rows()
+			if err != nil {
+				t.Fatal(err)
+			}
+			binary.Write(h, binary.LittleEndian, rows)
+			fmt.Fprintf(h, "%v %d %+v", a.IsExact(), a.CandidateCount(), st)
+			sweep.total += st.BitsRead
+		}
+	}
+	if sweep.hash = h.Sum64(); sweep != legacyHeightPin {
+		t.Fatalf("old file's sweep read %d bits (hash %#x), pinned %d (%#x)", sweep.total, sweep.hash, legacyHeightPin.total, legacyHeightPin.hash)
+	}
+}

@@ -218,10 +218,16 @@ func TestFormatGoldens(t *testing.T) {
 // orders (a smaller image, and the orders trailing the metadata): the static
 // file from 24 965 to 24 453 bytes (0x0ea22dedcd46be97 before), the sharded
 // one from 0x94e96aae2c5e93c2 at 29 440 bytes to the same size
-// (TestReadCompatGammaMembers opens a file written the old way).
+// (TestReadCompatGammaMembers opens a file written the old way). Both moved
+// again when the node records became the member directory (narrow records,
+// so fewer structure blocks, and no lengths, node blocks or orders in the
+// metadata): the static file from 24 453 to 16 261 bytes
+// (0xe194f3de269608cd before), the sharded one from 29 440 to 11 520
+// (0x4304db5b719aca31 before); TestReadCompatLegacyHeight opens a file
+// written the old way.
 const (
-	goldenStatic  = 0xe194f3de269608cd
-	goldenSharded = 0x4304db5b719aca31
+	goldenStatic  = 0xa6d56523e372e577
+	goldenSharded = 0xffeda790383f34f8
 	goldenAppend  = 0x1ef60908cb06349d
 	goldenDynamic = 0x9527613b21cf3c92
 )

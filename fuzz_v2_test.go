@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+
+	"repro/internal/container"
 )
 
 // validContainer builds a small index of the given kind and returns its v2
@@ -58,6 +60,88 @@ func validContainer(tb testing.TB, kind string) []byte {
 	return b
 }
 
+// recordsContainer returns a static container at 512-bit blocks, whose node
+// records fill several structure blocks and carry exp-Golomb orders.
+func recordsContainer(tb testing.TB) []byte {
+	tb.Helper()
+	path := filepath.Join(tb.TempDir(), "records.secidx")
+	ix, err := Build(randColumn(3000, 64, 24), 64, Options{Seed: 7, BlockBits: 512})
+	if err == nil {
+		err = ix.WriteFile(path)
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if l := ix.SpaceLedger(); l.LayoutBits < 3*512 {
+		tb.Fatalf("node records fill %d bits, want several blocks", l.LayoutBits)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// rowOverflowContainer returns a static container whose manifest declares
+// branching 2^21 and whose metadata, in the node-record layout, declares 16
+// counts of 2^40 each: 2^44 rows, past container.MaxRows. The tree's height
+// (the powers of c up to n) must not be computed from such counts — at this
+// c the powers overflow an int64 — and opening must fail, not loop.
+func rowOverflowContainer(tb testing.TB) []byte {
+	tb.Helper()
+	const sigma = 16
+	opts := Options{Seed: 7, BlockBits: 2048}
+	ix, err := Build(randColumn(800, sigma, 23), sigma, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	opts.Branching = 1 << 21
+	path := filepath.Join(tb.TempDir(), "rows.secidx")
+	err = writeContainer(path, container.KindStatic, func(cw *container.Writer) error {
+		var e container.Encoder
+		encodeManifest(&e, container.MaxRows, sigma, opts, 1)
+		if err := cw.Add(container.TypeManifest, 0, e.Bytes(), 1); err != nil {
+			return err
+		}
+		var m container.Encoder
+		for range sigma {
+			m.U(container.MaxRows)
+		}
+		m.U(0) // the node-record layout
+		m.U(8) // length field width
+		m.U(0) // order field width
+		m.U(1) // levels
+		if err := cw.Add(container.TypeStaticMeta, 0, m.Bytes(), 1); err != nil {
+			return err
+		}
+		return addImage(cw, 0, ix.sx.Parts()[0].Disk)
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// TestOpenFileRowOverflow: a static container whose counts sum past
+// container.MaxRows fails ErrCorrupt before its tree is built.
+func TestOpenFileRowOverflow(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "rows.secidx")
+	if err := os.WriteFile(path, rowOverflowContainer(t), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	o, err := OpenFile(path, OpenOptions{VerifyImages: true})
+	if err == nil {
+		o.Close()
+	}
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("counts summing to 2^44 rows: error %v, want ErrCorrupt", err)
+	}
+}
+
 // FuzzLoadV2 feeds OpenFile arbitrary container bytes — seeded with valid
 // files of every kind, per-shard checksum truncations, bit flips and hostile
 // section lengths — and checks the untrusted-input contract: never a panic,
@@ -92,6 +176,17 @@ func FuzzLoadV2(f *testing.F) {
 	f.Add(hostile)
 	f.Add([]byte("secidx02"))
 	f.Add([]byte{})
+	// A static container whose node records — lengths and orders, the exact
+	// directory — span several structure blocks, and one from before the
+	// records held the directory (its blocks and lengths in the metadata).
+	f.Add(recordsContainer(f))
+	legacy, err := os.ReadFile("testdata/legacy_height_static.secidx")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(legacy)
+	// Counts that sum past the row bound, at a branching whose powers overflow.
+	f.Add(rowOverflowContainer(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.secidx")

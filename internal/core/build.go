@@ -54,26 +54,33 @@ func memberLevel(depths []int, v *Node) int {
 	return -1
 }
 
-// newLevelTasks assigns each node to the level memberLevel gives it, in
+// eachMember calls f for every node that is a member, with its level's index
+// li in depths and its index mi among the level's members: nodes come in
 // preorder, which is record order for the members of one level.
+func eachMember(tr *Tree, depths []int, f func(v *Node, li, mi int)) {
+	counts := make([]int, len(depths))
+	for _, v := range tr.Nodes {
+		if li := memberLevel(depths, v); li >= 0 {
+			f(v, li, counts[li])
+			counts[li]++
+		}
+	}
+}
+
+// newLevelTasks assigns each node to the level memberLevel gives it, each
+// level's member slice sized by a counting pass.
 func newLevelTasks(tr *Tree, stride int) []levelTask {
 	depths := materialDepths(tr.Height, stride)
 	tasks := make([]levelTask, len(depths))
 	counts := make([]int, len(depths))
-	for _, v := range tr.Nodes {
-		if li := memberLevel(depths, v); li >= 0 {
-			counts[li]++
-		}
-	}
+	eachMember(tr, depths, func(_ *Node, li, _ int) { counts[li]++ })
 	for li, depth := range depths {
 		tasks[li].depth = depth
 		tasks[li].members = make([]member, 0, counts[li])
 	}
-	for _, v := range tr.Nodes {
-		if li := memberLevel(depths, v); li >= 0 {
-			tasks[li].members = append(tasks[li].members, member{start: v.Start, end: v.End, internal: !v.IsLeaf()})
-		}
-	}
+	eachMember(tr, depths, func(v *Node, li, _ int) {
+		tasks[li].members = append(tasks[li].members, member{start: v.Start, end: v.End, internal: !v.IsLeaf()})
+	})
 	return tasks
 }
 
@@ -93,18 +100,21 @@ func buildLevels(ws Workers, d *iomodel.Disk, col workload.Column, opts OptimalO
 	ox := &Optimal{disk: d, tree: tr, opts: opts}
 	tasks := newLevelTasks(tr, opts.Stride)
 	encodeLevels(ws, tasks, tr.prefix, col.X, hs)
-	total := int64(tr.sigma+1)*64 + layoutBits(d, tr)
+	members := make([][]member, len(tasks))
+	total := int64(tr.sigma+1) * 64
 	for i := range tasks {
 		t := &tasks[i]
 		if t.err != nil {
 			return nil, nil, t.err
 		}
+		members[i] = t.members
 		total += int64(t.exact.Len())
 		if t.hashed != nil {
 			total += int64(t.hashed.Len())
 		}
 	}
-	d.Reserve(total)
+	recs, lenBits, kBits := nodeRecords(tr, materialDepths(tr.Height, opts.Stride), members)
+	d.Reserve(total + int64(layoutBits(d, tr, lenBits+kBits)))
 	// Adjacent AllocStream calls share blocks with no padding, so placing
 	// whole levels in order leaves the bytes and extents of member-at-a-time
 	// allocation (pinned by the build differential test).
@@ -112,9 +122,6 @@ func buildLevels(ws Workers, d *iomodel.Disk, col workload.Column, opts OptimalO
 		t := &tasks[i]
 		t.place(d)
 		ox.levels = append(ox.levels, newMatLevel(t.depth, t.members))
-		// Directory entry per member: offset, length, cardinality — O(lg n)
-		// bits each, 128 bits nominal.
-		ox.dirBits += int64(len(t.members)) * 128
 	}
 
 	// Prefix array A on disk: queries read two entries to compute z.
@@ -124,7 +131,7 @@ func buildLevels(ws Workers, d *iomodel.Disk, col workload.Column, opts OptimalO
 	}
 	ox.aExt = d.AllocStream(aw)
 
-	ox.layout = newTreeLayout(d, tr)
+	ox.layout = newTreeLayout(d, tr, recs, lenBits, kBits)
 	d.ResetStats()
 	return ox, tasks, nil
 }

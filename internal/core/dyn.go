@@ -55,6 +55,12 @@ type dynEntry struct {
 	pos int64
 }
 
+// dynNodeRecordBits is the footprint of one skeleton node's record in the
+// structure blocks: weight, character range, child pointer and the node's
+// member pointer, each O(lg n) bits, 128 nominal (the paper budgets O(lg n)
+// per pointer). It sets how many nodes packLayout puts in a block.
+const dynNodeRecordBits = 128
+
 // dynEntryLayout is the on-disk layout of a buffered append: 32-bit
 // character, 48-bit position.
 var dynEntryLayout = []int{32, 48}
@@ -279,7 +285,7 @@ func (ax *AppendIndex) writeMemberChain(tc *iomodel.Touch, m *dynMember) error {
 // packLayout assigns skeleton nodes to structure blocks, top Θ(lg b) levels
 // per block, recursively (the Theorem 2 layout).
 func (ax *AppendIndex) packLayout(all []*dynNode) {
-	cap := ax.disk.BlockBits() / nodeRecordBits
+	cap := ax.disk.BlockBits() / dynNodeRecordBits
 	if cap < 1 {
 		cap = 1
 	}

@@ -151,11 +151,15 @@ func (ax *AppendIndex) rebuildSubtree(tc *iomodel.Touch, u *dynNode) error {
 	return nil
 }
 
-// heightFor returns ceil(log_c(w)), at least 1.
+// heightFor returns ceil(log_c(w)), at least 1. It forms no power of c above
+// w, so no w and c > 1 overflow it.
 func heightFor(w int64, c int) int {
 	h := 0
 	for pow := int64(1); pow < w; pow *= int64(c) {
 		h++
+		if pow > w/int64(c) {
+			break // pow·c > w
+		}
 	}
 	if h < 1 {
 		h = 1

@@ -18,9 +18,15 @@ type SpaceLedger struct {
 	LayoutBits int64        // blocked tree structure, whole blocks
 	ImageBits  int64        // the device's allocated size
 
-	// DirBits is the member directory as SizeBits charges it: 128 bits per
-	// exact member, 192 per hashed set. It lives in the container's metadata
-	// section, not on the device.
+	// RecordBits is the width of a node record in the structure blocks and
+	// NodesPerBlock how many of them a block holds. A record is its node's
+	// member's directory entry (gap-stream length and exp-Golomb order); an
+	// image written before that holds 128-bit records nothing reads.
+	RecordBits, NodesPerBlock int
+	// DirBits is the directory SizeBits charges outside the image, in the
+	// container's metadata section: 192 bits per hashed set, plus 128 per
+	// exact member on a legacy image. A newer image's exact directory is its
+	// node records, counted in LayoutBits.
 	DirBits int64
 	// UsefulK is k = ⌊lg lg n⌋. HashedBits entries beyond it belong to levels
 	// no query reads: only files written before maxJ followed the paper have
@@ -70,9 +76,11 @@ func (ax *Approx) SpaceLedger() SpaceLedger {
 		PadBits:    (bb - ax.aExt.End()%bb) % bb,
 		LayoutBits: ax.layout.sizeBits(),
 		ImageBits:  ax.disk.AllocatedBits(),
-		DirBits:    ax.dirBits,
+		RecordBits: ax.layout.recordBits(),
+		DirBits:    ax.legacyDirBits(),
 		UsefulK:    ax.k,
 	}
+	l.NodesPerBlock = perBlock(ax.disk, l.RecordBits)
 	for li, lv := range ax.levels {
 		ls := LevelSpace{Depth: lv.depth, Members: len(lv.members)}
 		for _, m := range lv.members {

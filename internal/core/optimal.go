@@ -139,10 +139,6 @@ type Optimal struct {
 
 	levels []matLevel
 	aExt   iomodel.Extent // prefix array A: (σ+1) 64-bit entries
-	// dirBits accounts for the per-member directory (offset, length,
-	// cardinality), charged at O(lg n) bits each as the paper does for its
-	// node pointers.
-	dirBits int64
 }
 
 // BuildOptimal constructs the Theorem 2 index for col on disk d, its levels
@@ -189,8 +185,9 @@ func (ox *Optimal) Tree() *Tree { return ox.tree }
 // O(lg lg n)).
 func (ox *Optimal) MaterialisedLevels() int { return len(ox.levels) }
 
-// SizeBits implements index.Index: bitmap payloads + directory + prefix
-// array + blocked tree structure.
+// SizeBits implements index.Index: bitmap payloads + prefix array + blocked
+// tree structure, whose node records are the members' directory (+ the
+// metadata directory of a legacy image, legacyDirBits).
 func (ox *Optimal) SizeBits() int64 {
 	var bits int64
 	for _, lv := range ox.levels {
@@ -198,7 +195,22 @@ func (ox *Optimal) SizeBits() int64 {
 			bits += m.ext.Bits
 		}
 	}
-	return bits + ox.dirBits + ox.aExt.Bits + ox.layout.sizeBits()
+	return bits + ox.aExt.Bits + ox.layout.sizeBits() + ox.legacyDirBits()
+}
+
+// legacyDirBits is the exact directory an image written before the node
+// records carried it keeps in its metadata (every member's length, every
+// node's block), charged as such images always were: 128 bits per member.
+// It is 0 for an image whose node records are the directory.
+func (ox *Optimal) legacyDirBits() int64 {
+	if ox.layout.lenBits > 0 {
+		return 0
+	}
+	var members int64
+	for _, lv := range ox.levels {
+		members += int64(len(lv.members))
+	}
+	return members * legacyRecordBits
 }
 
 // BitmapBits returns only the bitmap payload bits (the O(nH₀) term),

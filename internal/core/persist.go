@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 
@@ -42,14 +43,23 @@ const maxStoredJ = 5
 
 // EncodeMeta appends the static (Theorem 2+3) index's metadata to e. The
 // device image is serialised separately; the metadata references it by
-// extent offsets only. The exp-Golomb orders of the internal members trail
-// the payload, level by level: files written before members had orders end
-// without them, and their members read as gamma-coded.
+// extent offsets only. The exact directory is the node records of the tree
+// layout (layout.go) — the metadata holds their field widths and each
+// level's base — so its size depends on the levels and the hashed sets, not
+// on the members. A 0 where files written before stored the level count (at
+// least 1) marks the layout: those files decode through OpenApprox's legacy
+// branch, and a binary from before rejects a new file there.
 func (ax *Approx) EncodeMeta(e *container.Encoder) error {
-	tr := ax.tree
+	tr, l := ax.tree, ax.layout
+	if l.lenBits == 0 {
+		return fmt.Errorf("core: an image with a legacy tree layout is not re-encoded")
+	}
 	for a := 0; a < tr.sigma; a++ {
 		e.U(uint64(tr.prefix[a+1] - tr.prefix[a]))
 	}
+	e.U(0)
+	e.U(uint64(l.lenBits))
+	e.U(uint64(l.kBits))
 	e.U(uint64(len(ax.levels)))
 	for _, lv := range ax.levels {
 		e.U(uint64(lv.depth))
@@ -62,21 +72,22 @@ func (ax *Approx) EncodeMeta(e *container.Encoder) error {
 		off := base
 		for _, m := range lv.members {
 			// One AllocStream per level places members back to back; the
-			// decoder rebuilds offsets from the base and these lengths.
+			// decoder rebuilds offsets from the base and the records' lengths.
 			if m.ext.Off != off {
 				return fmt.Errorf("core: level %d members not contiguous at bit %d", lv.depth, off)
 			}
-			e.U(uint64(m.ext.Bits))
 			off += m.ext.Bits
 		}
 	}
 	e.U(uint64(ax.aExt.Off))
-	e.U(uint64(len(ax.layout.blockOf)))
-	for _, b := range ax.layout.blockOf {
-		e.U(uint64(b))
-	}
-	e.U(uint64(ax.layout.nblocks))
 	e.U(uint64(ax.k))
+	return ax.encodeHashed(e)
+}
+
+// encodeHashed appends the hashed directories of the first ax.k levels,
+// level by level: per j the group's base, its sets' lengths and their
+// cardinalities.
+func (ax *Approx) encodeHashed(e *container.Encoder) error {
 	for li := range ax.levels {
 		hl := ax.hmaps[li]
 		for j := 0; j < ax.k; j++ {
@@ -99,59 +110,70 @@ func (ax *Approx) EncodeMeta(e *container.Encoder) error {
 			}
 		}
 	}
-	for _, lv := range ax.levels {
-		for _, m := range lv.members {
-			if m.internal {
-				e.U(uint64(m.k))
-			}
-		}
-	}
 	return nil
 }
 
 // OpenApprox reconstitutes a static index from EncodeMeta's payload, served
 // from d (typically a FileDisk over the image section). The tree, prefix
-// array, materialised-level assignment, member ranges and hash functions are
-// all recomputed; only placement and cardinalities come from the payload.
+// array, materialised-level assignment, member ranges, layout placement and
+// hash functions are all recomputed; the member lengths and orders are read
+// from the node records, in one pass over the layout blocks outside any
+// query's stats; only the widths, bases and hashed directories come from the
+// payload.
+//
+// A file written before the records carried the directory (its level count
+// where the marker is) takes the legacy branch: the tree at legacyHeight,
+// the lengths inline in the level headers, each node's block stored after A
+// and the internal members' orders trailing the payload (absent, gamma).
 func OpenApprox(d *iomodel.Disk, sigma int, opts ApproxOptions, dec *container.Decoder) (*Approx, error) {
 	opts.OptimalOptions.fill()
 	if sigma < 1 || sigma > container.MaxSigma {
 		return nil, fmt.Errorf("core: alphabet size %d out of range", sigma)
 	}
 	tail := d.AllocatedBits()
-	bb := int64(d.BlockBits())
 	if tail <= 0 {
 		return nil, fmt.Errorf("core: empty device image")
 	}
-	totalBlocks := (tail + bb - 1) / bb
 	counts := make([]int64, sigma)
+	var n int64
 	for a := range counts {
 		counts[a] = int64(dec.UN(container.MaxRows))
+		n += counts[a] // at most 2^22 counts of at most 2^40 each: no overflow
+	}
+	if dec.Err() == nil && n > container.MaxRows {
+		return nil, fmt.Errorf("core: row count %d out of range", n)
+	}
+	nLevels := int(dec.UN(maxSkeletonDepth))
+	legacy := nLevels > 0
+	height := heightFor
+	var lenBits, kBits int
+	if legacy {
+		height = legacyHeight
+	} else {
+		lenBits = int(dec.UN(uint64(bits.Len64(uint64(tail)))))
+		kBits = int(dec.UN(uint64(bits.Len(gamma.MaxOrder))))
+		nLevels = int(dec.UN(maxSkeletonDepth))
+		if dec.Err() == nil && lenBits == 0 {
+			return nil, fmt.Errorf("core: node records with no length field")
+		}
 	}
 	if err := dec.Err(); err != nil {
 		return nil, err
 	}
-	tr, err := treeFromCounts(counts, opts.Branching)
+	tr, err := treeFromCounts(counts, opts.Branching, height)
 	if err != nil {
 		return nil, err
-	}
-	n := tr.n
-	if n > container.MaxRows {
-		return nil, fmt.Errorf("core: row count %d out of range", n)
 	}
 	ox := &Optimal{disk: d, tree: tr, opts: opts.OptimalOptions}
 
 	// Recompute the level assignment exactly as BuildOptimal does.
 	depths := materialDepths(tr.Height, opts.Stride)
 	byLevel := make([][]*Node, len(depths))
-	for _, v := range tr.Nodes {
-		if li := memberLevel(depths, v); li >= 0 {
-			byLevel[li] = append(byLevel[li], v)
-		}
+	eachMember(tr, depths, func(v *Node, li, _ int) { byLevel[li] = append(byLevel[li], v) })
+	if nLevels != len(depths) {
+		return nil, fmt.Errorf("core: level count %d, recomputed %d", nLevels, len(depths))
 	}
-	if got := int(dec.UN(uint64(maxSkeletonDepth))); got != len(depths) {
-		return nil, fmt.Errorf("core: level count %d, recomputed %d", got, len(depths))
-	}
+	bases := make([]int64, len(depths))
 	for li, depth := range depths {
 		if got := int(dec.UN(uint64(maxSkeletonDepth))); got != depth {
 			return nil, fmt.Errorf("core: level %d depth %d, recomputed %d", li, got, depth)
@@ -159,36 +181,42 @@ func OpenApprox(d *iomodel.Disk, sigma int, opts ApproxOptions, dec *container.D
 		if got := int(dec.UN(uint64(len(byLevel[li])))); got != len(byLevel[li]) {
 			return nil, fmt.Errorf("core: level %d member count %d, recomputed %d", li, got, len(byLevel[li]))
 		}
-		var members []member
-		off := int64(dec.UN(uint64(tail)))
-		for _, v := range byLevel[li] {
-			bits := int64(dec.UN(uint64(tail)))
-			if off > tail-bits {
-				return nil, fmt.Errorf("core: level %d member extent [%d,+%d) exceeds image of %d bits", li, off, bits, tail)
+		bases[li] = int64(dec.UN(uint64(tail)))
+		members := make([]member, len(byLevel[li]))
+		for mi, v := range byLevel[li] {
+			members[mi] = member{start: v.Start, end: v.End, card: v.End - v.Start, internal: !v.IsLeaf()}
+			if legacy {
+				members[mi].ext.Bits = int64(dec.UN(uint64(tail)))
 			}
-			members = append(members, member{
-				start: v.Start, end: v.End,
-				ext:      iomodel.Extent{Off: off, Bits: bits},
-				card:     v.End - v.Start,
-				internal: !v.IsLeaf(),
-			})
-			off += bits
 		}
 		ox.levels = append(ox.levels, newMatLevel(depth, members))
-		ox.dirBits += int64(len(members)) * 128
 	}
 	ox.aExt = iomodel.Extent{Off: int64(dec.UN(uint64(tail))), Bits: int64(sigma+1) * 64}
+	if err := dec.Err(); err != nil {
+		return nil, err
+	}
 	if ox.aExt.End() > tail {
 		return nil, fmt.Errorf("core: prefix array extent exceeds image")
 	}
-	if got := int(dec.UN(uint64(len(tr.Nodes)))); got != len(tr.Nodes) {
-		return nil, fmt.Errorf("core: node count %d, recomputed %d", got, len(tr.Nodes))
+	if legacy {
+		ox.layout, err = openLegacyLayout(d, tr, dec)
+	} else {
+		err = ox.openLayout(depths, lenBits, kBits)
 	}
-	blockOf := make([]iomodel.BlockID, len(tr.Nodes))
-	for i := range blockOf {
-		blockOf[i] = iomodel.BlockID(dec.UN(uint64(totalBlocks - 1)))
+	if err != nil {
+		return nil, err
 	}
-	ox.layout = &treeLayout{disk: d, blockOf: blockOf, nblocks: int(dec.UN(uint64(totalBlocks)))}
+	for li := range ox.levels {
+		off := bases[li]
+		for mi := range ox.levels[li].members {
+			m := &ox.levels[li].members[mi]
+			if off > tail-m.ext.Bits {
+				return nil, fmt.Errorf("core: level %d member extent [%d,+%d) exceeds image of %d bits", li, off, m.ext.Bits, tail)
+			}
+			m.ext.Off = off
+			off += m.ext.Bits
+		}
+	}
 
 	ax := &Approx{Optimal: ox, seed: opts.Seed, k: maxJ(n)}
 	// Files written while maxJ rounded up store one level more than is
@@ -225,7 +253,7 @@ func OpenApprox(d *iomodel.Disk, sigma int, opts ApproxOptions, dec *container.D
 		}
 		ax.hmaps = append(ax.hmaps, hl)
 	}
-	if dec.More() {
+	if legacy && dec.More() {
 		for li := range ox.levels {
 			for mi := range ox.levels[li].members {
 				if m := &ox.levels[li].members[mi]; m.internal {
@@ -237,7 +265,24 @@ func OpenApprox(d *iomodel.Disk, sigma int, opts ApproxOptions, dec *container.D
 	if err := dec.Err(); err != nil {
 		return nil, err
 	}
+	d.ResetStats()
 	return ax, nil
+}
+
+// openLegacyLayout decodes the layout of a file written before the records
+// carried the directory: every node's block, then the block count.
+func openLegacyLayout(d *iomodel.Disk, tr *Tree, dec *container.Decoder) (*treeLayout, error) {
+	bb := int64(d.BlockBits())
+	totalBlocks := (d.AllocatedBits() + bb - 1) / bb
+	if got := int(dec.UN(uint64(len(tr.Nodes)))); got != len(tr.Nodes) {
+		return nil, fmt.Errorf("core: node count %d, recomputed %d", got, len(tr.Nodes))
+	}
+	l := &treeLayout{disk: d, blockOf: make([]iomodel.BlockID, len(tr.Nodes))}
+	for i := range l.blockOf {
+		l.blockOf[i] = iomodel.BlockID(dec.UN(uint64(totalBlocks - 1)))
+	}
+	l.nblocks = int(dec.UN(uint64(totalBlocks)))
+	return l, dec.Err()
 }
 
 // EncodeMeta appends the append-index (Theorem 4/5) metadata to e: counts,

@@ -117,9 +117,55 @@ func TestOpenApproxStoredLevels(t *testing.T) {
 	}
 }
 
+// encodeLegacyMeta writes ax's metadata the way files written before the
+// node records carried the member directory did: the member lengths inline
+// in the level headers, every node's block after A, and — when orders is
+// set — the internal members' exp-Golomb orders trailing the payload. Such a
+// file's tree has legacyHeight; ax's must have the same height.
+func encodeLegacyMeta(t *testing.T, ax *Approx, orders bool) []byte {
+	t.Helper()
+	tr := ax.tree
+	if heightFor(tr.n, tr.C) != legacyHeight(tr.n, tr.C) {
+		t.Fatalf("n = %d, c = %d: the legacy height differs", tr.n, tr.C)
+	}
+	var e container.Encoder
+	for a := 0; a < tr.sigma; a++ {
+		e.U(uint64(tr.prefix[a+1] - tr.prefix[a]))
+	}
+	e.U(uint64(len(ax.levels)))
+	for _, lv := range ax.levels {
+		e.U(uint64(lv.depth))
+		e.U(uint64(len(lv.members)))
+		e.U(uint64(lv.members[0].ext.Off))
+		for _, m := range lv.members {
+			e.U(uint64(m.ext.Bits))
+		}
+	}
+	e.U(uint64(ax.aExt.Off))
+	e.U(uint64(len(ax.layout.blockOf)))
+	for _, b := range ax.layout.blockOf {
+		e.U(uint64(b))
+	}
+	e.U(uint64(ax.layout.nblocks))
+	e.U(uint64(ax.k))
+	if err := ax.encodeHashed(&e); err != nil {
+		t.Fatal(err)
+	}
+	for _, lv := range ax.levels {
+		for _, m := range lv.members {
+			if orders && m.internal {
+				e.U(uint64(m.k))
+			}
+		}
+	}
+	return e.Bytes()
+}
+
 // TestOpenApproxMemberOrders: the exp-Golomb orders of the internal members
-// trail the static metadata and survive a round trip; a list cut short is
-// corrupt, and so is an order above gamma.MaxOrder.
+// survive a round trip through the node records, and through the trailing
+// list of a legacy file; a legacy file without the list reads every member
+// as gamma-coded, one whose list is cut short is corrupt, and so is one with
+// an order above gamma.MaxOrder.
 func TestOpenApproxMemberOrders(t *testing.T) {
 	opts := ApproxOptions{Seed: 42}
 	col := workload.Zipf(20000, 64, 1.0, 9)
@@ -139,17 +185,33 @@ func TestOpenApproxMemberOrders(t *testing.T) {
 	if slices.Max(want) == 0 || slices.Max(want) >= 128 {
 		t.Fatalf("orders %v: want one above 0, each a one-byte varint", want)
 	}
+	open := func(payload []byte) (*Approx, error) {
+		dec := container.NewDecoder(payload)
+		got, err := OpenApprox(d, ax.Sigma(), opts, dec)
+		if err == nil {
+			err = dec.Finish()
+		}
+		return got, err
+	}
+	requireOrders := func(what string, got *Approx, gamma bool) {
+		t.Helper()
+		for li, lv := range got.levels {
+			for mi, m := range lv.members {
+				w := ax.levels[li].members[mi]
+				if gamma {
+					w.k = 0
+				}
+				if m != w {
+					t.Fatalf("%s: level %d member %+v, built %+v", what, li, m, w)
+				}
+			}
+		}
+	}
 	got, err := reopen(t, d, ax, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for li, lv := range got.levels {
-		for mi, m := range lv.members {
-			if w := ax.levels[li].members[mi]; m.k != w.k || m.internal != w.internal {
-				t.Fatalf("level %d member %d: reopened at order %d (internal %v), built at %d (%v)", li, mi, m.k, m.internal, w.k, w.internal)
-			}
-		}
-	}
+	requireOrders("records", got, false)
 	for _, q := range workload.RandomRanges(20, 64, 9, 3) {
 		r := index.Range{Lo: q.Lo, Hi: q.Hi}
 		a, _, err := got.Query(r)
@@ -161,25 +223,39 @@ func TestOpenApproxMemberOrders(t *testing.T) {
 		}
 	}
 
-	var e container.Encoder
-	if err := ax.EncodeMeta(&e); err != nil {
+	meta := encodeLegacyMeta(t, ax, true)
+	old, err := open(meta)
+	if err != nil {
 		t.Fatal(err)
 	}
-	meta := e.Bytes()
-	open := func(payload []byte) error {
-		_, err := OpenApprox(d, ax.Sigma(), opts, container.NewDecoder(payload))
-		return err
+	requireOrders("legacy", old, false)
+	var members int64
+	for _, lv := range ax.levels {
+		members += int64(len(lv.members))
 	}
-	if err := open(meta[:len(meta)-1]); !errors.Is(err, container.ErrCorrupt) {
+	if got, want := old.SizeBits(), ax.SizeBits()+members*legacyRecordBits; got != want {
+		t.Fatalf("legacy SizeBits %d, want %d: the metadata directory at 128 bits per member", got, want)
+	}
+	if l := old.SpaceLedger(); l.DirBits != ax.SpaceLedger().DirBits+members*legacyRecordBits {
+		t.Fatalf("legacy ledger DirBits %d, charges no metadata directory", l.DirBits)
+	}
+	if !slices.Equal(old.layout.blockOf, ax.layout.blockOf) || old.layout.recordBits() != legacyRecordBits {
+		t.Fatalf("legacy layout: %d-bit records, blocks differ: %v", old.layout.recordBits(), !slices.Equal(old.layout.blockOf, ax.layout.blockOf))
+	}
+	if old, err = open(encodeLegacyMeta(t, ax, false)); err != nil {
+		t.Fatal(err)
+	}
+	requireOrders("legacy without orders", old, true)
+	if _, err := open(meta[:len(meta)-1]); !errors.Is(err, container.ErrCorrupt) {
 		t.Fatalf("order list cut short: error %v, want ErrCorrupt", err)
 	}
 	bad := slices.Clone(meta)
 	bad[len(bad)-1] = gamma.MaxOrder + 1
-	if err := open(bad); !errors.Is(err, container.ErrCorrupt) {
+	if _, err := open(bad); !errors.Is(err, container.ErrCorrupt) {
 		t.Fatalf("order %d: error %v, want ErrCorrupt", gamma.MaxOrder+1, err)
 	}
 	bad[len(bad)-1] = gamma.MaxOrder
-	if err := open(bad); err != nil {
+	if _, err := open(bad); err != nil {
 		t.Fatalf("order %d: %v", gamma.MaxOrder, err)
 	}
 }

@@ -62,15 +62,25 @@ func BuildTree(col workload.Column, c int) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newTree(prefix, c)
+	return newTree(prefix, c, heightFor)
+}
+
+// legacyHeight is the height rule of static images written before their node
+// records carried the member directory: ⌈log n / log c⌉ in floating point,
+// one level too tall wherever the quotient rounds above an integer (n = c^e
+// for n = 7^5, 5^3, 8^7 and others). Those images reopen with the topology
+// they were built with.
+func legacyHeight(n int64, c int) int {
+	return max(int(math.Ceil(math.Log(float64(n))/math.Log(float64(c)))), 1)
 }
 
 // newTree builds the node structure over a column's prefix counts (σ+1
-// entries, the last n) and assigns preorder IDs. Topology is a pure function
-// of (prefix, c): the recursive build consults characters only through
-// charOf, which reads prefix — this is what makes the tree reconstructible
-// from counts alone.
-func newTree(prefix []int64, c int) (*Tree, error) {
+// entries, the last n) and assigns preorder IDs; height(n, c) is the leaf
+// depth of the unpruned tree. Topology is a pure function of (prefix, c,
+// height): the recursive build consults characters only through charOf,
+// which reads prefix — this is what makes the tree reconstructible from
+// counts alone.
+func newTree(prefix []int64, c int, height func(n int64, c int) int) (*Tree, error) {
 	if c <= 4 {
 		return nil, fmt.Errorf("core: branching parameter %d must exceed 4", c)
 	}
@@ -81,11 +91,7 @@ func newTree(prefix []int64, c int) (*Tree, error) {
 	t := &Tree{C: c, n: prefix[sigma], sigma: sigma, prefix: prefix}
 	// Height: all leaves of the unpruned tree sit at depth h with node
 	// weight Θ(n/c^d) at depth d.
-	h := int(math.Ceil(math.Log(float64(t.n)) / math.Log(float64(t.C))))
-	if h < 1 {
-		h = 1
-	}
-	t.Root = t.build(nil, 0, 0, t.n, h)
+	t.Root = t.build(nil, 0, 0, t.n, height(t.n, t.C))
 	var assign func(v *Node)
 	assign = func(v *Node) {
 		v.ID = len(t.Nodes)
@@ -106,8 +112,9 @@ func newTree(prefix []int64, c int) (*Tree, error) {
 // The returned tree is topologically identical to BuildTree's over any
 // column with these counts: the tree holds no positions (queries read them
 // from the on-device bitmaps), and everything it does hold — prefix, node
-// ranges, charOf — depends only on counts.
-func treeFromCounts(counts []int64, c int) (*Tree, error) {
+// ranges, charOf — depends only on counts and the height rule the image was
+// built under.
+func treeFromCounts(counts []int64, c int, height func(n int64, c int) int) (*Tree, error) {
 	prefix := make([]int64, len(counts)+1)
 	for a, cnt := range counts {
 		if cnt < 0 {
@@ -118,7 +125,7 @@ func treeFromCounts(counts []int64, c int) (*Tree, error) {
 		}
 		prefix[a+1] = prefix[a] + cnt
 	}
-	return newTree(prefix, c)
+	return newTree(prefix, c, height)
 }
 
 // charOf returns the character of record r.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -207,6 +208,65 @@ func TestCharOfPosOf(t *testing.T) {
 		}
 		if p := sc.slab[r]; p != wantPos[r] {
 			t.Fatalf("position of record %d = %d, want %d", r, p, wantPos[r])
+		}
+	}
+}
+
+// TestTreeHeightAtPowerOfBranching: a static tree's height is ⌈log_c n⌉ by
+// integer powers (heightFor). The floating-point quotient older images were
+// built with (legacyHeight) reads one too tall at these n = c^e, and a tree
+// built for the taller target splits its root in two instead of c. Each n
+// small enough to build is built both ways.
+func TestTreeHeightAtPowerOfBranching(t *testing.T) {
+	for _, tc := range []struct{ c, e int }{
+		{8, 7}, {8, 9}, {5, 3}, {5, 6}, {6, 3}, {6, 6}, {7, 3}, {7, 5}, {7, 6},
+	} {
+		n := int64(1)
+		for range tc.e {
+			n *= int64(tc.c)
+		}
+		if got, old := heightFor(n, tc.c), legacyHeight(n, tc.c); got != tc.e || old != tc.e+1 {
+			t.Errorf("n = %d^%d: height %d, legacy %d; want %d, %d", tc.c, tc.e, got, old, tc.e, tc.e+1)
+		}
+		for _, m := range []int64{n - 1, n + 1} {
+			if got, old := heightFor(m, tc.c), legacyHeight(m, tc.c); got != old {
+				t.Errorf("n = %d (c = %d): height %d, legacy %d", m, tc.c, got, old)
+			}
+		}
+		if n > 1<<17 {
+			continue
+		}
+		col := workload.Uniform(int(n), 16, n)
+		tr, err := BuildTree(col, tc.c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefix, _ := col.Prefix()
+		old, err := newTree(prefix, tc.c, legacyHeight)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, was := len(tr.Root.Children), len(old.Root.Children); got != tc.c || was != 2 {
+			t.Errorf("n = %d^%d: root has %d children (legacy height: %d), want %d (2)", tc.c, tc.e, got, was, tc.c)
+		}
+	}
+}
+
+// TestHeightForNoOverflow: heightFor stays exact where the next power of c
+// would overflow an int64, at the largest branching a container may declare.
+func TestHeightForNoOverflow(t *testing.T) {
+	for _, tc := range []struct {
+		w    int64
+		c, h int
+	}{
+		{1 << 62, 1 << 21, 3},
+		{math.MaxInt64, 1 << 30, 3},
+		{1 << 60, 1 << 30, 2},
+		{1<<60 + 1, 1 << 30, 3},
+		{math.MaxInt64, 2, 63},
+	} {
+		if got := heightFor(tc.w, tc.c); got != tc.h {
+			t.Errorf("heightFor(%d, %d) = %d, want %d", tc.w, tc.c, got, tc.h)
 		}
 	}
 }

@@ -285,3 +285,55 @@ func TestFileDiskGeometryErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestFileDiskPeek: Peek reads a file-backed device's bits, in pread and mmap
+// mode, outside any session — no charge, no cache entry, no fault — so the
+// first session to read the block afterwards still pays for it. Its loads
+// count as device reads until ResetStats.
+func TestFileDiskPeek(t *testing.T) {
+	d, poss, vals := buildImageDisk(t, Config{BlockBits: 512}, 3)
+	path, tail := dumpImage(t, d, 0)
+	fc := FaultConfig{Seed: 1, TransientPer10k: 10000}
+	for _, mode := range []FileMode{ModePread, ModeMmap} {
+		fd, f := openBacked(t, path, Config{BlockBits: 512, CacheBlocks: 8, Faults: &fc}, FileBackingConfig{TailBits: tail, Mode: mode})
+		fd.ArmFaults()
+		r, err := fd.Peek(Extent{Off: 0, Bits: tail})
+		if err != nil {
+			t.Fatalf("mode %d: %v", mode, err)
+		}
+		for i, pos := range poss {
+			if err := r.Seek(int(pos)); err != nil {
+				t.Fatal(err)
+			}
+			if v, _ := r.ReadBits(64); v != vals[i] {
+				t.Fatalf("mode %d: bit %d peeks %#x, want %#x", mode, pos, v, vals[i])
+			}
+		}
+		if st := fd.Stats(); st != (StatsSnapshot{}) || fd.CachedBlocks() != 0 || fd.DeviceReads() != 3 {
+			t.Fatalf("mode %d: after Peek stats %+v, %d cached blocks, %d device reads", mode, st, fd.CachedBlocks(), fd.DeviceReads())
+		}
+		// A reader over one value starts at it and ends after it.
+		r, err = fd.Peek(Extent{Off: poss[1], Bits: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err := r.ReadBits(64); err != nil || v != vals[1] {
+			t.Fatalf("mode %d: Peek at bit %d reads %#x (%v), want %#x", mode, poss[1], v, err, vals[1])
+		}
+		if _, err := r.ReadBits(1); err == nil {
+			t.Fatalf("mode %d: Peek's reader runs past its extent", mode)
+		}
+		fd.DisarmFaults()
+		fd.ResetStats()
+		tc := fd.NewTouch()
+		if _, err := tc.ReadBits(poss[0], 64); err != nil || tc.Reads() != 1 {
+			t.Fatalf("mode %d: first read after Peek charged %d (%v), want 1", mode, tc.Reads(), err)
+		}
+		tc.Close()
+		if _, err := fd.Peek(Extent{Off: tail - 8, Bits: 16}); !errors.Is(err, ErrInvalidRange) {
+			t.Fatalf("mode %d: Peek past the image: %v", mode, err)
+		}
+		fd.Close()
+		f.Close()
+	}
+}

@@ -497,6 +497,30 @@ func (d *Disk) BlockExtent(id BlockID) Extent {
 	return Extent{Off: d.BlockOff(id), Bits: int64(d.cfg.BlockBits)}
 }
 
+// Peek returns a reader over ext's bits, positioned at ext.Off and bounded
+// at ext.End(), read outside any session: nothing is charged, cached or
+// fault-checked. A file-backed device loads the blocks from its file,
+// counted in DeviceReads until the next ResetStats. Opening an index reads
+// what it keeps in memory this way, then resets. The reader shares the
+// device's bytes: use it before the next write.
+func (d *Disk) Peek(ext Extent) (*bitio.Reader, error) {
+	if ext.Off < 0 || ext.Bits < 0 || ext.End() > d.tailBits {
+		return nil, ErrInvalidRange
+	}
+	if fb := d.file; fb != nil && ext.Bits > 0 {
+		for b := d.blockOf(ext.Off); b <= d.blockOf(ext.End()-1); b++ {
+			if err := fb.load(d, b); err != nil {
+				return nil, err
+			}
+		}
+	}
+	r := bitio.NewReader(d.buf[:(ext.End()+7)/8], int(ext.End()))
+	if err := r.Seek(int(ext.Off)); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
 // blockOf returns the block containing bit position pos.
 func (d *Disk) blockOf(pos int64) BlockID { return BlockID(pos / int64(d.cfg.BlockBits)) }
 

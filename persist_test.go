@@ -36,6 +36,16 @@ func (c *countingReaderAt) snapshot() (total int64, distinct int) {
 	return c.total, len(c.offsets)
 }
 
+// reset forgets the reads recorded so far and returns how many there were.
+func (c *countingReaderAt) reset() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	total := c.total
+	c.total = 0
+	clear(c.offsets)
+	return total
+}
+
 func writeOpen(t *testing.T, write func(path string) error, oo OpenOptions) *Opened {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "index.secidx")
@@ -84,6 +94,12 @@ func TestPersistReadDifferentialStatic(t *testing.T) {
 	}
 	if ix.Len() != twin.Len() || ix.Sigma() != twin.Sigma() {
 		t.Fatalf("reopened %d/%d, want %d/%d", ix.Len(), ix.Sigma(), twin.Len(), twin.Sigma())
+	}
+	// Opening reads the structure blocks once, for the member directory their
+	// node records hold, outside any query's stats; the queries' reads are
+	// counted from here.
+	if opened, layout := cnt.reset(), ix.SpaceLedger().LayoutBits/int64(opts.BlockBits); opened != layout {
+		t.Fatalf("opening issued %d positional reads, the tree layout has %d blocks", opened, layout)
 	}
 
 	var charged int64
