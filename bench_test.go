@@ -805,6 +805,11 @@ func BenchmarkServeSim(b *testing.B) {
 				last = serve.Simulate(serve.ShardBackend{Ix: ix.sx}, nil, bc.arr, serve.SimConfig{Config: cfg})
 			}
 			st := last.Stats
+			// An op is one whole simulation, whose served and batch counts
+			// follow the simulated service time: scripts/bench.sh gates
+			// allocations per served request and per batch from these two.
+			b.ReportMetric(float64(st.Completed), "served/op")
+			b.ReportMetric(float64(st.Batches), "batches/op")
 			b.ReportMetric(float64(st.Completed)/last.Makespan.Seconds(), "served/s")
 			b.ReportMetric(100*float64(st.Shed)/float64(len(bc.arr)), "shed-pct")
 			if st.Batches > 0 {

@@ -142,6 +142,61 @@ func TestOpenFileRowOverflow(t *testing.T) {
 	}
 }
 
+// shortDynamicContainer returns a dynamic container whose manifest and
+// metadata declare 2^24 rows while the metadata carries only three: decoding
+// must stop at the first missing row, not grow the string to the declared
+// count.
+func shortDynamicContainer(tb testing.TB) []byte {
+	tb.Helper()
+	const sigma, rows = 16, 1 << 24
+	path := filepath.Join(tb.TempDir(), "short.secidx")
+	err := writeContainer(path, container.KindDynamic, func(cw *container.Writer) error {
+		var e container.Encoder
+		encodeManifest(&e, rows, sigma, Options{BlockBits: 2048}, 1)
+		if err := cw.Add(container.TypeManifest, 0, e.Bytes(), 1); err != nil {
+			return err
+		}
+		var m container.Encoder
+		m.U(rows)
+		m.U(1)
+		m.U(2)
+		m.U(3)
+		return cw.Add(container.TypeDynamicMeta, 0, m.Bytes(), 1)
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// TestOpenDynamicShortPayload: a dynamic container that declares far more
+// rows than it carries fails ErrCorrupt, allocating what its bytes hold, not
+// what its header declares (2^24 rows of 4 bytes each would be 64 MiB).
+func TestOpenDynamicShortPayload(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "short.secidx")
+	if err := os.WriteFile(path, shortDynamicContainer(t), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	o, err := OpenFile(path, OpenOptions{})
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		o.Close()
+	}
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("2^24 rows declared, 3 present: error %v, want ErrCorrupt", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("2^24 rows declared, 3 present: allocated %d bytes", grew)
+	}
+}
+
 // FuzzLoadV2 feeds OpenFile arbitrary container bytes — seeded with valid
 // files of every kind, per-shard checksum truncations, bit flips and hostile
 // section lengths — and checks the untrusted-input contract: never a panic,
@@ -187,6 +242,8 @@ func FuzzLoadV2(f *testing.F) {
 	f.Add(legacy)
 	// Counts that sum past the row bound, at a branching whose powers overflow.
 	f.Add(rowOverflowContainer(f))
+	// A dynamic payload declaring far more rows than it carries.
+	f.Add(shortDynamicContainer(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.secidx")

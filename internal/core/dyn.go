@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 
@@ -226,11 +227,19 @@ func buildCharSkeleton(counts []int64, c int, parent *dynNode, depth int, lo, hi
 // rebuildAll reconstructs the whole structure from byChar (initial build and
 // global rebuilds when n doubles). All I/O is charged to tc.
 func (ax *AppendIndex) rebuildAll(tc *iomodel.Touch) error {
-	// Free all existing chains.
+	// Free every member's chain and buffer, and every structure block: nodeBlk
+	// keeps the nodes subtree rebuilds replaced, so it holds all the layout
+	// allocated. Block order, not map order, keeps the image deterministic.
 	for _, lvl := range ax.levels {
 		for _, m := range lvl {
 			m.chain.Truncate()
+			if ax.opts.Buffered {
+				ax.disk.FreeBlock(m.buf)
+			}
 		}
+	}
+	for _, blk := range slices.Compact(slices.Sorted(maps.Values(ax.nodeBlk))) {
+		ax.disk.FreeBlock(blk)
 	}
 	h := heightFor(ax.n+int64(ax.sigma), ax.opts.Branching)
 	all := ax.reset(ax.buildSkeleton(nil, 0, 0, uint32(ax.sigma-1), h), ax.opts.Stride)

@@ -79,25 +79,22 @@ type dynBin struct {
 
 // BuildDynamic constructs the Theorem 7 index over col.
 func BuildDynamic(d *iomodel.Disk, col workload.Column, opts DynamicOptions) (*Dynamic, error) {
+	if _, err := col.Prefix(); err != nil {
+		return nil, err
+	}
+	return newDynamic(d, col.Sigma, opts, slices.Clone(col.X))
+}
+
+// newDynamic builds the index over x, which it keeps: character sigma marks
+// a deleted row, and so does a fresh position translator.
+func newDynamic(d *iomodel.Disk, sigma int, opts DynamicOptions, x []uint32) (*Dynamic, error) {
 	opts.fill()
 	if opts.Branching <= 4 {
 		return nil, fmt.Errorf("core: branching parameter %d must exceed 4", opts.Branching)
 	}
-	dx := &Dynamic{
-		disk:     d,
-		opts:     opts,
-		sigma:    col.Sigma,
-		sigmaEff: col.Sigma + 1,
-	}
-	prefix, err := col.Prefix()
-	if err != nil {
-		return nil, err
-	}
-	dx.x = append(make([]uint32, 0, col.Len()), col.X...)
-	dx.n = int64(col.Len())
-	dx.counts = make([]int64, dx.sigmaEff)
-	for a := range col.Sigma {
-		dx.counts[a] = prefix[a+1] - prefix[a]
+	dx := &Dynamic{disk: d, opts: opts, sigma: sigma, sigmaEff: sigma + 1, n: int64(len(x)), x: x, counts: make([]int64, sigma+1)}
+	for _, ch := range x {
+		dx.counts[ch]++
 	}
 	if err := dx.rebuild(); err != nil {
 		return nil, err
@@ -107,13 +104,21 @@ func BuildDynamic(d *iomodel.Disk, col workload.Column, opts DynamicOptions) (*D
 		return nil, err
 	}
 	dx.trans = trans
+	for i, ch := range x {
+		if ch == uint32(sigma) {
+			if _, err := trans.Delete(int64(i)); err != nil {
+				return nil, err
+			}
+		}
+	}
 	d.ResetStats()
 	return dx, nil
 }
 
-// rebuild reconstructs the skeleton and every level's point index from the
-// current string (initial build, and global rebuilds once the update count
-// since the last build exceeds the string length).
+// rebuild frees every level's point index and bulk-loads it anew from the
+// current string (the build, and global rebuilds once the updates since the
+// last build exceed half the string): a level's bins are character ranges,
+// so record ranges, and one scatter hands each bin its sorted positions.
 func (dx *Dynamic) rebuild() error {
 	h := heightFor(dx.n+int64(dx.sigmaEff), dx.opts.Branching)
 	all := dx.reset(buildCharSkeleton(dx.counts, dx.opts.Branching, nil, 0, 0, uint32(dx.sigmaEff-1), h), dx.opts.Stride)
@@ -125,27 +130,33 @@ func (dx *Dynamic) rebuild() error {
 		}
 		dx.members[li] = append(dx.members[li], dynBin{lo: v.lo, hi: v.hi})
 	}
+	for _, px := range dx.points {
+		px.free(px.root)
+	}
 	dx.points = dx.points[:0]
-	for li := range dx.members {
-		slices.SortFunc(dx.members[li], func(a, b dynBin) int { return cmp.Compare(a.lo, b.lo) })
+	prefix := make([]int64, dx.sigmaEff+1)
+	for a, c := range dx.counts {
+		prefix[a+1] = prefix[a] + c
+	}
+	sc := newLevelScratch[int64](prefix, dx.x)
+	var ms []member
+	var byBin [][]int64
+	for _, bins := range dx.members {
+		slices.SortFunc(bins, func(a, b dynBin) int { return cmp.Compare(a.lo, b.lo) })
 		// One bin per member; bin index = position in the sorted slice.
-		px, err := NewPointIndex(dx.disk, len(dx.members[li]), dx.opts.PointBranching)
+		ms, byBin = ms[:0], byBin[:0]
+		for _, b := range bins {
+			ms = append(ms, member{start: prefix[b.lo], end: prefix[b.hi+1]})
+			byBin = append(byBin, sc.slab[prefix[b.lo]:prefix[b.hi+1]])
+		}
+		if err := sc.scatter(ms); err != nil {
+			return err
+		}
+		px, err := loadPointIndex(dx.disk, len(bins), dx.opts.PointBranching, byBin)
 		if err != nil {
 			return err
 		}
 		dx.points = append(dx.points, px)
-	}
-	// Populate: bulk insert every position into its bin at every level.
-	for i, ch := range dx.x {
-		for li := range dx.members {
-			bin, ok := dx.binFor(li, ch)
-			if !ok {
-				continue
-			}
-			if _, err := dx.points[li].Insert(uint32(bin), int64(i)); err != nil {
-				return err
-			}
-		}
 	}
 	dx.updatesSinceBuild = 0
 	dx.GlobalRebuildCount++

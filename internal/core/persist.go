@@ -649,11 +649,10 @@ func (dx *Dynamic) ValidateDelete(i int64) error {
 
 // EncodeMeta appends the dynamic (Theorem 7) index's logical snapshot to e:
 // the current string (deleted rows as ∞ markers) and the rebuild counter.
-// The Theorem 7 structure is rebuilt, not remapped, at open — its buffered
-// point indexes and position translator are write-active even on the query
-// path's maintenance side, so a frozen file image cannot serve it; the
-// snapshot is the paper's own global-rebuilding primitive applied at the
-// serialisation boundary.
+// The structure itself is not stored: its buffered point indexes and
+// position translator keep changing under updates, so a frozen file image
+// cannot serve them. OpenDynamic bulk-loads them from the string instead,
+// the paper's global rebuild applied at the serialisation boundary.
 func (dx *Dynamic) EncodeMeta(e *container.Encoder) error {
 	e.U(uint64(len(dx.x)))
 	for _, ch := range dx.x {
@@ -664,53 +663,29 @@ func (dx *Dynamic) EncodeMeta(e *container.Encoder) error {
 }
 
 // OpenDynamic reconstitutes a dynamic index from EncodeMeta's payload onto
-// the writable device d by replaying a global rebuild and re-marking the
-// deleted positions in a fresh position translator. Answers are identical to
-// the serialised index's; the rebuild clock restarts (updatesSinceBuild is
-// zero after a global rebuild, by definition).
+// the writable device d: it decodes the string, stopping at the first decode
+// error, and builds the index over it as BuildDynamic does, bulk-loading
+// every level and marking the deleted rows in a fresh position translator.
+// Answers are identical to the serialised index's; the rebuild clock
+// restarts (updatesSinceBuild is zero after a global rebuild, by definition).
 func OpenDynamic(d *iomodel.Disk, sigma int, opts DynamicOptions, dec *container.Decoder) (*Dynamic, error) {
-	opts.fill()
-	if opts.Branching <= 4 {
-		return nil, fmt.Errorf("core: branching parameter %d must exceed 4", opts.Branching)
-	}
 	if sigma < 1 || sigma > container.MaxSigma {
 		return nil, fmt.Errorf("core: alphabet size %d out of range", sigma)
 	}
 	n := dec.UN(container.MaxRows)
-	dx := &Dynamic{disk: d, opts: opts, sigma: sigma, sigmaEff: sigma + 1}
-	dx.counts = make([]int64, dx.sigmaEff)
-	cap0 := n
-	if cap0 > 1<<16 {
-		cap0 = 1 << 16 // growth tracks bytes actually decoded, not the header
-	}
-	dx.x = make([]uint32, 0, cap0)
-	for i := uint64(0); i < n; i++ {
-		ch := uint32(dec.UN(uint64(sigma))) // sigma itself is the ∞ marker
-		dx.x = append(dx.x, ch)
-		dx.counts[ch]++
+	// Growth tracks the bytes actually decoded, not the declared count.
+	x := make([]uint32, 0, min(n, 1<<16))
+	for i := uint64(0); i < n && dec.Err() == nil; i++ {
+		x = append(x, uint32(dec.UN(uint64(sigma)))) // sigma itself is the ∞ marker
 	}
 	grc := int(dec.UN(maxRebuildCount))
 	if err := dec.Err(); err != nil {
 		return nil, err
 	}
-	dx.n = int64(len(dx.x))
-	if err := dx.rebuild(); err != nil {
-		return nil, err
-	}
-	trans, err := NewPositionTranslator(d, dx.n)
+	dx, err := newDynamic(d, sigma, opts, x)
 	if err != nil {
 		return nil, err
 	}
-	dx.trans = trans
-	for i, ch := range dx.x {
-		if ch == uint32(sigma) {
-			if _, err := trans.Delete(int64(i)); err != nil {
-				return nil, err
-			}
-		}
-	}
 	dx.GlobalRebuildCount = grc
-	dx.updatesSinceBuild = 0
-	d.ResetStats()
 	return dx, nil
 }

@@ -90,55 +90,56 @@ const (
 // NewPointIndex returns an empty index over alphabet [0,sigma) with
 // branching parameter c >= 2.
 func NewPointIndex(d *iomodel.Disk, sigma, c int) (*PointIndex, error) {
+	return loadPointIndex(d, sigma, c, nil)
+}
+
+// BuildPointIndex bulk-loads the index from a column.
+func BuildPointIndex(d *iomodel.Disk, col workload.Column, c int) (*PointIndex, error) {
+	byChar, err := col.Group()
+	if err != nil {
+		return nil, err
+	}
+	px, err := loadPointIndex(d, col.Sigma, c, byChar)
+	if err == nil {
+		d.ResetStats()
+	}
+	return px, err
+}
+
+// loadPointIndex, the one constructor, bulk-loads the index from byChar,
+// character a's sorted, duplicate-free positions at byChar[a]: they fill
+// block-sized leaves in character order, and every c nodes of a level get a
+// parent with an empty buffer, up to an internal root. With no positions, one
+// empty leaf for character 0 anchors routing.
+func loadPointIndex(d *iomodel.Disk, sigma, c int, byChar [][]int64) (*PointIndex, error) {
 	if c < 2 {
 		return nil, fmt.Errorf("core: point index branching %d must be >= 2", c)
 	}
 	if sigma < 1 {
 		return nil, fmt.Errorf("core: alphabet size %d", sigma)
 	}
-	px := &PointIndex{disk: d, sigma: sigma, c: c}
-	px.bufCap = d.BlockBits() / recordBits(pentryLayout)
+	px := &PointIndex{disk: d, sigma: sigma, c: c, bufCap: d.BlockBits() / recordBits(pentryLayout)}
 	if px.bufCap < 4 {
 		return nil, fmt.Errorf("core: block size %d bits holds fewer than 4 buffer entries", d.BlockBits())
-	}
-	// One empty leaf for character 0 anchors routing; the root is internal.
-	leaf := &pnode{leaf: true, ch: 0, blk: d.AllocBlock(), min: pkey{0, 0}}
-	tc := d.NewTouch()
-	defer tc.Close()
-	var err error
-	if leaf.bits, err = writeLeafBlock(tc, d, leaf.blk, nil); err != nil {
-		return nil, err
-	}
-	px.root = &pnode{min: leaf.min, kids: []*pnode{leaf}, buf: d.AllocBlock()}
-	px.nLeaves, px.nNodes = 1, 2
-	return px, nil
-}
-
-// BuildPointIndex bulk-loads the index from a column.
-func BuildPointIndex(d *iomodel.Disk, col workload.Column, c int) (*PointIndex, error) {
-	px, err := NewPointIndex(d, col.Sigma, c)
-	if err != nil {
-		return nil, err
-	}
-	byChar, err := col.Group()
-	if err != nil {
-		return nil, err
 	}
 	tc := d.NewTouch()
 	defer tc.Close()
 	var leaves []*pnode
-	for a := 0; a < col.Sigma; a++ {
-		if len(byChar[a]) == 0 {
+	for a, pos := range byChar {
+		if len(pos) == 0 {
 			continue
 		}
-		ls, err := px.encodeLeaves(tc, uint32(a), byChar[a])
+		ls, err := px.encodeLeaves(tc, uint32(a), pos)
 		if err != nil {
 			return nil, err
 		}
 		leaves = append(leaves, ls...)
 	}
 	if len(leaves) == 0 {
-		return px, nil
+		var err error
+		if leaves, err = px.encodeLeaves(tc, 0, nil); err != nil {
+			return nil, err
+		}
 	}
 	px.nLeaves = len(leaves)
 	px.nNodes = len(leaves)
@@ -146,12 +147,8 @@ func BuildPointIndex(d *iomodel.Disk, col workload.Column, c int) (*PointIndex, 
 	for { // at least once: the root is internal
 		var up []*pnode
 		for i := 0; i < len(level); i += px.c {
-			hi := i + px.c
-			if hi > len(level) {
-				hi = len(level)
-			}
-			nd := &pnode{min: level[i].min, kids: level[i:hi:hi], buf: d.AllocBlock()}
-			up = append(up, nd)
+			hi := min(i+px.c, len(level))
+			up = append(up, &pnode{min: level[i].min, kids: level[i:hi:hi], buf: d.AllocBlock()})
 			px.nNodes++
 		}
 		if level = up; len(level) == 1 {
@@ -159,21 +156,35 @@ func BuildPointIndex(d *iomodel.Disk, col workload.Column, c int) (*PointIndex, 
 		}
 	}
 	px.root = level[0]
-	d.ResetStats()
 	return px, nil
 }
 
-// encodeLeaves packs one character's sorted, non-empty positions into
-// block-sized leaves.
+// encodeLeaves packs one character's sorted positions into block-sized
+// leaves; no positions make one empty leaf keyed at position 0.
 func (px *PointIndex) encodeLeaves(tc *iomodel.Touch, ch uint32, pos []int64) (out []*pnode, err error) {
 	for _, piece := range px.splitPositions(pos) {
-		leaf := &pnode{leaf: true, ch: ch, blk: px.disk.AllocBlock(), min: pkey{ch, piece[0]}}
+		leaf := &pnode{leaf: true, ch: ch, blk: px.disk.AllocBlock(), min: pkey{ch, 0}}
+		if len(piece) > 0 {
+			leaf.min.pos = piece[0]
+		}
 		if leaf.bits, err = writeLeafBlock(tc, px.disk, leaf.blk, piece); err != nil {
 			return nil, err
 		}
 		out = append(out, leaf)
 	}
 	return out, nil
+}
+
+// free gives back the blocks under nd: leaves and buffers.
+func (px *PointIndex) free(nd *pnode) {
+	if nd.leaf {
+		px.disk.FreeBlock(nd.blk)
+		return
+	}
+	px.disk.FreeBlock(nd.buf)
+	for _, k := range nd.kids {
+		px.free(k)
+	}
 }
 
 // The updatable kinds' two block formats are written and read here alone: a

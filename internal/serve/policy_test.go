@@ -146,6 +146,11 @@ func TestBatchGrowsBehindBusyExecutor(t *testing.T) {
 				// Arrival i is in (or past) the intake queue, or shed, before
 				// arrival i+1 is submitted: the trace's order is the queue's.
 				waitFor(t, "admission", func() bool { st := s.Stats(); return st.Admitted+st.Shed == uint64(i+1) })
+				// And the dispatcher has taken it off the queue, unless a
+				// sealed batch holds it there: a dispatcher still parked with
+				// the forming batch on offer when the backend lets go would
+				// hand over a batch the trace does not cut.
+				waitFor(t, "the dispatcher", func() bool { return len(s.intake) == 0 || s.holding.Load() })
 				if i == 0 {
 					waitFor(t, "the backend to hold batch 0", func() bool { c, _, _ := be.stats(); return c == 1 })
 				}

@@ -26,6 +26,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cbitmap"
@@ -301,8 +302,12 @@ type Server struct {
 
 	intake chan *request
 	execCh chan batch[*request] // unbuffered: a receiver is an idle executor
-	quit   chan struct{}
-	wg     sync.WaitGroup
+	// holding is whether the dispatcher's latest pass left intake unread
+	// behind a sealed batch, so a test can tell an arrival held in the
+	// queue from one the dispatcher has yet to take.
+	holding atomic.Bool
+	quit    chan struct{}
+	wg      sync.WaitGroup
 }
 
 // NewServer starts a server over the backend. Close releases it; every
@@ -440,6 +445,7 @@ func (s *Server) dispatch() {
 		} else if len(f.reqs) == 0 || len(s.intake) > 0 {
 			offer = nil
 		}
+		s.holding.Store(intake == nil)
 		var timerC <-chan time.Time
 		if at := f.timerAt(&s.cfg); at != math.MaxInt64 {
 			timer.Reset(time.Until(time.Unix(0, at)))

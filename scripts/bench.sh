@@ -5,7 +5,8 @@
 # After writing the new file, the script compares allocs/op and blockIO/op
 # (including blockIO/batch) against the most recent committed BENCH_<n>.json
 # — both are deterministic across machines, unlike ns/op — and fails loudly
-# on a >20% regression in any benchmark present in both files, or when
+# on a >20% regression in any benchmark present in both files (for
+# BenchmarkServeSim, allocs per served request and per batch), or when
 # BenchmarkBuild/public/n=524288 allocates more than 1.25 x BENCH_16's B/op.
 #
 # Usage: scripts/bench.sh [tag] [count]
@@ -85,12 +86,27 @@ prev = json.load(open(prev_path))
 # 20% relative headroom plus 2 absolute slack, so benchmarks with
 # single-digit counts do not flap on a one-unit wobble.
 GATED = ('allocs_per_op', 'blockIO_per_op', 'blockIO_per_batch')
+# A BenchmarkServeSim op is one whole simulation: how many requests it serves
+# and how many batches it cuts follow the simulated service time, so a change
+# that makes queries cheaper moves its allocs/op either way. Its rows gate
+# allocations per served request and per batch instead.
+SIM_GATED = ('allocs_per_served', 'allocs_per_batch')
+def per_unit(row):
+    row = dict(row)
+    for metric, unit in (('allocs_per_served', 'served_per_op'), ('allocs_per_batch', 'batches_per_op')):
+        if row.get(unit) and 'allocs_per_op' in row:
+            row[metric] = row['allocs_per_op'] / row[unit]
+    return row
 regressions = []
 for name, cur in result.items():
     old = prev.get(name)
     if old is None:
         continue
-    for metric in GATED:
+    gated = GATED
+    if name.startswith('BenchmarkServeSim/'):
+        cur, old = per_unit(cur), per_unit(old)
+        gated = ('blockIO_per_batch',) + SIM_GATED
+    for metric in gated:
         if metric not in old or metric not in cur:
             continue
         limit = old[metric] * 1.2 + 2
