@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math/bits"
 )
 
 // Magic identifies a v2 container file.
@@ -265,6 +266,9 @@ type Encoder struct {
 
 // U appends an unsigned varint.
 func (e *Encoder) U(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
+
+// ULen returns the bytes U appends for v.
+func ULen(v uint64) int { return max(1, (bits.Len64(v)+6)/7) }
 
 // I appends a signed (zig-zag) varint.
 func (e *Encoder) I(v int64) { e.buf = binary.AppendVarint(e.buf, v) }

@@ -142,6 +142,12 @@ func TestEncoderDecoderRoundTrip(t *testing.T) {
 	if err := d.Finish(); err != nil {
 		t.Fatal(err)
 	}
+	for _, v := range []uint64{0, 1, 127, 128, 1<<14 - 1, 1 << 14, 1<<63 + 5, ^uint64(0)} {
+		var e Encoder
+		if e.U(v); ULen(v) != len(e.Bytes()) {
+			t.Fatalf("ULen(%d) = %d, U appended %d bytes", v, ULen(v), len(e.Bytes()))
+		}
+	}
 }
 
 func TestDecoderStickyErrors(t *testing.T) {

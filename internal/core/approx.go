@@ -8,6 +8,7 @@ import (
 	"slices"
 
 	"repro/internal/cbitmap"
+	"repro/internal/container"
 	"repro/internal/hashutil"
 	"repro/internal/index"
 	"repro/internal/iomodel"
@@ -56,18 +57,38 @@ func (ax *Approx) K() int { return ax.k }
 // Seed returns the hash seed (indexes must share it to intersect results).
 func (ax *Approx) Seed() int64 { return ax.seed }
 
-// SizeBits includes the hashed sets on top of the exact structure.
+// SizeBits includes the hashed sets and their directory on top of the exact
+// structure.
 func (ax *Approx) SizeBits() int64 {
-	bits := ax.Optimal.SizeBits()
+	size := ax.Optimal.SizeBits() + ax.hashedDirBits()
 	for _, hl := range ax.hmaps {
 		for _, arr := range hl.perJ {
-			bits += int64(len(arr.exts)) * 3 * 64
 			for _, e := range arr.exts {
-				bits += e.Bits
+				size += e.Bits
 			}
 		}
 	}
-	return bits
+	return size
+}
+
+// hashedDirBits is what the container's metadata spends on the hashed
+// directory: per level and j, the group's base, then every set's length and
+// cardinality, each a varint (encodeHashed).
+func (ax *Approx) hashedDirBits() int64 {
+	var bytes int
+	for _, hl := range ax.hmaps {
+		for _, arr := range hl.perJ {
+			var base int64
+			if len(arr.exts) > 0 {
+				base = arr.exts[0].Off
+			}
+			bytes += container.ULen(uint64(base))
+			for i, e := range arr.exts {
+				bytes += container.ULen(uint64(e.Bits)) + container.ULen(uint64(arr.cards[i]))
+			}
+		}
+	}
+	return 8 * int64(bytes)
 }
 
 // Result is the answer to an approximate range query: either an exact
@@ -248,10 +269,7 @@ func (ax *Approx) ApproxQueryContext(ctx context.Context, r index.Range, eps flo
 	}()
 	sc := getScratch()
 	defer sc.release()
-	qlo, qhi, err := recordRange(tc, ax.aExt, r)
-	if err != nil {
-		return nil, stats, err
-	}
+	qlo, qhi := ax.tree.RecordRange(r.Lo, r.Hi)
 	z := qhi - qlo
 
 	// Choose the smallest j with 2^(2^j) > z/ε among the k levels whose
@@ -273,7 +291,7 @@ func (ax *Approx) ApproxQueryContext(ctx context.Context, r index.Range, eps flo
 		// saves nothing: it happens when the universe is within a small factor
 		// of n and the members' positions cluster
 		// (hypotheses/useless-hashed-level).
-		if err = ax.planCover(tc, qlo, qhi, plan); err != nil {
+		if err = ax.planCover(qlo, qhi, plan); err != nil {
 			return nil, stats, err
 		}
 		if exactBits, hashedBits := ax.frontierBits(plan.Chunks, j); hashedBits >= exactBits {
@@ -281,14 +299,13 @@ func (ax *Approx) ApproxQueryContext(ctx context.Context, r index.Range, eps flo
 		}
 	}
 	if j == 0 {
-		// "If j > k we cannot save anything": answer exactly, in this session
-		// (structure blocks the cover walk charged are not charged again). The
-		// chunks priced above are the exact plan unless the answer is dense
+		// "If j > k we cannot save anything": answer exactly. The chunks
+		// priced above are the exact plan unless the answer is dense
 		// enough for the complement trick, which reads the two ranges beside
 		// this one.
 		if !planned || z > ax.tree.n/2 {
 			plan.reset()
-			if err = ax.planRecords(tc, qlo, qhi, plan); err != nil {
+			if err = ax.planRecords(qlo, qhi, plan); err != nil {
 				return nil, stats, err
 			}
 		}

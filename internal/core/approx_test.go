@@ -457,10 +457,8 @@ func TestDroppedLevelSavesNothing(t *testing.T) {
 // frontierBitsOf prices the frontiers of the record range [qlo,qhi) the way
 // ApproxQueryContext does: plan its cover, then read the directory.
 func (ax *Approx) frontierBitsOf(qlo, qhi int64, j int) (exact, hashed int64, err error) {
-	tc := ax.disk.NewTouch()
-	defer tc.Close()
 	var plan QueryPlan
-	if err := ax.coverChunks(tc, qlo, qhi, &plan); err != nil {
+	if err := ax.coverChunks(qlo, qhi, &plan); err != nil {
 		return 0, 0, err
 	}
 	exact, hashed = ax.frontierBits(plan.Chunks, j)

@@ -178,9 +178,10 @@ func (dx *Dynamic) Len() int64 { return dx.n }
 // Sigma implements index.Index.
 func (dx *Dynamic) Sigma() int { return dx.sigma }
 
-// SizeBits implements index.Index.
+// SizeBits implements index.Index: the levels' point indexes, their bin
+// directories, the counts and the position translator.
 func (dx *Dynamic) SizeBits() int64 {
-	var bits int64
+	bits := dx.trans.SizeBits()
 	for _, px := range dx.points {
 		bits += px.SizeBits()
 	}

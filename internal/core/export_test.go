@@ -20,7 +20,7 @@ func (ox *Optimal) QueryGeneralMerge(r index.Range) (out *cbitmap.Bitmap, stats 
 	sc := getScratch()
 	defer sc.release()
 	plans := sc.growPlans(1)
-	if err = ox.planInto(tc, r, &plans[0]); err == nil {
+	if err = ox.planInto(r, &plans[0]); err == nil {
 		plans[0].Ordered = false
 		var answers []*cbitmap.Bitmap
 		if answers, err = sc.execute(context.Background(), tc, plans, ox.exactDir, len(ox.levels), ox.tree.n, &stats); err == nil {

@@ -20,9 +20,10 @@ const legacyRecordBits = 128
 // block with pointers to each of the subtrees at level d+1", recursively.
 // Concretely each block receives a BFS-connected top region of up to
 // B/recordBits nodes (placeLayout), so any root-to-leaf path touches
-// O(lg n / lg cap) = O(lg_b n) structure blocks. blockOf maps a node ID to
-// the block holding its record; query traversals charge a read of each
-// distinct structure block they visit.
+// O(lg n / lg cap) = O(lg_b n) structure blocks. Those blocks are what the
+// paper's internal memory of (|Σ| lg n)^δ blocks holds: the tree is rebuilt
+// from the counts and the records are read once at open, so no query reads
+// a structure block (at point-pread's scale the layout is 15 blocks).
 //
 // A node's record is its member's directory entry: the length of the
 // member's gap stream in lenBits, then its exp-Golomb order in kBits (both
@@ -33,7 +34,6 @@ const legacyRecordBits = 128
 // whole exact directory.
 type treeLayout struct {
 	disk           *iomodel.Disk
-	blockOf        []iomodel.BlockID
 	nblocks        int
 	lenBits, kBits int // 0, 0 for a legacy layout
 }
@@ -78,7 +78,7 @@ func nodeRecords(t *Tree, depths []int, levels [][]member) (recs []uint64, lenBi
 // pure function of the topology and the record width, so a reopen replays
 // the build's.
 func placeLayout(d *iomodel.Disk, t *Tree, first iomodel.BlockID, lenBits, kBits int, visit func(v *Node, pos int64)) *treeLayout {
-	l := &treeLayout{disk: d, blockOf: make([]iomodel.BlockID, len(t.Nodes)), lenBits: lenBits, kBits: kBits}
+	l := &treeLayout{disk: d, lenBits: lenBits, kBits: kBits}
 	width := l.recordBits()
 	cap := perBlock(d, width)
 	pending := []*Node{t.Root}
@@ -95,7 +95,6 @@ func placeLayout(d *iomodel.Disk, t *Tree, first iomodel.BlockID, lenBits, kBits
 					pending = append(pending, v)
 					continue
 				}
-				l.blockOf[v.ID] = blk
 				visit(v, d.BlockOff(blk)+int64(count*width))
 				count++
 				queue = append(queue, v.Children...)
@@ -179,21 +178,4 @@ func layoutBits(d *iomodel.Disk, t *Tree, recordBits int) int {
 // sizeBits returns the space occupied by the structure blocks.
 func (l *treeLayout) sizeBits() int64 {
 	return int64(l.nblocks) * int64(l.disk.BlockBits())
-}
-
-// ioSession is the read surface tree traversals charge through: an
-// iomodel.Touch (a query's session, or a shared-scan batch's, which also
-// attributes the read to the batch's current query).
-type ioSession interface {
-	ReadBits(pos int64, n int) (uint64, error)
-}
-
-// charge marks the structure block holding v as read in the session. The
-// read can fail on a fault-injecting device; callers propagate the error so
-// a failed structure-block read aborts (and can retry) the query.
-func (l *treeLayout) charge(tc ioSession, v *Node) error {
-	blk := l.blockOf[v.ID]
-	// Touch one bit of the block; the session dedupes repeated touches.
-	_, err := tc.ReadBits(l.disk.BlockOff(blk), 1)
-	return err
 }

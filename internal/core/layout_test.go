@@ -12,31 +12,22 @@ import (
 )
 
 // recordPos returns the bit position of every node's record on ox's device,
-// by node ID, replaying the layout's placement.
+// by node ID, replaying the layout's placement from the first block after A.
 func recordPos(ox *Optimal) []int64 {
 	l := ox.layout
+	bb := int64(ox.disk.BlockBits())
+	first := iomodel.BlockID((ox.aExt.End() + bb - 1) / bb)
 	pos := make([]int64, len(ox.tree.Nodes))
-	placeLayout(ox.disk, ox.tree, l.blockOf[ox.tree.Root.ID], l.lenBits, l.kBits, func(v *Node, p int64) { pos[v.ID] = p })
+	placeLayout(ox.disk, ox.tree, first, l.lenBits, l.kBits, func(v *Node, p int64) { pos[v.ID] = p })
 	return pos
-}
-
-// recordingSession is a query session that remembers where it read.
-type recordingSession struct {
-	tc  *iomodel.Touch
-	pos []int64
-}
-
-func (s *recordingSession) ReadBits(pos int64, n int) (uint64, error) {
-	s.pos = append(s.pos, pos)
-	return s.tc.ReadBits(pos, n)
 }
 
 // TestLayoutRecords: the node records are the exact directory. Over block
 // sizes and alphabets, a reopen rebuilds from them the extents, orders and
-// block assignment the build made; a record whose length runs past the image,
+// record placement the build made; a record whose length runs past the image,
 // a leaf record with an order and a record on a node that is no member are
-// rejected at open; and every structure block a query charges holds the
-// record of a node the query visited.
+// rejected at open; every node's record reads back as its member's entry; and
+// planning a query reads none of them, nor A.
 func TestLayoutRecords(t *testing.T) {
 	opts := ApproxOptions{Seed: 3}
 	for _, bb := range []int{512, 2048, 32768} {
@@ -58,14 +49,16 @@ func TestLayoutRecords(t *testing.T) {
 					}
 				}
 				gl, wl := got.layout, ax.layout
-				if !slices.Equal(gl.blockOf, wl.blockOf) || gl.nblocks != wl.nblocks || gl.lenBits != wl.lenBits || gl.kBits != wl.kBits {
-					t.Fatalf("reopened layout: %d blocks of %d+%d-bit records, built %d of %d+%d; blocks equal: %v",
-						gl.nblocks, gl.lenBits, gl.kBits, wl.nblocks, wl.lenBits, wl.kBits, slices.Equal(gl.blockOf, wl.blockOf))
+				gp, wp := recordPos(got.Optimal), recordPos(ax.Optimal)
+				if !slices.Equal(gp, wp) || gl.nblocks != wl.nblocks || gl.lenBits != wl.lenBits || gl.kBits != wl.kBits {
+					t.Fatalf("reopened layout: %d blocks of %d+%d-bit records, built %d of %d+%d; placements equal: %v",
+						gl.nblocks, gl.lenBits, gl.kBits, wl.nblocks, wl.lenBits, wl.kBits, slices.Equal(gp, wp))
 				}
 				if got.SizeBits() != ax.SizeBits() || got.SpaceLedger().ResidentBits() != d.AllocatedBits() {
 					t.Fatalf("reopened SizeBits %d, built %d", got.SizeBits(), ax.SizeBits())
 				}
-				requireChargesVisitedRecords(t, ax, col)
+				requireRecordsHoldMembers(t, ax)
+				requirePlanningReadsNothing(t, got, col)
 			})
 		}
 	}
@@ -141,56 +134,38 @@ func TestLayoutRecords(t *testing.T) {
 	}
 }
 
-// requireChargesVisitedRecords plans ranges over ax and holds every
-// structure block the cover charges to the records of the nodes it visited:
-// each charged block is one of theirs and holds one of their records, which
-// reads back as that node's member entry.
-func requireChargesVisitedRecords(t *testing.T, ax *Approx, col workload.Column) {
+// requireRecordsHoldMembers reads every node's record off ax's device and
+// holds it to its member's directory entry (0 for a node that is no member).
+func requireRecordsHoldMembers(t *testing.T, ax *Approx) {
 	t.Helper()
 	ox := ax.Optimal
-	pos := recordPos(ox)
-	bb := int64(ox.disk.BlockBits())
 	width := ox.layout.recordBits()
 	recs, _, _ := nodeRecords(ox.tree, materialDepths(ox.tree.Height, 2), levelMembers(ox))
-	for _, q := range workload.RandomRanges(30, col.Sigma, max(1, col.Sigma/8), int64(col.Sigma)) {
-		r := index.Range{Lo: q.Lo, Hi: q.Hi}
-		qlo, qhi := ox.tree.RecordRange(r.Lo, r.Hi)
-		visited := make(map[iomodel.BlockID][]*Node)
-		note := func(v *Node) { visited[ox.layout.blockOf[v.ID]] = append(visited[ox.layout.blockOf[v.ID]], v) }
-		for _, v := range ox.tree.Cover(qlo, qhi, note) {
-			note(v)
-		}
-		tc := ox.disk.NewTouch()
-		ses := &recordingSession{tc: tc}
-		var plan QueryPlan
-		if err := ox.coverChunks(ses, qlo, qhi, &plan); err != nil {
+	tc := ox.disk.NewTouch()
+	defer tc.Close()
+	for id, p := range recordPos(ox) {
+		rec, err := tc.ReadBits(p, width)
+		if err != nil {
 			t.Fatal(err)
 		}
-		charged := make(map[iomodel.BlockID]bool)
-		for _, p := range ses.pos {
-			blk := iomodel.BlockID(p / bb)
-			charged[blk] = true
-			holds := false
-			for _, v := range visited[blk] {
-				if pos[v.ID]/bb != int64(blk) {
-					continue
-				}
-				rec, err := tc.ReadBits(pos[v.ID], width)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rec != recs[v.ID] {
-					t.Fatalf("%v: node %d's record reads %#x, its member is %#x", r, v.ID, rec, recs[v.ID])
-				}
-				holds = true
-			}
-			if !holds {
-				t.Fatalf("%v: charged block %d holds no record of a visited node", r, blk)
-			}
+		if rec != recs[id] {
+			t.Fatalf("node %d's record reads %#x, its member is %#x", id, rec, recs[id])
 		}
-		tc.Close()
-		if len(charged) != len(visited) {
-			t.Fatalf("%v: %d structure blocks charged, the visited nodes lie in %d", r, len(charged), len(visited))
+	}
+}
+
+// requirePlanningReadsNothing plans ranges over ax, exact and complemented,
+// through planQuiet: z and the cover come from memory, so a query's reads are
+// its member extents alone.
+func requirePlanningReadsNothing(t *testing.T, ax *Approx, col workload.Column) {
+	t.Helper()
+	for _, length := range []int{1, max(1, col.Sigma/8), col.Sigma} {
+		for _, q := range workload.RandomRanges(10, col.Sigma, length, int64(col.Sigma+length)) {
+			r := index.Range{Lo: q.Lo, Hi: q.Hi}
+			plan := planQuiet(t, ax.Optimal, r)
+			if z := ax.tree.Count(r.Lo, r.Hi); z > 0 && !plan.Complement && len(plan.Chunks) == 0 {
+				t.Fatalf("%v: no chunks for %d rows", r, z)
+			}
 		}
 	}
 }

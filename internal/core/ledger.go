@@ -24,7 +24,8 @@ type SpaceLedger struct {
 	// image written before that holds 128-bit records nothing reads.
 	RecordBits, NodesPerBlock int
 	// DirBits is the directory SizeBits charges outside the image, in the
-	// container's metadata section: 192 bits per hashed set, plus 128 per
+	// container's metadata section: the hashed sets' bases, lengths and
+	// cardinalities as the metadata's varints spend them, plus 128 bits per
 	// exact member on a legacy image. A newer image's exact directory is its
 	// node records, counted in LayoutBits.
 	DirBits int64
@@ -77,7 +78,7 @@ func (ax *Approx) SpaceLedger() SpaceLedger {
 		LayoutBits: ax.layout.sizeBits(),
 		ImageBits:  ax.disk.AllocatedBits(),
 		RecordBits: ax.layout.recordBits(),
-		DirBits:    ax.legacyDirBits(),
+		DirBits:    ax.legacyDirBits() + ax.hashedDirBits(),
 		UsefulK:    ax.k,
 	}
 	l.NodesPerBlock = perBlock(ax.disk, l.RecordBits)
@@ -92,7 +93,6 @@ func (ax *Approx) SpaceLedger() SpaceLedger {
 				bits += e.Bits
 			}
 			ls.HashedBits = append(ls.HashedBits, bits)
-			l.DirBits += int64(len(arr.exts)) * 3 * 64
 		}
 		l.Levels = append(l.Levels, ls)
 	}

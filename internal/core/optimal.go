@@ -236,13 +236,14 @@ func (ox *Optimal) levelFor(d int) int {
 }
 
 // Query implements index.Index. A query is its plan, executed as a batch of
-// one: planInto reads A[lo] and A[hi+1] for z, applies the complement trick
-// to dense answers and decomposes the record range into its canonical cover
-// (planner.go); execute then reads one contiguous span per member run and
-// fuses decode and merge into a single streaming pass — the members' gap
-// streams feed cbitmap.MergeStreams (or, on the dense path,
-// MergeStreamsComplement) directly, so no intermediate per-chunk bitmap is
-// ever materialised and every bit read is decoded exactly once.
+// one: planInto takes z from the in-memory prefix counts, applies the
+// complement trick to dense answers and decomposes the record range into its
+// canonical cover over the in-memory tree, reading nothing (planner.go);
+// execute then reads one contiguous span per member run and fuses decode and
+// merge into a single streaming pass — the members' gap streams feed
+// cbitmap.MergeStreams (or, on the dense path, MergeStreamsComplement)
+// directly, so no intermediate per-chunk bitmap is ever materialised and
+// every bit read is decoded exactly once.
 func (ox *Optimal) Query(r index.Range) (*cbitmap.Bitmap, index.QueryStats, error) {
 	return ox.QueryContext(context.Background(), r)
 }

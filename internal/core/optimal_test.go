@@ -83,11 +83,9 @@ func TestOptimalDenseAnswerUsesComplement(t *testing.T) {
 	// The complement trick reads the bitmaps for the single missing
 	// character, which is far smaller than the direct answer: the bits the
 	// range's own cover would read.
-	tc := d.NewTouch()
-	defer tc.Close()
 	var direct QueryPlan
 	qlo, qhi := ix.tree.RecordRange(0, 6)
-	if err := ix.planCover(tc, qlo, qhi, &direct); err != nil {
+	if err := ix.planCover(qlo, qhi, &direct); err != nil {
 		t.Fatal(err)
 	}
 	var directBits int64

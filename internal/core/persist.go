@@ -277,11 +277,10 @@ func openLegacyLayout(d *iomodel.Disk, tr *Tree, dec *container.Decoder) (*treeL
 	if got := int(dec.UN(uint64(len(tr.Nodes)))); got != len(tr.Nodes) {
 		return nil, fmt.Errorf("core: node count %d, recomputed %d", got, len(tr.Nodes))
 	}
-	l := &treeLayout{disk: d, blockOf: make([]iomodel.BlockID, len(tr.Nodes))}
-	for i := range l.blockOf {
-		l.blockOf[i] = iomodel.BlockID(dec.UN(uint64(totalBlocks - 1)))
+	for range tr.Nodes {
+		dec.UN(uint64(totalBlocks - 1)) // the node's block: no query reads it
 	}
-	l.nblocks = int(dec.UN(uint64(totalBlocks)))
+	l := &treeLayout{disk: d, nblocks: int(dec.UN(uint64(totalBlocks)))}
 	return l, dec.Err()
 }
 

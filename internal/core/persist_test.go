@@ -30,9 +30,10 @@ func reopen(t *testing.T, d *iomodel.Disk, ax *Approx, opts ApproxOptions) (*App
 
 // TestOpenApproxStoredLevels covers the loader's side of the level cap: what a
 // build before the cap laid down (one level more than is useful, at every n)
-// opens, reports the surplus in its ledger, never selects it and answers like
-// a fresh build; a stored count below the useful one or above maxStoredJ is
-// refused.
+// opens, reports the surplus in its ledger — its hashed directory charged at
+// what the metadata spends on it, as a fresh build's is — never selects it
+// and answers like a fresh build; a stored count below the useful one or
+// above maxStoredJ is refused.
 func TestOpenApproxStoredLevels(t *testing.T) {
 	opts := ApproxOptions{Seed: 42}
 	for _, n := range []int{3, 16, 300, 5000, 70000} {
@@ -58,6 +59,21 @@ func TestOpenApproxStoredLevels(t *testing.T) {
 		if ol.ResidentBits() != ol.ImageBits || fl.ResidentBits() != fl.ImageBits {
 			t.Fatalf("n=%d: ledgers do not sum to their images: %d/%d, %d/%d",
 				n, ol.ResidentBits(), ol.ImageBits, fl.ResidentBits(), fl.ImageBits)
+		}
+		for _, c := range []struct {
+			name    string
+			ax      *Approx
+			l       SpaceLedger
+			encoded *Approx
+		}{{"reopened", old, ol, legacy}, {"fresh", fresh, fl, fresh}} {
+			var e container.Encoder
+			if err := c.encoded.encodeHashed(&e); err != nil {
+				t.Fatal(err)
+			}
+			if meta := 8 * int64(len(e.Bytes())); c.l.DirBits != meta || c.ax.SizeBits() != c.l.ResidentBits()-c.l.PadBits+meta {
+				t.Fatalf("n=%d %s: ledger charges a %d-bit hashed directory, SizeBits %d; the metadata spends %d bits on it",
+					n, c.name, c.l.DirBits, c.ax.SizeBits(), meta)
+			}
 		}
 		surplus := ol.ImageBits - fl.ImageBits // what the fresh build no longer lays down
 		for li, lv := range ol.Levels {
@@ -142,9 +158,10 @@ func encodeLegacyMeta(t *testing.T, ax *Approx, orders bool) []byte {
 		}
 	}
 	e.U(uint64(ax.aExt.Off))
-	e.U(uint64(len(ax.layout.blockOf)))
-	for _, b := range ax.layout.blockOf {
-		e.U(uint64(b))
+	pos := recordPos(ax.Optimal)
+	e.U(uint64(len(pos)))
+	for _, p := range pos {
+		e.U(uint64(p / int64(ax.disk.BlockBits())))
 	}
 	e.U(uint64(ax.layout.nblocks))
 	e.U(uint64(ax.k))
@@ -239,8 +256,8 @@ func TestOpenApproxMemberOrders(t *testing.T) {
 	if l := old.SpaceLedger(); l.DirBits != ax.SpaceLedger().DirBits+members*legacyRecordBits {
 		t.Fatalf("legacy ledger DirBits %d, charges no metadata directory", l.DirBits)
 	}
-	if !slices.Equal(old.layout.blockOf, ax.layout.blockOf) || old.layout.recordBits() != legacyRecordBits {
-		t.Fatalf("legacy layout: %d-bit records, blocks differ: %v", old.layout.recordBits(), !slices.Equal(old.layout.blockOf, ax.layout.blockOf))
+	if old.layout.nblocks != ax.layout.nblocks || old.layout.recordBits() != legacyRecordBits {
+		t.Fatalf("legacy layout: %d blocks of %d-bit records, want %d of %d", old.layout.nblocks, old.layout.recordBits(), ax.layout.nblocks, legacyRecordBits)
 	}
 	if old, err = open(encodeLegacyMeta(t, ax, false)); err != nil {
 		t.Fatal(err)

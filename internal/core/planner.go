@@ -14,6 +14,13 @@
 // sum — the saved reads are reported in QueryStats.SharedSaved. A single
 // query is the batch of one plan, whose sharing is zero: every static query
 // — exact, approximate or Warmup — runs the one executor.
+//
+// Planning reads nothing. The paper's query bound assumes that internal
+// memory holds (|Σ| lg n)^δ blocks, enough for the prefix counts A and the
+// tree (at point-pread's scale A is 2 blocks and the tree layout 15), and
+// every static handle keeps both in memory from its build or open: z and the
+// cover come from there, so a query's block reads are exactly the member
+// extents it decodes.
 
 package core
 
@@ -57,22 +64,16 @@ type QueryPlan struct {
 }
 
 // PlanQuery computes the cover plan of r without executing it. Planning
-// performs exactly the non-scan I/O of Query — the two prefix-array reads
-// and the blocked tree descent — in its own session, so the returned stats
-// are the plan-phase block reads. Executing the plan is then purely a matter
-// of reading the chunk extents, which is what lets a batch coalesce the
-// extents of many plans and read each one once.
+// reads nothing — z comes from the in-memory prefix counts (the paper's A)
+// and the cover from the in-memory tree, as the file comment explains — so
+// the returned stats are zero, and executing the plan is purely a matter of
+// reading the chunk extents, which is what lets a batch coalesce the extents
+// of many plans and read each one once.
 func (ox *Optimal) PlanQuery(r index.Range) (plan QueryPlan, stats index.QueryStats, err error) {
 	if err := r.Valid(ox.tree.sigma); err != nil {
 		return QueryPlan{}, stats, err
 	}
-	tc := ox.disk.NewTouch()
-	defer tc.Close()
-	defer func() {
-		stats.Reads, stats.Writes = tc.Reads(), tc.Writes()
-		stats.FailedReads = tc.FailedReads()
-	}()
-	if err := ox.planInto(tc, r, &plan); err != nil {
+	if err := ox.planInto(r, &plan); err != nil {
 		return QueryPlan{}, stats, err
 	}
 	return plan, stats, nil
@@ -84,49 +85,33 @@ func (p *QueryPlan) reset() {
 	p.Chunks = p.Chunks[:0]
 }
 
-// recordRange turns the character range r into the record range [qlo,qhi)
-// it occupies in the sorted order — z = qhi-qlo — by reading A[lo] and
-// A[hi+1] of the prefix array at aExt (O(1) I/Os), charged to ses.
-func recordRange(ses ioSession, aExt iomodel.Extent, r index.Range) (qlo, qhi int64, err error) {
-	aLo, err := ses.ReadBits(aExt.Off+int64(r.Lo)*64, 64)
-	if err != nil {
-		return 0, 0, err
-	}
-	aHi, err := ses.ReadBits(aExt.Off+int64(r.Hi+1)*64, 64)
-	return int64(aLo), int64(aHi), err
-}
-
-// planInto computes r's plan, charging the prefix-array reads and tree
-// descent to ses (a Touch, which attributes them to its current consumer in
-// a batch).
-func (ox *Optimal) planInto(ses ioSession, r index.Range, plan *QueryPlan) error {
-	qlo, qhi, err := recordRange(ses, ox.aExt, r)
-	if err != nil {
-		return err
-	}
-	return ox.planRecords(ses, qlo, qhi, plan)
+// planInto computes r's plan over the record range [qlo,qhi) it occupies in
+// the sorted order, z = qhi-qlo.
+func (ox *Optimal) planInto(r index.Range, plan *QueryPlan) error {
+	qlo, qhi := ox.tree.RecordRange(r.Lo, r.Hi)
+	return ox.planRecords(qlo, qhi, plan)
 }
 
 // planRecords plans the record range [qlo,qhi): its cover, or for a dense
 // answer the covers of the two complementary ranges, whose union the merge
 // inverts in the same pass (§2.1).
-func (ox *Optimal) planRecords(ses ioSession, qlo, qhi int64, plan *QueryPlan) error {
+func (ox *Optimal) planRecords(qlo, qhi int64, plan *QueryPlan) error {
 	n := ox.tree.n
 	plan.Complement = qhi-qlo > n/2
 	if plan.Complement {
-		if err := coverPlanner(ox, ses, 0, qlo, plan); err != nil {
+		if err := coverPlanner(ox, 0, qlo, plan); err != nil {
 			return err
 		}
-		return coverPlanner(ox, ses, qhi, n, plan)
+		return coverPlanner(ox, qhi, n, plan)
 	}
-	return ox.planCover(ses, qlo, qhi, plan)
+	return ox.planCover(qlo, qhi, plan)
 }
 
 // planCover plans the record range [qlo,qhi) as its own cover, and notes
 // whether one character holds all of it.
-func (ox *Optimal) planCover(ses ioSession, qlo, qhi int64, plan *QueryPlan) error {
+func (ox *Optimal) planCover(qlo, qhi int64, plan *QueryPlan) error {
 	plan.Ordered = qlo < qhi && qhi <= ox.tree.prefix[ox.tree.charOf(qlo)+1]
-	return coverPlanner(ox, ses, qlo, qhi, plan)
+	return coverPlanner(ox, qlo, qhi, plan)
 }
 
 // coverPlanner is the cover planner every plan goes through; the tests swap
@@ -139,46 +124,23 @@ var coverPlanner = (*Optimal).coverChunks
 var coverScratchPool = sync.Pool{New: func() any { return new([]*Node) }}
 
 // coverChunks appends the cover of the record range [qlo,qhi) to the plan as
-// maximal member runs, charging the tree descent to ses exactly as Query
-// does. The cover arrives in record order and a level's members lie in
-// record order, so a cover node that starts where the last run at its level
-// ends extends that run: only a run's first node searches the directory, and
-// the level is looked up only when the cover depth changes. A node whose
-// structure block was just charged is not touched again: the session holds
-// the block, so the touch would change no count.
-func (ox *Optimal) coverChunks(ses ioSession, qlo, qhi int64, plan *QueryPlan) error {
+// maximal member runs. The cover arrives in record order and a level's
+// members lie in record order, so a cover node that starts where the last run
+// at its level ends extends that run: only a run's first node searches the
+// directory, and the level is looked up only when the cover depth changes.
+func (ox *Optimal) coverChunks(qlo, qhi int64, plan *QueryPlan) error {
 	if qlo >= qhi {
 		return nil
 	}
-	last := iomodel.BlockID(-1) // the block charged just before: ses holds it
-	charge := func(v *Node) (err error) {
-		if blk := ox.layout.blockOf[v.ID]; blk != last {
-			if err = ox.layout.charge(ses, v); err == nil {
-				last = blk
-			}
-		}
-		return err
-	}
 	cp := coverScratchPool.Get().(*[]*Node)
-	var chargeErr error
-	cover := ox.tree.CoverAppend((*cp)[:0], qlo, qhi, func(v *Node) {
-		if err := charge(v); err != nil && chargeErr == nil {
-			chargeErr = err
-		}
-	})
+	cover := ox.tree.CoverAppend((*cp)[:0], qlo, qhi)
 	defer func() {
 		clear(cover)
 		*cp = cover[:0]
 		coverScratchPool.Put(cp)
 	}()
-	if chargeErr != nil {
-		return chargeErr
-	}
 	depth, li := -1, 0
 	for _, v := range cover {
-		if err := charge(v); err != nil {
-			return err
-		}
 		if v.Depth != depth {
 			depth, li = v.Depth, ox.levelFor(v.Depth)
 		}
@@ -271,10 +233,9 @@ func (ox *Optimal) queryBatch(ctx context.Context, rs []index.Range, sampled boo
 }
 
 // answer sets out[i] to the answer of rs[i] in one session: duplicate ranges
-// share one answer, and every distinct range is planned — prefix-array reads
-// plus tree descent, attributed to its query when there are several, so the
-// sharing accounting is exact — and then executed with the others as one
-// batch. A single query is the batch of one range.
+// share one answer, and every distinct range is planned in memory and then
+// executed with the others as one batch. A single query is the batch of one
+// range.
 func (ox *Optimal) answer(ctx context.Context, rs []index.Range, out []*cbitmap.Bitmap, sampled bool) (stats index.QueryStats, err error) {
 	for _, r := range rs {
 		if err := r.Valid(ox.tree.sigma); err != nil {
@@ -308,10 +269,7 @@ func (ox *Optimal) answer(ctx context.Context, rs []index.Range, out []*cbitmap.
 		if err := ctx.Err(); err != nil {
 			return stats, err
 		}
-		if len(order) > 1 {
-			tc.StartConsumer(qi)
-		}
-		if err := ox.planInto(tc, r, &plans[qi]); err != nil {
+		if err := ox.planInto(r, &plans[qi]); err != nil {
 			return stats, err
 		}
 	}

@@ -11,42 +11,22 @@ import (
 )
 
 // planBlocks returns the distinct device blocks query r touches, computed by
-// hand from the index's directory: the two prefix-array entries, the blocked
-// tree descent, and the extent of every cover chunk in the plan. This is the
-// per-query-session cost reference the shared-scan accounting is checked
-// against, built without going through the batch execution path.
-func planBlocks(t *testing.T, ox *Optimal, r index.Range, plan QueryPlan) map[int64]struct{} {
-	t.Helper()
+// hand from the index's directory: the extent of every cover chunk in the
+// plan, and nothing else — planning reads neither A nor the tree layout.
+// This is the per-query-session cost reference the shared-scan accounting is
+// checked against, built without going through the batch execution path.
+func planBlocks(ox *Optimal, plan QueryPlan) map[int64]struct{} {
 	bb := int64(ox.disk.BlockBits())
 	set := make(map[int64]struct{})
-	addRange := func(off, bits int64) {
-		if bits == 0 {
-			return
-		}
-		for b := off / bb; b <= (off+bits-1)/bb; b++ {
-			set[b] = struct{}{}
-		}
-	}
-	addRange(ox.aExt.Off+int64(r.Lo)*64, 64)
-	addRange(ox.aExt.Off+int64(r.Hi+1)*64, 64)
-	addNode := func(v *Node) { set[int64(ox.layout.blockOf[v.ID])] = struct{}{} }
-	qlo, qhi := ox.tree.prefix[r.Lo], ox.tree.prefix[r.Hi+1]
-	halves := [][2]int64{{qlo, qhi}}
-	if plan.Complement {
-		halves = [][2]int64{{0, qlo}, {qhi, ox.tree.n}}
-	}
-	for _, h := range halves {
-		if h[0] >= h[1] {
-			continue
-		}
-		for _, v := range ox.tree.Cover(h[0], h[1], addNode) {
-			addNode(v)
-		}
-	}
 	for _, c := range plan.Chunks {
 		lv := &ox.levels[c.Level]
-		off := lv.members[c.I].ext.Off
-		addRange(off, lv.members[c.J-1].ext.End()-off)
+		off, end := lv.members[c.I].ext.Off, lv.members[c.J-1].ext.End()
+		if end == off {
+			continue
+		}
+		for b := off / bb; b <= (end-1)/bb; b++ {
+			set[b] = struct{}{}
+		}
 	}
 	return set
 }
@@ -92,11 +72,14 @@ func runBatchOracle(t *testing.T, ox *Optimal, rs []index.Range) index.QueryStat
 			continue // accounting covers distinct ranges only
 		}
 		seen[r] = i
-		plan, _, err := ox.PlanQuery(r)
+		plan, pst, err := ox.PlanQuery(r)
 		if err != nil {
 			t.Fatalf("PlanQuery %v: %v", r, err)
 		}
-		blocks := planBlocks(t, ox, r, plan)
+		if pst != (index.QueryStats{}) {
+			t.Fatalf("PlanQuery %v: planning reported %+v", r, pst)
+		}
+		blocks := planBlocks(ox, plan)
 		if len(blocks) != st.Reads {
 			t.Fatalf("range %v: hand-computed plan covers %d blocks, standalone query read %d",
 				r, len(blocks), st.Reads)
@@ -222,9 +205,10 @@ func TestQueryBatchEdgeCases(t *testing.T) {
 	}
 }
 
-// TestPlanQueryShape sanity-checks the exposed plan: chunks land on
-// materialised levels, member runs are non-empty and tile the query's record
-// range (summed member weights equal z, or n-z on the complement path).
+// TestPlanQueryShape sanity-checks the exposed plan: planning reads nothing,
+// chunks land on materialised levels, member runs are non-empty and tile the
+// query's record range (summed member weights equal z, or n-z on the
+// complement path).
 func TestPlanQueryShape(t *testing.T) {
 	col := workload.Uniform(4000, 64, 10)
 	d := iomodel.NewDisk(iomodel.Config{BlockBits: 1024})
@@ -237,8 +221,8 @@ func TestPlanQueryShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Reads == 0 {
-			t.Fatalf("plan %v: no plan-phase reads charged", r)
+		if st != (index.QueryStats{}) || d.Stats().Sessions != 0 {
+			t.Fatalf("plan %v: planning reported %+v, opened %d sessions", r, st, d.Stats().Sessions)
 		}
 		var covered int64
 		for _, c := range plan.Chunks {

@@ -15,26 +15,14 @@ import (
 )
 
 // coverChunksPerNode is the planner before member runs: one chunk per cover
-// node, each with its own level lookup, directory search and structure-block
-// touch. It is the oracle coverChunks is held to: the same members in the same
-// order, the same charged blocks, and downstream the same answers and stats.
-func (ox *Optimal) coverChunksPerNode(ses ioSession, qlo, qhi int64, plan *QueryPlan) error {
+// node, each with its own level lookup and directory search. It is the oracle
+// coverChunks is held to: the same members in the same order, and downstream
+// the same answers and stats.
+func (ox *Optimal) coverChunksPerNode(qlo, qhi int64, plan *QueryPlan) error {
 	if qlo >= qhi {
 		return nil
 	}
-	var chargeErr error
-	cover := ox.tree.Cover(qlo, qhi, func(v *Node) {
-		if err := ox.layout.charge(ses, v); err != nil && chargeErr == nil {
-			chargeErr = err
-		}
-	})
-	if chargeErr != nil {
-		return chargeErr
-	}
-	for _, v := range cover {
-		if err := ox.layout.charge(ses, v); err != nil {
-			return err
-		}
+	for _, v := range ox.tree.Cover(qlo, qhi) {
 		li := ox.levelFor(v.Depth)
 		i, j, err := ox.levels[li].chunk(v.Start, v.End)
 		if err != nil {
@@ -61,36 +49,19 @@ func planMembers(plan QueryPlan) (m int) {
 	return m
 }
 
-// blockRecorder is a plan-phase session that records the blocks every
-// successful read spans.
-type blockRecorder struct {
-	tc     *iomodel.Touch
-	bb     int64
-	blocks map[int64]struct{}
-}
-
-func (r *blockRecorder) ReadBits(pos int64, n int) (uint64, error) {
-	v, err := r.tc.ReadBits(pos, n)
-	if err == nil && n > 0 {
-		for b := pos / r.bb; b <= (pos+int64(n)-1)/r.bb; b++ {
-			r.blocks[b] = struct{}{}
-		}
-	}
-	return v, err
-}
-
-// planRecorded plans r in a fresh session and returns the plan, the
-// session's Reads and the blocks its reads spanned.
-func planRecorded(t *testing.T, ox *Optimal, r index.Range) (QueryPlan, int, map[int64]struct{}) {
+// planQuiet plans r through PlanQuery and fails unless planning read
+// nothing: zero stats, and the device's counters where they were.
+func planQuiet(t *testing.T, ox *Optimal, r index.Range) QueryPlan {
 	t.Helper()
-	tc := ox.disk.NewTouch()
-	defer tc.Close()
-	rec := &blockRecorder{tc: tc, bb: int64(ox.disk.BlockBits()), blocks: make(map[int64]struct{})}
-	var plan QueryPlan
-	if err := ox.planInto(rec, r, &plan); err != nil {
+	before := ox.disk.Stats()
+	plan, st, err := ox.PlanQuery(r)
+	if err != nil {
 		t.Fatalf("plan %v: %v", r, err)
 	}
-	return plan, tc.Reads(), rec.blocks
+	if after := ox.disk.Stats(); st != (index.QueryStats{}) || after != before {
+		t.Fatalf("plan %v: stats %+v, device stats %+v → %+v", r, st, before, after)
+	}
+	return plan
 }
 
 // planRunsCase is one fuzz input decoded: a column, the index shape and the
@@ -149,9 +120,9 @@ func decodePlanRuns(data []byte) (planRunsCase, bool) {
 // FuzzPlanRuns holds the run planner to the per-node oracle over
 // fuzzer-chosen columns (σ, n, skew), branching, stride, block size and
 // ranges, complement and empty sides included: the same expanded members in
-// the same order, in maximal runs, charging the same blocks; and Query,
-// ApproxQuery and QueryBatch answering with the same bitmaps and stats as
-// under the oracle, on a clean device and — FailedReads included — on a
+// the same order, in maximal runs, with no read under either planner; and
+// Query, ApproxQuery and QueryBatch answering with the same bitmaps and stats
+// as under the oracle, on a clean device and — FailedReads included — on a
 // fault-injecting one. Corruption stays off: a flipped bit surfaces only in
 // the first read that covers its block, so a coalesced read may rightly see
 // a flip that the per-node read of the neighbouring extent never did.
@@ -179,25 +150,15 @@ func FuzzPlanRuns(f *testing.F) {
 		ax, oracle := build(runsDisk), build(nodeDisk)
 
 		for _, r := range c.ranges {
-			plan, reads, blocks := planRecorded(t, ax.Optimal, r)
+			plan := planQuiet(t, ax.Optimal, r)
 			var want QueryPlan
-			var wantReads int
-			var wantBlocks map[int64]struct{}
-			withPerNodePlanner(func() { want, wantReads, wantBlocks = planRecorded(t, ax.Optimal, r) })
+			withPerNodePlanner(func() { want = planQuiet(t, ax.Optimal, r) })
 			if !slices.Equal(ax.ExactMembers(plan), ax.ExactMembers(want)) || plan.Complement != want.Complement || plan.Ordered != want.Ordered {
 				t.Fatalf("range %v: runs %+v and per-node %+v plan different members", r, plan, want)
 			}
 			for k := 1; k < len(plan.Chunks); k++ {
 				if p, q := plan.Chunks[k-1], plan.Chunks[k]; p.Level == q.Level && p.J == q.I {
 					t.Fatalf("range %v: chunks %+v and %+v are one run", r, p, q)
-				}
-			}
-			if reads != wantReads || len(blocks) != len(wantBlocks) {
-				t.Fatalf("range %v: plan charged %d reads over %d blocks, per-node %d over %d", r, reads, len(blocks), wantReads, len(wantBlocks))
-			}
-			for b := range wantBlocks {
-				if _, ok := blocks[b]; !ok {
-					t.Fatalf("range %v: per-node plan charged block %d, runs did not", r, b)
 				}
 			}
 		}
@@ -347,12 +308,12 @@ func TestMemberRunCensus(t *testing.T) {
 			perNode, runs, members, levels = perNode+pn, runs+rn, members+m, levels+l
 			keys, points = append(keys, key{r, m}), append(points, r)
 		}
-		// The cover walk alone, uncharged, beside the whole run plan: what a
-		// cheaper walk could save.
+		// The cover walk alone beside the whole run plan: what a cheaper walk
+		// could save.
 		var cover []*Node
 		walk := timeOf(points, 40, func(r index.Range) error {
 			lo, hi := ox.tree.RecordRange(r.Lo, r.Hi)
-			cover = ox.tree.CoverAppend(cover[:0], lo, hi, nil)
+			cover = ox.tree.CoverAppend(cover[:0], lo, hi)
 			return nil
 		})
 		k := float64(len(keys))

@@ -9,14 +9,17 @@ import (
 )
 
 // TestRebuildsGiveBackBlocks: a global rebuild frees the blocks of the
-// structure it replaces, so the device space in use stays within 1.5× of what
-// the index accounts for, however many rebuilds run: Theorem 7's under
-// changes and deletes, the buffered append index's under appends.
+// structure it replaces, so the device space in use stays within a constant
+// of what the index accounts for, however many rebuilds run: Theorem 7's
+// under changes and deletes within 1.05× (its SizeBits counts every
+// structure on the device, the position translator included, and reads
+// 0.91–0.93 of the space in use), the buffered append index's under appends
+// within 1.5×.
 func TestRebuildsGiveBackBlocks(t *testing.T) {
-	check := func(t *testing.T, d *iomodel.Disk, rebuilds int, size int64) {
+	check := func(t *testing.T, d *iomodel.Disk, rebuilds int, size int64, bound float64) {
 		t.Helper()
-		if used := d.UsedBits(); float64(used) > 1.5*float64(size) {
-			t.Fatalf("after %d global rebuilds: device holds %d bits in use, index accounts for %d", rebuilds, used, size)
+		if used := d.UsedBits(); float64(used) > bound*float64(size) {
+			t.Fatalf("after %d global rebuilds: device holds %d bits in use, index accounts for %d (bound %.2fx)", rebuilds, used, size, bound)
 		}
 	}
 	t.Run("dynamic", func(t *testing.T) {
@@ -26,7 +29,7 @@ func TestRebuildsGiveBackBlocks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(t, d, dx.GlobalRebuildCount, dx.SizeBits())
+		check(t, d, dx.GlobalRebuildCount, dx.SizeBits(), 1.05)
 		rng := rand.New(rand.NewSource(12))
 		for seen := dx.GlobalRebuildCount; dx.GlobalRebuildCount < 9; {
 			i := rng.Int63n(n)
@@ -40,7 +43,7 @@ func TestRebuildsGiveBackBlocks(t *testing.T) {
 			}
 			if dx.GlobalRebuildCount != seen {
 				seen = dx.GlobalRebuildCount
-				check(t, d, seen, dx.SizeBits())
+				check(t, d, seen, dx.SizeBits(), 1.05)
 			}
 		}
 	})
@@ -58,7 +61,7 @@ func TestRebuildsGiveBackBlocks(t *testing.T) {
 			}
 			if ax.GlobalRebuildCount != seen {
 				seen = ax.GlobalRebuildCount
-				check(t, d, seen, ax.SizeBits())
+				check(t, d, seen, ax.SizeBits(), 1.5)
 			}
 		}
 	})

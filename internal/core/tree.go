@@ -182,11 +182,12 @@ func (t *Tree) build(parent *Node, depth int, start, end int64, h int) *Node {
 
 // CoverAppend appends to dst the canonical cover of the record range
 // [qlo,qhi): the O(lg n) maximal subtrees whose record ranges lie inside it
-// (at most a constant number per level for constant c). visited receives
-// every node inspected on the way down, so the caller can charge the I/Os of
-// the tree traversal (§2.2's O(lg_b n) search term). Appending lets the
-// planner reuse one pooled buffer for every cover it computes.
-func (t *Tree) CoverAppend(dst []*Node, qlo, qhi int64, visited func(*Node)) []*Node {
+// (at most a constant number per level for constant c). The descent runs
+// over the in-memory tree and reads no block: the paper's bound prices the
+// O(lg_b n) structure blocks of §2.2's search, which its internal-memory
+// assumption ((|Σ| lg n)^δ blocks) holds resident. Appending lets the planner
+// reuse one pooled buffer for every cover it computes.
+func (t *Tree) CoverAppend(dst []*Node, qlo, qhi int64) []*Node {
 	var rec func(v *Node)
 	rec = func(v *Node) {
 		if v.End <= qlo || v.Start >= qhi {
@@ -195,9 +196,6 @@ func (t *Tree) CoverAppend(dst []*Node, qlo, qhi int64, visited func(*Node)) []*
 		if qlo <= v.Start && v.End <= qhi {
 			dst = append(dst, v)
 			return
-		}
-		if visited != nil {
-			visited(v)
 		}
 		for _, ch := range v.Children {
 			rec(ch)

@@ -134,7 +134,7 @@ func TestCoverDisjointAndComplete(t *testing.T) {
 		if qlo == qhi {
 			continue
 		}
-		cover := tr.Cover(qlo, qhi, nil)
+		cover := tr.Cover(qlo, qhi)
 		var total int64
 		prevEnd := qlo
 		for _, v := range cover {
@@ -161,30 +161,12 @@ func TestCoverSizeLogarithmic(t *testing.T) {
 		al := uint32(rng.Intn(1024))
 		ar := al + uint32(rng.Intn(1024-int(al)))
 		qlo, qhi := tr.RecordRange(al, ar)
-		cover := tr.Cover(qlo, qhi, nil)
+		cover := tr.Cover(qlo, qhi)
 		// O(1) per level with constant 8c = 64 per level is the worst case;
 		// in practice far fewer. Height is O(log_c n) ~ 6.
 		if len(cover) > 8*DefaultBranching*(tr.Height+1) {
 			t.Fatalf("cover size %d for height %d", len(cover), tr.Height)
 		}
-	}
-}
-
-func TestCoverChargesVisited(t *testing.T) {
-	col := workload.Uniform(10000, 64, 13)
-	tr, err := BuildTree(col, DefaultBranching)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qlo, qhi := tr.RecordRange(10, 50)
-	var visited int
-	tr.Cover(qlo, qhi, func(*Node) { visited++ })
-	if visited == 0 {
-		t.Fatal("no nodes visited on a strict sub-range")
-	}
-	// Visited nodes form the two boundary paths: O(height * degree).
-	if visited > (tr.Height+1)*2 {
-		t.Fatalf("visited %d nodes, height %d", visited, tr.Height)
 	}
 }
 

@@ -17,8 +17,8 @@ import (
 
 // Cover is CoverAppend into a fresh slice, as the oracles and the tree tests
 // take it.
-func (t *Tree) Cover(qlo, qhi int64, visited func(*Node)) []*Node {
-	return t.CoverAppend(nil, qlo, qhi, visited)
+func (t *Tree) Cover(qlo, qhi int64) []*Node {
+	return t.CoverAppend(nil, qlo, qhi)
 }
 
 // readCoverChunk reads, in one contiguous scan, the frontier bitmaps of the
@@ -79,19 +79,7 @@ func (ox *Optimal) queryRecords(tc *iomodel.Touch, qlo, qhi int64, ms []*cbitmap
 	if qlo >= qhi {
 		return ms, nil
 	}
-	var chargeErr error
-	cover := ox.tree.Cover(qlo, qhi, func(v *Node) {
-		if err := ox.layout.charge(tc, v); err != nil && chargeErr == nil {
-			chargeErr = err
-		}
-	})
-	if chargeErr != nil {
-		return ms, chargeErr
-	}
-	for _, v := range cover {
-		if err := ox.layout.charge(tc, v); err != nil {
-			return ms, err
-		}
+	for _, v := range ox.tree.Cover(qlo, qhi) {
 		var err error
 		ms, err = ox.readCoverChunk(tc, v, ms, stats)
 		if err != nil {
@@ -117,15 +105,7 @@ func (ox *Optimal) QueryUnfused(r index.Range) (out *cbitmap.Bitmap, stats index
 		stats.Reads, stats.Writes = tc.Reads(), tc.Writes()
 		stats.FailedReads = tc.FailedReads()
 	}()
-	aLo, err := tc.ReadBits(ox.aExt.Off+int64(r.Lo)*64, 64)
-	if err != nil {
-		return nil, stats, err
-	}
-	aHi, err := tc.ReadBits(ox.aExt.Off+int64(r.Hi+1)*64, 64)
-	if err != nil {
-		return nil, stats, err
-	}
-	qlo, qhi := int64(aLo), int64(aHi)
+	qlo, qhi := ox.tree.RecordRange(r.Lo, r.Hi)
 	z := qhi - qlo
 	n := ox.tree.n
 
@@ -188,15 +168,7 @@ func (wx *Warmup) QueryUnfused(r index.Range) (out *cbitmap.Bitmap, stats index.
 		stats.Reads, stats.Writes = tc.Reads(), tc.Writes()
 		stats.FailedReads = tc.FailedReads()
 	}()
-	aLo, err := tc.ReadBits(wx.aExt.Off+int64(r.Lo)*64, 64)
-	if err != nil {
-		return nil, stats, err
-	}
-	aHi, err := tc.ReadBits(wx.aExt.Off+int64(r.Hi+1)*64, 64)
-	if err != nil {
-		return nil, stats, err
-	}
-	z := int64(aHi) - int64(aLo)
+	z := wx.prefix[r.Hi+1] - wx.prefix[r.Lo]
 
 	var ms []*cbitmap.Bitmap
 	complement := z > wx.n/2

@@ -25,6 +25,7 @@ type Warmup struct {
 	// levels[j] holds the 2^j nodes of level j (root is level 0, following
 	// Go indexing; the paper's level 1).
 	levels []RangeLevel
+	prefix []int64 // A in memory: σ+1 entries, prefix[a] rows precede a's
 	aExt   iomodel.Extent
 }
 
@@ -50,12 +51,12 @@ func BuildWarmup(d *iomodel.Disk, col workload.Column) (*Warmup, error) {
 		return nil, err
 	}
 	// A, the prefix counts, from the leaf level's: one node per character.
+	wx.prefix = make([]int64, col.Sigma+1)
 	aw := bitio.NewWriter((col.Sigma + 1) * 64)
 	aw.WriteBits(0, 64)
-	var p int64
-	for _, card := range wx.levels[len(widths)-1].Cards[:col.Sigma] {
-		p += card
-		aw.WriteBits(uint64(p), 64)
+	for a, card := range wx.levels[len(widths)-1].Cards[:col.Sigma] {
+		wx.prefix[a+1] = wx.prefix[a] + card
+		aw.WriteBits(uint64(wx.prefix[a+1]), 64)
 	}
 	wx.aExt = d.AllocStream(aw)
 	d.ResetStats()
@@ -106,10 +107,10 @@ func (wx *Warmup) cover(plan *QueryPlan, lo, hi int64) {
 	}
 }
 
-// Query implements index.Index on the static executor: the two prefix reads
-// give z, the cover is planned into a pooled QueryPlan, and execute runs it
-// exactly as it runs an Optimal plan — one fused decode-merge pass,
-// complemented in the same pass on the dense path.
+// Query implements index.Index on the static executor: the in-memory prefix
+// counts give z, the cover is planned into a pooled QueryPlan without a read,
+// and execute runs it exactly as it runs an Optimal plan — one fused
+// decode-merge pass, complemented in the same pass on the dense path.
 func (wx *Warmup) Query(r index.Range) (out *cbitmap.Bitmap, stats index.QueryStats, err error) {
 	if err = r.Valid(wx.sigma); err != nil {
 		return nil, stats, err
@@ -120,15 +121,11 @@ func (wx *Warmup) Query(r index.Range) (out *cbitmap.Bitmap, stats index.QuerySt
 		stats.Reads, stats.Writes = tc.Reads(), tc.Writes()
 		stats.FailedReads = tc.FailedReads()
 	}()
-	qlo, qhi, err := recordRange(tc, wx.aExt, r)
-	if err != nil {
-		return nil, stats, err
-	}
 	sc := getScratch()
 	defer sc.release()
 	plans := sc.growPlans(1)
 	plan := &plans[0]
-	plan.Complement = qhi-qlo > wx.n/2
+	plan.Complement = wx.prefix[r.Hi+1]-wx.prefix[r.Lo] > wx.n/2
 	last := uint32(wx.sigma - 1)
 	// Planning reads nothing, so it cannot fail.
 	_ = collectSides(r, plan.Complement, last, func(lo, hi uint32) error {

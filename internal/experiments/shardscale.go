@@ -24,10 +24,10 @@ import (
 // columns are exact model counts, deterministic run to run (the warm pass
 // runs single-worker, since LRU recency order under a concurrent pool
 // depends on completion order), and carry the scaling claim: total reads
-// grow with the shard count (every shard pays its own tree descent) but the
-// critical path — the busiest single device, "crit reads" — falls, and the
-// warm pass's residual reads collapse once the caches hold the hot
-// superblocks.
+// stay roughly flat across shard counts (every shard reads its own cover
+// runs) but the critical path — the busiest single device, "crit reads" —
+// falls, and the warm pass's residual reads collapse once the caches hold
+// the hot superblocks.
 func S1ShardScaling(s Scale) (*Table, error) {
 	n := s.pick(1<<15, 1<<17)
 	sigma := 256

@@ -612,9 +612,8 @@ func (t *Touch) Close() {
 // StartConsumer directs subsequent attribution at consumer q (0-based): from
 // now on ReadBits and NoteExtent credit the blocks they span to q, and
 // SharedSaved counts the blocks several consumers share. Consumers may be
-// revisited: a planner typically attributes each query's plan-phase
-// reads first and its scan extents later, and both must land in the same
-// per-query block set for the saved count to be exact.
+// revisited: whatever is attributed to q lands in the one per-query block
+// set, so the saved count stays exact.
 func (t *Touch) StartConsumer(q int) {
 	for len(t.consumers) <= q {
 		t.consumers = append(t.consumers, nil)

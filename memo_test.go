@@ -234,7 +234,8 @@ func raceQueries(data []uint32, ix *Index, sx *ShardedIndex, ranges []Range, w i
 // σ = 1024, θ = 1): cold opens a fresh handle for every pass over the keys,
 // warm queries a handle that has answered every key once, and flipped arms
 // silent corruption of every block on such a handle, so every session is
-// served a flipped bit and validates what it reads.
+// served a flipped bit and validates what it reads. blockIO/op is the block
+// reads a point query charges, each one a pread on this handle.
 func BenchmarkPointQueryFile(b *testing.B) {
 	const n, sigma = 1 << 19, 1024
 	col := workload.Zipf(n, sigma, 1.0, 42)
@@ -263,14 +264,17 @@ func BenchmarkPointQueryFile(b *testing.B) {
 		return op
 	}
 	run := func(b *testing.B, ix func(i int) *Index) {
-		failed := 0
+		failed, reads := 0, 0
 		for i := range b.N {
 			c := uint32(i % sigma)
-			if _, _, err := ix(i).Query(c, c); err != nil {
+			_, st, err := ix(i).Query(c, c)
+			if err != nil {
 				failed++
 			}
+			reads += st.Reads
 		}
 		b.ReportMetric(float64(failed)/float64(b.N), "failed/op")
+		b.ReportMetric(float64(reads)/float64(b.N), "blockIO/op")
 	}
 	b.Run("cold", func(b *testing.B) {
 		var op *Opened

@@ -28,6 +28,9 @@ go test -run '^$' -bench "$PATTERN" -benchmem -count "$COUNT" . | tee "$RAW"
 # sawtooth in the iteration count (49 at 15000x, 65 at 17000x on one tree): a
 # fixed count keeps the gated figure a property of the code, not of the run.
 go test -run '^$' -bench 'BenchmarkDynamicChange$' -benchmem -benchtime 15000x -count "$COUNT" . | tee -a "$RAW"
+# The point query on a pread handle, warm: -bench splits its pattern at '/',
+# so the sub-benchmark gets its own line rather than a term of PATTERN.
+go test -run '^$' -bench 'BenchmarkPointQueryFile$/^warm$' -benchmem -count "$COUNT" . | tee -a "$RAW"
 
 python3 - "$RAW" "BENCH_${TAG}.json" <<'EOF'
 import glob, json, re, statistics, sys
