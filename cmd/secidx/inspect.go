@@ -7,6 +7,7 @@ import (
 
 	secidx "repro"
 	"repro/internal/container"
+	"repro/internal/core"
 )
 
 var sectionNames = map[uint64]string{
@@ -162,24 +163,43 @@ func printLedger(shard int, l secidx.SpaceLedger, imageBytes, metaBytes int64) {
 	fmt.Println(" ", strings.Repeat("-", 60))
 }
 
-// printOrders prints each level's exp-Golomb order histogram — members stored
-// at each order k — and the bits those orders save against gamma-coding
-// every member.
+// printOrders prints, per level for the internal members and for the
+// leaves, and per hashed level j over all levels, the exp-Golomb order
+// histogram — sets stored at each order k — and the bits those orders save
+// against gamma-coding every set.
 func printOrders(rows int64, levels []secidx.LevelCodes) {
-	fmt.Println("  exact sets by gap code (k:members; an old file's are all gamma, k = 0):")
-	fmt.Printf("  %5s %-44s %10s %10s %10s\n", "depth", "orders", "stored", "gamma", "saved /row")
-	var stored, gamma int64
-	for _, l := range levels {
+	fmt.Println("  gap codes (k:sets; an old file's hashed sets are all gamma, k = 0, and so are its leaves before that):")
+	fmt.Printf("  %-8s %5s %-44s %10s %10s %10s\n", "sets", "depth", "orders", "stored", "gamma", "saved /row")
+	var all core.CodeBits
+	line := func(name, depth string, c core.CodeBits) {
 		var hist []string
-		for k, c := range l.Orders {
-			if c > 0 {
-				hist = append(hist, fmt.Sprintf("%d:%d", k, c))
+		for k, n := range c.Orders {
+			if n > 0 {
+				hist = append(hist, fmt.Sprintf("%d:%d", k, n))
 			}
 		}
-		t := l.Total()
-		stored += t.Stored
-		gamma += t.Gamma
-		fmt.Printf("  %5d %-44s %10d %10d %10.2f\n", l.Depth, strings.Join(hist, " "), t.Stored, t.Gamma, float64(t.Gamma-t.Stored)/float64(rows))
+		fmt.Printf("  %-8s %5s %-44s %10d %10d %10.2f\n", name, depth, strings.Join(hist, " "), c.Stored, c.Gamma, float64(c.Gamma-c.Stored)/float64(rows))
+		all.Add(c)
 	}
-	fmt.Printf("  %5s %-44s %10d %10d %10.2f\n", "all", "", stored, gamma, float64(gamma-stored)/float64(rows))
+	var hashed []core.CodeBits
+	for _, l := range levels {
+		for _, g := range []struct {
+			name string
+			c    core.CodeBits
+		}{{"internal", l.Internal}, {"leaves", l.Leaves}} {
+			if len(g.c.Orders) > 0 {
+				line(g.name, fmt.Sprint(l.Depth), g.c)
+			}
+		}
+		for j, c := range l.Hashed {
+			if j == len(hashed) {
+				hashed = append(hashed, core.CodeBits{})
+			}
+			hashed[j].Add(c)
+		}
+	}
+	for j, c := range hashed {
+		line(fmt.Sprintf("h_%d", j+1), "all", c)
+	}
+	fmt.Printf("  %-8s %5s %-44s %10d %10d %10.2f\n", "all", "", "", all.Stored, all.Gamma, float64(all.Gamma-all.Stored)/float64(rows))
 }

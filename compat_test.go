@@ -13,6 +13,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/cbitmap"
 	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/iomodel"
@@ -94,18 +95,30 @@ type bitsPin struct {
 }
 
 // requireSameApprox asks old and fresh the same approximate queries over
-// compatRanges and every ε: same form, same level (never the surplus one),
-// same set. A fresh build's internal members are exp-Golomb-coded where the
-// old file's are gamma-coded, so it may read fewer bits than the old file,
-// never more; and where its exact frontier is no longer than the hashed one
-// the old file reads, it answers exactly instead, with a subset of the old
-// file's hashed answer. The old file reads what it read when it was current,
-// which pin holds: the sweep's bits as the old file read them before members
-// had orders. It returns how many answers both hashed.
+// compatRanges and every ε. Both hold the same sets under other codes — the
+// fresh build's members and hashed sets at exp-Golomb orders, the old file's
+// hashed sets and some or all of its members gamma-coded — and each answers
+// from the frontier its own prices make the smaller: where both answer in one
+// form they must answer from the same level (never the surplus one) with the
+// same set, and where one answers exactly and the other from a hashed level,
+// the exact rows must lie in the hashed answer. An exact answer of the fresh
+// build reads no more bits than one of the old file, and the fresh sweep
+// reads fewer bits in all. The old file reads what it read when it was
+// current, which pin holds: the sweep's bits as the old file read them before
+// members had orders. It returns how many answers both hashed.
 func requireSameApprox(t *testing.T, what string, sigma uint32, old, fresh *core.Approx, pin bitsPin) (hashed int) {
 	t.Helper()
 	h := fnv.New64a()
 	var sweep bitsPin
+	var freshBits int64
+	// within fails unless every row of the exact answer e is in a.
+	within := func(e *cbitmap.Bitmap, a *core.Result, lo, hi uint32, eps float64, side string) {
+		for _, p := range e.Positions() {
+			if !a.Contains(p) {
+				t.Fatalf("%s [%d,%d] eps=%g: %s hashed answer misses row %d", what, lo, hi, eps, side, p)
+			}
+		}
+	}
 	for _, r := range compatRanges(sigma) {
 		lo, hi := r.Lo, r.Hi
 		for _, eps := range compatEps {
@@ -117,22 +130,23 @@ func requireSameApprox(t *testing.T, what string, sigma uint32, old, fresh *core
 			if err != nil {
 				t.Fatal(err)
 			}
-			if wst.BitsRead > gst.BitsRead {
-				t.Fatalf("%s [%d,%d] eps=%g: fresh build reads %d bits, old file %d", what, lo, hi, eps, wst.BitsRead, gst.BitsRead)
-			}
-			if !got.IsExact() && want.IsExact() {
-				for _, p := range want.Exact.Positions() {
-					if !got.Contains(p) {
-						t.Fatalf("%s [%d,%d] eps=%g: old file's hashed answer misses row %d", what, lo, hi, eps, p)
-					}
-				}
-			} else if got.IsExact() != want.IsExact() || got.J != want.J || got.H != want.H || got.J > fresh.K() {
-				t.Fatalf("%s [%d,%d] eps=%g: old file answers exact=%v at j=%d, fresh build exact=%v at j=%d of %d",
-					what, lo, hi, eps, got.IsExact(), got.J, want.IsExact(), want.J, fresh.K())
-			} else {
+			freshBits += wst.BitsRead
+			switch {
+			case got.J > fresh.K() || want.J > fresh.K():
+				t.Fatalf("%s [%d,%d] eps=%g: answered from level %d (old) or %d (fresh) of %d", what, lo, hi, eps, got.J, want.J, fresh.K())
+			case !got.IsExact() && want.IsExact():
+				within(want.Exact, got, lo, hi, eps, "old file's")
+			case got.IsExact() && !want.IsExact():
+				within(got.Exact, want, lo, hi, eps, "fresh build's")
+			case got.J != want.J || got.H != want.H:
+				t.Fatalf("%s [%d,%d] eps=%g: old file answers at j=%d, fresh build at j=%d", what, lo, hi, eps, got.J, want.J)
+			default:
 				g, w := got.Set, want.Set
 				if got.IsExact() {
 					g, w = got.Exact, want.Exact
+					if wst.BitsRead > gst.BitsRead {
+						t.Fatalf("%s [%d,%d] eps=%g: fresh build reads %d bits, old file %d", what, lo, hi, eps, wst.BitsRead, gst.BitsRead)
+					}
 				} else {
 					hashed++
 				}
@@ -146,6 +160,9 @@ func requireSameApprox(t *testing.T, what string, sigma uint32, old, fresh *core
 	}
 	if sweep.hash = h.Sum64(); sweep != pin {
 		t.Fatalf("%s: old file's sweep read %d bits (hash %#x), pinned %d (%#x)", what, sweep.total, sweep.hash, pin.total, pin.hash)
+	}
+	if freshBits >= sweep.total {
+		t.Fatalf("%s: fresh build's sweep read %d bits, the old file's %d", what, freshBits, sweep.total)
 	}
 	return hashed
 }
@@ -520,4 +537,88 @@ func TestReadCompatLegacyHeight(t *testing.T) {
 	if sweep.hash = h.Sum64(); sweep != legacyHeightPin {
 		t.Fatalf("old file's sweep read %d bits (hash %#x), pinned %d (%#x)", sweep.total, sweep.hash, legacyHeightPin.total, legacyHeightPin.hash)
 	}
+}
+
+// The pr45_* containers under testdata/ were written at commit b1cad5d, the
+// last whose leaves and hashed sets were all gamma-coded and whose images
+// carried the prefix array A, by cmd/secidx:
+//
+//	secidx -n 40000 -sigma 64 -dist zipf -theta 1.1 -block 2048 -seed 45 -write testdata/pr45_static.secidx
+//	secidx -n 60000 -sigma 64 -dist zipf -theta 1.1 -block 2048 -seed 46 -shards 2 -write testdata/pr45_sharded.secidx
+//
+// pr45Pins holds what that commit answered from them: SizeBits, and the rows
+// of every exact and approximate answer of the sweep folded into a bitsPin
+// (their count and FNV-1a hash, with each approximate answer's form).
+var pr45Pins = map[string]struct {
+	sizeBits int64
+	rows     bitsPin
+}{
+	"static":  {839184, bitsPin{12891518, 0x78bb8e7776c150f3}},
+	"sharded": {1057241, bitsPin{3002697, 0xd866a1c7010b9fdb}},
+}
+
+// TestReadCompatPR45 opens the pr45 fixtures and requires every answer of the
+// sweep to be the one their writer gave, every exact one the column's, and
+// SizeBits unchanged.
+func TestReadCompatPR45(t *testing.T) {
+	const sigma = 64
+	type approxer interface {
+		ApproxQuery(lo, hi uint32, eps float64) (*ApproxResult, Stats, error)
+	}
+	sweep := func(t *testing.T, name string, col []uint32, size int64, q func(lo, hi uint32) (*Result, Stats, error), ax approxer) {
+		h := fnv.New64a()
+		var got bitsPin
+		for _, r := range compatRanges(sigma) {
+			res, _, err := q(r.Lo, r.Hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := res.Rows()
+			if !slices.Equal(rows, bruteRange(col, r.Lo, r.Hi)) {
+				t.Fatalf("Query [%d,%d]: old file differs from the column", r.Lo, r.Hi)
+			}
+			binary.Write(h, binary.LittleEndian, rows)
+			got.total += int64(len(rows))
+			if ax == nil {
+				continue
+			}
+			for _, eps := range compatEps {
+				a, _, err := ax.ApproxQuery(r.Lo, r.Hi, eps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows, err := a.Rows()
+				if err != nil {
+					t.Fatal(err)
+				}
+				binary.Write(h, binary.LittleEndian, rows)
+				fmt.Fprintf(h, "%v %d", a.IsExact(), a.CandidateCount())
+				got.total += int64(len(rows))
+			}
+		}
+		got.hash = h.Sum64()
+		want := pr45Pins[name]
+		if got != want.rows || size != want.sizeBits {
+			t.Fatalf("%s: sweep answered %d rows (hash %#x), SizeBits %d; pinned %d (%#x), %d",
+				name, got.total, got.hash, size, want.rows.total, want.rows.hash, want.sizeBits)
+		}
+	}
+	t.Run("static", func(t *testing.T) {
+		o, err := OpenFile("testdata/pr45_static.secidx", OpenOptions{VerifyImages: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer o.Close()
+		col := workload.Zipf(40000, sigma, 1.1, 45).X
+		sweep(t, "static", col, o.Static.SizeBits(), o.Static.Query, o.Static)
+	})
+	t.Run("sharded", func(t *testing.T) {
+		o, err := OpenFile("testdata/pr45_sharded.secidx", OpenOptions{VerifyImages: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer o.Close()
+		col := workload.Zipf(60000, sigma, 1.1, 46).X
+		sweep(t, "sharded", col, o.Sharded.SizeBits(), o.Sharded.Query, nil)
+	})
 }

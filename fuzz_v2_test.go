@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"repro/internal/container"
+	"repro/internal/core"
+	"repro/internal/workload"
 )
 
 // validContainer builds a small index of the given kind and returns its v2
@@ -74,6 +76,39 @@ func recordsContainer(tb testing.TB) []byte {
 	}
 	if l := ix.SpaceLedger(); l.LayoutBits < 3*512 {
 		tb.Fatalf("node records fill %d bits, want several blocks", l.LayoutBits)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// ordersContainer returns a static container in which leaves and hashed sets
+// are stored at exp-Golomb orders above 0.
+func ordersContainer(tb testing.TB) []byte {
+	tb.Helper()
+	path := filepath.Join(tb.TempDir(), "orders.secidx")
+	ix, err := Build(workload.Zipf(4000, 64, 1.0, 25).X, 64, Options{Seed: 7, BlockBits: 2048})
+	if err == nil {
+		err = ix.WriteFile(path)
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	codes, err := ix.PayloadUnderCodes()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var leaves, hashed core.CodeBits
+	for _, l := range codes {
+		leaves.Add(l.Leaves)
+		for _, h := range l.Hashed {
+			hashed.Add(h)
+		}
+	}
+	if len(leaves.Orders) < 2 || len(hashed.Orders) < 2 {
+		tb.Fatalf("leaves at orders %v, hashed sets at %v: want some above 0", leaves.Orders, hashed.Orders)
 	}
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -240,6 +275,15 @@ func FuzzLoadV2(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(legacy)
+	// A static container whose leaves and hashed sets carry orders, and one
+	// from before they did (gamma-coded, with A, whose offset's slot is the
+	// revision marker).
+	f.Add(ordersContainer(f))
+	pr45, err := os.ReadFile("testdata/pr45_static.secidx")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(pr45)
 	// Counts that sum past the row bound, at a branching whose powers overflow.
 	f.Add(rowOverflowContainer(f))
 	// A dynamic payload declaring far more rows than it carries.

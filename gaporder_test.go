@@ -115,7 +115,7 @@ func membersAboveOrder0(t *testing.T, codes func() ([]LevelCodes, error)) int {
 	}
 	above := 0
 	for _, l := range levels {
-		for k, c := range l.Orders {
+		for k, c := range l.Total().Orders {
 			if k > 0 {
 				above += c
 			}

@@ -1,13 +1,17 @@
 // Package cbitmap implements compressed bitmaps: sets of positions in a
-// universe [0,n) stored as gamma-coded gaps, the paper's reference
-// run-length encoding (§1.2). A bitmap with m ones occupies
-// O(m lg(n/m) + m) bits, within a constant factor of the information bound
-// lg C(n,m), which is what makes the paper's space accounting go through.
+// universe [0,n) stored as gap streams in the exp-Golomb code of some order
+// k — order 0 is gamma, the paper's reference run-length encoding (§1.2). A
+// bitmap with m ones occupies O(m lg(n/m) + m) bits, within a constant factor
+// of the information bound lg C(n,m), which is what makes the paper's space
+// accounting go through.
 //
-// The gap encoding is canonical — a set has exactly one encoding — and the
-// word-at-a-time fast paths in this package (verbatim tail copies in Union,
-// run-writing in Complement, skip samples for Contains/Rank) never change a
-// bit of it; they only change how it is produced and traversed.
+// At a given order the gap encoding is canonical — a set has exactly one
+// encoding — and the word-at-a-time fast paths in this package (verbatim tail
+// copies in Union, run-writing in Complement, skip samples for Contains/Rank)
+// never change a bit of it; they only change how it is produced and
+// traversed. A bitmap carries its order: a merge answer is gamma-coded unless
+// its first input was drained into it whole (drainInto), as a one-member
+// query's is, in which case it keeps that input's order and its bits.
 //
 // The package also provides Plain, an explicit n-bit bitmap, for the
 // constant-alphabet regime where uncompressed bitmap indexes are optimal.
@@ -56,6 +60,7 @@ type Bitmap struct {
 	buf  []byte
 	bits int
 	last int64 // largest position, -1 when empty
+	k    uint8 // the gaps' exp-Golomb order, at most gamma.MaxOrder
 
 	// Skip samples: samplePos[i] is the position of element (i+1)*sampleK-1
 	// and sampleOff[i] the bit offset just past its gap code, so point
@@ -73,9 +78,14 @@ type Bitmap struct {
 // positions, recording skip samples as it goes. It is the single encoding
 // path used by every constructor and set operation in this package.
 type Builder struct {
-	w         *bitio.Writer
-	prev      int64
-	card      int64
+	w    *bitio.Writer
+	prev int64
+	card int64
+	k    uint // the order every code is written at
+	// adopt lets an empty builder take the order of the first stream drained
+	// into it (Stream.drainInto): a pooled merge builder's, whose answer
+	// carries its order. A builder aimed at a caller's stream never adopts.
+	adopt     bool
 	samplePos []int64
 	sampleOff []int32
 	// noSamples is set for a builder that records no samples (an unsampled
@@ -103,7 +113,11 @@ func (bd *Builder) Add(p int64) {
 	if p <= bd.prev {
 		panic(fmt.Sprintf("cbitmap: Builder.Add position %d not above %d", p, bd.prev))
 	}
-	gamma.Write(bd.w, uint64(p-bd.prev))
+	if bd.k == 0 {
+		gamma.Write(bd.w, uint64(p-bd.prev))
+	} else {
+		gamma.WriteK(bd.w, uint64(p-bd.prev), bd.k)
+	}
 	bd.prev = p
 	bd.card++
 	bd.maybeSample()
@@ -111,9 +125,16 @@ func (bd *Builder) Add(p int64) {
 
 // AddRun appends count consecutive positions start, start+1, ....
 // A gap of 1 is the single-bit gamma code "1", so after the first element the
-// run is written as whole words of ones instead of count-1 encode calls.
+// run is written as whole words of ones instead of count-1 encode calls; at a
+// higher order a position at a time.
 func (bd *Builder) AddRun(start, count int64) {
 	if count <= 0 {
+		return
+	}
+	if bd.k != 0 {
+		for p := start; p < start+count; p++ {
+			bd.Add(p)
+		}
 		return
 	}
 	bd.Add(start)
@@ -145,7 +166,7 @@ func (bd *Builder) Bitmap(n int64) *Bitmap {
 // bitmapOf finalises the builder into a bitmap over [0,n) holding buf, its
 // output bits; sample slices the bitmap takes as they stand are surrendered.
 func (bd *Builder) bitmapOf(n int64, buf []byte) *Bitmap {
-	b := &Bitmap{n: n, card: bd.card, buf: buf, bits: bd.w.Len(), last: bd.prev}
+	b := &Bitmap{n: n, card: bd.card, buf: buf, bits: bd.w.Len(), last: bd.prev, k: uint8(bd.k)}
 	if bd.card == 0 {
 		b.last = -1
 	}
@@ -230,6 +251,9 @@ func (b *Bitmap) Card() int64 { return b.card }
 // SizeBits returns the size of the compressed representation in bits.
 func (b *Bitmap) SizeBits() int { return b.bits }
 
+// Order returns the exp-Golomb order of the bitmap's gaps (0 is gamma).
+func (b *Bitmap) Order() uint { return uint(b.k) }
+
 // SampleBits returns the in-memory size of the optional skip samples in bits.
 // Samples accelerate Contains/Rank but are not part of the encoded stream and
 // do not count towards SizeBits (the paper's space accounting).
@@ -243,10 +267,20 @@ func (b *Bitmap) FootprintBytes() int64 {
 	return int64(cap(b.buf)) + int64(b.bits/8/maxSampleDiv)
 }
 
-// EncodeTo appends the raw encoded stream (gaps only; the caller must record
-// cardinality and universe out of band, as the paper's layouts do via node
-// weights).
+// EncodeTo appends the gamma-coded gap stream (gaps only; the caller must
+// record cardinality and universe out of band, as the paper's layouts do via
+// node weights), which Decode reads back. A bitmap at a higher order is
+// re-encoded.
 func (b *Bitmap) EncodeTo(w *bitio.Writer) {
+	if b.k != 0 {
+		var e StreamEncoder
+		e.Init(w)
+		it := b.Iter()
+		for p, ok := it.Next(); ok; p, ok = it.Next() {
+			e.Add(p)
+		}
+		return
+	}
 	var r bitio.Reader
 	r.Init(b.buf, b.bits)
 	w.CopyBits(&r, b.bits)
@@ -578,10 +612,22 @@ func (b *Bitmap) Complement() *Bitmap {
 }
 
 // Equal reports whether a and b contain the same positions over the same
-// universe. The gap encoding is canonical (each set has exactly one encoded
-// stream, zero-padded to the byte), so this is a byte comparison rather than
-// a double decode.
+// universe. At one order the gap encoding is canonical (each set has exactly
+// one encoded stream, zero-padded to the byte), so bitmaps of one order are
+// compared byte for byte; bitmaps of different orders decode both sides.
 func Equal(a, b *Bitmap) bool {
-	return a.n == b.n && a.card == b.card && a.bits == b.bits &&
-		bytes.Equal(a.buf, b.buf)
+	if a.k == b.k {
+		return a.n == b.n && a.card == b.card && a.bits == b.bits &&
+			bytes.Equal(a.buf, b.buf)
+	}
+	if a.n != b.n || a.card != b.card || a.last != b.last {
+		return false
+	}
+	ia, ib := a.Iter(), b.Iter()
+	for {
+		pa, ok := ia.Next()
+		if pb, _ := ib.Next(); !ok || pa != pb {
+			return !ok
+		}
+	}
 }

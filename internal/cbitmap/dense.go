@@ -257,7 +257,7 @@ func (e *denseEmitter) emit(words []uint64, base int64) {
 		pop += bits.OnesCount64(x)
 	}
 	if pop <= flatMaxPerWord*len(words) {
-		e.emitFlat(words, base)
+		e.emitFlat(words, base, 0)
 		return
 	}
 	for i, x := range words {
@@ -268,14 +268,19 @@ func (e *denseEmitter) emit(words []uint64, base int64) {
 	}
 }
 
-// emitFlat is emit through a flat position list, a chunk at a time. Neither
-// loop branches per set bit or per word: extract branches only on a word of
-// more than four bits, emitSorted only where an output word fills.
-func (e *denseEmitter) emitFlat(words []uint64, base int64) {
+// emitFlat is emit through a flat position list, a chunk at a time, at order
+// k (emitOrder above 0). Neither loop branches per set bit or per word:
+// extract branches only on a word of more than four bits, emitSorted only
+// where an output word fills.
+func (e *denseEmitter) emitFlat(words []uint64, base int64, k uint) {
 	pos := flatPositionsPool.Get().(*flatPositions)
 	for i := 0; i < len(words); i += flatChunkWords {
 		chunk := words[i:min(i+flatChunkWords, len(words))]
-		emitSorted(e, base+int64(i)<<6, pos[:extract(pos, chunk)])
+		if k == 0 {
+			emitSorted(e, base+int64(i)<<6, pos[:extract(pos, chunk)])
+		} else {
+			emitOrder(e, base+int64(i)<<6, pos[:extract(pos, chunk)], k)
+		}
 		clear(chunk)
 	}
 	flatPositionsPool.Put(pos)
@@ -373,16 +378,17 @@ func emitSorted[P uint32 | int64](e *denseEmitter, base int64, pos []P) {
 	e.acc, e.nacc, e.prev, e.card = acc, nacc, prev, card
 }
 
-// emitOrder is emitSorted in the exp-Golomb code of order k > 0, for the
-// build's internal members, whose StreamEncoder records no skip samples: a
-// code read as an integer is u = gap+2^k-1, in 2·Len(u)-k-1 bits. It is a
-// loop of its own because the order's arithmetic slows emitSorted, the
-// encoder of every dense answer.
-func emitOrder[P uint32 | int64](e *denseEmitter, pos []P, k uint) {
+// emitOrder is emitSorted in the exp-Golomb code of order k > 0, recording
+// no skip samples — for the build's members and hashed sets, whose
+// StreamEncoder records none, and for a tail re-encoded into an answer of
+// order k: a code read as an integer is u = gap+2^k-1, in 2·Len(u)-k-1 bits.
+// It is a loop of its own because the order's arithmetic slows emitSorted,
+// the encoder of every dense answer.
+func emitOrder[P uint32 | int64](e *denseEmitter, base int64, pos []P, k uint) {
 	acc, nacc, prev := e.acc, e.nacc, e.prev
 	k1, bias := 1+int(k), uint64(1)<<k-1
 	for _, q := range pos {
-		p := int64(q)
+		p := base + int64(q)
 		if p <= prev {
 			panic(fmt.Sprintf("cbitmap: AddSortedK position %d not above %d", p, prev))
 		}

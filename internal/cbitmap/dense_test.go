@@ -305,7 +305,7 @@ func TestEmitEncoders(t *testing.T) {
 		for _, enc := range []struct {
 			name   string
 			encode func(*denseEmitter, []uint64, int64)
-		}{{"emitRuns", emitRuns}, {"emitFlat", (*denseEmitter).emitFlat}, {"emit", (*denseEmitter).emit}} {
+		}{{"emitRuns", emitRuns}, {"emitFlat", gammaFlat}, {"emit", (*denseEmitter).emit}} {
 			bd := NewBuilder(0)
 			e := denseEmitter{bd: bd, prev: -1}
 			win := new(denseWindow)
@@ -679,3 +679,6 @@ func BenchmarkMergePaths(b *testing.B) {
 		}
 	}
 }
+
+// gammaFlat is emitFlat at order 0, in emit's signature.
+func gammaFlat(e *denseEmitter, words []uint64, base int64) { e.emitFlat(words, base, 0) }

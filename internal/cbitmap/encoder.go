@@ -54,7 +54,7 @@ func AddSortedK[P uint32 | int64](e *StreamEncoder, pos []P, k uint) {
 	if k == 0 {
 		emitSorted(&em, 0, pos)
 	} else {
-		emitOrder(&em, pos, k)
+		emitOrder(&em, 0, pos, k)
 	}
 	em.flush()
 }
@@ -75,9 +75,17 @@ func BestOrder[P uint32 | int64](pos []P) uint {
 
 // AddBitset appends the set bits of words — bit i of words[k] is position
 // 64k+i — through the same accumulator, and zeroes them.
-func (e *StreamEncoder) AddBitset(words []uint64) {
+func (e *StreamEncoder) AddBitset(words []uint64) { e.AddBitsetK(words, 0) }
+
+// AddBitsetK is AddBitset in the exp-Golomb code of order k, under
+// AddSortedK's rule: at k > 0 nothing else may write to the stream.
+func (e *StreamEncoder) AddBitsetK(words []uint64, k uint) {
 	em := denseEmitter{bd: &e.bd, prev: e.bd.prev, card: e.bd.card}
-	em.emit(words, 0)
+	if k == 0 {
+		em.emit(words, 0)
+	} else {
+		em.emitFlat(words, 0, k)
+	}
 	em.flush()
 }
 

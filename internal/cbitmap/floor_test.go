@@ -199,7 +199,7 @@ func BenchmarkFloor(b *testing.B) {
 			b.ReportMetric(float64(kw.Len())/float64(rows), "bits/row")
 		})
 		sub("word", func(b *testing.B) { benchEncoder(b, emitRuns, words, bm, rows) })
-		sub("flat", func(b *testing.B) { benchEncoder(b, (*denseEmitter).emitFlat, words, bm, rows) })
+		sub("flat", func(b *testing.B) { benchEncoder(b, gammaFlat, words, bm, rows) })
 		sub("emit", func(b *testing.B) { benchEncoder(b, (*denseEmitter).emit, words, bm, rows) })
 	}
 }
@@ -211,6 +211,6 @@ func BenchmarkEmitCrossover(b *testing.B) {
 		words, bm, rows := floorWords(1 / f)
 		set := "/set=" + strconv.FormatFloat(f, 'f', 4, 64)
 		b.Run("word"+set, func(b *testing.B) { benchEncoder(b, emitRuns, words, bm, rows) })
-		b.Run("flat"+set, func(b *testing.B) { benchEncoder(b, (*denseEmitter).emitFlat, words, bm, rows) })
+		b.Run("flat"+set, func(b *testing.B) { benchEncoder(b, gammaFlat, words, bm, rows) })
 	}
 }

@@ -54,7 +54,8 @@ import (
 
 // Stream is a cardinality-bounded source of strictly increasing positions
 // decoded on demand from a gap stream in the exp-Golomb code of order k
-// (gamma.WriteK; order 0 is gamma, the code of every Bitmap), optionally
+// (gamma.WriteK; order 0 is gamma), a bitmap's at the bitmap's order,
+// optionally
 // shifted by a constant row-id offset (gaps are relative, so the shift is free
 // per element). The zero value is an exhausted stream.
 type Stream struct {
@@ -100,8 +101,8 @@ func (s *Stream) InitDecode(r *bitio.Reader, start, bits int, card, n, off int64
 // query's merge over the same stable device bits, whose ValidatedLast core
 // remembers per member. Validation is skipped and the largest position (last,
 // pre-shift; ignored when card is 0) is known up front, so a merge can drain
-// the view as it drains a bitmap-backed stream: by verbatim tail copy at
-// order 0.
+// the view as it drains a bitmap-backed stream: by verbatim tail copy into a
+// builder of its order.
 func (s *Stream) InitDecodeValidated(r *bitio.Reader, start, bits int, card, last, off int64, k uint) error {
 	sub, err := r.Sub(start, bits)
 	if err != nil {
@@ -144,12 +145,13 @@ func (s *Stream) ValidatedLast() (last int64, ok bool) {
 	return s.prev, true
 }
 
-// InitBitmap initialises s to produce b's positions shifted by off. The
-// positions were validated when b was built, so traversal skips validation,
-// and b's largest position is known up front — which is what lets a merge
-// drain a last remaining bitmap-backed stream by verbatim tail copy.
+// InitBitmap initialises s to produce b's positions shifted by off, decoded
+// at b's order. The positions were validated when b was built, so traversal
+// skips validation, and b's largest position is known up front — which is
+// what lets a merge drain a last remaining bitmap-backed stream by verbatim
+// tail copy.
 func (s *Stream) InitBitmap(b *Bitmap, off int64) {
-	*s = Stream{left: b.card, prev: off - 1, off: off, last: -1}
+	*s = Stream{left: b.card, prev: off - 1, off: off, last: -1, k: uint(b.k), bias: 1<<b.k - 1}
 	s.r.Init(b.buf, b.bits)
 	if b.card > 0 {
 		s.last = b.last + off
@@ -287,14 +289,18 @@ func (s *Stream) sampleScan(start int, pos []int64, off []int32) ([]int64, []int
 }
 
 // drainInto appends the stream's pending head position cur (already produced
-// by the caller) and every remaining position to bd. A gamma-coded (order 0)
-// tail is copied verbatim: whole words at a time when the stream's largest
-// position is known (bitmap-backed streams, replay views), and otherwise
-// (validating streams) after one scan that validates it — either way only
-// the head gap is re-encoded, since gaps are relative and a constant shift
-// leaves every later gap unchanged. A tail at a higher order is re-encoded,
-// since answers are gamma-coded.
+// by the caller) and every remaining position to bd. An empty merge builder
+// first takes the stream's order, so the answer of one stream keeps its
+// bits. A tail at bd's order is copied verbatim: whole words at a time when
+// the stream's largest position is known (bitmap-backed streams, replay
+// views), and otherwise (validating streams) after one scan that validates it
+// — either way only the head gap is re-encoded, since gaps are relative and a
+// constant shift leaves every later gap unchanged. A tail at another order is
+// re-encoded at bd's.
 func (s *Stream) drainInto(bd *Builder, cur int64) error {
+	if bd.adopt && bd.card == 0 {
+		bd.k = s.k
+	}
 	if cur != bd.prev {
 		if cur < bd.prev {
 			// A validation-skipping replay view over corrupt bits can hand the
@@ -304,7 +310,7 @@ func (s *Stream) drainInto(bd *Builder, cur int64) error {
 		}
 		bd.Add(cur)
 	}
-	if s.k != 0 {
+	if s.k != bd.k {
 		return s.reencodeInto(bd)
 	}
 	remaining := s.left
@@ -332,9 +338,10 @@ func (s *Stream) drainInto(bd *Builder, cur int64) error {
 	return nil
 }
 
-// reencodeInto is drainInto for a tail coded at an order above 0: it decodes
-// the rest of the stream a chunk at a time and encodes the chunks in gamma
-// through the bulk emitter, skip samples included.
+// reencodeInto is drainInto for a tail coded at another order than bd's: it
+// decodes the rest of the stream a chunk at a time and encodes the chunks at
+// bd's order through the bulk emitter — skip samples included in gamma; at a
+// higher order sampling stops, as after a verbatim copy.
 func (s *Stream) reencodeInto(bd *Builder) error {
 	var chunk [256]int64
 	e := denseEmitter{bd: bd, prev: bd.prev, card: bd.card}
@@ -352,7 +359,12 @@ func (s *Stream) reencodeInto(bd *Builder) error {
 			}
 			chunk[n] = p
 		}
-		emitSorted(&e, 0, chunk[:n])
+		if bd.k == 0 {
+			emitSorted(&e, 0, chunk[:n])
+		} else {
+			emitOrder(&e, 0, chunk[:n], bd.k)
+			bd.noSamples = true
+		}
 	}
 	e.flush()
 	return s.err
@@ -386,6 +398,7 @@ func (bd *Builder) reset(sizeHint int, sampled bool) {
 	bd.w.Grow(sizeHint)
 	bd.prev = -1
 	bd.card = 0
+	bd.k, bd.adopt = 0, true
 	bd.noSamples = !sampled
 	bd.samplePos = bd.samplePos[:0]
 	bd.sampleOff = bd.sampleOff[:0]

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/cbitmap"
@@ -46,6 +47,34 @@ type hashLevel struct {
 type hashArray struct {
 	exts  []iomodel.Extent
 	cards []int64
+	// orders holds each set's exp-Golomb order, hashedOrder's; nil for the
+	// gamma-coded sets of a file written before.
+	orders []uint8
+}
+
+// hashedOrder is the exp-Golomb order of a hashed set of card values in the
+// universe [0, 2^lgU) whose member is coded at order memberK: the smaller of
+// max(0, ⌊lg(2^lgU/card)⌋ − 1) — about lg of the mean gap of card values
+// spread over the universe, less one, where that code spends about lg g + 2
+// bits on a gap g and gamma 2 lg g + 1 — and memberK. The split-XOR hash
+// keeps a member's clusters (a run of rows hashes to a run of values), where
+// the member's own order is the better guess; unbounded by it, the spread
+// order doubles the hashed sets of a column of runs. Both come from the
+// directory, so no order is stored (hypotheses/leaf-order).
+func hashedOrder(lgU int, card int64, memberK uint) uint {
+	if card <= 0 {
+		return 0
+	}
+	return min(uint(max(0, lgU-bits.Len64(uint64(card-1))-1)), memberK)
+}
+
+// deriveOrders fills arr.orders from the cardinalities of its sets, over
+// [0, 2^lgU), and the orders of their members.
+func (arr *hashArray) deriveOrders(lgU int, members []member) {
+	arr.orders = make([]uint8, len(arr.cards))
+	for i, c := range arr.cards {
+		arr.orders[i] = uint8(hashedOrder(lgU, c, uint(members[i].k)))
+	}
 }
 
 // Name implements index.Index.
@@ -240,7 +269,13 @@ func Intersect(rs ...*Result) (*Result, error) {
 }
 
 // entry implements memberDir over one hashed array.
-func (arr *hashArray) entry(i int) (iomodel.Extent, int64, uint) { return arr.exts[i], arr.cards[i], 0 }
+func (arr *hashArray) entry(i int) (iomodel.Extent, int64, uint) {
+	k := uint(0)
+	if arr.orders != nil {
+		k = uint(arr.orders[i])
+	}
+	return arr.exts[i], arr.cards[i], k
+}
 
 // ApproxQuery answers I[lo;hi] with false-positive probability at most eps
 // per non-member ("The parameter ε is supplied as an argument to the query
@@ -326,6 +361,29 @@ func (ax *Approx) ApproxQueryContext(ctx context.Context, r index.Range, eps flo
 		return nil, stats, err
 	}
 	return &Result{N: ax.tree.n, J: j, H: ax.hs[j-1], Set: set[0]}, stats, nil
+}
+
+// PayloadUnderCodes prices the exact payload as Optimal.PayloadUnderCodes
+// does and, level by level, each group of hashed sets h_j(S) the same way.
+func (ax *Approx) PayloadUnderCodes() ([]LevelCodes, error) {
+	out, err := ax.Optimal.PayloadUnderCodes()
+	if err != nil {
+		return nil, err
+	}
+	tc := ax.disk.NewTouch()
+	defer tc.Close()
+	for li, hl := range ax.hmaps {
+		out[li].Hashed = make([]CodeBits, len(hl.perJ))
+		for j := range hl.perJ {
+			arr := &hl.perJ[j]
+			for i := range arr.exts {
+				if err := priceStream(tc, arr, i, int64(1)<<uint(1<<uint(j+1)), &out[li].Hashed[j]); err != nil {
+					return nil, fmt.Errorf("core: depth %d hashed set %d at j=%d: %w", out[li].Depth, i, j+1, err)
+				}
+			}
+		}
+	}
+	return out, nil
 }
 
 // frontierBits prices a cover plan's frontier from the in-memory directory:

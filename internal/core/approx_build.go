@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/cbitmap"
@@ -32,9 +33,9 @@ func BuildApprox(d *iomodel.Disk, col workload.Column, opts ApproxOptions) (*App
 // feeds the member's exact gap stream and, hashed and emitted sorted and
 // de-duplicated (hashSet.encode), its k hashed ones. Levels encode side by
 // side into private writers. The bytes on d do not depend on how many ran at
-// once: a set has exactly one gap encoding (package cbitmap), and one
-// goroutine places the writers in the canonical order — exact levels, A, tree
-// layout, then the hashed sets by (level, j, member) — with no padding
+// once: a set has exactly one gap encoding at its order (package cbitmap),
+// and one goroutine places the writers in the canonical order — tree layout,
+// exact levels, then the hashed sets by (level, j, member) — with no padding
 // (pinned by TestBuildApproxDifferential and TestBuildParallelDeterministic).
 func BuildApproxOn(ws Workers, d *iomodel.Disk, col workload.Column, opts ApproxOptions) (*Approx, error) {
 	return buildApprox(ws, d, col, opts, maxJ(int64(col.Len())))
@@ -114,22 +115,24 @@ type hashSet[P rowID] struct {
 	keys  []uint32 // insertion-sort buffer for small members of the 2^16 universe
 }
 
-// encode appends h(pos) to enc, choosing the path from the universe and the
-// member size. Every path emits the same canonical stream.
-func (hs *hashSet[P]) encode(enc *cbitmap.StreamEncoder, h hashutil.SplitXOR, pos []P) error {
+// encode appends h(pos) to enc at the order hashedOrder derives from the
+// set's size and memberK, the order of the member whose positions pos are,
+// choosing the path from the universe and the member size. Every path emits
+// the same canonical stream.
+func (hs *hashSet[P]) encode(enc *cbitmap.StreamEncoder, h hashutil.SplitXOR, pos []P, memberK uint) error {
 	switch {
 	case h.LowBits > 16:
 		return fmt.Errorf("%w: hashed universe 2^%d above 2^16", ErrBuildInvariant, h.LowBits)
 	case h.LowBits < 16, len(pos) >= bitsetMinRows:
-		return hs.encodeBitset(enc, h, pos)
+		return hs.encodeBitset(enc, h, pos, memberK)
 	default:
-		return hs.encodeSmall(enc, h, pos)
+		return hs.encodeSmall(enc, h, pos, memberK)
 	}
 }
 
-// encodeBitset marks every hashed value in a bitset, whose set bits AddBitset
+// encodeBitset marks every hashed value in a bitset, whose set bits AddBitsetK
 // walks sorted and distinct and leaves zeroed. Universes of at most 2^16.
-func (hs *hashSet[P]) encodeBitset(enc *cbitmap.StreamEncoder, h hashutil.SplitXOR, pos []P) error {
+func (hs *hashSet[P]) encodeBitset(enc *cbitmap.StreamEncoder, h hashutil.SplitXOR, pos []P, memberK uint) error {
 	univ := uint64(1) << uint(h.LowBits)
 	nw := int(univ+63) / 64
 	if len(hs.words) < nw {
@@ -144,13 +147,17 @@ func (hs *hashSet[P]) encodeBitset(enc *cbitmap.StreamEncoder, h hashutil.SplitX
 		}
 		words[v>>6] |= 1 << (v & 63)
 	}
-	enc.AddBitset(words)
+	card := 0
+	for _, w := range words {
+		card += bits.OnesCount64(w)
+	}
+	enc.AddBitsetK(words, hashedOrder(h.LowBits, int64(card), memberK))
 	return nil
 }
 
 // encodeSmall hashes a tiny member into the keys buffer, insertion-sorts it
 // and gap-encodes the result, dropping repeats.
-func (hs *hashSet[P]) encodeSmall(enc *cbitmap.StreamEncoder, h hashutil.SplitXOR, pos []P) error {
+func (hs *hashSet[P]) encodeSmall(enc *cbitmap.StreamEncoder, h hashutil.SplitXOR, pos []P, memberK uint) error {
 	if cap(hs.keys) < len(pos) {
 		hs.keys = make([]uint32, len(pos))
 	}
@@ -178,7 +185,7 @@ func (hs *hashSet[P]) encodeSmall(enc *cbitmap.StreamEncoder, h hashutil.SplitXO
 		keys[m] = k
 		m++
 	}
-	cbitmap.AddSorted(enc, keys[:m])
+	cbitmap.AddSortedK(enc, keys[:m], hashedOrder(h.LowBits, int64(m), memberK))
 	return nil
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/bitio"
 	"repro/internal/cbitmap"
+	"repro/internal/gamma"
 	"repro/internal/hashutil"
 	"repro/internal/iomodel"
 	"repro/internal/workload"
@@ -42,8 +43,9 @@ type hashedSet = hashSet[int64]
 
 // buildApproxReference is the member-at-a-time construction BuildApprox used
 // before the level pass: per (level, j, member) sort the positions, hash,
-// sort and compact again, encode through a Bitmap and place each set with its
-// own AllocStream. Kept as the differential oracle for the device image.
+// sort and compact again, encode one gamma.WriteK at a time at the order
+// hashedOrder derives and place each set with its own AllocStream. Kept as
+// the differential oracle for the device image.
 func buildApproxReference(d *iomodel.Disk, col workload.Column, opts ApproxOptions) (*Approx, error) {
 	return buildApproxReferenceK(d, col, opts, maxJ)
 }
@@ -90,11 +92,10 @@ func buildApproxReferenceK(d *iomodel.Disk, col workload.Column, opts ApproxOpti
 				if err != nil {
 					return nil, err
 				}
-				w := bitio.NewWriter(hbm.SizeBits())
-				hbm.EncodeTo(w)
-				arr.exts = append(arr.exts, d.AllocStream(w))
+				arr.exts = append(arr.exts, d.AllocStream(encodeAtOrder(hbm.Positions(), hashedOrder(1<<uint(j), hbm.Card(), uint(m.k)))))
 				arr.cards = append(arr.cards, hbm.Card())
 			}
+			arr.deriveOrders(1<<uint(j), lv.members)
 		}
 		ax.hmaps = append(ax.hmaps, hl)
 	}
@@ -253,25 +254,26 @@ func TestHashedSetRejectsWideUniverse(t *testing.T) {
 	var enc cbitmap.StreamEncoder
 	enc.Init(bitio.NewWriter(0))
 	h := hashutil.NewSplitXOR(rand.New(rand.NewSource(1)), 32)
-	if err := hs.encode(&enc, h, []int64{1, 2, 3}); !errors.Is(err, ErrBuildInvariant) {
+	if err := hs.encode(&enc, h, []int64{1, 2, 3}, 0); !errors.Is(err, ErrBuildInvariant) {
 		t.Fatalf("err = %v, want ErrBuildInvariant", err)
 	}
 }
 
-// hashedSetOracle is sort + Compact + FromPositions on the hashed values.
-func hashedSetOracle(t testing.TB, h hashutil.SplitXOR, pos []int64) ([]byte, int, int64) {
+// hashedSetOracle is sort + Compact on the hashed values, checked against
+// the universe by FromPositions and coded by encodeAtOrder at the order
+// hashedOrder derives for a member at order memberK.
+func hashedSetOracle(t testing.TB, h hashutil.SplitXOR, pos []int64, memberK uint) ([]byte, int, int64) {
 	hashed := make([]int64, len(pos))
 	for i, p := range pos {
 		hashed[i] = int64(h.Hash(uint64(p)))
 	}
 	slices.Sort(hashed)
-	bm, err := cbitmap.FromPositions(h.Range(), slices.Compact(hashed))
-	if err != nil {
+	set := slices.Compact(hashed)
+	if _, err := cbitmap.FromPositions(h.Range(), set); err != nil {
 		t.Fatal(err)
 	}
-	w := bitio.NewWriter(bm.SizeBits())
-	bm.EncodeTo(w)
-	return w.Bytes(), w.Len(), bm.Card()
+	w := encodeAtOrder(set, hashedOrder(h.LowBits, int64(len(set)), memberK))
+	return w.Bytes(), w.Len(), int64(len(set))
 }
 
 // FuzzHashedSetEncode drives every path of hashedSet — bitset, small-sort and
@@ -283,8 +285,9 @@ func FuzzHashedSetEncode(f *testing.F) {
 	f.Add(int64(7), []byte{}, uint16(0))
 	f.Fuzz(func(t *testing.T, seed int64, raw []byte, repeat uint16) {
 		// Positions: 4-byte words of raw (duplicates welcome), then `repeat`
-		// pseudo-random ones so the fuzzer reaches sizes above the cutover
-		// without a corpus entry of that many bytes.
+		// pseudo-random ones (its low 11 bits) so the fuzzer reaches sizes
+		// above the cutover without a corpus entry of that many bytes; the
+		// member's order is repeat's high 5 bits.
 		var pos []int64
 		for ; len(raw) >= 4; raw = raw[4:] {
 			pos = append(pos, int64(raw[0])<<24|int64(raw[1])<<16|int64(raw[2])<<8|int64(raw[3]))
@@ -296,8 +299,9 @@ func FuzzHashedSetEncode(f *testing.F) {
 		var hs hashedSet
 		for j := 1; j <= maxHashedJ; j++ {
 			h := hashutil.NewSplitXOR(rng, 1<<uint(j))
-			wantBytes, wantBits, wantCard := hashedSetOracle(t, h, pos)
-			paths := map[string]func(*cbitmap.StreamEncoder, hashutil.SplitXOR, []int64) error{
+			memberK := uint(repeat >> 11)
+			wantBytes, wantBits, wantCard := hashedSetOracle(t, h, pos, memberK)
+			paths := map[string]func(*cbitmap.StreamEncoder, hashutil.SplitXOR, []int64, uint) error{
 				"dispatch": hs.encode,
 				"small":    hs.encodeSmall,
 				"bitset":   hs.encodeBitset,
@@ -306,7 +310,7 @@ func FuzzHashedSetEncode(f *testing.F) {
 				w := bitio.NewWriter(0)
 				var enc cbitmap.StreamEncoder
 				enc.Init(w)
-				if err := encode(&enc, h, pos); err != nil {
+				if err := encode(&enc, h, pos, memberK); err != nil {
 					t.Fatalf("j=%d %s: %v", j, name, err)
 				}
 				if enc.Card() != wantCard || w.Len() != wantBits || !bytes.Equal(w.Bytes(), wantBytes) {
@@ -352,7 +356,7 @@ func BenchmarkHashedSetPaths(b *testing.B) {
 	h := hashutil.NewSplitXOR(rng, 1<<uint(j))
 	paths := []struct {
 		name   string
-		encode func(*cbitmap.StreamEncoder, hashutil.SplitXOR, []int64) error
+		encode func(*cbitmap.StreamEncoder, hashutil.SplitXOR, []int64, uint) error
 	}{{"small", hs.encodeSmall}, {"bitset", hs.encodeBitset}}
 	for _, rows := range []int{2, 4, 8, 16, 24, 32, 48, 64, 80, 96, 128, 160, 192, 256, 512, 1024} {
 		members := make([][]int64, perIter/rows)
@@ -375,7 +379,8 @@ func BenchmarkHashedSetPaths(b *testing.B) {
 					w.Reset()
 					for _, m := range members {
 						enc.Init(w)
-						if err := p.encode(&enc, h, m); err != nil {
+						// The members are spread: the spread order applies.
+						if err := p.encode(&enc, h, m, gamma.MaxOrder); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -409,4 +414,16 @@ func BenchmarkBuildApproxPaths(b *testing.B) {
 			})
 		}
 	}
+}
+
+// encodeAtOrder codes the strictly increasing positions pos as a gap stream
+// at exp-Golomb order k, one gamma.WriteK at a time: the encoders' oracle.
+func encodeAtOrder(pos []int64, k uint) *bitio.Writer {
+	w := bitio.NewWriter(0)
+	prev := int64(-1)
+	for _, p := range pos {
+		gamma.WriteK(w, uint64(p-prev), k)
+		prev = p
+	}
+	return w
 }

@@ -6,8 +6,8 @@ import (
 	"repro/internal/entropy"
 )
 
-// Theorem 2's bounds at constant 1, the yardsticks the conformance test holds
-// the static index to: the ratio of what an index reads or stores to these is
+// Theorems 2's and 3's bounds at constant 1, the yardsticks the conformance
+// test holds the static index to: the ratio of what an index reads or stores to these is
 // the constant the theorem's O hides, measured.
 
 // QueryBitsBound is Theorem 2's query bound at constant 1: lg C(n,z) bits,
@@ -38,3 +38,7 @@ func SpaceBitsBound(n int64, sigma int, h0 float64) float64 {
 	lg := math.Log2(float64(n))
 	return float64(n)*h0 + float64(n) + float64(sigma)*lg*lg
 }
+
+// ApproxBitsBound is Theorem 3's query bound at constant 1: z lg(1/ε) bits,
+// what an approximate answer of z rows at false-positive rate ε reads.
+func ApproxBitsBound(z int64, eps float64) float64 { return float64(z) * math.Log2(1/eps) }

@@ -37,6 +37,7 @@ func NewWorkers(n int) Workers {
 type levelTask struct {
 	depth   int
 	members []member
+	ordered bool          // code each member at its best order (a tree's); else gamma
 	exact   *bitio.Writer // the members' gap streams, concatenated
 	hashed  *bitio.Writer // the (j, member) hashed streams; nil without hash functions
 	perJ    []hashArray
@@ -77,6 +78,7 @@ func newLevelTasks(tr *Tree, stride int) []levelTask {
 	for li, depth := range depths {
 		tasks[li].depth = depth
 		tasks[li].members = make([]member, 0, counts[li])
+		tasks[li].ordered = true
 	}
 	eachMember(tr, depths, func(v *Node, li, _ int) {
 		tasks[li].members = append(tasks[li].members, member{start: v.Start, end: v.End, internal: !v.IsLeaf()})
@@ -86,9 +88,10 @@ func newLevelTasks(tr *Tree, stride int) []levelTask {
 
 // buildLevels is BuildOptimal with the hashed sets under hs (none for an
 // exact-only index) encoded alongside: the tree, one task per materialised
-// level on the caller's slot of ws and every other slot free, then the exact
-// levels, A and the tree layout placed on an image reserved once from the
-// stream lengths. The tasks return with their hashed writers still to place.
+// level on the caller's slot of ws and every other slot free, then the tree
+// layout and the exact levels placed on an image reserved once from the
+// stream lengths. The layout comes first, from block 0, so a reopen finds it
+// there. The tasks return with their hashed writers still to place.
 func buildLevels(ws Workers, d *iomodel.Disk, col workload.Column, opts OptimalOptions, hs []hashutil.SplitXOR) (*Optimal, []levelTask, error) {
 	ws <- struct{}{}
 	defer func() { <-ws }()
@@ -101,7 +104,7 @@ func buildLevels(ws Workers, d *iomodel.Disk, col workload.Column, opts OptimalO
 	tasks := newLevelTasks(tr, opts.Stride)
 	encodeLevels(ws, tasks, tr.prefix, col.X, hs)
 	members := make([][]member, len(tasks))
-	total := int64(tr.sigma+1) * 64
+	var total int64
 	for i := range tasks {
 		t := &tasks[i]
 		if t.err != nil {
@@ -115,6 +118,7 @@ func buildLevels(ws Workers, d *iomodel.Disk, col workload.Column, opts OptimalO
 	}
 	recs, lenBits, kBits := nodeRecords(tr, materialDepths(tr.Height, opts.Stride), members)
 	d.Reserve(total + int64(layoutBits(d, tr, lenBits+kBits)))
+	ox.layout = newTreeLayout(d, tr, recs, lenBits, kBits)
 	// Adjacent AllocStream calls share blocks with no padding, so placing
 	// whole levels in order leaves the bytes and extents of member-at-a-time
 	// allocation (pinned by the build differential test).
@@ -123,15 +127,6 @@ func buildLevels(ws Workers, d *iomodel.Disk, col workload.Column, opts OptimalO
 		t.place(d)
 		ox.levels = append(ox.levels, newMatLevel(t.depth, t.members))
 	}
-
-	// Prefix array A on disk: queries read two entries to compute z.
-	aw := bitio.NewWriter((tr.sigma + 1) * 64)
-	for _, p := range tr.prefix {
-		aw.WriteBits(uint64(p), 64)
-	}
-	ox.aExt = d.AllocStream(aw)
-
-	ox.layout = newTreeLayout(d, tr, recs, lenBits, kBits)
 	d.ResetStats()
 	return ox, tasks, nil
 }
@@ -245,11 +240,11 @@ func runLevels[P rowID](ws Workers, tasks []levelTask, prefix []int64, x []uint3
 }
 
 // runLevel scatters the column into t's members and encodes, from that one
-// slab, each member's exact stream — an internal member's at the exp-Golomb
-// order that codes it in the fewest bits, a leaf's in gamma — and then its
-// hashed set under every function of hs, grouped by j ("we group the sets
-// according to what hash function was used") so a cover chunk at one j is
-// contiguous.
+// slab, each member's exact stream — a tree member's at the exp-Golomb order
+// that codes it in the fewest bits, an alphabet range's in gamma — and then
+// its hashed set under every function of hs, at the order hashedOrder
+// derives, grouped by j ("we group the sets according to what hash function
+// was used") so a cover chunk at one j is contiguous.
 func runLevel[P rowID](t *levelTask, sc *levelScratch[P], hs []hashutil.SplitXOR) error {
 	if err := sc.scatter(t.members); err != nil {
 		return fmt.Errorf("core: depth %d: %w", t.depth, err)
@@ -267,7 +262,7 @@ func runLevel[P rowID](t *levelTask, sc *levelScratch[P], hs []hashutil.SplitXOR
 	for mi := range t.members {
 		m := &t.members[mi]
 		startBit := t.exact.Len()
-		if m.internal {
+		if t.ordered {
 			m.k = uint8(cbitmap.BestOrder(sc.slab[m.start:m.end]))
 		}
 		enc.Init(t.exact)
@@ -292,13 +287,14 @@ func runLevel[P rowID](t *levelTask, sc *levelScratch[P], hs []hashutil.SplitXOR
 		for mi, m := range t.members {
 			startBit := t.hashed.Len()
 			enc.Init(t.hashed)
-			if err := sc.set.encode(&enc, h, sc.slab[m.start:m.end]); err != nil {
+			if err := sc.set.encode(&enc, h, sc.slab[m.start:m.end], uint(m.k)); err != nil {
 				return fmt.Errorf("core: depth %d hashed level j=%d member [%d,%d): %w",
 					t.depth, j+1, m.start, m.end, err)
 			}
 			arr.exts[mi] = iomodel.Extent{Off: int64(startBit), Bits: int64(t.hashed.Len() - startBit)}
 			arr.cards[mi] = enc.Card()
 		}
+		arr.deriveOrders(h.LowBits, t.members)
 	}
 	return nil
 }

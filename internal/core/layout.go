@@ -23,7 +23,8 @@ const legacyRecordBits = 128
 // O(lg n / lg cap) = O(lg_b n) structure blocks. Those blocks are what the
 // paper's internal memory of (|Σ| lg n)^δ blocks holds: the tree is rebuilt
 // from the counts and the records are read once at open, so no query reads
-// a structure block (at point-pread's scale the layout is 15 blocks).
+// a structure block (at point-pread's scale the layout is 15 blocks). The
+// blocks lead the image, from block 0, so a reopen needs no pointer to them.
 //
 // A node's record is its member's directory entry: the length of the
 // member's gap stream in lenBits, then its exp-Golomb order in kBits (both
@@ -122,11 +123,12 @@ func newTreeLayout(d *iomodel.Disk, t *Tree, recs []uint64, lenBits, kBits int) 
 }
 
 // openLayout replays newTreeLayout's placement of records lenBits+kBits wide
-// from the first block after A, reads the blocks in one pass outside any
-// query's session, and gives every member the length and order its node's
-// record holds. A record must fit its node: no order above gamma.MaxOrder,
-// none on a leaf, and all zero for a node that is no member.
-func (ox *Optimal) openLayout(depths []int, lenBits, kBits int) error {
+// from the first block after A (block 0 on an image without A), reads the
+// blocks in one pass outside any query's session, and gives every member the
+// length and order its node's record holds. A record must fit its node: no
+// order above gamma.MaxOrder, none on a leaf unless leafOrders (files written
+// before coded leaves in gamma), and all zero for a node that is no member.
+func (ox *Optimal) openLayout(depths []int, lenBits, kBits int, leafOrders bool) error {
 	d, t := ox.disk, ox.tree
 	bb := int64(d.BlockBits())
 	first := iomodel.BlockID((ox.aExt.End() + bb - 1) / bb)
@@ -161,7 +163,7 @@ func (ox *Optimal) openLayout(depths []int, lenBits, kBits int) error {
 		switch {
 		case !isMember[v.ID] && recs[v.ID] != 0:
 			return fmt.Errorf("core: node %d is no member but its record holds %#x", v.ID, recs[v.ID])
-		case k > gamma.MaxOrder || (k > 0 && v.IsLeaf()):
+		case k > gamma.MaxOrder || (k > 0 && v.IsLeaf() && !leafOrders):
 			return fmt.Errorf("core: node %d (leaf %v) at order %d", v.ID, v.IsLeaf(), k)
 		}
 	}

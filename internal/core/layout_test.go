@@ -12,7 +12,8 @@ import (
 )
 
 // recordPos returns the bit position of every node's record on ox's device,
-// by node ID, replaying the layout's placement from the first block after A.
+// by node ID, replaying the layout's placement from the first block after A
+// (block 0 on an image without A).
 func recordPos(ox *Optimal) []int64 {
 	l := ox.layout
 	bb := int64(ox.disk.BlockBits())
@@ -24,10 +25,11 @@ func recordPos(ox *Optimal) []int64 {
 
 // TestLayoutRecords: the node records are the exact directory. Over block
 // sizes and alphabets, a reopen rebuilds from them the extents, orders and
-// record placement the build made; a record whose length runs past the image,
-// a leaf record with an order and a record on a node that is no member are
-// rejected at open; every node's record reads back as its member's entry; and
-// planning a query reads none of them, nor A.
+// record placement the build made; a record whose length runs past the image
+// and a record on a node that is no member are rejected at open, and a leaf
+// record with an order only under the rule of files whose leaves were all
+// gamma-coded; every node's record reads back as its member's entry; and
+// planning a query reads none of them.
 func TestLayoutRecords(t *testing.T) {
 	opts := ApproxOptions{Seed: 3}
 	for _, bb := range []int{512, 2048, 32768} {
@@ -74,8 +76,9 @@ func TestLayoutRecords(t *testing.T) {
 	pos := recordPos(ax.Optimal)
 	l := ax.layout
 	width := l.recordBits()
-	// craft overwrites node v's record with rec, reopens, and restores it.
-	craft := func(v *Node, rec uint64) error {
+	// craft overwrites node v's record with rec, reopens, runs then on the
+	// reopened index if the reopen succeeded, and restores the record.
+	craft := func(v *Node, rec uint64, then func(*Approx) error) error {
 		tc := d.NewTouch()
 		defer tc.Close()
 		old, err := tc.ReadBits(pos[v.ID], width)
@@ -85,7 +88,10 @@ func TestLayoutRecords(t *testing.T) {
 		if err := tc.WriteBits(pos[v.ID], rec, width); err != nil {
 			t.Fatal(err)
 		}
-		_, openErr := reopen(t, d, ax, opts)
+		got, openErr := reopen(t, d, ax, opts)
+		if openErr == nil && then != nil {
+			openErr = then(got)
+		}
 		if err := tc.WriteBits(pos[v.ID], old, width); err != nil {
 			t.Fatal(err)
 		}
@@ -115,19 +121,25 @@ func TestLayoutRecords(t *testing.T) {
 	if int64(long) <= d.AllocatedBits()-lastOff {
 		t.Fatalf("a %d-bit length cannot run past the image from bit %d of %d", l.lenBits, lastOff, d.AllocatedBits())
 	}
+	depths := materialDepths(ax.tree.Height, 2)
+	gammaLeaves := func(got *Approx) error { return got.openLayout(depths, l.lenBits, l.kBits, false) }
 	for _, tc := range []struct {
 		what string
 		v    *Node
 		rec  uint64
+		then func(*Approx) error
 		want string
 	}{
-		{"a member extent past the image", last, long << l.kBits, "exceeds image"},
-		{"a leaf record at order 1", leaf, 1<<l.kBits | 1, "at order 1"},
-		{"a record on a node that is no member", none, 1 << l.kBits, "is no member"},
+		{"a member extent past the image", last, long << l.kBits, nil, "exceeds image"},
+		{"a leaf record at order 1 under gamma leaves", leaf, 1<<l.kBits | 1, gammaLeaves, "(leaf true) at order"},
+		{"a record on a node that is no member", none, 1 << l.kBits, nil, "is no member"},
 	} {
-		if err := craft(tc.v, tc.rec); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if err := craft(tc.v, tc.rec, tc.then); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: open error %v, want %q", tc.what, err, tc.want)
 		}
+	}
+	if err := craft(leaf, 1<<l.kBits|1, nil); err != nil {
+		t.Fatalf("a leaf record at order 1: open error %v", err)
 	}
 	if _, err := reopen(t, d, ax, opts); err != nil {
 		t.Fatalf("restored records: %v", err)

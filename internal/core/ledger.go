@@ -2,19 +2,21 @@ package core
 
 import "repro/internal/entropy"
 
-// SpaceLedger itemises where a static index's bits go. The resident parts are
-// listed in device order — the exact levels, the prefix array A, the padding
-// that block-aligns the tree structure, the structure blocks, then the hashed
-// sets level by level — and sum to ImageBits on any index this package built
-// (ResidentBits; cmd/secidx -inspect fails a file on which they do not).
+// SpaceLedger itemises where a static index's bits go. The resident parts —
+// the structure blocks, the exact levels, then the hashed sets level by level
+// on an image built now; on an image written before, the exact levels, the
+// prefix array A, the padding that block-aligns the tree structure, the
+// structure blocks, then the hashed sets — sum to ImageBits on any index this
+// package built (ResidentBits; cmd/secidx -inspect fails a file on which they
+// do not).
 type SpaceLedger struct {
 	Rows  int64
 	Sigma int
 	H0    float64 // 0th-order entropy of the column, bits per row
 
 	Levels     []LevelSpace // materialised levels, shallow to deep
-	PrefixBits int64        // array A: σ+1 entries of 64 bits
-	PadBits    int64        // from the end of A to the first structure block
+	PrefixBits int64        // array A of an image written before: σ+1 entries of 64 bits
+	PadBits    int64        // from the end of A to the first structure block (0 without A)
 	LayoutBits int64        // blocked tree structure, whole blocks
 	ImageBits  int64        // the device's allocated size
 

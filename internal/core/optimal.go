@@ -37,9 +37,10 @@ func (o *OptimalOptions) fill() {
 
 // member is one bitmap of a materialised level: a tree node's position set,
 // identified by its record range, stored at the level's concatenated extent
-// as a gap stream in the exp-Golomb code of order k. Only an internal node's
-// set (one of more than one character) may take an order above 0: a pruned
-// leaf stays gamma-coded, so an answer can copy it verbatim.
+// as a gap stream in the exp-Golomb code of order k, the one that codes it in
+// the fewest bits (a file written before may hold a leaf, or every member, in
+// gamma). internal marks a node of more than one character. An answer of one
+// member copies it verbatim, order and all (cbitmap's drainInto).
 type member struct {
 	start, end int64
 	ext        iomodel.Extent
@@ -127,8 +128,10 @@ func (lv *matLevel) tileFrom(i int, lo, hi int64) (int, error) {
 }
 
 // Optimal is the paper's Theorem 2 structure: the pruned weight-balanced
-// tree with materialised levels 1, 2, 4, 8, … and the leaf level, the
-// prefix-count array A, and the blocked tree layout. Space is
+// tree with materialised levels 1, 2, 4, 8, … and the leaf level, and the
+// blocked tree layout; the prefix counts the paper keeps as an array A on
+// disk are in memory, rebuilt from the counts (an image written before holds
+// a copy no query reads). Space is
 // O(nH₀ + n + σ lg²n) bits; a query reads O(z lg(n/z)/B + lg_b n + lg lg n)
 // blocks.
 type Optimal struct {
@@ -138,7 +141,7 @@ type Optimal struct {
 	opts   OptimalOptions
 
 	levels []matLevel
-	aExt   iomodel.Extent // prefix array A: (σ+1) 64-bit entries
+	aExt   iomodel.Extent // prefix array A of an image written before: (σ+1) 64-bit entries; else empty
 }
 
 // BuildOptimal constructs the Theorem 2 index for col on disk d, its levels
@@ -185,9 +188,9 @@ func (ox *Optimal) Tree() *Tree { return ox.tree }
 // O(lg lg n)).
 func (ox *Optimal) MaterialisedLevels() int { return len(ox.levels) }
 
-// SizeBits implements index.Index: bitmap payloads + prefix array + blocked
-// tree structure, whose node records are the members' directory (+ the
-// metadata directory of a legacy image, legacyDirBits).
+// SizeBits implements index.Index: bitmap payloads + blocked tree structure,
+// whose node records are the members' directory (+ an older image's prefix
+// array and the metadata directory of a legacy image, legacyDirBits).
 func (ox *Optimal) SizeBits() int64 {
 	var bits int64
 	for _, lv := range ox.levels {
@@ -274,12 +277,15 @@ func BuildOptimalDefault(d *iomodel.Disk, col workload.Column) (*Optimal, error)
 	return BuildOptimal(d, col, OptimalOptions{})
 }
 
-// CodeBits is a member payload priced under the gap codes A5 compares.
+// CodeBits is a payload of gap streams priced under the gap codes A5
+// compares, with its streams counted by the exp-Golomb order they are stored
+// at: Orders[k] of them at k.
 type CodeBits struct {
 	Stored int64 // as the image holds it
 	Gamma  int64 // every gap gamma-coded
 	Delta  int64 // every gap Elias-delta-coded
-	BestK  int64 // each member at the exp-Golomb order that codes it in the fewest bits
+	BestK  int64 // each stream at the exp-Golomb order that codes it in the fewest bits
+	Orders []int
 }
 
 // Add adds o's payload to c's.
@@ -288,20 +294,28 @@ func (c *CodeBits) Add(o CodeBits) {
 	c.Gamma += o.Gamma
 	c.Delta += o.Delta
 	c.BestK += o.BestK
+	for len(c.Orders) < len(o.Orders) {
+		c.Orders = append(c.Orders, 0)
+	}
+	for k, n := range o.Orders {
+		c.Orders[k] += n
+	}
 }
 
 // LevelCodes prices one materialised level's member payload, internal members
-// (of more than one character) and pruned leaves apart, and counts its
-// members by the exp-Golomb order they are stored at: Orders[k] of them at k.
+// (of more than one character) and pruned leaves apart, and — for an index
+// with hashed levels — its hashed sets, one CodeBits per j.
 type LevelCodes struct {
 	Depth            int
-	Orders           []int
 	Internal, Leaves CodeBits
+	Hashed           []CodeBits // index j-1: the sets h_j(S)
 }
 
-// Total returns the level's payload, internal members and leaves together.
+// Total returns the level's exact payload, internal members and leaves
+// together.
 func (l LevelCodes) Total() CodeBits {
-	t := l.Internal
+	var t CodeBits
+	t.Add(l.Internal)
 	t.Add(l.Leaves)
 	return t
 }
@@ -315,42 +329,49 @@ func (ox *Optimal) PayloadUnderCodes() ([]LevelCodes, error) {
 	tc := ox.disk.NewTouch()
 	defer tc.Close()
 	out := make([]LevelCodes, len(ox.levels))
-	for li, lv := range ox.levels {
-		l := &out[li]
-		l.Depth = lv.depth
-		for _, m := range lv.members {
-			r, err := tc.Reader(m.ext)
-			if err != nil {
-				return nil, err
-			}
-			var s cbitmap.Stream
-			if err := s.InitDecode(r, 0, r.Len(), m.card, ox.tree.n, 0, uint(m.k)); err != nil {
-				return nil, fmt.Errorf("core: depth %d member [%d,%d): %w", lv.depth, m.start, m.end, err)
-			}
-			c := CodeBits{Stored: m.ext.Bits}
-			var costs gamma.Costs
-			prev := int64(-1)
-			for p, ok := s.Next(); ok; p, ok = s.Next() {
-				g := uint64(p - prev)
-				c.Gamma += int64(gamma.Len(g))
-				c.Delta += int64(gamma.DeltaLen(g))
-				costs.Add(g)
-				prev = p
-			}
-			if err := s.Err(); err != nil {
-				return nil, fmt.Errorf("core: depth %d member [%d,%d): %w", lv.depth, m.start, m.end, err)
-			}
-			_, c.BestK = costs.Best()
+	for li := range ox.levels {
+		lv := &ox.levels[li]
+		out[li].Depth = lv.depth
+		for i, m := range lv.members {
+			c := &out[li].Leaves
 			if m.internal {
-				l.Internal.Add(c)
-			} else {
-				l.Leaves.Add(c)
+				c = &out[li].Internal
 			}
-			for len(l.Orders) <= int(m.k) {
-				l.Orders = append(l.Orders, 0)
+			if err := priceStream(tc, lv, i, ox.tree.n, c); err != nil {
+				return nil, fmt.Errorf("core: depth %d member [%d,%d): %w", lv.depth, m.start, m.end, err)
 			}
-			l.Orders[m.k]++
 		}
 	}
 	return out, nil
+}
+
+// priceStream reads the i-th stream of dir, a set in [0,univ), back through
+// tc and adds it to c under every code.
+func priceStream(tc *iomodel.Touch, dir memberDir, i int, univ int64, c *CodeBits) error {
+	ext, card, k := dir.entry(i)
+	r, err := tc.Reader(ext)
+	if err != nil {
+		return err
+	}
+	var s cbitmap.Stream
+	if err := s.InitDecode(r, 0, r.Len(), card, univ, 0, k); err != nil {
+		return err
+	}
+	o := CodeBits{Stored: ext.Bits, Orders: make([]int, k+1)}
+	o.Orders[k] = 1
+	var costs gamma.Costs
+	prev := int64(-1)
+	for p, ok := s.Next(); ok; p, ok = s.Next() {
+		g := uint64(p - prev)
+		o.Gamma += int64(gamma.Len(g))
+		o.Delta += int64(gamma.DeltaLen(g))
+		costs.Add(g)
+		prev = p
+	}
+	if err := s.Err(); err != nil {
+		return err
+	}
+	_, o.BestK = costs.Best()
+	c.Add(o)
+	return nil
 }

@@ -48,7 +48,12 @@ const maxStoredJ = 5
 // level's base — so its size depends on the levels and the hashed sets, not
 // on the members. A 0 where files written before stored the level count (at
 // least 1) marks the layout: those files decode through OpenApprox's legacy
-// branch, and a binary from before rejects a new file there.
+// branch, and a binary from before rejects a new file there. A 0 where files
+// written before stored the offset of the prefix array A (at least 1: the
+// exact levels preceded it) marks the revision whose image holds no A, its
+// tree layout from block 0, and whose leaves carry their orders and hashed
+// sets take the orders hashedOrder derives; an image opened from an older
+// file keeps A's offset there.
 func (ax *Approx) EncodeMeta(e *container.Encoder) error {
 	tr, l := ax.tree, ax.layout
 	if l.lenBits == 0 {
@@ -124,7 +129,9 @@ func (ax *Approx) encodeHashed(e *container.Encoder) error {
 // A file written before the records carried the directory (its level count
 // where the marker is) takes the legacy branch: the tree at legacyHeight,
 // the lengths inline in the level headers, each node's block stored after A
-// and the internal members' orders trailing the payload (absent, gamma).
+// and the internal members' orders trailing the payload (absent, gamma). A
+// file with A's offset where the revision marker is (EncodeMeta) holds
+// gamma-coded leaves and hashed sets and its layout after A.
 func OpenApprox(d *iomodel.Disk, sigma int, opts ApproxOptions, dec *container.Decoder) (*Approx, error) {
 	opts.OptimalOptions.fill()
 	if sigma < 1 || sigma > container.MaxSigma {
@@ -191,7 +198,11 @@ func OpenApprox(d *iomodel.Disk, sigma int, opts ApproxOptions, dec *container.D
 		}
 		ox.levels = append(ox.levels, newMatLevel(depth, members))
 	}
-	ox.aExt = iomodel.Extent{Off: int64(dec.UN(uint64(tail))), Bits: int64(sigma+1) * 64}
+	aOff := int64(dec.UN(uint64(tail)))
+	revised := !legacy && aOff == 0
+	if !revised {
+		ox.aExt = iomodel.Extent{Off: aOff, Bits: int64(sigma+1) * 64}
+	}
 	if err := dec.Err(); err != nil {
 		return nil, err
 	}
@@ -201,7 +212,7 @@ func OpenApprox(d *iomodel.Disk, sigma int, opts ApproxOptions, dec *container.D
 	if legacy {
 		ox.layout, err = openLegacyLayout(d, tr, dec)
 	} else {
-		err = ox.openLayout(depths, lenBits, kBits)
+		err = ox.openLayout(depths, lenBits, kBits, revised)
 	}
 	if err != nil {
 		return nil, err
@@ -249,6 +260,9 @@ func OpenApprox(d *iomodel.Disk, sigma int, opts ApproxOptions, dec *container.D
 			}
 			for i := 0; i < nm; i++ {
 				arr.cards = append(arr.cards, int64(dec.UN(container.MaxRows)))
+			}
+			if revised {
+				arr.deriveOrders(1<<(j+1), ox.levels[li].members)
 			}
 		}
 		ax.hmaps = append(ax.hmaps, hl)

@@ -137,7 +137,10 @@ func TestOpenApproxStoredLevels(t *testing.T) {
 // node records carried the member directory did: the member lengths inline
 // in the level headers, every node's block after A, and — when orders is
 // set — the internal members' exp-Golomb orders trailing the payload. Such a
-// file's tree has legacyHeight; ax's must have the same height.
+// file's tree has legacyHeight; ax's must have the same height. Its leaves
+// were gamma-coded, so the leaves' orders of ax are lost, and ax's image has
+// no A: the slot of A's offset holds 0, which the legacy branch reads as an
+// A at bit 0.
 func encodeLegacyMeta(t *testing.T, ax *Approx, orders bool) []byte {
 	t.Helper()
 	tr := ax.tree
@@ -178,11 +181,12 @@ func encodeLegacyMeta(t *testing.T, ax *Approx, orders bool) []byte {
 	return e.Bytes()
 }
 
-// TestOpenApproxMemberOrders: the exp-Golomb orders of the internal members
-// survive a round trip through the node records, and through the trailing
-// list of a legacy file; a legacy file without the list reads every member
-// as gamma-coded, one whose list is cut short is corrupt, and so is one with
-// an order above gamma.MaxOrder.
+// TestOpenApproxMemberOrders: the exp-Golomb orders of the members, leaves
+// and internal ones, survive a round trip through the node records, and
+// those of the internal members through the trailing list of a legacy file,
+// which reads every leaf as gamma-coded; a legacy file without the list reads
+// every member as gamma-coded, one whose list is cut short is corrupt, and so
+// is one with an order above gamma.MaxOrder.
 func TestOpenApproxMemberOrders(t *testing.T) {
 	opts := ApproxOptions{Seed: 42}
 	col := workload.Zipf(20000, 64, 1.0, 9)
@@ -191,16 +195,18 @@ func TestOpenApproxMemberOrders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want []uint8
+	var want, leaves []uint8
 	for _, lv := range ax.levels {
 		for _, m := range lv.members {
 			if m.internal {
 				want = append(want, m.k)
+			} else {
+				leaves = append(leaves, m.k)
 			}
 		}
 	}
-	if slices.Max(want) == 0 || slices.Max(want) >= 128 {
-		t.Fatalf("orders %v: want one above 0, each a one-byte varint", want)
+	if slices.Max(want) == 0 || slices.Max(want) >= 128 || slices.Max(leaves) == 0 {
+		t.Fatalf("orders %v, leaves' %v: want one above 0 in each, each a one-byte varint", want, leaves)
 	}
 	open := func(payload []byte) (*Approx, error) {
 		dec := container.NewDecoder(payload)
@@ -210,12 +216,14 @@ func TestOpenApproxMemberOrders(t *testing.T) {
 		}
 		return got, err
 	}
-	requireOrders := func(what string, got *Approx, gamma bool) {
+	// requireOrders holds got's members to the build's, with every order 0
+	// under gamma and every leaf's under gammaLeaves.
+	requireOrders := func(what string, got *Approx, gamma, gammaLeaves bool) {
 		t.Helper()
 		for li, lv := range got.levels {
 			for mi, m := range lv.members {
 				w := ax.levels[li].members[mi]
-				if gamma {
+				if gamma || (gammaLeaves && !w.internal) {
 					w.k = 0
 				}
 				if m != w {
@@ -228,7 +236,7 @@ func TestOpenApproxMemberOrders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireOrders("records", got, false)
+	requireOrders("records", got, false, false)
 	for _, q := range workload.RandomRanges(20, 64, 9, 3) {
 		r := index.Range{Lo: q.Lo, Hi: q.Hi}
 		a, _, err := got.Query(r)
@@ -245,13 +253,13 @@ func TestOpenApproxMemberOrders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireOrders("legacy", old, false)
+	requireOrders("legacy", old, false, true)
 	var members int64
 	for _, lv := range ax.levels {
 		members += int64(len(lv.members))
 	}
-	if got, want := old.SizeBits(), ax.SizeBits()+members*legacyRecordBits; got != want {
-		t.Fatalf("legacy SizeBits %d, want %d: the metadata directory at 128 bits per member", got, want)
+	if got, want := old.SizeBits(), ax.SizeBits()+members*legacyRecordBits+int64(ax.Sigma()+1)*64; got != want {
+		t.Fatalf("legacy SizeBits %d, want %d: the metadata directory at 128 bits per member and A", got, want)
 	}
 	if l := old.SpaceLedger(); l.DirBits != ax.SpaceLedger().DirBits+members*legacyRecordBits {
 		t.Fatalf("legacy ledger DirBits %d, charges no metadata directory", l.DirBits)
@@ -262,7 +270,7 @@ func TestOpenApproxMemberOrders(t *testing.T) {
 	if old, err = open(encodeLegacyMeta(t, ax, false)); err != nil {
 		t.Fatal(err)
 	}
-	requireOrders("legacy without orders", old, true)
+	requireOrders("legacy without orders", old, true, true)
 	if _, err := open(meta[:len(meta)-1]); !errors.Is(err, container.ErrCorrupt) {
 		t.Fatalf("order list cut short: error %v, want ErrCorrupt", err)
 	}

@@ -115,13 +115,13 @@ func TestStreamingRebuildDifferential(t *testing.T) {
 
 // TestStreamingBuildBitIdentical pins the static bulk builds: every member
 // extent the streaming level pass emits must hold exactly the bytes the
-// oracle produces — for Optimal across the A1 stride sweep, where a leaf is
-// the encode-via-Bitmap gamma stream and an internal member its gaps coded
-// one gamma.WriteK at a time at the order whose summed LenK is least (the
-// smallest on a tie), and for the Warmup tree.
+// oracle produces — for Optimal across the A1 stride sweep, where a member,
+// leaf or internal, is its gaps coded one gamma.WriteK at a time at the order
+// whose summed LenK is least (the smallest on a tie), and for the Warmup
+// tree, whose ranges are the encode-via-Bitmap gamma stream.
 func TestStreamingBuildBitIdentical(t *testing.T) {
 	col := workload.Uniform(5000, 256, 89)
-	ordered := 0 // members coded above order 0
+	ordered, leaves := 0, 0 // members and leaves coded above order 0
 	for _, stride := range []int{1, 2, 4} {
 		d := iomodel.NewDisk(iomodel.Config{BlockBits: 1024})
 		ix, err := BuildOptimal(d, col, OptimalOptions{Stride: stride})
@@ -141,41 +141,35 @@ func TestStreamingBuildBitIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				pos := positions(m.start, m.end)
-				want, err := cbitmap.FromPositions(ix.tree.n, pos)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ww := bitio.NewWriter(want.SizeBits())
-				want.EncodeTo(ww)
-				order := uint(0)
-				if m.internal {
-					best := int64(-1)
-					for o := uint(0); o <= gamma.MaxOrder; o++ {
-						var bits int64
-						for i, p := range pos {
-							bits += int64(gamma.LenK(uint64(p-prevPos(pos, i)), o))
-						}
-						if best < 0 || bits < best {
-							order, best = o, bits
-						}
-					}
-					ww.Reset()
+				order, best := uint(0), int64(-1)
+				for o := uint(0); o <= gamma.MaxOrder; o++ {
+					var bits int64
 					for i, p := range pos {
-						gamma.WriteK(ww, uint64(p-prevPos(pos, i)), order)
+						bits += int64(gamma.LenK(uint64(p-prevPos(pos, i)), o))
+					}
+					if best < 0 || bits < best {
+						order, best = o, bits
 					}
 				}
-				if m.card != want.Card() || uint(m.k) != order || int64(ww.Len()) != m.ext.Bits || !bytes.Equal(got.Bytes(), ww.Bytes()) {
+				ww := bitio.NewWriter(0)
+				for i, p := range pos {
+					gamma.WriteK(ww, uint64(p-prevPos(pos, i)), order)
+				}
+				if m.card != int64(len(pos)) || uint(m.k) != order || int64(ww.Len()) != m.ext.Bits || !bytes.Equal(got.Bytes(), ww.Bytes()) {
 					t.Fatalf("stride %d level %d member %d: extent differs from oracle encoding", stride, li, k)
 				}
 				if order > 0 {
 					ordered++
+					if !m.internal {
+						leaves++
+					}
 				}
 			}
 		}
 		tc.Close()
 	}
-	if ordered == 0 {
-		t.Fatal("no member took an order above 0")
+	if ordered == 0 || leaves == 0 {
+		t.Fatalf("%d members, %d of them leaves, took an order above 0", ordered, leaves)
 	}
 
 	wd := iomodel.NewDisk(iomodel.Config{BlockBits: 1024})
