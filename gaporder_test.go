@@ -6,14 +6,16 @@ import (
 	"testing"
 
 	"repro/internal/cbitmap"
+	"repro/internal/gamma"
 	"repro/internal/workload"
 )
 
-// TestAnswersCanonical: internal members are stored at their exp-Golomb
-// orders, yet every answer is the gamma-coded bitmap of its rows, byte for
-// byte — cbitmap.FromPositions over the brute-force rows — whichever index
-// (static or four shards), column (uniform, zipf, runs) and handle (in
-// memory, reopened pread or mmap) answers it, by Query or QueryBatch.
+// TestAnswersCanonical: members are stored at their exp-Golomb orders, yet
+// every answer holds the rows of cbitmap.FromPositions over the brute-force
+// rows in the canonical encoding at its own order — gamma, or the order of
+// the member it copied — whichever index (static or four shards), column
+// (uniform, zipf, runs) and handle (in memory, reopened pread or mmap)
+// answers it, by Query or QueryBatch; and some answers carry an order.
 func TestAnswersCanonical(t *testing.T) {
 	const n, sigma = 24000, 64
 	cols := []struct {
@@ -82,14 +84,18 @@ func TestAnswersCanonical(t *testing.T) {
 					handles[mode] = o.Sharded
 				}
 			}
+			atOrder := 0
 			for hname, h := range handles {
 				for i, r := range ranges {
 					got, _, err := h.Query(r.Lo, r.Hi)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !cbitmap.Equal(got.bm, want[i]) {
-						t.Fatalf("%s %s Query %v: answer's bytes differ from FromPositions'", name, hname, r)
+					if !canonical(got.bm, want[i]) {
+						t.Fatalf("%s %s Query %v: answer differs from FromPositions' rows at order %d", name, hname, r, got.bm.Order())
+					}
+					if got.bm.Order() > 0 {
+						atOrder++
 					}
 				}
 				got, _, err := h.QueryBatch(ranges)
@@ -97,13 +103,31 @@ func TestAnswersCanonical(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i, r := range ranges {
-					if !cbitmap.Equal(got[i].bm, want[i]) {
-						t.Fatalf("%s %s QueryBatch %v: answer's bytes differ from FromPositions'", name, hname, r)
+					if !canonical(got[i].bm, want[i]) {
+						t.Fatalf("%s %s QueryBatch %v: answer differs from FromPositions' rows at order %d", name, hname, r, got[i].bm.Order())
 					}
 				}
 			}
+			if atOrder == 0 && col.name != "runs" {
+				t.Fatalf("%s: no answer carries an order above 0", name)
+			}
 		}
 	}
+}
+
+// canonical reports whether got holds want's rows (want gamma-coded) in the
+// canonical encoding at got's order: as many bits as their codes at it take.
+func canonical(got, want *cbitmap.Bitmap) bool {
+	if !cbitmap.Equal(got, want) {
+		return false
+	}
+	bits, prev := 0, int64(-1)
+	it := want.Iter()
+	for p, ok := it.Next(); ok; p, ok = it.Next() {
+		bits += gamma.LenK(uint64(p-prev), got.Order())
+		prev = p
+	}
+	return got.SizeBits() == bits
 }
 
 // membersAboveOrder0 counts the members an index stores above order 0.

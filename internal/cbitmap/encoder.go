@@ -59,18 +59,15 @@ func AddSortedK[P uint32 | int64](e *StreamEncoder, pos []P, k uint) {
 	em.flush()
 }
 
-// BestOrder returns the exp-Golomb order in [0, gamma.MaxOrder] that codes
-// the gap stream of the strictly increasing positions pos, its first gap
-// taken from -1, in the fewest bits: the smaller order on a tie.
-func BestOrder[P uint32 | int64](pos []P) uint {
-	var c gamma.Costs
+// AddGaps counts into c the gaps of the strictly increasing positions pos,
+// the first taken from -1: c.Best then gives the exp-Golomb order in
+// [0, gamma.MaxOrder] that codes the streams counted in the fewest bits.
+func AddGaps[P uint32 | int64](c *gamma.Costs, pos []P) {
 	prev := int64(-1)
 	for _, q := range pos {
 		c.Add(uint64(int64(q) - prev))
 		prev = int64(q)
 	}
-	k, _ := c.Best()
-	return k
 }
 
 // AddBitset appends the set bits of words — bit i of words[k] is position

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/bitio"
+	"repro/internal/gamma"
 )
 
 // The measuring half of hypotheses/kernel-floor and hypotheses/flat-emit:
@@ -171,8 +172,10 @@ func BenchmarkFloor(b *testing.B) {
 			b.ReportMetric(float64(bm.bits)/float64(rows), "bits/row")
 		})
 		// The same positions coded at the exp-Golomb order that prices their
-		// gaps least, the code of an internal member of a static index.
-		k := BestOrder(bm.Positions())
+		// gaps least, the code of a member of a static index.
+		var costs gamma.Costs
+		AddGaps(&costs, bm.Positions())
+		k, _ := costs.Best()
 		kw := bitio.NewWriter(0)
 		var enc StreamEncoder
 		enc.Init(kw)

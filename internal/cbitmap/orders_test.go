@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bitio"
+	"repro/internal/gamma"
 )
 
 // atOrder returns b's set as a bitmap whose gaps are coded at order k: the
@@ -134,8 +135,8 @@ func FuzzMixedOrders(f *testing.F) {
 		}
 		requireSet(t, "Complement of a union", cu.Complement(), n, comp)
 
-		// Disjoint shifted parts concatenate, the first part's order kept and
-		// the second's re-encoded to it when they differ.
+		// Disjoint shifted parts concatenate at the order of the part holding
+		// more bits (the first on a tie), the other re-encoded to it.
 		shifted := slices.Clone(ap)
 		for _, p := range bp {
 			shifted = append(shifted, p+n)
@@ -145,8 +146,19 @@ func FuzzMixedOrders(f *testing.F) {
 			t.Fatal(err)
 		}
 		requireSet(t, "UnionAll of disjoint parts", all, 2*n, shifted)
-		if a.Card() > 0 && all.Order() != orders[0] {
-			t.Fatalf("UnionAll answer at order %d, its first part's is %d", all.Order(), orders[0])
+		// A merge weighs what each stream holds behind its primed head.
+		rest := func(b *Bitmap) int {
+			if b.Card() == 0 {
+				return 0
+			}
+			return b.SizeBits() - gamma.LenK(uint64(b.Positions()[0]+1), b.Order())
+		}
+		want := orders[0]
+		if rest(b1) > rest(a1) || a.Card() == 0 {
+			want = orders[2]
+		}
+		if a.Card()+b.Card() > 0 && all.Order() != want {
+			t.Fatalf("UnionAll answer at order %d, its larger part's is %d", all.Order(), want)
 		}
 		if all, err = UnionAll(n, Shifted{Bm: b1}, Shifted{Bm: a2}, Shifted{Bm: a1}); err != nil {
 			t.Fatal(err)
@@ -171,16 +183,36 @@ func FuzzMixedOrders(f *testing.F) {
 	})
 }
 
-// TestBuilderOrders: a merge builder takes the order of the first stream
-// drained into it only while empty; one that has encoded a position, and a
+// TestBuilderOrders: an empty merge builder that concatenates takes the
+// order of the most input bits; one that has encoded a position, and a
 // StreamEncoder's, keep theirs and re-encode the tail.
 func TestBuilderOrders(t *testing.T) {
 	const n = 1 << 12
 	a := MustFromPositions(n, []int64{3, 40, 41, 900})
 	b := MustFromPositions(n, []int64{1000, 1500, 4000})
-	b3 := atOrder(t, b, 3)
-	if u, err := UnionAll(n, Shifted{Bm: a}, Shifted{Bm: b3}); err != nil || u.Order() != 0 || !Equal(u, MustFromPositions(n, append(a.Positions(), b.Positions()...))) {
-		t.Fatalf("gamma part then order-3 part: order %d, err %v", u.Order(), err)
+	b3, c3 := atOrder(t, b, 3), atOrder(t, MustFromPositions(n, []int64{41, 2000, 3000}), 3)
+	for _, tc := range []struct {
+		what  string
+		parts []*Bitmap
+		order uint
+	}{
+		{"gamma part then a larger order-3 part", []*Bitmap{a, b3}, 3},
+		{"a larger gamma part then an order-3 part", []*Bitmap{atOrder(t, a, 0), atOrder(t, MustFromPositions(n, []int64{1000}), 3)}, 0},
+		{"gamma part overlapping an order-3 part", []*Bitmap{a, c3}, 0},
+	} {
+		u, err := UnionOver(n, tc.parts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []int64
+		for _, p := range tc.parts {
+			want = append(want, p.Positions()...)
+		}
+		slices.Sort(want)
+		want = slices.Compact(want)
+		if u.Order() != tc.order || !Equal(u, MustFromPositions(n, want)) {
+			t.Fatalf("%s: order %d, want %d (or rows differ)", tc.what, u.Order(), tc.order)
+		}
 	}
 	w := bitio.NewWriter(0)
 	var e StreamEncoder

@@ -341,7 +341,8 @@ func (s *Stream) drainInto(bd *Builder, cur int64) error {
 // reencodeInto is drainInto for a tail coded at another order than bd's: it
 // decodes the rest of the stream a chunk at a time and encodes the chunks at
 // bd's order through the bulk emitter — skip samples included in gamma; at a
-// higher order sampling stops, as after a verbatim copy.
+// higher order sampling stops, as after a verbatim copy. A stream whose
+// largest position is known up front must end there.
 func (s *Stream) reencodeInto(bd *Builder) error {
 	var chunk [256]int64
 	e := denseEmitter{bd: bd, prev: bd.prev, card: bd.card}
@@ -367,6 +368,11 @@ func (s *Stream) reencodeInto(bd *Builder) error {
 		}
 	}
 	e.flush()
+	if s.err == nil && s.last >= 0 && bd.prev != s.last {
+		// A verbatim copy would have taken the known last on faith; the
+		// decode shows it wrong.
+		return fmt.Errorf("%w: stream ends at position %d, not at its known last %d", ErrCorrupt, bd.prev, s.last)
+	}
 	return s.err
 }
 
@@ -545,6 +551,25 @@ func knownDisjoint(heads []mergeHead) bool {
 	return len(heads) > 0
 }
 
+// dominantOrder returns the order of the heads' streams that codes the most
+// of their remaining bits, the first such on a tie.
+func dominantOrder(heads []mergeHead) uint {
+	var k uint
+	best := -1
+	for i := range heads {
+		bits := 0
+		for j := range heads {
+			if heads[j].s.k == heads[i].s.k {
+				bits += heads[j].s.r.Remaining()
+			}
+		}
+		if bits > best {
+			k, best = heads[i].s.k, bits
+		}
+	}
+	return k
+}
+
 // runMerge executes the merge over the primed heads, writing into bd — which
 // may be a pooled query builder (mergeStreams) or a StreamEncoder's builder
 // aimed at a construction writer, the fusion that lets merges feed the write
@@ -553,9 +578,13 @@ func knownDisjoint(heads []mergeHead) bool {
 func runMerge(bd *Builder, n int64, complement, ordered bool, heads []mergeHead) error {
 	if !complement && (ordered || knownDisjoint(heads)) {
 		// Concatenation, promised or seen in the heads: only head gaps are
-		// re-encoded; tails are copied verbatim, whole words at a time. A
-		// promise is checked at each boundary, where bd.prev is the previous
-		// stream's largest position.
+		// re-encoded; tails at bd's order are copied verbatim, whole words at
+		// a time, and an empty builder takes the order of the most input
+		// bits, so the fewest are re-encoded. A promise is checked at each
+		// boundary, where bd.prev is the previous stream's largest position.
+		if bd.adopt && bd.card == 0 {
+			bd.k, bd.adopt = dominantOrder(heads), false
+		}
 		for i := range heads {
 			if cur := heads[i].cur; i > 0 && cur <= bd.prev {
 				return fmt.Errorf("%w: ordered stream %d starts at position %d, not above %d", ErrCorrupt, i, cur, bd.prev)

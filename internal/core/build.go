@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/bitio"
 	"repro/internal/cbitmap"
+	"repro/internal/gamma"
 	"repro/internal/hashutil"
 	"repro/internal/iomodel"
 	"repro/internal/workload"
@@ -69,7 +70,8 @@ func eachMember(tr *Tree, depths []int, f func(v *Node, li, mi int)) {
 }
 
 // newLevelTasks assigns each node to the level memberLevel gives it, each
-// level's member slice sized by a counting pass.
+// level's member slice sized by a counting pass, and marks the leaves that
+// continue their level's run of one character.
 func newLevelTasks(tr *Tree, stride int) []levelTask {
 	depths := materialDepths(tr.Height, stride)
 	tasks := make([]levelTask, len(depths))
@@ -80,10 +82,19 @@ func newLevelTasks(tr *Tree, stride int) []levelTask {
 		tasks[li].members = make([]member, 0, counts[li])
 		tasks[li].ordered = true
 	}
+	last := make([]*Node, len(depths)) // each level's latest member node
 	eachMember(tr, depths, func(v *Node, li, _ int) {
-		tasks[li].members = append(tasks[li].members, member{start: v.Start, end: v.End, internal: !v.IsLeaf()})
+		tasks[li].members = append(tasks[li].members, memberOf(v, last[li]))
+		last[li] = v
 	})
 	return tasks
+}
+
+// memberOf returns node v's member, prev being the node of the member before
+// it in its level (nil for none).
+func memberOf(v, prev *Node) member {
+	one := func(v *Node) bool { return v != nil && v.IsLeaf() && v.CharLo == v.CharHi }
+	return member{start: v.Start, end: v.End, internal: !v.IsLeaf(), sameChar: one(v) && one(prev) && prev.CharLo == v.CharLo}
 }
 
 // buildLevels is BuildOptimal with the hashed sets under hs (none for an
@@ -241,7 +252,8 @@ func runLevels[P rowID](ws Workers, tasks []levelTask, prefix []int64, x []uint3
 
 // runLevel scatters the column into t's members and encodes, from that one
 // slab, each member's exact stream — a tree member's at the exp-Golomb order
-// that codes it in the fewest bits, an alphabet range's in gamma — and then
+// that codes it, or its run of leaves of one character, in the fewest bits;
+// an alphabet range's in gamma — and then
 // its hashed set under every function of hs, at the order hashedOrder
 // derives, grouped by j ("we group the sets according to what hash function
 // was used") so a cover chunk at one j is contiguous.
@@ -259,12 +271,24 @@ func runLevel[P rowID](t *levelTask, sc *levelScratch[P], hs []hashutil.SplitXOR
 		}
 	}
 	t.exact.Grow(need)
+	for g := 0; t.ordered && g < len(t.members); {
+		h := g + 1
+		for h < len(t.members) && t.members[h].sameChar {
+			h++
+		}
+		var c gamma.Costs
+		for _, m := range t.members[g:h] {
+			cbitmap.AddGaps(&c, sc.slab[m.start:m.end])
+		}
+		k, _ := c.Best()
+		for i := g; i < h; i++ {
+			t.members[i].k = uint8(k)
+		}
+		g = h
+	}
 	for mi := range t.members {
 		m := &t.members[mi]
 		startBit := t.exact.Len()
-		if t.ordered {
-			m.k = uint8(cbitmap.BestOrder(sc.slab[m.start:m.end]))
-		}
 		enc.Init(t.exact)
 		cbitmap.AddSortedK(&enc, sc.slab[m.start:m.end], uint(m.k))
 		if enc.Card() != m.end-m.start {

@@ -37,16 +37,21 @@ func (o *OptimalOptions) fill() {
 
 // member is one bitmap of a materialised level: a tree node's position set,
 // identified by its record range, stored at the level's concatenated extent
-// as a gap stream in the exp-Golomb code of order k, the one that codes it in
-// the fewest bits (a file written before may hold a leaf, or every member, in
-// gamma). internal marks a node of more than one character. An answer of one
-// member copies it verbatim, order and all (cbitmap's drainInto).
+// as a gap stream in the exp-Golomb code of order k: an internal member's
+// (a node of more than one character) codes it in the fewest bits, and a run
+// of adjacent leaves of one character shares the order that codes the run in
+// the fewest bits, so a point query concatenates them verbatim, order and
+// all (cbitmap's drainInto). A file written before may hold a leaf, or every
+// member, in gamma.
 type member struct {
 	start, end int64
 	ext        iomodel.Extent
 	card       int64
 	internal   bool
-	k          uint8 // at most gamma.MaxOrder; a byte keeps member at 48 bytes
+	// sameChar marks, at build, a leaf of the character of the member
+	// before it in its level; the run it continues shares one order.
+	sameChar bool
+	k        uint8 // at most gamma.MaxOrder; bytes keep member at 48 bytes
 }
 
 // matLevel is one materialised level: the bitmaps of all nodes at the

@@ -190,8 +190,10 @@ func OpenApprox(d *iomodel.Disk, sigma int, opts ApproxOptions, dec *container.D
 		}
 		bases[li] = int64(dec.UN(uint64(tail)))
 		members := make([]member, len(byLevel[li]))
+		var prev *Node
 		for mi, v := range byLevel[li] {
-			members[mi] = member{start: v.Start, end: v.End, card: v.End - v.Start, internal: !v.IsLeaf()}
+			members[mi] = memberOf(v, prev)
+			members[mi].card, prev = v.End-v.Start, v
 			if legacy {
 				members[mi].ext.Bits = int64(dec.UN(uint64(tail)))
 			}

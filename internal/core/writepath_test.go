@@ -115,13 +115,15 @@ func TestStreamingRebuildDifferential(t *testing.T) {
 
 // TestStreamingBuildBitIdentical pins the static bulk builds: every member
 // extent the streaming level pass emits must hold exactly the bytes the
-// oracle produces — for Optimal across the A1 stride sweep, where a member,
-// leaf or internal, is its gaps coded one gamma.WriteK at a time at the order
-// whose summed LenK is least (the smallest on a tie), and for the Warmup
-// tree, whose ranges are the encode-via-Bitmap gamma stream.
+// oracle produces — for Optimal across the A1 stride sweep, where a member
+// is its gaps coded one gamma.WriteK at a time at the order whose summed LenK
+// is least (the smallest on a tie), summed over an internal member's gaps or
+// over those of the run of adjacent leaves of one character it belongs to in
+// its level, and for the Warmup tree, whose ranges are the encode-via-Bitmap
+// gamma stream.
 func TestStreamingBuildBitIdentical(t *testing.T) {
 	col := workload.Uniform(5000, 256, 89)
-	ordered, leaves := 0, 0 // members and leaves coded above order 0
+	ordered, leaves, shared := 0, 0, 0 // members and leaves above order 0; members in a run of leaves
 	for _, stride := range []int{1, 2, 4} {
 		d := iomodel.NewDisk(iomodel.Config{BlockBits: 1024})
 		ix, err := BuildOptimal(d, col, OptimalOptions{Stride: stride})
@@ -130,6 +132,19 @@ func TestStreamingBuildBitIdentical(t *testing.T) {
 		}
 		tc := d.NewTouch()
 		positions := ix.tree.positionsRef(col.X)
+		// run[li][k] is the first member of the run of leaves of one
+		// character that member k of level li belongs to (k itself if none).
+		nodes := make([][]*Node, len(ix.levels))
+		run := make([][]int, len(ix.levels))
+		eachMember(ix.tree, materialDepths(ix.tree.Height, stride), func(v *Node, li, k int) {
+			first := k
+			if p := len(nodes[li]) - 1; p >= 0 && v.IsLeaf() && v.CharLo == v.CharHi {
+				if u := nodes[li][p]; u.IsLeaf() && u.CharLo == u.CharHi && u.CharLo == v.CharLo {
+					first = run[li][p]
+				}
+			}
+			nodes[li], run[li] = append(nodes[li], v), append(run[li], first)
+		})
 		for li, lv := range ix.levels {
 			for k, m := range lv.members {
 				rd, err := tc.Reader(m.ext)
@@ -141,11 +156,20 @@ func TestStreamingBuildBitIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				pos := positions(m.start, m.end)
+				var runPos [][]int64
+				for j := k; j >= 0 && run[li][j] == run[li][k]; j-- {
+					runPos = append(runPos, positions(lv.members[j].start, lv.members[j].end))
+				}
+				for j := k + 1; j < len(lv.members) && run[li][j] == run[li][k]; j++ {
+					runPos = append(runPos, positions(lv.members[j].start, lv.members[j].end))
+				}
 				order, best := uint(0), int64(-1)
 				for o := uint(0); o <= gamma.MaxOrder; o++ {
 					var bits int64
-					for i, p := range pos {
-						bits += int64(gamma.LenK(uint64(p-prevPos(pos, i)), o))
+					for _, rp := range runPos {
+						for i, p := range rp {
+							bits += int64(gamma.LenK(uint64(p-prevPos(rp, i)), o))
+						}
 					}
 					if best < 0 || bits < best {
 						order, best = o, bits
@@ -164,12 +188,15 @@ func TestStreamingBuildBitIdentical(t *testing.T) {
 						leaves++
 					}
 				}
+				if len(runPos) > 1 {
+					shared++
+				}
 			}
 		}
 		tc.Close()
 	}
-	if ordered == 0 || leaves == 0 {
-		t.Fatalf("%d members, %d of them leaves, took an order above 0", ordered, leaves)
+	if ordered == 0 || leaves == 0 || shared == 0 {
+		t.Fatalf("%d members, %d of them leaves, took an order above 0; %d share a run's", ordered, leaves, shared)
 	}
 
 	wd := iomodel.NewDisk(iomodel.Config{BlockBits: 1024})
