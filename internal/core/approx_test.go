@@ -33,14 +33,12 @@ func TestApproxNoFalseNegatives(t *testing.T) {
 
 func TestApproxFalsePositiveRate(t *testing.T) {
 	// z ≈ 64 and ε = 1/128 need the 2^16 universe, which an index keeps
-	// only above 2^16 rows (maxJ). One character's frontier is a dozen pruned
-	// leaves of up to 8 rows; coded at their orders they cost about lg(n/z)
-	// bits a row, their hashed sets about lg(2^16/8), so the hashed level
-	// reads fewer bits only from n = 2^18 on. At 2^17 rows the exact frontier
-	// is the smaller one for every key, even with each hashed set at its best
-	// order (877 bits against 883 for the first key).
-	const sigma = 4096
-	col := workload.Uniform(1<<18, sigma, 3)
+	// only above 2^16 rows (maxJ). One character's frontier is pruned leaves,
+	// gamma-coded like the hashed sets, so the hashed level reads fewer bits;
+	// ranges wider than that reach internal members, whose exp-Golomb orders
+	// make the exact frontier the smaller one.
+	const sigma = 2048
+	col := workload.Uniform(1<<17, sigma, 3)
 	d := iomodel.NewDisk(iomodel.Config{BlockBits: 2048})
 	ax, err := BuildApprox(d, col, ApproxOptions{Seed: 7})
 	if err != nil {
