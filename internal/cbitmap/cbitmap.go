@@ -10,8 +10,9 @@
 // copies in Union, run-writing in Complement, skip samples for Contains/Rank)
 // never change a bit of it; they only change how it is produced and
 // traversed. A bitmap carries its order: a merge answer is gamma-coded unless
-// its first input was drained into it whole (drainInto), as a one-member
-// query's is, in which case it keeps that input's order and its bits.
+// it took its input's order — a one-stream merge keeps its stream's order and
+// bits (drainInto), a concatenation takes the order of most of its input bits
+// (runMerge).
 //
 // The package also provides Plain, an explicit n-bit bitmap, for the
 // constant-alphabet regime where uncompressed bitmap indexes are optimal.
@@ -82,8 +83,8 @@ type Builder struct {
 	prev int64
 	card int64
 	k    uint // the order every code is written at
-	// adopt lets an empty builder take the order of the first stream drained
-	// into it (Stream.drainInto): a pooled merge builder's, whose answer
+	// adopt lets an empty builder take its input's order (Stream.drainInto,
+	// runMerge's concatenation): a pooled merge builder's, whose answer
 	// carries its order. A builder aimed at a caller's stream never adopts.
 	adopt     bool
 	samplePos []int64
