@@ -253,10 +253,10 @@ func runLevels[P rowID](ws Workers, tasks []levelTask, prefix []int64, x []uint3
 // runLevel scatters the column into t's members and encodes, from that one
 // slab, each member's exact stream — a tree member's at the exp-Golomb order
 // that codes it, or its run of leaves of one character, in the fewest bits;
-// an alphabet range's in gamma — and then
-// its hashed set under every function of hs, at the order hashedOrder
-// derives, grouped by j ("we group the sets according to what hash function
-// was used") so a cover chunk at one j is contiguous.
+// an alphabet range's in gamma — and then its hashed set under every
+// function of hs, at the order hashedOrder derives, grouped by j ("we group
+// the sets according to what hash function was used") so a cover chunk at
+// one j is contiguous.
 func runLevel[P rowID](t *levelTask, sc *levelScratch[P], hs []hashutil.SplitXOR) error {
 	if err := sc.scatter(t.members); err != nil {
 		return fmt.Errorf("core: depth %d: %w", t.depth, err)
