@@ -263,9 +263,9 @@ func TestMergeStreamsShifted(t *testing.T) {
 
 // FuzzMergeStreams: for arbitrary inputs and shard-style splits, the fused
 // streaming merge (disk-backed streams over one concatenated buffer, each
-// coded at its own exp-Golomb order) is byte-identical to the
-// decode-then-union oracle, and the fused complement to
-// union-then-complement: the answers stay gamma-coded.
+// coded at its own exp-Golomb order) equals the decode-then-union oracle, and
+// the fused complement union-then-complement: byte for byte where the answer
+// is gamma-coded, as a set where it kept an input's order.
 func FuzzMergeStreams(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 200}, []byte{2, 90}, []byte{7}, uint16(1000), uint32(0))
 	f.Add([]byte{}, []byte{0}, []byte{}, uint16(4), uint32(1<<6|2<<12))
