@@ -10,9 +10,9 @@
 // copies in Union, run-writing in Complement, skip samples for Contains/Rank)
 // never change a bit of it; they only change how it is produced and
 // traversed. A bitmap carries its order: a merge answer is gamma-coded unless
-// it took its input's order — a one-stream merge keeps its stream's order and
-// bits (drainInto), a concatenation takes the order of most of its input bits
-// (runMerge).
+// it takes its inputs' order — a one-stream merge keeps its stream's order and
+// bits, a concatenation takes the order of most of its input bits
+// (mergeStreams).
 //
 // The package also provides Plain, an explicit n-bit bitmap, for the
 // constant-alphabet regime where uncompressed bitmap indexes are optimal.
@@ -79,14 +79,10 @@ type Bitmap struct {
 // positions, recording skip samples as it goes. It is the single encoding
 // path used by every constructor and set operation in this package.
 type Builder struct {
-	w    *bitio.Writer
-	prev int64
-	card int64
-	k    uint // the order every code is written at
-	// adopt lets an empty builder take its input's order (Stream.drainInto,
-	// runMerge's concatenation): a pooled merge builder's, whose answer
-	// carries its order. A builder aimed at a caller's stream never adopts.
-	adopt     bool
+	w         *bitio.Writer
+	prev      int64
+	card      int64
+	k         uint // the order every code is written at
 	samplePos []int64
 	sampleOff []int32
 	// noSamples is set for a builder that records no samples (an unsampled

@@ -289,18 +289,13 @@ func (s *Stream) sampleScan(start int, pos []int64, off []int32) ([]int64, []int
 }
 
 // drainInto appends the stream's pending head position cur (already produced
-// by the caller) and every remaining position to bd. An empty merge builder
-// first takes the stream's order, so the answer of one stream keeps its
-// bits. A tail at bd's order is copied verbatim: whole words at a time when
-// the stream's largest position is known (bitmap-backed streams, replay
-// views), and otherwise (validating streams) after one scan that validates it
-// — either way only the head gap is re-encoded, since gaps are relative and a
-// constant shift leaves every later gap unchanged. A tail at another order is
-// re-encoded at bd's.
+// by the caller) and every remaining position to bd. A tail at bd's order is
+// copied verbatim: whole words at a time when the stream's largest position
+// is known (bitmap-backed streams, replay views), and otherwise (validating
+// streams) after one scan that validates it — either way only the head gap
+// is re-encoded, since gaps are relative and a constant shift leaves every
+// later gap unchanged. A tail at another order is re-encoded at bd's.
 func (s *Stream) drainInto(bd *Builder, cur int64) error {
-	if bd.adopt && bd.card == 0 {
-		bd.k = s.k
-	}
 	if cur != bd.prev {
 		if cur < bd.prev {
 			// A validation-skipping replay view over corrupt bits can hand the
@@ -404,7 +399,7 @@ func (bd *Builder) reset(sizeHint int, sampled bool) {
 	bd.w.Grow(sizeHint)
 	bd.prev = -1
 	bd.card = 0
-	bd.k, bd.adopt = 0, true
+	bd.k = 0
 	bd.noSamples = !sampled
 	bd.samplePos = bd.samplePos[:0]
 	bd.sampleOff = bd.sampleOff[:0]
@@ -507,6 +502,13 @@ func mergeStreams(n int64, complement, ordered, sampled bool, streams []*Stream)
 		}
 		bd := builderPool.Get().(*Builder)
 		bd.reset(sizeHint, sampled)
+		if !complement && (len(heads) == 1 || ordered || knownDisjoint(heads)) {
+			// A union of one stream is a drain, and a concatenation drains
+			// each stream in turn (runMerge): at the order of the most input
+			// bits, the fewest are re-encoded and a one-stream answer keeps
+			// its stream's bits. Any other merge answers in gamma.
+			bd.k = dominantOrder(heads)
+		}
 		if err = runMerge(bd, n, complement, ordered, heads); err == nil {
 			out = bd.finish(n)
 		} else if cap(bd.w.Bytes()) <= builderMaxBytes {
@@ -579,12 +581,8 @@ func runMerge(bd *Builder, n int64, complement, ordered bool, heads []mergeHead)
 	if !complement && (ordered || knownDisjoint(heads)) {
 		// Concatenation, promised or seen in the heads: only head gaps are
 		// re-encoded; tails at bd's order are copied verbatim, whole words at
-		// a time, and an empty builder takes the order of the most input
-		// bits, so the fewest are re-encoded. A promise is checked at each
-		// boundary, where bd.prev is the previous stream's largest position.
-		if bd.adopt && bd.card == 0 {
-			bd.k, bd.adopt = dominantOrder(heads), false
-		}
+		// a time. A promise is checked at each boundary, where bd.prev is the
+		// previous stream's largest position.
 		for i := range heads {
 			if cur := heads[i].cur; i > 0 && cur <= bd.prev {
 				return fmt.Errorf("%w: ordered stream %d starts at position %d, not above %d", ErrCorrupt, i, cur, bd.prev)
