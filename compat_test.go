@@ -13,7 +13,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/cbitmap"
 	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/iomodel"
@@ -95,30 +94,18 @@ type bitsPin struct {
 }
 
 // requireSameApprox asks old and fresh the same approximate queries over
-// compatRanges and every ε. Both hold the same sets under other codes — the
-// fresh build's members and hashed sets at exp-Golomb orders, the old file's
-// hashed sets and some or all of its members gamma-coded — and each answers
-// from the frontier its own prices make the smaller: where both answer in one
-// form they must answer from the same level (never the surplus one) with the
-// same set, and where one answers exactly and the other from a hashed level,
-// the exact rows must lie in the hashed answer. An exact answer of the fresh
-// build reads no more bits than one of the old file, and the fresh sweep
-// reads fewer bits in all. The old file reads what it read when it was
-// current, which pin holds: the sweep's bits as the old file read them before
-// members had orders. It returns how many answers both hashed.
+// compatRanges and every ε: same form, same level (never the surplus one),
+// same set. A fresh build's internal members are exp-Golomb-coded where the
+// old file's are gamma-coded, so it may read fewer bits than the old file,
+// never more; and where its exact frontier is no longer than the hashed one
+// the old file reads, it answers exactly instead, with a subset of the old
+// file's hashed answer. The old file reads what it read when it was current,
+// which pin holds: the sweep's bits as the old file read them before members
+// had orders. It returns how many answers both hashed.
 func requireSameApprox(t *testing.T, what string, sigma uint32, old, fresh *core.Approx, pin bitsPin) (hashed int) {
 	t.Helper()
 	h := fnv.New64a()
 	var sweep bitsPin
-	var freshBits int64
-	// within fails unless every row of the exact answer e is in a.
-	within := func(e *cbitmap.Bitmap, a *core.Result, lo, hi uint32, eps float64, side string) {
-		for _, p := range e.Positions() {
-			if !a.Contains(p) {
-				t.Fatalf("%s [%d,%d] eps=%g: %s hashed answer misses row %d", what, lo, hi, eps, side, p)
-			}
-		}
-	}
 	for _, r := range compatRanges(sigma) {
 		lo, hi := r.Lo, r.Hi
 		for _, eps := range compatEps {
@@ -130,23 +117,22 @@ func requireSameApprox(t *testing.T, what string, sigma uint32, old, fresh *core
 			if err != nil {
 				t.Fatal(err)
 			}
-			freshBits += wst.BitsRead
-			switch {
-			case got.J > fresh.K() || want.J > fresh.K():
-				t.Fatalf("%s [%d,%d] eps=%g: answered from level %d (old) or %d (fresh) of %d", what, lo, hi, eps, got.J, want.J, fresh.K())
-			case !got.IsExact() && want.IsExact():
-				within(want.Exact, got, lo, hi, eps, "old file's")
-			case got.IsExact() && !want.IsExact():
-				within(got.Exact, want, lo, hi, eps, "fresh build's")
-			case got.J != want.J || got.H != want.H:
-				t.Fatalf("%s [%d,%d] eps=%g: old file answers at j=%d, fresh build at j=%d", what, lo, hi, eps, got.J, want.J)
-			default:
+			if wst.BitsRead > gst.BitsRead {
+				t.Fatalf("%s [%d,%d] eps=%g: fresh build reads %d bits, old file %d", what, lo, hi, eps, wst.BitsRead, gst.BitsRead)
+			}
+			if !got.IsExact() && want.IsExact() {
+				for _, p := range want.Exact.Positions() {
+					if !got.Contains(p) {
+						t.Fatalf("%s [%d,%d] eps=%g: old file's hashed answer misses row %d", what, lo, hi, eps, p)
+					}
+				}
+			} else if got.IsExact() != want.IsExact() || got.J != want.J || got.H != want.H || got.J > fresh.K() {
+				t.Fatalf("%s [%d,%d] eps=%g: old file answers exact=%v at j=%d, fresh build exact=%v at j=%d of %d",
+					what, lo, hi, eps, got.IsExact(), got.J, want.IsExact(), want.J, fresh.K())
+			} else {
 				g, w := got.Set, want.Set
 				if got.IsExact() {
 					g, w = got.Exact, want.Exact
-					if wst.BitsRead > gst.BitsRead {
-						t.Fatalf("%s [%d,%d] eps=%g: fresh build reads %d bits, old file %d", what, lo, hi, eps, wst.BitsRead, gst.BitsRead)
-					}
 				} else {
 					hashed++
 				}
@@ -160,9 +146,6 @@ func requireSameApprox(t *testing.T, what string, sigma uint32, old, fresh *core
 	}
 	if sweep.hash = h.Sum64(); sweep != pin {
 		t.Fatalf("%s: old file's sweep read %d bits (hash %#x), pinned %d (%#x)", what, sweep.total, sweep.hash, pin.total, pin.hash)
-	}
-	if freshBits >= sweep.total {
-		t.Fatalf("%s: fresh build's sweep read %d bits, the old file's %d", what, freshBits, sweep.total)
 	}
 	return hashed
 }

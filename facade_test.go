@@ -225,13 +225,14 @@ func TestFormatGoldens(t *testing.T) {
 // (0xe194f3de269608cd before), the sharded one from 29 440 to 11 520
 // (0x4304db5b719aca31 before); TestReadCompatLegacyHeight opens a file
 // written the old way. Both moved again when leaves took exp-Golomb orders,
-// hashed sets the orders their directory entries give, and the image dropped
-// the prefix array A and put the tree layout first: the static file from
-// 16 261 to 14 411 bytes (0xa6d56523e372e577 before), the sharded one from
+// hashed sets, where shorter than gamma, the orders their directory entries
+// give (a bit beside each cardinality says where), and the image dropped the
+// prefix array A and put the tree layout first: the static file from
+// 16 261 to 14 388 bytes (0xa6d56523e372e577 before), the sharded one from
 // 11 520 to 9 180 (0xffeda790383f34f8 before); TestReadCompatPR45 opens
 // files written the old way.
 const (
-	goldenStatic  = 0x8833a5b538dcef1e
+	goldenStatic  = 0x645b4acb5be1330a
 	goldenSharded = 0xad93e0257dc506d8
 	goldenAppend  = 0x1ef60908cb06349d
 	goldenDynamic = 0x9527613b21cf3c92

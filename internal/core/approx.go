@@ -47,20 +47,24 @@ type hashLevel struct {
 type hashArray struct {
 	exts  []iomodel.Extent
 	cards []int64
-	// orders holds each set's exp-Golomb order, hashedOrder's; nil for the
-	// gamma-coded sets of a file written before.
+	// orders holds each set's exp-Golomb order: hashedOrder's where that
+	// codes the set in fewer bits than gamma, else 0; nil for the gamma-coded
+	// sets of a file written before.
 	orders []uint8
 }
 
-// hashedOrder is the exp-Golomb order of a hashed set of card values in the
-// universe [0, 2^lgU) whose member is coded at order memberK: the smaller of
+// hashedOrder is the exp-Golomb order a hashed set of card values in the
+// universe [0, 2^lgU), whose member is coded at order memberK, is coded at
+// when that is shorter than gamma: the smaller of
 // max(0, ⌊lg(2^lgU/card)⌋ − 1) — about lg of the mean gap of card values
 // spread over the universe, less one, where that code spends about lg g + 2
 // bits on a gap g and gamma 2 lg g + 1 — and memberK. The split-XOR hash
 // keeps a member's clusters (a run of rows hashes to a run of values), where
 // the member's own order is the better guess; unbounded by it, the spread
 // order doubles the hashed sets of a column of runs. Both come from the
-// directory, so no order is stored (hypotheses/leaf-order).
+// directory, which stores only whether the set takes this order or gamma
+// (cardWord), so a set never costs more than its gamma code
+// (hypotheses/leaf-order).
 func hashedOrder(lgU int, card int64, memberK uint) uint {
 	if card <= 0 {
 		return 0
@@ -68,13 +72,39 @@ func hashedOrder(lgU int, card int64, memberK uint) uint {
 	return min(uint(max(0, lgU-bits.Len64(uint64(card-1))-1)), memberK)
 }
 
-// deriveOrders fills arr.orders from the cardinalities of its sets, over
-// [0, 2^lgU), and the orders of their members.
-func (arr *hashArray) deriveOrders(lgU int, members []member) {
-	arr.orders = make([]uint8, len(arr.cards))
-	for i, c := range arr.cards {
-		arr.orders[i] = uint8(hashedOrder(lgU, c, uint(members[i].k)))
+// cardWord is set i's cardinality as the directory stores it: in a file
+// whose sets carry orders, shifted up by one over a bit that says the set
+// takes hashedOrder's order rather than gamma.
+func (arr *hashArray) cardWord(i int) uint64 {
+	c := uint64(arr.cards[i])
+	if arr.orders == nil {
+		return c
 	}
+	c <<= 1
+	if arr.orders[i] > 0 {
+		c |= 1
+	}
+	return c
+}
+
+// setCard appends the set whose directory word is w, a cardWord of a file
+// whose sets carry orders when ordered, and its order: hashedOrder's over
+// [0, 2^lgU) at member order memberK where w flags it, which must then be
+// above 0, else 0.
+func (arr *hashArray) setCard(w uint64, ordered bool, lgU int, memberK uint) error {
+	if !ordered {
+		arr.cards = append(arr.cards, int64(w))
+		return nil
+	}
+	card, k := int64(w>>1), uint(0)
+	if w&1 == 1 {
+		if k = hashedOrder(lgU, card, memberK); k == 0 {
+			return fmt.Errorf("core: hashed set of %d values flagged at order 0", card)
+		}
+	}
+	arr.cards = append(arr.cards, card)
+	arr.orders = append(arr.orders, uint8(k))
+	return nil
 }
 
 // Name implements index.Index.
@@ -102,7 +132,7 @@ func (ax *Approx) SizeBits() int64 {
 
 // hashedDirBits is what the container's metadata spends on the hashed
 // directory: per level and j, the group's base, then every set's length and
-// cardinality, each a varint (encodeHashed).
+// cardWord, each a varint (encodeHashed).
 func (ax *Approx) hashedDirBits() int64 {
 	var bytes int
 	for _, hl := range ax.hmaps {
@@ -113,7 +143,7 @@ func (ax *Approx) hashedDirBits() int64 {
 			}
 			bytes += container.ULen(uint64(base))
 			for i, e := range arr.exts {
-				bytes += container.ULen(uint64(e.Bits)) + container.ULen(uint64(arr.cards[i]))
+				bytes += container.ULen(uint64(e.Bits)) + container.ULen(arr.cardWord(i))
 			}
 		}
 	}

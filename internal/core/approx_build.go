@@ -7,6 +7,7 @@ import (
 	"math/rand"
 
 	"repro/internal/cbitmap"
+	"repro/internal/gamma"
 	"repro/internal/hashutil"
 	"repro/internal/iomodel"
 	"repro/internal/workload"
@@ -115,14 +116,15 @@ type hashSet[P rowID] struct {
 	keys  []uint32 // insertion-sort buffer for small members of the 2^16 universe
 }
 
-// encode appends h(pos) to enc at the order hashedOrder derives from the
-// set's size and memberK, the order of the member whose positions pos are,
-// choosing the path from the universe and the member size. Every path emits
-// the same canonical stream.
-func (hs *hashSet[P]) encode(enc *cbitmap.StreamEncoder, h hashutil.SplitXOR, pos []P, memberK uint) error {
+// encode appends h(pos) to enc, choosing the path from the universe and the
+// member size, at hashedOrder's order for the set's size and memberK, the
+// order of the member whose positions pos are, where that codes it shorter
+// than gamma, else in gamma; it returns the order. Every path emits the same
+// canonical stream.
+func (hs *hashSet[P]) encode(enc *cbitmap.StreamEncoder, h hashutil.SplitXOR, pos []P, memberK uint) (uint, error) {
 	switch {
 	case h.LowBits > 16:
-		return fmt.Errorf("%w: hashed universe 2^%d above 2^16", ErrBuildInvariant, h.LowBits)
+		return 0, fmt.Errorf("%w: hashed universe 2^%d above 2^16", ErrBuildInvariant, h.LowBits)
 	case h.LowBits < 16, len(pos) >= bitsetMinRows:
 		return hs.encodeBitset(enc, h, pos, memberK)
 	default:
@@ -132,7 +134,7 @@ func (hs *hashSet[P]) encode(enc *cbitmap.StreamEncoder, h hashutil.SplitXOR, po
 
 // encodeBitset marks every hashed value in a bitset, whose set bits AddBitsetK
 // walks sorted and distinct and leaves zeroed. Universes of at most 2^16.
-func (hs *hashSet[P]) encodeBitset(enc *cbitmap.StreamEncoder, h hashutil.SplitXOR, pos []P, memberK uint) error {
+func (hs *hashSet[P]) encodeBitset(enc *cbitmap.StreamEncoder, h hashutil.SplitXOR, pos []P, memberK uint) (uint, error) {
 	univ := uint64(1) << uint(h.LowBits)
 	nw := int(univ+63) / 64
 	if len(hs.words) < nw {
@@ -143,7 +145,7 @@ func (hs *hashSet[P]) encodeBitset(enc *cbitmap.StreamEncoder, h hashutil.SplitX
 		v := h.Hash(uint64(p))
 		if v >= univ {
 			clear(words)
-			return outsideUniverse(v, h)
+			return 0, outsideUniverse(v, h)
 		}
 		words[v>>6] |= 1 << (v & 63)
 	}
@@ -151,13 +153,23 @@ func (hs *hashSet[P]) encodeBitset(enc *cbitmap.StreamEncoder, h hashutil.SplitX
 	for _, w := range words {
 		card += bits.OnesCount64(w)
 	}
-	enc.AddBitsetK(words, hashedOrder(h.LowBits, int64(card), memberK))
-	return nil
+	k := hashedOrder(h.LowBits, int64(card), memberK)
+	if k > 0 {
+		var gs gapSaving
+		for i, w := range words {
+			for ; w != 0; w &= w - 1 {
+				gs.add(int64(i*64+bits.TrailingZeros64(w)), k)
+			}
+		}
+		k = gs.order(k)
+	}
+	enc.AddBitsetK(words, k)
+	return k, nil
 }
 
 // encodeSmall hashes a tiny member into the keys buffer, insertion-sorts it
 // and gap-encodes the result, dropping repeats.
-func (hs *hashSet[P]) encodeSmall(enc *cbitmap.StreamEncoder, h hashutil.SplitXOR, pos []P, memberK uint) error {
+func (hs *hashSet[P]) encodeSmall(enc *cbitmap.StreamEncoder, h hashutil.SplitXOR, pos []P, memberK uint) (uint, error) {
 	if cap(hs.keys) < len(pos) {
 		hs.keys = make([]uint32, len(pos))
 	}
@@ -166,7 +178,7 @@ func (hs *hashSet[P]) encodeSmall(enc *cbitmap.StreamEncoder, h hashutil.SplitXO
 	for i, p := range pos {
 		v := h.Hash(uint64(p))
 		if v >= univ {
-			return outsideUniverse(v, h)
+			return 0, outsideUniverse(v, h)
 		}
 		k, j := uint32(v), i
 		for ; j > 0 && keys[j-1] > k; j-- {
@@ -180,13 +192,43 @@ func (hs *hashSet[P]) encodeSmall(enc *cbitmap.StreamEncoder, h hashutil.SplitXO
 			continue
 		}
 		if m > 0 && k < keys[m-1] {
-			return fmt.Errorf("%w: hashed value %d sorted after %d", ErrBuildInvariant, k, keys[m-1])
+			return 0, fmt.Errorf("%w: hashed value %d sorted after %d", ErrBuildInvariant, k, keys[m-1])
 		}
 		keys[m] = k
 		m++
 	}
-	cbitmap.AddSortedK(enc, keys[:m], hashedOrder(h.LowBits, int64(m), memberK))
-	return nil
+	k := hashedOrder(h.LowBits, int64(m), memberK)
+	if k > 0 {
+		var gs gapSaving
+		for _, v := range keys[:m] {
+			gs.add(int64(v), k)
+		}
+		k = gs.order(k)
+	}
+	cbitmap.AddSortedK(enc, keys[:m], k)
+	return k, nil
+}
+
+// gapSaving prices the gaps of strictly increasing values, the first taken
+// from -1, at one order against gamma.
+type gapSaving struct {
+	next  int64 // one past the last value added, 0 before the first
+	delta int   // order-k bits less gamma bits so far
+}
+
+func (gs *gapSaving) add(v int64, k uint) {
+	g := uint64(v - gs.next + 1)
+	gs.delta += gamma.LenK(g, k) - gamma.Len(g)
+	gs.next = v + 1
+}
+
+// order returns k if the gaps added cost fewer bits at order k than in
+// gamma, else 0.
+func (gs *gapSaving) order(k uint) uint {
+	if gs.delta < 0 {
+		return k
+	}
+	return 0
 }
 
 func outsideUniverse(v uint64, h hashutil.SplitXOR) error {

@@ -44,8 +44,9 @@ type hashedSet = hashSet[int64]
 // buildApproxReference is the member-at-a-time construction BuildApprox used
 // before the level pass: per (level, j, member) sort the positions, hash,
 // sort and compact again, encode one gamma.WriteK at a time at the order
-// hashedOrder derives and place each set with its own AllocStream. Kept as
-// the differential oracle for the device image.
+// hashedOrder derives where that is shorter than gamma, else in gamma
+// (oracleOrder), and place each set with its own AllocStream. Kept as the
+// differential oracle for the device image.
 func buildApproxReference(d *iomodel.Disk, col workload.Column, opts ApproxOptions) (*Approx, error) {
 	return buildApproxReferenceK(d, col, opts, maxJ)
 }
@@ -92,10 +93,11 @@ func buildApproxReferenceK(d *iomodel.Disk, col workload.Column, opts ApproxOpti
 				if err != nil {
 					return nil, err
 				}
-				arr.exts = append(arr.exts, d.AllocStream(encodeAtOrder(hbm.Positions(), hashedOrder(1<<uint(j), hbm.Card(), uint(m.k)))))
+				k := oracleOrder(hbm.Positions(), hashedOrder(1<<uint(j), hbm.Card(), uint(m.k)))
+				arr.exts = append(arr.exts, d.AllocStream(encodeAtOrder(hbm.Positions(), k)))
 				arr.cards = append(arr.cards, hbm.Card())
+				arr.orders = append(arr.orders, uint8(k))
 			}
-			arr.deriveOrders(1<<uint(j), lv.members)
 		}
 		ax.hmaps = append(ax.hmaps, hl)
 	}
@@ -254,15 +256,15 @@ func TestHashedSetRejectsWideUniverse(t *testing.T) {
 	var enc cbitmap.StreamEncoder
 	enc.Init(bitio.NewWriter(0))
 	h := hashutil.NewSplitXOR(rand.New(rand.NewSource(1)), 32)
-	if err := hs.encode(&enc, h, []int64{1, 2, 3}, 0); !errors.Is(err, ErrBuildInvariant) {
+	if _, err := hs.encode(&enc, h, []int64{1, 2, 3}, 0); !errors.Is(err, ErrBuildInvariant) {
 		t.Fatalf("err = %v, want ErrBuildInvariant", err)
 	}
 }
 
 // hashedSetOracle is sort + Compact on the hashed values, checked against
-// the universe by FromPositions and coded by encodeAtOrder at the order
-// hashedOrder derives for a member at order memberK.
-func hashedSetOracle(t testing.TB, h hashutil.SplitXOR, pos []int64, memberK uint) ([]byte, int, int64) {
+// the universe by FromPositions and coded by encodeAtOrder at oracleOrder's
+// choice for a member at order memberK; it returns that order too.
+func hashedSetOracle(t testing.TB, h hashutil.SplitXOR, pos []int64, memberK uint) ([]byte, int, int64, uint) {
 	hashed := make([]int64, len(pos))
 	for i, p := range pos {
 		hashed[i] = int64(h.Hash(uint64(p)))
@@ -272,8 +274,9 @@ func hashedSetOracle(t testing.TB, h hashutil.SplitXOR, pos []int64, memberK uin
 	if _, err := cbitmap.FromPositions(h.Range(), set); err != nil {
 		t.Fatal(err)
 	}
-	w := encodeAtOrder(set, hashedOrder(h.LowBits, int64(len(set)), memberK))
-	return w.Bytes(), w.Len(), int64(len(set))
+	k := oracleOrder(set, hashedOrder(h.LowBits, int64(len(set)), memberK))
+	w := encodeAtOrder(set, k)
+	return w.Bytes(), w.Len(), int64(len(set)), k
 }
 
 // FuzzHashedSetEncode drives every path of hashedSet — bitset, small-sort and
@@ -300,8 +303,8 @@ func FuzzHashedSetEncode(f *testing.F) {
 		for j := 1; j <= maxHashedJ; j++ {
 			h := hashutil.NewSplitXOR(rng, 1<<uint(j))
 			memberK := uint(repeat >> 11)
-			wantBytes, wantBits, wantCard := hashedSetOracle(t, h, pos, memberK)
-			paths := map[string]func(*cbitmap.StreamEncoder, hashutil.SplitXOR, []int64, uint) error{
+			wantBytes, wantBits, wantCard, wantK := hashedSetOracle(t, h, pos, memberK)
+			paths := map[string]func(*cbitmap.StreamEncoder, hashutil.SplitXOR, []int64, uint) (uint, error){
 				"dispatch": hs.encode,
 				"small":    hs.encodeSmall,
 				"bitset":   hs.encodeBitset,
@@ -310,12 +313,13 @@ func FuzzHashedSetEncode(f *testing.F) {
 				w := bitio.NewWriter(0)
 				var enc cbitmap.StreamEncoder
 				enc.Init(w)
-				if err := encode(&enc, h, pos, memberK); err != nil {
+				k, err := encode(&enc, h, pos, memberK)
+				if err != nil {
 					t.Fatalf("j=%d %s: %v", j, name, err)
 				}
-				if enc.Card() != wantCard || w.Len() != wantBits || !bytes.Equal(w.Bytes(), wantBytes) {
-					t.Fatalf("j=%d %s: %d rows → card %d in %d bits, oracle card %d in %d bits (or bytes differ)",
-						j, name, len(pos), enc.Card(), w.Len(), wantCard, wantBits)
+				if enc.Card() != wantCard || w.Len() != wantBits || k != wantK || !bytes.Equal(w.Bytes(), wantBytes) {
+					t.Fatalf("j=%d %s: %d rows → card %d in %d bits at order %d, oracle card %d in %d bits at %d (or bytes differ)",
+						j, name, len(pos), enc.Card(), w.Len(), k, wantCard, wantBits, wantK)
 				}
 			}
 		}
@@ -356,7 +360,7 @@ func BenchmarkHashedSetPaths(b *testing.B) {
 	h := hashutil.NewSplitXOR(rng, 1<<uint(j))
 	paths := []struct {
 		name   string
-		encode func(*cbitmap.StreamEncoder, hashutil.SplitXOR, []int64, uint) error
+		encode func(*cbitmap.StreamEncoder, hashutil.SplitXOR, []int64, uint) (uint, error)
 	}{{"small", hs.encodeSmall}, {"bitset", hs.encodeBitset}}
 	for _, rows := range []int{2, 4, 8, 16, 24, 32, 48, 64, 80, 96, 128, 160, 192, 256, 512, 1024} {
 		members := make([][]int64, perIter/rows)
@@ -380,7 +384,7 @@ func BenchmarkHashedSetPaths(b *testing.B) {
 					for _, m := range members {
 						enc.Init(w)
 						// The members are spread: the spread order applies.
-						if err := p.encode(&enc, h, m, gamma.MaxOrder); err != nil {
+						if _, err := p.encode(&enc, h, m, gamma.MaxOrder); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -414,6 +418,15 @@ func BenchmarkBuildApproxPaths(b *testing.B) {
 			})
 		}
 	}
+}
+
+// oracleOrder is k if the order-k code of pos is shorter than its gamma code,
+// else 0: the choice every hashed set makes.
+func oracleOrder(pos []int64, k uint) uint {
+	if encodeAtOrder(pos, k).Len() < encodeAtOrder(pos, 0).Len() {
+		return k
+	}
+	return 0
 }
 
 // encodeAtOrder codes the strictly increasing positions pos as a gap stream

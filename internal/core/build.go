@@ -38,11 +38,14 @@ func NewWorkers(n int) Workers {
 type levelTask struct {
 	depth   int
 	members []member
-	ordered bool          // code each member at its best order (a tree's); else gamma
-	exact   *bitio.Writer // the members' gap streams, concatenated
-	hashed  *bitio.Writer // the (j, member) hashed streams; nil without hash functions
-	perJ    []hashArray
-	err     error
+	ordered bool // code each run of members at its best order (a tree's); else gamma
+	// runs holds the index of each run's first member, in order: a run is a
+	// level's adjacent leaves of one character, or any other member alone.
+	runs   []int
+	exact  *bitio.Writer // the members' gap streams, concatenated
+	hashed *bitio.Writer // the (j, member) hashed streams; nil without hash functions
+	perJ   []hashArray
+	err    error
 }
 
 // memberLevel returns the index in depths, the sorted materialised depths, of
@@ -70,8 +73,8 @@ func eachMember(tr *Tree, depths []int, f func(v *Node, li, mi int)) {
 }
 
 // newLevelTasks assigns each node to the level memberLevel gives it, each
-// level's member slice sized by a counting pass, and marks the leaves that
-// continue their level's run of one character.
+// level's member slice sized by a counting pass, and starts a run at every
+// member but a leaf that continues its level's run of one character.
 func newLevelTasks(tr *Tree, stride int) []levelTask {
 	depths := materialDepths(tr.Height, stride)
 	tasks := make([]levelTask, len(depths))
@@ -82,19 +85,17 @@ func newLevelTasks(tr *Tree, stride int) []levelTask {
 		tasks[li].members = make([]member, 0, counts[li])
 		tasks[li].ordered = true
 	}
+	one := func(v *Node) bool { return v != nil && v.IsLeaf() && v.CharLo == v.CharHi }
 	last := make([]*Node, len(depths)) // each level's latest member node
-	eachMember(tr, depths, func(v *Node, li, _ int) {
-		tasks[li].members = append(tasks[li].members, memberOf(v, last[li]))
+	eachMember(tr, depths, func(v *Node, li, mi int) {
+		t := &tasks[li]
+		t.members = append(t.members, member{start: v.Start, end: v.End, internal: !v.IsLeaf()})
+		if p := last[li]; !one(v) || !one(p) || p.CharLo != v.CharLo {
+			t.runs = append(t.runs, mi)
+		}
 		last[li] = v
 	})
 	return tasks
-}
-
-// memberOf returns node v's member, prev being the node of the member before
-// it in its level (nil for none).
-func memberOf(v, prev *Node) member {
-	one := func(v *Node) bool { return v != nil && v.IsLeaf() && v.CharLo == v.CharHi }
-	return member{start: v.Start, end: v.End, internal: !v.IsLeaf(), sameChar: one(v) && one(prev) && prev.CharLo == v.CharLo}
 }
 
 // buildLevels is BuildOptimal with the hashed sets under hs (none for an
@@ -254,7 +255,8 @@ func runLevels[P rowID](ws Workers, tasks []levelTask, prefix []int64, x []uint3
 // slab, each member's exact stream — a tree member's at the exp-Golomb order
 // that codes it, or its run of leaves of one character, in the fewest bits;
 // an alphabet range's in gamma — and then its hashed set under every
-// function of hs, at the order hashedOrder derives, grouped by j ("we group
+// function of hs, at the order hashedOrder derives where that is shorter
+// than gamma, else in gamma, grouped by j ("we group
 // the sets according to what hash function was used") so a cover chunk at
 // one j is contiguous.
 func runLevel[P rowID](t *levelTask, sc *levelScratch[P], hs []hashutil.SplitXOR) error {
@@ -271,10 +273,10 @@ func runLevel[P rowID](t *levelTask, sc *levelScratch[P], hs []hashutil.SplitXOR
 		}
 	}
 	t.exact.Grow(need)
-	for g := 0; t.ordered && g < len(t.members); {
-		h := g + 1
-		for h < len(t.members) && t.members[h].sameChar {
-			h++
+	for r := 0; t.ordered && r < len(t.runs); r++ {
+		g, h := t.runs[r], len(t.members)
+		if r+1 < len(t.runs) {
+			h = t.runs[r+1]
 		}
 		var c gamma.Costs
 		for _, m := range t.members[g:h] {
@@ -284,7 +286,6 @@ func runLevel[P rowID](t *levelTask, sc *levelScratch[P], hs []hashutil.SplitXOR
 		for i := g; i < h; i++ {
 			t.members[i].k = uint8(k)
 		}
-		g = h
 	}
 	for mi := range t.members {
 		m := &t.members[mi]
@@ -308,17 +309,19 @@ func runLevel[P rowID](t *levelTask, sc *levelScratch[P], hs []hashutil.SplitXOR
 		arr := &t.perJ[j]
 		arr.exts = make([]iomodel.Extent, len(t.members))
 		arr.cards = make([]int64, len(t.members))
+		arr.orders = make([]uint8, len(t.members))
 		for mi, m := range t.members {
 			startBit := t.hashed.Len()
 			enc.Init(t.hashed)
-			if err := sc.set.encode(&enc, h, sc.slab[m.start:m.end], uint(m.k)); err != nil {
+			k, err := sc.set.encode(&enc, h, sc.slab[m.start:m.end], uint(m.k))
+			if err != nil {
 				return fmt.Errorf("core: depth %d hashed level j=%d member [%d,%d): %w",
 					t.depth, j+1, m.start, m.end, err)
 			}
 			arr.exts[mi] = iomodel.Extent{Off: int64(startBit), Bits: int64(t.hashed.Len() - startBit)}
 			arr.cards[mi] = enc.Card()
+			arr.orders[mi] = uint8(k)
 		}
-		arr.deriveOrders(h.LowBits, t.members)
 	}
 	return nil
 }

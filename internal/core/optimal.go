@@ -48,10 +48,7 @@ type member struct {
 	ext        iomodel.Extent
 	card       int64
 	internal   bool
-	// sameChar marks, at build, a leaf of the character of the member
-	// before it in its level; the run it continues shares one order.
-	sameChar bool
-	k        uint8 // at most gamma.MaxOrder; bytes keep member at 48 bytes
+	k          uint8 // at most gamma.MaxOrder; a byte keeps member at 48 bytes
 }
 
 // matLevel is one materialised level: the bitmaps of all nodes at the

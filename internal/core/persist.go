@@ -52,8 +52,9 @@ const maxStoredJ = 5
 // written before stored the offset of the prefix array A (at least 1: the
 // exact levels preceded it) marks the revision whose image holds no A, its
 // tree layout from block 0, and whose leaves carry their orders and hashed
-// sets take the orders hashedOrder derives; an image opened from an older
-// file keeps A's offset there.
+// sets the orders hashedOrder derives where those are shorter than gamma,
+// each set's cardWord saying where; an image opened from an older file keeps
+// A's offset there.
 func (ax *Approx) EncodeMeta(e *container.Encoder) error {
 	tr, l := ax.tree, ax.layout
 	if l.lenBits == 0 {
@@ -91,7 +92,7 @@ func (ax *Approx) EncodeMeta(e *container.Encoder) error {
 
 // encodeHashed appends the hashed directories of the first ax.k levels,
 // level by level: per j the group's base, its sets' lengths and their
-// cardinalities.
+// cardWords.
 func (ax *Approx) encodeHashed(e *container.Encoder) error {
 	for li := range ax.levels {
 		hl := ax.hmaps[li]
@@ -110,8 +111,8 @@ func (ax *Approx) encodeHashed(e *container.Encoder) error {
 				e.U(uint64(ext.Bits))
 				off += ext.Bits
 			}
-			for _, c := range arr.cards {
-				e.U(uint64(c))
+			for i := range arr.cards {
+				e.U(arr.cardWord(i))
 			}
 		}
 	}
@@ -190,10 +191,8 @@ func OpenApprox(d *iomodel.Disk, sigma int, opts ApproxOptions, dec *container.D
 		}
 		bases[li] = int64(dec.UN(uint64(tail)))
 		members := make([]member, len(byLevel[li]))
-		var prev *Node
 		for mi, v := range byLevel[li] {
-			members[mi] = memberOf(v, prev)
-			members[mi].card, prev = v.End-v.Start, v
+			members[mi] = member{start: v.Start, end: v.End, card: v.End - v.Start, internal: !v.IsLeaf()}
 			if legacy {
 				members[mi].ext.Bits = int64(dec.UN(uint64(tail)))
 			}
@@ -246,6 +245,10 @@ func OpenApprox(d *iomodel.Disk, sigma int, opts ApproxOptions, dec *container.D
 	for j := 1; j <= ax.k; j++ {
 		ax.hs = append(ax.hs, hashutil.NewSplitXOR(rng, 1<<uint(j)))
 	}
+	cardBound := uint64(container.MaxRows)
+	if revised {
+		cardBound = 2*cardBound + 1
+	}
 	for li := range ox.levels {
 		nm := len(ox.levels[li].members)
 		hl := hashLevel{perJ: make([]hashArray, stored)}
@@ -261,10 +264,10 @@ func OpenApprox(d *iomodel.Disk, sigma int, opts ApproxOptions, dec *container.D
 				off += bits
 			}
 			for i := 0; i < nm; i++ {
-				arr.cards = append(arr.cards, int64(dec.UN(container.MaxRows)))
-			}
-			if revised {
-				arr.deriveOrders(1<<(j+1), ox.levels[li].members)
+				w := dec.UN(cardBound)
+				if err := arr.setCard(w, revised, 1<<(j+1), uint(ox.levels[li].members[i].k)); err != nil {
+					return nil, err
+				}
 			}
 		}
 		ax.hmaps = append(ax.hmaps, hl)

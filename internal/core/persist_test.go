@@ -284,3 +284,53 @@ func TestOpenApproxMemberOrders(t *testing.T) {
 		t.Fatalf("order %d: %v", gamma.MaxOrder, err)
 	}
 }
+
+// TestHashedSetOrders: a build codes some hashed sets at hashedOrder's order
+// and falls back to gamma for others that order would code longer; a reopen
+// reads every set's order back from its cardWord, and a word that flags a
+// set whose derived order is 0 is rejected.
+func TestHashedSetOrders(t *testing.T) {
+	opts := ApproxOptions{Seed: 42}
+	col := workload.Zipf(20000, 64, 1.0, 9)
+	d := iomodel.NewDisk(iomodel.Config{BlockBits: 2048})
+	ax, err := BuildApprox(d, col, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var derived, fallback int
+	for li, hl := range ax.hmaps {
+		for j, arr := range hl.perJ[:ax.k] {
+			for i, k := range arr.orders {
+				dk := hashedOrder(1<<(j+1), arr.cards[i], uint(ax.levels[li].members[i].k))
+				switch {
+				case k > 0 && uint(k) != dk:
+					t.Fatalf("level %d h_%d set %d at order %d, derived %d", li, j+1, i, k, dk)
+				case k > 0:
+					derived++
+				case dk > 0:
+					fallback++
+				}
+			}
+		}
+	}
+	if derived == 0 || fallback == 0 {
+		t.Fatalf("%d sets at their derived order, %d falling back to gamma: want some of each", derived, fallback)
+	}
+	got, err := reopen(t, d, ax, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for li, hl := range ax.hmaps {
+		for j, arr := range hl.perJ[:ax.k] {
+			g := got.hmaps[li].perJ[j]
+			if !slices.Equal(g.orders, arr.orders) || !slices.Equal(g.cards, arr.cards) {
+				t.Fatalf("level %d h_%d: reopened orders %v cards %v, built %v %v", li, j+1, g.orders, g.cards, arr.orders, arr.cards)
+			}
+		}
+	}
+	var arr hashArray
+	// Two values in a universe of 4 derive order 0, so the flag is corrupt.
+	if err := arr.setCard(2<<1|1, true, 2, gamma.MaxOrder); err == nil {
+		t.Fatal("a set flagged at derived order 0 opened")
+	}
+}
