@@ -2,9 +2,9 @@
 # Hypothesis leaf-order: pruned leaves and hashed sets are the gamma-coded
 # two thirds of a point-pread image. Coding each leaf at its best exp-Golomb
 # order, and each hashed set at an order derived from its directory entry
-# (no field stored), should shrink leaves and hashed sets by about a third,
-# while a one-member answer, carrying its member's order, is still a verbatim
-# copy.
+# (no field stored; the rule kept adds one bit for a gamma fallback), should
+# shrink leaves and hashed sets by about a third, while a one-member answer,
+# carrying its member's order, is still a verbatim copy.
 #
 # One measurement:
 #   census   TestLeafOrderCensus (internal/core/leaforder_test.go): per
