@@ -98,6 +98,7 @@ func inspect(path string) error {
 		meta, _ := cf.Find(container.TypeStaticMeta, uint64(i))
 		printLedger(i, l, img.Len, meta.Len)
 		printOrders(l.Rows, codes[i])
+		printHashedSets(l, codes[i])
 		if l.ResidentBits() != l.ImageBits || (l.ImageBits+7)/8 != img.Len {
 			return fmt.Errorf("shard %d: ledger parts sum to %d bits, device allocated %d, image section holds %d bytes",
 				i, l.ResidentBits(), l.ImageBits, img.Len)
@@ -202,4 +203,31 @@ func printOrders(rows int64, levels []secidx.LevelCodes) {
 		line(fmt.Sprintf("h_%d", j+1), "all", c)
 	}
 	fmt.Printf("  %-8s %5s %-44s %10d %10d %10.2f\n", "all", "", "", all.Stored, all.Gamma, float64(all.Gamma-all.Stored)/float64(rows))
+}
+
+// printHashedSets prints, per level and j, the hashed sets the image stores
+// and those it omits because no query can select them (an old file omits
+// none).
+func printHashedSets(l secidx.SpaceLedger, levels []secidx.LevelCodes) {
+	if len(levels) == 0 || len(levels[0].Hashed) == 0 {
+		return
+	}
+	fmt.Println("  hashed sets stored/omitted by level (omitted: no query can select them):")
+	head := fmt.Sprintf("  %5s %8s", "depth", "members")
+	for j := range levels[0].Hashed {
+		head += fmt.Sprintf(" %13s", fmt.Sprintf("h_%d", j+1))
+	}
+	fmt.Println(head)
+	for li, lv := range levels {
+		members := l.Levels[li].Members
+		line := fmt.Sprintf("  %5d %8d", lv.Depth, members)
+		for _, c := range lv.Hashed {
+			stored := 0
+			for _, sets := range c.Orders {
+				stored += sets
+			}
+			line += fmt.Sprintf(" %13s", fmt.Sprintf("%d/%d", stored, members-stored))
+		}
+		fmt.Println(line)
+	}
 }

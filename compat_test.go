@@ -305,16 +305,15 @@ func requireShardedFixture(t *testing.T, path string, sigma uint32, stored int, 
 }
 
 // writeOneShard writes st's one shard as a container of the given kind by
-// hand, field by field, with reserved in the manifest slot after BlockBits
-// (once the advisory memory size, which every build writes as 0).
-func writeOneShard(path string, kind uint64, st *static, reserved uint64) error {
+// hand, field by field, with revision in the manifest slot after BlockBits.
+func writeOneShard(path string, kind uint64, st *static, revision uint64) error {
 	part := st.sx.Parts()[0]
 	return writeContainer(path, kind, func(cw *container.Writer) error {
 		var e container.Encoder
 		e.U(uint64(st.Len()))
 		e.U(uint64(st.Sigma()))
 		e.U(uint64(st.opts.BlockBits))
-		e.U(reserved)
+		e.U(revision)
 		e.U(uint64(st.opts.Branching))
 		e.U(uint64(st.opts.Stride))
 		e.I(st.opts.Seed)
@@ -334,12 +333,13 @@ func writeOneShard(path string, kind uint64, st *static, reserved uint64) error 
 	})
 }
 
-// TestManifestReservedSlotIgnored opens a container whose reserved manifest
-// slot holds a nonzero value: it must report the same Len and Sigma and
-// answer every range exactly as the same index written with 0. Written with
-// 0, the hand-made container must equal WriteFile's byte for byte, so the
-// slot sits where the encoder puts it.
-func TestManifestReservedSlotIgnored(t *testing.T) {
+// TestManifestRevision: the manifest slot after BlockBits holds the static
+// payload's revision. Written by hand with core.StaticRevision there, a
+// container equals WriteFile's byte for byte. The same sections under a
+// revision this package does not know, or under revision 0, whose hashed
+// directory lists every set where this one omits those no query selects,
+// fail with ErrCorrupt.
+func TestManifestRevision(t *testing.T) {
 	const sigma = 24
 	data := randColumn(6000, sigma, 32)
 	ix, err := Build(data, sigma, Options{BlockBits: 2048, Seed: 5})
@@ -347,14 +347,11 @@ func TestManifestReservedSlotIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	written, byHand, reserved := filepath.Join(dir, "w.secidx"), filepath.Join(dir, "h.secidx"), filepath.Join(dir, "r.secidx")
+	written, byHand := filepath.Join(dir, "w.secidx"), filepath.Join(dir, "h.secidx")
 	if err := ix.WriteFile(written); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeOneShard(byHand, container.KindStatic, &ix.static, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeOneShard(reserved, container.KindStatic, &ix.static, 1<<20); err != nil {
+	if err := writeOneShard(byHand, container.KindStatic, &ix.static, core.StaticRevision); err != nil {
 		t.Fatal(err)
 	}
 	wb, err := os.ReadFile(written)
@@ -366,33 +363,18 @@ func TestManifestReservedSlotIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(wb, hb) {
-		t.Fatal("hand-written container with slot 0 differs from WriteFile's")
+		t.Fatalf("hand-written container with revision %d differs from WriteFile's", core.StaticRevision)
 	}
-	open := func(path string) *Index {
-		op, err := OpenFile(path, OpenOptions{})
-		if err != nil {
+	for _, rev := range []uint64{0, core.StaticRevision + 1} {
+		path := filepath.Join(dir, fmt.Sprintf("r%d.secidx", rev))
+		if err := writeOneShard(path, container.KindStatic, &ix.static, rev); err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { op.Close() })
-		return op.Static
-	}
-	want, got := open(written), open(reserved)
-	if got.Len() != want.Len() || got.Sigma() != want.Sigma() {
-		t.Fatalf("reserved slot: Len/Sigma %d/%d, want %d/%d", got.Len(), got.Sigma(), want.Len(), want.Sigma())
-	}
-	for lo := uint32(0); lo < sigma; lo++ {
-		for hi := lo; hi < sigma; hi++ {
-			wr, wst, err := want.Query(lo, hi)
-			if err != nil {
-				t.Fatal(err)
+		if op, err := OpenFile(path, OpenOptions{}); !errors.Is(err, ErrCorrupt) {
+			if err == nil {
+				op.Close()
 			}
-			gr, gst, err := got.Query(lo, hi)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(gr.Rows(), wr.Rows()) || gst != wst {
-				t.Fatalf("[%d,%d]: reserved slot answers %d rows (%+v), want %d (%+v)", lo, hi, gr.Card(), gst, wr.Card(), wst)
-			}
+			t.Fatalf("revision %d: error %v, want ErrCorrupt", rev, err)
 		}
 	}
 }
@@ -413,10 +395,10 @@ func TestOpenExactOnlyShard(t *testing.T) {
 	if err := sx.WriteFile(written); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeOneShard(sharded, container.KindSharded, &sx.static, 0); err != nil {
+	if err := writeOneShard(sharded, container.KindSharded, &sx.static, core.StaticRevision); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeOneShard(static, container.KindStatic, &sx.static, 0); err != nil {
+	if err := writeOneShard(static, container.KindStatic, &sx.static, core.StaticRevision); err != nil {
 		t.Fatal(err)
 	}
 	wb, err := os.ReadFile(written)
@@ -522,6 +504,62 @@ func TestReadCompatLegacyHeight(t *testing.T) {
 	}
 }
 
+// requirePinnedSweep asks every range of compatRanges(sigma) of q, and at
+// every ε of ax when it is not nil, and requires every exact answer to be the
+// column's, and the rows and form of every answer, with SizeBits size, to fold
+// into want.
+func requirePinnedSweep(t *testing.T, name string, sigma uint32, col []uint32, size int64, q func(lo, hi uint32) (*Result, Stats, error), ax approxer, want filePin) {
+	t.Helper()
+	h := fnv.New64a()
+	var got bitsPin
+	for _, r := range compatRanges(sigma) {
+		res, _, err := q(r.Lo, r.Hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := res.Rows()
+		if !slices.Equal(rows, bruteRange(col, r.Lo, r.Hi)) {
+			t.Fatalf("%s: Query [%d,%d]: old file differs from the column", name, r.Lo, r.Hi)
+		}
+		binary.Write(h, binary.LittleEndian, rows)
+		got.total += int64(len(rows))
+		if ax == nil {
+			continue
+		}
+		for _, eps := range compatEps {
+			a, _, err := ax.ApproxQuery(r.Lo, r.Hi, eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, err := a.Rows()
+			if err != nil {
+				t.Fatal(err)
+			}
+			binary.Write(h, binary.LittleEndian, rows)
+			fmt.Fprintf(h, "%v %d", a.IsExact(), a.CandidateCount())
+			got.total += int64(len(rows))
+		}
+	}
+	got.hash = h.Sum64()
+	if got != want.rows || size != want.sizeBits {
+		t.Fatalf("%s: sweep answered %d rows (hash %#x), SizeBits %d; pinned %d (%#x), %d",
+			name, got.total, got.hash, size, want.rows.total, want.rows.hash, want.sizeBits)
+	}
+}
+
+// approxer is the approximate query of a static handle.
+type approxer interface {
+	ApproxQuery(lo, hi uint32, eps float64) (*ApproxResult, Stats, error)
+}
+
+// filePin is what a fixture's writer answered from it: SizeBits, and the rows
+// of every exact and approximate answer of the sweep folded into a bitsPin
+// (their count and FNV-1a hash, with each approximate answer's form).
+type filePin struct {
+	sizeBits int64
+	rows     bitsPin
+}
+
 // The pr45_* containers under testdata/ were written at commit b1cad5d, the
 // last whose leaves and hashed sets were all gamma-coded and whose images
 // carried the prefix array A, by cmd/secidx:
@@ -529,13 +567,8 @@ func TestReadCompatLegacyHeight(t *testing.T) {
 //	secidx -n 40000 -sigma 64 -dist zipf -theta 1.1 -block 2048 -seed 45 -write testdata/pr45_static.secidx
 //	secidx -n 60000 -sigma 64 -dist zipf -theta 1.1 -block 2048 -seed 46 -shards 2 -write testdata/pr45_sharded.secidx
 //
-// pr45Pins holds what that commit answered from them: SizeBits, and the rows
-// of every exact and approximate answer of the sweep folded into a bitsPin
-// (their count and FNV-1a hash, with each approximate answer's form).
-var pr45Pins = map[string]struct {
-	sizeBits int64
-	rows     bitsPin
-}{
+// pr45Pins holds what that commit answered from them.
+var pr45Pins = map[string]filePin{
 	"static":  {839184, bitsPin{12891518, 0x78bb8e7776c150f3}},
 	"sharded": {1057241, bitsPin{3002697, 0xd866a1c7010b9fdb}},
 }
@@ -545,47 +578,6 @@ var pr45Pins = map[string]struct {
 // SizeBits unchanged.
 func TestReadCompatPR45(t *testing.T) {
 	const sigma = 64
-	type approxer interface {
-		ApproxQuery(lo, hi uint32, eps float64) (*ApproxResult, Stats, error)
-	}
-	sweep := func(t *testing.T, name string, col []uint32, size int64, q func(lo, hi uint32) (*Result, Stats, error), ax approxer) {
-		h := fnv.New64a()
-		var got bitsPin
-		for _, r := range compatRanges(sigma) {
-			res, _, err := q(r.Lo, r.Hi)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rows := res.Rows()
-			if !slices.Equal(rows, bruteRange(col, r.Lo, r.Hi)) {
-				t.Fatalf("Query [%d,%d]: old file differs from the column", r.Lo, r.Hi)
-			}
-			binary.Write(h, binary.LittleEndian, rows)
-			got.total += int64(len(rows))
-			if ax == nil {
-				continue
-			}
-			for _, eps := range compatEps {
-				a, _, err := ax.ApproxQuery(r.Lo, r.Hi, eps)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rows, err := a.Rows()
-				if err != nil {
-					t.Fatal(err)
-				}
-				binary.Write(h, binary.LittleEndian, rows)
-				fmt.Fprintf(h, "%v %d", a.IsExact(), a.CandidateCount())
-				got.total += int64(len(rows))
-			}
-		}
-		got.hash = h.Sum64()
-		want := pr45Pins[name]
-		if got != want.rows || size != want.sizeBits {
-			t.Fatalf("%s: sweep answered %d rows (hash %#x), SizeBits %d; pinned %d (%#x), %d",
-				name, got.total, got.hash, size, want.rows.total, want.rows.hash, want.sizeBits)
-		}
-	}
 	t.Run("static", func(t *testing.T) {
 		o, err := OpenFile("testdata/pr45_static.secidx", OpenOptions{VerifyImages: true})
 		if err != nil {
@@ -593,7 +585,7 @@ func TestReadCompatPR45(t *testing.T) {
 		}
 		defer o.Close()
 		col := workload.Zipf(40000, sigma, 1.1, 45).X
-		sweep(t, "static", col, o.Static.SizeBits(), o.Static.Query, o.Static)
+		requirePinnedSweep(t, "static", sigma, col, o.Static.SizeBits(), o.Static.Query, o.Static, pr45Pins["static"])
 	})
 	t.Run("sharded", func(t *testing.T) {
 		o, err := OpenFile("testdata/pr45_sharded.secidx", OpenOptions{VerifyImages: true})
@@ -602,6 +594,31 @@ func TestReadCompatPR45(t *testing.T) {
 		}
 		defer o.Close()
 		col := workload.Zipf(60000, sigma, 1.1, 46).X
-		sweep(t, "sharded", col, o.Sharded.SizeBits(), o.Sharded.Query, nil)
+		requirePinnedSweep(t, "sharded", sigma, col, o.Sharded.SizeBits(), o.Sharded.Query, nil, pr45Pins["sharded"])
 	})
+}
+
+// testdata/pr46_static.secidx was written at commit c9a31f3, the last whose
+// static payload lists every hashed set, reachable by a query or not
+// (manifest revision 0), with leaves at their orders and hashed sets at their
+// derived orders or in gamma, by cmd/secidx:
+//
+//	secidx -n 66000 -sigma 64 -dist zipf -theta 1.1 -block 2048 -seed 47 -write testdata/pr46_static.secidx
+//
+// At 66 000 rows it stores every hashed level, j = 1 … 4. pr46Pin holds what
+// that commit answered from it.
+var pr46Pin = filePin{2001119, bitsPin{21531132, 0x811a9be63dd77e05}}
+
+// TestReadCompatPR46 opens testdata/pr46_static.secidx and requires every
+// answer of the sweep to be the one its writer gave, every exact one the
+// column's, and SizeBits unchanged.
+func TestReadCompatPR46(t *testing.T) {
+	const sigma = 64
+	o, err := OpenFile("testdata/pr46_static.secidx", OpenOptions{VerifyImages: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	col := workload.Zipf(66000, sigma, 1.1, 47).X
+	requirePinnedSweep(t, "pr46 static", sigma, col, o.Static.SizeBits(), o.Static.Query, o.Static, pr46Pin)
 }

@@ -467,7 +467,7 @@ func TestOldFormatWritableReopenRejected(t *testing.T) {
 	// column mirror and no watermark.
 	err = writeContainer(path, container.KindAppend, func(cw *container.Writer) error {
 		var e container.Encoder
-		encodeManifest(&e, ix.Len(), ix.ax.Sigma(), ix.opts, 1)
+		encodeManifest(&e, ix.Len(), ix.ax.Sigma(), ix.opts, 1, 0)
 		if err := cw.Add(container.TypeManifest, 0, e.Bytes(), 1); err != nil {
 			return err
 		}

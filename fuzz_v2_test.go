@@ -134,7 +134,7 @@ func rowOverflowContainer(tb testing.TB) []byte {
 	path := filepath.Join(tb.TempDir(), "rows.secidx")
 	err = writeContainer(path, container.KindStatic, func(cw *container.Writer) error {
 		var e container.Encoder
-		encodeManifest(&e, container.MaxRows, sigma, opts, 1)
+		encodeManifest(&e, container.MaxRows, sigma, opts, 1, core.StaticRevision)
 		if err := cw.Add(container.TypeManifest, 0, e.Bytes(), 1); err != nil {
 			return err
 		}
@@ -187,7 +187,7 @@ func shortDynamicContainer(tb testing.TB) []byte {
 	path := filepath.Join(tb.TempDir(), "short.secidx")
 	err := writeContainer(path, container.KindDynamic, func(cw *container.Writer) error {
 		var e container.Encoder
-		encodeManifest(&e, rows, sigma, Options{BlockBits: 2048}, 1)
+		encodeManifest(&e, rows, sigma, Options{BlockBits: 2048}, 1, 0)
 		if err := cw.Add(container.TypeManifest, 0, e.Bytes(), 1); err != nil {
 			return err
 		}
@@ -288,6 +288,13 @@ func FuzzLoadV2(f *testing.F) {
 	f.Add(rowOverflowContainer(f))
 	// A dynamic payload declaring far more rows than it carries.
 	f.Add(shortDynamicContainer(f))
+	// A revision 0 static payload in the current layout: its hashed directory
+	// lists every set, reachable by a query or not.
+	pr46, err := os.ReadFile("testdata/pr46_static.secidx")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(pr46)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.secidx")

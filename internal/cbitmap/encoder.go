@@ -97,21 +97,6 @@ func (e *StreamEncoder) Card() int64 { return e.bd.card }
 // (-1 after a fresh Init) when nothing has been added yet.
 func (e *StreamEncoder) Last() int64 { return e.bd.prev }
 
-// MergeStreams unions the streams' position sets into the output, one decode
-// per input gap, through the same k-way merge core the query pipeline uses
-// (concatenation fast path with verbatim tail copies included). Every merged
-// position must exceed every position already encoded.
-func (e *StreamEncoder) MergeStreams(streams ...*Stream) error {
-	ms := mergeScratchPool.Get().(*mergeScratch)
-	heads, _, err := primeHeads(ms, streams)
-	if err == nil {
-		err = runMerge(&e.bd, 0, false, false, heads)
-	}
-	clear(ms.heads)
-	mergeScratchPool.Put(ms)
-	return err
-}
-
 // sliceMergeHead is one input of a sorted-slice merge: the cached head
 // position plus (list, next-element) cursors into the caller's fixed list-of
 // -lists. Heads are plain values with no pointers, so heap swaps trigger no

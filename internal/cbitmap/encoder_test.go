@@ -81,7 +81,9 @@ func TestStreamEncoderMergeSortedSlices(t *testing.T) {
 	}
 }
 
-func TestStreamEncoderMergeStreams(t *testing.T) {
+// TestMergeStreamsEqualsUnion: merging k streams over bitmaps writes the
+// bytes of the bitmaps' Union.
+func TestMergeStreamsEqualsUnion(t *testing.T) {
 	n := int64(1 << 19)
 	for _, k := range []int{1, 2, 5, 12} {
 		ms := streamTestSets(t, k, 900, n, int64(100+k))
@@ -94,17 +96,15 @@ func TestStreamEncoderMergeStreams(t *testing.T) {
 			streams[i] = new(Stream)
 			streams[i].InitBitmap(m, 0)
 		}
-		w := bitio.NewWriter(0)
-		var e StreamEncoder
-		e.Init(w)
-		if err := e.MergeStreams(streams...); err != nil {
+		got, err := MergeStreams(n, streams...)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if e.Card() != want.Card() {
-			t.Fatalf("k=%d: card %d, want %d", k, e.Card(), want.Card())
+		if got.Card() != want.Card() {
+			t.Fatalf("k=%d: card %d, want %d", k, got.Card(), want.Card())
 		}
-		if !bytes.Equal(w.Bytes(), encBytes(t, want)) || w.Len() != want.SizeBits() {
-			t.Fatalf("k=%d: merged stream differs from MergeStreams bitmap", k)
+		if !bytes.Equal(encBytes(t, got), encBytes(t, want)) || got.SizeBits() != want.SizeBits() {
+			t.Fatalf("k=%d: merged stream differs from the Union bitmap", k)
 		}
 	}
 }

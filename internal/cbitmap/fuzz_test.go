@@ -431,14 +431,14 @@ func FuzzStreamEncoder(f *testing.F) {
 			s.InitBitmap(bm, 0)
 			streams = append(streams, s)
 		}
-		w2 := bitio.NewWriter(0)
-		var e2 StreamEncoder
-		e2.Init(w2)
-		if err := e2.MergeStreams(streams...); err != nil {
+		merged, err := MergeStreams(n, streams...)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if e2.Card() != want.Card() || !bytes.Equal(w2.Bytes(), wantW.Bytes()) {
-			t.Fatal("stream-fed encoder differs from Builder path")
+		w2 := bitio.NewWriter(merged.SizeBits())
+		merged.EncodeTo(w2)
+		if merged.Card() != want.Card() || !bytes.Equal(w2.Bytes(), wantW.Bytes()) {
+			t.Fatal("stream merge differs from Builder path")
 		}
 
 		// Feed 3: continuation — split the sorted set at an arbitrary point

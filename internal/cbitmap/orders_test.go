@@ -184,8 +184,8 @@ func FuzzMixedOrders(f *testing.F) {
 }
 
 // TestBuilderOrders: an empty merge builder that concatenates takes the
-// order of the most input bits; one that has encoded a position, and a
-// StreamEncoder's, keep theirs and re-encode the tail.
+// order of the most input bits, from bitmaps or streams; one that has encoded
+// a position keeps its order and re-encodes the tail.
 func TestBuilderOrders(t *testing.T) {
 	const n = 1 << 12
 	a := MustFromPositions(n, []int64{3, 40, 41, 900})
@@ -214,16 +214,13 @@ func TestBuilderOrders(t *testing.T) {
 			t.Fatalf("%s: order %d, want %d (or rows differ)", tc.what, u.Order(), tc.order)
 		}
 	}
-	w := bitio.NewWriter(0)
-	var e StreamEncoder
-	e.Init(w)
-	s := b3.Iter()
-	if err := e.MergeStreams(&s); err != nil {
+	// The first case's parts, as streams, merge as the bitmaps do.
+	sa, sb := a.Iter(), b3.Iter()
+	m, err := MergeStreams(n, &sa, &sb)
+	if err != nil {
 		t.Fatal(err)
 	}
-	want := bitio.NewWriter(0)
-	b.EncodeTo(want)
-	if w.Len() != want.Len() || !slices.Equal(w.Bytes(), want.Bytes()) {
-		t.Fatalf("StreamEncoder drained an order-3 stream into %d bits, want gamma's %d", w.Len(), want.Len())
+	if u := MustFromPositions(n, append(a.Positions(), b.Positions()...)); m.Order() != 3 || !Equal(m, u) {
+		t.Fatalf("streams of a gamma part then a larger order-3 part merge at order %d, want 3 (or rows differ)", m.Order())
 	}
 }

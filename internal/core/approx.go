@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sort"
 
 	"repro/internal/cbitmap"
 	"repro/internal/container"
@@ -27,8 +28,8 @@ type ApproxOptions struct {
 
 // Approx is the paper's Theorem 3 structure: the Theorem 2 index extended,
 // at every materialised member, with the hashed sets h_j(S) for
-// j = 1 … k = ⌊lg lg n⌋ (maxJ), where h_j maps [n] to [2^(2^j)] via the
-// split-XOR universal family. An approximate query reads O(z lg(1/ε)/B) bits
+// j = 1 … k = ⌊lg lg n⌋ (maxJ) that a query can select (hashedReachable),
+// where h_j maps [n] to [2^(2^j)] via the split-XOR universal family. An approximate query reads O(z lg(1/ε)/B) bits
 // instead of O(z lg(n/z)/B).
 type Approx struct {
 	*Optimal
@@ -44,6 +45,9 @@ type hashLevel struct {
 	perJ []hashArray // index j-1; k entries, or the stored count of an older file
 }
 
+// A set no query can select (hashedReachable) is not stored: it keeps its
+// place with a zero extent and card 0. Every stored set holds at least one
+// value, since every member holds at least one row.
 type hashArray struct {
 	exts  []iomodel.Extent
 	cards []int64
@@ -52,6 +56,32 @@ type hashArray struct {
 	// sets of a file written before.
 	orders []uint8
 }
+
+// StaticRevision is the revision of the static payload (EncodeMeta) this
+// package writes, which a container records beside it: 1 lists only the
+// hashed sets a query can select (hashedReachable); 0, every file written
+// before, lists every set.
+const StaticRevision = 1
+
+// minRows is the fewest rows z a query whose cover holds member m can count:
+// every record of the characters m's records belong to. A cover member lies
+// inside the query's record range, which starts and ends on character
+// boundaries (Tree.RecordRange).
+func minRows(prefix []int64, m member) int64 {
+	lo := sort.Search(len(prefix), func(a int) bool { return prefix[a] > m.start }) - 1
+	hi := sort.Search(len(prefix), func(a int) bool { return prefix[a] >= m.end })
+	return prefix[hi] - prefix[lo]
+}
+
+// hashedReachable reports whether some query can read h_j(S) of a member
+// whose covers count at least minz rows. A query selects the smallest j with
+// 2^(2^j) > z/ε, and z/ε >= z >= minz for ε < 1 (rounded, too), so it never
+// selects a j with 2^(2^j) <= minz. The rule needs only the tree, so the build and the reader
+// both derive it and the directory stores no flag.
+func hashedReachable(minz int64, j int) bool { return minz < int64(1)<<(1<<uint(j)) }
+
+// stored reports whether set i is stored (see hashArray).
+func (arr *hashArray) stored(i int) bool { return arr.cards[i] > 0 }
 
 // hashedOrder is the exp-Golomb order a hashed set of card values in the
 // universe [0, 2^lgU), whose member is coded at order memberK, is coded at
@@ -87,23 +117,25 @@ func (arr *hashArray) cardWord(i int) uint64 {
 	return c
 }
 
-// setCard appends the set whose directory word is w, a cardWord of a file
-// whose sets carry orders when ordered, and its order: hashedOrder's over
-// [0, 2^lgU) at member order memberK where w flags it, which must then be
-// above 0, else 0.
-func (arr *hashArray) setCard(w uint64, ordered bool, lgU int, memberK uint) error {
-	if !ordered {
-		arr.cards = append(arr.cards, int64(w))
-		return nil
-	}
-	card, k := int64(w>>1), uint(0)
-	if w&1 == 1 {
-		if k = hashedOrder(lgU, card, memberK); k == 0 {
-			return fmt.Errorf("core: hashed set of %d values flagged at order 0", card)
+// setCard appends the set of member m whose directory word is w, a cardWord
+// of a file whose sets carry orders when ordered, and its order: hashedOrder's
+// over [0, 2^lgU) where w flags it, which must then be above 0, else 0. The
+// set holds from one value to the fewer of m's rows and the universe.
+func (arr *hashArray) setCard(w uint64, ordered bool, lgU int, m member) error {
+	card, k := int64(w), uint(0)
+	if ordered {
+		card = int64(w >> 1)
+		if w&1 == 1 {
+			if k = hashedOrder(lgU, card, uint(m.k)); k == 0 {
+				return fmt.Errorf("core: hashed set of %d values flagged at order 0", card)
+			}
 		}
+		arr.orders = append(arr.orders, uint8(k))
+	}
+	if card < 1 || card > min(m.end-m.start, int64(1)<<uint(lgU)) {
+		return fmt.Errorf("core: hashed set of %d values for a member of %d rows", card, m.end-m.start)
 	}
 	arr.cards = append(arr.cards, card)
-	arr.orders = append(arr.orders, uint8(k))
 	return nil
 }
 
@@ -131,18 +163,21 @@ func (ax *Approx) SizeBits() int64 {
 }
 
 // hashedDirBits is what the container's metadata spends on the hashed
-// directory: per level and j, the group's base, then every set's length and
-// cardWord, each a varint (encodeHashed).
+// directory: per level and j that stores a set, the group's base, then every
+// stored set's length and cardWord, each a varint (encodeHashed).
 func (ax *Approx) hashedDirBits() int64 {
 	var bytes int
 	for _, hl := range ax.hmaps {
 		for _, arr := range hl.perJ {
-			var base int64
-			if len(arr.exts) > 0 {
-				base = arr.exts[0].Off
-			}
-			bytes += container.ULen(uint64(base))
+			listed := false
 			for i, e := range arr.exts {
+				if !arr.stored(i) {
+					continue
+				}
+				if !listed {
+					bytes += container.ULen(uint64(e.Off))
+					listed = true
+				}
 				bytes += container.ULen(uint64(e.Bits)) + container.ULen(arr.cardWord(i))
 			}
 		}
@@ -407,6 +442,9 @@ func (ax *Approx) PayloadUnderCodes() ([]LevelCodes, error) {
 		for j := range hl.perJ {
 			arr := &hl.perJ[j]
 			for i := range arr.exts {
+				if !arr.stored(i) {
+					continue
+				}
 				if err := priceStream(tc, arr, i, int64(1)<<uint(1<<uint(j+1)), &out[li].Hashed[j]); err != nil {
 					return nil, fmt.Errorf("core: depth %d hashed set %d at j=%d: %w", out[li].Depth, i, j+1, err)
 				}

@@ -20,7 +20,8 @@ var ErrBuildInvariant = errors.New("core: build invariant violated")
 
 // BuildApprox constructs the Theorem 3 index for col on disk d: the
 // Theorem 2 structure, then for each materialised member S the hashed sets
-// h_j(S), j = 1 … k, with a worker budget of GOMAXPROCS.
+// h_j(S), j = 1 … k, that a query can select (hashedReachable), with a worker
+// budget of GOMAXPROCS.
 func BuildApprox(d *iomodel.Disk, col workload.Column, opts ApproxOptions) (*Approx, error) {
 	return BuildApproxOn(NewWorkers(0), d, col, opts)
 }
@@ -69,7 +70,9 @@ func buildApprox(ws Workers, d *iomodel.Disk, col workload.Column, opts ApproxOp
 			putChainWriter(t.hashed)
 			for _, arr := range t.perJ {
 				for mi := range arr.exts {
-					arr.exts[mi].Off += off
+					if arr.stored(mi) {
+						arr.exts[mi].Off += off
+					}
 				}
 			}
 		}

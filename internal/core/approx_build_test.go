@@ -45,10 +45,11 @@ type hashedSet = hashSet[int64]
 // before the level pass: per (level, j, member) sort the positions, hash,
 // sort and compact again, encode one gamma.WriteK at a time at the order
 // hashedOrder derives where that is shorter than gamma, else in gamma
-// (oracleOrder), and place each set with its own AllocStream. Kept as the
-// differential oracle for the device image.
+// (oracleOrder), and place each set with its own AllocStream. It stores
+// every set, reachable by a query or not, as builds did before
+// hashedReachable: the oracle for approximate answers and their reads.
 func buildApproxReference(d *iomodel.Disk, col workload.Column, opts ApproxOptions) (*Approx, error) {
-	return buildApproxReferenceK(d, col, opts, maxJ)
+	return buildApproxReferenceK(d, col, opts, maxJ, false)
 }
 
 // legacyMaxJ is maxJ as it was before it followed the paper: the least k >= 1
@@ -65,8 +66,10 @@ func legacyMaxJ(n int64) int {
 
 // buildApproxReferenceK is buildApproxReference with the level count chosen
 // by kOf(n): with legacyMaxJ it lays down what a build before the cap did,
-// surplus level included, selectable by queries.
-func buildApproxReferenceK(d *iomodel.Disk, col workload.Column, opts ApproxOptions, kOf func(n int64) int) (*Approx, error) {
+// surplus level included, selectable by queries. With omit it stores only the
+// sets hashedReachable keeps, recording the others empty: the oracle for the
+// device image.
+func buildApproxReferenceK(d *iomodel.Disk, col workload.Column, opts ApproxOptions, kOf func(n int64) int, omit bool) (*Approx, error) {
 	ox, err := BuildOptimal(d, col, opts.OptimalOptions)
 	if err != nil {
 		return nil, err
@@ -84,6 +87,10 @@ func buildApproxReferenceK(d *iomodel.Disk, col workload.Column, opts ApproxOpti
 			univ := int64(1) << uint(1<<uint(j))
 			arr := &hl.perJ[j-1]
 			for _, m := range lv.members {
+				if omit && !hashedReachable(minRows(ox.tree.prefix, m), j) {
+					arr.exts, arr.cards, arr.orders = append(arr.exts, iomodel.Extent{}), append(arr.cards, 0), append(arr.orders, 0)
+					continue
+				}
 				pos := positions(m.start, m.end)
 				hashed := make([]int64, 0, len(pos))
 				for _, p := range pos {
@@ -148,7 +155,8 @@ func requireSameApprox(t *testing.T, name string, gd, wd *iomodel.Disk, got, wan
 }
 
 // TestBuildApproxDifferential pins the sort-free hashed-level build to the
-// member-at-a-time reference: same device bytes, extents and cardinalities.
+// member-at-a-time reference that omits the sets no query selects: same
+// device bytes, extents and cardinalities.
 func TestBuildApproxDifferential(t *testing.T) {
 	type tc struct {
 		name   string
@@ -191,7 +199,7 @@ func TestBuildApproxDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		want, err := buildApproxReference(wd, c.col, opts)
+		want, err := buildApproxReferenceK(wd, c.col, opts, maxJ, true)
 		if err != nil {
 			t.Fatalf("%s: reference: %v", c.name, err)
 		}

@@ -255,7 +255,8 @@ func runLevels[P rowID](ws Workers, tasks []levelTask, prefix []int64, x []uint3
 // slab, each member's exact stream — a tree member's at the exp-Golomb order
 // that codes it, or its run of leaves of one character, in the fewest bits;
 // an alphabet range's in gamma — and then its hashed set under every
-// function of hs, at the order hashedOrder derives where that is shorter
+// function of hs that a query can select (hashedReachable; the others keep
+// their place empty), at the order hashedOrder derives where that is shorter
 // than gamma, else in gamma, grouped by j ("we group
 // the sets according to what hash function was used") so a cover chunk at
 // one j is contiguous.
@@ -266,10 +267,20 @@ func runLevel[P rowID](t *levelTask, sc *levelScratch[P], hs []hashutil.SplitXOR
 	var enc cbitmap.StreamEncoder
 	t.exact = getChainWriter()
 	need, hneed := 0, 0
-	for _, m := range t.members {
+	var minz []int64
+	if len(hs) > 0 {
+		minz = make([]int64, len(t.members))
+	}
+	for mi, m := range t.members {
 		need += gapBits(m.end-m.start, int64(len(sc.x)))
-		for _, h := range hs {
-			hneed += gapBits(min(m.end-m.start, h.Range()), h.Range())
+		if minz == nil {
+			continue
+		}
+		minz[mi] = minRows(sc.prefix, m)
+		for j, h := range hs {
+			if hashedReachable(minz[mi], j+1) {
+				hneed += gapBits(min(m.end-m.start, h.Range()), h.Range())
+			}
 		}
 	}
 	t.exact.Grow(need)
@@ -311,6 +322,9 @@ func runLevel[P rowID](t *levelTask, sc *levelScratch[P], hs []hashutil.SplitXOR
 		arr.cards = make([]int64, len(t.members))
 		arr.orders = make([]uint8, len(t.members))
 		for mi, m := range t.members {
+			if !hashedReachable(minz[mi], j+1) {
+				continue
+			}
 			startBit := t.hashed.Len()
 			enc.Init(t.hashed)
 			k, err := sc.set.encode(&enc, h, sc.slab[m.start:m.end], uint(m.k))

@@ -141,11 +141,16 @@ func TestBuildLevelFailure(t *testing.T) {
 		t.Fatalf("%d worker slots still held", len(ws))
 	}
 
-	// A hash too wide for the bitset fails the first set of every level; the
+	// A hash too wide for the bitset — h_5's, of universe 2^32, which every
+	// set is reachable at — fails the first set it hashes on every level; the
 	// build reports level 0's, as a build of one level after another did.
-	wideHash := []hashutil.SplitXOR{hashutil.NewSplitXOR(rand.New(rand.NewSource(1)), 32)}
+	rng := rand.New(rand.NewSource(1))
+	var wideHash []hashutil.SplitXOR
+	for j := 1; j <= 5; j++ {
+		wideHash = append(wideHash, hashutil.NewSplitXOR(rng, 1<<uint(j)))
+	}
 	first := newLevelTasks(tr, 2)[0]
-	want := fmt.Sprintf("core: depth %d hashed level j=1 member [%d,%d): %v: hashed universe 2^32 above 2^16",
+	want := fmt.Sprintf("core: depth %d hashed level j=5 member [%d,%d): %v: hashed universe 2^32 above 2^16",
 		first.depth, first.members[0].start, first.members[0].end, ErrBuildInvariant)
 	for _, slots := range []int{1, 4} {
 		ws := NewWorkers(slots)

@@ -43,7 +43,7 @@ func fileBacked(t *testing.T, d *iomodel.Disk, ax *core.Approx, opts core.Approx
 		t.Fatal(err)
 	}
 	dec := container.NewDecoder(e.Bytes())
-	got, err := core.OpenApprox(fd.Disk, ax.Sigma(), opts, dec)
+	got, err := core.OpenApprox(fd.Disk, ax.Sigma(), core.StaticRevision, opts, dec)
 	if err == nil {
 		err = dec.Finish()
 	}

@@ -50,11 +50,12 @@ const maxStoredJ = 5
 // least 1) marks the layout: those files decode through OpenApprox's legacy
 // branch, and a binary from before rejects a new file there. A 0 where files
 // written before stored the offset of the prefix array A (at least 1: the
-// exact levels preceded it) marks the revision whose image holds no A, its
-// tree layout from block 0, and whose leaves carry their orders and hashed
-// sets the orders hashedOrder derives where those are shorter than gamma,
-// each set's cardWord saying where; an image opened from an older file keeps
-// A's offset there.
+// exact levels preceded it) marks the image that holds no A, its tree layout
+// from block 0, and whose leaves carry their orders and hashed sets the
+// orders hashedOrder derives where those are shorter than gamma, each set's
+// cardWord saying where; an image opened from an older file keeps A's offset
+// there. Which hashed sets the directory lists is the payload's revision
+// (StaticRevision), which the container records beside it.
 func (ax *Approx) EncodeMeta(e *container.Encoder) error {
 	tr, l := ax.tree, ax.layout
 	if l.lenBits == 0 {
@@ -91,20 +92,23 @@ func (ax *Approx) EncodeMeta(e *container.Encoder) error {
 }
 
 // encodeHashed appends the hashed directories of the first ax.k levels,
-// level by level: per j the group's base, its sets' lengths and their
-// cardWords.
+// level by level: per j that stores a set, the group's base, its stored
+// sets' lengths and their cardWords. A set that is not stored takes no field:
+// the reader derives which those are (OpenApprox).
 func (ax *Approx) encodeHashed(e *container.Encoder) error {
 	for li := range ax.levels {
-		hl := ax.hmaps[li]
 		for j := 0; j < ax.k; j++ {
-			arr := hl.perJ[j]
-			var base int64
-			if len(arr.exts) > 0 {
-				base = arr.exts[0].Off
+			arr := &ax.hmaps[li].perJ[j]
+			first := slices.IndexFunc(arr.cards, func(c int64) bool { return c > 0 })
+			if first < 0 {
+				continue
 			}
-			e.U(uint64(base))
-			off := base
-			for _, ext := range arr.exts {
+			off := arr.exts[first].Off
+			e.U(uint64(off))
+			for i, ext := range arr.exts {
+				if !arr.stored(i) {
+					continue
+				}
 				if ext.Off != off {
 					return fmt.Errorf("core: hash group (level %d, j=%d) not contiguous at bit %d", li, j+1, off)
 				}
@@ -112,31 +116,39 @@ func (ax *Approx) encodeHashed(e *container.Encoder) error {
 				off += ext.Bits
 			}
 			for i := range arr.cards {
-				e.U(arr.cardWord(i))
+				if arr.stored(i) {
+					e.U(arr.cardWord(i))
+				}
 			}
 		}
 	}
 	return nil
 }
 
-// OpenApprox reconstitutes a static index from EncodeMeta's payload, served
-// from d (typically a FileDisk over the image section). The tree, prefix
-// array, materialised-level assignment, member ranges, layout placement and
-// hash functions are all recomputed; the member lengths and orders are read
-// from the node records, in one pass over the layout blocks outside any
-// query's stats; only the widths, bases and hashed directories come from the
-// payload.
+// OpenApprox reconstitutes a static index from EncodeMeta's payload of the
+// given revision (StaticRevision or before), served from d (typically a
+// FileDisk over the image section). The tree, prefix array,
+// materialised-level assignment, member ranges, layout placement and hash
+// functions are all recomputed; the member lengths and orders are read from
+// the node records, in one pass over the layout blocks outside any query's
+// stats; only the widths, bases and hashed directories come from the
+// payload. From revision 1 on the hashed directory lists only the sets
+// hashedReachable keeps, and the others are recorded empty.
 //
 // A file written before the records carried the directory (its level count
 // where the marker is) takes the legacy branch: the tree at legacyHeight,
 // the lengths inline in the level headers, each node's block stored after A
 // and the internal members' orders trailing the payload (absent, gamma). A
-// file with A's offset where the revision marker is (EncodeMeta) holds
-// gamma-coded leaves and hashed sets and its layout after A.
-func OpenApprox(d *iomodel.Disk, sigma int, opts ApproxOptions, dec *container.Decoder) (*Approx, error) {
+// file with A's offset where newer files hold 0 (EncodeMeta) holds
+// gamma-coded leaves and hashed sets and its layout after A. Both are
+// revision 0.
+func OpenApprox(d *iomodel.Disk, sigma, revision int, opts ApproxOptions, dec *container.Decoder) (*Approx, error) {
 	opts.OptimalOptions.fill()
 	if sigma < 1 || sigma > container.MaxSigma {
 		return nil, fmt.Errorf("core: alphabet size %d out of range", sigma)
+	}
+	if revision < 0 || revision > StaticRevision {
+		return nil, fmt.Errorf("core: static payload revision %d unknown", revision)
 	}
 	tail := d.AllocatedBits()
 	if tail <= 0 {
@@ -207,6 +219,9 @@ func OpenApprox(d *iomodel.Disk, sigma int, opts ApproxOptions, dec *container.D
 	if err := dec.Err(); err != nil {
 		return nil, err
 	}
+	if revision > 0 && !revised {
+		return nil, fmt.Errorf("core: revision %d payload in an older layout", revision)
+	}
 	if ox.aExt.End() > tail {
 		return nil, fmt.Errorf("core: prefix array extent exceeds image")
 	}
@@ -250,12 +265,27 @@ func OpenApprox(d *iomodel.Disk, sigma int, opts ApproxOptions, dec *container.D
 		cardBound = 2*cardBound + 1
 	}
 	for li := range ox.levels {
-		nm := len(ox.levels[li].members)
+		members := ox.levels[li].members
+		minz := make([]int64, len(members))
+		for i, m := range members {
+			minz[i] = minRows(tr.prefix, m)
+		}
+		listed := func(i, j int) bool { return revision == 0 || hashedReachable(minz[i], j+1) }
 		hl := hashLevel{perJ: make([]hashArray, stored)}
 		for j := 0; j < stored; j++ {
 			arr := &hl.perJ[j]
-			off := int64(dec.UN(uint64(tail)))
-			for i := 0; i < nm; i++ {
+			var off int64
+			for i := range members {
+				if listed(i, j) {
+					off = int64(dec.UN(uint64(tail))) // the group's base
+					break
+				}
+			}
+			for i := range members {
+				if !listed(i, j) {
+					arr.exts = append(arr.exts, iomodel.Extent{})
+					continue
+				}
 				bits := int64(dec.UN(uint64(tail)))
 				if off > tail-bits {
 					return nil, fmt.Errorf("core: hash extent exceeds image")
@@ -263,9 +293,16 @@ func OpenApprox(d *iomodel.Disk, sigma int, opts ApproxOptions, dec *container.D
 				arr.exts = append(arr.exts, iomodel.Extent{Off: off, Bits: bits})
 				off += bits
 			}
-			for i := 0; i < nm; i++ {
+			for i, m := range members {
+				if !listed(i, j) { // only revision 1 omits, and its sets carry orders
+					arr.cards, arr.orders = append(arr.cards, 0), append(arr.orders, 0)
+					continue
+				}
 				w := dec.UN(cardBound)
-				if err := arr.setCard(w, revised, 1<<(j+1), uint(ox.levels[li].members[i].k)); err != nil {
+				if err := dec.Err(); err != nil {
+					return nil, err
+				}
+				if err := arr.setCard(w, revised, 1<<(j+1), m); err != nil {
 					return nil, err
 				}
 			}

@@ -15,13 +15,19 @@ import (
 // reopen round-trips ax's metadata through EncodeMeta and OpenApprox over the
 // device it was built on.
 func reopen(t *testing.T, d *iomodel.Disk, ax *Approx, opts ApproxOptions) (*Approx, error) {
+	return reopenAt(t, d, ax, opts, StaticRevision)
+}
+
+// reopenAt is reopen reading the payload as the given revision: 0 for an
+// index that stores every hashed set, as files written before did.
+func reopenAt(t *testing.T, d *iomodel.Disk, ax *Approx, opts ApproxOptions, revision int) (*Approx, error) {
 	t.Helper()
 	var e container.Encoder
 	if err := ax.EncodeMeta(&e); err != nil {
 		t.Fatal(err)
 	}
 	dec := container.NewDecoder(e.Bytes())
-	got, err := OpenApprox(d, ax.Sigma(), opts, dec)
+	got, err := OpenApprox(d, ax.Sigma(), revision, opts, dec)
 	if err == nil {
 		err = dec.Finish()
 	}
@@ -40,11 +46,11 @@ func TestOpenApproxStoredLevels(t *testing.T) {
 		sigma := min(64, n)
 		col := workload.Zipf(n, sigma, 1.0, int64(n))
 		ld := iomodel.NewDisk(iomodel.Config{BlockBits: 2048})
-		legacy, err := buildApproxReferenceK(ld, col, opts, legacyMaxJ)
+		legacy, err := buildApproxReferenceK(ld, col, opts, legacyMaxJ, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		old, err := reopen(t, ld, legacy, opts)
+		old, err := reopenAt(t, ld, legacy, opts, 0)
 		if err != nil {
 			t.Fatalf("n=%d: legacy metadata (k=%d stored): %v", n, legacy.k, err)
 		}
@@ -52,10 +58,15 @@ func TestOpenApproxStoredLevels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// every is what a build between the cap and the omitted sets stored.
+		every, err := buildApproxReference(iomodel.NewDisk(iomodel.Config{BlockBits: 2048}), col, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if old.K() != fresh.K() || legacy.k != fresh.K()+1 {
 			t.Fatalf("n=%d: reopened K() = %d, fresh %d, stored %d", n, old.K(), fresh.K(), legacy.k)
 		}
-		ol, fl := old.SpaceLedger(), fresh.SpaceLedger()
+		ol, fl, el := old.SpaceLedger(), fresh.SpaceLedger(), every.SpaceLedger()
 		if ol.ResidentBits() != ol.ImageBits || fl.ResidentBits() != fl.ImageBits {
 			t.Fatalf("n=%d: ledgers do not sum to their images: %d/%d, %d/%d",
 				n, ol.ResidentBits(), ol.ImageBits, fl.ResidentBits(), fl.ImageBits)
@@ -75,10 +86,10 @@ func TestOpenApproxStoredLevels(t *testing.T) {
 					n, c.name, c.l.DirBits, c.ax.SizeBits(), meta)
 			}
 		}
-		surplus := ol.ImageBits - fl.ImageBits // what the fresh build no longer lays down
+		surplus := ol.ImageBits - el.ImageBits // what a build after the cap no longer lays down
 		for li, lv := range ol.Levels {
-			if len(lv.HashedBits) != legacy.k || !slices.Equal(lv.HashedBits[:fresh.K()], fl.Levels[li].HashedBits) {
-				t.Fatalf("n=%d depth %d: hashed ledger %v, fresh %v", n, lv.Depth, lv.HashedBits, fl.Levels[li].HashedBits)
+			if len(lv.HashedBits) != legacy.k || !slices.Equal(lv.HashedBits[:fresh.K()], el.Levels[li].HashedBits) {
+				t.Fatalf("n=%d depth %d: hashed ledger %v, every set after the cap %v", n, lv.Depth, lv.HashedBits, el.Levels[li].HashedBits)
 			}
 			surplus -= lv.HashedBits[fresh.K()]
 		}
@@ -168,7 +179,16 @@ func encodeLegacyMeta(t *testing.T, ax *Approx, orders bool) []byte {
 	}
 	e.U(uint64(ax.layout.nblocks))
 	e.U(uint64(ax.k))
-	if err := ax.encodeHashed(&e); err != nil {
+	// Its hashed sets were gamma-coded: their cardWords carry no order flag.
+	gammaSets := &Approx{Optimal: ax.Optimal, k: ax.k}
+	for _, hl := range ax.hmaps {
+		perJ := slices.Clone(hl.perJ)
+		for j := range perJ {
+			perJ[j].orders = nil
+		}
+		gammaSets.hmaps = append(gammaSets.hmaps, hashLevel{perJ: perJ})
+	}
+	if err := gammaSets.encodeHashed(&e); err != nil {
 		t.Fatal(err)
 	}
 	for _, lv := range ax.levels {
@@ -191,7 +211,9 @@ func TestOpenApproxMemberOrders(t *testing.T) {
 	opts := ApproxOptions{Seed: 42}
 	col := workload.Zipf(20000, 64, 1.0, 9)
 	d := iomodel.NewDisk(iomodel.Config{BlockBits: 2048})
-	ax, err := BuildApprox(d, col, opts)
+	// Every hashed set stored, as in the files that took the legacy layout:
+	// every payload here is read as revision 0.
+	ax, err := buildApproxReference(d, col, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +232,7 @@ func TestOpenApproxMemberOrders(t *testing.T) {
 	}
 	open := func(payload []byte) (*Approx, error) {
 		dec := container.NewDecoder(payload)
-		got, err := OpenApprox(d, ax.Sigma(), opts, dec)
+		got, err := OpenApprox(d, ax.Sigma(), 0, opts, dec)
 		if err == nil {
 			err = dec.Finish()
 		}
@@ -232,7 +254,7 @@ func TestOpenApproxMemberOrders(t *testing.T) {
 			}
 		}
 	}
-	got, err := reopen(t, d, ax, opts)
+	got, err := reopenAt(t, d, ax, opts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,10 +280,10 @@ func TestOpenApproxMemberOrders(t *testing.T) {
 	for _, lv := range ax.levels {
 		members += int64(len(lv.members))
 	}
-	if got, want := old.SizeBits(), ax.SizeBits()+members*legacyRecordBits+int64(ax.Sigma()+1)*64; got != want {
+	if got, want := old.SizeBits(), ax.SizeBits()+members*legacyRecordBits+int64(ax.Sigma()+1)*64+old.hashedDirBits()-ax.hashedDirBits(); got != want {
 		t.Fatalf("legacy SizeBits %d, want %d: the metadata directory at 128 bits per member and A", got, want)
 	}
-	if l := old.SpaceLedger(); l.DirBits != ax.SpaceLedger().DirBits+members*legacyRecordBits {
+	if l := old.SpaceLedger(); l.DirBits != old.hashedDirBits()+members*legacyRecordBits {
 		t.Fatalf("legacy ledger DirBits %d, charges no metadata directory", l.DirBits)
 	}
 	if old.layout.nblocks != ax.layout.nblocks || old.layout.recordBits() != legacyRecordBits {
@@ -330,7 +352,7 @@ func TestHashedSetOrders(t *testing.T) {
 	}
 	var arr hashArray
 	// Two values in a universe of 4 derive order 0, so the flag is corrupt.
-	if err := arr.setCard(2<<1|1, true, 2, gamma.MaxOrder); err == nil {
+	if err := arr.setCard(2<<1|1, true, 2, member{end: 100, k: gamma.MaxOrder}); err == nil {
 		t.Fatal("a set flagged at derived order 0 opened")
 	}
 }

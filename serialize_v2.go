@@ -261,13 +261,17 @@ type manifest struct {
 	sigma  int
 	opts   Options
 	shards int
+	// revision is the static payloads' revision (core.StaticRevision when
+	// written now), in the slot that once held the advisory memory size,
+	// which every file wrote as 0; the append and dynamic kinds write 0.
+	revision int
 }
 
-func encodeManifest(e *container.Encoder, n int64, sigma int, opts Options, shards int) {
+func encodeManifest(e *container.Encoder, n int64, sigma int, opts Options, shards, revision int) {
 	e.U(uint64(n))
 	e.U(uint64(sigma))
 	e.U(uint64(opts.BlockBits))
-	e.U(0) // reserved slot, formerly MemBits (the advisory memory size M)
+	e.U(uint64(revision))
 	e.U(uint64(opts.Branching))
 	e.U(uint64(opts.Stride))
 	e.I(opts.Seed)
@@ -288,7 +292,7 @@ func readManifest(cf *container.File) (manifest, error) {
 	m.n = int64(dec.UN(container.MaxRows))
 	sigma := dec.UN(container.MaxSigma)
 	m.opts.BlockBits = int(dec.UN(container.MaxParam))
-	dec.UN(container.MaxParam) // reserved slot, ignored
+	m.revision = int(dec.UN(core.StaticRevision))
 	m.opts.Branching = int(dec.UN(container.MaxParam))
 	m.opts.Stride = int(dec.UN(container.MaxParam))
 	m.opts.Seed = dec.I()
@@ -359,7 +363,7 @@ func (ix *static) WriteFile(path string) error {
 	}
 	return writeContainer(path, ix.kind, func(cw *container.Writer) error {
 		var e container.Encoder
-		encodeManifest(&e, n, ix.sx.Sigma(), ix.opts, len(parts))
+		encodeManifest(&e, n, ix.sx.Sigma(), ix.opts, len(parts), core.StaticRevision)
 		if err := cw.Add(container.TypeManifest, 0, e.Bytes(), 1); err != nil {
 			return err
 		}
@@ -410,7 +414,7 @@ func readDurableSeq(cf *container.File) (uint64, error) {
 // a reopened index can accept further appends instead of being read-only.
 func (ix *AppendIndex) emitSections(cw *container.Writer, seq uint64) error {
 	var e container.Encoder
-	encodeManifest(&e, ix.Len(), ix.ax.Sigma(), ix.opts, 1)
+	encodeManifest(&e, ix.Len(), ix.ax.Sigma(), ix.opts, 1, 0)
 	if err := cw.Add(container.TypeManifest, 0, e.Bytes(), 1); err != nil {
 		return err
 	}
@@ -456,7 +460,7 @@ func (ix *DynamicIndex) WriteFile(path string) error {
 // logical snapshot).
 func (ix *DynamicIndex) emitSections(cw *container.Writer, seq uint64) error {
 	var e container.Encoder
-	encodeManifest(&e, ix.Len(), ix.dx.Sigma(), ix.opts, 1)
+	encodeManifest(&e, ix.Len(), ix.dx.Sigma(), ix.opts, 1, 0)
 	if err := cw.Add(container.TypeManifest, 0, e.Bytes(), 1); err != nil {
 		return err
 	}
@@ -658,7 +662,7 @@ func openStatic(f *os.File, cf *container.File, man manifest, oo OpenOptions) (_
 		if err != nil {
 			return nil, err
 		}
-		ax, err := core.OpenApprox(fdisk.Disk, man.sigma, man.opts.approx(), dec)
+		ax, err := core.OpenApprox(fdisk.Disk, man.sigma, man.revision, man.opts.approx(), dec)
 		if err == nil {
 			err = dec.Finish()
 		}
