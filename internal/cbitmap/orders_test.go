@@ -1,6 +1,7 @@
 package cbitmap
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -222,5 +223,68 @@ func TestBuilderOrders(t *testing.T) {
 	}
 	if u := MustFromPositions(n, append(a.Positions(), b.Positions()...)); m.Order() != 3 || !Equal(m, u) {
 		t.Fatalf("streams of a gamma part then a larger order-3 part merge at order %d, want 3 (or rows differ)", m.Order())
+	}
+}
+
+// dominantOrderQuadratic is dominantOrder as first written, the oracle for
+// the one-pass vote: for each head, the bits of every head at its order; the
+// first head whose order holds the most wins.
+func dominantOrderQuadratic(heads []mergeHead) uint {
+	var k uint
+	best := -1
+	for i := range heads {
+		bits := 0
+		for j := range heads {
+			if heads[j].s.k == heads[i].s.k {
+				bits += heads[j].s.r.Remaining()
+			}
+		}
+		if bits > best {
+			k, best = heads[i].s.k, bits
+		}
+	}
+	return k
+}
+
+// TestDominantOrderVote: on random head sets — orders across 0…gamma.MaxOrder,
+// drawn from a few per set so that orders repeat, and remaining bits from a
+// small range so that totals tie — the one-pass vote picks the oracle's order.
+func TestDominantOrderVote(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	buf := make([]byte, 8)
+	var ties int
+	for trial := range 20000 {
+		palette := make([]uint, 1+rng.Intn(4))
+		for i := range palette {
+			palette[i] = uint(rng.Intn(gamma.MaxOrder + 1))
+		}
+		if trial%7 == 0 {
+			palette[0] = gamma.MaxOrder
+		}
+		heads := make([]mergeHead, rng.Intn(17))
+		bitsAt := map[uint]int{}
+		for i := range heads {
+			k := palette[rng.Intn(len(palette))]
+			r := bitio.NewReader(buf, rng.Intn(len(buf)*8+1))
+			heads[i] = mergeHead{s: &Stream{r: *r, k: k}}
+			bitsAt[k] += r.Remaining()
+		}
+		top, most := 0, -1
+		for _, b := range bitsAt {
+			if b > most {
+				top, most = 1, b
+			} else if b == most {
+				top++
+			}
+		}
+		if top > 1 {
+			ties++
+		}
+		if got, want := dominantOrder(heads), dominantOrderQuadratic(heads); got != want {
+			t.Fatalf("trial %d, %d heads: vote %d, oracle %d", trial, len(heads), got, want)
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no head set tied: the tie rule went unchecked")
 	}
 }

@@ -556,17 +556,15 @@ func knownDisjoint(heads []mergeHead) bool {
 // dominantOrder returns the order of the heads' streams that codes the most
 // of their remaining bits, the first such on a tie.
 func dominantOrder(heads []mergeHead) uint {
+	var bits [gamma.MaxOrder + 1]int
+	for i := range heads {
+		bits[heads[i].s.k] += heads[i].s.r.Remaining()
+	}
 	var k uint
 	best := -1
 	for i := range heads {
-		bits := 0
-		for j := range heads {
-			if heads[j].s.k == heads[i].s.k {
-				bits += heads[j].s.r.Remaining()
-			}
-		}
-		if bits > best {
-			k, best = heads[i].s.k, bits
+		if b := bits[heads[i].s.k]; b > best {
+			k, best = heads[i].s.k, b
 		}
 	}
 	return k

@@ -163,26 +163,15 @@ func (ax *Approx) SizeBits() int64 {
 }
 
 // hashedDirBits is what the container's metadata spends on the hashed
-// directory: per level and j that stores a set, the group's base, then every
-// stored set's length and cardWord, each a varint (encodeHashed).
+// directory: the bytes encodeHashedGroups writes for every hashed level the
+// handle holds, a file's surplus level included (OpenApprox).
 func (ax *Approx) hashedDirBits() int64 {
-	var bytes int
-	for _, hl := range ax.hmaps {
-		for _, arr := range hl.perJ {
-			listed := false
-			for i, e := range arr.exts {
-				if !arr.stored(i) {
-					continue
-				}
-				if !listed {
-					bytes += container.ULen(uint64(e.Off))
-					listed = true
-				}
-				bytes += container.ULen(uint64(e.Bits)) + container.ULen(arr.cardWord(i))
-			}
-		}
+	if len(ax.hmaps) == 0 {
+		return 0
 	}
-	return 8 * int64(bytes)
+	var e container.Encoder
+	_ = ax.encodeHashedGroups(&e, len(ax.hmaps[0].perJ)) // a break is EncodeMeta's error; the bytes are written regardless
+	return 8 * int64(len(e.Bytes()))
 }
 
 // Result is the answer to an approximate range query: either an exact

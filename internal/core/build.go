@@ -112,7 +112,7 @@ func buildLevels(ws Workers, d *iomodel.Disk, col workload.Column, opts OptimalO
 	if err != nil {
 		return nil, nil, err
 	}
-	ox := &Optimal{disk: d, tree: tr, opts: opts}
+	ox := newOptimal(d, tr, opts)
 	tasks := newLevelTasks(tr, opts.Stride)
 	encodeLevels(ws, tasks, tr.prefix, col.X, hs)
 	members := make([][]member, len(tasks))

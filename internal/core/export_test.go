@@ -41,3 +41,12 @@ func (ox *Optimal) ExactMembers(plan QueryPlan) (exts []iomodel.Extent) {
 	}
 	return exts
 }
+
+// KeptPointPlan returns the plan a point query on c keeps in c's slot, and
+// false while no query has asked for c.
+func (ox *Optimal) KeptPointPlan(c uint32) (QueryPlan, bool) {
+	if p := ox.points[c].Load(); p != nil {
+		return *p, true
+	}
+	return QueryPlan{}, false
+}

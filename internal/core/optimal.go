@@ -144,6 +144,17 @@ type Optimal struct {
 
 	levels []matLevel
 	aExt   iomodel.Extent // prefix array A of an image written before: (σ+1) 64-bit entries; else empty
+
+	// points holds, per character c, the plan of Query(c, c) once a query
+	// has made it (planPoint): the tree and levels never change, so neither
+	// does a point query's plan.
+	points []atomic.Pointer[QueryPlan]
+}
+
+// newOptimal returns the index over tr on d, its levels still to add, with
+// an empty plan slot per character.
+func newOptimal(d *iomodel.Disk, tr *Tree, opts OptimalOptions) *Optimal {
+	return &Optimal{disk: d, tree: tr, opts: opts, points: make([]atomic.Pointer[QueryPlan], tr.sigma)}
 }
 
 // BuildOptimal constructs the Theorem 2 index for col on disk d, its levels

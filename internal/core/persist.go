@@ -91,13 +91,20 @@ func (ax *Approx) EncodeMeta(e *container.Encoder) error {
 	return ax.encodeHashed(e)
 }
 
-// encodeHashed appends the hashed directories of the first ax.k levels,
-// level by level: per j that stores a set, the group's base, its stored
-// sets' lengths and their cardWords. A set that is not stored takes no field:
-// the reader derives which those are (OpenApprox).
-func (ax *Approx) encodeHashed(e *container.Encoder) error {
+// encodeHashed appends the hashed directories of the ax.k hashed levels
+// queries select among (encodeHashedGroups).
+func (ax *Approx) encodeHashed(e *container.Encoder) error { return ax.encodeHashedGroups(e, ax.k) }
+
+// encodeHashedGroups appends the hashed directories of j = 1…groups, level by
+// level: per j that stores a set, the group's base, its stored sets' lengths
+// and their cardWords. A set that is not stored takes no field: the reader
+// derives which those are (OpenApprox). Every field is written even past a
+// group whose sets are not contiguous, the first of which is the error, so
+// the bytes price the directory either way (hashedDirBits).
+func (ax *Approx) encodeHashedGroups(e *container.Encoder, groups int) error {
+	var err error
 	for li := range ax.levels {
-		for j := 0; j < ax.k; j++ {
+		for j := range groups {
 			arr := &ax.hmaps[li].perJ[j]
 			first := slices.IndexFunc(arr.cards, func(c int64) bool { return c > 0 })
 			if first < 0 {
@@ -109,8 +116,8 @@ func (ax *Approx) encodeHashed(e *container.Encoder) error {
 				if !arr.stored(i) {
 					continue
 				}
-				if ext.Off != off {
-					return fmt.Errorf("core: hash group (level %d, j=%d) not contiguous at bit %d", li, j+1, off)
+				if ext.Off != off && err == nil {
+					err = fmt.Errorf("core: hash group (level %d, j=%d) not contiguous at bit %d", li, j+1, off)
 				}
 				e.U(uint64(ext.Bits))
 				off += ext.Bits
@@ -122,7 +129,7 @@ func (ax *Approx) encodeHashed(e *container.Encoder) error {
 			}
 		}
 	}
-	return nil
+	return err
 }
 
 // OpenApprox reconstitutes a static index from EncodeMeta's payload of the
@@ -184,7 +191,7 @@ func OpenApprox(d *iomodel.Disk, sigma, revision int, opts ApproxOptions, dec *c
 	if err != nil {
 		return nil, err
 	}
-	ox := &Optimal{disk: d, tree: tr, opts: opts.OptimalOptions}
+	ox := newOptimal(d, tr, opts.OptimalOptions)
 
 	// Recompute the level assignment exactly as BuildOptimal does.
 	depths := materialDepths(tr.Height, opts.Stride)

@@ -21,6 +21,13 @@
 // every static handle keeps both in memory from its build or open: z and the
 // cover come from there, so a query's block reads are exactly the member
 // extents it decodes.
+//
+// Nor does planning repeat for a point query. Its plan depends only on its
+// character, over a tree and levels that never change, so a handle plans
+// Query(c, c) once, on the first ask (planPoint), and keeps the plan in c's
+// slot: 8 bytes of RAM per character for the slots, like the prefix counts,
+// and about 56 more per character asked (the plan and its usually one
+// chunk). Ranges over several characters, and PlanQuery, plan afresh.
 
 package core
 
@@ -90,6 +97,24 @@ func (p *QueryPlan) reset() {
 func (ox *Optimal) planInto(r index.Range, plan *QueryPlan) error {
 	qlo, qhi := ox.tree.RecordRange(r.Lo, r.Hi)
 	return ox.planRecords(qlo, qhi, plan)
+}
+
+// planPoint sets plan to the plan of Query(c, c): planned by planInto on the
+// first ask and kept in c's slot, then copied, since plan's chunk storage is
+// the caller's to reuse. Queries that race to a cold slot each plan it; the
+// plans are equal, and the last one stored is kept.
+func (ox *Optimal) planPoint(c uint32, plan *QueryPlan) error {
+	kept := ox.points[c].Load()
+	if kept == nil {
+		kept = new(QueryPlan)
+		if err := ox.planInto(index.Range{Lo: c, Hi: c}, kept); err != nil {
+			return err
+		}
+		ox.points[c].Store(kept)
+	}
+	plan.Complement, plan.Ordered = kept.Complement, kept.Ordered
+	plan.Chunks = append(plan.Chunks[:0], kept.Chunks...)
+	return nil
 }
 
 // planRecords plans the record range [qlo,qhi): its cover, or for a dense
@@ -269,7 +294,13 @@ func (ox *Optimal) answer(ctx context.Context, rs []index.Range, out []*cbitmap.
 		if err := ctx.Err(); err != nil {
 			return stats, err
 		}
-		if err := ox.planInto(r, &plans[qi]); err != nil {
+		var err error
+		if r.Lo == r.Hi {
+			err = ox.planPoint(r.Lo, &plans[qi])
+		} else {
+			err = ox.planInto(r, &plans[qi])
+		}
+		if err != nil {
 			return stats, err
 		}
 	}

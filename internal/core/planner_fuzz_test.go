@@ -83,9 +83,8 @@ func FuzzQueryBatchPlanner(f *testing.F) {
 		// The same index over a Freeze view, whose sessions are stable: the
 		// validation memo fills on the first round and is replayed on the
 		// second, and neither may change an answer or a count.
-		ro := *ox
-		ro.disk = d.Freeze()
-		ro.levels = nil
+		ro := newOptimal(d.Freeze(), ox.tree, ox.opts)
+		ro.layout, ro.aExt = ox.layout, ox.aExt
 		for _, lv := range ox.levels {
 			ro.levels = append(ro.levels, newMatLevel(lv.depth, lv.members))
 		}
