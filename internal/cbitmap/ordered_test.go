@@ -8,8 +8,9 @@ import (
 	"repro/internal/bitio"
 )
 
-// nextAll is the per-row loop scan replaced — Drain and drainInto's validation
-// pass as they were — kept as scan's reference.
+// nextAll is the per-row loop scan replaced — drainInto's validation pass as
+// it was — kept as scan's reference, and the tests' way to consume a stream
+// to its end with Next.
 func (s *Stream) nextAll() bool {
 	for s.left > 0 {
 		if _, ok := s.Next(); !ok {

@@ -23,9 +23,8 @@
 // drainInto scans a tail only when the stream's largest position is unknown,
 // i.e. when the stream validates: a disk-backed member no earlier pass over
 // the same bits has proved. A bitmap-backed stream, and a replay view over
-// bits an earlier pass validated (a batch's shared Drain, or an earlier
-// query's merge whose ValidatedLast core keeps per member of a read-only
-// device), is copied with no scan. Unpromised
+// bits an earlier query's merge validated (whose ValidatedLast core keeps
+// per member of a read-only device), is copied with no scan. Unpromised
 // streams concatenate only when each one's largest position is known up front
 // and precedes the next head (bitmap-backed streams and replay views, e.g. the
 // shards of a sharded answer). The other two paths are chosen from
@@ -95,14 +94,12 @@ func (s *Stream) InitDecode(r *bitio.Reader, start, bits int, card, n, off int64
 }
 
 // InitDecodeValidated initialises s as a replay view over a bit range whose
-// positions an earlier pass already validated: a Drain over the same bits
-// (the shared-scan batch planner's tee, where every subscribed query decodes
-// its own cardinality-bounded view of one shared buffer), or an earlier
-// query's merge over the same stable device bits, whose ValidatedLast core
-// remembers per member. Validation is skipped and the largest position (last,
-// pre-shift; ignored when card is 0) is known up front, so a merge can drain
-// the view as it drains a bitmap-backed stream: by verbatim tail copy into a
-// builder of its order.
+// positions an earlier pass already validated: an earlier query's merge over
+// the same stable device bits, whose ValidatedLast core remembers per member.
+// Validation is skipped and the largest position (last, pre-shift; ignored
+// when card is 0) is known up front, so a merge can drain the view as it
+// drains a bitmap-backed stream: by verbatim tail copy into a builder of its
+// order.
 func (s *Stream) InitDecodeValidated(r *bitio.Reader, start, bits int, card, last, off int64, k uint) error {
 	sub, err := r.Sub(start, bits)
 	if err != nil {
@@ -116,18 +113,6 @@ func (s *Stream) InitDecodeValidated(r *bitio.Reader, start, bits int, card, las
 		s.last = last + off
 	}
 	return nil
-}
-
-// Drain consumes every remaining position and returns the largest position
-// produced so far (off-1 if the stream never produced one).
-// It is the validation pass a shared scan runs once per member before handing
-// out InitDecodeValidated replay views: a decode or validation error in the
-// member's bits surfaces here, once, instead of in every consumer's merge.
-func (s *Stream) Drain() (last int64, err error) {
-	if !s.scan() {
-		return 0, s.err
-	}
-	return s.prev, nil
 }
 
 // ValidatedLast reports the largest position (shift applied) of a validating

@@ -86,6 +86,20 @@ func (lv *matLevel) knownLasts(dst []int64, i, j int) []int64 {
 	return dst
 }
 
+// Remembered reports how many of the exact members plan reads the
+// validation memo vouches for: a stable query executing plan replays them
+// without a scan.
+func (ox *Optimal) Remembered(plan QueryPlan) (n int) {
+	for _, c := range plan.Chunks {
+		for k := c.I; k < c.J; k++ {
+			if ox.levels[c.Level].memo[k].Load() > 0 {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // remember records, for the exact members of chunks in order, the largest
 // position each stream of streams (one per member, in the same order) proved
 // by validating its bits to the end; replay views prove nothing new, and no

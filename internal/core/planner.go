@@ -7,13 +7,15 @@
 // and executed in one shared pass: every query's plan is computed without
 // executing it (PlanQuery), the requested member runs are coalesced per
 // level, each coalesced extent is read exactly once in the batch's one Touch
-// session, shared members are validated by a single Drain scan, and every
-// subscribed query then merges cardinality-bounded Stream views over the
-// shared extent buffers. In the Aggarwal–Vitter I/O model the batch
-// therefore reads the blocks of the *union* of its cover extents, not the
-// sum — the saved reads are reported in QueryStats.SharedSaved. A single
-// query is the batch of one plan, whose sharing is zero: every static query
-// — exact, approximate or Warmup — runs the one executor.
+// session, and every query then merges cardinality-bounded Stream views over
+// the shared extent buffers. A member's bits are validated by the merges
+// that read it until one stable session has validated them; the handle's
+// memo then keeps its largest position and later merges replay it. In the
+// Aggarwal–Vitter I/O model the batch therefore reads the blocks of the
+// *union* of its cover extents, not the sum — the saved reads are reported
+// in QueryStats.SharedSaved. A single query is the batch of one plan, whose
+// sharing is zero: every static query — exact, approximate or Warmup — runs
+// the one executor.
 //
 // Planning reads nothing. The paper's query bound assumes that internal
 // memory holds (|Σ| lg n)^δ blocks, enough for the prefix counts A and the
@@ -34,7 +36,6 @@ package core
 import (
 	"cmp"
 	"context"
-	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -189,10 +190,8 @@ func (ox *Optimal) coverChunks(qlo, qhi int64, plan *QueryPlan) error {
 	return nil
 }
 
-// lastUnknown marks a run member whose largest position neither a shared
-// validation scan nor an earlier stable session has found (single-subscriber
-// members are never scanned up front; their consumer validates while
-// merging).
+// lastUnknown marks a run member whose largest position no earlier stable
+// session has found: every plan that reads it validates it while merging.
 const lastUnknown = math.MinInt64
 
 // memberRun is one requested member index range [i,j) at a level.
@@ -201,24 +200,22 @@ type memberRun struct {
 }
 
 // planRun is one coalesced run of members [i,j) at a level: its extent is
-// read once into cb, subs counts each member's subscribers when several
-// plans share the run's level (countSubscribers), and members subscribed by
-// more than one query, or validated by an earlier stable session, carry their
-// largest position in lasts (indexed k-i; a slice of the scratch's lasts).
+// read once into cb, and in a stable session lasts holds each member's
+// largest position from the level's memo (indexed k-i; a slice of the
+// scratch's lasts), lastUnknown where no query has validated it yet.
 type planRun struct {
 	i, j  int
 	span  iomodel.Extent
 	cb    *chunkBuf
-	subs  []int32
 	lasts []int64
 }
 
 // QueryBatch answers a batch of range queries through the shared-scan
 // planner: duplicate ranges are deduplicated (they share one answer), every
 // distinct query is planned without execution, the requested cover runs are
-// coalesced per level, and each coalesced extent is read and validated once
-// no matter how many queries subscribe to it. The i-th result corresponds to
-// rs[i]; answers are bit-identical to looped Query calls.
+// coalesced per level, and each coalesced extent is read once no matter how
+// many queries subscribe to it. The i-th result corresponds to rs[i];
+// answers are bit-identical to looped Query calls.
 //
 // The returned stats are batch-level: Reads counts each distinct block once
 // for the whole batch (the I/O-model cost of the shared scan), BitsRead
@@ -319,16 +316,16 @@ func (ox *Optimal) answer(ctx context.Context, rs []index.Range, out []*cbitmap.
 // the j-th hashed ones or a Warmup's nodes. The requested member runs are
 // coalesced per level — overlapping or adjacent runs merge into one, never
 // across a gap, so the blocks read are exactly the blocks of the union of
-// the planned extents — and each coalesced extent is read once. Members with
-// more than one subscriber are validated by a single Drain scan whose
-// recorded largest position every consumer then reuses, unless a stable
-// session validated them before, when the level's memo already holds it
-// (exact levels only: no other directory keeps one). Every plan then gets one
-// Stream view per member, positioned at the member's bit offset in the shared
-// extent buffer, and merges them. Only several plans share anything, so only
-// then are the extents attributed to their consumers. ctx is checked between
-// extent scans and between merges; the answers, one per plan, are the
-// scratch's until it is released.
+// the planned extents — and each coalesced extent is read once. Every plan
+// then gets one Stream view per member, positioned at the member's bit offset
+// in the shared extent buffer, and merges them. A member's view validates its
+// bits during the merge unless a stable session validated them before, when
+// the level's memo holds its largest position and the view replays it (exact
+// levels only: no other directory keeps one); so k plans sharing a member no
+// query has validated each validate it, once per handle. Only several plans
+// share anything, so only then are the extents attributed to their consumers.
+// ctx is checked between extent scans and between merges; the answers, one
+// per plan, are the scratch's until it is released.
 func (sc *queryScratch) execute(ctx context.Context, tc *iomodel.Touch, plans []QueryPlan, dirOf func(level int) memberDir, levels int, univ int64, stats *index.QueryStats) ([]*cbitmap.Bitmap, error) {
 	shares := len(plans) > 1
 	byLevel, runs := sc.growLevels(levels)
@@ -354,9 +351,6 @@ func (sc *queryScratch) execute(ctx context.Context, tc *iomodel.Touch, plans []
 			cur = rq
 		}
 		runs[li] = append(runs[li], planRun{i: cur.i, j: cur.j})
-		if shares {
-			sc.countSubscribers(reqs, runs[li])
-		}
 		dir := dirOf(li)
 		lv, exact := dir.(*matLevel)
 		for ri := range runs[li] {
@@ -368,48 +362,10 @@ func (sc *queryScratch) execute(ctx context.Context, tc *iomodel.Touch, plans []
 			if run.cb, run.span, err = sc.readSpan(tc, dir, run.i, run.j, stats); err != nil {
 				return nil, err
 			}
-			shared := false
-			if run.subs != nil {
-				acc := int32(0)
-				for k := range run.j - run.i {
-					acc += run.subs[k]
-					run.subs[k] = acc
-					shared = shared || acc > 1
-				}
-			}
-			stable := exact && tc.Stable()
-			if !shared && !stable {
-				continue
-			}
-			from := len(sc.lasts)
-			if stable {
+			if exact && tc.Stable() {
+				from := len(sc.lasts)
 				sc.lasts = lv.knownLasts(sc.lasts, run.i, run.j)
-			} else {
-				for range run.j - run.i {
-					sc.lasts = append(sc.lasts, lastUnknown)
-				}
-			}
-			run.lasts = sc.lasts[from:]
-			if !shared {
-				continue
-			}
-			var probe cbitmap.Stream
-			for k := run.i; k < run.j; k++ {
-				if run.subs[k-run.i] < 2 || run.lasts[k-run.i] != lastUnknown {
-					continue
-				}
-				ext, card, order := dir.entry(k)
-				if err := probe.InitDecode(&run.cb.r, int(ext.Off-run.span.Off), int(ext.Bits), card, univ, 0, order); err != nil {
-					return nil, fmt.Errorf("core: level %d member %d (universe %d): %w", li, k, univ, err)
-				}
-				last, err := probe.Drain()
-				if err != nil {
-					return nil, fmt.Errorf("core: level %d member %d (universe %d): %w", li, k, univ, err)
-				}
-				run.lasts[k-run.i] = last
-				if vl, ok := probe.ValidatedLast(); ok && stable {
-					lv.memo[k].Store(vl + 1)
-				}
+				run.lasts = sc.lasts[from:]
 			}
 		}
 	}
@@ -448,31 +404,4 @@ func (sc *queryScratch) execute(ctx context.Context, tc *iomodel.Touch, plans []
 		sc.answers = append(sc.answers, bm)
 	}
 	return sc.answers, nil
-}
-
-// countSubscribers gives each of a level's coalesced runs, from the scratch's
-// slab, the number of requests reqs (sorted, as the runs were coalesced from)
-// that subscribe to each of its members, in interval difference form: one
-// slot per member plus one past the run's end, summed by the scan.
-func (sc *queryScratch) countSubscribers(reqs []memberRun, runs []planRun) {
-	need := 0
-	for _, run := range runs {
-		need += run.j - run.i + 1
-	}
-	sc.subs = slices.Grow(sc.subs[:0], need)[:need]
-	clear(sc.subs)
-	for ri, off := 0, 0; ri < len(runs); ri++ {
-		w := runs[ri].j - runs[ri].i + 1
-		runs[ri].subs = sc.subs[off : off+w : off+w]
-		off += w
-	}
-	ri := 0
-	for _, rq := range reqs {
-		for rq.i >= runs[ri].j {
-			ri++
-		}
-		run := &runs[ri]
-		run.subs[rq.i-run.i]++
-		run.subs[rq.j-run.i]--
-	}
 }

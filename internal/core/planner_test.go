@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -161,6 +162,74 @@ func TestQueryBatchSharingWin(t *testing.T) {
 	if stats.SharedSaved < stats.Reads {
 		t.Fatalf("overlap-heavy batch: Reads=%d SharedSaved=%d, want >=2x sharing win",
 			stats.Reads, stats.SharedSaved)
+	}
+}
+
+// TestQueryBatchSharedCorruptMember guards the batch path for a member that
+// several plans share: every merge that reads it validates it, as no shared
+// pass does ahead of them. On a writable disk, where no query's validation is
+// remembered, the batch answers as looped queries do; after a bit is flipped
+// in a member two overlapping ranges share, the batch fails with a
+// cbitmap.ErrCorrupt.
+func TestQueryBatchSharedCorruptMember(t *testing.T) {
+	col := workload.Uniform(6000, 40, 12)
+	d := iomodel.NewDisk(iomodel.Config{BlockBits: 1024})
+	ox, err := BuildOptimalDefault(d, col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := []index.Range{{Lo: 4, Hi: 15}, {Lo: 4, Hi: 19}}
+	runBatchOracle(t, ox, rs)
+
+	var m member
+	second := readMembers(t, ox, rs[1])
+	for _, a := range readMembers(t, ox, rs[0]) {
+		for _, b := range second {
+			if a == b && a.lv.members[a.k].ext.Bits > m.ext.Bits {
+				m = a.lv.members[a.k]
+			}
+		}
+	}
+	if m.ext.Bits == 0 {
+		t.Fatalf("ranges %v share no member", rs)
+	}
+	tc := d.NewTouch()
+	defer tc.Close()
+	flip := func(pos int64) {
+		v, err := tc.ReadBits(pos, 1)
+		if err == nil {
+			err = tc.WriteBits(pos, v^1, 1)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The first bit whose flip a validating decode of the member rejects.
+	caught := false
+	for pos := m.ext.Off; pos < m.ext.End() && !caught; pos++ {
+		flip(pos)
+		rd, err := tc.Reader(m.ext)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var s cbitmap.Stream
+		if err := s.InitDecode(rd, 0, int(m.ext.Bits), m.card, ox.tree.n, 0, uint(m.k)); err != nil {
+			t.Fatal(err)
+		}
+		for s.Left() > 0 {
+			if _, ok := s.Next(); !ok {
+				break
+			}
+		}
+		if caught = s.Err() != nil; !caught {
+			flip(pos)
+		}
+	}
+	if !caught {
+		t.Fatal("no single bit flip in the shared member fails its validation")
+	}
+	if _, _, err := ox.QueryBatch(rs); !errors.Is(err, cbitmap.ErrCorrupt) {
+		t.Fatalf("batch over a corrupt shared member: error %v, want cbitmap.ErrCorrupt", err)
 	}
 }
 

@@ -38,7 +38,6 @@ type queryScratch struct {
 	plans   []QueryPlan
 	byLevel [][]memberRun     // each level's requested runs (execute)
 	runs    [][]planRun       // each level's coalesced runs (execute)
-	subs    []int32           // one level's subscriber counts, carved into its runs
 	lasts   []int64           // the runs' member lasts, carved into them
 	answers []*cbitmap.Bitmap // one per plan, in plan order
 	streams []cbitmap.Stream
@@ -167,9 +166,9 @@ func (sc *queryScratch) readSpan(tc *iomodel.Touch, dir memberDir, i, j int, sta
 // a view of its own bit range of cb, which holds the device's bits from
 // offset base on: no member bitmap is materialised, and the downstream merge
 // decodes each gap exactly once. A stream validates its positions against
-// [0,univ) while it is merged, unless a shared scan or an earlier stable
-// session already did and lasts holds the member's largest position (indexed
-// from c.I; nil: none did).
+// [0,univ) while it is merged, unless an earlier stable session already did
+// and lasts holds the member's largest position (indexed from c.I; nil: none
+// did).
 func (sc *queryScratch) appendStreams(cb *chunkBuf, base int64, dir memberDir, c PlanChunk, univ int64, lasts []int64) error {
 	for k := c.I; k < c.J; k++ {
 		ext, card, order := dir.entry(k)

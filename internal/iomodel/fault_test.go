@@ -25,7 +25,7 @@ func fillBlocks(t *testing.T, fd *Disk, nblocks int) Extent {
 	return fd.AllocStream(w)
 }
 
-func TestFaultDiskDisarmedIsTransparent(t *testing.T) {
+func TestDiskFaultDisarmedIsTransparent(t *testing.T) {
 	fd := faultyDisk(Config{BlockBits: 512}, FaultConfig{Seed: 1, TransientPer10k: 10000})
 	ext := fillBlocks(t, fd, 8)
 	tc := fd.NewTouch()
@@ -39,7 +39,7 @@ func TestFaultDiskDisarmedIsTransparent(t *testing.T) {
 	}
 }
 
-func TestFaultDiskTransientHealsAndConverges(t *testing.T) {
+func TestDiskFaultTransientHealsAndConverges(t *testing.T) {
 	fd := faultyDisk(Config{BlockBits: 512}, FaultConfig{Seed: 42, TransientPer10k: 5000, TransientCount: 2})
 	const nblocks = 16
 	ext := fillBlocks(t, fd, nblocks)
@@ -81,7 +81,7 @@ func TestFaultDiskTransientHealsAndConverges(t *testing.T) {
 	}
 }
 
-func TestFaultDiskPermanentNeverHeals(t *testing.T) {
+func TestDiskFaultPermanentNeverHeals(t *testing.T) {
 	fd := faultyDisk(Config{BlockBits: 512}, FaultConfig{Seed: 7, PermanentPer10k: 10000})
 	ext := fillBlocks(t, fd, 4)
 	fd.ArmFaults()

@@ -108,9 +108,10 @@ type Disk struct {
 	// becomes a block mirror (or mmap window) populated on first charged read,
 	// and the device is read-only. See FileDisk.
 	file *fileBacking
-	// frozen marks an immutable point-in-time view produced by Freeze. A
-	// frozen device rejects allocation and writes exactly like a file-backed
-	// one, so any number of readers can share it without coordination.
+	// frozen marks an immutable device: a point-in-time view produced by
+	// Freeze, or a device sealed in place by Seal. A frozen device rejects
+	// allocation and writes exactly like a file-backed one, so any number of
+	// readers can share it without coordination.
 	frozen bool
 	// cowPending is set on the live device by Freeze: the next mutation must
 	// first clone buf (copy-on-write) so outstanding frozen views keep the
@@ -128,10 +129,10 @@ type Disk struct {
 // ErrInvalidRange reports an out-of-bounds disk access.
 var ErrInvalidRange = errors.New("iomodel: access outside allocated storage")
 
-// ErrReadOnly reports a write or allocation on a file-backed device. A
-// FileDisk serves a frozen on-disk image; mutating it would desynchronise the
-// mirror from the file.
-var ErrReadOnly = errors.New("iomodel: file-backed device is read-only")
+// ErrReadOnly reports a write or allocation on a file-backed or frozen
+// device. A FileDisk serves a frozen on-disk image; mutating it would
+// desynchronise the mirror from the file.
+var ErrReadOnly = errors.New("iomodel: device is read-only")
 
 // maxBlockBits bounds BlockBits so derived quantities (block offsets) cannot
 // overflow int64 arithmetic even on hostile configurations decoded from
@@ -294,8 +295,23 @@ func (d *Disk) FreeList() []BlockID {
 // FileBacked reports whether the device serves a read-only file image.
 func (d *Disk) FileBacked() bool { return d.file != nil }
 
-// Frozen reports whether the device is an immutable Freeze view.
+// Frozen reports whether the device is immutable: a Freeze view or a sealed
+// device (Seal). A file-backed device is read-only but not Frozen.
 func (d *Disk) Frozen() bool { return d.frozen }
+
+// Seal makes the device immutable in place once its owner has finished
+// writing it: from then on it rejects allocation and writes as a Freeze view
+// does, and keeps its cache, stats and fault schedule, since nothing is
+// copied. Every session on a sealed device can be Stable, so a static index
+// built on it validates each member once. A no-op on a file-backed device,
+// which is read-only already. Like Freeze, Seal must not race with writes.
+func (d *Disk) Seal() {
+	if d.file != nil {
+		return
+	}
+	d.ensure(d.tailBits)
+	d.frozen = true
+}
 
 // Freeze returns an immutable point-in-time view of the device: a read-only
 // Disk sharing the current backing bytes. The view keeps exactly the bits
@@ -680,10 +696,11 @@ func (t *Touch) FailedWrites() int { return t.failedW }
 
 // Stable reports whether every bit this session has served is the device's
 // stable bit: the device cannot be written (a file image, whose served bits
-// never change, or a Freeze view) and no read of the session has had a bit
-// flipped by the fault schedule. Bits validated in a stable session may be
-// taken on faith by a later session that is stable too; a writable Disk is
-// never stable, since a write may change bits already validated.
+// never change, a Freeze view or a sealed device) and no read of the session
+// has had a bit flipped by the fault schedule. Bits validated in a stable
+// session may be taken on faith by a later session that is stable too; a
+// writable Disk is never stable, since a write may change bits already
+// validated.
 func (t *Touch) Stable() bool { return (t.d.file != nil || t.d.frozen) && !t.flipped }
 
 // markRead charges the device reads for blocks [from,to]. With a fault

@@ -10,7 +10,7 @@ import (
 
 // Part is one shard viewed from outside the package: its index, device,
 // and the global row range it covers. Parts carries a built index out for
-// serialisation; Assemble carries reopened shards back in.
+// serialisation; Assemble carries built or reopened shards in.
 type Part struct {
 	Ax    *core.Approx
 	Disk  *iomodel.Disk
@@ -27,10 +27,13 @@ func (x *Index) Parts() []Part {
 	return out
 }
 
-// Assemble constructs a sharded index from already-built (typically
-// reopened) shards. The parts must tile rows [0,n) contiguously in order,
-// and each part's index must cover exactly its row range over the shared
-// alphabet. workers < 1 selects GOMAXPROCS.
+// Assemble constructs a sharded index from already-built or reopened shards,
+// the one constructor of every static index. The parts must tile rows [0,n)
+// contiguously in order, and each part's index must cover exactly its row
+// range over the shared alphabet. Each part's device is sealed
+// (iomodel.Disk.Seal): nothing writes a static index after its build, so its
+// sessions are stable and its validation memo fills. workers < 1 selects
+// GOMAXPROCS.
 func Assemble(parts []Part, n int64, sigma, workers int) (*Index, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("shard: no shards to assemble")
@@ -56,6 +59,7 @@ func Assemble(parts []Part, n int64, sigma, workers int) (*Index, error) {
 		if got := p.Ax.Sigma(); got != sigma {
 			return nil, fmt.Errorf("shard: part %d alphabet %d, want %d", i, got, sigma)
 		}
+		p.Disk.Seal()
 		x.shards = append(x.shards, &shard{ax: p.Ax, disk: p.Disk, start: p.Start, end: p.End})
 		expect = p.End
 	}

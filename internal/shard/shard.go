@@ -243,21 +243,16 @@ func Build(data []uint32, sigma int, opts Options) (*Index, error) {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	sx := &Index{
-		shards:  make([]*shard, s),
-		n:       int64(len(data)),
-		sigma:   sigma,
-		workers: workers,
-	}
+	n := int64(len(data))
+	parts := make([]Part, s)
 	var wg sync.WaitGroup
 	ws := core.NewWorkers(workers) // one encoder budget for all the shards
 	errs := make([]error, s)
-	for i := 0; i < s; i++ {
+	for i := range parts {
 		// Balanced contiguous partition: shard i covers [i·n/s, (i+1)·n/s).
-		start := int64(i) * sx.n / int64(s)
-		end := int64(i+1) * sx.n / int64(s)
+		start, end := int64(i)*n/int64(s), int64(i+1)*n/int64(s)
 		wg.Add(1)
-		go func(i int, start, end int64) {
+		go func() {
 			defer wg.Done()
 			cfg := diskCfg
 			cfg.Faults = FaultsFor(opts.Faults, i)
@@ -268,12 +263,8 @@ func Build(data []uint32, sigma int, opts Options) (*Index, error) {
 			}
 			ax, err := core.BuildExactOn(ws, d, workload.Column{X: data[start:end], Sigma: sigma},
 				core.OptimalOptions{Branching: opts.Branching, Stride: opts.Stride})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			sx.shards[i] = &shard{ax: ax, disk: d, start: start, end: end}
-		}(i, start, end)
+			parts[i], errs[i] = Part{Ax: ax, Disk: d, Start: start, End: end}, err
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -281,7 +272,7 @@ func Build(data []uint32, sigma int, opts Options) (*Index, error) {
 			return nil, err
 		}
 	}
-	return sx, nil
+	return Assemble(parts, n, sigma, workers)
 }
 
 // Len returns the number of rows indexed.

@@ -1,6 +1,7 @@
 package secidx
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"slices"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/cbitmap"
+	"repro/internal/iomodel"
 	"repro/internal/workload"
 )
 
@@ -227,6 +229,110 @@ func raceQueries(data []uint32, ix *Index, sx *ShardedIndex, ranges []Range, w i
 		}
 	}
 	return nil
+}
+
+// TestValidationMemoBuiltHandles: a built Index and a built three-shard
+// ShardedIndex seal their devices, so a write fails and every session is
+// stable: after a query, the memo vouches for every member it read, and the
+// repeated query replays them with the same answer, which is the column's.
+// With silent corruption armed, a warmed handle answers as a cold one does,
+// and every failure is a cbitmap.ErrCorrupt.
+func TestValidationMemoBuiltHandles(t *testing.T) {
+	const sigma = 64
+	data := randColumn(20000, sigma, 305)
+	ranges := chaosRanges(60, sigma, 306)
+	for c := uint32(0); c < sigma; c++ {
+		ranges = append(ranges, Range{Lo: c, Hi: c})
+	}
+	build := func(fc *FaultConfig) map[string]*static {
+		opts := Options{BlockBits: 2048, Seed: 5, Faults: fc}
+		ix, err := Build(data, sigma, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sx, err := BuildSharded(data, sigma, ShardOptions{Options: opts, Shards: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return map[string]*static{"Index": &ix.static, "ShardedIndex": &sx.static}
+	}
+	rowsOK := func(r Range, res *Result) bool { return slices.Equal(res.Rows(), bruteRange(data, r.Lo, r.Hi)) }
+
+	for name, st := range build(nil) {
+		for i, p := range st.sx.Parts() {
+			tc := p.Disk.NewTouch()
+			err := tc.WriteBits(0, 0, 1)
+			tc.Close()
+			if !errors.Is(err, iomodel.ErrReadOnly) {
+				t.Fatalf("%s shard %d: write returned %v, want iomodel.ErrReadOnly", name, i, err)
+			}
+		}
+		for _, r := range ranges {
+			first, _, err := st.Query(r.Lo, r.Hi)
+			if err != nil || !rowsOK(r, first) {
+				t.Fatalf("%s [%d,%d]: error %v or wrong rows", name, r.Lo, r.Hi, err)
+			}
+			read, known, err := st.remembered(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if known != read {
+				t.Fatalf("%s [%d,%d]: the memo vouches for %d of the %d members the query read", name, r.Lo, r.Hi, known, read)
+			}
+			again, _, err := st.Query(r.Lo, r.Hi)
+			if err != nil || !cbitmap.Equal(first.bm, again.bm) {
+				t.Fatalf("%s [%d,%d]: replayed query returned error %v or other bytes", name, r.Lo, r.Hi, err)
+			}
+		}
+		for i := 0; i+8 <= len(ranges); i += 8 {
+			out, _, err := st.QueryBatch(ranges[i : i+8])
+			if err != nil {
+				t.Fatalf("%s QueryBatch %d: %v", name, i, err)
+			}
+			for j, r := range ranges[i : i+8] {
+				if !rowsOK(r, out[j]) {
+					t.Fatalf("%s QueryBatch %d [%d,%d]: wrong rows", name, i, r.Lo, r.Hi)
+				}
+			}
+		}
+	}
+
+	// Silent corruption: a warm handle, half of whose memo was filled on
+	// unflipped bits, and a cold one, built on the same schedule, answer
+	// every query alike. A flipped gap code can decode to a well-formed
+	// wrong set that no validation catches, so an answer is compared with
+	// the cold handle's, not with the column's.
+	fc := FaultConfig{Seed: 31, CorruptPer10k: 1500}
+	warm, cold := build(&fc), build(&fc)
+	failed, answered, wrong := 0, 0, 0
+	for name, st := range warm {
+		for _, r := range ranges[:len(ranges)/2] {
+			if res, _, err := st.Query(r.Lo, r.Hi); err != nil || !rowsOK(r, res) {
+				t.Fatalf("%s [%d,%d] disarmed: error %v or wrong rows", name, r.Lo, r.Hi, err)
+			}
+		}
+		st.ArmFaults()
+		cold[name].ArmFaults()
+		for _, r := range ranges {
+			a, _, ea := st.Query(r.Lo, r.Hi)
+			b, _, eb := cold[name].Query(r.Lo, r.Hi)
+			sameOutcome(t, fmt.Sprintf("%s [%d,%d]", name, r.Lo, r.Hi), []*Result{a}, []*Result{b}, ea, eb)
+			switch {
+			case ea != nil && !errors.Is(ea, cbitmap.ErrCorrupt):
+				t.Fatalf("%s [%d,%d]: corruption surfaced as %v, want cbitmap.ErrCorrupt", name, r.Lo, r.Hi, ea)
+			case ea != nil:
+				failed++
+			case rowsOK(r, a):
+				answered++
+			default:
+				wrong++
+			}
+		}
+	}
+	t.Logf("armed: %d failed, %d answered right, %d answered wrong with no error", failed, answered, wrong)
+	if failed == 0 || answered == 0 {
+		t.Fatalf("%d queries failed and %d answered right: the schedule must do both", failed, answered)
+	}
 }
 
 // BenchmarkPointQueryFile times point queries, every key in turn, on a pread
