@@ -661,20 +661,22 @@ func BenchmarkBitmapUnion(b *testing.B) {
 // of a 2^20 universe: D < 256 takes the window kernel; D = 256 sits on the
 // crossover (deduplication leaves it just under) and, like the sparser points,
 // takes the per-row loop. ordered is the point-query shape: one set of 4096
-// positions cut into k consecutive members, concatenated by
-// MergeStreamsOrdered. ns/row is per input position.
+// positions cut into k consecutive members, concatenated by cbitmap.Concat,
+// each member validated. ns/row is per input position.
 func BenchmarkMergeStreams(b *testing.B) {
 	const n = 1 << 20
-	run := func(b *testing.B, merge func(int64, ...*cbitmap.Stream) (*cbitmap.Bitmap, error), ms []*cbitmap.Bitmap) {
+	encode := func(ms []*cbitmap.Bitmap) (rd *bitio.Reader, starts []int, rows int) {
 		w := bitio.NewWriter(0)
-		starts := make([]int, len(ms))
-		rows := 0
+		starts = make([]int, len(ms))
 		for i, m := range ms {
 			starts[i] = w.Len()
 			m.EncodeTo(w)
 			rows += int(m.Card())
 		}
-		rd := bitio.NewReader(w.Bytes(), w.Len())
+		return bitio.NewReader(w.Bytes(), w.Len()), starts, rows
+	}
+	run := func(b *testing.B, merge func(int64, ...*cbitmap.Stream) (*cbitmap.Bitmap, error), ms []*cbitmap.Bitmap) {
+		rd, starts, rows := encode(ms)
 		streams := make([]*cbitmap.Stream, len(ms))
 		for i := range streams {
 			streams[i] = new(cbitmap.Stream)
@@ -720,7 +722,21 @@ func BenchmarkMergeStreams(b *testing.B) {
 				for i := range ms {
 					ms[i] = cbitmap.MustFromPositions(n, pos[i*len(pos)/k:(i+1)*len(pos)/k])
 				}
-				run(b, cbitmap.MergeStreamsOrdered, ms)
+				rd, starts, rows := encode(ms)
+				members := make([]cbitmap.Member, len(ms))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for j, m := range ms {
+						if err := members[j].Init(rd, starts[j], m.SizeBits(), m.Card(), -1, 0); err != nil {
+							b.Fatal(err)
+						}
+					}
+					if _, err := cbitmap.Concat(n, members); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
 			})
 		}
 	})

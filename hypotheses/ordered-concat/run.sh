@@ -17,7 +17,10 @@
 #   kernel   BenchmarkOrderedConcat (internal/cbitmap/ordered_test.go): one
 #            key's rows cut into k members, merged by the general merge, by
 #            concatenation with the per-row validation loop, and by
-#            concatenation with the bulk scan — the two steps apart.
+#            concatenation with the bulk scan — the two steps apart. Since
+#            the concatenation became one kernel (cbitmap.Concat) the
+#            benchmark has other arms, measured by hypotheses/point-run, and
+#            this script's kernel table prints no rows.
 #   pairs    BASE=<commit> PAIRS=n: alternating benchmark/bench.sh runs of
 #            BASE, of this tree with Stream.scan turned back into the per-row
 #            loop (the concatenation alone), and of this tree, on point-pread;

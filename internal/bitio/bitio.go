@@ -219,6 +219,10 @@ func (r *Reader) Init(buf []byte, nbit int) {
 // Len returns the total number of bits exposed by the reader.
 func (r *Reader) Len() int { return r.nbit }
 
+// Bytes returns the underlying buffer, whose first Len bits the reader
+// exposes. The returned slice aliases the reader's storage.
+func (r *Reader) Bytes() []byte { return r.buf }
+
 // Pos returns the current bit position.
 func (r *Reader) Pos() int { return r.pos }
 
@@ -251,21 +255,23 @@ func (r *Reader) Seek(pos int) error {
 // bit at pos is bit 63 of the result). Bits past the end of the buffer read
 // as zero; bits between nbit and the end of the buffer are NOT masked — use
 // Peek64 for a masked view.
-func (r *Reader) window() uint64 {
-	byteIdx := r.pos >> 3
-	shift := uint(r.pos & 7)
-	if byteIdx+8 <= len(r.buf) {
-		w := binary.BigEndian.Uint64(r.buf[byteIdx:]) << shift
-		if shift != 0 && byteIdx+8 < len(r.buf) {
-			w |= uint64(r.buf[byteIdx+8]) >> (8 - shift)
-		}
-		return w
+func (r *Reader) window() uint64 { return Window(r.buf, r.pos) }
+
+// Window returns the 64 bits of buf from bit pos on, left-aligned (bit pos is
+// bit 63 of the result); bits past the end of buf read as zero. It is the
+// word every reader peeks, for code that holds a buffer and a bit position
+// rather than a Reader.
+func Window(buf []byte, pos int) uint64 {
+	i := pos >> 3
+	if i+9 <= len(buf) {
+		b := buf[i : i+9]
+		return binary.BigEndian.Uint64(b)<<(pos&7) | uint64(b[8])>>(8-pos&7)
 	}
-	var w uint64
-	for i, sh := byteIdx, 56; i < len(r.buf); i, sh = i+1, sh-8 {
-		w |= uint64(r.buf[i]) << uint(sh)
+	var b [9]byte
+	if i < len(buf) {
+		copy(b[:], buf[i:])
 	}
-	return w << shift
+	return binary.BigEndian.Uint64(b[:])<<(pos&7) | uint64(b[8])>>(8-pos&7)
 }
 
 // Peek64 returns the next min(64, Remaining()) bits left-aligned (the bit at

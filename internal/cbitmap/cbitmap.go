@@ -11,8 +11,7 @@
 // never change a bit of it; they only change how it is produced and
 // traversed. A bitmap carries its order: a merge answer is gamma-coded unless
 // it takes its inputs' order — a one-stream merge keeps its stream's order and
-// bits, a concatenation takes the order of most of its input bits
-// (mergeStreams).
+// bits, a concatenation takes the order of most of its input bits (concat).
 //
 // The package also provides Plain, an explicit n-bit bitmap, for the
 // constant-alphabet regime where uncompressed bitmap indexes are optimal.
@@ -467,12 +466,9 @@ func UnionOver(n int64, ms ...*Bitmap) (*Bitmap, error) {
 	sc := streamScratchPool.Get().(*streamScratch)
 	defer sc.release()
 	for _, m := range ms {
-		if m.card == 0 {
-			continue
+		if m.card > 0 {
+			sc.next().InitBitmap(m, 0)
 		}
-		var s Stream
-		s.InitBitmap(m, 0)
-		sc.streams = append(sc.streams, s)
 	}
 	return MergeStreams(n, sc.ptrs()...)
 }
@@ -484,6 +480,13 @@ type streamScratch struct {
 }
 
 var streamScratchPool = sync.Pool{New: func() any { return new(streamScratch) }}
+
+// next appends a zero stream and returns it for the caller to initialise in
+// place, good until the next append.
+func (sc *streamScratch) next() *Stream {
+	sc.streams = append(sc.streams, Stream{})
+	return &sc.streams[len(sc.streams)-1]
+}
 
 // ptrs returns one pointer per accumulated stream. It is taken only after
 // every append, since appends may move the backing array.
@@ -515,14 +518,14 @@ type Shifted struct {
 }
 
 // UnionAll returns the union, over the universe [0,n), of the shifted
-// inputs. It is a thin wrapper over MergeStreams, which inherits the
-// contiguous-shard fast path: when the inputs are pairwise disjoint and
-// arrive in increasing position order — the sharded-query case, where shard
-// i's rows all precede shard i+1's — the merge degenerates to concatenation,
-// re-encoding only each input's head gap (gaps are relative, so a constant
-// shift leaves every later gap unchanged) and copying the tail verbatim,
-// whole words at a time. Overlapping or unsorted inputs fall back to the
-// k-way merge with deduplication.
+// inputs. It is a thin wrapper over MergeStreams, whose inputs here all know
+// their largest positions: when they are pairwise disjoint and arrive in
+// increasing position order — the sharded-query case, where shard i's rows
+// all precede shard i+1's — the concatenation kernel (concat) writes the
+// answer, re-encoding only each input's head gap (gaps are relative, so a
+// constant shift leaves every later gap unchanged) and copying the tail
+// verbatim, a word at a time. Overlapping or unsorted inputs fall back to
+// the k-way merge with deduplication.
 func UnionAll(n int64, parts ...Shifted) (*Bitmap, error) {
 	sc := streamScratchPool.Get().(*streamScratch)
 	defer sc.release()
@@ -536,9 +539,7 @@ func UnionAll(n int64, parts ...Shifted) (*Bitmap, error) {
 		if p.Off+p.Bm.last >= n {
 			return nil, fmt.Errorf("cbitmap: shifted position %d outside universe [0,%d)", p.Off+p.Bm.last, n)
 		}
-		var s Stream
-		s.InitBitmap(p.Bm, p.Off)
-		sc.streams = append(sc.streams, s)
+		sc.next().InitBitmap(p.Bm, p.Off)
 	}
 	return MergeStreams(n, sc.ptrs()...)
 }

@@ -152,12 +152,12 @@ func TestSkipSamplesLargeBitmap(t *testing.T) {
 	}
 }
 
-// TestDrainStopsSampling: sampling stops once drainInto copies elements
-// without visiting them, so a head added after a drain cannot record a
-// misaligned sample that would corrupt Rank (regression: Rank once returned
-// 128 where 768 was correct). The ordered merge adds each stream's head and
-// drains its tail; with 64 / 639 / 164 positions the third head is element
-// 704, a multiple of sampleEvery.
+// TestDrainStopsSampling: a concatenation copies elements without visiting
+// them, so its skip samples must come from the lazy scan, not from the heads
+// it writes (regression: Rank once returned 128 where 768 was correct, when
+// the ordered merge added each head through the sampling Builder and drained
+// its tail). With 64 / 639 / 164 positions the third head is element 704, a
+// multiple of sampleEvery.
 func TestDrainStopsSampling(t *testing.T) {
 	n := int64(1 << 22)
 	for _, sizes := range [][3]int{{64, 640, 164}, {64, 639, 164}} {
@@ -173,7 +173,7 @@ func TestDrainStopsSampling(t *testing.T) {
 			s.InitBitmap(MustFromPositions(n, pos), 0)
 			streams = append(streams, &s)
 		}
-		bm, err := MergeStreamsOrdered(n, streams...)
+		bm, err := MergeStreams(n, streams...)
 		if err != nil {
 			t.Fatal(err)
 		}

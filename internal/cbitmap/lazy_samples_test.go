@@ -55,7 +55,7 @@ func (c lazyCase) merge(t *testing.T, seed int64, sampled bool) (*Bitmap, []int6
 		t.Fatalf("%s: window kernel %v, want %v", c.name, got, c.dense)
 	}
 	merge := func(n int64, s ...*Stream) (*Bitmap, error) {
-		return MergeStreamsUnsampled(n, c.complement, false, s...)
+		return MergeStreamsUnsampled(n, c.complement, s...)
 	}
 	switch {
 	case sampled && c.complement:

@@ -47,27 +47,32 @@ func orderedMembers(n int64, pos []int64, k int) []*Bitmap {
 	return ms
 }
 
-// TestMergeOrdered: the ordered path gives the general merge's bytes over
-// disk-backed members, validated views and bitmaps mixed, with no eager skip
-// samples, and a broken promise is a typed error from the stream boundary.
+// bitmapMember returns b's bits as a concatenation member whose last is
+// known, as mergeStreams makes one of a bitmap-backed stream.
+func bitmapMember(b *Bitmap) Member {
+	return Member{buf: b.buf, end: b.bits, card: b.card, prev: -1, last: b.last, k: b.k}
+}
+
+// TestMergeOrdered: the kernel gives the general merge's bytes over
+// validating, replayed and bitmap members mixed, with no eager skip samples,
+// and a broken promise is a typed error from the member boundary.
 func TestMergeOrdered(t *testing.T) {
 	const n = 1 << 20
 	pos := streamTestSets(t, 1, 5000, n, 3)[0].Positions()
 	for _, k := range []int{1, 2, 7, 40, len(pos)} {
 		ms := orderedMembers(n, pos, k)
 		rd, starts, lens := encodeConcat(ms)
-		mk := func() []*Stream {
-			out := make([]*Stream, k)
+		mk := func() []Member {
+			out := make([]Member, k)
 			for i, m := range ms {
-				out[i] = new(Stream)
 				var err error
 				switch i % 3 {
 				case 0:
-					err = out[i].InitDecode(rd, starts[i], lens[i], m.Card(), n, 0, 0)
+					err = out[i].Init(rd, starts[i], lens[i], m.Card(), -1, 0)
 				case 1:
-					err = out[i].InitDecodeValidated(rd, starts[i], lens[i], m.Card(), m.last, 0, 0)
+					err = out[i].Init(rd, starts[i], lens[i], m.Card(), m.last, 0)
 				case 2:
-					out[i].InitBitmap(m, 0)
+					out[i] = bitmapMember(m)
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -75,15 +80,22 @@ func TestMergeOrdered(t *testing.T) {
 			}
 			return out
 		}
-		want, err := MergeStreams(n, mk()...)
+		streams := make([]*Stream, k)
+		for i, m := range ms {
+			streams[i] = new(Stream)
+			if err := streams[i].InitDecode(rd, starts[i], lens[i], m.Card(), n, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := MergeStreams(n, streams...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := MergeStreamsOrdered(n, mk()...)
+		got, err := Concat(n, mk())
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
-		if k < len(pos)/sampleEvery && got.samplePos != nil { // before Contains builds them lazily
+		if got.samplePos != nil { // before Contains builds them lazily
 			t.Fatalf("k=%d: ordered answer carries %d eager skip samples", k, len(got.samplePos))
 		}
 		requireSameBitmap(t, fmt.Sprintf("k=%d ordered vs general", k), got, want)
@@ -95,21 +107,19 @@ func TestMergeOrdered(t *testing.T) {
 		// Out of order, and an equal boundary: each is a broken promise.
 		swapped := mk()
 		swapped[0], swapped[k-1] = swapped[k-1], swapped[0]
-		if _, err := MergeStreamsOrdered(n, swapped...); !errors.Is(err, ErrCorrupt) {
+		if _, err := Concat(n, swapped); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("k=%d: out-of-order members: err %v, want ErrCorrupt", k, err)
 		}
 		dup := mk()
-		var again Stream
-		again.InitBitmap(MustFromPositions(n, []int64{ms[0].last}), 0)
-		dup = append(dup[:1], append([]*Stream{&again}, dup[1:]...)...)
-		if _, err := MergeStreamsOrdered(n, dup...); !errors.Is(err, ErrCorrupt) {
+		dup = append(dup[:1], append([]Member{bitmapMember(MustFromPositions(n, []int64{ms[0].last}))}, dup[1:]...)...)
+		if _, err := Concat(n, dup); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("k=%d: equal boundary: err %v, want ErrCorrupt", k, err)
 		}
 	}
 
-	// An empty ordered merge still carries its universe.
-	if bm, err := MergeStreamsOrdered(n); err != nil || bm.Universe() != n || bm.Card() != 0 {
-		t.Fatalf("empty ordered merge: %v, %v", bm, err)
+	// An empty concatenation still carries its universe.
+	if bm, err := Concat(n, nil); err != nil || bm.Universe() != n || bm.Card() != 0 {
+		t.Fatalf("empty concatenation: %v, %v", bm, err)
 	}
 }
 
@@ -168,12 +178,12 @@ func TestScanMatchesNext(t *testing.T) {
 	}
 }
 
-// FuzzMergeOrdered: sorted positions cut into consecutive members — disk-backed
-// streams and validated views mixed — concatenate to MergeStreams'
+// FuzzMergeOrdered: sorted positions cut into consecutive members — validated
+// by the kernel or replayed, mixed — concatenate (Concat) to MergeStreams'
 // bytes, cardinality and largest position. Members that break the promise
 // (swapped, interleaved, sharing a boundary position) give the same union or
 // ErrCorrupt, never a panic and never a different set. Over truncated or
-// bit-flipped bits every error is ErrCorrupt, an ordered merge that succeeds
+// bit-flipped bits every error is ErrCorrupt, a concatenation that succeeds
 // is the general merge's answer, and each member's bulk scan stops exactly
 // where the per-row loop does.
 func FuzzMergeOrdered(f *testing.F) {
@@ -274,8 +284,18 @@ func FuzzMergeOrdered(f *testing.F) {
 			requireSameScan(t, fmt.Sprintf("member %d", i), a, b)
 		}
 
+		members := make([]Member, k)
+		for i, m := range ms {
+			last := int64(-1)
+			if kinds>>uint(i)&1 == 1 {
+				last = m.last
+			}
+			if err := members[i].Init(rd, starts[i], lens[i], m.Card(), last, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
 		general, gerr := MergeStreams(n, mk()...)
-		ordered, oerr := MergeStreamsOrdered(n, mk()...)
+		ordered, oerr := Concat(n, members)
 		for _, err := range []error{gerr, oerr} {
 			if err != nil && !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("merge error %v is not ErrCorrupt", err)
@@ -302,99 +322,4 @@ func FuzzMergeOrdered(f *testing.F) {
 			requireSameBitmap(t, "ordered vs oracle", ordered, all)
 		}
 	})
-}
-
-// mergeOrderedPerRow is MergeStreamsOrdered with each tail validated by the
-// per-row loop instead of scan: the concatenation without the bulk scan, the
-// middle arm of BenchmarkOrderedConcat.
-func mergeOrderedPerRow(n int64, streams []*Stream) (*Bitmap, error) {
-	ms := mergeScratchPool.Get().(*mergeScratch)
-	defer func() {
-		clear(ms.heads)
-		mergeScratchPool.Put(ms)
-	}()
-	heads, sizeHint, err := primeHeads(ms, streams)
-	if err != nil {
-		return nil, err
-	}
-	bd := builderPool.Get().(*Builder)
-	bd.reset(min(sizeHint, unionBits(n, heads)), true)
-	for i := range heads {
-		s, cur := heads[i].s, heads[i].cur
-		if i > 0 && cur <= bd.prev {
-			return nil, fmt.Errorf("%w: stream %d starts at %d, not above %d", ErrCorrupt, i, cur, bd.prev)
-		}
-		bd.Add(cur)
-		start, remaining := s.r, s.left
-		if !s.nextAll() {
-			return nil, s.err
-		}
-		nbits := s.r.Pos() - start.Pos()
-		s.r = start
-		if err := bd.w.CopyBits(&s.r, nbits); err != nil {
-			return nil, err
-		}
-		bd.card += remaining
-		bd.prev = s.prev
-		bd.noSamples = true
-	}
-	return bd.finish(n), nil
-}
-
-// BenchmarkOrderedConcat is the kernel half of hypotheses/ordered-concat: one
-// key's rows (of a 2^19-row column) cut into k consecutive disk-backed members
-// and merged three ways — the general merge (what a point query ran before),
-// concatenation with the per-row validation loop, concatenation with the bulk
-// scan (what it runs now). The three answers are compared before timing.
-func BenchmarkOrderedConcat(b *testing.B) {
-	const n = 1 << 19
-	arms := []struct {
-		name  string
-		merge func([]*Stream) (*Bitmap, error)
-	}{
-		{"general", func(s []*Stream) (*Bitmap, error) { return MergeStreams(n, s...) }},
-		{"concat-perrow", func(s []*Stream) (*Bitmap, error) { return mergeOrderedPerRow(n, s) }},
-		{"concat", func(s []*Stream) (*Bitmap, error) { return MergeStreamsOrdered(n, s...) }},
-	}
-	for _, rows := range []int{64, 512, 4096} {
-		pos := streamTestSets(b, 1, rows, n, int64(rows))[0].Positions()
-		for _, k := range []int{2, 8, 32} {
-			ms := orderedMembers(n, pos, k)
-			rd, starts, lens := encodeConcat(ms)
-			streams := make([]*Stream, k)
-			for i := range streams {
-				streams[i] = new(Stream)
-			}
-			init := func() {
-				for i, m := range ms {
-					if err := streams[i].InitDecode(rd, starts[i], lens[i], m.Card(), n, 0, 0); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			var want *Bitmap
-			for _, arm := range arms {
-				init()
-				got, err := arm.merge(streams)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if want == nil {
-					want = got
-				} else if !Equal(got, want) || got.last != want.last {
-					b.Fatalf("rows=%d k=%d: %s differs from %s", rows, k, arm.name, arms[0].name)
-				}
-				b.Run(fmt.Sprintf("%s/rows=%d/k=%d", arm.name, len(pos), k), func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						init()
-						if _, err := arm.merge(streams); err != nil {
-							b.Fatal(err)
-						}
-					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(pos)), "ns/row")
-				})
-			}
-		}
-	}
 }

@@ -227,31 +227,35 @@ func TestBuilderOrders(t *testing.T) {
 }
 
 // dominantOrderQuadratic is dominantOrder as first written, the oracle for
-// the one-pass vote: for each head, the bits of every head at its order; the
-// first head whose order holds the most wins.
-func dominantOrderQuadratic(heads []mergeHead) uint {
-	var k uint
+// the one-pass vote: for each nonempty member, the bits behind the head of
+// every nonempty member at its order; the first member whose order holds the
+// most wins.
+func dominantOrderQuadratic(ms []Member) uint8 {
+	var k uint8
 	best := -1
-	for i := range heads {
+	for i := range ms {
+		if ms[i].card == 0 {
+			continue
+		}
 		bits := 0
-		for j := range heads {
-			if heads[j].s.k == heads[i].s.k {
-				bits += heads[j].s.r.Remaining()
+		for j := range ms {
+			if ms[j].card > 0 && ms[j].k == ms[i].k {
+				bits += ms[j].end - ms[j].tail
 			}
 		}
 		if bits > best {
-			k, best = heads[i].s.k, bits
+			k, best = ms[i].k, bits
 		}
 	}
 	return k
 }
 
-// TestDominantOrderVote: on random head sets — orders across 0…gamma.MaxOrder,
-// drawn from a few per set so that orders repeat, and remaining bits from a
-// small range so that totals tie — the one-pass vote picks the oracle's order.
+// TestDominantOrderVote: on random member runs — orders across
+// 0…gamma.MaxOrder, drawn from a few per run so that orders repeat, bits
+// behind the head from a small range so that totals tie, and some members
+// empty — the one-pass vote picks the oracle's order.
 func TestDominantOrderVote(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
-	buf := make([]byte, 8)
 	var ties int
 	for trial := range 20000 {
 		palette := make([]uint, 1+rng.Intn(4))
@@ -261,13 +265,14 @@ func TestDominantOrderVote(t *testing.T) {
 		if trial%7 == 0 {
 			palette[0] = gamma.MaxOrder
 		}
-		heads := make([]mergeHead, rng.Intn(17))
-		bitsAt := map[uint]int{}
-		for i := range heads {
-			k := palette[rng.Intn(len(palette))]
-			r := bitio.NewReader(buf, rng.Intn(len(buf)*8+1))
-			heads[i] = mergeHead{s: &Stream{r: *r, k: k}}
-			bitsAt[k] += r.Remaining()
+		ms := make([]Member, rng.Intn(17))
+		bitsAt := map[uint8]int{}
+		for i := range ms {
+			k := uint8(palette[rng.Intn(len(palette))])
+			ms[i] = Member{card: int64(rng.Intn(5)), k: k, tail: rng.Intn(8), end: 8 + rng.Intn(65)}
+			if ms[i].card > 0 {
+				bitsAt[k] += ms[i].end - ms[i].tail
+			}
 		}
 		top, most := 0, -1
 		for _, b := range bitsAt {
@@ -280,11 +285,11 @@ func TestDominantOrderVote(t *testing.T) {
 		if top > 1 {
 			ties++
 		}
-		if got, want := dominantOrder(heads), dominantOrderQuadratic(heads); got != want {
-			t.Fatalf("trial %d, %d heads: vote %d, oracle %d", trial, len(heads), got, want)
+		if got, want := dominantOrder(ms), dominantOrderQuadratic(ms); got != want {
+			t.Fatalf("trial %d, %d members: vote %d, oracle %d", trial, len(ms), got, want)
 		}
 	}
 	if ties == 0 {
-		t.Fatal("no head set tied: the tie rule went unchecked")
+		t.Fatal("no member run tied: the tie rule went unchecked")
 	}
 }

@@ -13,25 +13,25 @@
 // its complement) directly into a Builder: each gap in the input is decoded
 // exactly once, and the Builder, merge heads and output writer all come from
 // sync.Pools, so a steady-state merge allocates only the bitmap it returns.
+// The streams it merges are initialised in place (InitDecode and its
+// siblings set every field through the pointer): a Stream is over a hundred
+// bytes, too many to build aside and copy per member.
 //
-// The merge has three paths behind one dispatch (runMerge). Concatenation
-// drains the streams one after another (drainInto: head gap re-encoded, tail
-// copied verbatim) and is the one path a caller can ask for:
-// MergeStreamsOrdered promises disjoint streams in increasing position order
-// — core's planner does, for a record range inside one character — and every
-// stream boundary checks the promise, a violation failing typed ErrCorrupt.
-// drainInto scans a tail only when the stream's largest position is unknown,
-// i.e. when the stream validates: a disk-backed member no earlier pass over
-// the same bits has proved. A bitmap-backed stream, and a replay view over
-// bits an earlier query's merge validated (whose ValidatedLast core keeps
-// per member of a read-only device), is copied with no scan. Unpromised
-// streams concatenate only when each one's largest position is known up front
-// and precedes the next head (bitmap-backed streams and replay views, e.g. the
-// shards of a sharded answer). The other two paths are chosen from
-// what the primed inputs show, never by the caller. Sparse inputs — small
-// covers, and every StreamEncoder merge, which has no universe — take the
-// per-row loop in this file (mergeSparse): pick the minimum head, encode it,
-// advance its stream, at a cost per row that does not depend on n. Inputs
+// The merge has three paths. Concatenation is the kernel in concat.go, the
+// package's one concatenation and the one path a caller can ask for: Concat
+// takes a run of Members that the caller promises disjoint and increasing —
+// core's planner does, for a record range inside one character — validates
+// each member whose largest position is unknown, checks the promise at every
+// member boundary (a violation fails typed ErrCorrupt) and writes the answer
+// in one exact-size pass. MergeStreams hands the kernel, unpromised, streams
+// whose largest positions are all known up front (bitmap-backed streams and
+// replay views, e.g. the parts of a sharded answer) and keeps them for the
+// other paths when they turn out not to be ordered. The other two are chosen
+// from what the primed inputs show, never by the caller (runMerge). Sparse
+// inputs — small covers, and every StreamEncoder merge, which has no
+// universe — take the per-row loop in this file (mergeSparse): pick the
+// minimum head, encode it, advance its stream, at a cost per row that does
+// not depend on n; its last stream drains verbatim (drainInto). Inputs
 // holding at least one position per denseCrossover universe positions take
 // the window kernel in dense.go (mergeDense): a fixed 8 KiB uncompressed bit
 // window slides over [0,n), so union and dedupe are an OR per position and
@@ -42,6 +42,7 @@
 package cbitmap
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -89,8 +90,18 @@ func (s *Stream) InitDecode(r *bitio.Reader, start, bits int, card, n, off int64
 	if k > gamma.MaxOrder {
 		return fmt.Errorf("%w: stream coded at order %d, above %d", ErrCorrupt, k, gamma.MaxOrder)
 	}
-	*s = Stream{r: sub, left: card, prev: off - 1, off: off, vmax: off + n, last: -1, k: k, bias: 1<<k - 1}
+	s.r = sub
+	s.set(card, off, off+n, -1, k)
 	return nil
+}
+
+// set initialises every field of s but its reader, in place: a composite
+// literal assigned through the pointer is built aside and then copied, and a
+// Stream is over a hundred bytes. The stream produces left positions shifted
+// by off, validated against vmax (0: not validated), the largest last (-1:
+// unknown), decoded at order k.
+func (s *Stream) set(left, off, vmax, last int64, k uint) {
+	s.left, s.prev, s.off, s.vmax, s.last, s.k, s.bias, s.err = left, off-1, off, vmax, last, k, 1<<k-1, nil
 }
 
 // InitDecodeValidated initialises s as a replay view over a bit range whose
@@ -108,7 +119,8 @@ func (s *Stream) InitDecodeValidated(r *bitio.Reader, start, bits int, card, las
 	if k > gamma.MaxOrder {
 		return fmt.Errorf("%w: stream coded at order %d, above %d", ErrCorrupt, k, gamma.MaxOrder)
 	}
-	*s = Stream{r: sub, left: card, prev: off - 1, off: off, last: -1, k: k, bias: 1<<k - 1}
+	s.r = sub
+	s.set(card, off, 0, -1, k)
 	if card > 0 {
 		s.last = last + off
 	}
@@ -136,7 +148,7 @@ func (s *Stream) ValidatedLast() (last int64, ok bool) {
 // what lets a merge drain a last remaining bitmap-backed stream by verbatim
 // tail copy.
 func (s *Stream) InitBitmap(b *Bitmap, off int64) {
-	*s = Stream{left: b.card, prev: off - 1, off: off, last: -1, k: uint(b.k), bias: 1<<b.k - 1}
+	s.set(b.card, off, 0, -1, uint(b.k))
 	s.r.Init(b.buf, b.bits)
 	if b.card > 0 {
 		s.last = b.last + off
@@ -274,12 +286,13 @@ func (s *Stream) sampleScan(start int, pos []int64, off []int32) ([]int64, []int
 }
 
 // drainInto appends the stream's pending head position cur (already produced
-// by the caller) and every remaining position to bd. A tail at bd's order is
-// copied verbatim: whole words at a time when the stream's largest position
-// is known (bitmap-backed streams, replay views), and otherwise (validating
-// streams) after one scan that validates it — either way only the head gap
-// is re-encoded, since gaps are relative and a constant shift leaves every
-// later gap unchanged. A tail at another order is re-encoded at bd's.
+// by the caller) and every remaining position to bd: the last stream of a
+// per-row or window merge. A tail at bd's order is copied verbatim: whole
+// words at a time when the stream's largest position is known
+// (bitmap-backed streams, replay views), and otherwise (validating streams)
+// after one scan that validates it — either way only the head gap is
+// re-encoded, since gaps are relative and a constant shift leaves every later
+// gap unchanged. A tail at another order is re-encoded at bd's.
 func (s *Stream) drainInto(bd *Builder, cur int64) error {
 	if cur != bd.prev {
 		if cur < bd.prev {
@@ -362,12 +375,22 @@ type mergeHead struct {
 	cur int64
 }
 
-// mergeScratch pools the merge's head slice across queries.
+// mergeScratch pools the merge's head slice and concatKnown's members
+// across queries.
 type mergeScratch struct {
-	heads []mergeHead
+	heads   []mergeHead
+	members []Member // concatKnown's
 }
 
 var mergeScratchPool = sync.Pool{New: func() any { return new(mergeScratch) }}
+
+// release returns ms to its pool, first dropping its references so an idle
+// pool entry does not keep the inputs' buffers reachable.
+func (ms *mergeScratch) release() {
+	clear(ms.heads)
+	clear(ms.members)
+	mergeScratchPool.Put(ms)
+}
 
 // builderPool recycles the merges' Builders, output buffer included: each
 // answer gets an exact-size copy of the bits (finish).
@@ -404,40 +427,30 @@ func (bd *Builder) finish(n int64) *Bitmap {
 
 // MergeStreams unions the streams' position sets into a bitmap over [0,n),
 // deduplicating equal positions, in a single decode pass — the fused
-// decode-merge at the heart of the query pipeline. runMerge picks the path:
-// streams whose largest positions are all known up front (bitmap-backed or
-// replay views, never a validating stream) and pairwise precede the
-// next stream's head are concatenated with verbatim tail copies; dense inputs
-// go through the window kernel; the rest merge per row, large fan-ins through
-// a binary min-heap on the head positions, small ones through a linear
-// minimum scan. The universe is explicit, so an empty union still carries it.
+// decode-merge at the heart of the query pipeline. Streams whose largest
+// positions are all known up front (bitmap-backed or replay views, never a
+// validating stream) and that turn out disjoint and increasing are
+// concatenated by the package's one concatenation kernel (concat); otherwise
+// runMerge picks the path: dense inputs go through the window kernel, the
+// rest merge per row, large fan-ins through a binary min-heap on the head
+// positions, small ones through a linear minimum scan. The universe is
+// explicit, so an empty union still carries it.
 func MergeStreams(n int64, streams ...*Stream) (*Bitmap, error) {
-	return mergeStreams(n, false, false, true, streams)
-}
-
-// MergeStreamsOrdered merges like MergeStreams for a caller that knows the
-// streams are pairwise disjoint and arrive in increasing position order — a
-// point query's cover — and so asks for concatenation outright, whatever the
-// streams are backed by. The promise is verified, not trusted: a stream
-// whose head is not above its predecessor's largest position fails typed
-// ErrCorrupt, where the general merge would have returned a well-formed
-// answer to a different question. The bytes are MergeStreams'.
-func MergeStreamsOrdered(n int64, streams ...*Stream) (*Bitmap, error) {
-	return mergeStreams(n, false, true, true, streams)
+	return mergeStreams(n, false, true, streams)
 }
 
 // MergeStreamsComplement merges like MergeStreams but writes the complement
 // [0,n) \ ∪streams — the paper's dense-answer trick fused into the same
 // single pass, so the union itself is never materialised.
 func MergeStreamsComplement(n int64, streams ...*Stream) (*Bitmap, error) {
-	return mergeStreams(n, true, false, true, streams)
+	return mergeStreams(n, true, true, streams)
 }
 
-// MergeStreamsUnsampled merges like MergeStreams (MergeStreamsComplement,
-// MergeStreamsOrdered) but records no skip samples, for an answer read once
-// and whole: a shard's part of a sharded answer, which UnionAll reads.
-func MergeStreamsUnsampled(n int64, complement, ordered bool, streams ...*Stream) (*Bitmap, error) {
-	return mergeStreams(n, complement, ordered, false, streams)
+// MergeStreamsUnsampled merges like MergeStreams (MergeStreamsComplement)
+// but records no skip samples, for an answer read once and whole: a shard's
+// part of a sharded answer, which UnionAll reads.
+func MergeStreamsUnsampled(n int64, complement bool, streams ...*Stream) (*Bitmap, error) {
+	return mergeStreams(n, complement, false, streams)
 }
 
 // primeHeads pulls the first position of every stream into ms.heads and
@@ -477,33 +490,76 @@ func unionBits(n int64, heads []mergeHead) int {
 	return int(r*(2*int64(j)+1) + 2*((n-r<<j)>>j+1))
 }
 
-func mergeStreams(n int64, complement, ordered, sampled bool, streams []*Stream) (*Bitmap, error) {
+func mergeStreams(n int64, complement, sampled bool, streams []*Stream) (*Bitmap, error) {
 	ms := mergeScratchPool.Get().(*mergeScratch)
-	heads, sizeHint, err := primeHeads(ms, streams)
-	var out *Bitmap
-	if err == nil {
-		if !complement && n > 0 {
-			sizeHint = min(sizeHint, unionBits(n, heads))
-		}
-		bd := builderPool.Get().(*Builder)
-		bd.reset(sizeHint, sampled)
-		if !complement && (len(heads) == 1 || ordered || knownDisjoint(heads)) {
-			// A union of one stream is a drain, and a concatenation drains
-			// each stream in turn (runMerge): at the order of the most input
-			// bits, the fewest are re-encoded and a one-stream answer keeps
-			// its stream's bits. Any other merge answers in gamma.
-			bd.k = dominantOrder(heads)
-		}
-		if err = runMerge(bd, n, complement, ordered, heads); err == nil {
-			out = bd.finish(n)
-		} else if cap(bd.w.Bytes()) <= builderMaxBytes {
-			builderPool.Put(bd)
+	defer ms.release()
+	if !complement {
+		if out, err := ms.concatKnown(n, streams); err != errUnordered {
+			return out, err
 		}
 	}
-	// Drop the stream references so an idle pool entry does not keep the
-	// inputs' buffers reachable.
-	clear(ms.heads)
-	mergeScratchPool.Put(ms)
+	heads, sizeHint, err := primeHeads(ms, streams)
+	if err != nil {
+		return nil, err
+	}
+	if !complement && n > 0 {
+		sizeHint = min(sizeHint, unionBits(n, heads))
+	}
+	bd := builderPool.Get().(*Builder)
+	bd.reset(sizeHint, sampled)
+	if !complement && len(heads) == 1 {
+		// A union of one stream is a drain, at the stream's order: the answer
+		// keeps its bits. Any other merge answers in gamma.
+		bd.k = heads[0].s.k
+	}
+	if err := runMerge(bd, n, complement, heads); err != nil {
+		if cap(bd.w.Bytes()) <= builderMaxBytes {
+			builderPool.Put(bd)
+		}
+		return nil, err
+	}
+	return bd.finish(n), nil
+}
+
+// errUnordered is concatKnown's answer to streams that are not disjoint and
+// increasing: the caller merges them the general way instead.
+var errUnordered = errors.New("cbitmap: inputs not disjoint and increasing")
+
+// concatKnown concatenates streams whose largest positions are all known up
+// front — bitmap-backed streams and replay views, e.g. the parts of a
+// sharded answer — when they are disjoint and increasing, consuming them;
+// it returns errUnordered, touching no stream, when they are not, or when
+// some stream would need validating.
+func (ms *mergeScratch) concatKnown(n int64, streams []*Stream) (*Bitmap, error) {
+	members := ms.members[:0]
+	defer func() { ms.members = members }()
+	prev := int64(-1)
+	for _, s := range streams {
+		if s.left == 0 {
+			continue
+		}
+		if s.last < 0 {
+			return nil, errUnordered
+		}
+		members = append(members, Member{})
+		m := &members[len(members)-1]
+		m.buf, m.start, m.end, m.card, m.prev, m.last, m.k = s.r.Bytes(), s.r.Pos(), s.r.Len(), s.left, s.prev, s.last, uint8(s.k)
+		// Overlapping inputs usually show it at the second head: stop there,
+		// before building the rest. A head that does not decode is left to
+		// the general merge, which fails on it too.
+		if m.readHead() != nil || m.head <= prev {
+			return nil, errUnordered
+		}
+		prev = m.last
+	}
+	out, err := Concat(n, members)
+	if err == nil {
+		for _, s := range streams {
+			if s.left > 0 {
+				s.prev, s.left = s.last, 0
+			}
+		}
+	}
 	return out, err
 }
 
@@ -526,56 +582,10 @@ func siftDownHeads(heads []mergeHead, i int) {
 	}
 }
 
-// knownDisjoint reports whether every head's stream knows its largest
-// position up front and ends strictly before the next head begins — the
-// sharded-query case, where shard i's rows all precede shard i+1's.
-func knownDisjoint(heads []mergeHead) bool {
-	for i := range heads {
-		if heads[i].s.last < 0 || (i > 0 && heads[i-1].s.last >= heads[i].cur) {
-			return false
-		}
-	}
-	return len(heads) > 0
-}
-
-// dominantOrder returns the order of the heads' streams that codes the most
-// of their remaining bits, the first such on a tie.
-func dominantOrder(heads []mergeHead) uint {
-	var bits [gamma.MaxOrder + 1]int
-	for i := range heads {
-		bits[heads[i].s.k] += heads[i].s.r.Remaining()
-	}
-	var k uint
-	best := -1
-	for i := range heads {
-		if b := bits[heads[i].s.k]; b > best {
-			k, best = heads[i].s.k, b
-		}
-	}
-	return k
-}
-
-// runMerge executes the merge over the primed heads, writing into bd — which
-// may be a pooled query builder (mergeStreams) or a StreamEncoder's builder
-// aimed at a construction writer, the fusion that lets merges feed the write
-// path as well as queries. ordered is the caller's promise that the heads are
-// disjoint and increasing as they stand (never with complement).
-func runMerge(bd *Builder, n int64, complement, ordered bool, heads []mergeHead) error {
-	if !complement && (ordered || knownDisjoint(heads)) {
-		// Concatenation, promised or seen in the heads: only head gaps are
-		// re-encoded; tails at bd's order are copied verbatim, whole words at
-		// a time. A promise is checked at each boundary, where bd.prev is the
-		// previous stream's largest position.
-		for i := range heads {
-			if cur := heads[i].cur; i > 0 && cur <= bd.prev {
-				return fmt.Errorf("%w: ordered stream %d starts at position %d, not above %d", ErrCorrupt, i, cur, bd.prev)
-			}
-			if err := heads[i].s.drainInto(bd, heads[i].cur); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+// runMerge executes a merge that does not concatenate over the primed
+// heads, writing into bd, a pooled query builder (mergeStreams): dense
+// inputs through the window kernel, the rest per row.
+func runMerge(bd *Builder, n int64, complement bool, heads []mergeHead) error {
 	if denseEnough(n, complement, heads) {
 		return mergeDense(bd, n, complement, heads)
 	}

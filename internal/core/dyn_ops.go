@@ -330,11 +330,9 @@ func (ax *AppendIndex) queryCharStreams(tc *iomodel.Touch, lo, hi uint32, sc *qu
 			}
 			bits += m.chain.Bits()
 			cb.r.Init(cb.w.Bytes(), cb.w.Len())
-			var s cbitmap.Stream
-			if err := s.InitDecode(&cb.r, 0, cb.w.Len(), m.card, ax.n, 0, 0); err != nil {
+			if err := sc.newStream().InitDecode(&cb.r, 0, cb.w.Len(), m.card, ax.n, 0, 0); err != nil {
 				return bits, fmt.Errorf("core: member chain at level %d: %w", li, err)
 			}
-			sc.streams = append(sc.streams, s)
 			if ax.opts.Buffered && !ax.isTerminal(m) {
 				// Pending appends in the frontier member's own buffer.
 				sc.appends, err = ax.readMemberBuf(tc, m, sc.nextBuf(), sc.appends[:0])

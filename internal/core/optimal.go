@@ -41,7 +41,7 @@ func (o *OptimalOptions) fill() {
 // (a node of more than one character) codes it in the fewest bits, and a run
 // of adjacent leaves of one character shares the order that codes the run in
 // the fewest bits, so a point query concatenates them verbatim, order and
-// all (cbitmap's drainInto). A file written before may hold a leaf, or every
+// all (cbitmap.Concat). A file written before may hold a leaf, or every
 // member, in gamma.
 type member struct {
 	start, end int64
@@ -101,10 +101,11 @@ func (ox *Optimal) Remembered(plan QueryPlan) (n int) {
 }
 
 // remember records, for the exact members of chunks in order, the largest
-// position each stream of streams (one per member, in the same order) proved
-// by validating its bits to the end; replay views prove nothing new, and no
+// position the merge proved by validating each one's bits to the end, which
+// validated(i) reports for the i-th member of chunks (a stream's or a
+// concatenation member's ValidatedLast); replays prove nothing new, and no
 // other directory dirOf names keeps a memo.
-func remember(dirOf func(level int) memberDir, chunks []PlanChunk, streams []cbitmap.Stream) {
+func remember(dirOf func(level int) memberDir, chunks []PlanChunk, validated func(i int) (int64, bool)) {
 	s := 0
 	for _, c := range chunks {
 		lv, ok := dirOf(c.Level).(*matLevel)
@@ -113,7 +114,7 @@ func remember(dirOf func(level int) memberDir, chunks []PlanChunk, streams []cbi
 			continue
 		}
 		for k := c.I; k < c.J; k, s = k+1, s+1 {
-			if last, ok := streams[s].ValidatedLast(); ok {
+			if last, ok := validated(s); ok {
 				lv.memo[k].Store(last + 1)
 			}
 		}

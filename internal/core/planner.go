@@ -63,8 +63,9 @@ type PlanChunk struct {
 // ranges and the merge inverts the union in the same pass) and, when it does
 // not, whether the record range lies inside one character — records are
 // ordered by character, then position (§2.2), so the exact members of such a
-// plan hold disjoint position ranges that increase in chunk order, and the
-// merge concatenates them (cbitmap.MergeStreamsOrdered, which verifies it).
+// plan hold disjoint position ranges that increase in chunk order, and
+// execute concatenates them (cbitmap.Concat, which verifies it) in one
+// exact-size pass, with no decode stream per member.
 type QueryPlan struct {
 	Complement bool
 	Ordered    bool
@@ -324,8 +325,12 @@ func (ox *Optimal) answer(ctx context.Context, rs []index.Range, out []*cbitmap.
 // levels only: no other directory keeps one); so k plans sharing a member no
 // query has validated each validate it, once per handle. Only several plans
 // share anything, so only then are the extents attributed to their consumers.
-// ctx is checked between extent scans and between merges; the answers, one
-// per plan, are the scratch's until it is released.
+// An ordered plan's members go to the concatenation kernel instead
+// (appendMembers, cbitmap.Concat), which validates a member the memo does not
+// vouch for before it copies a bit of it; the memo then remembers it, as it
+// remembers a validating stream. ctx is checked between extent scans and
+// between merges; the answers, one per plan, are the scratch's until it is
+// released.
 func (sc *queryScratch) execute(ctx context.Context, tc *iomodel.Touch, plans []QueryPlan, dirOf func(level int) memberDir, levels int, univ int64, stats *index.QueryStats) ([]*cbitmap.Bitmap, error) {
 	shares := len(plans) > 1
 	byLevel, runs := sc.growLevels(levels)
@@ -378,7 +383,8 @@ func (sc *queryScratch) execute(ctx context.Context, tc *iomodel.Touch, plans []
 		if shares {
 			tc.StartConsumer(qi)
 		}
-		sc.streams = sc.streams[:0]
+		ordered := plans[qi].Ordered
+		sc.streams, sc.members = sc.streams[:0], sc.members[:0]
 		for _, c := range plans[qi].Chunks {
 			dir := dirOf(c.Level)
 			lruns := runs[c.Level]
@@ -390,16 +396,32 @@ func (sc *queryScratch) execute(ctx context.Context, tc *iomodel.Touch, plans []
 			if lasts != nil {
 				lasts = lasts[c.I-run.i:]
 			}
-			if err := sc.appendStreams(run.cb, run.span.Off, dir, c, univ, lasts); err != nil {
+			var err error
+			if ordered {
+				err = sc.appendMembers(run.cb, run.span.Off, dir, c, lasts)
+			} else {
+				err = sc.appendStreams(run.cb, run.span.Off, dir, c, univ, lasts)
+			}
+			if err != nil {
 				return nil, err
 			}
 		}
-		bm, err := sc.merge(univ, plans[qi].Complement, plans[qi].Ordered)
+		var bm *cbitmap.Bitmap
+		var err error
+		if ordered {
+			bm, err = cbitmap.Concat(univ, sc.members)
+		} else {
+			bm, err = sc.merge(univ, plans[qi].Complement)
+		}
 		if err != nil {
 			return nil, err
 		}
 		if tc.Stable() {
-			remember(dirOf, plans[qi].Chunks, sc.streams)
+			if ordered {
+				remember(dirOf, plans[qi].Chunks, func(i int) (int64, bool) { return sc.members[i].ValidatedLast() })
+			} else {
+				remember(dirOf, plans[qi].Chunks, func(i int) (int64, bool) { return sc.streams[i].ValidatedLast() })
+			}
 		}
 		sc.answers = append(sc.answers, bm)
 	}

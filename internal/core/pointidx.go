@@ -676,7 +676,7 @@ func (px *PointIndex) PointQuery(ch uint32) (bm *cbitmap.Bitmap, stats index.Que
 	if err = sc.addOverlay(pointUniverse); err != nil {
 		return nil, stats, err
 	}
-	bm, err = sc.merge(pointUniverse, false, false)
+	bm, err = sc.merge(pointUniverse, false)
 	return bm, stats, err
 }
 
@@ -717,16 +717,17 @@ func (px *PointIndex) collect(tc *iomodel.Touch, lo, hi uint32, sc *queryScratch
 		for j < len(dels) && dels[j].ch == leaf.ch && (k+1 == len(sc.leaves) || dels[j].key().less(sc.leaves[k+1].min)) {
 			j++
 		}
-		var s cbitmap.Stream
-		if err := openLeaf(tc, px.disk, leaf.blk, leaf.bits, sc.nextBuf(), univ, &s); err != nil {
+		s := sc.newStream()
+		if err := openLeaf(tc, px.disk, leaf.blk, leaf.bits, sc.nextBuf(), univ, s); err != nil {
 			return bits, err
 		}
 		bits += int64(leaf.bits)
 		if j == 0 {
-			sc.streams = append(sc.streams, s)
 			continue
 		}
-		if sc.overlay, err = drainLeaf(&s, sc.overlay, dels[:j]); err != nil {
+		// A leaf holding a final delete joins the overlay instead.
+		sc.streams = sc.streams[:len(sc.streams)-1]
+		if sc.overlay, err = drainLeaf(s, sc.overlay, dels[:j]); err != nil {
 			return bits, err
 		}
 		dels = dels[j:]

@@ -397,7 +397,7 @@ func checkCollectRuns(t *testing.T, px *PointIndex, o *pointOracle) {
 			}
 			var got *cbitmap.Bitmap
 			if err == nil {
-				got, err = sc.merge(pointUniverse, false, false)
+				got, err = sc.merge(pointUniverse, false)
 			}
 			sc.release()
 			if err != nil {
@@ -436,7 +436,7 @@ func TestAddOverlayValidates(t *testing.T) {
 		err := sc.addOverlay(100)
 		var got *cbitmap.Bitmap
 		if err == nil {
-			got, err = sc.merge(100, false, false)
+			got, err = sc.merge(100, false)
 		}
 		sc.release()
 		switch {

@@ -29,7 +29,8 @@ func newChunkBuf() *chunkBuf { return &chunkBuf{w: bitio.NewWriter(0)} }
 // queryScratch is the pooled per-operation state of the fused streaming
 // pipeline: the plans execute answers, the per-level request and run tables
 // it coalesces them into, one decode stream per member of the plan being
-// merged, and the extent buffers the streams read from. A query — a batch of
+// merged (one concatenation member for an ordered plan), and the extent
+// buffers they read from. A query — a batch of
 // one plan — or a batch borrows a scratch, plans into it, executes and
 // releases, so the steady-state query path allocates little beyond the
 // answers it returns. The updatable kinds also gather the positions their
@@ -42,6 +43,7 @@ type queryScratch struct {
 	answers []*cbitmap.Bitmap // one per plan, in plan order
 	streams []cbitmap.Stream
 	ptrs    []*cbitmap.Stream
+	members []cbitmap.Member // an ordered plan's (appendMembers)
 	bufs    []*chunkBuf
 	used    int  // bufs handed out this operation
 	lazy    bool // merge without skip samples (Optimal.QueryParts)
@@ -71,6 +73,7 @@ const scratchBufMaxBytes = 1 << 20
 func (sc *queryScratch) release() {
 	clear(sc.streams)
 	clear(sc.ptrs)
+	clear(sc.members)
 	clear(sc.leaves)
 	clear(sc.answers)
 	for i := range sc.runs {
@@ -79,6 +82,7 @@ func (sc *queryScratch) release() {
 	}
 	sc.streams = sc.streams[:0]
 	sc.ptrs = sc.ptrs[:0]
+	sc.members = sc.members[:0]
 	sc.lasts = sc.lasts[:0]
 	sc.answers = sc.answers[:0]
 	sc.overlay = sc.overlay[:0]
@@ -162,6 +166,15 @@ func (sc *queryScratch) readSpan(tc *iomodel.Touch, dir memberDir, i, j int, sta
 	return cb, span, nil
 }
 
+// newStream appends a zero decode stream and returns it for the caller to
+// initialise in place: a Stream is a struct of some hundred bytes, which a
+// local initialised and then appended would copy. The pointer is good until
+// the next append.
+func (sc *queryScratch) newStream() *cbitmap.Stream {
+	sc.streams = append(sc.streams, cbitmap.Stream{})
+	return &sc.streams[len(sc.streams)-1]
+}
+
 // appendStreams appends one decode stream per member of chunk c in dir, each
 // a view of its own bit range of cb, which holds the device's bits from
 // offset base on: no member bitmap is materialised, and the downstream merge
@@ -172,7 +185,7 @@ func (sc *queryScratch) readSpan(tc *iomodel.Touch, dir memberDir, i, j int, sta
 func (sc *queryScratch) appendStreams(cb *chunkBuf, base int64, dir memberDir, c PlanChunk, univ int64, lasts []int64) error {
 	for k := c.I; k < c.J; k++ {
 		ext, card, order := dir.entry(k)
-		var s cbitmap.Stream
+		s := sc.newStream()
 		var err error
 		if lasts != nil && lasts[k-c.I] != lastUnknown {
 			err = s.InitDecodeValidated(&cb.r, int(ext.Off-base), int(ext.Bits), card, lasts[k-c.I], 0, order)
@@ -182,7 +195,25 @@ func (sc *queryScratch) appendStreams(cb *chunkBuf, base int64, dir memberDir, c
 		if err != nil {
 			return fmt.Errorf("core: level %d member %d (universe %d): %w", c.Level, k, univ, err)
 		}
-		sc.streams = append(sc.streams, s)
+	}
+	return nil
+}
+
+// appendMembers is appendStreams for an ordered plan: one concatenation
+// member per member of chunk c, initialised in place, which the kernel
+// (cbitmap.Concat) validates against the answer's universe unless lasts holds
+// its largest position.
+func (sc *queryScratch) appendMembers(cb *chunkBuf, base int64, dir memberDir, c PlanChunk, lasts []int64) error {
+	for k := c.I; k < c.J; k++ {
+		ext, card, order := dir.entry(k)
+		last := int64(-1)
+		if lasts != nil && lasts[k-c.I] != lastUnknown {
+			last = lasts[k-c.I]
+		}
+		sc.members = append(sc.members, cbitmap.Member{})
+		if err := sc.members[len(sc.members)-1].Init(&cb.r, int(ext.Off-base), int(ext.Bits), card, last, order); err != nil {
+			return fmt.Errorf("core: level %d member %d: %w", c.Level, k, err)
+		}
 	}
 	return nil
 }
@@ -203,11 +234,9 @@ func (sc *queryScratch) addOverlay(n int64) error {
 	e.Init(cb.w)
 	cbitmap.AddSorted(&e, pos)
 	cb.r.Init(cb.w.Bytes(), cb.w.Len())
-	var s cbitmap.Stream
-	if err := s.InitDecode(&cb.r, 0, cb.w.Len(), int64(len(pos)), n, 0, 0); err != nil {
+	if err := sc.newStream().InitDecode(&cb.r, 0, cb.w.Len(), int64(len(pos)), n, 0, 0); err != nil {
 		return fmt.Errorf("core: update overlay: %w", err)
 	}
-	sc.streams = append(sc.streams, s)
 	return nil
 }
 
@@ -223,16 +252,13 @@ func (sc *queryScratch) streamPtrs() []*cbitmap.Stream {
 
 // merge runs the fused decode-merge pass over the accumulated streams; with
 // complement they cover the rows outside the answer and the same pass
-// inverts their union (§2.1); with ordered they are the exact frontier of a
-// QueryPlan.Ordered plan, disjoint and increasing as accumulated.
-func (sc *queryScratch) merge(n int64, complement, ordered bool) (*cbitmap.Bitmap, error) {
+// inverts their union (§2.1).
+func (sc *queryScratch) merge(n int64, complement bool) (*cbitmap.Bitmap, error) {
 	switch {
 	case sc.lazy:
-		return cbitmap.MergeStreamsUnsampled(n, complement, ordered, sc.streamPtrs()...)
+		return cbitmap.MergeStreamsUnsampled(n, complement, sc.streamPtrs()...)
 	case complement:
 		return cbitmap.MergeStreamsComplement(n, sc.streamPtrs()...)
-	case ordered:
-		return cbitmap.MergeStreamsOrdered(n, sc.streamPtrs()...)
 	}
 	return cbitmap.MergeStreams(n, sc.streamPtrs()...)
 }

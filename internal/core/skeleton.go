@@ -205,6 +205,6 @@ func queryUpdatable(ctx context.Context, kind charReader, d *iomodel.Disk, r ind
 	if err != nil {
 		return nil, stats, err
 	}
-	out, err = sc.merge(n, complement, false)
+	out, err = sc.merge(n, complement)
 	return out, stats, err
 }

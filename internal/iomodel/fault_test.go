@@ -96,7 +96,7 @@ func TestDiskFaultPermanentNeverHeals(t *testing.T) {
 	}
 }
 
-func TestFaultDiskCorruptionFlipsOneDeterministicBit(t *testing.T) {
+func TestDiskFaultCorruptionFlipsOneDeterministicBit(t *testing.T) {
 	fd := faultyDisk(Config{BlockBits: 512}, FaultConfig{Seed: 3, CorruptPer10k: 10000})
 	ext := fillBlocks(t, fd, 1)
 
@@ -139,7 +139,7 @@ func TestFaultDiskCorruptionFlipsOneDeterministicBit(t *testing.T) {
 	}
 }
 
-func TestFaultDiskWritePathNeverFaults(t *testing.T) {
+func TestDiskFaultWritePathNeverFaults(t *testing.T) {
 	fd := faultyDisk(Config{BlockBits: 512}, FaultConfig{Seed: 9, TransientPer10k: 10000, PermanentPer10k: 0})
 	fd.ArmFaults()
 	id := fd.AllocBlock()
@@ -150,7 +150,7 @@ func TestFaultDiskWritePathNeverFaults(t *testing.T) {
 	}
 }
 
-func TestFaultDiskCacheResidencyAfterFailure(t *testing.T) {
+func TestDiskFaultCacheResidencyAfterFailure(t *testing.T) {
 	// A failing read must not insert the block into the cache: the retry has
 	// to reach the device again (and heal the transient budget).
 	fd := faultyDisk(Config{BlockBits: 512, CacheBlocks: 8},

@@ -532,25 +532,19 @@ func (sx *Index) QueryBatchExec(ctx context.Context, rs []index.Range, eo ExecOp
 // to order[i]; the stats sum every shard's every attempt.
 func (sx *Index) fanOut(ctx context.Context, order []index.Range, eo ExecOptions) ([]*cbitmap.Bitmap, index.QueryStats, []ShardError, error) {
 	var stats index.QueryStats
-	outs := make([]shardOutcome, len(sx.shards))
-	sx.runTasks(len(outs), !eo.AllowPartial, func(i int) error {
-		o := &outs[i]
-		if o.err = ctx.Err(); o.err != nil {
-			return o.err
-		}
-		if eo.skip(i) {
-			o.err = ErrShardSkipped
-			return o.err
-		}
-		o.attempts, o.err = retryTransient(ctx, eo.Retry, uint64(i), &o.stats, func() (index.QueryStats, error) {
-			bms, st, err := shardBatchQuery(ctx, sx.shards[i], order, len(sx.shards) > 1)
-			if err == nil {
-				o.answers = bms
-			}
-			return st, err
-		})
-		return o.err
-	})
+	// One shard runs on the caller's goroutine with its outcome on the stack:
+	// the pool's task closure, and the outcomes it captures, would be two
+	// allocations on every query of a static Index.
+	var one [1]shardOutcome
+	var many []shardOutcome // the closures below capture this one
+	outs := one[:]
+	if len(sx.shards) == 1 {
+		sx.runShard(ctx, 0, order, eo, &one[0])
+	} else {
+		many = make([]shardOutcome, len(sx.shards))
+		sx.runTasks(len(many), !eo.AllowPartial, func(i int) error { return sx.runShard(ctx, i, order, eo, &many[i]) })
+		outs = many
+	}
 	for i := range outs {
 		stats.Add(outs[i].stats)
 	}
@@ -563,10 +557,10 @@ func (sx *Index) fanOut(ctx context.Context, order []index.Range, eo ExecOptions
 		// collectReport, answered: its local answers are the global ones.
 		return outs[0].answers, stats, nil, nil
 	}
-	// UnionAll feeds the shard answers through the streaming k-way merge with
-	// head-gap offsetting; shard answers are disjoint and ordered, so the
-	// merge degenerates to verbatim concatenation. Failed shards (degraded
-	// mode) simply contribute no parts.
+	// UnionAll hands the shard answers, rebased by their row offsets, to
+	// cbitmap's concatenation kernel: they are disjoint and ordered, so only
+	// each part's head code is re-encoded. Failed shards (degraded mode)
+	// simply contribute no parts.
 	merged := make([]*cbitmap.Bitmap, len(order))
 	mergeErrs := make([]error, len(order))
 	sx.runTasks(len(order), true, func(qi int) error {
@@ -575,8 +569,8 @@ func (sx *Index) fanOut(ctx context.Context, order []index.Range, eo ExecOptions
 		}
 		parts := make([]cbitmap.Shifted, 0, len(sx.shards))
 		for si, sh := range sx.shards {
-			if outs[si].answers != nil {
-				parts = append(parts, cbitmap.Shifted{Bm: outs[si].answers[qi], Off: sh.start})
+			if many[si].answers != nil {
+				parts = append(parts, cbitmap.Shifted{Bm: many[si].answers[qi], Off: sh.start})
 			}
 		}
 		merged[qi], mergeErrs[qi] = cbitmap.UnionAll(sx.n, parts...)
@@ -588,6 +582,27 @@ func (sx *Index) fanOut(ctx context.Context, order []index.Range, eo ExecOptions
 		}
 	}
 	return merged, stats, report, nil
+}
+
+// runShard runs the distinct ranges of order on shard i under the retry
+// policy, recording its answers, stats, attempts and error in o, and
+// returns the error.
+func (sx *Index) runShard(ctx context.Context, i int, order []index.Range, eo ExecOptions, o *shardOutcome) error {
+	if o.err = ctx.Err(); o.err != nil {
+		return o.err
+	}
+	if eo.skip(i) {
+		o.err = ErrShardSkipped
+		return o.err
+	}
+	o.attempts, o.err = retryTransient(ctx, eo.Retry, uint64(i), &o.stats, func() (index.QueryStats, error) {
+		bms, st, err := shardBatchQuery(ctx, sx.shards[i], order, len(sx.shards) > 1)
+		if err == nil {
+			o.answers = bms
+		}
+		return st, err
+	})
+	return o.err
 }
 
 // runTasks executes run(0..n-1) through min(workers, n) pool goroutines

@@ -1,8 +1,10 @@
 package secidx
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"path/filepath"
 	"slices"
 	"sync"
@@ -332,6 +334,97 @@ func TestValidationMemoBuiltHandles(t *testing.T) {
 	t.Logf("armed: %d failed, %d answered right, %d answered wrong with no error", failed, answered, wrong)
 	if failed == 0 || answered == 0 {
 		t.Fatalf("%d queries failed and %d answered right: the schedule must do both", failed, answered)
+	}
+}
+
+// pointAnswersDigest is the FNV-64a digest pointAnswers computes over
+// every key's answer, as the ordered concatenation answered them before it
+// became one kernel pass (stream per member, Builder, drain, final copy).
+const pointAnswersDigest = 0x4a45a5e30358bad4
+
+// pointAnswers queries every key of a static handle once, in key order, and
+// returns the FNV-64a digest of the answers' orders, cardinalities, bit
+// lengths and positions, which fix each answer's bytes (a gap stream at a
+// given order is canonical), and how many keys read several members and
+// answered at an order above gamma. After each key's query, the handle's
+// memo must vouch for every member the key's plan reads, and the rows must
+// be the column's.
+func pointAnswers(t *testing.T, label string, st *static, data []uint32, sigma int) (digest uint64, multi, ordered int) {
+	t.Helper()
+	h := fnv.New64a()
+	var word [8]byte
+	put := func(v int64) {
+		binary.LittleEndian.PutUint64(word[:], uint64(v))
+		h.Write(word[:])
+	}
+	for c := uint32(0); c < uint32(sigma); c++ {
+		res, _, err := st.Query(c, c)
+		if err != nil {
+			t.Fatalf("%s key %d: %v", label, c, err)
+		}
+		rows := res.bm.Positions()
+		if !slices.Equal(rows, bruteRange(data, c, c)) {
+			t.Fatalf("%s key %d: wrong rows", label, c)
+		}
+		read, known, err := st.remembered(Range{Lo: c, Hi: c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if known != read {
+			t.Fatalf("%s key %d: the memo vouches for %d of the %d members the query read", label, c, known, read)
+		}
+		if read > 1 {
+			multi++
+		}
+		if res.bm.Order() > 0 {
+			ordered++
+		}
+		put(int64(c))
+		put(int64(res.bm.Order()))
+		put(res.bm.Card())
+		put(int64(res.bm.SizeBits()))
+		for _, p := range rows {
+			put(p)
+		}
+	}
+	return h.Sum64(), multi, ordered
+}
+
+// TestPointQueryConcatMemo: on a built handle and on a reopened pread
+// handle, cold then warm, every Query(c, c) answers with the bytes the
+// ordered concatenation gave before it became one kernel pass, pinned as
+// pointAnswersDigest; and the first query of each key leaves the memo
+// vouching for every member its plan reads, which the warm pass replays.
+func TestPointQueryConcatMemo(t *testing.T) {
+	const n, sigma = 1 << 15, 256
+	data := workload.Zipf(n, sigma, 1.0, 50).X
+	ix, err := Build(data, sigma, Options{BlockBits: 4096, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "point.secidx")
+	if err := ix.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	op, err := OpenFile(path, OpenOptions{Mode: ModePread})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer op.Close()
+	for _, h := range []struct {
+		name string
+		st   *static
+	}{{"built", &ix.static}, {"pread", &op.Static.static}} {
+		for _, pass := range []string{"cold", "warm"} {
+			label := h.name + " " + pass
+			got, multi, ordered := pointAnswers(t, label, h.st, data, sigma)
+			if got != pointAnswersDigest {
+				t.Fatalf("%s: answers digest %#x, the parent's %#x", label, got, uint64(pointAnswersDigest))
+			}
+			if multi == 0 || ordered == 0 {
+				t.Fatalf("%s: %d keys read several members, %d answered above gamma: the column must give both", label, multi, ordered)
+			}
+		}
 	}
 }
 
