@@ -622,3 +622,43 @@ func TestReadCompatPR46(t *testing.T) {
 	col := workload.Zipf(66000, sigma, 1.1, 47).X
 	requirePinnedSweep(t, "pr46 static", sigma, col, o.Static.SizeBits(), o.Static.Query, o.Static, pr46Pin)
 }
+
+// The pr50_* containers under testdata/ were written at commit 163de37, the
+// last whose static images lead with the blocked tree layout, its node
+// records the exact directory, and whose metadata lists the hashed sets'
+// lengths and cardWords as varints (manifest revision 1), by cmd/secidx:
+//
+//	secidx -n 66000 -sigma 256 -dist zipf -theta 1.1 -block 2048 -seed 50 -write testdata/pr50_static.secidx
+//	secidx -n 60000 -sigma 256 -dist zipf -theta 1.1 -block 2048 -seed 51 -shards 2 -write testdata/pr50_sharded.secidx
+//
+// The static file's layout is 45 blocks of 22-bit records. pr50Pins holds
+// what that commit answered from them.
+var pr50Pins = map[string]filePin{
+	"static":  {2586607, bitsPin{89558087, 0xdd8588658086cae0}},
+	"sharded": {1190913, bitsPin{10636642, 0x96934162819fb161}},
+}
+
+// TestReadCompatPR50 opens the pr50 fixtures and requires every answer of the
+// sweep to be the one their writer gave, every exact one the column's, and
+// SizeBits unchanged.
+func TestReadCompatPR50(t *testing.T) {
+	const sigma = 256
+	t.Run("static", func(t *testing.T) {
+		o, err := OpenFile("testdata/pr50_static.secidx", OpenOptions{VerifyImages: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer o.Close()
+		col := workload.Zipf(66000, sigma, 1.1, 50).X
+		requirePinnedSweep(t, "pr50 static", sigma, col, o.Static.SizeBits(), o.Static.Query, o.Static, pr50Pins["static"])
+	})
+	t.Run("sharded", func(t *testing.T) {
+		o, err := OpenFile("testdata/pr50_sharded.secidx", OpenOptions{VerifyImages: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer o.Close()
+		col := workload.Zipf(60000, sigma, 1.1, 51).X
+		requirePinnedSweep(t, "pr50 sharded", sigma, col, o.Sharded.SizeBits(), o.Sharded.Query, nil, pr50Pins["sharded"])
+	})
+}
