@@ -139,28 +139,33 @@ func printLedger(shard int, l secidx.SpaceLedger, imageBytes, metaBytes int64) {
 	if stored > l.UsefulK {
 		fmt.Printf("  levels above h_%d have universes >= n: stored by an older build, never read\n", l.UsefulK)
 	}
-	for _, part := range []struct {
+	type part struct {
 		name string
 		bits int64
-	}{
-		{"exact sets", exact},
-		{"hashed sets", hashed},
-		{"prefix array A", l.PrefixBits},
-		{"padding", l.PadBits},
-		{"tree layout", l.LayoutBits},
-		{"= image section", 8 * imageBytes},
-		{"metadata section", 8 * metaBytes},
-	} {
-		fmt.Printf("  %-17s %12d bits %8s /row\n", part.name, part.bits, perRow(part.bits))
+	}
+	parts := []part{{"exact sets", exact}, {"hashed sets", hashed}}
+	older := l.RecordBits > 0 // a file of revision 1 or before: A's slots and the blocked tree layout
+	if older {
+		parts = append(parts, part{"prefix array A", l.PrefixBits}, part{"padding", l.PadBits}, part{"tree layout", l.LayoutBits})
+	}
+	parts = append(parts, part{"= image section", 8 * imageBytes}, part{"metadata section", 8 * metaBytes})
+	if !older {
+		parts = append(parts, part{"  exact lengths", l.Directory.LengthBits}, part{"  orders", l.Directory.OrderBits},
+			part{"  hashed directory", l.Directory.HashedBits})
+	}
+	for _, p := range parts {
+		fmt.Printf("  %-19s %12d bits %8s /row\n", p.name, p.bits, perRow(p.bits))
 	}
 	total := 8 * (imageBytes + metaBytes)
-	fmt.Printf("  %-17s %12d bits %8s /row = %.1f x H0 (metadata directory as SizeBits charges it: %s /row)\n",
+	fmt.Printf("  %-19s %12d bits %8s /row = %.1f x H0 (metadata directory as SizeBits charges it: %s /row)\n",
 		"shard", total, perRow(total), float64(total)/float64(l.Rows)/max(l.H0, 1e-9), perRow(l.DirBits))
-	legacy := ""
-	if l.RecordBits == 128 {
-		legacy = " (an older build's: they hold no directory, the metadata does)"
+	if older {
+		legacy := ""
+		if l.RecordBits == 128 {
+			legacy = " (an older build's: they hold no directory, the metadata does)"
+		}
+		fmt.Printf("  node records: %d bits, %d per block%s\n", l.RecordBits, l.NodesPerBlock, legacy)
 	}
-	fmt.Printf("  node records: %d bits, %d per block%s\n", l.RecordBits, l.NodesPerBlock, legacy)
 	fmt.Println(" ", strings.Repeat("-", 60))
 }
 

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/container"
@@ -62,26 +63,134 @@ func validContainer(tb testing.TB, kind string) []byte {
 	return b
 }
 
-// recordsContainer returns a static container at 512-bit blocks, whose node
-// records fill several structure blocks and carry exp-Golomb orders.
-func recordsContainer(tb testing.TB) []byte {
+// directoryIndex builds a static index at 512-bit blocks whose directory
+// stream holds several levels, order runs and hashed groups.
+func directoryIndex(tb testing.TB) *Index {
 	tb.Helper()
-	path := filepath.Join(tb.TempDir(), "records.secidx")
 	ix, err := Build(randColumn(3000, 64, 24), 64, Options{Seed: 7, BlockBits: 512})
-	if err == nil {
-		err = ix.WriteFile(path)
-	}
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if l := ix.SpaceLedger(); l.LayoutBits < 3*512 {
-		tb.Fatalf("node records fill %d bits, want several blocks", l.LayoutBits)
+	if l := ix.SpaceLedger(); l.LayoutBits != 0 || len(l.Levels) < 3 || l.Directory.OrderBits == 0 || l.Directory.HashedBits == 0 {
+		tb.Fatalf("ledger %+v: want no tree layout, several levels, order runs and a hashed directory", l)
+	}
+	return ix
+}
+
+// directoryContainer returns the container of ix with its metadata's
+// directory stream (the payload's tail: its length in bits, then its bytes,
+// after the counts, two zeros and k) passed through mutate.
+func directoryContainer(tb testing.TB, ix *Index, mutate func(nbits uint64, stream []byte) (uint64, []byte)) []byte {
+	tb.Helper()
+	part := ix.sx.Parts()[0]
+	var m container.Encoder
+	if err := part.Ax.EncodeMeta(&m); err != nil {
+		tb.Fatal(err)
+	}
+	meta := m.Bytes()
+	off := 0
+	for range ix.Sigma() + 3 {
+		_, n := binary.Uvarint(meta[off:])
+		off += n
+	}
+	nbits, n := binary.Uvarint(meta[off:])
+	nbits, stream := mutate(nbits, slices.Clone(meta[off+n:]))
+	payload := binary.AppendUvarint(slices.Clone(meta[:off]), nbits)
+	payload = append(payload, stream...)
+	path := filepath.Join(tb.TempDir(), "directory.secidx")
+	err := writeContainer(path, container.KindStatic, func(cw *container.Writer) error {
+		var e container.Encoder
+		encodeManifest(&e, ix.Len(), ix.Sigma(), ix.opts, 1, core.StaticRevision)
+		if err := cw.Add(container.TypeManifest, 0, e.Bytes(), 1); err != nil {
+			return err
+		}
+		if err := cw.Add(container.TypeStaticMeta, 0, payload, 1); err != nil {
+			return err
+		}
+		return addImage(cw, 0, part.Disk)
+	})
+	if err != nil {
+		tb.Fatal(err)
 	}
 	b, err := os.ReadFile(path)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return b
+}
+
+// corruptDirectories returns containers of ix whose directory streams are
+// corrupt: cut short, declaring more bits than they hold, their first order
+// raised past gamma.MaxOrder, and a bit flipped in their middle.
+func corruptDirectories(tb testing.TB, ix *Index) map[string][]byte {
+	return map[string][]byte{
+		"cut short": directoryContainer(tb, ix, func(nbits uint64, s []byte) (uint64, []byte) {
+			return nbits - 8, s[:len(s)-1]
+		}),
+		"declared past its bytes": directoryContainer(tb, ix, func(nbits uint64, s []byte) (uint64, []byte) {
+			return nbits + 8, s
+		}),
+		"order 63": directoryContainer(tb, ix, func(nbits uint64, s []byte) (uint64, []byte) {
+			s[0] |= 0xfc // the first level's length order: the stream's first six bits
+			return nbits, s
+		}),
+		"flipped bit": directoryContainer(tb, ix, func(nbits uint64, s []byte) (uint64, []byte) {
+			s[len(s)/2] ^= 0x08
+			return nbits, s
+		}),
+	}
+}
+
+// TestOpenCorruptDirectory: a static container whose directory stream is
+// corrupt fails ErrCorrupt, without a panic and allocating under 1 MiB; the
+// same container with its stream untouched opens and answers like the built
+// index. (internal/core's TestDirectoryStreamCorrupt crafts each field.)
+func TestOpenCorruptDirectory(t *testing.T) {
+	ix := directoryIndex(t)
+	dir := t.TempDir()
+	intact := filepath.Join(dir, "intact.secidx")
+	if err := os.WriteFile(intact, directoryContainer(t, ix, func(nbits uint64, s []byte) (uint64, []byte) { return nbits, s }), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	o, err := OpenFile(intact, OpenOptions{VerifyImages: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lo := uint32(0); lo < 64; lo += 7 {
+		hi := min(lo+5, 63)
+		want, _, err := ix.Query(lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := o.Static.Query(lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Rows(), want.Rows()) {
+			t.Fatalf("[%d,%d]: the rewritten container answers differently", lo, hi)
+		}
+	}
+	o.Close()
+	for name, b := range corruptDirectories(t, ix) {
+		path := filepath.Join(dir, "corrupt.secidx")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		o, err := OpenFile(path, OpenOptions{})
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			o.Close()
+		}
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: error %v, want ErrCorrupt", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Fatalf("%s: allocated %d bytes", name, grew)
+		}
+	}
 }
 
 // ordersContainer returns a static container in which leaves and hashed sets
@@ -266,15 +375,23 @@ func FuzzLoadV2(f *testing.F) {
 	f.Add(hostile)
 	f.Add([]byte("secidx02"))
 	f.Add([]byte{})
-	// A static container whose node records — lengths and orders, the exact
-	// directory — span several structure blocks, and one from before the
-	// records held the directory (its blocks and lengths in the metadata).
-	f.Add(recordsContainer(f))
-	legacy, err := os.ReadFile("testdata/legacy_height_static.secidx")
-	if err != nil {
-		f.Fatal(err)
+	// A static container whose directory stream holds several levels, order
+	// runs and hashed groups, the same stream corrupt four ways, a file whose
+	// node records — lengths and orders, the exact directory — span 45
+	// structure blocks (revision 1), and one from before the records held
+	// the directory (its blocks and lengths in the metadata).
+	dix := directoryIndex(f)
+	f.Add(directoryContainer(f, dix, func(nbits uint64, s []byte) (uint64, []byte) { return nbits, s }))
+	for _, b := range corruptDirectories(f, dix) {
+		f.Add(b)
 	}
-	f.Add(legacy)
+	for _, name := range []string{"pr50_static", "legacy_height_static"} {
+		b, err := os.ReadFile("testdata/" + name + ".secidx")
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
 	// A static container whose leaves and hashed sets carry orders, and one
 	// from before they did (gamma-coded, with A, whose offset's slot is the
 	// revision marker).

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"repro/internal/bitio"
 	"repro/internal/gamma"
@@ -37,7 +38,14 @@ type Member struct {
 	proved     bool  // this concatenation validated every position and bit
 	head       int64 // pass 1: the first position
 	tail, stop int   // pass 1: the bits [tail,stop) follow the first code
+	// rfrom, rto: pass 1 recoded the tail of a member at another order than
+	// the answer's into the bits [rfrom,rto) of the concatenation's scratch.
+	rfrom, rto int
 }
+
+// recodePool holds the scratch writers that recoded tails wait in between
+// pricing and writing.
+var recodePool = sync.Pool{New: func() any { return new(bitio.Writer) }}
 
 // Init sets m to the card positions gap-coded at order k in the bit range
 // [start, start+bits) of r's stream. last is their largest position when an
@@ -116,10 +124,15 @@ func Concat(n int64, ms []Member) (*Bitmap, error) {
 		prev = m.last
 		card += m.card
 	}
+	var sc *bitio.Writer
 	if mixed {
 		// The vote, and the exact length at its order: a member at another
-		// order is decoded once to price its tail.
+		// order is decoded once, its tail recoded into scratch that pass 2
+		// copies.
 		k = dominantOrder(ms)
+		sc = recodePool.Get().(*bitio.Writer)
+		sc.Reset()
+		defer recodePool.Put(sc)
 		total, prev = 0, -1
 		for i := range ms {
 			m := &ms[i]
@@ -130,11 +143,12 @@ func Concat(n int64, ms []Member) (*Bitmap, error) {
 			if m.k == k {
 				total += m.stop - m.tail
 			} else {
-				nb, err := m.recode(nil, k)
-				if err != nil {
+				m.rfrom = sc.Len()
+				if err := m.recode(sc, k); err != nil {
 					return nil, err
 				}
-				total += nb
+				m.rto = sc.Len()
+				total += m.rto - m.rfrom
 			}
 			prev = m.last
 		}
@@ -151,8 +165,8 @@ func Concat(n int64, ms []Member) (*Bitmap, error) {
 		o.code(uint64(m.head-prev), uint(k))
 		if m.k == k {
 			o.copy(m.buf, m.tail, m.stop)
-		} else if _, err := m.recode(&o, k); err != nil {
-			return nil, err // unreachable: pricing decoded the same bits
+		} else {
+			o.copy(sc.Bytes(), m.rfrom, m.rto)
 		}
 		prev = m.last
 	}
@@ -222,10 +236,10 @@ func (m *Member) readHead() error {
 	return nil
 }
 
-// recode decodes m's tail and prices its codes at order k, writing them to o
-// unless o is nil. The tail must increase and end at m's last, which a
-// replay took on faith: corrupt bits fail typed instead.
-func (m *Member) recode(o *concatWriter, k uint8) (nb int, err error) {
+// recode decodes m's tail and appends its codes at order k to w. The tail
+// must increase and end at m's last, which a replay took on faith: corrupt
+// bits fail typed instead.
+func (m *Member) recode(w *bitio.Writer, k uint8) error {
 	var s Stream
 	s.set(m.card-1, m.head+1, 0, -1, uint(m.k))
 	s.r.Init(m.buf, m.stop)
@@ -233,21 +247,18 @@ func (m *Member) recode(o *concatWriter, k uint8) (nb int, err error) {
 	prev := m.head
 	for p, ok := s.Next(); ok; p, ok = s.Next() {
 		if p <= prev {
-			return 0, fmt.Errorf("%w: member position %d not above %d", ErrCorrupt, p, prev)
+			return fmt.Errorf("%w: member position %d not above %d", ErrCorrupt, p, prev)
 		}
-		if o != nil {
-			o.code(uint64(p-prev), uint(k))
-		}
-		nb += gamma.LenK(uint64(p-prev), uint(k))
+		gamma.WriteK(w, uint64(p-prev), uint(k))
 		prev = p
 	}
 	if s.err != nil {
-		return 0, s.err
+		return s.err
 	}
 	if prev != m.last {
-		return 0, fmt.Errorf("%w: member ends at position %d, not at its known last %d", ErrCorrupt, prev, m.last)
+		return fmt.Errorf("%w: member ends at position %d, not at its known last %d", ErrCorrupt, prev, m.last)
 	}
-	return nb, nil
+	return nil
 }
 
 // concatWriter writes bits into a buffer allocated at the answer's exact

@@ -269,6 +269,10 @@ func (e *Encoder) U(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
 // I appends a signed (zig-zag) varint.
 func (e *Encoder) I(v int64) { e.buf = binary.AppendVarint(e.buf, v) }
 
+// Raw appends b as it is, for a field whose length the payload gives before
+// it.
+func (e *Encoder) Raw(b []byte) { e.buf = append(e.buf, b...) }
+
 // Bytes returns the payload built so far.
 func (e *Encoder) Bytes() []byte { return e.buf }
 
@@ -327,6 +331,21 @@ func (d *Decoder) I() int64 {
 	}
 	d.off += n
 	return v
+}
+
+// Raw returns the next n bytes of the payload, aliasing it, and fails the
+// decoder if fewer remain.
+func (d *Decoder) Raw(n uint64) []byte {
+	if d.err != nil {
+		return nil
+	}
+	if n > uint64(len(d.buf)-d.off) {
+		d.fail("raw field of %d bytes past the payload's end at offset %d", n, d.off)
+		return nil
+	}
+	b := d.buf[d.off : d.off+int(n)]
+	d.off += int(n)
+	return b
 }
 
 // Err returns the sticky error, if any.

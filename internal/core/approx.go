@@ -10,7 +10,6 @@ import (
 	"sort"
 
 	"repro/internal/cbitmap"
-	"repro/internal/container"
 	"repro/internal/hashutil"
 	"repro/internal/index"
 	"repro/internal/iomodel"
@@ -58,10 +57,11 @@ type hashArray struct {
 }
 
 // StaticRevision is the revision of the static payload (EncodeMeta) this
-// package writes, which a container records beside it: 1 lists only the
-// hashed sets a query can select (hashedReachable); 0, every file written
-// before, lists every set.
-const StaticRevision = 1
+// package writes, which a container records beside it: 2 holds the member
+// directory as one stream in the metadata and no tree layout in the image;
+// 1 lists only the hashed sets a query can select (hashedReachable); 0,
+// every file written before, lists every set.
+const StaticRevision = 2
 
 // minRows is the fewest rows z a query whose cover holds member m can count:
 // every record of the characters m's records belong to. A cover member lies
@@ -163,15 +163,18 @@ func (ax *Approx) SizeBits() int64 {
 }
 
 // hashedDirBits is what the container's metadata spends on the hashed
-// directory: the bytes encodeHashedGroups writes for every hashed level the
-// handle holds, a file's surplus level included (OpenApprox).
+// directory of every hashed level the handle holds, a file's surplus level
+// included (OpenApprox): its share of the directory stream, or the varints
+// of a file of revision 1 or before.
 func (ax *Approx) hashedDirBits() int64 {
 	if len(ax.hmaps) == 0 {
 		return 0
 	}
-	var e container.Encoder
-	_ = ax.encodeHashedGroups(&e, len(ax.hmaps[0].perJ)) // a break is EncodeMeta's error; the bytes are written regardless
-	return 8 * int64(len(e.Bytes()))
+	groups := len(ax.hmaps[0].perJ)
+	if ax.layout != nil {
+		return ax.hashedVarintBits(groups)
+	}
+	return planDirectory(ax.levels, ax.hmaps, groups).space.HashedBits
 }
 
 // Result is the answer to an approximate range query: either an exact

@@ -100,10 +100,9 @@ func newLevelTasks(tr *Tree, stride int) []levelTask {
 
 // buildLevels is BuildOptimal with the hashed sets under hs (none for an
 // exact-only index) encoded alongside: the tree, one task per materialised
-// level on the caller's slot of ws and every other slot free, then the tree
-// layout and the exact levels placed on an image reserved once from the
-// stream lengths. The layout comes first, from block 0, so a reopen finds it
-// there. The tasks return with their hashed writers still to place.
+// level on the caller's slot of ws and every other slot free, then the exact
+// levels placed from bit 0 on an image reserved once from the stream
+// lengths. The tasks return with their hashed writers still to place.
 func buildLevels(ws Workers, d *iomodel.Disk, col workload.Column, opts OptimalOptions, hs []hashutil.SplitXOR) (*Optimal, []levelTask, error) {
 	ws <- struct{}{}
 	defer func() { <-ws }()
@@ -115,22 +114,18 @@ func buildLevels(ws Workers, d *iomodel.Disk, col workload.Column, opts OptimalO
 	ox := newOptimal(d, tr, opts)
 	tasks := newLevelTasks(tr, opts.Stride)
 	encodeLevels(ws, tasks, tr.prefix, col.X, hs)
-	members := make([][]member, len(tasks))
 	var total int64
 	for i := range tasks {
 		t := &tasks[i]
 		if t.err != nil {
 			return nil, nil, t.err
 		}
-		members[i] = t.members
 		total += int64(t.exact.Len())
 		if t.hashed != nil {
 			total += int64(t.hashed.Len())
 		}
 	}
-	recs, lenBits, kBits := nodeRecords(tr, materialDepths(tr.Height, opts.Stride), members)
-	d.Reserve(total + int64(layoutBits(d, tr, lenBits+kBits)))
-	ox.layout = newTreeLayout(d, tr, recs, lenBits, kBits)
+	d.Reserve(total)
 	// Adjacent AllocStream calls share blocks with no padding, so placing
 	// whole levels in order leaves the bytes and extents of member-at-a-time
 	// allocation (pinned by the build differential test).

@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 
-	"repro/internal/bitio"
 	"repro/internal/gamma"
 	"repro/internal/iomodel"
 )
@@ -15,24 +13,28 @@ import (
 // block and every member's length instead (OpenApprox's legacy branch).
 const legacyRecordBits = 128
 
-// treeLayout places the tree structure on disk in the paper's blocked
-// fashion: "starting from the root, we store the top d = Θ(lg b) levels in a
-// block with pointers to each of the subtrees at level d+1", recursively.
-// Concretely each block receives a BFS-connected top region of up to
-// B/recordBits nodes (placeLayout), so any root-to-leaf path touches
-// O(lg n / lg cap) = O(lg_b n) structure blocks. Those blocks are what the
-// paper's internal memory of (|Σ| lg n)^δ blocks holds: the tree is rebuilt
-// from the counts and the records are read once at open, so no query reads
-// a structure block (at point-pread's scale the layout is 15 blocks). The
-// blocks lead the image, from block 0, so a reopen needs no pointer to them.
+// treeLayout is the tree structure as files of revision 1 and before placed
+// it on disk, in the paper's blocked fashion: "starting from the root, we
+// store the top d = Θ(lg b) levels in a block with pointers to each of the
+// subtrees at level d+1", recursively. Each block received a BFS-connected
+// top region of up to B/recordBits nodes (placeLayout), so any root-to-leaf
+// path touches O(lg n / lg cap) = O(lg_b n) structure blocks. The blocks led
+// the image, from block 0 (after A on an image that holds A), so a reopen
+// needs no pointer to them.
 //
 // A node's record is its member's directory entry: the length of the
 // member's gap stream in lenBits, then its exp-Golomb order in kBits (both
-// zero for a node that is no member). The widths fit the largest length and
-// order of the image, so a record is a few tens of bits where a pointer-sized
-// record is 128. A member's offset is its level's base plus the lengths of
-// the members before it, so the records and the per-level bases are the
-// whole exact directory.
+// zero for a node that is no member). A member's offset is its level's base
+// plus the lengths of the members before it, so the records and the
+// per-level bases are the whole exact directory.
+//
+// No query walks the blocks: the tree is rebuilt from the counts and the
+// records are read once at open, which is what the paper's internal memory
+// of (|Σ| lg n)^δ blocks holds. Revision 2 keeps the same lengths and orders
+// in the metadata's directory stream (directory.go), a few bits per member
+// where a record takes a few tens per node, member or not, padded to whole
+// blocks; no new file has a layout, and only the open path of older files
+// replays it.
 type treeLayout struct {
 	disk           *iomodel.Disk
 	nblocks        int
@@ -50,26 +52,6 @@ func (l *treeLayout) recordBits() int {
 // perBlock returns how many node records fit in a block of d.
 func perBlock(d *iomodel.Disk, recordBits int) int { return max(d.BlockBits()/recordBits, 1) }
 
-// nodeRecords returns every node's record, by node ID — its member's length
-// and order from levels (members in eachMember order), 0 for a node that is
-// no member — and the field widths that hold them all.
-func nodeRecords(t *Tree, depths []int, levels [][]member) (recs []uint64, lenBits, kBits int) {
-	var maxLen int64
-	var maxK uint8
-	for _, ms := range levels {
-		for _, m := range ms {
-			maxLen, maxK = max(maxLen, m.ext.Bits), max(maxK, m.k)
-		}
-	}
-	lenBits, kBits = max(bits.Len64(uint64(maxLen)), 1), bits.Len8(maxK)
-	recs = make([]uint64, len(t.Nodes))
-	eachMember(t, depths, func(v *Node, li, mi int) {
-		m := &levels[li][mi]
-		recs[v.ID] = uint64(m.ext.Bits)<<kBits | uint64(m.k)
-	})
-	return recs, lenBits, kBits
-}
-
 // placeLayout lays out the nodes of t on d from block first, records of
 // lenBits+kBits to a block as many as fit, and calls visit with each node
 // and the bit position of its record, in increasing position. Each block is
@@ -77,7 +59,7 @@ func nodeRecords(t *Tree, depths []int, levels [][]member) (recs []uint64, lenBi
 // block with leftover room pulls further pending subtrees ("we merge the
 // blocks so that no block is more than half empty"). The placement is a
 // pure function of the topology and the record width, so a reopen replays
-// the build's.
+// the writer's.
 func placeLayout(d *iomodel.Disk, t *Tree, first iomodel.BlockID, lenBits, kBits int, visit func(v *Node, pos int64)) *treeLayout {
 	l := &treeLayout{disk: d, lenBits: lenBits, kBits: kBits}
 	width := l.recordBits()
@@ -105,24 +87,7 @@ func placeLayout(d *iomodel.Disk, t *Tree, first iomodel.BlockID, lenBits, kBits
 	return l
 }
 
-// newTreeLayout places the records recs (by node ID, lenBits+kBits wide) on
-// d, from the next block boundary, as whole blocks.
-func newTreeLayout(d *iomodel.Disk, t *Tree, recs []uint64, lenBits, kBits int) *treeLayout {
-	d.AlignToBlock()
-	start := d.AllocatedBits()
-	w := bitio.NewWriter(layoutBits(d, t, lenBits+kBits))
-	l := placeLayout(d, t, iomodel.BlockID(start/int64(d.BlockBits())), lenBits, kBits, func(v *Node, pos int64) {
-		for pad := int(pos-start) - w.Len(); pad > 0; pad -= 64 {
-			w.WriteBits(0, min(pad, 64)) // to the next block's first record
-		}
-		w.WriteBits(recs[v.ID], lenBits+kBits)
-	})
-	w.Align(d.BlockBits())
-	d.AllocStream(w)
-	return l
-}
-
-// openLayout replays newTreeLayout's placement of records lenBits+kBits wide
+// openLayout replays the placement of records lenBits+kBits wide
 // from the first block after A (block 0 on an image without A), reads the
 // blocks in one pass outside any query's session, and gives every member the
 // length and order its node's record holds. A record must fit its node: no
@@ -168,13 +133,6 @@ func (ox *Optimal) openLayout(depths []int, lenBits, kBits int, leafOrders bool)
 		}
 	}
 	return nil
-}
-
-// layoutBits bounds the bits newTreeLayout adds to the image at records of
-// recordBits: it fills every block but the last, after padding the tail to
-// a block boundary.
-func layoutBits(d *iomodel.Disk, t *Tree, recordBits int) int {
-	return (len(t.Nodes)/perBlock(d, recordBits) + 2) * d.BlockBits()
 }
 
 // sizeBits returns the space occupied by the structure blocks.

@@ -2,14 +2,130 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/bitio"
+	"repro/internal/container"
 	"repro/internal/index"
 	"repro/internal/iomodel"
 	"repro/internal/workload"
 )
+
+// nodeRecords returns every node's record as revisions 0 and 1 wrote it, by
+// node ID — its member's length and order from levels (members in
+// eachMember order), 0 for a node that is no member — and the field widths
+// that hold them all.
+func nodeRecords(t *Tree, depths []int, levels [][]member) (recs []uint64, lenBits, kBits int) {
+	var maxLen int64
+	var maxK uint8
+	for _, ms := range levels {
+		for _, m := range ms {
+			maxLen, maxK = max(maxLen, m.ext.Bits), max(maxK, m.k)
+		}
+	}
+	lenBits, kBits = max(bits.Len64(uint64(maxLen)), 1), bits.Len8(maxK)
+	recs = make([]uint64, len(t.Nodes))
+	eachMember(t, depths, func(v *Node, li, mi int) {
+		m := &levels[li][mi]
+		recs[v.ID] = uint64(m.ext.Bits)<<kBits | uint64(m.k)
+	})
+	return recs, lenBits, kBits
+}
+
+// newTreeLayout places the records recs (by node ID, lenBits+kBits wide) on
+// d, from the next block boundary, as whole blocks.
+func newTreeLayout(d *iomodel.Disk, t *Tree, recs []uint64, lenBits, kBits int) *treeLayout {
+	d.AlignToBlock()
+	start := d.AllocatedBits()
+	w := bitio.NewWriter(0)
+	l := placeLayout(d, t, iomodel.BlockID(start/int64(d.BlockBits())), lenBits, kBits, func(v *Node, pos int64) {
+		for pad := int(pos-start) - w.Len(); pad > 0; pad -= 64 {
+			w.WriteBits(0, min(pad, 64)) // to the next block's first record
+		}
+		w.WriteBits(recs[v.ID], lenBits+kBits)
+	})
+	w.Align(d.BlockBits())
+	d.AllocStream(w)
+	return l
+}
+
+// withLayout returns ax on a copy of its device laid out as revisions 0 and
+// 1 wrote it: the node records in their blocked placement from block 0, then
+// ax's streams, every offset moved up by the layout's whole blocks. Its
+// metadata is encodeRecordsMeta's.
+func withLayout(t testing.TB, ax *Approx) (*iomodel.Disk, *Approx) {
+	t.Helper()
+	src := ax.disk
+	d := iomodel.NewDisk(iomodel.Config{BlockBits: src.BlockBits()})
+	recs, lenBits, kBits := nodeRecords(ax.tree, materialDepths(ax.tree.Height, ax.opts.Stride), levelMembers(ax.Optimal))
+	l := newTreeLayout(d, ax.tree, recs, lenBits, kBits)
+	tail, img := src.Image()
+	w := bitio.NewWriter(int(tail))
+	if err := w.CopyBits(bitio.NewReader(img, int(tail)), int(tail)); err != nil {
+		t.Fatal(err)
+	}
+	shift := d.AllocStream(w).Off
+	if shift != l.sizeBits() {
+		t.Fatalf("streams moved by %d bits, the layout takes %d", shift, l.sizeBits())
+	}
+	ox := newOptimal(d, ax.tree, ax.opts)
+	ox.layout = l
+	for _, lv := range ax.levels {
+		members := slices.Clone(lv.members)
+		for i := range members {
+			members[i].ext.Off += shift
+		}
+		ox.levels = append(ox.levels, newMatLevel(lv.depth, members))
+	}
+	out := &Approx{Optimal: ox, seed: ax.seed, k: ax.k, hs: ax.hs}
+	for _, hl := range ax.hmaps {
+		perJ := slices.Clone(hl.perJ)
+		for j := range perJ {
+			perJ[j].exts = slices.Clone(perJ[j].exts)
+			for i := range perJ[j].exts {
+				if perJ[j].stored(i) {
+					perJ[j].exts[i].Off += shift
+				}
+			}
+		}
+		out.hmaps = append(out.hmaps, hashLevel{perJ: perJ})
+	}
+	return d, out
+}
+
+// encodeRecordsMeta writes ax's metadata as revision 1 did, whose node
+// records (withLayout) are the exact directory: counts, 0, the records'
+// widths, per level its depth, member count and base, A's offset, k and the
+// hashed directory as varints.
+func encodeRecordsMeta(t testing.TB, ax *Approx) []byte {
+	t.Helper()
+	tr, l := ax.tree, ax.layout
+	if l == nil || l.lenBits == 0 {
+		t.Fatal("revision 1 metadata needs node records")
+	}
+	var e container.Encoder
+	for a := 0; a < tr.sigma; a++ {
+		e.U(uint64(tr.prefix[a+1] - tr.prefix[a]))
+	}
+	e.U(0)
+	e.U(uint64(l.lenBits))
+	e.U(uint64(l.kBits))
+	e.U(uint64(len(ax.levels)))
+	for _, lv := range ax.levels {
+		e.U(uint64(lv.depth))
+		e.U(uint64(len(lv.members)))
+		e.U(uint64(lv.members[0].ext.Off))
+	}
+	e.U(uint64(ax.aExt.Off))
+	e.U(uint64(ax.k))
+	if err := ax.encodeHashedGroups(&e, ax.k); err != nil {
+		t.Fatal(err)
+	}
+	return e.Bytes()
+}
 
 // recordPos returns the bit position of every node's record on ox's device,
 // by node ID, replaying the layout's placement from the first block after A
@@ -23,9 +139,10 @@ func recordPos(ox *Optimal) []int64 {
 	return pos
 }
 
-// TestLayoutRecords: the node records are the exact directory. Over block
+// TestLayoutRecords: the node records are the exact directory of a file of
+// revision 1 (withLayout lays a build out as those files were). Over block
 // sizes and alphabets, a reopen rebuilds from them the extents, orders and
-// record placement the build made; a record whose length runs past the image
+// record placement the writer made; a record whose length runs past the image
 // and a record on a node that is no member are rejected at open, and a leaf
 // record with an order only under the rule of files whose leaves were all
 // gamma-coded; every node's record reads back as its member's entry; and
@@ -36,11 +153,11 @@ func TestLayoutRecords(t *testing.T) {
 		for _, sigma := range []int{2, 256, 4096} {
 			t.Run(fmt.Sprintf("B=%d/sigma=%d", bb, sigma), func(t *testing.T) {
 				col := workload.Zipf(3*sigma+5000, sigma, 1.0, int64(bb+sigma))
-				d := iomodel.NewDisk(iomodel.Config{BlockBits: bb})
-				ax, err := BuildApprox(d, col, opts)
+				built, err := BuildApprox(iomodel.NewDisk(iomodel.Config{BlockBits: bb}), col, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
+				d, ax := withLayout(t, built)
 				got, err := reopen(t, d, ax, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -73,6 +190,7 @@ func TestLayoutRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	d, ax = withLayout(t, ax)
 	pos := recordPos(ax.Optimal)
 	l := ax.layout
 	width := l.recordBits()

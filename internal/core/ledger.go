@@ -3,12 +3,11 @@ package core
 import "repro/internal/entropy"
 
 // SpaceLedger itemises where a static index's bits go. The resident parts —
-// the structure blocks, the exact levels, then the hashed sets level by level
-// on an image built now; on an image written before, the exact levels, the
-// prefix array A, the padding that block-aligns the tree structure, the
-// structure blocks, then the hashed sets — sum to ImageBits on any index this
-// package built (ResidentBits; cmd/secidx -inspect fails a file on which they
-// do not).
+// the exact levels then the hashed sets level by level on an image of
+// revision 2; on an image written before, also the prefix array A, the
+// padding that block-aligns the tree structure and the structure blocks —
+// sum to ImageBits on any index this package built (ResidentBits; cmd/secidx
+// -inspect fails a file on which they do not).
 type SpaceLedger struct {
 	Rows  int64
 	Sigma int
@@ -17,19 +16,24 @@ type SpaceLedger struct {
 	Levels     []LevelSpace // materialised levels, shallow to deep
 	PrefixBits int64        // array A of an image written before: σ+1 entries of 64 bits
 	PadBits    int64        // from the end of A to the first structure block (0 without A)
-	LayoutBits int64        // blocked tree structure, whole blocks
+	LayoutBits int64        // blocked tree structure of an image of revision 1 or before, whole blocks
 	ImageBits  int64        // the device's allocated size
 
 	// RecordBits is the width of a node record in the structure blocks and
-	// NodesPerBlock how many of them a block holds. A record is its node's
-	// member's directory entry (gap-stream length and exp-Golomb order); an
-	// image written before that holds 128-bit records nothing reads.
+	// NodesPerBlock how many of them a block holds, both 0 on an image with
+	// no tree layout. A record is its node's member's directory entry
+	// (gap-stream length and exp-Golomb order); an image written before that
+	// holds 128-bit records nothing reads.
 	RecordBits, NodesPerBlock int
+	// Directory is the revision-2 directory stream by part, zero on an image
+	// written before.
+	Directory DirSpace
 	// DirBits is the directory SizeBits charges outside the image, in the
-	// container's metadata section: the hashed sets' bases, lengths and
-	// cardinalities as the metadata's varints spend them, plus 128 bits per
-	// exact member on a legacy image. A newer image's exact directory is its
-	// node records, counted in LayoutBits.
+	// container's metadata section: the directory stream, or on an image
+	// written before the hashed sets' bases, lengths and cardinalities as the
+	// metadata's varints spend them, plus 128 bits per exact member on a
+	// legacy image. Such an image's exact directory is its node records,
+	// counted in LayoutBits.
 	DirBits int64
 	// UsefulK is k = ⌊lg lg n⌋. HashedBits entries beyond it belong to levels
 	// no query reads: only files written before maxJ followed the paper have
@@ -77,13 +81,21 @@ func (ax *Approx) SpaceLedger() SpaceLedger {
 		H0:         entropy.H0(counts),
 		PrefixBits: ax.aExt.Bits,
 		PadBits:    (bb - ax.aExt.End()%bb) % bb,
-		LayoutBits: ax.layout.sizeBits(),
 		ImageBits:  ax.disk.AllocatedBits(),
-		RecordBits: ax.layout.recordBits(),
-		DirBits:    ax.legacyDirBits() + ax.hashedDirBits(),
 		UsefulK:    ax.k,
 	}
-	l.NodesPerBlock = perBlock(ax.disk, l.RecordBits)
+	if ax.layout != nil {
+		l.LayoutBits, l.RecordBits = ax.layout.sizeBits(), ax.layout.recordBits()
+		l.NodesPerBlock = perBlock(ax.disk, l.RecordBits)
+		l.DirBits = ax.legacyDirBits() + ax.hashedDirBits()
+	} else {
+		groups := 0
+		if len(ax.hmaps) > 0 {
+			groups = len(ax.hmaps[0].perJ)
+		}
+		l.Directory = planDirectory(ax.levels, ax.hmaps, groups).space
+		l.DirBits = l.Directory.Total()
+	}
 	for li, lv := range ax.levels {
 		ls := LevelSpace{Depth: lv.depth, Members: len(lv.members)}
 		for _, m := range lv.members {

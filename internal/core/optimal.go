@@ -154,7 +154,7 @@ func (lv *matLevel) tileFrom(i int, lo, hi int64) (int, error) {
 type Optimal struct {
 	disk   *iomodel.Disk
 	tree   *Tree
-	layout *treeLayout
+	layout *treeLayout // the blocked tree layout of an image of revision 1 or before; else nil
 	opts   OptimalOptions
 
 	levels []matLevel
@@ -216,17 +216,22 @@ func (ox *Optimal) Tree() *Tree { return ox.tree }
 // O(lg lg n)).
 func (ox *Optimal) MaterialisedLevels() int { return len(ox.levels) }
 
-// SizeBits implements index.Index: bitmap payloads + blocked tree structure,
-// whose node records are the members' directory (+ an older image's prefix
-// array and the metadata directory of a legacy image, legacyDirBits).
+// SizeBits implements index.Index: bitmap payloads + the exact directory
+// (exactDirBits) + an older image's prefix array.
 func (ox *Optimal) SizeBits() int64 {
-	var bits int64
-	for _, lv := range ox.levels {
-		for _, m := range lv.members {
-			bits += m.ext.Bits
-		}
+	return ox.BitmapBits() + ox.aExt.Bits + ox.exactDirBits()
+}
+
+// exactDirBits is the exact directory: the lengths and orders of the
+// directory stream (directory.go), or, on an image of revision 1 or before,
+// the blocked tree structure whose node records hold them, plus the metadata
+// directory of a legacy image (legacyDirBits).
+func (ox *Optimal) exactDirBits() int64 {
+	if ox.layout == nil {
+		s := planDirectory(ox.levels, nil, 0).space
+		return s.LengthBits + s.OrderBits
 	}
-	return bits + ox.aExt.Bits + ox.layout.sizeBits() + ox.legacyDirBits()
+	return ox.layout.sizeBits() + ox.legacyDirBits()
 }
 
 // legacyDirBits is the exact directory an image written before the node

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"slices"
 
+	"repro/internal/bitio"
 	"repro/internal/container"
 	"repro/internal/gamma"
 	"repro/internal/hashutil"
@@ -41,66 +42,76 @@ const maxRebuildCount = 1 << 40
 // written before maxJ followed the paper stored a level 5 (OpenApprox).
 const maxStoredJ = 5
 
-// EncodeMeta appends the static (Theorem 2+3) index's metadata to e. The
-// device image is serialised separately; the metadata references it by
-// extent offsets only. The exact directory is the node records of the tree
-// layout (layout.go) — the metadata holds their field widths and each
-// level's base — so its size depends on the levels and the hashed sets, not
-// on the members. A 0 where files written before stored the level count (at
-// least 1) marks the layout: those files decode through OpenApprox's legacy
-// branch, and a binary from before rejects a new file there. A 0 where files
-// written before stored the offset of the prefix array A (at least 1: the
-// exact levels preceded it) marks the image that holds no A, its tree layout
-// from block 0, and whose leaves carry their orders and hashed sets the
-// orders hashedOrder derives where those are shorter than gamma, each set's
-// cardWord saying where; an image opened from an older file keeps A's offset
-// there. Which hashed sets the directory lists is the payload's revision
-// (StaticRevision), which the container records beside it.
+// EncodeMeta appends the static (Theorem 2+3) index's metadata to e, as
+// payload revision StaticRevision. The device image is serialised
+// separately; the metadata references it by offsets or lengths only. The
+// revisions, which the container records beside the payload:
+//
+//	legacy  counts, the level count (at least 1), per level its depth,
+//	        member count, base and every member's length, A's offset, every
+//	        node's block and the block count, k and the hashed directory,
+//	        then the internal members' orders. The image: the exact levels,
+//	        A, then 128-bit node records nothing reads.
+//	0       counts, 0 where legacy files stored the level count, the node
+//	        records' length and order widths, the level count, per level its
+//	        depth, member count and base, A's offset (0 on an image without
+//	        A), k and the hashed directory, which lists every set. The node
+//	        records are the exact directory: the blocked tree layout
+//	        (layout.go) leads the image, after A where it has one.
+//	1       as 0, the hashed directory listing only the sets a query can
+//	        select (hashedReachable).
+//	2       counts, 0, 0 where revision 1 stored the length width (at least
+//	        1), k, then the directory stream (directory.go): its length in
+//	        bits and its bytes. The image holds the gap streams alone.
+//
+// Up to revision 1 the hashed directory is varints: per j that stores a set
+// at a level, the group's base, its stored sets' lengths, then their
+// cardWords. A binary from before a revision rejects its files at the
+// manifest, and the zeros make a payload of one revision fail under
+// another's reader. An image opened from a file of revision 1 or before is
+// not re-encoded.
 func (ax *Approx) EncodeMeta(e *container.Encoder) error {
-	tr, l := ax.tree, ax.layout
-	if l.lenBits == 0 {
-		return fmt.Errorf("core: an image with a legacy tree layout is not re-encoded")
+	if ax.layout != nil {
+		return fmt.Errorf("core: an image with a tree layout is not re-encoded")
 	}
+	if err := ax.checkPlaced(); err != nil {
+		return err
+	}
+	p := planDirectory(ax.levels, ax.hmaps, ax.k)
+	ax.encodeMeta(e, p.write(ax.levels, ax.hmaps))
+	return nil
+}
+
+// encodeMeta appends a revision-2 payload with the directory stream dir, and
+// no check that it places the streams where they lie.
+func (ax *Approx) encodeMeta(e *container.Encoder, dir *bitio.Writer) {
+	tr := ax.tree
 	for a := 0; a < tr.sigma; a++ {
 		e.U(uint64(tr.prefix[a+1] - tr.prefix[a]))
 	}
 	e.U(0)
-	e.U(uint64(l.lenBits))
-	e.U(uint64(l.kBits))
-	e.U(uint64(len(ax.levels)))
-	for _, lv := range ax.levels {
-		e.U(uint64(lv.depth))
-		e.U(uint64(len(lv.members)))
-		var base int64
-		if len(lv.members) > 0 {
-			base = lv.members[0].ext.Off
-		}
-		e.U(uint64(base))
-		off := base
-		for _, m := range lv.members {
-			// One AllocStream per level places members back to back; the
-			// decoder rebuilds offsets from the base and the records' lengths.
-			if m.ext.Off != off {
-				return fmt.Errorf("core: level %d members not contiguous at bit %d", lv.depth, off)
-			}
-			off += m.ext.Bits
-		}
-	}
-	e.U(uint64(ax.aExt.Off))
+	e.U(0)
 	e.U(uint64(ax.k))
-	return ax.encodeHashed(e)
+	e.U(uint64(dir.Len()))
+	e.Raw(dir.Bytes())
 }
 
-// encodeHashed appends the hashed directories of the ax.k hashed levels
-// queries select among (encodeHashedGroups).
-func (ax *Approx) encodeHashed(e *container.Encoder) error { return ax.encodeHashedGroups(e, ax.k) }
+// hashedVarintBits is what the metadata of a file of revision 1 or before
+// spends on the hashed directory of j = 1…groups: the bytes encodeHashedGroups
+// writes.
+func (ax *Approx) hashedVarintBits(groups int) int64 {
+	var e container.Encoder
+	_ = ax.encodeHashedGroups(&e, groups) // a break is the writer's error; the bytes are written regardless
+	return 8 * int64(len(e.Bytes()))
+}
 
-// encodeHashedGroups appends the hashed directories of j = 1…groups, level by
-// level: per j that stores a set, the group's base, its stored sets' lengths
-// and their cardWords. A set that is not stored takes no field: the reader
-// derives which those are (OpenApprox). Every field is written even past a
-// group whose sets are not contiguous, the first of which is the error, so
-// the bytes price the directory either way (hashedDirBits).
+// encodeHashedGroups appends the hashed directories of j = 1…groups as
+// revision 1 and before wrote them, level by level: per j that stores a set,
+// the group's base, its stored sets' lengths and their cardWords. A set that
+// is not stored takes no field: the reader derives which those are
+// (OpenApprox). Every field is written even past a group whose sets are not
+// contiguous, the first of which is the error, so the bytes price the
+// directory either way (hashedVarintBits).
 func (ax *Approx) encodeHashedGroups(e *container.Encoder, groups int) error {
 	var err error
 	for li := range ax.levels {
@@ -133,22 +144,24 @@ func (ax *Approx) encodeHashedGroups(e *container.Encoder, groups int) error {
 }
 
 // OpenApprox reconstitutes a static index from EncodeMeta's payload of the
-// given revision (StaticRevision or before), served from d (typically a
-// FileDisk over the image section). The tree, prefix array,
-// materialised-level assignment, member ranges, layout placement and hash
-// functions are all recomputed; the member lengths and orders are read from
-// the node records, in one pass over the layout blocks outside any query's
-// stats; only the widths, bases and hashed directories come from the
-// payload. From revision 1 on the hashed directory lists only the sets
-// hashedReachable keeps, and the others are recorded empty.
+// given revision (StaticRevision or before, see EncodeMeta), served from d
+// (typically a FileDisk over the image section). The tree, prefix array,
+// materialised-level assignment, member ranges and hash functions are all
+// recomputed. From revision 2 on the member lengths and orders and the
+// hashed directory are decoded from the payload's directory stream, and
+// every offset is the sum of the lengths before it, so open reads no image
+// block. Before, the member lengths and orders come from the node records,
+// in one pass over the layout blocks outside any query's stats (the
+// placement replayed, openLayout), and each level's and hashed group's base
+// from the payload. From revision 1 on the hashed directory lists only the
+// sets hashedReachable keeps, and the others are recorded empty.
 //
 // A file written before the records carried the directory (its level count
 // where the marker is) takes the legacy branch: the tree at legacyHeight,
 // the lengths inline in the level headers, each node's block stored after A
 // and the internal members' orders trailing the payload (absent, gamma). A
-// file with A's offset where newer files hold 0 (EncodeMeta) holds
-// gamma-coded leaves and hashed sets and its layout after A. Both are
-// revision 0.
+// file with A's offset where newer files hold 0 holds gamma-coded leaves and
+// hashed sets and its layout after A. Both are revision 0.
 func OpenApprox(d *iomodel.Disk, sigma, revision int, opts ApproxOptions, dec *container.Decoder) (*Approx, error) {
 	opts.OptimalOptions.fill()
 	if sigma < 1 || sigma > container.MaxSigma {
@@ -178,14 +191,20 @@ func OpenApprox(d *iomodel.Disk, sigma, revision int, opts ApproxOptions, dec *c
 		height = legacyHeight
 	} else {
 		lenBits = int(dec.UN(uint64(bits.Len64(uint64(tail)))))
+	}
+	flat := !legacy && lenBits == 0
+	if !legacy && !flat {
 		kBits = int(dec.UN(uint64(bits.Len(gamma.MaxOrder))))
 		nLevels = int(dec.UN(maxSkeletonDepth))
-		if dec.Err() == nil && lenBits == 0 {
-			return nil, fmt.Errorf("core: node records with no length field")
-		}
 	}
 	if err := dec.Err(); err != nil {
 		return nil, err
+	}
+	switch {
+	case flat && revision < 2:
+		return nil, fmt.Errorf("core: revision %d payload holds a directory stream", revision)
+	case !flat && revision >= 2:
+		return nil, fmt.Errorf("core: revision %d payload holds no directory stream", revision)
 	}
 	tr, err := treeFromCounts(counts, opts.Branching, height)
 	if err != nil {
@@ -197,75 +216,123 @@ func OpenApprox(d *iomodel.Disk, sigma, revision int, opts ApproxOptions, dec *c
 	depths := materialDepths(tr.Height, opts.Stride)
 	byLevel := make([][]*Node, len(depths))
 	eachMember(tr, depths, func(v *Node, li, _ int) { byLevel[li] = append(byLevel[li], v) })
-	if nLevels != len(depths) {
-		return nil, fmt.Errorf("core: level count %d, recomputed %d", nLevels, len(depths))
-	}
-	bases := make([]int64, len(depths))
+	minz := make([][]int64, len(depths))
 	for li, depth := range depths {
-		if got := int(dec.UN(uint64(maxSkeletonDepth))); got != depth {
-			return nil, fmt.Errorf("core: level %d depth %d, recomputed %d", li, got, depth)
-		}
-		if got := int(dec.UN(uint64(len(byLevel[li])))); got != len(byLevel[li]) {
-			return nil, fmt.Errorf("core: level %d member count %d, recomputed %d", li, got, len(byLevel[li]))
-		}
-		bases[li] = int64(dec.UN(uint64(tail)))
 		members := make([]member, len(byLevel[li]))
+		minz[li] = make([]int64, len(members))
 		for mi, v := range byLevel[li] {
 			members[mi] = member{start: v.Start, end: v.End, card: v.End - v.Start, internal: !v.IsLeaf()}
-			if legacy {
-				members[mi].ext.Bits = int64(dec.UN(uint64(tail)))
-			}
+			minz[li][mi] = minRows(tr.prefix, members[mi])
 		}
 		ox.levels = append(ox.levels, newMatLevel(depth, members))
+	}
+	ax := &Approx{Optimal: ox, seed: opts.Seed, k: maxJ(n)}
+	if flat {
+		stored, err := ax.openStored(dec)
+		if err != nil {
+			return nil, err
+		}
+		nbits := dec.UN(1 << 40) // Raw holds it to the payload
+		raw := dec.Raw((nbits + 7) / 8)
+		if err := dec.Err(); err != nil {
+			return nil, err
+		}
+		if err := ax.readDirectory(bitio.NewReader(raw, int(nbits)), minz, stored, tail); err != nil {
+			return nil, err
+		}
+	} else if err := ax.openRecords(dec, revision, legacy, nLevels, lenBits, kBits, minz); err != nil {
+		return nil, err
+	}
+	d.ResetStats()
+	return ax, nil
+}
+
+// openStored decodes how many hashed levels the payload stores, sets ax.k to
+// the levels queries select among and makes their hash functions. Files
+// written while maxJ rounded up store one level more than is useful. Its
+// directory is decoded and bounds-checked like the others and stays in hmaps
+// (SizeBits and SpaceLedger report what the file holds), but queries select
+// among the first ax.k levels only. An exact-only index (BuildExactOn)
+// stores none: k = 0.
+func (ax *Approx) openStored(dec *container.Decoder) (int, error) {
+	stored := int(dec.UN(maxStoredJ))
+	if err := dec.Err(); err != nil {
+		return 0, err
+	}
+	if stored > 0 && stored < ax.k {
+		return 0, fmt.Errorf("core: hash level count %d, below the %d useful levels", stored, ax.k)
+	}
+	ax.k = min(ax.k, stored)
+	rng := rand.New(rand.NewSource(ax.seed))
+	for j := 1; j <= ax.k; j++ {
+		ax.hs = append(ax.hs, hashutil.NewSplitXOR(rng, 1<<uint(j)))
+	}
+	return stored, nil
+}
+
+// openRecords decodes the rest of a payload of revision 1 or before, whose
+// exact directory is the image's node records (or, legacy, the payload's
+// level headers), and its varint hashed directory.
+func (ax *Approx) openRecords(dec *container.Decoder, revision int, legacy bool, nLevels, lenBits, kBits int, minz [][]int64) error {
+	ox, d, tr := ax.Optimal, ax.disk, ax.tree
+	tail := d.AllocatedBits()
+	if nLevels != len(ox.levels) {
+		return fmt.Errorf("core: level count %d, recomputed %d", nLevels, len(ox.levels))
+	}
+	bases := make([]int64, len(ox.levels))
+	for li := range ox.levels {
+		lv := &ox.levels[li]
+		if got := int(dec.UN(uint64(maxSkeletonDepth))); got != lv.depth {
+			return fmt.Errorf("core: level %d depth %d, recomputed %d", li, got, lv.depth)
+		}
+		if got := int(dec.UN(uint64(len(lv.members)))); got != len(lv.members) {
+			return fmt.Errorf("core: level %d member count %d, recomputed %d", li, got, len(lv.members))
+		}
+		bases[li] = int64(dec.UN(uint64(tail)))
+		for mi := range lv.members {
+			if legacy {
+				lv.members[mi].ext.Bits = int64(dec.UN(uint64(tail)))
+			}
+		}
 	}
 	aOff := int64(dec.UN(uint64(tail)))
 	revised := !legacy && aOff == 0
 	if !revised {
-		ox.aExt = iomodel.Extent{Off: aOff, Bits: int64(sigma+1) * 64}
+		ox.aExt = iomodel.Extent{Off: aOff, Bits: int64(tr.sigma+1) * 64}
 	}
 	if err := dec.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	if revision > 0 && !revised {
-		return nil, fmt.Errorf("core: revision %d payload in an older layout", revision)
+		return fmt.Errorf("core: revision %d payload in an older layout", revision)
 	}
 	if ox.aExt.End() > tail {
-		return nil, fmt.Errorf("core: prefix array extent exceeds image")
+		return fmt.Errorf("core: prefix array extent exceeds image")
 	}
+	var err error
 	if legacy {
 		ox.layout, err = openLegacyLayout(d, tr, dec)
 	} else {
-		err = ox.openLayout(depths, lenBits, kBits, revised)
+		err = ox.openLayout(materialDepths(tr.Height, ox.opts.Stride), lenBits, kBits, revised)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for li := range ox.levels {
 		off := bases[li]
 		for mi := range ox.levels[li].members {
 			m := &ox.levels[li].members[mi]
 			if off > tail-m.ext.Bits {
-				return nil, fmt.Errorf("core: level %d member extent [%d,+%d) exceeds image of %d bits", li, off, m.ext.Bits, tail)
+				return fmt.Errorf("core: level %d member extent [%d,+%d) exceeds image of %d bits", li, off, m.ext.Bits, tail)
 			}
 			m.ext.Off = off
 			off += m.ext.Bits
 		}
 	}
 
-	ax := &Approx{Optimal: ox, seed: opts.Seed, k: maxJ(n)}
-	// Files written while maxJ rounded up store one level more than is
-	// useful. Its directory is decoded and bounds-checked like the others and
-	// stays in hmaps (SizeBits and SpaceLedger report what the file holds),
-	// but queries select among the first ax.k levels only. An exact-only
-	// index (BuildExactOn) stores none: k = 0.
-	stored := int(dec.UN(maxStoredJ))
-	if dec.Err() == nil && stored > 0 && stored < ax.k {
-		return nil, fmt.Errorf("core: hash level count %d, below the %d useful levels", stored, ax.k)
-	}
-	ax.k = min(ax.k, stored)
-	rng := rand.New(rand.NewSource(opts.Seed))
-	for j := 1; j <= ax.k; j++ {
-		ax.hs = append(ax.hs, hashutil.NewSplitXOR(rng, 1<<uint(j)))
+	stored, err := ax.openStored(dec)
+	if err != nil {
+		return err
 	}
 	cardBound := uint64(container.MaxRows)
 	if revised {
@@ -273,11 +340,7 @@ func OpenApprox(d *iomodel.Disk, sigma, revision int, opts ApproxOptions, dec *c
 	}
 	for li := range ox.levels {
 		members := ox.levels[li].members
-		minz := make([]int64, len(members))
-		for i, m := range members {
-			minz[i] = minRows(tr.prefix, m)
-		}
-		listed := func(i, j int) bool { return revision == 0 || hashedReachable(minz[i], j+1) }
+		listed := func(i, j int) bool { return revision == 0 || hashedReachable(minz[li][i], j+1) }
 		hl := hashLevel{perJ: make([]hashArray, stored)}
 		for j := 0; j < stored; j++ {
 			arr := &hl.perJ[j]
@@ -295,7 +358,7 @@ func OpenApprox(d *iomodel.Disk, sigma, revision int, opts ApproxOptions, dec *c
 				}
 				bits := int64(dec.UN(uint64(tail)))
 				if off > tail-bits {
-					return nil, fmt.Errorf("core: hash extent exceeds image")
+					return fmt.Errorf("core: hash extent exceeds image")
 				}
 				arr.exts = append(arr.exts, iomodel.Extent{Off: off, Bits: bits})
 				off += bits
@@ -307,10 +370,10 @@ func OpenApprox(d *iomodel.Disk, sigma, revision int, opts ApproxOptions, dec *c
 				}
 				w := dec.UN(cardBound)
 				if err := dec.Err(); err != nil {
-					return nil, err
+					return err
 				}
 				if err := arr.setCard(w, revised, 1<<(j+1), m); err != nil {
-					return nil, err
+					return err
 				}
 			}
 		}
@@ -325,11 +388,7 @@ func OpenApprox(d *iomodel.Disk, sigma, revision int, opts ApproxOptions, dec *c
 			}
 		}
 	}
-	if err := dec.Err(); err != nil {
-		return nil, err
-	}
-	d.ResetStats()
-	return ax, nil
+	return dec.Err()
 }
 
 // openLegacyLayout decodes the layout of a file written before the records

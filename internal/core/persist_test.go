@@ -12,21 +12,45 @@ import (
 	"repro/internal/workload"
 )
 
-// reopen round-trips ax's metadata through EncodeMeta and OpenApprox over the
-// device it was built on.
+// reopen round-trips ax's metadata through OpenApprox over the device it was
+// built on: through EncodeMeta as StaticRevision, or as revision 1 when ax
+// has the tree layout (withLayout).
 func reopen(t *testing.T, d *iomodel.Disk, ax *Approx, opts ApproxOptions) (*Approx, error) {
-	return reopenAt(t, d, ax, opts, StaticRevision)
+	revision := StaticRevision
+	if ax.layout != nil {
+		revision = 1
+	}
+	return reopenAt(t, d, ax, opts, revision)
 }
 
 // reopenAt is reopen reading the payload as the given revision: 0 for an
-// index that stores every hashed set, as files written before did.
+// index that stores every hashed set, as files written before did. The
+// payload is encodeRecordsMeta's when ax has the tree layout.
 func reopenAt(t *testing.T, d *iomodel.Disk, ax *Approx, opts ApproxOptions, revision int) (*Approx, error) {
 	t.Helper()
 	var e container.Encoder
-	if err := ax.EncodeMeta(&e); err != nil {
+	if ax.layout != nil {
+		e.Raw(encodeRecordsMeta(t, ax))
+	} else if err := ax.EncodeMeta(&e); err != nil {
 		t.Fatal(err)
 	}
-	dec := container.NewDecoder(e.Bytes())
+	return openPayload(d, ax, opts, revision, e.Bytes())
+}
+
+// reopenUnchecked is reopen through the stream writer alone, for an index
+// whose hashed directory a test has changed: EncodeMeta would refuse it,
+// since its sets no longer lie where a reader places them.
+func reopenUnchecked(t *testing.T, d *iomodel.Disk, ax *Approx, opts ApproxOptions) (*Approx, error) {
+	p := planDirectory(ax.levels, ax.hmaps, ax.k)
+	var e container.Encoder
+	ax.encodeMeta(&e, p.write(ax.levels, ax.hmaps))
+	return openPayload(d, ax, opts, StaticRevision, e.Bytes())
+}
+
+// openPayload opens payload as ax's metadata of the given revision over d,
+// which must read it to its end.
+func openPayload(d *iomodel.Disk, ax *Approx, opts ApproxOptions, revision int, payload []byte) (*Approx, error) {
+	dec := container.NewDecoder(payload)
 	got, err := OpenApprox(d, ax.Sigma(), revision, opts, dec)
 	if err == nil {
 		err = dec.Finish()
@@ -50,6 +74,7 @@ func TestOpenApproxStoredLevels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ld, legacy = withLayout(t, legacy)
 		old, err := reopenAt(t, ld, legacy, opts, 0)
 		if err != nil {
 			t.Fatalf("n=%d: legacy metadata (k=%d stored): %v", n, legacy.k, err)
@@ -77,16 +102,25 @@ func TestOpenApproxStoredLevels(t *testing.T) {
 			l       SpaceLedger
 			encoded *Approx
 		}{{"reopened", old, ol, legacy}, {"fresh", fresh, fl, fresh}} {
-			var e container.Encoder
-			if err := c.encoded.encodeHashed(&e); err != nil {
-				t.Fatal(err)
+			// The reopened file's hashed directory is varints; the fresh
+			// build's directory is a stream, which the metadata holds whole.
+			var meta int64
+			if c.ax.layout != nil {
+				var e container.Encoder
+				if err := c.encoded.encodeHashedGroups(&e, c.encoded.k); err != nil {
+					t.Fatal(err)
+				}
+				meta = 8 * int64(len(e.Bytes()))
+			} else {
+				p := planDirectory(c.ax.levels, c.ax.hmaps, c.ax.k)
+				meta = int64(p.write(c.ax.levels, c.ax.hmaps).Len())
 			}
-			if meta := 8 * int64(len(e.Bytes())); c.l.DirBits != meta || c.ax.SizeBits() != c.l.ResidentBits()-c.l.PadBits+meta {
+			if c.l.DirBits != meta || c.ax.SizeBits() != c.l.ResidentBits()-c.l.PadBits+meta {
 				t.Fatalf("n=%d %s: ledger charges a %d-bit hashed directory, SizeBits %d; the metadata spends %d bits on it",
 					n, c.name, c.l.DirBits, c.ax.SizeBits(), meta)
 			}
 		}
-		surplus := ol.ImageBits - el.ImageBits // what a build after the cap no longer lays down
+		surplus := ol.ImageBits - ol.LayoutBits - el.ImageBits // what a build after the cap no longer lays down, past the older file's layout
 		for li, lv := range ol.Levels {
 			if len(lv.HashedBits) != legacy.k || !slices.Equal(lv.HashedBits[:fresh.K()], el.Levels[li].HashedBits) {
 				t.Fatalf("n=%d depth %d: hashed ledger %v, every set after the cap %v", n, lv.Depth, lv.HashedBits, el.Levels[li].HashedBits)
@@ -129,8 +163,8 @@ func TestOpenApproxStoredLevels(t *testing.T) {
 	if _, err := reopen(t, d, ax, opts); err != nil {
 		t.Fatalf("round trip: %v", err)
 	}
-	ax.k-- // EncodeMeta writes k and the first k groups
-	if _, err := reopen(t, d, ax, opts); err == nil {
+	ax.k-- // the payload holds k and the first k groups
+	if _, err := reopenUnchecked(t, d, ax, opts); err == nil {
 		t.Fatalf("stored k = %d below the useful %d accepted", ax.k, ax.k+1)
 	}
 	ax.k = maxStoredJ + 1
@@ -139,7 +173,7 @@ func TestOpenApproxStoredLevels(t *testing.T) {
 			ax.hmaps[li].perJ = append(ax.hmaps[li].perJ, ax.hmaps[li].perJ[0])
 		}
 	}
-	if _, err := reopen(t, d, ax, opts); err == nil {
+	if _, err := reopenUnchecked(t, d, ax, opts); err == nil {
 		t.Fatalf("stored k = %d accepted", ax.k)
 	}
 }
@@ -188,7 +222,7 @@ func encodeLegacyMeta(t *testing.T, ax *Approx, orders bool) []byte {
 		}
 		gammaSets.hmaps = append(gammaSets.hmaps, hashLevel{perJ: perJ})
 	}
-	if err := gammaSets.encodeHashed(&e); err != nil {
+	if err := gammaSets.encodeHashedGroups(&e, ax.k); err != nil {
 		t.Fatal(err)
 	}
 	for _, lv := range ax.levels {
@@ -217,6 +251,7 @@ func TestOpenApproxMemberOrders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	d, ax = withLayout(t, ax)
 	var want, leaves []uint8
 	for _, lv := range ax.levels {
 		for _, m := range lv.members {

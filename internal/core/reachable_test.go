@@ -120,7 +120,7 @@ func sameApproxAnswer(got, want *Result) error {
 // which sets it lists, so a payload whose directory lists one set the rule
 // omits, or omits one it keeps, must fail to open rather than be read from
 // shifted fields; so must a payload that omits sets read as revision 0,
-// which lists every set, and one that stores every set read as revision 1.
+// which lists every set, and one that stores every set read as revision 2.
 func TestHashedDirectoryFollowsRule(t *testing.T) {
 	opts := ApproxOptions{Seed: 42}
 	col := workload.Zipf(20000, 64, 1.0, 9)
@@ -156,8 +156,8 @@ func TestHashedDirectoryFollowsRule(t *testing.T) {
 	arr, i := find(ax, func(arr *hashArray, _ int) bool {
 		return !slices.ContainsFunc(arr.cards, func(c int64) bool { return c > 0 })
 	})
-	arr.cards[i] = 1
-	if _, err := reopen(t, d, ax, opts); err == nil {
+	arr.exts[i].Bits, arr.cards[i] = 1, 1
+	if _, err := reopenUnchecked(t, d, ax, opts); err == nil {
 		t.Fatal("a directory listing a set the rule omits opened")
 	}
 
@@ -167,11 +167,12 @@ func TestHashedDirectoryFollowsRule(t *testing.T) {
 		return arr.stored(i) && !slices.ContainsFunc(arr.cards[i+1:], func(c int64) bool { return c > 0 })
 	})
 	arr.exts[i], arr.cards[i], arr.orders[i] = iomodel.Extent{}, 0, 0
-	if _, err := reopen(t, d, ax, opts); err == nil {
+	if _, err := reopenUnchecked(t, d, ax, opts); err == nil {
 		t.Fatal("a directory omitting a set the rule keeps opened")
 	}
 
-	d, ax = build()
+	_, ax = build()
+	d, ax = withLayout(t, ax) // a payload of revision 1, which omits sets
 	if _, err := reopenAt(t, d, ax, opts, 0); err == nil {
 		t.Fatal("a payload omitting sets opened as revision 0")
 	}
@@ -183,6 +184,7 @@ func TestHashedDirectoryFollowsRule(t *testing.T) {
 	if _, err := reopen(t, d, every, opts); err == nil {
 		t.Fatal("a payload listing every set opened as revision 1")
 	}
+	d, every = withLayout(t, every)
 	if _, err := reopenAt(t, d, every, opts, 0); err != nil {
 		t.Fatalf("every set, revision 0: %v", err)
 	}

@@ -17,7 +17,7 @@ func rdBits(t *testing.T, tc *Touch, pos int64, n int) uint64 {
 	return v
 }
 
-func TestFaultDiskFailedWriteHealsOnRetry(t *testing.T) {
+func TestDiskFaultFailedWriteHealsOnRetry(t *testing.T) {
 	fd := faultyDisk(Config{BlockBits: 512}, FaultConfig{Seed: 3, FailedWritePer10k: 10000})
 	fd.ArmFaults()
 	id := fd.AllocBlock()
@@ -51,10 +51,10 @@ func TestFaultDiskFailedWriteHealsOnRetry(t *testing.T) {
 	}
 }
 
-// TestFaultDiskShortWriteTornPrefix: a short write on a multi-block stream
+// TestDiskFaultShortWriteTornPrefix: a short write on a multi-block stream
 // persists a prefix ending exactly at the faulty block's boundary — torn,
 // never rolled back, never reordered.
-func TestFaultDiskShortWriteTornPrefix(t *testing.T) {
+func TestDiskFaultShortWriteTornPrefix(t *testing.T) {
 	const bb = 512
 	fd := faultyDisk(Config{BlockBits: bb}, FaultConfig{Seed: 5, ShortWritePer10k: 10000})
 	const nblocks = 4
@@ -131,9 +131,9 @@ func TestFaultDiskShortWriteTornPrefix(t *testing.T) {
 	}
 }
 
-// TestFaultDiskWriteFateOrder: a block scheduled for both fates fails
+// TestDiskFaultWriteFateOrder: a block scheduled for both fates fails
 // first, then shorts, then heals.
-func TestFaultDiskWriteFateOrder(t *testing.T) {
+func TestDiskFaultWriteFateOrder(t *testing.T) {
 	fd := faultyDisk(Config{BlockBits: 512},
 		FaultConfig{Seed: 8, FailedWritePer10k: 10000, ShortWritePer10k: 10000})
 	fd.ArmFaults()

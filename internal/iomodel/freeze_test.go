@@ -184,7 +184,7 @@ func TestFreezeConcurrentReaders(t *testing.T) {
 // A Freeze view shares the live schedule: arming faults affects
 // reads through the view, so snapshot reads draw the same deterministic
 // fates as live ones.
-func TestFaultDiskFreezeView(t *testing.T) {
+func TestDiskFaultFreezeView(t *testing.T) {
 	fd := faultyDisk(Config{BlockBits: 256}, FaultConfig{Seed: 42, TransientPer10k: 10000, TransientCount: 1 << 30})
 	w := bitio.NewWriter(0)
 	w.WriteBits(0xFEED, 64)

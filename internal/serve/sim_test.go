@@ -28,13 +28,18 @@ func simColumn(n, sigma int, seed int64) []uint32 {
 // simPair builds a fault-free oracle index and a fault-injected twin over
 // the same column.
 func simPair(t *testing.T, n, sigma, shards int, fc iomodel.FaultConfig) (ref, chaos *shard.Index) {
+	return simPairAt(t, n, sigma, shards, 0, fc)
+}
+
+// simPairAt is simPair at shards of blockBits-bit blocks (0: the default).
+func simPairAt(t *testing.T, n, sigma, shards, blockBits int, fc iomodel.FaultConfig) (ref, chaos *shard.Index) {
 	t.Helper()
 	data := simColumn(n, sigma, 41)
-	ref, err := shard.Build(data, sigma, shard.Options{Shards: shards})
+	ref, err := shard.Build(data, sigma, shard.Options{Shards: shards, BlockBits: blockBits})
 	if err != nil {
 		t.Fatal(err)
 	}
-	chaos, err = shard.Build(data, sigma, shard.Options{Shards: shards, Faults: &fc})
+	chaos, err = shard.Build(data, sigma, shard.Options{Shards: shards, BlockBits: blockBits, Faults: &fc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +114,10 @@ func TestSimulateDeterministicSheds(t *testing.T) {
 // the queue stays bounded, service continues — and every admitted answer is
 // bit-identical to a fault-free oracle.
 func TestSimulateOverloadOracle(t *testing.T) {
-	ref, chaos := simPair(t, 6000, 64, 4, iomodel.FaultConfig{Seed: 7, TransientPer10k: 3000, TransientCount: 4})
+	// At 4 096-bit blocks a shard of 1 500 rows spans about seven blocks, each
+	// with its own fault draw; at the default 32 768 its image is one block,
+	// and whether the window touches a faulty block rests on four draws.
+	ref, chaos := simPairAt(t, 6000, 64, 4, 4096, iomodel.FaultConfig{Seed: 7, TransientPer10k: 3000, TransientCount: 4})
 	cfg := Config{MaxQueue: 64, MaxBatch: 8, MaxWait: 300 * time.Microsecond, Workers: 2,
 		AllowPartial: true,
 		Retry:        shard.RetryPolicy{MaxAttempts: 5, Backoff: time.Microsecond, JitterSeed: 3},
