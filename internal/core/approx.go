@@ -167,14 +167,19 @@ func (ax *Approx) SizeBits() int64 {
 // included (OpenApprox): its share of the directory stream, or the varints
 // of a file of revision 1 or before.
 func (ax *Approx) hashedDirBits() int64 {
+	if ax.layout != nil {
+		return ax.hashedVarintBits(ax.storedLevels())
+	}
+	return planDirectory(ax.levels, ax.hmaps, ax.storedLevels()).space.HashedBits
+}
+
+// storedLevels returns how many hashed levels the handle holds: k, or one
+// more on a file written while maxJ rounded up.
+func (ax *Approx) storedLevels() int {
 	if len(ax.hmaps) == 0 {
 		return 0
 	}
-	groups := len(ax.hmaps[0].perJ)
-	if ax.layout != nil {
-		return ax.hashedVarintBits(groups)
-	}
-	return planDirectory(ax.levels, ax.hmaps, groups).space.HashedBits
+	return len(ax.hmaps[0].perJ)
 }
 
 // Result is the answer to an approximate range query: either an exact

@@ -89,11 +89,7 @@ func (ax *Approx) SpaceLedger() SpaceLedger {
 		l.NodesPerBlock = perBlock(ax.disk, l.RecordBits)
 		l.DirBits = ax.legacyDirBits() + ax.hashedDirBits()
 	} else {
-		groups := 0
-		if len(ax.hmaps) > 0 {
-			groups = len(ax.hmaps[0].perJ)
-		}
-		l.Directory = planDirectory(ax.levels, ax.hmaps, groups).space
+		l.Directory = planDirectory(ax.levels, ax.hmaps, ax.storedLevels()).space
 		l.DirBits = l.Directory.Total()
 	}
 	for li, lv := range ax.levels {

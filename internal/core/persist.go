@@ -97,11 +97,11 @@ func (ax *Approx) encodeMeta(e *container.Encoder, dir *bitio.Writer) {
 }
 
 // hashedVarintBits is what the metadata of a file of revision 1 or before
-// spends on the hashed directory of j = 1…groups: the bytes encodeHashedGroups
-// writes.
+// spends on the hashed directory of j = 1…groups: the bytes
+// encodeHashedGroups writes.
 func (ax *Approx) hashedVarintBits(groups int) int64 {
 	var e container.Encoder
-	_ = ax.encodeHashedGroups(&e, groups) // a break is the writer's error; the bytes are written regardless
+	ax.encodeHashedGroups(&e, groups)
 	return 8 * int64(len(e.Bytes()))
 }
 
@@ -109,11 +109,8 @@ func (ax *Approx) hashedVarintBits(groups int) int64 {
 // revision 1 and before wrote them, level by level: per j that stores a set,
 // the group's base, its stored sets' lengths and their cardWords. A set that
 // is not stored takes no field: the reader derives which those are
-// (OpenApprox). Every field is written even past a group whose sets are not
-// contiguous, the first of which is the error, so the bytes price the
-// directory either way (hashedVarintBits).
-func (ax *Approx) encodeHashedGroups(e *container.Encoder, groups int) error {
-	var err error
+// (OpenApprox).
+func (ax *Approx) encodeHashedGroups(e *container.Encoder, groups int) {
 	for li := range ax.levels {
 		for j := range groups {
 			arr := &ax.hmaps[li].perJ[j]
@@ -121,17 +118,11 @@ func (ax *Approx) encodeHashedGroups(e *container.Encoder, groups int) error {
 			if first < 0 {
 				continue
 			}
-			off := arr.exts[first].Off
-			e.U(uint64(off))
+			e.U(uint64(arr.exts[first].Off))
 			for i, ext := range arr.exts {
-				if !arr.stored(i) {
-					continue
+				if arr.stored(i) {
+					e.U(uint64(ext.Bits))
 				}
-				if ext.Off != off && err == nil {
-					err = fmt.Errorf("core: hash group (level %d, j=%d) not contiguous at bit %d", li, j+1, off)
-				}
-				e.U(uint64(ext.Bits))
-				off += ext.Bits
 			}
 			for i := range arr.cards {
 				if arr.stored(i) {
@@ -140,7 +131,6 @@ func (ax *Approx) encodeHashedGroups(e *container.Encoder, groups int) error {
 			}
 		}
 	}
-	return err
 }
 
 // OpenApprox reconstitutes a static index from EncodeMeta's payload of the

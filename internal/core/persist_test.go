@@ -107,9 +107,7 @@ func TestOpenApproxStoredLevels(t *testing.T) {
 			var meta int64
 			if c.ax.layout != nil {
 				var e container.Encoder
-				if err := c.encoded.encodeHashedGroups(&e, c.encoded.k); err != nil {
-					t.Fatal(err)
-				}
+				c.encoded.encodeHashedGroups(&e, c.encoded.k)
 				meta = 8 * int64(len(e.Bytes()))
 			} else {
 				p := planDirectory(c.ax.levels, c.ax.hmaps, c.ax.k)
@@ -222,9 +220,7 @@ func encodeLegacyMeta(t *testing.T, ax *Approx, orders bool) []byte {
 		}
 		gammaSets.hmaps = append(gammaSets.hmaps, hashLevel{perJ: perJ})
 	}
-	if err := gammaSets.encodeHashedGroups(&e, ax.k); err != nil {
-		t.Fatal(err)
-	}
+	gammaSets.encodeHashedGroups(&e, ax.k)
 	for _, lv := range ax.levels {
 		for _, m := range lv.members {
 			if orders && m.internal {
