@@ -19,7 +19,8 @@ import (
 // boundary and sums the answer's exact length; pass 2 writes the re-based
 // head codes and funnel-copies the tails into a buffer of that length. The
 // answer is coded at the order of most input bits behind the heads, the
-// first such on a tie, so the fewest bits are re-encoded and a one-member
+// first such on a tie, so the fewest bits are re-encoded (once, in pass 1,
+// into pooled scratch that pass 2 copies like a tail) and a one-member
 // answer keeps its member's bits; it records no skip samples, which Contains
 // and Rank build on first use (ensureSamples), as after any verbatim drain.
 

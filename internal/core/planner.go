@@ -19,8 +19,9 @@
 //
 // Planning reads nothing. The paper's query bound assumes that internal
 // memory holds (|Σ| lg n)^δ blocks, enough for the prefix counts A and the
-// tree (at point-pread's scale A is 2 blocks and the tree layout 15), and
-// every static handle keeps both in memory from its build or open: z and the
+// tree with its member directory, and every static handle keeps them in
+// memory from its build or open (the directory from the metadata, or from a
+// file of revision 1 or before from its tree layout's blocks): z and the
 // cover come from there, so a query's block reads are exactly the member
 // extents it decodes.
 //

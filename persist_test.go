@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/iomodel"
+	"repro/internal/workload"
 )
 
 // countingReaderAt wraps the index file and records every positional read
@@ -95,9 +96,9 @@ func TestPersistReadDifferentialStatic(t *testing.T) {
 	if ix.Len() != twin.Len() || ix.Sigma() != twin.Sigma() {
 		t.Fatalf("reopened %d/%d, want %d/%d", ix.Len(), ix.Sigma(), twin.Len(), twin.Sigma())
 	}
-	// Opening reads the structure blocks once, for the member directory their
-	// node records hold, outside any query's stats; the queries' reads are
-	// counted from here.
+	// Opening reads no image block: the member directory is in the metadata
+	// (a file of revision 1 or before has its structure blocks read once,
+	// outside any query's stats). The queries' reads are counted from here.
 	if opened, layout := cnt.reset(), ix.SpaceLedger().LayoutBits/int64(opts.BlockBits); opened != layout {
 		t.Fatalf("opening issued %d positional reads, the tree layout has %d blocks", opened, layout)
 	}
@@ -707,4 +708,48 @@ func BenchmarkFileDiskQuery(b *testing.B) {
 		defer op.Close()
 		run(b, op.Static)
 	})
+}
+
+// BenchmarkOpenFile times OpenFile and Close of a static container over a
+// point-pread-shaped column (2^19 zipf-1 rows, σ 1024) and of a sharded one
+// over a scan-wide-shaped column (2^20 rows in 4 shards), each written once
+// at the default block size: what an open reads and decodes besides the
+// counts and the tree, the member directory.
+func BenchmarkOpenFile(b *testing.B) {
+	const sigma = 1024
+	for _, tc := range []struct {
+		name  string
+		n     int
+		write func(data []uint32, path string) error
+	}{
+		{"static", 1 << 19, func(data []uint32, path string) error {
+			ix, err := Build(data, sigma, Options{})
+			if err != nil {
+				return err
+			}
+			return ix.WriteFile(path)
+		}},
+		{"sharded", 1 << 20, func(data []uint32, path string) error {
+			ix, err := BuildSharded(data, sigma, ShardOptions{Shards: 4})
+			if err != nil {
+				return err
+			}
+			return ix.WriteFile(path)
+		}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			path := filepath.Join(b.TempDir(), "open.secidx")
+			if err := tc.write(workload.Zipf(tc.n, sigma, 1.0, 63).X, path); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for range b.N {
+				op, err := OpenFile(path, OpenOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				op.Close()
+			}
+		})
+	}
 }
