@@ -9,9 +9,9 @@
 # revision 2, the stream's exact lengths, orders and hashed directory, in
 # bits per row. With BASE=<commit> the same shapes are written and inspected
 # by a `git archive` copy of BASE, whose files carry the tree layout.
-# Then the open time (BenchmarkOpenFile, a static point-pread-shaped and a
-# sharded scan-wide-shaped container) in alternating pairs against BASE
-# (scripts/ab.sh --bench), when BASE is set.
+# Then the open time (BenchmarkOpenFile in openbench_test.go, a static
+# point-pread-shaped and a sharded scan-wide-shaped container) in six
+# alternating runs of each side's test binary, when BASE is set.
 #
 # Usage: hypotheses/flat-directory/run.sh [outdir]   (default: a fresh temp dir)
 #   BASE=<commit> adds the base side;
@@ -56,13 +56,39 @@ if [ -n "${BASE:-}" ]; then
 	git archive "$BASE" | tar -x -C "$OUT/base"
 	(cd "$OUT/base" && go build -o "$OUT/secidx-base" ./cmd/secidx)
 fi
-echo "Bits per row by shape (summed over shards; the file's figure includes framing):"
+echo "Bits per row by shape, over all rows (the file's figure includes framing):"
 [ -n "${BASE:-}" ] && ledger base "$OUT/secidx-base"
 ledger change "$OUT/secidx-change"
 
-# --- Open time, and the end-to-end pairs. ---
+# --- Open time: alternating runs of BenchmarkOpenFile, the base's test
+# binary built with openbench_test.go copied in (its own tests use names this
+# tree changed). ---
 if [ -n "${BASE:-}" ]; then
-	scripts/ab.sh --bench 'BenchmarkOpenFile' "$BASE" 6 1s | tee "$OUT/open.txt"
+	cp openbench_test.go "$OUT/base/"
+	(cd "$OUT/base" && go test -c -o "$OUT/open-base.test" .)
+	go test -c -o "$OUT/open-change.test" .
+	: >"$OUT/open.txt"
+	for i in 1 2 3 4 5 6; do
+		order="base change"
+		[ $((i % 2)) -eq 0 ] && order="change base"
+		for side in $order; do
+			dir=.
+			[ "$side" = base ] && dir="$OUT/base"
+			(cd "$dir" && "$OUT/open-$side.test" -test.run '^$' -test.bench 'BenchmarkOpenFile' -test.benchtime 20x -test.timeout 10m) |
+				sed -n "s/^BenchmarkOpenFile\/\([a-z]*\)-[0-9]* .* \([0-9.]*\) ns\/op.*/$side \1 \2/p" >>"$OUT/open.txt"
+		done
+	done
+	python3 - "$OUT/open.txt" <<'PY'
+import statistics, sys
+runs = {}
+for line in open(sys.argv[1]):
+    side, shape, ns = line.split()
+    runs.setdefault((shape, side), []).append(float(ns) / 1e6)
+print('OpenFile+Close ms, median of 6 (base, change):')
+for shape in ('static', 'sharded'):
+    b, c = statistics.median(runs[(shape, 'base')]), statistics.median(runs[(shape, 'change')])
+    print(f'  {shape:8} {b:8.2f} {c:8.2f}  {100 * (c / b - 1):+6.1f} %')
+PY
 	if [ "$PAIRS" -gt 0 ]; then
 		scripts/ab.sh "$BASE" all "$PAIRS" 20 | tee "$OUT/pairs.txt"
 	fi
