@@ -238,13 +238,13 @@ func TestFormatGoldens(t *testing.T) {
 // at 9 180 bytes (0xad93e0257dc506d8 before); TestReadCompatPR46 opens a file
 // written the old way. Both moved again at revision 2, when the image dropped
 // the blocked tree layout and the metadata took the member directory as one
-// gap-coded stream: the static file from 11 245 to 10 477 bytes
-// (0xf2cd1f3cd889e725 before), the sharded one from 9 180 to 7 900
+// gap-coded stream: the static file from 11 245 to 10 221 bytes
+// (0xf2cd1f3cd889e725 before), the sharded one from 9 180 to 7 644
 // (0xfa2a69ca16ad1e26 before); TestReadCompatPR50 opens files written the
 // old way.
 const (
-	goldenStatic  = 0xfa427a24e8d3028c
-	goldenSharded = 0xf2b0be18ff954f96
+	goldenStatic  = 0xdf039ba5c9089ce2
+	goldenSharded = 0xf27f5d7c5e1576df
 	goldenAppend  = 0x1ef60908cb06349d
 	goldenDynamic = 0x9527613b21cf3c92
 )

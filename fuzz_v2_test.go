@@ -131,7 +131,7 @@ func corruptDirectories(tb testing.TB, ix *Index) map[string][]byte {
 			return nbits + 8, s
 		}),
 		"order 63": directoryContainer(tb, ix, func(nbits uint64, s []byte) (uint64, []byte) {
-			s[0] |= 0xfc // the first level's length order: the stream's first six bits
+			s[0] |= 0xfc // the first level's first member order: the stream's first six bits
 			return nbits, s
 		}),
 		"flipped bit": directoryContainer(tb, ix, func(nbits uint64, s []byte) (uint64, []byte) {

@@ -29,11 +29,11 @@ func TestTheoremConformance(t *testing.T) {
 		blockBits = 2048
 		queryPin  = 3.24 // measured 3.186; 3.564 while leaves were gamma-coded, 4.173 while every member was
 		blocksPin = 3.12 // measured 3.070; 3.113 while leaves were gamma-coded, 3.888 while planning read A and the structure blocks
-		spacePin  = 2.07 // measured 2.020; 2.233 while the image held the blocked tree layout, 2.760 while leaves were gamma-coded and the image held A, 9.642 with 128-bit node records and a nominal 128-bit directory entry per member, 9.827 before that while every member was gamma-coded
+		spacePin  = 2.03 // measured 1.972; 2.233 while the image held the blocked tree layout, 2.760 while leaves were gamma-coded and the image held A, 9.642 with 128-bit node records and a nominal 128-bit directory entry per member, 9.827 before that while every member was gamma-coded
 		approxPin = 4.96 // measured 4.909; 7.409 while leaves and hashed sets were gamma-coded
 		// approxSpacePin is the approximate kind's whole SizeBits, hashed sets
 		// and their directory included, over the same space bound.
-		approxSpacePin = 2.88 // measured 2.827; 3.184 while the image held the blocked tree layout and the hashed directory was varints, 4.149 while every hashed set was stored, reachable by a query or not
+		approxSpacePin = 2.79 // measured 2.737; 3.184 while the image held the blocked tree layout and the hashed directory was varints, 4.149 while every hashed set was stored, reachable by a query or not
 	)
 	var maxQuery, maxBlocks, maxSpace, maxApprox, maxApproxSpace float64
 	for _, n := range []int{1 << 12, 1 << 13, 1 << 14} {

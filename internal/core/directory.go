@@ -13,17 +13,19 @@ import (
 // streams alone: the exact levels from bit 0, level after level with members
 // in record order, then each level's stored hashed sets grouped by j ("we
 // group the sets according to what hash function was used"). Every offset is
-// the sum of the lengths before it, so the stream stores lengths only. Level
-// by level it holds:
+// the sum of the lengths before it, so the stream stores lengths only, and
+// each as its excess over the k+1 bits every one of its card codes of order
+// k takes at least: the reader knows a member's card from the tree, and a
+// set's from its cardWord. Level by level the stream holds:
 //
-//   - the order of the level's member lengths (orderBits), then each
-//     member's length in that exp-Golomb order;
-//   - the members' own orders as runs: an order (orderBits), then the gamma
-//     code of how many adjacent members take it;
+//   - the members' orders as runs: an order (orderBits), then the gamma code
+//     of how many adjacent members take it;
+//   - the order of the level's length excesses (orderBits), then each
+//     member's in that exp-Golomb order;
 //   - for each j that lists a set at the level, the orders of the sets'
-//     lengths and of their cardWords, then each listed set's length and
-//     cardWord. The listed sets are those hashedReachable keeps, which the
-//     reader derives.
+//     length excesses and of their cardWords, then each listed set's
+//     cardWord and length excess. The listed sets are those hashedReachable
+//     keeps, which the reader derives.
 //
 // Each order is the one gamma.Costs finds shortest for the values it codes.
 // Revisions 0 and 1 kept the lengths and orders in the blocked tree layout
@@ -64,6 +66,11 @@ type orderRun struct {
 	n uint64
 }
 
+// excess is the value the directory codes for a gap stream of bits bits
+// holding card codes of order k: its bits beyond the k+1 each code takes at
+// least, plus one.
+func excess(bits, card int64, k uint8) uint64 { return uint64(bits-card*int64(k+1)) + 1 }
+
 // planDirectory prices the directory of levels and the first groups hashed
 // levels of hmaps (none for the exact directory alone).
 func planDirectory(levels []matLevel, hmaps []hashLevel, groups int) dirPlan {
@@ -72,7 +79,7 @@ func planDirectory(levels []matLevel, hmaps []hashLevel, groups int) dirPlan {
 		lc := &p.levels[li]
 		var c gamma.Costs
 		for i, m := range lv.members {
-			c.Add(uint64(m.ext.Bits))
+			c.Add(excess(m.ext.Bits, m.card, m.k))
 			if i == 0 || m.k != lv.members[i-1].k {
 				lc.runs = append(lc.runs, orderRun{k: m.k})
 			}
@@ -91,7 +98,7 @@ func planDirectory(levels []matLevel, hmaps []hashLevel, groups int) dirPlan {
 			listed := false
 			for i := range arr.cards {
 				if arr.stored(i) {
-					lens.Add(uint64(arr.exts[i].Bits))
+					lens.Add(excess(arr.exts[i].Bits, arr.cards[i], arr.orders[i]))
 					cards.Add(arr.cardWord(i))
 					listed = true
 				}
@@ -113,13 +120,13 @@ func (p *dirPlan) write(levels []matLevel, hmaps []hashLevel) *bitio.Writer {
 	w := bitio.NewWriter(int(p.space.Total()))
 	for li, lv := range levels {
 		lc := &p.levels[li]
-		w.WriteBits(uint64(lc.lenK), orderBits)
-		for _, m := range lv.members {
-			gamma.WriteK(w, uint64(m.ext.Bits), lc.lenK)
-		}
 		for _, r := range lc.runs {
 			w.WriteBits(uint64(r.k), orderBits)
 			gamma.Write(w, r.n)
+		}
+		w.WriteBits(uint64(lc.lenK), orderBits)
+		for _, m := range lv.members {
+			gamma.WriteK(w, excess(m.ext.Bits, m.card, m.k), lc.lenK)
 		}
 		for j, ks := range lc.sets {
 			if ks == nil {
@@ -130,8 +137,8 @@ func (p *dirPlan) write(levels []matLevel, hmaps []hashLevel) *bitio.Writer {
 			arr := &hmaps[li].perJ[j]
 			for i := range arr.cards {
 				if arr.stored(i) {
-					gamma.WriteK(w, uint64(arr.exts[i].Bits), ks[0])
 					gamma.WriteK(w, arr.cardWord(i), ks[1])
+					gamma.WriteK(w, excess(arr.exts[i].Bits, arr.cards[i], arr.orders[i]), ks[0])
 				}
 			}
 		}
@@ -147,7 +154,7 @@ func (ax *Approx) checkPlaced() error {
 	var off int64
 	for _, lv := range ax.levels {
 		for _, m := range lv.members {
-			if m.ext.Off != off || m.ext.Bits < 1 {
+			if m.ext.Off != off || m.ext.Bits < m.card*int64(m.k+1) {
 				return fmt.Errorf("core: level %d member %+v not at bit %d", lv.depth, m.ext, off)
 			}
 			off += m.ext.Bits
@@ -156,7 +163,7 @@ func (ax *Approx) checkPlaced() error {
 	for li, hl := range ax.hmaps {
 		for j, arr := range hl.perJ[:ax.k] {
 			for i, ext := range arr.exts {
-				if arr.stored(i) && (ext.Off != off || ext.Bits < 1) {
+				if arr.stored(i) && (ext.Off != off || ext.Bits < arr.cards[i]*int64(arr.orders[i]+1)) {
 					return fmt.Errorf("core: hashed set (level %d, j=%d) %+v not at bit %d", li, j+1, ext, off)
 				}
 				off += ext.Bits
@@ -176,16 +183,20 @@ func (ax *Approx) checkPlaced() error {
 // bits, which they must fill, and reads r to its end.
 func (ax *Approx) readDirectory(r *bitio.Reader, minz [][]int64, stored int, tail int64) error {
 	var used, exactEnd int64 // image bits the lengths read cover; the exact levels' share
-	length := func(k uint) (int64, error) {
-		v, err := gamma.ReadK(r, k)
+	// length decodes the length of a stream of card codes of order k, its
+	// excess coded at order lenK.
+	length := func(lenK uint, card int64, k uint8) (int64, error) {
+		v, err := gamma.ReadK(r, lenK)
 		if err != nil {
 			return 0, err
 		}
-		if v > uint64(tail-used) {
+		least := card * int64(k+1)
+		if v-1 > uint64(tail-used) || least > tail-used-int64(v-1) {
 			return 0, fmt.Errorf("core: directory lengths sum past the %d-bit image", tail)
 		}
-		used += int64(v)
-		return int64(v), nil
+		bits := int64(v-1) + least
+		used += bits
+		return bits, nil
 	}
 	order := func() (uint, error) {
 		k, err := r.ReadBits(orderBits)
@@ -196,18 +207,6 @@ func (ax *Approx) readDirectory(r *bitio.Reader, minz [][]int64, stored int, tai
 	}
 	for li := range ax.levels {
 		members := ax.levels[li].members
-		lenK, err := order()
-		if err != nil {
-			return err
-		}
-		for mi := range members {
-			m := &members[mi]
-			if m.ext.Bits, err = length(lenK); err != nil {
-				return err
-			}
-			m.ext.Off = exactEnd
-			exactEnd += m.ext.Bits
-		}
 		for mi := 0; mi < len(members); {
 			k, err := order()
 			if err != nil {
@@ -223,6 +222,18 @@ func (ax *Approx) readDirectory(r *bitio.Reader, minz [][]int64, stored int, tai
 			for end := mi + int(n); mi < end; mi++ {
 				members[mi].k = uint8(k)
 			}
+		}
+		lenK, err := order()
+		if err != nil {
+			return err
+		}
+		for mi := range members {
+			m := &members[mi]
+			if m.ext.Bits, err = length(lenK, m.card, m.k); err != nil {
+				return err
+			}
+			m.ext.Off = exactEnd
+			exactEnd += m.ext.Bits
 		}
 		hl := hashLevel{perJ: make([]hashArray, stored)}
 		for j := range hl.perJ {
@@ -243,18 +254,18 @@ func (ax *Approx) readDirectory(r *bitio.Reader, minz [][]int64, stored int, tai
 					}
 					listed = true
 				}
-				bits, err := length(lenK)
-				if err != nil {
-					return err
-				}
 				w, err := gamma.ReadK(r, cardK)
 				if err != nil {
 					return err
 				}
-				arr.exts = append(arr.exts, iomodel.Extent{Bits: bits})
 				if err := arr.setCard(w, true, 1<<(j+1), m); err != nil {
 					return err
 				}
+				bits, err := length(lenK, arr.cards[mi], arr.orders[mi])
+				if err != nil {
+					return err
+				}
+				arr.exts = append(arr.exts, iomodel.Extent{Bits: bits})
 			}
 		}
 		ax.hmaps = append(ax.hmaps, hl)

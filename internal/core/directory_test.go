@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/bitio"
 	"repro/internal/container"
+	"repro/internal/gamma"
 	"repro/internal/iomodel"
 	"repro/internal/workload"
 )
@@ -129,7 +130,13 @@ func TestDirectoryStreamCorrupt(t *testing.T) {
 		}, "sum past the"},
 		{"a length order above gamma.MaxOrder", func(ax *Approx, p *dirPlan) *bitio.Writer {
 			w := p.write(ax.levels, ax.hmaps)
-			w.Bytes()[0] |= 0xfc // the first level's length order: the stream's first six bits
+			pos := 0 // the first level's length order follows its order runs
+			for _, r := range p.levels[0].runs {
+				pos += orderBits + gamma.Len(r.n)
+			}
+			for b := pos; b < pos+orderBits; b++ {
+				w.Bytes()[b/8] |= 0x80 >> (b % 8)
+			}
 			return w
 		}, "order 63 above"},
 		{"a member order above gamma.MaxOrder", func(ax *Approx, p *dirPlan) *bitio.Writer {
@@ -142,6 +149,7 @@ func TestDirectoryStreamCorrupt(t *testing.T) {
 			// is corrupt.
 			arr, li, i := find(ax, func(*hashArray, int, int, int) bool { return true })
 			ax.levels[li].members[i].k, arr.orders[i] = 0, 1
+			arr.exts[i].Bits = max(arr.exts[i].Bits, 2*arr.cards[i]) // at least two bits a code at order 1
 			*p = planDirectory(ax.levels, ax.hmaps, ax.k)
 			return nil
 		}, "flagged at order 0"},
@@ -154,6 +162,7 @@ func TestDirectoryStreamCorrupt(t *testing.T) {
 			arr, li, i := find(ax, func(*hashArray, int, int, int) bool { return true })
 			m := ax.levels[li].members[i]
 			arr.cards[i], arr.orders[i] = m.end-m.start+1, 0
+			arr.exts[i].Bits = max(arr.exts[i].Bits, arr.cards[i]) // at least a bit a code
 			*p = planDirectory(ax.levels, ax.hmaps, ax.k)
 			return nil
 		}, "hashed set of"},
