@@ -36,8 +36,8 @@ func BuildApprox(d *iomodel.Disk, col workload.Column, opts ApproxOptions) (*App
 // de-duplicated (hashSet.encode), its k hashed ones. Levels encode side by
 // side into private writers. The bytes on d do not depend on how many ran at
 // once: a set has exactly one gap encoding at its order (package cbitmap),
-// and one goroutine places the writers in the canonical order — tree layout,
-// exact levels, then the hashed sets by (level, j, member) — with no padding
+// and one goroutine places the writers in the canonical order — exact
+// levels, then the hashed sets by (level, j, member) — with no padding
 // (pinned by TestBuildApproxDifferential and TestBuildParallelDeterministic).
 func BuildApproxOn(ws Workers, d *iomodel.Disk, col workload.Column, opts ApproxOptions) (*Approx, error) {
 	return buildApprox(ws, d, col, opts, maxJ(int64(col.Len())))

@@ -145,10 +145,11 @@ func (lv *matLevel) tileFrom(i int, lo, hi int64) (int, error) {
 }
 
 // Optimal is the paper's Theorem 2 structure: the pruned weight-balanced
-// tree with materialised levels 1, 2, 4, 8, … and the leaf level, and the
-// blocked tree layout; the prefix counts the paper keeps as an array A on
-// disk are in memory, rebuilt from the counts (an image written before holds
-// a copy no query reads). Space is
+// tree with materialised levels 1, 2, 4, 8, … and the leaf level; the tree,
+// its member directory and the prefix counts the paper keeps as an array A
+// on disk are in memory, the tree and A rebuilt from the counts (an image
+// written before holds a copy of A and the blocked tree layout, which no
+// query reads). Space is
 // O(nH₀ + n + σ lg²n) bits; a query reads O(z lg(n/z)/B + lg_b n + lg lg n)
 // blocks.
 type Optimal struct {
