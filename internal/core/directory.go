@@ -149,13 +149,13 @@ func (p *dirPlan) write(levels []matLevel, hmaps []hashLevel) *bitio.Writer {
 // checkPlaced reports an error unless ax's streams lie where a reader of its
 // directory places them: the exact members back to back from bit 0, level
 // after level, then the stored hashed sets by (level, j, member), filling the
-// image.
+// image, each at least as long as its codes' least bits (excess).
 func (ax *Approx) checkPlaced() error {
 	var off int64
 	for _, lv := range ax.levels {
 		for _, m := range lv.members {
 			if m.ext.Off != off || m.ext.Bits < m.card*int64(m.k+1) {
-				return fmt.Errorf("core: level %d member %+v not at bit %d", lv.depth, m.ext, off)
+				return fmt.Errorf("core: level %d member %+v of %d rows at order %d, not from bit %d", lv.depth, m.ext, m.card, m.k, off)
 			}
 			off += m.ext.Bits
 		}
@@ -164,7 +164,7 @@ func (ax *Approx) checkPlaced() error {
 		for j, arr := range hl.perJ[:ax.k] {
 			for i, ext := range arr.exts {
 				if arr.stored(i) && (ext.Off != off || ext.Bits < arr.cards[i]*int64(arr.orders[i]+1)) {
-					return fmt.Errorf("core: hashed set (level %d, j=%d) %+v not at bit %d", li, j+1, ext, off)
+					return fmt.Errorf("core: hashed set (level %d, j=%d) %+v of %d values at order %d, not from bit %d", li, j+1, ext, arr.cards[i], arr.orders[i], off)
 				}
 				off += ext.Bits
 			}
