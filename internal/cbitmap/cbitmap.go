@@ -10,8 +10,8 @@
 // copies in Union, run-writing in Complement, skip samples for Contains/Rank)
 // never change a bit of it; they only change how it is produced and
 // traversed. A bitmap carries its order: a merge answer is gamma-coded unless
-// it takes its inputs' order — a one-stream merge keeps its stream's order and
-// bits, a concatenation takes the order of most of its input bits (concat).
+// it is a concatenation, which takes the order of most of its input bits —
+// so a one-stream merge keeps its stream's order and bits (concat).
 //
 // The package also provides Plain, an explicit n-bit bitmap, for the
 // constant-alphabet regime where uncompressed bitmap indexes are optimal.
@@ -69,8 +69,7 @@ type Bitmap struct {
 	sampleOff []int32
 	sampleK   int64
 	// sampleOnce guards the lazy sample build of a bitmap that recorded
-	// none at construction: an unsampled merge's, or one assembled from
-	// verbatim tail copies (Union drains, UnionAll shard concatenation).
+	// none at construction: an unsampled merge's, or a concatenation's.
 	sampleOnce sync.Once
 }
 
@@ -85,10 +84,9 @@ type Builder struct {
 	samplePos []int64
 	sampleOff []int32
 	// noSamples is set for a builder that records no samples (an unsampled
-	// merge's, a StreamEncoder's), and once a drain (Stream.drainInto) copies
-	// elements without visiting them: the uniform element-index spacing that
-	// iterFrom/Rank rely on can then no longer be maintained, so sampling
-	// stops (samples already collected cover the prefix and stay valid).
+	// merge's, a StreamEncoder's, a concatenation's re-encoding scratch) and
+	// once codes at a higher order are emitted in bulk (emitOrder), which
+	// does not count element indices for samples.
 	noSamples bool
 }
 
@@ -353,8 +351,8 @@ func (b *Bitmap) Iter() Stream {
 
 // ensureSamples lazily builds skip samples by one decode pass over the
 // stream. An unsampled merge answer records none at construction (it is meant
-// to be read once, whole), and a verbatim tail copy never visits its
-// elements, which would leave point queries scanning from bit 0; the first
+// to be read once, whole), and a concatenation never visits the elements it
+// copies, which would leave point queries scanning from bit 0; the first
 // point query pays one full scan instead, leaving the samples Builder.Add
 // would have recorded. Safe for concurrent readers.
 func (b *Bitmap) ensureSamples() {
@@ -455,7 +453,7 @@ func Union(ms ...*Bitmap) (*Bitmap, error) {
 // universe [0,n): the result carries n even when every input (or the input
 // list itself) is empty, which is what lets query paths drop their
 // empty-union special cases. It is a thin wrapper over MergeStreams, so once
-// a single input remains its tail is copied verbatim, whole words at a time,
+// a single input remains its tail is concatenated, whole words at a time,
 // instead of being decoded and re-encoded.
 func UnionOver(n int64, ms ...*Bitmap) (*Bitmap, error) {
 	for _, m := range ms {

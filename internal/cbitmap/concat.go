@@ -4,25 +4,24 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"repro/internal/bitio"
 	"repro/internal/gamma"
 )
 
-// Ordered concatenation, the kernel under every merge whose inputs hold
-// disjoint position ranges in increasing order (see stream.go's header for
-// who calls it). Gaps are relative, so the union of such inputs is each
-// input's codes in turn with only its first code re-based on the previous
-// input's largest position. Pass 1 over a run of Members reads each first
-// code, validates a member whose largest position is unknown, checks each
-// boundary and sums the answer's exact length; pass 2 writes the re-based
-// head codes and funnel-copies the tails into a buffer of that length. The
-// answer is coded at the order of most input bits behind the heads, the
-// first such on a tie, so the fewest bits are re-encoded (once, in pass 1,
-// into pooled scratch that pass 2 copies like a tail) and a one-member
-// answer keeps its member's bits; it records no skip samples, which Contains
-// and Rank build on first use (ensureSamples), as after any verbatim drain.
+// Ordered concatenation, the package's one tail copier: the kernel under
+// every merge whose inputs hold disjoint position ranges in increasing order,
+// and the end of every k-way union (see stream.go's header). Gaps are
+// relative, so the union of such inputs is each input's codes in turn with
+// only its first code re-based on the previous input's largest position.
+// Pass 1 over a run of Members reads each first code, validates a member
+// whose largest position is unknown, checks each boundary and sums the
+// answer's exact length; pass 2 writes the re-based head codes and
+// funnel-copies the tails into a buffer of that length. The answer is coded
+// at the order of most input bits behind the heads, the first such on a tie,
+// so the fewest bits are re-encoded (once, in pass 1, by reencodeInto into a
+// pooled builder that pass 2 copies like a tail) and a one-member answer
+// keeps its member's bits; it records no skip samples (ensureSamples).
 
 // Member is one input of a concatenation: card positions gap-coded at order
 // k in the bit range [start,end) of buf, the first gap counted from prev —
@@ -43,10 +42,6 @@ type Member struct {
 	// the answer's into the bits [rfrom,rto) of the concatenation's scratch.
 	rfrom, rto int
 }
-
-// recodePool holds the scratch writers that recoded tails wait in between
-// pricing and writing.
-var recodePool = sync.Pool{New: func() any { return new(bitio.Writer) }}
 
 // Init sets m to the card positions gap-coded at order k in the bit range
 // [start, start+bits) of r's stream. last is their largest position when an
@@ -125,15 +120,16 @@ func Concat(n int64, ms []Member) (*Bitmap, error) {
 		prev = m.last
 		card += m.card
 	}
-	var sc *bitio.Writer
+	var sc *Builder
 	if mixed {
 		// The vote, and the exact length at its order: a member at another
 		// order is decoded once, its tail recoded into scratch that pass 2
 		// copies.
 		k = dominantOrder(ms)
-		sc = recodePool.Get().(*bitio.Writer)
-		sc.Reset()
-		defer recodePool.Put(sc)
+		sc = builderPool.Get().(*Builder)
+		sc.reset(0, false)
+		defer sc.release()
+		sc.k = uint(k)
 		total, prev = 0, -1
 		for i := range ms {
 			m := &ms[i]
@@ -144,11 +140,11 @@ func Concat(n int64, ms []Member) (*Bitmap, error) {
 			if m.k == k {
 				total += m.stop - m.tail
 			} else {
-				m.rfrom = sc.Len()
-				if err := m.recode(sc, k); err != nil {
+				m.rfrom = sc.w.Len()
+				if err := m.recode(sc); err != nil {
 					return nil, err
 				}
-				m.rto = sc.Len()
+				m.rto = sc.w.Len()
 				total += m.rto - m.rfrom
 			}
 			prev = m.last
@@ -167,7 +163,7 @@ func Concat(n int64, ms []Member) (*Bitmap, error) {
 		if m.k == k {
 			o.copy(m.buf, m.tail, m.stop)
 		} else {
-			o.copy(sc.Bytes(), m.rfrom, m.rto)
+			o.copy(sc.w.Bytes(), m.rfrom, m.rto)
 		}
 		prev = m.last
 	}
@@ -237,29 +233,15 @@ func (m *Member) readHead() error {
 	return nil
 }
 
-// recode decodes m's tail and appends its codes at order k to w. The tail
-// must increase and end at m's last, which a replay took on faith: corrupt
-// bits fail typed instead.
-func (m *Member) recode(w *bitio.Writer, k uint8) error {
+// recode appends m's tail to sc at sc's order. It must increase and end at
+// m's last, which a replay took on faith: corrupt bits fail typed instead.
+func (m *Member) recode(sc *Builder) error {
 	var s Stream
-	s.set(m.card-1, m.head+1, 0, -1, uint(m.k))
+	s.set(m.card-1, m.head+1, 0, m.last, uint(m.k))
 	s.r.Init(m.buf, m.stop)
 	s.r.Seek(m.tail)
-	prev := m.head
-	for p, ok := s.Next(); ok; p, ok = s.Next() {
-		if p <= prev {
-			return fmt.Errorf("%w: member position %d not above %d", ErrCorrupt, p, prev)
-		}
-		gamma.WriteK(w, uint64(p-prev), uint(k))
-		prev = p
-	}
-	if s.err != nil {
-		return s.err
-	}
-	if prev != m.last {
-		return fmt.Errorf("%w: member ends at position %d, not at its known last %d", ErrCorrupt, prev, m.last)
-	}
-	return nil
+	sc.prev = m.head
+	return s.reencodeInto(sc)
 }
 
 // concatWriter writes bits into a buffer allocated at the answer's exact

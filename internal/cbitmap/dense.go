@@ -56,9 +56,8 @@ var flatPositionsPool = sync.Pool{New: func() any { return new(flatPositions) }}
 
 // denseEnough reports whether the primed heads are dense enough in [0,n) for
 // mergeDense to beat the per-row loop. It must also have a per-row loop to
-// replace: a union of one stream is a verbatim drain already, and n is 0
-// exactly for StreamEncoder merges, which continue a stream in progress and
-// have no universe to window.
+// replace: a union of one stream is a concatenation (concatKnown), and a
+// merge over n = 0 has no universe to window.
 func denseEnough(n int64, complement bool, heads []mergeHead) bool {
 	if n <= 0 || len(heads) == 0 || (len(heads) == 1 && !complement) {
 		return false
@@ -418,16 +417,16 @@ func (e *denseEmitter) flush() {
 
 // mergeDense is runMerge's dense path: the union (or complement of the
 // union) of the primed heads over [0,n), one window at a time.
-func mergeDense(bd *Builder, n int64, complement bool, heads []mergeHead) error {
+func mergeDense(bd *Builder, n int64, complement bool, heads []mergeHead) (mergeHead, error) {
 	win := denseWindowPool.Get().(*denseWindow)
-	err := mergeWindows(bd, n, complement, heads, win[:])
+	t, err := mergeWindows(bd, n, complement, heads, win[:])
 	denseWindowPool.Put(win)
-	return err
+	return t, err
 }
 
 // mergeWindows runs mergeDense over the caller's zeroed window words and
 // leaves them zeroed, on failure too.
-func mergeWindows(bd *Builder, n int64, complement bool, heads []mergeHead, words []uint64) error {
+func mergeWindows(bd *Builder, n int64, complement bool, heads []mergeHead, words []uint64) (mergeHead, error) {
 	e := denseEmitter{bd: bd, prev: bd.prev, card: bd.card}
 	base := int64(0)
 	for ; base < n && len(heads) > 0; base += denseWindowBits {
@@ -441,7 +440,7 @@ func mergeWindows(bd *Builder, n int64, complement bool, heads []mergeHead, word
 			}
 			if err := h.s.err; err != nil {
 				clear(words) // a failed fill leaves bits behind; emit does not
-				return err
+				return mergeHead{}, err
 			}
 			heads[i] = heads[len(heads)-1]
 			heads = heads[:len(heads)-1]
@@ -457,20 +456,19 @@ func mergeWindows(bd *Builder, n int64, complement bool, heads []mergeHead, word
 		}
 		e.emit(live, base)
 		if !complement && len(heads) == 1 && end < n {
-			// One stream left: the rest of the union is its tail, which
-			// drainInto copies verbatim as the sparse path would. (Past the
-			// last window a stream left over is out of the universe instead.)
+			// One stream left: the rest of the union is its tail (answer).
+			// Past the last window one left over is out of the universe.
 			e.flush()
-			return heads[0].s.drainInto(bd, heads[0].cur)
+			return heads[0], nil
 		}
 	}
 	e.flush()
 	if len(heads) > 0 {
 		// Only a validation-skipping stream can still hold a position here.
-		return fmt.Errorf("%w: merge position %d outside universe [0,%d)", ErrCorrupt, heads[0].cur, n)
+		return mergeHead{}, fmt.Errorf("%w: merge position %d outside universe [0,%d)", ErrCorrupt, heads[0].cur, n)
 	}
 	if complement && base < n {
 		bd.AddRun(base, n-base)
 	}
-	return nil
+	return mergeHead{}, nil
 }

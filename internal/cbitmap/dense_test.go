@@ -25,25 +25,23 @@ func mergeVia(dense bool, n int64, complement bool, streams []*Stream) (*Bitmap,
 // mergePath is mergeVia for a sampled or an unsampled merge.
 func mergePath(dense, sampled bool, n int64, complement bool, streams []*Stream) (*Bitmap, error) {
 	ms := mergeScratchPool.Get().(*mergeScratch)
-	defer func() {
-		clear(ms.heads)
-		mergeScratchPool.Put(ms)
-	}()
+	defer ms.release()
 	heads, sizeHint, err := primeHeads(ms, streams)
 	if err != nil {
 		return nil, err
 	}
 	bd := builderPool.Get().(*Builder)
+	defer bd.release()
 	bd.reset(sizeHint, sampled)
+	merge := mergeSparse
 	if dense {
-		err = mergeDense(bd, n, complement, heads)
-	} else {
-		err = mergeSparse(bd, n, complement, heads)
+		merge = mergeDense
 	}
+	tail, err := merge(bd, n, complement, heads)
 	if err != nil {
 		return nil, err
 	}
-	return bd.finish(n), nil
+	return ms.answer(bd, n, tail)
 }
 
 // requireSameBitmap fails unless got and want agree on everything a caller
@@ -418,7 +416,7 @@ func TestMergeDenseThreshold(t *testing.T) {
 		t.Fatal("two dense streams: want dense over n = 4096, sparse over n = 0")
 	}
 	if denseEnough(4096, false, heads[:1]) || !denseEnough(4096, true, heads[:1]) {
-		t.Fatal("one dense stream: want sparse union (verbatim drain), dense complement")
+		t.Fatal("one dense stream: want sparse union (a concatenation), dense complement")
 	}
 	if denseEnough(4096, true, nil) {
 		t.Fatal("empty union: the complement is one AddRun, not a window walk")
@@ -470,7 +468,7 @@ func TestMergeDenseCorruptReplayView(t *testing.T) {
 				t.Fatalf("%s: prime: %v", tc.name, err)
 			}
 			words := make([]uint64, denseWindowWords)
-			err = mergeWindows(NewBuilder(sizeHint), n, complement, heads, words)
+			_, err = mergeWindows(NewBuilder(sizeHint), n, complement, heads, words)
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("%s (complement %v): err = %v, want ErrCorrupt", tc.name, complement, err)
 			}

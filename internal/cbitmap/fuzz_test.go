@@ -254,7 +254,7 @@ func TestDecodeSamplesMatchBuilder(t *testing.T) {
 
 		var s Stream
 		s.InitBitmap(want, 0)
-		drained, err := MergeStreams(n, &s) // head Add + verbatim drain: no samples
+		drained, err := MergeStreams(n, &s) // a one-member concatenation: no samples
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,8 +8,8 @@ import (
 	"repro/internal/bitio"
 )
 
-// nextAll is the per-row loop scan replaced — drainInto's validation pass as
-// it was — kept as scan's reference, and the tests' way to consume a stream
+// nextAll is the per-row loop scan replaced — a union tail's validation pass
+// as it was — kept as scan's reference, and the tests' way to consume a stream
 // to its end with Next.
 func (s *Stream) nextAll() bool {
 	for s.left > 0 {

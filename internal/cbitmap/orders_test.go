@@ -11,7 +11,7 @@ import (
 
 // atOrder returns b's set as a bitmap whose gaps are coded at order k: the
 // answer of a one-stream merge over b's positions encoded at k, which keeps
-// the stream's order and bits (drainInto).
+// the stream's order and bits (a concatenation of one member, concatKnown).
 func atOrder(t testing.TB, b *Bitmap, k uint) *Bitmap {
 	t.Helper()
 	w, starts, lens := encodeConcatOrders([]*Bitmap{b}, []uint{k})

@@ -25,17 +25,18 @@
 // member boundary (a violation fails typed ErrCorrupt) and writes the answer
 // in one exact-size pass. MergeStreams hands the kernel, unpromised, streams
 // whose largest positions are all known up front (bitmap-backed streams and
-// replay views, e.g. the parts of a sharded answer) and keeps them for the
-// other paths when they turn out not to be ordered. The other two are chosen
+// replay views, e.g. the parts of a sharded answer), or a lone stream, and
+// keeps them for the other paths when they turn out not to be ordered. The other two are chosen
 // from what the primed inputs show, never by the caller (runMerge). Sparse
 // inputs — small covers, and every StreamEncoder merge, which has no
 // universe — take the per-row loop in this file (mergeSparse): pick the
 // minimum head, encode it, advance its stream, at a cost per row that does
-// not depend on n; its last stream drains verbatim (drainInto). Inputs
-// holding at least one position per denseCrossover universe positions take
-// the window kernel in dense.go (mergeDense): a fixed 8 KiB uncompressed bit
-// window slides over [0,n), so union and dedupe are an OR per position and
-// the complement a NOT per word, and the k-way head search disappears.
+// not depend on n. Inputs holding at least one position per denseCrossover
+// universe positions take the window kernel in dense.go (mergeDense): a fixed
+// 8 KiB uncompressed bit window slides over [0,n), so union and dedupe are an
+// OR per position and the complement a NOT per word, and the k-way head
+// search disappears. Both stop a union at its last stream, whose tail the
+// concatenation kernel appends as it stands (answer).
 //
 // The encoding stays canonical: all three paths produce byte-identical streams
 // to decode-then-Union, which the differential and fuzz tests pin.
@@ -108,9 +109,8 @@ func (s *Stream) set(left, off, vmax, last int64, k uint) {
 // positions an earlier pass already validated: an earlier query's merge over
 // the same stable device bits, whose ValidatedLast core remembers per member.
 // Validation is skipped and the largest position (last, pre-shift; ignored
-// when card is 0) is known up front, so a merge can drain the view as it
-// drains a bitmap-backed stream: by verbatim tail copy into a builder of its
-// order.
+// when card is 0) is known up front, so a merge can concatenate the view's
+// tail as it does a bitmap-backed stream's, without decoding it.
 func (s *Stream) InitDecodeValidated(r *bitio.Reader, start, bits int, card, last, off int64, k uint) error {
 	sub, err := r.Sub(start, bits)
 	if err != nil {
@@ -134,7 +134,7 @@ func (s *Stream) InitDecodeValidated(r *bitio.Reader, start, bits int, card, las
 // Every merge path leaves its streams in that state when it succeeds. ok is
 // false for a replay or bitmap-backed stream, a failed one, one with
 // positions pending, and one whose range holds bits past its last code, which
-// a verbatim drain would copy into the answer.
+// a tail copy would copy into the answer.
 func (s *Stream) ValidatedLast() (last int64, ok bool) {
 	if s.vmax <= 0 || s.left != 0 || s.err != nil || s.r.Remaining() != 0 {
 		return 0, false
@@ -145,8 +145,8 @@ func (s *Stream) ValidatedLast() (last int64, ok bool) {
 // InitBitmap initialises s to produce b's positions shifted by off, decoded
 // at b's order. The positions were validated when b was built, so traversal
 // skips validation, and b's largest position is known up front — which is
-// what lets a merge drain a last remaining bitmap-backed stream by verbatim
-// tail copy.
+// what lets a merge concatenate a bitmap-backed stream's tail without
+// decoding it.
 func (s *Stream) InitBitmap(b *Bitmap, off int64) {
 	s.set(b.card, off, 0, -1, uint(b.k))
 	s.r.Init(b.buf, b.bits)
@@ -285,57 +285,27 @@ func (s *Stream) sampleScan(start int, pos []int64, off []int32) ([]int64, []int
 	return pos, off, true
 }
 
-// drainInto appends the stream's pending head position cur (already produced
-// by the caller) and every remaining position to bd: the last stream of a
-// per-row or window merge. A tail at bd's order is copied verbatim: whole
-// words at a time when the stream's largest position is known
-// (bitmap-backed streams, replay views), and otherwise (validating streams)
-// after one scan that validates it — either way only the head gap is
-// re-encoded, since gaps are relative and a constant shift leaves every later
-// gap unchanged. A tail at another order is re-encoded at bd's.
-func (s *Stream) drainInto(bd *Builder, cur int64) error {
-	if cur != bd.prev {
-		if cur < bd.prev {
-			// A validation-skipping replay view over corrupt bits can hand the
-			// merge a non-increasing head; surface it instead of letting
-			// Builder.Add panic the query.
-			return fmt.Errorf("%w: drain head position %d below %d", ErrCorrupt, cur, bd.prev)
-		}
-		bd.Add(cur)
-	}
-	if s.k != bd.k {
-		return s.reencodeInto(bd)
-	}
-	remaining := s.left
-	nbits := s.r.Remaining()
+// member sets m to the stream's pending positions, the first code counted
+// from its last produced one. A stream whose last is unknown is validated
+// first, by its own scan against its own universe (see ValidatedLast), and m
+// ends at the last code scanned.
+func (s *Stream) member(m *Member) error {
+	m.buf, m.start, m.end, m.card, m.prev, m.last, m.k = s.r.Bytes(), s.r.Pos(), s.r.Len(), s.left, s.prev, s.last, uint8(s.k)
 	if s.last < 0 {
-		start := s.r
 		if !s.scan() {
 			return s.err
 		}
 		s.last = s.prev
-		nbits = s.r.Pos() - start.Pos() // copy exactly the scanned bits
-		s.r = start
+		m.end, m.last = s.r.Pos(), s.last
 	}
-	if err := bd.w.CopyBits(&s.r, nbits); err != nil {
-		return err
-	}
-	bd.card += remaining
-	if s.last > bd.prev {
-		bd.prev = s.last
-	}
-	if remaining > 0 {
-		bd.noSamples = true
-	}
-	s.left = 0
 	return nil
 }
 
-// reencodeInto is drainInto for a tail coded at another order than bd's: it
-// decodes the rest of the stream a chunk at a time and encodes the chunks at
-// bd's order through the bulk emitter — skip samples included in gamma; at a
-// higher order sampling stops, as after a verbatim copy. A stream whose
-// largest position is known up front must end there.
+// reencodeInto, the package's one re-encoder, appends the rest of the stream
+// to bd at bd's order: it decodes a chunk at a time and encodes the chunks
+// through the bulk emitter — skip samples included in gamma; at a higher
+// order sampling stops. A stream whose largest position is known up front
+// must end there.
 func (s *Stream) reencodeInto(bd *Builder) error {
 	var chunk [256]int64
 	e := denseEmitter{bd: bd, prev: bd.prev, card: bd.card}
@@ -349,7 +319,7 @@ func (s *Stream) reencodeInto(bd *Builder) error {
 			if p <= e.prev || (n > 0 && p <= chunk[n-1]) {
 				// Only a validation-skipping replay view over corrupt bits
 				// can regress (a gap wrapping int64); fail typed.
-				return fmt.Errorf("%w: drain position %d not increasing", ErrCorrupt, p)
+				return fmt.Errorf("%w: tail position %d not increasing", ErrCorrupt, p)
 			}
 			chunk[n] = p
 		}
@@ -375,11 +345,11 @@ type mergeHead struct {
 	cur int64
 }
 
-// mergeScratch pools the merge's head slice and concatKnown's members
+// mergeScratch pools the merge's head slice and its concatenation members
 // across queries.
 type mergeScratch struct {
 	heads   []mergeHead
-	members []Member // concatKnown's
+	members []Member // concatKnown's, or answer's prefix and tail
 }
 
 var mergeScratchPool = sync.Pool{New: func() any { return new(mergeScratch) }}
@@ -393,7 +363,7 @@ func (ms *mergeScratch) release() {
 }
 
 // builderPool recycles the merges' Builders, output buffer included: each
-// answer gets an exact-size copy of the bits (finish).
+// answer gets an exact-size copy of the bits (finish, Concat).
 var builderPool = sync.Pool{New: func() any { return &Builder{w: bitio.NewWriter(0), prev: -1} }}
 
 // builderMaxBytes bounds the buffers pooled builders keep, as the Touch and
@@ -413,16 +383,22 @@ func (bd *Builder) reset(sizeHint int, sampled bool) {
 	bd.sampleOff = bd.sampleOff[:0]
 }
 
-// finish finalises a pooled merge builder into the answer over [0,n) and
-// returns it to the pool. The answer's exact-size copy keeps its footprint
-// independent of what the pooled buffer held before.
+// release returns a pooled builder to its pool, unless its buffer grew past
+// builderMaxBytes.
+func (bd *Builder) release() {
+	if cap(bd.w.Bytes()) <= builderMaxBytes {
+		builderPool.Put(bd)
+	}
+}
+
+// finish finalises a pooled merge builder into the answer over [0,n). The
+// answer's exact-size copy keeps its footprint independent of what the
+// pooled buffer held before.
 func (bd *Builder) finish(n int64) *Bitmap {
 	if cap(bd.w.Bytes()) > builderMaxBytes {
 		return bd.Bitmap(n)
 	}
-	out := bd.bitmapOf(n, append(make([]byte, 0, len(bd.w.Bytes())), bd.w.Bytes()...))
-	builderPool.Put(bd)
-	return out
+	return bd.bitmapOf(n, append(make([]byte, 0, len(bd.w.Bytes())), bd.w.Bytes()...))
 }
 
 // MergeStreams unions the streams' position sets into a bitmap over [0,n),
@@ -506,19 +482,52 @@ func mergeStreams(n int64, complement, sampled bool, streams []*Stream) (*Bitmap
 		sizeHint = min(sizeHint, unionBits(n, heads))
 	}
 	bd := builderPool.Get().(*Builder)
+	defer bd.release()
 	bd.reset(sizeHint, sampled)
-	if !complement && len(heads) == 1 {
-		// A union of one stream is a drain, at the stream's order: the answer
-		// keeps its bits. Any other merge answers in gamma.
-		bd.k = heads[0].s.k
-	}
-	if err := runMerge(bd, n, complement, heads); err != nil {
-		if cap(bd.w.Bytes()) <= builderMaxBytes {
-			builderPool.Put(bd)
-		}
+	t, err := runMerge(bd, n, complement, heads)
+	if err != nil {
 		return nil, err
 	}
-	return bd.finish(n), nil
+	return ms.answer(bd, n, t)
+}
+
+// answer ends a merge in bd, a gamma builder, as its answer over [0,n). A
+// union leaves t, its last stream (t.s is nil otherwise): the head t.cur
+// joins bd, deduplicated, and a tail at bd's order follows bd's bits as it
+// stands, written once by Concat over bd's prefix and the tail; bd's skip
+// samples keep their offsets. A tail at another order is re-encoded into bd.
+func (ms *mergeScratch) answer(bd *Builder, n int64, t mergeHead) (*Bitmap, error) {
+	if t.s == nil {
+		return bd.finish(n), nil
+	}
+	if t.cur != bd.prev {
+		if t.cur < bd.prev {
+			// Only a replay view over corrupt bits regresses; fail typed.
+			return nil, fmt.Errorf("%w: tail head position %d below %d", ErrCorrupt, t.cur, bd.prev)
+		}
+		bd.Add(t.cur)
+	}
+	if t.s.k != bd.k {
+		if err := t.s.reencodeInto(bd); err != nil {
+			return nil, err
+		}
+		return bd.finish(n), nil
+	}
+	ms.members = append(ms.members[:0], Member{}, Member{})
+	pre := &ms.members[0]
+	pre.buf, pre.end, pre.card, pre.prev, pre.last, pre.k = bd.w.Bytes(), bd.w.Len(), bd.card, -1, bd.prev, uint8(bd.k)
+	if err := t.s.member(&ms.members[1]); err != nil {
+		return nil, err
+	}
+	out, err := Concat(n, ms.members)
+	if err != nil {
+		return nil, err
+	}
+	t.s.left = 0
+	if out.attachSamples(bd.samplePos, bd.sampleOff) {
+		bd.samplePos, bd.sampleOff = nil, nil
+	}
+	return out, nil
 }
 
 // errUnordered is concatKnown's answer to streams that are not disjoint and
@@ -527,23 +536,30 @@ var errUnordered = errors.New("cbitmap: inputs not disjoint and increasing")
 
 // concatKnown concatenates streams whose largest positions are all known up
 // front — bitmap-backed streams and replay views, e.g. the parts of a
-// sharded answer — when they are disjoint and increasing, consuming them;
-// it returns errUnordered, touching no stream, when they are not, or when
-// some stream would need validating.
+// sharded answer — when they are disjoint and increasing, consuming them,
+// and a lone stream whatever it is: a union of one stream keeps its order
+// and bits. It returns errUnordered, touching no stream, when they are not
+// ordered, or when one of several streams would need validating.
 func (ms *mergeScratch) concatKnown(n int64, streams []*Stream) (*Bitmap, error) {
 	members := ms.members[:0]
 	defer func() { ms.members = members }()
+	live := int64(0)
+	for _, s := range streams {
+		live += min(s.left, 1)
+	}
 	prev := int64(-1)
 	for _, s := range streams {
 		if s.left == 0 {
 			continue
 		}
-		if s.last < 0 {
+		if s.last < 0 && live > 1 {
 			return nil, errUnordered
 		}
 		members = append(members, Member{})
 		m := &members[len(members)-1]
-		m.buf, m.start, m.end, m.card, m.prev, m.last, m.k = s.r.Bytes(), s.r.Pos(), s.r.Len(), s.left, s.prev, s.last, uint8(s.k)
+		if err := s.member(m); err != nil {
+			return nil, err
+		}
 		// Overlapping inputs usually show it at the second head: stop there,
 		// before building the rest. A head that does not decode is left to
 		// the general merge, which fails on it too.
@@ -584,8 +600,9 @@ func siftDownHeads(heads []mergeHead, i int) {
 
 // runMerge executes a merge that does not concatenate over the primed
 // heads, writing into bd, a pooled query builder (mergeStreams): dense
-// inputs through the window kernel, the rest per row.
-func runMerge(bd *Builder, n int64, complement bool, heads []mergeHead) error {
+// inputs through the window kernel, the rest per row. A union returns the
+// one stream it leaves, with its pending head, for answer to end.
+func runMerge(bd *Builder, n int64, complement bool, heads []mergeHead) (mergeHead, error) {
 	if denseEnough(n, complement, heads) {
 		return mergeDense(bd, n, complement, heads)
 	}
@@ -595,7 +612,7 @@ func runMerge(bd *Builder, n int64, complement bool, heads []mergeHead) error {
 // mergeSparse is runMerge's per-row path: pick the minimum head, encode it,
 // advance its stream. Its cost is per answer row and independent of n, which
 // is what sparse merges — point queries, small covers — need.
-func mergeSparse(bd *Builder, n int64, complement bool, heads []mergeHead) error {
+func mergeSparse(bd *Builder, n int64, complement bool, heads []mergeHead) (mergeHead, error) {
 	next := int64(0) // complement: first position not yet ruled out
 	// Large fan-in: binary min-heap on the head positions. Small fan-in (the
 	// common case: O(1) bitmaps per tree level): linear minimum scan.
@@ -605,7 +622,7 @@ func mergeSparse(bd *Builder, n int64, complement bool, heads []mergeHead) error
 			siftDownHeads(heads, i)
 		}
 	}
-	// The union drains the final stream verbatim; the complement must decode
+	// The union leaves its final stream to answer; the complement must decode
 	// to the very end, since inverting reorders nothing but rewrites all.
 	stop := 1
 	if complement {
@@ -632,7 +649,7 @@ func mergeSparse(bd *Builder, n int64, complement bool, heads []mergeHead) error
 				// Only a validation-skipping stream (a replay view over bits
 				// that were corrupted after their validation scan) can regress;
 				// fail typed instead of panicking in Builder.Add.
-				return fmt.Errorf("%w: merge position %d below %d", ErrCorrupt, p, bd.prev)
+				return mergeHead{}, fmt.Errorf("%w: merge position %d below %d", ErrCorrupt, p, bd.prev)
 			}
 			bd.Add(p)
 		}
@@ -640,7 +657,7 @@ func mergeSparse(bd *Builder, n int64, complement bool, heads []mergeHead) error
 			heads[mi].cur = np
 		} else {
 			if err := heads[mi].s.err; err != nil {
-				return err
+				return mergeHead{}, err
 			}
 			heads[mi] = heads[len(heads)-1]
 			heads = heads[:len(heads)-1]
@@ -650,12 +667,10 @@ func mergeSparse(bd *Builder, n int64, complement bool, heads []mergeHead) error
 		}
 	}
 	if !complement && len(heads) == 1 {
-		if err := heads[0].s.drainInto(bd, heads[0].cur); err != nil {
-			return err
-		}
+		return heads[0], nil
 	}
 	if complement && next < n {
 		bd.AddRun(next, n-next)
 	}
-	return nil
+	return mergeHead{}, nil
 }

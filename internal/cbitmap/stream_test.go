@@ -1,6 +1,8 @@
 package cbitmap
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -227,7 +229,13 @@ func TestStreamValidation(t *testing.T) {
 
 // TestMergeStreamsShifted: bitmap-backed shifted streams merge identically
 // to re-encoding the shifted positions, in both the disjoint (concat) and
-// overlapping arrangements.
+// overlapping arrangements. So does each way a union ends, on the per-row and
+// the window path alike: a shifted validating tail at the answer's order,
+// concatenated after its own validation (ValidatedLast then reports its
+// last), which fails ErrCorrupt when a position lies past its own universe
+// though inside n; a replay tail at another order, re-encoded; and a lone
+// stream at order k > 0, which keeps its order. A replay tail whose first
+// gap does not climb above the merged prefix fails typed.
 func TestMergeStreamsShifted(t *testing.T) {
 	n := int64(1 << 16)
 	a := MustFromPositions(1000, []int64{1, 5, 999})
@@ -257,6 +265,83 @@ func TestMergeStreamsShifted(t *testing.T) {
 		}
 		if !Equal(got, want) {
 			t.Fatalf("offsets %v: merged stream differs from re-encoded", offs)
+		}
+	}
+
+	u := int64(denseWindowBits) // c, d: one window each; the union spans two
+	c := MustFromPositions(u, []int64{3, 70, 900, u - 1})
+	var dpos []int64
+	for p := int64(1); p < u; p += 37 {
+		dpos = append(dpos, p)
+	}
+	d := MustFromPositions(u, dpos)
+	for _, tc := range []struct {
+		name    string
+		k       uint  // d's order
+		du      int64 // d's own universe when it validates, else 0: a replay
+		lone    bool  // d alone
+		corrupt bool
+	}{
+		{"validating tail", 0, u, false, false},
+		{"tail past its own universe", 0, d.last, false, true},
+		{"replay tail at order 3", 3, 0, false, false},
+		{"lone stream at order 5", 5, u, true, false},
+	} {
+		w, starts, lens := encodeConcatOrders([]*Bitmap{c, d}, []uint{0, tc.k})
+		rd := bitio.NewReader(w.Bytes(), w.Len())
+		for _, off := range []int64{u / 2, u} {
+			for _, dense := range []bool{false, true} {
+				var sc, sd Stream
+				if err := sc.InitDecode(rd, starts[0], lens[0], c.card, u, 0, 0); err != nil {
+					t.Fatal(err)
+				}
+				var err error
+				if tc.du > 0 {
+					err = sd.InitDecode(rd, starts[1], lens[1], d.card, tc.du, off, tc.k)
+				} else {
+					err = sd.InitDecodeValidated(rd, starts[1], lens[1], d.card, d.last, off, tc.k)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				what := fmt.Sprintf("%s, shift %d, dense %v", tc.name, off, dense)
+				var got *Bitmap
+				parts, offs := []*Bitmap{c, d}, []int64{0, off}
+				if tc.lone {
+					parts, offs = parts[1:], offs[1:]
+					got, err = MergeStreams(2*u, &sd)
+				} else {
+					got, err = mergeVia(dense, 2*u, false, []*Stream{&sc, &sd})
+				}
+				if tc.corrupt {
+					if !errors.Is(err, ErrCorrupt) {
+						t.Fatalf("%s: err = %v, want ErrCorrupt", what, err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				want := MustFromPositions(2*u, unionPositions(parts, offs))
+				if tc.lone {
+					want = atOrder(t, want, tc.k)
+				}
+				if !Equal(got, want) || got.last != want.last || got.Order() != want.Order() {
+					t.Fatalf("%s: order-%d answer differs from decode-then-Union", what, got.Order())
+				}
+				if last, ok := sd.ValidatedLast(); ok != (tc.du > 0) || (ok && last != d.last+off) {
+					t.Fatalf("%s: tail reports (%d, %v)", what, last, ok)
+				}
+			}
+		}
+	}
+	for _, dense := range []bool{false, true} {
+		var sc Stream
+		sc.InitBitmap(c, 0)
+		wrap := ^uint64(0) - 4 // int64(gap) = -5
+		view := viewOverCodes(2*u-1, uint64(u+10), wrap, 20)
+		if _, err := mergeVia(dense, 2*u, false, []*Stream{&sc, view}); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("dense %v: replay tail falling below its head: err = %v, want ErrCorrupt", dense, err)
 		}
 	}
 }

@@ -61,24 +61,29 @@ func saturatingSim(cfg Config) SimConfig {
 
 // TestSimulateDeterministicSheds: two runs of the same seed produce
 // bit-identical outcomes — same sheds at the same arrivals, same breaker
-// counters, same latency quantiles. A different seed produces a different
-// shed pattern (the determinism is real, not vacuous).
+// counters, same latency quantiles — while faults fire: each run gets its own
+// fresh chaos index at 4 096-bit blocks, since a run spends the per-block
+// transient budgets and DisarmFaults does not restore them, and at the
+// default block size every shard is one block that may draw no fault. A
+// different seed produces a different shed pattern (the determinism is real,
+// not vacuous).
 func TestSimulateDeterministicSheds(t *testing.T) {
-	_, chaos := simPair(t, 6000, 64, 4, iomodel.FaultConfig{Seed: 5, TransientPer10k: 300})
 	cfg := Config{MaxQueue: 64, MaxBatch: 8, MaxWait: 300 * time.Microsecond, Workers: 2,
 		Retry: shard.RetryPolicy{MaxAttempts: 4, Backoff: time.Microsecond, JitterSeed: 9}}
 	sc := saturatingSim(cfg)
 	sc.ArmAt = 10 * time.Millisecond
 	spec := workload.ArrivalSpec{Sigma: 64, RangeLen: 8, Theta: 0.9}
-	arrivals := workload.PoissonArrivals(4000, 60000, spec, 21)
-
-	a := Simulate(ShardBackend{Ix: chaos}, chaos, arrivals, sc)
-	chaos.DisarmFaults()
-	b := Simulate(ShardBackend{Ix: chaos}, chaos, arrivals, sc)
-	chaos.DisarmFaults()
+	run := func(seed int64) SimResult {
+		_, chaos := simPairAt(t, 6000, 64, 4, 4096, iomodel.FaultConfig{Seed: 5, TransientPer10k: 300})
+		return Simulate(ShardBackend{Ix: chaos}, chaos, workload.PoissonArrivals(4000, 60000, spec, seed), sc)
+	}
+	a, b := run(21), run(21)
 
 	if a.Stats.Shed == 0 {
 		t.Fatalf("2x-saturation run shed nothing: %+v", a.Stats)
+	}
+	if a.Stats.RetriedReads == 0 && a.Stats.FailedReads == 0 {
+		t.Fatalf("no read met a fault, so the runs prove nothing about faults: %+v", a.Stats)
 	}
 	if !reflect.DeepEqual(a.Stats, b.Stats) {
 		t.Fatalf("stats differ across identical runs:\n%+v\n%+v", a.Stats, b.Stats)
@@ -95,8 +100,7 @@ func TestSimulateDeterministicSheds(t *testing.T) {
 	}
 
 	// A different arrival seed must shed a different pattern.
-	other := Simulate(ShardBackend{Ix: chaos}, chaos, workload.PoissonArrivals(4000, 60000, spec, 22), sc)
-	chaos.DisarmFaults()
+	other := run(22)
 	same := true
 	for i := range a.Outcomes {
 		if a.Outcomes[i].Shed != other.Outcomes[i].Shed {
