@@ -151,7 +151,7 @@ func printLedger(shard int, l secidx.SpaceLedger, imageBytes, metaBytes int64) {
 	parts = append(parts, part{"= image section", 8 * imageBytes}, part{"metadata section", 8 * metaBytes})
 	if !older {
 		parts = append(parts, part{"  exact lengths", l.Directory.LengthBits}, part{"  orders", l.Directory.OrderBits},
-			part{"  hashed directory", l.Directory.HashedBits})
+			part{"  hashed directory", l.Directory.HashedBits}, part{"    priced lengths", l.Directory.PricedBits})
 	}
 	for _, p := range parts {
 		fmt.Printf("  %-19s %12d bits %8s /row\n", p.name, p.bits, perRow(p.bits))
@@ -210,28 +210,30 @@ func printOrders(rows int64, levels []secidx.LevelCodes) {
 	fmt.Printf("  %-8s %5s %-44s %10d %10d %10.2f\n", "all", "", "", all.Stored, all.Gamma, float64(all.Gamma-all.Stored)/float64(rows))
 }
 
-// printHashedSets prints, per level and j, the hashed sets the image stores
-// and those it omits because no query can select them (an old file omits
-// none).
+// printHashedSets prints, per level and j, the hashed sets the image stores,
+// those it omits because no query can select them (an old file omits none)
+// and those it omits because they are no shorter than their exact members,
+// which a query reads and hashes instead (a file of revision 2 or before
+// omits none).
 func printHashedSets(l secidx.SpaceLedger, levels []secidx.LevelCodes) {
 	if len(levels) == 0 || len(levels[0].Hashed) == 0 {
 		return
 	}
-	fmt.Println("  hashed sets stored/omitted by level (omitted: no query can select them):")
+	fmt.Println("  hashed sets stored/unreachable/not shorter than exact, by level:")
 	head := fmt.Sprintf("  %5s %8s", "depth", "members")
 	for j := range levels[0].Hashed {
-		head += fmt.Sprintf(" %13s", fmt.Sprintf("h_%d", j+1))
+		head += fmt.Sprintf(" %17s", fmt.Sprintf("h_%d", j+1))
 	}
 	fmt.Println(head)
 	for li, lv := range levels {
 		members := l.Levels[li].Members
 		line := fmt.Sprintf("  %5d %8d", lv.Depth, members)
-		for _, c := range lv.Hashed {
-			stored := 0
+		for j, c := range lv.Hashed {
+			stored, dropped := 0, l.Levels[li].Dropped[j]
 			for _, sets := range c.Orders {
 				stored += sets
 			}
-			line += fmt.Sprintf(" %13s", fmt.Sprintf("%d/%d", stored, members-stored))
+			line += fmt.Sprintf(" %17s", fmt.Sprintf("%d/%d/%d", stored, members-stored-dropped, dropped))
 		}
 		fmt.Println(line)
 	}

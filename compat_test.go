@@ -662,3 +662,27 @@ func TestReadCompatPR50(t *testing.T) {
 		requirePinnedSweep(t, "pr50 sharded", sigma, col, o.Sharded.SizeBits(), o.Sharded.Query, nil, pr50Pins["sharded"])
 	})
 }
+
+// testdata/pr52_static.secidx was written at commit 34737c4, the last whose
+// static payload (manifest revision 2) stores every hashed set a query can
+// select, shorter than its member's exact set or not, by cmd/secidx:
+//
+//	secidx -n 66000 -sigma 256 -dist zipf -theta 1.1 -block 2048 -seed 52 -write testdata/pr52_static.secidx
+//
+// Many of its sets at j = 4 are no shorter than their exact members. pr52Pin
+// holds what that commit answered from it.
+var pr52Pin = filePin{2465978, bitsPin{100452226, 0x65bf013f97024d27}}
+
+// TestReadCompatPR52 opens testdata/pr52_static.secidx and requires every
+// answer of the sweep to be the one its writer gave, every exact one the
+// column's, and SizeBits unchanged.
+func TestReadCompatPR52(t *testing.T) {
+	const sigma = 256
+	o, err := OpenFile("testdata/pr52_static.secidx", OpenOptions{VerifyImages: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	col := workload.Zipf(66000, sigma, 1.1, 52).X
+	requirePinnedSweep(t, "pr52 static", sigma, col, o.Static.SizeBits(), o.Static.Query, o.Static, pr52Pin)
+}

@@ -52,6 +52,19 @@ func (w *Writer) Reset() {
 	w.nbit = 0
 }
 
+// Truncate drops every bit past the first nbit (0 <= nbit <= Len()), so a
+// writer can take back what it appended since nbit.
+func (w *Writer) Truncate(nbit int) {
+	if nbit < 0 || nbit > w.nbit {
+		panic(fmt.Sprintf("bitio: Truncate to %d of %d bits", nbit, w.nbit))
+	}
+	w.buf = w.buf[:(nbit+7)/8]
+	if r := nbit & 7; r != 0 {
+		w.buf[len(w.buf)-1] &= 0xff << uint(8-r)
+	}
+	w.nbit = nbit
+}
+
 // Grow ensures capacity for at least nbits further bits without changing the
 // contents, so a reused writer can pre-size for a known output instead of
 // growing through repeated appends.

@@ -1,6 +1,7 @@
 package bitio
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -105,6 +106,23 @@ func TestAlign(t *testing.T) {
 	w.Align(64)
 	if w.Len() != 64 {
 		t.Fatalf("Len after align 64 = %d, want 64", w.Len())
+	}
+}
+
+// TestTruncate: a writer truncated to any length and written on holds the
+// bytes of one that never wrote the bits it dropped.
+func TestTruncate(t *testing.T) {
+	for cut := 0; cut <= 23; cut++ {
+		w := NewWriter(0)
+		w.WriteBits(0x5a5a5a, 23)
+		w.Truncate(cut)
+		w.WriteBits(0b101, 3)
+		want := NewWriter(0)
+		want.WriteBits(0x5a5a5a>>uint(23-cut), cut)
+		want.WriteBits(0b101, 3)
+		if w.Len() != want.Len() || !bytes.Equal(w.Bytes(), want.Bytes()) {
+			t.Fatalf("cut %d: %d bits %x, want %d bits %x", cut, w.Len(), w.Bytes(), want.Len(), want.Bytes())
+		}
 	}
 }
 

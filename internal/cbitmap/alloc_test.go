@@ -51,6 +51,35 @@ func TestContainsZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestFirstContainsSampleAllocs: a sharded answer — UnionAll of disjoint
+// parts, concatenated with no skip samples — builds its samples on its first
+// Contains into slices sized up front, so that call allocates at most the two
+// sized slices and the two thinned ones attachSamples keeps.
+func TestFirstContainsSampleAllocs(t *testing.T) {
+	skipUnderRace(t)
+	parts := streamTestSets(t, 2, 1<<16, 1<<20, 12)
+	const runs = 10
+	answers := make([]*Bitmap, runs+1) // AllocsPerRun calls once more to warm up
+	for i := range answers {
+		bm, err := UnionAll(1<<21, Shifted{Bm: parts[0]}, Shifted{Bm: parts[1], Off: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bm.SampleBits() != 0 {
+			t.Fatal("the concatenated answer already has skip samples")
+		}
+		answers[i] = bm
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		answers[next].Contains(1 << 20)
+		next++
+	})
+	if allocs > 4 {
+		t.Fatalf("the first Contains on a %d-row answer allocated %.0f times, want at most 4", answers[0].Card(), allocs)
+	}
+}
+
 func TestRankZeroAlloc(t *testing.T) {
 	skipUnderRace(t)
 	ms := streamTestSets(t, 1, 1<<16, 1<<22, 9)

@@ -354,7 +354,8 @@ func (b *Bitmap) Iter() Stream {
 // to be read once, whole), and a concatenation never visits the elements it
 // copies, which would leave point queries scanning from bit 0; the first
 // point query pays one full scan instead, leaving the samples Builder.Add
-// would have recorded. Safe for concurrent readers.
+// would have recorded, in slices sized for them up front. Safe for
+// concurrent readers.
 func (b *Bitmap) ensureSamples() {
 	if b.card < minSampleCard {
 		return
@@ -364,7 +365,8 @@ func (b *Bitmap) ensureSamples() {
 			return // sampled at construction
 		}
 		s := b.Iter()
-		pos, off, _ := s.sampleScan(0, nil, nil) // b's own bits: cannot fail
+		n := b.card / sampleEvery
+		pos, off, _ := s.sampleScan(0, make([]int64, 0, n), make([]int32, 0, n)) // b's own bits: cannot fail
 		b.attachSamples(pos, off)
 	})
 }

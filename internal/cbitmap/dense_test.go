@@ -409,7 +409,7 @@ func TestMergeDenseThreshold(t *testing.T) {
 		requireSameBitmap(t, "MergeStreamsComplement", gotC, want.Complement())
 	}
 	// What has no per-row loop to replace stays sparse whatever its density,
-	// and so does a StreamEncoder merge (n = 0).
+	// and so does a merge over no universe (n = 0).
 	full := streamTestSets(t, 2, 2048, 4096, 16)
 	heads, _, _ := primeHeads(new(mergeScratch), bitmapStreams(full, nil))
 	if !denseEnough(4096, false, heads) || denseEnough(0, false, heads) {

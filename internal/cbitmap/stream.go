@@ -28,8 +28,7 @@
 // replay views, e.g. the parts of a sharded answer), or a lone stream, and
 // keeps them for the other paths when they turn out not to be ordered. The other two are chosen
 // from what the primed inputs show, never by the caller (runMerge). Sparse
-// inputs — small covers, and every StreamEncoder merge, which has no
-// universe — take the per-row loop in this file (mergeSparse): pick the
+// inputs — small covers — take the per-row loop in this file (mergeSparse): pick the
 // minimum head, encode it, advance its stream, at a cost per row that does
 // not depend on n. Inputs holding at least one position per denseCrossover
 // universe positions take the window kernel in dense.go (mergeDense): a fixed

@@ -45,8 +45,10 @@ type hashLevel struct {
 }
 
 // A set no query can select (hashedReachable) is not stored: it keeps its
-// place with a zero extent and card 0. Every stored set holds at least one
-// value, since every member holds at least one row.
+// place with a zero extent and card 0. Nor, from revision 3 on, is a set no
+// shorter than its member's exact set: it keeps a zero extent and card 0 too,
+// and priced holds its length. Every stored set holds at least one value,
+// since every member holds at least one row.
 type hashArray struct {
 	exts  []iomodel.Extent
 	cards []int64
@@ -54,14 +56,21 @@ type hashArray struct {
 	// codes the set in fewer bits than gamma, else 0; nil for the gamma-coded
 	// sets of a file written before.
 	orders []uint8
+	// priced holds the length of each set dropped for being no shorter than
+	// its member's exact set, which a query reads in its place and hashes
+	// (hashedAnswer), else 0; nil on a file of revision 2 or before, which
+	// stores every set it lists.
+	priced []int64
 }
 
 // StaticRevision is the revision of the static payload (EncodeMeta) this
-// package writes, which a container records beside it: 2 holds the member
-// directory as one stream in the metadata and no tree layout in the image;
-// 1 lists only the hashed sets a query can select (hashedReachable); 0,
-// every file written before, lists every set.
-const StaticRevision = 2
+// package writes, which a container records beside it: 3 stores a hashed set
+// only where it is shorter than its member's exact set, and codes each
+// stored set's collisions in place of its card; 2 holds the member directory
+// as one stream in the metadata and no tree layout in the image; 1 lists
+// only the hashed sets a query can select (hashedReachable); 0, every file
+// written before, lists every set.
+const StaticRevision = 3
 
 // minRows is the fewest rows z a query whose cover holds member m can count:
 // every record of the characters m's records belong to. A cover member lies
@@ -83,6 +92,23 @@ func hashedReachable(minz int64, j int) bool { return minz < int64(1)<<(1<<uint(
 // stored reports whether set i is stored (see hashArray).
 func (arr *hashArray) stored(i int) bool { return arr.cards[i] > 0 }
 
+// dropped reports whether set i is listed but not stored, being no shorter
+// than its member's exact set.
+func (arr *hashArray) dropped(i int) bool { return arr.priced != nil && arr.priced[i] != 0 }
+
+// pricedBits returns the bits of sets [i,j) as the directory prices them: a
+// stored set's length, a dropped one's priced length.
+func (arr *hashArray) pricedBits(i, j int) int64 {
+	var bits int64
+	for k := i; k < j; k++ {
+		bits += arr.exts[k].Bits
+		if arr.priced != nil {
+			bits += arr.priced[k]
+		}
+	}
+	return bits
+}
+
 // hashedOrder is the exp-Golomb order a hashed set of card values in the
 // universe [0, 2^lgU), whose member is coded at order memberK, is coded at
 // when that is shorter than gamma: the smaller of
@@ -102,11 +128,25 @@ func hashedOrder(lgU int, card int64, memberK uint) uint {
 	return min(uint(max(0, lgU-bits.Len64(uint64(card-1))-1)), memberK)
 }
 
-// cardWord is set i's cardinality as the directory stores it: in a file
-// whose sets carry orders, shifted up by one over a bit that says the set
-// takes hashedOrder's order rather than gamma.
+// cardWord is set i's cardinality as the directory of revision 2 or before
+// stores it: in a file whose sets carry orders, shifted up by one over a bit
+// that says the set takes hashedOrder's order rather than gamma.
 func (arr *hashArray) cardWord(i int) uint64 {
-	c := uint64(arr.cards[i])
+	return arr.word(i, arr.cards[i])
+}
+
+// collisionWord is cardWord as revision 3 stores it, plus one: the set's
+// collisions — how many of its member's card rows hash onto a value another
+// row took — in place of its card, which the reader derives from the
+// member's.
+func (arr *hashArray) collisionWord(i int, card int64) uint64 {
+	return arr.word(i, card-arr.cards[i]) + 1
+}
+
+// word returns v shifted up by one over set i's order bit, in a file whose
+// sets carry orders.
+func (arr *hashArray) word(i int, v int64) uint64 {
+	c := uint64(v)
 	if arr.orders == nil {
 		return c
 	}
@@ -148,8 +188,8 @@ func (ax *Approx) K() int { return ax.k }
 // Seed returns the hash seed (indexes must share it to intersect results).
 func (ax *Approx) Seed() int64 { return ax.seed }
 
-// SizeBits includes the hashed sets and their directory on top of the exact
-// structure.
+// SizeBits includes the stored hashed sets and their directory on top of the
+// exact structure.
 func (ax *Approx) SizeBits() int64 {
 	size := ax.Optimal.SizeBits() + ax.hashedDirBits()
 	for _, hl := range ax.hmaps {
@@ -413,16 +453,57 @@ func (ax *Approx) ApproxQueryContext(ctx context.Context, r index.Range, eps flo
 		return &Result{N: ax.tree.n, Exact: exact[0]}, stats, nil
 	}
 
-	// The same plan executed against the j-th hashed sets: the members' gap
-	// streams merge directly into the answer set (cf. Optimal.Query).
-	univ := int64(1) << uint(1<<uint(j))
-	hashedDir := func(level int) memberDir { return &ax.hmaps[level].perJ[j-1] }
-	plan.Ordered = false // hashed positions are in no order
-	set, err := sc.execute(ctx, tc, plans, hashedDir, len(ax.levels), univ, &stats)
+	set, err := ax.hashedAnswer(ctx, tc, sc, plan.Chunks, j, &stats)
 	if err != nil {
 		return nil, stats, err
 	}
-	return &Result{N: ax.tree.n, J: j, H: ax.hs[j-1], Set: set[0]}, stats, nil
+	return &Result{N: ax.tree.n, J: j, H: ax.hs[j-1], Set: set}, stats, nil
+}
+
+// hashedAnswer executes the cover chunks against the j-th hashed sets: the
+// members' gap streams merge directly into the answer set over
+// [0,2^(2^j)) (cf. Optimal.Query). Each run of adjacent stored sets is read
+// as one span of the hashed image. Each run of members whose sets were
+// dropped is read as one span of the exact levels, and the members' rows,
+// hashed as the build hashes them, join the merge as one more stream
+// (queryScratch.rehash). A dropped set is no shorter than its exact member,
+// so no query reads more bits than it would had every set been stored.
+func (ax *Approx) hashedAnswer(ctx context.Context, tc *iomodel.Touch, sc *queryScratch, chunks []PlanChunk, j int, stats *index.QueryStats) (*cbitmap.Bitmap, error) {
+	univ := int64(1) << uint(1<<uint(j))
+	for _, c := range chunks {
+		arr := &ax.hmaps[c.Level].perJ[j-1]
+		for i := c.I; i < c.J; {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			stored := arr.stored(i)
+			run := PlanChunk{Level: c.Level, I: i, J: i + 1}
+			for run.J < c.J && arr.stored(run.J) == stored {
+				run.J++
+			}
+			var dir memberDir = &ax.levels[c.Level]
+			if stored {
+				dir = arr
+			}
+			cb, span, err := sc.readSpan(tc, dir, run.I, run.J, stats)
+			if err != nil {
+				return nil, err
+			}
+			if stored {
+				err = sc.appendStreams(cb, span.Off, dir, run, univ, nil)
+			} else {
+				err = sc.rehash(cb, span.Off, dir, run, ax.tree.n)
+			}
+			if err != nil {
+				return nil, err
+			}
+			i = run.J
+		}
+	}
+	if err := sc.addRehashed(ax.hs[j-1]); err != nil {
+		return nil, err
+	}
+	return sc.merge(univ, false)
 }
 
 // PayloadUnderCodes prices the exact payload as Optimal.PayloadUnderCodes
@@ -452,12 +533,14 @@ func (ax *Approx) PayloadUnderCodes() ([]LevelCodes, error) {
 }
 
 // frontierBits prices a cover plan's frontier from the in-memory directory:
-// the bits of the exact members and of their j-th hashed sets, as the spans
-// a query would read.
+// the bits of the exact members, as the spans a query would read, and of
+// their j-th hashed sets, a dropped set at its priced length. Pricing a
+// dropped set at what a query reads for it instead would turn exact answers
+// hashed for a fraction of a percent of bits (hypotheses/hashed-earn).
 func (ax *Approx) frontierBits(chunks []PlanChunk, j int) (exact, hashed int64) {
 	for _, c := range chunks {
 		exact += spanOf(&ax.levels[c.Level], c.I, c.J).Bits
-		hashed += spanOf(&ax.hmaps[c.Level].perJ[j-1], c.I, c.J).Bits
+		hashed += ax.hmaps[c.Level].perJ[j-1].pricedBits(c.I, c.J)
 	}
 	return exact, hashed
 }

@@ -49,7 +49,7 @@ type hashedSet = hashSet[int64]
 // every set, reachable by a query or not, as builds did before
 // hashedReachable: the oracle for approximate answers and their reads.
 func buildApproxReference(d *iomodel.Disk, col workload.Column, opts ApproxOptions) (*Approx, error) {
-	return buildApproxReferenceK(d, col, opts, maxJ, false)
+	return buildApproxReferenceK(d, col, opts, maxJ, 0)
 }
 
 // legacyMaxJ is maxJ as it was before it followed the paper: the least k >= 1
@@ -66,10 +66,12 @@ func legacyMaxJ(n int64) int {
 
 // buildApproxReferenceK is buildApproxReference with the level count chosen
 // by kOf(n): with legacyMaxJ it lays down what a build before the cap did,
-// surplus level included, selectable by queries. With omit it stores only the
-// sets hashedReachable keeps, recording the others empty: the oracle for the
-// device image.
-func buildApproxReferenceK(d *iomodel.Disk, col workload.Column, opts ApproxOptions, kOf func(n int64) int, omit bool) (*Approx, error) {
+// surplus level included, selectable by queries. It stores the sets a build
+// of the given payload revision stored: at 0 every set; at 1 and 2 only
+// those hashedReachable keeps, recording the others empty; at 3 (the oracle
+// for the device image) only those that are also shorter than their
+// members' exact sets, pricing the ones that are not.
+func buildApproxReferenceK(d *iomodel.Disk, col workload.Column, opts ApproxOptions, kOf func(n int64) int, revision int) (*Approx, error) {
 	ox, err := BuildOptimal(d, col, opts.OptimalOptions)
 	if err != nil {
 		return nil, err
@@ -86,8 +88,9 @@ func buildApproxReferenceK(d *iomodel.Disk, col workload.Column, opts ApproxOpti
 		for j := 1; j <= ax.k; j++ {
 			univ := int64(1) << uint(1<<uint(j))
 			arr := &hl.perJ[j-1]
-			for _, m := range lv.members {
-				if omit && !hashedReachable(minRows(ox.tree.prefix, m), j) {
+			arr.priced = make([]int64, len(lv.members))
+			for mi, m := range lv.members {
+				if revision > 0 && !hashedReachable(minRows(ox.tree.prefix, m), j) {
 					arr.exts, arr.cards, arr.orders = append(arr.exts, iomodel.Extent{}), append(arr.cards, 0), append(arr.orders, 0)
 					continue
 				}
@@ -101,7 +104,13 @@ func buildApproxReferenceK(d *iomodel.Disk, col workload.Column, opts ApproxOpti
 					return nil, err
 				}
 				k := oracleOrder(hbm.Positions(), hashedOrder(1<<uint(j), hbm.Card(), uint(m.k)))
-				arr.exts = append(arr.exts, d.AllocStream(encodeAtOrder(hbm.Positions(), k)))
+				w := encodeAtOrder(hbm.Positions(), k)
+				if revision >= 3 && int64(w.Len()) >= m.ext.Bits {
+					arr.exts, arr.cards, arr.orders = append(arr.exts, iomodel.Extent{}), append(arr.cards, 0), append(arr.orders, 0)
+					arr.priced[mi] = int64(w.Len())
+					continue
+				}
+				arr.exts = append(arr.exts, d.AllocStream(w))
 				arr.cards = append(arr.cards, hbm.Card())
 				arr.orders = append(arr.orders, uint8(k))
 			}
@@ -130,7 +139,7 @@ func heavyColumn(n, sigma int, frac float64, seed int64) workload.Column {
 }
 
 // requireSameApprox fails unless the two builds left identical device images
-// and identical exact and hashed directories.
+// and identical exact and hashed directories, priced lengths included.
 func requireSameApprox(t *testing.T, name string, gd, wd *iomodel.Disk, got, want *Approx) {
 	t.Helper()
 	gt, gb := gd.Image()
@@ -147,8 +156,8 @@ func requireSameApprox(t *testing.T, name string, gd, wd *iomodel.Disk, got, wan
 		}
 		for j := range want.hmaps[li].perJ {
 			g, w := got.hmaps[li].perJ[j], want.hmaps[li].perJ[j]
-			if !slices.Equal(g.exts, w.exts) || !slices.Equal(g.cards, w.cards) {
-				t.Fatalf("%s: level %d j=%d hashed extents or cardinalities differ", name, li, j+1)
+			if !slices.Equal(g.exts, w.exts) || !slices.Equal(g.cards, w.cards) || !slices.Equal(g.priced, w.priced) {
+				t.Fatalf("%s: level %d j=%d hashed extents, cardinalities or priced lengths differ", name, li, j+1)
 			}
 		}
 	}
@@ -199,7 +208,7 @@ func TestBuildApproxDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		want, err := buildApproxReferenceK(wd, c.col, opts, maxJ, true)
+		want, err := buildApproxReferenceK(wd, c.col, opts, maxJ, StaticRevision)
 		if err != nil {
 			t.Fatalf("%s: reference: %v", c.name, err)
 		}

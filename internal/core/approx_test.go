@@ -407,7 +407,7 @@ func TestDroppedLevelSavesNothing(t *testing.T) {
 			{"zipf", workload.Zipf(n, sigma, 1.0, int64(lg))},
 			{"runs", workload.Runs(n, sigma, 20, int64(lg))},
 		} {
-			legacy, err := buildApproxReferenceK(iomodel.NewDisk(iomodel.Config{BlockBits: 8192}), c.col, ApproxOptions{Seed: 42}, legacyMaxJ, false)
+			legacy, err := buildApproxReferenceK(iomodel.NewDisk(iomodel.Config{BlockBits: 8192}), c.col, ApproxOptions{Seed: 42}, legacyMaxJ, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -254,7 +254,9 @@ func runLevels[P rowID](ws Workers, tasks []levelTask, prefix []int64, x []uint3
 // their place empty), at the order hashedOrder derives where that is shorter
 // than gamma, else in gamma, grouped by j ("we group
 // the sets according to what hash function was used") so a cover chunk at
-// one j is contiguous.
+// one j is contiguous. A hashed set no shorter than its member's exact set
+// is rolled back and priced instead: a query reads the exact set in its
+// place.
 func runLevel[P rowID](t *levelTask, sc *levelScratch[P], hs []hashutil.SplitXOR) error {
 	if err := sc.scatter(t.members); err != nil {
 		return fmt.Errorf("core: depth %d: %w", t.depth, err)
@@ -314,7 +316,8 @@ func runLevel[P rowID](t *levelTask, sc *levelScratch[P], hs []hashutil.SplitXOR
 	for j, h := range hs {
 		arr := &t.perJ[j]
 		arr.exts = make([]iomodel.Extent, len(t.members))
-		arr.cards = make([]int64, len(t.members))
+		cards := make([]int64, 2*len(t.members)) // the cards, then the priced lengths
+		arr.cards, arr.priced = cards[:len(t.members):len(t.members)], cards[len(t.members):]
 		arr.orders = make([]uint8, len(t.members))
 		for mi, m := range t.members {
 			if !hashedReachable(minz[mi], j+1) {
@@ -327,7 +330,13 @@ func runLevel[P rowID](t *levelTask, sc *levelScratch[P], hs []hashutil.SplitXOR
 				return fmt.Errorf("core: depth %d hashed level j=%d member [%d,%d): %w",
 					t.depth, j+1, m.start, m.end, err)
 			}
-			arr.exts[mi] = iomodel.Extent{Off: int64(startBit), Bits: int64(t.hashed.Len() - startBit)}
+			bits := int64(t.hashed.Len() - startBit)
+			if bits >= m.ext.Bits {
+				t.hashed.Truncate(startBit)
+				arr.priced[mi] = bits
+				continue
+			}
+			arr.exts[mi] = iomodel.Extent{Off: int64(startBit), Bits: bits}
 			arr.cards[mi] = enc.Card()
 			arr.orders[mi] = uint8(k)
 		}

@@ -8,8 +8,8 @@ import (
 	"repro/internal/iomodel"
 )
 
-// The member directory of static payload revision 2 is one bit stream in the
-// static metadata, which the container checksums. The image holds the gap
+// The member directory of static payload revisions 2 and 3 is one bit stream
+// in the static metadata, which the container checksums. The image holds the gap
 // streams alone: the exact levels from bit 0, level after level with members
 // in record order, then each level's stored hashed sets grouped by j ("we
 // group the sets according to what hash function was used"). Every offset is
@@ -22,11 +22,18 @@ import (
 //     of how many adjacent members take it;
 //   - the order of the level's length excesses (orderBits), then each
 //     member's in that exp-Golomb order;
-//   - for each j that lists a set at the level, the orders of the sets'
-//     length excesses and of their cardWords, then each listed set's
-//     cardWord and length excess. The listed sets are those hashedReachable
-//     keeps, which the reader derives.
+//   - for each j that lists a set at the level, the orders of the stored
+//     sets' length excesses, of their collision words and of the dropped
+//     sets' priced lengths, then, per listed set, a bit saying whether it is
+//     stored. A stored set follows with its collisionWord and its length
+//     excess, a dropped one with its priced length's excess over its exact
+//     member's length, plus one. The listed sets are those hashedReachable
+//     keeps, which the reader derives. A set is stored where it is shorter
+//     than its exact member, and the reader refuses a directory that breaks
+//     that rule.
 //
+// Revision 2 lists only stored sets, every listed set, with no bit, no
+// third order, and each set's cardWord in place of its collisionWord.
 // Each order is the one gamma.Costs finds shortest for the values it codes.
 // Revisions 0 and 1 kept the lengths and orders in the blocked tree layout
 // (layout.go), a fixed-width record per tree node padded to whole blocks.
@@ -34,11 +41,12 @@ import (
 // orderBits is the width of an order in the stream: it holds gamma.MaxOrder.
 const orderBits = 6
 
-// DirSpace is what a revision-2 directory stream spends, by part.
+// DirSpace is what a directory stream spends, by part.
 type DirSpace struct {
 	LengthBits int64 // the members' lengths and each level's order for them
 	OrderBits  int64 // the members' orders, as runs
-	HashedBits int64 // the hashed sets' lengths and cardWords, with their orders
+	HashedBits int64 // the hashed sets' stored bits, lengths and collision words, with their orders
+	PricedBits int64 // the part of HashedBits that prices dropped sets: their lengths and orders
 }
 
 // Total returns the stream's length in bits.
@@ -55,9 +63,10 @@ type dirPlan struct {
 type levelCodes struct {
 	lenK uint
 	runs []orderRun
-	// sets holds, per j, the orders of the listed sets' lengths and
-	// cardWords; nil for a j that lists no set at this level.
-	sets []*[2]uint
+	// sets holds, per j, the orders of the stored sets' lengths and
+	// collision (or card) words and of the dropped sets' priced lengths; nil
+	// for a j that lists no set at this level.
+	sets []*[3]uint
 }
 
 // orderRun is n adjacent members of a level at order k.
@@ -70,6 +79,21 @@ type orderRun struct {
 // holding card codes of order k: its bits beyond the k+1 each code takes at
 // least, plus one.
 func excess(bits, card int64, k uint8) uint64 { return uint64(bits-card*int64(k+1)) + 1 }
+
+// setWord is stored set i's card as the directory codes it: its collisionWord
+// against its member m, or the cardWord of a revision-2 array.
+func (arr *hashArray) setWord(i int, m *member) uint64 {
+	if arr.priced == nil {
+		return arr.cardWord(i)
+	}
+	return arr.collisionWord(i, m.card)
+}
+
+// pricedWord is dropped set i's priced length as the directory codes it: its
+// excess over its exact member m's length, plus one.
+func (arr *hashArray) pricedWord(i int, m *member) uint64 {
+	return uint64(arr.priced[i]-m.ext.Bits) + 1
+}
 
 // planDirectory prices the directory of levels and the first groups hashed
 // levels of hmaps (none for the exact directory alone).
@@ -91,25 +115,36 @@ func planDirectory(levels []matLevel, hmaps []hashLevel, groups int) dirPlan {
 		for _, r := range lc.runs {
 			p.space.OrderBits += orderBits + int64(gamma.Len(r.n))
 		}
-		lc.sets = make([]*[2]uint, groups)
+		lc.sets = make([]*[3]uint, groups)
 		for j := range groups {
 			arr := &hmaps[li].perJ[j]
-			var lens, cards gamma.Costs
-			listed := false
+			var lens, cards, priced gamma.Costs
+			listed := int64(0)
 			for i := range arr.cards {
-				if arr.stored(i) {
+				m := &lv.members[i]
+				switch {
+				case arr.stored(i):
 					lens.Add(excess(arr.exts[i].Bits, arr.cards[i], arr.orders[i]))
-					cards.Add(arr.cardWord(i))
-					listed = true
+					cards.Add(arr.setWord(i, m))
+				case arr.dropped(i):
+					priced.Add(arr.pricedWord(i, m))
+				default:
+					continue
 				}
+				listed++
 			}
-			if !listed {
+			if listed == 0 {
 				continue
 			}
 			lk, lb := lens.Best()
 			ck, cb := cards.Best()
-			lc.sets[j] = &[2]uint{lk, ck}
+			pk, pb := priced.Best()
+			lc.sets[j] = &[3]uint{lk, ck, pk}
 			p.space.HashedBits += 2*orderBits + lb + cb
+			if arr.priced != nil {
+				p.space.HashedBits += listed + orderBits + pb
+				p.space.PricedBits += orderBits + pb
+			}
 		}
 	}
 	return p
@@ -132,18 +167,39 @@ func (p *dirPlan) write(levels []matLevel, hmaps []hashLevel) *bitio.Writer {
 			if ks == nil {
 				continue
 			}
+			arr := &hmaps[li].perJ[j]
 			w.WriteBits(uint64(ks[0]), orderBits)
 			w.WriteBits(uint64(ks[1]), orderBits)
-			arr := &hmaps[li].perJ[j]
+			if arr.priced != nil {
+				w.WriteBits(uint64(ks[2]), orderBits)
+			}
 			for i := range arr.cards {
-				if arr.stored(i) {
-					gamma.WriteK(w, arr.cardWord(i), ks[1])
+				m := &lv.members[i]
+				switch {
+				case arr.stored(i):
+					if arr.priced != nil {
+						w.WriteBit(1)
+					}
+					gamma.WriteK(w, arr.setWord(i, m), ks[1])
 					gamma.WriteK(w, excess(arr.exts[i].Bits, arr.cards[i], arr.orders[i]), ks[0])
+				case arr.dropped(i):
+					w.WriteBit(0)
+					gamma.WriteK(w, arr.pricedWord(i, m), ks[2])
 				}
 			}
 		}
 	}
 	return w
+}
+
+// cardWordOf returns the cardWord of a set whose collision word, less one, is
+// w, for member m: its card is m's less its collisions, at least one.
+func cardWordOf(w uint64, m *member) (uint64, error) {
+	coll, bit := w>>1, w&1
+	if coll >= uint64(m.card) {
+		return 0, fmt.Errorf("core: hashed set of %d collisions for a member of %d rows", coll, m.card)
+	}
+	return uint64(m.card-int64(coll))<<1 | bit, nil
 }
 
 // checkPlaced reports an error unless ax's streams lie where a reader of its
@@ -176,12 +232,12 @@ func (ax *Approx) checkPlaced() error {
 	return nil
 }
 
-// readDirectory decodes the directory stream r into ax's levels, whose
-// members the tree gave, and stored hashed levels j, listing the sets of the
-// members whose covers count minz[li][mi] rows at fewest where
-// hashedReachable keeps them. It places every stream on the image of tail
-// bits, which they must fill, and reads r to its end.
-func (ax *Approx) readDirectory(r *bitio.Reader, minz [][]int64, stored int, tail int64) error {
+// readDirectory decodes the directory stream r of the given revision (2 or
+// 3) into ax's levels, whose members the tree gave, and stored hashed levels
+// j, listing the sets of the members whose covers count minz[li][mi] rows at
+// fewest where hashedReachable keeps them. It places every stream on the
+// image of tail bits, which they must fill, and reads r to its end.
+func (ax *Approx) readDirectory(r *bitio.Reader, revision int, minz [][]int64, stored int, tail int64) error {
 	var used, exactEnd int64 // image bits the lengths read cover; the exact levels' share
 	// length decodes the length of a stream of card codes of order k, its
 	// excess coded at order lenK.
@@ -238,32 +294,59 @@ func (ax *Approx) readDirectory(r *bitio.Reader, minz [][]int64, stored int, tai
 		hl := hashLevel{perJ: make([]hashArray, stored)}
 		for j := range hl.perJ {
 			arr := &hl.perJ[j]
-			var lenK, cardK uint
+			var ks [3]uint // the orders of lengths, card words and (revision 3) priced lengths
+			orders := 2
+			if revision >= 3 {
+				arr.priced, orders = make([]int64, len(members)), 3
+			}
 			listed := false
-			for mi, m := range members {
-				if !hashedReachable(minz[li][mi], j+1) {
-					arr.exts, arr.cards, arr.orders = append(arr.exts, iomodel.Extent{}), append(arr.cards, 0), append(arr.orders, 0)
-					continue
-				}
-				if !listed { // the group's orders precede its first set
-					if lenK, err = order(); err == nil {
-						cardK, err = order()
-					}
-					if err != nil {
-						return err
+			for mi := range members {
+				m := &members[mi]
+				store := hashedReachable(minz[li][mi], j+1)
+				if store && !listed { // the group's orders precede its first set
+					for o := range orders {
+						if ks[o], err = order(); err != nil {
+							return err
+						}
 					}
 					listed = true
 				}
-				w, err := gamma.ReadK(r, cardK)
+				if store && revision >= 3 {
+					bit, err := r.ReadBit()
+					if err != nil {
+						return err
+					}
+					if store = bit == 1; !store {
+						v, err := gamma.ReadK(r, ks[2])
+						if err != nil {
+							return err
+						}
+						if v-1 > uint64(tail) {
+							return fmt.Errorf("core: hashed set priced %d bits over its %d-bit member, past the %d-bit image", v-1, m.ext.Bits, tail)
+						}
+						arr.priced[mi] = m.ext.Bits + int64(v-1)
+					}
+				}
+				if !store {
+					arr.exts, arr.cards, arr.orders = append(arr.exts, iomodel.Extent{}), append(arr.cards, 0), append(arr.orders, 0)
+					continue
+				}
+				w, err := gamma.ReadK(r, ks[1])
+				if err == nil && revision >= 3 {
+					w, err = cardWordOf(w-1, m)
+				}
+				if err == nil {
+					err = arr.setCard(w, true, 1<<(j+1), *m)
+				}
 				if err != nil {
 					return err
 				}
-				if err := arr.setCard(w, true, 1<<(j+1), m); err != nil {
-					return err
-				}
-				bits, err := length(lenK, arr.cards[mi], arr.orders[mi])
+				bits, err := length(ks[0], arr.cards[mi], arr.orders[mi])
 				if err != nil {
 					return err
+				}
+				if revision >= 3 && bits >= m.ext.Bits {
+					return fmt.Errorf("core: hashed set of %d bits stored, not shorter than its %d-bit member", bits, m.ext.Bits)
 				}
 				arr.exts = append(arr.exts, iomodel.Extent{Bits: bits})
 			}

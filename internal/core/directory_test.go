@@ -107,12 +107,29 @@ func TestDirectoryStreamCorrupt(t *testing.T) {
 		t.Fatal("no such set")
 		return nil, 0, 0
 	}
+	// dropped returns the first dropped set, by level, j and member.
+	dropped := func(ax *Approx) (*hashArray, int, int) {
+		t.Helper()
+		for li := range ax.hmaps {
+			for j := range ax.hmaps[li].perJ {
+				arr := &ax.hmaps[li].perJ[j]
+				for i := range arr.cards {
+					if arr.dropped(i) {
+						return arr, li, i
+					}
+				}
+			}
+		}
+		t.Fatal("no dropped set")
+		return nil, 0, 0
+	}
 	for _, tc := range []struct {
 		name string
 		// craft changes ax or its plan, or returns a stream to write in place
 		// of the plan's.
 		craft func(ax *Approx, p *dirPlan) *bitio.Writer
 		want  string
+		rev2  bool // write and open the directory at revision 2
 	}{
 		{"a truncated stream", func(ax *Approx, p *dirPlan) *bitio.Writer {
 			w := p.write(ax.levels, ax.hmaps)
@@ -121,13 +138,13 @@ func TestDirectoryStreamCorrupt(t *testing.T) {
 				t.Fatal(err)
 			}
 			return cut
-		}, "past end"},
+		}, "past end", false},
 		{"lengths that sum past the image", func(ax *Approx, p *dirPlan) *bitio.Writer {
 			lv := ax.levels[len(ax.levels)-1]
 			lv.members[len(lv.members)-1].ext.Bits += ax.disk.AllocatedBits()
 			*p = planDirectory(ax.levels, ax.hmaps, ax.k)
 			return nil
-		}, "sum past the"},
+		}, "sum past the", false},
 		{"a length order above gamma.MaxOrder", func(ax *Approx, p *dirPlan) *bitio.Writer {
 			w := p.write(ax.levels, ax.hmaps)
 			pos := 0 // the first level's length order follows its order runs
@@ -138,11 +155,11 @@ func TestDirectoryStreamCorrupt(t *testing.T) {
 				w.Bytes()[b/8] |= 0x80 >> (b % 8)
 			}
 			return w
-		}, "order 63 above"},
+		}, "order 63 above", false},
 		{"a member order above gamma.MaxOrder", func(ax *Approx, p *dirPlan) *bitio.Writer {
 			p.levels[1].runs[0].k = 63
 			return nil
-		}, "order 63 above"},
+		}, "order 63 above", false},
 		{"an order on a set that takes none", func(ax *Approx, p *dirPlan) *bitio.Writer {
 			// A set's order is hashedOrder's, at most its member's: a member
 			// at order 0 leaves its sets none, and a cardWord that flags one
@@ -152,12 +169,12 @@ func TestDirectoryStreamCorrupt(t *testing.T) {
 			arr.exts[i].Bits = max(arr.exts[i].Bits, 2*arr.cards[i]) // at least two bits a code at order 1
 			*p = planDirectory(ax.levels, ax.hmaps, ax.k)
 			return nil
-		}, "flagged at order 0"},
+		}, "flagged at order 0", false},
 		{"an order run longer than its level", func(ax *Approx, p *dirPlan) *bitio.Writer {
 			runs := p.levels[0].runs
 			runs[len(runs)-1].n++
 			return nil
-		}, "order run of"},
+		}, "order run of", false},
 		{"a hashed card above its member's rows", func(ax *Approx, p *dirPlan) *bitio.Writer {
 			arr, li, i := find(ax, func(*hashArray, int, int, int) bool { return true })
 			m := ax.levels[li].members[i]
@@ -165,7 +182,33 @@ func TestDirectoryStreamCorrupt(t *testing.T) {
 			arr.exts[i].Bits = max(arr.exts[i].Bits, arr.cards[i]) // at least a bit a code
 			*p = planDirectory(ax.levels, ax.hmaps, ax.k)
 			return nil
-		}, "hashed set of"},
+		}, "hashed set of", true},
+		{"more collisions than its member's rows", func(ax *Approx, p *dirPlan) *bitio.Writer {
+			// The writer's member claims more rows than the reader's tree
+			// gives it, so the set's collisions outnumber the reader's rows.
+			arr, li, i := find(ax, func(arr *hashArray, li, _, i int) bool {
+				m := ax.levels[li].members[i]
+				return m.ext.Bits >= (m.card+arr.cards[i])*int64(m.k+1)
+			})
+			ax.levels[li].members[i].card += arr.cards[i]
+			*p = planDirectory(ax.levels, ax.hmaps, ax.k)
+			return nil
+		}, "collisions for a member", false},
+		{"a stored set no shorter than its member", func(ax *Approx, p *dirPlan) *bitio.Writer {
+			arr, li, i := dropped(ax)
+			arr.exts[i].Bits, arr.priced[i] = ax.levels[li].members[i].ext.Bits, 0
+			arr.cards[i], arr.orders[i] = 1, 0
+			*p = planDirectory(ax.levels, ax.hmaps, ax.k)
+			return nil
+		}, "not shorter than its", false},
+		{"a dropped set priced below its member", func(ax *Approx, p *dirPlan) *bitio.Writer {
+			// The priced length is coded as its excess over the member's, so
+			// a shorter one can only be written as an excess that wraps.
+			arr, li, i := dropped(ax)
+			arr.priced[i] = ax.levels[li].members[i].ext.Bits - 1<<62
+			*p = planDirectory(ax.levels, ax.hmaps, ax.k)
+			return nil
+		}, "priced", false},
 	} {
 		d := iomodel.NewDisk(iomodel.Config{BlockBits: 2048})
 		ax, err := BuildApprox(d, col, opts)
@@ -174,6 +217,15 @@ func TestDirectoryStreamCorrupt(t *testing.T) {
 		}
 		if _, err := reopen(t, d, ax, opts); err != nil {
 			t.Fatalf("as built: %v", err)
+		}
+		revision := StaticRevision
+		if tc.rev2 {
+			for li := range ax.hmaps {
+				for j := range ax.hmaps[li].perJ {
+					ax.hmaps[li].perJ[j].priced = nil
+				}
+			}
+			revision = 2
 		}
 		p := planDirectory(ax.levels, ax.hmaps, ax.k)
 		w := tc.craft(ax, &p)
@@ -185,7 +237,7 @@ func TestDirectoryStreamCorrupt(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		_, err = openPayload(d, ax, opts, StaticRevision, e.Bytes())
+		_, err = openPayload(d, ax, opts, revision, e.Bytes())
 		runtime.ReadMemStats(&after)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: error %v, want %q", tc.name, err, tc.want)

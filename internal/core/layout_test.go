@@ -151,7 +151,7 @@ func TestLayoutRecords(t *testing.T) {
 		for _, sigma := range []int{2, 256, 4096} {
 			t.Run(fmt.Sprintf("B=%d/sigma=%d", bb, sigma), func(t *testing.T) {
 				col := workload.Zipf(3*sigma+5000, sigma, 1.0, int64(bb+sigma))
-				built, err := BuildApprox(iomodel.NewDisk(iomodel.Config{BlockBits: bb}), col, opts)
+				built, err := buildApproxReferenceK(iomodel.NewDisk(iomodel.Config{BlockBits: bb}), col, opts, maxJ, 1)
 				if err != nil {
 					t.Fatal(err)
 				}

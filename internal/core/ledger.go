@@ -25,8 +25,8 @@ type SpaceLedger struct {
 	// (gap-stream length and exp-Golomb order); an image written before that
 	// holds 128-bit records nothing reads.
 	RecordBits, NodesPerBlock int
-	// Directory is the revision-2 directory stream by part, zero on an image
-	// written before.
+	// Directory is the directory stream of revision 2 or later by part, zero
+	// on an image written before.
 	Directory DirSpace
 	// DirBits is the directory SizeBits charges outside the image, in the
 	// container's metadata section: the directory stream, or on an image
@@ -47,6 +47,9 @@ type LevelSpace struct {
 	Members    int
 	ExactBits  int64
 	HashedBits []int64 // index j-1: the sets h_j(S) over universe 2^(2^j)
+	// Dropped counts, per j, the sets listed but not stored because they are
+	// no shorter than their members' exact sets (revision 3).
+	Dropped []int
 }
 
 // PayloadBits returns the exact and the hashed gap-stream totals.
@@ -99,10 +102,15 @@ func (ax *Approx) SpaceLedger() SpaceLedger {
 		}
 		for _, arr := range ax.hmaps[li].perJ {
 			var bits int64
-			for _, e := range arr.exts {
+			dropped := 0
+			for i, e := range arr.exts {
 				bits += e.Bits
+				if arr.dropped(i) {
+					dropped++
+				}
 			}
 			ls.HashedBits = append(ls.HashedBits, bits)
+			ls.Dropped = append(ls.Dropped, dropped)
 		}
 		l.Levels = append(l.Levels, ls)
 	}

@@ -63,16 +63,22 @@ const maxStoredJ = 5
 //	2       counts, 0, 0 where revision 1 stored the length width (at least
 //	        1), k, then the directory stream (directory.go): its length in
 //	        bits and its bytes. The image holds the gap streams alone.
+//	3       as 2, the image holding a hashed set only where it is shorter
+//	        than its member's exact set, and the directory stream saying
+//	        which (directory.go).
 //
 // Up to revision 1 the hashed directory is varints: per j that stores a set
 // at a level, the group's base, its stored sets' lengths, then their
 // cardWords. A binary from before a revision rejects its files at the
 // manifest, and the zeros make a payload of one revision fail under
-// another's reader. An image opened from a file of revision 1 or before is
+// another's reader. An image opened from a file of revision 2 or before is
 // not re-encoded.
 func (ax *Approx) EncodeMeta(e *container.Encoder) error {
 	if ax.layout != nil {
 		return fmt.Errorf("core: an image with a tree layout is not re-encoded")
+	}
+	if ax.k > 0 && ax.hmaps[0].perJ[0].priced == nil {
+		return fmt.Errorf("core: a hashed directory of revision 2 is not re-encoded")
 	}
 	if err := ax.checkPlaced(); err != nil {
 		return err
@@ -144,7 +150,9 @@ func (ax *Approx) encodeHashedGroups(e *container.Encoder, groups int) {
 // in one pass over the layout blocks outside any query's stats (the
 // placement replayed, openLayout), and each level's and hashed group's base
 // from the payload. From revision 1 on the hashed directory lists only the
-// sets hashedReachable keeps, and the others are recorded empty.
+// sets hashedReachable keeps, and the others are recorded empty. From
+// revision 3 on a listed set that is no shorter than its member's exact set
+// is not stored, and it keeps its priced length.
 //
 // A file written before the records carried the directory (its level count
 // where the marker is) takes the legacy branch: the tree at legacyHeight,
@@ -227,7 +235,7 @@ func OpenApprox(d *iomodel.Disk, sigma, revision int, opts ApproxOptions, dec *c
 		if err := dec.Err(); err != nil {
 			return nil, err
 		}
-		if err := ax.readDirectory(bitio.NewReader(raw, int(nbits)), minz, stored, tail); err != nil {
+		if err := ax.readDirectory(bitio.NewReader(raw, int(nbits)), revision, minz, stored, tail); err != nil {
 			return nil, err
 		}
 	} else if err := ax.openRecords(dec, revision, legacy, nLevels, lenBits, kBits, minz); err != nil {

@@ -314,8 +314,8 @@ func (ox *Optimal) answer(ctx context.Context, rs []index.Range, out []*cbitmap.
 }
 
 // execute answers plans in the caller's session, each over [0,univ), against
-// the member directories dirOf names for levels [0,levels): the exact sets,
-// the j-th hashed ones or a Warmup's nodes. The requested member runs are
+// the member directories dirOf names for levels [0,levels): the exact sets
+// or a Warmup's nodes (hashed sets: Approx.hashedAnswer). The requested member runs are
 // coalesced per level — overlapping or adjacent runs merge into one, never
 // across a gap, so the blocks read are exactly the blocks of the union of
 // the planned extents — and each coalesced extent is read once. Every plan

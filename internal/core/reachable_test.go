@@ -11,12 +11,14 @@ import (
 	"repro/internal/workload"
 )
 
-// TestHashedSetsReachable: a build stores exactly the hashed sets
-// hashedReachable keeps, and every approximate answer is the one the
-// reference that stores every set gives — same form, level, function, set
-// and bits read — built and reopened, on columns with common characters
-// (zipf, uniform), clustered ones (runs of 64) and rare ones (σ = 4096,
-// where sets at j = 1 and 2 stay reachable).
+// TestHashedSetsReachable: a build lists exactly the hashed sets
+// hashedReachable keeps, storing those shorter than their exact members, and
+// every approximate answer is the one the reference that stores every set
+// gives — same form, level, function and set, and the same bits read, or
+// fewer for a hashed answer whose cover holds a dropped set — built and
+// reopened, on columns with common characters (zipf, uniform), clustered
+// ones (runs of 64) and rare ones (σ = 4096, where sets at j = 1 and 2 stay
+// reachable).
 func TestHashedSetsReachable(t *testing.T) {
 	n := 1 << 17 // k = 4: every hashed level
 	if testing.Short() {
@@ -49,8 +51,9 @@ func TestHashedSetsReachable(t *testing.T) {
 					arr := &ax.hmaps[li].perJ[j]
 					for i, m := range lv.members {
 						reach := hashedReachable(minRows(ax.tree.prefix, m), j+1)
-						if arr.stored(i) != reach || !ref.hmaps[li].perJ[j].stored(i) {
-							t.Fatalf("level %d h_%d set %d: stored %v, reachable %v", li, j+1, i, arr.stored(i), reach)
+						listed := arr.stored(i) || arr.dropped(i)
+						if listed != reach || arr.stored(i) && arr.dropped(i) || !ref.hmaps[li].perJ[j].stored(i) {
+							t.Fatalf("level %d h_%d set %d: stored %v, dropped %v, reachable %v", li, j+1, i, arr.stored(i), arr.dropped(i), reach)
 						}
 						if reach {
 							kept++
@@ -81,7 +84,7 @@ func TestHashedSetsReachable(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							if err := sameApproxAnswer(res, want); err != nil || st.BitsRead != wst.BitsRead {
+							if err := sameApproxAnswer(res, want); err != nil || st.BitsRead > wst.BitsRead || st.BitsRead < wst.BitsRead && want.IsExact() {
 								t.Fatalf("[%d,%d] eps=%g: %v; %d bits read, reference %d", q.Lo, q.Hi, eps, err, st.BitsRead, wst.BitsRead)
 							}
 						}

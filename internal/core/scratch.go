@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bitio"
 	"repro/internal/cbitmap"
+	"repro/internal/hashutil"
 	"repro/internal/index"
 	"repro/internal/iomodel"
 )
@@ -48,10 +49,11 @@ type queryScratch struct {
 	used    int  // bufs handed out this operation
 	lazy    bool // merge without skip samples (Optimal.QueryParts)
 
-	overlay []int64    // positions merged as one in-memory stream (addOverlay)
-	leaves  []*pnode   // one point-index descent's leaves, in key order (collect)
-	pending []pentry   // the updates that descent found buffered for its bins
-	appends []dynEntry // one append-member buffer's entries (queryCharStreams)
+	overlay   []int64        // positions merged as one in-memory stream (addOverlay)
+	rehashing *rehashScratch // made by the first hashed answer that needs it (rehash)
+	leaves    []*pnode       // one point-index descent's leaves, in key order (collect)
+	pending   []pentry       // the updates that descent found buffered for its bins
+	appends   []dynEntry     // one append-member buffer's entries (queryCharStreams)
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
@@ -86,6 +88,12 @@ func (sc *queryScratch) release() {
 	sc.lasts = sc.lasts[:0]
 	sc.answers = sc.answers[:0]
 	sc.overlay = sc.overlay[:0]
+	if rh := sc.rehashing; rh != nil {
+		rh.rows = rh.rows[:0]
+		if cap(rh.rows) > scratchBufMaxBytes/8 {
+			rh.rows = nil
+		}
+	}
 	sc.leaves = sc.leaves[:0]
 	sc.pending = sc.pending[:0]
 	sc.appends = sc.appends[:0]
@@ -238,6 +246,58 @@ func (sc *queryScratch) addOverlay(n int64) error {
 		return fmt.Errorf("core: update overlay: %w", err)
 	}
 	return nil
+}
+
+// rehashScratch is what a hashed answer needs to hash the members whose
+// hashed sets were dropped: their rows, and the build's hashing scratch.
+type rehashScratch struct {
+	rows []int64
+	set  hashSet[int64]
+}
+
+// rehash appends to the rehash scratch the positions of the members of chunk
+// c in dir, exact sets whose hashed sets were dropped, decoded from cb, which
+// holds the device's bits from offset base on, and validated against [0,n).
+func (sc *queryScratch) rehash(cb *chunkBuf, base int64, dir memberDir, c PlanChunk, n int64) error {
+	if sc.rehashing == nil {
+		sc.rehashing = new(rehashScratch)
+	}
+	rh := sc.rehashing
+	var s cbitmap.Stream
+	for k := c.I; k < c.J; k++ {
+		ext, card, order := dir.entry(k)
+		err := s.InitDecode(&cb.r, int(ext.Off-base), int(ext.Bits), card, n, 0, order)
+		for p, ok := s.Next(); err == nil && ok; p, ok = s.Next() {
+			rh.rows = append(rh.rows, p)
+		}
+		if err == nil {
+			err = s.Err()
+		}
+		if err != nil {
+			return fmt.Errorf("core: level %d member %d: %w", c.Level, k, err)
+		}
+	}
+	return nil
+}
+
+// addRehashed appends to the merge inputs the hashed set h(rows), the union
+// of the dropped sets rehash gathered the rows of, as one stream: encoded by
+// the build's hashSet, sorted and de-duplicated, into a pooled chunk buffer.
+func (sc *queryScratch) addRehashed(h hashutil.SplitXOR) error {
+	rh := sc.rehashing
+	if rh == nil || len(rh.rows) == 0 {
+		return nil
+	}
+	cb := sc.nextBuf()
+	cb.w.Reset()
+	var e cbitmap.StreamEncoder
+	e.Init(cb.w)
+	k, err := rh.set.encode(&e, h, rh.rows, 0)
+	if err != nil {
+		return err
+	}
+	cb.r.Init(cb.w.Bytes(), cb.w.Len())
+	return sc.newStream().InitDecode(&cb.r, 0, cb.w.Len(), e.Card(), h.Range(), 0, k)
 }
 
 // streamPtrs returns one pointer per accumulated stream; it is taken only
