@@ -553,6 +553,74 @@ func BenchmarkApproxQuery(b *testing.B) {
 	b.ReportMetric(float64(bits)/float64(b.N), "bitsRead/op")
 }
 
+// BenchmarkApproxQueryDropped asks approximate queries of the compat
+// fixtures' shape (zipf 1.1, 66 000 rows, σ 256, B = 2048 bits), where most
+// h_4 sets are dropped for being no shorter than their exact members: a
+// hashed answer reads such a member exact in its set's place and hashes its
+// rows. The queries are the ranges of 1 to 3 characters answered hashed at
+// ε = 1/2 or 1/16; droppedShare is the share of them whose cover holds a
+// dropped set, counted as those a second build with its exact levels zeroed
+// fails (the image holds the exact levels first, then the hashed sets).
+func BenchmarkApproxQueryDropped(b *testing.B) {
+	type query struct {
+		r   index.Range
+		eps float64
+	}
+	col := workload.Zipf(66000, 256, 1.1, 50)
+	build := func() (*iomodel.Disk, *core.Approx) {
+		d := iomodel.NewDisk(iomodel.Config{BlockBits: 2048})
+		ax, err := core.BuildApprox(d, col, core.ApproxOptions{Seed: 42})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return d, ax
+	}
+	_, ax := build()
+	d, zeroed := build()
+	tc := d.NewTouch()
+	var exactBits int64
+	for _, lv := range zeroed.SpaceLedger().Levels {
+		exactBits += lv.ExactBits
+	}
+	for pos := int64(0); pos < exactBits; pos += 64 {
+		if err := tc.WriteBits(pos, 0, int(min(64, exactBits-pos))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	tc.Close()
+	var qs []query
+	var dropped int
+	for _, eps := range []float64{1.0 / 2, 1.0 / 16} {
+		for width := uint32(0); width < 3; width++ {
+			for lo := uint32(0); lo+width < uint32(col.Sigma); lo++ {
+				q := query{index.Range{Lo: lo, Hi: lo + width}, eps}
+				res, _, err := ax.ApproxQuery(q.r, q.eps)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.IsExact() {
+					continue
+				}
+				qs = append(qs, q)
+				if _, _, err := zeroed.ApproxQuery(q.r, q.eps); err != nil {
+					dropped++
+				}
+			}
+		}
+	}
+	if dropped == 0 {
+		b.Fatalf("none of %d hashed answers holds a dropped set", len(qs))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := qs[i%len(qs)]
+		if _, _, err := ax.ApproxQuery(q.r, q.eps); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(dropped)/float64(len(qs)), "droppedShare")
+}
+
 func BenchmarkA4LevelBuffering(b *testing.B) { benchExperiment(b, experiments.A4LevelBuffering) }
 
 func BenchmarkA5CodeChoice(b *testing.B) { benchExperiment(b, experiments.A5CodeChoice) }

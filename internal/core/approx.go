@@ -57,9 +57,10 @@ type hashArray struct {
 	// sets of a file written before.
 	orders []uint8
 	// priced holds the length of each set dropped for being no shorter than
-	// its member's exact set, which a query reads in its place and hashes
-	// (hashedAnswer), else 0; nil on a file of revision 2 or before, which
-	// stores every set it lists.
+	// its member's exact set, else 0; nil on a file of revision 2 or before,
+	// which stores every set it lists. A query reads the member's exact set in
+	// a dropped set's place and hashes its rows into the overlay the executor
+	// merges (hashedPlan).
 	priced []int64
 }
 
@@ -418,8 +419,8 @@ func (ax *Approx) ApproxQueryContext(ctx context.Context, r index.Range, eps flo
 			break
 		}
 	}
-	plans := sc.growPlans(1)
-	plan := &plans[0]
+	plans := sc.growPlans(2) // the exact or cover plan, and the hashed one
+	plan, hashed := &plans[0], &plans[1]
 	planned := j > 0
 	if planned {
 		// The hashed sets tile each level in the exact sets' member order, so
@@ -446,64 +447,75 @@ func (ax *Approx) ApproxQueryContext(ctx context.Context, r index.Range, eps flo
 				return nil, stats, err
 			}
 		}
-		exact, err := sc.execute(ctx, tc, plans, ax.exactDir, len(ax.levels), ax.tree.n, &stats)
+		exact, err := sc.execute(ctx, tc, plans[:1], ax.exactDir, ax.tree.n, &stats)
 		if err != nil {
 			return nil, stats, err
 		}
 		return &Result{N: ax.tree.n, Exact: exact[0]}, stats, nil
 	}
 
-	set, err := ax.hashedAnswer(ctx, tc, sc, plan.Chunks, j, &stats)
+	// The same cover executed against the j-th hashed sets, over
+	// [0,2^(2^j)), in which hashed positions are in no order: each run of
+	// stored sets is a chunk of the hashed plan, and each run of sets dropped
+	// for being no shorter than their exact members is read exact and hashed
+	// into the overlay the merge takes as one more stream. No query reads more
+	// bits than it would had every set been stored.
+	univ := int64(1) << uint(1<<uint(j))
+	if err = ax.hashedPlan(ctx, tc, sc, plan.Chunks, j, hashed, &stats); err != nil {
+		return nil, stats, err
+	}
+	hashedDir := func(level int) memberDir { return &ax.hmaps[level].perJ[j-1] }
+	set, err := sc.execute(ctx, tc, plans[1:], hashedDir, univ, &stats)
 	if err != nil {
 		return nil, stats, err
 	}
-	return &Result{N: ax.tree.n, J: j, H: ax.hs[j-1], Set: set}, stats, nil
+	return &Result{N: ax.tree.n, J: j, H: ax.hs[j-1], Set: set[0]}, stats, nil
 }
 
-// hashedAnswer executes the cover chunks against the j-th hashed sets: the
-// members' gap streams merge directly into the answer set over
-// [0,2^(2^j)) (cf. Optimal.Query). Each run of adjacent stored sets is read
-// as one span of the hashed image. Each run of members whose sets were
-// dropped is read as one span of the exact levels, and the members' rows,
-// hashed as the build hashes them, join the merge as one more stream
-// (queryScratch.rehash). A dropped set is no shorter than its exact member,
-// so no query reads more bits than it would had every set been stored.
-func (ax *Approx) hashedAnswer(ctx context.Context, tc *iomodel.Touch, sc *queryScratch, chunks []PlanChunk, j int, stats *index.QueryStats) (*cbitmap.Bitmap, error) {
-	univ := int64(1) << uint(1<<uint(j))
+// hashedPlan sets plan to the runs of stored j-th hashed sets in the cover
+// chunks, and reads each run of dropped ones as one span of the exact level:
+// every row of its members, validated against [0,n), joins sc.overlay as
+// its hashed value.
+func (ax *Approx) hashedPlan(ctx context.Context, tc *iomodel.Touch, sc *queryScratch, chunks []PlanChunk, j int, plan *QueryPlan, stats *index.QueryStats) error {
+	h := ax.hs[j-1]
 	for _, c := range chunks {
 		arr := &ax.hmaps[c.Level].perJ[j-1]
 		for i := c.I; i < c.J; {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
 			stored := arr.stored(i)
 			run := PlanChunk{Level: c.Level, I: i, J: i + 1}
 			for run.J < c.J && arr.stored(run.J) == stored {
 				run.J++
 			}
-			var dir memberDir = &ax.levels[c.Level]
-			if stored {
-				dir = arr
-			}
-			cb, span, err := sc.readSpan(tc, dir, run.I, run.J, stats)
-			if err != nil {
-				return nil, err
-			}
-			if stored {
-				err = sc.appendStreams(cb, span.Off, dir, run, univ, nil)
-			} else {
-				err = sc.rehash(cb, span.Off, dir, run, ax.tree.n)
-			}
-			if err != nil {
-				return nil, err
-			}
 			i = run.J
+			if stored {
+				plan.Chunks = append(plan.Chunks, run)
+				continue
+			}
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			lv := &ax.levels[c.Level]
+			cb, span, err := sc.readSpan(tc, lv, run.I, run.J, stats)
+			if err != nil {
+				return err
+			}
+			var s cbitmap.Stream
+			for k := run.I; k < run.J; k++ {
+				ext, card, order := lv.entry(k)
+				err := s.InitDecode(&cb.r, int(ext.Off-span.Off), int(ext.Bits), card, ax.tree.n, 0, order)
+				for p, ok := s.Next(); err == nil && ok; p, ok = s.Next() {
+					sc.overlay = append(sc.overlay, int64(h.Hash(uint64(p))))
+				}
+				if err == nil {
+					err = s.Err()
+				}
+				if err != nil {
+					return fmt.Errorf("core: level %d member %d: %w", c.Level, k, err)
+				}
+			}
 		}
 	}
-	if err := sc.addRehashed(ax.hs[j-1]); err != nil {
-		return nil, err
-	}
-	return sc.merge(univ, false)
+	return nil
 }
 
 // PayloadUnderCodes prices the exact payload as Optimal.PayloadUnderCodes

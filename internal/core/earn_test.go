@@ -131,7 +131,7 @@ func TestHashedEarnCensus(t *testing.T) {
 						continue
 					}
 					hashed++
-					if coverDrops(t, ax, r, got.J) {
+					if _, dropped := coverSets(t, ax, r, got.J); dropped > 0 {
 						withDropped++
 					}
 				}
@@ -142,9 +142,9 @@ func TestHashedEarnCensus(t *testing.T) {
 	}
 }
 
-// coverDrops reports whether the cover of r holds a member whose set at j
-// ax dropped.
-func coverDrops(t *testing.T, ax *Approx, r index.Range, j int) bool {
+// coverSets counts the sets at j that ax stores and drops among the members
+// of r's cover.
+func coverSets(t *testing.T, ax *Approx, r index.Range, j int) (stored, dropped int) {
 	t.Helper()
 	var plan QueryPlan
 	qlo, qhi := ax.tree.RecordRange(r.Lo, r.Hi)
@@ -155,11 +155,13 @@ func coverDrops(t *testing.T, ax *Approx, r index.Range, j int) bool {
 		arr := &ax.hmaps[c.Level].perJ[j-1]
 		for i := c.I; i < c.J; i++ {
 			if arr.dropped(i) {
-				return true
+				dropped++
+			} else if arr.stored(i) {
+				stored++
 			}
 		}
 	}
-	return false
+	return stored, dropped
 }
 
 // flipSaving returns, for an exact answer to r at eps, the bits a hashed

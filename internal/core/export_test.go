@@ -23,7 +23,7 @@ func (ox *Optimal) QueryGeneralMerge(r index.Range) (out *cbitmap.Bitmap, stats 
 	if err = ox.planInto(r, &plans[0]); err == nil {
 		plans[0].Ordered = false
 		var answers []*cbitmap.Bitmap
-		if answers, err = sc.execute(context.Background(), tc, plans, ox.exactDir, len(ox.levels), ox.tree.n, &stats); err == nil {
+		if answers, err = sc.execute(context.Background(), tc, plans, ox.exactDir, ox.tree.n, &stats); err == nil {
 			out = answers[0]
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -25,21 +26,24 @@ func TestCorruptLevelBitmapDetected(t *testing.T) {
 	// Zero out a member of the deepest level: the gamma decoder reads an
 	// enormous unary run and either decodes past the universe or runs out
 	// of bits — both must surface as errors.
-	lv := &ix.levels[len(ix.levels)-1]
-	m := lv.members[len(lv.members)/2]
-	tc := d.NewTouch()
-	pos := m.ext.Off
-	for rem := m.ext.Bits; rem > 0; {
-		nbits := int64(64)
-		if nbits > rem {
-			nbits = rem
+	zero := func(d *iomodel.Disk, ext iomodel.Extent) {
+		tc := d.NewTouch()
+		defer tc.Close()
+		pos := ext.Off
+		for rem := ext.Bits; rem > 0; {
+			nbits := int64(64)
+			if nbits > rem {
+				nbits = rem
+			}
+			if err := tc.WriteBits(pos, 0, int(nbits)); err != nil {
+				t.Fatal(err)
+			}
+			pos += nbits
+			rem -= nbits
 		}
-		if err := tc.WriteBits(pos, 0, int(nbits)); err != nil {
-			t.Fatal(err)
-		}
-		pos += nbits
-		rem -= nbits
 	}
+	lv := &ix.levels[len(ix.levels)-1]
+	zero(d, lv.members[len(lv.members)/2].ext)
 	defer func() {
 		if r := recover(); r != nil {
 			t.Fatalf("corruption caused panic: %v", r)
@@ -58,6 +62,48 @@ func TestCorruptLevelBitmapDetected(t *testing.T) {
 	if !sawError {
 		t.Fatal("zeroed member bitmap never produced a query error")
 	}
+
+	// A hashed answer reads a member whose h_j set was dropped in its place
+	// and hashes its rows: zeroed, the member must fail such an answer.
+	col = workload.Zipf(66000, 256, 1.1, 50)
+	d = iomodel.NewDisk(iomodel.Config{BlockBits: 2048})
+	ax, err := BuildApprox(d, col, ApproxOptions{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, length := range []int{1, 4, 16, 64} {
+		for _, q := range workload.RandomRanges(64, col.Sigma, length, int64(length)) {
+			r := index.Range{Lo: q.Lo, Hi: q.Hi}
+			for _, eps := range []float64{1.0 / 2, 1.0 / 16} {
+				res, _, err := ax.ApproxQuery(r, eps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.IsExact() {
+					continue
+				}
+				var plan QueryPlan
+				qlo, qhi := ax.tree.RecordRange(r.Lo, r.Hi)
+				if err := ax.planCover(qlo, qhi, &plan); err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range plan.Chunks {
+					for i := c.I; i < c.J; i++ {
+						if !ax.hmaps[c.Level].perJ[res.J-1].dropped(i) {
+							continue
+						}
+						zero(d, ax.levels[c.Level].members[i].ext)
+						if _, _, err := ax.ApproxQuery(r, eps); !errors.Is(err, cbitmap.ErrCorrupt) {
+							t.Fatalf("[%d,%d] eps=%g with level %d member %d zeroed, its h_%d set dropped: %v, want ErrCorrupt",
+								r.Lo, r.Hi, eps, c.Level, i, res.J, err)
+						}
+						return
+					}
+				}
+			}
+		}
+	}
+	t.Fatal("no hashed answer's cover holds a dropped set")
 }
 
 func TestCbitmapDecodeCorrupt(t *testing.T) {

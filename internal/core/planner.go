@@ -14,8 +14,11 @@
 // Aggarwal–Vitter I/O model the batch therefore reads the blocks of the
 // *union* of its cover extents, not the sum — the saved reads are reported
 // in QueryStats.SharedSaved. A single query is the batch of one plan, whose
-// sharing is zero: every static query — exact, approximate or Warmup — runs
-// the one executor.
+// sharing is zero: every static query — exact, point, approximate and Warmup
+// — runs the one executor. A hashed answer is its cover's plan run over the
+// j-th hashed sets, whose sets dropped for being no shorter than their exact
+// members are read exact and hashed into the overlay the executor merges as
+// one more stream.
 //
 // Planning reads nothing. The paper's query bound assumes that internal
 // memory holds (|Σ| lg n)^δ blocks, enough for the prefix counts A and the
@@ -35,11 +38,9 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/cbitmap"
@@ -196,20 +197,22 @@ func (ox *Optimal) coverChunks(qlo, qhi int64, plan *QueryPlan) error {
 // session has found: every plan that reads it validates it while merging.
 const lastUnknown = math.MinInt64
 
-// memberRun is one requested member index range [i,j) at a level.
-type memberRun struct {
-	i, j int
-}
-
-// planRun is one coalesced run of members [i,j) at a level: its extent is
+// planRun is one coalesced run of members [I,J) at a level: its extent is
 // read once into cb, and in a stable session lasts holds each member's
-// largest position from the level's memo (indexed k-i; a slice of the
+// largest position from the level's memo (indexed k-I; a slice of the
 // scratch's lasts), lastUnknown where no query has validated it yet.
 type planRun struct {
-	i, j  int
+	PlanChunk
 	span  iomodel.Extent
 	cb    *chunkBuf
 	lasts []int64
+}
+
+// chunkReq is one plan chunk as execute coalesces it: the chunk, and its
+// index among the chunks of all the plans, in plan order.
+type chunkReq struct {
+	PlanChunk
+	at int
 }
 
 // QueryBatch answers a batch of range queries through the shared-scan
@@ -303,7 +306,7 @@ func (ox *Optimal) answer(ctx context.Context, rs []index.Range, out []*cbitmap.
 			return stats, err
 		}
 	}
-	answers, err := sc.execute(ctx, tc, plans, ox.exactDir, len(ox.levels), ox.tree.n, &stats)
+	answers, err := sc.execute(ctx, tc, plans, ox.exactDir, ox.tree.n, &stats)
 	if err != nil {
 		return stats, err
 	}
@@ -314,69 +317,68 @@ func (ox *Optimal) answer(ctx context.Context, rs []index.Range, out []*cbitmap.
 }
 
 // execute answers plans in the caller's session, each over [0,univ), against
-// the member directories dirOf names for levels [0,levels): the exact sets
-// or a Warmup's nodes (hashed sets: Approx.hashedAnswer). The requested member runs are
-// coalesced per level — overlapping or adjacent runs merge into one, never
-// across a gap, so the blocks read are exactly the blocks of the union of
-// the planned extents — and each coalesced extent is read once. Every plan
-// then gets one Stream view per member, positioned at the member's bit offset
-// in the shared extent buffer, and merges them. A member's view validates its
-// bits during the merge unless a stable session validated them before, when
-// the level's memo holds its largest position and the view replays it (exact
-// levels only: no other directory keeps one); so k plans sharing a member no
-// query has validated each validate it, once per handle. Only several plans
-// share anything, so only then are the extents attributed to their consumers.
-// An ordered plan's members go to the concatenation kernel instead
-// (appendMembers, cbitmap.Concat), which validates a member the memo does not
-// vouch for before it copies a bit of it; the memo then remembers it, as it
-// remembers a validating stream. ctx is checked between extent scans and
-// between merges; the answers, one per plan, are the scratch's until it is
-// released.
-func (sc *queryScratch) execute(ctx context.Context, tc *iomodel.Touch, plans []QueryPlan, dirOf func(level int) memberDir, levels int, univ int64, stats *index.QueryStats) ([]*cbitmap.Bitmap, error) {
+// the member directories dirOf names by level: the exact sets, the j-th
+// hashed ones or a Warmup's nodes. The requested member runs are coalesced
+// per level — overlapping or adjacent runs merge into one, never across a
+// gap, so the blocks read are exactly the blocks of the union of the planned
+// extents — and each coalesced extent is read once, level by level. Every
+// plan then gets one Stream view per member, positioned at the member's bit
+// offset in the shared extent buffer, and merges them, with sc.overlay, which
+// only the caller of a lone plan fills (a hashed answer's dropped sets), as
+// one more stream. A member's view validates its bits during the merge unless
+// a stable session validated them before, when the level's memo holds its
+// largest position and the view replays it (exact levels only: no other
+// directory keeps one); so k plans sharing a member no query has validated
+// each validate it, once per handle. Only several plans share anything, so
+// only then are the extents attributed to their consumers. An ordered plan's
+// members go to the concatenation kernel instead (appendMembers,
+// cbitmap.Concat), which validates a member the memo does not vouch for
+// before it copies a bit of it; the memo then remembers it, as it remembers
+// a validating stream. ctx is checked between extent scans and between
+// merges; the answers, one per plan, are the scratch's until it is released.
+func (sc *queryScratch) execute(ctx context.Context, tc *iomodel.Touch, plans []QueryPlan, dirOf func(level int) memberDir, univ int64, stats *index.QueryStats) ([]*cbitmap.Bitmap, error) {
 	shares := len(plans) > 1
-	byLevel, runs := sc.growLevels(levels)
+	reqs := sc.reqs[:0]
 	for qi := range plans {
 		for _, c := range plans[qi].Chunks {
-			byLevel[c.Level] = append(byLevel[c.Level], memberRun{c.I, c.J})
+			reqs = append(reqs, chunkReq{c, len(reqs)})
 		}
 	}
-	for li, reqs := range byLevel {
-		if len(reqs) == 0 {
-			continue
+	slices.SortFunc(reqs, func(a, b chunkReq) int {
+		if a.Level != b.Level {
+			return a.Level - b.Level
 		}
-		slices.SortFunc(reqs, func(a, b memberRun) int {
-			return cmp.Or(cmp.Compare(a.i, b.i), cmp.Compare(a.j, b.j))
-		})
-		cur := reqs[0]
-		for _, rq := range reqs[1:] {
-			if rq.i <= cur.j {
-				cur.j = max(cur.j, rq.j)
-				continue
-			}
-			runs[li] = append(runs[li], planRun{i: cur.i, j: cur.j})
-			cur = rq
+		return a.I - b.I
+	})
+	runs, runOf := sc.runs[:0], slices.Grow(sc.runOf[:0], len(reqs))[:len(reqs)]
+	for _, rq := range reqs {
+		if k := len(runs) - 1; k >= 0 && runs[k].Level == rq.Level && rq.I <= runs[k].J {
+			runs[k].J = max(runs[k].J, rq.J)
+		} else {
+			runs = append(runs, planRun{PlanChunk: rq.PlanChunk})
 		}
-		runs[li] = append(runs[li], planRun{i: cur.i, j: cur.j})
-		dir := dirOf(li)
-		lv, exact := dir.(*matLevel)
-		for ri := range runs[li] {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			run := &runs[li][ri]
-			var err error
-			if run.cb, run.span, err = sc.readSpan(tc, dir, run.i, run.j, stats); err != nil {
-				return nil, err
-			}
-			if exact && tc.Stable() {
-				from := len(sc.lasts)
-				sc.lasts = lv.knownLasts(sc.lasts, run.i, run.j)
-				run.lasts = sc.lasts[from:]
-			}
+		runOf[rq.at] = len(runs) - 1
+	}
+	sc.reqs, sc.runs, sc.runOf = reqs, runs, runOf
+	for ri := range runs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		run := &runs[ri]
+		dir := dirOf(run.Level)
+		var err error
+		if run.cb, run.span, err = sc.readSpan(tc, dir, run.I, run.J, stats); err != nil {
+			return nil, err
+		}
+		if lv, exact := dir.(*matLevel); exact && tc.Stable() {
+			from := len(sc.lasts)
+			sc.lasts = lv.knownLasts(sc.lasts, run.I, run.J)
+			run.lasts = sc.lasts[from:]
 		}
 	}
 
 	sc.answers = sc.answers[:0]
+	at := 0 // the chunk's index among all the plans' chunks
 	for qi := range plans {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -388,14 +390,14 @@ func (sc *queryScratch) execute(ctx context.Context, tc *iomodel.Touch, plans []
 		sc.streams, sc.members = sc.streams[:0], sc.members[:0]
 		for _, c := range plans[qi].Chunks {
 			dir := dirOf(c.Level)
-			lruns := runs[c.Level]
-			run := &lruns[sort.Search(len(lruns), func(x int) bool { return lruns[x].i > c.I })-1]
+			run := &runs[runOf[at]]
+			at++
 			if shares {
 				tc.NoteExtent(spanOf(dir, c.I, c.J))
 			}
 			lasts := run.lasts
 			if lasts != nil {
-				lasts = lasts[c.I-run.i:]
+				lasts = lasts[c.I-run.I:]
 			}
 			var err error
 			if ordered {
@@ -411,7 +413,7 @@ func (sc *queryScratch) execute(ctx context.Context, tc *iomodel.Touch, plans []
 		var err error
 		if ordered {
 			bm, err = cbitmap.Concat(univ, sc.members)
-		} else {
+		} else if err = sc.addOverlay(univ); err == nil {
 			bm, err = sc.merge(univ, plans[qi].Complement)
 		}
 		if err != nil {

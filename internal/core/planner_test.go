@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cbitmap"
@@ -271,6 +273,36 @@ func TestQueryBatchEdgeCases(t *testing.T) {
 	}
 	if _, _, err := ox.PlanQuery(index.Range{Lo: 9, Hi: 3}); err == nil {
 		t.Fatal("inverted range accepted by PlanQuery")
+	}
+}
+
+// TestExecuteOverlayAlone: a plan with no chunks answers its overlay alone,
+// the merge's lone stream, sorted and deduplicated, and fails a position
+// outside the answer's universe as the merge fails a corrupt member.
+func TestExecuteOverlayAlone(t *testing.T) {
+	ox, err := BuildOptimalDefault(iomodel.NewDisk(iomodel.Config{BlockBits: 512}), workload.Uniform(2000, 32, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(overlay ...int64) (*cbitmap.Bitmap, index.QueryStats, error) {
+		tc := ox.disk.NewTouch()
+		defer tc.Close()
+		sc := getScratch()
+		defer sc.release()
+		sc.overlay = append(sc.overlay, overlay...)
+		var stats index.QueryStats
+		answers, err := sc.execute(context.Background(), tc, sc.growPlans(1), ox.exactDir, 64, &stats)
+		if err != nil {
+			return nil, stats, err
+		}
+		return answers[0], stats, nil
+	}
+	got, stats, err := run(9, 3, 9, 63, 0)
+	if err != nil || !slices.Equal(got.Positions(), []int64{0, 3, 9, 63}) || got.Universe() != 64 || stats.BitsRead != 0 {
+		t.Fatalf("overlay alone: %v, %+v, %v", got, stats, err)
+	}
+	if _, _, err := run(5, 64); !errors.Is(err, cbitmap.ErrCorrupt) {
+		t.Fatalf("position outside the universe: %v, want ErrCorrupt", err)
 	}
 }
 

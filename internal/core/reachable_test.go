@@ -70,7 +70,7 @@ func TestHashedSetsReachable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var hashed, queries int
+			var hashed, queries, mixed, droppedOnly int
 			for length := 1; length <= 256; length *= 2 {
 				for _, q := range workload.RandomRanges(24, c.col.Sigma, length, int64(length)) {
 					r := index.Range{Lo: q.Lo, Hi: q.Hi}
@@ -91,13 +91,26 @@ func TestHashedSetsReachable(t *testing.T) {
 						queries++
 						if !want.IsExact() {
 							hashed++
+							switch stored, dropped := coverSets(t, ax, r, want.J); {
+							case dropped > 0 && stored > 0:
+								mixed++
+							case dropped > 0:
+								droppedOnly++
+							}
 						}
 					}
 				}
 			}
-			t.Logf("%d sets kept, %d omitted; %d of %d answers hashed", kept, omitted, hashed, queries)
+			t.Logf("%d sets kept, %d omitted; %d of %d answers hashed, %d with stored and dropped sets, %d with dropped ones only",
+				kept, omitted, hashed, queries, mixed, droppedOnly)
 			if hashed == 0 {
 				t.Fatal("no answer came from a hashed level")
+			}
+			// A dropped set is priced no shorter than its exact member, so a
+			// cover of dropped sets only prices its hashed frontier at or
+			// above its exact one and is answered exact.
+			if mixed == 0 || droppedOnly > 0 {
+				t.Fatalf("%d hashed answers read stored and dropped sets, %d dropped ones only: want some, and none", mixed, droppedOnly)
 			}
 		})
 	}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/bitio"
 	"repro/internal/cbitmap"
-	"repro/internal/hashutil"
 	"repro/internal/index"
 	"repro/internal/iomodel"
 )
@@ -28,18 +27,20 @@ type chunkBuf struct {
 func newChunkBuf() *chunkBuf { return &chunkBuf{w: bitio.NewWriter(0)} }
 
 // queryScratch is the pooled per-operation state of the fused streaming
-// pipeline: the plans execute answers, the per-level request and run tables
-// it coalesces them into, one decode stream per member of the plan being
-// merged (one concatenation member for an ordered plan), and the extent
-// buffers they read from. A query — a batch of
-// one plan — or a batch borrows a scratch, plans into it, executes and
-// releases, so the steady-state query path allocates little beyond the
-// answers it returns. The updatable kinds also gather the positions their
-// update buffers hold into one overlay.
+// pipeline: the plans execute answers, the request and run tables it
+// coalesces them into, one decode stream per member of the plan being merged
+// (one concatenation member for an ordered plan), and the extent buffers they
+// read from. A query — a batch of one plan — or a batch borrows a scratch,
+// plans into it, executes and releases, so the steady-state query path
+// allocates little beyond the answers it returns. The overlay gathers
+// positions that join a merge as one in-memory stream: the hashed values of
+// the rows a hashed answer reads in place of its dropped sets, and the
+// positions the updatable kinds' update buffers hold.
 type queryScratch struct {
 	plans   []QueryPlan
-	byLevel [][]memberRun     // each level's requested runs (execute)
-	runs    [][]planRun       // each level's coalesced runs (execute)
+	reqs    []chunkReq        // the plans' chunks, by level (execute)
+	runs    []planRun         // the chunks coalesced, each read once (execute)
+	runOf   []int             // each chunk's run, in plan order (execute)
 	lasts   []int64           // the runs' member lasts, carved into them
 	answers []*cbitmap.Bitmap // one per plan, in plan order
 	streams []cbitmap.Stream
@@ -49,11 +50,10 @@ type queryScratch struct {
 	used    int  // bufs handed out this operation
 	lazy    bool // merge without skip samples (Optimal.QueryParts)
 
-	overlay   []int64        // positions merged as one in-memory stream (addOverlay)
-	rehashing *rehashScratch // made by the first hashed answer that needs it (rehash)
-	leaves    []*pnode       // one point-index descent's leaves, in key order (collect)
-	pending   []pentry       // the updates that descent found buffered for its bins
-	appends   []dynEntry     // one append-member buffer's entries (queryCharStreams)
+	overlay []int64    // positions merged as one in-memory stream (addOverlay)
+	leaves  []*pnode   // one point-index descent's leaves, in key order (collect)
+	pending []pentry   // the updates that descent found buffered for its bins
+	appends []dynEntry // one append-member buffer's entries (queryCharStreams)
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
@@ -78,21 +78,16 @@ func (sc *queryScratch) release() {
 	clear(sc.members)
 	clear(sc.leaves)
 	clear(sc.answers)
-	for i := range sc.runs {
-		clear(sc.runs[i])
-		sc.runs[i] = sc.runs[i][:0]
-	}
+	clear(sc.runs)
+	sc.runs = sc.runs[:0]
 	sc.streams = sc.streams[:0]
 	sc.ptrs = sc.ptrs[:0]
 	sc.members = sc.members[:0]
 	sc.lasts = sc.lasts[:0]
 	sc.answers = sc.answers[:0]
 	sc.overlay = sc.overlay[:0]
-	if rh := sc.rehashing; rh != nil {
-		rh.rows = rh.rows[:0]
-		if cap(rh.rows) > scratchBufMaxBytes/8 {
-			rh.rows = nil
-		}
+	if cap(sc.overlay) > scratchBufMaxBytes/8 {
+		sc.overlay = nil
 	}
 	sc.leaves = sc.leaves[:0]
 	sc.pending = sc.pending[:0]
@@ -119,17 +114,6 @@ func (sc *queryScratch) growPlans(k int) []QueryPlan {
 		sc.plans[i].reset()
 	}
 	return sc.plans[:k]
-}
-
-// growLevels returns the per-level request and run tables sized to k levels.
-func (sc *queryScratch) growLevels(k int) ([][]memberRun, [][]planRun) {
-	for len(sc.runs) < k {
-		sc.byLevel, sc.runs = append(sc.byLevel, nil), append(sc.runs, nil)
-	}
-	for i := range k {
-		sc.byLevel[i], sc.runs[i] = sc.byLevel[i][:0], sc.runs[i][:0]
-	}
-	return sc.byLevel[:k], sc.runs[:k]
 }
 
 // nextBuf hands out a reset chunk buffer, growing the pool of buffers the
@@ -243,61 +227,9 @@ func (sc *queryScratch) addOverlay(n int64) error {
 	cbitmap.AddSorted(&e, pos)
 	cb.r.Init(cb.w.Bytes(), cb.w.Len())
 	if err := sc.newStream().InitDecode(&cb.r, 0, cb.w.Len(), int64(len(pos)), n, 0, 0); err != nil {
-		return fmt.Errorf("core: update overlay: %w", err)
+		return fmt.Errorf("core: overlay: %w", err)
 	}
 	return nil
-}
-
-// rehashScratch is what a hashed answer needs to hash the members whose
-// hashed sets were dropped: their rows, and the build's hashing scratch.
-type rehashScratch struct {
-	rows []int64
-	set  hashSet[int64]
-}
-
-// rehash appends to the rehash scratch the positions of the members of chunk
-// c in dir, exact sets whose hashed sets were dropped, decoded from cb, which
-// holds the device's bits from offset base on, and validated against [0,n).
-func (sc *queryScratch) rehash(cb *chunkBuf, base int64, dir memberDir, c PlanChunk, n int64) error {
-	if sc.rehashing == nil {
-		sc.rehashing = new(rehashScratch)
-	}
-	rh := sc.rehashing
-	var s cbitmap.Stream
-	for k := c.I; k < c.J; k++ {
-		ext, card, order := dir.entry(k)
-		err := s.InitDecode(&cb.r, int(ext.Off-base), int(ext.Bits), card, n, 0, order)
-		for p, ok := s.Next(); err == nil && ok; p, ok = s.Next() {
-			rh.rows = append(rh.rows, p)
-		}
-		if err == nil {
-			err = s.Err()
-		}
-		if err != nil {
-			return fmt.Errorf("core: level %d member %d: %w", c.Level, k, err)
-		}
-	}
-	return nil
-}
-
-// addRehashed appends to the merge inputs the hashed set h(rows), the union
-// of the dropped sets rehash gathered the rows of, as one stream: encoded by
-// the build's hashSet, sorted and de-duplicated, into a pooled chunk buffer.
-func (sc *queryScratch) addRehashed(h hashutil.SplitXOR) error {
-	rh := sc.rehashing
-	if rh == nil || len(rh.rows) == 0 {
-		return nil
-	}
-	cb := sc.nextBuf()
-	cb.w.Reset()
-	var e cbitmap.StreamEncoder
-	e.Init(cb.w)
-	k, err := rh.set.encode(&e, h, rh.rows, 0)
-	if err != nil {
-		return err
-	}
-	cb.r.Init(cb.w.Bytes(), cb.w.Len())
-	return sc.newStream().InitDecode(&cb.r, 0, cb.w.Len(), e.Card(), h.Range(), 0, k)
 }
 
 // streamPtrs returns one pointer per accumulated stream; it is taken only

@@ -138,7 +138,7 @@ func (wx *Warmup) Query(r index.Range) (out *cbitmap.Bitmap, stats index.QuerySt
 		return nil
 	})
 	dirOf := func(level int) memberDir { return &wx.levels[level] }
-	answers, err := sc.execute(context.Background(), tc, plans, dirOf, len(wx.levels), wx.n, &stats)
+	answers, err := sc.execute(context.Background(), tc, plans, dirOf, wx.n, &stats)
 	if err != nil {
 		return nil, stats, err
 	}
