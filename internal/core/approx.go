@@ -401,10 +401,7 @@ func (ax *Approx) ApproxQueryContext(ctx context.Context, r index.Range, eps flo
 	}
 	tc := ax.disk.NewTouch()
 	defer tc.Close()
-	defer func() {
-		stats.Reads, stats.Writes = tc.Reads(), tc.Writes()
-		stats.FailedReads = tc.FailedReads()
-	}()
+	defer sessionStats(tc, &stats)
 	sc := getScratch()
 	defer sc.release()
 	qlo, qhi := ax.tree.RecordRange(r.Lo, r.Hi)

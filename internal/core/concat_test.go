@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -150,7 +151,7 @@ func TestPointQueryConcatDifferential(t *testing.T) {
 							t.Fatalf("%s %s: answer or stats %+v differ from memory's %+v", what, h.name, st, wantStats)
 						}
 					}
-					got, _, err := sharded.Query(r)
+					got, _, _, err := sharded.QueryExec(context.Background(), r, shard.ExecOptions{})
 					if err != nil {
 						t.Fatalf("%s sharded: %v", what, err)
 					}
@@ -194,7 +195,8 @@ func TestPointQueryConcatDifferential(t *testing.T) {
 		if _, _, err := ax.Query(r); !errors.Is(err, cbitmap.ErrCorrupt) {
 			t.Fatalf("key %d, member %d of %d starting at row 0: err %v, want ErrCorrupt", c, len(exts)/2, len(exts), err)
 		}
-		if _, _, err := ax.QueryBatch([]index.Range{r, {Lo: 0, Hi: uint32(col.Sigma - 1)}}); !errors.Is(err, cbitmap.ErrCorrupt) {
+		batch := []index.Range{r, {Lo: 0, Hi: uint32(col.Sigma - 1)}}
+		if _, err := ax.Answer(context.Background(), batch, make([]*cbitmap.Bitmap, len(batch)), true); !errors.Is(err, cbitmap.ErrCorrupt) {
 			t.Fatalf("key %d in a batch: err %v, want ErrCorrupt", c, err)
 		}
 		return

@@ -92,11 +92,12 @@ func TestValidationMemoRecordsLasts(t *testing.T) {
 			t.Fatalf("%v: warm read-only answer or stats differ from the built index's", r)
 		}
 	}
-	got, gst, err := ro.QueryBatch(rs)
+	rs = distinctRanges(rs)
+	got, gst, err := answerBatch(ro.Optimal, rs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, wst, err := built.QueryBatch(rs)
+	want, wst, err := answerBatch(built.Optimal, rs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestValidationMemoRecordsLasts(t *testing.T) {
 // TestValidationMemoReplays pins that a remembered member is taken on faith:
 // with a last planted past every row for a point query's first member, the
 // ordered concatenation finds the next member's head below it and fails,
-// through Query and QueryBatch alike, where validating the member would have
+// through Query and Answer alike, where validating the member would have
 // answered.
 func TestValidationMemoReplays(t *testing.T) {
 	col := workload.Uniform(6000, 40, 4)
@@ -134,8 +135,8 @@ func TestValidationMemoReplays(t *testing.T) {
 	if _, _, err := ro.Query(r); err == nil {
 		t.Fatal("Query re-validated a member the memo vouches for")
 	}
-	if _, _, err := ro.QueryBatch([]index.Range{r, {Lo: 16, Hi: 17}}); err == nil {
-		t.Fatal("QueryBatch re-validated a member the memo vouches for")
+	if _, _, err := answerBatch(ro.Optimal, []index.Range{r, {Lo: 16, Hi: 17}}); err == nil {
+		t.Fatal("Answer re-validated a member the memo vouches for")
 	}
 }
 

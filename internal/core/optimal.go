@@ -291,7 +291,7 @@ func (ox *Optimal) Query(r index.Range) (*cbitmap.Bitmap, index.QueryStats, erro
 // account every attempt they make.
 func (ox *Optimal) QueryContext(ctx context.Context, r index.Range) (*cbitmap.Bitmap, index.QueryStats, error) {
 	var out [1]*cbitmap.Bitmap
-	stats, err := ox.answer(ctx, []index.Range{r}, out[:], true)
+	stats, err := ox.Answer(ctx, []index.Range{r}, out[:], true)
 	return out[0], stats, err
 }
 

@@ -15,10 +15,13 @@
 // *union* of its cover extents, not the sum — the saved reads are reported
 // in QueryStats.SharedSaved. A single query is the batch of one plan, whose
 // sharing is zero: every static query — exact, point, approximate and Warmup
-// — runs the one executor. A hashed answer is its cover's plan run over the
-// j-th hashed sets, whose sets dropped for being no shorter than their exact
-// members are read exact and hashed into the overlay the executor merges as
-// one more stream.
+// — runs the one executor. Optimal has one batch entry, Answer, which writes
+// into slots its caller owns and leaves deduplication to the caller (a
+// sharded index's fan-out, which deduplicates once for all its shards), and
+// one single-range form, Query, over a slot on its own stack. A hashed answer
+// is its cover's plan run over the j-th hashed sets, whose sets dropped for
+// being no shorter than their exact members are read exact and hashed into
+// the overlay the executor merges as one more stream.
 //
 // Planning reads nothing. The paper's query bound assumes that internal
 // memory holds (|Σ| lg n)^δ blocks, enough for the prefix counts A and the
@@ -215,84 +218,34 @@ type chunkReq struct {
 	at int
 }
 
-// QueryBatch answers a batch of range queries through the shared-scan
-// planner: duplicate ranges are deduplicated (they share one answer), every
-// distinct query is planned without execution, the requested cover runs are
-// coalesced per level, and each coalesced extent is read once no matter how
-// many queries subscribe to it. The i-th result corresponds to rs[i];
-// answers are bit-identical to looped Query calls.
-//
-// The returned stats are batch-level: Reads counts each distinct block once
-// for the whole batch (the I/O-model cost of the shared scan), BitsRead
-// counts each coalesced extent once, and SharedSaved reports the block reads
-// avoided versus running each distinct query in its own session — so
-// Reads + SharedSaved is the cost the same batch would have paid through
-// looped Query calls on a cache-less device.
-func (ox *Optimal) QueryBatch(rs []index.Range) ([]*cbitmap.Bitmap, index.QueryStats, error) {
-	return ox.QueryBatchContext(context.Background(), rs)
-}
-
-// QueryBatchContext answers like QueryBatch, checking ctx for cancellation
-// between planned queries, between coalesced extent scans, and between
-// per-query merges — the three loops a wide batch spends its time in. The
-// stats are populated even on an error return (including the batch session's
-// failed read attempts), so retry layers can account every attempt.
-func (ox *Optimal) QueryBatchContext(ctx context.Context, rs []index.Range) ([]*cbitmap.Bitmap, index.QueryStats, error) {
-	return ox.queryBatch(ctx, rs, true)
-}
-
-// QueryParts answers like QueryBatchContext, without skip samples, for a
-// caller that reads every answer once and whole: a sharded index's union.
-func (ox *Optimal) QueryParts(ctx context.Context, rs []index.Range) ([]*cbitmap.Bitmap, index.QueryStats, error) {
-	return ox.queryBatch(ctx, rs, false)
-}
-
-func (ox *Optimal) queryBatch(ctx context.Context, rs []index.Range, sampled bool) ([]*cbitmap.Bitmap, index.QueryStats, error) {
-	out := make([]*cbitmap.Bitmap, len(rs))
-	if len(rs) == 0 {
-		return out, index.QueryStats{}, nil
-	}
-	stats, err := ox.answer(ctx, rs, out, sampled)
-	if err != nil {
-		return nil, stats, err
-	}
-	return out, stats, nil
-}
-
-// answer sets out[i] to the answer of rs[i] in one session: duplicate ranges
-// share one answer, and every distinct range is planned in memory and then
-// executed with the others as one batch. A single query is the batch of one
-// range.
-func (ox *Optimal) answer(ctx context.Context, rs []index.Range, out []*cbitmap.Bitmap, sampled bool) (stats index.QueryStats, err error) {
+// Answer sets out[i] to the answer of rs[i] in one session: every range is
+// planned in memory and then executed with the others as one batch, so
+// ranges that overlap read each coalesced extent once. A single query is the
+// batch of one range. The caller hands over distinct ranges — a duplicate
+// would be planned, read and merged again, not shared — and owns out, which
+// must hold len(rs) slots. Without sampled the answers carry no skip samples,
+// for a caller that reads each answer once and whole (a sharded index's
+// union). ctx is checked between planned ranges, between coalesced extent
+// scans and between merges. The stats are batch-level: Reads counts each
+// distinct block once for the whole batch, BitsRead each coalesced extent
+// once, and SharedSaved the block reads sharing avoided, so Reads +
+// SharedSaved is what the ranges would have paid alone on a cache-less
+// device. They stand even on an error return (the session's failed read
+// attempts included), so retry layers can account every attempt.
+func (ox *Optimal) Answer(ctx context.Context, rs []index.Range, out []*cbitmap.Bitmap, sampled bool) (stats index.QueryStats, err error) {
 	for _, r := range rs {
 		if err := r.Valid(ox.tree.sigma); err != nil {
 			return stats, err
 		}
 	}
-	order := rs // one range is distinct as it stands
-	var uniq map[index.Range]int
-	if len(rs) > 1 {
-		uniq = make(map[index.Range]int, len(rs))
-		order = nil
-		for _, r := range rs {
-			if _, ok := uniq[r]; !ok {
-				uniq[r] = len(order)
-				order = append(order, r)
-			}
-		}
-	}
 	tc := ox.disk.NewTouch()
 	defer tc.Close()
-	defer func() {
-		stats.Reads, stats.Writes = tc.Reads(), tc.Writes()
-		stats.SharedSaved = tc.SharedSaved()
-		stats.FailedReads = tc.FailedReads()
-	}()
+	defer sessionStats(tc, &stats)
 	sc := getScratch()
 	defer sc.release()
 	sc.lazy = !sampled
-	plans := sc.growPlans(len(order))
-	for qi, r := range order {
+	plans := sc.growPlans(len(rs))
+	for qi, r := range rs {
 		if err := ctx.Err(); err != nil {
 			return stats, err
 		}
@@ -310,10 +263,16 @@ func (ox *Optimal) answer(ctx context.Context, rs []index.Range, out []*cbitmap.
 	if err != nil {
 		return stats, err
 	}
-	for i, r := range rs {
-		out[i] = answers[uniq[r]]
-	}
+	copy(out, answers)
 	return stats, nil
+}
+
+// sessionStats sets the I/O counters of stats from the query's session, the
+// epilogue every query entry of the package defers.
+func sessionStats(tc *iomodel.Touch, stats *index.QueryStats) {
+	stats.Reads, stats.Writes = tc.Reads(), tc.Writes()
+	stats.SharedSaved = tc.SharedSaved()
+	stats.FailedReads = tc.FailedReads()
 }
 
 // execute answers plans in the caller's session, each over [0,univ), against

@@ -34,21 +34,39 @@ func planBlocks(ox *Optimal, plan QueryPlan) map[int64]struct{} {
 	return set
 }
 
-// runBatchOracle answers the batch through QueryBatch and through looped
-// Query calls, asserting bit-identical answers and the exact shared-scan
-// accounting: batch Reads must equal the blocks of the union of the queries'
-// hand-computed plans, and Reads + SharedSaved must equal the sum of the
-// per-query session costs (which the looped standalone queries also report).
+// answerBatch answers rs through Answer, the package's batch entry, into
+// slots of its own.
+func answerBatch(ox *Optimal, rs []index.Range) ([]*cbitmap.Bitmap, index.QueryStats, error) {
+	out := make([]*cbitmap.Bitmap, len(rs))
+	st, err := ox.Answer(context.Background(), rs, out, true)
+	return out, st, err
+}
+
+// distinctRanges returns rs without its repeats, first occurrences in order:
+// Answer's callers deduplicate, so the tests hand it distinct ranges too.
+func distinctRanges(rs []index.Range) []index.Range {
+	var out []index.Range
+	for _, r := range rs {
+		if !slices.Contains(out, r) {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// runBatchOracle answers the distinct ranges of rs as one batch through
+// Answer and through looped Query calls, asserting bit-identical answers and
+// the exact shared-scan accounting: batch Reads must equal the blocks of the
+// union of the queries' hand-computed plans, and Reads + SharedSaved must
+// equal the sum of the per-query session costs (which the looped standalone
+// queries also report).
 func runBatchOracle(t *testing.T, ox *Optimal, rs []index.Range) index.QueryStats {
 	t.Helper()
-	got, stats, err := ox.QueryBatch(rs)
+	rs = distinctRanges(rs)
+	got, stats, err := answerBatch(ox, rs)
 	if err != nil {
-		t.Fatalf("QueryBatch: %v", err)
+		t.Fatalf("Answer: %v", err)
 	}
-	if len(got) != len(rs) {
-		t.Fatalf("%d results for %d ranges", len(got), len(rs))
-	}
-	seen := make(map[index.Range]int)
 	union := make(map[int64]struct{})
 	perQuerySum, standaloneSum := 0, 0
 	for i, r := range rs {
@@ -68,13 +86,6 @@ func runBatchOracle(t *testing.T, ox *Optimal, rs []index.Range) index.QueryStat
 		if !cbitmap.Equal(got[i], ref) || !cbitmap.Equal(want, ref) {
 			t.Fatalf("range %d %v: answer differs from the decode-then-union oracle", i, r)
 		}
-		if j, ok := seen[r]; ok {
-			if got[i] != got[j] {
-				t.Fatalf("duplicate range %v did not share its answer", r)
-			}
-			continue // accounting covers distinct ranges only
-		}
-		seen[r] = i
 		plan, pst, err := ox.PlanQuery(r)
 		if err != nil {
 			t.Fatalf("PlanQuery %v: %v", r, err)
@@ -93,7 +104,7 @@ func runBatchOracle(t *testing.T, ox *Optimal, rs []index.Range) index.QueryStat
 			union[b] = struct{}{}
 		}
 	}
-	if len(seen) > 1 {
+	if len(rs) > 1 {
 		if stats.Reads != len(union) {
 			t.Fatalf("batch read %d blocks, union of hand-computed plans covers %d", stats.Reads, len(union))
 		}
@@ -109,9 +120,9 @@ func runBatchOracle(t *testing.T, ox *Optimal, rs []index.Range) index.QueryStat
 }
 
 // TestQueryBatchDifferential is the planner's differential oracle on random
-// columns: batches with duplicates, overlapping ranges and dense
-// (complement-path) ranges must answer bit-identically to looped Query and
-// satisfy the exact shared-read accounting.
+// columns: batches of overlapping and dense (complement-path) ranges must
+// answer bit-identically to looped Query and satisfy the exact shared-read
+// accounting.
 func TestQueryBatchDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	cols := []workload.Column{
@@ -133,7 +144,6 @@ func TestQueryBatchDifferential(t *testing.T) {
 				hi := lo + uint32(rng.Intn(sigma-int(lo)))
 				rs = append(rs, index.Range{Lo: lo, Hi: hi})
 			}
-			rs = append(rs, rs[0], rs[3])                              // duplicates
 			rs = append(rs, index.Range{Lo: 0, Hi: uint32(sigma) - 1}) // densest: complement path
 			runBatchOracle(t, ox, rs)
 		}
@@ -230,14 +240,15 @@ func TestQueryBatchSharedCorruptMember(t *testing.T) {
 	if !caught {
 		t.Fatal("no single bit flip in the shared member fails its validation")
 	}
-	if _, _, err := ox.QueryBatch(rs); !errors.Is(err, cbitmap.ErrCorrupt) {
+	if _, _, err := answerBatch(ox, rs); !errors.Is(err, cbitmap.ErrCorrupt) {
 		t.Fatalf("batch over a corrupt shared member: error %v, want cbitmap.ErrCorrupt", err)
 	}
 }
 
 // TestQueryBatchEdgeCases covers the degenerate shapes around the planner:
-// empty batches, single-range delegation, all-duplicate batches, and
-// invalid ranges.
+// empty batches, a batch of one range, a range handed over twice, and
+// invalid ranges. Deduplication is the callers' (the shard and root batch
+// entries, whose tests pin that repeats share one answer).
 func TestQueryBatchEdgeCases(t *testing.T) {
 	col := workload.Uniform(2000, 32, 9)
 	d := iomodel.NewDisk(iomodel.Config{BlockBits: 1024})
@@ -245,30 +256,37 @@ func TestQueryBatchEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out, _, err := ox.QueryBatch(nil); err != nil || len(out) != 0 {
+	if out, _, err := answerBatch(ox, nil); err != nil || len(out) != 0 {
 		t.Fatalf("empty batch: %v len=%d", err, len(out))
 	}
-	// A batch of one distinct range (possibly repeated) delegates to the
-	// single-query pipeline and shares the one answer.
-	rs := []index.Range{{Lo: 3, Hi: 9}, {Lo: 3, Hi: 9}, {Lo: 3, Hi: 9}}
-	out, st, err := ox.QueryBatch(rs)
+	r := index.Range{Lo: 3, Hi: 9}
+	out, st, err := answerBatch(ox, []index.Range{r})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if out[0] != out[1] || out[1] != out[2] {
-		t.Fatal("repeated single range did not share its answer")
 	}
 	if st.SharedSaved != 0 {
-		t.Fatalf("single distinct range reported SharedSaved=%d", st.SharedSaved)
+		t.Fatalf("single range reported SharedSaved=%d", st.SharedSaved)
 	}
-	want, _, err := ox.Query(index.Range{Lo: 3, Hi: 9})
+	want, wst, err := ox.Query(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cbitmap.Equal(out[0], want) {
-		t.Fatal("single-range batch answer differs from Query")
+	if !cbitmap.Equal(out[0], want) || st != wst {
+		t.Fatal("single-range batch answer or stats differ from Query")
 	}
-	if _, _, err := ox.QueryBatch([]index.Range{{Lo: 1, Hi: 2}, {Lo: 5, Hi: 99}}); err == nil {
+	// A range handed over twice is planned and merged twice: equal answers,
+	// its reads counted once and the second plan's as shared.
+	twice, st, err := answerBatch(ox, []index.Range{r, r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cbitmap.Equal(twice[0], want) || !cbitmap.Equal(twice[1], want) {
+		t.Fatal("a repeated range's answers differ from Query")
+	}
+	if st.Reads != wst.Reads || st.SharedSaved != wst.Reads {
+		t.Fatalf("repeated range: Reads %d SharedSaved %d, want %d and %d", st.Reads, st.SharedSaved, wst.Reads, wst.Reads)
+	}
+	if _, _, err := answerBatch(ox, []index.Range{{Lo: 1, Hi: 2}, {Lo: 5, Hi: 99}}); err == nil {
 		t.Fatal("out-of-alphabet range accepted")
 	}
 	if _, _, err := ox.PlanQuery(index.Range{Lo: 9, Hi: 3}); err == nil {

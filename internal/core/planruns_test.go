@@ -34,7 +34,7 @@ func (ox *Optimal) coverChunksPerNode(qlo, qhi int64, plan *QueryPlan) error {
 }
 
 // withPerNodePlanner runs f with every plan — Query's, ApproxQuery's and
-// QueryBatch's — made by the per-node oracle.
+// Answer's — made by the per-node oracle.
 func withPerNodePlanner(f func()) {
 	coverPlanner = (*Optimal).coverChunksPerNode
 	defer func() { coverPlanner = (*Optimal).coverChunks }()
@@ -121,7 +121,7 @@ func decodePlanRuns(data []byte) (planRunsCase, bool) {
 // fuzzer-chosen columns (σ, n, skew), branching, stride, block size and
 // ranges, complement and empty sides included: the same expanded members in
 // the same order, in maximal runs, with no read under either planner; and
-// Query, ApproxQuery and QueryBatch answering with the same bitmaps and stats
+// Query, ApproxQuery and Answer answering with the same bitmaps and stats
 // as under the oracle, on a clean device and — FailedReads included — on a
 // fault-injecting one. Corruption stays off: a flipped bit surfaces only in
 // the first read that covers its block, so a coalesced read may rightly see
@@ -208,15 +208,15 @@ func FuzzPlanRuns(f *testing.F) {
 					}
 				}
 			}
-			got, gst, gerr := ax.QueryBatch(c.ranges)
+			got, gst, gerr := answerBatch(ax.Optimal, c.ranges)
 			var want []*cbitmap.Bitmap
 			var wst index.QueryStats
 			var werr error
-			withPerNodePlanner(func() { want, wst, werr = second.QueryBatch(c.ranges) })
-			if same("QueryBatch", index.Range{}, gst, wst, gerr, werr) {
+			withPerNodePlanner(func() { want, wst, werr = answerBatch(second.Optimal, c.ranges) })
+			if same("Answer", index.Range{}, gst, wst, gerr, werr) {
 				for i := range got {
 					if !cbitmap.Equal(got[i], want[i]) {
-						t.Fatalf("QueryBatch range %v: answers differ", c.ranges[i])
+						t.Fatalf("Answer range %v: answers differ", c.ranges[i])
 					}
 				}
 			}

@@ -664,10 +664,7 @@ func (px *PointIndex) PointQuery(ch uint32) (bm *cbitmap.Bitmap, stats index.Que
 	}
 	tc := px.disk.NewTouch()
 	defer tc.Close()
-	defer func() {
-		stats.Reads, stats.Writes = tc.Reads(), tc.Writes()
-		stats.FailedReads = tc.FailedReads()
-	}()
+	defer sessionStats(tc, &stats)
 	sc := getScratch()
 	defer sc.release()
 	if stats.BitsRead, err = px.collect(tc, ch, ch+1, sc, pointUniverse); err != nil {

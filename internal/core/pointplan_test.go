@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -120,14 +121,14 @@ func TestPointPlansMemoized(t *testing.T) {
 					t.Fatalf("%s shard %d: a plan kept before any point query", what, i)
 				}
 			}
-			cold, cst, err := sharded.Query(r)
+			cold, cst, _, err := sharded.QueryExec(context.Background(), r, shard.ExecOptions{})
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
 			for i, p := range parts {
 				checkKeptPlan(t, fmt.Sprintf("%s shard %d", what, i), p.Ax.Optimal, c)
 			}
-			warm, wst, err := sharded.Query(r)
+			warm, wst, _, err := sharded.QueryExec(context.Background(), r, shard.ExecOptions{})
 			if err != nil {
 				t.Fatalf("%s warm: %v", what, err)
 			}

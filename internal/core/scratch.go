@@ -48,7 +48,7 @@ type queryScratch struct {
 	members []cbitmap.Member // an ordered plan's (appendMembers)
 	bufs    []*chunkBuf
 	used    int  // bufs handed out this operation
-	lazy    bool // merge without skip samples (Optimal.QueryParts)
+	lazy    bool // merge without skip samples (Optimal.Answer, unsampled)
 
 	overlay []int64    // positions merged as one in-memory stream (addOverlay)
 	leaves  []*pnode   // one point-index descent's leaves, in key order (collect)

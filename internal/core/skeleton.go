@@ -181,10 +181,7 @@ type charReader interface {
 func queryUpdatable(ctx context.Context, kind charReader, d *iomodel.Disk, r index.Range, n, z int64, last uint32) (out *cbitmap.Bitmap, stats index.QueryStats, err error) {
 	tc := d.NewTouch()
 	defer tc.Close()
-	defer func() {
-		stats.Reads, stats.Writes = tc.Reads(), tc.Writes()
-		stats.FailedReads = tc.FailedReads()
-	}()
+	defer sessionStats(tc, &stats)
 	sc := getScratch()
 	defer sc.release()
 	if err = ctx.Err(); err != nil {

@@ -117,10 +117,7 @@ func (wx *Warmup) Query(r index.Range) (out *cbitmap.Bitmap, stats index.QuerySt
 	}
 	tc := wx.disk.NewTouch()
 	defer tc.Close()
-	defer func() {
-		stats.Reads, stats.Writes = tc.Reads(), tc.Writes()
-		stats.FailedReads = tc.FailedReads()
-	}()
+	defer sessionStats(tc, &stats)
 	sc := getScratch()
 	defer sc.release()
 	plans := sc.growPlans(1)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -77,7 +78,7 @@ func s1Row(col workload.Column, batch []index.Range, shards, workers int) ([]str
 	buildMS := time.Since(t0)
 	cold.ResetDeviceStats()
 	t0 = time.Now()
-	if _, _, err := cold.QueryBatch(batch); err != nil {
+	if _, _, _, err := cold.QueryBatchExec(context.Background(), batch, shard.ExecOptions{}); err != nil {
 		return nil, err
 	}
 	coldDur := time.Since(t0)
@@ -98,12 +99,12 @@ func s1Row(col workload.Column, batch []index.Range, shards, workers int) ([]str
 	if err != nil {
 		return nil, err
 	}
-	if _, _, err := warm.QueryBatch(batch); err != nil { // fill the caches
+	if _, _, _, err := warm.QueryBatchExec(context.Background(), batch, shard.ExecOptions{}); err != nil { // fill the caches
 		return nil, err
 	}
 	warm.ResetDeviceStats()
 	t0 = time.Now()
-	if _, _, err := warm.QueryBatch(batch); err != nil {
+	if _, _, _, err := warm.QueryBatchExec(context.Background(), batch, shard.ExecOptions{}); err != nil {
 		return nil, err
 	}
 	warmDur := time.Since(t0)

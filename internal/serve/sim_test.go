@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -167,7 +168,7 @@ func TestSimulateOverloadOracle(t *testing.T) {
 			continue
 		}
 		ar := arrivals[i]
-		want, _, err := ref.Query(indexRange(ar))
+		want, _, _, err := ref.QueryExec(context.Background(), indexRange(ar), shard.ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -39,7 +39,7 @@ func TestAllowPartialPermanentFault(t *testing.T) {
 	chaos.shards[dead].disk.ArmFaults()
 
 	r := index.Range{Lo: 3, Hi: 40}
-	want, _, err := ref.Query(r)
+	want, _, _, err := ref.QueryExec(context.Background(), r, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestAllowPartialPermanentFault(t *testing.T) {
 
 	// Batch path: every result is missing the dead shard's rows.
 	rs := []index.Range{{Lo: 3, Hi: 40}, {Lo: 0, Hi: 10}, {Lo: 20, Hi: 63}}
-	wants, _, err := ref.QueryBatch(rs)
+	wants, _, _, err := ref.QueryBatchExec(context.Background(), rs, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestCancelMidBatchUnderConcurrency(t *testing.T) {
 			defer wg.Done()
 			for l := 0; l < loops; l++ {
 				ctx, cancel := context.WithTimeout(context.Background(), time.Duration(1+g+l)*time.Millisecond)
-				bms, _, err := chaos.QueryBatchContext(ctx, rs)
+				bms, _, _, err := chaos.QueryBatchExec(ctx, rs, ExecOptions{})
 				cancel()
 				switch {
 				case err == nil:
@@ -185,11 +185,11 @@ func TestCancelMidBatchUnderConcurrency(t *testing.T) {
 	// The devices and session pools must be unpoisoned: a fault-free run
 	// right after the cancellation storm matches the reference bit for bit.
 	chaos.DisarmFaults()
-	wants, _, err := ref.QueryBatch(rs)
+	wants, _, _, err := ref.QueryBatchExec(context.Background(), rs, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gots, st, err := chaos.QueryBatch(rs)
+	gots, st, _, err := chaos.QueryBatchExec(context.Background(), rs, ExecOptions{})
 	if err != nil {
 		t.Fatalf("batch after cancellation storm: %v", err)
 	}

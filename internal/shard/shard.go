@@ -24,6 +24,7 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -383,11 +384,10 @@ func retryTransient(ctx context.Context, pol RetryPolicy, token uint64, stats *i
 	}
 }
 
-// shardOutcome is what one shard contributes to a fan-out: its local answers
-// (one per distinct range; nil when the shard failed, was skipped or never
-// ran), the stats of every attempt, the attempt count and the final error.
+// shardOutcome is what one shard contributes to a fan-out besides its
+// answers: the stats of every attempt, the attempt count and the final error
+// (its answers are in the fan-out's slots only when err is nil).
 type shardOutcome struct {
-	answers  []*cbitmap.Bitmap
 	stats    index.QueryStats
 	attempts int
 	err      error
@@ -421,27 +421,16 @@ func (sx *Index) collectReport(outs []shardOutcome, eo ExecOptions) ([]ShardErro
 	return report, nil
 }
 
-// Query answers I[lo;hi] by fanning the range out to every shard and merging
-// the compressed per-shard answers, rebased by each shard's row offset. The
-// returned stats sum the per-shard I/O costs (total block transfers; on S
-// independent devices the critical path is roughly 1/S of it).
-func (sx *Index) Query(r index.Range) (*cbitmap.Bitmap, index.QueryStats, error) {
-	return sx.QueryContext(context.Background(), r)
-}
-
-// QueryContext answers like Query, honouring ctx: cancellation stops
+// QueryExec answers I[lo;hi] by fanning the range out to every shard and
+// merging the compressed per-shard answers, rebased by each shard's row
+// offset: a batch of one through the same fan-out as QueryBatchExec, with
+// per-shard bounded retries for transient device faults per eo.Retry, and
+// (with eo.AllowPartial) a degraded answer merging only the healthy shards.
+// The report is non-nil exactly when the answer is partial; its entries name
+// the global row ranges whose bits are missing from the answer. The stats sum
+// the per-shard I/O costs (total block transfers; on S independent devices
+// the critical path is roughly 1/S of it). Cancellation of ctx stops
 // scheduling shard tasks and checkpoints inside each shard's pipeline.
-func (sx *Index) QueryContext(ctx context.Context, r index.Range) (*cbitmap.Bitmap, index.QueryStats, error) {
-	bm, stats, _, err := sx.QueryExec(ctx, r, ExecOptions{})
-	return bm, stats, err
-}
-
-// QueryExec is the fault-tolerant query entry point — a batch of one through
-// the same fan-out as QueryBatchExec: per-shard bounded retries for transient
-// device faults per eo.Retry, and (with eo.AllowPartial) a degraded answer
-// merging only the healthy shards. The report is non-nil exactly when the
-// answer is partial; its entries name the global row ranges whose bits are
-// missing from the answer.
 func (sx *Index) QueryExec(ctx context.Context, r index.Range, eo ExecOptions) (*cbitmap.Bitmap, index.QueryStats, []ShardError, error) {
 	if err := r.Valid(sx.sigma); err != nil {
 		return nil, index.QueryStats{}, nil, err
@@ -449,54 +438,23 @@ func (sx *Index) QueryExec(ctx context.Context, r index.Range, eo ExecOptions) (
 	if err := eo.validateSkips(len(sx.shards)); err != nil {
 		return nil, index.QueryStats{}, nil, err
 	}
-	out, stats, report, err := sx.fanOut(ctx, []index.Range{r}, eo)
-	if err != nil {
-		return nil, stats, nil, err
-	}
-	return out[0], stats, report, nil
+	rs, out := [1]index.Range{r}, [1]*cbitmap.Bitmap{}
+	stats, report, err := sx.fanOut(ctx, rs[:], out[:], eo)
+	return out[0], stats, report, err
 }
 
-// shardBatchQuery is the per-shard entry point of every fan-out: the shard
-// runs the distinct ranges through core's batch entry, whose one executor
-// answers a single range as a batch of one plan and several in one shared
-// scan, so ranges that overlap coalesce their cover-chunk reads inside every
-// shard. A part of several answers without skip samples, since UnionAll
-// reads it once. It is a variable so tests can inject failing shards.
-var shardBatchQuery = func(ctx context.Context, sh *shard, rs []index.Range, part bool) ([]*cbitmap.Bitmap, index.QueryStats, error) {
-	if part {
-		return sh.ax.QueryParts(ctx, rs)
-	}
-	return sh.ax.QueryBatchContext(ctx, rs)
-}
-
-// QueryBatch answers a batch of ranges. Duplicate ranges are deduplicated
-// (they share one answer and pay I/O once). Each shard answers the whole
-// deduplicated batch in one shared-scan planner pass — overlapping ranges
-// read each coalesced cover-chunk extent once per shard, not once per range —
-// and the per-range cross-shard merges then run through the same bounded
-// worker pool. The i-th result corresponds to rs[i]; the returned stats
-// aggregate the whole batch at batch level (each shard's distinct blocks are
-// charged once, with the reads avoided by sharing in Stats.SharedSaved).
-//
-// A failing shard short-circuits the batch: tasks not yet started are
-// not run once any task records an error, and the first error in shard order
-// is returned.
-func (sx *Index) QueryBatch(rs []index.Range) ([]*cbitmap.Bitmap, index.QueryStats, error) {
-	return sx.QueryBatchContext(context.Background(), rs)
-}
-
-// QueryBatchContext answers like QueryBatch, honouring ctx: cancellation
-// stops scheduling shard tasks and checkpoints inside each shard's planner
-// (plan, scan and merge loops).
-func (sx *Index) QueryBatchContext(ctx context.Context, rs []index.Range) ([]*cbitmap.Bitmap, index.QueryStats, error) {
-	out, stats, _, err := sx.QueryBatchExec(ctx, rs, ExecOptions{})
-	return out, stats, err
-}
-
-// QueryBatchExec is the fault-tolerant batch entry point: what it adds to
-// QueryExec's fan-out is deduplication before it and the scatter of the
-// distinct answers back onto rs after it. With a non-nil report, every
-// returned bitmap is missing the reported shards' rows.
+// QueryBatchExec answers a batch of ranges, with QueryExec's fault tolerance.
+// Duplicate ranges are deduplicated (they share one answer and pay I/O
+// once). Each shard answers the whole deduplicated batch in one shared-scan
+// planner pass — overlapping ranges read each coalesced cover-chunk extent
+// once per shard, not once per range — and the per-range cross-shard merges
+// then run through the same bounded worker pool. The i-th result corresponds
+// to rs[i]; the returned stats aggregate the whole batch at batch level (each
+// shard's distinct blocks are charged once, with the reads avoided by
+// sharing in Stats.SharedSaved). Without eo.AllowPartial a failing shard
+// short-circuits the batch: tasks not yet started are not run once any task
+// records an error, and the first error in shard order is returned. With a
+// non-nil report, every returned bitmap is missing the reported shards' rows.
 func (sx *Index) QueryBatchExec(ctx context.Context, rs []index.Range, eo ExecOptions) ([]*cbitmap.Bitmap, index.QueryStats, []ShardError, error) {
 	if err := eo.validateSkips(len(sx.shards)); err != nil {
 		return nil, index.QueryStats{}, nil, err
@@ -516,61 +474,63 @@ func (sx *Index) QueryBatchExec(ctx context.Context, rs []index.Range, eo ExecOp
 	if len(order) == 0 {
 		return out, index.QueryStats{}, nil, nil
 	}
-	merged, stats, report, err := sx.fanOut(ctx, order, eo)
+	// The distinct answers land in out's first slots. rs[i]'s distinct answer
+	// sits at uniq[rs[i]] <= i, so scattering from the back reads every slot
+	// before it is overwritten.
+	stats, report, err := sx.fanOut(ctx, order, out[:len(order)], eo)
 	if err != nil {
 		return nil, stats, nil, err
 	}
-	for i, r := range rs {
-		out[i] = merged[uniq[r]]
+	for i := len(rs) - 1; i >= 0; i-- {
+		out[i] = out[uniq[rs[i]]]
 	}
 	return out, stats, report, nil
 }
 
-// fanOut answers the distinct, validated ranges of order: one task per shard
-// through the pool, each running the whole list on its shard under the retry
-// policy, then one cross-shard merge per range. The i-th answer corresponds
-// to order[i]; the stats sum every shard's every attempt.
-func (sx *Index) fanOut(ctx context.Context, order []index.Range, eo ExecOptions) ([]*cbitmap.Bitmap, index.QueryStats, []ShardError, error) {
-	var stats index.QueryStats
-	// One shard runs on the caller's goroutine with its outcome on the stack:
-	// the pool's task closure, and the outcomes it captures, would be two
-	// allocations on every query of a static Index.
-	var one [1]shardOutcome
-	var many []shardOutcome // the closures below capture this one
-	outs := one[:]
+// fanOut answers the distinct, validated ranges of order into out, the
+// caller's slots: one task per shard through the pool, each running the
+// whole list on its shard under the retry policy, then one cross-shard merge
+// per range. The stats sum every shard's every attempt.
+func (sx *Index) fanOut(ctx context.Context, order []index.Range, out []*cbitmap.Bitmap, eo ExecOptions) (index.QueryStats, []ShardError, error) {
 	if len(sx.shards) == 1 {
-		sx.runShard(ctx, 0, order, eo, &one[0])
-	} else {
-		many = make([]shardOutcome, len(sx.shards))
-		sx.runTasks(len(many), !eo.AllowPartial, func(i int) error { return sx.runShard(ctx, i, order, eo, &many[i]) })
-		outs = many
+		// One shard covers every row from offset 0: its local answers are the
+		// global ones, written straight into out by the caller's goroutine.
+		var o shardOutcome
+		sx.runShard(ctx, 0, order, out, eo, &o)
+		_, err := sx.collectReport([]shardOutcome{o}, eo)
+		return o.stats, nil, err
 	}
+	// The pool's goroutines hold what they share, so it lives on the heap:
+	// the ranges copied, every shard's answers and the merged ones in one
+	// slice; the caller's order and out stay where the caller put them.
+	q, ranges := len(order), slices.Clone(order)
+	slots := make([]*cbitmap.Bitmap, (len(sx.shards)+1)*q)
+	outs := make([]shardOutcome, len(sx.shards))
+	sx.runTasks(len(outs), !eo.AllowPartial, func(i int) error {
+		return sx.runShard(ctx, i, ranges, slots[i*q:(i+1)*q], eo, &outs[i])
+	})
+	var stats index.QueryStats
 	for i := range outs {
 		stats.Add(outs[i].stats)
 	}
 	report, err := sx.collectReport(outs, eo)
 	if err != nil {
-		return nil, stats, nil, err
-	}
-	if len(sx.shards) == 1 {
-		// One shard covers every row from offset 0 and, having passed
-		// collectReport, answered: its local answers are the global ones.
-		return outs[0].answers, stats, nil, nil
+		return stats, nil, err
 	}
 	// UnionAll hands the shard answers, rebased by their row offsets, to
 	// cbitmap's concatenation kernel: they are disjoint and ordered, so only
 	// each part's head code is re-encoded. Failed shards (degraded mode)
 	// simply contribute no parts.
-	merged := make([]*cbitmap.Bitmap, len(order))
-	mergeErrs := make([]error, len(order))
-	sx.runTasks(len(order), true, func(qi int) error {
+	merged := slots[len(sx.shards)*q:]
+	mergeErrs := make([]error, q)
+	sx.runTasks(q, true, func(qi int) error {
 		if mergeErrs[qi] = ctx.Err(); mergeErrs[qi] != nil {
 			return mergeErrs[qi]
 		}
 		parts := make([]cbitmap.Shifted, 0, len(sx.shards))
 		for si, sh := range sx.shards {
-			if many[si].answers != nil {
-				parts = append(parts, cbitmap.Shifted{Bm: many[si].answers[qi], Off: sh.start})
+			if outs[si].err == nil {
+				parts = append(parts, cbitmap.Shifted{Bm: slots[si*q+qi], Off: sh.start})
 			}
 		}
 		merged[qi], mergeErrs[qi] = cbitmap.UnionAll(sx.n, parts...)
@@ -578,16 +538,21 @@ func (sx *Index) fanOut(ctx context.Context, order []index.Range, eo ExecOptions
 	})
 	for _, err := range mergeErrs {
 		if err != nil {
-			return nil, stats, nil, err
+			return stats, nil, err
 		}
 	}
-	return merged, stats, report, nil
+	copy(out, merged)
+	return stats, report, nil
 }
 
-// runShard runs the distinct ranges of order on shard i under the retry
-// policy, recording its answers, stats, attempts and error in o, and
-// returns the error.
-func (sx *Index) runShard(ctx context.Context, i int, order []index.Range, eo ExecOptions, o *shardOutcome) error {
+// runShard answers the distinct ranges of order on shard i into out under
+// the retry policy, recording its stats, attempts and error in o, and
+// returns the error. The shard runs them through core's batch entry, whose
+// one executor answers a single range as a batch of one plan and several in
+// one shared scan, so ranges that overlap coalesce their cover-chunk reads
+// inside every shard. A shard of several answers without skip samples, since
+// UnionAll reads each answer once.
+func (sx *Index) runShard(ctx context.Context, i int, order []index.Range, out []*cbitmap.Bitmap, eo ExecOptions, o *shardOutcome) error {
 	if o.err = ctx.Err(); o.err != nil {
 		return o.err
 	}
@@ -596,11 +561,7 @@ func (sx *Index) runShard(ctx context.Context, i int, order []index.Range, eo Ex
 		return o.err
 	}
 	o.attempts, o.err = retryTransient(ctx, eo.Retry, uint64(i), &o.stats, func() (index.QueryStats, error) {
-		bms, st, err := shardBatchQuery(ctx, sx.shards[i], order, len(sx.shards) > 1)
-		if err == nil {
-			o.answers = bms
-		}
-		return st, err
+		return sx.shards[i].ax.Answer(ctx, order, out, len(sx.shards) == 1)
 	})
 	return o.err
 }

@@ -7,13 +7,15 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
-	"sync/atomic"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cbitmap"
+	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/iomodel"
+	"repro/internal/workload"
 )
 
 func testColumn(n, sigma int, seed int64) []uint32 {
@@ -25,125 +27,211 @@ func testColumn(n, sigma int, seed int64) []uint32 {
 	return x
 }
 
-// TestQueryBatchShortCircuit injects a failing shard and checks that the
-// batch aborts promptly: with one worker, tasks queued behind the failure
-// must be drained without running, and the injected error is what surfaces.
-func TestQueryBatchShortCircuit(t *testing.T) {
-	x := testColumn(4000, 64, 51)
-	sx, err := Build(x, 64, Options{Shards: 8, Workers: 1})
+// assembleParts cuts x into shards as Build does, builds each part exact-only
+// on a device of its own and joins them with Assemble. A part listed in
+// faults gets that fault schedule, armed.
+func assembleParts(t *testing.T, x []uint32, sigma, shards, workers int, faults map[int]iomodel.FaultConfig) (*Index, []Part) {
+	t.Helper()
+	n := int64(len(x))
+	parts := make([]Part, shards)
+	for i := range parts {
+		start, end := int64(i)*n/int64(shards), int64(i+1)*n/int64(shards)
+		var cfg iomodel.Config
+		if fc, ok := faults[i]; ok {
+			cfg.Faults = &fc
+		}
+		d, err := iomodel.NewDiskChecked(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ax, err := core.BuildExactOn(core.NewWorkers(1), d, workload.Column{X: x[start:end], Sigma: sigma}, core.OptimalOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts[i] = Part{Ax: ax, Disk: d, Start: start, End: end}
+	}
+	sx, err := Assemble(parts, n, sigma, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	injected := errors.New("injected shard failure")
-	var calls atomic.Int32
-	orig := shardBatchQuery
-	defer func() { shardBatchQuery = orig }()
-	shardBatchQuery = func(ctx context.Context, sh *shard, rs []index.Range, part bool) ([]*cbitmap.Bitmap, index.QueryStats, error) {
-		calls.Add(1)
-		return nil, index.QueryStats{}, injected
+	for i := range faults {
+		parts[i].Disk.ArmFaults()
 	}
-	_, _, err = sx.QueryBatch([]index.Range{{Lo: 0, Hi: 7}, {Lo: 3, Hi: 12}})
-	if !errors.Is(err, injected) {
-		t.Fatalf("batch error = %v, want the injected failure", err)
+	return sx, parts
+}
+
+// sessions returns each part's device session count: a shard task that ran
+// opened one per attempt.
+func sessions(parts []Part) []int64 {
+	out := make([]int64, len(parts))
+	for i, p := range parts {
+		out[i] = p.Disk.Stats().Sessions
+	}
+	return out
+}
+
+// TestQueryBatchShortCircuit fails the first of eight shards and checks that
+// the batch aborts promptly: with one worker, tasks queued behind the
+// failure must be drained without running (their devices open no session),
+// and the part's error is what surfaces.
+func TestQueryBatchShortCircuit(t *testing.T) {
+	x := testColumn(4000, 64, 51)
+	sx, parts := assembleParts(t, x, 64, 8, 1, map[int]iomodel.FaultConfig{0: {PermanentPer10k: 10000}})
+	before := sessions(parts)
+	_, _, _, err := sx.QueryBatchExec(context.Background(), []index.Range{{Lo: 0, Hi: 7}, {Lo: 3, Hi: 12}}, ExecOptions{})
+	if !errors.Is(err, iomodel.ErrPermanentRead) {
+		t.Fatalf("batch error = %v, want the failing part's permanent read fault", err)
+	}
+	if st := parts[0].Disk.Stats(); st.Sessions != before[0]+1 || st.FailedReads == 0 {
+		t.Fatalf("failing part: %d sessions (%d before), %d failed reads; want one attempt that failed", st.Sessions, before[0], st.FailedReads)
 	}
 	// One worker serialises the 8 shard tasks; the first fails, so every
 	// later task must see the failure flag and drain without running.
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("%d shard tasks ran after the failure, want short-circuit after 1", got)
+	for i, s := range sessions(parts)[1:] {
+		if s != before[i+1] {
+			t.Fatalf("shard %d ran after the failure (%d sessions, %d before), want short-circuit after 1", i+1, s, before[i+1])
+		}
 	}
 }
 
 // TestQueryBatchPartialFailure fails only one shard and checks the error
 // still surfaces (no lost error when healthy shards complete first) and that
-// a subsequent batch on the same index succeeds — the failure leaves no
-// poisoned state behind.
+// once its device heals the next batch on the same index answers as a
+// fault-free build does — the failure leaves no poisoned state behind.
 func TestQueryBatchPartialFailure(t *testing.T) {
 	x := testColumn(4000, 64, 52)
-	sx, err := Build(x, 64, Options{Shards: 4, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+	sx, parts := assembleParts(t, x, 64, 4, 4, map[int]iomodel.FaultConfig{0: {PermanentPer10k: 10000}})
+	if _, _, _, err := sx.QueryBatchExec(context.Background(), []index.Range{{Lo: 0, Hi: 7}, {Lo: 8, Hi: 15}}, ExecOptions{}); !errors.Is(err, iomodel.ErrPermanentRead) {
+		t.Fatalf("batch with a failing shard: error %v, want a permanent read fault", err)
 	}
-	orig := shardBatchQuery
-	defer func() { shardBatchQuery = orig }()
-	fail := true
-	shardBatchQuery = func(ctx context.Context, sh *shard, rs []index.Range, part bool) ([]*cbitmap.Bitmap, index.QueryStats, error) {
-		if fail && sh.start == 0 {
-			return nil, index.QueryStats{}, fmt.Errorf("shard at row 0 is down")
-		}
-		return orig(ctx, sh, rs, part)
-	}
-	if _, _, err := sx.QueryBatch([]index.Range{{Lo: 0, Hi: 7}, {Lo: 8, Hi: 15}}); err == nil {
-		t.Fatal("batch with a failing shard returned no error")
-	}
-	fail = false
-	out, _, err := sx.QueryBatch([]index.Range{{Lo: 0, Hi: 7}})
+	parts[0].Disk.DisarmFaults()
+	rs := []index.Range{{Lo: 0, Hi: 7}}
+	out, _, _, err := sx.QueryBatchExec(context.Background(), rs, ExecOptions{})
 	if err != nil {
 		t.Fatalf("batch after recovery: %v", err)
 	}
-	if out[0] == nil {
-		t.Fatal("batch after recovery returned no answer")
+	ref, err := Build(x, 64, Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
+	want, _, _, err := ref.QueryBatchExec(context.Background(), rs, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cbitmap.Equal(out[0], want[0]) {
+		t.Fatal("batch after recovery answers differently from a fault-free build")
+	}
+}
+
+// readerStacks runs query and returns the stacks of the goroutines it
+// catches sleeping in a device read, which a schedule's ReadLatency makes
+// long enough to see.
+func readerStacks(query func()) []string {
+	found := make(chan []string, 1)
+	stop := make(chan struct{})
+	go func() {
+		buf := make([]byte, 1<<20)
+		for {
+			select {
+			case <-stop:
+				found <- nil
+				return
+			default:
+			}
+			var in []string
+			for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+				if strings.Contains(g, "time.Sleep") && strings.Contains(g, "repro/internal/iomodel.") {
+					in = append(in, g)
+				}
+			}
+			if len(in) > 0 {
+				found <- in
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	func() {
+		defer close(stop) // a failing query stops the watcher too
+		query()
+	}()
+	return <-found
 }
 
 // TestOneTaskBatchRunsInline: a fan-out of one task — every batch on a
 // one-part index — runs on the caller's goroutine, with the pool's ctx
-// semantics intact.
+// semantics intact, and writes its answers into the caller's slots.
 func TestOneTaskBatchRunsInline(t *testing.T) {
 	x := testColumn(4000, 64, 53)
-	sx, err := Build(x, 64, Options{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	rs := []index.Range{{Lo: 0, Hi: 7}, {Lo: 3, Hi: 12}}
-	orig := shardBatchQuery
-	defer func() { shardBatchQuery = orig }()
-	inTask := 0
-	shardBatchQuery = func(ctx context.Context, sh *shard, rs []index.Range, part bool) ([]*cbitmap.Bitmap, index.QueryStats, error) {
-		inTask = runtime.NumGoroutine()
-		return orig(ctx, sh, rs, part)
+	slow := iomodel.FaultConfig{ReadLatency: 20 * time.Millisecond} // no fault drawn: only latency fires
+	for _, shards := range []int{1, 2} {
+		faults := map[int]iomodel.FaultConfig{}
+		for i := range shards {
+			faults[i] = slow
+		}
+		sx, _ := assembleParts(t, x, 64, shards, shards, faults)
+		for _, q := range []struct {
+			name string
+			run  func()
+		}{
+			{"batch", func() {
+				if _, _, _, err := sx.QueryBatchExec(context.Background(), rs, ExecOptions{}); err != nil {
+					t.Fatal(err)
+				}
+			}},
+			{"query", func() {
+				if _, _, _, err := sx.QueryExec(context.Background(), rs[0], ExecOptions{}); err != nil {
+					t.Fatal(err)
+				}
+			}},
+		} {
+			stacks := readerStacks(q.run)
+			if len(stacks) == 0 {
+				t.Fatalf("%d shards, %s: caught no goroutine in a device read", shards, q.name)
+			}
+			// Two shards read on the pool's goroutines, which shows the check
+			// can tell them from the caller's.
+			for _, s := range stacks {
+				if inline := strings.Contains(s, "TestOneTaskBatchRunsInline"); inline != (shards == 1) {
+					t.Fatalf("%d shards, %s: a device read on the caller's goroutine: %v, want %v:\n%s", shards, q.name, inline, shards == 1, s)
+				}
+			}
+		}
 	}
-	before := runtime.NumGoroutine()
-	if _, _, err := sx.QueryBatch(rs); err != nil {
-		t.Fatal(err)
-	}
-	if inTask > before { // fewer: an earlier test's goroutine finished exiting
-		t.Fatalf("%d goroutines while the shard task ran, %d before the batch: the task did not run inline", inTask, before)
-	}
+
+	sx, parts := assembleParts(t, x, 64, 1, 1, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	inTask = 0
-	if _, _, err := sx.QueryBatchContext(ctx, rs); !errors.Is(err, context.Canceled) || inTask != 0 {
-		t.Fatalf("cancelled batch: err = %v, task ran = %v; want context.Canceled and no task", err, inTask != 0)
+	before := parts[0].Disk.Stats().Sessions
+	if _, _, _, err := sx.QueryBatchExec(ctx, rs, ExecOptions{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled batch: err = %v, want context.Canceled", err)
 	}
-	// One range is a batch of one through the same fan-out: Query reaches
-	// the per-shard hook on the caller's goroutine too.
-	before = runtime.NumGoroutine()
-	if _, _, err := sx.Query(rs[0]); err != nil {
-		t.Fatal(err)
+	if _, _, _, err := sx.QueryExec(ctx, rs[0], ExecOptions{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled query: err = %v, want context.Canceled", err)
 	}
-	if inTask == 0 || inTask > before {
-		t.Fatalf("%d goroutines while Query's shard task ran (0: the hook was bypassed), %d before: the task did not run inline", inTask, before)
-	}
-	inTask = 0
-	if _, _, err := sx.QueryContext(ctx, rs[0]); !errors.Is(err, context.Canceled) || inTask != 0 {
-		t.Fatalf("cancelled query: err = %v, task ran = %v; want context.Canceled and no task", err, inTask != 0)
+	if after := parts[0].Disk.Stats().Sessions; after != before {
+		t.Fatalf("cancelled calls opened %d sessions, want no task run", after-before)
 	}
 	if raceEnabled {
 		return
 	}
-	shardBatchQuery = orig
 	const parentAllocs = 38 // with the goroutine and WaitGroup this batch used to start
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, _, err := sx.QueryBatch(rs); err != nil {
+		if _, _, _, err := sx.QueryBatchExec(context.Background(), rs, ExecOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > parentAllocs {
 		t.Fatalf("one-shard batch allocated %.1f times, want <= %d", allocs, parentAllocs)
 	}
-	const inlinedAllocs = 10 // what QueryExec's own one-shard branch cost before it went
+	// The answer's buffer, Bitmap and two skip-sample slices, and nothing of
+	// the fan-out's: the shard writes into QueryExec's slot, so neither the
+	// range nor the answer slice reaches the heap (6 while they did, 10 with
+	// QueryExec's own one-shard branch).
+	const inlinedAllocs = 4
 	allocs = testing.AllocsPerRun(50, func() {
-		if _, _, err := sx.Query(rs[0]); err != nil {
+		if _, _, _, err := sx.QueryExec(context.Background(), rs[0], ExecOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -155,42 +243,74 @@ func TestOneTaskBatchRunsInline(t *testing.T) {
 // TestShardAnswerSamples: a part of several shards is merged without skip
 // samples, since UnionAll reads it once and whole; the one shard of an index
 // hands its answer to the caller as it stands, so that answer carries the
-// samples its point queries seek through from the merge on.
+// samples its point queries seek through from the merge on. Each shard's
+// task (runShard) is run as the fan-out runs it, and its answer read.
 func TestShardAnswerSamples(t *testing.T) {
 	x := testColumn(1<<16, 64, 54)
 	r := index.Range{Lo: 4, Hi: 27} // a dense answer: the window kernel
 	for _, shards := range []int{1, 4} {
-		sx, err := Build(x, 64, Options{Shards: shards})
+		sx, _ := assembleParts(t, x, 64, shards, shards, nil)
+		for i := range shards {
+			var part [1]*cbitmap.Bitmap
+			var o shardOutcome
+			if err := sx.runShard(context.Background(), i, []index.Range{r}, part[:], ExecOptions{}, &o); err != nil {
+				t.Fatal(err)
+			}
+			if sampled := part[0].SampleBits() > 0; sampled != (shards == 1) {
+				t.Fatalf("%d shards: shard %d's answer (card %d) carries skip samples = %v", shards, i, part[0].Card(), sampled)
+			}
+			if shards > 1 {
+				continue
+			}
+			got, _, _, err := sx.QueryExec(context.Background(), r, ExecOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !cbitmap.Equal(got, part[0]) || got.SampleBits() != part[0].SampleBits() {
+				t.Fatal("one-shard index did not return its shard's answer as it stands")
+			}
+		}
+	}
+}
+
+// TestQueryBatchExecSharesDuplicates: the fan-out deduplicates a batch
+// before any shard sees it, so a repeated range shares one answer, and a
+// batch of one range however repeated shares no reads.
+func TestQueryBatchExecSharesDuplicates(t *testing.T) {
+	x := testColumn(4000, 64, 55)
+	for _, shards := range []int{1, 4} {
+		sx, _ := assembleParts(t, x, 64, shards, shards, nil)
+		r := index.Range{Lo: 3, Hi: 9}
+		want, wst, _, err := sx.QueryExec(context.Background(), r, ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		orig := shardBatchQuery
-		var mu sync.Mutex // the shard tasks run concurrently
-		var parts []*cbitmap.Bitmap
-		var flags []bool
-		shardBatchQuery = func(ctx context.Context, sh *shard, rs []index.Range, part bool) ([]*cbitmap.Bitmap, index.QueryStats, error) {
-			bms, st, err := orig(ctx, sh, rs, part)
-			mu.Lock()
-			defer mu.Unlock()
-			parts = append(parts, bms...)
-			flags = append(flags, part)
-			return bms, st, err
-		}
-		got, _, err := sx.Query(r)
-		shardBatchQuery = orig
+		out, st, _, err := sx.QueryBatchExec(context.Background(), []index.Range{r, r, r}, ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, bm := range parts {
-			if flags[i] != (shards > 1) {
-				t.Fatalf("%d shards: shard task %d ran with part = %v", shards, i, flags[i])
-			}
-			if sampled := bm.SampleBits() > 0; sampled != (shards == 1) {
-				t.Fatalf("%d shards: shard answer %d (card %d) carries skip samples = %v", shards, i, bm.Card(), sampled)
-			}
+		if out[0] != out[1] || out[1] != out[2] {
+			t.Fatalf("%d shards: repeated range did not share its answer", shards)
 		}
-		if shards == 1 && got != parts[0] {
-			t.Fatal("one-shard index did not return its shard's answer as it stands")
+		if !cbitmap.Equal(out[0], want) || st != wst {
+			t.Fatalf("%d shards: repeated range answers or stats %+v differ from QueryExec's %+v", shards, st, wst)
+		}
+		rs := []index.Range{{Lo: 0, Hi: 7}, r, {Lo: 0, Hi: 7}, {Lo: 40, Hi: 63}, r}
+		out, _, _, err = sx.QueryBatchExec(context.Background(), rs, ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out[0] != out[2] || out[1] != out[4] || out[0] == out[1] || out[1] == out[3] {
+			t.Fatalf("%d shards: answers not shared exactly between equal ranges", shards)
+		}
+		for i, r := range rs {
+			one, _, _, err := sx.QueryExec(context.Background(), r, ExecOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !cbitmap.Equal(out[i], one) {
+				t.Fatalf("%d shards: batch answer %d differs from QueryExec", shards, i)
+			}
 		}
 	}
 }

@@ -116,7 +116,7 @@ func TestSkipShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := index.Range{Lo: 3, Hi: 40}
-	full, _, err := sx.Query(r)
+	full, _, _, err := sx.QueryExec(context.Background(), r, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -428,6 +428,43 @@ func TestPointQueryConcatMemo(t *testing.T) {
 	}
 }
 
+// TestWarmPointQueryAllocs pins what a warm point query on a reopened pread
+// handle allocates: the answer's buffer and Bitmap, and the Result that wraps
+// it. Nothing between the handle and the executor reaches the heap: the range
+// and the answer travel in slots on the caller's stack, and a one-shard
+// index runs its shard on the caller's goroutine.
+func TestWarmPointQueryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const n, sigma = 1 << 15, 256
+	data := workload.Zipf(n, sigma, 1.0, 50).X
+	ix, err := Build(data, sigma, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "point.secidx")
+	if err := ix.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	op, err := OpenFile(path, OpenOptions{Mode: ModePread})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer op.Close()
+	const warmPointAllocs = 3
+	for c := uint32(0); c < sigma; c++ {
+		allocs := testing.AllocsPerRun(5, func() { // the run before the count warms the key
+			if _, _, err := op.Static.Query(c, c); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > warmPointAllocs {
+			t.Fatalf("warm point query of key %d allocated %.1f times, want <= %d", c, allocs, warmPointAllocs)
+		}
+	}
+}
+
 // BenchmarkPointQueryFile times point queries, every key in turn, on a pread
 // handle over a zipf column shaped like the point-pread workload's (n = 2^19,
 // σ = 1024, θ = 1): cold opens a fresh handle for every pass over the keys,

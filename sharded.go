@@ -169,7 +169,7 @@ func (ix *ShardedIndex) PayloadUnderCodes() ([][]LevelCodes, error) {
 // per-shard I/O; on independent devices the critical path is the largest
 // per-shard share.
 func (ix *static) Query(lo, hi uint32) (*Result, Stats, error) {
-	return runQuery(context.Background(), ix.sx, lo, hi)
+	return ix.QueryContext(context.Background(), lo, hi)
 }
 
 // QueryContext answers like Query, honouring ctx: cancellation stops
@@ -177,7 +177,8 @@ func (ix *static) Query(lo, hi uint32) (*Result, Stats, error) {
 // between cover members and aborts with the context error. Stats are
 // populated even on error.
 func (ix *static) QueryContext(ctx context.Context, lo, hi uint32) (*Result, Stats, error) {
-	return runQuery(ctx, ix.sx, lo, hi)
+	res, st, _, err := ix.execQuery(ctx, lo, hi, QueryOptions{})
+	return res, st, err
 }
 
 // QueryExec is the fault-tolerant query entry point: per-shard bounded
