@@ -467,8 +467,9 @@ func TestReadCompatLegacyHeight(t *testing.T) {
 	if l := o.Static.SpaceLedger(); l.RecordBits != 128 || l.ResidentBits() != l.ImageBits {
 		t.Fatalf("old file: %d-bit node records, ledger parts sum to %d of %d bits", l.RecordBits, l.ResidentBits(), l.ImageBits)
 	}
-	if root := o.Static.ax.Tree().Root; len(root.Children) != 2 {
-		t.Fatalf("old file's root has %d children, its build made 2", len(root.Children))
+	tr := o.Static.ax.Tree()
+	if k := tr.Fanout(core.Node{End: tr.N()}); k != 2 {
+		t.Fatalf("old file's root has %d children, its build made 2", k)
 	}
 	col := compatColumn(16807, sigma, 175)
 	h := fnv.New64a()

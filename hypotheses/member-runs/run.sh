@@ -8,17 +8,19 @@
 # run. The members, the blocks and the bits cannot change; the chunks and the
 # planning time should, most on point queries (16 cover nodes, one run).
 #
-# Three measurements, one varied dimension each (ED-1):
+# Two measurements, one varied dimension each (ED-1):
 #   census   TestMemberRunCensus (internal/core/planruns_test.go): chunks per
 #            plan under the run planner and the per-node oracle over the same
 #            members, for every key of point-pread's column and for 400
 #            scan-wide ranges on one of its shards; PlanQuery and Query in
 #            memory under both planners, keys in quartiles by member count,
 #            and the scan-wide ranges — the vanishing point (ED-2).
-#   overlap  the alternative ROADMAP proposed (a descent that only follows the
-#            children overlapping the range, found by binary search, in place
-#            of testing every child): Tree.CoverAppend patched that way in a
-#            copy of this tree, and the same census timed there.
+#            The alternative ROADMAP proposed, a descent that follows only the
+#            children overlapping the range, is now the tree's one cover
+#            walk (Tree.cover over the split rule), so the census times it.
+#            The per-node oracle now takes its cover from the definition
+#            (Tree.Cover, a walk of the whole tree), so its planning times
+#            are the oracle's; FINDINGS.md's per-node times predate that.
 #   pairs    BASE=<commit> PAIRS=n: alternating benchmark/bench.sh runs of BASE
 #            and this tree on point-pread, OTHER_PAIRS=m on scan-wide and
 #            serve-overlap, and TRACED=k traced pairs on point-pread for
@@ -47,36 +49,7 @@ mkdir -p "$OUT"
 go test -count=1 -run 'FuzzPlanRuns|FuzzQueryBatchPlanner|TestQueryBatch|TestFusedQueryAllocs' ./internal/core >/dev/null
 go test -count=1 -short -run 'TestPointQueryConcatDifferential' ./internal/core >/dev/null
 
-# --- The alternative: an overlap-only descent under the run planner. ---
-rm -rf "$OUT/overlap"
-mkdir -p "$OUT/overlap"
-tar -c --exclude=.git --exclude=.bench_build . | tar -x -C "$OUT/overlap"
-python3 - "$OUT/overlap/internal/core/tree.go" <<'PY'
-import sys
-p = sys.argv[1]
-s = open(p).read()
-old = '''		for _, ch := range v.Children {
-			rec(ch)
-		}
-'''
-new = '''		cs := v.Children
-		a := sort.Search(len(cs), func(k int) bool { return cs[k].End > qlo })
-		b := sort.Search(len(cs), func(k int) bool { return cs[k].Start >= qhi })
-		for _, ch := range cs[a:b] {
-			if qlo <= ch.Start && ch.End <= qhi {
-				dst = append(dst, ch)
-				continue
-			}
-			rec(ch)
-		}
-'''
-assert s.count(old) == 1, 'CoverAppend child loop not found'
-open(p, 'w').write(s.replace(old, new))
-PY
-(cd "$OUT/overlap" && go test -count=1 -run 'FuzzPlanRuns|TestQueryBatch|TestPlanQueryShape' ./internal/core >/dev/null)
-
 go test ./internal/core -count=1 -cpu 1 -run 'TestMemberRunCensus$' -core.runs -v | grep '^runs' >"$OUT/census.txt"
-(cd "$OUT/overlap" && go test ./internal/core -count=1 -cpu 1 -run 'TestMemberRunCensus$' -core.runs -v) | grep '^runs' >"$OUT/census-overlap.txt"
 
 python3 - "$OUT" <<'PY'
 import re, sys
@@ -84,7 +57,7 @@ out = sys.argv[1]
 def rows(path):
     for line in open(path):
         yield dict(re.findall(r'(\w+)=([\w.-]+)', line))
-tree, overlap = list(rows(f'{out}/census.txt')), list(rows(f'{out}/census-overlap.txt'))
+tree = list(rows(f'{out}/census.txt'))
 print('Chunks per plan over the same members (census, n = 2^19 / shard of 2^20, sigma = 1024, zipf 1.0):')
 print('| seed | workload | plans | members | chunks, per node | chunks, runs | levels touched |')
 print('|---|---|---|---|---|---|---|')
@@ -93,19 +66,19 @@ for r in tree:
         plans = r.get('keys', r.get('ranges'))
         print(f"| {r['seed']} | {r['workload']} | {plans} | {r.get('members', '-')} | {r['chunks_pernode']} | {r['chunks_runs']} | {r['levels_runs']} |")
 print('\nThe cover walk alone (uncharged) beside the whole run plan, every point key, ns per key:')
-print('| seed | walk | walk, overlap-only descent | PlanQuery, runs | PlanQuery, runs + overlap-only descent |')
-print('|---|---|---|---|---|')
-for r, o in zip(tree, overlap):
+print('| seed | walk | PlanQuery, runs |')
+print('|---|---|---|')
+for r in tree:
     if r.get('workload') == 'point-pread':
-        print(f"| {r['seed']} | {r['walk_ns']} | {o['walk_ns']} | {r['plan_runs_ns']} | {o['plan_runs_ns']} |")
+        print(f"| {r['seed']} | {r['walk_ns']} | {r['plan_runs_ns']} |")
 print('\nIn memory, one P, least of 5 passes, ns per query; point keys in quartiles by member count:')
-print('| seed | group | members | mean | PlanQuery, per node | PlanQuery, runs | runs + overlap-only descent | Query, per node | Query, runs |')
-print('|---|---|---|---|---|---|---|---|---|')
-for r, o in zip(tree, overlap):
+print('| seed | group | members | mean | PlanQuery, per node | PlanQuery, runs | Query, per node | Query, runs |')
+print('|---|---|---|---|---|---|---|---|')
+for r in tree:
     if 'group' in r:
-        print(f"| {r['seed']} | {r['group']} | {r['members']} | {r['members_mean']} | {r['plan_pernode_ns']} | {r['plan_runs_ns']} | {o['plan_runs_ns']} | {r['query_pernode_ns']} | {r['query_runs_ns']} |")
+        print(f"| {r['seed']} | {r['group']} | {r['members']} | {r['members_mean']} | {r['plan_pernode_ns']} | {r['plan_runs_ns']} | {r['query_pernode_ns']} | {r['query_runs_ns']} |")
     elif r.get('workload') == 'scan-wide':
-        print(f"| {r['seed']} | scan-wide | {r['members']} | - | {r['plan_pernode_ns']} | {r['plan_runs_ns']} | {o['plan_runs_ns']} | {r['query_pernode_ns']} | {r['query_runs_ns']} |")
+        print(f"| {r['seed']} | scan-wide | {r['members']} | - | {r['plan_pernode_ns']} | {r['plan_runs_ns']} | {r['query_pernode_ns']} | {r['query_runs_ns']} |")
 PY
 
 # --- Optional: end-to-end pairs against a base commit. ---

@@ -41,7 +41,7 @@ profile() { # tree outdir
     grep 'BenchmarkPointQueryFile' "$2/bench.txt" | sed 's/^/  /'
     go tool pprof -top -cum -nodecount 300 "$2/bench.test" "$2/cpu.pprof" 2>/dev/null >"$2/top.txt"
     for fn in '(*static).Query' '(*Optimal).answer' '(*Optimal).planPoint' '(*Optimal).planInto' \
-        '(*Optimal).coverChunks' '(*Tree).CoverAppend' '(*Tree).charOf' 'cbitmap.dominantOrder'; do
+        '(*Optimal).coverChunks' '(*Tree).descend' '(*Tree).charOf' 'cbitmap.dominantOrder'; do
         share="$(awk -v fn="$fn" 'substr($6, length($6) - length(fn) + 1) == fn { print $5; exit }' "$2/top.txt")"
         printf '  %-24s %s of all samples (cum)\n' "$fn" "${share:-0%}"
     done

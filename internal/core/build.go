@@ -49,52 +49,54 @@ type levelTask struct {
 }
 
 // memberLevel returns the index in depths, the sorted materialised depths, of
-// the level whose member v is — an internal node's own depth, a leaf's first
-// materialised depth at or below it — or -1 when v is no member.
-func memberLevel(depths []int, v *Node) int {
-	li := sort.SearchInts(depths, v.Depth)
-	if v.IsLeaf() || (li < len(depths) && depths[li] == v.Depth) {
+// the level whose member a node at depth is — an internal node's own depth, a
+// leaf's first materialised depth at or below it — or -1 when it is no
+// member.
+func memberLevel(depths []int, depth int, leaf bool) int {
+	li := sort.SearchInts(depths, depth)
+	if leaf || (li < len(depths) && depths[li] == depth) {
 		return li
 	}
 	return -1
 }
 
-// eachMember calls f for every node that is a member, with its level's index
-// li in depths and its index mi among the level's members: nodes come in
-// preorder, which is record order for the members of one level.
-func eachMember(tr *Tree, depths []int, f func(v *Node, li, mi int)) {
+// memberLevels returns the members of each level of depths in record order,
+// the order in which the tree's preorder meets one level's members; a
+// counting walk sizes each level's slice first. Build and open assign nodes
+// to levels alike.
+func memberLevels(tr *Tree, depths []int) [][]member {
 	counts := make([]int, len(depths))
-	for _, v := range tr.Nodes {
-		if li := memberLevel(depths, v); li >= 0 {
-			f(v, li, counts[li])
+	tr.preorder(func(v Node, leaf bool) {
+		if li := memberLevel(depths, v.Depth, leaf); li >= 0 {
 			counts[li]++
 		}
+	})
+	levels := make([][]member, len(depths))
+	for li := range levels {
+		levels[li] = make([]member, 0, counts[li])
 	}
+	tr.preorder(func(v Node, leaf bool) {
+		if li := memberLevel(depths, v.Depth, leaf); li >= 0 {
+			levels[li] = append(levels[li], member{start: v.Start, end: v.End, internal: !leaf})
+		}
+	})
+	return levels
 }
 
-// newLevelTasks assigns each node to the level memberLevel gives it, each
-// level's member slice sized by a counting pass, and starts a run at every
+// newLevelTasks gives each level its members and starts a run at every
 // member but a leaf that continues its level's run of one character.
 func newLevelTasks(tr *Tree, stride int) []levelTask {
 	depths := materialDepths(tr.Height, stride)
 	tasks := make([]levelTask, len(depths))
-	counts := make([]int, len(depths))
-	eachMember(tr, depths, func(_ *Node, li, _ int) { counts[li]++ })
-	for li, depth := range depths {
-		tasks[li].depth = depth
-		tasks[li].members = make([]member, 0, counts[li])
-		tasks[li].ordered = true
-	}
-	one := func(v *Node) bool { return v != nil && v.IsLeaf() && v.CharLo == v.CharHi }
-	last := make([]*Node, len(depths)) // each level's latest member node
-	eachMember(tr, depths, func(v *Node, li, mi int) {
+	for li, ms := range memberLevels(tr, depths) {
 		t := &tasks[li]
-		t.members = append(t.members, member{start: v.Start, end: v.End, internal: !v.IsLeaf()})
-		if p := last[li]; !one(v) || !one(p) || p.CharLo != v.CharLo {
-			t.runs = append(t.runs, mi)
+		t.depth, t.members, t.ordered = depths[li], ms, true
+		for mi, m := range ms {
+			if mi == 0 || m.internal || ms[mi-1].internal || tr.charOf(m.start) != tr.charOf(ms[mi-1].start) {
+				t.runs = append(t.runs, mi)
+			}
 		}
-		last[li] = v
-	})
+	}
 	return tasks
 }
 
@@ -184,7 +186,7 @@ func BuildRangeLevels(d *iomodel.Disk, col workload.Column, span int64, widths [
 		t.place(d)
 		lv := RangeLevel{Width: widths[li], Exts: make([]iomodel.Extent, len(t.members)), Cards: make([]int64, len(t.members))}
 		for k, m := range t.members {
-			lv.Exts[k], lv.Cards[k] = m.ext, m.card
+			lv.Exts[k], lv.Cards[k] = m.ext, m.rows()
 		}
 		levels[li] = lv
 	}
@@ -300,12 +302,11 @@ func runLevel[P rowID](t *levelTask, sc *levelScratch[P], hs []hashutil.SplitXOR
 		startBit := t.exact.Len()
 		enc.Init(t.exact)
 		cbitmap.AddSortedK(&enc, sc.slab[m.start:m.end], uint(m.k))
-		if enc.Card() != m.end-m.start {
+		if enc.Card() != m.rows() {
 			return fmt.Errorf("core: depth %d member [%d,%d): encoded %d of %d records",
-				t.depth, m.start, m.end, enc.Card(), m.end-m.start)
+				t.depth, m.start, m.end, enc.Card(), m.rows())
 		}
 		m.ext = iomodel.Extent{Off: int64(startBit), Bits: int64(t.exact.Len() - startBit)}
-		m.card = enc.Card()
 	}
 	t.perJ = make([]hashArray, len(hs))
 	if len(hs) == 0 {

@@ -86,7 +86,7 @@ func (arr *hashArray) setWord(i int, m *member) uint64 {
 	if arr.priced == nil {
 		return arr.cardWord(i)
 	}
-	return arr.collisionWord(i, m.card)
+	return arr.collisionWord(i, m.rows())
 }
 
 // pricedWord is dropped set i's priced length as the directory codes it: its
@@ -103,7 +103,7 @@ func planDirectory(levels []matLevel, hmaps []hashLevel, groups int) dirPlan {
 		lc := &p.levels[li]
 		var c gamma.Costs
 		for i, m := range lv.members {
-			c.Add(excess(m.ext.Bits, m.card, m.k))
+			c.Add(excess(m.ext.Bits, m.rows(), m.k))
 			if i == 0 || m.k != lv.members[i-1].k {
 				lc.runs = append(lc.runs, orderRun{k: m.k})
 			}
@@ -161,7 +161,7 @@ func (p *dirPlan) write(levels []matLevel, hmaps []hashLevel) *bitio.Writer {
 		}
 		w.WriteBits(uint64(lc.lenK), orderBits)
 		for _, m := range lv.members {
-			gamma.WriteK(w, excess(m.ext.Bits, m.card, m.k), lc.lenK)
+			gamma.WriteK(w, excess(m.ext.Bits, m.rows(), m.k), lc.lenK)
 		}
 		for j, ks := range lc.sets {
 			if ks == nil {
@@ -196,10 +196,10 @@ func (p *dirPlan) write(levels []matLevel, hmaps []hashLevel) *bitio.Writer {
 // w, for member m: its card is m's less its collisions, at least one.
 func cardWordOf(w uint64, m *member) (uint64, error) {
 	coll, bit := w>>1, w&1
-	if coll >= uint64(m.card) {
-		return 0, fmt.Errorf("core: hashed set of %d collisions for a member of %d rows", coll, m.card)
+	if coll >= uint64(m.rows()) {
+		return 0, fmt.Errorf("core: hashed set of %d collisions for a member of %d rows", coll, m.rows())
 	}
-	return uint64(m.card-int64(coll))<<1 | bit, nil
+	return uint64(m.rows()-int64(coll))<<1 | bit, nil
 }
 
 // checkPlaced reports an error unless ax's streams lie where a reader of its
@@ -210,8 +210,8 @@ func (ax *Approx) checkPlaced() error {
 	var off int64
 	for _, lv := range ax.levels {
 		for _, m := range lv.members {
-			if m.ext.Off != off || m.ext.Bits < m.card*int64(m.k+1) {
-				return fmt.Errorf("core: level %d member %+v of %d rows at order %d, not from bit %d", lv.depth, m.ext, m.card, m.k, off)
+			if m.ext.Off != off || m.ext.Bits < m.rows()*int64(m.k+1) {
+				return fmt.Errorf("core: level %d member %+v of %d rows at order %d, not from bit %d", lv.depth, m.ext, m.rows(), m.k, off)
 			}
 			off += m.ext.Bits
 		}
@@ -285,7 +285,7 @@ func (ax *Approx) readDirectory(r *bitio.Reader, revision int, minz [][]int64, s
 		}
 		for mi := range members {
 			m := &members[mi]
-			if m.ext.Bits, err = length(lenK, m.card, m.k); err != nil {
+			if m.ext.Bits, err = length(lenK, m.rows(), m.k); err != nil {
 				return err
 			}
 			m.ext.Off = exactEnd

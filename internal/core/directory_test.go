@@ -188,9 +188,9 @@ func TestDirectoryStreamCorrupt(t *testing.T) {
 			// gives it, so the set's collisions outnumber the reader's rows.
 			arr, li, i := find(ax, func(arr *hashArray, li, _, i int) bool {
 				m := ax.levels[li].members[i]
-				return m.ext.Bits >= (m.card+arr.cards[i])*int64(m.k+1)
+				return m.ext.Bits >= (m.rows()+arr.cards[i])*int64(m.k+1)
 			})
-			ax.levels[li].members[i].card += arr.cards[i]
+			ax.levels[li].members[i].end += arr.cards[i]
 			*p = planDirectory(ax.levels, ax.hmaps, ax.k)
 			return nil
 		}, "collisions for a member", false},

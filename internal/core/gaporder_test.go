@@ -62,7 +62,7 @@ func TestGapOrderCensus(t *testing.T) {
 					t.Fatal(err)
 				}
 				var s cbitmap.Stream
-				if err := s.InitDecode(r, 0, r.Len(), m.card, ox.tree.n, 0, uint(m.k)); err != nil {
+				if err := s.InitDecode(r, 0, r.Len(), m.rows(), ox.tree.n, 0, uint(m.k)); err != nil {
 					t.Fatal(err)
 				}
 				bits, prev := int64(0), int64(-1)

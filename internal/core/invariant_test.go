@@ -31,19 +31,19 @@ func TestOptimalFrontierTiling(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, v := range ix.tree.Nodes {
+			ix.tree.preorder(func(v Node, _ bool) {
 				lv := &ix.levels[ix.levelFor(v.Depth)]
 				i, j, err := lv.chunk(v.Start, v.End)
 				if err != nil {
-					t.Fatalf("node %d (depth %d, records [%d,%d)): %v", v.ID, v.Depth, v.Start, v.End, err)
+					t.Fatalf("node %+v: %v", v, err)
 				}
 				// The chunk must be internally contiguous.
 				for k := i + 1; k < j; k++ {
 					if lv.members[k].start != lv.members[k-1].end {
-						t.Fatalf("node %d: member gap at chunk index %d", v.ID, k)
+						t.Fatalf("node %+v: member gap at chunk index %d", v, k)
 					}
 				}
-			}
+			})
 		})
 	}
 }

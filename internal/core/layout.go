@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/gamma"
 	"repro/internal/iomodel"
@@ -28,7 +29,7 @@ const legacyRecordBits = 128
 // plus the lengths of the members before it, so the records and the
 // per-level bases are the whole exact directory.
 //
-// No query walks the blocks: the tree is rebuilt from the counts and the
+// No query walks the blocks: the tree is derived from the counts and the
 // records are read once at open, which is what the paper's internal memory
 // of (|Σ| lg n)^δ blocks holds. Revision 2 keeps the same lengths and orders
 // in the metadata's directory stream (directory.go), a few bits per member
@@ -53,23 +54,23 @@ func (l *treeLayout) recordBits() int {
 func perBlock(d *iomodel.Disk, recordBits int) int { return max(d.BlockBits()/recordBits, 1) }
 
 // placeLayout lays out the nodes of t on d from block first, records of
-// lenBits+kBits to a block as many as fit, and calls visit with each node
-// and the bit position of its record, in increasing position. Each block is
-// filled by BFS over one subtree; overflow subtrees are deferred, and a
-// block with leftover room pulls further pending subtrees ("we merge the
-// blocks so that no block is more than half empty"). The placement is a
-// pure function of the topology and the record width, so a reopen replays
-// the writer's.
-func placeLayout(d *iomodel.Disk, t *Tree, first iomodel.BlockID, lenBits, kBits int, visit func(v *Node, pos int64)) *treeLayout {
+// lenBits+kBits to a block as many as fit, and calls visit with each node,
+// whether it is a pruned leaf, and the bit position of its record, in
+// increasing position. Each block is filled by BFS over one subtree; overflow
+// subtrees are deferred, and a block with leftover room pulls further pending
+// subtrees ("we merge the blocks so that no block is more than half empty").
+// The placement is a pure function of the topology and the record width, so
+// a reopen replays the writer's.
+func placeLayout(d *iomodel.Disk, t *Tree, first iomodel.BlockID, lenBits, kBits int, visit func(v Node, leaf bool, pos int64)) *treeLayout {
 	l := &treeLayout{disk: d, lenBits: lenBits, kBits: kBits}
 	width := l.recordBits()
 	cap := perBlock(d, width)
-	pending := []*Node{t.Root}
+	pending := []Node{t.root()}
 	for ; len(pending) > 0; l.nblocks++ {
 		blk := first + iomodel.BlockID(l.nblocks)
 		count := 0
 		for len(pending) > 0 && count < cap {
-			queue := []*Node{pending[0]}
+			queue := []Node{pending[0]}
 			pending = pending[1:]
 			for len(queue) > 0 {
 				v := queue[0]
@@ -78,9 +79,12 @@ func placeLayout(d *iomodel.Disk, t *Tree, first iomodel.BlockID, lenBits, kBits
 					pending = append(pending, v)
 					continue
 				}
-				visit(v, d.BlockOff(blk)+int64(count*width))
+				k := t.Fanout(v)
+				visit(v, k == 0, d.BlockOff(blk)+int64(count*width))
 				count++
-				queue = append(queue, v.Children...)
+				for i := range k {
+					queue = append(queue, v.child(i, k))
+				}
 			}
 		}
 	}
@@ -97,8 +101,13 @@ func (ox *Optimal) openLayout(depths []int, lenBits, kBits int, leafOrders bool)
 	d, t := ox.disk, ox.tree
 	bb := int64(d.BlockBits())
 	first := iomodel.BlockID((ox.aExt.End() + bb - 1) / bb)
-	pos := make([]int64, len(t.Nodes))
-	l := placeLayout(d, t, first, lenBits, kBits, func(v *Node, p int64) { pos[v.ID] = p })
+	type placed struct {
+		v    Node
+		leaf bool
+		pos  int64
+	}
+	var nodes []placed
+	l := placeLayout(d, t, first, lenBits, kBits, func(v Node, leaf bool, p int64) { nodes = append(nodes, placed{v, leaf, p}) })
 	ext := iomodel.Extent{Off: d.BlockOff(first), Bits: l.sizeBits()}
 	if ext.End() > d.AllocatedBits() {
 		return fmt.Errorf("core: tree layout of %d blocks from block %d exceeds image of %d bits", l.nblocks, first, d.AllocatedBits())
@@ -107,31 +116,28 @@ func (ox *Optimal) openLayout(depths []int, lenBits, kBits int, leafOrders bool)
 	if err != nil {
 		return err
 	}
-	recs := make([]uint64, len(t.Nodes))
-	for id, p := range pos {
-		if err := r.Seek(int(p)); err != nil {
+	for _, nd := range nodes {
+		if err := r.Seek(int(nd.pos)); err != nil {
 			return err
 		}
-		if recs[id], err = r.ReadBits(lenBits + kBits); err != nil {
+		rec, err := r.ReadBits(lenBits + kBits)
+		if err != nil {
 			return err
+		}
+		k := rec & (1<<kBits - 1)
+		li := memberLevel(depths, nd.v.Depth, nd.leaf)
+		switch {
+		case li < 0 && rec != 0:
+			return fmt.Errorf("core: node %+v is no member but its record holds %#x", nd.v, rec)
+		case k > gamma.MaxOrder || (k > 0 && nd.leaf && !leafOrders):
+			return fmt.Errorf("core: node %+v (leaf %v) at order %d", nd.v, nd.leaf, k)
+		case li >= 0:
+			ms := ox.levels[li].members
+			m := &ms[sort.Search(len(ms), func(i int) bool { return ms[i].start >= nd.v.Start })]
+			m.ext.Bits, m.k = int64(rec>>kBits), uint8(k)
 		}
 	}
 	ox.layout = l
-	isMember := make([]bool, len(t.Nodes))
-	eachMember(t, depths, func(v *Node, li, mi int) {
-		m := &ox.levels[li].members[mi]
-		m.ext.Bits, m.k = int64(recs[v.ID]>>kBits), uint8(recs[v.ID]&(1<<kBits-1))
-		isMember[v.ID] = true
-	})
-	for _, v := range t.Nodes {
-		k := recs[v.ID] & (1<<kBits - 1)
-		switch {
-		case !isMember[v.ID] && recs[v.ID] != 0:
-			return fmt.Errorf("core: node %d is no member but its record holds %#x", v.ID, recs[v.ID])
-		case k > gamma.MaxOrder || (k > 0 && v.IsLeaf() && !leafOrders):
-			return fmt.Errorf("core: node %d (leaf %v) at order %d", v.ID, v.IsLeaf(), k)
-		}
-	}
 	return nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math/bits"
 	"slices"
 	"strings"
@@ -14,11 +15,15 @@ import (
 	"repro/internal/workload"
 )
 
-// nodeRecords returns every node's record as revisions 0 and 1 wrote it, by
-// node ID — its member's length and order from levels (members in
-// eachMember order), 0 for a node that is no member — and the field widths
-// that hold them all.
-func nodeRecords(t *Tree, depths []int, levels [][]member) (recs []uint64, lenBits, kBits int) {
+// span is a node's record range, which names it: every internal node has
+// two children or more, so no two nodes cover the same records.
+type span = [2]int64
+
+// nodeRecords returns every member node's record as revisions 0 and 1 wrote
+// it, by span — its member's length and order from levels; a node that is no
+// member has none, and its record is 0 — and the field widths that hold them
+// all.
+func nodeRecords(levels [][]member) (recs map[span]uint64, lenBits, kBits int) {
 	var maxLen int64
 	var maxK uint8
 	for _, ms := range levels {
@@ -27,25 +32,26 @@ func nodeRecords(t *Tree, depths []int, levels [][]member) (recs []uint64, lenBi
 		}
 	}
 	lenBits, kBits = max(bits.Len64(uint64(maxLen)), 1), bits.Len8(maxK)
-	recs = make([]uint64, len(t.Nodes))
-	eachMember(t, depths, func(v *Node, li, mi int) {
-		m := &levels[li][mi]
-		recs[v.ID] = uint64(m.ext.Bits)<<kBits | uint64(m.k)
-	})
+	recs = make(map[span]uint64)
+	for _, ms := range levels {
+		for _, m := range ms {
+			recs[span{m.start, m.end}] = uint64(m.ext.Bits)<<kBits | uint64(m.k)
+		}
+	}
 	return recs, lenBits, kBits
 }
 
-// newTreeLayout places the records recs (by node ID, lenBits+kBits wide) on
-// d, from the next block boundary, as whole blocks.
-func newTreeLayout(d *iomodel.Disk, t *Tree, recs []uint64, lenBits, kBits int) *treeLayout {
+// newTreeLayout places the records recs (by span, lenBits+kBits wide) on d,
+// from the next block boundary, as whole blocks.
+func newTreeLayout(d *iomodel.Disk, t *Tree, recs map[span]uint64, lenBits, kBits int) *treeLayout {
 	d.AlignToBlock()
 	start := d.AllocatedBits()
 	w := bitio.NewWriter(0)
-	l := placeLayout(d, t, iomodel.BlockID(start/int64(d.BlockBits())), lenBits, kBits, func(v *Node, pos int64) {
+	l := placeLayout(d, t, iomodel.BlockID(start/int64(d.BlockBits())), lenBits, kBits, func(v Node, _ bool, pos int64) {
 		for pad := int(pos-start) - w.Len(); pad > 0; pad -= 64 {
 			w.WriteBits(0, min(pad, 64)) // to the next block's first record
 		}
-		w.WriteBits(recs[v.ID], lenBits+kBits)
+		w.WriteBits(recs[span{v.Start, v.End}], lenBits+kBits)
 	})
 	w.Align(d.BlockBits())
 	d.AllocStream(w)
@@ -60,7 +66,7 @@ func withLayout(t testing.TB, ax *Approx) (*iomodel.Disk, *Approx) {
 	t.Helper()
 	src := ax.disk
 	d := iomodel.NewDisk(iomodel.Config{BlockBits: src.BlockBits()})
-	recs, lenBits, kBits := nodeRecords(ax.tree, materialDepths(ax.tree.Height, ax.opts.Stride), levelMembers(ax.Optimal))
+	recs, lenBits, kBits := nodeRecords(levelMembers(ax.Optimal))
 	l := newTreeLayout(d, ax.tree, recs, lenBits, kBits)
 	tail, img := src.Image()
 	w := bitio.NewWriter(int(tail))
@@ -126,14 +132,14 @@ func encodeRecordsMeta(t testing.TB, ax *Approx) []byte {
 }
 
 // recordPos returns the bit position of every node's record on ox's device,
-// by node ID, replaying the layout's placement from the first block after A
+// by span, replaying the layout's placement from the first block after A
 // (block 0 on an image without A).
-func recordPos(ox *Optimal) []int64 {
+func recordPos(ox *Optimal) map[span]int64 {
 	l := ox.layout
 	bb := int64(ox.disk.BlockBits())
 	first := iomodel.BlockID((ox.aExt.End() + bb - 1) / bb)
-	pos := make([]int64, len(ox.tree.Nodes))
-	placeLayout(ox.disk, ox.tree, first, l.lenBits, l.kBits, func(v *Node, p int64) { pos[v.ID] = p })
+	pos := make(map[span]int64)
+	placeLayout(ox.disk, ox.tree, first, l.lenBits, l.kBits, func(v Node, _ bool, p int64) { pos[span{v.Start, v.End}] = p })
 	return pos
 }
 
@@ -167,9 +173,9 @@ func TestLayoutRecords(t *testing.T) {
 				}
 				gl, wl := got.layout, ax.layout
 				gp, wp := recordPos(got.Optimal), recordPos(ax.Optimal)
-				if !slices.Equal(gp, wp) || gl.nblocks != wl.nblocks || gl.lenBits != wl.lenBits || gl.kBits != wl.kBits {
+				if !maps.Equal(gp, wp) || gl.nblocks != wl.nblocks || gl.lenBits != wl.lenBits || gl.kBits != wl.kBits {
 					t.Fatalf("reopened layout: %d blocks of %d+%d-bit records, built %d of %d+%d; placements equal: %v",
-						gl.nblocks, gl.lenBits, gl.kBits, wl.nblocks, wl.lenBits, wl.kBits, slices.Equal(gp, wp))
+						gl.nblocks, gl.lenBits, gl.kBits, wl.nblocks, wl.lenBits, wl.kBits, maps.Equal(gp, wp))
 				}
 				if got.SizeBits() != ax.SizeBits() || got.SpaceLedger().ResidentBits() != d.AllocatedBits() {
 					t.Fatalf("reopened SizeBits %d, built %d", got.SizeBits(), ax.SizeBits())
@@ -194,44 +200,46 @@ func TestLayoutRecords(t *testing.T) {
 	width := l.recordBits()
 	// craft overwrites node v's record with rec, reopens, runs then on the
 	// reopened index if the reopen succeeded, and restores the record.
-	craft := func(v *Node, rec uint64, then func(*Approx) error) error {
+	craft := func(v span, rec uint64, then func(*Approx) error) error {
 		tc := d.NewTouch()
 		defer tc.Close()
-		old, err := tc.ReadBits(pos[v.ID], width)
+		old, err := tc.ReadBits(pos[v], width)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tc.WriteBits(pos[v.ID], rec, width); err != nil {
+		if err := tc.WriteBits(pos[v], rec, width); err != nil {
 			t.Fatal(err)
 		}
 		got, openErr := reopen(t, d, ax, opts)
 		if openErr == nil && then != nil {
 			openErr = then(got)
 		}
-		if err := tc.WriteBits(pos[v.ID], old, width); err != nil {
+		if err := tc.WriteBits(pos[v], old, width); err != nil {
 			t.Fatal(err)
 		}
 		return openErr
 	}
 	// The member placed last on the image: a length of all ones runs past it.
-	var last *Node
+	// Also the last leaf, and a node that is no member.
+	var last, leaf, none span
 	var lastOff int64
-	var leaf, none *Node
-	eachMember(ax.tree, materialDepths(ax.tree.Height, 2), func(v *Node, li, mi int) {
-		if off := ax.levels[li].members[mi].ext.Off; off >= lastOff {
-			last, lastOff = v, off
-		}
-		if v.IsLeaf() {
-			leaf = v
-		}
-	})
-	for _, v := range ax.tree.Nodes {
-		if memberLevel(materialDepths(ax.tree.Height, 2), v) < 0 {
-			none = v
+	for _, lv := range ax.levels {
+		for _, m := range lv.members {
+			if m.ext.Off >= lastOff {
+				last, lastOff = span{m.start, m.end}, m.ext.Off
+			}
+			if !m.internal && m.start >= leaf[0] {
+				leaf = span{m.start, m.end}
+			}
 		}
 	}
-	if none == nil || l.kBits == 0 {
-		t.Fatalf("fixture has no non-member node (%v) or no order field (%d bits)", none == nil, l.kBits)
+	ax.tree.preorder(func(v Node, isLeaf bool) {
+		if memberLevel(materialDepths(ax.tree.Height, 2), v.Depth, isLeaf) < 0 {
+			none = span{v.Start, v.End}
+		}
+	})
+	if none == (span{}) || l.kBits == 0 {
+		t.Fatalf("fixture has no non-member node (%v) or no order field (%d bits)", none == (span{}), l.kBits)
 	}
 	long := uint64(1)<<l.lenBits - 1
 	if int64(long) <= d.AllocatedBits()-lastOff {
@@ -241,7 +249,7 @@ func TestLayoutRecords(t *testing.T) {
 	gammaLeaves := func(got *Approx) error { return got.openLayout(depths, l.lenBits, l.kBits, false) }
 	for _, tc := range []struct {
 		what string
-		v    *Node
+		v    span
 		rec  uint64
 		then func(*Approx) error
 		want string
@@ -268,16 +276,16 @@ func requireRecordsHoldMembers(t *testing.T, ax *Approx) {
 	t.Helper()
 	ox := ax.Optimal
 	width := ox.layout.recordBits()
-	recs, _, _ := nodeRecords(ox.tree, materialDepths(ox.tree.Height, 2), levelMembers(ox))
+	recs, _, _ := nodeRecords(levelMembers(ox))
 	tc := ox.disk.NewTouch()
 	defer tc.Close()
-	for id, p := range recordPos(ox) {
+	for v, p := range recordPos(ox) {
 		rec, err := tc.ReadBits(p, width)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rec != recs[id] {
-			t.Fatalf("node %d's record reads %#x, its member is %#x", id, rec, recs[id])
+		if rec != recs[v] {
+			t.Fatalf("node %v's record reads %#x, its member is %#x", v, rec, recs[v])
 		}
 	}
 }

@@ -65,8 +65,8 @@ func TestValidationMemoRecordsLasts(t *testing.T) {
 	for li := range ro.levels {
 		lv := &ro.levels[li]
 		for k, m := range lv.members {
-			if v := lv.memo[k].Load(); v != 0 && v-1 != ref(m.start, m.end)[m.card-1] {
-				t.Fatalf("level %d member %d: memo holds last %d, want %d", li, k, v-1, ref(m.start, m.end)[m.card-1])
+			if v := lv.memo[k].Load(); v != 0 && v-1 != ref(m.start, m.end)[m.rows()-1] {
+				t.Fatalf("level %d member %d: memo holds last %d, want %d", li, k, v-1, ref(m.start, m.end)[m.rows()-1])
 			}
 		}
 	}

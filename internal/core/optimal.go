@@ -46,10 +46,12 @@ func (o *OptimalOptions) fill() {
 type member struct {
 	start, end int64
 	ext        iomodel.Extent
-	card       int64
 	internal   bool
-	k          uint8 // at most gamma.MaxOrder; a byte keeps member at 48 bytes
+	k          uint8 // at most gamma.MaxOrder; a byte keeps member at 40 bytes
 }
+
+// rows returns the member's cardinality: one row per record it covers.
+func (m *member) rows() int64 { return m.end - m.start }
 
 // matLevel is one materialised level: the bitmaps of all nodes at the
 // level's depth plus the pruned leaves strictly between the previous
@@ -145,11 +147,11 @@ func (lv *matLevel) tileFrom(i int, lo, hi int64) (int, error) {
 }
 
 // Optimal is the paper's Theorem 2 structure: the pruned weight-balanced
-// tree with materialised levels 1, 2, 4, 8, … and the leaf level; the tree,
-// its member directory and the prefix counts the paper keeps as an array A
-// on disk are in memory, the tree and A rebuilt from the counts (an image
-// written before holds a copy of A and the blocked tree layout, which no
-// query reads). Space is
+// tree with materialised levels 1, 2, 4, 8, … and the leaf level; the member
+// directory and the prefix counts the paper keeps as an array A on disk are
+// in memory, A rebuilt from the counts, and the tree is a split rule over A
+// with no nodes of its own (an image written before holds a copy of A and
+// the blocked tree layout, which no query reads). Space is
 // O(nH₀ + n + σ lg²n) bits; a query reads O(z lg(n/z)/B + lg_b n + lg lg n)
 // blocks.
 type Optimal struct {
@@ -275,7 +277,7 @@ func (ox *Optimal) levelFor(d int) int {
 // Query implements index.Index. A query is its plan, executed as a batch of
 // one: planInto takes z from the in-memory prefix counts, applies the
 // complement trick to dense answers and decomposes the record range into its
-// canonical cover over the in-memory tree, reading nothing (planner.go);
+// canonical cover by the tree's split rule, reading nothing (planner.go);
 // execute then reads one contiguous span per member run and fuses decode and
 // merge into a single streaming pass — the members' gap streams feed
 // cbitmap.MergeStreams (or, on the dense path, MergeStreamsComplement)
@@ -298,7 +300,7 @@ func (ox *Optimal) QueryContext(ctx context.Context, r index.Range) (*cbitmap.Bi
 // entry implements memberDir over the level's exact sets.
 func (lv *matLevel) entry(i int) (iomodel.Extent, int64, uint) {
 	m := &lv.members[i]
-	return m.ext, m.card, uint(m.k)
+	return m.ext, m.rows(), uint(m.k)
 }
 
 // exactDir names the exact sets as the frontier a plan is executed against.

@@ -212,17 +212,13 @@ func OpenApprox(d *iomodel.Disk, sigma, revision int, opts ApproxOptions, dec *c
 
 	// Recompute the level assignment exactly as BuildOptimal does.
 	depths := materialDepths(tr.Height, opts.Stride)
-	byLevel := make([][]*Node, len(depths))
-	eachMember(tr, depths, func(v *Node, li, _ int) { byLevel[li] = append(byLevel[li], v) })
 	minz := make([][]int64, len(depths))
-	for li, depth := range depths {
-		members := make([]member, len(byLevel[li]))
+	for li, members := range memberLevels(tr, depths) {
 		minz[li] = make([]int64, len(members))
-		for mi, v := range byLevel[li] {
-			members[mi] = member{start: v.Start, end: v.End, card: v.End - v.Start, internal: !v.IsLeaf()}
-			minz[li][mi] = minRows(tr.prefix, members[mi])
+		for mi, m := range members {
+			minz[li][mi] = minRows(tr.prefix, m)
 		}
-		ox.levels = append(ox.levels, newMatLevel(depth, members))
+		ox.levels = append(ox.levels, newMatLevel(depths[li], members))
 	}
 	ax := &Approx{Optimal: ox, seed: opts.Seed, k: maxJ(n)}
 	if flat {
@@ -394,10 +390,11 @@ func (ax *Approx) openRecords(dec *container.Decoder, revision int, legacy bool,
 func openLegacyLayout(d *iomodel.Disk, tr *Tree, dec *container.Decoder) (*treeLayout, error) {
 	bb := int64(d.BlockBits())
 	totalBlocks := (d.AllocatedBits() + bb - 1) / bb
-	if got := int(dec.UN(uint64(len(tr.Nodes)))); got != len(tr.Nodes) {
-		return nil, fmt.Errorf("core: node count %d, recomputed %d", got, len(tr.Nodes))
+	nodes := tr.NodeCount()
+	if got := int(dec.UN(uint64(nodes))); got != nodes {
+		return nil, fmt.Errorf("core: node count %d, recomputed %d", got, nodes)
 	}
-	for range tr.Nodes {
+	for range nodes {
 		dec.UN(uint64(totalBlocks - 1)) // the node's block: no query reads it
 	}
 	l := &treeLayout{disk: d, nblocks: int(dec.UN(uint64(totalBlocks)))}

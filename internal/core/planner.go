@@ -27,9 +27,10 @@
 // memory holds (|Σ| lg n)^δ blocks, enough for the prefix counts A and the
 // tree with its member directory, and every static handle keeps them in
 // memory from its build or open (the directory from the metadata, or from a
-// file of revision 1 or before from its tree layout's blocks): z and the
-// cover come from there, so a query's block reads are exactly the member
-// extents it decodes.
+// file of revision 1 or before from its tree layout's blocks). The tree costs
+// no memory of its own: it is a split rule over A (tree.go). z and the cover
+// come from there, so a query's block reads are exactly the member extents it
+// decodes.
 //
 // Nor does planning repeat for a point query. Its plan depends only on its
 // character, over a tree and levels that never change, so a handle plans
@@ -44,7 +45,6 @@ import (
 	"context"
 	"math"
 	"slices"
-	"sync"
 
 	"repro/internal/cbitmap"
 	"repro/internal/index"
@@ -79,7 +79,8 @@ type QueryPlan struct {
 
 // PlanQuery computes the cover plan of r without executing it. Planning
 // reads nothing — z comes from the in-memory prefix counts (the paper's A)
-// and the cover from the in-memory tree, as the file comment explains — so
+// and the cover from the tree's split rule over them, as the file comment
+// explains — so
 // the returned stats are zero, and executing the plan is purely a matter of
 // reading the chunk extents, which is what lets a batch coalesce the extents
 // of many plans and read each one once.
@@ -151,28 +152,15 @@ func (ox *Optimal) planCover(qlo, qhi int64, plan *QueryPlan) error {
 // downstream.
 var coverPlanner = (*Optimal).coverChunks
 
-// coverScratch pools the cover buffer planning reuses across the queries of
-// a batch (and across batches).
-var coverScratchPool = sync.Pool{New: func() any { return new([]*Node) }}
-
 // coverChunks appends the cover of the record range [qlo,qhi) to the plan as
-// maximal member runs. The cover arrives in record order and a level's
-// members lie in record order, so a cover node that starts where the last run
-// at its level ends extends that run: only a run's first node searches the
-// directory, and the level is looked up only when the cover depth changes.
+// maximal member runs. The descent yields the cover in record order and a
+// level's members lie in record order, so a cover node that starts where the
+// last run at its level ends extends that run: only a run's first node
+// searches the directory, and the level is looked up only when the cover
+// depth changes.
 func (ox *Optimal) coverChunks(qlo, qhi int64, plan *QueryPlan) error {
-	if qlo >= qhi {
-		return nil
-	}
-	cp := coverScratchPool.Get().(*[]*Node)
-	cover := ox.tree.CoverAppend((*cp)[:0], qlo, qhi)
-	defer func() {
-		clear(cover)
-		*cp = cover[:0]
-		coverScratchPool.Put(cp)
-	}()
 	depth, li := -1, 0
-	for _, v := range cover {
+	return ox.tree.cover(qlo, qhi, func(v Node) error {
 		if v.Depth != depth {
 			depth, li = v.Depth, ox.levelFor(v.Depth)
 		}
@@ -184,7 +172,7 @@ func (ox *Optimal) coverChunks(qlo, qhi int64, plan *QueryPlan) error {
 					return err
 				}
 				c.J = j
-				continue
+				return nil
 			}
 		}
 		i, j, err := lv.chunk(v.Start, v.End)
@@ -192,8 +180,8 @@ func (ox *Optimal) coverChunks(qlo, qhi int64, plan *QueryPlan) error {
 			return err
 		}
 		plan.Chunks = append(plan.Chunks, PlanChunk{Level: li, I: i, J: j})
-	}
-	return nil
+		return nil
+	})
 }
 
 // lastUnknown marks a run member whose largest position no earlier stable

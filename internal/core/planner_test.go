@@ -225,7 +225,7 @@ func TestQueryBatchSharedCorruptMember(t *testing.T) {
 			t.Fatal(err)
 		}
 		var s cbitmap.Stream
-		if err := s.InitDecode(rd, 0, int(m.ext.Bits), m.card, ox.tree.n, 0, uint(m.k)); err != nil {
+		if err := s.InitDecode(rd, 0, int(m.ext.Bits), m.rows(), ox.tree.n, 0, uint(m.k)); err != nil {
 			t.Fatal(err)
 		}
 		for s.Left() > 0 {

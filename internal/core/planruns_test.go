@@ -310,11 +310,9 @@ func TestMemberRunCensus(t *testing.T) {
 		}
 		// The cover walk alone beside the whole run plan: what a cheaper walk
 		// could save.
-		var cover []*Node
 		walk := timeOf(points, 40, func(r index.Range) error {
 			lo, hi := ox.tree.RecordRange(r.Lo, r.Hi)
-			cover = ox.tree.CoverAppend(cover[:0], lo, hi)
-			return nil
+			return ox.tree.cover(lo, hi, func(Node) error { return nil })
 		})
 		k := float64(len(keys))
 		fmt.Printf("runs seed=%d workload=point-pread keys=%d members=%.1f chunks_pernode=%.2f chunks_runs=%.2f levels_runs=%.2f walk_ns=%.0f plan_runs_ns=%.0f\n",

@@ -61,7 +61,7 @@ func TestPointRunCensus(t *testing.T) {
 		for _, ch := range plan.Chunks {
 			for _, m := range ox.levels[ch.Level].members[ch.I:ch.J] {
 				bits += m.ext.Bits
-				rows += m.card
+				rows += m.rows()
 				byOrder[m.k] += m.ext.Bits
 				orders = append(orders, m.k)
 			}

@@ -52,8 +52,8 @@ func TestMergeShape(t *testing.T) {
 				for _, c := range plan.Chunks {
 					for _, m := range ox.levels[c.Level].members[c.I:c.J] {
 						k++
-						sum += m.card
-						largest = max(largest, m.card)
+						sum += m.rows()
+						largest = max(largest, m.rows())
 					}
 				}
 				if sum == 0 {
@@ -108,7 +108,7 @@ func TestPointCoverCensus(t *testing.T) {
 			for _, ch := range plan.Chunks {
 				for _, m := range ox.levels[ch.Level].members[ch.I:ch.J] {
 					k.members++
-					k.rows += m.card
+					k.rows += m.rows()
 				}
 			}
 			keys = append(keys, k)

@@ -22,37 +22,46 @@ const DefaultBranching = 8
 // character and secondarily by position, so every node covers a contiguous
 // range of "records" [Start, End) — and, crucially, every alphabet range
 // query [al,ar] corresponds to a contiguous record range, making the
-// canonical query cover a segment decomposition.
+// canonical query cover a segment decomposition. A node is a value: the tree
+// derives it, and its children, from the prefix counts (Tree.Fanout).
 type Node struct {
-	ID       int
-	Depth    int   // root is at depth 0
-	Start    int64 // first record covered (inclusive)
-	End      int64 // one past the last record covered
-	CharLo   uint32
-	CharHi   uint32
-	Children []*Node // nil for pruned leaves (single-character subtrees)
-	Parent   *Node
+	Start int64 // first record covered (inclusive)
+	End   int64 // one past the last record covered
+	Depth int   // root is at depth 0
 }
 
 // Weight returns the node's weight: the number of records below it.
-func (v *Node) Weight() int64 { return v.End - v.Start }
+func (v Node) Weight() int64 { return v.End - v.Start }
 
-// IsLeaf reports whether v is a pruned leaf.
-func (v *Node) IsLeaf() bool { return len(v.Children) == 0 }
+// child returns child i of v's k children: the i-th of k equal slices of its
+// records, rounded down at both ends. Each is nonempty, since k <= Weight.
+func (v Node) child(i, k int) Node {
+	w := v.Weight()
+	return Node{Start: v.Start + int64(i)*w/int64(k), End: v.Start + int64(i+1)*w/int64(k), Depth: v.Depth + 1}
+}
 
-// Tree is the pruned weight-balanced tree over a column, together with the
-// record order it is built on.
+// maxDepth bounds a node's depth: every child holds at most half its
+// parent's records, rounded up, so below 2^63 records no internal node lies
+// deeper than 62.
+const maxDepth = 64
+
+// Tree is the pruned weight-balanced tree over a column: a rule over the
+// prefix counts, not a structure of nodes. Child i of an internal node of
+// weight w with k children spans [Start + i·w/k, Start + (i+1)·w/k), where
+// k comes from w and the depth (Fanout); a node whose records share one
+// character is a pruned leaf. Every walk derives the nodes it visits.
 type Tree struct {
-	Root   *Node
-	Nodes  []*Node // by ID
-	Height int     // maximum leaf depth
-	C      int     // branching parameter
+	Height int // maximum leaf depth
+	C      int // branching parameter
 
 	n     int64
 	sigma int
 	// prefix[a] = number of records with character < a (the paper's array A
 	// shifted by one: prefix has sigma+1 entries, prefix[sigma] = n).
 	prefix []int64
+	// target[d] is c^(h-d-1), the target child weight of a node at depth d
+	// for the leaf depth h of the unpruned tree.
+	target [maxDepth]float64
 }
 
 // BuildTree constructs the pruned weight-balanced tree for col with
@@ -74,12 +83,11 @@ func legacyHeight(n int64, c int) int {
 	return max(int(math.Ceil(math.Log(float64(n))/math.Log(float64(c)))), 1)
 }
 
-// newTree builds the node structure over a column's prefix counts (σ+1
-// entries, the last n) and assigns preorder IDs; height(n, c) is the leaf
-// depth of the unpruned tree. Topology is a pure function of (prefix, c,
-// height): the recursive build consults characters only through charOf,
-// which reads prefix — this is what makes the tree reconstructible from
-// counts alone.
+// newTree returns the tree over a column's prefix counts (σ+1 entries, the
+// last n); height(n, c) is the leaf depth of the unpruned tree. Topology is a
+// pure function of (prefix, c, height): the split rule consults characters
+// only through charOf, which reads prefix — this is what makes the tree
+// reconstructible from counts alone. One walk finds the height.
 func newTree(prefix []int64, c int, height func(n int64, c int) int) (*Tree, error) {
 	if c <= 4 {
 		return nil, fmt.Errorf("core: branching parameter %d must exceed 4", c)
@@ -89,21 +97,17 @@ func newTree(prefix []int64, c int, height func(n int64, c int) int) (*Tree, err
 		return nil, fmt.Errorf("core: empty column")
 	}
 	t := &Tree{C: c, n: prefix[sigma], sigma: sigma, prefix: prefix}
-	// Height: all leaves of the unpruned tree sit at depth h with node
-	// weight Θ(n/c^d) at depth d.
-	t.Root = t.build(nil, 0, 0, t.n, height(t.n, t.C))
-	var assign func(v *Node)
-	assign = func(v *Node) {
-		v.ID = len(t.Nodes)
-		t.Nodes = append(t.Nodes, v)
-		if v.Depth > t.Height {
-			t.Height = v.Depth
-		}
-		for _, ch := range v.Children {
-			assign(ch)
-		}
+	// All leaves of the unpruned tree sit at depth h, with node weight
+	// Θ(n/c^d) at depth d.
+	h := height(t.n, c)
+	for d := range t.target {
+		t.target[d] = math.Pow(float64(c), float64(h-d-1))
 	}
-	assign(t.Root)
+	t.preorder(func(v Node, leaf bool) {
+		if leaf {
+			t.Height = max(t.Height, v.Depth)
+		}
+	})
 	return t, nil
 }
 
@@ -111,9 +115,9 @@ func newTree(prefix []int64, c int, height func(n int64, c int) int) (*Tree, err
 // occurrence counts alone — the reopen path for serialised static indexes.
 // The returned tree is topologically identical to BuildTree's over any
 // column with these counts: the tree holds no positions (queries read them
-// from the on-device bitmaps), and everything it does hold — prefix, node
-// ranges, charOf — depends only on counts and the height rule the image was
-// built under.
+// from the on-device bitmaps), and everything it derives — node ranges,
+// charOf — depends only on counts and the height rule the image was built
+// under.
 func treeFromCounts(counts []int64, c int, height func(n int64, c int) int) (*Tree, error) {
 	prefix := make([]int64, len(counts)+1)
 	for a, cnt := range counts {
@@ -146,120 +150,109 @@ func (t *Tree) Count(al, ar uint32) int64 {
 	return t.prefix[ar+1] - t.prefix[al]
 }
 
-// build constructs the subtree covering records [start,end) at the given
-// depth; h is the target leaf depth of the unpruned tree.
-func (t *Tree) build(parent *Node, depth int, start, end int64, h int) *Node {
-	v := &Node{Depth: depth, Start: start, End: end, Parent: parent}
-	v.CharLo = t.charOf(start)
-	v.CharHi = t.charOf(end - 1)
-	if v.CharLo == v.CharHi {
-		// All records share one character: prune (§2.2).
-		return v
+// root returns the root: every record, at depth 0.
+func (t *Tree) root() Node { return Node{End: t.n} }
+
+// Fanout returns how many children v has: none for a pruned leaf, whose
+// records share one character (§2.2), else split's count.
+func (t *Tree) Fanout(v Node) int {
+	if t.prefix[t.charOf(v.Start)+1] >= v.End {
+		return 0
 	}
-	w := end - start
-	// Target child weight c^(h-depth-1); clamp the child count to [2, 4c].
-	target := math.Pow(float64(t.C), float64(h-depth-1))
-	k := int(math.Round(float64(w) / target))
-	if k < 2 {
-		k = 2
-	}
-	if k > 4*t.C {
-		k = 4 * t.C
-	}
-	if int64(k) > w {
-		k = int(w)
-	}
-	for i := 0; i < k; i++ {
-		cs := start + int64(i)*w/int64(k)
-		ce := start + int64(i+1)*w/int64(k)
-		if cs == ce {
-			continue
-		}
-		v.Children = append(v.Children, t.build(v, depth+1, cs, ce, h))
-	}
-	return v
+	return t.split(v)
 }
 
-// CoverAppend appends to dst the canonical cover of the record range
-// [qlo,qhi): the O(lg n) maximal subtrees whose record ranges lie inside it
-// (at most a constant number per level for constant c). The descent runs
-// over the in-memory tree and reads no block: the paper's bound prices the
-// O(lg_b n) structure blocks of §2.2's search, which its internal-memory
-// assumption ((|Σ| lg n)^δ blocks) holds resident. Appending lets the planner
-// reuse one pooled buffer for every cover it computes.
-func (t *Tree) CoverAppend(dst []*Node, qlo, qhi int64) []*Node {
-	var rec func(v *Node)
-	rec = func(v *Node) {
-		if v.End <= qlo || v.Start >= qhi {
-			return
-		}
-		if qlo <= v.Start && v.End <= qhi {
-			dst = append(dst, v)
-			return
-		}
-		for _, ch := range v.Children {
-			rec(ch)
-		}
-	}
-	rec(t.Root)
-	return dst
+// split returns the child count of internal node v: its weight over the
+// target child weight at its depth, rounded, clamped to [2, 4c] and to the
+// weight.
+func (t *Tree) split(v Node) int {
+	w := v.Weight()
+	k := min(max(int(math.Round(float64(w)/t.target[v.Depth])), 2), 4*t.C)
+	return int(min(int64(k), w))
 }
 
-// Validate checks the structural invariants the analysis relies on and is
-// used by tests and the semi-dynamic rebuilder:
-//   - children partition the parent's record range in order;
-//   - pruned leaves cover exactly one character;
-//   - internal nodes cover at least two characters (pruning is maximal);
+// preorder calls f with every node and whether it is a pruned leaf, each
+// node before its children and children in record order.
+func (t *Tree) preorder(f func(v Node, leaf bool)) { t.walk(t.root(), f) }
+
+func (t *Tree) walk(v Node, f func(v Node, leaf bool)) {
+	k := t.Fanout(v)
+	f(v, k == 0)
+	for i := range k {
+		t.walk(v.child(i, k), f)
+	}
+}
+
+// NodeCount returns the number of nodes, O(σ lg n), by one walk.
+func (t *Tree) NodeCount() (count int) {
+	t.preorder(func(Node, bool) { count++ })
+	return count
+}
+
+// cover calls f with each node of the canonical cover of the record range
+// [qlo,qhi), in record order: the O(lg n) maximal subtrees whose record
+// ranges lie inside it (at most a constant number per level for constant c).
+// The descent visits only the children that overlap the range and needs no
+// node's characters: a query's record range is character-aligned
+// (RecordRange), so a pruned leaf lies wholly inside it or wholly outside,
+// and every node the descent splits is internal. It reads no block: the
+// paper's bound prices the O(lg_b n) structure blocks of §2.2's search, which
+// its internal-memory assumption ((|Σ| lg n)^δ blocks) holds resident.
+func (t *Tree) cover(qlo, qhi int64, f func(v Node) error) error {
+	if qlo >= qhi {
+		return nil
+	}
+	return t.descend(t.root(), qlo, qhi, f)
+}
+
+func (t *Tree) descend(v Node, qlo, qhi int64, f func(v Node) error) error {
+	if qlo <= v.Start && v.End <= qhi {
+		return f(v)
+	}
+	w, k := v.Weight(), t.split(v)
+	i := 0
+	if qlo > v.Start {
+		// The first child to end past qlo: ⌈(qlo−Start+1)·k/w⌉ − 1.
+		i = int(((qlo-v.Start+1)*int64(k)+w-1)/w) - 1
+	}
+	for ; i < k; i++ {
+		ch := v.child(i, k)
+		if ch.Start >= qhi {
+			break
+		}
+		if err := t.descend(ch, qlo, qhi, f); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Validate checks the structural invariants the analysis relies on; the
+// tests call it. The rule itself makes children partition their parent's
+// records in order, and makes a node a pruned leaf exactly when its records
+// share one character. Validate checks the balance the analysis adds:
 //   - node weight at depth d is O(n/c^(d-O(1))) — checked loosely as
 //     weight*c^d <= slack*n*c^2;
 //   - per level, each character appears in at most 8c leaves.
 func (t *Tree) Validate() error {
 	leafPerLevelChar := make(map[[2]int]int)
-	var rec func(v *Node) error
-	rec = func(v *Node) error {
-		if v.IsLeaf() {
-			if v.CharLo != v.CharHi {
-				return fmt.Errorf("core: leaf %d covers characters [%d,%d]", v.ID, v.CharLo, v.CharHi)
-			}
-			key := [2]int{v.Depth, int(v.CharLo)}
-			leafPerLevelChar[key]++
-			if leafPerLevelChar[key] > 8*t.C {
-				return fmt.Errorf("core: character %d has more than %d leaves at depth %d", v.CharLo, 8*t.C, v.Depth)
-			}
-			return nil
+	var err error
+	t.preorder(func(v Node, leaf bool) {
+		if err != nil {
+			return
 		}
-		if v.CharLo == v.CharHi {
-			return fmt.Errorf("core: internal node %d covers a single character (pruning not maximal)", v.ID)
-		}
-		expect := v.Start
-		for _, ch := range v.Children {
-			if ch.Start != expect {
-				return fmt.Errorf("core: node %d children do not partition (gap at %d)", v.ID, expect)
-			}
-			if ch.Depth != v.Depth+1 {
-				return fmt.Errorf("core: node %d child depth %d, want %d", v.ID, ch.Depth, v.Depth+1)
-			}
-			expect = ch.End
-			if err := rec(ch); err != nil {
-				return err
-			}
-		}
-		if expect != v.End {
-			return fmt.Errorf("core: node %d children end at %d, want %d", v.ID, expect, v.End)
-		}
-		return nil
-	}
-	if err := rec(t.Root); err != nil {
-		return err
-	}
-	// Loose weight-balance check.
-	for _, v := range t.Nodes {
 		bound := float64(t.n) * float64(t.C*t.C) / math.Pow(float64(t.C), float64(v.Depth))
 		if float64(v.Weight()) > bound {
-			return fmt.Errorf("core: node %d at depth %d has weight %d > bound %.0f", v.ID, v.Depth, v.Weight(), bound)
+			err = fmt.Errorf("core: node %+v has weight %d > bound %.0f", v, v.Weight(), bound)
+		} else if leaf {
+			a := t.charOf(v.Start)
+			key := [2]int{v.Depth, int(a)}
+			if leafPerLevelChar[key]++; leafPerLevelChar[key] > 8*t.C {
+				err = fmt.Errorf("core: character %d has more than %d leaves at depth %d", a, 8*t.C, v.Depth)
+			}
 		}
-	}
-	return nil
+	})
+	return err
 }
 
 // N returns the string length.

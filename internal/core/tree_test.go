@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/workload"
@@ -29,8 +30,19 @@ func TestBuildTreeInvariants(t *testing.T) {
 			if err := tr.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			if tr.Root.Start != 0 || tr.Root.End != int64(tc.col.Len()) {
-				t.Fatalf("root covers [%d,%d)", tr.Root.Start, tr.Root.End)
+			// The leaves tile the records in order.
+			var next int64
+			tr.preorder(func(v Node, leaf bool) {
+				if !leaf {
+					return
+				}
+				if v.Start != next {
+					t.Fatalf("leaf %+v after records [0,%d)", v, next)
+				}
+				next = v.End
+			})
+			if next != int64(tc.col.Len()) {
+				t.Fatalf("leaves cover [0,%d) of %d records", next, tc.col.Len())
 			}
 		})
 	}
@@ -57,8 +69,8 @@ func TestTreeNodeCountIsSigmaLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	// lg n = 16, σ = 32: allow a generous constant.
-	if len(tr.Nodes) > 32*16*16 {
-		t.Fatalf("%d nodes for sigma=32, n=2^16", len(tr.Nodes))
+	if nodes := tr.NodeCount(); nodes > 32*16*16 {
+		t.Fatalf("%d nodes for sigma=32, n=2^16", nodes)
 	}
 }
 
@@ -170,6 +182,86 @@ func TestCoverSizeLogarithmic(t *testing.T) {
 	}
 }
 
+// TestCoverMatchesDefinition holds the planner's descent (Tree.cover) to the
+// cover's definition (Cover, over the preorder walk): on every column shape,
+// alphabets up to 4096, c ∈ {5, 8, 16} and both height rules, every
+// character-aligned range, its two complements and the whole column get the
+// same nodes in the same order.
+func TestCoverMatchesDefinition(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		col  workload.Column
+	}{
+		{"uniform", workload.Uniform(1<<15, 4096, 1)},
+		{"zipf", workload.Zipf(1<<16, 1024, 1.0, 2)},
+		{"runs", workload.Runs(20000, 256, 40, 3)},
+		{"sorted", workload.Sorted(5000, 32)},
+		{"single-char", workload.Column{X: []uint32{2, 2, 2, 2}, Sigma: 4}},
+		{"tiny", workload.Column{X: []uint32{3, 1, 4, 1, 5}, Sigma: 8}},
+	} {
+		prefix, err := tc.col.Prefix()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sigma := tc.col.Sigma
+		for _, c := range []int{5, 8, 16} {
+			for _, rule := range []struct {
+				name   string
+				height func(int64, int) int
+			}{{"heightFor", heightFor}, {"legacyHeight", legacyHeight}} {
+				tr, err := newTree(prefix, c, rule.height)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(int64(c*sigma + len(tc.col.X))))
+				ranges := [][2]int64{{0, tr.n}}
+				for range 40 {
+					al := rng.Intn(sigma)
+					ar := al + rng.Intn(min(sigma-al, 1<<rng.Intn(13)))
+					qlo, qhi := tr.RecordRange(uint32(al), uint32(ar))
+					ranges = append(ranges, [2]int64{qlo, qhi}, [2]int64{0, qlo}, [2]int64{qhi, tr.n})
+				}
+				for _, r := range ranges {
+					var got []Node
+					if err := tr.cover(r[0], r[1], func(v Node) error { got = append(got, v); return nil }); err != nil {
+						t.Fatal(err)
+					}
+					want := tr.Cover(r[0], r[1])
+					if !slices.Equal(got, want) || (r[0] < r[1]) != (len(want) > 0) {
+						t.Fatalf("%s c=%d %s: cover of [%d,%d) descends to %v, by definition %v", tc.name, c, rule.name, r[0], r[1], got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTreeFromCountsAllocs: the tree is a rule over the prefix counts, so
+// opening one allocates the counts and the Tree, whatever the alphabet.
+func TestTreeFromCountsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	for _, sigma := range []int{1024, 4096} {
+		prefix, err := workload.Zipf(1<<19, sigma, 1.0, 3).Prefix()
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts := make([]int64, sigma)
+		for a := range counts {
+			counts[a] = prefix[a+1] - prefix[a]
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := treeFromCounts(counts, DefaultBranching, heightFor); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 2 {
+			t.Fatalf("σ = %d: treeFromCounts allocates %.0f objects, want at most 2", sigma, allocs)
+		}
+	}
+}
+
 func TestCharOfPosOf(t *testing.T) {
 	col := workload.Column{X: []uint32{1, 0, 1, 3}, Sigma: 4}
 	tr, err := BuildTree(col, DefaultBranching)
@@ -228,7 +320,7 @@ func TestTreeHeightAtPowerOfBranching(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, was := len(tr.Root.Children), len(old.Root.Children); got != tc.c || was != 2 {
+		if got, was := tr.Fanout(tr.root()), old.Fanout(old.root()); got != tc.c || was != 2 {
 			t.Errorf("n = %d^%d: root has %d children (legacy height: %d), want %d (2)", tc.c, tc.e, got, was, tc.c)
 		}
 	}

@@ -15,16 +15,26 @@ import (
 // oracles of fused_test.go and writepath_test.go: answers and charged reads
 // must equal Query's.
 
-// Cover is CoverAppend into a fresh slice, as the oracles and the tree tests
-// take it.
-func (t *Tree) Cover(qlo, qhi int64) []*Node {
-	return t.CoverAppend(nil, qlo, qhi)
+// Cover returns the canonical cover of the record range [qlo,qhi) by its
+// definition, over the preorder walk and sharing nothing with the planner's
+// descent: a node belongs to it iff it lies inside [qlo,qhi) and its parent
+// does not. The preorder meets the cover in record order.
+func (t *Tree) Cover(qlo, qhi int64) []Node {
+	inside := func(v Node) bool { return qlo <= v.Start && v.End <= qhi }
+	var cover, path []Node // path[d] is the latest node at depth d
+	t.preorder(func(v Node, _ bool) {
+		path = append(path[:v.Depth], v)
+		if inside(v) && (v.Depth == 0 || !inside(path[v.Depth-1])) {
+			cover = append(cover, v)
+		}
+	})
+	return cover
 }
 
 // readCoverChunk reads, in one contiguous scan, the frontier bitmaps of the
 // cover subtree v and appends them to ms. It is the pre-streaming
 // materialising path, retained for QueryUnfused.
-func (ox *Optimal) readCoverChunk(tc *iomodel.Touch, v *Node, ms []*cbitmap.Bitmap, stats *index.QueryStats) ([]*cbitmap.Bitmap, error) {
+func (ox *Optimal) readCoverChunk(tc *iomodel.Touch, v Node, ms []*cbitmap.Bitmap, stats *index.QueryStats) ([]*cbitmap.Bitmap, error) {
 	lv := &ox.levels[ox.levelFor(v.Depth)]
 	i, j, err := lv.chunk(v.Start, v.End)
 	if err != nil {
@@ -57,10 +67,10 @@ func decodeMember(rd *bitio.Reader, base int64, m *member, n int64) (*cbitmap.Bi
 		if err := rd.Seek(int(m.ext.Off - base)); err != nil {
 			return nil, err
 		}
-		return cbitmap.Decode(rd, m.card, n)
+		return cbitmap.Decode(rd, m.rows(), n)
 	}
 	var s cbitmap.Stream
-	if err := s.InitDecode(rd, int(m.ext.Off-base), int(m.ext.Bits), m.card, n, 0, uint(m.k)); err != nil {
+	if err := s.InitDecode(rd, int(m.ext.Off-base), int(m.ext.Bits), m.rows(), n, 0, uint(m.k)); err != nil {
 		return nil, err
 	}
 	var pos []int64

@@ -134,17 +134,16 @@ func TestStreamingBuildBitIdentical(t *testing.T) {
 		positions := ix.tree.positionsRef(col.X)
 		// run[li][k] is the first member of the run of leaves of one
 		// character that member k of level li belongs to (k itself if none).
-		nodes := make([][]*Node, len(ix.levels))
 		run := make([][]int, len(ix.levels))
-		eachMember(ix.tree, materialDepths(ix.tree.Height, stride), func(v *Node, li, k int) {
-			first := k
-			if p := len(nodes[li]) - 1; p >= 0 && v.IsLeaf() && v.CharLo == v.CharHi {
-				if u := nodes[li][p]; u.IsLeaf() && u.CharLo == u.CharHi && u.CharLo == v.CharLo {
+		for li, lv := range ix.levels {
+			for k, m := range lv.members {
+				first := k
+				if p := k - 1; p >= 0 && !m.internal && !lv.members[p].internal && ix.tree.charOf(m.start) == ix.tree.charOf(lv.members[p].start) {
 					first = run[li][p]
 				}
+				run[li] = append(run[li], first)
 			}
-			nodes[li], run[li] = append(nodes[li], v), append(run[li], first)
-		})
+		}
 		for li, lv := range ix.levels {
 			for k, m := range lv.members {
 				rd, err := tc.Reader(m.ext)
@@ -179,7 +178,7 @@ func TestStreamingBuildBitIdentical(t *testing.T) {
 				for i, p := range pos {
 					gamma.WriteK(ww, uint64(p-prevPos(pos, i)), order)
 				}
-				if m.card != int64(len(pos)) || uint(m.k) != order || int64(ww.Len()) != m.ext.Bits || !bytes.Equal(got.Bytes(), ww.Bytes()) {
+				if m.rows() != int64(len(pos)) || uint(m.k) != order || int64(ww.Len()) != m.ext.Bits || !bytes.Equal(got.Bytes(), ww.Bytes()) {
 					t.Fatalf("stride %d level %d member %d: extent differs from oracle encoding", stride, li, k)
 				}
 				if order > 0 {

@@ -751,7 +751,7 @@ func A2Branching(s Scale) (*Table, error) {
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(c),
-			fmt.Sprint(len(ix.Tree().Nodes)),
+			fmt.Sprint(ix.Tree().NodeCount()),
 			fmt.Sprint(ix.Tree().Height),
 			fmt.Sprintf("%.1f", float64(ix.SizeBits())/float64(n)),
 			fmt.Sprintf("%.0f", bits),
